@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,14 +25,6 @@ SCHEMA = "mstat/1"
 
 class CliError(Exception):
     """Usage or input error; maps to exit code 1."""
-
-
-def _threads():
-    raw = os.environ.get("MSTAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError("MSTAT_THREADS must be an integer, got %r" % raw)
 
 
 def _load_json(path):
@@ -133,16 +124,14 @@ def cmd_gph_normal(args):
             res = GN.simplex_membership(z, g, pair)
         else:
             raise CliError("explicit method needs Z = orthant or simplex")
-        label = "explicit"
     else:
         poly = _feasible_from_spec(spec, len(z)).as_polyhedron()
         if method == "oracle":
             res = GN.oracle_membership(poly, GN.GraphPoint(z, g), pair)
         else:
             res = GN.polyhedron_membership(poly, GN.GraphPoint(z, g), pair)
-        label = "oracle"
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
-           "method": label, "witness": _jsonable(res.witness)}
+           "method": method, "witness": _jsonable(res.witness)}
     _dump(out, args)
     if args.format == "text":
         print("member" if res.member else "not a member (%s)" % res.verdict)
@@ -187,7 +176,6 @@ def _portfolio_certificate(data, instance):
         try:
             scen.append(ST.ScenarioCertificate(
                 z=s["z"], eta=s["eta"], zeta=s.get("zeta"),
-                lam=s.get("lambda"), J1=s.get("J1"), J2=s.get("J2"),
                 mu=s.get("mu"), value_weights=s.get("value_weights")))
         except KeyError as exc:
             raise CliError("certificate scenario %d is missing %s" % (i, exc))
@@ -208,10 +196,9 @@ def cmd_verify(args):
                 r_hat = np.asarray(theta, dtype=float).reshape(
                     inst.d_x, inst.d_z).T @ np.asarray(x, dtype=float)
                 return [PF.solve_simplex_qp(r_hat, inst.sigma, inst.risk_aversion).z]
-            report = ST.verify_certificate_penalized(prob, cert, tol=tol,
-                                                     solver=solver, threads=_threads())
+            report = ST.verify_certificate_penalized(prob, cert, tol=tol, solver=solver)
         else:
-            report = ST.verify_certificate(prob, cert, tol=tol, threads=_threads())
+            report = ST.verify_certificate(prob, cert, tol=tol)
     elif kind == "newsvendor_kernel":
         if args.mode == "penalized":
             raise CliError("penalized mode is not available for newsvendor problems")

@@ -1,8 +1,9 @@
 """Exact polyhedral cone primitives over feasible sets Z = {z : A z <= b}.
 
 Everything here is desk scale: membership questions become tiny linear
-feasibility problems, face enumerations are exponential in the number of
-active rows and deliberately capped. Tangent, normal and critical cones follow
+feasibility problems, distances to normal cones non-negative least-squares
+problems, and face enumerations are exponential in the number of active rows
+and deliberately capped. Tangent, normal and critical cones follow
 the classical descriptions for linear inequality systems; the multiplier
 searches make the implicit existential quantifiers explicit.
 """
@@ -15,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lp import linear_feasible
+from .lp import linear_feasible, nnls
 
 __all__ = [
     "Polyhedron", "ConeRepH", "ConeRepV", "ActiveDecomposition", "Face",
@@ -410,25 +411,13 @@ def multiplier_within_support(poly, z, target, support, eps=DEFAULT_EPS):
     return lam
 
 
-def distance_to_normal_cone(poly, z, u, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
+def distance_to_normal_cone(poly, z, u, eps=DEFAULT_EPS):
     """Euclidean distance from u to N_Z(z) = cone of the active rows of A.
 
-    The projection onto a polyhedral cone lands in the relative interior of
-    some face, where it equals the orthogonal projection onto that face's
-    span; sweeping active-row subsets and validating cone membership by LP
-    therefore finds the exact distance.
+    The distance is min_{lam >= 0} ||A_I^T lam - u||, a non-negative
+    least-squares problem that the Lawson-Hanson method solves exactly, so
+    the number of active rows is not capped.
     """
     u = np.asarray(u, dtype=float)
-    I = active_set(poly, z, eps)
-    if len(I) > max_rows:
-        raise CombinatorialLimitError("%d active rows exceeds cap %d" % (len(I), max_rows))
-    best = float(np.linalg.norm(u))
-    for size in range(1, len(I) + 1):
-        for S in combinations(I, size):
-            rows = poly.A[list(S)]
-            coef, *_ = np.linalg.lstsq(rows.T, u, rcond=None)
-            p = rows.T @ coef
-            if linear_feasible(A_eq=rows.T, b_eq=p) is None:
-                continue
-            best = min(best, float(np.linalg.norm(u - p)))
-    return best
+    generators = poly.A[list(active_set(poly, z, eps))].T
+    return float(np.linalg.norm(generators @ nnls(generators, u) - u))

@@ -13,10 +13,12 @@ lower-level stationarity of z is exactly the graph-point precondition.
 
 Two independent routes are provided. The face-pair oracle sweeps multiplier
 supports and nested row subsets, materializes each Minkowski difference cone
-and tests memberships with the generic cone machinery. The direct polyhedral
-predicate runs the same existential system with inline linear algebra, and
-the orthant and simplex specializations reduce it to sign conditions in
-closed form.
+and tests memberships with the generic cone machinery; it is exponential in
+the active rows, capped at MAX_ACTIVE_ROWS, and kept as the reference the
+tests compare against. The direct polyhedral predicate decides the same
+existential system at its one maximal row split with two LPs, so it has no
+cap, and the orthant and simplex specializations reduce it to sign
+conditions in closed form.
 """
 
 from __future__ import annotations
@@ -107,13 +109,12 @@ def _empty(method, reason):
     return Membership(False, "empty_coderivative", method, {"reason": reason})
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphContext:
-    """Cached combinatorics of one graph point, reusable across many queries.
+    """A validated graph point (z, -g) of Z = {A z <= b} and its active rows.
 
-    Stores the active set and memoizes, per row subset, whether some
-    nonnegative multiplier carried by that subset reproduces -g. Query sweeps
-    share these answers, which matters for exhaustive agreement tests.
+    Built by make_graph_context; pass it to answer many queries at one point
+    without validating the point again.
     """
 
     poly: Polyhedron
@@ -121,34 +122,13 @@ class GraphContext:
     g: np.ndarray
     active: tuple
     eps: float
-    max_rows: int = MAX_ACTIVE_ROWS
-    _supports: dict = field(default_factory=dict)
-    _zeta_tests: dict = field(default_factory=dict)
-
-    def support_feasible(self, subset):
-        key = frozenset(subset)
-        hit = self._supports.get(key)
-        if hit is None:
-            lam = multiplier_within_support(self.poly, self.z, -self.g, key, self.eps)
-            hit = lam is not None
-            self._supports[key] = hit
-        return hit
-
-    def zeta_feasible(self, eq_rows, ineq_rows, zeta):
-        key = (frozenset(eq_rows), frozenset(ineq_rows), zeta.tobytes())
-        hit = self._zeta_tests.get(key)
-        if hit is None:
-            hit = _zeta_in_span_plus_cone(self.poly, eq_rows, ineq_rows, zeta, self.eps)
-            self._zeta_tests[key] = hit
-        return hit
 
 
-def make_graph_context(poly, z, g, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
-    """Validate the graph point (z, -g) and prepare the query cache.
+def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
+    """Validate the graph point (z, -g) and record its active rows.
 
     Raises NotGraphPointError when z is infeasible or -g fails to decompose
-    over the active rows, and CombinatorialLimitError when the active set is
-    too large for the exhaustive sweeps.
+    over the active rows.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -156,12 +136,9 @@ def make_graph_context(poly, z, g, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
         I = active_set(poly, z, eps)
     except ValueError as exc:
         raise NotGraphPointError(str(exc)) from exc
-    if len(I) > max_rows:
-        raise CombinatorialLimitError("%d active rows exceeds cap %d" % (len(I), max_rows))
-    ctx = GraphContext(poly=poly, z=z, g=g, active=I, eps=eps, max_rows=max_rows)
-    if not ctx.support_feasible(I):
+    if multiplier_within_support(poly, z, -g, I, eps) is None:
         raise NotGraphPointError("-g is not in the normal cone at z")
-    return ctx
+    return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps)
 
 
 def _zeta_in_span_plus_cone(poly, eq_rows, ineq_rows, zeta, eps):
@@ -182,35 +159,31 @@ def _subsets(pool):
         yield from combinations(pool, size)
 
 
-def _try_row_split(context, eq_set, ineq_set, zeta, eta, eps):
-    """Evaluate one (equality rows, inequality rows) regime of the system."""
-    poly = context.poly
-    A = poly.A
-    eq = sorted(eq_set)
-    ineq = sorted(ineq_set)
-    if eq and np.max(np.abs(A[eq] @ eta)) > eps:
-        return False
-    if ineq and np.min(A[ineq] @ eta) < -eps:
-        return False
-    if not context.support_feasible(eq_set):
-        return False
-    return context.zeta_feasible(frozenset(eq_set), tuple(ineq), zeta)
+def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
+    """Direct coderivative membership test for Z = {A z <= b}, by two LPs.
 
+    The existential system asks for a disjoint pair of active row sets, the
+    equality rows Q and the inequality rows R, such that
+      (a) a_i^T eta vanishes (|a_i^T eta| <= eps) on Q and is nonnegative
+          (>= -eps) on R,
+      (b) -g = A_Q^T lam for some lam >= 0 (a multiplier carried by Q), and
+      (c) zeta lies in span(A_Q) + cone(A_R).
+    With E = {i in I : |a_i^T eta| <= eps} and P = {i in I : a_i^T eta > eps}
+    the point is a member iff (E, P) itself satisfies (b) and (c).
 
-def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None,
-                          hint=None):
-    """Direct coderivative membership test for Z = {A z <= b}.
+    Proof. (E, P) passes (a) by construction, so the condition is sufficient.
+    Conversely let (Q, R) pass (a)-(c). By (a), Q subseteq E and
+    R subseteq E + P. Condition (b) is monotone in the support: a multiplier
+    carried by Q is carried by E. Condition (c) is monotone in both sets: a
+    row of R inside E moves from the cone to the span, which only enlarges
+    the set, and the other rows of R lie in P. Hence (E, P) passes (b) and
+    (c). This is the face-pair description of Dontchev and Rockafellar
+    (SIAM J. Optim. 1996) read at its maximal pair; the face-pair oracle
+    below enumerates every pair and serves as the independent cross-check.
 
-    Sweeps the existential system: a multiplier support S for -g plus nested
-    zero-multiplier subsets J1 subseteq J2 turn into a disjoint pair of row
-    sets (equalities S + J1, inequalities J2 \\ J1); membership holds when
-    a_i^T eta vanishes on the first, is nonnegative on the second, and zeta
-    decomposes over the corresponding rows. Sweeping disjoint pairs directly
-    covers exactly the (S, J1, J2) triples because supports are upper bounds.
-
-    `hint` is an optional (equality_rows, inequality_rows) pair from a
-    certificate; it is tried first and reported, but a failing hint never
-    overrides the exhaustive answer.
+    When E = I the support LP (b) is the graph-point validation already done
+    by make_graph_context and is skipped. A member's witness is the
+    canonical pair (E, P); a non-member's lists the active rows.
     """
     if context is None:
         try:
@@ -219,36 +192,17 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None,
             return _empty("polyhedron", str(exc))
     zeta, eta = pair.zeta, pair.eta
     I = context.active
-    A = poly.A
-    hint_note = {}
-    if hint is not None:
-        eq_hint = frozenset(int(i) for i in hint[0])
-        ineq_hint = frozenset(int(i) for i in hint[1])
-        if eq_hint <= set(I) and ineq_hint <= set(I) and not eq_hint & ineq_hint \
-                and _try_row_split(context, eq_hint, ineq_hint, zeta, eta, eps):
-            return Membership(True, "member", "polyhedron",
-                              {"equality_rows": sorted(eq_hint),
-                               "inequality_rows": sorted(ineq_hint),
-                               "hint_confirmed": True})
-        hint_note = {"hint_confirmed": False}
-    for eq in _subsets(I):
-        eq_set = frozenset(eq)
-        rest = [i for i in I if i not in eq_set]
-        if eq and np.max(np.abs(A[list(eq)] @ eta)) > eps:
-            continue
-        if not context.support_feasible(eq_set):
-            continue
-        for ineq in _subsets(rest):
-            if ineq and np.min(A[list(ineq)] @ eta) < -eps:
-                continue
-            if context.zeta_feasible(eq_set, ineq, zeta):
-                witness = {"equality_rows": sorted(eq_set),
-                           "inequality_rows": sorted(ineq),
-                           "near_threshold_rows": list(active_diagnostics(poly, gp.z, eps)),
-                           **hint_note}
-                return Membership(True, "member", "polyhedron", witness)
-    return Membership(False, "not_member", "polyhedron",
-                      {"active_rows": list(I), **hint_note})
+    slopes = poly.A[list(I)] @ eta
+    E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
+    P = [i for i, s in zip(I, slopes) if s > eps]
+    member = (len(E) == len(I)
+              or multiplier_within_support(poly, context.z, -context.g, E, eps)
+              is not None) and _zeta_in_span_plus_cone(poly, E, P, zeta, eps)
+    if not member:
+        return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
+    return Membership(True, "member", "polyhedron",
+                      {"equality_rows": E, "inequality_rows": P,
+                       "near_threshold_rows": list(active_diagnostics(poly, gp.z, eps))})
 
 
 def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
@@ -257,17 +211,20 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS)
     For each multiplier support S and nested subsets J1 subseteq J2 of the
     remaining active rows, builds the face difference cone F_J1 - F_J2 in
     halfspace form, and accepts when -eta lies in it and zeta in its polar.
-    Exhaustive and intended as the slow cross-check at desk scale.
+    Exhaustive, refused beyond `max_rows` active rows, and intended as the
+    slow cross-check at desk scale.
     """
     try:
-        context = make_graph_context(poly, gp.z, gp.g, eps, max_rows)
+        context = make_graph_context(poly, gp.z, gp.g, eps)
     except NotGraphPointError as exc:
         return _empty("oracle", str(exc))
     zeta, eta = pair.zeta, pair.eta
     I = context.active
+    if len(I) > max_rows:
+        raise CombinatorialLimitError("%d active rows exceeds cap %d" % (len(I), max_rows))
     seen = set()
     for S in _subsets(I):
-        if not context.support_feasible(S):
+        if multiplier_within_support(poly, context.z, -context.g, S, eps) is None:
             continue
         zero_rows = tuple(i for i in I if i not in S)
         split = ActiveDecomposition(I=I, lam=np.zeros(poly.m),
@@ -428,19 +385,15 @@ def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
 
 
 def membership_for_set(feasible, z, g, zeta, eta, eps=DEFAULT_EPS,
-                       strict_eps=STRICT_EPS, context=None, hint=None):
-    """Dispatch a coderivative membership query to the matching route.
-
-    The closed-form routes ignore hints; the general route tries a hinted
-    row split first.
-    """
+                       strict_eps=STRICT_EPS, context=None):
+    """Dispatch a coderivative membership query to the matching route."""
     pair = NormalPair(zeta, eta)
     if feasible.kind == "orthant":
         return orthant_membership(z, g, pair, eps, strict_eps)
     if feasible.kind == "simplex":
         return simplex_membership(z, g, pair, eps, strict_eps)
     return polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g),
-                                 pair, eps, context=context, hint=hint)
+                                 pair, eps, context=context)
 
 
 def _require_graph(res):

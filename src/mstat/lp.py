@@ -1,16 +1,18 @@
-"""Dense two-phase simplex for tiny LP feasibility and minimization problems.
+"""Hand-written solvers for the tiny LPs and least-squares problems.
 
 All cone membership and multiplier searches in this package reduce to linear
 feasibility systems with a handful of variables. A hand-rolled tableau solver
 with Bland's rule keeps the results bit-reproducible across platforms, which
-matters because verification verdicts must not flip between runs.
+matters because verification verdicts must not flip between runs. Distances
+to polyhedral cones are non-negative least-squares problems, solved by a
+deterministic Lawson-Hanson active-set method.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LPUnbounded", "LPLimitError", "linear_feasible", "linear_minimize"]
+__all__ = ["LPUnbounded", "LPLimitError", "linear_feasible", "linear_minimize", "nnls"]
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -21,7 +23,7 @@ class LPUnbounded(Exception):
 
 
 class LPLimitError(Exception):
-    """Iteration cap exceeded (should not happen with Bland's rule)."""
+    """Iteration cap exceeded (should not happen with Bland's rule or NNLS)."""
 
 
 def _bland_pivot(T, basis, cost_row, tol, max_iter):
@@ -221,3 +223,50 @@ def linear_minimize(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, nonneg=None,
         return None
     x = recover(x_std)
     return x, float(c @ x)
+
+
+def nnls(A, b):
+    """argmin_{x >= 0} ||A x - b|| by the Lawson-Hanson active-set method.
+
+    Columns enter the passive set one at a time, the one with the largest
+    positive gradient A^T (b - A x) first (lowest index on ties); an inner
+    loop steps back along the segment to the unconstrained least-squares
+    point and drops columns that hit zero. A column enters only when its
+    gradient clears a rounding-noise tolerance; a column in the span of the
+    passive ones has zero gradient against the least-squares residual, so the
+    passive columns stay independent when A has dependent columns. The answer
+    depends only on (A, b). Raises LPLimitError after 3n + 10 least-squares
+    solves instead of looping.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * max(m, n) * np.finfo(float).eps \
+        * np.abs(A).sum(axis=0).max(initial=0.0) * np.linalg.norm(b)
+    solves = 0
+    while True:
+        w = A.T @ (b - A @ x)
+        w[passive] = -np.inf
+        if n == 0 or np.max(w) <= tol:
+            return x
+        passive[int(np.argmax(w))] = True
+        while True:
+            solves += 1
+            if solves > 3 * n + 10:
+                raise LPLimitError("NNLS iteration cap reached")
+            B = A[:, passive]
+            s_P = np.linalg.lstsq(B, b, rcond=None)[0]
+            s_P += np.linalg.lstsq(B, b - B @ s_P, rcond=None)[0]  # one refinement step
+            s = np.zeros(n)
+            s[passive] = s_P
+            if np.min(s[passive]) > 0.0:
+                x = s
+                break
+            blocking = np.flatnonzero(passive & (s <= 0.0))
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x = x + np.min(ratios) * (s - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0

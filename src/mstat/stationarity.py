@@ -16,7 +16,6 @@ gradients over the solution set.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -24,8 +23,11 @@ import numpy as np
 
 from .cones import (
     DEFAULT_EPS,
+    MAX_ACTIVE_ROWS,
+    CombinatorialLimitError,
     Polyhedron,
     distance_to_normal_cone,
+    multiplier_within_support,
     normal_cone_multiplier,
     orthant_polyhedron,
     simplex_polyhedron,
@@ -281,18 +283,16 @@ class Problem:
 class ScenarioCertificate:
     """Claimed per-scenario solution and multipliers.
 
-    lam, J1 and J2 are optional witness data for the coderivative membership
-    (a lower-level multiplier and the nested zero-multiplier row subsets);
-    when present they are tried first and their confirmation is reported, but
-    verification never trusts them blindly.
+    zeta is optional (without it the verifier probes -r itself), mu is the
+    penalty weight of the penalized system and value_weights combine the
+    value-function generators. The coderivative membership is decided
+    exactly from (z, eta, zeta), so a certificate carries no row-split
+    witness.
     """
 
     z: np.ndarray
     eta: np.ndarray
     zeta: np.ndarray = None
-    lam: np.ndarray = None
-    J1: tuple = None
-    J2: tuple = None
     mu: float = None
     value_weights: np.ndarray = None
 
@@ -301,27 +301,8 @@ class ScenarioCertificate:
         self.eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if self.zeta is not None:
             self.zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-        if self.lam is not None:
-            self.lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if self.J1 is not None:
-            self.J1 = tuple(int(i) for i in self.J1)
-        if self.J2 is not None:
-            self.J2 = tuple(int(i) for i in self.J2)
         if self.value_weights is not None:
             self.value_weights = np.atleast_1d(np.asarray(self.value_weights, dtype=float))
-
-    def membership_hint(self, eps=DEFAULT_EPS):
-        """(equality_rows, inequality_rows) from the witness fields, if usable."""
-        if self.J1 is None or self.J2 is None:
-            return None
-        if not set(self.J1) <= set(self.J2):
-            return None
-        plus = ()
-        if self.lam is not None:
-            plus = tuple(int(i) for i in np.flatnonzero(self.lam > eps))
-        eq = tuple(sorted(set(plus) | set(self.J1)))
-        ineq = tuple(sorted(set(self.J2) - set(self.J1)))
-        return eq, ineq
 
 
 @dataclass
@@ -528,18 +509,21 @@ def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
 
     True when eta = 0 is the only solution of the homogeneous coderivative
     system 0 in hess_zz^T eta + D*N_Z(z, -grad_z c)(eta), decided by sweeping
-    the finitely many linear regimes of the membership formula.
+    the finitely many linear regimes of the membership formula. The sweep is
+    exponential and refused beyond MAX_ACTIVE_ROWS active rows.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    ctx = make_graph_context(poly, z, g, eps)
-    I = ctx.active
+    I = make_graph_context(poly, z, g, eps).active
+    if len(I) > MAX_ACTIVE_ROWS:
+        raise CombinatorialLimitError("%d active rows exceeds cap %d"
+                                      % (len(I), MAX_ACTIVE_ROWS))
     seen = set()
     for size_e in range(len(I) + 1):
         for eq in combinations(I, size_e):
-            if not ctx.support_feasible(eq):
+            if multiplier_within_support(poly, z, -g, eq, eps) is None:
                 continue
             rest = [i for i in I if i not in eq]
             for size_g in range(len(rest) + 1):
@@ -609,8 +593,7 @@ def _check_scenario(problem, theta, scen, cert, eps, strict_eps, mu=None):
     if mu is not None:
         r = r + mu * g
     probe = cert.zeta if cert.zeta is not None else -r
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps,
-                             hint=cert.membership_hint(eps))
+    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
     if res.verdict == "empty_coderivative":
         m_res = float("inf")
     elif cert.zeta is not None:
@@ -623,19 +606,9 @@ def _check_scenario(problem, theta, scen, cert, eps, strict_eps, mu=None):
                           witness=res.witness)
 
 
-def _run_scenarios(problem, certificate, eps, strict_eps, mus, threads=1):
-    jobs = list(zip(problem.scenarios, certificate.scenarios, mus))
-
-    def run(item):
-        scen, cert, mu = item
-        return _check_scenario(problem, certificate.theta, scen, cert,
-                               eps, strict_eps, mu)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(run, jobs))
-    else:
-        reports = [run(item) for item in jobs]
+def _run_scenarios(problem, certificate, eps, strict_eps, mus):
+    reports = [_check_scenario(problem, certificate.theta, scen, cert, eps, strict_eps, mu)
+               for scen, cert, mu in zip(problem.scenarios, certificate.scenarios, mus)]
     for i, rep in enumerate(reports):
         rep.index = i
     return reports
@@ -654,13 +627,13 @@ def _validate_certificate(problem, certificate):
 
 
 def verify_certificate(problem, certificate, tol=DEFAULT_TOL, eps=DEFAULT_EPS,
-                       strict_eps=STRICT_EPS, threads=1):
+                       strict_eps=STRICT_EPS):
     """Verify the plain stationarity system; all residuals must clear tol."""
     _validate_certificate(problem, certificate)
     if certificate.penalized:
         raise ValueError("certificate carries penalty weights; use the penalized verifier")
     reports = _run_scenarios(problem, certificate, eps, strict_eps,
-                             [None] * len(problem.scenarios), threads)
+                             [None] * len(problem.scenarios))
     upper = upper_residual(problem, certificate, eps)
     passed = upper <= tol and all(
         r.lower_residual <= tol and r.m_membership and r.m_residual <= tol
@@ -671,7 +644,7 @@ def verify_certificate(problem, certificate, tol=DEFAULT_TOL, eps=DEFAULT_EPS,
 
 def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
                                  value_tol=DEFAULT_VALUE_TOL, solver=None,
-                                 eps=DEFAULT_EPS, strict_eps=STRICT_EPS, threads=1):
+                                 eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     """Verify the penalized stationarity system.
 
     Penalty weights mu_n >= 0 are certificate data. The upper line gains
@@ -694,7 +667,7 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
 
     theta = certificate.theta
     lower = problem.lower
-    reports = _run_scenarios(problem, certificate, eps, strict_eps, mus, threads)
+    reports = _run_scenarios(problem, certificate, eps, strict_eps, mus)
     caveats = []
 
     s = None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,12 +40,12 @@ def test_gph_normal_methods_agree(tmp_path, capsys):
               {"Z": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
                "z": [0.0, 0.0], "g": [1.0, 0.0],
                "zeta": [4.0, 0.0], "eta": [0.0, -1.0]})
-    verdicts = {}
-    for method in ("auto", "oracle"):
+    labels = {"auto": "direct", "direct": "direct", "oracle": "oracle"}
+    for method, label in labels.items():
         code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", method)
         assert code == 0
-        verdicts[method] = json.loads(out)["member"]
-    assert verdicts["auto"] is True and verdicts["oracle"] is True
+        data = json.loads(out)
+        assert data["member"] is True and data["method"] == label
 
 
 def test_gph_normal_non_graph_point_is_empty(tmp_path, capsys):
@@ -185,6 +189,60 @@ def test_verify_text_and_json_same_verdict(tmp_path, capsys):
     assert "PASS" in out_t
 
 
+def test_verify_ignores_legacy_witness_keys(tmp_path, capsys):
+    """Certificates written with lambda/J1/J2 row-split witnesses still verify."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    cert = json.loads(open(cpath).read())
+    for s in cert["scenarios"]:
+        s.update({"lambda": [0.0, 0.0, 0.0], "J1": [], "J2": []})
+    code, out, _ = run(capsys, "verify", "--problem", ppath,
+                       "--certificate", write(tmp_path / "legacy.json", cert))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_verify_vertex_solutions_beyond_eight_active_rows(tmp_path, capsys):
+    """d_z = 12 vertex solutions put 12 rows of the simplex in the active set."""
+    from mstat.cones import active_set, simplex_polyhedron
+    from mstat.portfolio import realizable_certificate
+
+    d_z = 12
+    theta0 = np.full((2, d_z), 0.05)
+    theta0[0, 0] = theta0[1, 5] = 1.0
+    xs = [[1.0, 0.1], [0.1, 1.0], [1.0, 0.2], [0.3, 1.0]]
+    inst = PortfolioInstance(sigma=0.1 * np.eye(d_z), risk_aversion=1.0,
+                             samples=[(x, theta0.T @ np.asarray(x)) for x in xs])
+    cert, betas = realizable_certificate(inst, theta0)
+    poly = simplex_polyhedron(d_z)
+    assert all(len(active_set(poly, s.z)) == d_z for s in cert.scenarios)
+    cpath = write(tmp_path / "cert.json", {
+        "theta": theta0.tolist(),
+        "scenarios": [{"z": s.z.tolist(), "eta": s.eta.tolist(),
+                       "zeta": s.zeta.tolist(), "beta": b}
+                      for s, b in zip(cert.scenarios, betas)]})
+    code, out, _ = run(capsys, "verify", "--problem",
+                       write(tmp_path / "prob.json", inst.to_dict()),
+                       "--certificate", cpath)
+    assert code == 0
+    assert all(s["lower_residual"] < 1e-12 for s in json.loads(out)["scenarios"])
+
+
+def test_verify_does_not_import_scipy_optimize(tmp_path):
+    """The CLI stays off scipy.optimize, whose import costs start-up time and memory."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    script = ("import sys\n"
+              "import mstat.cli\n"
+              "code = mstat.cli.main(['verify', '--problem', sys.argv[1],"
+              " '--certificate', sys.argv[2]])\n"
+              "assert code == 0, code\n"
+              "assert 'scipy.optimize' not in sys.modules\n")
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", script, ppath, cpath],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_newsvendor(tmp_path, capsys):
     inst = NewsvendorInstance(h=1.0, b=1.0, centers=[([0.0], 5.0)],
                               samples=[([0.0], 5.0)])
@@ -267,18 +325,6 @@ def test_portfolio_samples_csv_override(tmp_path, capsys):
     code, out, _ = run(capsys, "spo-portfolio", "solve", "--problem", ppath,
                        "--theta", tpath, "--samples-csv", str(csv_path))
     assert code == 0 and len(json.loads(out)["decisions"]) == 2
-
-
-def test_threads_env_respected(tmp_path, capsys, monkeypatch):
-    ppath, cpath = portfolio_problem_and_cert(tmp_path)
-    monkeypatch.setenv("MSTAT_THREADS", "3")
-    code, out, _ = run(capsys, "verify", "--problem", ppath,
-                       "--certificate", cpath)
-    assert code == 0 and json.loads(out)["pass"] is True
-    monkeypatch.setenv("MSTAT_THREADS", "banana")
-    code2, _, err = run(capsys, "verify", "--problem", ppath,
-                        "--certificate", cpath)
-    assert code2 == 1 and "MSTAT_THREADS" in err
 
 
 def test_fd_check_portfolio_grad(tmp_path, capsys):

@@ -363,3 +363,16 @@ def test_distance_to_normal_cone_projection():
     # interior point: N = {0}.
     assert abs(distance_to_normal_cone(ORTHANT2, np.ones(2), np.array([0.3, -0.4]))
                - 0.5) < 1e-12
+    # a vertex of the 12-simplex has 12 active rows, beyond any enumeration cap
+    from scipy.optimize import nnls as scipy_nnls
+    poly = simplex_polyhedron(12)
+    z = np.zeros(12)
+    z[3] = 1.0
+    rows = poly.A[list(active_set(poly, z))]
+    assert len(rows) == 12
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        u = rng.integers(-3, 4, 12).astype(float)
+        ref = scipy_nnls(rows.T, u)[0]
+        assert abs(distance_to_normal_cone(poly, z, u)
+                   - np.linalg.norm(rows.T @ ref - u)) <= 1e-12

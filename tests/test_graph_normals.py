@@ -126,7 +126,9 @@ def test_simplex_degenerate_support_branch():
 # ---------------------------------------------------------------------------
 # agreement sweeps (small versions; the acceptance suite runs the full sizes)
 
-def test_orthant_exhaustive_agreement_d2():
+def test_orthant_exhaustive_agreement_d2(rng):
+    """Every sign pattern at d = 2, then sampled patterns at d = 9..12, where
+    the active set exceeds the cap of the exhaustive enumerations."""
     p = orthant_polyhedron(2)
     for zg in itertools.product([(1, 0), (0, 0), (0, 1)], repeat=2):
         z = np.array([t[0] for t in zg], float)
@@ -137,6 +139,25 @@ def test_orthant_exhaustive_agreement_d2():
                 q = pair(zeta, eta)
                 assert orthant_membership(z, g, q).member == \
                     polyhedron_membership(p, GraphPoint(z, g), q, context=ctx).member
+    members = queries = 0
+    for d in (9, 10, 11, 12):
+        p = orthant_polyhedron(d)
+        for _ in range(15):
+            zg = rng.integers(0, 3, d)
+            z = (zg == 0).astype(float)
+            g = (zg == 2).astype(float)
+            ctx = make_graph_context(p, z, g)
+            for _q in range(8):
+                # zeta vanishes off the active rows and eta on I_plus, so
+                # members occur and the I_0 sign conditions decide
+                q = pair(np.where(z > 0, 0, rng.integers(-1, 2, d)),
+                         np.where(g > 0, 0, rng.integers(-1, 2, d)))
+                fast = orthant_membership(z, g, q).member
+                assert fast == polyhedron_membership(p, GraphPoint(z, g), q,
+                                                     context=ctx).member
+                members += fast
+                queries += 1
+    assert 0 < members < queries
 
 
 def test_simplex_random_agreement(rng):
@@ -203,31 +224,25 @@ def test_interior_point_membership_is_zero_zeta():
 
 
 def test_active_row_cap_enforced():
+    """The cap binds only the exhaustive oracle; the direct route answers."""
     p = orthant_polyhedron(9)
+    gp = GraphPoint(np.zeros(9), np.zeros(9))
+    assert len(make_graph_context(p, gp.z, gp.g).active) == 9
+    res = polyhedron_membership(p, gp, pair(np.zeros(9), np.zeros(9)))
+    assert res.member and res.witness["equality_rows"] == list(range(9))
     with pytest.raises(CombinatorialLimitError):
-        make_graph_context(p, np.zeros(9), np.zeros(9))
-    with pytest.raises(CombinatorialLimitError):
-        oracle_membership(p, GraphPoint(np.zeros(9), np.zeros(9)),
-                          pair(np.zeros(9), np.zeros(9)))
+        oracle_membership(p, gp, pair(np.zeros(9), np.zeros(9)))
 
 
 def test_witness_reports_equality_and_inequality_rows():
     p = orthant_polyhedron(2)
-    res = polyhedron_membership(p, GraphPoint([0.0, 0.0], [1.0, 0.0]),
-                                pair([4, 0], [0, -1]))
-    assert res.member
-    assert "equality_rows" in res.witness
-
-
-def test_membership_hint_is_tried_but_never_trusted():
-    p = orthant_polyhedron(2)
     gp = GraphPoint([0.0, 0.0], [1.0, 0.0])
-    q = pair([4, 0], [0, -1])
-    good = polyhedron_membership(p, gp, q, hint=((0,), (1,)))
-    assert good.member and good.witness.get("hint_confirmed") is True
-    # a wrong hint falls back to the exhaustive sweep and still finds the pair
-    wrong = polyhedron_membership(p, gp, q, hint=((0, 1), ()))
-    assert wrong.member and wrong.witness.get("hint_confirmed") is False
-    # a hint cannot conjure membership that does not exist
-    non = polyhedron_membership(p, gp, pair([4, 1], [0, -1]), hint=((0,), (1,)))
-    assert not non.member
+    res = polyhedron_membership(p, gp, pair([4, 0], [0, -1]))
+    assert res.member
+    # rows of -z <= 0: a_0^T eta = 0 and a_1^T eta = 1 > 0
+    assert res.witness["equality_rows"] == [0]
+    assert res.witness["inequality_rows"] == [1]
+    assert res.witness["near_threshold_rows"] == []
+    # zeta_2 = 1 is outside span(a_0) + cone(a_1) = R x R_-
+    non = polyhedron_membership(p, gp, pair([4, 1], [0, -1]))
+    assert not non.member and non.witness == {"active_rows": [0, 1]}

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls as scipy_nnls
 
-from mstat.lp import LPUnbounded, linear_feasible, linear_minimize
+from mstat.lp import LPUnbounded, linear_feasible, linear_minimize, nnls
 
 
 def test_equality_feasible():
@@ -89,3 +89,39 @@ def test_feasibility_against_scipy(rng):
         if mine is not None:
             assert np.max(np.abs(A @ mine - b)) < 1e-8
             assert np.min(mine[nonneg], initial=0.0) >= -1e-9
+
+
+def assert_nnls_optimal(A, b, x, tol=1e-9):
+    """KKT conditions of min ||A x - b|| over x >= 0, independent of any solver."""
+    w = A.T @ (b - A @ x)
+    assert np.min(x, initial=0.0) >= 0.0
+    assert np.max(w, initial=0.0) <= tol
+    assert np.max(np.abs(w[x > 0]), initial=0.0) <= tol
+
+
+def test_nnls_against_scipy():
+    """Lawson-Hanson on random integer cones with dependent columns.
+
+    Residual norms are recomputed from both solutions (the solutions need not
+    be unique when columns are dependent) and must agree within 1e-12.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 13))
+        A = rng.integers(-2, 3, (d, m)).astype(float)
+        if rng.random() < 0.3 and m > 1:
+            A[:, m // 2:2 * (m // 2)] = A[:, :m // 2]     # duplicated generators
+        b = rng.integers(-3, 4, d).astype(float)
+        if rng.random() < 0.3:
+            b = A @ rng.integers(0, 3, m).astype(float)  # a point of the cone
+        x = nnls(A, b)
+        assert_nnls_optimal(A, b, x)
+        ref = scipy_nnls(A, b)[0]
+        assert abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ ref - b)) <= 1e-12
+
+
+def test_nnls_edge_cases():
+    assert nnls(np.zeros((2, 0)), np.array([1.0, 2.0])).shape == (0,)
+    assert np.array_equal(nnls(np.eye(2), np.zeros(2)), np.zeros(2))
+    assert np.array_equal(nnls(np.eye(2), np.array([-1.0, 3.0])), np.array([0.0, 3.0]))

@@ -213,22 +213,6 @@ def test_realizable_scenarios_cross_check_with_face_oracle():
         assert res.member
 
 
-def test_certificate_witness_hint_confirmed():
-    """J1/J2/lambda witness data rides along and is validated, not trusted."""
-    from mstat.stationarity import Certificate, ScenarioCertificate
-
-    inst, theta0 = small_instance()
-    cert, _ = realizable_certificate(inst, theta0)
-    prob = as_problem(inst)
-    # interior scenarios: empty J1/J2 with the zero multiplier is the witness
-    hinted = Certificate(theta=cert.theta, scenarios=[
-        ScenarioCertificate(z=s.z, eta=s.eta, zeta=s.zeta,
-                            lam=np.zeros(3), J1=(), J2=())
-        for s in cert.scenarios])
-    rep = verify_certificate(prob, hinted, tol=1e-8)
-    assert rep.passed
-
-
 def test_supplied_beta_must_match():
     inst, theta0 = small_instance()
     cert, betas = realizable_certificate(inst, theta0)

@@ -334,14 +334,6 @@ def test_weight_scaling_invariance():
     assert reports_agree(rep_a, rep_b, tol=1e-12)
 
 
-def test_parallel_scenario_checks_match_serial():
-    theta = np.array([1.25])
-    prob, cert = stationary_tracking_certificate(theta)
-    rep1 = verify_certificate(prob, cert, threads=1)
-    rep4 = verify_certificate(prob, cert, threads=4)
-    assert reports_agree(rep1, rep4, tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # value function calculus
 
