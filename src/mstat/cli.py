@@ -16,6 +16,7 @@ import numpy as np
 
 from . import cones as C
 from . import graph_normals as GN
+from . import lp as LP
 from . import newsvendor as NV
 from . import portfolio as PF
 from . import stationarity as ST
@@ -279,16 +280,12 @@ def cmd_newsvendor(args):
     if args.action == "solve":
         if args.theta is None:
             raise CliError("--theta VALUE is required to solve")
-        model = inst.model(args.theta)
-        out["decisions"] = [NV.solve_newsvendor(model, x, inst.h, inst.b)
-                            for x, _ in inst.samples]
+        out["decisions"] = NV.solve_newsvendor_rows(
+            inst.model(args.theta), [x for x, _ in inst.samples], inst.h, inst.b).tolist()
     elif args.action == "loss":
         if args.theta is None:
             raise CliError("--theta VALUE is required for loss")
-        model = inst.model(args.theta)
-        out["objective"] = float(sum(
-            w * NV.spo_loss_newsvendor(model, x, y, inst.h, inst.b)
-            for (x, y), w in zip(inst.samples, inst.weights)))
+        out["objective"] = NV.empirical_regret(inst, inst.model(args.theta))
     elif args.action == "verify":
         cert = _load_json(args.certificate)
         rep = NV.verify_newsvendor_system(
@@ -496,7 +493,8 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError,
+            LP.LPUnbounded, LP.LPLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from mstat.cones import Polyhedron
 from mstat.stationarity import FeasibleSet
@@ -77,3 +78,85 @@ def projected_gradient_qp(r, sigma, lam, max_iter=100000, tol=1e-13):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+# ---------------------------------------------------------------------------
+# kernel newsvendor: the per-query and per-held-out-sample reference
+
+def nv_oracle_weights(centers_x, x, theta):
+    """Nadaraya-Watson weights of one query, from its own distance vector."""
+    sq = np.sum(np.square(centers_x - x), axis=1)
+    logits = -sq / (2.0 * theta ** 2)
+    logits -= np.max(logits)
+    w = np.exp(logits)
+    return w / w.sum()
+
+
+def nv_oracle_cdf(centers_x, centers_y, theta, y, x):
+    w = nv_oracle_weights(centers_x, x, theta)
+    return float(w @ ndtr((y - centers_y) / theta))
+
+
+def nv_oracle_pdf(centers_x, centers_y, theta, y, x):
+    w = nv_oracle_weights(centers_x, x, theta)
+    u = (y - centers_y) / theta
+    return float(w @ (np.exp(-0.5 * np.square(u)) / np.sqrt(2.0 * np.pi)) / theta)
+
+
+def nv_oracle_grad_theta_cdf(centers_x, centers_y, theta, y, x):
+    w = nv_oracle_weights(centers_x, x, theta)
+    sq = np.sum(np.square(centers_x - x), axis=1)
+    psi = -centers_x.shape[1] / theta + sq / theta ** 3
+    u = (y - centers_y) / theta
+    phi = np.exp(-0.5 * np.square(u)) / np.sqrt(2.0 * np.pi)
+    return float(w * (psi - w @ psi) @ ndtr(u) - w @ (u * phi / theta))
+
+
+def nv_oracle_solve(centers_x, centers_y, theta, x, h, b, tol=1e-12, max_expand=60):
+    """One query's order quantity: a scalar bracket, 60 bisection steps and
+    at most 5 Newton steps, each CDF evaluation rebuilding the weights."""
+    def cdf(y):
+        return nv_oracle_cdf(centers_x, centers_y, theta, y, x)
+
+    q = b / (h + b)
+    if cdf(0.0) >= q:
+        return 0.0
+    lo = 0.0
+    hi = float(np.max(centers_y) + 20.0 * theta)
+    for _ in range(max_expand):
+        if cdf(hi) > q:
+            break
+        hi += 10.0 * theta
+    else:
+        raise RuntimeError("failed to bracket the quantile")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    z = 0.5 * (lo + hi)
+    for _ in range(5):
+        f = cdf(z) - q
+        p = nv_oracle_pdf(centers_x, centers_y, theta, z, x)
+        if p <= 0.0 or abs(f) <= tol:
+            break
+        z -= f / p
+    return float(max(z, 0.0))
+
+
+def nv_oracle_regret(instance, theta):
+    """Weighted regret of bandwidth theta; with as many centers as samples
+    (and more than one), each held-out sample gets the centers without its
+    own, rebuilt from scratch."""
+    cx = np.vstack([x for x, _ in instance.centers])
+    cy = np.array([y for _, y in instance.centers])
+    n = len(instance.samples)
+    loo = len(instance.centers) == n and n > 1
+    total = 0.0
+    for i, (x, y) in enumerate(instance.samples):
+        keep = np.arange(len(cy)) != i if loo else np.ones(len(cy), dtype=bool)
+        z = nv_oracle_solve(cx[keep], cy[keep], theta, x, instance.h, instance.b)
+        total += instance.weights[i] * (instance.h * max(z - y, 0.0)
+                                        + instance.b * max(y - z, 0.0))
+    return total

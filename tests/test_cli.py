@@ -352,3 +352,41 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--problem", str(tmp_path / "nope.json"),
                        "--certificate", str(tmp_path / "nope2.json"))
     assert code == 1 and "no such file" in err
+
+
+def test_newsvendor_bad_input_exits_1(tmp_path, capsys):
+    inst = NewsvendorInstance(h=1.0, b=3.0,
+                              centers=[([0.0, 0.0, 0.0], 5.0), ([1.0, 0.0, 0.0], 6.0)],
+                              samples=[([0.0, 0.0, 0.0], 5.0)])
+    ppath = write(tmp_path / "nv.json", inst.to_dict())
+    for theta in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "newsvendor", "solve", "--problem", ppath,
+                             "--theta", theta)
+        assert code == 1 and out == "" and "bandwidth" in err
+    short = inst.to_dict()
+    short["samples"][0]["x"] = [0.0]
+    code, out, err = run(capsys, "newsvendor", "solve", "--problem",
+                         write(tmp_path / "short.json", short), "--theta", "1.0")
+    assert code == 1 and out == "" and "x coordinates" in err
+    for key in ("z", "eta", "zeta"):
+        entry = {"z": 5.0, "eta": 0.0, "zeta": 0.0, key: float("nan")}
+        cert = {"theta": 1.0, "scenarios": [entry]}
+        cpath = write(tmp_path / "cert.json", cert)
+        for argv in (["newsvendor", "verify"], ["verify"]):
+            code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", cpath)
+            assert code == 1 and out == "" and "finite" in err
+
+
+def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
+    import mstat.graph_normals as GN
+    from mstat.lp import LPLimitError, LPUnbounded
+
+    q = write(tmp_path / "q.json",
+              {"Z": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
+               "z": [0.0, 0.0], "g": [0.0, 0.0], "zeta": [-1.0, 0.0], "eta": [0.0, 0.0]})
+    for exc in (LPUnbounded, LPLimitError):
+        def solver(*args, **kw):
+            raise exc("raised by the test")
+        monkeypatch.setattr(GN, "linear_feasible", solver)
+        code, out, err = run(capsys, "gph-normal", "--input", q, "--method", "direct")
+        assert code == 1 and out == "" and "raised by the test" in err

@@ -3,6 +3,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import mstat.newsvendor as NV
+from conftest import (
+    nv_oracle_cdf,
+    nv_oracle_grad_theta_cdf,
+    nv_oracle_pdf,
+    nv_oracle_regret,
+    nv_oracle_solve,
+    nv_oracle_weights,
+)
 from mstat.newsvendor import (
     KernelModel,
     NewsvendorInstance,
@@ -10,10 +19,12 @@ from mstat.newsvendor import (
     bandwidth_grid_search,
     conditional_cdf,
     conditional_pdf,
+    empirical_regret,
     grad_theta_cdf,
     nw_weights,
     read_points_csv,
     solve_newsvendor,
+    solve_newsvendor_rows,
     spo_loss_newsvendor,
     verify_newsvendor_system,
 )
@@ -296,3 +307,180 @@ def test_round_trip_and_csv(tmp_path):
     bad.write_text("x_1,y\n0.0\n")
     with pytest.raises(ValueError):
         read_points_csv(str(bad), 1)
+
+
+# ---------------------------------------------------------------------------
+# batched rows against the per-query oracle
+
+def random_instance(rng, n, d_x, kind):
+    """Random kernel instance; kind 'boundary' puts demand far below zero so
+    most decisions take the z = 0 branch, 'remote' spreads the contexts so
+    far apart that the weights degrade to one-hot or uniform rows."""
+    xs = rng.uniform(-1.0, 1.0, (n, d_x))
+    ys = 3.0 + 1.5 * np.sin(2.0 * xs[:, 0]) + 0.5 * rng.standard_normal(n)
+    h, b = 1.0, 3.0
+    if kind == "boundary":
+        ys -= 6.0
+        h, b = 9.0, 1.0
+    elif kind == "remote":
+        xs *= 1e4
+    pts = [(x, float(y)) for x, y in zip(xs, ys)]
+    return NewsvendorInstance(h=h, b=b, centers=pts, samples=pts)
+
+
+def cases(rng):
+    for n in (1, 2, 7, 33, 80):
+        for d_x in (1, 3):
+            for kind in ("plain", "boundary", "remote"):
+                yield random_instance(rng, n, d_x, kind), float(rng.choice([0.05, 0.3, 1.2]))
+
+
+def test_rows_match_oracle_bit_for_bit(rng):
+    zeros = 0
+    for inst, theta in cases(rng):
+        model = inst.model(theta)
+        cx, cy = model.centers_x, model.centers_y
+        X = np.vstack([x for x, _ in inst.samples])
+        rows = solve_newsvendor_rows(model, X, inst.h, inst.b)
+        expect = [nv_oracle_solve(cx, cy, theta, x, inst.h, inst.b) for x in X]
+        assert rows.tolist() == expect
+        zeros += sum(z == 0.0 for z in expect)
+        # at a tolerance near the rounding level of F, rows stop at different
+        # Newton steps, and a stopped row must not move again
+        fine = solve_newsvendor_rows(model, X, inst.h, inst.b, tol=1e-15)
+        assert fine.tolist() == [nv_oracle_solve(cx, cy, theta, x, inst.h, inst.b, tol=1e-15)
+                                 for x in X]
+        for x, z in zip(X[:3], expect):
+            assert solve_newsvendor(model, x, inst.h, inst.b) == z
+            y = z + 0.3
+            assert nw_weights(model, x).tolist() == nv_oracle_weights(cx, x, theta).tolist()
+            assert conditional_cdf(model, y, x) == nv_oracle_cdf(cx, cy, theta, y, x)
+            assert conditional_pdf(model, y, x) == nv_oracle_pdf(cx, cy, theta, y, x)
+            assert grad_theta_cdf(model, y, x) == nv_oracle_grad_theta_cdf(cx, cy, theta, y, x)
+    assert zeros > 0
+    # a critical ratio that rounds to 1 is never bracketed
+    with pytest.raises(RuntimeError):
+        nv_oracle_solve(cx, cy, theta, X[0], 1e-17, 1.0)
+    with pytest.raises(RuntimeError):
+        solve_newsvendor_rows(model, X, 1e-17, 1.0)
+
+
+def test_leave_one_out_regret_matches_oracle(rng):
+    grid = [0.05, 0.2, 0.5, 1.2]
+    kinds = iter(["plain", "boundary", "remote"] * 4)
+    for n in (1, 2, 9, 40, 80):
+        inst = random_instance(rng, n, 1 + 2 * (n % 2), next(kinds))
+        loo = n > 1
+        mine = [empirical_regret(inst, inst.model(t), leave_one_out=loo) for t in grid]
+        oracle = [nv_oracle_regret(inst, t) for t in grid]
+        assert np.max(np.abs(np.subtract(mine, oracle))) <= 1e-12
+        best = grid[int(np.argmin(oracle))]
+        assert bandwidth_grid_search(inst, grid) == best
+    # fewer centers than samples: every sample is scored in-sample
+    inst = random_instance(rng, 12, 2, "plain")
+    inst.centers = inst.centers[:5]
+    mine = [empirical_regret(inst, inst.model(t)) for t in grid]
+    oracle = [nv_oracle_regret(inst, t) for t in grid]
+    assert mine == oracle
+
+
+def test_blocked_rows_equal_unblocked(rng, monkeypatch):
+    inst = random_instance(rng, 40, 3, "plain")
+    model = inst.model(0.3)
+    X = np.vstack([x for x, _ in inst.samples])
+    parts = [{"z": float(z), "eta": 0.3, "zeta": -0.1}
+             for z in solve_newsvendor_rows(model, X, inst.h, inst.b)]
+
+    def run():
+        return (solve_newsvendor_rows(model, X, inst.h, inst.b),
+                solve_newsvendor_rows(model, X, inst.h, inst.b, leave_one_out=True),
+                verify_newsvendor_system(0.3, parts, inst).to_dict())
+
+    whole = run()
+    blocks = []
+    real = NV._weight_rows
+
+    def weight_block(m, Xb, drop=None):
+        blocks.append(len(Xb))
+        return real(m, Xb, drop)
+
+    monkeypatch.setattr(NV, "_weight_rows", weight_block)
+    monkeypatch.setattr(NV, "_BLOCK_ENTRIES", 7 * model.n_centers * model.d_x)
+    split = run()
+    assert max(blocks) == 7 and len(blocks) == 3 * 6
+    assert split[0].tolist() == whole[0].tolist()
+    assert split[1].tolist() == whole[1].tolist()
+    assert split[2] == whole[2]
+
+
+def test_grid_search_builds_one_weight_matrix_per_grid_point(rng, monkeypatch):
+    inst = random_instance(rng, 30, 2, "plain")
+    counts = {"weights": 0, "models": 0}
+    real_weights, real_init = NV._weight_rows, KernelModel.__init__
+
+    def weights(*args, **kw):
+        counts["weights"] += 1
+        return real_weights(*args, **kw)
+
+    def init(self, *args, **kw):
+        counts["models"] += 1
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(NV, "_weight_rows", weights)
+    monkeypatch.setattr(KernelModel, "__init__", init)
+    grid = [0.1, 0.2, 0.4, 0.8, 1.6]
+    bandwidth_grid_search(inst, grid)
+    assert counts == {"weights": len(grid), "models": len(grid)}
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+def test_bad_bandwidths_and_points_rejected():
+    for theta in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            KernelModel([([0.0], 1.0)], theta)
+    for centers in ([([np.nan], 1.0)], [([0.0], np.inf)], [([0.0], 1.0), ([0.0, 1.0], 2.0)]):
+        with pytest.raises(ValueError):
+            KernelModel(centers, 1.0)
+    m = KernelModel([([0.0, 0.0, 0.0], 1.0)], 1.0)
+    for query in ([0.0], [0.0, 0.0], [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError):
+            solve_newsvendor(m, query, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            nw_weights(m, query)
+    with pytest.raises(ValueError):
+        solve_newsvendor(m, [0.0, 0.0, 0.0], np.nan, 1.0)
+
+    good = dict(h=1.0, b=3.0, centers=[([0.0, 0.0, 0.0], 5.0)],
+                samples=[([0.0, 0.0, 0.0], 5.0)])
+    NewsvendorInstance(**good)
+    for change in ({"samples": [([0.0], 5.0)]},
+                   {"samples": [([0.0, np.inf, 0.0], 5.0)]},
+                   {"samples": [([0.0, 0.0, 0.0], np.nan)]},
+                   {"centers": [([np.nan, 0.0, 0.0], 5.0)]},
+                   {"centers": []},
+                   {"theta_bounds": (1e-3, np.inf)},
+                   {"theta_bounds": (np.nan, 1.0)},
+                   {"h": np.nan}, {"b": np.inf},
+                   {"weights": [np.nan]}):
+        with pytest.raises(ValueError):
+            NewsvendorInstance(**{**good, **change})
+    inst = NewsvendorInstance(**good)
+    for theta in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError):
+            inst.model(theta)
+
+
+def test_non_finite_certificate_rejected():
+    inst = NewsvendorInstance(h=1.0, b=1.0, centers=[([0.0], 5.0)],
+                              samples=[([0.0], 5.0)])
+    ok = {"z": 5.0, "eta": 0.0, "zeta": 0.0}
+    assert verify_newsvendor_system(2.0, [ok], inst).passed
+    for theta in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            verify_newsvendor_system(theta, [ok], inst)
+    for key in ("z", "eta", "zeta"):
+        for bad in (np.nan, np.inf, -np.inf, None):
+            with pytest.raises(ValueError):
+                verify_newsvendor_system(2.0, [{**ok, key: bad}], inst)
