@@ -110,27 +110,25 @@ def cmd_cones(args):
 
 def cmd_gph_normal(args):
     q = _load_json(args.input)
-    z = np.asarray(q["z"], dtype=float)
-    g = np.asarray(q["g"], dtype=float)
-    pair = GN.NormalPair(np.asarray(q["zeta"], dtype=float),
-                         np.asarray(q["eta"], dtype=float))
+    gp = GN.GraphPoint(q["z"], q["g"])
+    pair = GN.NormalPair(q["zeta"], q["eta"])
     spec = q["Z"]
     method = args.method
     if method == "auto":
         method = "explicit" if spec in ("orthant", "simplex") else "direct"
     if method == "explicit":
         if spec == "orthant":
-            res = GN.orthant_membership(z, g, pair)
+            res = GN.orthant_membership(gp.z, gp.g, pair)
         elif spec == "simplex":
-            res = GN.simplex_membership(z, g, pair)
+            res = GN.simplex_membership(gp.z, gp.g, pair)
         else:
             raise CliError("explicit method needs Z = orthant or simplex")
     else:
-        poly = _feasible_from_spec(spec, len(z)).as_polyhedron()
+        poly = _feasible_from_spec(spec, len(gp.z)).as_polyhedron()
         if method == "oracle":
-            res = GN.oracle_membership(poly, GN.GraphPoint(z, g), pair)
+            res = GN.oracle_membership(poly, gp, pair)
         else:
-            res = GN.polyhedron_membership(poly, GN.GraphPoint(z, g), pair)
+            res = GN.polyhedron_membership(poly, gp, pair)
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
            "method": method, "witness": _jsonable(res.witness)}
     _dump(out, args)
@@ -167,11 +165,7 @@ def _newsvendor_from_json(data):
         raise CliError("bad newsvendor problem: %s" % exc)
 
 
-def _portfolio_certificate(data, instance):
-    theta = np.asarray(data["theta"], dtype=float)
-    if theta.size != instance.d_x * instance.d_z:
-        raise CliError("theta has %d entries, expected %d"
-                       % (theta.size, instance.d_x * instance.d_z))
+def _portfolio_certificate(data):
     scen = []
     for i, s in enumerate(data.get("scenarios", [])):
         try:
@@ -180,7 +174,7 @@ def _portfolio_certificate(data, instance):
                 mu=s.get("mu"), value_weights=s.get("value_weights")))
         except KeyError as exc:
             raise CliError("certificate scenario %d is missing %s" % (i, exc))
-    return ST.Certificate(theta=theta.ravel(), scenarios=scen)
+    return ST.Certificate(theta=data["theta"], scenarios=scen)
 
 
 def cmd_verify(args):
@@ -190,7 +184,7 @@ def cmd_verify(args):
     kind = problem.get("type")
     if kind == "spo_portfolio":
         inst = _portfolio_from_json(problem)
-        cert = _portfolio_certificate(cert_data, inst)
+        cert = _portfolio_certificate(cert_data)
         prob = PF.as_problem(inst)
         if args.mode == "penalized":
             def solver(model, theta, x):
@@ -204,8 +198,8 @@ def cmd_verify(args):
         if args.mode == "penalized":
             raise CliError("penalized mode is not available for newsvendor problems")
         inst = _newsvendor_from_json(problem)
-        theta = float(np.atleast_1d(np.asarray(cert_data["theta"], dtype=float))[0])
-        report = NV.verify_newsvendor_system(theta, cert_data["scenarios"], inst, tol=tol)
+        report = NV.verify_newsvendor_system(cert_data["theta"], cert_data["scenarios"],
+                                             inst, tol=tol)
     else:
         raise CliError("unknown problem type: %r" % kind)
     out = report.to_dict()
@@ -259,8 +253,7 @@ def cmd_spo_portfolio(args):
         }
     elif args.action == "system":
         cert_data = _load_json(args.certificate)
-        rep = PF.build_portfolio_system(np.asarray(cert_data["theta"], dtype=float),
-                                        cert_data["scenarios"], inst,
+        rep = PF.build_portfolio_system(cert_data["theta"], cert_data["scenarios"], inst,
                                         tol=args.tol if args.tol is not None else 1e-8)
         out["report"] = rep.to_dict()
         _dump(out, args)
@@ -289,8 +282,7 @@ def cmd_newsvendor(args):
     elif args.action == "verify":
         cert = _load_json(args.certificate)
         rep = NV.verify_newsvendor_system(
-            float(np.atleast_1d(np.asarray(cert["theta"], dtype=float))[0]),
-            cert["scenarios"], inst,
+            cert["theta"], cert["scenarios"], inst,
             tol=args.tol if args.tol is not None else 1e-8)
         out["report"] = rep.to_dict()
         _dump(out, args)
@@ -380,8 +372,10 @@ def cmd_fd_check(args):
             inst = _newsvendor_from_json(problem)
             x = inst.samples[0][0]
             lm = NV.NewsvendorLowerModel(inst, x)
-            pts = [np.array([float(rng.uniform(0.0, 2.0 * np.max(lm.inst.model(1.0).centers_y) + 1.0))])
-                   for _ in range(args.trials)]
+            # Orders cover [0, 2 max y + 1]; [0, 1] when every demand is below -0.5.
+            high = 2.0 * max(y for _, y in inst.centers) + 1.0
+            high = high if high >= 0.0 else 1.0
+            pts = [np.array([float(rng.uniform(0.0, high))]) for _ in range(args.trials)]
             worst = ST.gradient_selftest(lm, np.array([float(rng.uniform(0.5, 2.0))]),
                                          x, pts, rtol=np.inf)
         elif kind == "spo_portfolio":

@@ -23,6 +23,7 @@ conditions in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -46,6 +47,7 @@ from .lp import linear_feasible
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
+    "finite_vector", "finite_number",
     "GraphContext", "make_graph_context",
     "limiting_normal_member_oracle", "coderivative_member_polyhedron",
     "coderivative_member_orthant", "coderivative_member_simplex",
@@ -60,30 +62,55 @@ class NotGraphPointError(ValueError):
     """(z, -g) is not on the graph of the normal-cone map."""
 
 
+def finite_vector(value, name):
+    """value as a finite 1-D float array; anything else raises ValueError."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = np.float64(np.nan)
+    # On desk-scale vectors a Python scan costs a fraction of np.isfinite's
+    # call overhead, which every scenario of a verify pays several times.
+    if v.ndim != 1 or not all(map(math.isfinite, v.tolist())):
+        raise ValueError("%s must be a finite 1-D array" % name)
+    return v
+
+
+def finite_number(value, name):
+    """value as one finite float: a number, or an array holding exactly one."""
+    v = np.asarray(value)
+    x = float(v.reshape(-1)[0]) if v.size == 1 and v.dtype.kind in "iuf" else np.nan
+    if not math.isfinite(x):
+        raise ValueError("%s must be one finite number" % name)
+    return x
+
+
 @dataclass(frozen=True)
 class GraphPoint:
-    """A decision point z together with the lower-objective gradient g."""
+    """A decision point z and the lower-objective gradient g, finite 1-D arrays."""
 
     z: np.ndarray
     g: np.ndarray
 
     def __init__(self, z, g):
-        object.__setattr__(self, "z", np.asarray(z, dtype=float))
-        object.__setattr__(self, "g", np.asarray(g, dtype=float))
+        object.__setattr__(self, "z", finite_vector(z, "z"))
+        object.__setattr__(self, "g", finite_vector(g, "g"))
         if self.z.shape != self.g.shape:
             raise ValueError("z and g must share a dimension")
 
 
 @dataclass(frozen=True)
 class NormalPair:
-    """Candidate (zeta, eta): zeta in D*N_Z(z,-g)(eta) iff (zeta,-eta) is normal."""
+    """Candidate (zeta, eta): zeta in D*N_Z(z,-g)(eta) iff (zeta,-eta) is normal.
+
+    Both are finite 1-D arrays of one dimension.
+    """
 
     zeta: np.ndarray
     eta: np.ndarray
 
     def __init__(self, zeta, eta):
-        object.__setattr__(self, "zeta", np.asarray(zeta, dtype=float))
-        object.__setattr__(self, "eta", np.asarray(eta, dtype=float))
+        object.__setattr__(self, "zeta", finite_vector(zeta, "zeta"))
+        object.__setattr__(self, "eta", finite_vector(eta, "eta"))
         if self.zeta.shape != self.eta.shape:
             raise ValueError("zeta and eta must share a dimension")
 

@@ -34,8 +34,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import NormalPair, STRICT_EPS, orthant_membership
+from .graph_normals import NormalPair, STRICT_EPS, finite_number, orthant_membership
 from .stationarity import (
+    DEFAULT_VALUE_TOL,
     FeasibleSet,
     LowerModel,
     ParameterSet,
@@ -455,20 +456,16 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
 
     F, p and grad_theta F of every scenario come from one weight matrix of
     the samples against the centers; the upper sum is accumulated in
-    scenario order. A non-finite theta, z, eta or zeta raises ValueError.
+    scenario order. theta and each z, eta and zeta must be one finite
+    number (finite_number), otherwise ValueError.
     """
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
+    theta = finite_number(theta, "theta")
     model = instance.model(theta)
     h, b = instance.h, instance.b
     if len(certificate_scenarios) != len(instance.samples):
         raise ValueError("need one certificate entry per sample")
-    cert = np.array([[float(np.atleast_1d(np.asarray(part[key], dtype=float))[0])
-                      for key in ("z", "eta", "zeta")]
+    cert = np.array([[finite_number(part[key], key) for key in ("z", "eta", "zeta")]
                      for part in certificate_scenarios])
-    if not _finite(cert):
-        raise ValueError("certificate z, eta and zeta must be finite")
     X, _ = _sample_rows(instance)
     z = cert[:, 0]
     cdf, pdf, slope = np.empty((3, len(X)))
@@ -507,12 +504,8 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
                                  [instance.theta_bounds[1]])
     upper = theta_set.normal_cone_distance(np.array([theta]),
                                            np.array([-upper_sum]), eps)
-    passed = upper <= tol and all(
-        r.lower_residual <= tol and r.m_membership and r.m_residual <= tol
-        for r in reports)
-    return ResidualReport(mode="convex", tol=tol, value_tol=1e-6,
-                          upper_residual=float(upper), scenarios=reports,
-                          passed=passed)
+    return ResidualReport(mode="convex", tol=tol, value_tol=DEFAULT_VALUE_TOL,
+                          upper_residual=float(upper), scenarios=reports)
 
 
 def bandwidth_grid_search(instance, grid):

@@ -8,7 +8,8 @@ attainable cost. Since Sigma is positive definite the induced decision is
 unique and the loss needs no tie-breaking.
 
 The stationarity system couples a zero weighted sum of x_n eta_n^T with
-per-scenario force balance and the simplex coderivative sign conditions.
+per-scenario force balance and the simplex coderivative sign conditions; it
+is the generic system of mstat.stationarity for as_problem(instance).
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import DEFAULT_EPS, distance_to_normal_cone
-from .graph_normals import NormalPair, STRICT_EPS, simplex_membership
+from .cones import DEFAULT_EPS
+from .graph_normals import NormalPair, STRICT_EPS, finite_number, simplex_membership
 from .stationarity import (
     Certificate,
     FeasibleSet,
     LowerModel,
     ParameterSet,
     Problem,
-    ResidualReport,
     Scenario,
     ScenarioCertificate,
-    ScenarioReport,
     UpperModel,
+    verify_certificate,
 )
 
 __all__ = [
@@ -382,50 +382,32 @@ def realizable_certificate(instance, theta, eps=DEFAULT_EPS):
 
 def build_portfolio_system(theta, scenario_parts, instance, tol=1e-8,
                            eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
-    """Check the explicit simplex stationarity system for given multipliers.
+    """Verify the simplex stationarity system for given multipliers.
 
-    scenario_parts is a list of dicts with keys z, eta, zeta and optionally
-    beta. Verifies (a) the weighted sum of x_n eta_n^T vanishes, (b) the
-    force balance -r_n + lam Sigma (z_n + eta_n) + zeta_n = 0, (c) the simplex
-    coderivative conditions at (z_n, grad_z c), (d) lower-level stationarity.
+    scenario_parts is a list of dicts with keys z, eta and optionally zeta
+    and beta. The report is verify_certificate's on as_problem(instance),
+    whose lines here read: (a) the weighted sum of x_n eta_n^T vanishes,
+    (b) the force balance -r_n + lam Sigma (z_n + eta_n) + zeta_n = 0 in the
+    Euclidean norm, (c) the simplex coderivative conditions at
+    (z_n, grad_z c), (d) lower-level stationarity. A supplied beta must also
+    match the one the sign conditions pin down.
     """
-    theta_mat = np.atleast_2d(np.asarray(theta, dtype=float))
-    lam, sig = instance.risk_aversion, instance.sigma
-    if len(scenario_parts) != len(instance.samples):
-        raise ValueError("need one scenario part per sample")
-    simplex_poly = FeasibleSet.simplex(instance.d_z).as_polyhedron()
-
-    upper_sum = np.zeros((instance.d_x, instance.d_z))
-    reports = []
-    for n, ((x, r), w, part) in enumerate(zip(instance.samples, instance.weights,
-                                              scenario_parts)):
-        z = np.atleast_1d(np.asarray(part["z"], dtype=float))
-        eta = np.atleast_1d(np.asarray(part["eta"], dtype=float))
-        zeta = np.atleast_1d(np.asarray(part["zeta"], dtype=float))
-        upper_sum += w * np.outer(x, eta)
-        force = -r + lam * (sig @ (z + eta)) + zeta
-        g = -(theta_mat.T @ x) + lam * (sig @ z)
-        res = simplex_membership(z, g, NormalPair(zeta, eta), eps, strict_eps)
-        beta_claim = part.get("beta")
-        if beta_claim is not None:
-            # beta is existential; a supplied value must match the one the
-            # sign conditions pin down, otherwise the claimed system fails.
-            beta_seen = res.witness.get("beta")
-            if res.member and beta_seen is not None \
-                    and abs(beta_seen - float(beta_claim)) > max(tol, 1e-9):
-                res = type(res)(False, "not_member", res.method,
-                                {**res.witness, "beta_mismatch": float(beta_claim)})
-        low = distance_to_normal_cone(simplex_poly, z, -g, eps)
-        m_res = float(np.max(np.abs(force)))
-        reports.append(ScenarioReport(
-            index=n, lower_residual=low, m_membership=res.member,
-            m_verdict=res.verdict, m_residual=m_res, witness=res.witness))
-    upper = float(np.linalg.norm(upper_sum))
-    passed = upper <= tol and all(
-        r.lower_residual <= tol and r.m_membership and r.m_residual <= tol
-        for r in reports)
-    return ResidualReport(mode="convex", tol=tol, value_tol=1e-6,
-                          upper_residual=upper, scenarios=reports, passed=passed)
+    cert = Certificate(theta=theta, scenarios=[
+        ScenarioCertificate(z=part["z"], eta=part["eta"], zeta=part.get("zeta"))
+        for part in scenario_parts])
+    report = verify_certificate(as_problem(instance), cert, tol=tol, eps=eps,
+                                strict_eps=strict_eps)
+    for rep, part in zip(report.scenarios, scenario_parts):
+        if part.get("beta") is None:
+            continue
+        # beta is existential; a supplied value must match the one the sign
+        # conditions pin down, otherwise the claimed system fails.
+        beta_claim, beta_seen = finite_number(part["beta"], "beta"), rep.witness.get("beta")
+        if rep.m_membership and beta_seen is not None \
+                and abs(beta_seen - beta_claim) > max(tol, 1e-9):
+            rep.m_membership, rep.m_verdict = False, "not_member"
+            rep.witness = {**rep.witness, "beta_mismatch": beta_claim}
+    return report
 
 
 def read_samples_csv(path, d_x, d_z):

@@ -34,6 +34,8 @@ from .cones import (
 )
 from .graph_normals import (
     STRICT_EPS,
+    finite_number,
+    finite_vector,
     make_graph_context,
     membership_for_set,
 )
@@ -158,20 +160,11 @@ class ParameterSet:
         if self.kind == "free":
             return float(np.linalg.norm(u))
         if self.kind == "box":
-            res = np.empty_like(u)
-            for i in range(len(u)):
-                at_lo = theta[i] <= self.lo[i] + eps
-                at_hi = theta[i] >= self.hi[i] - eps
-                allowed_neg = at_lo
-                allowed_pos = at_hi
-                v = u[i]
-                if v < 0:
-                    res[i] = 0.0 if allowed_neg else -v
-                elif v > 0:
-                    res[i] = 0.0 if allowed_pos else v
-                else:
-                    res[i] = 0.0
-            return float(np.linalg.norm(res))
+            # u_i counts unless it points out through a bound theta_i sits on.
+            at_lo = theta <= self.lo + eps
+            at_hi = theta >= self.hi - eps
+            outside = ((u < 0) & ~at_lo) | ((u > 0) & ~at_hi)
+            return float(np.linalg.norm(np.where(outside, np.abs(u), 0.0)))
         return distance_to_normal_cone(self.poly, theta, u, eps)
 
 
@@ -287,7 +280,7 @@ class ScenarioCertificate:
     penalty weight of the penalized system and value_weights combine the
     value-function generators. The coderivative membership is decided
     exactly from (z, eta, zeta), so a certificate carries no row-split
-    witness.
+    witness. Every entry must be finite; vectors may be given as scalars.
     """
 
     z: np.ndarray
@@ -297,23 +290,26 @@ class ScenarioCertificate:
     value_weights: np.ndarray = None
 
     def __post_init__(self):
-        self.z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        self.eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
+        self.z = finite_vector(np.atleast_1d(self.z), "z")
+        self.eta = finite_vector(np.atleast_1d(self.eta), "eta")
         if self.zeta is not None:
-            self.zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
+            self.zeta = finite_vector(np.atleast_1d(self.zeta), "zeta")
+        if self.mu is not None:
+            self.mu = finite_number(self.mu, "mu")
         if self.value_weights is not None:
-            self.value_weights = np.atleast_1d(np.asarray(self.value_weights, dtype=float))
+            self.value_weights = finite_vector(np.atleast_1d(self.value_weights),
+                                               "value_weights")
 
 
 @dataclass
 class Certificate:
-    """Parameter vector plus one ScenarioCertificate per scenario."""
+    """Flattened finite parameter vector plus one ScenarioCertificate per scenario."""
 
     theta: np.ndarray
     scenarios: list
 
     def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        self.theta = finite_vector(np.ravel(self.theta), "theta")
 
     @property
     def penalized(self):
@@ -346,13 +342,23 @@ class ScenarioReport:
 
 @dataclass
 class ResidualReport:
+    """Residuals of one stationarity system; `passed` is read off them."""
+
     mode: str
     tol: float
     value_tol: float
     upper_residual: float
     scenarios: list
-    passed: bool
     caveats: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        """Every residual clears tol, every membership holds and every
+        certified value gap clears value_tol."""
+        return self.upper_residual <= self.tol and all(
+            r.lower_residual <= self.tol and r.m_membership and r.m_residual <= self.tol
+            and (r.value_gap is None or r.value_gap <= self.value_tol)
+            for r in self.scenarios)
 
     def to_dict(self):
         return {
@@ -424,28 +430,51 @@ def lower_residual(model, theta, x, z, eps=DEFAULT_EPS):
     return distance_to_normal_cone(poly, np.asarray(z, dtype=float), -g, eps)
 
 
+def _coderivative_line(lower, upper, theta, x, y, z, eta, zeta, g, mu,
+                       eps, strict_eps):
+    """Membership and m_residual of one scenario's coderivative line.
+
+    Forms r = grad_z L + hess_zz^T eta (+ mu g in the penalized system) and
+    decides whether zeta, or -r when zeta is absent, is in D*N_Z(z, -g)(eta).
+    m_residual is ||r + zeta||; without zeta it is 0 for a member and inf
+    otherwise, and it is inf at a non-graph point.
+    """
+    r = np.asarray(upper.grad_z(z, x, y, theta), dtype=float) \
+        + np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
+    if mu is not None:
+        r = r + mu * g
+    probe = zeta if zeta is not None else -r
+    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
+    if res.verdict == "empty_coderivative":
+        m_res = float("inf")
+    elif zeta is not None:
+        m_res = float(np.linalg.norm(r + probe))
+    else:
+        m_res = 0.0 if res.member else float("inf")
+    return res, m_res
+
+
+def _upper_generator(lower, upper, theta, x, y, z, eta):
+    """grad_theta L + hess_ztheta^T eta: one scenario's upper-line term."""
+    return np.asarray(upper.grad_theta(z, x, y, theta), dtype=float) \
+        + np.asarray(lower.hess_ztheta(z, theta, x), dtype=float).T @ eta
+
+
 def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None,
                          eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     """Test the coderivative line of the stationarity system at one scenario.
 
-    Forms r = grad_z E[L | x] + hess_zz^T eta and asks whether the certificate
-    zeta (or, when absent, -r itself) belongs to the coderivative of the
-    normal-cone map at (z, -grad_z c). Returns membership, the residual
-    ||r + zeta||, and the membership witness.
+    Asks whether the certificate zeta (or, when absent, -r itself) belongs
+    to the coderivative of the normal-cone map at (z, -grad_z c), with
+    r = grad_z E[L | x] + hess_zz^T eta. Returns membership, the residual
+    ||r + zeta||, the verdict and the membership witness.
     """
     z = np.asarray(z, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     g = np.asarray(lower.grad_z(z, theta, x), dtype=float)
-    r = np.asarray(upper.grad_z(z, x, y, theta), dtype=float) \
-        + np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
-    probe = np.asarray(zeta, dtype=float) if zeta is not None else -r
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
-    if res.verdict == "empty_coderivative":
-        return {"membership": False, "residual": float("inf"),
-                "verdict": res.verdict, "witness": res.witness}
-    residual = float(np.linalg.norm(r + probe)) if zeta is not None else \
-        (0.0 if res.member else float("inf"))
-    return {"membership": res.member, "residual": residual,
+    zeta = None if zeta is None else np.asarray(zeta, dtype=float)
+    res, m_res = _coderivative_line(lower, upper, theta, x, y, z, np.asarray(eta, dtype=float),
+                                    zeta, g, None, eps, strict_eps)
+    return {"membership": res.member, "residual": m_res,
             "verdict": res.verdict, "witness": res.witness}
 
 
@@ -539,47 +568,41 @@ def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
 
 def psi_set(lower, upper, theta, x, y, solutions, multipliers):
     """Upper-level sensitivity generators, one per (solution, multiplier) pair."""
-    out = []
-    for z, eta in zip(solutions, multipliers):
-        z = np.asarray(z, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        gen = np.asarray(upper.grad_theta(z, x, y, theta), dtype=float) \
-            + np.asarray(lower.hess_ztheta(z, theta, x), dtype=float).T @ eta
-        out.append(gen)
-    return out
+    return [_upper_generator(lower, upper, theta, x, y, np.asarray(z, dtype=float),
+                             np.asarray(eta, dtype=float))
+            for z, eta in zip(solutions, multipliers)]
 
 
 # ---------------------------------------------------------------------------
 # aggregate conditions and verification
 
-def _scenario_upper_term(problem, theta, scen, cert, mu_term=None):
-    lower, upper = problem.lower, problem.upper
-    term = np.asarray(upper.grad_theta(cert.z, scen.x, scen.y, theta), dtype=float) \
-        + np.asarray(lower.hess_ztheta(cert.z, theta, scen.x), dtype=float).T @ cert.eta
-    if mu_term is not None:
-        term = term + mu_term
-    return term
+def upper_residual(problem, certificate, eps=DEFAULT_EPS, penalties=None):
+    """dist(-s, N_Theta(theta)) for the weighted upper-level gradient sum s.
 
-
-def upper_residual(problem, certificate, eps=DEFAULT_EPS):
-    """dist(-s, N_Theta(theta)) for the weighted upper-level gradient sum s."""
+    penalties[n], when given and not None, is added to the term of scenario
+    n; the penalized system puts mu_n (grad_theta c(z_n) - w_n) there.
+    """
     theta = certificate.theta
     s = None
-    for scen, cert in zip(problem.scenarios, certificate.scenarios):
-        term = scen.weight * _scenario_upper_term(problem, theta, scen, cert)
+    for n, (scen, cert) in enumerate(zip(problem.scenarios, certificate.scenarios)):
+        term = _upper_generator(problem.lower, problem.upper, theta, scen.x, scen.y,
+                                cert.z, cert.eta)
+        if penalties is not None and penalties[n] is not None:
+            term = term + penalties[n]
+        term = scen.weight * term
         s = term if s is None else s + term
     return problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
 
 
-def _check_scenario(problem, theta, scen, cert, eps, strict_eps, mu=None):
+def _check_scenario(problem, theta, index, scen, cert, eps, strict_eps, mu):
     lower, upper = problem.lower, problem.upper
-    z, eta = cert.z, cert.eta
+    z = cert.z
     g = np.asarray(lower.grad_z(z, theta, scen.x), dtype=float)
     poly = lower.feasible_set.as_polyhedron()
     try:
         low_res = distance_to_normal_cone(poly, z, -g, eps)
     except ValueError:
-        return ScenarioReport(index=-1, lower_residual=float("inf"),
+        return ScenarioReport(index=index, lower_residual=float("inf"),
                               m_membership=False, m_verdict="empty_coderivative",
                               m_residual=float("inf"),
                               witness={"reason": "infeasible scenario point"})
@@ -587,37 +610,22 @@ def _check_scenario(problem, theta, scen, cert, eps, strict_eps, mu=None):
     decomp = normal_cone_multiplier(poly, z, g, eps)
     if decomp is not None:
         comp_gap = decomp.complementarity_residual(poly, z)
-
-    r = np.asarray(upper.grad_z(z, scen.x, scen.y, theta), dtype=float) \
-        + np.asarray(lower.hess_zz(z, theta, scen.x), dtype=float).T @ eta
-    if mu is not None:
-        r = r + mu * g
-    probe = cert.zeta if cert.zeta is not None else -r
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
-    if res.verdict == "empty_coderivative":
-        m_res = float("inf")
-    elif cert.zeta is not None:
-        m_res = float(np.linalg.norm(r + probe))
-    else:
-        m_res = 0.0 if res.member else float("inf")
-    return ScenarioReport(index=-1, lower_residual=low_res,
+    res, m_res = _coderivative_line(lower, upper, theta, scen.x, scen.y, z, cert.eta,
+                                    cert.zeta, g, mu, eps, strict_eps)
+    return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
                           m_residual=m_res, complementarity_gap=comp_gap,
                           witness=res.witness)
-
-
-def _run_scenarios(problem, certificate, eps, strict_eps, mus):
-    reports = [_check_scenario(problem, certificate.theta, scen, cert, eps, strict_eps, mu)
-               for scen, cert, mu in zip(problem.scenarios, certificate.scenarios, mus)]
-    for i, rep in enumerate(reports):
-        rep.index = i
-    return reports
 
 
 def _validate_certificate(problem, certificate):
     if len(problem.scenarios) != len(certificate.scenarios):
         raise ValueError("certificate has %d scenarios, problem has %d"
                          % (len(certificate.scenarios), len(problem.scenarios)))
+    d_theta = problem.upper.theta_set.dim
+    if len(certificate.theta) != d_theta:
+        raise ValueError("theta has %d entries, expected %d"
+                         % (len(certificate.theta), d_theta))
     d = problem.lower.feasible_set.dim
     for i, cert in enumerate(certificate.scenarios):
         if len(cert.z) != d or len(cert.eta) != d:
@@ -626,20 +634,52 @@ def _validate_certificate(problem, certificate):
             raise ValueError("scenario %d zeta has wrong dimension" % i)
 
 
+def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict_eps):
+    """The one verifier body behind both systems.
+
+    The penalized system is the convex one plus, in each scenario, mu_n g_n
+    on the coderivative line and mu_n (grad_theta c(z_n) - w_n) on the upper
+    line. The convex system passes mus = None and no solver, which drops
+    both terms and the value gaps.
+    """
+    theta, lower = certificate.theta, problem.lower
+    if mus is None:
+        mus = [None] * len(problem.scenarios)
+    reports = [_check_scenario(problem, theta, n, scen, cert, eps, strict_eps, mu)
+               for n, (scen, cert, mu) in enumerate(zip(problem.scenarios,
+                                                        certificate.scenarios, mus))]
+    penalties = [None] * len(reports)
+    caveats = []
+    if solver is not None:
+        for scen, cert, mu, rep in zip(problem.scenarios, certificate.scenarios,
+                                       mus, reports):
+            vf = value_function(lower, theta, scen.x, solver)
+            rep.value_gap = float(lower.cost(cert.z, theta, scen.x) - vf.value)
+            if len(vf.argmin_points) > 1:
+                caveats.append("scenario %d: lower solution sampled at %d points; "
+                               "the sample may be incomplete"
+                               % (rep.index, len(vf.argmin_points)))
+            if mu > 0:
+                sub = value_subdifferential(lower, theta, scen.x, vf.argmin_points)
+                if cert.value_weights is not None:
+                    w_n = sub.combine(cert.value_weights)
+                else:
+                    w_n = sub.generators[0]
+                grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
+                penalties[rep.index] = mu * (grad_t - w_n)
+    upper = upper_residual(problem, certificate, eps, penalties)
+    return ResidualReport(mode=mode, tol=tol, value_tol=value_tol,
+                          upper_residual=upper, scenarios=reports, caveats=caveats)
+
+
 def verify_certificate(problem, certificate, tol=DEFAULT_TOL, eps=DEFAULT_EPS,
                        strict_eps=STRICT_EPS):
     """Verify the plain stationarity system; all residuals must clear tol."""
     _validate_certificate(problem, certificate)
     if certificate.penalized:
         raise ValueError("certificate carries penalty weights; use the penalized verifier")
-    reports = _run_scenarios(problem, certificate, eps, strict_eps,
-                             [None] * len(problem.scenarios))
-    upper = upper_residual(problem, certificate, eps)
-    passed = upper <= tol and all(
-        r.lower_residual <= tol and r.m_membership and r.m_residual <= tol
-        for r in reports)
-    return ResidualReport(mode="convex", tol=tol, value_tol=DEFAULT_VALUE_TOL,
-                          upper_residual=upper, scenarios=reports, passed=passed)
+    return _verify(problem, certificate, "convex", tol, DEFAULT_VALUE_TOL, None, None,
+                   eps, strict_eps)
 
 
 def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
@@ -655,51 +695,14 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
     some mu_n is positive.
     """
     _validate_certificate(problem, certificate)
-    mus = []
-    for i, cert in enumerate(certificate.scenarios):
-        mu = 0.0 if cert.mu is None else float(cert.mu)
+    mus = [0.0 if cert.mu is None else cert.mu for cert in certificate.scenarios]
+    for i, mu in enumerate(mus):
         if mu < 0:
             raise ValueError("negative penalty weight in scenario %d" % i)
-        mus.append(mu)
-    needs_value = solver is not None
     if any(mu > 0 for mu in mus) and solver is None:
         raise ValueError("positive penalty weights need a lower-level solver")
-
-    theta = certificate.theta
-    lower = problem.lower
-    reports = _run_scenarios(problem, certificate, eps, strict_eps, mus)
-    caveats = []
-
-    s = None
-    for scen, cert, mu, rep in zip(problem.scenarios, certificate.scenarios,
-                                   mus, reports):
-        mu_term = None
-        if needs_value:
-            vf = value_function(lower, theta, scen.x, solver)
-            rep.value_gap = float(lower.cost(cert.z, theta, scen.x) - vf.value)
-            if len(vf.argmin_points) > 1:
-                caveats.append("scenario %d: lower solution sampled at %d points; "
-                               "the sample may be incomplete"
-                               % (rep.index, len(vf.argmin_points)))
-            if mu > 0:
-                sub = value_subdifferential(lower, theta, scen.x, vf.argmin_points)
-                if cert.value_weights is not None:
-                    w_n = sub.combine(cert.value_weights)
-                else:
-                    w_n = sub.generators[0]
-                grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
-                mu_term = mu * (grad_t - w_n)
-        term = scen.weight * _scenario_upper_term(problem, theta, scen, cert, mu_term)
-        s = term if s is None else s + term
-    upper = problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
-
-    passed = upper <= tol and all(
-        r.lower_residual <= tol and r.m_membership and r.m_residual <= tol
-        and (r.value_gap is None or r.value_gap <= value_tol)
-        for r in reports)
-    return ResidualReport(mode="penalized", tol=tol, value_tol=value_tol,
-                          upper_residual=upper, scenarios=reports,
-                          passed=passed, caveats=caveats)
+    return _verify(problem, certificate, "penalized", tol, value_tol, mus, solver,
+                   eps, strict_eps)
 
 
 # ---------------------------------------------------------------------------

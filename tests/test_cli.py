@@ -390,3 +390,97 @@ def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(GN, "linear_feasible", solver)
         code, out, err = run(capsys, "gph-normal", "--input", q, "--method", "direct")
         assert code == 1 and out == "" and "raised by the test" in err
+
+
+# ---------------------------------------------------------------------------
+# input boundary: non-finite and mis-shaped input is exit 1
+
+def test_gph_normal_non_finite_point_exits_1(tmp_path, capsys):
+    for z in (None, [float("nan")]):
+        q = write(tmp_path / "q.json", {"Z": "orthant", "z": z, "g": [0.0],
+                                        "zeta": [0.0], "eta": [0.0]})
+        for method in ("auto", "explicit", "direct", "oracle"):
+            code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
+            assert code == 1 and out == "" and "finite 1-D" in err, (z, method)
+
+
+def test_verify_non_finite_certificate_exits_1(tmp_path, capsys):
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    good = json.loads(open(cpath).read())
+    for key in ("theta", "z", "eta", "zeta", "mu", "value_weights"):
+        cert = json.loads(json.dumps(good))
+        if key == "theta":
+            cert["theta"][0][0] = float("nan")
+        else:
+            scen = cert["scenarios"][1]
+            scen[key] = [float("nan")] * 2 if key in ("z", "eta", "zeta") else float("nan")
+        bad = write(tmp_path / ("bad-%s.json" % key), cert)
+        runs = [["verify", "--mode", "penalized"]]
+        if key != "mu":     # any mu makes a convex certificate an input error
+            runs.append(["verify", "--mode", "convex"])
+        if key in ("theta", "z", "eta", "zeta"):    # all the system reads
+            runs.append(["spo-portfolio", "system"])
+        for argv in runs:
+            code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
+            assert code == 1 and out == "" and "finite" in err, (key, argv)
+
+
+def test_verify_wrong_theta_size_exits_1(tmp_path, capsys):
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    cert = json.loads(open(cpath).read())
+    cert["theta"] = cert["theta"][0]
+    bad = write(tmp_path / "short.json", cert)
+    for argv in (["verify"], ["spo-portfolio", "system"]):
+        code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
+        assert code == 1 and out == "" and "theta has 2 entries, expected 4" in err
+
+
+def test_newsvendor_certificate_needs_one_number_per_entry(tmp_path, capsys):
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)],
+                              samples=[([0.0], 5.0)])
+    ppath = write(tmp_path / "nv.json", inst.to_dict())
+    good = {"z": 5.0, "eta": 0.0, "zeta": 0.0}
+    bad_values = ([], {}, [1.0, 2.0], None, "5", True)
+    certs = [{"theta": 1.0, "scenarios": [{**good, key: v}]}
+             for key in ("z", "eta", "zeta") for v in bad_values]
+    certs += [{"theta": v, "scenarios": [good]} for v in bad_values]
+    for i, cert in enumerate(certs):
+        cpath = write(tmp_path / ("c%d.json" % i), cert)
+        for argv in (["newsvendor", "verify"], ["verify"]):
+            code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", cpath)
+            assert code == 1 and out == "" and "one finite number" in err, (cert, argv)
+    # a one-element list still reads as its number
+    cpath = write(tmp_path / "list.json", {"theta": [1.0], "scenarios": [
+        {"z": [5.0], "eta": [0.0], "zeta": [0.0]}]})
+    code_list, out_list, _ = run(capsys, "verify", "--problem", ppath, "--certificate", cpath)
+    cpath = write(tmp_path / "scalar.json", {"theta": 1.0, "scenarios": [good]})
+    code_num, out_num, _ = run(capsys, "verify", "--problem", ppath, "--certificate", cpath)
+    assert code_list == code_num and out_list == out_num
+
+
+def test_fd_check_lower_grad_z_on_negative_demands(tmp_path, capsys):
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], -2.0), ([1.0], -0.75)],
+                              samples=[([0.0], -2.0)])
+    ppath = write(tmp_path / "nv.json", inst.to_dict())
+    code, out, err = run(capsys, "fd-check", "--problem", ppath,
+                         "--op", "lower-grad-z", "--trials", "5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["max_rel_err"] <= 1e-6
+
+
+def test_spo_portfolio_system_reports_what_verify_reports(tmp_path, capsys):
+    """A flat theta is accepted, and an infeasible z is an exit-2 report."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    cert = json.loads(open(cpath).read())
+    cert["theta"] = np.ravel(cert["theta"]).tolist()
+    flat = write(tmp_path / "flat.json", cert)
+    code_v, out_v, _ = run(capsys, "verify", "--problem", ppath, "--certificate", flat)
+    code_s, out_s, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
+                           "--certificate", flat)
+    assert code_v == code_s == 0
+    assert json.loads(out_s)["report"] == json.loads(out_v)
+    cert["scenarios"][0]["z"] = [2.0, 0.0]
+    code, out, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
+                       "--certificate", write(tmp_path / "infeasible.json", cert))
+    scen = json.loads(out)["report"]["scenarios"][0]
+    assert code == 2 and scen["m_verdict"] == "empty_coderivative"

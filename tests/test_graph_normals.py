@@ -15,6 +15,7 @@ from mstat.graph_normals import (
     coderivative_member_orthant,
     coderivative_member_polyhedron,
     coderivative_member_simplex,
+    finite_number,
     limiting_normal_member_oracle,
     make_graph_context,
     oracle_membership,
@@ -246,3 +247,29 @@ def test_witness_reports_equality_and_inequality_rows():
     # zeta_2 = 1 is outside span(a_0) + cone(a_1) = R x R_-
     non = polyhedron_membership(p, gp, pair([4, 1], [0, -1]))
     assert not non.member and non.witness == {"active_rows": [0, 1]}
+
+
+# ---------------------------------------------------------------------------
+# the point boundary
+
+def test_points_and_pairs_need_finite_one_dimensional_arrays():
+    nan = float("nan")
+    for bad in (None, nan, [nan], [1.0, np.inf], [[0.0]], 0.0, {}, ["a"]):
+        with pytest.raises(ValueError):
+            GraphPoint(bad, [0.0])
+        with pytest.raises(ValueError):
+            GraphPoint([0.0], bad)
+        with pytest.raises(ValueError):
+            NormalPair(bad, [0.0])
+        with pytest.raises(ValueError):
+            NormalPair([0.0], bad)
+    with pytest.raises(ValueError):
+        GraphPoint([0.0, 1.0], [0.0])
+
+
+def test_finite_number_accepts_exactly_one_finite_number():
+    assert finite_number(3, "v") == 3.0 and finite_number([0.25], "v") == 0.25
+    assert finite_number(np.float64(-1.5), "v") == -1.5
+    for bad in ([], {}, [1.0, 2.0], None, "5", True, float("nan"), [np.inf]):
+        with pytest.raises(ValueError, match="v must be one finite number"):
+            finite_number(bad, "v")

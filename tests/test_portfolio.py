@@ -15,7 +15,12 @@ from mstat.portfolio import (
     spo_local_search,
     spo_loss,
 )
-from mstat.stationarity import gradient_selftest, verify_certificate
+from mstat.stationarity import (
+    Certificate,
+    ScenarioCertificate,
+    gradient_selftest,
+    verify_certificate,
+)
 from conftest import projected_gradient_qp
 
 I2 = np.eye(2)
@@ -183,6 +188,25 @@ def test_build_portfolio_system_pass_and_failures():
     bad_eta = build_portfolio_system(np.array([[2.0, 1.0]]),
                                      [{**base, "eta": [0.5, 0.5]}], inst_b)
     assert not bad_eta.passed
+
+
+def test_build_portfolio_system_is_verify_certificate(rng):
+    """The system report is the convex verifier's, for flat and matrix theta;
+    m_residual is the Euclidean norm of the force balance."""
+    inst, theta0 = small_instance()
+    cert, _ = realizable_certificate(inst, theta0)
+    lam, sig = inst.risk_aversion, inst.sigma
+    for shift in (0.0, 0.05):
+        parts = [{"z": s.z, "eta": s.eta + shift, "zeta": s.zeta} for s in cert.scenarios]
+        ref = verify_certificate(as_problem(inst), Certificate(
+            theta=theta0.ravel(), scenarios=[
+                ScenarioCertificate(z=p["z"], eta=p["eta"], zeta=p["zeta"]) for p in parts]))
+        for theta in (theta0, theta0.ravel()):
+            rep = build_portfolio_system(theta, parts, inst)
+            assert rep.to_dict() == ref.to_dict() and rep.passed == (shift == 0.0)
+        for (x, r), p, s in zip(inst.samples, parts, rep.scenarios):
+            force = -r + lam * (sig @ (p["z"] + p["eta"])) + p["zeta"]
+            assert abs(s.m_residual - np.linalg.norm(force)) <= 1e-15
 
 
 def test_system_force_balance_identity(rng):

@@ -577,3 +577,71 @@ def test_multiplier_recomputation_agrees_on_nondegenerate_interior():
     eta_solved = np.linalg.solve(lower.hess_zz(z, theta, None).T,
                                  -upper.grad_z(z, None, y, theta))
     assert np.max(np.abs(eta_solved - eta_cert)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one pipeline: shared pass rule, scenario line and upper generator
+
+def test_box_normal_cone_distance_matches_coordinate_rule(rng):
+    lo, hi = np.array([-1.0, 0.0, 2.0, -3.0]), np.array([1.0, 0.5, 2.0, 3.0])
+    box = ParameterSet.box(lo, hi)
+    for _ in range(300):
+        theta = np.where(rng.random(4) < 0.5, np.where(rng.random(4) < 0.5, lo, hi),
+                         rng.uniform(lo, hi))
+        u = rng.integers(-2, 3, 4) * rng.uniform(0.5, 1.5, 4)
+        res = []
+        for t, v, a, b in zip(theta, u, lo, hi):
+            blocked = (v < 0 and t <= a + 1e-9) or (v > 0 and t >= b - 1e-9)
+            res.append(0.0 if blocked or v == 0 else abs(v))
+        assert box.normal_cone_distance(theta, u) == float(np.linalg.norm(res))
+
+
+def test_report_pass_is_read_off_its_fields():
+    prob, cert = stationary_tracking_certificate(np.array([1.25]))
+    rep = verify_certificate(prob, cert, tol=1e-8)
+    assert rep.passed and rep.to_dict()["pass"] is True
+    rep.scenarios[1].m_membership = False
+    assert not rep.passed and rep.to_dict()["pass"] is False
+    rep.scenarios[1].m_membership = True
+    rep.scenarios[0].value_gap = 2 * rep.value_tol
+    assert not rep.passed
+    rep.scenarios[0].value_gap = 0.5 * rep.value_tol
+    rep.upper_residual = 2 * rep.tol
+    assert not rep.passed
+
+
+def test_scenario_line_and_upper_generators_agree_with_the_verifier():
+    theta = np.array([1.25])
+    prob, cert = stationary_tracking_certificate(theta)
+    bad = Certificate(theta=theta + 0.1, scenarios=[
+        ScenarioCertificate(z=c.z, eta=c.eta + 0.2, zeta=c.zeta + 0.3)
+        for c in cert.scenarios])
+    rep = verify_certificate(prob, bad)
+    gens = psi_set(prob.lower, prob.upper, bad.theta, np.zeros(1), None,
+                   [c.z for c in bad.scenarios], [c.eta for c in bad.scenarios])
+    total = sum(s.weight * g for s, g in zip(prob.scenarios, gens))
+    assert rep.upper_residual == float(np.linalg.norm(total)) > 0
+    for scen, c, sr in zip(prob.scenarios, bad.scenarios, rep.scenarios):
+        line = m_stationarity_check(prob.lower, prob.upper, bad.theta, scen.x, scen.y,
+                                    c.z, c.eta, c.zeta)
+        assert (line["membership"], line["verdict"], line["residual"]) == \
+            (sr.m_membership, sr.m_verdict, sr.m_residual)
+
+
+def test_certificates_reject_non_finite_and_mis_shaped_entries():
+    nan = float("nan")
+    for kw in ({"z": [nan]}, {"eta": [np.inf]}, {"zeta": [nan]}, {"mu": nan},
+               {"mu": [1.0, 2.0]}, {"value_weights": [nan]}, {"z": [[1.0], [2.0]]},
+               {"z": None}, {"eta": {}}):
+        with pytest.raises(ValueError):
+            ScenarioCertificate(**{"z": [1.0], "eta": [0.0], **kw})
+    for theta in ([nan], [[1.0, np.inf]], None):
+        with pytest.raises(ValueError):
+            Certificate(theta=theta, scenarios=[])
+    assert Certificate(theta=[[1.0, 2.0]], scenarios=[]).theta.shape == (2,)
+
+
+def test_verify_rejects_theta_of_the_wrong_dimension():
+    prob, cert = stationary_tracking_certificate(np.array([0.5]))
+    with pytest.raises(ValueError, match="theta has 2 entries, expected 1"):
+        verify_certificate(prob, Certificate(theta=[0.5, 0.5], scenarios=cert.scenarios))
