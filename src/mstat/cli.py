@@ -9,6 +9,7 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,6 +38,20 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON in %s: line %d column %d: %s"
                        % (path, exc.lineno, exc.colno, exc.msg))
+
+
+def _load_certificate(path):
+    """A certificate file: a JSON object whose "scenarios" are objects."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise CliError("certificate must be an object")
+    scenarios = data.get("scenarios", [])
+    if not isinstance(scenarios, list):
+        raise CliError("certificate scenarios must be a list")
+    for i, s in enumerate(scenarios):
+        if not isinstance(s, dict):
+            raise CliError("certificate scenario %d must be an object" % i)
+    return data
 
 
 def _dump(obj, args):
@@ -112,6 +127,8 @@ def cmd_gph_normal(args):
     q = _load_json(args.input)
     gp = GN.GraphPoint(q["z"], q["g"])
     pair = GN.NormalPair(q["zeta"], q["eta"])
+    if pair.zeta.shape != gp.z.shape:
+        raise CliError("zeta and eta must have the dimension of z")
     spec = q["Z"]
     method = args.method
     if method == "auto":
@@ -179,7 +196,7 @@ def _portfolio_certificate(data):
 
 def cmd_verify(args):
     problem = _load_json(args.problem)
-    cert_data = _load_json(args.certificate)
+    cert_data = _load_certificate(args.certificate)
     tol = args.tol if args.tol is not None else ST.DEFAULT_TOL
     kind = problem.get("type")
     if kind == "spo_portfolio":
@@ -252,7 +269,7 @@ def cmd_spo_portfolio(args):
                           for s, b in zip(cert.scenarios, betas)],
         }
     elif args.action == "system":
-        cert_data = _load_json(args.certificate)
+        cert_data = _load_certificate(args.certificate)
         rep = PF.build_portfolio_system(cert_data["theta"], cert_data["scenarios"], inst,
                                         tol=args.tol if args.tol is not None else 1e-8)
         out["report"] = rep.to_dict()
@@ -280,7 +297,7 @@ def cmd_newsvendor(args):
             raise CliError("--theta VALUE is required for loss")
         out["objective"] = NV.empirical_regret(inst, inst.model(args.theta))
     elif args.action == "verify":
-        cert = _load_json(args.certificate)
+        cert = _load_certificate(args.certificate)
         rep = NV.verify_newsvendor_system(
             cert["theta"], cert["scenarios"], inst,
             tol=args.tol if args.tol is not None else 1e-8)
@@ -409,7 +426,13 @@ def _common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    parse_args leaves the parser unchanged and returns a fresh namespace, so
+    in-process main() calls cannot see each other's options.
+    """
     ap = argparse.ArgumentParser(
         prog="mstat",
         description="Polyhedral coderivative calculus and stationarity "

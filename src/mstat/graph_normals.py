@@ -279,42 +279,60 @@ def _ambiguous(values, strict_eps):
     return [int(i) for i, v in enumerate(values) if 0.0 < abs(v) < strict_eps]
 
 
+_ORTHANT_REASONS = ("z has negative coordinates", "g has negative coordinates",
+                    "z and g are not complementary")
+
+
+def _flagged(flags):
+    return [i for i, f in enumerate(flags) if f]
+
+
+def _orthant_rows(z, g, zeta, eta, eps, strict_eps):
+    """Orthant coderivative membership of k points at once, one per row.
+
+    z, g, zeta and eta are (k, d) arrays; row j is a point of R_+^d. The
+    conditions separate by coordinate, so each is one array expression over
+    all k*d entries: per entry the failed graph-point conditions, the
+    L / I_+ / I_0 masks and the sign test. Each row is then reduced in
+    Python: the empty-coderivative reason is the first of _ORTHANT_REASONS
+    that fails at any coordinate, and the point is a member when the sign
+    test holds at every coordinate.
+    """
+    fails = np.stack([z < -eps, g < -eps, np.abs(z * g) > eps], axis=-1).any(axis=1)
+    L = z > eps
+    I_plus = ~L & (g > eps)
+    I_zero = ~L & ~I_plus
+    small_zeta, small_eta = np.abs(zeta) <= eps, np.abs(eta) <= eps
+    both_neg = (zeta <= -strict_eps) & (eta <= -strict_eps)
+    sign_ok = np.where(L, small_zeta,
+                       np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
+    out = []
+    for fail, l, p, o, c, ok in zip(fails.tolist(), L.tolist(), I_plus.tolist(),
+                                    I_zero.tolist(), zeta.tolist(),
+                                    sign_ok.all(axis=1).tolist()):
+        if any(fail):
+            out.append(_empty("orthant", _ORTHANT_REASONS[fail.index(True)]))
+            continue
+        witness = {"L": _flagged(l), "I_plus": _flagged(p), "I_zero": _flagged(o),
+                   "boundary_ambiguous": _ambiguous(c, strict_eps)}
+        out.append(Membership(ok, "member" if ok else "not_member", "orthant", witness))
+    return out
+
+
 def orthant_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     """Closed-form coderivative membership for Z = R_+^d.
 
     Coordinates split into L (z_i > 0), I_+ (z_i = 0 < g_i) and I_0 (both
     zero). Membership needs zeta to vanish on L, eta on I_+, and on I_0 each
-    coordinate must have zeta_i eta_i = 0 or both strictly negative.
+    coordinate must have zeta_i eta_i = 0 or both strictly negative. z, g,
+    zeta and eta must share one dimension, otherwise ValueError.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
-    zeta, eta = pair.zeta, pair.eta
-    if np.min(z, initial=0.0) < -eps:
-        return _empty("orthant", "z has negative coordinates")
-    if np.min(g, initial=0.0) < -eps:
-        return _empty("orthant", "g has negative coordinates")
-    if np.max(np.abs(z * g), initial=0.0) > eps:
-        return _empty("orthant", "z and g are not complementary")
-    L = z > eps
-    I_plus = (~L) & (g > eps)
-    I_zero = (~L) & (~I_plus)
-    witness = {"L": np.flatnonzero(L).tolist(),
-               "I_plus": np.flatnonzero(I_plus).tolist(),
-               "I_zero": np.flatnonzero(I_zero).tolist(),
-               "boundary_ambiguous": _ambiguous(zeta, strict_eps)}
-    ok = True
-    if L.any() and np.max(np.abs(zeta[L])) > eps:
-        ok = False
-    if ok and I_plus.any() and np.max(np.abs(eta[I_plus])) > eps:
-        ok = False
-    if ok:
-        for i in np.flatnonzero(I_zero):
-            zi, ei = zeta[i], eta[i]
-            both_neg = _strict_neg(zi, strict_eps) and _strict_neg(ei, strict_eps)
-            if not (both_neg or abs(zi) <= eps or abs(ei) <= eps):
-                ok = False
-                break
-    return Membership(ok, "member" if ok else "not_member", "orthant", witness)
+    if not z.shape == g.shape == pair.zeta.shape:
+        raise ValueError("z, g, zeta and eta must share a dimension")
+    return _orthant_rows(z[None], g[None], pair.zeta[None], pair.eta[None],
+                         eps, strict_eps)[0]
 
 
 def _simplex_beta_conditions(zeta, eta, beta, tau, sum_gap, labels, eps, strict_eps):

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import NormalPair, STRICT_EPS, finite_number, orthant_membership
+from .graph_normals import STRICT_EPS, _orthant_rows, finite_number
 from .stationarity import (
     DEFAULT_VALUE_TOL,
     FeasibleSet,
@@ -455,9 +455,10 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
     first-order condition itself.
 
     F, p and grad_theta F of every scenario come from one weight matrix of
-    the samples against the centers; the upper sum is accumulated in
-    scenario order. theta and each z, eta and zeta must be one finite
-    number (finite_number), otherwise ValueError.
+    the samples against the centers, and (c) of every scenario from one
+    orthant row pass; the upper sum is accumulated in scenario order. theta
+    and each z, eta and zeta must be one finite number (finite_number),
+    otherwise ValueError.
     """
     theta = finite_number(theta, "theta")
     model = instance.model(theta)
@@ -475,25 +476,22 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
         pdf[rows] = _pdf_rows(model, W, z[rows])
         slope[rows] = _grad_theta_rows(model, W, sq, z[rows])
 
+    # (c): the scalar orthant conditions of every scenario in one row pass.
+    g = (h + b) * cdf - b
+    m = _orthant_rows(z[:, None], g[:, None], cert[:, 2:3], cert[:, 1:2], eps, strict_eps)
     upper_sum = 0.0
     reports = []
-    for n, ((_, y), w, (z, eta, zeta)) in enumerate(zip(instance.samples,
-                                                       instance.weights, cert)):
-        z, eta, zeta = float(z), float(eta), float(zeta)
-        g = (h + b) * float(cdf[n]) - b
+    for n, ((_, y), w, (z_n, eta, zeta), g_n, res) in enumerate(zip(
+            instance.samples, instance.weights, cert.tolist(), g.tolist(), m)):
         upper_sum += w * (h + b) * float(slope[n]) * eta
 
         # (b): distance of -(h+b) p eta - zeta to the loss subdifferential.
         target = -((h + b) * float(pdf[n]) * eta + zeta)
-        lo, hi = _kink_interval(z, y, h, b, eps)
+        lo, hi = _kink_interval(z_n, y, h, b, eps)
         m_res = float(max(lo - target, target - hi, 0.0))
 
-        # (c): scalar orthant coderivative conditions.
-        res = orthant_membership(np.array([z]), np.array([g]),
-                                 NormalPair([zeta], [eta]), eps, strict_eps)
-
         # (d): quantile stationarity.
-        low_res = abs(g) if z > eps else max(0.0, -g)
+        low_res = abs(g_n) if z_n > eps else max(0.0, -g_n)
 
         reports.append(ScenarioReport(
             index=n, lower_residual=float(low_res), m_membership=res.member,

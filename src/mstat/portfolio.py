@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import DEFAULT_EPS
-from .graph_normals import NormalPair, STRICT_EPS, finite_number, simplex_membership
+from .graph_normals import (
+    NormalPair,
+    STRICT_EPS,
+    finite_number,
+    finite_vector,
+    simplex_membership,
+)
 from .stationarity import (
     Certificate,
     FeasibleSet,
@@ -44,7 +50,12 @@ __all__ = [
 
 @dataclass
 class PortfolioInstance:
-    """Covariance, risk aversion and the (x_n, r_n) sample with weights."""
+    """Covariance, risk aversion and the (x_n, r_n) sample with weights.
+
+    Every entry must be finite: sigma symmetric positive definite, lambda
+    positive, every x of one length, every r of length d_z and the weights
+    nonnegative, one per sample. Anything else raises ValueError.
+    """
 
     sigma: np.ndarray
     risk_aversion: float
@@ -55,24 +66,34 @@ class PortfolioInstance:
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
             raise ValueError("sigma must be square")
+        if not np.all(np.isfinite(self.sigma)):
+            raise ValueError("sigma must be finite")
         if np.max(np.abs(self.sigma - self.sigma.T)) > 1e-12:
             raise ValueError("sigma must be symmetric")
         try:
             np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError as exc:
             raise ValueError("sigma must be positive definite") from exc
+        self.risk_aversion = finite_number(self.risk_aversion, "lambda")
         if self.risk_aversion <= 0:
             raise ValueError("risk aversion must be positive")
-        self.samples = [(np.atleast_1d(np.asarray(x, dtype=float)),
-                         np.atleast_1d(np.asarray(r, dtype=float)))
+        self.samples = [(finite_vector(np.atleast_1d(x), "x"),
+                         finite_vector(np.atleast_1d(r), "r"))
                         for x, r in self.samples]
         n = len(self.samples)
+        if n == 0:
+            raise ValueError("at least one sample required")
+        if any(len(x) != self.d_x or len(r) != self.d_z for x, r in self.samples):
+            raise ValueError("every sample needs %d x and %d r entries"
+                             % (self.d_x, self.d_z))
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
-            self.weights = np.asarray(self.weights, dtype=float)
+            self.weights = finite_vector(np.atleast_1d(self.weights), "weights")
             if len(self.weights) != n:
                 raise ValueError("one weight per sample required")
+            if np.min(self.weights) < 0:
+                raise ValueError("weights must be nonnegative")
 
     @property
     def d_z(self):

@@ -594,11 +594,10 @@ def upper_residual(problem, certificate, eps=DEFAULT_EPS, penalties=None):
     return problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
 
 
-def _check_scenario(problem, theta, index, scen, cert, eps, strict_eps, mu):
+def _check_scenario(problem, poly, theta, index, scen, cert, eps, strict_eps, mu):
     lower, upper = problem.lower, problem.upper
     z = cert.z
     g = np.asarray(lower.grad_z(z, theta, scen.x), dtype=float)
-    poly = lower.feasible_set.as_polyhedron()
     try:
         low_res = distance_to_normal_cone(poly, z, -g, eps)
     except ValueError:
@@ -645,7 +644,8 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
     theta, lower = certificate.theta, problem.lower
     if mus is None:
         mus = [None] * len(problem.scenarios)
-    reports = [_check_scenario(problem, theta, n, scen, cert, eps, strict_eps, mu)
+    poly = lower.feasible_set.as_polyhedron()
+    reports = [_check_scenario(problem, poly, theta, n, scen, cert, eps, strict_eps, mu)
                for n, (scen, cert, mu) in enumerate(zip(problem.scenarios,
                                                         certificate.scenarios, mus))]
     penalties = [None] * len(reports)

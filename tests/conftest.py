@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mstat.cones import Polyhedron
+from mstat.cones import DEFAULT_EPS, Polyhedron
+from mstat.graph_normals import STRICT_EPS
 from mstat.stationarity import FeasibleSet
 
 
@@ -160,3 +161,36 @@ def nv_oracle_regret(instance, theta):
         total += instance.weights[i] * (instance.h * max(z - y, 0.0)
                                         + instance.b * max(y - z, 0.0))
     return total
+
+
+# ---------------------------------------------------------------------------
+# orthant coderivative: the per-coordinate reference
+
+def orthant_oracle(z, g, zeta, eta, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+    """(member, verdict, witness) of the orthant membership test for one
+    point, scanned coordinate by coordinate in plain Python. The three
+    graph-point checks run in turn over all coordinates, so the first check
+    that fails anywhere names the reason."""
+    z, g, zeta, eta = (np.asarray(v, dtype=float).tolist() for v in (z, g, zeta, eta))
+    for reason, bad in (("z has negative coordinates", [zi < -eps for zi in z]),
+                        ("g has negative coordinates", [gi < -eps for gi in g]),
+                        ("z and g are not complementary",
+                         [abs(zi * gi) > eps for zi, gi in zip(z, g)])):
+        if any(bad):
+            return False, "empty_coderivative", {"reason": reason}
+    witness = {"L": [], "I_plus": [], "I_zero": [], "boundary_ambiguous": []}
+    member = True
+    for i, (zi, gi, ci, ei) in enumerate(zip(z, g, zeta, eta)):
+        if 0.0 < abs(ci) < strict_eps:
+            witness["boundary_ambiguous"].append(i)
+        if zi > eps:
+            witness["L"].append(i)
+            member &= abs(ci) <= eps
+        elif gi > eps:
+            witness["I_plus"].append(i)
+            member &= abs(ei) <= eps
+        else:
+            witness["I_zero"].append(i)
+            both_neg = ci <= -strict_eps and ei <= -strict_eps
+            member &= both_neg or abs(ci) <= eps or abs(ei) <= eps
+    return member, "member" if member else "not_member", witness

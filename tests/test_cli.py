@@ -343,6 +343,30 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert code == 1 and "line" in err
 
 
+def test_main_reuses_one_parser_and_leaks_no_option(tmp_path, capsys):
+    """A sequence of in-process calls prints what each call prints alone,
+    and the parser is built once for the whole sequence."""
+    from mstat import cli
+
+    q = write(tmp_path / "q.json", {"Z": "orthant", "z": [0.0], "g": [0.0],
+                                    "zeta": [-2.0], "eta": [-3.0]})
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    calls = [["gph-normal", "--input", q, "--format", "text", "--tol", "1e-3"],
+             ["verify", "--problem", ppath],
+             ["verify", "--problem", ppath, "--certificate", cpath]]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 1, 0]
+    assert json.loads(alone[2][1])["tol"] == 1e-8
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert cli.build_parser.cache_info().misses == 1
+    args = cli.build_parser().parse_args(["verify", "--problem", "p", "--certificate", "c"])
+    assert (args.tol, args.format, args.mode, args.report) == (None, "json", "convex", None)
+
+
 def test_unknown_flag_rejected(capsys):
     assert main(["verify", "--problem", "x", "--certificate", "y",
                  "--nonsense"]) == 1
@@ -423,6 +447,82 @@ def test_verify_non_finite_certificate_exits_1(tmp_path, capsys):
         for argv in runs:
             code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
             assert code == 1 and out == "" and "finite" in err, (key, argv)
+
+
+def test_gph_normal_dimension_mismatch_exits_1(tmp_path, capsys):
+    for spec in ("orthant", "simplex", {"A": [[1.0]], "b": [1.0]}):
+        q = write(tmp_path / "q.json", {"Z": spec, "z": [1.0], "g": [0.0],
+                                        "zeta": [1.0, 2.0, 3.0], "eta": [0.0, 0.0, 0.0]})
+        for method in ("auto", "explicit", "direct", "oracle"):
+            if method == "explicit" and isinstance(spec, dict):
+                continue
+            code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
+            assert code == 1 and out == "" and "dimension of z" in err, (spec, method)
+
+
+def test_portfolio_problem_non_finite_or_mis_shaped_exits_1(tmp_path, capsys):
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    good = json.loads(open(ppath).read())
+    nan, inf = float("nan"), float("inf")
+
+    def edit(path, value):
+        def apply(d):
+            *head, last = path
+            for key in head:
+                d = d[key]
+            d[last] = value
+        return apply
+
+    cases = [
+        (edit(["sigma", 0, 0], nan), "sigma must be finite"),
+        (edit(["sigma"], [[nan, nan], [nan, nan]]), "sigma must be finite"),
+        (edit(["lambda"], nan), "lambda must be one finite number"),
+        (edit(["lambda"], inf), "lambda must be one finite number"),
+        (edit(["lambda"], None), "lambda must be one finite number"),
+        (edit(["lambda"], 0.0), "risk aversion must be positive"),
+        (edit(["samples", 1, "r", 0], nan), "r must be a finite 1-D array"),
+        (edit(["samples", 1, "x", 1], inf), "x must be a finite 1-D array"),
+        (edit(["samples", 1, "r"], [0.1]), "every sample needs 2 x and 2 r entries"),
+        (edit(["samples", 2, "x"], [1.0, 0.5, 0.2]), "every sample needs 2 x and 2 r"),
+        (edit(["samples"], []), "at least one sample"),
+        (edit(["weights"], [0.2, 0.2, nan, 0.2, 0.2]), "weights must be a finite 1-D"),
+        (edit(["weights"], [0.2, 0.2, -0.1, 0.2, 0.5]), "weights must be nonnegative"),
+        (edit(["weights"], [0.5, 0.5]), "one weight per sample"),
+    ]
+    for i, (apply, message) in enumerate(cases):
+        problem = json.loads(json.dumps(good))
+        apply(problem)
+        bad = write(tmp_path / ("p%d.json" % i), problem)
+        for argv in (["verify", "--certificate", cpath], ["spo-portfolio", "fit"]):
+            code, out, err = run(capsys, *argv, "--problem", bad)
+            assert code == 1 and out == "" and message in err, (message, argv, err)
+
+
+def test_certificate_scenario_must_be_an_object(tmp_path, capsys):
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    good = json.loads(open(cpath).read())
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)],
+                              samples=[([0.0], 5.0), ([0.5], 4.0)])
+    nvpath = write(tmp_path / "nv.json", inst.to_dict())
+    entry = {"z": 5.0, "eta": 0.0, "zeta": 0.0}
+    for i, bad in enumerate(([1.0, 2.0], 3.0, None, "z")):
+        cert = json.loads(json.dumps(good))
+        cert["scenarios"][1] = bad
+        pf = write(tmp_path / ("pf%d.json" % i), cert)
+        nv = write(tmp_path / ("nv%d.json" % i), {"theta": 1.0, "scenarios": [entry, bad]})
+        runs = [(ppath, pf, ["verify"]), (ppath, pf, ["verify", "--mode", "penalized"]),
+                (ppath, pf, ["spo-portfolio", "system"]),
+                (nvpath, nv, ["verify"]), (nvpath, nv, ["newsvendor", "verify"])]
+        for problem, cert_path, argv in runs:
+            code, out, err = run(capsys, *argv, "--problem", problem,
+                                 "--certificate", cert_path)
+            assert code == 1 and out == "", (bad, argv)
+            assert "certificate scenario 1 must be an object" in err, (bad, argv)
+    for cert, message in (([good], "certificate must be an object"),
+                          ({**good, "scenarios": 3}, "scenarios must be a list")):
+        code, out, err = run(capsys, "verify", "--problem", ppath, "--certificate",
+                             write(tmp_path / "top.json", cert))
+        assert code == 1 and out == "" and message in err
 
 
 def test_verify_wrong_theta_size_exits_1(tmp_path, capsys):

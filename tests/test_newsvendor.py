@@ -11,7 +11,10 @@ from conftest import (
     nv_oracle_regret,
     nv_oracle_solve,
     nv_oracle_weights,
+    orthant_oracle,
 )
+from mstat.cones import DEFAULT_EPS
+from mstat.graph_normals import NormalPair, STRICT_EPS, _orthant_rows, orthant_membership
 from mstat.newsvendor import (
     KernelModel,
     NewsvendorInstance,
@@ -261,6 +264,83 @@ def test_system_upper_condition_respects_bandwidth_bounds():
     drift = sum(w * 2.0 * grad_theta_cdf(model, p["z"], x) * p["eta"]
                 for (x, y), w, p in zip(inst.samples, inst.weights, parts))
     assert rep.upper_residual == pytest.approx(abs(drift), abs=1e-12)
+
+
+def _as_tuple(res):
+    return res.member, res.verdict, res.witness
+
+
+@pytest.mark.parametrize("eps, strict", [(DEFAULT_EPS, STRICT_EPS), (1e-12, 1e-6)])
+def test_orthant_row_pass_matches_per_point_oracle(rng, eps, strict):
+    """The row pass over n scalar scenarios gives, row by row, the verdict,
+    reason and witness of orthant_membership and of the plain oracle, on
+    random scalars and on values at 0, +-eps and +-strict_eps. The second
+    tolerance pair puts strict_eps above eps, where the both-negative edge
+    decides."""
+    edges = [0.0, eps, -eps, strict, -strict, 2 * eps, -2 * eps, 0.5 * strict]
+    n = 3000
+    cols = [np.where(rng.random(n) < 0.7, rng.choice(edges, n), rng.normal(size=n))
+            for _ in range(4)]
+    z, g, zeta, eta = cols
+    rows = _orthant_rows(z[:, None], g[:, None], zeta[:, None], eta[:, None], eps, strict)
+    seen = set()
+    for k, res in enumerate(rows):
+        point = z[k:k + 1], g[k:k + 1], zeta[k:k + 1], eta[k:k + 1]
+        single = orthant_membership(point[0], point[1], NormalPair(point[2], point[3]),
+                                    eps, strict)
+        assert _as_tuple(res) == _as_tuple(single) == orthant_oracle(*point, eps, strict)
+        seen.add(res.witness.get("reason", res.verdict))
+        if res.witness.get("boundary_ambiguous"):
+            seen.add("ambiguous")
+    assert seen == {"member", "not_member", "ambiguous", "z has negative coordinates",
+                    "g has negative coordinates", "z and g are not complementary"}
+
+
+def test_orthant_reason_order_when_several_coordinates_fail(rng):
+    """With one coordinate failing each graph-point check, the reason is the
+    first check in order, whatever the coordinate order."""
+    z = np.array([1.0, -1.0, 0.0, 2.0])
+    g = np.array([1.0, 0.0, -1.0, 0.0])
+    pair = NormalPair(np.zeros(4), np.zeros(4))
+    for drop, reason in ((None, "z has negative coordinates"),
+                         (1, "g has negative coordinates"),
+                         (2, "z and g are not complementary")):
+        if drop is not None:
+            z[drop] = g[drop] = 0.0
+        for perm in (np.arange(4), np.arange(4)[::-1]):
+            res = orthant_membership(z[perm], g[perm], NormalPair(pair.zeta, pair.eta))
+            assert res.witness == {"reason": reason}
+            assert _as_tuple(res) == orthant_oracle(z[perm], g[perm], pair.zeta, pair.eta)
+    edges = np.array([0.0, DEFAULT_EPS, -DEFAULT_EPS, STRICT_EPS, -STRICT_EPS, 1.0, -1.0])
+    for _ in range(500):
+        pt = [rng.choice(edges, 5) for _ in range(4)]
+        res = orthant_membership(pt[0], pt[1], NormalPair(pt[2], pt[3]))
+        assert _as_tuple(res) == orthant_oracle(*pt)
+    with pytest.raises(ValueError):
+        orthant_membership(np.zeros(1), np.zeros(1), NormalPair(np.zeros(3), np.zeros(3)))
+
+
+def test_system_orthant_line_matches_oracle(rng):
+    """Each scenario report of verify_newsvendor_system carries the oracle's
+    verdict and witness at (z_n, (h+b) F(z_n) - b)."""
+    inst = NewsvendorInstance(h=1.0, b=3.0,
+                              centers=[([x], 3.0 + x) for x in np.linspace(-1, 1, 9)],
+                              samples=[([x], 3.0 + x) for x in np.linspace(-1, 1, 40)])
+    model = inst.model(0.4)
+    z = solve_newsvendor_rows(model, [x for x, _ in inst.samples], inst.h, inst.b)
+    z[::5] = 0.0
+    z[1::7] += 0.5
+    parts = [{"z": float(zn), "eta": float(rng.choice([0.0, -1.0, 0.3])),
+              "zeta": float(rng.choice([0.0, -2.0, 1e-13]))} for zn in z]
+    rep = verify_newsvendor_system(0.4, parts, inst)
+    verdicts = set()
+    for (x, _), part, s in zip(inst.samples, parts, rep.scenarios):
+        g = (inst.h + inst.b) * conditional_cdf(model, part["z"], x) - inst.b
+        witness = {k: v for k, v in s.witness.items() if k != "subdiff"}
+        assert (s.m_membership, s.m_verdict, witness) == orthant_oracle(
+            [part["z"]], [g], [part["zeta"]], [part["eta"]])
+        verdicts.add(s.m_verdict)
+    assert verdicts == {"member", "not_member", "empty_coderivative"}
 
 
 # ---------------------------------------------------------------------------
