@@ -29,28 +29,26 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 1."""
 
 
-def _load_json(path):
+def _load_json(path, what, kind=dict):
+    """The JSON value of a file, which must be of type kind: an object
+    unless the caller says otherwise. Anything else is a CliError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError("no such file: %s" % path)
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON in %s: line %d column %d: %s"
                        % (path, exc.lineno, exc.colno, exc.msg))
+    if not isinstance(data, kind):
+        raise CliError("%s must be %s" % (what, "an object" if kind is dict else "an array"))
+    return data
 
 
 def _load_certificate(path):
     """A certificate file: a JSON object whose "scenarios" are objects."""
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise CliError("certificate must be an object")
-    scenarios = data.get("scenarios", [])
-    if not isinstance(scenarios, list):
-        raise CliError("certificate scenarios must be a list")
-    for i, s in enumerate(scenarios):
-        if not isinstance(s, dict):
-            raise CliError("certificate scenario %d must be an object" % i)
+    data = _load_json(path, "certificate")
+    GN.object_list(data.get("scenarios", []), "certificate scenario")
     return data
 
 
@@ -78,7 +76,7 @@ def _feasible_from_spec(spec, dim):
 # subcommands
 
 def cmd_cones(args):
-    q = _load_json(args.input)
+    q = _load_json(args.input, "query")
     op = q.get("op")
     eps = q.get("eps", args.tol if args.tol is not None else C.DEFAULT_EPS)
     out = {"schema": SCHEMA, "op": op}
@@ -124,28 +122,29 @@ def cmd_cones(args):
 
 
 def cmd_gph_normal(args):
-    q = _load_json(args.input)
+    q = _load_json(args.input, "query")
     gp = GN.GraphPoint(q["z"], q["g"])
     pair = GN.NormalPair(q["zeta"], q["eta"])
     if pair.zeta.shape != gp.z.shape:
         raise CliError("zeta and eta must have the dimension of z")
+    eps = args.tol if args.tol is not None else C.DEFAULT_EPS
     spec = q["Z"]
     method = args.method
     if method == "auto":
         method = "explicit" if spec in ("orthant", "simplex") else "direct"
     if method == "explicit":
         if spec == "orthant":
-            res = GN.orthant_membership(gp.z, gp.g, pair)
+            res = GN.orthant_membership(gp.z, gp.g, pair, eps)
         elif spec == "simplex":
-            res = GN.simplex_membership(gp.z, gp.g, pair)
+            res = GN.simplex_membership(gp.z, gp.g, pair, eps)
         else:
             raise CliError("explicit method needs Z = orthant or simplex")
     else:
         poly = _feasible_from_spec(spec, len(gp.z)).as_polyhedron()
         if method == "oracle":
-            res = GN.oracle_membership(poly, gp, pair)
+            res = GN.oracle_membership(poly, gp, pair, eps)
         else:
-            res = GN.polyhedron_membership(poly, gp, pair)
+            res = GN.polyhedron_membership(poly, gp, pair, eps)
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
            "method": method, "witness": _jsonable(res.witness)}
     _dump(out, args)
@@ -195,30 +194,24 @@ def _portfolio_certificate(data):
 
 
 def cmd_verify(args):
-    problem = _load_json(args.problem)
+    problem = _load_json(args.problem, "problem")
     cert_data = _load_certificate(args.certificate)
     tol = args.tol if args.tol is not None else ST.DEFAULT_TOL
     kind = problem.get("type")
     if kind == "spo_portfolio":
-        inst = _portfolio_from_json(problem)
+        app, inst = PF, _portfolio_from_json(problem)
         cert = _portfolio_certificate(cert_data)
-        prob = PF.as_problem(inst)
-        if args.mode == "penalized":
-            def solver(model, theta, x):
-                r_hat = np.asarray(theta, dtype=float).reshape(
-                    inst.d_x, inst.d_z).T @ np.asarray(x, dtype=float)
-                return [PF.solve_simplex_qp(r_hat, inst.sigma, inst.risk_aversion).z]
-            report = ST.verify_certificate_penalized(prob, cert, tol=tol, solver=solver)
-        else:
-            report = ST.verify_certificate(prob, cert, tol=tol)
     elif kind == "newsvendor_kernel":
-        if args.mode == "penalized":
-            raise CliError("penalized mode is not available for newsvendor problems")
-        inst = _newsvendor_from_json(problem)
-        report = NV.verify_newsvendor_system(cert_data["theta"], cert_data["scenarios"],
-                                             inst, tol=tol)
+        app, inst = NV, _newsvendor_from_json(problem)
+        cert = NV.newsvendor_certificate(cert_data["theta"], cert_data["scenarios"])
     else:
         raise CliError("unknown problem type: %r" % kind)
+    prob = app.as_problem(inst)
+    if args.mode == "penalized":
+        report = ST.verify_certificate_penalized(prob, cert, tol=tol,
+                                                 solver=app.lower_solver(inst))
+    else:
+        report = ST.verify_certificate(prob, cert, tol=tol)
     out = report.to_dict()
     _dump(out, args)
     if args.format == "text":
@@ -231,7 +224,7 @@ def cmd_verify(args):
 
 
 def cmd_spo_portfolio(args):
-    problem = _load_json(args.problem)
+    problem = _load_json(args.problem, "problem")
     inst = _portfolio_from_json(problem)
     if args.samples_csv:
         samples = PF.read_samples_csv(args.samples_csv, inst.d_x, inst.d_z)
@@ -244,7 +237,7 @@ def cmd_spo_portfolio(args):
         raise CliError("--certificate FILE is required for action 'system'")
     theta = None
     if args.theta:
-        theta = np.asarray(_load_json(args.theta), dtype=float)
+        theta = np.asarray(_load_json(args.theta, "theta", kind=list), dtype=float)
     if args.action == "fit":
         out["theta"] = PF.fit_least_squares(inst).theta.tolist()
     elif args.action == "loss":
@@ -284,7 +277,7 @@ def cmd_spo_portfolio(args):
 
 
 def cmd_newsvendor(args):
-    problem = _load_json(args.problem)
+    problem = _load_json(args.problem, "problem")
     inst = _newsvendor_from_json(problem)
     out = {"schema": SCHEMA, "action": args.action}
     if args.action == "solve":
@@ -360,7 +353,7 @@ def cmd_gen(args):
 
 
 def cmd_fd_check(args):
-    problem = _load_json(args.problem)
+    problem = _load_json(args.problem, "problem")
     rng = np.random.default_rng(args.seed or 0)
     tol = args.tol if args.tol is not None else 1e-6
     kind = problem.get("type")
@@ -419,9 +412,15 @@ def cmd_fd_check(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _common(sub):
-    sub.add_argument("--tol", type=float, default=None, help="verification tolerance")
+def _tol(sub, meaning):
+    sub.add_argument("--tol", type=float, default=None, help=meaning)
+
+
+def _seed(sub):
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+
+
+def _output(sub):
     sub.add_argument("--report", default=None, help="write a JSON report here")
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -441,21 +440,24 @@ def build_parser():
 
     p = sp.add_parser("cones", help="tangent/normal/critical cone queries")
     p.add_argument("--input", required=True)
-    _common(p)
+    _tol(p, "activity tolerance eps (default 1e-9); an \"eps\" in the query wins")
+    _output(p)
     p.set_defaults(func=cmd_cones)
 
     p = sp.add_parser("gph-normal", help="coderivative membership query")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("auto", "oracle", "direct", "explicit"),
                    default="auto")
-    _common(p)
+    _tol(p, "activity tolerance eps (default 1e-9)")
+    _output(p)
     p.set_defaults(func=cmd_gph_normal)
 
     p = sp.add_parser("verify", help="verify a stationarity certificate")
     p.add_argument("--problem", required=True)
     p.add_argument("--certificate", required=True)
     p.add_argument("--mode", choices=("convex", "penalized"), default="convex")
-    _common(p)
+    _tol(p, "residual tolerance (default 1e-8)")
+    _output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sp.add_parser("spo-portfolio", help="portfolio pipeline actions")
@@ -466,7 +468,9 @@ def build_parser():
     p.add_argument("--certificate", default=None)
     p.add_argument("--samples-csv", default=None)
     p.add_argument("--steps", type=int, default=50)
-    _common(p)
+    _tol(p, "residual tolerance of 'system' (default 1e-8)")
+    _seed(p)
+    _output(p)
     p.set_defaults(func=cmd_spo_portfolio)
 
     p = sp.add_parser("newsvendor", help="newsvendor pipeline actions")
@@ -475,7 +479,8 @@ def build_parser():
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--certificate", default=None)
     p.add_argument("--grid", default=None, help="comma separated bandwidths")
-    _common(p)
+    _tol(p, "residual tolerance of 'verify' (default 1e-8)")
+    _output(p)
     p.set_defaults(func=cmd_newsvendor)
 
     p = sp.add_parser("gen", help="emit a synthetic problem")
@@ -484,7 +489,7 @@ def build_parser():
     p.add_argument("--dims", default=None, help="portfolio: 'dx,dz'; newsvendor: 'dx'")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", default=None)
-    _common(p)
+    _seed(p)
     p.set_defaults(func=cmd_gen)
 
     p = sp.add_parser("fd-check", help="finite-difference gradient audits")
@@ -494,7 +499,9 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--atol", type=float, default=1e-9,
                    help="absolute agreement below this skips the relative test")
-    _common(p)
+    _tol(p, "largest relative error that passes (default 1e-6)")
+    _seed(p)
+    _output(p)
     p.set_defaults(func=cmd_fd_check)
     return ap
 

@@ -24,6 +24,7 @@ conditions in closed form.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -47,7 +48,7 @@ from .lp import linear_feasible
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
-    "finite_vector", "finite_number",
+    "finite_vector", "finite_number", "object_list",
     "GraphContext", "make_graph_context",
     "limiting_normal_member_oracle", "coderivative_member_polyhedron",
     "coderivative_member_orthant", "coderivative_member_simplex",
@@ -62,26 +63,67 @@ class NotGraphPointError(ValueError):
     """(z, -g) is not on the graph of the normal-cone map."""
 
 
-def finite_vector(value, name):
-    """value as a finite 1-D float array; anything else raises ValueError."""
+_NUMBER_TYPES = {float, int}
+_FLOAT = {float}
+
+
+def _holds_non_number(value):
+    """Whether value, or any entry of it at any depth, is a boolean or a string."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "bSU"
+    if isinstance(value, (list, tuple)):
+        return not set(map(type, value)) <= _NUMBER_TYPES and any(map(_holds_non_number, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
+def finite_vector(value, name, scalar=False, flat=False):
+    """value as a finite 1-D float array; anything else raises ValueError.
+
+    Booleans and strings are not numbers here, so a JSON true or "1" is
+    rejected rather than read as 1. With scalar, a lone number reads as a vector of one entry;
+    with flat, an array of any shape reads in row-major order.
+    """
+    # JSON gives numbers as Python floats; those skip the generic checks.
+    if scalar and type(value) is float:
+        if math.isfinite(value):
+            return np.array([value])
+    elif type(value) is list and set(map(type, value)) == _FLOAT:
+        if all(map(math.isfinite, value)):
+            return np.array(value)
     try:
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         v = np.float64(np.nan)
+    if flat or (scalar and v.ndim == 0):
+        v = v.reshape(-1)
     # On desk-scale vectors a Python scan costs a fraction of np.isfinite's
     # call overhead, which every scenario of a verify pays several times.
-    if v.ndim != 1 or not all(map(math.isfinite, v.tolist())):
+    if v.ndim != 1 or _holds_non_number(value) or not all(map(math.isfinite, v.tolist())):
         raise ValueError("%s must be a finite 1-D array" % name)
     return v
 
 
 def finite_number(value, name):
     """value as one finite float: a number, or an array holding exactly one."""
-    v = np.asarray(value)
-    x = float(v.reshape(-1)[0]) if v.size == 1 and v.dtype.kind in "iuf" else np.nan
+    if type(value) is float:
+        x = value
+    else:
+        v = np.asarray(value)
+        x = float(v.reshape(-1)[0]) if v.size == 1 and v.dtype.kind in "iuf" else np.nan
     if not math.isfinite(x):
         raise ValueError("%s must be one finite number" % name)
     return x
+
+
+def object_list(value, name):
+    """value as a list of JSON objects (mappings); anything else raises
+    ValueError naming the list or the first entry that is not an object."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%ss must be a list" % name)
+    for i, item in enumerate(value):
+        if not isinstance(item, (dict, Mapping)):
+            raise ValueError("%s %d must be an object" % (name, i))
+    return value
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ same helpers.
 Leave-one-out scoring applies when an instance has as many centers as
 samples, and then pairs them by position: sample i is scored without center
 i, whose logit in row i is set to -inf.
+
+The bandwidth stationarity system is the generic one of mstat.stationarity
+on as_problem(instance); its scenario terms come from the same row helpers.
 """
 
 from __future__ import annotations
@@ -34,14 +37,18 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import STRICT_EPS, _orthant_rows, finite_number
+from .graph_normals import STRICT_EPS, finite_number, finite_vector, object_list
 from .stationarity import (
-    DEFAULT_VALUE_TOL,
+    Certificate,
     FeasibleSet,
     LowerModel,
     ParameterSet,
-    ResidualReport,
-    ScenarioReport,
+    Problem,
+    Scenario,
+    ScenarioCertificate,
+    ScenarioTerms,
+    UpperModel,
+    verify_certificate,
 )
 
 __all__ = [
@@ -49,7 +56,8 @@ __all__ = [
     "nw_weights", "conditional_cdf", "conditional_pdf", "grad_theta_cdf",
     "solve_newsvendor", "solve_newsvendor_rows", "spo_loss_newsvendor",
     "empirical_regret", "verify_newsvendor_system", "bandwidth_grid_search",
-    "NewsvendorLowerModel",
+    "NewsvendorLowerModel", "NewsvendorUpperModel", "NewsvendorProblem",
+    "as_problem", "lower_solver", "newsvendor_certificate",
 ]
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -86,7 +94,7 @@ class KernelModel:
             raise ValueError("bandwidth must be positive and finite")
         if xs[0].ndim != 1 or any(x.shape != xs[0].shape for x in xs):
             raise ValueError("every center needs the same number of x coordinates")
-        self.centers_x = np.vstack(xs)
+        self.centers_x = np.array(xs)
         self.centers_y = np.asarray(ys, dtype=float)
         if not (_finite(self.centers_x) and _finite(self.centers_y)):
             raise ValueError("center coordinates must be finite")
@@ -299,7 +307,7 @@ def spo_loss_newsvendor(model, x, y_realized, h, b):
 
 
 def _sample_rows(instance):
-    return (np.vstack([x for x, _ in instance.samples]),
+    return (np.array([x for x, _ in instance.samples]),
             np.array([y for _, y in instance.samples]))
 
 
@@ -330,31 +338,31 @@ class NewsvendorInstance:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if not (self.h > 0 and self.b > 0 and np.isfinite(self.h) and np.isfinite(self.b)):
+        self.h, self.b = finite_number(self.h, "h"), finite_number(self.b, "b")
+        if not (self.h > 0 and self.b > 0):
             raise ValueError("h and b must be strictly positive and finite")
-        self.centers = [(np.atleast_1d(np.asarray(x, dtype=float)), float(y))
+        self.centers = [(finite_vector(x, "x", scalar=True), finite_number(y, "y"))
                         for x, y in self.centers]
-        self.samples = [(np.atleast_1d(np.asarray(x, dtype=float)), float(y))
+        self.samples = [(finite_vector(x, "x", scalar=True), finite_number(y, "y"))
                         for x, y in self.samples]
-        lo, hi = self.theta_bounds
-        if not (0 < lo < hi and np.isfinite(hi)):
+        bounds = finite_vector(self.theta_bounds, "theta_bounds")
+        if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
             raise ValueError("theta bounds must be finite with 0 < lo < hi")
+        self.theta_bounds = tuple(bounds.tolist())
         n = len(self.samples)
         if n == 0:
             raise ValueError("need at least one sample")
         if not self.centers:
             raise ValueError("need at least one center")
         xs = [x for x, _ in self.centers + self.samples]
-        if xs[0].ndim != 1 or any(x.shape != xs[0].shape for x in xs):
+        if any(x.shape != xs[0].shape for x in xs):
             raise ValueError("every center and sample needs the same number of x coordinates")
-        if not (_finite(np.vstack(xs)) and _finite([y for _, y in self.centers + self.samples])):
-            raise ValueError("center and sample coordinates must be finite")
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if len(self.weights) != n or not _finite(self.weights) \
-                    or np.min(self.weights) < 0 or abs(self.weights.sum() - 1.0) > 1e-12:
+            self.weights = finite_vector(self.weights, "weights", scalar=True)
+            if len(self.weights) != n or np.min(self.weights) < 0 \
+                    or abs(self.weights.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must be a probability vector over samples")
 
     def model(self, theta):
@@ -371,9 +379,9 @@ class NewsvendorInstance:
     @classmethod
     def from_dict(cls, d):
         return cls(h=d["h"], b=d["b"],
-                   centers=[(c["x"], c["y"]) for c in d["centers"]],
-                   samples=[(s["x"], s["y"]) for s in d["samples"]],
-                   theta_bounds=tuple(d.get("theta_bounds", (1e-3, 1e3))),
+                   centers=[(c["x"], c["y"]) for c in object_list(d["centers"], "center")],
+                   samples=[(s["x"], s["y"]) for s in object_list(d["samples"], "sample")],
+                   theta_bounds=d.get("theta_bounds", (1e-3, 1e3)),
                    weights=d.get("weights"))
 
 
@@ -381,129 +389,164 @@ class NewsvendorLowerModel(LowerModel):
     """Expected newsvendor cost under the kernel mixture, theta = (bandwidth,).
 
     cost is the closed-form Gaussian-mixture expectation of
-    h (z - Y)_+ + b (Y - z)_+; its z-derivative is (h+b) F(z) - b.
+    h (z - Y)_+ + b (Y - z)_+; its z-derivative is (h+b) F(z) - b. Every
+    method reads the query x it is given, or the x fixed at construction
+    when it is given none.
     """
 
-    def __init__(self, instance, x):
+    def __init__(self, instance, x=None):
         self.inst = instance
-        self.x = np.atleast_1d(np.asarray(x, dtype=float))
+        self.x = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         self.feasible_set = FeasibleSet.orthant(1)
 
-    def _model(self, theta):
-        return self.inst.model(float(np.atleast_1d(theta)[0]))
+    def _args(self, z, theta, x):
+        """The kernel model at theta, the order quantity and the query."""
+        return (self.inst.model(float(np.atleast_1d(theta)[0])), float(np.atleast_1d(z)[0]),
+                self.x if x is None else x)
+
+    def _per_center(self, m, z):
+        """u_m = (z - y_m) / theta and each center's expected cost at z."""
+        u = (z - m.centers_y) / m.theta
+        over = (z - m.centers_y) * ndtr(u) + m.theta * _phi(u)
+        under = (m.centers_y - z) * ndtr(-u) + m.theta * _phi(u)
+        return u, self.inst.h * over + self.inst.b * under
 
     def cost(self, z, theta, x=None):
-        m = self._model(theta)
-        z = float(np.atleast_1d(z)[0])
-        w = nw_weights(m, self.x)
-        u = (z - m.centers_y) / m.theta
-        over = (z - m.centers_y) * ndtr(u) + m.theta * _phi(u)
-        under = (m.centers_y - z) * ndtr(-u) + m.theta * _phi(u)
-        return float(w @ (self.inst.h * over + self.inst.b * under))
+        m, z, x = self._args(z, theta, x)
+        return float(nw_weights(m, x) @ self._per_center(m, z)[1])
 
     def grad_z(self, z, theta, x=None):
-        m = self._model(theta)
-        z = float(np.atleast_1d(z)[0])
-        return np.array([(self.inst.h + self.inst.b)
-                         * conditional_cdf(m, z, self.x) - self.inst.b])
+        m, z, x = self._args(z, theta, x)
+        return np.array([(self.inst.h + self.inst.b) * conditional_cdf(m, z, x) - self.inst.b])
 
     def hess_zz(self, z, theta, x=None):
-        m = self._model(theta)
-        z = float(np.atleast_1d(z)[0])
-        return np.array([[(self.inst.h + self.inst.b)
-                          * conditional_pdf(m, z, self.x)]])
+        m, z, x = self._args(z, theta, x)
+        return np.array([[(self.inst.h + self.inst.b) * conditional_pdf(m, z, x)]])
 
     def hess_ztheta(self, z, theta, x=None):
-        m = self._model(theta)
-        z = float(np.atleast_1d(z)[0])
-        return np.array([[(self.inst.h + self.inst.b)
-                          * grad_theta_cdf(m, z, self.x)]])
+        m, z, x = self._args(z, theta, x)
+        return np.array([[(self.inst.h + self.inst.b) * grad_theta_cdf(m, z, x)]])
 
     def grad_theta(self, z, theta, x=None):
-        m = self._model(theta)
-        z = float(np.atleast_1d(z)[0])
-        W, sq = _weight_rows(m, _one_row(m, self.x))
+        m, z, x = self._args(z, theta, x)
+        W, sq = _weight_rows(m, _one_row(m, x))
         w, psi = W[0], _log_kernel_grads(m, sq[0])
-        u = (z - m.centers_y) / m.theta
-        over = (z - m.centers_y) * ndtr(u) + m.theta * _phi(u)
-        under = (m.centers_y - z) * ndtr(-u) + m.theta * _phi(u)
-        per_center = self.inst.h * over + self.inst.b * under
+        u, per_center = self._per_center(m, z)
         reweight = w * (psi - w @ psi) @ per_center
         widen = (self.inst.h + self.inst.b) * (w @ _phi(u))
         return np.array([reweight + widen])
 
 
 def _kink_interval(z, y, h, b, eps):
-    """Subdifferential of h (z - y)_+ + b (y - z)_+ as an interval [lo, hi]."""
-    if z > y + eps:
-        return h, h
-    if z < y - eps:
-        return -b, -b
-    return -b, h
+    """Subdifferential of h (z - y)_+ + b (y - z)_+ as an interval [lo, hi],
+    entrywise for arrays z and y: [h, h] above y + eps, [-b, -b] below
+    y - eps and [-b, h] on the kink."""
+    return np.where(z > y + eps, h, -b), np.where(z < y - eps, -b, h)
+
+
+class NewsvendorUpperModel(UpperModel):
+    """Decision regret h (z - y)_+ + b (y - z)_+ against the realized demand
+    y, over the bandwidth interval. It has no direct theta dependence, and
+    its subdifferential in z is the _kink_interval interval."""
+
+    def __init__(self, instance):
+        self.inst = instance
+        self.theta_set = ParameterSet.box([instance.theta_bounds[0]],
+                                          [instance.theta_bounds[1]])
+
+    def loss(self, z, x, y, theta):
+        return float(_regret(float(np.atleast_1d(z)[0]), y, self.inst.h, self.inst.b))
+
+    def grad_z_bounds(self, z, x, y, theta, eps):
+        return _kink_interval(np.atleast_1d(z), y, self.inst.h, self.inst.b, eps)
+
+    def grad_theta(self, z, x, y, theta):
+        return np.zeros(1)
+
+
+class NewsvendorProblem(Problem):
+    """as_problem's Problem: the scenario terms of all samples come from one
+    weight matrix per block of rows, and each scenario's witness gains its
+    loss subdifferential as "subdiff": [lo, hi]."""
+
+    def scenario_terms(self, theta, certificate, eps=DEFAULT_EPS):
+        inst = self.lower.inst
+        h, b = inst.h, inst.b
+        model = inst.model(float(theta[0]))
+        X = np.array([scen.x for scen in self.scenarios])
+        y = np.array([scen.y for scen in self.scenarios])
+        z = np.array([cert.z[0] for cert in certificate.scenarios])
+        eta = np.array([cert.eta[0] for cert in certificate.scenarios])
+        cdf, pdf, slope = np.empty((3, len(X)))
+        for rows in _row_blocks(len(X), model):
+            W, sq = _weight_rows(model, X[rows])
+            cdf[rows] = _cdf_rows(model, W, z[rows])
+            pdf[rows] = _pdf_rows(model, W, z[rows])
+            slope[rows] = _grad_theta_rows(model, W, sq, z[rows])
+        lo, hi = _kink_interval(z, y, h, b, eps)
+        # The models' formulas, entry by entry: g = (h+b) F - b,
+        # hess_zz = (h+b) p, hess_ztheta = (h+b) dF/dtheta, grad_theta L = 0.
+        # A matrix-vector product sums from +0.0, hence the 0.0 + below.
+        return ScenarioTerms(
+            g=((h + b) * cdf - b)[:, None],
+            curvature=(0.0 + (h + b) * pdf * eta)[:, None],
+            lo=lo[:, None], hi=hi[:, None],
+            generators=(0.0 + (h + b) * slope * eta)[:, None],
+            witness=[{"subdiff": [l, u]} for l, u in zip(lo.tolist(), hi.tolist())])
+
+
+def as_problem(instance):
+    """The kernel newsvendor as a generic finite-support problem: one
+    scenario per sample, the kernel lower model, the regret as the upper
+    loss and the bandwidth interval as the parameter set."""
+    scenarios = [Scenario(x=x, y=y, weight=w)
+                 for (x, y), w in zip(instance.samples, instance.weights)]
+    return NewsvendorProblem(lower=NewsvendorLowerModel(instance),
+                             upper=NewsvendorUpperModel(instance), scenarios=scenarios)
+
+
+def lower_solver(instance):
+    """The lower-level solver of as_problem(instance), for the penalized
+    verifier: the order quantity of x at the bandwidth theta."""
+    def solve(model, theta, x):
+        return [solve_newsvendor_rows(instance.model(float(np.atleast_1d(theta)[0])),
+                                      [x], instance.h, instance.b)]
+    return solve
+
+
+def newsvendor_certificate(theta, certificate_scenarios):
+    """A Certificate from a bandwidth and one mapping per sample.
+
+    Each mapping holds z, eta and zeta, and may hold the penalty weight mu.
+    theta and each of these entries must be one finite number
+    (finite_number), and each scenario a mapping, otherwise ValueError.
+    """
+    theta = finite_number(theta, "theta")
+    scenarios = []
+    for part in object_list(certificate_scenarios, "certificate scenario"):
+        z, eta, zeta = (finite_number(part[key], key) for key in ("z", "eta", "zeta"))
+        mu = part.get("mu")
+        scenarios.append(ScenarioCertificate(
+            z=z, eta=eta, zeta=zeta, mu=None if mu is None else finite_number(mu, "mu")))
+    return Certificate(theta=theta, scenarios=scenarios)
 
 
 def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
                              eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     """Check the bandwidth stationarity system of the kernel newsvendor.
 
-    certificate_scenarios is a list of dicts with keys z, eta, zeta (scalars).
-    Per scenario n the conditions are (a) contribution to the weighted upper
-    sum (h+b) grad_theta F(z_n; x_n) eta_n, tested against the normal cone of
-    the bandwidth interval; (b) 0 in dL(z_n) + (h+b) p(z_n) eta_n + zeta_n
-    with dL the piecewise-linear cost subdifferential; (c) the scalar orthant
-    coderivative conditions at (z_n, (h+b) F(z_n) - b); (d) the quantile
-    first-order condition itself.
-
-    F, p and grad_theta F of every scenario come from one weight matrix of
-    the samples against the centers, and (c) of every scenario from one
-    orthant row pass; the upper sum is accumulated in scenario order. theta
-    and each z, eta and zeta must be one finite number (finite_number),
-    otherwise ValueError.
+    certificate_scenarios is a list of dicts with keys z, eta, zeta (scalars),
+    read by newsvendor_certificate. The report is verify_certificate's on
+    as_problem(instance), whose lines here read, per scenario n: (a) the
+    contribution (h+b) grad_theta F(z_n; x_n) eta_n to the weighted upper
+    sum, tested against the normal cone of the bandwidth interval; (b) the
+    distance of -((h+b) p(z_n) eta_n + zeta_n) to the piecewise-linear cost
+    subdifferential; (c) the scalar orthant coderivative conditions at
+    (z_n, (h+b) F(z_n) - b); (d) the quantile first-order condition itself.
     """
-    theta = finite_number(theta, "theta")
-    model = instance.model(theta)
-    h, b = instance.h, instance.b
-    if len(certificate_scenarios) != len(instance.samples):
-        raise ValueError("need one certificate entry per sample")
-    cert = np.array([[finite_number(part[key], key) for key in ("z", "eta", "zeta")]
-                     for part in certificate_scenarios])
-    X, _ = _sample_rows(instance)
-    z = cert[:, 0]
-    cdf, pdf, slope = np.empty((3, len(X)))
-    for rows in _row_blocks(len(X), model):
-        W, sq = _weight_rows(model, X[rows])
-        cdf[rows] = _cdf_rows(model, W, z[rows])
-        pdf[rows] = _pdf_rows(model, W, z[rows])
-        slope[rows] = _grad_theta_rows(model, W, sq, z[rows])
-
-    # (c): the scalar orthant conditions of every scenario in one row pass.
-    g = (h + b) * cdf - b
-    m = _orthant_rows(z[:, None], g[:, None], cert[:, 2:3], cert[:, 1:2], eps, strict_eps)
-    upper_sum = 0.0
-    reports = []
-    for n, ((_, y), w, (z_n, eta, zeta), g_n, res) in enumerate(zip(
-            instance.samples, instance.weights, cert.tolist(), g.tolist(), m)):
-        upper_sum += w * (h + b) * float(slope[n]) * eta
-
-        # (b): distance of -(h+b) p eta - zeta to the loss subdifferential.
-        target = -((h + b) * float(pdf[n]) * eta + zeta)
-        lo, hi = _kink_interval(z_n, y, h, b, eps)
-        m_res = float(max(lo - target, target - hi, 0.0))
-
-        # (d): quantile stationarity.
-        low_res = abs(g_n) if z_n > eps else max(0.0, -g_n)
-
-        reports.append(ScenarioReport(
-            index=n, lower_residual=float(low_res), m_membership=res.member,
-            m_verdict=res.verdict, m_residual=m_res,
-            witness={**res.witness, "subdiff": [lo, hi]}))
-
-    theta_set = ParameterSet.box([instance.theta_bounds[0]],
-                                 [instance.theta_bounds[1]])
-    upper = theta_set.normal_cone_distance(np.array([theta]),
-                                           np.array([-upper_sum]), eps)
-    return ResidualReport(mode="convex", tol=tol, value_tol=DEFAULT_VALUE_TOL,
-                          upper_residual=float(upper), scenarios=reports)
+    return verify_certificate(as_problem(instance),
+                              newsvendor_certificate(theta, certificate_scenarios),
+                              tol=tol, eps=eps, strict_eps=strict_eps)
 
 
 def bandwidth_grid_search(instance, grid):

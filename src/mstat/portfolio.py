@@ -25,6 +25,7 @@ from .graph_normals import (
     STRICT_EPS,
     finite_number,
     finite_vector,
+    object_list,
     simplex_membership,
 )
 from .stationarity import (
@@ -43,7 +44,7 @@ __all__ = [
     "PortfolioInstance", "LinearPredictor", "SimplexQPSolution",
     "solve_simplex_qp", "spo_loss", "build_portfolio_system",
     "fit_least_squares", "empirical_spo_objective", "spo_local_search",
-    "PortfolioLowerModel", "SpoUpperModel", "as_problem",
+    "PortfolioLowerModel", "SpoUpperModel", "as_problem", "lower_solver",
     "realizable_certificate",
 ]
 
@@ -63,7 +64,10 @@ class PortfolioInstance:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        try:
+            self.sigma = np.asarray(self.sigma, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("sigma must be a square matrix of numbers") from exc
         if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
             raise ValueError("sigma must be square")
         if not np.all(np.isfinite(self.sigma)):
@@ -77,8 +81,8 @@ class PortfolioInstance:
         self.risk_aversion = finite_number(self.risk_aversion, "lambda")
         if self.risk_aversion <= 0:
             raise ValueError("risk aversion must be positive")
-        self.samples = [(finite_vector(np.atleast_1d(x), "x"),
-                         finite_vector(np.atleast_1d(r), "r"))
+        self.samples = [(finite_vector(x, "x", scalar=True),
+                         finite_vector(r, "r", scalar=True))
                         for x, r in self.samples]
         n = len(self.samples)
         if n == 0:
@@ -89,7 +93,7 @@ class PortfolioInstance:
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
-            self.weights = finite_vector(np.atleast_1d(self.weights), "weights")
+            self.weights = finite_vector(self.weights, "weights", scalar=True)
             if len(self.weights) != n:
                 raise ValueError("one weight per sample required")
             if np.min(self.weights) < 0:
@@ -112,7 +116,7 @@ class PortfolioInstance:
 
     @classmethod
     def from_dict(cls, d):
-        samples = [(s["x"], s["r"]) for s in d["samples"]]
+        samples = [(s["x"], s["r"]) for s in object_list(d["samples"], "sample")]
         return cls(sigma=d["sigma"], risk_aversion=d["lambda"],
                    samples=samples, weights=d.get("weights"))
 
@@ -312,6 +316,16 @@ def as_problem(instance):
                    upper=SpoUpperModel(instance), scenarios=scenarios)
 
 
+def lower_solver(instance):
+    """The lower-level solver of as_problem(instance), for the penalized
+    verifier: the simplex QP at the returns that theta predicts from x."""
+    def solve(model, theta, x):
+        r_hat = np.asarray(theta, dtype=float).reshape(
+            instance.d_x, instance.d_z).T @ np.asarray(x, dtype=float)
+        return [solve_simplex_qp(r_hat, instance.sigma, instance.risk_aversion).z]
+    return solve
+
+
 def spo_loss(predictor, x, r, instance):
     """Regret of the decision induced by the predicted returns; always >= 0."""
     r_hat = predictor.predict(x)
@@ -406,16 +420,17 @@ def build_portfolio_system(theta, scenario_parts, instance, tol=1e-8,
     """Verify the simplex stationarity system for given multipliers.
 
     scenario_parts is a list of dicts with keys z, eta and optionally zeta
-    and beta. The report is verify_certificate's on as_problem(instance),
-    whose lines here read: (a) the weighted sum of x_n eta_n^T vanishes,
-    (b) the force balance -r_n + lam Sigma (z_n + eta_n) + zeta_n = 0 in the
-    Euclidean norm, (c) the simplex coderivative conditions at
-    (z_n, grad_z c), (d) lower-level stationarity. A supplied beta must also
-    match the one the sign conditions pin down.
+    and beta; an entry that is not a dict raises ValueError. The report is
+    verify_certificate's on as_problem(instance), whose lines here read:
+    (a) the weighted sum of x_n eta_n^T vanishes, (b) the force balance
+    -r_n + lam Sigma (z_n + eta_n) + zeta_n = 0 in the Euclidean norm,
+    (c) the simplex coderivative conditions at (z_n, grad_z c), (d)
+    lower-level stationarity. A supplied beta must also match the one the
+    sign conditions pin down.
     """
     cert = Certificate(theta=theta, scenarios=[
         ScenarioCertificate(z=part["z"], eta=part["eta"], zeta=part.get("zeta"))
-        for part in scenario_parts])
+        for part in object_list(scenario_parts, "certificate scenario")])
     report = verify_certificate(as_problem(instance), cert, tol=tol, eps=eps,
                                 strict_eps=strict_eps)
     for rep, part in zip(report.scenarios, scenario_parts):

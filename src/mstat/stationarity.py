@@ -36,6 +36,7 @@ from .graph_normals import (
     STRICT_EPS,
     finite_number,
     finite_vector,
+    _orthant_rows,
     make_graph_context,
     membership_for_set,
 )
@@ -44,7 +45,7 @@ from .lp import linear_feasible
 __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
     "LowerModel", "UpperModel", "QuadraticLowerModel",
-    "ScenarioCertificate", "Certificate",
+    "ScenarioCertificate", "Certificate", "ScenarioTerms",
     "ScenarioReport", "ResidualReport",
     "gradient_selftest", "lower_residual", "m_stationarity_check",
     "nnamcq_check", "psi_set", "upper_residual",
@@ -180,7 +181,8 @@ class Scenario:
     weight: float
 
     def __init__(self, x, y, weight):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        object.__setattr__(self, "x", x.reshape(1) if x.ndim == 0 else x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "weight", float(weight))
 
@@ -224,6 +226,15 @@ class UpperModel:
     def grad_theta(self, z, x, y, theta):
         raise NotImplementedError
 
+    def grad_z_bounds(self, z, x, y, theta, eps):
+        """Bounds lo <= hi of the subdifferential of L in z, coordinatewise.
+
+        A loss differentiable in z has the point interval lo = hi = grad_z;
+        a loss with kinks overrides this, using eps to decide a kink.
+        """
+        g = np.asarray(self.grad_z(z, x, y, theta), dtype=float)
+        return g, g
+
 
 class QuadraticLowerModel(LowerModel):
     """c(z, theta, x) = (S theta)^T z + z^T Q z / 2 with a fixed coupling S.
@@ -255,6 +266,26 @@ class QuadraticLowerModel(LowerModel):
 
 
 @dataclass
+class ScenarioTerms:
+    """The model terms of a certificate's stationarity system, one row per
+    scenario.
+
+    g is grad_z c and curvature hess_zz^T eta, (k, d_z) each; lo <= hi bound
+    the subdifferential of the upper loss in z, (k, d_z) each; generators
+    holds the upper-line terms grad_theta L + hess_ztheta^T eta, (k,
+    d_theta). witness, when given, holds one dict per scenario that joins
+    that scenario's report witness.
+    """
+
+    g: np.ndarray
+    curvature: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    generators: np.ndarray
+    witness: list = None
+
+
+@dataclass
 class Problem:
     """Finite-support problem bundle; scenario weights must sum to one."""
 
@@ -270,6 +301,24 @@ class Problem:
             raise ValueError("negative scenario weight")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("scenario weights must sum to 1 (got %.17g)" % w.sum())
+
+    def scenario_terms(self, theta, certificate, eps=DEFAULT_EPS):
+        """The ScenarioTerms of a certificate at theta.
+
+        This default makes one model call per term and scenario. A problem
+        whose models evaluate many scenarios at once overrides it; the
+        override must give the same rows.
+        """
+        lower, upper = self.lower, self.upper
+        rows = []
+        for scen, cert in zip(self.scenarios, certificate.scenarios):
+            z, x, y = cert.z, scen.x, scen.y
+            lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
+            rows.append((lower.grad_z(z, theta, x),
+                         np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ cert.eta,
+                         lo, hi, _upper_generator(lower, upper, theta, x, y, z, cert.eta)))
+        return ScenarioTerms(*(np.array(col, dtype=float).reshape(len(rows), -1)
+                               for col in zip(*rows)))
 
 
 @dataclass
@@ -290,15 +339,15 @@ class ScenarioCertificate:
     value_weights: np.ndarray = None
 
     def __post_init__(self):
-        self.z = finite_vector(np.atleast_1d(self.z), "z")
-        self.eta = finite_vector(np.atleast_1d(self.eta), "eta")
+        self.z = finite_vector(self.z, "z", scalar=True)
+        self.eta = finite_vector(self.eta, "eta", scalar=True)
         if self.zeta is not None:
-            self.zeta = finite_vector(np.atleast_1d(self.zeta), "zeta")
+            self.zeta = finite_vector(self.zeta, "zeta", scalar=True)
         if self.mu is not None:
             self.mu = finite_number(self.mu, "mu")
         if self.value_weights is not None:
-            self.value_weights = finite_vector(np.atleast_1d(self.value_weights),
-                                               "value_weights")
+            self.value_weights = finite_vector(self.value_weights, "value_weights",
+                                               scalar=True)
 
 
 @dataclass
@@ -309,7 +358,7 @@ class Certificate:
     scenarios: list
 
     def __post_init__(self):
-        self.theta = finite_vector(np.ravel(self.theta), "theta")
+        self.theta = finite_vector(self.theta, "theta", flat=True)
 
     @property
     def penalized(self):
@@ -430,28 +479,28 @@ def lower_residual(model, theta, x, z, eps=DEFAULT_EPS):
     return distance_to_normal_cone(poly, np.asarray(z, dtype=float), -g, eps)
 
 
-def _coderivative_line(lower, upper, theta, x, y, z, eta, zeta, g, mu,
-                       eps, strict_eps):
-    """Membership and m_residual of one scenario's coderivative line.
+def _probe_and_gap(r_lo, r_hi, zeta, given):
+    """The coderivative probe and the coordinatewise m-residual terms.
 
-    Forms r = grad_z L + hess_zz^T eta (+ mu g in the penalized system) and
-    decides whether zeta, or -r when zeta is absent, is in D*N_Z(z, -g)(eta).
-    m_residual is ||r + zeta||; without zeta it is 0 for a member and inf
-    otherwise, and it is inf at a non-graph point.
+    r ranges over [r_lo, r_hi], the upper subgradient interval plus
+    hess_zz^T eta (plus mu g in the penalized system). The probe is the
+    certificate's zeta where given and elsewhere -r at the element of the
+    interval nearest 0, which is -r itself for a point interval. The terms
+    are max(r_lo + zeta, -(r_hi + zeta), 0), the distance of -zeta to the
+    interval, which is |r + zeta| for a point interval.
     """
-    r = np.asarray(upper.grad_z(z, x, y, theta), dtype=float) \
-        + np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
-    if mu is not None:
-        r = r + mu * g
-    probe = zeta if zeta is not None else -r
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
+    probe = np.where(given, zeta, -np.minimum(np.maximum(r_lo, 0.0), r_hi))
+    return probe, np.maximum(np.maximum(r_lo + probe, -(r_hi + probe)), 0.0)
+
+
+def _m_residual(res, gap_norm, given):
+    """inf at a non-graph point; the norm of the gap terms for a given zeta;
+    without zeta 0 for a member and inf otherwise."""
     if res.verdict == "empty_coderivative":
-        m_res = float("inf")
-    elif zeta is not None:
-        m_res = float(np.linalg.norm(r + probe))
-    else:
-        m_res = 0.0 if res.member else float("inf")
-    return res, m_res
+        return float("inf")
+    if given:
+        return gap_norm
+    return 0.0 if res.member else float("inf")
 
 
 def _upper_generator(lower, upper, theta, x, y, z, eta):
@@ -467,14 +516,20 @@ def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None,
     Asks whether the certificate zeta (or, when absent, -r itself) belongs
     to the coderivative of the normal-cone map at (z, -grad_z c), with
     r = grad_z E[L | x] + hess_zz^T eta. Returns membership, the residual
-    ||r + zeta||, the verdict and the membership witness.
+    ||r + zeta|| (the distance of -zeta to the interval of r when the loss
+    has a kink), the verdict and the membership witness.
     """
     z = np.asarray(z, dtype=float)
+    eta = np.asarray(eta, dtype=float)
     g = np.asarray(lower.grad_z(z, theta, x), dtype=float)
-    zeta = None if zeta is None else np.asarray(zeta, dtype=float)
-    res, m_res = _coderivative_line(lower, upper, theta, x, y, z, np.asarray(eta, dtype=float),
-                                    zeta, g, None, eps, strict_eps)
-    return {"membership": res.member, "residual": m_res,
+    curvature = np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
+    lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
+    given = zeta is not None
+    probe, gap = _probe_and_gap(lo + curvature, hi + curvature,
+                                np.asarray(zeta, dtype=float) if given else 0.0, given)
+    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
+    return {"membership": res.member,
+            "residual": _m_residual(res, float(np.linalg.norm(gap)), given),
             "verdict": res.verdict, "witness": res.witness}
 
 
@@ -576,6 +631,19 @@ def psi_set(lower, upper, theta, x, y, solutions, multipliers):
 # ---------------------------------------------------------------------------
 # aggregate conditions and verification
 
+def _upper_line(problem, theta, generators, penalties, eps):
+    """dist(-s, N_Theta(theta)) for s = sum_n w_n (generators[n] + penalties[n]),
+    summed in scenario order."""
+    if penalties is not None:
+        generators = generators.copy()
+        for n, p in enumerate(penalties):
+            if p is not None:
+                generators[n] = generators[n] + p
+    weights = np.array([scen.weight for scen in problem.scenarios])
+    s = np.add.accumulate(weights[:, None] * generators, axis=0)[-1]
+    return problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
+
+
 def upper_residual(problem, certificate, eps=DEFAULT_EPS, penalties=None):
     """dist(-s, N_Theta(theta)) for the weighted upper-level gradient sum s.
 
@@ -583,38 +651,54 @@ def upper_residual(problem, certificate, eps=DEFAULT_EPS, penalties=None):
     n; the penalized system puts mu_n (grad_theta c(z_n) - w_n) there.
     """
     theta = certificate.theta
-    s = None
-    for n, (scen, cert) in enumerate(zip(problem.scenarios, certificate.scenarios)):
-        term = _upper_generator(problem.lower, problem.upper, theta, scen.x, scen.y,
-                                cert.z, cert.eta)
-        if penalties is not None and penalties[n] is not None:
-            term = term + penalties[n]
-        term = scen.weight * term
-        s = term if s is None else s + term
-    return problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
+    terms = problem.scenario_terms(theta, certificate, eps)
+    return _upper_line(problem, theta, terms.generators, penalties, eps)
 
 
-def _check_scenario(problem, poly, theta, index, scen, cert, eps, strict_eps, mu):
-    lower, upper = problem.lower, problem.upper
-    z = cert.z
-    g = np.asarray(lower.grad_z(z, theta, scen.x), dtype=float)
+def _infeasible_report(index):
+    return ScenarioReport(index=index, lower_residual=float("inf"),
+                          m_membership=False, m_verdict="empty_coderivative",
+                          m_residual=float("inf"),
+                          witness={"reason": "infeasible scenario point"})
+
+
+def _check_scenario(feasible, poly, index, z, g, probe, eta, gap, given, eps, strict_eps):
+    """One scenario's report by the general route: the lower residual by
+    NNLS, the complementarity gap by LP and the membership by the set's
+    predicate."""
     try:
         low_res = distance_to_normal_cone(poly, z, -g, eps)
     except ValueError:
-        return ScenarioReport(index=index, lower_residual=float("inf"),
-                              m_membership=False, m_verdict="empty_coderivative",
-                              m_residual=float("inf"),
-                              witness={"reason": "infeasible scenario point"})
+        return _infeasible_report(index)
     comp_gap = None
     decomp = normal_cone_multiplier(poly, z, g, eps)
     if decomp is not None:
         comp_gap = decomp.complementarity_residual(poly, z)
-    res, m_res = _coderivative_line(lower, upper, theta, scen.x, scen.y, z, cert.eta,
-                                    cert.zeta, g, mu, eps, strict_eps)
+    res = membership_for_set(feasible, z, g, probe, eta, eps, strict_eps)
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=m_res, complementarity_gap=comp_gap,
-                          witness=res.witness)
+                          m_residual=_m_residual(res, float(np.linalg.norm(gap)), given),
+                          complementarity_gap=comp_gap, witness=res.witness)
+
+
+def _orthant_reports(z, g, probe, eta, gap, given, eps, strict_eps):
+    """Every scenario's report on Z = R_+^d from one pass over (k, d) rows.
+
+    dist(-g, N_Z(z)) separates by coordinate: |g_i| where z_i > eps and
+    max(0, -g_i) where z_i is at the bound. The memberships come from one
+    _orthant_rows call. The graph-point check already bounds |z_i g_i| by
+    eps, so no complementarity gap is reported.
+    """
+    members = _orthant_rows(z, g, probe, eta, eps, strict_eps)
+    low_res = np.linalg.norm(np.where(z > eps, np.abs(g), np.maximum(0.0, -g)), axis=1)
+    reports = []
+    for n, (res, low, gap_norm, bad, has) in enumerate(zip(
+            members, low_res.tolist(), np.linalg.norm(gap, axis=1).tolist(),
+            (z < -eps).any(axis=1).tolist(), given)):
+        reports.append(_infeasible_report(n) if bad else ScenarioReport(
+            index=n, lower_residual=low, m_membership=res.member, m_verdict=res.verdict,
+            m_residual=_m_residual(res, gap_norm, has), witness=res.witness))
+    return reports
 
 
 def _validate_certificate(problem, certificate):
@@ -636,23 +720,41 @@ def _validate_certificate(problem, certificate):
 def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict_eps):
     """The one verifier body behind both systems.
 
-    The penalized system is the convex one plus, in each scenario, mu_n g_n
-    on the coderivative line and mu_n (grad_theta c(z_n) - w_n) on the upper
-    line. The convex system passes mus = None and no solver, which drops
-    both terms and the value gaps.
+    The scenario terms come from problem.scenario_terms. An orthant decides
+    every scenario in one array pass; the simplex and general polyhedra go
+    scenario by scenario. The penalized system is the convex one plus, in
+    each scenario, mu_n g_n on the coderivative line and
+    mu_n (grad_theta c(z_n) - w_n) on the upper line. The convex system
+    passes mus = None and no solver, which drops both terms and the value
+    gaps.
     """
     theta, lower = certificate.theta, problem.lower
-    if mus is None:
-        mus = [None] * len(problem.scenarios)
-    poly = lower.feasible_set.as_polyhedron()
-    reports = [_check_scenario(problem, poly, theta, n, scen, cert, eps, strict_eps, mu)
-               for n, (scen, cert, mu) in enumerate(zip(problem.scenarios,
-                                                        certificate.scenarios, mus))]
+    certs = certificate.scenarios
+    terms = problem.scenario_terms(theta, certificate, eps)
+    z = np.array([c.z for c in certs])
+    eta = np.array([c.eta for c in certs])
+    given = np.array([c.zeta is not None for c in certs])
+    # A scenario without zeta gets a placeholder row that the probe replaces.
+    zeta = np.array([c.zeta if c.zeta is not None else c.z for c in certs])
+    r_lo, r_hi = terms.lo + terms.curvature, terms.hi + terms.curvature
+    if mus is not None:
+        pull = np.array(mus)[:, None] * terms.g
+        r_lo, r_hi = r_lo + pull, r_hi + pull
+    probe, gap = _probe_and_gap(r_lo, r_hi, zeta, given[:, None])
+    if lower.feasible_set.kind == "orthant":
+        reports = _orthant_reports(z, terms.g, probe, eta, gap, given.tolist(),
+                                   eps, strict_eps)
+    else:
+        poly = lower.feasible_set.as_polyhedron()
+        reports = [_check_scenario(lower.feasible_set, poly, n, *row, eps, strict_eps)
+                   for n, row in enumerate(zip(z, terms.g, probe, eta, gap, given))]
+    if terms.witness is not None:
+        for rep, extra in zip(reports, terms.witness):
+            rep.witness = {**rep.witness, **extra}
     penalties = [None] * len(reports)
     caveats = []
     if solver is not None:
-        for scen, cert, mu, rep in zip(problem.scenarios, certificate.scenarios,
-                                       mus, reports):
+        for scen, cert, mu, rep in zip(problem.scenarios, certs, mus, reports):
             vf = value_function(lower, theta, scen.x, solver)
             rep.value_gap = float(lower.cost(cert.z, theta, scen.x) - vf.value)
             if len(vf.argmin_points) > 1:
@@ -667,7 +769,7 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
                     w_n = sub.generators[0]
                 grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
                 penalties[rep.index] = mu * (grad_t - w_n)
-    upper = upper_residual(problem, certificate, eps, penalties)
+    upper = _upper_line(problem, theta, terms.generators, penalties, eps)
     return ResidualReport(mode=mode, tol=tol, value_tol=value_tol,
                           upper_residual=upper, scenarios=reports, caveats=caveats)
 

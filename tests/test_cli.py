@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mstat.cli import main
 from mstat.newsvendor import NewsvendorInstance, solve_newsvendor
@@ -254,9 +255,10 @@ def test_verify_newsvendor(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--problem", ppath,
                        "--certificate", cpath)
     assert code == 0 and json.loads(out)["pass"] is True
-    code2, _, err = run(capsys, "verify", "--problem", ppath,
-                        "--certificate", cpath, "--mode", "penalized")
-    assert code2 == 1
+    code2, out2, _ = run(capsys, "verify", "--problem", ppath,
+                         "--certificate", cpath, "--mode", "penalized")
+    assert code2 == 0 and json.loads(out2)["pass"] is True
+    assert json.loads(out2)["scenarios"][0]["value_gap"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -584,3 +586,105 @@ def test_spo_portfolio_system_reports_what_verify_reports(tmp_path, capsys):
                        "--certificate", write(tmp_path / "infeasible.json", cert))
     scen = json.loads(out)["report"]["scenarios"][0]
     assert code == 2 and scen["m_verdict"] == "empty_coderivative"
+
+
+# ---------------------------------------------------------------------------
+# every JSON input is read through one loader, and a wrong shape is exit 1
+
+def _inputs(tmp_path):
+    """One valid file of each kind the CLI reads."""
+    nv = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)], samples=[([0.0], 5.0)])
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    return {"portfolio": json.loads(open(ppath).read()), "newsvendor": nv.to_dict(),
+            "certificate": json.loads(open(cpath).read())}
+
+
+LIST_FILE_RUNS = {
+    "verify": ["verify", "--problem", "{list}", "--certificate", "{certificate}"],
+    "newsvendor-solve": ["newsvendor", "solve", "--problem", "{list}", "--theta", "1.0"],
+    "cones": ["cones", "--input", "{list}"],
+    "gph-normal": ["gph-normal", "--input", "{list}"],
+    "fd-check": ["fd-check", "--problem", "{list}"],
+    "spo-portfolio-fit": ["spo-portfolio", "fit", "--problem", "{list}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_FILE_RUNS))
+def test_input_file_that_is_a_list_exits_1(name, tmp_path, capsys):
+    files = {"list": write(tmp_path / "list.json", [1, 2]),
+             "certificate": write(tmp_path / "cert.json", _inputs(tmp_path)["certificate"])}
+    argv = [a.format(**files) for a in LIST_FILE_RUNS[name]]
+    code, out, err = run(capsys, *argv)
+    what = "problem" if "--problem" in argv else "query"
+    assert (code, out) == (1, "") and "%s must be an object" % what in err
+
+
+def _bad_problem(tmp_path, capsys, kind, key, value, argv):
+    problem = {**_inputs(tmp_path)[kind], key: value}
+    return run(capsys, *argv, "--problem", write(tmp_path / "bad.json", problem))
+
+
+def test_portfolio_sigma_that_is_an_object_exits_1(tmp_path, capsys):
+    cert = write(tmp_path / "c.json", _inputs(tmp_path)["certificate"])
+    code, out, err = _bad_problem(tmp_path, capsys, "portfolio", "sigma", {"a": 1},
+                                  ["verify", "--certificate", cert])
+    assert (code, out) == (1, "") and "sigma must be a square matrix of numbers" in err
+
+
+def test_portfolio_samples_that_are_a_number_exit_1(tmp_path, capsys):
+    code, out, err = _bad_problem(tmp_path, capsys, "portfolio", "samples", 3,
+                                  ["spo-portfolio", "fit"])
+    assert (code, out) == (1, "") and "samples must be a list" in err
+
+
+def test_newsvendor_samples_that_are_a_number_exit_1(tmp_path, capsys):
+    code, out, err = _bad_problem(tmp_path, capsys, "newsvendor", "samples", 3,
+                                  ["newsvendor", "solve", "--theta", "1.0"])
+    assert (code, out) == (1, "") and "samples must be a list" in err
+
+
+def test_newsvendor_center_that_is_a_list_exits_1(tmp_path, capsys):
+    code, out, err = _bad_problem(tmp_path, capsys, "newsvendor", "centers", [[1, 2]],
+                                  ["newsvendor", "solve", "--theta", "1.0"])
+    assert (code, out) == (1, "") and "center 0 must be an object" in err
+
+
+def test_portfolio_certificate_with_boolean_entries_exits_1(tmp_path, capsys):
+    """A JSON true is not read as 1, as the newsvendor already refuses it."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    cert = json.loads(open(cpath).read())
+    cert["scenarios"][0]["z"] = [True, True]
+    bad = write(tmp_path / "bool.json", cert)
+    for argv in (["verify"], ["spo-portfolio", "system"]):
+        code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
+        assert (code, out) == (1, "") and "z must be a finite 1-D array" in err
+
+
+# ---------------------------------------------------------------------------
+# options: each subcommand registers the options it reads
+
+def test_gph_normal_reads_tol_as_eps_under_every_method(tmp_path, capsys):
+    q = write(tmp_path / "q.json", {"Z": "orthant", "z": [0], "g": [0],
+                                    "zeta": [0.05], "eta": [0.05]})
+    for method in ("auto", "explicit", "direct", "oracle"):
+        verdicts = []
+        for tol in ([], ["--tol", "0.1"]):
+            code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", method, *tol)
+            assert code == 0
+            verdicts.append(json.loads(out)["verdict"])
+        assert verdicts == ["not_member", "member"], method
+
+
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
+    unread = {"gen": (["gen", "portfolio", "--n", "2"], ["--tol", "--report", "--format"]),
+              "cones": (["cones", "--input", "q.json"], ["--seed"]),
+              "gph-normal": (["gph-normal", "--input", "q.json"], ["--seed"]),
+              "verify": (["verify", "--problem", "p", "--certificate", "c"], ["--seed"]),
+              "newsvendor": (["newsvendor", "solve", "--problem", "p"], ["--seed"])}
+    for argv, options in unread.values():
+        for option in options:
+            value = "json" if option == "--format" else "1"
+            code, out, err = run(capsys, *argv, option, value)
+            assert (code, out) == (1, "") and "unrecognized arguments" in err, (argv, option)
+    code, out, _ = run(capsys, "gen", "portfolio", "--n", "2", "--seed", "0")
+    assert code == 0 and json.loads(out)["type"] == "spo_portfolio"

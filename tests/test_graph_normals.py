@@ -273,3 +273,20 @@ def test_finite_number_accepts_exactly_one_finite_number():
     for bad in ([], {}, [1.0, 2.0], None, "5", True, float("nan"), [np.inf]):
         with pytest.raises(ValueError, match="v must be one finite number"):
             finite_number(bad, "v")
+
+
+def test_finite_vector_rejects_booleans_and_strings():
+    """A JSON true or "1" is not a number, alone, in a list, nested or in an
+    array."""
+    from mstat.graph_normals import finite_vector
+
+    for value in ([True, 1.0], [1.0, False], [[1.0], [True]], np.array([True]),
+                  (1.0, np.True_), ["1.5"], [[1.0], ["2"]], np.array(["1"])):
+        with pytest.raises(ValueError, match="finite 1-D array"):
+            finite_vector(value, "v", flat=True)
+    for value in (True, "1"):
+        with pytest.raises(ValueError, match="finite 1-D array"):
+            finite_vector(value, "v", scalar=True)
+    assert finite_vector([1, 2.5], "v").tolist() == [1.0, 2.5]
+    assert finite_vector(2.0, "v", scalar=True).tolist() == [2.0]
+    assert finite_vector([[1.0, 2.0]], "v", flat=True).tolist() == [1.0, 2.0]

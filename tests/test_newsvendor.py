@@ -219,6 +219,12 @@ def test_system_kink_construction_passes():
     rep = verify_newsvendor_system(2.0, [{"z": z, "eta": 0.0, "zeta": 0.0}], inst)
     assert rep.passed
     assert rep.upper_residual <= 1e-12
+    # Without zeta the verifier probes with the element of the kink
+    # interval [-b, h] nearest 0, which is 0 here.
+    from mstat.stationarity import Certificate, ScenarioCertificate, verify_certificate
+    bare = verify_certificate(NV.as_problem(inst), Certificate(
+        theta=2.0, scenarios=[ScenarioCertificate(z=z, eta=0.0)]))
+    assert bare.passed and bare.scenarios[0].m_residual == 0.0
 
 
 def test_system_detects_stale_quantile():
@@ -564,3 +570,116 @@ def test_non_finite_certificate_rejected():
         for bad in (np.nan, np.inf, -np.inf, None):
             with pytest.raises(ValueError):
                 verify_newsvendor_system(2.0, [{**ok, key: bad}], inst)
+
+
+# ---------------------------------------------------------------------------
+# the newsvendor as a generic Problem
+
+def _terms_bytes(terms):
+    return [np.asarray(getattr(terms, name)).tobytes()
+            for name in ("g", "curvature", "lo", "hi", "generators")]
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+def test_stacked_terms_equal_per_scenario_model_calls(rng, monkeypatch, block_rows):
+    """as_problem's scenario_terms, one weight matrix per row block, gives
+    the bits of the default Problem.scenario_terms, which calls the lower
+    and upper models once per term and scenario; also with the row blocks
+    forced small. The certificates put z on kinks, at 0 and beyond eps."""
+    from mstat.stationarity import Certificate, Problem, ScenarioCertificate
+
+    checked = 0
+    for inst, theta in cases(rng):
+        if len(inst.samples) > 33:
+            continue
+        model = inst.model(theta)
+        if block_rows is not None:
+            monkeypatch.setattr(NV, "_BLOCK_ENTRIES", block_rows * model.n_centers * model.d_x)
+        X = np.array([x for x, _ in inst.samples])
+        ys = np.array([y for _, y in inst.samples])
+        z = solve_newsvendor_rows(model, X, inst.h, inst.b)
+        pick = rng.random(len(z))
+        z = np.where(pick < 0.2, ys, np.where(pick < 0.3, 0.0, z))
+        near = ys + rng.choice([-2.0, -0.5, 0.5, 2.0], len(z)) * DEFAULT_EPS
+        z = np.where((pick >= 0.3) & (pick < 0.5), near, z)
+        cert = Certificate(theta=theta, scenarios=[
+            ScenarioCertificate(z=zn, eta=float(rng.normal()), zeta=0.0) for zn in z])
+        problem = NV.as_problem(inst)
+        stacked = problem.scenario_terms(cert.theta, cert)
+        single = Problem.scenario_terms(problem, cert.theta, cert)
+        assert _terms_bytes(stacked) == _terms_bytes(single)
+        assert single.witness is None
+        assert stacked.witness == [{"subdiff": [lo, hi]}
+                                   for lo, hi in zip(single.lo[:, 0], single.hi[:, 0])]
+        kink = [(-inst.b, inst.h) if abs(zn - y) <= DEFAULT_EPS else
+                (inst.h, inst.h) if zn > y else (-inst.b, -inst.b) for zn, y in zip(z, ys)]
+        assert list(zip(stacked.lo[:, 0], stacked.hi[:, 0])) == kink
+        checked += 1
+    assert checked == 24
+
+
+def test_penalized_newsvendor_equals_convex_on_golden_certificates(capsys):
+    """verify --mode penalized on the golden newsvendor certificates, which
+    carry no mu: the pass flag, verdicts and residuals are the convex
+    report's, and every value gap is at most 1e-12."""
+    import json
+    from pathlib import Path
+
+    from mstat.cli import main
+
+    golden = Path(__file__).parent / "golden"
+    for name in ("nv1.zero", "nv1.eta", "nv2.zero", "nv2.eta"):
+        reports = {}
+        for mode in ("convex", "penalized"):
+            code = main(["verify", "--problem", str(golden / (name[:3] + ".problem.json")),
+                         "--certificate", str(golden / (name + ".json")), "--mode", mode])
+            reports[mode] = (code, json.loads(capsys.readouterr().out))
+        (code_c, convex), (code_p, penalized) = reports["convex"], reports["penalized"]
+        assert code_c == code_p and convex["pass"] == penalized["pass"]
+        assert penalized["mode"] == "penalized" and penalized["caveats"] == []
+        assert convex["upper_residual"] == penalized["upper_residual"]
+        for c, p in zip(convex["scenarios"], penalized["scenarios"], strict=True):
+            assert {k: v for k, v in c.items() if k != "value_gap"} == \
+                {k: v for k, v in p.items() if k != "value_gap"}
+            assert c["value_gap"] is None and abs(p["value_gap"]) <= 1e-12
+
+
+def test_infeasible_order_gets_the_generic_report():
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)], samples=[([0.0], 5.0)])
+    rep = verify_newsvendor_system(1.0, [{"z": -1e-6, "eta": 0.0, "zeta": 0.0}], inst)
+    s = rep.scenarios[0]
+    assert (s.lower_residual, s.m_residual, s.m_verdict) == (np.inf, np.inf,
+                                                             "empty_coderivative")
+    assert s.witness == {"reason": "infeasible scenario point", "subdiff": [-3.0, -3.0]}
+
+
+def test_library_verifiers_reject_a_scenario_that_is_not_a_mapping():
+    from mstat.portfolio import PortfolioInstance, build_portfolio_system
+
+    nv = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)],
+                            samples=[([0.0], 5.0), ([0.5], 4.0)])
+    pf = PortfolioInstance(sigma=np.eye(2), risk_aversion=1.0,
+                           samples=[([1.0], [0.1, 0.2]), ([0.5], [0.2, 0.1])])
+    good_nv = {"z": 5.0, "eta": 0.0, "zeta": 0.0}
+    good_pf = {"z": [0.5, 0.5], "eta": [0.0, 0.0]}
+    for bad in ([1.0, 2.0], 3.0, None, "z"):
+        with pytest.raises(ValueError, match="certificate scenario 1 must be an object"):
+            verify_newsvendor_system(1.0, [good_nv, bad], nv)
+        with pytest.raises(ValueError, match="certificate scenario 1 must be an object"):
+            build_portfolio_system([0.1, 0.2], [good_pf, bad], pf)
+    with pytest.raises(ValueError, match="certificate scenarios must be a list"):
+        verify_newsvendor_system(1.0, 3, nv)
+
+
+def test_instance_rejects_wrong_shaped_fields():
+    good = {"schema": "mstat/1", "type": "newsvendor_kernel", "h": 1.0, "b": 3.0,
+            "centers": [{"x": [0.0], "y": 5.0}], "samples": [{"x": [0.0], "y": 5.0}]}
+    NewsvendorInstance.from_dict(good)
+    for key, value in (("samples", 3), ("centers", [[1, 2]]), ("h", {"a": 1}),
+                       ("b", [1.0, 2.0]), ("theta_bounds", 3), ("theta_bounds", [1.0]),
+                       ("weights", {"a": 1}), ("h", True),
+                       ("samples", [{"x": {"a": 1}, "y": 5.0}]),
+                       ("samples", [{"x": [True], "y": 5.0}]),
+                       ("samples", [{"x": [0.0], "y": [5.0, 1.0]}])):
+        with pytest.raises(ValueError):
+            NewsvendorInstance.from_dict({**good, key: value})
