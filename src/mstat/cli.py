@@ -52,14 +52,86 @@ def _load_certificate(path):
     return data
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANT = {True: "true", False: "false", None: "null"}
+_STR, _INT, _FLOAT = {str}, {int}, {float}
+
+
+def _json_text(obj, indent="\n"):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    With indent set, the stdlib drops from its C encoder to a pure-Python one
+    that yields one token at a time. This joins each container's parts in one
+    str.join, formats the scalar values of a dict in place, and formats a
+    list of exact ints or of finite exact floats with one map. Anything else
+    (subclasses such as np.float64, non-string keys, unknown types) goes to
+    json.dumps with its lines re-indented, so the stdlib stays the definition
+    of the format and of its TypeError; a JSON string never holds a raw
+    newline. indent is a newline followed by the indentation of obj's line.
+    """
+    t = type(obj)
+    inner = indent + "  "
+    if t is dict and obj and set(map(type, obj)) == _STR:
+        parts = []
+        for k in sorted(obj):
+            v = obj[k]
+            vt = type(v)
+            if vt is float:
+                text = float.__repr__(v)
+                text = _NON_FINITE.get(text, text)
+            elif vt is str:
+                text = _ENCODE_STR(v)
+            elif vt is bool or v is None:
+                text = _CONSTANT[v]
+            elif vt is int:
+                text = int.__repr__(v)
+            elif not v and (vt is list or vt is dict):
+                text = "[]" if vt is list else "{}"
+            else:
+                text = _json_text(v, inner)
+            parts.append(_ENCODE_STR(k) + ": " + text)
+        return "{%s%s%s}" % (inner, ("," + inner).join(parts), indent)
+    if (t is list or t is tuple) and obj:
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        body = None
+        if kinds == _INT:
+            body = sep.join(map(int.__repr__, obj))
+        elif kinds == _FLOAT:
+            body = sep.join(map(float.__repr__, obj))
+            if "n" in body:  # nan or inf, which JSON spells differently
+                body = None
+        if body is None:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[%s%s%s]" % (inner, body, indent)
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
+def _write_json(obj, path, to_stdout):
+    """Write obj as indent-2 JSON with a final newline to path, if given,
+    and to standard output if asked."""
+    text = _json_text(obj)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    if to_stdout:
+        print(text)
+
+
 def _dump(obj, args):
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+    if args.report or args.format == "json":
+        _write_json(obj, args.report, args.format == "json")
     return obj
+
+
+def _finite_array(value, name):
+    """value as a float array of any shape whose entries are finite numbers;
+    booleans, strings, objects and ragged nesting are a CliError."""
+    try:
+        return GN.finite_vector(value, name, flat=True).reshape(np.shape(value))
+    except ValueError:
+        raise CliError("%s must be an array of finite numbers" % name)
 
 
 def _feasible_from_spec(spec, dim):
@@ -68,8 +140,22 @@ def _feasible_from_spec(spec, dim):
     if spec == "simplex":
         return ST.FeasibleSet.simplex(dim)
     if isinstance(spec, dict):
-        return ST.FeasibleSet.polyhedron(C.Polyhedron.from_dict(spec))
+        return ST.FeasibleSet.polyhedron(C.Polyhedron(_finite_array(spec["A"], "A"),
+                                                      _finite_array(spec["b"], "b")))
     raise CliError("unrecognized feasible set: %r" % (spec,))
+
+
+def _cone_from_query(q, cls, keys):
+    """The "cone" of a query: an object whose matrices (keys) are lists of
+    rows of finite numbers, read as cls."""
+    spec = q.get("cone")
+    if not isinstance(spec, dict):
+        raise CliError('"cone" must be an object')
+    for key in keys:
+        rows = spec.get(key)
+        if rows is not None and rows != [] and _finite_array(rows, key).ndim != 2:
+            raise CliError("%s must be a list of rows" % key)
+    return cls.from_dict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +164,13 @@ def _feasible_from_spec(spec, dim):
 def cmd_cones(args):
     q = _load_json(args.input, "query")
     op = q.get("op")
-    eps = q.get("eps", args.tol if args.tol is not None else C.DEFAULT_EPS)
+    eps = GN.finite_number(q.get("eps", args.tol if args.tol is not None else C.DEFAULT_EPS),
+                           "eps")
+    if eps <= 0:
+        raise CliError("eps must be positive")
     out = {"schema": SCHEMA, "op": op}
     if op in ("active-set", "tangent", "normal-multiplier", "critical", "face-difference"):
-        z = np.asarray(q["z"], dtype=float)
+        z = GN.finite_vector(q["z"], "z")
         fs = _feasible_from_spec(q["Z"], len(z))
         poly = fs.as_polyhedron()
         if op == "active-set":
@@ -90,29 +179,29 @@ def cmd_cones(args):
         elif op == "tangent":
             out["cone"] = C.tangent_cone(poly, z, eps).to_dict()
         elif op == "normal-multiplier":
-            dec = C.normal_cone_multiplier(poly, z, np.asarray(q["v"], dtype=float), eps)
+            dec = C.normal_cone_multiplier(poly, z, GN.finite_vector(q["v"], "v"), eps)
             if dec is None:
                 out["member"] = False
             else:
                 out.update({"member": True, "lambda": dec.lam.tolist(),
                             "I_plus": list(dec.I_plus), "I_zero": list(dec.I_zero)})
         elif op == "critical":
-            out["cone"] = C.critical_cone(poly, z, np.asarray(q["v"], dtype=float), eps).to_dict()
+            out["cone"] = C.critical_cone(poly, z, GN.finite_vector(q["v"], "v"), eps).to_dict()
         else:
-            cone = C.face_difference(poly, z, np.asarray(q["v"], dtype=float),
+            cone = C.face_difference(poly, z, GN.finite_vector(q["v"], "v"),
                                      q.get("J1", []), q.get("J2", []), eps=eps)
             out["cone"] = cone.to_dict()
     elif op == "polar":
-        out["cone"] = C.polar_cone(C.ConeRepH.from_dict(q["cone"])).to_dict()
+        out["cone"] = C.polar_cone(_cone_from_query(q, C.ConeRepH, ("E", "G"))).to_dict()
     elif op == "faces":
-        faces = C.faces_of_cone(C.ConeRepH.from_dict(q["cone"]), eps)
+        faces = C.faces_of_cone(_cone_from_query(q, C.ConeRepH, ("E", "G")), eps)
         out["faces"] = [{"J": list(f.J), **f.cone.to_dict()} for f in faces]
     elif op == "member-h":
-        out["member"] = C.member_h(C.ConeRepH.from_dict(q["cone"]),
-                                   np.asarray(q["d"], dtype=float), eps)
+        out["member"] = C.member_h(_cone_from_query(q, C.ConeRepH, ("E", "G")),
+                                   GN.finite_vector(q["d"], "d"), eps)
     elif op == "member-v":
-        out["member"] = C.member_v(C.ConeRepV.from_dict(q["cone"]),
-                                   np.asarray(q["w"], dtype=float), eps)
+        out["member"] = C.member_v(_cone_from_query(q, C.ConeRepV, ("R", "L")),
+                                   GN.finite_vector(q["w"], "w"), eps)
     else:
         raise CliError("unknown cones op: %r" % op)
     _dump(out, args)
@@ -237,7 +326,7 @@ def cmd_spo_portfolio(args):
         raise CliError("--certificate FILE is required for action 'system'")
     theta = None
     if args.theta:
-        theta = np.asarray(_load_json(args.theta, "theta", kind=list), dtype=float)
+        theta = _finite_array(_load_json(args.theta, "theta", kind=list), "theta")
     if args.action == "fit":
         out["theta"] = PF.fit_least_squares(inst).theta.tolist()
     elif args.action == "loss":
@@ -343,12 +432,7 @@ def cmd_gen(args):
         data = inst.to_dict()
     else:
         raise CliError("unknown generator kind %r" % args.kind)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        print(json.dumps(data, sort_keys=True, indent=2))
+    _write_json(data, args.out, not args.out)
     return 0
 
 

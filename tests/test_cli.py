@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mstat.cli import main
+from mstat.cli import _json_text, main
 from mstat.newsvendor import NewsvendorInstance, solve_newsvendor
 from mstat.portfolio import PortfolioInstance
 
@@ -86,6 +88,76 @@ def test_cones_ops(tmp_path, capsys):
     assert len(json.loads(out)["faces"]) == 4
 
 
+BAD_CONES_QUERIES = {
+    "z-object": {"op": "active-set", "Z": "orthant", "z": {"a": 1}},
+    "z-nan": {"op": "active-set", "Z": "orthant", "z": [float("nan"), 1.0]},
+    "polyhedron-A-object": {"op": "active-set", "Z": {"A": {"x": 1}, "b": [0.0]}, "z": [0.0]},
+    "polyhedron-A-boolean": {"op": "active-set", "Z": {"A": [[True]], "b": [0.0]}, "z": [0.0]},
+    "eps-string": {"op": "active-set", "Z": "orthant", "z": [0.0], "eps": "abc"},
+    "eps-zero": {"op": "active-set", "Z": "orthant", "z": [0.0], "eps": 0},
+    "v-boolean-and-string": {"op": "normal-multiplier", "Z": "orthant", "z": [0.0, 0.0],
+                             "v": [True, "1"]},
+    "polar-cone-list": {"op": "polar", "cone": [1, 2]},
+    "polar-cone-flat-rows": {"op": "polar", "cone": {"E": [], "G": [1.0, 2.0]}},
+    "faces-cone-rows-object": {"op": "faces", "cone": {"G": {}}},
+    "member-h-d-object": {"op": "member-h", "cone": {"G": [[-1.0]]}, "d": {"a": 1}},
+    "member-v-w-string": {"op": "member-v", "cone": {"R": [[1.0]]}, "w": ["1"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONES_QUERIES))
+def test_cones_bad_query_exits_1(name, tmp_path, capsys):
+    q = write(tmp_path / "q.json", BAD_CONES_QUERIES[name])
+    code, out, err = run(capsys, "cones", "--input", q)
+    assert (code, out) == (1, "") and err.startswith("error: "), err
+
+
+# ---------------------------------------------------------------------------
+# JSON output: _json_text is json.dumps(obj, sort_keys=True, indent=2)
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.225e-308, 1e16, -1e16, 1.5e300, float("nan"),
+               float("inf"), float("-inf")]
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(), st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.lists(st.integers()), st.lists(st.floats()), st.lists(st.sampled_from(EDGE_FLOATS)))
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9\u4e2d"]))
+JSON_DOCS = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(JSON_KEYS, children, max_size=5),
+    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                    children, max_size=2)), max_leaves=25)
+
+
+def assert_same_as_json_dumps(doc):
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            _json_text(doc)
+        assert str(got.value) == str(exc)
+    else:
+        assert _json_text(doc) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+@example({"k%d" % i: x for i, x in enumerate(EDGE_FLOATS)})
+@example([EDGE_FLOATS, [1, 2.5], [[]], {}, (), [{}], {"a": [], "b": {}, "c": ()}])
+def test_json_text_equals_json_dumps(doc):
+    assert_same_as_json_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}])
+def test_json_text_raises_what_json_dumps_raises(value):
+    for doc in (value, [value], [1.0, value], {"a": {"b": [value]}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        assert_same_as_json_dumps(doc)
+
+
 # ---------------------------------------------------------------------------
 # gen determinism and round trips
 
@@ -106,6 +178,15 @@ def test_gen_portfolio_deterministic_and_realizable(tmp_path, capsys):
 
     from mstat.portfolio import LinearPredictor, empirical_spo_objective
     assert empirical_spo_objective(LinearPredictor(data["theta0"]), inst) <= 1e-10
+
+
+def test_gen_out_file_equals_stdout(tmp_path, capsys):
+    for kind in ("portfolio", "newsvendor"):
+        path = tmp_path / ("%s.json" % kind)
+        argv = ["gen", kind, "--n", "3", "--seed", "2", "--noise", "0.1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == out
 
 
 def test_gen_noisy_portfolio_has_positive_objective(tmp_path):
@@ -164,6 +245,16 @@ def test_verify_portfolio_pass_and_fail(tmp_path, capsys):
     code2, _, _ = run(capsys, "verify", "--problem", ppath2,
                       "--certificate", cpath2)
     assert code2 == 2
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.1])
+def test_verify_report_file_equals_stdout(perturb, tmp_path, capsys):
+    ppath, cpath = portfolio_problem_and_cert(tmp_path, perturb=perturb)
+    rep_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--problem", ppath, "--certificate", cpath,
+                       "--report", str(rep_path))
+    assert code == (0 if perturb == 0.0 else 2)
+    assert rep_path.read_text() == out and out.endswith("}\n")
 
 
 def test_verify_penalized_zero_mu_matches_convex(tmp_path, capsys):
@@ -284,6 +375,18 @@ def test_portfolio_actions(tmp_path, capsys):
     code, out, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
                        "--certificate", cpath)
     assert code == 0
+
+
+@pytest.mark.parametrize("theta", [[[True, 0.1], [0.05, 0.25]], [[0.3, 0.1], [0.05, "0.25"]],
+                                   [[0.3, 0.1], [0.05]]])
+def test_portfolio_theta_file_with_non_numbers_exits_1(theta, tmp_path, capsys):
+    """A JSON true or "0.25" in --theta is not read as a number, at any depth."""
+    ppath, _ = portfolio_problem_and_cert(tmp_path)
+    tpath = write(tmp_path / "theta.json", theta)
+    for action in ("loss", "solve", "certificate"):
+        code, out, err = run(capsys, "spo-portfolio", action, "--problem", ppath,
+                             "--theta", tpath)
+        assert (code, out) == (1, "") and "theta must be an array of finite numbers" in err
 
 
 def test_newsvendor_actions(tmp_path, capsys):
