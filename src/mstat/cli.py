@@ -140,8 +140,10 @@ def _feasible_from_spec(spec, dim):
     if spec == "simplex":
         return ST.FeasibleSet.simplex(dim)
     if isinstance(spec, dict):
-        return ST.FeasibleSet.polyhedron(C.Polyhedron(_finite_array(spec["A"], "A"),
-                                                      _finite_array(spec["b"], "b")))
+        poly = C.Polyhedron(_finite_array(spec["A"], "A"), _finite_array(spec["b"], "b"))
+        if poly.dim != dim:
+            raise CliError("A has %d columns but z has %d entries" % (poly.dim, dim))
+        return ST.FeasibleSet.polyhedron(poly)
     raise CliError("unrecognized feasible set: %r" % (spec,))
 
 
@@ -496,8 +498,16 @@ def cmd_fd_check(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_tolerance(text):
+    """The value of --tol: a finite positive number, else a usage error."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite positive number, not %r" % text)
+    return value
+
+
 def _tol(sub, meaning):
-    sub.add_argument("--tol", type=float, default=None, help=meaning)
+    sub.add_argument("--tol", type=_positive_tolerance, default=None, help=meaning)
 
 
 def _seed(sub):

@@ -26,7 +26,7 @@ class LPLimitError(Exception):
     """Iteration cap exceeded (should not happen with Bland's rule or NNLS)."""
 
 
-def _bland_pivot(T, basis, cost_row, tol, max_iter):
+def _bland_pivot(T, basis, tol, max_iter):
     """Run simplex pivots on tableau T in place until optimal.
 
     T has shape (m+1, n+1); the last row is the reduced-cost row, the last
@@ -78,7 +78,7 @@ def _solve_standard(c, A, b, tol, max_iter=5000):
     T[-1, :n] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
-    _bland_pivot(T, basis, T[-1], tol, max_iter)
+    _bland_pivot(T, basis, tol, max_iter)
     if -T[-1, -1] > _FEAS_TOL * (1.0 + abs(b).sum()):
         return None
 
@@ -116,7 +116,7 @@ def _solve_standard(c, A, b, tol, max_iter=5000):
     for new_i, var in enumerate(basis2):
         if abs(T2[-1, var]) > 0.0:
             T2[-1, :] -= T2[-1, var] * T2[new_i, :]
-    _bland_pivot(T2, basis2, T2[-1], tol, max_iter)
+    _bland_pivot(T2, basis2, tol, max_iter)
 
     x = np.zeros(n)
     for new_i, var in enumerate(basis2):

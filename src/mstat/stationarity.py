@@ -40,7 +40,6 @@ from .graph_normals import (
     make_graph_context,
     membership_for_set,
 )
-from .lp import linear_feasible
 
 __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
@@ -533,91 +532,70 @@ def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None,
             "verdict": res.verdict, "witness": res.witness}
 
 
-def _regime_has_nonzero_eta(A, H, eq_rows, ineq_rows):
-    """Nonzero eta with A_eq eta = 0, A_ineq eta >= 0, -H^T eta in the regime cone.
-
-    Normalizes by pinning one coordinate of eta to +-1 inside the unit box;
-    every nonzero solution of the homogeneous regime scales into that slab.
-    """
-    d = A.shape[1]
-    eq = sorted(eq_rows)
-    ineq = sorted(ineq_rows)
-    n_mu, n_nu = len(ineq), len(eq)
-    n = d + n_mu + n_nu
-    nonneg = np.zeros(n, dtype=bool)
-    nonneg[d:d + n_mu] = True
-
-    link = np.zeros((d, n))
-    link[:, :d] = H.T
-    if n_mu:
-        link[:, d:d + n_mu] = A[ineq].T
-    if n_nu:
-        link[:, d + n_mu:] = A[eq].T
-    eq_blocks = [link]
-    eq_rhs = [np.zeros(d)]
-    if n_nu:
-        blk = np.zeros((n_nu, n))
-        blk[:, :d] = A[eq]
-        eq_blocks.append(blk)
-        eq_rhs.append(np.zeros(n_nu))
-
-    ub_blocks = []
-    ub_rhs = []
-    if n_mu:
-        blk = np.zeros((n_mu, n))
-        blk[:, :d] = -A[ineq]
-        ub_blocks.append(blk)
-        ub_rhs.append(np.zeros(n_mu))
-    box = np.zeros((2 * d, n))
-    box[:d, :d] = np.eye(d)
-    box[d:, :d] = -np.eye(d)
-    ub_blocks.append(box)
-    ub_rhs.append(np.ones(2 * d))
-
-    for k in range(d):
-        for s in (1.0, -1.0):
-            pin = np.zeros((1, n))
-            pin[0, k] = s
-            A_eq = np.vstack(eq_blocks + [pin])
-            b_eq = np.concatenate(eq_rhs + [np.ones(1)])
-            sol = linear_feasible(A_eq=A_eq, b_eq=b_eq,
-                                  A_ub=np.vstack(ub_blocks), b_ub=np.concatenate(ub_rhs),
-                                  nonneg=nonneg)
-            if sol is not None:
-                return sol[:d]
-    return None
-
-
 def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
     """No-nonzero-abnormal-multiplier constraint qualification at z.
 
     True when eta = 0 is the only solution of the homogeneous coderivative
-    system 0 in hess_zz^T eta + D*N_Z(z, -grad_z c)(eta), decided by sweeping
-    the finitely many linear regimes of the membership formula. The sweep is
-    exponential and refused beyond MAX_ACTIVE_ROWS active rows.
+    system 0 in H^T eta + D*N_Z(z, -g)(eta), with H = hess_zz and
+    g = grad_z c. It is the constraint qualification of a convex lower
+    level: H must have a positive definite symmetric part or be symmetric
+    positive semidefinite, and any other H raises ValueError. A point
+    (z, -g) off the graph raises NotGraphPointError.
+
+    Proof. Every member (zeta, eta) of the coderivative has
+    <zeta, eta> >= 0: by polyhedron_membership it passes at its maximal
+    pair (E, P), so zeta = A_E^T nu + A_P^T mu with mu >= 0, A_E eta = 0
+    and A_P eta > 0, and <zeta, eta> = mu^T A_P eta >= 0 (compare Poliquin
+    and Rockafellar, SIAM J. Optim. 1998). A solution has zeta = -H^T eta,
+    hence eta^T H eta <= 0.
+      (1) If H + H^T is positive definite, eta = 0 and NNAMCQ holds.
+      (2) If H is symmetric positive semidefinite, eta^T H eta = 0 puts eta
+          in ker H = range N, so zeta = 0, which lies in every
+          span(A_E) + cone(A_P). A nonzero eta = N c then solves the system
+          iff -g has a multiplier carried by E(eta) = {i in I : a_i^T eta = 0},
+          a condition monotone in E. If A_I N has a nonzero kernel, some
+          eta has E(eta) = I, which carries the graph point's multiplier,
+          and NNAMCQ fails. Otherwise the rows of A_I N span R^k,
+          k = dim ker H. The rows vanishing at some c != 0 extend, by
+          further rows, to k - 1 independent rows that still vanish at the
+          direction c' they leave free, so E(N c) lies in E(N c'). One
+          support LP per set of k - 1 independent rows therefore decides
+          NNAMCQ; for k = 1 the only direction is N itself.
+    Numerically, eigenvalues of the symmetric part up to
+    STRICT_EPS * max(1, largest eigenvalue) count as zero, the same bound
+    limits the asymmetry of a singular H, a row set is independent when
+    its smallest singular value exceeds eps, and E is read at a unit eta
+    with |a_i^T eta| <= eps, as polyhedron_membership reads it. The row sets
+    are exponential in k and refused beyond MAX_ACTIVE_ROWS active rows
+    when k >= 2; the positive definite case and k = 1 have no cap.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    I = make_graph_context(poly, z, g, eps).active
-    if len(I) > MAX_ACTIVE_ROWS:
+    I = list(make_graph_context(poly, z, g, eps).active)
+    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    tol = STRICT_EPS * max(1.0, w[-1])
+    if w[0] > tol:
+        return True
+    if w[0] < -tol or np.max(np.abs(H - H.T)) > tol:
+        raise ValueError("NNAMCQ needs hess_zz symmetric positive semidefinite "
+                         "or with a positive definite symmetric part")
+    N = V[:, w <= tol]
+    k = N.shape[1]
+    rows = poly.A[I] @ N
+    if len(I) < k or np.linalg.svd(rows, compute_uv=False)[-1] <= eps:
+        return False
+    if k >= 2 and len(I) > MAX_ACTIVE_ROWS:
         raise CombinatorialLimitError("%d active rows exceeds cap %d"
                                       % (len(I), MAX_ACTIVE_ROWS))
-    seen = set()
-    for size_e in range(len(I) + 1):
-        for eq in combinations(I, size_e):
-            if multiplier_within_support(poly, z, -g, eq, eps) is None:
-                continue
-            rest = [i for i in I if i not in eq]
-            for size_g in range(len(rest) + 1):
-                for ineq in combinations(rest, size_g):
-                    key = (frozenset(eq), frozenset(ineq))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if _regime_has_nonzero_eta(poly.A, H, eq, ineq) is not None:
-                        return False
+    for subset in combinations(range(len(I)), k - 1):
+        _, s, Vt = np.linalg.svd(rows[list(subset)])
+        if np.any(s <= eps):
+            continue
+        E = [i for i, slope in zip(I, rows @ Vt[-1]) if abs(slope) <= eps]
+        if multiplier_within_support(poly, z, -g, E, eps) is not None:
+            return False
     return True
 
 

@@ -1,11 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mstat.cones import DEFAULT_EPS, Polyhedron
-from mstat.graph_normals import STRICT_EPS
+from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError,
+                         Polyhedron, multiplier_within_support)
+from mstat.graph_normals import STRICT_EPS, make_graph_context
+from mstat.lp import linear_feasible
 from mstat.stationarity import FeasibleSet
 
 
@@ -194,3 +198,94 @@ def orthant_oracle(z, g, zeta, eta, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
             both_neg = ci <= -strict_eps and ei <= -strict_eps
             member &= both_neg or abs(ci) <= eps or abs(ei) <= eps
     return member, "member" if member else "not_member", witness
+
+
+# ---------------------------------------------------------------------------
+# NNAMCQ: the regime sweep, the slow path of stationarity.nnamcq_check
+
+def _regime_has_nonzero_eta(A, H, eq_rows, ineq_rows):
+    """Nonzero eta with A_eq eta = 0, A_ineq eta >= 0, -H^T eta in the regime cone.
+
+    Normalizes by pinning one coordinate of eta to +-1 inside the unit box;
+    every nonzero solution of the homogeneous regime scales into that slab.
+    """
+    d = A.shape[1]
+    eq = sorted(eq_rows)
+    ineq = sorted(ineq_rows)
+    n_mu, n_nu = len(ineq), len(eq)
+    n = d + n_mu + n_nu
+    nonneg = np.zeros(n, dtype=bool)
+    nonneg[d:d + n_mu] = True
+
+    link = np.zeros((d, n))
+    link[:, :d] = H.T
+    if n_mu:
+        link[:, d:d + n_mu] = A[ineq].T
+    if n_nu:
+        link[:, d + n_mu:] = A[eq].T
+    eq_blocks = [link]
+    eq_rhs = [np.zeros(d)]
+    if n_nu:
+        blk = np.zeros((n_nu, n))
+        blk[:, :d] = A[eq]
+        eq_blocks.append(blk)
+        eq_rhs.append(np.zeros(n_nu))
+
+    ub_blocks = []
+    ub_rhs = []
+    if n_mu:
+        blk = np.zeros((n_mu, n))
+        blk[:, :d] = -A[ineq]
+        ub_blocks.append(blk)
+        ub_rhs.append(np.zeros(n_mu))
+    box = np.zeros((2 * d, n))
+    box[:d, :d] = np.eye(d)
+    box[d:, :d] = -np.eye(d)
+    ub_blocks.append(box)
+    ub_rhs.append(np.ones(2 * d))
+
+    for k in range(d):
+        for s in (1.0, -1.0):
+            pin = np.zeros((1, n))
+            pin[0, k] = s
+            A_eq = np.vstack(eq_blocks + [pin])
+            b_eq = np.concatenate(eq_rhs + [np.ones(1)])
+            sol = linear_feasible(A_eq=A_eq, b_eq=b_eq,
+                                  A_ub=np.vstack(ub_blocks), b_ub=np.concatenate(ub_rhs),
+                                  nonneg=nonneg)
+            if sol is not None:
+                return sol[:d]
+    return None
+
+
+def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
+    """No-nonzero-abnormal-multiplier constraint qualification at z.
+
+    True when eta = 0 is the only solution of the homogeneous coderivative
+    system 0 in hess_zz^T eta + D*N_Z(z, -grad_z c)(eta), decided by sweeping
+    the finitely many linear regimes of the membership formula. The sweep is
+    exponential and refused beyond MAX_ACTIVE_ROWS active rows.
+    """
+    z = np.asarray(z, dtype=float)
+    g = np.asarray(model.grad_z(z, theta, x), dtype=float)
+    H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
+    poly = model.feasible_set.as_polyhedron()
+    I = make_graph_context(poly, z, g, eps).active
+    if len(I) > MAX_ACTIVE_ROWS:
+        raise CombinatorialLimitError("%d active rows exceeds cap %d"
+                                      % (len(I), MAX_ACTIVE_ROWS))
+    seen = set()
+    for size_e in range(len(I) + 1):
+        for eq in combinations(I, size_e):
+            if multiplier_within_support(poly, z, -g, eq, eps) is None:
+                continue
+            rest = [i for i in I if i not in eq]
+            for size_g in range(len(rest) + 1):
+                for ineq in combinations(rest, size_g):
+                    key = (frozenset(eq), frozenset(ineq))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if _regime_has_nonzero_eta(poly.A, H, eq, ineq) is not None:
+                        return False
+    return True

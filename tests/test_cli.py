@@ -565,6 +565,19 @@ def test_gph_normal_dimension_mismatch_exits_1(tmp_path, capsys):
             assert code == 1 and out == "" and "dimension of z" in err, (spec, method)
 
 
+def test_polyhedron_with_the_wrong_column_count_exits_1(tmp_path, capsys):
+    """A names its column count and z its length under every polyhedral route."""
+    Z = {"A": [[1.0, 2.0]], "b": [1.0]}
+    c = write(tmp_path / "c.json", {"op": "tangent", "Z": Z, "z": [0.0]})
+    q = write(tmp_path / "q.json", {"Z": Z, "z": [0.0], "g": [0.0],
+                                    "zeta": [0.0], "eta": [0.0]})
+    calls = [["cones", "--input", c]] + [["gph-normal", "--input", q, "--method", method]
+                                         for method in ("direct", "oracle", "auto")]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "A has 2 columns but z has 1 entries" in err, argv
+
+
 def test_portfolio_problem_non_finite_or_mis_shaped_exits_1(tmp_path, capsys):
     ppath, cpath = portfolio_problem_and_cert(tmp_path)
     good = json.loads(open(ppath).read())
@@ -776,6 +789,38 @@ def test_gph_normal_reads_tol_as_eps_under_every_method(tmp_path, capsys):
             assert code == 0
             verdicts.append(json.loads(out)["verdict"])
         assert verdicts == ["not_member", "member"], method
+
+
+def _tol_runs(tmp_path):
+    """One valid call of each subcommand that reads --tol."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    inst = NewsvendorInstance(h=1.0, b=1.0, centers=[([0.0], 5.0)], samples=[([0.0], 5.0)])
+    nv = write(tmp_path / "nv.json", inst.to_dict())
+    z = solve_newsvendor(inst.model(2.0), [0.0], 1.0, 1.0)
+    nv_cert = write(tmp_path / "nvcert.json",
+                    {"theta": 2.0, "scenarios": [{"z": z, "eta": 0.0, "zeta": 0.0}]})
+    # a non-graph point: z = g = 1 is not complementary on the orthant
+    q = write(tmp_path / "q.json", {"Z": "orthant", "z": [1.0], "g": [1.0],
+                                    "zeta": [0.0], "eta": [0.0]})
+    c = write(tmp_path / "c.json", {"op": "active-set", "Z": "orthant", "z": [0.0]})
+    return {"cones": ["cones", "--input", c],
+            "gph-normal": ["gph-normal", "--input", q],
+            "verify": ["verify", "--problem", ppath, "--certificate", cpath],
+            "spo-portfolio": ["spo-portfolio", "system", "--problem", ppath,
+                              "--certificate", cpath],
+            "newsvendor": ["newsvendor", "verify", "--problem", nv, "--certificate", nv_cert],
+            "fd-check": ["fd-check", "--problem", nv, "--trials", "5"]}
+
+
+@pytest.mark.parametrize("name", ["cones", "gph-normal", "verify", "spo-portfolio",
+                                  "newsvendor", "fd-check"])
+def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
+    argv = _tol_runs(tmp_path)[name]
+    code, out, _ = run(capsys, *argv, "--tol", "1e-6")
+    assert code in (0, 2) and out
+    for bad in ("inf", "nan", "-1", "0", "-inf", "abc"):
+        code, out, err = run(capsys, *argv, "--tol", bad)
+        assert (code, out) == (1, "") and "--tol" in err, bad
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):

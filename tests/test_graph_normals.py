@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mstat.cones import (
     CombinatorialLimitError,
+    Polyhedron,
     orthant_polyhedron,
     simplex_polyhedron,
 )
@@ -215,6 +218,80 @@ def test_zero_eta_accepts_polar_of_critical_cone(rng):
             zeta = poly.A[I].T @ mu
         q = pair(zeta, np.zeros(poly.dim))
         assert polyhedron_membership(poly, GraphPoint(z, g), q, context=ctx).member
+
+
+# Integer queries with d <= 3. A point is built on the graph from integer
+# multipliers and, when `off` is drawn, given a free integer g instead, so
+# empty coderivatives occur too. Products of these entries are exact.
+SMALL = st.integers(-2, 2)
+
+
+def _vector(d, elements=SMALL):
+    return st.lists(elements, min_size=d, max_size=d).map(lambda v: np.array(v, float))
+
+
+@st.composite
+def orthant_queries(draw):
+    d = draw(st.integers(1, 3))
+    z = draw(_vector(d, st.integers(0, 2)))
+    g = np.where(z > 0, 0.0, draw(_vector(d, st.integers(0, 2))))
+    if draw(st.booleans()):
+        g = draw(_vector(d))
+    return orthant_polyhedron(d), z, g, pair(draw(_vector(d)), draw(_vector(d)))
+
+
+@st.composite
+def simplex_queries(draw):
+    d = draw(st.integers(1, 3))
+    z = draw(_vector(d, st.sampled_from([0.0, 0.25, 0.5, 1.0])).filter(lambda v: v.sum() <= 1))
+    tau = draw(st.integers(0, 2)) if z.sum() == 1 else 0
+    g = np.where(z > 0, 0.0, draw(_vector(d, st.integers(0, 2)))) - tau
+    if draw(st.booleans()):
+        g = draw(_vector(d))
+    return simplex_polyhedron(d), z, g, pair(draw(_vector(d)), draw(_vector(d)))
+
+
+@st.composite
+def polyhedron_queries(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    rows = [draw(_vector(d).filter(np.any)) for _ in range(m)]
+    A = np.array(rows)
+    z = draw(_vector(d))
+    active = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    b = A @ z + np.where(active, 0.0, draw(_vector(m, st.integers(1, 2))))
+    g = -(A.T @ np.where(active, draw(_vector(m, st.integers(0, 2))), 0.0))
+    if draw(st.booleans()):
+        g = draw(_vector(d))
+    return Polyhedron(A, b), z, g, pair(draw(_vector(d)), draw(_vector(d)))
+
+
+def _check_against_oracle(poly, z, g, q, res):
+    """Every member has <zeta, eta> >= 0, and the verdict is the oracle's."""
+    want = oracle_membership(poly, GraphPoint(z, g), q)
+    assert (res.member, res.verdict) == (want.member, want.verdict)
+    assert not res.member or q.zeta @ q.eta >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(orthant_queries())
+def test_orthant_members_are_monotone_and_match_the_oracle(query):
+    poly, z, g, q = query
+    _check_against_oracle(poly, z, g, q, orthant_membership(z, g, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_queries())
+def test_simplex_members_are_monotone_and_match_the_oracle(query):
+    poly, z, g, q = query
+    _check_against_oracle(poly, z, g, q, simplex_membership(z, g, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedron_queries())
+def test_polyhedron_members_are_monotone_and_match_the_oracle(query):
+    poly, z, g, q = query
+    _check_against_oracle(poly, z, g, q, polyhedron_membership(poly, GraphPoint(z, g), q))
 
 
 def test_interior_point_membership_is_zero_zeta():

@@ -3,6 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import nnamcq_oracle, random_polyhedral_graph_point
+from mstat.cones import (CombinatorialLimitError, Polyhedron, orthant_polyhedron,
+                         simplex_polyhedron)
+from mstat.graph_normals import make_graph_context
 from mstat.stationarity import (
     Certificate,
     FeasibleSet,
@@ -236,6 +240,98 @@ def test_nnamcq_simplex_qp_solutions(rng):
         r = rng.standard_normal(d)
         z = solve_simplex_qp(r, sigma, 1.0).z
         assert nnamcq_check(SimplexQP(r, sigma), np.zeros(1), None, z) is True
+
+
+def _fixed_quadratic(H, poly, z, g):
+    """A quadratic model on Z = poly with hess_zz = H and grad_z = g at z,
+    and the theta that puts the gradient there."""
+    d = len(z)
+    model = QuadraticLowerModel(H, np.eye(d), FeasibleSet.polyhedron(poly))
+    return model, g - H @ z
+
+
+def test_nnamcq_check_matches_the_regime_sweep(rng):
+    """The monotonicity rule against the 3^|I| regime sweep on random integer
+    graph points, with positive definite, singular PSD and zero Hessians."""
+    answers = {"pd": set(), "psd": set(), "zero": set()}
+    disagreements = []
+    for trial in range(300):
+        kind = ("pd", "psd", "zero")[trial % 3]
+        poly, z, g = random_polyhedral_graph_point(rng)
+        d = len(z)
+        rank = {"pd": d, "psd": int(rng.integers(0, d)), "zero": 0}[kind]
+        B = rng.integers(-2, 3, (d, rank)).astype(float)
+        H = B @ B.T + (np.eye(d) if kind == "pd" else 0.0)
+        model, theta = _fixed_quadratic(H, poly, z, g)
+        fast = nnamcq_check(model, theta, None, z)
+        slow = nnamcq_oracle(model, theta, None, z)
+        answers[kind].add(fast)
+        if fast != slow:
+            disagreements.append((trial, kind, poly.A.tolist(), z.tolist(),
+                                  g.tolist(), H.tolist(), fast, slow))
+    assert not disagreements, disagreements
+    assert answers == {"pd": {True}, "psd": {True, False}, "zero": {True, False}}
+
+
+def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
+    """A d_z = 12 simplex vertex has 12 active rows; lam Sigma is positive
+    definite, so no LP runs beyond the graph-point check."""
+    import mstat.lp as LP
+
+    rng = np.random.default_rng(12)
+    d = 12
+    B = rng.standard_normal((d, d))
+    H = B @ B.T + 0.5 * np.eye(d)
+    poly = simplex_polyhedron(d)
+    z = np.eye(d)[0]
+    g = -(poly.A.T @ np.concatenate([[0.0], rng.uniform(0.5, 1.5, d - 1), [0.7]]))
+    model, theta = _fixed_quadratic(H, poly, z, g)
+    with pytest.raises(CombinatorialLimitError):
+        nnamcq_oracle(model, theta, None, z)
+
+    calls = []
+    solve = LP._solve_standard
+    monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    assert len(make_graph_context(poly, z, g).active) == d
+    graph_point_lps = len(calls)
+    assert nnamcq_check(model, theta, None, z) is True
+    assert graph_point_lps == 1 and len(calls) == 2 * graph_point_lps
+
+
+def test_nnamcq_rejects_a_hessian_outside_the_convex_cases():
+    poly, z, g = orthant_polyhedron(2), np.zeros(2), np.zeros(2)
+    for H in (np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [-1.0, 0.0]])):
+        model, theta = _fixed_quadratic(H, poly, z, g)
+        with pytest.raises(ValueError, match="symmetric positive semidefinite"):
+            nnamcq_check(model, theta, None, z)
+    model, theta = _fixed_quadratic(np.array([[1.0, 1.0], [-1.0, 1.0]]), poly, z, g)
+    assert nnamcq_check(model, theta, None, z) is True
+
+
+def test_nnamcq_fails_when_the_active_rows_miss_a_kernel_direction():
+    """Three parallel active rows leave a two-dimensional part of ker H = R^3
+    on which every active row vanishes, although every set of two rows is
+    dependent."""
+    A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    poly, z, g = Polyhedron(A, np.zeros(3)), np.zeros(3), np.array([-1.0, 0.0, 0.0])
+    model, theta = _fixed_quadratic(np.zeros((3, 3)), poly, z, g)
+    assert nnamcq_check(model, theta, None, z) is False
+    assert nnamcq_oracle(model, theta, None, z) is False
+
+
+def test_nnamcq_caps_only_kernels_of_dimension_two_or_more():
+    """Nine active rows (i - 4, -1) at z = 0 and -g = a_0 + a_8 = (0, -2)."""
+    A = np.array([[i - 4.0, -1.0] for i in range(9)])
+    poly, z, g = Polyhedron(A, np.zeros(9)), np.zeros(2), np.array([0.0, 2.0])
+    # ker H = span(e2): every row has slope -1, E is empty and cannot carry -g
+    model, theta = _fixed_quadratic(np.diag([1.0, 0.0]), poly, z, g)
+    assert nnamcq_check(model, theta, None, z) is True
+    # ker H = span(e1): E = {row 4} = {(0, -1)} carries -g = 2 (0, -1)
+    model, theta = _fixed_quadratic(np.diag([0.0, 1.0]), poly, z, g)
+    assert nnamcq_check(model, theta, None, z) is False
+    model, theta = _fixed_quadratic(np.zeros((2, 2)), poly, z, g)
+    with pytest.raises(CombinatorialLimitError):
+        nnamcq_check(model, theta, None, z)
 
 
 def test_psi_set_generators():
