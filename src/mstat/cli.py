@@ -160,6 +160,14 @@ def _cone_from_query(q, cls, keys):
     return cls.from_dict(spec)
 
 
+def _row_indices(q, key):
+    """q[key] (default []) as a list of integer row indices, booleans excluded."""
+    rows = q.get(key, [])
+    if type(rows) is not list or any(type(i) is not int for i in rows):
+        raise CliError("%s must be a list of integer row indices" % key)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -191,7 +199,7 @@ def cmd_cones(args):
             out["cone"] = C.critical_cone(poly, z, GN.finite_vector(q["v"], "v"), eps).to_dict()
         else:
             cone = C.face_difference(poly, z, GN.finite_vector(q["v"], "v"),
-                                     q.get("J1", []), q.get("J2", []), eps=eps)
+                                     _row_indices(q, "J1"), _row_indices(q, "J2"), eps=eps)
             out["cone"] = cone.to_dict()
     elif op == "polar":
         out["cone"] = C.polar_cone(_cone_from_query(q, C.ConeRepH, ("E", "G"))).to_dict()
@@ -506,6 +514,14 @@ def _positive_tolerance(text):
     return value
 
 
+def _positive_count(text):
+    """The value of --trials: a positive integer, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
+    return value
+
+
 def _tol(sub, meaning):
     sub.add_argument("--tol", type=_positive_tolerance, default=None, help=meaning)
 
@@ -590,7 +606,7 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--op", choices=("grad-theta-cdf", "lower-grad-z"),
                    default="grad-theta-cdf")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_count, default=100)
     p.add_argument("--atol", type=float, default=1e-9,
                    help="absolute agreement below this skips the relative test")
     _tol(p, "largest relative error that passes (default 1e-6)")

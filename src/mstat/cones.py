@@ -25,7 +25,8 @@ __all__ = [
     "active_set", "active_diagnostics", "tangent_cone",
     "normal_cone_multiplier", "critical_cone", "critical_cone_perp_form",
     "polar_cone", "member_h", "member_v", "faces_of_cone", "face_contains",
-    "face_difference", "multiplier_within_support", "distance_to_normal_cone",
+    "face_difference", "cone_coefficients", "multiplier_within_support",
+    "distance_to_normal_cone",
 ]
 
 DEFAULT_EPS = 1e-9
@@ -242,20 +243,11 @@ def normal_cone_multiplier(poly, z, v, eps=DEFAULT_EPS):
     v = -w to test w in N_Z(z). Returns an ActiveDecomposition or None.
     Off-active multipliers are pinned to zero (complementary slackness).
     """
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
     I = active_set(poly, z, eps)
-    target = -v
-    if not I:
-        if np.max(np.abs(target), initial=0.0) > eps:
-            return None
-        return ActiveDecomposition(I=(), lam=np.zeros(poly.m), I_plus=(), I_zero=())
-    lam_I = linear_feasible(A_eq=poly.A[list(I)].T, b_eq=target)
-    if lam_I is None:
+    lam = multiplier_within_support(poly, z, -np.asarray(v, dtype=float), I, eps)
+    if lam is None:
         return None
-    lam = np.zeros(poly.m)
-    lam[list(I)] = np.maximum(lam_I, 0.0)
-    plus = tuple(i for i, li in zip(I, lam_I) if li > eps)
+    plus = tuple(i for i in I if lam[i] > eps)
     zero = tuple(i for i in I if i not in plus)
     return ActiveDecomposition(I=I, lam=lam, I_plus=plus, I_zero=zero)
 
@@ -306,12 +298,7 @@ def member_v(V, w, eps=DEFAULT_EPS):
     w = np.asarray(w, dtype=float)
     if w.shape[0] != V.dim:
         raise ValueError("dimension mismatch")
-    n_r, n_l = V.R.shape[0], V.L.shape[0]
-    if n_r + n_l == 0:
-        return bool(np.max(np.abs(w), initial=0.0) <= eps)
-    cols = np.vstack([V.R, V.L]).T
-    nonneg = np.concatenate([np.ones(n_r, dtype=bool), np.zeros(n_l, dtype=bool)])
-    return linear_feasible(A_eq=cols, b_eq=w, nonneg=nonneg) is not None
+    return cone_coefficients(w, V.R, V.L, eps) is not None
 
 
 @dataclass(frozen=True)
@@ -393,6 +380,19 @@ def face_difference(poly, z, v_normal, J1, J2, decomposition=None, eps=DEFAULT_E
     return ConeRepH(poly.A[eq_rows], poly.A[ineq_rows], dim=poly.dim)
 
 
+def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
+    """Coefficients (mu, nu) with R^T mu + L^T nu = w and mu >= 0, or None.
+
+    Decides w in cone(rows of R) + span(rows of L) by one LP; every LP of
+    the package is this question. With no rows at all, w must vanish
+    within eps.
+    """
+    cols = (R if L is None else np.vstack([R, L])).T
+    if cols.shape[1] == 0:
+        return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
+    return linear_feasible(A_eq=cols, b_eq=w, nonneg=np.arange(cols.shape[1]) < len(R))
+
+
 def multiplier_within_support(poly, z, target, support, eps=DEFAULT_EPS):
     """lam >= 0 carried by `support` rows with A^T lam = target, or None.
 
@@ -400,10 +400,7 @@ def multiplier_within_support(poly, z, target, support, eps=DEFAULT_EPS):
     sweeping supports rely on this being monotone in the support set.
     """
     support = sorted(int(i) for i in support)
-    target = np.asarray(target, dtype=float)
-    if not support:
-        return np.zeros(poly.m) if np.max(np.abs(target), initial=0.0) <= eps else None
-    lam_S = linear_feasible(A_eq=poly.A[support].T, b_eq=target)
+    lam_S = cone_coefficients(np.asarray(target, dtype=float), poly.A[support], eps=eps)
     if lam_S is None:
         return None
     lam = np.zeros(poly.m)

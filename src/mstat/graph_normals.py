@@ -38,13 +38,13 @@ from .cones import (
     Polyhedron,
     active_diagnostics,
     active_set,
+    cone_coefficients,
     face_difference,
     member_h,
     member_v,
     multiplier_within_support,
     polar_cone,
 )
-from .lp import linear_feasible
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
@@ -210,18 +210,6 @@ def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
     return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps)
 
 
-def _zeta_in_span_plus_cone(poly, eq_rows, ineq_rows, zeta, eps):
-    """zeta = A_ineq^T mu + A_eq^T nu with mu >= 0, by LP feasibility."""
-    eq_rows = sorted(eq_rows)
-    ineq_rows = sorted(ineq_rows)
-    n_mu, n_nu = len(ineq_rows), len(eq_rows)
-    if n_mu + n_nu == 0:
-        return bool(np.max(np.abs(zeta), initial=0.0) <= eps)
-    cols = np.vstack([poly.A[ineq_rows], poly.A[eq_rows]]).T
-    nonneg = np.concatenate([np.ones(n_mu, dtype=bool), np.zeros(n_nu, dtype=bool)])
-    return linear_feasible(A_eq=cols, b_eq=zeta, nonneg=nonneg) is not None
-
-
 def _subsets(pool):
     pool = tuple(pool)
     for size in range(len(pool) + 1):
@@ -266,7 +254,7 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     P = [i for i, s in zip(I, slopes) if s > eps]
     member = (len(E) == len(I)
               or multiplier_within_support(poly, context.z, -context.g, E, eps)
-              is not None) and _zeta_in_span_plus_cone(poly, E, P, zeta, eps)
+              is not None) and cone_coefficients(zeta, poly.A[P], poly.A[E], eps) is not None
     if not member:
         return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
     return Membership(True, "member", "polyhedron",

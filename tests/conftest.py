@@ -4,12 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError,
                          Polyhedron, multiplier_within_support)
 from mstat.graph_normals import STRICT_EPS, make_graph_context
-from mstat.lp import linear_feasible
 from mstat.stationarity import FeasibleSet
 
 
@@ -250,11 +250,12 @@ def _regime_has_nonzero_eta(A, H, eq_rows, ineq_rows):
             pin[0, k] = s
             A_eq = np.vstack(eq_blocks + [pin])
             b_eq = np.concatenate(eq_rhs + [np.ones(1)])
-            sol = linear_feasible(A_eq=A_eq, b_eq=b_eq,
-                                  A_ub=np.vstack(ub_blocks), b_ub=np.concatenate(ub_rhs),
-                                  nonneg=nonneg)
-            if sol is not None:
-                return sol[:d]
+            sol = linprog(np.zeros(n), A_ub=np.vstack(ub_blocks),
+                          b_ub=np.concatenate(ub_rhs), A_eq=A_eq, b_eq=b_eq,
+                          bounds=[(0, None) if f else (None, None) for f in nonneg],
+                          method="highs")
+            if sol.status == 0:
+                return sol.x[:d]
     return None
 
 

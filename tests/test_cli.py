@@ -507,7 +507,7 @@ def test_newsvendor_bad_input_exits_1(tmp_path, capsys):
 
 
 def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
-    import mstat.graph_normals as GN
+    import mstat.cones as C
     from mstat.lp import LPLimitError, LPUnbounded
 
     q = write(tmp_path / "q.json",
@@ -516,7 +516,7 @@ def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
     for exc in (LPUnbounded, LPLimitError):
         def solver(*args, **kw):
             raise exc("raised by the test")
-        monkeypatch.setattr(GN, "linear_feasible", solver)
+        monkeypatch.setattr(C, "linear_feasible", solver)
         code, out, err = run(capsys, "gph-normal", "--input", q, "--method", "direct")
         assert code == 1 and out == "" and "raised by the test" in err
 
@@ -821,6 +821,27 @@ def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
     for bad in ("inf", "nan", "-1", "0", "-inf", "abc"):
         code, out, err = run(capsys, *argv, "--tol", bad)
         assert (code, out) == (1, "") and "--tol" in err, bad
+
+
+def test_face_difference_rows_must_be_integer_lists(tmp_path, capsys):
+    base = {"op": "face-difference", "Z": "orthant", "z": [0.0, 0.0], "v": [-1.0, 0.0]}
+    code, out, _ = run(capsys, "cones", "--input",
+                       write(tmp_path / "q.json", {**base, "J1": [], "J2": [1]}))
+    assert code == 0 and json.loads(out)["cone"] == {"E": [[-1.0, -0.0]], "G": [[-0.0, -1.0]]}
+    for bad in ({"J1": 5}, {"J2": [True]}, {"J2": [1.0]}, {"J2": [0.7]},
+                {"J1": "1"}, {"J2": {"1": 1}}, {"J2": None}):
+        q = write(tmp_path / "q.json", {**base, **bad})
+        code, out, err = run(capsys, "cones", "--input", q)
+        assert (code, out) == (1, "") and "integer row indices" in err, bad
+
+
+def test_fd_check_trials_must_be_positive(tmp_path, capsys):
+    argv = _tol_runs(tmp_path)["fd-check"][:-2]
+    code, out, _ = run(capsys, *argv, "--trials", "1")
+    assert code == 0 and json.loads(out)["trials"] == 1
+    for bad in ("0", "-3", "2.5", "abc"):
+        code, out, err = run(capsys, *argv, "--trials", bad)
+        assert (code, out) == (1, "") and "--trials" in err, bad
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
