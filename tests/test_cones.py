@@ -9,6 +9,7 @@ from mstat.cones import (
     Polyhedron,
     active_diagnostics,
     active_set,
+    cone_coefficients,
     critical_cone,
     critical_cone_perp_form,
     distance_to_normal_cone,
@@ -129,6 +130,30 @@ def test_multiplier_within_support_is_monotone(rng):
     full = active_set(p, z)
     assert multiplier_within_support(p, z, target, full) is not None
     assert multiplier_within_support(p, z, target, ()) is None
+
+
+def test_cone_coefficients_against_scipy(rng):
+    """w in cone(R) + span(L) agrees with scipy, and the witness reproduces w."""
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        R = rng.integers(-2, 3, (int(rng.integers(0, 5)), d)).astype(float)
+        L = rng.integers(-2, 3, (int(rng.integers(0, 3)), d)).astype(float)
+        w = rng.integers(-2, 3, d).astype(float)
+        if rng.random() < 0.3 and len(R):
+            w = R.T @ rng.integers(0, 3, len(R)).astype(float)  # a point of the cone
+        coef = cone_coefficients(w, R, L)
+        cols = np.vstack([R, L]).T
+        if cols.shape[1] == 0:
+            assert (coef is not None) == (not w.any())
+            continue
+        ref = linprog(np.zeros(cols.shape[1]), A_eq=cols, b_eq=w,
+                      bounds=[(0, None)] * len(R) + [(None, None)] * len(L),
+                      method="highs")
+        assert (coef is not None) == (ref.status == 0)
+        if coef is not None:
+            assert coef.shape == (len(R) + len(L),)
+            assert np.max(np.abs(cols @ coef - w)) <= 1e-9
+            assert np.min(coef[:len(R)], initial=0.0) >= -1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from scipy.optimize import linprog, nnls as scipy_nnls
 
-from mstat.lp import linear_feasible, nnls
+import mstat.lp as lp
+from mstat.lp import LPLimitError, linear_feasible, nnls
 
 
 def test_equality_feasible():
@@ -90,6 +92,15 @@ def test_bland_rule_leaves_on_the_lowest_basic_variable():
     assert linprog(np.zeros(22), A_eq=M, b_eq=rhs, bounds=[(0, None)] * 22,
                    method="highs").status == 2
     assert linear_feasible(A_eq=M, b_eq=rhs) is None
+
+
+def test_pivot_cap_raises_limit_error(monkeypatch):
+    """A system that needs pivots raises LPLimitError once the cap is spent."""
+    A, b = [[1.0, 1.0], [1.0, -1.0]], [2.0, 0.0]
+    assert np.allclose(linear_feasible(A_eq=A, b_eq=b), [1.0, 1.0])
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    with pytest.raises(LPLimitError):
+        linear_feasible(A_eq=A, b_eq=b)
 
 
 def assert_nnls_optimal(A, b, x, tol=1e-9):
