@@ -514,6 +514,14 @@ def _positive_tolerance(text):
     return value
 
 
+def _nonnegative_tolerance(text):
+    """The value of --atol: a finite number >= 0, else a usage error."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0, not %r" % text)
+    return value
+
+
 def _positive_count(text):
     """The value of --trials: a positive integer, else a usage error."""
     value = int(text)
@@ -607,7 +615,7 @@ def build_parser():
     p.add_argument("--op", choices=("grad-theta-cdf", "lower-grad-z"),
                    default="grad-theta-cdf")
     p.add_argument("--trials", type=_positive_count, default=100)
-    p.add_argument("--atol", type=float, default=1e-9,
+    p.add_argument("--atol", type=_nonnegative_tolerance, default=1e-9,
                    help="absolute agreement below this skips the relative test")
     _tol(p, "largest relative error that passes (default 1e-6)")
     _seed(p)

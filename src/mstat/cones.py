@@ -26,7 +26,7 @@ __all__ = [
     "normal_cone_multiplier", "critical_cone", "critical_cone_perp_form",
     "polar_cone", "member_h", "member_v", "faces_of_cone", "face_contains",
     "face_difference", "cone_coefficients", "multiplier_within_support",
-    "distance_to_normal_cone",
+    "distance_to_normal_cone", "cone_distance",
 ]
 
 DEFAULT_EPS = 1e-9
@@ -416,5 +416,10 @@ def distance_to_normal_cone(poly, z, u, eps=DEFAULT_EPS):
     the number of active rows is not capped.
     """
     u = np.asarray(u, dtype=float)
-    generators = poly.A[list(active_set(poly, z, eps))].T
+    return cone_distance(u, poly.A[list(active_set(poly, z, eps))])
+
+
+def cone_distance(u, R):
+    """Euclidean distance from u to cone(rows of R), min_{mu >= 0} ||R^T mu - u||."""
+    generators = R.T
     return float(np.linalg.norm(generators @ nnls(generators, u) - u))

@@ -6,18 +6,20 @@ is, is there x with A x = b and x_i >= 0 on a given subset of coordinates?
 which keeps the answer and the witness bit-reproducible across platforms, so
 verification verdicts do not flip between runs. Distances to polyhedral
 cones are non-negative least-squares problems, solved by a deterministic
-Lawson-Hanson active-set method.
+Lawson-Hanson active-set method that skips its loop when one solve on every
+column is certified to be its answer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LPUnbounded", "LPLimitError", "linear_feasible", "nnls"]
+__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "linear_feasible", "nnls"]
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 _MAX_PIVOTS = 5000
+_CERTIFY = 16.0
 
 
 class LPUnbounded(Exception):
@@ -63,6 +65,16 @@ def _bland_pivot(T, basis):
     raise LPLimitError("simplex iteration cap reached")
 
 
+def feasibility_threshold(b):
+    """Largest phase-1 optimum for which A x = b counts as feasible.
+
+    The phase-1 optimum is min ||A x - b||_1 over the sign constraints, which
+    is at least the Euclidean distance from b to the same set; a distance
+    well above this threshold therefore decides infeasibility without an LP.
+    """
+    return _FEAS_TOL * (1.0 + np.abs(b).sum())
+
+
 def _solve_standard(A, b):
     """Some x >= 0 with A x = b, or None if there is none.
 
@@ -85,7 +97,7 @@ def _solve_standard(A, b):
     T[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
     _bland_pivot(T, basis)
-    if -T[-1, -1] > _FEAS_TOL * (1.0 + abs(b).sum()):
+    if -T[-1, -1] > feasibility_threshold(b):
         return None
 
     for i in range(m):
@@ -123,45 +135,85 @@ def linear_feasible(A_eq, b_eq, nonneg=None):
     return x
 
 
+def _refined_lstsq(B, b):
+    """Least-squares solve of B s = b with one refinement step, with B's rank
+    and singular values from the first solve."""
+    s, _, rank, sv = np.linalg.lstsq(B, b, rcond=None)
+    s += np.linalg.lstsq(B, b - B @ s, rcond=None)[0]
+    return s, rank, sv
+
+
 def nnls(A, b):
     """argmin_{x >= 0} ||A x - b|| by the Lawson-Hanson active-set method.
 
     Columns enter the passive set one at a time, the one with the largest
-    positive gradient A^T (b - A x) first (lowest index on ties); an inner
+    positive gradient w = A^T (b - A x) first (lowest index on ties); an inner
     loop steps back along the segment to the unconstrained least-squares
     point and drops columns that hit zero. A column enters only when its
     gradient clears a rounding-noise tolerance; a column in the span of the
     passive ones has zero gradient against the least-squares residual, so the
-    passive columns stay independent when A has dependent columns. The answer
-    depends only on (A, b). Raises LPLimitError after 3n + 10 least-squares
-    solves instead of looping.
+    passive columns stay independent when A has dependent columns. An
+    entering column whose own coefficient comes out at most 0 (its gradient
+    was rounding noise above the tolerance) ends the run at the unchanged x,
+    as in Lawson and Hanson's code; without that guard it would enter again
+    on every round. The answer depends only on (A, b). Raises LPLimitError
+    after 3n + 10 least-squares solves instead of looping.
+
+    Certified start. Before that loop, one refined solve s on every column,
+    with B built as the loop would build it for a full passive set, is
+    returned when A has full column rank n, lo = min(s) > 0 and
+    (lo sigma)^2 > C tol sum(s), where sigma is B's smallest singular value.
+    The loop would end on that same solve. f(x) = ||A x - b||^2 / 2 is
+    sigma^2-strongly convex with minimizer s. Take a passive set P other
+    than every column at which the loop could stop: its point x* has
+    x*_j = 0 and w_j <= tol off P and w_j = 0 on P. Adding the bounds
+    f(s) >= f(x*) - w^T (s - x*) + sigma^2/2 ||s - x*||^2 and
+    f(x*) >= f(s) + sigma^2/2 ||s - x*||^2 gives
+    sigma^2 ||s - x*||^2 <= sum_{j not in P} w_j s_j <= tol sum(s), while
+    ||s - x*|| >= s_j >= lo for any j not in P, a contradiction. So some
+    w_j off P exceeds C tol, that column enters with a positive coefficient
+    (the guard above needs a gradient at rounding level), and the final set
+    is every column, solved exactly as above. C = _CERTIFY kappa^2, with
+    kappa = B's condition number, covers rounding: the computed w of a
+    passive set differs from the exact one by about kappa^2 tol / n.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     x = np.zeros(n)
+    if n == 0:
+        return x
     passive = np.zeros(n, dtype=bool)
     tol = 10.0 * max(m, n) * np.finfo(float).eps \
         * np.abs(A).sum(axis=0).max(initial=0.0) * np.linalg.norm(b)
+    # A[:, mask] and A differ in memory layout, and B @ s rounds by layout.
+    s, rank, sv = _refined_lstsq(A[:, ~passive], b)
+    lo = s.min()
+    if rank == n and lo > 0.0 \
+            and (lo * sv[-1]) ** 2 > _CERTIFY * (sv[0] / sv[-1]) ** 2 * tol * s.sum():
+        return s
     solves = 0
     while True:
         w = A.T @ (b - A @ x)
         w[passive] = -np.inf
-        if n == 0 or np.max(w) <= tol:
+        j = int(np.argmax(w))
+        if w[j] <= tol:
             return x
-        passive[int(np.argmax(w))] = True
+        passive[j] = True
+        entering = True
         while True:
             solves += 1
             if solves > 3 * n + 10:
                 raise LPLimitError("NNLS iteration cap reached")
-            B = A[:, passive]
-            s_P = np.linalg.lstsq(B, b, rcond=None)[0]
-            s_P += np.linalg.lstsq(B, b - B @ s_P, rcond=None)[0]  # one refinement step
+            s_P = _refined_lstsq(A[:, passive], b)[0]
             s = np.zeros(n)
             s[passive] = s_P
-            if np.min(s[passive]) > 0.0:
+            if s_P.min() > 0.0:
                 x = s
                 break
+            if entering and s[j] <= 0.0:
+                return x
+            entering = False
             blocking = np.flatnonzero(passive & (s <= 0.0))
             ratios = x[blocking] / (x[blocking] - s[blocking])
             x = x + np.min(ratios) * (s - x)

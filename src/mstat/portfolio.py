@@ -279,7 +279,8 @@ class PortfolioLowerModel(LowerModel):
     def hess_ztheta(self, z, theta, x):
         x = np.asarray(x, dtype=float)
         # d(grad_z)_i / d theta_(a,b) = -x_a delta_(i,b), flattened over (a,b)
-        return -np.kron(x.reshape(-1, 1), np.eye(self.inst.d_z)).T
+        d = self.inst.d_z
+        return -(x[None, :, None] * np.eye(d)[:, None, :]).reshape(d, -1)
 
     def grad_theta(self, z, theta, x):
         return -np.outer(np.asarray(x, dtype=float), np.asarray(z, dtype=float)).ravel()

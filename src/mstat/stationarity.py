@@ -26,9 +26,10 @@ from .cones import (
     MAX_ACTIVE_ROWS,
     CombinatorialLimitError,
     Polyhedron,
+    active_set,
+    cone_distance,
     distance_to_normal_cone,
     multiplier_within_support,
-    normal_cone_multiplier,
     orthant_polyhedron,
     simplex_polyhedron,
 )
@@ -40,6 +41,7 @@ from .graph_normals import (
     make_graph_context,
     membership_for_set,
 )
+from .lp import feasibility_threshold
 
 __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
@@ -643,15 +645,24 @@ def _infeasible_report(index):
 def _check_scenario(feasible, poly, index, z, g, probe, eta, gap, given, eps, strict_eps):
     """One scenario's report by the general route: the lower residual by
     NNLS, the complementarity gap by LP and the membership by the set's
-    predicate."""
+    predicate.
+
+    Both the residual and the multiplier use one active set. The LP is
+    skipped when the residual exceeds twice its feasibility threshold: its
+    phase-1 optimum is an L1 residual, at least the NNLS distance, so it
+    would find no multiplier. With no active row there is no LP to skip.
+    """
+    target = -g
     try:
-        low_res = distance_to_normal_cone(poly, z, -g, eps)
+        I = active_set(poly, z, eps)
+        low_res = cone_distance(target, poly.A[list(I)])
     except ValueError:
         return _infeasible_report(index)
     comp_gap = None
-    decomp = normal_cone_multiplier(poly, z, g, eps)
-    if decomp is not None:
-        comp_gap = decomp.complementarity_residual(poly, z)
+    if not I or low_res <= 2.0 * feasibility_threshold(target):
+        lam = multiplier_within_support(poly, z, target, I, eps)
+        if lam is not None:
+            comp_gap = float(np.max(np.abs(lam * (poly.A @ z - poly.b))))
     res = membership_for_set(feasible, z, g, probe, eta, eps, strict_eps)
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,

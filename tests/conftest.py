@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError,
                          Polyhedron, multiplier_within_support)
 from mstat.graph_normals import STRICT_EPS, make_graph_context
+from mstat.lp import LPLimitError
 from mstat.stationarity import FeasibleSet
 
 
@@ -290,3 +291,54 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
                     if _regime_has_nonzero_eta(poly.A, H, eq, ineq) is not None:
                         return False
     return True
+
+
+def nnls_oracle(A, b):
+    """argmin_{x >= 0} ||A x - b|| by the Lawson-Hanson active-set method.
+
+    The plain loop of `mstat.lp.nnls`, without its certified full-support
+    start and its entering-column guard: the bit-for-bit reference of the
+    tests. Where the guard ends a run, this loop raises instead.
+
+    Columns enter the passive set one at a time, the one with the largest
+    positive gradient A^T (b - A x) first (lowest index on ties); an inner
+    loop steps back along the segment to the unconstrained least-squares
+    point and drops columns that hit zero. A column enters only when its
+    gradient clears a rounding-noise tolerance; a column in the span of the
+    passive ones has zero gradient against the least-squares residual, so the
+    passive columns stay independent when A has dependent columns. The answer
+    depends only on (A, b). Raises LPLimitError after 3n + 10 least-squares
+    solves instead of looping.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * max(m, n) * np.finfo(float).eps \
+        * np.abs(A).sum(axis=0).max(initial=0.0) * np.linalg.norm(b)
+    solves = 0
+    while True:
+        w = A.T @ (b - A @ x)
+        w[passive] = -np.inf
+        if n == 0 or np.max(w) <= tol:
+            return x
+        passive[int(np.argmax(w))] = True
+        while True:
+            solves += 1
+            if solves > 3 * n + 10:
+                raise LPLimitError("NNLS iteration cap reached")
+            B = A[:, passive]
+            s_P = np.linalg.lstsq(B, b, rcond=None)[0]
+            s_P += np.linalg.lstsq(B, b - B @ s_P, rcond=None)[0]  # one refinement step
+            s = np.zeros(n)
+            s[passive] = s_P
+            if np.min(s[passive]) > 0.0:
+                x = s
+                break
+            blocking = np.flatnonzero(passive & (s <= 0.0))
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x = x + np.min(ratios) * (s - x)
+            x[blocking[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0

@@ -844,6 +844,16 @@ def test_fd_check_trials_must_be_positive(tmp_path, capsys):
         assert (code, out) == (1, "") and "--trials" in err, bad
 
 
+def test_fd_check_atol_must_be_finite_and_nonnegative(tmp_path, capsys):
+    argv = _tol_runs(tmp_path)["fd-check"]
+    for good in ("0", "1e-9", "0.5"):
+        code, out, _ = run(capsys, *argv, "--atol", good)
+        assert code in (0, 2) and json.loads(out)["atol"] == float(good), good
+    for bad in ("inf", "nan", "-1", "-inf", "-1e-12", "abc"):
+        code, out, err = run(capsys, *argv, "--atol", bad)
+        assert (code, out) == (1, "") and "--atol" in err, bad
+
+
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
     unread = {"gen": (["gen", "portfolio", "--n", "2"], ["--tol", "--report", "--format"]),
               "cones": (["cones", "--input", "q.json"], ["--seed"]),

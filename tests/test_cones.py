@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
+from conftest import random_polyhedral_graph_point
 from mstat.cones import (
     ConeRepH,
     InfeasiblePointError,
@@ -10,6 +11,7 @@ from mstat.cones import (
     active_diagnostics,
     active_set,
     cone_coefficients,
+    cone_distance,
     critical_cone,
     critical_cone_perp_form,
     distance_to_normal_cone,
@@ -25,6 +27,7 @@ from mstat.cones import (
     simplex_polyhedron,
     tangent_cone,
 )
+from mstat.lp import feasibility_threshold
 
 ORTHANT2 = orthant_polyhedron(2)
 
@@ -402,3 +405,25 @@ def test_distance_to_normal_cone_projection():
         ref = scipy_nnls(rows.T, u)[0]
         assert abs(distance_to_normal_cone(poly, z, u)
                    - np.linalg.norm(rows.T @ ref - u)) <= 1e-12
+
+
+def test_multiplier_lp_fails_past_twice_the_feasibility_threshold():
+    """The phase-1 optimum of the multiplier LP is an L1 residual, at least
+    the NNLS distance, so a distance above twice the LP's feasibility
+    threshold leaves no multiplier. Perturbations of a normal vector span
+    the decades around the threshold."""
+    rng = np.random.default_rng(5)
+    past = within = 0
+    for _ in range(400):
+        poly, z, g = random_polyhedral_graph_point(rng)
+        I = active_set(poly, z)
+        target = -(g + 10.0 ** rng.uniform(-12, 0) * rng.standard_normal(len(z)))
+        if not I:
+            continue
+        lam = multiplier_within_support(poly, z, target, I)
+        if cone_distance(target, poly.A[list(I)]) > 2.0 * feasibility_threshold(target):
+            assert lam is None, (poly.A.tolist(), z.tolist(), target.tolist())
+            past += 1
+        else:
+            within += lam is not None
+    assert past >= 80 and within >= 150, (past, within)

@@ -3,6 +3,8 @@ import pytest
 from scipy.optimize import linprog, nnls as scipy_nnls
 
 import mstat.lp as lp
+from conftest import nnls_oracle
+from mstat.cones import active_set, simplex_polyhedron
 from mstat.lp import LPLimitError, linear_feasible, nnls
 
 
@@ -137,3 +139,90 @@ def test_nnls_edge_cases():
     assert nnls(np.zeros((2, 0)), np.array([1.0, 2.0])).shape == (0,)
     assert np.array_equal(nnls(np.eye(2), np.zeros(2)), np.zeros(2))
     assert np.array_equal(nnls(np.eye(2), np.array([-1.0, 3.0])), np.array([0.0, 3.0]))
+
+
+def _generator_cases(rng):
+    """(R, u) pairs with the generators as rows, as a normal cone holds them.
+
+    Families: Gaussian, integer, the active rows of a simplex face,
+    duplicated generators, rows scaled over twelve decades, and u of size
+    1e-8. Half of the u are points of cone(R) with positive coefficients,
+    where the certified full-support start applies when R has full row rank.
+    """
+    for family in ("gauss", "integer", "simplex", "dependent", "scaled", "tiny"):
+        for _ in range(150):
+            d = int(rng.integers(1, 8))
+            k = int(rng.integers(1, 10))
+            if family == "integer":
+                R = rng.integers(-2, 3, (k, d)).astype(float)
+            elif family == "simplex":
+                poly = simplex_polyhedron(d)
+                z = np.zeros(d)
+                support = rng.random(d) < 0.4
+                z[support] = rng.uniform(0.1, 1.0, int(support.sum()))
+                if support.any():
+                    z *= rng.choice([0.5, 1.0]) / z.sum()
+                R = poly.A[list(active_set(poly, z))]
+                if len(R) == 0:
+                    continue
+            else:
+                R = rng.standard_normal((k, d))
+            if family == "dependent" and len(R) > 1:
+                R = np.vstack([R, R[:len(R) // 2] * 2.0])
+            if family == "scaled":
+                R = R * 10.0 ** rng.uniform(-6, 6, (len(R), 1))
+            if rng.random() < 0.5:
+                u = R.T @ rng.uniform(0.1, 2.0, len(R))
+            else:
+                u = rng.standard_normal(d)
+            if family == "tiny":
+                u = u * 1e-8
+            yield R, u
+
+
+def test_nnls_equals_the_cold_start_oracle_bit_for_bit():
+    """The certified start and the entering-column guard change no answer.
+
+    Matrices go in as R.T, the transposed row view that
+    distance_to_normal_cone passes, and as a C-ordered copy, whose products
+    round differently. Where the oracle raises (it can cycle to its cap),
+    nnls must return an optimal point instead.
+    """
+    rng = np.random.default_rng(41)
+    compared = full_support = raised = 0
+    for R, u in _generator_cases(rng):
+        for A in (R.T, np.ascontiguousarray(R.T)):
+            x = nnls(A, u)
+            try:
+                ref = nnls_oracle(A, u)
+            except (LPLimitError, ValueError):
+                raised += 1
+                best = np.linalg.norm(A @ scipy_nnls(A, u)[0] - u)
+                assert np.linalg.norm(A @ x - u) <= best + 1e-12 * (1.0 + np.linalg.norm(u))
+                continue
+            assert x.tobytes() == ref.tobytes(), (R.tolist(), u.tolist())
+            compared += 1
+            full_support += bool(np.all(ref > 0.0))
+    assert compared >= 1600 and full_support >= 400 and raised <= 20
+
+
+def test_nnls_entering_column_guard_ends_a_cycle():
+    """Column 5's gradient clears the tolerance by rounding noise alone.
+
+    Without the guard it enters with a coefficient <= 0, the ratio step is 0
+    and the same column enters on every round until the solve cap.
+    """
+    A = np.array([
+        [-1.0184792082401748, 1.466078148326086, 0.10489345497097477,
+         -2.5288606829934746, 0.1372309319245616, -0.6728306099078544],
+        [0.3220212957521828, 1.8466081225046376, -0.7133995316411494,
+         0.38156306272332086, 2.4451459784789153, -0.08704458679948772],
+        [-0.5178879160992896, -0.7261828002110436, 0.8315015991152787,
+         -0.05924158303313256, 0.17741885261705917, -0.46162672351873907]])
+    b = np.array([7.620078319777197e-09, 9.670619395796044e-09, -1.0978323086109281e-08])
+    with pytest.raises(LPLimitError):
+        nnls_oracle(A, b)
+    x = nnls(A, b)
+    assert_nnls_optimal(A, b, x, tol=1e-18)
+    ref = scipy_nnls(A, b)[0]
+    assert np.allclose(x, ref, rtol=1e-9, atol=0.0)

@@ -134,6 +134,10 @@ def test_lower_model_gradients_match_finite_differences(rng):
         e[j] = h
         fd = (lm.grad_z(z, theta + e, x) - lm.grad_z(z, theta - e, x)) / (2 * h)
         assert np.max(np.abs(M[:, j] - fd)) < 1e-7
+    # the same products as the Kronecker form, signed zeros included
+    for xk in (x, np.array([0.0, -0.0, -1.5]), np.array([-2.0])):
+        kron = -np.kron(xk.reshape(-1, 1), np.eye(inst.d_z)).T
+        assert lm.hess_ztheta(z, theta, xk).tobytes() == kron.tobytes()
     # grad_theta against finite differences of cost
     gt = lm.grad_theta(z, theta, x)
     for j in range(theta.size):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import nnamcq_oracle, random_polyhedral_graph_point
-from mstat.cones import (CombinatorialLimitError, Polyhedron, orthant_polyhedron,
-                         simplex_polyhedron)
+from mstat.cones import (CombinatorialLimitError, Polyhedron, distance_to_normal_cone,
+                         normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
 from mstat.graph_normals import make_graph_context
 from mstat.stationarity import (
     Certificate,
@@ -860,3 +860,29 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
         warnings.warn("%d scenario reports inside the eps band differ between the orthant "
                       "and polyhedral routes, e.g. (trial, mode, z, g, zeta, eta, verdicts) "
                       "%s" % (len(in_band), in_band[0]))
+
+
+def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
+    """verify_certificate on a general polyhedron reports, bit for bit, the
+    lower residual of distance_to_normal_cone and the complementarity gap of
+    normal_cone_multiplier (None where that finds no multiplier), though it
+    takes the active set once and skips the LP past the distance bound."""
+    kinds = set()
+    for _ in range(60):
+        poly, z, g = random_polyhedral_graph_point(rng)
+        d = len(z)
+        gs = [g] + [g + 10.0 ** e * rng.standard_normal(d) for e in (-13, -10, -8, 0)]
+        problem = Problem(lower=ContextLinearLower(np.zeros((d, 1)), np.zeros(d),
+                                                  FeasibleSet.polyhedron(poly)),
+                          upper=TrackingUpper(d, 1),
+                          scenarios=[Scenario(x=gk, y=np.zeros(d), weight=0.2) for gk in gs])
+        cert = Certificate(theta=np.zeros(1), scenarios=[
+            ScenarioCertificate(z=z, eta=np.zeros(d)) for _ in gs])
+        report = verify_certificate(problem, cert)
+        for rep, gk in zip(report.scenarios, problem.scenario_terms(cert.theta, cert).g):
+            assert rep.lower_residual == distance_to_normal_cone(poly, z, -gk)
+            decomp = normal_cone_multiplier(poly, z, gk)
+            want = None if decomp is None else decomp.complementarity_residual(poly, z)
+            assert rep.complementarity_gap == want
+            kinds.add(want is None)
+    assert kinds == {True, False}
