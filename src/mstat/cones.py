@@ -22,7 +22,7 @@ __all__ = [
     "Polyhedron", "ConeRepH", "ConeRepV", "ActiveDecomposition", "Face",
     "InfeasiblePointError", "CombinatorialLimitError",
     "orthant_polyhedron", "simplex_polyhedron",
-    "active_set", "active_diagnostics", "tangent_cone",
+    "active_set", "active_rows", "active_diagnostics", "tangent_cone",
     "normal_cone_multiplier", "critical_cone", "critical_cone_perp_form",
     "polar_cone", "member_h", "member_v", "faces_of_cone", "face_contains",
     "face_difference", "cone_coefficients", "multiplier_within_support",
@@ -92,10 +92,14 @@ class Polyhedron:
         return self.b - self.A @ np.asarray(z, dtype=float)
 
     def contains(self, z, eps=DEFAULT_EPS):
-        return bool(np.min(self.slacks(z)) >= -eps)
+        return bool(np.min(self.slacks(z), initial=np.inf) >= -eps)
 
     def most_violated(self, z):
+        """(original row index, violation) of the row with the least slack,
+        or None when no row is left (the system is all of R^d)."""
         s = self.slacks(z)
+        if not s.size:
+            return None
         i = int(np.argmin(s))
         return int(self.row_index[i]), float(-s[i])
 
@@ -207,17 +211,22 @@ class ActiveDecomposition:
     I_zero: tuple
 
     def complementarity_residual(self, poly, z):
-        return float(np.max(np.abs(self.lam * (poly.A @ z - poly.b))))
+        return float(np.max(np.abs(self.lam * (poly.A @ z - poly.b)), initial=0.0))
 
 
 def active_set(poly, z, eps=DEFAULT_EPS):
     """Indices i with |a_i^T z - b_i| <= eps; requires z feasible within eps."""
-    z = np.asarray(z, dtype=float)
-    s = poly.slacks(z)
-    if np.min(s) < -eps:
-        row, viol = poly.most_violated(z)
-        raise InfeasiblePointError("point violates row %d by %.3g" % (row, viol))
-    return tuple(int(i) for i in np.flatnonzero(np.abs(s) <= eps))
+    return active_rows(poly, poly.slacks(np.asarray(z, dtype=float)), eps)
+
+
+def active_rows(poly, slack, eps=DEFAULT_EPS):
+    """Indices i with |slack_i| <= eps for the slack vector b - A z of a
+    point z; raises InfeasiblePointError when some slack is below -eps."""
+    s = slack.tolist()
+    if min(s, default=0.0) < -eps:
+        i = s.index(min(s))
+        raise InfeasiblePointError("point violates row %d by %.3g" % (poly.row_index[i], -s[i]))
+    return tuple(i for i, v in enumerate(s) if abs(v) <= eps)
 
 def active_diagnostics(poly, z, eps=DEFAULT_EPS):
     """Rows whose slack sits within a decade of the activity threshold.

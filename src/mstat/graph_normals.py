@@ -301,10 +301,6 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS)
     return Membership(False, "not_member", "oracle", {"active_rows": list(I)})
 
 
-def _strict_neg(x, strict_eps):
-    return x <= -strict_eps
-
-
 def _ambiguous(values, strict_eps):
     return [int(i) for i, v in enumerate(values) if 0.0 < abs(v) < strict_eps]
 
@@ -365,28 +361,127 @@ def orthant_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
                          eps, strict_eps)[0]
 
 
-def _simplex_beta_conditions(zeta, eta, beta, tau, sum_gap, labels, eps, strict_eps):
-    """Check the simplex system for one candidate beta."""
-    L, I_plus, I_zero = labels
-    if abs(beta) > eps and sum_gap > eps:
-        return False
-    sum_eta = float(np.sum(eta))
-    if abs(tau) > strict_eps and abs(sum_eta) > eps:
-        return False
-    beta_pos = beta > strict_eps
-    if not ((beta_pos and sum_eta > strict_eps)
-            or abs(beta) <= eps or abs(sum_eta) <= eps):
-        return False
-    if L.any() and np.max(np.abs(zeta[L] - beta)) > eps:
-        return False
-    if I_plus.any() and np.max(np.abs(eta[I_plus])) > eps:
-        return False
-    for i in np.flatnonzero(I_zero):
-        zi, ei = zeta[i] - beta, eta[i]
-        both_neg = _strict_neg(zi, strict_eps) and _strict_neg(ei, strict_eps)
-        if not (both_neg or abs(zi) <= eps or abs(ei) <= eps):
-            return False
-    return True
+def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, I_zero, eps, strict_eps):
+    """Whether row j passes the simplex sign system with zeta_j shifted by beta_j.
+
+    The budget row is tight. beta is a (k,) array; zeta, eta and the masks
+    broadcast to (k, d), tau and sum_eta to (k,). A row passes when tau or
+    sum(eta) vanishes, beta vanishes or has the sign of a strictly positive
+    sum(eta), zeta_i - beta vanishes on L, eta_i on I_+, and on I_0 one of
+    zeta_i - beta and eta_i vanishes or both are strictly negative.
+    """
+    shift = zeta - beta[:, None]
+    small_shift, small_eta = np.abs(shift) <= eps, np.abs(eta) <= eps
+    both_neg = (shift <= -strict_eps) & (eta <= -strict_eps)
+    fails = (L & ~small_shift) | (I_plus & ~small_eta) \
+        | (I_zero & ~(both_neg | small_shift | small_eta))
+    small_sum = np.abs(sum_eta) <= eps
+    return ~fails.any(axis=1) & ((np.abs(tau) <= strict_eps) | small_sum) \
+        & (((beta > strict_eps) & (sum_eta > strict_eps)) | (np.abs(beta) <= eps) | small_sum)
+
+
+def _spread(v, mask):
+    """Row-wise max minus min of v over mask; -inf on a row with no entry."""
+    return np.where(mask, v, -np.inf).max(axis=1) - np.where(mask, v, np.inf).min(axis=1)
+
+
+def _simplex_corner(z, g, zeta, eta, sum_eta, witness, eps, strict_eps):
+    """One point whose budget row is tight while no coordinate clears the
+    activity threshold, so tau and beta are both unresolved. Only finitely
+    many beta regimes matter: zero, each zeta_i, and anything above max zeta.
+    """
+    if np.min(g, initial=0.0) < -eps or np.max(np.abs(z * g), initial=0.0) > eps:
+        return _empty("simplex", "z and g are not complementary")
+    candidates = np.array([0.0, float(np.max(zeta, initial=0.0)) + 1.0] + zeta.tolist())
+    I_plus = g > eps
+    ok = _shifted_sign_ok(zeta, eta, candidates, 0.0, sum_eta, np.zeros(len(z), dtype=bool),
+                          I_plus, ~I_plus, eps, strict_eps)
+    beta = float(candidates[np.argmax(ok)]) if ok.any() else None
+    witness.update({"tau": None, "beta": beta, "degenerate_support": True})
+    return Membership(beta is not None, "member" if beta is not None else "not_member",
+                      "simplex", witness)
+
+
+def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
+    """Simplex coderivative membership of k points at once, one per row.
+
+    z, g, zeta and eta are (k, d) arrays; row j is a point of
+    {z >= 0, 1^T z <= 1}. The coordinate sums, the masks L = z > eps and the
+    spreads of g and zeta on L are array expressions over all rows. Rows
+    with a slack budget row reduce to the orthant form with beta = 0 and go
+    through one _orthant_rows call. On the sum face the budget multiplier
+    tau is read off L, where g must be constant, beta is pinned to the
+    common value of zeta on L, and the other coordinates obey the shifted
+    sign conditions with zeta_i - beta, one array expression for all rows.
+    tau and beta are np.mean of each row's own L entries: a sum over a
+    padded row groups its terms differently and can round differently.
+    """
+    k = len(z)
+    sum_gap = (1.0 - z.sum(axis=1)).tolist()
+    sum_eta = eta.sum(axis=1)
+    negative = (z < -eps).any(axis=1).tolist()
+    L = z > eps
+    L_rows, zeta_rows = L.tolist(), zeta.tolist()
+    g_spread, zeta_spread = _spread(g, L).tolist(), _spread(zeta, L).tolist()
+    out, witnesses = [None] * k, [None] * k
+    interior, face = [], []
+    tau, beta = np.zeros(k), np.zeros(k)
+    for j, (gap, support) in enumerate(zip(sum_gap, L_rows)):
+        if negative[j]:
+            out[j] = _empty("simplex", "z has negative coordinates")
+            continue
+        if gap < -eps:
+            out[j] = _empty("simplex", "coordinate sum exceeds one")
+            continue
+        witnesses[j] = {"L": _flagged(support), "sum_gap": gap,
+                        "sum_near_threshold": bool(eps < abs(gap) <= 10.0 * eps),
+                        "boundary_ambiguous": _ambiguous(zeta_rows[j], strict_eps)}
+        if gap > eps:
+            interior.append(j)
+        elif not witnesses[j]["L"]:
+            out[j] = _simplex_corner(z[j], g[j], zeta[j], eta[j], sum_eta[j],
+                                     witnesses[j], eps, strict_eps)
+        elif g_spread[j] > eps:
+            out[j] = _empty("simplex", "gradient not constant on the support")
+        else:
+            tau[j] = -np.mean(g[j][L[j]])
+            if tau[j] < -eps:
+                out[j] = _empty("simplex", "budget multiplier would be negative")
+                continue
+            if zeta_spread[j] <= eps:
+                beta[j] = np.mean(zeta[j][L[j]])
+            face.append(j)
+
+    if interior:
+        for j, res in zip(interior, _orthant_rows(z[interior], g[interior], zeta[interior],
+                                                  eta[interior], eps, strict_eps)):
+            witness = witnesses[j]
+            witness.update(res.witness)
+            witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
+            out[j] = Membership(res.member, res.verdict, "simplex", witness)
+    if not face:
+        return out
+    shifted = g + tau[:, None]
+    off = ~L
+    bound_negative = (off & (shifted < -eps)).any(axis=1).tolist()
+    I_plus = off & (shifted > eps)
+    I_zero = off & ~I_plus
+    ok = _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, I_zero,
+                          eps, strict_eps).tolist()
+    I_plus, I_zero = I_plus.tolist(), I_zero.tolist()
+    for j in face:
+        if bound_negative[j]:
+            out[j] = _empty("simplex", "bound multiplier would be negative")
+            continue
+        witness = witnesses[j]
+        if zeta_spread[j] > eps:
+            witness.update({"tau": float(tau[j]), "beta": None})
+            out[j] = Membership(False, "not_member", "simplex", witness)
+            continue
+        witness.update({"tau": float(tau[j]), "beta": float(beta[j]),
+                        "I_plus": _flagged(I_plus[j]), "I_zero": _flagged(I_zero[j])})
+        out[j] = Membership(ok[j], "member" if ok[j] else "not_member", "simplex", witness)
+    return out
 
 
 def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
@@ -396,67 +491,15 @@ def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     beta = 0. On the sum face the multiplier tau of the budget row is read off
     the coordinates with z_i > 0 (g must be constant there), beta is pinned to
     the common value of zeta on those coordinates, and the remaining
-    coordinates obey the shifted sign conditions with zeta_i - beta.
+    coordinates obey the shifted sign conditions with zeta_i - beta. z, g,
+    zeta and eta must share one dimension, otherwise ValueError.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
-    zeta, eta = pair.zeta, pair.eta
-    if np.min(z, initial=0.0) < -eps:
-        return _empty("simplex", "z has negative coordinates")
-    sum_gap = 1.0 - float(np.sum(z))
-    if sum_gap < -eps:
-        return _empty("simplex", "coordinate sum exceeds one")
-    L = z > eps
-    witness = {"L": np.flatnonzero(L).tolist(), "sum_gap": sum_gap,
-               "sum_near_threshold": bool(eps < abs(sum_gap) <= 10.0 * eps),
-               "boundary_ambiguous": _ambiguous(zeta, strict_eps)}
-
-    if sum_gap > eps:
-        # Budget row inactive: tau = 0 and beta is forced to zero.
-        res = orthant_membership(z, g, pair, eps, strict_eps)
-        witness.update(res.witness)
-        witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
-        return Membership(res.member, res.verdict, "simplex", witness)
-
-    if L.any():
-        g_L = g[L]
-        if np.max(g_L) - np.min(g_L) > eps:
-            return _empty("simplex", "gradient not constant on the support")
-        tau = float(-np.mean(g_L))
-        if tau < -eps:
-            return _empty("simplex", "budget multiplier would be negative")
-        lam_zero = g[~L] + tau
-        if lam_zero.size and np.min(lam_zero) < -eps:
-            return _empty("simplex", "bound multiplier would be negative")
-        I_plus = (~L) & (g + tau > eps)
-        I_zero = (~L) & ~I_plus
-        zeta_L = zeta[L]
-        if np.max(zeta_L) - np.min(zeta_L) > eps:
-            witness.update({"tau": tau, "beta": None})
-            return Membership(False, "not_member", "simplex", witness)
-        beta = float(np.mean(zeta_L))
-        ok = _simplex_beta_conditions(zeta, eta, beta, tau, abs(sum_gap),
-                                      (L, I_plus, I_zero), eps, strict_eps)
-        witness.update({"tau": tau, "beta": beta,
-                        "I_plus": np.flatnonzero(I_plus).tolist(),
-                        "I_zero": np.flatnonzero(I_zero).tolist()})
-        return Membership(ok, "member" if ok else "not_member", "simplex", witness)
-
-    # Defensive corner: the budget row is tight but no coordinate clears the
-    # activity threshold, so tau and beta are both unresolved. Only finitely
-    # many beta regimes matter: zero, each zeta_i, and anything above max zeta.
-    if np.min(g, initial=0.0) < -eps or np.max(np.abs(z * g), initial=0.0) > eps:
-        return _empty("simplex", "z and g are not complementary")
-    I_plus = g > eps
-    I_zero = ~I_plus
-    labels = (np.zeros(len(z), dtype=bool), I_plus, I_zero)
-    candidates = [0.0, float(np.max(zeta, initial=0.0)) + 1.0] + [float(v) for v in zeta]
-    for beta in candidates:
-        if _simplex_beta_conditions(zeta, eta, beta, 0.0, 0.0, labels, eps, strict_eps):
-            witness.update({"tau": None, "beta": beta, "degenerate_support": True})
-            return Membership(True, "member", "simplex", witness)
-    witness.update({"tau": None, "beta": None, "degenerate_support": True})
-    return Membership(False, "not_member", "simplex", witness)
+    if not z.shape == g.shape == pair.zeta.shape:
+        raise ValueError("z, g, zeta and eta must share a dimension")
+    return _simplex_rows(z[None], g[None], pair.zeta[None], pair.eta[None],
+                         eps, strict_eps)[0]
 
 
 def membership_for_set(feasible, z, g, zeta, eta, eps=DEFAULT_EPS,

@@ -35,28 +35,36 @@ class LPLimitError(Exception):
 
 
 def _pivot(T, basis, row, col):
-    """Pivot T in place on (row, col) and record col as basic in row."""
-    T[row, :] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i, :] -= T[i, col] * T[row, :]
+    """Pivot T in place on (row, col) and record col as basic in row.
+
+    T is a list of row lists of Python floats. Each entry gets the same
+    floating-point operations as the array form T[row] /= p,
+    T[i] -= f * T[row], so the tableau matches it bit for bit.
+    """
+    p = T[row][col]
+    prow = T[row] = [a / p for a in T[row]]
+    for i, r in enumerate(T):
+        f = r[col]
+        if i != row and f != 0.0:
+            T[i] = [a - f * c for a, c in zip(r, prow)]
     basis[row] = col
 
 
 def _bland_pivot(T, basis):
     """Run simplex pivots on tableau T in place until optimal.
 
-    T has shape (m+1, n+1); the last row is the reduced-cost row, the last
-    column the right-hand side. Bland's rule: entering column is the lowest
-    index with negative reduced cost, leaving row breaks ratio ties by the
-    lowest basic-variable index. Anti-cycling, hence finite.
+    T has m+1 rows of n+1 entries; the last row is the reduced-cost row, the
+    last entry of a row its right-hand side. Bland's rule: entering column is
+    the lowest index with negative reduced cost, leaving row breaks ratio
+    ties by the lowest basic-variable index. Anti-cycling, hence finite.
     """
-    m = T.shape[0] - 1
+    m = len(T) - 1
     for _ in range(_MAX_PIVOTS):
-        col = next((j for j in range(T.shape[1] - 1) if T[-1, j] < -_PIVOT_TOL), -1)
+        col = next((j for j, c in enumerate(T[m][:-1]) if c < -_PIVOT_TOL), -1)
         if col < 0:
             return
-        ratios = [(T[i, -1] / T[i, col], basis[i], i) for i in range(m) if T[i, col] > _PIVOT_TOL]
+        ratios = [(r[-1] / r[col], basis[i], i)
+                  for i, r in enumerate(T[:m]) if r[col] > _PIVOT_TOL]
         if not ratios:
             raise LPUnbounded("unbounded pivot column %d" % col)
         best = min(r for r, _, _ in ratios)
@@ -89,27 +97,29 @@ def _solve_standard(A, b):
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
+    # The tableau [A I b] over the reduced-cost row [-1^T A 0 -1^T b], as
+    # Python floats: at this size numpy's per-row call overhead outweighs
+    # the arithmetic.
+    eye = [0.0] * m
+    T = [a + eye + [bi] for a, bi in zip(A.tolist(), b.tolist())]
+    for i in range(m):
+        T[i][n + i] = 1.0
+    T.append((-A.sum(axis=0)).tolist() + eye + [float(-b.sum())])
     basis = list(range(n, n + m))
     _bland_pivot(T, basis)
-    if -T[-1, -1] > feasibility_threshold(b):
+    if -T[-1][-1] > feasibility_threshold(b):
         return None
 
     for i in range(m):
         if basis[i] >= n:
-            j = next((j for j in range(n) if abs(T[i, j]) > _PIVOT_TOL), -1)
+            j = next((j for j, a in enumerate(T[i][:n]) if abs(a) > _PIVOT_TOL), -1)
             if j >= 0:
                 _pivot(T, basis, i, j)
 
     x = np.zeros(n)
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = T[i, -1]
+            x[var] = T[i][-1]
     return x
 
 

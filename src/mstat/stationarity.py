@@ -26,7 +26,7 @@ from .cones import (
     MAX_ACTIVE_ROWS,
     CombinatorialLimitError,
     Polyhedron,
-    active_set,
+    active_rows,
     cone_distance,
     distance_to_normal_cone,
     multiplier_within_support,
@@ -38,6 +38,7 @@ from .graph_normals import (
     finite_number,
     finite_vector,
     _orthant_rows,
+    _simplex_rows,
     make_graph_context,
     membership_for_set,
 )
@@ -57,6 +58,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_VALUE_TOL = 1e-6
+_TERM_BOUND = 1e150
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +644,22 @@ def _infeasible_report(index):
                           witness={"reason": "infeasible scenario point"})
 
 
-def _check_scenario(feasible, poly, index, z, g, probe, eta, gap, given, eps, strict_eps):
+def _check_scenario(poly, index, z, g, gap, given, res, eps):
     """One scenario's report by the general route: the lower residual by
-    NNLS, the complementarity gap by LP and the membership by the set's
-    predicate.
+    NNLS, the complementarity gap by LP and the membership res the caller
+    decided by the set's predicate.
 
-    Both the residual and the multiplier use one active set. The LP is
-    skipped when the residual exceeds twice its feasibility threshold: its
-    phase-1 optimum is an L1 residual, at least the NNLS distance, so it
-    would find no multiplier. With no active row there is no LP to skip.
+    One slack vector b - A z gives the feasibility test, the active set and
+    the gap max |lam_i slack_i|. Both the residual and the multiplier use
+    that active set. The LP is skipped when the residual exceeds twice its
+    feasibility threshold: its phase-1 optimum is an L1 residual, at least
+    the NNLS distance, so it would find no multiplier. With no active row
+    there is no LP to skip.
     """
     target = -g
+    slack = poly.slacks(z)
     try:
-        I = active_set(poly, z, eps)
+        I = active_rows(poly, slack, eps)
         low_res = cone_distance(target, poly.A[list(I)])
     except ValueError:
         return _infeasible_report(index)
@@ -662,8 +667,7 @@ def _check_scenario(feasible, poly, index, z, g, probe, eta, gap, given, eps, st
     if not I or low_res <= 2.0 * feasibility_threshold(target):
         lam = multiplier_within_support(poly, z, target, I, eps)
         if lam is not None:
-            comp_gap = float(np.max(np.abs(lam * (poly.A @ z - poly.b))))
-    res = membership_for_set(feasible, z, g, probe, eta, eps, strict_eps)
+            comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
                           m_residual=_m_residual(res, float(np.linalg.norm(gap)), given),
@@ -706,6 +710,22 @@ def _validate_certificate(problem, certificate):
             raise ValueError("scenario %d zeta has wrong dimension" % i)
 
 
+def _require_bounded_terms(terms, r_lo, r_hi, probe):
+    """Raise ValueError naming the first scenario whose terms, coderivative
+    interval or probe hold an entry that is not finite or exceeds
+    _TERM_BOUND in magnitude.
+
+    The residuals square these entries and sum them; below the bound every
+    such sum stays finite, beyond about 1e154 a single square overflows.
+    """
+    rows = np.hstack([terms.g, terms.curvature, terms.lo, terms.hi, terms.generators,
+                      r_lo, r_hi, probe])
+    ok = np.abs(rows).max(axis=1) <= _TERM_BOUND
+    if not ok.all():
+        raise ValueError("scenario %d: the certificate's terms are not finite or "
+                         "exceed %g in magnitude" % (int(np.argmin(ok)), _TERM_BOUND))
+
+
 def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict_eps):
     """The one verifier body behind both systems.
 
@@ -730,13 +750,20 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
         pull = np.array(mus)[:, None] * terms.g
         r_lo, r_hi = r_lo + pull, r_hi + pull
     probe, gap = _probe_and_gap(r_lo, r_hi, zeta, given[:, None])
-    if lower.feasible_set.kind == "orthant":
+    _require_bounded_terms(terms, r_lo, r_hi, probe)
+    feasible = lower.feasible_set
+    if feasible.kind == "orthant":
         reports = _orthant_reports(z, terms.g, probe, eta, gap, given.tolist(),
                                    eps, strict_eps)
     else:
-        poly = lower.feasible_set.as_polyhedron()
-        reports = [_check_scenario(lower.feasible_set, poly, n, *row, eps, strict_eps)
-                   for n, row in enumerate(zip(z, terms.g, probe, eta, gap, given))]
+        if feasible.kind == "simplex":
+            members = _simplex_rows(z, terms.g, probe, eta, eps, strict_eps)
+        else:
+            members = [membership_for_set(feasible, *row, eps, strict_eps)
+                       for row in zip(z, terms.g, probe, eta)]
+        poly = feasible.as_polyhedron()
+        reports = [_check_scenario(poly, n, *row, eps)
+                   for n, row in enumerate(zip(z, terms.g, gap, given, members))]
     if terms.witness is not None:
         for rep, extra in zip(reports, terms.witness):
             rep.witness = {**rep.witness, **extra}

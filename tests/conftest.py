@@ -9,8 +9,10 @@ from scipy.special import ndtr
 
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError,
                          Polyhedron, multiplier_within_support)
-from mstat.graph_normals import STRICT_EPS, make_graph_context
-from mstat.lp import LPLimitError
+from mstat import lp as LP
+from mstat.graph_normals import (STRICT_EPS, Membership, _ambiguous, _empty,
+                                 make_graph_context, orthant_membership)
+from mstat.lp import LPLimitError, LPUnbounded
 from mstat.stationarity import FeasibleSet
 
 
@@ -342,3 +344,181 @@ def nnls_oracle(A, b):
             x[blocking[np.argmin(ratios)]] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# LP: the numpy tableau, the bit-for-bit reference of mstat.lp._solve_standard
+
+def tableau_pivot_oracle(T, basis, row, col):
+    """Pivot the array T in place on (row, col) and record col as basic in row."""
+    T[row, :] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i, :] -= T[i, col] * T[row, :]
+    basis[row] = col
+
+
+def bland_pivot_oracle(T, basis):
+    """Run simplex pivots on the array tableau T in place until optimal.
+
+    T has shape (m+1, n+1); the last row is the reduced-cost row, the last
+    column the right-hand side. Bland's rule: entering column is the lowest
+    index with negative reduced cost, leaving row breaks ratio ties by the
+    lowest basic-variable index. Reads the pivot tolerance and cap of
+    mstat.lp when called, so a patched cap applies to both.
+    """
+    m = T.shape[0] - 1
+    for _ in range(LP._MAX_PIVOTS):
+        col = next((j for j in range(T.shape[1] - 1) if T[-1, j] < -LP._PIVOT_TOL), -1)
+        if col < 0:
+            return
+        ratios = [(T[i, -1] / T[i, col], basis[i], i) for i in range(m)
+                  if T[i, col] > LP._PIVOT_TOL]
+        if not ratios:
+            raise LPUnbounded("unbounded pivot column %d" % col)
+        best = min(r for r, _, _ in ratios)
+        tol = LP._PIVOT_TOL * (1 + abs(best))
+        tableau_pivot_oracle(T, basis, min((var, i) for r, var, i in ratios
+                                           if r <= best + tol)[1], col)
+    raise LPLimitError("simplex iteration cap reached")
+
+
+def solve_standard_oracle(A, b):
+    """Some x >= 0 with A x = b, or None, by the phase-1 simplex on a numpy
+    array tableau: the reference of the float-list tableau in mstat.lp.
+
+    Phase 1 minimizes the sum of artificial variables; afterwards the
+    artificials still basic are pivoted out where a real column allows it
+    (rows where none does are redundant), and x is read off the basis.
+    """
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    m, n = A.shape
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, :n] = -A.sum(axis=0)
+    T[-1, -1] = -b.sum()
+    basis = list(range(n, n + m))
+    bland_pivot_oracle(T, basis)
+    if -T[-1, -1] > LP.feasibility_threshold(b):
+        return None
+
+    for i in range(m):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if abs(T[i, j]) > LP._PIVOT_TOL), -1)
+            if j >= 0:
+                tableau_pivot_oracle(T, basis, i, j)
+
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = T[i, -1]
+    return x
+
+
+# ---------------------------------------------------------------------------
+# simplex coderivative: the per-point reference of graph_normals._simplex_rows
+
+def _strict_neg(x, strict_eps):
+    return x <= -strict_eps
+
+
+def _simplex_beta_conditions(zeta, eta, beta, tau, sum_gap, labels, eps, strict_eps):
+    """Check the simplex system for one candidate beta."""
+    L, I_plus, I_zero = labels
+    if abs(beta) > eps and sum_gap > eps:
+        return False
+    sum_eta = float(np.sum(eta))
+    if abs(tau) > strict_eps and abs(sum_eta) > eps:
+        return False
+    beta_pos = beta > strict_eps
+    if not ((beta_pos and sum_eta > strict_eps)
+            or abs(beta) <= eps or abs(sum_eta) <= eps):
+        return False
+    if L.any() and np.max(np.abs(zeta[L] - beta)) > eps:
+        return False
+    if I_plus.any() and np.max(np.abs(eta[I_plus])) > eps:
+        return False
+    for i in np.flatnonzero(I_zero):
+        zi, ei = zeta[i] - beta, eta[i]
+        both_neg = _strict_neg(zi, strict_eps) and _strict_neg(ei, strict_eps)
+        if not (both_neg or abs(zi) <= eps or abs(ei) <= eps):
+            return False
+    return True
+
+
+def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+    """Closed-form coderivative membership for Z = {z >= 0, 1^T z <= 1}, one
+    point at a time with numpy calls on that point's arrays.
+
+    With the sum constraint slack the test reduces to the orthant form with
+    beta = 0. On the sum face the multiplier tau of the budget row is read off
+    the coordinates with z_i > 0 (g must be constant there), beta is pinned to
+    the common value of zeta on those coordinates, and the remaining
+    coordinates obey the shifted sign conditions with zeta_i - beta.
+    """
+    z = np.asarray(z, dtype=float)
+    g = np.asarray(g, dtype=float)
+    zeta, eta = pair.zeta, pair.eta
+    if np.min(z, initial=0.0) < -eps:
+        return _empty("simplex", "z has negative coordinates")
+    sum_gap = 1.0 - float(np.sum(z))
+    if sum_gap < -eps:
+        return _empty("simplex", "coordinate sum exceeds one")
+    L = z > eps
+    witness = {"L": np.flatnonzero(L).tolist(), "sum_gap": sum_gap,
+               "sum_near_threshold": bool(eps < abs(sum_gap) <= 10.0 * eps),
+               "boundary_ambiguous": _ambiguous(zeta, strict_eps)}
+
+    if sum_gap > eps:
+        # Budget row inactive: tau = 0 and beta is forced to zero.
+        res = orthant_membership(z, g, pair, eps, strict_eps)
+        witness.update(res.witness)
+        witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
+        return Membership(res.member, res.verdict, "simplex", witness)
+
+    if L.any():
+        g_L = g[L]
+        if np.max(g_L) - np.min(g_L) > eps:
+            return _empty("simplex", "gradient not constant on the support")
+        tau = float(-np.mean(g_L))
+        if tau < -eps:
+            return _empty("simplex", "budget multiplier would be negative")
+        lam_zero = g[~L] + tau
+        if lam_zero.size and np.min(lam_zero) < -eps:
+            return _empty("simplex", "bound multiplier would be negative")
+        I_plus = (~L) & (g + tau > eps)
+        I_zero = (~L) & ~I_plus
+        zeta_L = zeta[L]
+        if np.max(zeta_L) - np.min(zeta_L) > eps:
+            witness.update({"tau": tau, "beta": None})
+            return Membership(False, "not_member", "simplex", witness)
+        beta = float(np.mean(zeta_L))
+        ok = _simplex_beta_conditions(zeta, eta, beta, tau, abs(sum_gap),
+                                      (L, I_plus, I_zero), eps, strict_eps)
+        witness.update({"tau": tau, "beta": beta,
+                        "I_plus": np.flatnonzero(I_plus).tolist(),
+                        "I_zero": np.flatnonzero(I_zero).tolist()})
+        return Membership(ok, "member" if ok else "not_member", "simplex", witness)
+
+    # Defensive corner: the budget row is tight but no coordinate clears the
+    # activity threshold, so tau and beta are both unresolved. Only finitely
+    # many beta regimes matter: zero, each zeta_i, and anything above max zeta.
+    if np.min(g, initial=0.0) < -eps or np.max(np.abs(z * g), initial=0.0) > eps:
+        return _empty("simplex", "z and g are not complementary")
+    I_plus = g > eps
+    I_zero = ~I_plus
+    labels = (np.zeros(len(z), dtype=bool), I_plus, I_zero)
+    candidates = [0.0, float(np.max(zeta, initial=0.0)) + 1.0] + [float(v) for v in zeta]
+    for beta in candidates:
+        if _simplex_beta_conditions(zeta, eta, beta, 0.0, 0.0, labels, eps, strict_eps):
+            witness.update({"tau": None, "beta": beta, "degenerate_support": True})
+            return Membership(True, "member", "simplex", witness)
+    witness.update({"tau": None, "beta": None, "degenerate_support": True})
+    return Membership(False, "not_member", "simplex", witness)

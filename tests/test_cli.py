@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,42 @@ def test_verify_non_finite_certificate_exits_1(tmp_path, capsys):
         for argv in runs:
             code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
             assert code == 1 and out == "" and "finite" in err, (key, argv)
+
+
+def test_gph_normal_on_a_polyhedron_with_no_rows_left(tmp_path, capsys):
+    """{0 z <= 0} drops its only row, leaving Z = R^1, whose normal-cone
+    graph is R x {0}: (zeta, -eta) is normal to it iff zeta = 0, and a
+    nonzero g is off the graph."""
+    base = {"Z": {"A": [[0.0]], "b": [0.0]}, "z": [1.0], "g": [0.0],
+            "zeta": [0.0], "eta": [1.0]}
+    for change, verdict in (({}, "member"), ({"zeta": [1.0]}, "not_member"),
+                            ({"g": [1.0]}, "empty_coderivative")):
+        q = write(tmp_path / "q.json", {**base, **change})
+        with pytest.warns(UserWarning, match="dropping 1 zero rows"):
+            code, out, _ = run(capsys, "gph-normal", "--method", "direct", "--input", q)
+        data = json.loads(out)
+        assert code == 0 and data["verdict"] == verdict, data
+    assert data["witness"] == {"reason": "-g is not in the normal cone at z"}
+
+
+@pytest.mark.parametrize("mode", ["convex", "penalized"])
+def test_verify_certificate_whose_terms_overflow_exits_1(mode, tmp_path, capsys):
+    """theta = 1e308 gives lower gradients near 1e308, whose squares and sums
+    overflow; the verifier names the scenario instead of reporting nan, and
+    numpy warns of no overflow on the way."""
+    code, out, _ = run(capsys, "gen", "portfolio", "--n", "3", "--seed", "1")
+    problem = json.loads(out)
+    d_z = len(problem["sigma"])
+    theta = np.full(np.shape(problem["theta0"]), 1e308).tolist()
+    cert = write(tmp_path / "cert.json", {"theta": theta, "scenarios": [
+        {"z": [1.0 / d_z] * d_z, "eta": [0.0] * d_z} for _ in problem["samples"]]})
+    ppath = write(tmp_path / "problem.json", problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--mode", mode, "--problem", ppath,
+                             "--certificate", cert)
+    assert code == 1 and out == ""
+    assert "scenario 0" in err and "exceed 1e+150" in err, err
 
 
 def test_gph_normal_dimension_mismatch_exits_1(tmp_path, capsys):

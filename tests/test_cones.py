@@ -49,6 +49,21 @@ def test_zero_row_negative_bound_rejected():
     assert not p.contains([0.0, 0.0])
 
 
+def test_a_system_with_no_rows_left_is_the_whole_space():
+    """Dropping every zero row leaves Z = R^d: each point is feasible, no row
+    is active or violated, and the normal cone is {0}."""
+    with pytest.warns(UserWarning):
+        p = Polyhedron([[0.0, 0.0]], [0.0])
+    assert p.m == 0
+    z = [3.0, -1.0]
+    assert p.contains(z) and p.most_violated(z) is None
+    assert active_set(p, z) == () and active_diagnostics(p, z) == ()
+    assert distance_to_normal_cone(p, z, [3.0, 4.0]) == 5.0
+    assert normal_cone_multiplier(p, z, [1.0, 0.0]) is None
+    decomp = normal_cone_multiplier(p, z, [0.0, 0.0])
+    assert decomp.I == () and decomp.complementarity_residual(p, np.array(z)) == 0.0
+
+
 def test_serialization_round_trip():
     p = simplex_polyhedron(3)
     q = Polyhedron.from_dict(p.to_dict())

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstat.cones import (
+    DEFAULT_EPS,
     CombinatorialLimitError,
     Polyhedron,
     orthant_polyhedron,
     simplex_polyhedron,
 )
 from mstat.graph_normals import (
+    STRICT_EPS,
     GraphPoint,
     NormalPair,
     NotGraphPointError,
@@ -25,8 +27,9 @@ from mstat.graph_normals import (
     orthant_membership,
     polyhedron_membership,
     simplex_membership,
+    _simplex_rows,
 )
-from conftest import random_polyhedral_graph_point, random_simplex_graph_point
+from conftest import random_polyhedral_graph_point, random_simplex_graph_point, simplex_oracle
 
 
 def pair(zeta, eta):
@@ -188,6 +191,79 @@ def test_oracle_vs_direct_random(rng):
                 polyhedron_membership(poly, gp, q, context=ctx).member
 
 
+def _simplex_rows_case(rng, k, d, eps, strict_eps):
+    """k rows of (z, g, zeta, eta) in R^d that reach every branch of the
+    simplex test: a tight, slack or violated budget row, a support on which
+    g and zeta are constant or off by a hair, and entries at 0, +-eps,
+    +-strict_eps and just beyond them."""
+    hairs = np.array([eps, -eps, strict_eps, -strict_eps, 0.5 * eps, 2.0 * eps,
+                      -2.0 * eps, 1.5 * strict_eps])
+
+    def hair(size, p=0.3):
+        return np.where(rng.random(size) < p, rng.choice(hairs, size), 0.0)
+
+    Z, G, ZETA, ETA = (np.empty((k, d)) for _ in range(4))
+    for j in range(k):
+        support = rng.random(d) < rng.uniform(0.2, 0.9)
+        support[rng.integers(d)] = True
+        z = np.where(support, rng.uniform(0.05, 1.0, d), np.abs(hair(d, 0.2)))
+        z[support] *= rng.choice([1.0, 1.0, 1.0, 0.6, 1.0 - 2.0 * eps]) / z[support].sum()
+        if rng.random() < 0.1:
+            z = np.full(d, rng.choice([0.4, 1.0 / d]))        # the degenerate corner
+        if rng.random() < 0.05:
+            z[rng.integers(d)] = rng.choice([-2.0 * eps, 0.5])
+        tau = rng.choice([0.0, 0.0, 0.8, -eps, 2.0 * eps, -0.3])
+        off = rng.choice([0.0, 0.0, 1.2, -0.5, eps, -2.0 * eps], d)
+        g = -tau + np.where(support, hair(d, 0.1), off + hair(d))
+        beta = rng.choice([0.0, 0.0, 1.5, -0.7, eps, strict_eps, -strict_eps])
+        zeta = beta + np.where(support, hair(d, 0.1), rng.choice([0.0, 1.0, -1.0, 0.3], d))
+        eta = np.where(rng.random(d) < 0.4, rng.choice([0.0, 1.0, -1.0, 0.5], d), hair(d, 0.5))
+        if rng.random() < 0.3:
+            eta[-1] -= eta.sum()
+        Z[j], G[j], ZETA[j], ETA[j] = z, g, zeta, eta
+    return Z, G, ZETA, ETA
+
+
+def _simplex_branch(res, eps):
+    """The branch of the simplex test that decided res."""
+    w = res.witness
+    if "reason" in w:
+        return w["reason"]
+    if w.get("degenerate_support"):
+        return res.verdict + " at the corner"
+    return res.verdict + (" on the face" if w["sum_gap"] <= eps else " inside")
+
+
+def test_simplex_rows_equal_the_per_point_oracle():
+    """_simplex_rows on k rows gives each row the Membership of the per-point
+    numpy body, witness floats and key order included (compared by repr)."""
+    rng = np.random.default_rng(5)
+    branches = {}
+    for trial in range(160):
+        d = int(rng.integers(1, 17))
+        k = int(rng.integers(1, 17))
+        eps = (DEFAULT_EPS, DEFAULT_EPS, 1e-6, 0.5)[trial % 4]
+        strict_eps = STRICT_EPS if trial % 3 else 1e-3 * eps
+        Z, G, ZETA, ETA = _simplex_rows_case(rng, k, d, eps, strict_eps)
+        rows = _simplex_rows(Z, G, ZETA, ETA, eps, strict_eps)
+        for j, res in enumerate(rows):
+            want = simplex_oracle(Z[j], G[j], NormalPair(ZETA[j], ETA[j]), eps, strict_eps)
+            assert repr(res) == repr(want), (Z[j].tolist(), G[j].tolist(),
+                                             ZETA[j].tolist(), ETA[j].tolist(), eps)
+            branch = _simplex_branch(res, eps)
+            branches[branch] = branches.get(branch, 0) + 1
+    assert len(branches) == 13 and min(branches.values()) >= 5, branches
+
+
+def test_simplex_row_sums_equal_the_one_dimensional_sum():
+    """A row of a (k, d) array sums to the bits np.sum gives that row alone,
+    which _simplex_rows relies on for the budget gap and sum(eta)."""
+    rng = np.random.default_rng(3)
+    for d in range(1, 33):
+        X = rng.standard_normal((8, d)) * rng.choice([1e-12, 1.0, 1e12], (8, d))
+        assert X.sum(axis=1).tobytes() == np.array([np.sum(x) for x in X]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 
@@ -292,6 +368,37 @@ def test_simplex_members_are_monotone_and_match_the_oracle(query):
 def test_polyhedron_members_are_monotone_and_match_the_oracle(query):
     poly, z, g, q = query
     _check_against_oracle(poly, z, g, q, polyhedron_membership(poly, GraphPoint(z, g), q))
+
+
+# Membership is positively homogeneous in (zeta, eta). Scaling integer data
+# by 2^k is exact, so each route must give the same verdict at both scales.
+SCALES = st.integers(-6, 6).map(lambda k: 2.0 ** k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(orthant_queries(), SCALES)
+def test_orthant_membership_is_positively_homogeneous(query, t):
+    _, z, g, q = query
+    scaled = orthant_membership(z, g, pair(t * q.zeta, t * q.eta))
+    assert scaled.verdict == orthant_membership(z, g, q).verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_queries(), SCALES)
+def test_simplex_rows_are_positively_homogeneous(query, t):
+    _, z, g, q = query
+    both = _simplex_rows(np.stack([z, z]), np.stack([g, g]), np.stack([q.zeta, t * q.zeta]),
+                         np.stack([q.eta, t * q.eta]), DEFAULT_EPS, STRICT_EPS)
+    assert both[0].verdict == both[1].verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedron_queries(), SCALES)
+def test_polyhedron_membership_is_positively_homogeneous(query, t):
+    poly, z, g, q = query
+    gp = GraphPoint(z, g)
+    scaled = polyhedron_membership(poly, gp, pair(t * q.zeta, t * q.eta))
+    assert scaled.verdict == polyhedron_membership(poly, gp, q).verdict
 
 
 def test_interior_point_membership_is_zero_zeta():

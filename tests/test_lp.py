@@ -3,9 +3,9 @@ import pytest
 from scipy.optimize import linprog, nnls as scipy_nnls
 
 import mstat.lp as lp
-from conftest import nnls_oracle
+from conftest import bland_pivot_oracle, nnls_oracle, solve_standard_oracle
 from mstat.cones import active_set, simplex_polyhedron
-from mstat.lp import LPLimitError, linear_feasible, nnls
+from mstat.lp import LPLimitError, LPUnbounded, linear_feasible, nnls
 
 
 def test_equality_feasible():
@@ -103,6 +103,68 @@ def test_pivot_cap_raises_limit_error(monkeypatch):
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
     with pytest.raises(LPLimitError):
         linear_feasible(A_eq=A, b_eq=b)
+
+
+def _standard_form_cases(rng):
+    """Systems A x = b, x >= 0 of the sizes the LP layer meets (up to 13 x 25)
+    and their corner cases: Gaussian and small-integer entries, feasible
+    right-hand sides built from sparse nonnegative x (degenerate bases),
+    random ones, zero ones, duplicated and negated columns (the split of free
+    variables), repeated rows, and the 15 x 22 Bland system."""
+    yield _regime_system()
+    for trial in range(600):
+        m = int(rng.integers(1, 14))
+        n = int(rng.integers(1, 26))
+        kind = trial % 6
+        if kind in (0, 1):
+            A = rng.standard_normal((m, n))
+        else:
+            A = rng.integers(-2, 3, (m, n)).astype(float)
+        if kind == 3:       # free variables split as [A, -A_free]
+            A = np.hstack([A, -A[:, rng.random(n) < 0.5]])
+        if kind == 4 and m > 1:     # a repeated and a scaled row
+            A[-1] = A[0]
+            if m > 2:
+                A[-2] = 2.0 * A[1]
+        x0 = np.where(rng.random(A.shape[1]) < 0.3, rng.integers(0, 3, A.shape[1]), 0.0)
+        if kind == 1:
+            b = rng.standard_normal(m)
+        elif kind == 5:
+            b = np.zeros(m)
+        else:
+            b = A @ x0
+        yield A, b
+
+
+def test_float_tableau_equals_the_numpy_tableau_bit_for_bit():
+    """_solve_standard on Python floats gives the numpy tableau's answer:
+    the same None, or an x with the same bytes."""
+    rng = np.random.default_rng(11)
+    feasible = infeasible = 0
+    for A, b in _standard_form_cases(rng):
+        x = lp._solve_standard(A, b)
+        ref = solve_standard_oracle(A, b)
+        assert (x is None) == (ref is None), (A.tolist(), b.tolist())
+        if ref is None:
+            infeasible += 1
+        else:
+            assert x.tobytes() == ref.tobytes(), (A.tolist(), b.tolist())
+            feasible += 1
+    assert feasible >= 400 and infeasible >= 50
+
+
+def test_float_tableau_raises_what_the_numpy_tableau_raises(monkeypatch):
+    """A column with negative reduced cost and no positive entry raises
+    LPUnbounded in both, and a spent pivot cap LPLimitError in both."""
+    T = np.array([[1.0, -1.0, 1.0], [-1.0, -2.0, 0.0]])
+    for solve, tableau in ((lp._bland_pivot, T.tolist()), (bland_pivot_oracle, T.copy())):
+        with pytest.raises(LPUnbounded, match="column 1"):
+            solve(tableau, [0])
+    M, rhs = _regime_system()
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
+    for solve in (lp._solve_standard, solve_standard_oracle):
+        with pytest.raises(LPLimitError):
+            solve(M, rhs)
 
 
 def assert_nnls_optimal(A, b, x, tol=1e-9):

@@ -862,6 +862,23 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
                       "%s" % (len(in_band), in_band[0]))
 
 
+def test_verify_on_a_polyhedron_with_no_rows_left():
+    """Z = {0 z <= 0} is R^1 once its zero row is dropped. The unconstrained
+    tracking optimum z = theta = mean(y), eta = y - theta passes, and no
+    scenario reads as infeasible."""
+    with pytest.warns(UserWarning):
+        whole_line = Polyhedron([[0.0]], [0.0])
+    y = [1.0, -2.0, 4.0]
+    problem = tracking_problem(y, feasible=FeasibleSet.polyhedron(whole_line))
+    theta = np.array([1.0])
+    cert = Certificate(theta=theta, scenarios=[
+        ScenarioCertificate(z=theta, eta=np.array([yn]) - theta) for yn in y])
+    report = verify_certificate(problem, cert)
+    assert report.passed
+    for rep in report.scenarios:
+        assert (rep.lower_residual, rep.m_verdict, rep.complementarity_gap) == (0.0, "member", 0.0)
+
+
 def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
     """verify_certificate on a general polyhedron reports, bit for bit, the
     lower residual of distance_to_normal_cone and the complementarity gap of
