@@ -35,13 +35,8 @@ from .graph_normals import (
     Membership,
     NormalPair,
     NotGraphPointError,
-    coderivative_member_orthant,
-    coderivative_member_polyhedron,
-    coderivative_member_simplex,
-    limiting_normal_member_oracle,
     make_graph_context,
     orthant_membership,
-    oracle_membership,
     polyhedron_membership,
     simplex_membership,
 )
@@ -55,11 +50,8 @@ from .stationarity import (
     Scenario,
     ScenarioCertificate,
     UpperModel,
-    directional_derivative_value,
     lower_residual,
-    m_stationarity_check,
     nnamcq_check,
-    psi_set,
     upper_residual,
     value_function,
     value_subdifferential,

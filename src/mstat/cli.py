@@ -240,10 +240,7 @@ def cmd_gph_normal(args):
             raise CliError("explicit method needs Z = orthant or simplex")
     else:
         poly = _feasible_from_spec(spec, len(gp.z)).as_polyhedron()
-        if method == "oracle":
-            res = GN.oracle_membership(poly, gp, pair, eps)
-        else:
-            res = GN.polyhedron_membership(poly, gp, pair, eps)
+        res = GN.polyhedron_membership(poly, gp, pair, eps)
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
            "method": method, "witness": _jsonable(res.witness)}
     _dump(out, args)
@@ -332,8 +329,6 @@ def cmd_spo_portfolio(args):
     out = {"schema": SCHEMA, "action": args.action}
     if args.action in ("loss", "solve", "certificate") and args.theta is None:
         raise CliError("--theta FILE is required for action %r" % args.action)
-    if args.action == "system" and args.certificate is None:
-        raise CliError("--certificate FILE is required for action 'system'")
     theta = None
     if args.theta:
         theta = _finite_array(_load_json(args.theta, "theta", kind=list), "theta")
@@ -360,13 +355,6 @@ def cmd_spo_portfolio(args):
                            "zeta": s.zeta.tolist(), "beta": b}
                           for s, b in zip(cert.scenarios, betas)],
         }
-    elif args.action == "system":
-        cert_data = _load_certificate(args.certificate)
-        rep = PF.build_portfolio_system(cert_data["theta"], cert_data["scenarios"], inst,
-                                        tol=args.tol if args.tol is not None else 1e-8)
-        out["report"] = rep.to_dict()
-        _dump(out, args)
-        return 0 if rep.passed else 2
     else:
         raise CliError("unknown action %r" % args.action)
     _dump(out, args)
@@ -564,7 +552,7 @@ def build_parser():
 
     p = sp.add_parser("gph-normal", help="coderivative membership query")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("auto", "oracle", "direct", "explicit"),
+    p.add_argument("--method", choices=("auto", "direct", "explicit"),
                    default="auto")
     _tol(p, "activity tolerance eps (default 1e-9)")
     _output(p)
@@ -579,14 +567,11 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sp.add_parser("spo-portfolio", help="portfolio pipeline actions")
-    p.add_argument("action", choices=("fit", "loss", "solve", "search",
-                                      "certificate", "system"))
+    p.add_argument("action", choices=("fit", "loss", "solve", "search", "certificate"))
     p.add_argument("--problem", required=True)
     p.add_argument("--theta", default=None, help="JSON file with a theta matrix")
-    p.add_argument("--certificate", default=None)
     p.add_argument("--samples-csv", default=None)
     p.add_argument("--steps", type=int, default=50)
-    _tol(p, "residual tolerance of 'system' (default 1e-8)")
     _seed(p)
     _output(p)
     p.set_defaults(func=cmd_spo_portfolio)

@@ -23,8 +23,8 @@ __all__ = [
     "InfeasiblePointError", "CombinatorialLimitError",
     "orthant_polyhedron", "simplex_polyhedron",
     "active_set", "active_rows", "active_diagnostics", "tangent_cone",
-    "normal_cone_multiplier", "critical_cone", "critical_cone_perp_form",
-    "polar_cone", "member_h", "member_v", "faces_of_cone", "face_contains",
+    "normal_cone_multiplier", "critical_cone",
+    "polar_cone", "member_h", "member_v", "faces_of_cone",
     "face_difference", "cone_coefficients", "multiplier_within_support",
     "distance_to_normal_cone", "cone_distance",
 ]
@@ -52,16 +52,15 @@ class Polyhedron:
     """Inequality system {z in R^d : A z <= b} with row-index bookkeeping.
 
     Zero rows with b_i >= 0 never bind and are dropped with a warning; a zero
-    row with b_i < 0 makes the system empty and is rejected unless
-    `allow_infeasible_rows` is set. `row_index` maps retained rows back to the
-    caller's original numbering.
+    row with b_i < 0 makes the system empty and is rejected. `row_index` maps
+    retained rows back to the caller's original numbering.
     """
 
     A: np.ndarray
     b: np.ndarray
     row_index: np.ndarray = field(default=None)
 
-    def __init__(self, A, b, allow_infeasible_rows=False):
+    def __init__(self, A, b):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
@@ -70,7 +69,7 @@ class Polyhedron:
             raise ValueError("need at least one row and one column")
         zero = np.all(A == 0.0, axis=1)
         bad = zero & (b < 0)
-        if bad.any() and not allow_infeasible_rows:
+        if bad.any():
             raise ValueError("zero row with negative bound at %s" % np.flatnonzero(bad).tolist())
         drop = zero & (b >= 0)
         if drop.any():
@@ -93,15 +92,6 @@ class Polyhedron:
 
     def contains(self, z, eps=DEFAULT_EPS):
         return bool(np.min(self.slacks(z), initial=np.inf) >= -eps)
-
-    def most_violated(self, z):
-        """(original row index, violation) of the row with the least slack,
-        or None when no row is left (the system is all of R^d)."""
-        s = self.slacks(z)
-        if not s.size:
-            return None
-        i = int(np.argmin(s))
-        return int(self.row_index[i]), float(-s[i])
 
     def to_dict(self):
         return {"A": self.A.tolist(), "b": self.b.tolist()}
@@ -273,18 +263,6 @@ def critical_cone(poly, z, v_normal, eps=DEFAULT_EPS):
     return ConeRepH(poly.A[list(decomp.I_plus)], poly.A[list(decomp.I_zero)], dim=poly.dim)
 
 
-def critical_cone_perp_form(poly, z, v_normal, eps=DEFAULT_EPS):
-    """Multiplier-free form T_Z(z) intersected with the hyperplane v_normal^perp.
-
-    Set-equal to critical_cone for any valid multiplier split; kept as an
-    independent cross-check because the split is not unique.
-    """
-    v = np.asarray(v_normal, dtype=float)
-    I = active_set(poly, z, eps)
-    E = v.reshape(1, -1) if np.max(np.abs(v), initial=0.0) > eps else None
-    return ConeRepH(E, poly.A[list(I)], dim=poly.dim)
-
-
 def polar_cone(K):
     """Polar of {E d = 0, G d <= 0} is {G^T mu + E^T nu : mu >= 0, nu free}."""
     return ConeRepV(K.G, K.E, dim=K.dim)
@@ -319,17 +297,18 @@ class Face:
     tight: frozenset
 
 
-def faces_of_cone(K, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
+def faces_of_cone(K, eps=DEFAULT_EPS):
     """All closed faces of K, one per distinct face set.
 
     Promotes every subset J of G-rows to equalities and deduplicates
     set-equal results by their tight-row signature (two faces of the same
     system coincide exactly when the same G-rows are forced to equality).
-    Exponential in the G-row count and refused beyond `max_rows`.
+    Exponential in the G-row count and refused beyond MAX_ACTIVE_ROWS.
     """
     r = K.G.shape[0]
-    if r > max_rows:
-        raise CombinatorialLimitError("%d inequality rows exceeds cap %d" % (r, max_rows))
+    if r > MAX_ACTIVE_ROWS:
+        raise CombinatorialLimitError("%d inequality rows exceeds cap %d"
+                                      % (r, MAX_ACTIVE_ROWS))
     out = []
     seen = {}
     for size in range(r + 1):
@@ -354,18 +333,6 @@ def _tight_rows_signature(K, mask, face, eps):
         if member_v(polar, -K.G[int(i)], eps):
             tight.add(int(i))
     return frozenset(tight)
-
-
-def face_contains(outer, inner, eps=DEFAULT_EPS):
-    """inner subseteq outer, decided row by row via polar membership."""
-    polar_inner = polar_cone(inner)
-    for g in outer.G:
-        if not member_v(polar_inner, g, eps):
-            return False
-    for e in outer.E:
-        if not (member_v(polar_inner, e, eps) and member_v(polar_inner, -e, eps)):
-            return False
-    return True
 
 
 def face_difference(poly, z, v_normal, J1, J2, decomposition=None, eps=DEFAULT_EPS):

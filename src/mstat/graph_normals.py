@@ -11,14 +11,15 @@ Sign bookkeeping is centralized: all predicates take g, the gradient of the
 lower-level objective at z, so the graph point under test is (z, -g) and
 lower-level stationarity of z is exactly the graph-point precondition.
 
-Two independent routes are provided. The face-pair oracle sweeps multiplier
+The direct polyhedral predicate decides the existential system at its one
+maximal row split with two LPs, so it has no cap, and the orthant and
+simplex specializations reduce it to sign conditions in closed form. The
+face-pair oracle decides the same system independently: it sweeps multiplier
 supports and nested row subsets, materializes each Minkowski difference cone
-and tests memberships with the generic cone machinery; it is exponential in
-the active rows, capped at MAX_ACTIVE_ROWS, and kept as the reference the
-tests compare against. The direct polyhedral predicate decides the same
-existential system at its one maximal row split with two LPs, so it has no
-cap, and the orthant and simplex specializations reduce it to sign
-conditions in closed form.
+and tests memberships with the generic cone machinery, exponential in the
+active rows and capped at MAX_ACTIVE_ROWS. No route of the package calls it;
+it stays here because the benchmark (perfbench/workloads.py) imports it for
+its reference answers, and the tests compare every route against it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
     "finite_vector", "finite_number", "object_list",
     "GraphContext", "make_graph_context",
-    "limiting_normal_member_oracle", "coderivative_member_polyhedron",
-    "coderivative_member_orthant", "coderivative_member_simplex",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
 ]
@@ -262,14 +261,14 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
                        "near_threshold_rows": list(active_diagnostics(poly, gp.z, eps))})
 
 
-def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS):
+def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     """Face-pair enumeration oracle over the critical-cone combinatorics.
 
     For each multiplier support S and nested subsets J1 subseteq J2 of the
     remaining active rows, builds the face difference cone F_J1 - F_J2 in
     halfspace form, and accepts when -eta lies in it and zeta in its polar.
-    Exhaustive, refused beyond `max_rows` active rows, and intended as the
-    slow cross-check at desk scale.
+    Exhaustive, refused beyond MAX_ACTIVE_ROWS active rows, and intended as
+    the slow cross-check at desk scale.
     """
     try:
         context = make_graph_context(poly, gp.z, gp.g, eps)
@@ -277,8 +276,9 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS, max_rows=MAX_ACTIVE_ROWS)
         return _empty("oracle", str(exc))
     zeta, eta = pair.zeta, pair.eta
     I = context.active
-    if len(I) > max_rows:
-        raise CombinatorialLimitError("%d active rows exceeds cap %d" % (len(I), max_rows))
+    if len(I) > MAX_ACTIVE_ROWS:
+        raise CombinatorialLimitError("%d active rows exceeds cap %d"
+                                      % (len(I), MAX_ACTIVE_ROWS))
     seen = set()
     for S in _subsets(I):
         if multiplier_within_support(poly, context.z, -context.g, S, eps) is None:
@@ -502,41 +502,11 @@ def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
                          eps, strict_eps)[0]
 
 
-def membership_for_set(feasible, z, g, zeta, eta, eps=DEFAULT_EPS,
-                       strict_eps=STRICT_EPS, context=None):
+def membership_for_set(feasible, z, g, zeta, eta, eps=DEFAULT_EPS):
     """Dispatch a coderivative membership query to the matching route."""
     pair = NormalPair(zeta, eta)
     if feasible.kind == "orthant":
-        return orthant_membership(z, g, pair, eps, strict_eps)
+        return orthant_membership(z, g, pair, eps)
     if feasible.kind == "simplex":
-        return simplex_membership(z, g, pair, eps, strict_eps)
-    return polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g),
-                                 pair, eps, context=context)
-
-
-def _require_graph(res):
-    if res.verdict == "empty_coderivative":
-        raise NotGraphPointError(res.witness.get("reason", "not a graph point"))
-    return res.member
-
-
-def limiting_normal_member_oracle(poly, gp, pair, eps=DEFAULT_EPS):
-    """Boolean face-pair oracle; raises on non-graph points."""
-    return _require_graph(oracle_membership(poly, gp, pair, eps))
-
-
-def coderivative_member_polyhedron(poly, gp, pair, eps=DEFAULT_EPS, context=None):
-    """Boolean direct predicate for general A z <= b; raises on non-graph points."""
-    if context is None:
-        context = make_graph_context(poly, gp.z, gp.g, eps)
-    return _require_graph(polyhedron_membership(poly, gp, pair, eps, context))
-
-
-def coderivative_member_orthant(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
-    """Boolean orthant predicate; raises on non-complementary (z, g)."""
-    return _require_graph(orthant_membership(z, g, pair, eps, strict_eps))
-
-
-def coderivative_member_simplex(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
-    """Boolean simplex predicate; raises on invalid graph points."""
-    return _require_graph(simplex_membership(z, g, pair, eps, strict_eps))
+        return simplex_membership(z, g, pair, eps)
+    return polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g), pair, eps)

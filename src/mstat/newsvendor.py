@@ -30,14 +30,13 @@ on as_problem(instance); its scenario terms come from the same row helpers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import STRICT_EPS, finite_number, finite_vector, object_list
+from .graph_normals import finite_number, finite_vector, object_list
 from .stationarity import (
     Certificate,
     FeasibleSet,
@@ -54,7 +53,7 @@ from .stationarity import (
 __all__ = [
     "KernelModel", "NewsvendorInstance",
     "nw_weights", "conditional_cdf", "conditional_pdf", "grad_theta_cdf",
-    "solve_newsvendor", "solve_newsvendor_rows", "spo_loss_newsvendor",
+    "solve_newsvendor", "solve_newsvendor_rows",
     "empirical_regret", "verify_newsvendor_system", "bandwidth_grid_search",
     "NewsvendorLowerModel", "NewsvendorUpperModel", "NewsvendorProblem",
     "as_problem", "lower_solver", "newsvendor_certificate",
@@ -301,11 +300,6 @@ def _regret(z, y, h, b):
     return h * np.maximum(z - y, 0.0) + b * np.maximum(y - z, 0.0)
 
 
-def spo_loss_newsvendor(model, x, y_realized, h, b):
-    """Decision regret against realized demand; the clairvoyant cost is zero."""
-    return float(_regret(solve_newsvendor(model, x, h, b), y_realized, h, b))
-
-
 def _sample_rows(instance):
     return (np.array([x for x, _ in instance.samples]),
             np.array([y for _, y in instance.samples]))
@@ -531,8 +525,7 @@ def newsvendor_certificate(theta, certificate_scenarios):
     return Certificate(theta=theta, scenarios=scenarios)
 
 
-def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
-                             eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8):
     """Check the bandwidth stationarity system of the kernel newsvendor.
 
     certificate_scenarios is a list of dicts with keys z, eta, zeta (scalars),
@@ -546,7 +539,7 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8,
     """
     return verify_certificate(as_problem(instance),
                               newsvendor_certificate(theta, certificate_scenarios),
-                              tol=tol, eps=eps, strict_eps=strict_eps)
+                              tol=tol)
 
 
 def bandwidth_grid_search(instance, grid):
@@ -569,22 +562,3 @@ def bandwidth_grid_search(instance, grid):
         if best_val is None or total < best_val - 1e-15:
             best_theta, best_val = theta, total
     return best_theta
-
-
-def read_points_csv(path, d_x):
-    """(x, y) rows from CSV with header x_1..x_dx, y."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        want = ["x_%d" % (i + 1) for i in range(d_x)] + ["y"]
-        missing = [c for c in want if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError("missing CSV columns: %s" % ", ".join(missing))
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                x = [float(row["x_%d" % (i + 1)]) for i in range(d_x)]
-                y = float(row["y"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError("row %d: %s" % (row_no, exc)) from exc
-            out.append((x, y))
-    return out

@@ -22,13 +22,13 @@ import numpy as np
 from .cones import DEFAULT_EPS
 from .graph_normals import (
     NormalPair,
-    STRICT_EPS,
     finite_number,
     finite_vector,
     object_list,
     simplex_membership,
 )
 from .stationarity import (
+    _TERM_BOUND,
     Certificate,
     FeasibleSet,
     LowerModel,
@@ -37,12 +37,11 @@ from .stationarity import (
     Scenario,
     ScenarioCertificate,
     UpperModel,
-    verify_certificate,
 )
 
 __all__ = [
     "PortfolioInstance", "LinearPredictor", "SimplexQPSolution",
-    "solve_simplex_qp", "spo_loss", "build_portfolio_system",
+    "solve_simplex_qp", "spo_loss",
     "fit_least_squares", "empirical_spo_objective", "spo_local_search",
     "PortfolioLowerModel", "SpoUpperModel", "as_problem", "lower_solver",
     "realizable_certificate",
@@ -146,6 +145,9 @@ class SimplexQPSolution:
     kkt_residual: float
 
 
+_PROJECTION_BOUND = 2.0 ** 52
+
+
 def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
     stat = -r + lam * (sigma @ z) - lam_bounds + tau
     comp = np.abs(lam_bounds * z)
@@ -164,13 +166,25 @@ def solve_simplex_qp(r, sigma, lam, eps=1e-11, max_iter=200):
     Primal active-set iteration started from the simplex projection of the
     unconstrained optimum Sigma^{-1} r / lam; entering-constraint ties break
     to the lowest index, so the run is deterministic. Finite for positive
-    definite Sigma.
+    definite Sigma. Predicted returns r with an entry that is not finite or
+    exceeds _TERM_BOUND in magnitude raise ValueError, as in the verifier.
+    So does an unconstrained optimum with an entry of magnitude 2^52 or more:
+    the projection tests u - (u - 1) > 0 at its largest entry u, and beyond
+    2^52 the subtraction can drop the 1, leaving no support.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     sigma = np.asarray(sigma, dtype=float)
     d = len(r)
     fs = FeasibleSet.simplex(d)
-    z = fs.project(np.linalg.solve(sigma, r) / lam)
+    if not np.max(np.abs(r), initial=0.0) <= _TERM_BOUND:
+        raise ValueError("predicted returns are not finite or exceed %g in magnitude"
+                         % _TERM_BOUND)
+    # The bound is applied before the division, which may overflow.
+    scaled = np.linalg.solve(sigma, r)
+    if not np.max(np.abs(scaled), initial=0.0) < _PROJECTION_BOUND * lam:
+        raise ValueError("the unconstrained optimum Sigma^-1 r / lambda has an entry "
+                         "of magnitude 2^52 or more")
+    z = fs.project(scaled / lam)
 
     bounds = set(i for i in range(d) if z[i] <= eps)
     budget = z.sum() >= 1.0 - eps
@@ -414,37 +428,6 @@ def realizable_certificate(instance, theta, eps=DEFAULT_EPS):
     cert = Certificate(theta=np.asarray(theta, dtype=float).ravel(),
                        scenarios=scen_certs)
     return cert, betas
-
-
-def build_portfolio_system(theta, scenario_parts, instance, tol=1e-8,
-                           eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
-    """Verify the simplex stationarity system for given multipliers.
-
-    scenario_parts is a list of dicts with keys z, eta and optionally zeta
-    and beta; an entry that is not a dict raises ValueError. The report is
-    verify_certificate's on as_problem(instance), whose lines here read:
-    (a) the weighted sum of x_n eta_n^T vanishes, (b) the force balance
-    -r_n + lam Sigma (z_n + eta_n) + zeta_n = 0 in the Euclidean norm,
-    (c) the simplex coderivative conditions at (z_n, grad_z c), (d)
-    lower-level stationarity. A supplied beta must also match the one the
-    sign conditions pin down.
-    """
-    cert = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=part["z"], eta=part["eta"], zeta=part.get("zeta"))
-        for part in object_list(scenario_parts, "certificate scenario")])
-    report = verify_certificate(as_problem(instance), cert, tol=tol, eps=eps,
-                                strict_eps=strict_eps)
-    for rep, part in zip(report.scenarios, scenario_parts):
-        if part.get("beta") is None:
-            continue
-        # beta is existential; a supplied value must match the one the sign
-        # conditions pin down, otherwise the claimed system fails.
-        beta_claim, beta_seen = finite_number(part["beta"], "beta"), rep.witness.get("beta")
-        if rep.m_membership and beta_seen is not None \
-                and abs(beta_seen - beta_claim) > max(tol, 1e-9):
-            rep.m_membership, rep.m_verdict = False, "not_member"
-            rep.witness = {**rep.witness, "beta_mismatch": beta_claim}
-    return report
 
 
 def read_samples_csv(path, d_x, d_z):

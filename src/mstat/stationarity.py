@@ -46,14 +46,12 @@ from .lp import feasibility_threshold
 
 __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
-    "LowerModel", "UpperModel", "QuadraticLowerModel",
+    "LowerModel", "UpperModel",
     "ScenarioCertificate", "Certificate", "ScenarioTerms",
     "ScenarioReport", "ResidualReport",
-    "gradient_selftest", "lower_residual", "m_stationarity_check",
-    "nnamcq_check", "psi_set", "upper_residual",
+    "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
-    "value_function", "value_subdifferential", "directional_derivative_value",
-    "grid_solver", "projected_gradient_solver", "reports_agree",
+    "value_function", "value_subdifferential",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -141,7 +139,6 @@ class ParameterSet:
     dim: int
     lo: np.ndarray = None
     hi: np.ndarray = None
-    poly: Polyhedron = None
 
     @staticmethod
     def free(dim):
@@ -153,23 +150,17 @@ class ParameterSet:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         return ParameterSet("box", len(lo), lo=lo, hi=hi)
 
-    @staticmethod
-    def polyhedron(poly):
-        return ParameterSet("polyhedron", poly.dim, poly=poly)
-
     def normal_cone_distance(self, theta, u, eps=DEFAULT_EPS):
         """dist(u, N_Theta(theta)); the full space contributes N = {0}."""
         theta = np.asarray(theta, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.kind == "free":
             return float(np.linalg.norm(u))
-        if self.kind == "box":
-            # u_i counts unless it points out through a bound theta_i sits on.
-            at_lo = theta <= self.lo + eps
-            at_hi = theta >= self.hi - eps
-            outside = ((u < 0) & ~at_lo) | ((u > 0) & ~at_hi)
-            return float(np.linalg.norm(np.where(outside, np.abs(u), 0.0)))
-        return distance_to_normal_cone(self.poly, theta, u, eps)
+        # A box: u_i counts unless it points out through a bound theta_i sits on.
+        at_lo = theta <= self.lo + eps
+        at_hi = theta >= self.hi - eps
+        outside = ((u < 0) & ~at_lo) | ((u > 0) & ~at_hi)
+        return float(np.linalg.norm(np.where(outside, np.abs(u), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,35 +228,6 @@ class UpperModel:
         """
         g = np.asarray(self.grad_z(z, x, y, theta), dtype=float)
         return g, g
-
-
-class QuadraticLowerModel(LowerModel):
-    """c(z, theta, x) = (S theta)^T z + z^T Q z / 2 with a fixed coupling S.
-
-    Context-free quadratic testbed; Q = 0 gives the linear objectives used to
-    exercise flat solution sets.
-    """
-
-    def __init__(self, Q, coupling, feasible_set):
-        self.Q = np.asarray(Q, dtype=float)
-        self.coupling = np.asarray(coupling, dtype=float)  # (d_z, d_theta)
-        self.feasible_set = feasible_set
-
-    def cost(self, z, theta, x):
-        z = np.asarray(z, dtype=float)
-        return float((self.coupling @ theta) @ z + 0.5 * z @ self.Q @ z)
-
-    def grad_z(self, z, theta, x):
-        return self.coupling @ theta + self.Q @ np.asarray(z, dtype=float)
-
-    def hess_zz(self, z, theta, x):
-        return self.Q
-
-    def hess_ztheta(self, z, theta, x):
-        return self.coupling
-
-    def grad_theta(self, z, theta, x):
-        return self.coupling.T @ np.asarray(z, dtype=float)
 
 
 @dataclass
@@ -425,27 +387,6 @@ class ResidualReport:
         }
 
 
-def reports_agree(a, b, tol=1e-12):
-    """Field-by-field agreement of two reports, ignoring the mode label."""
-    if a.passed != b.passed or len(a.scenarios) != len(b.scenarios):
-        return False
-    if abs(a.upper_residual - b.upper_residual) > tol:
-        return False
-    for sa, sb in zip(a.scenarios, b.scenarios):
-        if sa.m_membership != sb.m_membership or sa.m_verdict != sb.m_verdict:
-            return False
-        if abs(sa.lower_residual - sb.lower_residual) > tol:
-            return False
-        if abs(sa.m_residual - sb.m_residual) > tol:
-            return False
-        pair = (sa.value_gap, sb.value_gap)
-        if (pair[0] is None) != (pair[1] is None):
-            return False
-        if pair[0] is not None and abs(pair[0] - pair[1]) > tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # gradient self-test
 
@@ -510,30 +451,6 @@ def _upper_generator(lower, upper, theta, x, y, z, eta):
     """grad_theta L + hess_ztheta^T eta: one scenario's upper-line term."""
     return np.asarray(upper.grad_theta(z, x, y, theta), dtype=float) \
         + np.asarray(lower.hess_ztheta(z, theta, x), dtype=float).T @ eta
-
-
-def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None,
-                         eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
-    """Test the coderivative line of the stationarity system at one scenario.
-
-    Asks whether the certificate zeta (or, when absent, -r itself) belongs
-    to the coderivative of the normal-cone map at (z, -grad_z c), with
-    r = grad_z E[L | x] + hess_zz^T eta. Returns membership, the residual
-    ||r + zeta|| (the distance of -zeta to the interval of r when the loss
-    has a kink), the verdict and the membership witness.
-    """
-    z = np.asarray(z, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    g = np.asarray(lower.grad_z(z, theta, x), dtype=float)
-    curvature = np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
-    lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
-    given = zeta is not None
-    probe, gap = _probe_and_gap(lo + curvature, hi + curvature,
-                                np.asarray(zeta, dtype=float) if given else 0.0, given)
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps, strict_eps)
-    return {"membership": res.member,
-            "residual": _m_residual(res, float(np.linalg.norm(gap)), given),
-            "verdict": res.verdict, "witness": res.witness}
 
 
 def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
@@ -601,13 +518,6 @@ def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
         if multiplier_within_support(poly, z, -g, E, eps) is not None:
             return False
     return True
-
-
-def psi_set(lower, upper, theta, x, y, solutions, multipliers):
-    """Upper-level sensitivity generators, one per (solution, multiplier) pair."""
-    return [_upper_generator(lower, upper, theta, x, y, np.asarray(z, dtype=float),
-                             np.asarray(eta, dtype=float))
-            for z, eta in zip(solutions, multipliers)]
 
 
 # ---------------------------------------------------------------------------
@@ -726,12 +636,13 @@ def _require_bounded_terms(terms, r_lo, r_hi, probe):
                          "exceed %g in magnitude" % (int(np.argmin(ok)), _TERM_BOUND))
 
 
-def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict_eps):
+def _verify(problem, certificate, mode, tol, mus, solver):
     """The one verifier body behind both systems.
 
     The scenario terms come from problem.scenario_terms. An orthant decides
     every scenario in one array pass; the simplex and general polyhedra go
-    scenario by scenario. The penalized system is the convex one plus, in
+    scenario by scenario. Activity and sign tests use DEFAULT_EPS and
+    STRICT_EPS, and value gaps are held to DEFAULT_VALUE_TOL. The penalized system is the convex one plus, in
     each scenario, mu_n g_n on the coderivative line and
     mu_n (grad_theta c(z_n) - w_n) on the upper line. The convex system
     passes mus = None and no solver, which drops both terms and the value
@@ -739,6 +650,7 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
     """
     theta, lower = certificate.theta, problem.lower
     certs = certificate.scenarios
+    eps, strict_eps = DEFAULT_EPS, STRICT_EPS
     terms = problem.scenario_terms(theta, certificate, eps)
     z = np.array([c.z for c in certs])
     eta = np.array([c.eta for c in certs])
@@ -759,7 +671,7 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
         if feasible.kind == "simplex":
             members = _simplex_rows(z, terms.g, probe, eta, eps, strict_eps)
         else:
-            members = [membership_for_set(feasible, *row, eps, strict_eps)
+            members = [membership_for_set(feasible, *row, eps)
                        for row in zip(z, terms.g, probe, eta)]
         poly = feasible.as_polyhedron()
         reports = [_check_scenario(poly, n, *row, eps)
@@ -786,23 +698,19 @@ def _verify(problem, certificate, mode, tol, value_tol, mus, solver, eps, strict
                 grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
                 penalties[rep.index] = mu * (grad_t - w_n)
     upper = _upper_line(problem, theta, terms.generators, penalties, eps)
-    return ResidualReport(mode=mode, tol=tol, value_tol=value_tol,
+    return ResidualReport(mode=mode, tol=tol, value_tol=DEFAULT_VALUE_TOL,
                           upper_residual=upper, scenarios=reports, caveats=caveats)
 
 
-def verify_certificate(problem, certificate, tol=DEFAULT_TOL, eps=DEFAULT_EPS,
-                       strict_eps=STRICT_EPS):
+def verify_certificate(problem, certificate, tol=DEFAULT_TOL):
     """Verify the plain stationarity system; all residuals must clear tol."""
     _validate_certificate(problem, certificate)
     if certificate.penalized:
         raise ValueError("certificate carries penalty weights; use the penalized verifier")
-    return _verify(problem, certificate, "convex", tol, DEFAULT_VALUE_TOL, None, None,
-                   eps, strict_eps)
+    return _verify(problem, certificate, "convex", tol, None, None)
 
 
-def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
-                                 value_tol=DEFAULT_VALUE_TOL, solver=None,
-                                 eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL, solver=None):
     """Verify the penalized stationarity system.
 
     Penalty weights mu_n >= 0 are certificate data. The upper line gains
@@ -819,8 +727,7 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL,
             raise ValueError("negative penalty weight in scenario %d" % i)
     if any(mu > 0 for mu in mus) and solver is None:
         raise ValueError("positive penalty weights need a lower-level solver")
-    return _verify(problem, certificate, "penalized", tol, value_tol, mus, solver,
-                   eps, strict_eps)
+    return _verify(problem, certificate, "penalized", tol, mus, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -855,43 +762,6 @@ class ValueSubdifferential:
         return sum(wi * gi for wi, gi in zip(w, self.generators))
 
 
-def grid_solver(points):
-    """Solver returning a fixed candidate list (endpoints included by caller)."""
-    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
-
-    def solve(model, theta, x):
-        return pts
-    return solve
-
-
-def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
-    """Multi-start projected gradient for structured feasible sets.
-
-    Deterministic under the seed; start points come from a fixed random grid
-    inside the unit box mapped through the set's projection.
-    """
-    def solve(model, theta, x):
-        fs = model.feasible_set
-        rng = np.random.default_rng(seed)
-        starts = [fs.project(rng.uniform(-1.0, 1.0, fs.dim)) for _ in range(n_starts)]
-        out = []
-        for z in starts:
-            lr = step
-            if lr is None:
-                H = np.atleast_2d(np.asarray(model.hess_zz(z, theta, x), dtype=float))
-                lam_max = float(np.max(np.linalg.eigvalsh(H))) if H.size else 1.0
-                lr = 1.0 / max(lam_max, 1e-6)
-            for _ in range(iters):
-                z_next = fs.project(z - lr * np.asarray(model.grad_z(z, theta, x)))
-                if np.max(np.abs(z_next - z)) <= 1e-13:
-                    z = z_next
-                    break
-                z = z_next
-            out.append(z)
-        return out
-    return solve
-
-
 def value_function(model, theta, x, solver, value_tol=1e-9, point_tol=1e-9):
     """Optimal value and a deduplicated sample of minimizers.
 
@@ -923,14 +793,3 @@ def value_subdifferential(model, theta, x, argmin_points):
     if not gens:
         raise ValueError("empty solution sample")
     return ValueSubdifferential(generators=gens, dim_theta=len(theta))
-
-
-def directional_derivative_value(model, theta, x, d, argmin_points):
-    """min over sampled minimizers of <grad_theta c(z), d>."""
-    if not argmin_points:
-        raise ValueError("empty solution sample")
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    return float(min(
-        float(np.dot(np.atleast_1d(np.asarray(model.grad_theta(z, theta, x), dtype=float)), d))
-        for z in argmin_points))

@@ -1,4 +1,5 @@
-"""Shared builders and independent oracles for the test suite."""
+"""Shared builders, independent oracles, and the models and solvers that
+only the test suite uses."""
 
 from itertools import combinations
 
@@ -7,13 +8,15 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError,
-                         Polyhedron, multiplier_within_support)
+from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError, ConeRepH,
+                         Polyhedron, active_set, member_v, multiplier_within_support,
+                         polar_cone)
 from mstat import lp as LP
 from mstat.graph_normals import (STRICT_EPS, Membership, _ambiguous, _empty,
-                                 make_graph_context, orthant_membership)
+                                 make_graph_context, membership_for_set, orthant_membership)
 from mstat.lp import LPLimitError, LPUnbounded
-from mstat.stationarity import FeasibleSet
+from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
+                                _upper_generator)
 
 
 def random_polyhedral_graph_point(rng, d_max=3, m_max=5, entry=2):
@@ -522,3 +525,130 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
             return Membership(True, "member", "simplex", witness)
     witness.update({"tau": None, "beta": None, "degenerate_support": True})
     return Membership(False, "not_member", "simplex", witness)
+
+
+# ---------------------------------------------------------------------------
+# cones: independent cross-checks of the multiplier split and of face order
+
+def critical_cone_perp_form(poly, z, v_normal, eps=DEFAULT_EPS):
+    """Multiplier-free form T_Z(z) intersected with the hyperplane v_normal^perp.
+
+    Set-equal to critical_cone for any valid multiplier split; kept as an
+    independent cross-check because the split is not unique.
+    """
+    v = np.asarray(v_normal, dtype=float)
+    I = active_set(poly, z, eps)
+    E = v.reshape(1, -1) if np.max(np.abs(v), initial=0.0) > eps else None
+    return ConeRepH(E, poly.A[list(I)], dim=poly.dim)
+
+
+def face_contains(outer, inner, eps=DEFAULT_EPS):
+    """inner subseteq outer, decided row by row via polar membership."""
+    polar_inner = polar_cone(inner)
+    for g in outer.G:
+        if not member_v(polar_inner, g, eps):
+            return False
+    for e in outer.E:
+        if not (member_v(polar_inner, e, eps) and member_v(polar_inner, -e, eps)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# stationarity: a quadratic testbed model, lower-level solvers, and the
+# coderivative and upper lines of one scenario outside the verifier
+
+class QuadraticLowerModel(LowerModel):
+    """c(z, theta, x) = (S theta)^T z + z^T Q z / 2 with a fixed coupling S.
+
+    Context-free quadratic testbed; Q = 0 gives the linear objectives used to
+    exercise flat solution sets.
+    """
+
+    def __init__(self, Q, coupling, feasible_set):
+        self.Q = np.asarray(Q, dtype=float)
+        self.coupling = np.asarray(coupling, dtype=float)  # (d_z, d_theta)
+        self.feasible_set = feasible_set
+
+    def cost(self, z, theta, x):
+        z = np.asarray(z, dtype=float)
+        return float((self.coupling @ theta) @ z + 0.5 * z @ self.Q @ z)
+
+    def grad_z(self, z, theta, x):
+        return self.coupling @ theta + self.Q @ np.asarray(z, dtype=float)
+
+    def hess_zz(self, z, theta, x):
+        return self.Q
+
+    def hess_ztheta(self, z, theta, x):
+        return self.coupling
+
+    def grad_theta(self, z, theta, x):
+        return self.coupling.T @ np.asarray(z, dtype=float)
+
+
+def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None, eps=DEFAULT_EPS):
+    """Test the coderivative line of the stationarity system at one scenario.
+
+    Asks whether the certificate zeta (or, when absent, -r itself) belongs
+    to the coderivative of the normal-cone map at (z, -grad_z c), with
+    r = grad_z E[L | x] + hess_zz^T eta. Returns membership, the residual
+    ||r + zeta|| (the distance of -zeta to the interval of r when the loss
+    has a kink), the verdict and the membership witness.
+    """
+    z = np.asarray(z, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    g = np.asarray(lower.grad_z(z, theta, x), dtype=float)
+    curvature = np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
+    lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
+    given = zeta is not None
+    probe, gap = _probe_and_gap(lo + curvature, hi + curvature,
+                                np.asarray(zeta, dtype=float) if given else 0.0, given)
+    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps)
+    return {"membership": res.member,
+            "residual": _m_residual(res, float(np.linalg.norm(gap)), given),
+            "verdict": res.verdict, "witness": res.witness}
+
+
+def psi_set(lower, upper, theta, x, y, solutions, multipliers):
+    """Upper-level sensitivity generators, one per (solution, multiplier) pair."""
+    return [_upper_generator(lower, upper, theta, x, y, np.asarray(z, dtype=float),
+                             np.asarray(eta, dtype=float))
+            for z, eta in zip(solutions, multipliers)]
+
+
+def grid_solver(points):
+    """Solver returning a fixed candidate list (endpoints included by caller)."""
+    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+
+    def solve(model, theta, x):
+        return pts
+    return solve
+
+
+def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
+    """Multi-start projected gradient for structured feasible sets.
+
+    Deterministic under the seed; start points come from a fixed random grid
+    inside the unit box mapped through the set's projection.
+    """
+    def solve(model, theta, x):
+        fs = model.feasible_set
+        rng = np.random.default_rng(seed)
+        starts = [fs.project(rng.uniform(-1.0, 1.0, fs.dim)) for _ in range(n_starts)]
+        out = []
+        for z in starts:
+            lr = step
+            if lr is None:
+                H = np.atleast_2d(np.asarray(model.hess_zz(z, theta, x), dtype=float))
+                lam_max = float(np.max(np.linalg.eigvalsh(H))) if H.size else 1.0
+                lr = 1.0 / max(lam_max, 1e-6)
+            for _ in range(iters):
+                z_next = fs.project(z - lr * np.asarray(model.grad_z(z, theta, x)))
+                if np.max(np.abs(z_next - z)) <= 1e-13:
+                    z = z_next
+                    break
+                z = z_next
+            out.append(z)
+        return out
+    return solve

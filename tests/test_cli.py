@@ -44,7 +44,7 @@ def test_gph_normal_methods_agree(tmp_path, capsys):
               {"Z": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
                "z": [0.0, 0.0], "g": [1.0, 0.0],
                "zeta": [4.0, 0.0], "eta": [0.0, -1.0]})
-    labels = {"auto": "direct", "direct": "direct", "oracle": "oracle"}
+    labels = {"auto": "direct", "direct": "direct"}
     for method, label in labels.items():
         code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", method)
         assert code == 0
@@ -373,10 +373,6 @@ def test_portfolio_actions(tmp_path, capsys):
                        "--theta", tpath)
     assert code == 0 and len(json.loads(out)["decisions"]) == 5
 
-    code, out, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
-                       "--certificate", cpath)
-    assert code == 0
-
 
 @pytest.mark.parametrize("theta", [[[True, 0.1], [0.05, 0.25]], [[0.3, 0.1], [0.05, "0.25"]],
                                    [[0.3, 0.1], [0.05]]])
@@ -529,7 +525,7 @@ def test_gph_normal_non_finite_point_exits_1(tmp_path, capsys):
     for z in (None, [float("nan")]):
         q = write(tmp_path / "q.json", {"Z": "orthant", "z": z, "g": [0.0],
                                         "zeta": [0.0], "eta": [0.0]})
-        for method in ("auto", "explicit", "direct", "oracle"):
+        for method in ("auto", "explicit", "direct"):
             code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
             assert code == 1 and out == "" and "finite 1-D" in err, (z, method)
 
@@ -548,8 +544,6 @@ def test_verify_non_finite_certificate_exits_1(tmp_path, capsys):
         runs = [["verify", "--mode", "penalized"]]
         if key != "mu":     # any mu makes a convex certificate an input error
             runs.append(["verify", "--mode", "convex"])
-        if key in ("theta", "z", "eta", "zeta"):    # all the system reads
-            runs.append(["spo-portfolio", "system"])
         for argv in runs:
             code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
             assert code == 1 and out == "" and "finite" in err, (key, argv)
@@ -595,7 +589,7 @@ def test_gph_normal_dimension_mismatch_exits_1(tmp_path, capsys):
     for spec in ("orthant", "simplex", {"A": [[1.0]], "b": [1.0]}):
         q = write(tmp_path / "q.json", {"Z": spec, "z": [1.0], "g": [0.0],
                                         "zeta": [1.0, 2.0, 3.0], "eta": [0.0, 0.0, 0.0]})
-        for method in ("auto", "explicit", "direct", "oracle"):
+        for method in ("auto", "explicit", "direct"):
             if method == "explicit" and isinstance(spec, dict):
                 continue
             code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
@@ -609,7 +603,7 @@ def test_polyhedron_with_the_wrong_column_count_exits_1(tmp_path, capsys):
     q = write(tmp_path / "q.json", {"Z": Z, "z": [0.0], "g": [0.0],
                                     "zeta": [0.0], "eta": [0.0]})
     calls = [["cones", "--input", c]] + [["gph-normal", "--input", q, "--method", method]
-                                         for method in ("direct", "oracle", "auto")]
+                                         for method in ("direct", "auto")]
     for argv in calls:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and "A has 2 columns but z has 1 entries" in err, argv
@@ -666,7 +660,6 @@ def test_certificate_scenario_must_be_an_object(tmp_path, capsys):
         pf = write(tmp_path / ("pf%d.json" % i), cert)
         nv = write(tmp_path / ("nv%d.json" % i), {"theta": 1.0, "scenarios": [entry, bad]})
         runs = [(ppath, pf, ["verify"]), (ppath, pf, ["verify", "--mode", "penalized"]),
-                (ppath, pf, ["spo-portfolio", "system"]),
                 (nvpath, nv, ["verify"]), (nvpath, nv, ["newsvendor", "verify"])]
         for problem, cert_path, argv in runs:
             code, out, err = run(capsys, *argv, "--problem", problem,
@@ -685,8 +678,9 @@ def test_verify_wrong_theta_size_exits_1(tmp_path, capsys):
     cert = json.loads(open(cpath).read())
     cert["theta"] = cert["theta"][0]
     bad = write(tmp_path / "short.json", cert)
-    for argv in (["verify"], ["spo-portfolio", "system"]):
-        code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
+    for mode in ("convex", "penalized"):
+        code, out, err = run(capsys, "verify", "--mode", mode, "--problem", ppath,
+                             "--certificate", bad)
         assert code == 1 and out == "" and "theta has 2 entries, expected 4" in err
 
 
@@ -723,22 +717,54 @@ def test_fd_check_lower_grad_z_on_negative_demands(tmp_path, capsys):
     assert json.loads(out)["max_rel_err"] <= 1e-6
 
 
-def test_spo_portfolio_system_reports_what_verify_reports(tmp_path, capsys):
-    """A flat theta is accepted, and an infeasible z is an exit-2 report."""
+def test_verify_reads_a_flat_theta_and_reports_an_infeasible_z(tmp_path, capsys):
+    """A flat theta gives the output of the matrix theta, and a z outside the
+    simplex is an exit-2 report with an empty_coderivative verdict."""
     ppath, cpath = portfolio_problem_and_cert(tmp_path)
     cert = json.loads(open(cpath).read())
     cert["theta"] = np.ravel(cert["theta"]).tolist()
     flat = write(tmp_path / "flat.json", cert)
-    code_v, out_v, _ = run(capsys, "verify", "--problem", ppath, "--certificate", flat)
-    code_s, out_s, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
-                           "--certificate", flat)
-    assert code_v == code_s == 0
-    assert json.loads(out_s)["report"] == json.loads(out_v)
+    code_m, out_m, _ = run(capsys, "verify", "--problem", ppath, "--certificate", cpath)
+    code_f, out_f, _ = run(capsys, "verify", "--problem", ppath, "--certificate", flat)
+    assert (code_f, out_f) == (code_m, out_m) and code_m == 0
     cert["scenarios"][0]["z"] = [2.0, 0.0]
-    code, out, _ = run(capsys, "spo-portfolio", "system", "--problem", ppath,
+    code, out, _ = run(capsys, "verify", "--problem", ppath,
                        "--certificate", write(tmp_path / "infeasible.json", cert))
-    scen = json.loads(out)["report"]["scenarios"][0]
+    scen = json.loads(out)["scenarios"][0]
     assert code == 2 and scen["m_verdict"] == "empty_coderivative"
+
+
+@pytest.mark.parametrize("argv", [["spo-portfolio", "system", "--problem", "{problem}",
+                                   "--certificate", "{certificate}"],
+                                  ["gph-normal", "--method", "oracle", "--input", "{query}"]],
+                         ids=["spo-portfolio system", "gph-normal --method oracle"])
+def test_removed_commands_are_usage_errors(argv, tmp_path, capsys):
+    """verify is the one portfolio verifier, and the face-pair oracle has no
+    command line route; both calls exit 1 and print nothing."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    query = write(tmp_path / "q.json", {"Z": "orthant", "z": [0.0], "g": [0.0],
+                                        "zeta": [-2.0], "eta": [-3.0]})
+    files = {"problem": ppath, "certificate": cpath, "query": query}
+    code, out, err = run(capsys, *[a.format(**files) for a in argv])
+    assert (code, out) == (1, "") and "invalid choice" in err
+
+
+@pytest.mark.parametrize("action", ["solve", "loss"])
+@pytest.mark.parametrize("value", [1e308, 1e300])
+def test_portfolio_theta_beyond_the_term_bound_exits_1(action, value, tmp_path, capsys):
+    """Predicted returns near 1e308 overflow the simplex projection; the QP
+    names them instead, and numpy warns of nothing on the way."""
+    code, out, _ = run(capsys, "gen", "portfolio", "--n", "3", "--seed", "1")
+    problem = json.loads(out)
+    ppath = write(tmp_path / "problem.json", problem)
+    tpath = write(tmp_path / "theta.json",
+                  np.full(np.shape(problem["theta0"]), value).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spo-portfolio", action, "--problem", ppath,
+                             "--theta", tpath)
+    assert (code, out) == (1, "")
+    assert err == "error: predicted returns are not finite or exceed 1e+150 in magnitude\n"
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +834,9 @@ def test_portfolio_certificate_with_boolean_entries_exits_1(tmp_path, capsys):
     cert = json.loads(open(cpath).read())
     cert["scenarios"][0]["z"] = [True, True]
     bad = write(tmp_path / "bool.json", cert)
-    for argv in (["verify"], ["spo-portfolio", "system"]):
-        code, out, err = run(capsys, *argv, "--problem", ppath, "--certificate", bad)
+    for mode in ("convex", "penalized"):
+        code, out, err = run(capsys, "verify", "--mode", mode, "--problem", ppath,
+                             "--certificate", bad)
         assert (code, out) == (1, "") and "z must be a finite 1-D array" in err
 
 
@@ -819,7 +846,7 @@ def test_portfolio_certificate_with_boolean_entries_exits_1(tmp_path, capsys):
 def test_gph_normal_reads_tol_as_eps_under_every_method(tmp_path, capsys):
     q = write(tmp_path / "q.json", {"Z": "orthant", "z": [0], "g": [0],
                                     "zeta": [0.05], "eta": [0.05]})
-    for method in ("auto", "explicit", "direct", "oracle"):
+    for method in ("auto", "explicit", "direct"):
         verdicts = []
         for tol in ([], ["--tol", "0.1"]):
             code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", method, *tol)
@@ -843,14 +870,11 @@ def _tol_runs(tmp_path):
     return {"cones": ["cones", "--input", c],
             "gph-normal": ["gph-normal", "--input", q],
             "verify": ["verify", "--problem", ppath, "--certificate", cpath],
-            "spo-portfolio": ["spo-portfolio", "system", "--problem", ppath,
-                              "--certificate", cpath],
             "newsvendor": ["newsvendor", "verify", "--problem", nv, "--certificate", nv_cert],
             "fd-check": ["fd-check", "--problem", nv, "--trials", "5"]}
 
 
-@pytest.mark.parametrize("name", ["cones", "gph-normal", "verify", "spo-portfolio",
-                                  "newsvendor", "fd-check"])
+@pytest.mark.parametrize("name", ["cones", "gph-normal", "verify", "newsvendor", "fd-check"])
 def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
     argv = _tol_runs(tmp_path)[name]
     code, out, _ = run(capsys, *argv, "--tol", "1e-6")
@@ -896,7 +920,9 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
               "cones": (["cones", "--input", "q.json"], ["--seed"]),
               "gph-normal": (["gph-normal", "--input", "q.json"], ["--seed"]),
               "verify": (["verify", "--problem", "p", "--certificate", "c"], ["--seed"]),
-              "newsvendor": (["newsvendor", "solve", "--problem", "p"], ["--seed"])}
+              "newsvendor": (["newsvendor", "solve", "--problem", "p"], ["--seed"]),
+              "spo-portfolio": (["spo-portfolio", "fit", "--problem", "p"],
+                                ["--tol", "--certificate"])}
     for argv, options in unread.values():
         for option in options:
             value = "json" if option == "--format" else "1"

@@ -17,11 +17,7 @@ from mstat.graph_normals import (
     GraphPoint,
     NormalPair,
     NotGraphPointError,
-    coderivative_member_orthant,
-    coderivative_member_polyhedron,
-    coderivative_member_simplex,
     finite_number,
-    limiting_normal_member_oracle,
     make_graph_context,
     oracle_membership,
     orthant_membership,
@@ -48,39 +44,38 @@ ORIGIN = GraphPoint([0.0], [0.0])
                                            (5, 0, True)])
 def test_half_line_membership_three_routes(zeta, eta, want):
     p = pair(zeta, eta)
-    assert limiting_normal_member_oracle(HALF_LINE, ORIGIN, p) is want
-    assert coderivative_member_polyhedron(HALF_LINE, ORIGIN, p) is want
-    assert coderivative_member_orthant([0.0], [0.0], p) is want
+    assert oracle_membership(HALF_LINE, ORIGIN, p).member is want
+    assert polyhedron_membership(HALF_LINE, ORIGIN, p).member is want
+    assert orthant_membership([0.0], [0.0], p).member is want
 
 
 # ---------------------------------------------------------------------------
 # orthant fast path
 
 def test_orthant_examples():
-    assert coderivative_member_orthant([0.0], [0.0], pair(-2, -3)) is True
-    assert coderivative_member_orthant([1.0], [0.0], pair(0, 7)) is True
-    assert coderivative_member_orthant([1.0], [0.0], pair(1, 7)) is False
-    assert coderivative_member_orthant([0.0, 0.0], [1.0, 0.0],
-                                       pair([4, 0], [0, -1])) is True
+    assert orthant_membership([0.0], [0.0], pair(-2, -3)).member is True
+    assert orthant_membership([1.0], [0.0], pair(0, 7)).member is True
+    assert orthant_membership([1.0], [0.0], pair(1, 7)).member is False
+    assert orthant_membership([0.0, 0.0], [1.0, 0.0],
+                              pair([4, 0], [0, -1])).member is True
 
 
 def test_orthant_non_graph_point():
-    with pytest.raises(NotGraphPointError):
-        coderivative_member_orthant([1.0], [1.0], pair(0, 0))
-    res = orthant_membership(np.array([1.0]), np.array([1.0]), pair(0, 0))
-    assert res.verdict == "empty_coderivative" and not res.member
-    with pytest.raises(NotGraphPointError):
-        coderivative_member_orthant([-1.0], [0.0], pair(0, 0))
+    for z, g in (([1.0], [1.0]), ([-1.0], [0.0])):
+        res = orthant_membership(np.array(z), np.array(g), pair(0, 0))
+        assert res.verdict == "empty_coderivative" and not res.member
+        with pytest.raises(NotGraphPointError):
+            make_graph_context(HALF_LINE, z, g)
 
 
 def test_orthant_coordinate_split():
     # mixed pattern: L, I_plus, I_zero at once
     z = [2.0, 0.0, 0.0]
     g = [0.0, 3.0, 0.0]
-    assert coderivative_member_orthant(z, g, pair([0, 9, -1], [4, 0, -1])) is True
-    assert coderivative_member_orthant(z, g, pair([0.1, 9, -1], [4, 0, -1])) is False
-    assert coderivative_member_orthant(z, g, pair([0, 9, -1], [4, 0.1, -1])) is False
-    assert coderivative_member_orthant(z, g, pair([0, 9, -1], [4, 0, 1])) is False
+    assert orthant_membership(z, g, pair([0, 9, -1], [4, 0, -1])).member is True
+    assert orthant_membership(z, g, pair([0.1, 9, -1], [4, 0, -1])).member is False
+    assert orthant_membership(z, g, pair([0, 9, -1], [4, 0.1, -1])).member is False
+    assert orthant_membership(z, g, pair([0, 9, -1], [4, 0, 1])).member is False
 
 
 # ---------------------------------------------------------------------------
@@ -91,35 +86,33 @@ def test_simplex_examples():
                              pair([3, -5], [0, 0]))
     assert res.member and abs(res.witness["beta"] - 3.0) < 1e-12 \
         and abs(res.witness["tau"] - 1.0) < 1e-12
-    assert coderivative_member_simplex([1.0, 0.0], [-1.0, 0.0],
-                                       pair([3, -5], [1, -1])) is False
-    assert coderivative_member_simplex([0.2, 0.3], [0.0, 0.0],
-                                       pair([0, 0], [7, -2])) is True
+    assert simplex_membership([1.0, 0.0], [-1.0, 0.0],
+                              pair([3, -5], [1, -1])).member is False
+    assert simplex_membership([0.2, 0.3], [0.0, 0.0],
+                              pair([0, 0], [7, -2])).member is True
 
 
 def test_simplex_inconsistent_zeta_on_support():
     # both coordinates carry weight, zeta must be constant across them
-    assert coderivative_member_simplex([0.5, 0.5], [-1.0, -1.0],
-                                       pair([2, 2], [1, -1])) is True
-    assert coderivative_member_simplex([0.5, 0.5], [-1.0, -1.0],
-                                       pair([2, 1], [1, -1])) is False
+    assert simplex_membership([0.5, 0.5], [-1.0, -1.0],
+                              pair([2, 2], [1, -1])).member is True
+    assert simplex_membership([0.5, 0.5], [-1.0, -1.0],
+                              pair([2, 1], [1, -1])).member is False
 
 
 def test_simplex_budget_multiplier_forces_eta_sum():
     # tau > 0: sum of eta must vanish
     z = np.array([0.5, 0.5])
     g = np.array([-1.0, -1.0])
-    assert coderivative_member_simplex(z, g, pair([2, 2], [1, -1])) is True
-    assert coderivative_member_simplex(z, g, pair([2, 2], [1, 1])) is False
+    assert simplex_membership(z, g, pair([2, 2], [1, -1])).member is True
+    assert simplex_membership(z, g, pair([2, 2], [1, 1])).member is False
 
 
 def test_simplex_non_graph_points():
-    with pytest.raises(NotGraphPointError):
-        coderivative_member_simplex([0.6, 0.5], [0.0, 0.0], pair([0, 0], [0, 0]))
-    with pytest.raises(NotGraphPointError):
-        coderivative_member_simplex([0.5, 0.5], [-1.0, -2.0], pair([0, 0], [0, 0]))
-    with pytest.raises(NotGraphPointError):
-        coderivative_member_simplex([0.5, 0.5], [1.0, 1.0], pair([0, 0], [0, 0]))
+    for z, g in (([0.6, 0.5], [0.0, 0.0]), ([0.5, 0.5], [-1.0, -2.0]),
+                 ([0.5, 0.5], [1.0, 1.0])):
+        res = simplex_membership(z, g, pair([0, 0], [0, 0]))
+        assert res.verdict == "empty_coderivative" and not res.member
 
 
 def test_simplex_degenerate_support_branch():
@@ -404,8 +397,8 @@ def test_polyhedron_membership_is_positively_homogeneous(query, t):
 def test_interior_point_membership_is_zero_zeta():
     p = orthant_polyhedron(2)
     gp = GraphPoint([1.0, 2.0], [0.0, 0.0])
-    assert coderivative_member_polyhedron(p, gp, pair([0, 0], [3, -4])) is True
-    assert coderivative_member_polyhedron(p, gp, pair([1e-3, 0], [3, -4])) is False
+    assert polyhedron_membership(p, gp, pair([0, 0], [3, -4])).member is True
+    assert polyhedron_membership(p, gp, pair([1e-3, 0], [3, -4])).member is False
 
 
 def test_active_row_cap_enforced():

@@ -25,10 +25,8 @@ from mstat.newsvendor import (
     empirical_regret,
     grad_theta_cdf,
     nw_weights,
-    read_points_csv,
     solve_newsvendor,
     solve_newsvendor_rows,
-    spo_loss_newsvendor,
     verify_newsvendor_system,
 )
 from mstat.stationarity import gradient_selftest
@@ -166,14 +164,21 @@ def test_solver_residual_on_random_instances(rng):
 # ---------------------------------------------------------------------------
 # losses
 
+def one_sample_regret(model, x, y_realized, h, b):
+    """Decision regret of the model's order at x against one realized demand."""
+    sample = [(x, y_realized)]
+    return empirical_regret(NewsvendorInstance(h=h, b=b, centers=sample, samples=sample),
+                            model)
+
+
 def test_loss_values():
     m = single_center(y=5.0, theta=2.0)
     z_med = solve_newsvendor(m, [0.0], 1.0, 1.0)
-    assert spo_loss_newsvendor(m, [0.0], z_med, 1.0, 1.0) == pytest.approx(0.0)
-    assert spo_loss_newsvendor(m, [0.0], 5.0, 1.0, 3.0) == pytest.approx(
+    assert one_sample_regret(m, [0.0], z_med, 1.0, 1.0) == pytest.approx(0.0)
+    assert one_sample_regret(m, [0.0], 5.0, 1.0, 3.0) == pytest.approx(
         2.0 * norm.ppf(0.75), abs=1e-9)
     m2 = KernelModel([([0.0], -10.0)], 1.0)
-    assert spo_loss_newsvendor(m2, [0.0], 2.0, 9.0, 3.0) == pytest.approx(6.0)
+    assert one_sample_regret(m2, [0.0], 2.0, 9.0, 3.0) == pytest.approx(6.0)
 
 
 def test_loss_nonnegative_zero_iff_exact(rng):
@@ -182,7 +187,7 @@ def test_loss_nonnegative_zero_iff_exact(rng):
                          for _ in range(3)], 1.0)
         y = float(rng.normal() + 5)
         h, b = 1.0, 2.0
-        val = spo_loss_newsvendor(m, [0.0], y, h, b)
+        val = one_sample_regret(m, [0.0], y, h, b)
         assert val >= 0.0
         z = solve_newsvendor(m, [0.0], h, b)
         assert (val == 0.0) == (abs(z - y) == 0.0)
@@ -380,19 +385,11 @@ def test_grid_search_pinned_argmin():
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_round_trip_and_csv(tmp_path):
+def test_round_trip():
     pts = [([0.0, 1.0], 3.0), ([1.0, 0.5], 5.0)]
     inst = NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
     again = NewsvendorInstance.from_dict(inst.to_dict())
     assert again.h == inst.h and len(again.centers) == 2
-
-    path = tmp_path / "pts.csv"
-    path.write_text("x_1,x_2,y\n0.0,1.0,3.0\n1.0,0.5,5.0\n")
-    assert read_points_csv(str(path), 2) == [([0.0, 1.0], 3.0), ([1.0, 0.5], 5.0)]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x_1,y\n0.0\n")
-    with pytest.raises(ValueError):
-        read_points_csv(str(bad), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +651,12 @@ def test_infeasible_order_gets_the_generic_report():
 
 
 def test_library_verifiers_reject_a_scenario_that_is_not_a_mapping():
-    from mstat.portfolio import PortfolioInstance, build_portfolio_system
-
     nv = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)],
                             samples=[([0.0], 5.0), ([0.5], 4.0)])
-    pf = PortfolioInstance(sigma=np.eye(2), risk_aversion=1.0,
-                           samples=[([1.0], [0.1, 0.2]), ([0.5], [0.2, 0.1])])
     good_nv = {"z": 5.0, "eta": 0.0, "zeta": 0.0}
-    good_pf = {"z": [0.5, 0.5], "eta": [0.0, 0.0]}
     for bad in ([1.0, 2.0], 3.0, None, "z"):
         with pytest.raises(ValueError, match="certificate scenario 1 must be an object"):
             verify_newsvendor_system(1.0, [good_nv, bad], nv)
-        with pytest.raises(ValueError, match="certificate scenario 1 must be an object"):
-            build_portfolio_system([0.1, 0.2], [good_pf, bad], pf)
     with pytest.raises(ValueError, match="certificate scenarios must be a list"):
         verify_newsvendor_system(1.0, 3, nv)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from mstat.portfolio import (
     PortfolioInstance,
     PortfolioLowerModel,
     as_problem,
-    build_portfolio_system,
     empirical_spo_objective,
     fit_least_squares,
     read_samples_csv,
@@ -52,6 +53,21 @@ def test_instance_rejects_bad_sigma():
 
 # ---------------------------------------------------------------------------
 # the QP solver
+
+def test_qp_rejects_returns_the_projection_cannot_resolve():
+    """Returns beyond 1e150, and an unconstrained optimum of 2^52 or more,
+    where the simplex projection of the start can find no support, are each
+    a ValueError, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in ([1e300, 1.0], [np.nan, 0.0], [np.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="predicted returns"):
+                solve_simplex_qp(r, I2, 1.0)
+        for r, lam in (([1e16, 0.0], 1.0), ([1e150, 0.0], 1.0), ([1.0, 0.5], 1e-310)):
+            with pytest.raises(ValueError, match="unconstrained optimum"):
+                solve_simplex_qp(r, I2, lam)
+        assert solve_simplex_qp([1e15, 0.0], I2, 1.0).z.tolist() == [1.0, 0.0]
+
 
 def test_qp_known_solutions():
     assert np.allclose(solve_simplex_qp([1.0, 0.0], I2, 1.0).z, [1.0, 0.0])
@@ -165,17 +181,15 @@ def test_realizable_certificate_verifies_and_perturbations_fail():
             assert not bad.passed, (a, b)
 
 
-def test_build_portfolio_system_pass_and_failures():
+def test_portfolio_system_pass_and_failures():
     inst, theta0 = small_instance()
-    cert, betas = realizable_certificate(inst, theta0)
-    parts = [{"z": s.z, "eta": s.eta, "zeta": s.zeta, "beta": b}
-             for s, b in zip(cert.scenarios, betas)]
-    rep = build_portfolio_system(theta0, parts, inst)
-    assert rep.passed
+    cert, _ = realizable_certificate(inst, theta0)
+    prob = as_problem(inst)
+    assert verify_certificate(prob, cert).passed
 
     bad_theta = theta0.copy()
     bad_theta[0, 0] += 0.1
-    rep_bad = build_portfolio_system(bad_theta, parts, inst)
+    rep_bad = verify_certificate(prob, Certificate(theta=bad_theta, scenarios=cert.scenarios))
     assert not rep_bad.passed
     assert max(s.lower_residual for s in rep_bad.scenarios) > 1e-3
 
@@ -185,31 +199,28 @@ def test_build_portfolio_system_pass_and_failures():
     z = solve_simplex_qp([2.0, 1.0], I2, 1.0).z
     assert abs(z.sum() - 1.0) < 1e-9
     zeta = np.array([2.0, 1.0]) - z
-    base = {"z": z, "zeta": zeta}
-    ok = build_portfolio_system(np.array([[2.0, 1.0]]),
-                                [{**base, "eta": [0.0, 0.0]}], inst_b)
-    assert ok.passed
-    bad_eta = build_portfolio_system(np.array([[2.0, 1.0]]),
-                                     [{**base, "eta": [0.5, 0.5]}], inst_b)
-    assert not bad_eta.passed
+    for eta, passed in (([0.0, 0.0], True), ([0.5, 0.5], False)):
+        rep = verify_certificate(as_problem(inst_b), Certificate(
+            theta=[[2.0, 1.0]], scenarios=[ScenarioCertificate(z=z, eta=eta, zeta=zeta)]))
+        assert rep.passed is passed
 
 
-def test_build_portfolio_system_is_verify_certificate(rng):
-    """The system report is the convex verifier's, for flat and matrix theta;
-    m_residual is the Euclidean norm of the force balance."""
+def test_portfolio_m_residual_is_the_force_balance_norm():
+    """The report is the same for flat and matrix theta, and m_residual is
+    the Euclidean norm of the force balance."""
     inst, theta0 = small_instance()
     cert, _ = realizable_certificate(inst, theta0)
     lam, sig = inst.risk_aversion, inst.sigma
     for shift in (0.0, 0.05):
-        parts = [{"z": s.z, "eta": s.eta + shift, "zeta": s.zeta} for s in cert.scenarios]
-        ref = verify_certificate(as_problem(inst), Certificate(
-            theta=theta0.ravel(), scenarios=[
-                ScenarioCertificate(z=p["z"], eta=p["eta"], zeta=p["zeta"]) for p in parts]))
-        for theta in (theta0, theta0.ravel()):
-            rep = build_portfolio_system(theta, parts, inst)
-            assert rep.to_dict() == ref.to_dict() and rep.passed == (shift == 0.0)
-        for (x, r), p, s in zip(inst.samples, parts, rep.scenarios):
-            force = -r + lam * (sig @ (p["z"] + p["eta"])) + p["zeta"]
+        scenarios = [ScenarioCertificate(z=s.z, eta=s.eta + shift, zeta=s.zeta)
+                     for s in cert.scenarios]
+        reports = [verify_certificate(as_problem(inst),
+                                      Certificate(theta=theta, scenarios=scenarios))
+                   for theta in (theta0, theta0.ravel())]
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert reports[0].passed == (shift == 0.0)
+        for (x, r), p, s in zip(inst.samples, scenarios, reports[0].scenarios):
+            force = -r + lam * (sig @ (p.z + p.eta)) + p.zeta
             assert abs(s.m_residual - np.linalg.norm(force)) <= 1e-15
 
 
@@ -241,15 +252,15 @@ def test_realizable_scenarios_cross_check_with_face_oracle():
         assert res.member
 
 
-def test_supplied_beta_must_match():
-    inst, theta0 = small_instance()
+def test_verify_reports_the_beta_the_sign_conditions_pin():
+    """Each scenario witness carries the beta that realizable_certificate
+    reads off the simplex membership; a certificate carries none. Large
+    returns put the decisions on the budget face, where beta need not be 0."""
+    inst, theta0 = small_instance(theta0=np.array([[3.0, 1.0], [0.5, 2.5]]))
     cert, betas = realizable_certificate(inst, theta0)
-    parts = [{"z": s.z, "eta": s.eta, "zeta": s.zeta, "beta": b}
-             for s, b in zip(cert.scenarios, betas)]
-    parts[0]["beta"] = (parts[0]["beta"] or 0.0) + 1.0
-    rep = build_portfolio_system(theta0, parts, inst)
-    assert not rep.passed
-    assert "beta_mismatch" in rep.scenarios[0].witness
+    rep = verify_certificate(as_problem(inst), cert)
+    assert rep.passed and [s.witness["beta"] for s in rep.scenarios] == betas
+    assert any(b not in (None, 0.0) for b in betas)
 
 
 # ---------------------------------------------------------------------------
