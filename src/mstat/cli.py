@@ -242,25 +242,11 @@ def cmd_gph_normal(args):
         poly = _feasible_from_spec(spec, len(gp.z)).as_polyhedron()
         res = GN.polyhedron_membership(poly, gp, pair, eps)
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
-           "method": method, "witness": _jsonable(res.witness)}
+           "method": method, "witness": res.witness}
     _dump(out, args)
     if args.format == "text":
         print("member" if res.member else "not a member (%s)" % res.verdict)
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def _portfolio_from_json(data):
@@ -380,7 +366,7 @@ def cmd_newsvendor(args):
         cert = _load_certificate(args.certificate)
         rep = NV.verify_newsvendor_system(
             cert["theta"], cert["scenarios"], inst,
-            tol=args.tol if args.tol is not None else 1e-8)
+            tol=args.tol if args.tol is not None else ST.DEFAULT_TOL)
         out["report"] = rep.to_dict()
         _dump(out, args)
         if args.format == "text":
@@ -463,20 +449,20 @@ def cmd_fd_check(args):
         if kind == "newsvendor_kernel":
             inst = _newsvendor_from_json(problem)
             x = inst.samples[0][0]
-            lm = NV.NewsvendorLowerModel(inst, x)
+            lm = NV.NewsvendorLowerModel(inst)
             # Orders cover [0, 2 max y + 1]; [0, 1] when every demand is below -0.5.
             high = 2.0 * max(y for _, y in inst.centers) + 1.0
             high = high if high >= 0.0 else 1.0
             pts = [np.array([float(rng.uniform(0.0, high))]) for _ in range(args.trials)]
             worst = ST.gradient_selftest(lm, np.array([float(rng.uniform(0.5, 2.0))]),
-                                         x, pts, rtol=np.inf)
+                                         x, pts)
         elif kind == "spo_portfolio":
             inst = _portfolio_from_json(problem)
             lm = PF.PortfolioLowerModel(inst)
             theta = rng.standard_normal(inst.d_x * inst.d_z)
             pts = [ST.FeasibleSet.simplex(inst.d_z).project(rng.uniform(0, 1, inst.d_z))
                    for _ in range(args.trials)]
-            worst = ST.gradient_selftest(lm, theta, inst.samples[0][0], pts, rtol=np.inf)
+            worst = ST.gradient_selftest(lm, theta, inst.samples[0][0], pts)
         else:
             raise CliError("unknown problem type: %r" % kind)
     else:

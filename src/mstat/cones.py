@@ -6,6 +6,24 @@ problems, and face enumerations are exponential in the number of active rows
 and deliberately capped. Tangent, normal and critical cones follow
 the classical descriptions for linear inequality systems; the multiplier
 searches make the implicit existential quantifiers explicit.
+
+Tolerance contract. The paper's conditions are exact inclusions, so every
+borderline verdict is decided by a tolerance. The user sets one, eps: the
+`--tol` or the query's "eps" of `mstat cones` and `mstat gph-normal`. Every
+other value is a module constant, read at call time.
+  eps (DEFAULT_EPS = 1e-9 unless set), absolute. Row i is active at z when
+    |b_i - a_i^T z| <= eps; a slack below -eps makes z infeasible. A number
+    x vanishes when |x| <= eps: a multiplier, a slope a_i^T eta, an entry of
+    z, g, zeta or eta, a sum gap or a spread over a support.
+  STRICT_EPS = 1e-12, absolute. x is strictly negative when x <= -STRICT_EPS
+    (strictly positive when x > STRICT_EPS) in the orthant and simplex sign
+    rules, where the budget multiplier vanishes only at |tau| <= STRICT_EPS
+    and 0 < |zeta_i| < STRICT_EPS is flagged boundary_ambiguous.
+    nnamcq_check reads eigenvalues up to STRICT_EPS * max(1, largest) as 0.
+  Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL,
+    _MAX_PIVOTS and _CERTIFY (LP and NNLS), portfolio._QP_EPS and
+    _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL and _MAX_EXPAND (Newton), and
+    stationarity._FD_STEP and _ARGMIN_TOL (gradient check, value function).
 """
 
 from __future__ import annotations
@@ -30,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-9
+STRICT_EPS = 1e-12
 MAX_ACTIVE_ROWS = 8
 
 
@@ -384,7 +403,7 @@ def multiplier_within_support(poly, z, target, support, eps=DEFAULT_EPS):
     return lam
 
 
-def distance_to_normal_cone(poly, z, u, eps=DEFAULT_EPS):
+def distance_to_normal_cone(poly, z, u):
     """Euclidean distance from u to N_Z(z) = cone of the active rows of A.
 
     The distance is min_{lam >= 0} ||A_I^T lam - u||, a non-negative
@@ -392,7 +411,7 @@ def distance_to_normal_cone(poly, z, u, eps=DEFAULT_EPS):
     the number of active rows is not capped.
     """
     u = np.asarray(u, dtype=float)
-    return cone_distance(u, poly.A[list(active_set(poly, z, eps))])
+    return cone_distance(u, poly.A[list(active_set(poly, z, DEFAULT_EPS))])
 
 
 def cone_distance(u, R):

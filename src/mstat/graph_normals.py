@@ -36,6 +36,7 @@ from .cones import (
     CombinatorialLimitError,
     DEFAULT_EPS,
     MAX_ACTIVE_ROWS,
+    STRICT_EPS,
     Polyhedron,
     active_diagnostics,
     active_set,
@@ -54,8 +55,6 @@ __all__ = [
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
 ]
-
-STRICT_EPS = 1e-12
 
 
 class NotGraphPointError(ValueError):
@@ -301,8 +300,8 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     return Membership(False, "not_member", "oracle", {"active_rows": list(I)})
 
 
-def _ambiguous(values, strict_eps):
-    return [int(i) for i, v in enumerate(values) if 0.0 < abs(v) < strict_eps]
+def _ambiguous(values):
+    return [int(i) for i, v in enumerate(values) if 0.0 < abs(v) < STRICT_EPS]
 
 
 _ORTHANT_REASONS = ("z has negative coordinates", "g has negative coordinates",
@@ -313,7 +312,16 @@ def _flagged(flags):
     return [i for i, f in enumerate(flags) if f]
 
 
-def _orthant_rows(z, g, zeta, eta, eps, strict_eps):
+def _sign_ok(zeta, eta, L, I_plus, eps):
+    """The orthant sign rule per entry: zeta_i vanishes on L, eta_i on I_+,
+    and elsewhere one of them vanishes or both are strictly negative."""
+    small_zeta, small_eta = np.abs(zeta) <= eps, np.abs(eta) <= eps
+    both_neg = (zeta <= -STRICT_EPS) & (eta <= -STRICT_EPS)
+    return np.where(L, small_zeta,
+                    np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
+
+
+def _orthant_rows(z, g, zeta, eta, eps):
     """Orthant coderivative membership of k points at once, one per row.
 
     z, g, zeta and eta are (k, d) arrays; row j is a point of R_+^d. The
@@ -328,10 +336,7 @@ def _orthant_rows(z, g, zeta, eta, eps, strict_eps):
     L = z > eps
     I_plus = ~L & (g > eps)
     I_zero = ~L & ~I_plus
-    small_zeta, small_eta = np.abs(zeta) <= eps, np.abs(eta) <= eps
-    both_neg = (zeta <= -strict_eps) & (eta <= -strict_eps)
-    sign_ok = np.where(L, small_zeta,
-                       np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
+    sign_ok = _sign_ok(zeta, eta, L, I_plus, eps)
     out = []
     for fail, l, p, o, c, ok in zip(fails.tolist(), L.tolist(), I_plus.tolist(),
                                     I_zero.tolist(), zeta.tolist(),
@@ -340,12 +345,12 @@ def _orthant_rows(z, g, zeta, eta, eps, strict_eps):
             out.append(_empty("orthant", _ORTHANT_REASONS[fail.index(True)]))
             continue
         witness = {"L": _flagged(l), "I_plus": _flagged(p), "I_zero": _flagged(o),
-                   "boundary_ambiguous": _ambiguous(c, strict_eps)}
+                   "boundary_ambiguous": _ambiguous(c)}
         out.append(Membership(ok, "member" if ok else "not_member", "orthant", witness))
     return out
 
 
-def orthant_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+def orthant_membership(z, g, pair, eps=DEFAULT_EPS):
     """Closed-form coderivative membership for Z = R_+^d.
 
     Coordinates split into L (z_i > 0), I_+ (z_i = 0 < g_i) and I_0 (both
@@ -357,27 +362,21 @@ def orthant_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     g = np.asarray(g, dtype=float)
     if not z.shape == g.shape == pair.zeta.shape:
         raise ValueError("z, g, zeta and eta must share a dimension")
-    return _orthant_rows(z[None], g[None], pair.zeta[None], pair.eta[None],
-                         eps, strict_eps)[0]
+    return _orthant_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps)[0]
 
 
-def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, I_zero, eps, strict_eps):
+def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps):
     """Whether row j passes the simplex sign system with zeta_j shifted by beta_j.
 
     The budget row is tight. beta is a (k,) array; zeta, eta and the masks
     broadcast to (k, d), tau and sum_eta to (k,). A row passes when tau or
     sum(eta) vanishes, beta vanishes or has the sign of a strictly positive
-    sum(eta), zeta_i - beta vanishes on L, eta_i on I_+, and on I_0 one of
-    zeta_i - beta and eta_i vanishes or both are strictly negative.
+    sum(eta), and (zeta - beta, eta) passes the orthant sign rule.
     """
-    shift = zeta - beta[:, None]
-    small_shift, small_eta = np.abs(shift) <= eps, np.abs(eta) <= eps
-    both_neg = (shift <= -strict_eps) & (eta <= -strict_eps)
-    fails = (L & ~small_shift) | (I_plus & ~small_eta) \
-        | (I_zero & ~(both_neg | small_shift | small_eta))
     small_sum = np.abs(sum_eta) <= eps
-    return ~fails.any(axis=1) & ((np.abs(tau) <= strict_eps) | small_sum) \
-        & (((beta > strict_eps) & (sum_eta > strict_eps)) | (np.abs(beta) <= eps) | small_sum)
+    return _sign_ok(zeta - beta[:, None], eta, L, I_plus, eps).all(axis=1) \
+        & ((np.abs(tau) <= STRICT_EPS) | small_sum) \
+        & (((beta > STRICT_EPS) & (sum_eta > STRICT_EPS)) | (np.abs(beta) <= eps) | small_sum)
 
 
 def _spread(v, mask):
@@ -385,7 +384,7 @@ def _spread(v, mask):
     return np.where(mask, v, -np.inf).max(axis=1) - np.where(mask, v, np.inf).min(axis=1)
 
 
-def _simplex_corner(z, g, zeta, eta, sum_eta, witness, eps, strict_eps):
+def _simplex_corner(z, g, zeta, eta, sum_eta, witness, eps):
     """One point whose budget row is tight while no coordinate clears the
     activity threshold, so tau and beta are both unresolved. Only finitely
     many beta regimes matter: zero, each zeta_i, and anything above max zeta.
@@ -395,14 +394,14 @@ def _simplex_corner(z, g, zeta, eta, sum_eta, witness, eps, strict_eps):
     candidates = np.array([0.0, float(np.max(zeta, initial=0.0)) + 1.0] + zeta.tolist())
     I_plus = g > eps
     ok = _shifted_sign_ok(zeta, eta, candidates, 0.0, sum_eta, np.zeros(len(z), dtype=bool),
-                          I_plus, ~I_plus, eps, strict_eps)
+                          I_plus, eps)
     beta = float(candidates[np.argmax(ok)]) if ok.any() else None
     witness.update({"tau": None, "beta": beta, "degenerate_support": True})
     return Membership(beta is not None, "member" if beta is not None else "not_member",
                       "simplex", witness)
 
 
-def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
+def _simplex_rows(z, g, zeta, eta, eps):
     """Simplex coderivative membership of k points at once, one per row.
 
     z, g, zeta and eta are (k, d) arrays; row j is a point of
@@ -435,12 +434,12 @@ def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
             continue
         witnesses[j] = {"L": _flagged(support), "sum_gap": gap,
                         "sum_near_threshold": bool(eps < abs(gap) <= 10.0 * eps),
-                        "boundary_ambiguous": _ambiguous(zeta_rows[j], strict_eps)}
+                        "boundary_ambiguous": _ambiguous(zeta_rows[j])}
         if gap > eps:
             interior.append(j)
         elif not witnesses[j]["L"]:
             out[j] = _simplex_corner(z[j], g[j], zeta[j], eta[j], sum_eta[j],
-                                     witnesses[j], eps, strict_eps)
+                                     witnesses[j], eps)
         elif g_spread[j] > eps:
             out[j] = _empty("simplex", "gradient not constant on the support")
         else:
@@ -454,7 +453,7 @@ def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
 
     if interior:
         for j, res in zip(interior, _orthant_rows(z[interior], g[interior], zeta[interior],
-                                                  eta[interior], eps, strict_eps)):
+                                                  eta[interior], eps)):
             witness = witnesses[j]
             witness.update(res.witness)
             witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
@@ -466,8 +465,7 @@ def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
     bound_negative = (off & (shifted < -eps)).any(axis=1).tolist()
     I_plus = off & (shifted > eps)
     I_zero = off & ~I_plus
-    ok = _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, I_zero,
-                          eps, strict_eps).tolist()
+    ok = _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps).tolist()
     I_plus, I_zero = I_plus.tolist(), I_zero.tolist()
     for j in face:
         if bound_negative[j]:
@@ -484,7 +482,7 @@ def _simplex_rows(z, g, zeta, eta, eps, strict_eps):
     return out
 
 
-def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
+def simplex_membership(z, g, pair, eps=DEFAULT_EPS):
     """Closed-form coderivative membership for Z = {z >= 0, 1^T z <= 1}.
 
     With the sum constraint slack the test reduces to the orthant form with
@@ -498,15 +496,4 @@ def simplex_membership(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     g = np.asarray(g, dtype=float)
     if not z.shape == g.shape == pair.zeta.shape:
         raise ValueError("z, g, zeta and eta must share a dimension")
-    return _simplex_rows(z[None], g[None], pair.zeta[None], pair.eta[None],
-                         eps, strict_eps)[0]
-
-
-def membership_for_set(feasible, z, g, zeta, eta, eps=DEFAULT_EPS):
-    """Dispatch a coderivative membership query to the matching route."""
-    pair = NormalPair(zeta, eta)
-    if feasible.kind == "orthant":
-        return orthant_membership(z, g, pair, eps)
-    if feasible.kind == "simplex":
-        return simplex_membership(z, g, pair, eps)
-    return polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g), pair, eps)
+    return _simplex_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps)[0]

@@ -38,6 +38,7 @@ from scipy.special import ndtr
 from .cones import DEFAULT_EPS
 from .graph_normals import finite_number, finite_vector, object_list
 from .stationarity import (
+    DEFAULT_TOL,
     Certificate,
     FeasibleSet,
     LowerModel,
@@ -63,6 +64,8 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 # Largest (row, center, coordinate) entry count of one block of query rows.
 _BLOCK_ENTRIES = 1 << 20
+_NEWTON_TOL = 1e-12   # the quantile's Newton steps stop at |F - q| <= _NEWTON_TOL
+_MAX_EXPAND = 60      # the most times the quantile bracket widens
 
 
 def _phi(u):
@@ -187,7 +190,7 @@ def _grad_theta_rows(model, W, sq, y):
     return reweight - widen
 
 
-def _quantile_rows(model, W, q, tol, max_expand):
+def _quantile_rows(model, W, q):
     """Order quantity of each weight row; see solve_newsvendor for the rule.
 
     Rows move in lockstep with per-row masks: a row met at z = 0 keeps 0, a
@@ -202,7 +205,7 @@ def _quantile_rows(model, W, q, tol, max_expand):
     lo = np.zeros(len(W))
     hi = np.full(len(W), np.max(model.centers_y) + 20.0 * model.theta)
     short = np.ones(len(W), dtype=bool)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         short &= ~(_cdf_rows(model, W, hi) > q)
         if not short.any():
             break
@@ -219,7 +222,7 @@ def _quantile_rows(model, W, q, tol, max_expand):
     for _ in range(5):
         f = _cdf_rows(model, W, z) - q
         p = _pdf_rows(model, W, z)
-        moving &= ~((p <= 0.0) | (np.abs(f) <= tol))
+        moving &= ~((p <= 0.0) | (np.abs(f) <= _NEWTON_TOL))
         if not moving.any():
             break
         z[moving] -= f[moving] / p[moving]
@@ -261,8 +264,7 @@ def grad_theta_cdf(model, y, x):
 # ---------------------------------------------------------------------------
 # order quantities and regret
 
-def solve_newsvendor_rows(model, xs, h, b, tol=1e-12, max_expand=60,
-                          leave_one_out=False):
+def solve_newsvendor_rows(model, xs, h, b, leave_one_out=False):
     """Order quantities for the query rows xs (k, d_x), one weight matrix per
     block of rows; see solve_newsvendor for the rule each row follows.
 
@@ -279,21 +281,20 @@ def solve_newsvendor_rows(model, xs, h, b, tol=1e-12, max_expand=60,
     for rows in _row_blocks(len(X), model):
         drop = np.arange(rows.start, rows.stop) if leave_one_out else None
         W, _ = _weight_rows(model, X[rows], drop)
-        out[rows] = _quantile_rows(model, W, q, tol, max_expand)
+        out[rows] = _quantile_rows(model, W, q)
     return out
 
 
-def solve_newsvendor(model, x, h, b, tol=1e-12, max_expand=60):
+def solve_newsvendor(model, x, h, b):
     """Order quantity solving 0 in (h+b) F_theta(z; x) - b + N_{R+}(z).
 
     Returns 0 when the critical ratio is already met at the boundary;
-    otherwise brackets the quantile from max_m y_m + 20 theta in steps of
-    10 theta, bisects 60 times and polishes with at most 5 Newton steps on
-    the smooth strictly increasing CDF, stopping once |F - q| <= tol. This
-    is the one-row case of solve_newsvendor_rows.
+    otherwise brackets the quantile from max_m y_m + 20 theta in at most
+    _MAX_EXPAND steps of 10 theta, bisects 60 times and polishes with at
+    most 5 Newton steps on the smooth strictly increasing CDF, stopping once
+    |F - q| <= _NEWTON_TOL. This is the one-row case of solve_newsvendor_rows.
     """
-    return float(solve_newsvendor_rows(model, _one_row(model, x), h, b, tol,
-                                       max_expand)[0])
+    return float(solve_newsvendor_rows(model, _one_row(model, x), h, b)[0])
 
 
 def _regret(z, y, h, b):
@@ -383,20 +384,17 @@ class NewsvendorLowerModel(LowerModel):
     """Expected newsvendor cost under the kernel mixture, theta = (bandwidth,).
 
     cost is the closed-form Gaussian-mixture expectation of
-    h (z - Y)_+ + b (Y - z)_+; its z-derivative is (h+b) F(z) - b. Every
-    method reads the query x it is given, or the x fixed at construction
-    when it is given none.
+    h (z - Y)_+ + b (Y - z)_+ at the query x; its z-derivative is
+    (h+b) F(z) - b.
     """
 
-    def __init__(self, instance, x=None):
+    def __init__(self, instance):
         self.inst = instance
-        self.x = None if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         self.feasible_set = FeasibleSet.orthant(1)
 
     def _args(self, z, theta, x):
         """The kernel model at theta, the order quantity and the query."""
-        return (self.inst.model(float(np.atleast_1d(theta)[0])), float(np.atleast_1d(z)[0]),
-                self.x if x is None else x)
+        return self.inst.model(float(np.atleast_1d(theta)[0])), float(np.atleast_1d(z)[0]), x
 
     def _per_center(self, m, z):
         """u_m = (z - y_m) / theta and each center's expected cost at z."""
@@ -405,23 +403,23 @@ class NewsvendorLowerModel(LowerModel):
         under = (m.centers_y - z) * ndtr(-u) + m.theta * _phi(u)
         return u, self.inst.h * over + self.inst.b * under
 
-    def cost(self, z, theta, x=None):
+    def cost(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         return float(nw_weights(m, x) @ self._per_center(m, z)[1])
 
-    def grad_z(self, z, theta, x=None):
+    def grad_z(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         return np.array([(self.inst.h + self.inst.b) * conditional_cdf(m, z, x) - self.inst.b])
 
-    def hess_zz(self, z, theta, x=None):
+    def hess_zz(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         return np.array([[(self.inst.h + self.inst.b) * conditional_pdf(m, z, x)]])
 
-    def hess_ztheta(self, z, theta, x=None):
+    def hess_ztheta(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         return np.array([[(self.inst.h + self.inst.b) * grad_theta_cdf(m, z, x)]])
 
-    def grad_theta(self, z, theta, x=None):
+    def grad_theta(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         W, sq = _weight_rows(m, _one_row(m, x))
         w, psi = W[0], _log_kernel_grads(m, sq[0])
@@ -431,11 +429,11 @@ class NewsvendorLowerModel(LowerModel):
         return np.array([reweight + widen])
 
 
-def _kink_interval(z, y, h, b, eps):
+def _kink_interval(z, y, h, b):
     """Subdifferential of h (z - y)_+ + b (y - z)_+ as an interval [lo, hi],
-    entrywise for arrays z and y: [h, h] above y + eps, [-b, -b] below
-    y - eps and [-b, h] on the kink."""
-    return np.where(z > y + eps, h, -b), np.where(z < y - eps, -b, h)
+    entrywise for arrays z and y: [h, h] above y + DEFAULT_EPS, [-b, -b]
+    below y - DEFAULT_EPS and [-b, h] on the kink."""
+    return np.where(z > y + DEFAULT_EPS, h, -b), np.where(z < y - DEFAULT_EPS, -b, h)
 
 
 class NewsvendorUpperModel(UpperModel):
@@ -451,8 +449,8 @@ class NewsvendorUpperModel(UpperModel):
     def loss(self, z, x, y, theta):
         return float(_regret(float(np.atleast_1d(z)[0]), y, self.inst.h, self.inst.b))
 
-    def grad_z_bounds(self, z, x, y, theta, eps):
-        return _kink_interval(np.atleast_1d(z), y, self.inst.h, self.inst.b, eps)
+    def grad_z_bounds(self, z, x, y, theta):
+        return _kink_interval(np.atleast_1d(z), y, self.inst.h, self.inst.b)
 
     def grad_theta(self, z, x, y, theta):
         return np.zeros(1)
@@ -463,7 +461,7 @@ class NewsvendorProblem(Problem):
     weight matrix per block of rows, and each scenario's witness gains its
     loss subdifferential as "subdiff": [lo, hi]."""
 
-    def scenario_terms(self, theta, certificate, eps=DEFAULT_EPS):
+    def scenario_terms(self, theta, certificate):
         inst = self.lower.inst
         h, b = inst.h, inst.b
         model = inst.model(float(theta[0]))
@@ -477,7 +475,7 @@ class NewsvendorProblem(Problem):
             cdf[rows] = _cdf_rows(model, W, z[rows])
             pdf[rows] = _pdf_rows(model, W, z[rows])
             slope[rows] = _grad_theta_rows(model, W, sq, z[rows])
-        lo, hi = _kink_interval(z, y, h, b, eps)
+        lo, hi = _kink_interval(z, y, h, b)
         # The models' formulas, entry by entry: g = (h+b) F - b,
         # hess_zz = (h+b) p, hess_ztheta = (h+b) dF/dtheta, grad_theta L = 0.
         # A matrix-vector product sums from +0.0, hence the 0.0 + below.
@@ -525,7 +523,7 @@ def newsvendor_certificate(theta, certificate_scenarios):
     return Certificate(theta=theta, scenarios=scenarios)
 
 
-def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=1e-8):
+def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=DEFAULT_TOL):
     """Check the bandwidth stationarity system of the kernel newsvendor.
 
     certificate_scenarios is a list of dicts with keys z, eta, zeta (scalars),

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import DEFAULT_EPS
 from .graph_normals import (
     NormalPair,
     finite_number,
@@ -146,6 +145,8 @@ class SimplexQPSolution:
 
 
 _PROJECTION_BOUND = 2.0 ** 52
+_QP_EPS = 1e-11       # zero and convergence tolerance of solve_simplex_qp
+_QP_MAX_ITER = 200    # its active-set iteration cap
 
 
 def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
@@ -160,7 +161,7 @@ def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
                      max(0.0, z.sum() - 1.0)))
 
 
-def solve_simplex_qp(r, sigma, lam, eps=1e-11, max_iter=200):
+def solve_simplex_qp(r, sigma, lam):
     """Minimize -r^T z + (lam/2) z^T Sigma z over {z >= 0, 1^T z <= 1}.
 
     Primal active-set iteration started from the simplex projection of the
@@ -171,7 +172,11 @@ def solve_simplex_qp(r, sigma, lam, eps=1e-11, max_iter=200):
     So does an unconstrained optimum with an entry of magnitude 2^52 or more:
     the projection tests u - (u - 1) > 0 at its largest entry u, and beyond
     2^52 the subtraction can drop the 1, leaving no support.
+    On the budget face the solve's error in 1^T z grows with the returns;
+    beyond _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1
+    and tau shifts so that lam Sigma z + tau 1 stays unchanged.
     """
+    eps = _QP_EPS
     r = np.atleast_1d(np.asarray(r, dtype=float))
     sigma = np.asarray(sigma, dtype=float)
     d = len(r)
@@ -189,7 +194,7 @@ def solve_simplex_qp(r, sigma, lam, eps=1e-11, max_iter=200):
     bounds = set(i for i in range(d) if z[i] <= eps)
     budget = z.sum() >= 1.0 - eps
 
-    for _ in range(max_iter):
+    for _ in range(_QP_MAX_ITER):
         # Equality-constrained step: fix z_i = 0 on working bounds, and the
         # budget row when it is in the working set.
         idx = [i for i in range(d) if i not in bounds]
@@ -206,6 +211,11 @@ def solve_simplex_qp(r, sigma, lam, eps=1e-11, max_iter=200):
                 sol = np.linalg.solve(K, rhs)
                 z_eq[idx] = sol[:k]
                 tau = float(sol[k])
+                drift = 1.0 - z_eq[idx].sum()
+                if abs(drift) > eps:
+                    c = np.linalg.solve(K[:k, :k], np.ones(k))
+                    z_eq[idx] += drift * c / c.sum()
+                    tau -= drift / c.sum()
             else:
                 z_eq[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
         elif budget:
@@ -407,7 +417,7 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
     return (predictor, history) if return_history else predictor
 
 
-def realizable_certificate(instance, theta, eps=DEFAULT_EPS):
+def realizable_certificate(instance, theta):
     """Certificate with eta = 0 built from exact lower-level solutions.
 
     zeta_n = r_n - lam Sigma z_n balances the scenario line when the realized
@@ -422,7 +432,7 @@ def realizable_certificate(instance, theta, eps=DEFAULT_EPS):
         zeta = r - lam * (sig @ z)
         eta = np.zeros(instance.d_z)
         g = -predictor.predict(x) + lam * (sig @ z)
-        res = simplex_membership(z, g, NormalPair(zeta, eta), eps)
+        res = simplex_membership(z, g, NormalPair(zeta, eta))
         betas.append(res.witness.get("beta"))
         scen_certs.append(ScenarioCertificate(z=z, eta=eta, zeta=zeta))
     cert = Certificate(theta=np.asarray(theta, dtype=float).ravel(),

@@ -24,6 +24,7 @@ import numpy as np
 from .cones import (
     DEFAULT_EPS,
     MAX_ACTIVE_ROWS,
+    STRICT_EPS,
     CombinatorialLimitError,
     Polyhedron,
     active_rows,
@@ -34,13 +35,14 @@ from .cones import (
     simplex_polyhedron,
 )
 from .graph_normals import (
-    STRICT_EPS,
+    GraphPoint,
+    NormalPair,
     finite_number,
     finite_vector,
     _orthant_rows,
     _simplex_rows,
     make_graph_context,
-    membership_for_set,
+    polyhedron_membership,
 )
 from .lp import feasibility_threshold
 
@@ -57,6 +59,8 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_VALUE_TOL = 1e-6
 _TERM_BOUND = 1e150
+_FD_STEP = 1e-6      # central-difference step of gradient_selftest
+_ARGMIN_TOL = 1e-9   # value and max-norm point tolerance of value_function
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +124,6 @@ class FeasibleSet:
             return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
         raise NotImplementedError("no projection for general polyhedra")
 
-    def contains(self, z, eps=DEFAULT_EPS):
-        return self.as_polyhedron().contains(z, eps)
-
     def to_dict(self):
         if self.kind == "box":
             return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -150,15 +151,16 @@ class ParameterSet:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         return ParameterSet("box", len(lo), lo=lo, hi=hi)
 
-    def normal_cone_distance(self, theta, u, eps=DEFAULT_EPS):
+    def normal_cone_distance(self, theta, u):
         """dist(u, N_Theta(theta)); the full space contributes N = {0}."""
         theta = np.asarray(theta, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.kind == "free":
             return float(np.linalg.norm(u))
-        # A box: u_i counts unless it points out through a bound theta_i sits on.
-        at_lo = theta <= self.lo + eps
-        at_hi = theta >= self.hi - eps
+        # A box: u_i counts unless it points out through a bound theta_i sits
+        # on within DEFAULT_EPS.
+        at_lo = theta <= self.lo + DEFAULT_EPS
+        at_hi = theta >= self.hi - DEFAULT_EPS
         outside = ((u < 0) & ~at_lo) | ((u > 0) & ~at_hi)
         return float(np.linalg.norm(np.where(outside, np.abs(u), 0.0)))
 
@@ -220,11 +222,11 @@ class UpperModel:
     def grad_theta(self, z, x, y, theta):
         raise NotImplementedError
 
-    def grad_z_bounds(self, z, x, y, theta, eps):
+    def grad_z_bounds(self, z, x, y, theta):
         """Bounds lo <= hi of the subdifferential of L in z, coordinatewise.
 
         A loss differentiable in z has the point interval lo = hi = grad_z;
-        a loss with kinks overrides this, using eps to decide a kink.
+        a loss with kinks overrides this, using DEFAULT_EPS to decide a kink.
         """
         g = np.asarray(self.grad_z(z, x, y, theta), dtype=float)
         return g, g
@@ -267,7 +269,7 @@ class Problem:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("scenario weights must sum to 1 (got %.17g)" % w.sum())
 
-    def scenario_terms(self, theta, certificate, eps=DEFAULT_EPS):
+    def scenario_terms(self, theta, certificate):
         """The ScenarioTerms of a certificate at theta.
 
         This default makes one model call per term and scenario. A problem
@@ -278,7 +280,7 @@ class Problem:
         rows = []
         for scen, cert in zip(self.scenarios, certificate.scenarios):
             z, x, y = cert.z, scen.x, scen.y
-            lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
+            lo, hi = upper.grad_z_bounds(z, x, y, theta)
             rows.append((lower.grad_z(z, theta, x),
                          np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ cert.eta,
                          lo, hi, _upper_generator(lower, upper, theta, x, y, z, cert.eta)))
@@ -390,11 +392,12 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # gradient self-test
 
-def gradient_selftest(model, theta, x, points, h=1e-6, rtol=1e-5):
+def gradient_selftest(model, theta, x, points):
     """Compare grad_z of a LowerModel against central differences of cost.
 
-    Returns the worst relative error over the supplied points; raises if it
-    exceeds rtol. Keeps model implementations honest before any verification.
+    Returns the worst error over the supplied points, relative to
+    max(1, ||grad_z||), of differences with step _FD_STEP; the caller
+    decides what passes, so model implementations stay honest.
     """
     theta = np.asarray(theta, dtype=float)
     worst = 0.0
@@ -404,23 +407,21 @@ def gradient_selftest(model, theta, x, points, h=1e-6, rtol=1e-5):
         fd = np.empty_like(grad)
         for i in range(len(z)):
             e = np.zeros_like(z)
-            e[i] = h
-            fd[i] = (model.cost(z + e, theta, x) - model.cost(z - e, theta, x)) / (2 * h)
+            e[i] = _FD_STEP
+            fd[i] = (model.cost(z + e, theta, x) - model.cost(z - e, theta, x)) / (2 * _FD_STEP)
         scale = max(1.0, float(np.linalg.norm(grad)))
         worst = max(worst, float(np.linalg.norm(grad - fd)) / scale)
-    if worst > rtol:
-        raise ValueError("grad_z disagrees with finite differences: %.3g" % worst)
     return worst
 
 
 # ---------------------------------------------------------------------------
 # per-scenario conditions
 
-def lower_residual(model, theta, x, z, eps=DEFAULT_EPS):
+def lower_residual(model, theta, x, z):
     """dist(-grad_z c(z), N_Z(z)): zero exactly at lower-level stationary points."""
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    return distance_to_normal_cone(poly, np.asarray(z, dtype=float), -g, eps)
+    return distance_to_normal_cone(poly, np.asarray(z, dtype=float), -g)
 
 
 def _probe_and_gap(r_lo, r_hi, zeta, given):
@@ -453,7 +454,7 @@ def _upper_generator(lower, upper, theta, x, y, z, eta):
         + np.asarray(lower.hess_ztheta(z, theta, x), dtype=float).T @ eta
 
 
-def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
+def nnamcq_check(model, theta, x, z):
     """No-nonzero-abnormal-multiplier constraint qualification at z.
 
     True when eta = 0 is the only solution of the homogeneous coderivative
@@ -485,11 +486,12 @@ def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
     Numerically, eigenvalues of the symmetric part up to
     STRICT_EPS * max(1, largest eigenvalue) count as zero, the same bound
     limits the asymmetry of a singular H, a row set is independent when
-    its smallest singular value exceeds eps, and E is read at a unit eta
-    with |a_i^T eta| <= eps, as polyhedron_membership reads it. The row sets
-    are exponential in k and refused beyond MAX_ACTIVE_ROWS active rows
-    when k >= 2; the positive definite case and k = 1 have no cap.
+    its smallest singular value exceeds eps = DEFAULT_EPS, and E is read at
+    a unit eta with |a_i^T eta| <= eps, as polyhedron_membership reads it.
+    The row sets are exponential in k and refused beyond MAX_ACTIVE_ROWS
+    active rows when k >= 2; the positive definite case and k = 1 have no cap.
     """
+    eps = DEFAULT_EPS
     z = np.asarray(z, dtype=float)
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
@@ -523,7 +525,7 @@ def nnamcq_check(model, theta, x, z, eps=DEFAULT_EPS):
 # ---------------------------------------------------------------------------
 # aggregate conditions and verification
 
-def _upper_line(problem, theta, generators, penalties, eps):
+def _upper_line(problem, theta, generators, penalties):
     """dist(-s, N_Theta(theta)) for s = sum_n w_n (generators[n] + penalties[n]),
     summed in scenario order."""
     if penalties is not None:
@@ -533,18 +535,14 @@ def _upper_line(problem, theta, generators, penalties, eps):
                 generators[n] = generators[n] + p
     weights = np.array([scen.weight for scen in problem.scenarios])
     s = np.add.accumulate(weights[:, None] * generators, axis=0)[-1]
-    return problem.upper.theta_set.normal_cone_distance(theta, -s, eps)
+    return problem.upper.theta_set.normal_cone_distance(theta, -s)
 
 
-def upper_residual(problem, certificate, eps=DEFAULT_EPS, penalties=None):
-    """dist(-s, N_Theta(theta)) for the weighted upper-level gradient sum s.
-
-    penalties[n], when given and not None, is added to the term of scenario
-    n; the penalized system puts mu_n (grad_theta c(z_n) - w_n) there.
-    """
+def upper_residual(problem, certificate):
+    """dist(-s, N_Theta(theta)) for the weighted upper-level gradient sum s."""
     theta = certificate.theta
-    terms = problem.scenario_terms(theta, certificate, eps)
-    return _upper_line(problem, theta, terms.generators, penalties, eps)
+    terms = problem.scenario_terms(theta, certificate)
+    return _upper_line(problem, theta, terms.generators, None)
 
 
 def _infeasible_report(index):
@@ -554,7 +552,7 @@ def _infeasible_report(index):
                           witness={"reason": "infeasible scenario point"})
 
 
-def _check_scenario(poly, index, z, g, gap, given, res, eps):
+def _check_scenario(poly, index, z, g, gap, given, res):
     """One scenario's report by the general route: the lower residual by
     NNLS, the complementarity gap by LP and the membership res the caller
     decided by the set's predicate.
@@ -569,13 +567,13 @@ def _check_scenario(poly, index, z, g, gap, given, res, eps):
     target = -g
     slack = poly.slacks(z)
     try:
-        I = active_rows(poly, slack, eps)
+        I = active_rows(poly, slack, DEFAULT_EPS)
         low_res = cone_distance(target, poly.A[list(I)])
     except ValueError:
         return _infeasible_report(index)
     comp_gap = None
     if not I or low_res <= 2.0 * feasibility_threshold(target):
-        lam = multiplier_within_support(poly, z, target, I, eps)
+        lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
@@ -584,7 +582,7 @@ def _check_scenario(poly, index, z, g, gap, given, res, eps):
                           complementarity_gap=comp_gap, witness=res.witness)
 
 
-def _orthant_reports(z, g, probe, eta, gap, given, eps, strict_eps):
+def _orthant_reports(z, g, probe, eta, gap, given):
     """Every scenario's report on Z = R_+^d from one pass over (k, d) rows.
 
     dist(-g, N_Z(z)) separates by coordinate: |g_i| where z_i > eps and
@@ -592,7 +590,8 @@ def _orthant_reports(z, g, probe, eta, gap, given, eps, strict_eps):
     _orthant_rows call. The graph-point check already bounds |z_i g_i| by
     eps, so no complementarity gap is reported.
     """
-    members = _orthant_rows(z, g, probe, eta, eps, strict_eps)
+    eps = DEFAULT_EPS
+    members = _orthant_rows(z, g, probe, eta, eps)
     low_res = np.linalg.norm(np.where(z > eps, np.abs(g), np.maximum(0.0, -g)), axis=1)
     reports = []
     for n, (res, low, gap_norm, bad, has) in enumerate(zip(
@@ -639,19 +638,18 @@ def _require_bounded_terms(terms, r_lo, r_hi, probe):
 def _verify(problem, certificate, mode, tol, mus, solver):
     """The one verifier body behind both systems.
 
-    The scenario terms come from problem.scenario_terms. An orthant decides
-    every scenario in one array pass; the simplex and general polyhedra go
-    scenario by scenario. Activity and sign tests use DEFAULT_EPS and
-    STRICT_EPS, and value gaps are held to DEFAULT_VALUE_TOL. The penalized system is the convex one plus, in
-    each scenario, mu_n g_n on the coderivative line and
+    The scenario terms come from problem.scenario_terms. The set's kind
+    picks the route: an orthant and a simplex decide every scenario in one
+    array pass, any other set calls polyhedron_membership per scenario.
+    Activity and sign tests use DEFAULT_EPS and STRICT_EPS, and value gaps
+    are held to DEFAULT_VALUE_TOL. The penalized system is the convex one
+    plus, in each scenario, mu_n g_n on the coderivative line and
     mu_n (grad_theta c(z_n) - w_n) on the upper line. The convex system
-    passes mus = None and no solver, which drops both terms and the value
-    gaps.
+    passes mus = None and no solver, which drops both terms and the value gaps.
     """
     theta, lower = certificate.theta, problem.lower
     certs = certificate.scenarios
-    eps, strict_eps = DEFAULT_EPS, STRICT_EPS
-    terms = problem.scenario_terms(theta, certificate, eps)
+    terms = problem.scenario_terms(theta, certificate)
     z = np.array([c.z for c in certs])
     eta = np.array([c.eta for c in certs])
     given = np.array([c.zeta is not None for c in certs])
@@ -665,16 +663,16 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     _require_bounded_terms(terms, r_lo, r_hi, probe)
     feasible = lower.feasible_set
     if feasible.kind == "orthant":
-        reports = _orthant_reports(z, terms.g, probe, eta, gap, given.tolist(),
-                                   eps, strict_eps)
+        reports = _orthant_reports(z, terms.g, probe, eta, gap, given.tolist())
     else:
-        if feasible.kind == "simplex":
-            members = _simplex_rows(z, terms.g, probe, eta, eps, strict_eps)
-        else:
-            members = [membership_for_set(feasible, *row, eps)
-                       for row in zip(z, terms.g, probe, eta)]
         poly = feasible.as_polyhedron()
-        reports = [_check_scenario(poly, n, *row, eps)
+        if feasible.kind == "simplex":
+            members = _simplex_rows(z, terms.g, probe, eta, DEFAULT_EPS)
+        else:
+            members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
+                                             DEFAULT_EPS)
+                       for zn, gn, pn, en in zip(z, terms.g, probe, eta)]
+        reports = [_check_scenario(poly, n, *row)
                    for n, row in enumerate(zip(z, terms.g, gap, given, members))]
     if terms.witness is not None:
         for rep, extra in zip(reports, terms.witness):
@@ -697,7 +695,7 @@ def _verify(problem, certificate, mode, tol, mus, solver):
                     w_n = sub.generators[0]
                 grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
                 penalties[rep.index] = mu * (grad_t - w_n)
-    upper = _upper_line(problem, theta, terms.generators, penalties, eps)
+    upper = _upper_line(problem, theta, terms.generators, penalties)
     return ResidualReport(mode=mode, tol=tol, value_tol=DEFAULT_VALUE_TOL,
                           upper_residual=upper, scenarios=reports, caveats=caveats)
 
@@ -762,11 +760,12 @@ class ValueSubdifferential:
         return sum(wi * gi for wi, gi in zip(w, self.generators))
 
 
-def value_function(model, theta, x, solver, value_tol=1e-9, point_tol=1e-9):
+def value_function(model, theta, x, solver):
     """Optimal value and a deduplicated sample of minimizers.
 
-    The solver supplies candidate points; everything within value_tol of the
-    best candidate is kept. Strictly convex problems yield a singleton, flat
+    The solver supplies candidate points; everything within _ARGMIN_TOL of
+    the best candidate is kept, once per point. Strictly convex problems
+    yield a singleton, flat
     directions yield however many distinct candidates the solver produced.
     """
     theta = np.asarray(theta, dtype=float)
@@ -777,9 +776,9 @@ def value_function(model, theta, x, solver, value_tol=1e-9, point_tol=1e-9):
     best = float(np.min(values))
     keep = []
     for z, v in zip(candidates, values):
-        if v > best + value_tol:
+        if v > best + _ARGMIN_TOL:
             continue
-        if any(np.max(np.abs(z - k)) <= point_tol for k in keep):
+        if any(np.max(np.abs(z - k)) <= _ARGMIN_TOL for k in keep):
             continue
         keep.append(z)
     return ValueFunctionResult(value=best, argmin_points=keep)

@@ -8,12 +8,12 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, CombinatorialLimitError, ConeRepH,
-                         Polyhedron, active_set, member_v, multiplier_within_support,
-                         polar_cone)
+from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
+                         ConeRepH, Polyhedron, active_set, member_v,
+                         multiplier_within_support, polar_cone)
 from mstat import lp as LP
-from mstat.graph_normals import (STRICT_EPS, Membership, _ambiguous, _empty,
-                                 make_graph_context, membership_for_set, orthant_membership)
+from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
+                                 orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded
 from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
                                 _upper_generator)
@@ -477,14 +477,15 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     L = z > eps
     witness = {"L": np.flatnonzero(L).tolist(), "sum_gap": sum_gap,
                "sum_near_threshold": bool(eps < abs(sum_gap) <= 10.0 * eps),
-               "boundary_ambiguous": _ambiguous(zeta, strict_eps)}
+               "boundary_ambiguous": [i for i, v in enumerate(zeta.tolist())
+                                      if 0.0 < abs(v) < strict_eps]}
 
     if sum_gap > eps:
         # Budget row inactive: tau = 0 and beta is forced to zero.
-        res = orthant_membership(z, g, pair, eps, strict_eps)
-        witness.update(res.witness)
-        witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
-        return Membership(res.member, res.verdict, "simplex", witness)
+        member, verdict, orthant_witness = orthant_oracle(z, g, zeta, eta, eps, strict_eps)
+        witness.update(orthant_witness)
+        witness.update({"tau": 0.0, "beta": 0.0 if member else None})
+        return Membership(member, verdict, "simplex", witness)
 
     if L.any():
         g_L = g[L]
@@ -600,11 +601,18 @@ def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None, eps=DEFAU
     eta = np.asarray(eta, dtype=float)
     g = np.asarray(lower.grad_z(z, theta, x), dtype=float)
     curvature = np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta
-    lo, hi = upper.grad_z_bounds(z, x, y, theta, eps)
+    lo, hi = upper.grad_z_bounds(z, x, y, theta)
     given = zeta is not None
     probe, gap = _probe_and_gap(lo + curvature, hi + curvature,
                                 np.asarray(zeta, dtype=float) if given else 0.0, given)
-    res = membership_for_set(lower.feasible_set, z, g, probe, eta, eps)
+    pair = NormalPair(probe, eta)
+    feasible = lower.feasible_set
+    if feasible.kind == "orthant":
+        res = orthant_membership(z, g, pair, eps)
+    elif feasible.kind == "simplex":
+        res = simplex_membership(z, g, pair, eps)
+    else:
+        res = polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g), pair, eps)
     return {"membership": res.member,
             "residual": _m_residual(res, float(np.linalg.norm(gap)), given),
             "verdict": res.verdict, "witness": res.witness}

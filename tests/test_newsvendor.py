@@ -13,8 +13,9 @@ from conftest import (
     nv_oracle_weights,
     orthant_oracle,
 )
-from mstat.cones import DEFAULT_EPS
-from mstat.graph_normals import NormalPair, STRICT_EPS, _orthant_rows, orthant_membership
+import mstat.graph_normals as GN
+from mstat.cones import DEFAULT_EPS, STRICT_EPS
+from mstat.graph_normals import NormalPair, _orthant_rows, orthant_membership
 from mstat.newsvendor import (
     KernelModel,
     NewsvendorInstance,
@@ -200,15 +201,16 @@ def test_lower_model_gradients(rng):
     inst = NewsvendorInstance(h=1.0, b=3.0,
                               centers=[([0.0], 5.0), ([1.0], 7.0)],
                               samples=[([0.5], 6.0)])
-    lm = NewsvendorLowerModel(inst, [0.5])
+    lm = NewsvendorLowerModel(inst)
+    x = np.array([0.5])
     theta = np.array([1.3])
-    gradient_selftest(lm, theta, None, [np.array([v]) for v in (4.0, 6.0, 8.5)])
+    assert gradient_selftest(lm, theta, x, [np.array([v]) for v in (4.0, 6.0, 8.5)]) <= 1e-5
     h = 1e-6
     for z in (4.0, 6.0, 8.5):
-        fd_t = (lm.cost([z], theta + h) - lm.cost([z], theta - h)) / (2 * h)
-        assert abs(lm.grad_theta([z], theta)[0] - fd_t) < 1e-8
-        fd_zt = (lm.grad_z([z], theta + h)[0] - lm.grad_z([z], theta - h)[0]) / (2 * h)
-        assert abs(lm.hess_ztheta([z], theta)[0, 0] - fd_zt) < 1e-8
+        fd_t = (lm.cost([z], theta + h, x) - lm.cost([z], theta - h, x)) / (2 * h)
+        assert abs(lm.grad_theta([z], theta, x)[0] - fd_t) < 1e-8
+        fd_zt = (lm.grad_z([z], theta + h, x)[0] - lm.grad_z([z], theta - h, x)[0]) / (2 * h)
+        assert abs(lm.hess_ztheta([z], theta, x)[0, 0] - fd_zt) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def _as_tuple(res):
 
 
 @pytest.mark.parametrize("eps, strict", [(DEFAULT_EPS, STRICT_EPS), (1e-12, 1e-6)])
-def test_orthant_row_pass_matches_per_point_oracle(rng, eps, strict):
+def test_orthant_row_pass_matches_per_point_oracle(rng, monkeypatch, eps, strict):
     """The row pass over n scalar scenarios gives, row by row, the verdict,
     reason and witness of orthant_membership and of the plain oracle, on
     random scalars and on values at 0, +-eps and +-strict_eps. The second
@@ -293,12 +295,12 @@ def test_orthant_row_pass_matches_per_point_oracle(rng, eps, strict):
     cols = [np.where(rng.random(n) < 0.7, rng.choice(edges, n), rng.normal(size=n))
             for _ in range(4)]
     z, g, zeta, eta = cols
-    rows = _orthant_rows(z[:, None], g[:, None], zeta[:, None], eta[:, None], eps, strict)
+    monkeypatch.setattr(GN, "STRICT_EPS", strict)
+    rows = _orthant_rows(z[:, None], g[:, None], zeta[:, None], eta[:, None], eps)
     seen = set()
     for k, res in enumerate(rows):
         point = z[k:k + 1], g[k:k + 1], zeta[k:k + 1], eta[k:k + 1]
-        single = orthant_membership(point[0], point[1], NormalPair(point[2], point[3]),
-                                    eps, strict)
+        single = orthant_membership(point[0], point[1], NormalPair(point[2], point[3]), eps)
         assert _as_tuple(res) == _as_tuple(single) == orthant_oracle(*point, eps, strict)
         seen.add(res.witness.get("reason", res.verdict))
         if res.witness.get("boundary_ambiguous"):
@@ -418,7 +420,7 @@ def cases(rng):
                 yield random_instance(rng, n, d_x, kind), float(rng.choice([0.05, 0.3, 1.2]))
 
 
-def test_rows_match_oracle_bit_for_bit(rng):
+def test_rows_match_oracle_bit_for_bit(rng, monkeypatch):
     zeros = 0
     for inst, theta in cases(rng):
         model = inst.model(theta)
@@ -430,7 +432,9 @@ def test_rows_match_oracle_bit_for_bit(rng):
         zeros += sum(z == 0.0 for z in expect)
         # at a tolerance near the rounding level of F, rows stop at different
         # Newton steps, and a stopped row must not move again
-        fine = solve_newsvendor_rows(model, X, inst.h, inst.b, tol=1e-15)
+        with monkeypatch.context() as patch:
+            patch.setattr(NV, "_NEWTON_TOL", 1e-15)
+            fine = solve_newsvendor_rows(model, X, inst.h, inst.b)
         assert fine.tolist() == [nv_oracle_solve(cx, cy, theta, x, inst.h, inst.b, tol=1e-15)
                                  for x in X]
         for x, z in zip(X[:3], expect):

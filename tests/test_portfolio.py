@@ -88,6 +88,28 @@ def test_qp_kkt_and_pgd_agreement(rng):
         assert np.max(np.abs(sol.z - z_ref)) <= 1e-6
 
 
+def test_qp_keeps_the_budget_row_at_large_returns():
+    """A budget-active solution sums to one within the solver's 1e-11 at
+    returns up to 1e12, and stays a KKT point relative to the returns;
+    without the correction on the budget face the sum drifts by about 1e-7
+    at 1e9 and 1e-4 at 1e12."""
+    rng = np.random.default_rng(0)
+    for scale in (1e6, 1e9, 1e12):
+        worst = 0.0
+        for _ in range(60):
+            d = int(rng.integers(2, 8))
+            lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+            B = rng.standard_normal((d, d))
+            sigma = B @ B.T + d * np.eye(d)
+            sigma /= np.max(np.abs(sigma))
+            r = scale * rng.standard_normal(d)
+            sol = solve_simplex_qp(r, sigma, lam)
+            if sol.budget_active:
+                worst = max(worst, abs(sol.z.sum() - 1.0))
+                assert sol.kkt_residual <= 1e-10 * np.max(np.abs(r))
+        assert worst <= 1e-11, (scale, worst)
+
+
 def test_qp_rejects_non_pd():
     with pytest.raises(np.linalg.LinAlgError):
         solve_simplex_qp([1.0, 1.0], np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
@@ -140,7 +162,7 @@ def test_lower_model_gradients_match_finite_differences(rng):
     lm = PortfolioLowerModel(inst)
     x = inst.samples[0][0]
     theta = theta0.ravel()
-    gradient_selftest(lm, theta, x, [np.array([0.2, 0.3]), np.array([0.6, 0.1])])
+    assert gradient_selftest(lm, theta, x, [np.array([0.2, 0.3]), np.array([0.6, 0.1])]) <= 1e-5
     # cross Hessian against finite differences of grad_z in theta
     z = np.array([0.25, 0.4])
     M = lm.hess_ztheta(z, theta, x)

@@ -115,9 +115,8 @@ def test_gradient_selftest_passes_and_catches_errors():
         def grad_z(self, z, theta, x):
             return np.asarray(z, float)  # forgot the shift
 
-    with pytest.raises(ValueError):
-        gradient_selftest(Broken([1.0, 1.0]), np.zeros(1), None,
-                          [np.array([0.3, 0.7])])
+    assert gradient_selftest(Broken([1.0, 1.0]), np.zeros(1), None,
+                             [np.array([0.3, 0.7])]) > 1e-5
 
 
 def test_lower_residual_cases():
