@@ -109,9 +109,6 @@ class Polyhedron:
     def slacks(self, z):
         return self.b - self.A @ np.asarray(z, dtype=float)
 
-    def contains(self, z, eps=DEFAULT_EPS):
-        return bool(np.min(self.slacks(z), initial=np.inf) >= -eps)
-
     def to_dict(self):
         return {"A": self.A.tolist(), "b": self.b.tolist()}
 
@@ -218,9 +215,6 @@ class ActiveDecomposition:
     lam: np.ndarray
     I_plus: tuple
     I_zero: tuple
-
-    def complementarity_residual(self, poly, z):
-        return float(np.max(np.abs(self.lam * (poly.A @ z - poly.b)), initial=0.0))
 
 
 def active_set(poly, z, eps=DEFAULT_EPS):

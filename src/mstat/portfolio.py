@@ -161,20 +161,125 @@ def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
                      max(0.0, z.sum() - 1.0)))
 
 
+def _face_point(r, sigma, lam, bounds, budget, faces):
+    """Minimizer z and budget multiplier tau on the face of the working set.
+
+    The face fixes z_i = 0 for i in bounds and, when budget, 1^T z = 1 (tau
+    is 0 off the row); budget needs a coordinate outside bounds. On the
+    budget face the solve's error in 1^T z grows with the returns; beyond
+    _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1 and tau
+    shifts so that lam Sigma z + tau 1 stays unchanged. faces caches the
+    result by working set for one solve_simplex_qp call, whose guess and
+    loop may meet the same face; no caller writes to the returned z.
+    """
+    key = (frozenset(bounds), budget)
+    if key in faces:
+        return faces[key]
+    d = len(r)
+    idx = [i for i in range(d) if i not in bounds]
+    k = len(idx)
+    tau = 0.0
+    z = np.zeros(d)
+    if budget:
+        K = np.zeros((k + 1, k + 1))
+        K[:k, :k] = lam * sigma[np.ix_(idx, idx)]
+        K[:k, k] = 1.0
+        K[k, :k] = 1.0
+        rhs = np.concatenate([r[idx], [1.0]])
+        sol = np.linalg.solve(K, rhs)
+        z[idx] = sol[:k]
+        tau = float(sol[k])
+        drift = 1.0 - z[idx].sum()
+        if abs(drift) > _QP_EPS:
+            c = np.linalg.solve(K[:k, :k], np.ones(k))
+            z[idx] += drift * c / c.sum()
+            tau -= drift / c.sum()
+    elif k:
+        z[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
+    faces[key] = z, tau
+    return z, tau
+
+
+def _bound_multipliers(r, sigma, lam, z, tau, bounds):
+    """mu_i = (-r + lam Sigma z)_i + tau on the working bounds, 0 elsewhere."""
+    mu = np.zeros(len(r))
+    grad = -r + lam * (sigma @ z)
+    for i in bounds:
+        mu[i] = grad[i] + tau
+    return mu
+
+
+def _face_solution(r, sigma, lam, z, mu, tau, bounds, budget):
+    """The SimplexQPSolution of a face point; a negative tau reports as 0."""
+    tau = max(tau, 0.0)
+    return SimplexQPSolution(
+        z=z, bound_multipliers=mu, budget_multiplier=tau,
+        active_bounds=tuple(sorted(bounds)), budget_active=bool(budget),
+        kkt_residual=_kkt_residual(r, sigma, lam, z, mu, tau))
+
+
+def _guess_working_set(r, sigma, lam, z, faces):
+    """The solution on a primal-dual active-set guess, if KKT certifies it.
+
+    Starts from the working set of the projected start z; each round solves
+    the face once and keeps the bounds with mu_i > 0, adds those with
+    z_i < 0, keeps the budget row while tau > 0 and adds it when 1^T z > 1.
+    A face point with z_i > _QP_EPS off the working set, mu_i > _QP_EPS on
+    it and tau > _QP_EPS on the budget row (1^T z < 1 - _QP_EPS off it)
+    satisfies KKT with strict complementarity: it is the unique optimum and
+    the working set is its active set, which the active-set loop ends on,
+    so the returned solution is the loop's to the bit.
+    Returns None, leaving the QP to the loop, when a working set repeats,
+    after d + 1 rounds, when a face point meets KKT within _QP_EPS but
+    without those margins (a degenerate optimum no round can certify), and
+    at once from a vertex start: there the loop's first face is the same,
+    and its one-at-a-time exchange reaches the optimal vertex in fewer
+    solves than the simultaneous update, which at large returns overshoots
+    far outside the simplex.
+    """
+    eps = _QP_EPS
+    d = len(r)
+    bounds = frozenset(i for i in range(d) if z[i] <= eps)
+    budget = z.sum() >= 1.0 - eps
+    if budget and len(bounds) == d - 1:
+        return None
+    for _ in range(d + 1):
+        budget = budget and len(bounds) < d
+        if (bounds, budget) in faces:       # the working set repeats
+            return None
+        z, tau = _face_point(r, sigma, lam, bounds, budget, faces)
+        mu = _bound_multipliers(r, sigma, lam, z, tau, bounds)
+        total = z.sum()
+        margin = min([z[i] for i in range(d) if i not in bounds]
+                     + [mu[i] for i in bounds] + [tau if budget else 1.0 - total])
+        if margin > eps:
+            return _face_solution(r, sigma, lam, z, mu, tau, bounds, budget)
+        if margin >= -eps:
+            return None
+        bounds = frozenset(i for i in range(d)
+                           if (mu[i] > 0 if i in bounds else z[i] < 0))
+        budget = tau > 0 if budget else total > 1.0
+    return None
+
+
 def solve_simplex_qp(r, sigma, lam):
     """Minimize -r^T z + (lam/2) z^T Sigma z over {z >= 0, 1^T z <= 1}.
 
-    Primal active-set iteration started from the simplex projection of the
-    unconstrained optimum Sigma^{-1} r / lam; entering-constraint ties break
-    to the lowest index, so the run is deterministic. Finite for positive
-    definite Sigma. Predicted returns r with an entry that is not finite or
-    exceeds _TERM_BOUND in magnitude raise ValueError, as in the verifier.
-    So does an unconstrained optimum with an entry of magnitude 2^52 or more:
-    the projection tests u - (u - 1) > 0 at its largest entry u, and beyond
+    Starts from the simplex projection of the unconstrained optimum
+    Sigma^{-1} r / lam. A primal-dual active-set guess of the optimal
+    working set comes first (_guess_working_set); when KKT with strict
+    margins certifies its face point, that point is returned after one or a
+    few face solves. Otherwise a primal active-set iteration runs from the
+    projection; entering-constraint ties break to the lowest index, so the
+    run is deterministic. Finite for positive definite Sigma. The returned
+    solution depends only on the final working set and (r, Sigma, lam), and
+    a certified guess is the working set the iteration ends on, so both
+    routes give the same bytes.
+    Predicted returns r with an entry that is not finite or exceeds
+    _TERM_BOUND in magnitude raise ValueError, as in the verifier. So does an
+    unconstrained optimum with an entry of magnitude 2^52 or more: the
+    projection tests u - (u - 1) > 0 at its largest entry u, and beyond
     2^52 the subtraction can drop the 1, leaving no support.
-    On the budget face the solve's error in 1^T z grows with the returns;
-    beyond _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1
-    and tau shifts so that lam Sigma z + tau 1 stays unchanged.
     """
     eps = _QP_EPS
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -190,58 +295,32 @@ def solve_simplex_qp(r, sigma, lam):
         raise ValueError("the unconstrained optimum Sigma^-1 r / lambda has an entry "
                          "of magnitude 2^52 or more")
     z = fs.project(scaled / lam)
+    faces = {}
+    guess = _guess_working_set(r, sigma, lam, z, faces)
+    if guess is not None:
+        return guess
 
     bounds = set(i for i in range(d) if z[i] <= eps)
     budget = z.sum() >= 1.0 - eps
 
     for _ in range(_QP_MAX_ITER):
-        # Equality-constrained step: fix z_i = 0 on working bounds, and the
-        # budget row when it is in the working set.
-        idx = [i for i in range(d) if i not in bounds]
-        k = len(idx)
-        tau = 0.0
-        z_eq = np.zeros(d)
-        if k:
-            if budget:
-                K = np.zeros((k + 1, k + 1))
-                K[:k, :k] = lam * sigma[np.ix_(idx, idx)]
-                K[:k, k] = 1.0
-                K[k, :k] = 1.0
-                rhs = np.concatenate([r[idx], [1.0]])
-                sol = np.linalg.solve(K, rhs)
-                z_eq[idx] = sol[:k]
-                tau = float(sol[k])
-                drift = 1.0 - z_eq[idx].sum()
-                if abs(drift) > eps:
-                    c = np.linalg.solve(K[:k, :k], np.ones(k))
-                    z_eq[idx] += drift * c / c.sum()
-                    tau -= drift / c.sum()
-            else:
-                z_eq[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
-        elif budget:
+        if budget and len(bounds) == d:
             # All coordinates pinned to zero with the budget row active is
             # inconsistent (0 != 1); drop the budget row.
             budget = False
             continue
+        z_eq, tau = _face_point(r, sigma, lam, bounds, budget, faces)
 
         p = z_eq - z
         if np.max(np.abs(p)) <= eps:
-            lam_bounds = np.zeros(d)
-            grad = -r + lam * (sigma @ z_eq)
-            for i in bounds:
-                lam_bounds[i] = grad[i] + tau
+            lam_bounds = _bound_multipliers(r, sigma, lam, z_eq, tau, bounds)
             drop_candidates = [(lam_bounds[i], i) for i in sorted(bounds)
                                if lam_bounds[i] < -eps]
             if budget and tau < -eps:
                 drop_candidates.append((tau, -1))
             if not drop_candidates:
-                z = z_eq
-                res = _kkt_residual(r, sigma, lam, z, lam_bounds, max(tau, 0.0))
-                return SimplexQPSolution(
-                    z=z, bound_multipliers=lam_bounds,
-                    budget_multiplier=max(tau, 0.0),
-                    active_bounds=tuple(sorted(bounds)),
-                    budget_active=bool(budget), kkt_residual=res)
+                return _face_solution(r, sigma, lam, z_eq, lam_bounds, tau,
+                                      bounds, budget)
             worst = min(drop_candidates)[1]
             if worst == -1:
                 budget = False
@@ -351,25 +430,37 @@ def lower_solver(instance):
     return solve
 
 
+def _cost(z, r, instance):
+    """-r^T z + (lam/2) z^T Sigma z, the lower-level cost at the returns r."""
+    return float(-r @ z + 0.5 * instance.risk_aversion * z @ instance.sigma @ z)
+
+
 def spo_loss(predictor, x, r, instance):
     """Regret of the decision induced by the predicted returns; always >= 0."""
-    r_hat = predictor.predict(x)
-    z_hat = solve_simplex_qp(r_hat, instance.sigma, instance.risk_aversion).z
-    z_star = solve_simplex_qp(np.asarray(r, dtype=float), instance.sigma,
-                              instance.risk_aversion).z
+    return _spo_loss(predictor, x, np.asarray(r, dtype=float), instance, {}, None)
+
+
+def _spo_loss(predictor, x, r, instance, best_costs, n):
+    """spo_loss with the best attainable cost _cost(z*(r), r) kept in
+    best_costs under the key n: z*(r) does not depend on theta."""
     lam, sig = instance.risk_aversion, instance.sigma
-    r = np.asarray(r, dtype=float)
-
-    def cost(z):
-        return float(-r @ z + 0.5 * lam * z @ sig @ z)
-
-    return cost(z_hat) - cost(z_star)
+    z_hat = solve_simplex_qp(predictor.predict(x), sig, lam).z
+    if n not in best_costs:
+        best_costs[n] = _cost(solve_simplex_qp(r, sig, lam).z, r, instance)
+    return _cost(z_hat, r, instance) - best_costs[n]
 
 
 def empirical_spo_objective(predictor, instance):
     """Weighted mean SPO loss over the sample."""
-    return float(sum(w * spo_loss(predictor, x, r, instance)
-                     for (x, r), w in zip(instance.samples, instance.weights)))
+    return _spo_objective(predictor, instance, {})
+
+
+def _spo_objective(predictor, instance, best_costs):
+    """empirical_spo_objective, reusing the realized-return costs that
+    best_costs holds by sample index and adding those it lacks."""
+    return float(sum(w * _spo_loss(predictor, x, r, instance, best_costs, n)
+                     for n, ((x, r), w) in enumerate(zip(instance.samples,
+                                                         instance.weights))))
 
 
 def fit_least_squares(instance, ridge=1e-10):
@@ -391,7 +482,8 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
     """
     rng = np.random.default_rng(seed)
     theta = np.atleast_2d(np.asarray(theta0, dtype=float)).copy()
-    best = empirical_spo_objective(LinearPredictor(theta), instance)
+    best_costs = {}
+    best = _spo_objective(LinearPredictor(theta), instance, best_costs)
     history = [best]
     size = step_size
     coords = [(a, b) for a in range(theta.shape[0]) for b in range(theta.shape[1])]
@@ -403,7 +495,7 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
             for delta in (size, -size):
                 cand = theta.copy()
                 cand[a, b] += delta
-                val = empirical_spo_objective(LinearPredictor(cand), instance)
+                val = _spo_objective(LinearPredictor(cand), instance, best_costs)
                 if val < best - 1e-15:
                     theta, best = cand, val
                     history.append(best)

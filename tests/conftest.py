@@ -15,6 +15,7 @@ from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded
+from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution, _kkt_residual
 from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
                                 _upper_generator)
 
@@ -84,6 +85,104 @@ def projected_gradient_qp(r, sigma, lam, max_iter=100000, tol=1e-13):
             return z_new
         z = z_new
     return z
+
+
+def simplex_qp_loop(r, sigma, lam):
+    """solve_simplex_qp without its working-set guess: the primal active-set
+    loop from the projected start, kept verbatim as the reference the
+    guessed route must match bit for bit and in np.linalg.solve calls."""
+    eps = _QP_EPS
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
+    d = len(r)
+    fs = FeasibleSet.simplex(d)
+    z = fs.project(np.linalg.solve(sigma, r) / lam)
+
+    bounds = set(i for i in range(d) if z[i] <= eps)
+    budget = z.sum() >= 1.0 - eps
+
+    for _ in range(_QP_MAX_ITER):
+        # Equality-constrained step: fix z_i = 0 on working bounds, and the
+        # budget row when it is in the working set.
+        idx = [i for i in range(d) if i not in bounds]
+        k = len(idx)
+        tau = 0.0
+        z_eq = np.zeros(d)
+        if k:
+            if budget:
+                K = np.zeros((k + 1, k + 1))
+                K[:k, :k] = lam * sigma[np.ix_(idx, idx)]
+                K[:k, k] = 1.0
+                K[k, :k] = 1.0
+                rhs = np.concatenate([r[idx], [1.0]])
+                sol = np.linalg.solve(K, rhs)
+                z_eq[idx] = sol[:k]
+                tau = float(sol[k])
+                drift = 1.0 - z_eq[idx].sum()
+                if abs(drift) > eps:
+                    c = np.linalg.solve(K[:k, :k], np.ones(k))
+                    z_eq[idx] += drift * c / c.sum()
+                    tau -= drift / c.sum()
+            else:
+                z_eq[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
+        elif budget:
+            # All coordinates pinned to zero with the budget row active is
+            # inconsistent (0 != 1); drop the budget row.
+            budget = False
+            continue
+
+        p = z_eq - z
+        if np.max(np.abs(p)) <= eps:
+            lam_bounds = np.zeros(d)
+            grad = -r + lam * (sigma @ z_eq)
+            for i in bounds:
+                lam_bounds[i] = grad[i] + tau
+            drop_candidates = [(lam_bounds[i], i) for i in sorted(bounds)
+                               if lam_bounds[i] < -eps]
+            if budget and tau < -eps:
+                drop_candidates.append((tau, -1))
+            if not drop_candidates:
+                z = z_eq
+                res = _kkt_residual(r, sigma, lam, z, lam_bounds, max(tau, 0.0))
+                return SimplexQPSolution(
+                    z=z, bound_multipliers=lam_bounds,
+                    budget_multiplier=max(tau, 0.0),
+                    active_bounds=tuple(sorted(bounds)),
+                    budget_active=bool(budget), kkt_residual=res)
+            worst = min(drop_candidates)[1]
+            if worst == -1:
+                budget = False
+            else:
+                bounds.discard(worst)
+            continue
+
+        # Ratio test against constraints outside the working set. Scanning
+        # coordinates in ascending order and replacing only on a strict
+        # decrease makes the lowest index win ties.
+        alpha = 1.0
+        blocker = None
+        for i in range(d):
+            if i in bounds or p[i] >= -eps:
+                continue
+            a = z[i] / (-p[i])
+            if a < alpha - 1e-15:
+                alpha, blocker = a, ("bound", i)
+        if not budget:
+            sp = p.sum()
+            if sp > eps:
+                a = (1.0 - z.sum()) / sp
+                if a < alpha - 1e-15:
+                    alpha, blocker = a, ("budget", -1)
+        if blocker is None:
+            z = z_eq
+            continue
+        z = z + max(alpha, 0.0) * p
+        if blocker[0] == "bound":
+            z[blocker[1]] = 0.0
+            bounds.add(blocker[1])
+        else:
+            budget = True
+    raise RuntimeError("active-set iteration did not converge")
 
 
 @pytest.fixture
@@ -541,6 +640,16 @@ def critical_cone_perp_form(poly, z, v_normal, eps=DEFAULT_EPS):
     I = active_set(poly, z, eps)
     E = v.reshape(1, -1) if np.max(np.abs(v), initial=0.0) > eps else None
     return ConeRepH(E, poly.A[list(I)], dim=poly.dim)
+
+
+def polyhedron_contains(poly, z, eps=DEFAULT_EPS):
+    """z lies in {A z <= b} within eps on every row."""
+    return bool(np.min(poly.slacks(z), initial=np.inf) >= -eps)
+
+
+def complementarity_residual(decomp, poly, z):
+    """max_i |lam_i (a_i^T z - b_i)| of an ActiveDecomposition at z."""
+    return float(np.max(np.abs(decomp.lam * (poly.A @ z - poly.b)), initial=0.0))
 
 
 def face_contains(outer, inner, eps=DEFAULT_EPS):

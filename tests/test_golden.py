@@ -6,10 +6,13 @@ instance whose certificates carry a flat theta, and two generated newsvendor
 problems (`mstat gen newsvendor`, seeds 2 and 3). Each portfolio problem has
 an exact certificate from `mstat spo-portfolio certificate`, one with theta
 shifted, one with eta shifted and one with penalty weights mu = 0.5; each
-newsvendor problem has certificates at the solved order quantities.
-expected.json records, for each of these calls of `verify` (both modes) and
-`newsvendor verify`, the exit code and the full standard output, which must
-stay byte-identical.
+newsvendor problem has certificates at the solved order quantities. Each
+portfolio problem pfN also has pfN.theta.json, the theta of its exact
+certificate as a d_x by d_z matrix. expected.json records, for each of these
+calls of `verify` (both modes) and `newsvendor verify`, and for
+`spo-portfolio solve`, `loss` and `certificate` at pfN.theta.json and
+`spo-portfolio search --steps 20` on each portfolio problem, the exit code
+and the full standard output, which must stay byte-identical.
 """
 
 import json

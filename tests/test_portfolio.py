@@ -22,7 +22,7 @@ from mstat.stationarity import (
     gradient_selftest,
     verify_certificate,
 )
-from conftest import projected_gradient_qp
+from conftest import projected_gradient_qp, simplex_qp_loop
 
 I2 = np.eye(2)
 
@@ -88,26 +88,139 @@ def test_qp_kkt_and_pgd_agreement(rng):
         assert np.max(np.abs(sol.z - z_ref)) <= 1e-6
 
 
-def test_qp_keeps_the_budget_row_at_large_returns():
-    """A budget-active solution sums to one within the solver's 1e-11 at
-    returns up to 1e12, and stays a KKT point relative to the returns;
-    without the correction on the budget face the sum drifts by about 1e-7
-    at 1e9 and 1e-4 at 1e12."""
+def large_return_family():
+    """(scale, r, Sigma, lam) at returns of 1e6, 1e9 and 1e12, 60 each."""
     rng = np.random.default_rng(0)
     for scale in (1e6, 1e9, 1e12):
-        worst = 0.0
         for _ in range(60):
             d = int(rng.integers(2, 8))
             lam = float(10.0 ** rng.uniform(-3.0, 3.0))
             B = rng.standard_normal((d, d))
             sigma = B @ B.T + d * np.eye(d)
             sigma /= np.max(np.abs(sigma))
-            r = scale * rng.standard_normal(d)
-            sol = solve_simplex_qp(r, sigma, lam)
-            if sol.budget_active:
-                worst = max(worst, abs(sol.z.sum() - 1.0))
-                assert sol.kkt_residual <= 1e-10 * np.max(np.abs(r))
-        assert worst <= 1e-11, (scale, worst)
+            yield scale, scale * rng.standard_normal(d), sigma, lam
+
+
+def test_qp_keeps_the_budget_row_at_large_returns():
+    """A budget-active solution sums to one within the solver's 1e-11 at
+    returns up to 1e12, and stays a KKT point relative to the returns;
+    without the correction on the budget face the sum drifts by about 1e-7
+    at 1e9 and 1e-4 at 1e12."""
+    worst = dict.fromkeys((1e6, 1e9, 1e12), 0.0)
+    for scale, r, sigma, lam in large_return_family():
+        sol = solve_simplex_qp(r, sigma, lam)
+        if sol.budget_active:
+            worst[scale] = max(worst[scale], abs(sol.z.sum() - 1.0))
+            assert sol.kkt_residual <= 1e-10 * np.max(np.abs(r))
+    for scale, w in worst.items():
+        assert w <= 1e-11, (scale, w)
+
+
+def qp_families():
+    """name -> list of (r, Sigma, lam): random instances up to d = 12, d = 1,
+    the large-return family and four degenerate ones."""
+    rng = np.random.default_rng(14)
+    fam = {k: [] for k in ("random", "d=1", "ties", "zero multipliers",
+                           "near-singular", "equal returns")}
+    for _ in range(200):
+        d = int(rng.integers(1, 13))
+        B = rng.standard_normal((d, d))
+        fam["random"].append((rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 3.0),
+                              B @ B.T + 0.1 * np.eye(d), float(10.0 ** rng.uniform(-3.0, 3.0))))
+    for _ in range(40):
+        fam["d=1"].append((rng.standard_normal(1) * 10.0 ** rng.uniform(-2.0, 6.0),
+                           np.array([[rng.uniform(0.1, 10.0)]]), float(10.0 ** rng.uniform(-3.0, 3.0))))
+    for _ in range(150):
+        d = int(rng.integers(1, 9))
+        B = rng.integers(-2, 3, (d, d)).astype(float)
+        fam["ties"].append((rng.integers(-3, 4, d).astype(float), B @ B.T + np.eye(d),
+                            float(rng.integers(1, 4))))
+    for _ in range(150):
+        # r = lam Sigma z + tau 1 - mu at a known optimum z with some zero
+        # coordinates whose bound multipliers mu_i are zero as well.
+        d = int(rng.integers(2, 10))
+        B = rng.standard_normal((d, d))
+        sigma = B @ B.T + 0.5 * np.eye(d)
+        lam = float(rng.uniform(0.5, 2.0))
+        z = rng.random(d)
+        z[rng.random(d) < 0.4] = 0.0
+        tau = 0.0
+        if rng.random() < 0.5 and z.sum() > 0:
+            z /= z.sum()
+            tau = float(rng.choice([0.0, rng.random()]))
+        else:
+            z *= 0.9 / max(z.sum(), 1.0)
+        mu = np.where(z == 0, rng.choice([0.0, 1.0], d) * rng.random(d), 0.0)
+        fam["zero multipliers"].append((lam * sigma @ z + tau - mu, sigma, lam))
+    for _ in range(60):
+        d = int(rng.integers(2, 9))
+        B = rng.standard_normal((d, 2))
+        fam["near-singular"].append((rng.standard_normal(d) * 1e-3,
+                                     B @ B.T + 1e-8 * np.eye(d), 1.0))
+    for _ in range(60):
+        d = int(rng.integers(1, 13))
+        B = rng.standard_normal((d, d))
+        fam["equal returns"].append((np.full(d, float(rng.choice([-1.0, 0.0, 0.01, 1.0, 100.0]))),
+                                     B @ B.T + 0.2 * np.eye(d), float(rng.uniform(0.1, 10.0))))
+    fam["large returns"] = [case[1:] for case in large_return_family()]
+    return fam
+
+
+def solve_counting(monkeypatch, solver, r, sigma, lam):
+    """solver(r, sigma, lam) and its number of np.linalg.solve calls."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counted)
+        sol = solver(r, sigma, lam)
+    return sol, len(calls)
+
+
+def solution_bytes(sol):
+    return (sol.z.tobytes(), sol.bound_multipliers.tobytes(),
+            repr(sol.budget_multiplier), sol.active_bounds, sol.budget_active,
+            repr(sol.kkt_residual))
+
+
+def test_qp_guess_matches_the_loop_bit_for_bit():
+    """solve_simplex_qp returns the solution of its active-set loop alone
+    (simplex_qp_loop) to the bit, field by field, on every family."""
+    for name, cases in qp_families().items():
+        for r, sigma, lam in cases:
+            assert (solution_bytes(solve_simplex_qp(r, sigma, lam))
+                    == solution_bytes(simplex_qp_loop(r, sigma, lam))), name
+
+
+def test_qp_guess_spends_no_more_solves_than_the_loop(monkeypatch):
+    """On each family the guessed route makes no more np.linalg.solve calls
+    than the loop alone."""
+    for name, cases in qp_families().items():
+        counts = [sum(solve_counting(monkeypatch, solver, r, sigma, lam)[1]
+                      for r, sigma, lam in cases)
+                  for solver in (solve_simplex_qp, simplex_qp_loop)]
+        assert counts[0] <= counts[1], (name, counts)
+
+
+def test_qp_guess_solves_an_interior_budget_face_once(monkeypatch):
+    """At d_z = 8 with every weight positive and the budget row binding, the
+    projected start zeroes no weight the optimum keeps; the guess certifies
+    its first face, so the QP makes one face solve after Sigma^-1 r."""
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((8, 8))
+    sigma = B @ B.T + 8.0 * np.eye(8)
+    z = rng.uniform(0.5, 1.5, 8)
+    z /= z.sum()
+    r = 2.0 * (sigma @ z) + 0.3
+    sol, calls = solve_counting(monkeypatch, solve_simplex_qp, r, sigma, 2.0)
+    assert sol.active_bounds == () and sol.budget_active
+    assert np.max(np.abs(sol.z - z)) <= 1e-12
+    assert abs(sol.budget_multiplier - 0.3) <= 1e-12
+    assert calls == 2
 
 
 def test_qp_rejects_non_pd():

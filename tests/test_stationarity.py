@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (QuadraticLowerModel, grid_solver, m_stationarity_check, nnamcq_oracle,
-                      projected_gradient_solver, psi_set, random_polyhedral_graph_point)
+from conftest import (QuadraticLowerModel, complementarity_residual, grid_solver,
+                      m_stationarity_check, nnamcq_oracle, projected_gradient_solver, psi_set,
+                      random_polyhedral_graph_point)
 from mstat.cones import (CombinatorialLimitError, Polyhedron, distance_to_normal_cone,
                          normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
 from mstat.graph_normals import make_graph_context
@@ -881,7 +882,7 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
         for rep, gk in zip(report.scenarios, problem.scenario_terms(cert.theta, cert).g):
             assert rep.lower_residual == distance_to_normal_cone(poly, z, -gk)
             decomp = normal_cone_multiplier(poly, z, gk)
-            want = None if decomp is None else decomp.complementarity_residual(poly, z)
+            want = None if decomp is None else complementarity_residual(decomp, poly, z)
             assert rep.complementarity_gap == want
             kinds.add(want is None)
     assert kinds == {True, False}
