@@ -329,9 +329,10 @@ def cmd_spo_portfolio(args):
                             for x, _ in inst.samples]
     elif args.action == "search":
         theta0 = theta if theta is not None else PF.fit_least_squares(inst).theta
-        pred = PF.spo_local_search(inst, theta0, steps=args.steps, seed=args.seed or 0)
+        pred, history = PF.spo_local_search(inst, theta0, steps=args.steps,
+                                            seed=args.seed or 0, return_history=True)
         out["theta"] = pred.theta.tolist()
-        out["objective"] = PF.empirical_spo_objective(pred, inst)
+        out["objective"] = history[-1]
     elif args.action == "certificate":
         cert, betas = PF.realizable_certificate(inst, theta)
         out["certificate"] = {

@@ -44,7 +44,7 @@ __all__ = [
     "normal_cone_multiplier", "critical_cone",
     "polar_cone", "member_h", "member_v", "faces_of_cone",
     "face_difference", "cone_coefficients", "multiplier_within_support",
-    "distance_to_normal_cone", "cone_distance",
+    "distance_to_normal_cone", "cone_distance", "cone_residual",
 ]
 
 DEFAULT_EPS = 1e-9
@@ -408,7 +408,12 @@ def distance_to_normal_cone(poly, z, u):
     return cone_distance(u, poly.A[list(active_set(poly, z, DEFAULT_EPS))])
 
 
+def cone_residual(u, R):
+    """R^T mu - u at the NNLS point mu = argmin_{mu >= 0} ||R^T mu - u||."""
+    generators = R.T
+    return generators @ nnls(generators, u) - u
+
+
 def cone_distance(u, R):
     """Euclidean distance from u to cone(rows of R), min_{mu >= 0} ||R^T mu - u||."""
-    generators = R.T
-    return float(np.linalg.norm(generators @ nnls(generators, u) - u))
+    return float(np.linalg.norm(cone_residual(u, R)))

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "linear_feasible", "nnls"]
+__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "phase1_bound",
+           "linear_feasible", "nnls"]
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -81,6 +82,26 @@ def feasibility_threshold(b):
     well above this threshold therefore decides infeasibility without an LP.
     """
     return _FEAS_TOL * (1.0 + np.abs(b).sum())
+
+
+def phase1_bound(b, r):
+    """An upper bound on the phase-1 optimum of A x = b, x >= 0, from the
+    residual r = b - A x0 of any x0 >= 0.
+
+    Phase 1 flips the rows with b_i < 0 and keeps each artificial
+    s_i (b_i - (A x)_i) >= 0, s_i = -1 on flipped rows and +1 on the rest;
+    its optimum is the least sum of the artificials. The point (1 - t) x0
+    has residual t b + (1 - t) r, whose signs are those once
+    t >= |r_i| / (|b_i| + |r_i|) on every row where s_i r_i < 0, so its L1
+    norm bounds the optimum. The L1 norm of r alone does not: a row where r
+    has the wrong sign can cost phase 1 far more than |r_i|. The sums run on
+    Python floats: on vectors this short numpy's per-call overhead outweighs
+    the arithmetic.
+    """
+    pairs = list(zip(b.tolist(), r.tolist()))
+    t = max([abs(e) / (abs(v) + abs(e)) for v, e in pairs if (e < 0.0 if v >= 0.0 else e > 0.0)],
+            default=0.0)
+    return sum([abs(t * v + (1.0 - t) * e) for v, e in pairs])
 
 
 def _solve_standard(A, b):

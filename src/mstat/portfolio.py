@@ -21,6 +21,7 @@ import numpy as np
 
 from .graph_normals import (
     NormalPair,
+    _holds_non_number,
     finite_number,
     finite_vector,
     object_list,
@@ -62,6 +63,8 @@ class PortfolioInstance:
     weights: np.ndarray = None
 
     def __post_init__(self):
+        if _holds_non_number(self.sigma):
+            raise ValueError("sigma must be a square matrix of numbers")
         try:
             self.sigma = np.asarray(self.sigma, dtype=float)
         except (TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ from .cones import (
     CombinatorialLimitError,
     Polyhedron,
     active_rows,
-    cone_distance,
+    cone_residual,
     distance_to_normal_cone,
     multiplier_within_support,
     orthant_polyhedron,
@@ -44,7 +44,7 @@ from .graph_normals import (
     make_graph_context,
     polyhedron_membership,
 )
-from .lp import feasibility_threshold
+from .lp import feasibility_threshold, phase1_bound
 
 __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
@@ -559,20 +559,29 @@ def _check_scenario(poly, index, z, g, gap, given, res):
 
     One slack vector b - A z gives the feasibility test, the active set and
     the gap max |lam_i slack_i|. Both the residual and the multiplier use
-    that active set. The LP is skipped when the residual exceeds twice its
-    feasibility threshold: its phase-1 optimum is an L1 residual, at least
-    the NNLS distance, so it would find no multiplier. With no active row
-    there is no LP to skip.
+    that active set. Two cases decide the gap without the LP:
+      - The residual exceeds twice its feasibility threshold. The LP's
+        phase-1 optimum is an L1 residual, at least the NNLS distance, so
+        it would find no multiplier and the gap stays None.
+      - Every active slack is exactly 0 and phase1_bound at the NNLS point
+        is at most half the threshold. The LP would find a multiplier, and
+        every multiplier gives gap 0.0: lam is 0 off the active set and the
+        slack is 0 on it. The factor 2 covers rounding, as in the first case.
+    With no active row there is no LP to skip.
     """
     target = -g
     slack = poly.slacks(z)
     try:
-        I = active_rows(poly, slack, DEFAULT_EPS)
-        low_res = cone_distance(target, poly.A[list(I)])
+        I = list(active_rows(poly, slack, DEFAULT_EPS))
+        resid = cone_residual(target, poly.A[I])
+        low_res = float(np.linalg.norm(resid))
     except ValueError:
         return _infeasible_report(index)
     comp_gap = None
-    if not I or low_res <= 2.0 * feasibility_threshold(target):
+    threshold = feasibility_threshold(target)
+    if I and not slack[I].any() and phase1_bound(target, -resid) <= 0.5 * threshold:
+        comp_gap = 0.0
+    elif not I or low_res <= 2.0 * threshold:
         lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))

@@ -9,15 +9,15 @@ from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
-                         ConeRepH, Polyhedron, active_set, member_v,
+                         ConeRepH, Polyhedron, active_rows, active_set, cone_distance, member_v,
                          multiplier_within_support, polar_cone)
 from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
-from mstat.lp import LPLimitError, LPUnbounded
+from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
 from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution, _kkt_residual
-from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
-                                _upper_generator)
+from mstat.stationarity import (FeasibleSet, LowerModel, ScenarioReport, _infeasible_report,
+                                _m_residual, _probe_and_gap, _upper_generator)
 
 
 def random_polyhedral_graph_point(rng, d_max=3, m_max=5, entry=2):
@@ -650,6 +650,37 @@ def polyhedron_contains(poly, z, eps=DEFAULT_EPS):
 def complementarity_residual(decomp, poly, z):
     """max_i |lam_i (a_i^T z - b_i)| of an ActiveDecomposition at z."""
     return float(np.max(np.abs(decomp.lam * (poly.A @ z - poly.b)), initial=0.0))
+
+
+def check_scenario_lp(poly, index, z, g, gap, given, res):
+    """stationarity._check_scenario without its skip on exactly zero active
+    slacks: the complementarity LP runs whenever the residual is within
+    twice its feasibility threshold. Kept verbatim as the reference the
+    skipping route must match field for field."""
+    target = -g
+    slack = poly.slacks(z)
+    try:
+        I = active_rows(poly, slack, DEFAULT_EPS)
+        low_res = cone_distance(target, poly.A[list(I)])
+    except ValueError:
+        return _infeasible_report(index)
+    comp_gap = None
+    if not I or low_res <= 2.0 * feasibility_threshold(target):
+        lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
+        if lam is not None:
+            comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
+    return ScenarioReport(index=index, lower_residual=low_res,
+                          m_membership=res.member, m_verdict=res.verdict,
+                          m_residual=_m_residual(res, float(np.linalg.norm(gap)), given),
+                          complementarity_gap=comp_gap, witness=res.witness)
+
+
+def count_lps(monkeypatch):
+    """A list that gains one entry per phase-1 LP solved from here on."""
+    calls = []
+    solve = LP._solve_standard
+    monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
 
 
 def face_contains(outer, inner, eps=DEFAULT_EPS):

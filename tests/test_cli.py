@@ -810,6 +810,41 @@ def test_portfolio_sigma_that_is_an_object_exits_1(tmp_path, capsys):
     assert (code, out) == (1, "") and "sigma must be a square matrix of numbers" in err
 
 
+@pytest.mark.parametrize("entry", [True, "1"])
+@pytest.mark.parametrize("action", ["verify", "spo-portfolio solve"])
+def test_portfolio_sigma_holding_a_boolean_or_a_string_exits_1(entry, action, tmp_path, capsys):
+    """A JSON true or "1" on sigma's diagonal is not read as 1.0."""
+    files = _inputs(tmp_path)
+    sigma = files["portfolio"]["sigma"]
+    assert sigma[0][0] == 1.0
+    sigma[0][0] = entry
+    extra = (["--certificate", write(tmp_path / "c.json", files["certificate"])]
+             if action == "verify" else
+             ["--theta", write(tmp_path / "t.json", files["certificate"]["theta"])])
+    code, out, err = _bad_problem(tmp_path, capsys, "portfolio", "sigma", sigma,
+                                  action.split() + extra)
+    assert (code, out) == (1, "") and "sigma must be a square matrix of numbers" in err
+
+
+def test_search_reports_its_last_objective_without_solving_again(tmp_path, capsys, monkeypatch):
+    """spo-portfolio search prints the objective the search ended on, and
+    solves no QP after spo_local_search returns."""
+    import mstat.portfolio as PF
+
+    ppath, _ = portfolio_problem_and_cert(tmp_path)
+    events = []
+    search, solve = PF.spo_local_search, PF.solve_simplex_qp
+    monkeypatch.setattr(PF, "spo_local_search",
+                        lambda *a, **k: (search(*a, **k), events.append("returned"))[0])
+    monkeypatch.setattr(PF, "solve_simplex_qp",
+                        lambda *a, **k: events.append("solve") or solve(*a, **k))
+    code, out, _ = run(capsys, "spo-portfolio", "search", "--problem", ppath, "--steps", "3")
+    assert code == 0 and events[-1] == "returned" and events.count("solve") > 0
+    doc = json.loads(out)
+    inst = PortfolioInstance.from_dict(json.loads(open(ppath).read()))
+    assert doc["objective"] == PF.empirical_spo_objective(PF.LinearPredictor(doc["theta"]), inst)
+
+
 def test_portfolio_samples_that_are_a_number_exit_1(tmp_path, capsys):
     code, out, err = _bad_problem(tmp_path, capsys, "portfolio", "samples", 3,
                                   ["spo-portfolio", "fit"])

@@ -3,16 +3,23 @@
 tests/golden holds two generated portfolio problems (`mstat gen portfolio`,
 seeds 11 and 5, the second with noise), one closed-form vertex portfolio
 instance whose certificates carry a flat theta, and two generated newsvendor
-problems (`mstat gen newsvendor`, seeds 2 and 3). Each portfolio problem has
-an exact certificate from `mstat spo-portfolio certificate`, one with theta
-shifted, one with eta shifted and one with penalty weights mu = 0.5; each
-newsvendor problem has certificates at the solved order quantities. Each
-portfolio problem pfN also has pfN.theta.json, the theta of its exact
-certificate as a d_x by d_z matrix. expected.json records, for each of these
-calls of `verify` (both modes) and `newsvendor verify`, and for
+problems (`mstat gen newsvendor`, seeds 2 and 3). Each generated portfolio
+problem has an exact certificate from `mstat spo-portfolio certificate`, one
+with theta shifted, one with eta shifted and one with penalty weights
+mu = 0.5; each newsvendor problem has certificates at the solved order
+quantities. Each of pf1 to pf3 also has pfN.theta.json, the theta of its
+exact certificate as a d_x by d_z matrix. expected.json records, for each of
+these calls of `verify` (both modes) and `newsvendor verify`, and for
 `spo-portfolio solve`, `loss` and `certificate` at pfN.theta.json and
-`spo-portfolio search --steps 20` on each portfolio problem, the exit code
+`spo-portfolio search --steps 20` on each of pf1 to pf3, the exit code
 and the full standard output, which must stay byte-identical.
+
+pf4 and pf5 are closed-form instances for the complementarity LP, each with
+one exact certificate verified in both modes: pf4 a d_z = 8 vertex whose
+active slacks are all exactly 0, where verify runs no LP; pf5 a d_z = 4
+point on the budget face with a budget slack of 5e-10, inside eps, where
+the LP's positive budget multiplier gives a non-zero complementarity_gap.
+Their outputs were recorded before the LP skip existed.
 """
 
 import json
@@ -20,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_lps
 from mstat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,3 +42,17 @@ def run(capsys, argv):
 @pytest.mark.parametrize("case", EXPECTED["outputs"], ids=lambda c: " ".join(c["argv"]))
 def test_verify_output_is_byte_identical(case, capsys):
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("stem, scenarios, lps", [("pf4", 4, 0), ("pf5", 3, 3)])
+def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios, lps,
+                                                               capsys, monkeypatch):
+    """pf4 is a d_z = 8 vertex: every active slack is exactly 0, so verify
+    runs no LP. Each pf5 scenario has a budget slack of 5e-10, inside eps,
+    and takes one LP for its multiplier, which makes its gap non-zero."""
+    calls = count_lps(monkeypatch)
+    code, out = run(capsys, ["verify", "--problem", stem + ".problem.json",
+                             "--certificate", stem + ".cert.json"])
+    gaps = [s["complementarity_gap"] for s in json.loads(out)["scenarios"]]
+    assert code == 0 and len(gaps) == scenarios and len(calls) == lps
+    assert all(gap == 0.0 for gap in gaps) if lps == 0 else all(gap > 0.0 for gap in gaps)

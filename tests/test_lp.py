@@ -5,7 +5,8 @@ from scipy.optimize import linprog, nnls as scipy_nnls
 import mstat.lp as lp
 from conftest import bland_pivot_oracle, nnls_oracle, solve_standard_oracle
 from mstat.cones import active_set, simplex_polyhedron
-from mstat.lp import LPLimitError, LPUnbounded, linear_feasible, nnls
+from mstat.lp import (LPLimitError, LPUnbounded, feasibility_threshold, linear_feasible, nnls,
+                     phase1_bound)
 
 
 def test_equality_feasible():
@@ -85,6 +86,29 @@ def _regime_system():
                    np.hstack([ub, -ub[:, free], np.eye(7, dtype=int)])])
     rhs = np.array([0] * 7 + [1] + [0] + [1] * 6)
     return M.astype(float), rhs.astype(float)
+
+
+def test_phase1_bound_is_at_least_the_phase1_optimum(rng):
+    """phase1_bound at any x0 >= 0 bounds min sum s_i (b_i - (A x)_i) over
+    x >= 0 with every term >= 0 (s_i = -1 where b_i < 0), solved by scipy;
+    where it is at most half the threshold, linear_feasible finds a point.
+    The L1 norm of the residual alone falls below that optimum."""
+    below_l1 = found = 0
+    for _ in range(400):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2, 2, (m, 1))
+        x0 = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7)
+        b = A @ x0 + 10.0 ** rng.uniform(-12, 0) * rng.standard_normal(m) * (rng.random(m) < 0.8)
+        s = np.where(b < 0.0, -1.0, 1.0)
+        res = linprog(np.r_[np.zeros(n), np.ones(m)], A_eq=np.hstack([s[:, None] * A, np.eye(m)]),
+                      b_eq=s * b, bounds=[(0, None)] * (n + m), method="highs")
+        bound = phase1_bound(b, b - A @ x0)
+        assert bound >= res.fun * (1.0 - 1e-9) - 1e-12, (A, b, x0)
+        below_l1 += np.abs(b - A @ x0).sum() < res.fun * (1.0 - 1e-6)
+        if bound <= 0.5 * feasibility_threshold(b):
+            found += 1
+            assert linear_feasible(A, b) is not None
+    assert below_l1 >= 20 and found >= 50, (below_l1, found)
 
 
 def test_bland_rule_leaves_on_the_lowest_basic_variable():

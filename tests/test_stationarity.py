@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (QuadraticLowerModel, complementarity_residual, grid_solver,
-                      m_stationarity_check, nnamcq_oracle, projected_gradient_solver, psi_set,
-                      random_polyhedral_graph_point)
-from mstat.cones import (CombinatorialLimitError, Polyhedron, distance_to_normal_cone,
+from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_residual,
+                      count_lps, grid_solver, m_stationarity_check, nnamcq_oracle,
+                      projected_gradient_solver, psi_set, random_polyhedral_graph_point,
+                      random_simplex_graph_point)
+from mstat.cones import (CombinatorialLimitError, Polyhedron, active_rows, cone_distance,
+                         distance_to_normal_cone, multiplier_within_support,
                          normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
-from mstat.graph_normals import make_graph_context
+from mstat.graph_normals import Membership, make_graph_context
+from mstat.lp import feasibility_threshold
 from mstat.stationarity import (
     Certificate,
     FeasibleSet,
@@ -18,6 +21,7 @@ from mstat.stationarity import (
     Scenario,
     ScenarioCertificate,
     UpperModel,
+    _check_scenario,
     gradient_selftest,
     lower_residual,
     nnamcq_check,
@@ -886,3 +890,87 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
             assert rep.complementarity_gap == want
             kinds.add(want is None)
     assert kinds == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the complementarity LP skipped on exactly zero active slacks
+
+def _skip_cases(rng):
+    """(poly, z, g) on random integer polyhedra and simplex points, with
+    exactly zero active slacks, active slacks that are non-zero but within
+    eps, and residuals from rounding level to past twice the threshold."""
+    cases = []
+    for _ in range(80):
+        poly, z, g = random_polyhedral_graph_point(rng, d_max=4, m_max=6)
+        cases.append((poly, z, g))
+        cases.append((poly, z + 1e-10 * rng.uniform(-1.0, 1.0, len(z)), g))
+    for d in range(1, 13):
+        poly = simplex_polyhedron(d)
+        for _ in range(12):
+            z, g = random_simplex_graph_point(rng, d)
+            cases.append((poly, z, g))
+            cases.append((poly, np.where(z == 0.0, 4e-10, z), g))
+            cases.append((poly, z * (1.0 - 3e-10), g))
+    out = []
+    for poly, z, g in cases:
+        threshold = feasibility_threshold(-g)
+        u = rng.standard_normal(len(z))
+        u /= np.linalg.norm(u)
+        for scale in (0.0, 1e-13, 0.1, 0.4, 1.0, 3.0):
+            out.append((poly, z, g + scale * threshold * u))
+    return out
+
+
+def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
+    """_check_scenario equals check_scenario_lp, the reference route that
+    runs the complementarity LP whenever the residual is within twice its
+    threshold, in every field and bit. Where it runs no LP but the reference
+    route would, every active slack is exactly 0 and the LP finds a point."""
+    calls = count_lps(monkeypatch)
+    res = Membership(member=True, verdict="member", method="test", witness={"k": 1})
+    tally = {"skipped": 0, "lp_gap": 0, "lp_zero_slack": 0}
+    for n, (poly, z, g) in enumerate(_skip_cases(rng)):
+        gap = np.full(len(z), 1e-3)
+        before = len(calls)
+        want = check_scenario_lp(poly, n, z, g, gap, True, res)
+        reference_lps = len(calls) - before
+        got = _check_scenario(poly, n, z, g, gap, True, res)
+        lps = len(calls) - before - reference_lps
+        assert repr(got) == repr(want), (poly.A, poly.b, z, g)
+        if want.complementarity_gap is None or want.lower_residual == float("inf"):
+            continue
+        slack = poly.slacks(z)
+        I = active_rows(poly, slack)
+        if lps < reference_lps:
+            tally["skipped"] += 1
+            assert I and not slack[list(I)].any()
+            assert multiplier_within_support(poly, z, -g, I) is not None
+        elif I and not slack[list(I)].any():
+            tally["lp_zero_slack"] += 1
+        elif want.complementarity_gap > 0.0:
+            tally["lp_gap"] += 1
+    assert (tally["skipped"] >= 800 and tally["lp_gap"] >= 500
+            and tally["lp_zero_slack"] >= 50), tally
+
+
+@pytest.mark.parametrize("poly, z, target", [
+    (Polyhedron([[1.0, 0.01]], [1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.01 - 7e-10])),
+    (simplex_polyhedron(8), np.full(8, 0.125), np.concatenate([np.ones(7), [1.0 - 1.5e-9]])),
+    (simplex_polyhedron(12), np.concatenate([np.full(4, 0.125), np.full(8, 0.0625)]),
+     np.concatenate([np.ones(11), [1.0 - 1.5e-9]])),
+])
+def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, monkeypatch):
+    """Every active slack is exactly 0 and sqrt(d) times the NNLS distance is
+    below half the threshold, yet the phase-1 LP finds no multiplier: its
+    artificials take the sign of the target, so a residual of the other
+    sign costs it more than the L1 norm. The gap stays None, from the LP."""
+    slack = poly.slacks(z)
+    I = active_rows(poly, slack)
+    assert I and not slack[list(I)].any()
+    threshold = feasibility_threshold(target)
+    assert np.sqrt(len(z)) * cone_distance(target, poly.A[list(I)]) <= 0.5 * threshold
+    assert multiplier_within_support(poly, z, target, I) is None
+    calls = count_lps(monkeypatch)
+    res = Membership(member=True, verdict="member", method="test")
+    rep = _check_scenario(poly, 0, z, -target, np.zeros(len(z)), True, res)
+    assert rep.complementarity_gap is None and len(calls) == 1
