@@ -20,6 +20,16 @@ active slacks are all exactly 0, where verify runs no LP; pf5 a d_z = 4
 point on the budget face with a budget slack of 5e-10, inside eps, where
 the LP's positive budget multiplier gives a non-zero complementarity_gap.
 Their outputs were recorded before the LP skip existed.
+
+nv3 and nv4 are hand-built newsvendor problems, verified by `newsvendor
+verify` and by `verify` in both modes; their outputs were recorded before
+the scenarios of a certificate became arrays. nv3 has three centers so far
+apart at theta = 0.1 that each sample sees one of them, and its one
+certificate reaches every branch of the orthant report: I_zero and I_plus at
+z = 0, a not_member and a boundary_ambiguous zeta on L, both reachable
+empty_coderivative reasons and an infeasible z < -eps. nv4's samples demand
+their own order quantity at theta = 0.5, so every scenario sits on the kink
+of the regret and nv4.pass.json (z = y, eta = zeta = 0) passes.
 """
 
 import json
