@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -55,7 +56,8 @@ def _load_certificate(path):
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANT = {True: "true", False: "false", None: "null"}
-_STR, _INT, _FLOAT = {str}, {int}, {float}
+_STR, _INT, _FLOAT, _LIST = {str}, {int}, {float}, {list}
+_CONSTANT_TYPES = {bool, type(None)}
 
 
 def _json_text(obj, indent="\n"):
@@ -73,24 +75,7 @@ def _json_text(obj, indent="\n"):
     t = type(obj)
     inner = indent + "  "
     if t is dict and obj and set(map(type, obj)) == _STR:
-        parts = []
-        for k in sorted(obj):
-            v = obj[k]
-            vt = type(v)
-            if vt is float:
-                text = float.__repr__(v)
-                text = _NON_FINITE.get(text, text)
-            elif vt is str:
-                text = _ENCODE_STR(v)
-            elif vt is bool or v is None:
-                text = _CONSTANT[v]
-            elif vt is int:
-                text = int.__repr__(v)
-            elif not v and (vt is list or vt is dict):
-                text = "[]" if vt is list else "{}"
-            else:
-                text = _json_text(v, inner)
-            parts.append(_ENCODE_STR(k) + ": " + text)
+        parts = [_ENCODE_STR(k) + ": " + _value_text(obj[k], inner) for k in sorted(obj)]
         return "{%s%s%s}" % (inner, ("," + inner).join(parts), indent)
     if (t is list or t is tuple) and obj:
         sep = "," + inner
@@ -105,7 +90,112 @@ def _json_text(obj, indent="\n"):
         if body is None:
             body = sep.join([_json_text(v, inner) for v in obj])
         return "[%s%s%s]" % (inner, body, indent)
+    if t is ST.ScenarioColumns:
+        return _scenario_list_text(obj, indent)
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
+def _value_text(v, indent):
+    """_json_text of a dict's value v, formatting a scalar in place."""
+    vt = type(v)
+    if vt is float:
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    if vt is str:
+        return _ENCODE_STR(v)
+    if vt is bool or v is None:
+        return _CONSTANT[v]
+    if vt is int:
+        return int.__repr__(v)
+    if not v and (vt is list or vt is dict):
+        return "[]" if vt is list else "{}"
+    return _json_text(v, indent)
+
+
+def _column_texts(column, indent):
+    """_value_text of every entry of a column. A column of floats, of
+    booleans and None, of strings or of non-empty lists of floats is
+    formatted in one pass; any other goes entry by entry."""
+    kinds = set(map(type, column))
+    if kinds == _FLOAT:
+        # A list's repr holds float.__repr__ of each entry, joined by ", ".
+        text = list.__repr__(column)
+        texts = text[1:-1].split(", ")
+        return [_NON_FINITE.get(t, t) for t in texts] if "n" in text else texts
+    if kinds <= _CONSTANT_TYPES:
+        return list(map(_CONSTANT.__getitem__, column))
+    if kinds == _STR:
+        return list(map(_ENCODE_STR, column))
+    if kinds == _LIST and len(set(map(len, column))) == 1 and column[0] \
+            and set(map(type, chain.from_iterable(column))) == _FLOAT:
+        inner = indent + "  "
+        entries = [_column_texts(list(c), inner) for c in zip(*column)]
+        template = "[%s%s%s]" % (inner, ("," + inner).join(["%s"] * len(entries)), indent)
+        return list(map(template.__mod__, zip(*entries)))
+    return [_value_text(v, indent) for v in column]
+
+
+def _template(keys, indent):
+    """The %-template of a dict with these keys, in order, as _json_text
+    writes it at indent: one %s per value."""
+    inner = indent + "  "
+    return "{%s%s%s}" % (inner, ("," + inner).join(
+        _ENCODE_STR(k).replace("%", "%%") + ": %s" for k in keys), indent)
+
+
+def _index_texts(mask, indent):
+    """_json_text of each row's list of True indices in the (k, d) mask;
+    rows with the same indices share one text."""
+    inner, rows, d = indent + "  ", mask.tolist(), mask.shape[1]
+    keys = (mask @ (1 << np.arange(d))).tolist() if d < 63 else list(map(tuple, rows))
+    texts = {}
+    for key, row in zip(keys, rows):
+        if key not in texts:
+            flagged = [str(i) for i, f in enumerate(row) if f]
+            texts[key] = ("[%s%s%s]" % (inner, ("," + inner).join(flagged), indent)
+                          if flagged else "[]")
+    return [texts[key] for key in keys]
+
+
+def _witness_texts(columns, indent):
+    """_json_text of each scenario's witness dict. Rows decided by the
+    orthant row pass fill one of two templates, one for a reason and one for
+    the index lists; any other witness is written dict by dict."""
+    rows, extra = columns.witness, columns.extra or {}
+    if type(rows) is not GN.OrthantRows:
+        return [_value_text(columns.witness_of(n), indent) for n in range(len(rows))]
+    inner = indent + "  "
+    texts = {"I_plus": _index_texts(rows.I_plus, inner),
+             "I_zero": _index_texts(rows.I_zero, inner),
+             "L": _index_texts(rows.L, inner),
+             "boundary_ambiguous": _index_texts(rows.ambiguous, inner)}
+    texts.update({key: _column_texts(col, inner) for key, col in extra.items()})
+    keys = sorted({"I_plus", "I_zero", "L", "boundary_ambiguous"} | set(extra))
+    out = list(map(_template(keys, indent).__mod__, zip(*[texts[k] for k in keys])))
+    keys = sorted({"reason"} | set(extra))
+    template = _template(keys, indent)
+    for j, r in enumerate(rows.reason.tolist()):
+        if r >= 0:
+            values = {"reason": _ENCODE_STR(rows.reasons[r]), **{k: texts[k][j] for k in extra}}
+            out[j] = template % tuple(values[k] for k in keys)
+    return out
+
+
+_SCENARIO_FIELDS = ("complementarity_gap", "lower_residual", "m_membership", "m_residual",
+                    "m_verdict", "value_gap")
+
+
+def _scenario_list_text(columns, indent):
+    """_json_text of a report's list of scenario dicts, written from its
+    ScenarioColumns by one fixed template per scenario."""
+    inner = indent + "  "
+    field = inner + "  "
+    texts = {key: _column_texts(getattr(columns, key), field) for key in _SCENARIO_FIELDS}
+    texts["index"] = list(map(str, range(len(columns.m_verdict))))
+    texts["witness"] = _witness_texts(columns, field)
+    keys = sorted(texts)
+    rows = list(map(_template(keys, inner).__mod__, zip(*[texts[k] for k in keys])))
+    return "[%s%s%s]" % (inner, ("," + inner).join(rows), indent) if rows else "[]"
 
 
 def _write_json(obj, path, to_stdout):
@@ -294,7 +384,7 @@ def cmd_verify(args):
                                                  solver=app.lower_solver(inst))
     else:
         report = ST.verify_certificate(prob, cert, tol=tol)
-    out = report.to_dict()
+    out = {**report.summary(), "scenarios": report.columns}
     _dump(out, args)
     if args.format == "text":
         print("verdict: %s (upper residual %.3g)"
@@ -358,7 +448,7 @@ def cmd_newsvendor(args):
         if args.theta is None:
             raise CliError("--theta VALUE is required to solve")
         out["decisions"] = NV.solve_newsvendor_rows(
-            inst.model(args.theta), [x for x, _ in inst.samples], inst.h, inst.b).tolist()
+            inst.model(args.theta), inst.samples.x, inst.h, inst.b).tolist()
     elif args.action == "loss":
         if args.theta is None:
             raise CliError("--theta VALUE is required for loss")
@@ -368,7 +458,7 @@ def cmd_newsvendor(args):
         rep = NV.verify_newsvendor_system(
             cert["theta"], cert["scenarios"], inst,
             tol=args.tol if args.tol is not None else ST.DEFAULT_TOL)
-        out["report"] = rep.to_dict()
+        out["report"] = {**rep.summary(), "scenarios": rep.columns}
         _dump(out, args)
         if args.format == "text":
             print("verdict:", "PASS" if rep.passed else "FAIL")

@@ -62,7 +62,7 @@ class NotGraphPointError(ValueError):
 
 
 _NUMBER_TYPES = {float, int}
-_FLOAT = {float}
+_FLOAT, _DICT = {float}, {dict}
 
 
 def _holds_non_number(value):
@@ -118,6 +118,8 @@ def object_list(value, name):
     ValueError naming the list or the first entry that is not an object."""
     if not isinstance(value, (list, tuple)):
         raise ValueError("%ss must be a list" % name)
+    if set(map(type, value)) <= _DICT:
+        return value
     for i, item in enumerate(value):
         if not isinstance(item, (dict, Mapping)):
             raise ValueError("%s %d must be an object" % (name, i))
@@ -321,33 +323,71 @@ def _sign_ok(zeta, eta, L, I_plus, eps):
                     np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
 
 
+@dataclass(frozen=True)
+class OrthantRows:
+    """Orthant coderivative verdicts of k points as columns, row j for point j.
+
+    reason[j] indexes reasons with row j's empty-coderivative reason, or is
+    -1 on the graph; member[j] is the verdict there, False off it. L, I_plus
+    and I_zero are the (k, d) coordinate masks and ambiguous marks the zeta
+    entries with 0 < |zeta_i| < STRICT_EPS. Indexing gives row j's witness,
+    so the rows stand in for a list of witness dicts.
+    """
+
+    reason: np.ndarray
+    member: np.ndarray
+    L: np.ndarray
+    I_plus: np.ndarray
+    I_zero: np.ndarray
+    ambiguous: np.ndarray
+    reasons: tuple = _ORTHANT_REASONS
+
+    def __len__(self):
+        return len(self.reason)
+
+    def __getitem__(self, j):
+        if self.reason[j] >= 0:
+            return {"reason": self.reasons[self.reason[j]]}
+        return {"L": _flagged(self.L[j]), "I_plus": _flagged(self.I_plus[j]),
+                "I_zero": _flagged(self.I_zero[j]),
+                "boundary_ambiguous": _flagged(self.ambiguous[j])}
+
+    def verdicts(self):
+        """Each row's verdict: member, not_member or empty_coderivative."""
+        codes = np.where(self.reason >= 0, 2, np.where(self.member, 0, 1))
+        return [_VERDICTS[c] for c in codes.tolist()]
+
+    def membership(self, j):
+        """Row j as a Membership."""
+        if self.reason[j] >= 0:
+            return _empty("orthant", self.reasons[self.reason[j]])
+        ok = bool(self.member[j])
+        return Membership(ok, _VERDICTS[0 if ok else 1], "orthant", self[j])
+
+
+_VERDICTS = ("member", "not_member", "empty_coderivative")
+
+
 def _orthant_rows(z, g, zeta, eta, eps):
     """Orthant coderivative membership of k points at once, one per row.
 
     z, g, zeta and eta are (k, d) arrays; row j is a point of R_+^d. The
     conditions separate by coordinate, so each is one array expression over
     all k*d entries: per entry the failed graph-point conditions, the
-    L / I_+ / I_0 masks and the sign test. Each row is then reduced in
-    Python: the empty-coderivative reason is the first of _ORTHANT_REASONS
-    that fails at any coordinate, and the point is a member when the sign
-    test holds at every coordinate.
+    L / I_+ / I_0 masks and the sign test. A row's empty-coderivative reason
+    is the first of _ORTHANT_REASONS that fails at any coordinate, and the
+    point is a member when the sign test holds at every coordinate. Returns
+    the OrthantRows.
     """
-    fails = np.stack([z < -eps, g < -eps, np.abs(z * g) > eps], axis=-1).any(axis=1)
+    fails = np.stack([(z < -eps).any(axis=1), (g < -eps).any(axis=1),
+                      (np.abs(z * g) > eps).any(axis=1)], axis=1)
+    reason = np.where(fails.any(axis=1), np.argmax(fails, axis=1), -1)
     L = z > eps
     I_plus = ~L & (g > eps)
     I_zero = ~L & ~I_plus
-    sign_ok = _sign_ok(zeta, eta, L, I_plus, eps)
-    out = []
-    for fail, l, p, o, c, ok in zip(fails.tolist(), L.tolist(), I_plus.tolist(),
-                                    I_zero.tolist(), zeta.tolist(),
-                                    sign_ok.all(axis=1).tolist()):
-        if any(fail):
-            out.append(_empty("orthant", _ORTHANT_REASONS[fail.index(True)]))
-            continue
-        witness = {"L": _flagged(l), "I_plus": _flagged(p), "I_zero": _flagged(o),
-                   "boundary_ambiguous": _ambiguous(c)}
-        out.append(Membership(ok, "member" if ok else "not_member", "orthant", witness))
-    return out
+    member = _sign_ok(zeta, eta, L, I_plus, eps).all(axis=1) & (reason < 0)
+    ambiguous = (zeta != 0.0) & (np.abs(zeta) < STRICT_EPS)
+    return OrthantRows(reason, member, L, I_plus, I_zero, ambiguous)
 
 
 def orthant_membership(z, g, pair, eps=DEFAULT_EPS):
@@ -362,7 +402,7 @@ def orthant_membership(z, g, pair, eps=DEFAULT_EPS):
     g = np.asarray(g, dtype=float)
     if not z.shape == g.shape == pair.zeta.shape:
         raise ValueError("z, g, zeta and eta must share a dimension")
-    return _orthant_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps)[0]
+    return _orthant_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps).membership(0)
 
 
 def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps):
@@ -452,8 +492,9 @@ def _simplex_rows(z, g, zeta, eta, eps):
             face.append(j)
 
     if interior:
-        for j, res in zip(interior, _orthant_rows(z[interior], g[interior], zeta[interior],
-                                                  eta[interior], eps)):
+        rows = _orthant_rows(z[interior], g[interior], zeta[interior], eta[interior], eps)
+        for i, j in enumerate(interior):
+            res = rows.membership(i)
             witness = witnesses[j]
             witness.update(res.witness)
             witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})

@@ -7,8 +7,15 @@ matching mixture of normals in y. The order quantity solves a one-dimensional
 quantile condition, and the bandwidth is scored by decision regret against
 the realized demand.
 
-Weight computations run through log-sum-exp so that tiny bandwidths or remote
-queries degrade to well-defined uniform weights instead of 0/0.
+Weights are computed in the log domain, shifted by each row's largest logit,
+so a remote query puts its weight on its nearest centers instead of 0/0.
+Bandwidths must lie in [2^-340, 2^340] and coordinates have magnitude at most
+2^340, so that the kernel's squares and cubes are finite normal numbers; a
+query whose every logit still underflows is refused. Each of these is a
+ValueError, an input error on the command line.
+
+An instance holds its centers and samples as Points, an (n, d_x) array of
+contexts and an (n,) array of demands, validated in one pass for JSON input.
 
 Every numeric step works on whole rows. For k queries and M centers the
 weights form a (k, M) matrix W, built once per bandwidth; the CDF, density
@@ -26,11 +33,15 @@ i, whose logit in row i is set to -inf.
 
 The bandwidth stationarity system is the generic one of mstat.stationarity
 on as_problem(instance); its scenario terms come from the same row helpers.
+On the verify route the scenarios stay columns from input to output:
+newsvendor_certificate stacks the certificate into (n, 1) rows, the problem
+reads the samples as arrays, and no object is built per scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,14 +56,13 @@ from .stationarity import (
     ParameterSet,
     Problem,
     Scenario,
-    ScenarioCertificate,
     ScenarioTerms,
     UpperModel,
     verify_certificate,
 )
 
 __all__ = [
-    "KernelModel", "NewsvendorInstance",
+    "KernelModel", "Points", "NewsvendorInstance",
     "nw_weights", "conditional_cdf", "conditional_pdf", "grad_theta_cdf",
     "solve_newsvendor", "solve_newsvendor_rows",
     "empirical_regret", "verify_newsvendor_system", "bandwidth_grid_search",
@@ -66,6 +76,13 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _BLOCK_ENTRIES = 1 << 20
 _NEWTON_TOL = 1e-12   # the quantile's Newton steps stop at |F - q| <= _NEWTON_TOL
 _MAX_EXPAND = 60      # the most times the quantile bracket widens
+# Coordinates have magnitude at most _POWER_BOUND and bandwidths lie in
+# [1/_POWER_BOUND, _POWER_BOUND]: their cubes, 2^1020 at most and 2^-1020 at
+# least, are finite normal numbers, and so are squared distances over fewer
+# than 2^340 coordinates.
+_POWER_BOUND = 2.0 ** 340
+_RANGE_TEXT = "2^340 (about %.3g)" % _POWER_BOUND
+_FLOAT, _LIST = {float}, {list}
 
 
 def _phi(u):
@@ -76,31 +93,83 @@ def _finite(values):
     return bool(np.all(np.isfinite(values)))
 
 
+def _in_range(X):
+    """Whether every entry of X is a number of magnitude at most _POWER_BOUND."""
+    return bool(np.all(np.abs(X) <= _POWER_BOUND))
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """(x, y) pairs held as an (n, d_x) array x of contexts and an (n,)
+    array y; len, iteration, indexing and slicing read it as the sequence of
+    (x row, y) pairs. _points builds one from pairs and validates it."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self):
+        return len(self.y)
+
+    def __iter__(self):
+        return zip(self.x, self.y.tolist())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Points(self.x[i], self.y[i])
+        return self.x[i], float(self.y[i])
+
+
+def _points(pairs, what):
+    """A non-empty sequence of (x, y) pairs as Points; what names one pair.
+
+    x is a vector or one number and y a number. JSON input, where every x
+    is a list of floats of one length and every y a float, is checked by one
+    type gate and one pass over the stacked arrays. Anything else, or a
+    failed check, goes entry by entry through finite_vector and
+    finite_number, which name the first bad entry. Points pass unchanged.
+    """
+    if type(pairs) is Points:
+        return pairs
+    pairs = list(pairs)
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    if not ys:
+        raise ValueError("need at least one %s" % what)
+    ok = (set(map(type, ys)) == _FLOAT and set(map(type, xs)) == _LIST
+          and len(set(map(len, xs))) == 1 and set(map(type, chain.from_iterable(xs))) == _FLOAT)
+    if ok:
+        X, Y = np.array(xs), np.array(ys)
+        ok = _in_range(X) and _finite(Y)
+    if not ok:
+        rows = [(finite_vector(x, "x", scalar=True), finite_number(y, "y")) for x, y in pairs]
+        if any(x.shape != rows[0][0].shape for x, _ in rows):
+            raise ValueError("every %s needs the same number of x coordinates" % what)
+        X, Y = np.array([x for x, _ in rows]), np.array([y for _, y in rows])
+        if not _in_range(X):
+            raise ValueError("x coordinates must have magnitude at most %s" % _RANGE_TEXT)
+    return Points(X, Y)
+
+
 @dataclass
 class KernelModel:
-    """Gaussian-kernel conditional distribution with bandwidth theta > 0."""
+    """Gaussian-kernel conditional distribution with bandwidth theta.
+
+    centers holds (x, y) pairs, as _points reads them; theta must lie in
+    [2^-340, 2^340], where its square and cube are finite normal numbers.
+    """
 
     centers_x: np.ndarray
     centers_y: np.ndarray
     theta: float
 
     def __init__(self, centers, theta):
-        xs, ys = [], []
-        for x, y in centers:
-            xs.append(np.atleast_1d(np.asarray(x, dtype=float)))
-            ys.append(float(y))
-        if not xs:
-            raise ValueError("need at least one center")
+        points = _points(centers, "center")
         theta = float(theta)
-        if not (np.isfinite(theta) and theta > 0):
-            raise ValueError("bandwidth must be positive and finite")
-        if xs[0].ndim != 1 or any(x.shape != xs[0].shape for x in xs):
-            raise ValueError("every center needs the same number of x coordinates")
-        self.centers_x = np.array(xs)
-        self.centers_y = np.asarray(ys, dtype=float)
-        if not (_finite(self.centers_x) and _finite(self.centers_y)):
-            raise ValueError("center coordinates must be finite")
-        self.theta = theta
+        if not 1.0 / _POWER_BOUND <= theta <= _POWER_BOUND:
+            raise ValueError("bandwidth must lie in [1/B, B] for B = %s, where its square "
+                             "and cube are finite normal numbers; got %g"
+                             % (_RANGE_TEXT, theta))
+        self.centers_x, self.centers_y, self.theta = points.x, points.y, theta
 
     @property
     def d_x(self):
@@ -111,7 +180,7 @@ class KernelModel:
         return len(self.centers_y)
 
     def with_theta(self, theta):
-        return KernelModel(list(zip(self.centers_x, self.centers_y)), theta)
+        return KernelModel(Points(self.centers_x, self.centers_y), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +191,9 @@ def _query_rows(model, xs):
     X = np.asarray(xs, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.d_x:
         raise ValueError("query points need %d x coordinates each" % model.d_x)
-    if not _finite(X):
-        raise ValueError("query point must be finite")
+    if not _in_range(X):
+        raise ValueError("query coordinates must be finite with magnitude at most %s"
+                         % _RANGE_TEXT)
     return X
 
 
@@ -156,10 +226,15 @@ def _weight_rows(model, X, drop=None):
     whose logit in row i is set to -inf, removing it from that row.
     """
     sq = np.sum(np.square(model.centers_x[None, :, :] - X[:, None, :]), axis=2)
-    logits = -sq / (2.0 * model.theta ** 2)
+    with np.errstate(over="ignore"):  # to -inf: a center too far to count
+        logits = -sq / (2.0 * model.theta ** 2)
     if drop is not None:
         logits[np.arange(len(X)), drop] = -np.inf
-    logits -= np.max(logits, axis=1, keepdims=True)
+    top = np.max(logits, axis=1, keepdims=True)
+    if np.isneginf(top).any():
+        raise ValueError("a query is so far from every center that its kernel weights "
+                         "underflow at bandwidth %g" % model.theta)
+    logits -= top
     W = np.exp(logits)
     return W / W.sum(axis=1, keepdims=True), sq
 
@@ -177,13 +252,17 @@ def _pdf_rows(model, W, y):
     return _row_dot(W, _phi(_scaled(model, y))) / model.theta
 
 
-def _log_kernel_grads(model, sq):
-    """d/dtheta log K_theta(x - x_m) = -d_x / theta + ||x - x_m||^2 / theta^3."""
-    return -model.d_x / model.theta + sq / model.theta ** 3
+def _log_kernel_grads(model, W, sq):
+    """d/dtheta log K_theta(x - x_m) = -d_x / theta + ||x - x_m||^2 / theta^3,
+    and 0 where the weight W is 0: a center whose weight underflowed adds
+    nothing to a bandwidth derivative, even where its score overflows."""
+    with np.errstate(over="ignore"):
+        psi = -model.d_x / model.theta + sq / model.theta ** 3
+    return np.where(W > 0.0, psi, 0.0)
 
 
 def _grad_theta_rows(model, W, sq, y):
-    psi = _log_kernel_grads(model, sq)
+    psi = _log_kernel_grads(model, W, sq)
     u = _scaled(model, y)
     reweight = _row_dot(W * (psi - _row_dot(W, psi)[:, None]), ndtr(u))
     widen = _row_dot(W, u * _phi(u) / model.theta)
@@ -301,34 +380,30 @@ def _regret(z, y, h, b):
     return h * np.maximum(z - y, 0.0) + b * np.maximum(y - z, 0.0)
 
 
-def _sample_rows(instance):
-    return (np.array([x for x, _ in instance.samples]),
-            np.array([y for _, y in instance.samples]))
-
-
 def empirical_regret(instance, model, leave_one_out=False):
     """Sample-weighted decision regret of the model's order quantities.
 
     The weighted terms are summed in sample order. With leave_one_out, sample
     i is decided without center i (see solve_newsvendor_rows).
     """
-    X, ys = _sample_rows(instance)
-    z = solve_newsvendor_rows(model, X, instance.h, instance.b,
+    samples = instance.samples
+    z = solve_newsvendor_rows(model, samples.x, instance.h, instance.b,
                               leave_one_out=leave_one_out)
     total = 0.0
-    for w, r in zip(instance.weights, _regret(z, ys, instance.h, instance.b)):
+    for w, r in zip(instance.weights, _regret(z, samples.y, instance.h, instance.b)):
         total += w * r
     return float(total)
 
 
 @dataclass
 class NewsvendorInstance:
-    """Holding/backorder costs plus the (x_n, y_n) sample and kernel centers."""
+    """Holding/backorder costs plus the (x_n, y_n) samples and kernel
+    centers, each held as Points (built by _points from (x, y) pairs)."""
 
     h: float
     b: float
-    centers: list
-    samples: list
+    centers: Points
+    samples: Points
     theta_bounds: tuple = (1e-3, 1e3)
     weights: np.ndarray = None
 
@@ -336,22 +411,15 @@ class NewsvendorInstance:
         self.h, self.b = finite_number(self.h, "h"), finite_number(self.b, "b")
         if not (self.h > 0 and self.b > 0):
             raise ValueError("h and b must be strictly positive and finite")
-        self.centers = [(finite_vector(x, "x", scalar=True), finite_number(y, "y"))
-                        for x, y in self.centers]
-        self.samples = [(finite_vector(x, "x", scalar=True), finite_number(y, "y"))
-                        for x, y in self.samples]
+        self.centers = _points(self.centers, "center")
+        self.samples = _points(self.samples, "sample")
         bounds = finite_vector(self.theta_bounds, "theta_bounds")
         if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
             raise ValueError("theta bounds must be finite with 0 < lo < hi")
         self.theta_bounds = tuple(bounds.tolist())
-        n = len(self.samples)
-        if n == 0:
-            raise ValueError("need at least one sample")
-        if not self.centers:
-            raise ValueError("need at least one center")
-        xs = [x for x, _ in self.centers + self.samples]
-        if any(x.shape != xs[0].shape for x in xs):
+        if self.centers.x.shape[1] != self.samples.x.shape[1]:
             raise ValueError("every center and sample needs the same number of x coordinates")
+        n = len(self.samples)
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
@@ -366,8 +434,10 @@ class NewsvendorInstance:
     def to_dict(self):
         return {"schema": "mstat/1", "type": "newsvendor_kernel",
                 "h": self.h, "b": self.b,
-                "centers": [{"x": x.tolist(), "y": y} for x, y in self.centers],
-                "samples": [{"x": x.tolist(), "y": y} for x, y in self.samples],
+                "centers": [{"x": x, "y": y} for x, y in zip(self.centers.x.tolist(),
+                                                             self.centers.y.tolist())],
+                "samples": [{"x": x, "y": y} for x, y in zip(self.samples.x.tolist(),
+                                                             self.samples.y.tolist())],
                 "theta_bounds": list(self.theta_bounds),
                 "weights": self.weights.tolist()}
 
@@ -422,7 +492,7 @@ class NewsvendorLowerModel(LowerModel):
     def grad_theta(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         W, sq = _weight_rows(m, _one_row(m, x))
-        w, psi = W[0], _log_kernel_grads(m, sq[0])
+        w, psi = W[0], _log_kernel_grads(m, W, sq)[0]
         u, per_center = self._per_center(m, z)
         reweight = w * (psi - w @ psi) @ per_center
         widen = (self.inst.h + self.inst.b) * (w @ _phi(u))
@@ -457,18 +527,27 @@ class NewsvendorUpperModel(UpperModel):
 
 
 class NewsvendorProblem(Problem):
-    """as_problem's Problem: the scenario terms of all samples come from one
-    weight matrix per block of rows, and each scenario's witness gains its
-    loss subdifferential as "subdiff": [lo, hi]."""
+    """as_problem's Problem. It reads the samples as arrays and builds a
+    Scenario per sample only when scenarios is read; the scenario terms of
+    all samples come from one weight matrix per block of rows, and each
+    scenario's witness gains its loss subdifferential as "subdiff": [lo, hi]."""
+
+    def __init__(self, instance):
+        self.inst, self.weights = instance, instance.weights
+        self.lower = NewsvendorLowerModel(instance)
+        self.upper = NewsvendorUpperModel(instance)
+
+    @property
+    def scenarios(self):
+        return [Scenario(x=x, y=y, weight=w)
+                for (x, y), w in zip(self.inst.samples, self.weights.tolist())]
 
     def scenario_terms(self, theta, certificate):
-        inst = self.lower.inst
+        inst = self.inst
         h, b = inst.h, inst.b
         model = inst.model(float(theta[0]))
-        X = np.array([scen.x for scen in self.scenarios])
-        y = np.array([scen.y for scen in self.scenarios])
-        z = np.array([cert.z[0] for cert in certificate.scenarios])
-        eta = np.array([cert.eta[0] for cert in certificate.scenarios])
+        X, y = inst.samples.x, inst.samples.y
+        z, eta = certificate.z[:, 0], certificate.eta[:, 0]
         cdf, pdf, slope = np.empty((3, len(X)))
         for rows in _row_blocks(len(X), model):
             W, sq = _weight_rows(model, X[rows])
@@ -484,17 +563,14 @@ class NewsvendorProblem(Problem):
             curvature=(0.0 + (h + b) * pdf * eta)[:, None],
             lo=lo[:, None], hi=hi[:, None],
             generators=(0.0 + (h + b) * slope * eta)[:, None],
-            witness=[{"subdiff": [l, u]} for l, u in zip(lo.tolist(), hi.tolist())])
+            witness={"subdiff": np.stack([lo, hi], axis=1).tolist()})
 
 
 def as_problem(instance):
     """The kernel newsvendor as a generic finite-support problem: one
     scenario per sample, the kernel lower model, the regret as the upper
     loss and the bandwidth interval as the parameter set."""
-    scenarios = [Scenario(x=x, y=y, weight=w)
-                 for (x, y), w in zip(instance.samples, instance.weights)]
-    return NewsvendorProblem(lower=NewsvendorLowerModel(instance),
-                             upper=NewsvendorUpperModel(instance), scenarios=scenarios)
+    return NewsvendorProblem(instance)
 
 
 def lower_solver(instance):
@@ -506,21 +582,40 @@ def lower_solver(instance):
     return solve
 
 
+_CERTIFICATE_KEYS = ("z", "eta", "zeta")
+
+
 def newsvendor_certificate(theta, certificate_scenarios):
     """A Certificate from a bandwidth and one mapping per sample.
 
     Each mapping holds z, eta and zeta, and may hold the penalty weight mu.
     theta and each of these entries must be one finite number
     (finite_number), and each scenario a mapping, otherwise ValueError.
+    Mappings whose z, eta and zeta are all floats and that hold no mu are
+    checked by one type gate and one np.isfinite over their stack; any
+    other input goes entry by entry through finite_number, in scenario
+    order, which names the first bad entry.
     """
     theta = finite_number(theta, "theta")
-    scenarios = []
-    for part in object_list(certificate_scenarios, "certificate scenario"):
-        z, eta, zeta = (finite_number(part[key], key) for key in ("z", "eta", "zeta"))
-        mu = part.get("mu")
-        scenarios.append(ScenarioCertificate(
-            z=z, eta=eta, zeta=zeta, mu=None if mu is None else finite_number(mu, "mu")))
-    return Certificate(theta=theta, scenarios=scenarios)
+    parts = object_list(certificate_scenarios, "certificate scenario")
+    try:
+        values = [part[key] for part in parts for key in _CERTIFICATE_KEYS]
+        ok = set(map(type, values)) == _FLOAT and not any("mu" in part for part in parts)
+    except KeyError:
+        ok = False
+    if ok:
+        rows = np.array(values).reshape(-1, 3)
+        ok = _finite(rows)
+    mus = None
+    if not ok:
+        rows, mus = [], []
+        for part in parts:
+            rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
+            mu = part.get("mu")
+            mus.append(None if mu is None else finite_number(mu, "mu"))
+        rows = np.array(rows).reshape(-1, 3)
+    return Certificate.from_rows(theta, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3],
+                                 np.ones(len(rows), dtype=bool), mus)
 
 
 def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=DEFAULT_TOL):

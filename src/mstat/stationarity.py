@@ -16,7 +16,7 @@ gradients over the solution set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +35,7 @@ from .cones import (
     simplex_polyhedron,
 )
 from .graph_normals import (
+    _ORTHANT_REASONS,
     GraphPoint,
     NormalPair,
     finite_number,
@@ -50,7 +51,7 @@ __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
     "LowerModel", "UpperModel",
     "ScenarioCertificate", "Certificate", "ScenarioTerms",
-    "ScenarioReport", "ResidualReport",
+    "ScenarioReport", "ScenarioColumns", "ResidualReport",
     "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
     "value_function", "value_subdifferential",
@@ -240,8 +241,9 @@ class ScenarioTerms:
     g is grad_z c and curvature hess_zz^T eta, (k, d_z) each; lo <= hi bound
     the subdifferential of the upper loss in z, (k, d_z) each; generators
     holds the upper-line terms grad_theta L + hess_ztheta^T eta, (k,
-    d_theta). witness, when given, holds one dict per scenario that joins
-    that scenario's report witness.
+    d_theta). witness, when given, maps a key to a column of JSON values,
+    one per scenario, that joins each scenario's report witness under that
+    key.
     """
 
     g: np.ndarray
@@ -249,18 +251,16 @@ class ScenarioTerms:
     lo: np.ndarray
     hi: np.ndarray
     generators: np.ndarray
-    witness: list = None
+    witness: dict = None
 
 
-@dataclass
 class Problem:
-    """Finite-support problem bundle; scenario weights must sum to one."""
+    """Finite-support problem bundle: a lower and an upper model and the
+    scenarios, whose weights must sum to one; weights holds them as one
+    array."""
 
-    lower: LowerModel
-    upper: UpperModel
-    scenarios: list
-
-    def __post_init__(self):
+    def __init__(self, lower, upper, scenarios):
+        self.lower, self.upper, self.scenarios = lower, upper, list(scenarios)
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
         w = np.array([s.weight for s in self.scenarios], dtype=float)
@@ -268,6 +268,7 @@ class Problem:
             raise ValueError("negative scenario weight")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("scenario weights must sum to 1 (got %.17g)" % w.sum())
+        self.weights = w
 
     def scenario_terms(self, theta, certificate):
         """The ScenarioTerms of a certificate at theta.
@@ -278,12 +279,12 @@ class Problem:
         """
         lower, upper = self.lower, self.upper
         rows = []
-        for scen, cert in zip(self.scenarios, certificate.scenarios):
-            z, x, y = cert.z, scen.x, scen.y
+        for scen, z, eta in zip(self.scenarios, certificate.z, certificate.eta):
+            x, y = scen.x, scen.y
             lo, hi = upper.grad_z_bounds(z, x, y, theta)
             rows.append((lower.grad_z(z, theta, x),
-                         np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ cert.eta,
-                         lo, hi, _upper_generator(lower, upper, theta, x, y, z, cert.eta)))
+                         np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta,
+                         lo, hi, _upper_generator(lower, upper, theta, x, y, z, eta)))
         return ScenarioTerms(*(np.array(col, dtype=float).reshape(len(rows), -1)
                                for col in zip(*rows)))
 
@@ -317,19 +318,59 @@ class ScenarioCertificate:
                                                scalar=True)
 
 
-@dataclass
 class Certificate:
-    """Flattened finite parameter vector plus one ScenarioCertificate per scenario."""
+    """A flattened finite parameter vector plus every scenario's claimed
+    solution and multipliers, stacked by scenario.
 
-    theta: np.ndarray
-    scenarios: list
+    z, eta and zeta are (n, d) arrays. given[n] says whether scenario n
+    supplies zeta; where it does not, row n of zeta is a placeholder that
+    the verifier replaces by its own probe. mu and value_weights hold one
+    entry per scenario, None where the scenario has none.
+    Certificate(theta, scenarios) stacks ScenarioCertificate objects, whose
+    vectors must share one dimension; from_rows takes validated rows as they
+    are. Reading scenarios gives one ScenarioCertificate per row.
+    """
 
-    def __post_init__(self):
-        self.theta = finite_vector(self.theta, "theta", flat=True)
+    def __init__(self, theta, scenarios):
+        scenarios = list(scenarios)
+        d = len(scenarios[0].z) if scenarios else 0
+        for i, s in enumerate(scenarios):
+            if len(s.z) != d or len(s.eta) != d:
+                raise ValueError("scenario %d has wrong dimensions" % i)
+            if s.zeta is not None and len(s.zeta) != d:
+                raise ValueError("scenario %d zeta has wrong dimension" % i)
+        rows = np.empty((3, len(scenarios), d))
+        for i, s in enumerate(scenarios):
+            rows[:, i] = s.z, s.eta, s.z if s.zeta is None else s.zeta
+        self._hold(theta, *rows, np.array([s.zeta is not None for s in scenarios], dtype=bool),
+                   [s.mu for s in scenarios], [s.value_weights for s in scenarios])
+
+    @classmethod
+    def from_rows(cls, theta, z, eta, zeta, given, mu=None):
+        """A certificate from finite (n, d) rows z, eta and zeta, the (n,)
+        boolean mask given and the penalty weights mu (one entry or None per
+        scenario, or None for none at all), taken without copying."""
+        cert = cls.__new__(cls)
+        cert._hold(theta, z, eta, zeta, given, [None] * len(z) if mu is None else mu,
+                   [None] * len(z))
+        return cert
+
+    def _hold(self, theta, z, eta, zeta, given, mu, value_weights):
+        self.theta = finite_vector(theta, "theta", flat=True)
+        self.z, self.eta, self.zeta, self.given = z, eta, zeta, given
+        self.mu, self.value_weights = mu, value_weights
+
+    @property
+    def scenarios(self):
+        return [ScenarioCertificate(z=z, eta=eta, zeta=zeta if given else None, mu=mu,
+                                    value_weights=vw)
+                for z, eta, zeta, given, mu, vw in zip(
+                    self.z, self.eta, self.zeta, self.given.tolist(), self.mu,
+                    self.value_weights)]
 
     @property
     def penalized(self):
-        return any(s.mu is not None for s in self.scenarios)
+        return any(mu is not None for mu in self.mu)
 
 
 @dataclass
@@ -357,26 +398,84 @@ class ScenarioReport:
 
 
 @dataclass
-class ResidualReport:
-    """Residuals of one stationarity system; `passed` is read off them."""
+class ScenarioColumns:
+    """The per-scenario fields of a report as columns, entry n for scenario n.
 
-    mode: str
-    tol: float
-    value_tol: float
-    upper_residual: float
-    scenarios: list
-    caveats: list = field(default_factory=list)
+    Every field but witness and extra is a list of Python values. witness
+    is indexed like a list of witness dicts: it is one, or the OrthantRows
+    that decided the scenarios. extra, when given, maps a key to a column of
+    JSON values that joins every witness under that key.
+    """
+
+    lower_residual: list
+    m_membership: list
+    m_verdict: list
+    m_residual: list
+    complementarity_gap: list
+    value_gap: list
+    witness: object
+    extra: dict = None
+
+    @classmethod
+    def of(cls, reports):
+        """The columns of a list of ScenarioReport objects."""
+        return cls(*map(list, zip(*[
+            (r.lower_residual, r.m_membership, r.m_verdict, r.m_residual,
+             r.complementarity_gap, r.value_gap, r.witness) for r in reports])))
+
+    def witness_of(self, n):
+        """Scenario n's witness dict, extra entries included."""
+        if not self.extra:
+            return self.witness[n]
+        return {**self.witness[n], **{key: col[n] for key, col in self.extra.items()}}
+
+    def reports(self):
+        """One ScenarioReport per scenario."""
+        return [ScenarioReport(n, *fields, witness=self.witness_of(n))
+                for n, fields in enumerate(zip(
+                    self.lower_residual, self.m_membership, self.m_verdict, self.m_residual,
+                    self.complementarity_gap, self.value_gap))]
+
+
+class ResidualReport:
+    """Residuals of one stationarity system; `passed` is read off them.
+
+    The scenario fields are held as ScenarioColumns. The first read of
+    scenarios builds one ScenarioReport per scenario; from then on those
+    objects hold the scenario fields, so setting one of their fields
+    changes `passed`, to_dict and columns.
+    """
+
+    def __init__(self, mode, tol, value_tol, upper_residual, columns, caveats=()):
+        self.mode, self.tol, self.value_tol = mode, tol, value_tol
+        self.upper_residual, self.caveats = upper_residual, list(caveats)
+        self._columns, self._scenarios = columns, None
+
+    @property
+    def scenarios(self):
+        if self._scenarios is None:
+            self._scenarios = self._columns.reports()
+        return self._scenarios
+
+    @property
+    def columns(self):
+        if self._scenarios is None:
+            return self._columns
+        return ScenarioColumns.of(self._scenarios)
 
     @property
     def passed(self):
         """Every residual clears tol, every membership holds and every
         certified value gap clears value_tol."""
+        c = self.columns
         return self.upper_residual <= self.tol and all(
-            r.lower_residual <= self.tol and r.m_membership and r.m_residual <= self.tol
-            and (r.value_gap is None or r.value_gap <= self.value_tol)
-            for r in self.scenarios)
+            low <= self.tol and member and m_res <= self.tol
+            and (gap is None or gap <= self.value_tol)
+            for low, member, m_res, gap in zip(c.lower_residual, c.m_membership,
+                                               c.m_residual, c.value_gap))
 
-    def to_dict(self):
+    def summary(self):
+        """to_dict without the scenario list."""
         return {
             "schema": "mstat/1",
             "mode": self.mode,
@@ -384,9 +483,11 @@ class ResidualReport:
             "value_tol": self.value_tol,
             "pass": self.passed,
             "upper_residual": self.upper_residual,
-            "scenarios": [s.to_dict() for s in self.scenarios],
             "caveats": list(self.caveats),
         }
+
+    def to_dict(self):
+        return {**self.summary(), "scenarios": [s.to_dict() for s in self.scenarios]}
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +539,11 @@ def _probe_and_gap(r_lo, r_hi, zeta, given):
     return probe, np.maximum(np.maximum(r_lo + probe, -(r_hi + probe)), 0.0)
 
 
-def _m_residual(res, gap_norm, given):
-    """inf at a non-graph point; the norm of the gap terms for a given zeta;
-    without zeta 0 for a member and inf otherwise."""
-    if res.verdict == "empty_coderivative":
-        return float("inf")
-    if given:
-        return gap_norm
-    return 0.0 if res.member else float("inf")
+def _m_residual(empty, member, gap_norm, given):
+    """inf at a non-graph point (empty); the norm of the gap terms for a
+    given zeta; without zeta 0 for a member and inf otherwise. Entrywise on
+    arrays."""
+    return np.where(empty, np.inf, np.where(given, gap_norm, np.where(member, 0.0, np.inf)))
 
 
 def _upper_generator(lower, upper, theta, x, y, z, eta):
@@ -533,8 +631,7 @@ def _upper_line(problem, theta, generators, penalties):
         for n, p in enumerate(penalties):
             if p is not None:
                 generators[n] = generators[n] + p
-    weights = np.array([scen.weight for scen in problem.scenarios])
-    s = np.add.accumulate(weights[:, None] * generators, axis=0)[-1]
+    s = np.add.accumulate(problem.weights[:, None] * generators, axis=0)[-1]
     return problem.upper.theta_set.normal_cone_distance(theta, -s)
 
 
@@ -545,11 +642,13 @@ def upper_residual(problem, certificate):
     return _upper_line(problem, theta, terms.generators, None)
 
 
+_INFEASIBLE = "infeasible scenario point"
+
+
 def _infeasible_report(index):
     return ScenarioReport(index=index, lower_residual=float("inf"),
                           m_membership=False, m_verdict="empty_coderivative",
-                          m_residual=float("inf"),
-                          witness={"reason": "infeasible scenario point"})
+                          m_residual=float("inf"), witness={"reason": _INFEASIBLE})
 
 
 def _check_scenario(poly, index, z, g, gap, given, res):
@@ -587,45 +686,46 @@ def _check_scenario(poly, index, z, g, gap, given, res):
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=_m_residual(res, float(np.linalg.norm(gap)), given),
+                          m_residual=float(_m_residual(res.verdict == "empty_coderivative",
+                                                       res.member, np.linalg.norm(gap), given)),
                           complementarity_gap=comp_gap, witness=res.witness)
 
 
 def _orthant_reports(z, g, probe, eta, gap, given):
-    """Every scenario's report on Z = R_+^d from one pass over (k, d) rows.
+    """The ScenarioColumns of every scenario on Z = R_+^d, from one pass over
+    (k, d) rows.
 
     dist(-g, N_Z(z)) separates by coordinate: |g_i| where z_i > eps and
     max(0, -g_i) where z_i is at the bound. The memberships come from one
-    _orthant_rows call. The graph-point check already bounds |z_i g_i| by
-    eps, so no complementarity gap is reported.
+    _orthant_rows call, whose first reason, z < -eps, makes the scenario
+    infeasible. The graph-point check already bounds |z_i g_i| by eps, so no
+    complementarity gap is reported.
     """
     eps = DEFAULT_EPS
-    members = _orthant_rows(z, g, probe, eta, eps)
+    rows = replace(_orthant_rows(z, g, probe, eta, eps),
+                   reasons=(_INFEASIBLE,) + _ORTHANT_REASONS[1:])
     low_res = np.linalg.norm(np.where(z > eps, np.abs(g), np.maximum(0.0, -g)), axis=1)
-    reports = []
-    for n, (res, low, gap_norm, bad, has) in enumerate(zip(
-            members, low_res.tolist(), np.linalg.norm(gap, axis=1).tolist(),
-            (z < -eps).any(axis=1).tolist(), given)):
-        reports.append(_infeasible_report(n) if bad else ScenarioReport(
-            index=n, lower_residual=low, m_membership=res.member, m_verdict=res.verdict,
-            m_residual=_m_residual(res, gap_norm, has), witness=res.witness))
-    return reports
+    empty = rows.reason >= 0
+    m_res = _m_residual(empty, rows.member, np.linalg.norm(gap, axis=1), given)
+    none = [None] * len(z)
+    return ScenarioColumns(
+        lower_residual=np.where(rows.reason == 0, np.inf, low_res).tolist(),
+        m_membership=rows.member.tolist(), m_verdict=rows.verdicts(),
+        m_residual=m_res.tolist(), complementarity_gap=none, value_gap=list(none),
+        witness=rows)
 
 
 def _validate_certificate(problem, certificate):
-    if len(problem.scenarios) != len(certificate.scenarios):
+    n = len(problem.weights)
+    if len(certificate.z) != n:
         raise ValueError("certificate has %d scenarios, problem has %d"
-                         % (len(certificate.scenarios), len(problem.scenarios)))
+                         % (len(certificate.z), n))
     d_theta = problem.upper.theta_set.dim
     if len(certificate.theta) != d_theta:
         raise ValueError("theta has %d entries, expected %d"
                          % (len(certificate.theta), d_theta))
-    d = problem.lower.feasible_set.dim
-    for i, cert in enumerate(certificate.scenarios):
-        if len(cert.z) != d or len(cert.eta) != d:
-            raise ValueError("scenario %d has wrong dimensions" % i)
-        if cert.zeta is not None and len(cert.zeta) != d:
-            raise ValueError("scenario %d zeta has wrong dimension" % i)
+    if certificate.z.shape[1] != problem.lower.feasible_set.dim:
+        raise ValueError("scenario 0 has wrong dimensions")
 
 
 def _require_bounded_terms(terms, r_lo, r_hi, probe):
@@ -657,22 +757,17 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     passes mus = None and no solver, which drops both terms and the value gaps.
     """
     theta, lower = certificate.theta, problem.lower
-    certs = certificate.scenarios
     terms = problem.scenario_terms(theta, certificate)
-    z = np.array([c.z for c in certs])
-    eta = np.array([c.eta for c in certs])
-    given = np.array([c.zeta is not None for c in certs])
-    # A scenario without zeta gets a placeholder row that the probe replaces.
-    zeta = np.array([c.zeta if c.zeta is not None else c.z for c in certs])
+    z, eta, given = certificate.z, certificate.eta, certificate.given
     r_lo, r_hi = terms.lo + terms.curvature, terms.hi + terms.curvature
     if mus is not None:
         pull = np.array(mus)[:, None] * terms.g
         r_lo, r_hi = r_lo + pull, r_hi + pull
-    probe, gap = _probe_and_gap(r_lo, r_hi, zeta, given[:, None])
+    probe, gap = _probe_and_gap(r_lo, r_hi, certificate.zeta, given[:, None])
     _require_bounded_terms(terms, r_lo, r_hi, probe)
     feasible = lower.feasible_set
     if feasible.kind == "orthant":
-        reports = _orthant_reports(z, terms.g, probe, eta, gap, given.tolist())
+        columns = _orthant_reports(z, terms.g, probe, eta, gap, given)
     else:
         poly = feasible.as_polyhedron()
         if feasible.kind == "simplex":
@@ -681,32 +776,28 @@ def _verify(problem, certificate, mode, tol, mus, solver):
             members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
                                              DEFAULT_EPS)
                        for zn, gn, pn, en in zip(z, terms.g, probe, eta)]
-        reports = [_check_scenario(poly, n, *row)
-                   for n, row in enumerate(zip(z, terms.g, gap, given, members))]
-    if terms.witness is not None:
-        for rep, extra in zip(reports, terms.witness):
-            rep.witness = {**rep.witness, **extra}
-    penalties = [None] * len(reports)
+        columns = ScenarioColumns.of([
+            _check_scenario(poly, n, *row)
+            for n, row in enumerate(zip(z, terms.g, gap, given.tolist(), members))])
+    columns.extra = terms.witness
+    penalties = [None] * len(z)
     caveats = []
     if solver is not None:
-        for scen, cert, mu, rep in zip(problem.scenarios, certs, mus, reports):
+        for n, (scen, mu) in enumerate(zip(problem.scenarios, mus)):
             vf = value_function(lower, theta, scen.x, solver)
-            rep.value_gap = float(lower.cost(cert.z, theta, scen.x) - vf.value)
+            columns.value_gap[n] = float(lower.cost(z[n], theta, scen.x) - vf.value)
             if len(vf.argmin_points) > 1:
                 caveats.append("scenario %d: lower solution sampled at %d points; "
-                               "the sample may be incomplete"
-                               % (rep.index, len(vf.argmin_points)))
+                               "the sample may be incomplete" % (n, len(vf.argmin_points)))
             if mu > 0:
                 sub = value_subdifferential(lower, theta, scen.x, vf.argmin_points)
-                if cert.value_weights is not None:
-                    w_n = sub.combine(cert.value_weights)
-                else:
-                    w_n = sub.generators[0]
-                grad_t = np.asarray(lower.grad_theta(cert.z, theta, scen.x), dtype=float)
-                penalties[rep.index] = mu * (grad_t - w_n)
+                weights = certificate.value_weights[n]
+                w_n = sub.generators[0] if weights is None else sub.combine(weights)
+                grad_t = np.asarray(lower.grad_theta(z[n], theta, scen.x), dtype=float)
+                penalties[n] = mu * (grad_t - w_n)
     upper = _upper_line(problem, theta, terms.generators, penalties)
     return ResidualReport(mode=mode, tol=tol, value_tol=DEFAULT_VALUE_TOL,
-                          upper_residual=upper, scenarios=reports, caveats=caveats)
+                          upper_residual=upper, columns=columns, caveats=caveats)
 
 
 def verify_certificate(problem, certificate, tol=DEFAULT_TOL):
@@ -728,7 +819,7 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL, solver=N
     some mu_n is positive.
     """
     _validate_certificate(problem, certificate)
-    mus = [0.0 if cert.mu is None else cert.mu for cert in certificate.scenarios]
+    mus = [0.0 if mu is None else mu for mu in certificate.mu]
     for i, mu in enumerate(mus):
         if mu < 0:
             raise ValueError("negative penalty weight in scenario %d" % i)

@@ -671,7 +671,8 @@ def check_scenario_lp(poly, index, z, g, gap, given, res):
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=_m_residual(res, float(np.linalg.norm(gap)), given),
+                          m_residual=float(_m_residual(res.verdict == "empty_coderivative",
+                                                       res.member, np.linalg.norm(gap), given)),
                           complementarity_gap=comp_gap, witness=res.witness)
 
 
@@ -754,7 +755,8 @@ def m_stationarity_check(lower, upper, theta, x, y, z, eta, zeta=None, eps=DEFAU
     else:
         res = polyhedron_membership(feasible.as_polyhedron(), GraphPoint(z, g), pair, eps)
     return {"membership": res.member,
-            "residual": _m_residual(res, float(np.linalg.norm(gap)), given),
+            "residual": float(_m_residual(res.verdict == "empty_coderivative", res.member,
+                                          np.linalg.norm(gap), given)),
             "verdict": res.verdict, "witness": res.witness}
 
 

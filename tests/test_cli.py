@@ -1,8 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mstat import newsvendor as NV
+from mstat import stationarity as ST
 from mstat.cli import _json_text, main
+from mstat.graph_normals import NormalPair, orthant_membership
 from mstat.newsvendor import NewsvendorInstance, solve_newsvendor
 from mstat.portfolio import PortfolioInstance
 
@@ -351,6 +357,147 @@ def test_verify_newsvendor(tmp_path, capsys):
                          "--certificate", cpath, "--mode", "penalized")
     assert code2 == 0 and json.loads(out2)["pass"] is True
     assert json.loads(out2)["scenarios"][0]["value_gap"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the newsvendor verify route: report columns written by a template
+
+# Three centers far apart at bandwidth NV_THETA: a sample within 0.5 of a
+# center weighs that center alone, so F(z; x) = Phi((z - y_c) / theta)
+# exactly, with y_c = 0, -10 and 5.
+NV_CENTERS = ((0.0, 0.0), (10.0, -10.0), (20.0, 5.0))
+NV_THETA = 0.1
+_SMALL = st.sampled_from([0.0, 1e-13, -1e-13, 5e-10, -5e-10])
+_VALUE = st.floats(-5.0, 5.0, allow_nan=False) | _SMALL
+_LARGE = st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
+
+
+def _near(center):
+    return st.floats(-0.5, 0.5).map(lambda jitter: NV_CENTERS[center][0] + jitter)
+
+
+# Each orthant report branch as (x, z, zeta): z = 0 at y_c = 0 is I_zero
+# (g = 0), at y_c = -10 I_plus (g = h); at center 2, z = 5 is L (g = 0), so
+# a zeta within eps is a member and, below STRICT_EPS, boundary ambiguous,
+# and a large zeta is not; z = 0 has g = -b < 0, z = 7 has z g = 7 h > eps,
+# and z < -eps is infeasible.
+_BRANCHES = (
+    st.tuples(_near(0), st.just(0.0), _VALUE), st.tuples(_near(1), st.just(0.0), _VALUE),
+    st.tuples(_near(2), st.just(5.0), st.sampled_from([1e-13, -1e-13])),
+    st.tuples(_near(2), st.just(5.0), _LARGE), st.tuples(_near(2), st.just(0.0), _VALUE),
+    st.tuples(_near(2), st.just(7.0), _VALUE),
+    st.tuples(st.integers(0, 2).flatmap(_near), st.floats(-10.0, -1e-6), _VALUE))
+_FREE = st.tuples(st.floats(-1.0, 21.0), st.floats(-2.0, 10.0), _VALUE)
+
+
+@st.composite
+def newsvendor_cases(draw):
+    """An instance with one sample per scenario and certificate scenarios
+    that reach every branch, in random order, plus free random ones."""
+    kinds = draw(st.permutations([draw(branch) for branch in _BRANCHES]))
+    rows = []
+    for x, z, zeta in kinds + draw(st.lists(_FREE, max_size=4)):
+        y = draw(st.just(z) | st.floats(-2.0, 10.0))
+        rows.append((x, y, z, draw(_VALUE), zeta))
+    cost = draw(st.floats(0.5, 4.0))
+    inst = NewsvendorInstance(h=cost, b=cost, centers=[([x], y) for x, y in NV_CENTERS],
+                              samples=[([x], y) for x, y, *_ in rows])
+    return inst, [{"z": z, "eta": eta, "zeta": zeta} for _, _, z, eta, zeta in rows]
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(newsvendor_cases(), st.sampled_from(["convex", "penalized"]))
+def test_newsvendor_report_text_equals_json_dumps(case, mode):
+    """The standard output of verify on a newsvendor certificate, written
+    from the report's columns, is json.dumps of the same report's to_dict,
+    and so is the report of newsvendor verify. Every certificate reaches
+    each orthant branch, inf residuals and null gaps; each verdict and
+    witness is orthant_membership's at that scenario, except that z < -eps
+    is reported as an infeasible scenario point."""
+    inst, parts = case
+    problem = NV.as_problem(inst)
+    cert = NV.newsvendor_certificate(NV_THETA, parts)
+    if mode == "penalized":
+        report = ST.verify_certificate_penalized(problem, cert,
+                                                 solver=NV.lower_solver(inst))
+    else:
+        report = ST.verify_certificate(problem, cert)
+    want = report.to_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        ppath = write(Path(tmp) / "nv.json", inst.to_dict())
+        cpath = write(Path(tmp) / "cert.json", {"theta": NV_THETA, "scenarios": parts})
+        code, out = _stdout(["verify", "--problem", ppath, "--certificate", cpath,
+                             "--mode", mode])
+        assert (code, out) == (0 if want["pass"] else 2,
+                               json.dumps(want, sort_keys=True, indent=2) + "\n")
+        if mode == "convex":
+            nv_out = {"schema": "mstat/1", "action": "verify", "report": want}
+            assert _stdout(["newsvendor", "verify", "--problem", ppath,
+                            "--certificate", cpath])[1] == \
+                json.dumps(nv_out, sort_keys=True, indent=2) + "\n"
+    model = inst.model(NV_THETA)
+    seen = set()
+    for (x, _), part, s in zip(inst.samples, parts, want["scenarios"], strict=True):
+        g = (inst.h + inst.b) * NV.conditional_cdf(model, part["z"], x) - inst.b
+        single = orthant_membership([part["z"]], [g], NormalPair([part["zeta"]], [part["eta"]]))
+        witness = {k: v for k, v in s["witness"].items() if k != "subdiff"}
+        if part["z"] < -1e-9:
+            assert single.witness == {"reason": "z has negative coordinates"}
+            assert witness == {"reason": "infeasible scenario point"}
+            assert s["lower_residual"] == float("inf")
+        else:
+            assert witness == single.witness
+        assert (s["m_membership"], s["m_verdict"]) == (single.member, single.verdict)
+        assert s["complementarity_gap"] is None
+        assert (s["value_gap"] is None) == (mode == "convex")
+        seen.update(k for k in ("I_plus", "I_zero", "boundary_ambiguous") if witness.get(k))
+        seen.add(witness.get("reason", s["m_verdict"]))
+        if s["m_residual"] == float("inf"):
+            seen.add("inf")
+    assert seen >= {"member", "not_member", "I_plus", "I_zero", "boundary_ambiguous", "inf",
+                    "g has negative coordinates", "z and g are not complementary",
+                    "infeasible scenario point"}
+
+
+@pytest.mark.parametrize("theta", ["1e-200", "1e120", "1e200"])
+def test_newsvendor_bandwidth_out_of_range_exits_1(theta, tmp_path, capsys):
+    """A bandwidth whose square or cube leaves the finite normal range is an
+    input error of every newsvendor command, named with the range."""
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([-1.0], 4.0), ([1.0], 6.0)],
+                              samples=[([0.0], 5.0), ([1.0], 6.0)])
+    ppath = write(tmp_path / "nv.json", inst.to_dict())
+    cpath = write(tmp_path / "cert.json", {"theta": float(theta), "scenarios": [
+        {"z": 5.0, "eta": 0.0, "zeta": 0.0}] * 2})
+    for argv in (["newsvendor", "solve", "--theta", theta],
+                 ["newsvendor", "loss", "--theta", theta],
+                 ["newsvendor", "gridsearch", "--grid", "1.0," + theta],
+                 ["newsvendor", "verify", "--certificate", cpath],
+                 ["verify", "--certificate", cpath]):
+        code, out, err = run(capsys, *argv, "--problem", ppath)
+        assert (code, out) == (1, "") and "bandwidth must lie in" in err
+        assert "2^340" in err and "Traceback" not in err
+
+
+def test_newsvendor_remote_points_exit_1(tmp_path, capsys):
+    """A coordinate beyond 2^340 in magnitude is an input error, and so is a
+    sample so far from every center that all its kernel weights underflow;
+    neither gives NaN weights."""
+    far = NewsvendorInstance(h=1.0, b=3.0, centers=[([-1e60], 4.0), ([1e60], 6.0)],
+                             samples=[([0.0], 5.0)]).to_dict()
+    code, out, err = run(capsys, "newsvendor", "solve", "--problem",
+                         write(tmp_path / "far.json", far), "--theta", "1e-100")
+    assert (code, out) == (1, "") and "kernel weights underflow" in err
+    huge = dict(far, samples=[{"x": [1e160], "y": 5.0}])
+    code, out, err = run(capsys, "newsvendor", "solve", "--problem",
+                         write(tmp_path / "huge.json", huge), "--theta", "1.0")
+    assert (code, out) == (1, "") and "magnitude at most 2^340" in err
 
 
 # ---------------------------------------------------------------------------

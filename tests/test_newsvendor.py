@@ -298,7 +298,9 @@ def test_orthant_row_pass_matches_per_point_oracle(rng, monkeypatch, eps, strict
     monkeypatch.setattr(GN, "STRICT_EPS", strict)
     rows = _orthant_rows(z[:, None], g[:, None], zeta[:, None], eta[:, None], eps)
     seen = set()
-    for k, res in enumerate(rows):
+    for k in range(n):
+        res = rows.membership(k)
+        assert rows[k] == res.witness
         point = z[k:k + 1], g[k:k + 1], zeta[k:k + 1], eta[k:k + 1]
         single = orthant_membership(point[0], point[1], NormalPair(point[2], point[3]), eps)
         assert _as_tuple(res) == _as_tuple(single) == orthant_oracle(*point, eps, strict)
@@ -559,6 +561,45 @@ def test_bad_bandwidths_and_points_rejected():
             inst.model(theta)
 
 
+def test_bandwidth_and_coordinate_range_edges():
+    """Bandwidths in [2^-340, 2^340] and coordinates up to 2^340 in
+    magnitude give finite weights, CDFs and bandwidth slopes; one step
+    beyond either edge is a ValueError that names the range."""
+    edge = 2.0 ** 340
+    for theta in (1.0 / edge, edge):
+        m = KernelModel([([0.0], 1.0), ([edge], 2.0)], theta)
+        for x in ([0.0], [edge]):
+            assert np.all(np.isfinite(nw_weights(m, x)))
+            assert np.isfinite(conditional_cdf(m, 1.5, x))
+            assert np.isfinite(grad_theta_cdf(m, 1.5, x))
+    with pytest.raises(ValueError, match="kernel weights underflow"):
+        nw_weights(KernelModel([([0.0], 1.0), ([edge], 2.0)], 1.0 / edge), [-edge])
+    for theta in (0.5 / edge, 2.0 * edge, 1e-200, 1e120):
+        with pytest.raises(ValueError, match="bandwidth must lie in"):
+            KernelModel([([0.0], 1.0)], theta)
+    with pytest.raises(ValueError, match="magnitude at most 2\\^340"):
+        KernelModel([([2.0 * edge], 1.0)], 1.0)
+    with pytest.raises(ValueError, match="magnitude at most 2\\^340"):
+        NewsvendorInstance(h=1.0, b=1.0, centers=[([0.0], 1.0)], samples=[([-2.0 * edge], 1.0)])
+    m = KernelModel([([0.0], 1.0)], 1.0)
+    with pytest.raises(ValueError, match="magnitude at most 2\\^340"):
+        nw_weights(m, [2.0 * edge])
+
+
+def test_points_read_as_pairs():
+    """An instance's centers and samples are Points: a sequence of
+    (x row, y) pairs over two arrays, the same for JSON input and for
+    arrays, and sliced into Points."""
+    pairs = [([0.0, 1.0], 3.0), ([1.0, 0.5], 5.0), ([2.0, 0.0], 4.0)]
+    for centers in (pairs, [(np.array(x), y) for x, y in pairs]):
+        inst = NewsvendorInstance(h=1.0, b=3.0, centers=centers, samples=pairs[:1])
+        assert inst.centers.x.tolist() == [x for x, _ in pairs]
+        assert inst.centers.y.tolist() == [y for _, y in pairs]
+        assert [(x.tolist(), y) for x, y in inst.centers] == pairs
+        assert inst.centers[1][0].tolist() == [1.0, 0.5] and inst.centers[1][1] == 5.0
+        assert isinstance(inst.centers[1:], NV.Points) and len(inst.centers[1:]) == 2
+
+
 def test_non_finite_certificate_rejected():
     inst = NewsvendorInstance(h=1.0, b=1.0, centers=[([0.0], 5.0)],
                               samples=[([0.0], 5.0)])
@@ -610,8 +651,8 @@ def test_stacked_terms_equal_per_scenario_model_calls(rng, monkeypatch, block_ro
         single = Problem.scenario_terms(problem, cert.theta, cert)
         assert _terms_bytes(stacked) == _terms_bytes(single)
         assert single.witness is None
-        assert stacked.witness == [{"subdiff": [lo, hi]}
-                                   for lo, hi in zip(single.lo[:, 0], single.hi[:, 0])]
+        assert stacked.witness == {"subdiff": [[lo, hi] for lo, hi in
+                                               zip(single.lo[:, 0], single.hi[:, 0])]}
         kink = [(-inst.b, inst.h) if abs(zn - y) <= DEFAULT_EPS else
                 (inst.h, inst.h) if zn > y else (-inst.b, -inst.b) for zn, y in zip(z, ys)]
         assert list(zip(stacked.lo[:, 0], stacked.hi[:, 0])) == kink
