@@ -146,12 +146,11 @@ def _template(keys, indent):
 def _index_texts(mask, indent):
     """_json_text of each row's list of True indices in the (k, d) mask;
     rows with the same indices share one text."""
-    inner, rows, d = indent + "  ", mask.tolist(), mask.shape[1]
-    keys = (mask @ (1 << np.arange(d))).tolist() if d < 63 else list(map(tuple, rows))
-    texts = {}
-    for key, row in zip(keys, rows):
+    inner, texts = indent + "  ", {}
+    keys = list(map(tuple, mask.tolist()))
+    for key in keys:
         if key not in texts:
-            flagged = [str(i) for i, f in enumerate(row) if f]
+            flagged = [str(i) for i, f in enumerate(key) if f]
             texts[key] = ("[%s%s%s]" % (inner, ("," + inner).join(flagged), indent)
                           if flagged else "[]")
     return [texts[key] for key in keys]

@@ -342,9 +342,6 @@ class OrthantRows:
     ambiguous: np.ndarray
     reasons: tuple = _ORTHANT_REASONS
 
-    def __len__(self):
-        return len(self.reason)
-
     def __getitem__(self, j):
         if self.reason[j] >= 0:
             return {"reason": self.reasons[self.reason[j]]}

@@ -651,10 +651,10 @@ def _infeasible_report(index):
                           m_residual=float("inf"), witness={"reason": _INFEASIBLE})
 
 
-def _check_scenario(poly, index, z, g, gap, given, res):
+def _check_scenario(poly, index, z, g, m_residual, res):
     """One scenario's report by the general route: the lower residual by
-    NNLS, the complementarity gap by LP and the membership res the caller
-    decided by the set's predicate.
+    NNLS, the complementarity gap by LP, and the membership res and its
+    m_residual that the caller decided.
 
     One slack vector b - A z gives the feasibility test, the active set and
     the gap max |lam_i slack_i|. Both the residual and the multiplier use
@@ -686,9 +686,8 @@ def _check_scenario(poly, index, z, g, gap, given, res):
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=float(_m_residual(res.verdict == "empty_coderivative",
-                                                       res.member, np.linalg.norm(gap), given)),
-                          complementarity_gap=comp_gap, witness=res.witness)
+                          m_residual=m_residual, complementarity_gap=comp_gap,
+                          witness=res.witness)
 
 
 def _orthant_reports(z, g, probe, eta, gap, given):
@@ -776,9 +775,12 @@ def _verify(problem, certificate, mode, tol, mus, solver):
             members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
                                              DEFAULT_EPS)
                        for zn, gn, pn, en in zip(z, terms.g, probe, eta)]
+        m_res = _m_residual(np.array([m.verdict == "empty_coderivative" for m in members]),
+                            np.array([m.member for m in members]),
+                            np.array([np.linalg.norm(row) for row in gap]), given)
         columns = ScenarioColumns.of([
             _check_scenario(poly, n, *row)
-            for n, row in enumerate(zip(z, terms.g, gap, given.tolist(), members))])
+            for n, row in enumerate(zip(z, terms.g, m_res.tolist(), members))])
     columns.extra = terms.witness
     penalties = [None] * len(z)
     caveats = []

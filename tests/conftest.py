@@ -652,7 +652,7 @@ def complementarity_residual(decomp, poly, z):
     return float(np.max(np.abs(decomp.lam * (poly.A @ z - poly.b)), initial=0.0))
 
 
-def check_scenario_lp(poly, index, z, g, gap, given, res):
+def check_scenario_lp(poly, index, z, g, m_residual, res):
     """stationarity._check_scenario without its skip on exactly zero active
     slacks: the complementarity LP runs whenever the residual is within
     twice its feasibility threshold. Kept verbatim as the reference the
@@ -671,9 +671,8 @@ def check_scenario_lp(poly, index, z, g, gap, given, res):
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return ScenarioReport(index=index, lower_residual=low_res,
                           m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=float(_m_residual(res.verdict == "empty_coderivative",
-                                                       res.member, np.linalg.norm(gap), given)),
-                          complementarity_gap=comp_gap, witness=res.witness)
+                          m_residual=m_residual, complementarity_gap=comp_gap,
+                          witness=res.witness)
 
 
 def count_lps(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_re
                       count_lps, grid_solver, m_stationarity_check, nnamcq_oracle,
                       projected_gradient_solver, psi_set, random_polyhedral_graph_point,
                       random_simplex_graph_point)
+from mstat.cli import _json_text
 from mstat.cones import (CombinatorialLimitError, Polyhedron, active_rows, cone_distance,
                          distance_to_normal_cone, multiplier_within_support,
                          normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
@@ -781,7 +783,10 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
     the closed form accepts the graph point when |z_i g_i| <= eps, the LP
     when g_i vanishes to its feasibility tolerance on an inactive
     coordinate. Such scenarios are reported in a warning with their data;
-    every other scenario must agree, and no tolerance is widened."""
+    every other scenario must agree, and no tolerance is widened.
+
+    The JSON writer gives each report, written from its columns, the text
+    of json.dumps of its to_dict."""
     from mstat.cones import DEFAULT_EPS as eps
     from mstat.cones import orthant_polyhedron
 
@@ -820,6 +825,9 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
             ScenarioCertificate(z=c.z, eta=c.eta, zeta=c.zeta) for c in certs])
         runs = [[verify_certificate(p, convex) for p in problems],
                 [verify_certificate_penalized(p, penalized, solver=solver) for p in problems]]
+        for report in runs[0] + runs[1]:
+            text = _json_text({**report.summary(), "scenarios": report.columns})
+            assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2)
         entries = np.hstack([z, g] + [[c.eta for c in certs]]
                             + [[c.zeta if c.zeta is not None else np.zeros(d) for c in certs]])
         band = [bool(np.any((0 < np.abs(v)) & (np.abs(v) <= 10 * eps))) for v in entries]
@@ -930,11 +938,11 @@ def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
     res = Membership(member=True, verdict="member", method="test", witness={"k": 1})
     tally = {"skipped": 0, "lp_gap": 0, "lp_zero_slack": 0}
     for n, (poly, z, g) in enumerate(_skip_cases(rng)):
-        gap = np.full(len(z), 1e-3)
+        m_res = float(np.linalg.norm(np.full(len(z), 1e-3)))
         before = len(calls)
-        want = check_scenario_lp(poly, n, z, g, gap, True, res)
+        want = check_scenario_lp(poly, n, z, g, m_res, res)
         reference_lps = len(calls) - before
-        got = _check_scenario(poly, n, z, g, gap, True, res)
+        got = _check_scenario(poly, n, z, g, m_res, res)
         lps = len(calls) - before - reference_lps
         assert repr(got) == repr(want), (poly.A, poly.b, z, g)
         if want.complementarity_gap is None or want.lower_residual == float("inf"):
@@ -972,5 +980,5 @@ def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, m
     assert multiplier_within_support(poly, z, target, I) is None
     calls = count_lps(monkeypatch)
     res = Membership(member=True, verdict="member", method="test")
-    rep = _check_scenario(poly, 0, z, -target, np.zeros(len(z)), True, res)
+    rep = _check_scenario(poly, 0, z, -target, 0.0, res)
     assert rep.complementarity_gap is None and len(calls) == 1
