@@ -339,10 +339,11 @@ class Certificate:
                 raise ValueError("scenario %d has wrong dimensions" % i)
             if s.zeta is not None and len(s.zeta) != d:
                 raise ValueError("scenario %d zeta has wrong dimension" % i)
-        rows = np.empty((3, len(scenarios), d))
-        for i, s in enumerate(scenarios):
-            rows[:, i] = s.z, s.eta, s.z if s.zeta is None else s.zeta
-        self._hold(theta, *rows, np.array([s.zeta is not None for s in scenarios], dtype=bool),
+        z, eta, zeta = (np.array(rows, dtype=float).reshape(len(scenarios), d) for rows in (
+            [s.z for s in scenarios], [s.eta for s in scenarios],
+            [s.z if s.zeta is None else s.zeta for s in scenarios]))
+        self._hold(theta, z, eta, zeta,
+                   np.array([s.zeta is not None for s in scenarios], dtype=bool),
                    [s.mu for s in scenarios], [s.value_weights for s in scenarios])
 
     @classmethod
