@@ -388,9 +388,9 @@ def cmd_verify(args):
     if args.format == "text":
         print("verdict: %s (upper residual %.3g)"
               % ("PASS" if report.passed else "FAIL", report.upper_residual))
-        for s in report.scenarios:
-            print("  scenario %d: lower %.3g, member %s, residual %.3g"
-                  % (s.index, s.lower_residual, s.m_membership, s.m_residual))
+        c = report.columns
+        for n, line in enumerate(zip(c.lower_residual, c.m_membership, c.m_residual)):
+            print("  scenario %d: lower %.3g, member %s, residual %.3g" % (n, *line))
     return 0 if report.passed else 2
 
 
@@ -453,6 +453,8 @@ def cmd_newsvendor(args):
             raise CliError("--theta VALUE is required for loss")
         out["objective"] = NV.empirical_regret(inst, inst.model(args.theta))
     elif args.action == "verify":
+        if args.certificate is None:
+            raise CliError("--certificate FILE is required to verify")
         cert = _load_certificate(args.certificate)
         rep = NV.verify_newsvendor_system(
             cert["theta"], cert["scenarios"], inst,

@@ -16,7 +16,7 @@ gradients over the solution set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +38,7 @@ from .graph_normals import (
     _ORTHANT_REASONS,
     GraphPoint,
     NormalPair,
+    _empty,
     finite_number,
     finite_vector,
     _orthant_rows,
@@ -51,7 +52,7 @@ __all__ = [
     "FeasibleSet", "ParameterSet", "Scenario", "Problem",
     "LowerModel", "UpperModel",
     "ScenarioCertificate", "Certificate", "ScenarioTerms",
-    "ScenarioReport", "ScenarioColumns", "ResidualReport",
+    "ScenarioColumns", "ResidualReport",
     "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
     "value_function", "value_subdifferential",
@@ -375,37 +376,15 @@ class Certificate:
 
 
 @dataclass
-class ScenarioReport:
-    index: int
-    lower_residual: float
-    m_membership: bool
-    m_verdict: str
-    m_residual: float
-    complementarity_gap: float = None
-    value_gap: float = None
-    witness: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "lower_residual": self.lower_residual,
-            "m_membership": self.m_membership,
-            "m_verdict": self.m_verdict,
-            "m_residual": self.m_residual,
-            "complementarity_gap": self.complementarity_gap,
-            "value_gap": self.value_gap,
-            "witness": self.witness,
-        }
-
-
-@dataclass
 class ScenarioColumns:
-    """The per-scenario fields of a report as columns, entry n for scenario n.
+    """The per-scenario fields of a report, one column per field: entry n of
+    every column belongs to scenario n.
 
-    Every field but witness and extra is a list of Python values. witness
-    is indexed like a list of witness dicts: it is one, or the OrthantRows
-    that decided the scenarios. extra, when given, maps a key to a column of
-    JSON values that joins every witness under that key.
+    Every field but witness and extra is a list of Python values, so editing
+    an entry edits the report. witness is indexed like a list of witness
+    dicts: it is one, or the OrthantRows that decided the scenarios. extra,
+    when given, maps a key to a column of JSON values that joins every
+    witness under that key.
     """
 
     lower_residual: list
@@ -417,52 +396,25 @@ class ScenarioColumns:
     witness: object
     extra: dict = None
 
-    @classmethod
-    def of(cls, reports):
-        """The columns of a list of ScenarioReport objects."""
-        return cls(*map(list, zip(*[
-            (r.lower_residual, r.m_membership, r.m_verdict, r.m_residual,
-             r.complementarity_gap, r.value_gap, r.witness) for r in reports])))
-
     def witness_of(self, n):
         """Scenario n's witness dict, extra entries included."""
         if not self.extra:
             return self.witness[n]
         return {**self.witness[n], **{key: col[n] for key, col in self.extra.items()}}
 
-    def reports(self):
-        """One ScenarioReport per scenario."""
-        return [ScenarioReport(n, *fields, witness=self.witness_of(n))
-                for n, fields in enumerate(zip(
-                    self.lower_residual, self.m_membership, self.m_verdict, self.m_residual,
-                    self.complementarity_gap, self.value_gap))]
-
 
 class ResidualReport:
     """Residuals of one stationarity system; `passed` is read off them.
 
-    The scenario fields are held as ScenarioColumns. The first read of
-    scenarios builds one ScenarioReport per scenario; from then on those
-    objects hold the scenario fields, so setting one of their fields
-    changes `passed`, to_dict and columns.
+    upper_residual is the distance of the upper line; columns holds the
+    scenario fields as ScenarioColumns, the one place they live: `passed`
+    and to_dict read them, so editing a column changes both.
     """
 
     def __init__(self, mode, tol, value_tol, upper_residual, columns, caveats=()):
         self.mode, self.tol, self.value_tol = mode, tol, value_tol
         self.upper_residual, self.caveats = upper_residual, list(caveats)
-        self._columns, self._scenarios = columns, None
-
-    @property
-    def scenarios(self):
-        if self._scenarios is None:
-            self._scenarios = self._columns.reports()
-        return self._scenarios
-
-    @property
-    def columns(self):
-        if self._scenarios is None:
-            return self._columns
-        return ScenarioColumns.of(self._scenarios)
+        self.columns = columns
 
     @property
     def passed(self):
@@ -488,7 +440,14 @@ class ResidualReport:
         }
 
     def to_dict(self):
-        return {**self.summary(), "scenarios": [s.to_dict() for s in self.scenarios]}
+        c = self.columns
+        return {**self.summary(), "scenarios": [
+            {"index": n, "lower_residual": low, "m_membership": member,
+             "m_verdict": verdict, "m_residual": m_res, "complementarity_gap": comp,
+             "value_gap": gap, "witness": c.witness_of(n)}
+            for n, (low, member, verdict, m_res, comp, gap) in enumerate(zip(
+                c.lower_residual, c.m_membership, c.m_verdict, c.m_residual,
+                c.complementarity_gap, c.value_gap))]}
 
 
 # ---------------------------------------------------------------------------
@@ -646,16 +605,10 @@ def upper_residual(problem, certificate):
 _INFEASIBLE = "infeasible scenario point"
 
 
-def _infeasible_report(index):
-    return ScenarioReport(index=index, lower_residual=float("inf"),
-                          m_membership=False, m_verdict="empty_coderivative",
-                          m_residual=float("inf"), witness={"reason": _INFEASIBLE})
-
-
-def _check_scenario(poly, index, z, g, m_residual, res):
-    """One scenario's report by the general route: the lower residual by
-    NNLS, the complementarity gap by LP, and the membership res and its
-    m_residual that the caller decided.
+def _check_scenario(poly, z, g):
+    """One scenario's (lower_residual, complementarity_gap) by the general
+    route: the lower residual by NNLS and the gap by LP; None when z is
+    infeasible.
 
     One slack vector b - A z gives the feasibility test, the active set and
     the gap max |lam_i slack_i|. Both the residual and the multiplier use
@@ -676,7 +629,7 @@ def _check_scenario(poly, index, z, g, m_residual, res):
         resid = cone_residual(target, poly.A[I])
         low_res = float(np.linalg.norm(resid))
     except ValueError:
-        return _infeasible_report(index)
+        return None
     comp_gap = None
     threshold = feasibility_threshold(target)
     if I and not slack[I].any() and phase1_bound(target, -resid) <= 0.5 * threshold:
@@ -685,15 +638,12 @@ def _check_scenario(poly, index, z, g, m_residual, res):
         lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
-    return ScenarioReport(index=index, lower_residual=low_res,
-                          m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=m_residual, complementarity_gap=comp_gap,
-                          witness=res.witness)
+    return low_res, comp_gap
 
 
-def _orthant_reports(z, g, probe, eta, gap, given):
-    """The ScenarioColumns of every scenario on Z = R_+^d, from one pass over
-    (k, d) rows.
+def _orthant_route(z, g, probe, eta):
+    """The scenarios on Z = R_+^d, from one pass over (k, d) rows: their
+    memberships, verdicts, witnesses, lower residuals and gaps.
 
     dist(-g, N_Z(z)) separates by coordinate: |g_i| where z_i > eps and
     max(0, -g_i) where z_i is at the bound. The memberships come from one
@@ -705,14 +655,37 @@ def _orthant_reports(z, g, probe, eta, gap, given):
     rows = replace(_orthant_rows(z, g, probe, eta, eps),
                    reasons=(_INFEASIBLE,) + _ORTHANT_REASONS[1:])
     low_res = np.linalg.norm(np.where(z > eps, np.abs(g), np.maximum(0.0, -g)), axis=1)
-    empty = rows.reason >= 0
-    m_res = _m_residual(empty, rows.member, np.linalg.norm(gap, axis=1), given)
-    none = [None] * len(z)
-    return ScenarioColumns(
-        lower_residual=np.where(rows.reason == 0, np.inf, low_res).tolist(),
-        m_membership=rows.member.tolist(), m_verdict=rows.verdicts(),
-        m_residual=m_res.tolist(), complementarity_gap=none, value_gap=list(none),
-        witness=rows)
+    return (rows.member, rows.verdicts(), rows,
+            np.where(rows.reason == 0, np.inf, low_res).tolist(), [None] * len(z))
+
+
+def _general_route(feasible, z, g, probe, eta):
+    """The scenarios on any other set, as _orthant_route gives them.
+
+    A simplex decides every membership in one _simplex_rows pass, any other
+    set calls polyhedron_membership per scenario; _check_scenario gives each
+    lower residual and gap. A scenario it finds infeasible reports an empty
+    coderivative for that reason, whatever the membership said.
+    """
+    poly = feasible.as_polyhedron()
+    if feasible.kind == "simplex":
+        members = _simplex_rows(z, g, probe, eta, DEFAULT_EPS)
+    else:
+        members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
+                                         DEFAULT_EPS)
+                   for zn, gn, pn, en in zip(z, g, probe, eta)]
+    checks = [_check_scenario(poly, zn, gn) for zn, gn in zip(z, g)]
+    members = [_empty(feasible.kind, _INFEASIBLE) if check is None else m
+               for m, check in zip(members, checks)]
+    low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
+    return (np.array([m.member for m in members]), [m.verdict for m in members],
+            [m.witness for m in members], low_res, comp_gap)
+
+
+def _row_norms(a):
+    """np.linalg.norm of each row of a, bit for bit: matmul, like it, takes
+    one BLAS dot per row, which np.linalg.norm(a, axis=1) does not."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def _validate_certificate(problem, certificate):
@@ -748,8 +721,10 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     """The one verifier body behind both systems.
 
     The scenario terms come from problem.scenario_terms. The set's kind
-    picks the route: an orthant and a simplex decide every scenario in one
-    array pass, any other set calls polyhedron_membership per scenario.
+    picks the route, _orthant_route or _general_route; either gives the
+    memberships, verdicts, witnesses, lower residuals and gaps, from which
+    the m_residuals and the report's ScenarioColumns are built here, once
+    for every route.
     Activity and sign tests use DEFAULT_EPS and STRICT_EPS, and value gaps
     are held to DEFAULT_VALUE_TOL. The penalized system is the convex one
     plus, in each scenario, mu_n g_n on the coderivative line and
@@ -765,24 +740,17 @@ def _verify(problem, certificate, mode, tol, mus, solver):
         r_lo, r_hi = r_lo + pull, r_hi + pull
     probe, gap = _probe_and_gap(r_lo, r_hi, certificate.zeta, given[:, None])
     _require_bounded_terms(terms, r_lo, r_hi, probe)
-    feasible = lower.feasible_set
-    if feasible.kind == "orthant":
-        columns = _orthant_reports(z, terms.g, probe, eta, gap, given)
+    if lower.feasible_set.kind == "orthant":
+        route = _orthant_route(z, terms.g, probe, eta)
     else:
-        poly = feasible.as_polyhedron()
-        if feasible.kind == "simplex":
-            members = _simplex_rows(z, terms.g, probe, eta, DEFAULT_EPS)
-        else:
-            members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
-                                             DEFAULT_EPS)
-                       for zn, gn, pn, en in zip(z, terms.g, probe, eta)]
-        m_res = _m_residual(np.array([m.verdict == "empty_coderivative" for m in members]),
-                            np.array([m.member for m in members]),
-                            np.array([np.linalg.norm(row) for row in gap]), given)
-        columns = ScenarioColumns.of([
-            _check_scenario(poly, n, *row)
-            for n, row in enumerate(zip(z, terms.g, m_res.tolist(), members))])
-    columns.extra = terms.witness
+        route = _general_route(lower.feasible_set, z, terms.g, probe, eta)
+    member, verdicts, witness, low_res, comp_gap = route
+    empty = np.array([v == "empty_coderivative" for v in verdicts])
+    columns = ScenarioColumns(
+        lower_residual=low_res, m_membership=member.tolist(), m_verdict=verdicts,
+        m_residual=_m_residual(empty, member, _row_norms(gap), given).tolist(),
+        complementarity_gap=comp_gap, value_gap=[None] * len(z), witness=witness,
+        extra=terms.witness)
     penalties = [None] * len(z)
     caveats = []
     if solver is not None:

@@ -16,8 +16,8 @@ from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, mak
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
 from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution, _kkt_residual
-from mstat.stationarity import (FeasibleSet, LowerModel, ScenarioReport, _infeasible_report,
-                                _m_residual, _probe_and_gap, _upper_generator)
+from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
+                                _upper_generator)
 
 
 def random_polyhedral_graph_point(rng, d_max=3, m_max=5, entry=2):
@@ -652,27 +652,24 @@ def complementarity_residual(decomp, poly, z):
     return float(np.max(np.abs(decomp.lam * (poly.A @ z - poly.b)), initial=0.0))
 
 
-def check_scenario_lp(poly, index, z, g, m_residual, res):
+def check_scenario_lp(poly, z, g):
     """stationarity._check_scenario without its skip on exactly zero active
     slacks: the complementarity LP runs whenever the residual is within
     twice its feasibility threshold. Kept verbatim as the reference the
-    skipping route must match field for field."""
+    skipping route must match in both entries."""
     target = -g
     slack = poly.slacks(z)
     try:
         I = active_rows(poly, slack, DEFAULT_EPS)
         low_res = cone_distance(target, poly.A[list(I)])
     except ValueError:
-        return _infeasible_report(index)
+        return None
     comp_gap = None
     if not I or low_res <= 2.0 * feasibility_threshold(target):
         lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
-    return ScenarioReport(index=index, lower_residual=low_res,
-                          m_membership=res.member, m_verdict=res.verdict,
-                          m_residual=m_residual, complementarity_gap=comp_gap,
-                          witness=res.witness)
+    return low_res, comp_gap
 
 
 def count_lps(monkeypatch):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -549,6 +549,20 @@ def test_newsvendor_actions(tmp_path, capsys):
     assert code == 0 and json.loads(out)["theta"] in (0.5, 1.0, 2.0)
 
 
+def test_newsvendor_verify_without_a_certificate_exits_1():
+    """`newsvendor verify` without --certificate is an input error naming
+    the option, exit 1, and prints no traceback."""
+    problem = str(Path(__file__).parent / "golden" / "nv1.problem.json")
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-m", "mstat.cli", "newsvendor", "verify",
+                           "--problem", problem],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "--certificate" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_fd_check(tmp_path, capsys):
     inst = NewsvendorInstance(h=1.0, b=3.0,
                               centers=[([0.0], 5.0), ([1.0], 6.0)],
@@ -667,6 +681,99 @@ def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # input boundary: non-finite and mis-shaped input is exit 1
+
+GOLDEN = Path(__file__).parent / "golden"
+# (command, problem, certificate) runs of golden cases, and the certificate
+# keys the verifiers read; any other key is ignored.
+BOUNDARY_RUNS = [(["verify", "--mode", "convex"], "pf3.problem.json", "pf3.cert.json"),
+                 (["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json"),
+                 (["verify", "--mode", "convex"], "nv4.problem.json", "nv4.pass.json"),
+                 (["newsvendor", "verify"], "nv4.problem.json", "nv4.pass.json"),
+                 (["newsvendor", "verify"], "nv3.problem.json", "nv3.branches.json")]
+READ_KEYS = {"theta", "scenarios", "z", "eta", "zeta", "mu", "value_weights"}
+BAD_ENTRIES = [float("nan"), float("inf"), float("-inf"), True, False, "1.0", None, {}]
+
+
+def certificate_paths(doc, path=()):
+    """The path of every value in doc under a key the verifiers read."""
+    if isinstance(doc, dict):
+        items = [(k, v) for k, v in doc.items() if k in READ_KEYS]
+    else:
+        items = list(enumerate(doc)) if isinstance(doc, list) else []
+    return [p for k, v in items for p in [path + (k,)] + certificate_paths(v, path + (k,))]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def boundary_cases(draw):
+    """A golden run with its certificate mutated at one path, or with one
+    required option left out: (kind, argv, options, certificate, golden
+    certificate file). An option given as None names the mutated file."""
+    argv, problem, cert_file = draw(st.sampled_from(BOUNDARY_RUNS))
+    options = {"--problem": str(GOLDEN / problem), "--certificate": None}
+    cert = json.loads((GOLDEN / cert_file).read_text())
+    kind = draw(st.sampled_from(["drop", "entry", "nest", "length", "option"]))
+    paths = certificate_paths(cert)
+    if kind == "option":
+        del options[draw(st.sampled_from(sorted(options)))]
+        return kind, argv, options, cert, cert_file
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    elif kind == "length":
+        paths = [p for p in paths if isinstance(_at(cert, p), list)]
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(cert, path[:-1]), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "entry":
+        parent[key] = draw(st.sampled_from(BAD_ENTRIES))
+    elif kind == "nest":
+        parent[key] = [parent[key]]
+    elif draw(st.booleans()):
+        parent[key] = parent[key][:-1]
+    else:
+        parent[key] = parent[key] + parent[key][-1:]
+    return kind, argv, options, cert, cert_file
+
+
+def run_quietly(argv, options, cert_path):
+    """main's exit code and standard output; standard error is dropped."""
+    argv = list(argv) + [a for opt, value in options.items()
+                         for a in (opt, cert_path if value is None else value)]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_cases())
+def test_verify_input_boundary_property(case):
+    """A golden certificate with a key dropped, an entry made NaN, Infinity,
+    a boolean, a string, null or an object, a value wrapped in a list, a list
+    made one entry shorter or longer, or with --problem or --certificate
+    left out: main() never raises and exits 0, 1 or 2, and only a passing
+    report exits 0. A bad entry, a wrong length and a missing option exit 1
+    with no report. A wrapped value exits 1 or reads as the value itself,
+    giving the golden output; the newsvendor reads a one-entry list as its
+    number, and a certificate theta is read in row-major order at any
+    depth of nesting."""
+    kind, argv, options, cert, cert_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        # json.dumps writes non-finite floats as the literals NaN and Infinity.
+        code, out = run_quietly(argv, options, write(Path(tmp) / "cert.json", cert))
+    assert code in (0, 1, 2)
+    assert (code == 0) == ('"pass": true' in out), (cert, argv)
+    if kind in ("entry", "length", "option"):
+        assert (code, out) == (1, ""), (cert, argv, options)
+    if kind == "nest" and code != 1:
+        assert (code, out) == run_quietly(argv, options, str(GOLDEN / cert_file)), cert
+
 
 def test_gph_normal_non_finite_point_exits_1(tmp_path, capsys):
     for z in (None, [float("nan")]):

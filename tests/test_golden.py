@@ -77,22 +77,21 @@ def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios,
 
 NEWSVENDOR_CONVEX = [c for c in EXPECTED["outputs"]
                      if any(a.startswith("nv") for a in c["argv"])
-                     and "penalized" not in c["argv"] and "text" not in c["argv"]]
+                     and "penalized" not in c["argv"]]
 
 
 @pytest.mark.parametrize("case", NEWSVENDOR_CONVEX, ids=lambda c: " ".join(c["argv"]))
 def test_newsvendor_verify_builds_no_object_per_scenario(case, capsys, monkeypatch):
-    """`newsvendor verify` and convex `verify` of a newsvendor certificate
-    print the recorded bytes while building a Scenario, ScenarioCertificate
-    or ScenarioReport raises: the scenarios stay columns from input to
+    """`newsvendor verify` and convex `verify` of a newsvendor certificate,
+    in JSON and in text, print the recorded bytes while building a Scenario
+    or ScenarioCertificate raises: the scenarios stay columns from input to
     output."""
     from mstat import stationarity
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("%s built on the newsvendor verify route" % type(self).__name__)
 
-    for cls in (stationarity.Scenario, stationarity.ScenarioCertificate,
-                stationarity.ScenarioReport):
+    for cls in (stationarity.Scenario, stationarity.ScenarioCertificate):
         monkeypatch.setattr(cls, "__init__", refuse)
-    assert len(NEWSVENDOR_CONVEX) == 12
+    assert len(NEWSVENDOR_CONVEX) == 13
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])

@@ -231,7 +231,7 @@ def test_system_kink_construction_passes():
     from mstat.stationarity import Certificate, ScenarioCertificate, verify_certificate
     bare = verify_certificate(NV.as_problem(inst), Certificate(
         theta=2.0, scenarios=[ScenarioCertificate(z=z, eta=0.0)]))
-    assert bare.passed and bare.scenarios[0].m_residual == 0.0
+    assert bare.passed and bare.columns.m_residual[0] == 0.0
 
 
 def test_system_detects_stale_quantile():
@@ -247,7 +247,7 @@ def test_system_detects_stale_quantile():
     rep2 = verify_newsvendor_system(1.5, [{"z": z2, "eta": 0.0, "zeta": 0.0}], inst2)
     assert not rep2.passed
     expected = abs(4.0 * conditional_cdf(inst2.model(1.5), z2, [0.0]) - 3.0)
-    assert rep2.scenarios[0].lower_residual == pytest.approx(expected, abs=1e-12)
+    assert rep2.columns.lower_residual[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_system_boundary_scenario_rejects_nonzero_eta():
@@ -257,8 +257,8 @@ def test_system_boundary_scenario_rejects_nonzero_eta():
     assert z == 0.0
     ok = verify_newsvendor_system(1.0, [{"z": 0.0, "eta": 0.0, "zeta": -1.0}], inst)
     bad = verify_newsvendor_system(1.0, [{"z": 0.0, "eta": 0.1, "zeta": -1.0}], inst)
-    assert not bad.scenarios[0].m_membership
-    assert ok.scenarios[0].m_membership
+    assert not bad.columns.m_membership[0]
+    assert ok.columns.m_membership[0]
 
 
 def test_system_upper_condition_respects_bandwidth_bounds():
@@ -349,12 +349,12 @@ def test_system_orthant_line_matches_oracle(rng):
               "zeta": float(rng.choice([0.0, -2.0, 1e-13]))} for zn in z]
     rep = verify_newsvendor_system(0.4, parts, inst)
     verdicts = set()
-    for (x, _), part, s in zip(inst.samples, parts, rep.scenarios):
+    for (x, _), part, s in zip(inst.samples, parts, rep.to_dict()["scenarios"]):
         g = (inst.h + inst.b) * conditional_cdf(model, part["z"], x) - inst.b
-        witness = {k: v for k, v in s.witness.items() if k != "subdiff"}
-        assert (s.m_membership, s.m_verdict, witness) == orthant_oracle(
+        witness = {k: v for k, v in s["witness"].items() if k != "subdiff"}
+        assert (s["m_membership"], s["m_verdict"], witness) == orthant_oracle(
             [part["z"]], [g], [part["zeta"]], [part["eta"]])
-        verdicts.add(s.m_verdict)
+        verdicts.add(s["m_verdict"])
     assert verdicts == {"member", "not_member", "empty_coderivative"}
 
 
@@ -689,10 +689,10 @@ def test_penalized_newsvendor_equals_convex_on_golden_certificates(capsys):
 def test_infeasible_order_gets_the_generic_report():
     inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], 5.0)], samples=[([0.0], 5.0)])
     rep = verify_newsvendor_system(1.0, [{"z": -1e-6, "eta": 0.0, "zeta": 0.0}], inst)
-    s = rep.scenarios[0]
-    assert (s.lower_residual, s.m_residual, s.m_verdict) == (np.inf, np.inf,
-                                                             "empty_coderivative")
-    assert s.witness == {"reason": "infeasible scenario point", "subdiff": [-3.0, -3.0]}
+    s = rep.to_dict()["scenarios"][0]
+    assert (s["lower_residual"], s["m_residual"], s["m_verdict"]) == (np.inf, np.inf,
+                                                                      "empty_coderivative")
+    assert s["witness"] == {"reason": "infeasible scenario point", "subdiff": [-3.0, -3.0]}
 
 
 def test_library_verifiers_reject_a_scenario_that_is_not_a_mapping():

@@ -326,7 +326,7 @@ def test_portfolio_system_pass_and_failures():
     bad_theta[0, 0] += 0.1
     rep_bad = verify_certificate(prob, Certificate(theta=bad_theta, scenarios=cert.scenarios))
     assert not rep_bad.passed
-    assert max(s.lower_residual for s in rep_bad.scenarios) > 1e-3
+    assert max(rep_bad.columns.lower_residual) > 1e-3
 
     # break the eta sum condition on a budget-active scenario
     inst_b = PortfolioInstance(sigma=I2, risk_aversion=1.0,
@@ -354,9 +354,9 @@ def test_portfolio_m_residual_is_the_force_balance_norm():
                    for theta in (theta0, theta0.ravel())]
         assert reports[0].to_dict() == reports[1].to_dict()
         assert reports[0].passed == (shift == 0.0)
-        for (x, r), p, s in zip(inst.samples, scenarios, reports[0].scenarios):
+        for (x, r), p, m_res in zip(inst.samples, scenarios, reports[0].columns.m_residual):
             force = -r + lam * (sig @ (p.z + p.eta)) + p.zeta
-            assert abs(s.m_residual - np.linalg.norm(force)) <= 1e-15
+            assert abs(m_res - np.linalg.norm(force)) <= 1e-15
 
 
 def test_system_force_balance_identity(rng):
@@ -394,7 +394,7 @@ def test_verify_reports_the_beta_the_sign_conditions_pin():
     inst, theta0 = small_instance(theta0=np.array([[3.0, 1.0], [0.5, 2.5]]))
     cert, betas = realizable_certificate(inst, theta0)
     rep = verify_certificate(as_problem(inst), cert)
-    assert rep.passed and [s.witness["beta"] for s in rep.scenarios] == betas
+    assert rep.passed and [s["witness"]["beta"] for s in rep.to_dict()["scenarios"]] == betas
     assert any(b not in (None, 0.0) for b in betas)
 
 

@@ -12,7 +12,7 @@ from mstat.cli import _json_text
 from mstat.cones import (CombinatorialLimitError, Polyhedron, active_rows, cone_distance,
                          distance_to_normal_cone, multiplier_within_support,
                          normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
-from mstat.graph_normals import Membership, make_graph_context
+from mstat.graph_normals import make_graph_context
 from mstat.lp import feasibility_threshold
 from mstat.stationarity import (
     Certificate,
@@ -395,7 +395,7 @@ def test_verify_certificate_passes_and_fails():
     bad = Certificate(theta=theta + 0.1, scenarios=cert.scenarios)
     rep_bad = verify_certificate(prob, bad, tol=1e-8)
     assert not rep_bad.passed
-    assert max(s.lower_residual for s in rep_bad.scenarios) > 1e-3
+    assert max(rep_bad.columns.lower_residual) > 1e-3
 
 
 def test_verify_certificate_rejects_empty_and_mismatched():
@@ -552,15 +552,15 @@ def test_penalized_boundary_case_with_adjusted_zeta():
         ScenarioCertificate(z=z, eta=np.zeros(1), zeta=zeta_pen, mu=mu)])
     rep = verify_certificate_penalized(prob, cert_pen, solver=solver)
     assert rep.passed, rep.to_dict()
-    assert rep.scenarios[0].value_gap is not None
-    assert abs(rep.scenarios[0].value_gap) <= 1e-9
+    assert rep.columns.value_gap[0] is not None
+    assert abs(rep.columns.value_gap[0]) <= 1e-9
     # reusing the unshifted zeta leaves a residual of exactly mu * |g|
     cert_stale = Certificate(theta=theta, scenarios=[
         ScenarioCertificate(z=z, eta=np.zeros(1),
                             zeta=-upper.grad_z(z, None, y, theta), mu=mu)])
     rep_stale = verify_certificate_penalized(prob, cert_stale, solver=solver)
     assert not rep_stale.passed
-    assert abs(rep_stale.scenarios[0].m_residual - mu * abs(g[0])) < 1e-12
+    assert abs(rep_stale.columns.m_residual[0] - mu * abs(g[0])) < 1e-12
 
 
 class DoubleWellLower(LowerModel):
@@ -613,9 +613,9 @@ def test_penalized_flags_value_gap():
     solver = grid_solver([[v] for v in np.linspace(-2.0, 2.0, 17)])
     rep = verify_certificate_penalized(prob, cert, solver=solver)
     assert not rep.passed
-    assert abs(rep.scenarios[0].value_gap - 0.5) < 1e-12
-    assert rep.scenarios[0].lower_residual <= 1e-10
-    assert rep.scenarios[0].m_membership
+    assert abs(rep.columns.value_gap[0] - 0.5) < 1e-12
+    assert rep.columns.lower_residual[0] <= 1e-10
+    assert rep.columns.m_membership[0]
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +687,12 @@ def test_report_pass_is_read_off_its_fields():
     prob, cert = stationary_tracking_certificate(np.array([1.25]))
     rep = verify_certificate(prob, cert, tol=1e-8)
     assert rep.passed and rep.to_dict()["pass"] is True
-    rep.scenarios[1].m_membership = False
+    rep.columns.m_membership[1] = False
     assert not rep.passed and rep.to_dict()["pass"] is False
-    rep.scenarios[1].m_membership = True
-    rep.scenarios[0].value_gap = 2 * rep.value_tol
+    rep.columns.m_membership[1] = True
+    rep.columns.value_gap[0] = 2 * rep.value_tol
     assert not rep.passed
-    rep.scenarios[0].value_gap = 0.5 * rep.value_tol
+    rep.columns.value_gap[0] = 0.5 * rep.value_tol
     rep.upper_residual = 2 * rep.tol
     assert not rep.passed
 
@@ -708,11 +708,11 @@ def test_scenario_line_and_upper_generators_agree_with_the_verifier():
                    [c.z for c in bad.scenarios], [c.eta for c in bad.scenarios])
     total = sum(s.weight * g for s, g in zip(prob.scenarios, gens))
     assert rep.upper_residual == float(np.linalg.norm(total)) > 0
-    for scen, c, sr in zip(prob.scenarios, bad.scenarios, rep.scenarios):
+    for scen, c, sr in zip(prob.scenarios, bad.scenarios, rep.to_dict()["scenarios"]):
         line = m_stationarity_check(prob.lower, prob.upper, bad.theta, scen.x, scen.y,
                                     c.z, c.eta, c.zeta)
         assert (line["membership"], line["verdict"], line["residual"]) == \
-            (sr.m_membership, sr.m_verdict, sr.m_residual)
+            (sr["m_membership"], sr["m_verdict"], sr["m_residual"])
 
 
 def test_certificates_reject_non_finite_and_mis_shaped_entries():
@@ -834,19 +834,21 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
         for row, col in runs:
             if not _close(row.upper_residual, col.upper_residual, 1e-12):
                 disagreements.append(("upper residual", trial, row.mode))
-            for k, (a, b) in enumerate(zip(row.scenarios, col.scenarios)):
-                assert a.complementarity_gap is None
-                same = (a.m_membership == b.m_membership and a.m_verdict == b.m_verdict
-                        and _close(a.lower_residual, b.lower_residual, 1e-12)
-                        and _close(a.m_residual, b.m_residual, 1e-12)
-                        and _close(a.value_gap, b.value_gap, 1e-12))
+            for k, (a, b) in enumerate(zip(row.to_dict()["scenarios"],
+                                           col.to_dict()["scenarios"])):
+                assert a["complementarity_gap"] is None
+                same = (a["m_membership"] == b["m_membership"]
+                        and a["m_verdict"] == b["m_verdict"]
+                        and _close(a["lower_residual"], b["lower_residual"], 1e-12)
+                        and _close(a["m_residual"], b["m_residual"], 1e-12)
+                        and _close(a["value_gap"], b["value_gap"], 1e-12))
                 if not band[k]:
-                    seen.add(a.m_verdict)
+                    seen.add(a["m_verdict"])
                     compared += 1
                 if not same:
                     (in_band if band[k] else disagreements).append(
                         (trial, row.mode, z[k].tolist(), g[k].tolist(), certs[k].zeta,
-                         certs[k].eta.tolist(), a.m_verdict, b.m_verdict))
+                         certs[k].eta.tolist(), a["m_verdict"], b["m_verdict"]))
             if row.passed != col.passed and not any(band):
                 disagreements.append(("pass", trial, row.mode))
     assert not disagreements, disagreements[:5]
@@ -870,8 +872,9 @@ def test_verify_on_a_polyhedron_with_no_rows_left():
         ScenarioCertificate(z=theta, eta=np.array([yn]) - theta) for yn in y])
     report = verify_certificate(problem, cert)
     assert report.passed
-    for rep in report.scenarios:
-        assert (rep.lower_residual, rep.m_verdict, rep.complementarity_gap) == (0.0, "member", 0.0)
+    for rep in report.to_dict()["scenarios"]:
+        assert (rep["lower_residual"], rep["m_verdict"], rep["complementarity_gap"]) == \
+            (0.0, "member", 0.0)
 
 
 def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
@@ -891,11 +894,13 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
         cert = Certificate(theta=np.zeros(1), scenarios=[
             ScenarioCertificate(z=z, eta=np.zeros(d)) for _ in gs])
         report = verify_certificate(problem, cert)
-        for rep, gk in zip(report.scenarios, problem.scenario_terms(cert.theta, cert).g):
-            assert rep.lower_residual == distance_to_normal_cone(poly, z, -gk)
+        c = report.columns
+        for low, gap, gk in zip(c.lower_residual, c.complementarity_gap,
+                                problem.scenario_terms(cert.theta, cert).g):
+            assert low == distance_to_normal_cone(poly, z, -gk)
             decomp = normal_cone_multiplier(poly, z, gk)
             want = None if decomp is None else complementarity_residual(decomp, poly, z)
-            assert rep.complementarity_gap == want
+            assert gap == want
             kinds.add(want is None)
     assert kinds == {True, False}
 
@@ -932,20 +937,19 @@ def _skip_cases(rng):
 def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
     """_check_scenario equals check_scenario_lp, the reference route that
     runs the complementarity LP whenever the residual is within twice its
-    threshold, in every field and bit. Where it runs no LP but the reference
-    route would, every active slack is exactly 0 and the LP finds a point."""
+    threshold, in both entries and every bit. Where it runs no LP but the
+    reference route would, every active slack is exactly 0 and the LP finds
+    a point."""
     calls = count_lps(monkeypatch)
-    res = Membership(member=True, verdict="member", method="test", witness={"k": 1})
     tally = {"skipped": 0, "lp_gap": 0, "lp_zero_slack": 0}
-    for n, (poly, z, g) in enumerate(_skip_cases(rng)):
-        m_res = float(np.linalg.norm(np.full(len(z), 1e-3)))
+    for poly, z, g in _skip_cases(rng):
         before = len(calls)
-        want = check_scenario_lp(poly, n, z, g, m_res, res)
+        want = check_scenario_lp(poly, z, g)
         reference_lps = len(calls) - before
-        got = _check_scenario(poly, n, z, g, m_res, res)
+        got = _check_scenario(poly, z, g)
         lps = len(calls) - before - reference_lps
         assert repr(got) == repr(want), (poly.A, poly.b, z, g)
-        if want.complementarity_gap is None or want.lower_residual == float("inf"):
+        if want is None or want[1] is None:
             continue
         slack = poly.slacks(z)
         I = active_rows(poly, slack)
@@ -955,7 +959,7 @@ def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
             assert multiplier_within_support(poly, z, -g, I) is not None
         elif I and not slack[list(I)].any():
             tally["lp_zero_slack"] += 1
-        elif want.complementarity_gap > 0.0:
+        elif want[1] > 0.0:
             tally["lp_gap"] += 1
     assert (tally["skipped"] >= 800 and tally["lp_gap"] >= 500
             and tally["lp_zero_slack"] >= 50), tally
@@ -979,6 +983,5 @@ def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, m
     assert np.sqrt(len(z)) * cone_distance(target, poly.A[list(I)]) <= 0.5 * threshold
     assert multiplier_within_support(poly, z, target, I) is None
     calls = count_lps(monkeypatch)
-    res = Membership(member=True, verdict="member", method="test")
-    rep = _check_scenario(poly, 0, z, -target, 0.0, res)
-    assert rep.complementarity_gap is None and len(calls) == 1
+    _, comp_gap = _check_scenario(poly, z, -target)
+    assert comp_gap is None and len(calls) == 1
