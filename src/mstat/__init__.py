@@ -47,7 +47,6 @@ from .stationarity import (
     ParameterSet,
     Problem,
     ResidualReport,
-    Scenario,
     ScenarioCertificate,
     UpperModel,
     lower_residual,

@@ -352,16 +352,22 @@ def _newsvendor_from_json(data):
         raise CliError("bad newsvendor problem: %s" % exc)
 
 
-def _portfolio_certificate(data):
+def _portfolio_certificate(data, inst):
+    """A portfolio certificate, whose theta is a vector of d_x d_z entries
+    or the d_x by d_z matrix."""
     scen = []
     for i, s in enumerate(data.get("scenarios", [])):
         try:
-            scen.append(ST.ScenarioCertificate(
-                z=s["z"], eta=s["eta"], zeta=s.get("zeta"),
-                mu=s.get("mu"), value_weights=s.get("value_weights")))
+            scen.append(ST.ScenarioCertificate(s["z"], s["eta"], *(
+                GN.optional_entry(s, key, i) for key in ("zeta", "mu", "value_weights"))))
         except KeyError as exc:
             raise CliError("certificate scenario %d is missing %s" % (i, exc))
-    return ST.Certificate(theta=data["theta"], scenarios=scen)
+    cert = ST.Certificate(theta=data["theta"], scenarios=scen)
+    shape = np.shape(data["theta"])
+    if len(shape) == 2 and shape != (inst.d_x, inst.d_z):
+        raise CliError("theta must be a vector of %d entries or a %d by %d matrix; "
+                       "got shape %s" % (inst.d_x * inst.d_z, inst.d_x, inst.d_z, shape))
+    return cert
 
 
 def cmd_verify(args):
@@ -371,7 +377,7 @@ def cmd_verify(args):
     kind = problem.get("type")
     if kind == "spo_portfolio":
         app, inst = PF, _portfolio_from_json(problem)
-        cert = _portfolio_certificate(cert_data)
+        cert = _portfolio_certificate(cert_data, inst)
     elif kind == "newsvendor_kernel":
         app, inst = NV, _newsvendor_from_json(problem)
         cert = NV.newsvendor_certificate(cert_data["theta"], cert_data["scenarios"])
@@ -427,9 +433,9 @@ def cmd_spo_portfolio(args):
         out["certificate"] = {
             "schema": SCHEMA,
             "theta": np.asarray(theta, dtype=float).tolist(),
-            "scenarios": [{"z": s.z.tolist(), "eta": s.eta.tolist(),
-                           "zeta": s.zeta.tolist(), "beta": b}
-                          for s, b in zip(cert.scenarios, betas)],
+            "scenarios": [{"z": z, "eta": eta, "zeta": zeta, "beta": b}
+                          for z, eta, zeta, b in zip(cert.z.tolist(), cert.eta.tolist(),
+                                                     cert.zeta.tolist(), betas)],
         }
     else:
         raise CliError("unknown action %r" % args.action)
@@ -540,10 +546,10 @@ def cmd_fd_check(args):
     elif args.op == "lower-grad-z":
         if kind == "newsvendor_kernel":
             inst = _newsvendor_from_json(problem)
-            x = inst.samples[0][0]
+            x = inst.samples.x[0]
             lm = NV.NewsvendorLowerModel(inst)
             # Orders cover [0, 2 max y + 1]; [0, 1] when every demand is below -0.5.
-            high = 2.0 * max(y for _, y in inst.centers) + 1.0
+            high = 2.0 * inst.centers.y.max() + 1.0
             high = high if high >= 0.0 else 1.0
             pts = [np.array([float(rng.uniform(0.0, high))]) for _ in range(args.trials)]
             worst = ST.gradient_selftest(lm, np.array([float(rng.uniform(0.5, 2.0))]),

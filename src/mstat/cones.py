@@ -129,78 +129,62 @@ def simplex_polyhedron(d):
     return Polyhedron(A, b)
 
 
-@dataclass(frozen=True)
-class ConeRepH:
+class _ConeRep:
+    """A cone held as two row blocks of one ambient dimension, named by the
+    subclass's _KEYS; an absent or empty block is held as zero rows."""
+
+    def _hold(self, blocks, dim):
+        if dim is None:
+            if all(rows is None for rows in blocks):
+                raise ValueError("give %s, %s or an ambient dimension" % self._KEYS)
+            probe = blocks[0] if blocks[0] is not None and len(blocks[0]) else blocks[1]
+            dim = np.atleast_2d(np.asarray(probe, dtype=float)).shape[1]
+        blocks = [np.zeros((0, dim)) if rows is None or len(rows) == 0
+                  else np.atleast_2d(np.asarray(rows, dtype=float)) for rows in blocks]
+        if any(rows.shape[1] != dim for rows in blocks):
+            raise ValueError("inconsistent ambient dimensions")
+        for key, rows in zip(self._KEYS, blocks):
+            object.__setattr__(self, key, _readonly(rows))
+
+    @property
+    def dim(self):
+        return getattr(self, self._KEYS[0]).shape[1]
+
+    def to_dict(self):
+        return {key: getattr(self, key).tolist() for key in self._KEYS}
+
+    @classmethod
+    def from_dict(cls, d):
+        dim = None
+        for key in cls._KEYS:
+            rows = d.get(key) or []
+            if rows:
+                dim = len(rows[0])
+        return cls(*(d.get(key) for key in cls._KEYS), dim=dim)
+
+
+@dataclass(frozen=True, init=False)
+class ConeRepH(_ConeRep):
     """Halfspace form {d : E d = 0, G d <= 0}; always contains the origin."""
 
     E: np.ndarray
     G: np.ndarray
+    _KEYS = ("E", "G")
 
     def __init__(self, E=None, G=None, dim=None):
-        if E is None and G is None and dim is None:
-            raise ValueError("give E, G or an ambient dimension")
-        if dim is None:
-            probe = E if E is not None and len(E) else G
-            dim = np.atleast_2d(np.asarray(probe, dtype=float)).shape[1]
-        E = np.zeros((0, dim)) if E is None or len(E) == 0 else np.atleast_2d(np.asarray(E, dtype=float))
-        G = np.zeros((0, dim)) if G is None or len(G) == 0 else np.atleast_2d(np.asarray(G, dtype=float))
-        if E.shape[1] != dim or G.shape[1] != dim:
-            raise ValueError("inconsistent ambient dimensions")
-        object.__setattr__(self, "E", _readonly(E))
-        object.__setattr__(self, "G", _readonly(G))
-
-    @property
-    def dim(self):
-        return self.E.shape[1]
-
-    def to_dict(self):
-        return {"E": self.E.tolist(), "G": self.G.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        dim = None
-        for key in ("E", "G"):
-            rows = d.get(key) or []
-            if rows:
-                dim = len(rows[0])
-        return cls(d.get("E"), d.get("G"), dim=dim)
+        self._hold((E, G), dim)
 
 
-@dataclass(frozen=True)
-class ConeRepV:
+@dataclass(frozen=True, init=False)
+class ConeRepV(_ConeRep):
     """Generator form {R^T mu + L^T nu : mu >= 0, nu free}, rows as generators."""
 
     R: np.ndarray
     L: np.ndarray
+    _KEYS = ("R", "L")
 
     def __init__(self, R=None, L=None, dim=None):
-        if R is None and L is None and dim is None:
-            raise ValueError("give R, L or an ambient dimension")
-        if dim is None:
-            probe = R if R is not None and len(R) else L
-            dim = np.atleast_2d(np.asarray(probe, dtype=float)).shape[1]
-        R = np.zeros((0, dim)) if R is None or len(R) == 0 else np.atleast_2d(np.asarray(R, dtype=float))
-        L = np.zeros((0, dim)) if L is None or len(L) == 0 else np.atleast_2d(np.asarray(L, dtype=float))
-        if R.shape[1] != dim or L.shape[1] != dim:
-            raise ValueError("inconsistent ambient dimensions")
-        object.__setattr__(self, "R", _readonly(R))
-        object.__setattr__(self, "L", _readonly(L))
-
-    @property
-    def dim(self):
-        return self.R.shape[1]
-
-    def to_dict(self):
-        return {"R": self.R.tolist(), "L": self.L.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        dim = None
-        for key in ("R", "L"):
-            rows = d.get(key) or []
-            if rows:
-                dim = len(rows[0])
-        return cls(d.get("R"), d.get("L"), dim=dim)
+        self._hold((R, L), dim)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .cones import (
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
-    "finite_vector", "finite_number", "object_list",
+    "finite_vector", "finite_number", "object_list", "optional_entry",
     "GraphContext", "make_graph_context",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
@@ -123,6 +123,16 @@ def object_list(value, name):
     for i, item in enumerate(value):
         if not isinstance(item, (dict, Mapping)):
             raise ValueError("%s %d must be an object" % (name, i))
+    return value
+
+
+def optional_entry(scenario, key, i):
+    """The entry key of certificate scenario i, or None when the key is
+    absent; an explicit null raises ValueError naming the key and i."""
+    value = scenario.get(key)
+    if value is None and key in scenario:
+        raise ValueError("certificate scenario %d: %s is null; leave the key out instead"
+                         % (i, key))
     return value
 
 

@@ -14,8 +14,9 @@ Bandwidths must lie in [2^-340, 2^340] and coordinates have magnitude at most
 query whose every logit still underflows is refused. Each of these is a
 ValueError, an input error on the command line.
 
-An instance holds its centers and samples as Points, an (n, d_x) array of
-contexts and an (n,) array of demands, validated in one pass for JSON input.
+An instance holds its centers and samples as Points: rows only, an (n, d_x)
+array x of contexts and an (n,) array y of demands, validated in one pass
+for JSON input.
 
 Every numeric step works on whole rows. For k queries and M centers the
 weights form a (k, M) matrix W, built once per bandwidth; the CDF, density
@@ -33,9 +34,10 @@ i, whose logit in row i is set to -inf.
 
 The bandwidth stationarity system is the generic one of mstat.stationarity
 on as_problem(instance); its scenario terms come from the same row helpers.
-On the verify route the scenarios stay columns from input to output:
-newsvendor_certificate stacks the certificate into (n, 1) rows, the problem
-reads the samples as arrays, and no object is built per scenario.
+On the verify route the scenarios stay rows from input to output:
+newsvendor_certificate stacks the certificate into (n, 1) rows, the
+problem's scenario rows are the samples' x and y, and no object is built
+per scenario.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import finite_number, finite_vector, object_list
+from .graph_normals import finite_number, finite_vector, object_list, optional_entry
 from .stationarity import (
     DEFAULT_TOL,
     Certificate,
@@ -55,7 +57,6 @@ from .stationarity import (
     LowerModel,
     ParameterSet,
     Problem,
-    Scenario,
     ScenarioTerms,
     UpperModel,
     verify_certificate,
@@ -100,23 +101,12 @@ def _in_range(X):
 
 @dataclass(frozen=True, eq=False)
 class Points:
-    """(x, y) pairs held as an (n, d_x) array x of contexts and an (n,)
-    array y; len, iteration, indexing and slicing read it as the sequence of
-    (x row, y) pairs. _points builds one from pairs and validates it."""
+    """(x, y) pairs as rows: an (n, d_x) array x of contexts and an (n,)
+    array y of values, row i of x going with y[i]. _points builds one from
+    pairs and validates it."""
 
     x: np.ndarray
     y: np.ndarray
-
-    def __len__(self):
-        return len(self.y)
-
-    def __iter__(self):
-        return zip(self.x, self.y.tolist())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Points(self.x[i], self.y[i])
-        return self.x[i], float(self.y[i])
 
 
 def _points(pairs, what):
@@ -419,7 +409,7 @@ class NewsvendorInstance:
         self.theta_bounds = tuple(bounds.tolist())
         if self.centers.x.shape[1] != self.samples.x.shape[1]:
             raise ValueError("every center and sample needs the same number of x coordinates")
-        n = len(self.samples)
+        n = len(self.samples.y)
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
@@ -527,26 +517,21 @@ class NewsvendorUpperModel(UpperModel):
 
 
 class NewsvendorProblem(Problem):
-    """as_problem's Problem. It reads the samples as arrays and builds a
-    Scenario per sample only when scenarios is read; the scenario terms of
-    all samples come from one weight matrix per block of rows, and each
-    scenario's witness gains its loss subdifferential as "subdiff": [lo, hi]."""
+    """as_problem's Problem, whose scenario rows are the samples' x and y.
+    The scenario terms of all samples come from one weight matrix per block
+    of rows, and each scenario's witness gains its loss subdifferential as
+    "subdiff": [lo, hi]."""
 
     def __init__(self, instance):
-        self.inst, self.weights = instance, instance.weights
-        self.lower = NewsvendorLowerModel(instance)
-        self.upper = NewsvendorUpperModel(instance)
-
-    @property
-    def scenarios(self):
-        return [Scenario(x=x, y=y, weight=w)
-                for (x, y), w in zip(self.inst.samples, self.weights.tolist())]
+        self.inst = instance
+        super().__init__(NewsvendorLowerModel(instance), NewsvendorUpperModel(instance),
+                         instance.samples.x, instance.samples.y, instance.weights)
 
     def scenario_terms(self, theta, certificate):
         inst = self.inst
         h, b = inst.h, inst.b
         model = inst.model(float(theta[0]))
-        X, y = inst.samples.x, inst.samples.y
+        X, y = self.x, self.y
         z, eta = certificate.z[:, 0], certificate.eta[:, 0]
         cdf, pdf, slope = np.empty((3, len(X)))
         for rows in _row_blocks(len(X), model):
@@ -590,7 +575,8 @@ def newsvendor_certificate(theta, certificate_scenarios):
 
     Each mapping holds z, eta and zeta, and may hold the penalty weight mu.
     theta and each of these entries must be one finite number
-    (finite_number), and each scenario a mapping, otherwise ValueError.
+    (finite_number), and each scenario a mapping, otherwise ValueError; a
+    null mu is a ValueError too (optional_entry).
     Mappings whose z, eta and zeta are all floats and that hold no mu are
     checked by one type gate and one np.isfinite over their stack; any
     other input goes entry by entry through finite_number, in scenario
@@ -609,9 +595,9 @@ def newsvendor_certificate(theta, certificate_scenarios):
     mus = None
     if not ok:
         rows, mus = [], []
-        for part in parts:
+        for i, part in enumerate(parts):
             rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
-            mu = part.get("mu")
+            mu = optional_entry(part, "mu", i)
             mus.append(None if mu is None else finite_number(mu, "mu"))
         rows = np.array(rows).reshape(-1, 3)
     return Certificate.from_rows(theta, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3],
@@ -648,7 +634,8 @@ def bandwidth_grid_search(instance, grid):
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("empty bandwidth grid")
-    loo = len(instance.centers) == len(instance.samples) and len(instance.samples) > 1
+    n = len(instance.samples.y)
+    loo = len(instance.centers.y) == n and n > 1
     best_theta, best_val = None, None
     for theta in grid:
         total = empirical_regret(instance, instance.model(theta), leave_one_out=loo)

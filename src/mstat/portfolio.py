@@ -34,7 +34,6 @@ from .stationarity import (
     LowerModel,
     ParameterSet,
     Problem,
-    Scenario,
     ScenarioCertificate,
     UpperModel,
 )
@@ -416,11 +415,11 @@ class SpoUpperModel(UpperModel):
 
 
 def as_problem(instance):
-    """Wrap a PortfolioInstance as a generic finite-support problem."""
-    scenarios = [Scenario(x=x, y=r, weight=w)
-                 for (x, r), w in zip(instance.samples, instance.weights)]
-    return Problem(lower=PortfolioLowerModel(instance),
-                   upper=SpoUpperModel(instance), scenarios=scenarios)
+    """Wrap a PortfolioInstance as a generic finite-support problem: one
+    scenario per sample, with row n of x and y its x_n and r_n."""
+    return Problem(lower=PortfolioLowerModel(instance), upper=SpoUpperModel(instance),
+                   x=[x for x, _ in instance.samples], y=[r for _, r in instance.samples],
+                   weights=instance.weights)
 
 
 def lower_solver(instance):

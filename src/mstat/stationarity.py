@@ -49,7 +49,7 @@ from .graph_normals import (
 from .lp import feasibility_threshold, phase1_bound
 
 __all__ = [
-    "FeasibleSet", "ParameterSet", "Scenario", "Problem",
+    "FeasibleSet", "ParameterSet", "Problem",
     "LowerModel", "UpperModel",
     "ScenarioCertificate", "Certificate", "ScenarioTerms",
     "ScenarioColumns", "ResidualReport",
@@ -170,21 +170,6 @@ class ParameterSet:
 # ---------------------------------------------------------------------------
 # problems, models, certificates
 
-@dataclass(frozen=True)
-class Scenario:
-    """One atom of the finite support: context x, realized data y, weight."""
-
-    x: np.ndarray
-    y: object
-    weight: float
-
-    def __init__(self, x, y, weight):
-        x = np.asarray(x, dtype=float)
-        object.__setattr__(self, "x", x.reshape(1) if x.ndim == 0 else x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "weight", float(weight))
-
-
 class LowerModel:
     """Smooth lower-level objective c(z, theta, x) over a FeasibleSet.
 
@@ -257,19 +242,24 @@ class ScenarioTerms:
 
 class Problem:
     """Finite-support problem bundle: a lower and an upper model and the
-    scenarios, whose weights must sum to one; weights holds them as one
-    array."""
+    scenarios as rows. Row n of x is scenario n's context, entry n of y its
+    realized data (a number or a row) and weights[n] its weight; weights,
+    shape (n,), are nonnegative and sum to one."""
 
-    def __init__(self, lower, upper, scenarios):
-        self.lower, self.upper, self.scenarios = lower, upper, list(scenarios)
-        if not self.scenarios:
+    def __init__(self, lower, upper, x, y, weights):
+        self.lower, self.upper = lower, upper
+        w = np.asarray(weights, dtype=float)
+        if not len(w):
             raise ValueError("at least one scenario is required")
-        w = np.array([s.weight for s in self.scenarios], dtype=float)
+        if len(x) != len(w) or len(y) != len(w):
+            raise ValueError("x has %d rows, y %d entries and weights %d; each needs "
+                             "one per scenario" % (len(x), len(y), len(w)))
         if np.min(w) < 0:
             raise ValueError("negative scenario weight")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("scenario weights must sum to 1 (got %.17g)" % w.sum())
-        self.weights = w
+        x = np.asarray(x, dtype=float)
+        self.x, self.y, self.weights = x.reshape(len(x), -1), np.asarray(y, dtype=float), w
 
     def scenario_terms(self, theta, certificate):
         """The ScenarioTerms of a certificate at theta.
@@ -280,8 +270,7 @@ class Problem:
         """
         lower, upper = self.lower, self.upper
         rows = []
-        for scen, z, eta in zip(self.scenarios, certificate.z, certificate.eta):
-            x, y = scen.x, scen.y
+        for x, y, z, eta in zip(self.x, self.y, certificate.z, certificate.eta):
             lo, hi = upper.grad_z_bounds(z, x, y, theta)
             rows.append((lower.grad_z(z, theta, x),
                          np.asarray(lower.hess_zz(z, theta, x), dtype=float).T @ eta,
@@ -329,7 +318,8 @@ class Certificate:
     entry per scenario, None where the scenario has none.
     Certificate(theta, scenarios) stacks ScenarioCertificate objects, whose
     vectors must share one dimension; from_rows takes validated rows as they
-    are. Reading scenarios gives one ScenarioCertificate per row.
+    are. theta may be a vector or a matrix, which is read in row-major
+    order; more dimensions are a ValueError.
     """
 
     def __init__(self, theta, scenarios):
@@ -359,16 +349,11 @@ class Certificate:
 
     def _hold(self, theta, z, eta, zeta, given, mu, value_weights):
         self.theta = finite_vector(theta, "theta", flat=True)
+        if np.ndim(theta) > 2:
+            raise ValueError("theta must be a vector or a matrix; got shape %s"
+                             % (np.shape(theta),))
         self.z, self.eta, self.zeta, self.given = z, eta, zeta, given
         self.mu, self.value_weights = mu, value_weights
-
-    @property
-    def scenarios(self):
-        return [ScenarioCertificate(z=z, eta=eta, zeta=zeta if given else None, mu=mu,
-                                    value_weights=vw)
-                for z, eta, zeta, given, mu, vw in zip(
-                    self.z, self.eta, self.zeta, self.given.tolist(), self.mu,
-                    self.value_weights)]
 
     @property
     def penalized(self):
@@ -754,17 +739,17 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     penalties = [None] * len(z)
     caveats = []
     if solver is not None:
-        for n, (scen, mu) in enumerate(zip(problem.scenarios, mus)):
-            vf = value_function(lower, theta, scen.x, solver)
-            columns.value_gap[n] = float(lower.cost(z[n], theta, scen.x) - vf.value)
+        for n, (x, mu) in enumerate(zip(problem.x, mus)):
+            vf = value_function(lower, theta, x, solver)
+            columns.value_gap[n] = float(lower.cost(z[n], theta, x) - vf.value)
             if len(vf.argmin_points) > 1:
                 caveats.append("scenario %d: lower solution sampled at %d points; "
                                "the sample may be incomplete" % (n, len(vf.argmin_points)))
             if mu > 0:
-                sub = value_subdifferential(lower, theta, scen.x, vf.argmin_points)
+                sub = value_subdifferential(lower, theta, x, vf.argmin_points)
                 weights = certificate.value_weights[n]
                 w_n = sub.generators[0] if weights is None else sub.combine(weights)
-                grad_t = np.asarray(lower.grad_theta(z[n], theta, scen.x), dtype=float)
+                grad_t = np.asarray(lower.grad_theta(z[n], theta, x), dtype=float)
                 penalties[n] = mu * (grad_t - w_n)
     upper = _upper_line(problem, theta, terms.generators, penalties)
     return ResidualReport(mode=mode, tol=tol, value_tol=DEFAULT_VALUE_TOL,

@@ -259,12 +259,11 @@ def nv_oracle_regret(instance, theta):
     """Weighted regret of bandwidth theta; with as many centers as samples
     (and more than one), each held-out sample gets the centers without its
     own, rebuilt from scratch."""
-    cx = np.vstack([x for x, _ in instance.centers])
-    cy = np.array([y for _, y in instance.centers])
-    n = len(instance.samples)
-    loo = len(instance.centers) == n and n > 1
+    cx, cy = instance.centers.x, instance.centers.y
+    n = len(instance.samples.y)
+    loo = len(cy) == n and n > 1
     total = 0.0
-    for i, (x, y) in enumerate(instance.samples):
+    for i, (x, y) in enumerate(zip(instance.samples.x, instance.samples.y.tolist())):
         keep = np.arange(len(cy)) != i if loo else np.ones(len(cy), dtype=bool)
         z = nv_oracle_solve(cx[keep], cy[keep], theta, x, instance.h, instance.b)
         total += instance.weights[i] * (instance.h * max(z - y, 0.0)

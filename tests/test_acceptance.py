@@ -214,7 +214,8 @@ def test_criterion_7_end_to_end_portfolio_stationarity():
             bad = theta0.copy()
             bad[a, b] += 0.1
             rep = verify_certificate(
-                prob, Certificate(theta=bad.ravel(), scenarios=cert.scenarios),
+                prob, Certificate.from_rows(bad.ravel(), cert.z, cert.eta, cert.zeta,
+                                            cert.given),
                 tol=1e-8)
             all_perturbed_fail &= not rep.passed
     report(7, base.passed and all_perturbed_fail,
@@ -228,8 +229,8 @@ def test_criterion_8_penalized_zero_mu_reduction():
     prob = as_problem(inst)
     convex = verify_certificate(prob, cert, tol=1e-8)
     pen_cert = Certificate(theta=cert.theta, scenarios=[
-        ScenarioCertificate(z=s.z, eta=s.eta, zeta=s.zeta, mu=0.0)
-        for s in cert.scenarios])
+        ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=0.0)
+        for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)])
     penalized = verify_certificate_penalized(prob, pen_cert, tol=1e-8)
     agree = {**convex.to_dict(), "mode": None} == {**penalized.to_dict(), "mode": None}
     report(8, agree and convex.passed and penalized.passed,

@@ -212,7 +212,7 @@ def test_gen_newsvendor_round_trip(tmp_path):
     assert main(["gen", "newsvendor", "--n", "5", "--seed", "1",
                  "--out", str(p)]) == 0
     inst = NewsvendorInstance.from_dict(json.loads(p.read_text()))
-    assert len(inst.samples) == 5
+    assert len(inst.samples.y) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,9 @@ def portfolio_problem_and_cert(tmp_path, perturb=0.0):
     cpath = write(tmp_path / "cert.json", {
         "schema": "mstat/1",
         "theta": theta_used.tolist(),
-        "scenarios": [{"z": s.z.tolist(), "eta": s.eta.tolist(),
-                       "zeta": s.zeta.tolist(), "beta": b}
-                      for s, b in zip(cert.scenarios, betas)],
+        "scenarios": [{"z": z, "eta": eta, "zeta": zeta, "beta": b}
+                      for z, eta, zeta, b in zip(cert.z.tolist(), cert.eta.tolist(),
+                                                 cert.zeta.tolist(), betas)],
     })
     return ppath, cpath
 
@@ -312,12 +312,12 @@ def test_verify_vertex_solutions_beyond_eight_active_rows(tmp_path, capsys):
                              samples=[(x, theta0.T @ np.asarray(x)) for x in xs])
     cert, betas = realizable_certificate(inst, theta0)
     poly = simplex_polyhedron(d_z)
-    assert all(len(active_set(poly, s.z)) == d_z for s in cert.scenarios)
+    assert all(len(active_set(poly, z)) == d_z for z in cert.z)
     cpath = write(tmp_path / "cert.json", {
         "theta": theta0.tolist(),
-        "scenarios": [{"z": s.z.tolist(), "eta": s.eta.tolist(),
-                       "zeta": s.zeta.tolist(), "beta": b}
-                      for s, b in zip(cert.scenarios, betas)]})
+        "scenarios": [{"z": z, "eta": eta, "zeta": zeta, "beta": b}
+                      for z, eta, zeta, b in zip(cert.z.tolist(), cert.eta.tolist(),
+                                                 cert.zeta.tolist(), betas)]})
     code, out, _ = run(capsys, "verify", "--problem",
                        write(tmp_path / "prob.json", inst.to_dict()),
                        "--certificate", cpath)
@@ -444,7 +444,7 @@ def test_newsvendor_report_text_equals_json_dumps(case, mode):
                 json.dumps(nv_out, sort_keys=True, indent=2) + "\n"
     model = inst.model(NV_THETA)
     seen = set()
-    for (x, _), part, s in zip(inst.samples, parts, want["scenarios"], strict=True):
+    for x, part, s in zip(inst.samples.x, parts, want["scenarios"], strict=True):
         g = (inst.h + inst.b) * NV.conditional_cdf(model, part["z"], x) - inst.b
         single = orthant_membership([part["z"]], [g], NormalPair([part["zeta"]], [part["eta"]]))
         witness = {k: v for k, v in s["witness"].items() if k != "subdiff"}
@@ -761,8 +761,8 @@ def test_verify_input_boundary_property(case):
     report exits 0. A bad entry, a wrong length and a missing option exit 1
     with no report. A wrapped value exits 1 or reads as the value itself,
     giving the golden output; the newsvendor reads a one-entry list as its
-    number, and a certificate theta is read in row-major order at any
-    depth of nesting."""
+    number, and a portfolio theta is read only as a vector of d_x d_z
+    entries or as the d_x by d_z matrix, so a wrapped one exits 1."""
     kind, argv, options, cert, cert_file = case
     with tempfile.TemporaryDirectory() as tmp:
         # json.dumps writes non-finite floats as the literals NaN and Infinity.
@@ -773,6 +773,49 @@ def test_verify_input_boundary_property(case):
         assert (code, out) == (1, ""), (cert, argv, options)
     if kind == "nest" and code != 1:
         assert (code, out) == run_quietly(argv, options, str(GOLDEN / cert_file)), cert
+
+
+NULL_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
+             for key in ("zeta", "mu", "value_weights")] + \
+            [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
+             for key in ("zeta", "mu", "value_weights")] + \
+            [(argv, "nv4.problem.json", "nv4.pass.json", "mu")
+             for argv in (["verify", "--mode", "convex"], ["verify", "--mode", "penalized"],
+                          ["newsvendor", "verify"])]
+
+
+@pytest.mark.parametrize("argv, problem, cert_file, key", NULL_RUNS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_null_certificate_entry_exits_1(argv, problem, cert_file, key, tmp_path, capsys):
+    """An explicit null for an optional entry the verifier reads is an input
+    error that names the key and the scenario; the same certificate with the
+    key left out is read as before. Every base certificate passes."""
+    options = ["--problem", str(GOLDEN / problem), "--certificate"]
+    assert run(capsys, *argv, *options, str(GOLDEN / cert_file))[0] == 0
+    cert = json.loads((GOLDEN / cert_file).read_text())
+    cert["scenarios"][1][key] = None
+    code, out, err = run(capsys, *argv, *options, write(tmp_path / "null.json", cert))
+    assert (code, out) == (1, "") and "certificate scenario 1: %s is null" % key in err, err
+    del cert["scenarios"][1][key]
+    code, _, _ = run(capsys, *argv, *options, write(tmp_path / "absent.json", cert))
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("mode", ["convex", "penalized"])
+def test_portfolio_theta_of_another_shape_exits_1(mode, tmp_path, capsys):
+    """pf3's theta, 8 entries for d_x = 2 and d_z = 4, is read flat or as
+    the 2 by 4 matrix; nested to four dimensions, or as an 8 by 1 column,
+    it is an input error naming theta and the shape, with no report."""
+    cert = json.loads((GOLDEN / "pf3.cert.json").read_text())
+    theta = cert["theta"]
+    options = ["--problem", str(GOLDEN / "pf3.problem.json"), "--certificate"]
+    for shaped, shape in (([[[[t] for t in theta]]], "(1, 1, 8, 1)"),
+                          ([[t] for t in theta], "(8, 1)")):
+        path = write(tmp_path / "cert.json", {**cert, "theta": shaped})
+        code, out, err = run(capsys, "verify", "--mode", mode, *options, path)
+        assert (code, out) == (1, "") and "theta" in err and shape in err, err
+    path = write(tmp_path / "cert.json", {**cert, "theta": np.reshape(theta, (2, 4)).tolist()})
+    assert run(capsys, "verify", "--mode", mode, *options, path)[0] == 0
 
 
 def test_gph_normal_non_finite_point_exits_1(tmp_path, capsys):

@@ -270,12 +270,12 @@ def test_system_upper_condition_respects_bandwidth_bounds():
     theta = 2.0
     model = inst.model(theta)
     parts = []
-    for x, y in inst.samples:
+    for x in inst.samples.x:
         z = solve_newsvendor(model, x, 1.0, 1.0)
         parts.append({"z": z, "eta": 0.4, "zeta": 0.0})
     rep = verify_newsvendor_system(theta, parts, inst)
     drift = sum(w * 2.0 * grad_theta_cdf(model, p["z"], x) * p["eta"]
-                for (x, y), w, p in zip(inst.samples, inst.weights, parts))
+                for x, w, p in zip(inst.samples.x, inst.weights, parts))
     assert rep.upper_residual == pytest.approx(abs(drift), abs=1e-12)
 
 
@@ -342,14 +342,14 @@ def test_system_orthant_line_matches_oracle(rng):
                               centers=[([x], 3.0 + x) for x in np.linspace(-1, 1, 9)],
                               samples=[([x], 3.0 + x) for x in np.linspace(-1, 1, 40)])
     model = inst.model(0.4)
-    z = solve_newsvendor_rows(model, [x for x, _ in inst.samples], inst.h, inst.b)
+    z = solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b)
     z[::5] = 0.0
     z[1::7] += 0.5
     parts = [{"z": float(zn), "eta": float(rng.choice([0.0, -1.0, 0.3])),
               "zeta": float(rng.choice([0.0, -2.0, 1e-13]))} for zn in z]
     rep = verify_newsvendor_system(0.4, parts, inst)
     verdicts = set()
-    for (x, _), part, s in zip(inst.samples, parts, rep.to_dict()["scenarios"]):
+    for x, part, s in zip(inst.samples.x, parts, rep.to_dict()["scenarios"]):
         g = (inst.h + inst.b) * conditional_cdf(model, part["z"], x) - inst.b
         witness = {k: v for k, v in s["witness"].items() if k != "subdiff"}
         assert (s["m_membership"], s["m_verdict"], witness) == orthant_oracle(
@@ -393,7 +393,7 @@ def test_round_trip():
     pts = [([0.0, 1.0], 3.0), ([1.0, 0.5], 5.0)]
     inst = NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
     again = NewsvendorInstance.from_dict(inst.to_dict())
-    assert again.h == inst.h and len(again.centers) == 2
+    assert again.h == inst.h and len(again.centers.y) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,7 @@ def test_rows_match_oracle_bit_for_bit(rng, monkeypatch):
     for inst, theta in cases(rng):
         model = inst.model(theta)
         cx, cy = model.centers_x, model.centers_y
-        X = np.vstack([x for x, _ in inst.samples])
+        X = inst.samples.x
         rows = solve_newsvendor_rows(model, X, inst.h, inst.b)
         expect = [nv_oracle_solve(cx, cy, theta, x, inst.h, inst.b) for x in X]
         assert rows.tolist() == expect
@@ -467,7 +467,7 @@ def test_leave_one_out_regret_matches_oracle(rng):
         assert bandwidth_grid_search(inst, grid) == best
     # fewer centers than samples: every sample is scored in-sample
     inst = random_instance(rng, 12, 2, "plain")
-    inst.centers = inst.centers[:5]
+    inst.centers = NV.Points(inst.centers.x[:5], inst.centers.y[:5])
     mine = [empirical_regret(inst, inst.model(t)) for t in grid]
     oracle = [nv_oracle_regret(inst, t) for t in grid]
     assert mine == oracle
@@ -476,7 +476,7 @@ def test_leave_one_out_regret_matches_oracle(rng):
 def test_blocked_rows_equal_unblocked(rng, monkeypatch):
     inst = random_instance(rng, 40, 3, "plain")
     model = inst.model(0.3)
-    X = np.vstack([x for x, _ in inst.samples])
+    X = inst.samples.x
     parts = [{"z": float(z), "eta": 0.3, "zeta": -0.1}
              for z in solve_newsvendor_rows(model, X, inst.h, inst.b)]
 
@@ -587,17 +587,13 @@ def test_bandwidth_and_coordinate_range_edges():
 
 
 def test_points_read_as_pairs():
-    """An instance's centers and samples are Points: a sequence of
-    (x row, y) pairs over two arrays, the same for JSON input and for
-    arrays, and sliced into Points."""
+    """An instance's centers and samples are Points, built from (x, y)
+    pairs into two arrays, the same for JSON input and for arrays."""
     pairs = [([0.0, 1.0], 3.0), ([1.0, 0.5], 5.0), ([2.0, 0.0], 4.0)]
     for centers in (pairs, [(np.array(x), y) for x, y in pairs]):
         inst = NewsvendorInstance(h=1.0, b=3.0, centers=centers, samples=pairs[:1])
         assert inst.centers.x.tolist() == [x for x, _ in pairs]
         assert inst.centers.y.tolist() == [y for _, y in pairs]
-        assert [(x.tolist(), y) for x, y in inst.centers] == pairs
-        assert inst.centers[1][0].tolist() == [1.0, 0.5] and inst.centers[1][1] == 5.0
-        assert isinstance(inst.centers[1:], NV.Points) and len(inst.centers[1:]) == 2
 
 
 def test_non_finite_certificate_rejected():
@@ -632,13 +628,12 @@ def test_stacked_terms_equal_per_scenario_model_calls(rng, monkeypatch, block_ro
 
     checked = 0
     for inst, theta in cases(rng):
-        if len(inst.samples) > 33:
+        if len(inst.samples.y) > 33:
             continue
         model = inst.model(theta)
         if block_rows is not None:
             monkeypatch.setattr(NV, "_BLOCK_ENTRIES", block_rows * model.n_centers * model.d_x)
-        X = np.array([x for x, _ in inst.samples])
-        ys = np.array([y for _, y in inst.samples])
+        X, ys = inst.samples.x, inst.samples.y
         z = solve_newsvendor_rows(model, X, inst.h, inst.b)
         pick = rng.random(len(z))
         z = np.where(pick < 0.2, ys, np.where(pick < 0.3, 0.0, z))

@@ -311,7 +311,8 @@ def test_realizable_certificate_verifies_and_perturbations_fail():
             bad_theta = theta0.copy()
             bad_theta[a, b] += 0.1
             bad = verify_certificate(
-                prob, type(cert)(theta=bad_theta.ravel(), scenarios=cert.scenarios),
+                prob, type(cert).from_rows(bad_theta.ravel(), cert.z, cert.eta, cert.zeta,
+                                           cert.given),
                 tol=1e-8)
             assert not bad.passed, (a, b)
 
@@ -324,7 +325,8 @@ def test_portfolio_system_pass_and_failures():
 
     bad_theta = theta0.copy()
     bad_theta[0, 0] += 0.1
-    rep_bad = verify_certificate(prob, Certificate(theta=bad_theta, scenarios=cert.scenarios))
+    rep_bad = verify_certificate(prob, Certificate.from_rows(bad_theta, cert.z, cert.eta,
+                                                             cert.zeta, cert.given))
     assert not rep_bad.passed
     assert max(rep_bad.columns.lower_residual) > 1e-3
 
@@ -347,8 +349,8 @@ def test_portfolio_m_residual_is_the_force_balance_norm():
     cert, _ = realizable_certificate(inst, theta0)
     lam, sig = inst.risk_aversion, inst.sigma
     for shift in (0.0, 0.05):
-        scenarios = [ScenarioCertificate(z=s.z, eta=s.eta + shift, zeta=s.zeta)
-                     for s in cert.scenarios]
+        scenarios = [ScenarioCertificate(z=z, eta=eta + shift, zeta=zeta)
+                     for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
         reports = [verify_certificate(as_problem(inst),
                                       Certificate(theta=theta, scenarios=scenarios))
                    for theta in (theta0, theta0.ravel())]
@@ -364,9 +366,9 @@ def test_system_force_balance_identity(rng):
     inst, theta0 = small_instance()
     cert, _ = realizable_certificate(inst, theta0)
     lam, sig = inst.risk_aversion, inst.sigma
-    for (x, r), s in zip(inst.samples, cert.scenarios):
-        lhs = s.eta @ s.zeta
-        rhs = s.eta @ (r - lam * (sig @ (s.z + s.eta)))
+    for (x, r), z, eta, zeta in zip(inst.samples, cert.z, cert.eta, cert.zeta):
+        lhs = eta @ zeta
+        rhs = eta @ (r - lam * (sig @ (z + eta)))
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -380,10 +382,9 @@ def test_realizable_scenarios_cross_check_with_face_oracle():
     cert, _ = realizable_certificate(inst, theta0)
     poly = simplex_polyhedron(inst.d_z)
     lam, sig = inst.risk_aversion, inst.sigma
-    for (x, r), s in zip(inst.samples, cert.scenarios):
-        g = -(theta0.T @ x) + lam * (sig @ s.z)
-        res = oracle_membership(poly, GraphPoint(s.z, g),
-                                NormalPair(s.zeta, s.eta))
+    for (x, r), z, eta, zeta in zip(inst.samples, cert.z, cert.eta, cert.zeta):
+        g = -(theta0.T @ x) + lam * (sig @ z)
+        res = oracle_membership(poly, GraphPoint(z, g), NormalPair(zeta, eta))
         assert res.member
 
 

@@ -20,7 +20,6 @@ from mstat.stationarity import (
     LowerModel,
     ParameterSet,
     Problem,
-    Scenario,
     ScenarioCertificate,
     UpperModel,
     _check_scenario,
@@ -105,10 +104,9 @@ def tracking_problem(y_values, feasible=None, weights=None):
     fs = feasible or FeasibleSet.orthant(dim)
     n = len(y_values)
     w = weights if weights is not None else [1.0 / n] * n
-    scen = [Scenario(x=np.zeros(1), y=np.atleast_1d(np.asarray(y, float)), weight=wi)
-            for y, wi in zip(y_values, w)]
     return Problem(lower=TrackingLower(fs), upper=TrackingUpper(dim, dim),
-                   scenarios=scen)
+                   x=np.zeros((n, 1)),
+                   y=[np.atleast_1d(np.asarray(y, float)) for y in y_values], weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +390,7 @@ def test_verify_certificate_passes_and_fails():
     rep = verify_certificate(prob, cert, tol=1e-8)
     assert rep.passed, rep.to_dict()
     # perturb theta: the lower level becomes non-stationary at the frozen z_n
-    bad = Certificate(theta=theta + 0.1, scenarios=cert.scenarios)
+    bad = Certificate.from_rows(theta + 0.1, cert.z, cert.eta, cert.zeta, cert.given)
     rep_bad = verify_certificate(prob, bad, tol=1e-8)
     assert not rep_bad.passed
     assert max(rep_bad.columns.lower_residual) > 1e-3
@@ -401,11 +399,25 @@ def test_verify_certificate_passes_and_fails():
 def test_verify_certificate_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         Problem(lower=TrackingLower(FeasibleSet.orthant(1)),
-                upper=TrackingUpper(1, 1), scenarios=[])
+                upper=TrackingUpper(1, 1), x=np.zeros((0, 1)), y=np.zeros(0), weights=[])
     prob, cert = stationary_tracking_certificate(np.array([0.5]))
     with pytest.raises(ValueError):
-        verify_certificate(prob, Certificate(theta=cert.theta,
-                                             scenarios=cert.scenarios[:1]))
+        verify_certificate(prob, Certificate.from_rows(cert.theta, cert.z[:1], cert.eta[:1],
+                                                       cert.zeta[:1], cert.given[:1]))
+
+
+def test_problem_refuses_row_counts_that_disagree():
+    """x, y and weights hold one row per scenario; any other count is a
+    ValueError that names the three counts."""
+    models = dict(lower=TrackingLower(FeasibleSet.orthant(1)), upper=TrackingUpper(1, 1))
+    for x, y, w in ((np.zeros((3, 1)), np.zeros((2, 1)), [0.5, 0.5]),
+                    (np.zeros((2, 1)), np.zeros((2, 1)), [1.0 / 3] * 3),
+                    (np.zeros((1, 1)), np.zeros((2, 1)), [0.5, 0.5])):
+        with pytest.raises(ValueError, match="x has %d rows, y %d entries and weights %d"
+                           % (len(x), len(y), len(w))):
+            Problem(x=x, y=y, weights=w, **models)
+    prob = Problem(x=np.zeros((2, 1)), y=np.zeros((2, 1)), weights=[0.5, 0.5], **models)
+    assert prob.x.shape == (2, 1) and prob.weights.tolist() == [0.5, 0.5]
 
 
 def test_verify_tolerance_monotone():
@@ -484,8 +496,8 @@ def test_strictly_convex_value_singleton_danskin():
 def test_penalized_zero_mu_reduces_to_convex():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
-    pen_scen = [ScenarioCertificate(z=s.z, eta=s.eta, zeta=s.zeta, mu=0.0)
-                for s in cert.scenarios]
+    pen_scen = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=0.0)
+                for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     pen_cert = Certificate(theta=theta, scenarios=pen_scen)
     rep_pen = verify_certificate_penalized(prob, pen_cert, tol=1e-8)
     rep_conv = verify_certificate(prob, cert, tol=1e-8)
@@ -496,13 +508,13 @@ def test_penalized_zero_mu_reduces_to_convex():
 def test_penalized_requires_solver_for_positive_mu():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
-    pen_scen = [ScenarioCertificate(z=s.z, eta=s.eta, zeta=s.zeta, mu=1.0)
-                for s in cert.scenarios]
+    pen_scen = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=1.0)
+                for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     with pytest.raises(ValueError):
         verify_certificate_penalized(prob, Certificate(theta=theta,
                                                        scenarios=pen_scen))
-    neg = [ScenarioCertificate(z=s.z, eta=s.eta, zeta=s.zeta, mu=-0.5)
-           for s in cert.scenarios]
+    neg = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=-0.5)
+           for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     with pytest.raises(ValueError):
         verify_certificate_penalized(prob, Certificate(theta=theta, scenarios=neg))
 
@@ -537,8 +549,7 @@ def test_penalized_boundary_case_with_adjusted_zeta():
     y = np.array([0.6])
     lower = BoundaryLinearLower()
     upper = TrackingUpper(1, 1)
-    prob = Problem(lower=lower, upper=upper,
-                   scenarios=[Scenario(x=np.zeros(1), y=y, weight=1.0)])
+    prob = Problem(lower=lower, upper=upper, x=np.zeros((1, 1)), y=[y], weights=[1.0])
     z = np.zeros(1)
     g = lower.grad_z(z, theta, None)              # 0.8 > 0: bound multiplier row
     cert_plain = Certificate(theta=theta, scenarios=[
@@ -605,8 +616,8 @@ class FlatUpper(UpperModel):
 
 def test_penalized_flags_value_gap():
     """A stationary-but-suboptimal lower point fails only the gap condition."""
-    prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(),
-                   scenarios=[Scenario(x=np.zeros(1), y=0.0, weight=1.0)])
+    prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(), x=np.zeros((1, 1)), y=[0.0],
+                   weights=[1.0])
     cert = Certificate(theta=np.zeros(1), scenarios=[
         ScenarioCertificate(z=np.zeros(1), eta=np.zeros(1), zeta=np.zeros(1),
                             mu=0.0)])
@@ -629,8 +640,7 @@ def test_upper_residual_matches_finite_difference_of_composed_value():
     lower = TrackingLower(fs)
     upper = TrackingUpper(1, 1)
     y = np.array([0.9])
-    prob = Problem(lower=lower, upper=upper,
-                   scenarios=[Scenario(x=np.zeros(1), y=y, weight=1.0)])
+    prob = Problem(lower=lower, upper=upper, x=np.zeros((1, 1)), y=[y], weights=[1.0])
     solver = projected_gradient_solver(n_starts=3, seed=2)
     theta = np.array([0.4])
 
@@ -701,16 +711,15 @@ def test_scenario_line_and_upper_generators_agree_with_the_verifier():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
     bad = Certificate(theta=theta + 0.1, scenarios=[
-        ScenarioCertificate(z=c.z, eta=c.eta + 0.2, zeta=c.zeta + 0.3)
-        for c in cert.scenarios])
+        ScenarioCertificate(z=z, eta=eta + 0.2, zeta=zeta + 0.3)
+        for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)])
     rep = verify_certificate(prob, bad)
-    gens = psi_set(prob.lower, prob.upper, bad.theta, np.zeros(1), None,
-                   [c.z for c in bad.scenarios], [c.eta for c in bad.scenarios])
-    total = sum(s.weight * g for s, g in zip(prob.scenarios, gens))
+    gens = psi_set(prob.lower, prob.upper, bad.theta, np.zeros(1), None, bad.z, bad.eta)
+    total = sum(w * g for w, g in zip(prob.weights, gens))
     assert rep.upper_residual == float(np.linalg.norm(total)) > 0
-    for scen, c, sr in zip(prob.scenarios, bad.scenarios, rep.to_dict()["scenarios"]):
-        line = m_stationarity_check(prob.lower, prob.upper, bad.theta, scen.x, scen.y,
-                                    c.z, c.eta, c.zeta)
+    for x, y, z, eta, zeta, sr in zip(prob.x, prob.y, bad.z, bad.eta, bad.zeta,
+                                      rep.to_dict()["scenarios"]):
+        line = m_stationarity_check(prob.lower, prob.upper, bad.theta, x, y, z, eta, zeta)
         assert (line["membership"], line["verdict"], line["residual"]) == \
             (sr["m_membership"], sr["m_verdict"], sr["m_residual"])
 
@@ -728,10 +737,17 @@ def test_certificates_reject_non_finite_and_mis_shaped_entries():
     assert Certificate(theta=[[1.0, 2.0]], scenarios=[]).theta.shape == (2,)
 
 
+def test_certificate_refuses_theta_with_more_than_two_dimensions():
+    for theta in ([[[1.0, 2.0]]], np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="theta must be a vector or a matrix"):
+            Certificate(theta=theta, scenarios=[])
+
+
 def test_verify_rejects_theta_of_the_wrong_dimension():
     prob, cert = stationary_tracking_certificate(np.array([0.5]))
     with pytest.raises(ValueError, match="theta has 2 entries, expected 1"):
-        verify_certificate(prob, Certificate(theta=[0.5, 0.5], scenarios=cert.scenarios))
+        verify_certificate(prob, Certificate.from_rows([0.5, 0.5], cert.z, cert.eta,
+                                                       cert.zeta, cert.given))
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +825,6 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
         g = pick(rng.choice([1.0, -1.0, 0.3]), (n, d))
         x = g - q * z
         ys = rng.normal(size=(n, d))
-        scen = [Scenario(x=x[k], y=ys[k], weight=1.0 / n) for k in range(n)]
         certs = []
         for k in range(n):
             zeta = pick(rng.choice([1.0, -0.7]), d) if rng.random() < 0.6 else None
@@ -817,7 +832,8 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
                                              zeta=zeta, mu=float(rng.choice([0.0, 0.5, 2.0]))))
         solver = grid_solver([np.zeros(d), np.full(d, 0.5)])
         upper = TrackingUpper(d, 1)
-        problems = [Problem(lower=ContextLinearLower(C, q, fs), upper=upper, scenarios=scen)
+        problems = [Problem(lower=ContextLinearLower(C, q, fs), upper=upper, x=x, y=ys,
+                            weights=[1.0 / n] * n)
                     for fs in (FeasibleSet.orthant(d),
                                FeasibleSet.polyhedron(orthant_polyhedron(d)))]
         penalized = Certificate(theta=np.zeros(1), scenarios=certs)
@@ -889,8 +905,8 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
         gs = [g] + [g + 10.0 ** e * rng.standard_normal(d) for e in (-13, -10, -8, 0)]
         problem = Problem(lower=ContextLinearLower(np.zeros((d, 1)), np.zeros(d),
                                                   FeasibleSet.polyhedron(poly)),
-                          upper=TrackingUpper(d, 1),
-                          scenarios=[Scenario(x=gk, y=np.zeros(d), weight=0.2) for gk in gs])
+                          upper=TrackingUpper(d, 1), x=gs, y=np.zeros((len(gs), d)),
+                          weights=[0.2] * len(gs))
         cert = Certificate(theta=np.zeros(1), scenarios=[
             ScenarioCertificate(z=z, eta=np.zeros(d)) for _ in gs])
         report = verify_certificate(problem, cert)
