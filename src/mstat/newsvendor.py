@@ -42,7 +42,7 @@ per scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -77,6 +77,15 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 _BLOCK_ENTRIES = 1 << 20
 _NEWTON_TOL = 1e-12   # the quantile's Newton steps stop at |F - q| <= _NEWTON_TOL
 _MAX_EXPAND = 60      # the most times the quantile bracket widens
+# Bound on |F - F_W| beyond M eps, where F is the computed CDF _cdf_rows of a
+# weight row over M centers and F_W the exact mixture with the same weights:
+# ndtr's absolute error is at most 1.8e-16, the rounded argument
+# (y - y_m) / theta moves Phi by at most 0.25 eps, and the dot product adds at
+# most gamma_M < M eps (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 3.1); the slack also covers the roundings of
+# the comparisons against q -+ 2 delta. tests/test_newsvendor.py checks ndtr
+# against mpmath to _CDF_DELTA / 10.
+_CDF_DELTA = 2e-15
 # Coordinates have magnitude at most _POWER_BOUND and bandwidths lie in
 # [1/_POWER_BOUND, _POWER_BOUND]: their cubes, 2^1020 at most and 2^-1020 at
 # least, are finite normal numbers, and so are squared distances over fewer
@@ -259,12 +268,71 @@ def _grad_theta_rows(model, W, sq, y):
     return reweight - widen
 
 
+def _verified_sides(model, W, q, lo, hi):
+    """Points a and b of each row with F(a) < q - 2 delta and F(b) > q + 2 delta,
+    or -inf and inf where no such point was verified, for
+    delta = _CDF_DELTA + M eps with M centers.
+
+    At most 10 safeguarded Newton steps per row, started at the row's discrete
+    weighted q-quantile of the centers and kept inside the bracket [lo, hi],
+    run until |F - q| <= 2 delta. The iterates rise on the side below q and
+    fall on the side above, so the last one to clear its margin on a side is
+    kept; then one stacked evaluation probes x -+ 4 delta / p about the last
+    iterate, and a probe that clears its margin replaces a or b.
+    """
+    gap = 2.0 * (_CDF_DELTA + W.shape[1] * np.finfo(float).eps)
+    order = np.argsort(model.centers_y, kind="stable")
+    at = np.minimum(np.sum(np.cumsum(W[:, order], axis=1) < q, axis=1), W.shape[1] - 1)
+    x = np.clip(model.centers_y[order][at], lo, hi)
+    a, b = np.full(len(W), -np.inf), np.full(len(W), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(10):
+            F = _cdf_rows(model, W, x)
+            p = _pdf_rows(model, W, x)
+            a = np.where(F < q - gap, x, a)
+            b = np.where(F > q + gap, x, b)
+            lo = np.where(F < q, x, lo)
+            hi = np.where(F < q, hi, x)
+            step = x - (F - q) / p
+            near = np.abs(F - q) <= gap
+            x = np.where((step > lo) & (step < hi), step, np.where(near, x, 0.5 * (lo + hi)))
+            if near.all():
+                break
+        s = 2.0 * gap / p
+    probe = np.concatenate([x - s, x + s])
+    F = _cdf_rows(model, np.concatenate([W, W]), probe)
+    k = len(W)
+    a = np.where(F[:k] < q - gap, np.maximum(a, probe[:k]), a)
+    b = np.where(F[k:] > q + gap, np.minimum(b, probe[k:]), b)
+    return a, b
+
+
 def _quantile_rows(model, W, q):
     """Order quantity of each weight row; see solve_newsvendor for the rule.
 
     Rows move in lockstep with per-row masks: a row met at z = 0 keeps 0, a
     bracketed row stops widening, and a row whose Newton stopping rule fired
     is frozen while the others continue.
+
+    The 60 bisection steps are replayed exactly, but the computed CDF F is
+    evaluated only at a midpoint whose comparison F(mid) < q is not already
+    decided. Let F_W be the exact mixture with the computed weights W >= 0:
+    it is monotone, and |F - F_W| <= delta = _CDF_DELTA + M eps everywhere
+    for M centers (see _CDF_DELTA). Two facts decide most steps:
+
+    1. The bisection keeps F(lo) < q <= F(hi), so a midpoint equal to lo is
+       below and one equal to hi is not. A row whose midpoint rounds to an
+       end has stalled and never moves again.
+    2. If F(a) < q - 2 delta, every mid <= a is below, since
+       F(mid) <= F_W(a) + delta <= F(a) + 2 delta < q; likewise no
+       mid >= b is below if F(b) > q + 2 delta. _verified_sides finds such
+       a and b within a few delta / p of the root.
+
+    Each step therefore evaluates F only at a midpoint strictly between
+    max(a, lo) and min(b, hi); a stalled row asks nothing. A row with no
+    verified side, such as one whose density is 0 at its iterates, evaluates
+    every step as the plain bisection does. The Newton polish evaluates the
+    density only on rows whose |F - q| exceeds _NEWTON_TOL.
     """
     out = np.zeros(len(W))
     live = ~(_cdf_rows(model, W, out) >= q)
@@ -281,20 +349,28 @@ def _quantile_rows(model, W, q):
         hi[short] += 10.0 * model.theta
     else:
         raise RuntimeError("failed to bracket the quantile")
+    a, b = _verified_sides(model, W, q, lo, hi)
     for _ in range(60):
+        a, b = np.maximum(a, lo), np.minimum(b, hi)
         mid = 0.5 * (lo + hi)
-        below = _cdf_rows(model, W, mid) < q
+        below = mid <= a
+        ask = ~below & (mid < b)
+        if ask.any():
+            below[ask] = _cdf_rows(model, W[ask], mid[ask]) < q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     z = 0.5 * (lo + hi)
-    moving = np.ones(len(W), dtype=bool)
+    moving = np.arange(len(W))
     for _ in range(5):
-        f = _cdf_rows(model, W, z) - q
-        p = _pdf_rows(model, W, z)
-        moving &= ~((p <= 0.0) | (np.abs(f) <= _NEWTON_TOL))
-        if not moving.any():
+        f = _cdf_rows(model, W[moving], z[moving]) - q
+        far = np.abs(f) > _NEWTON_TOL
+        moving, f = moving[far], f[far]
+        p = _pdf_rows(model, W[moving], z[moving])
+        rising = ~(p <= 0.0)
+        moving, f, p = moving[rising], f[rising], p[rising]
+        if not len(moving):
             break
-        z[moving] -= f[moving] / p[moving]
+        z[moving] -= f / p
     out[live] = np.where(z < 0.0, 0.0, z)
     return out
 
@@ -362,6 +438,14 @@ def solve_newsvendor(model, x, h, b):
     _MAX_EXPAND steps of 10 theta, bisects 60 times and polishes with at
     most 5 Newton steps on the smooth strictly increasing CDF, stopping once
     |F - q| <= _NEWTON_TOL. This is the one-row case of solve_newsvendor_rows.
+
+    The result is the float of that plain bisection, but the CDF is not
+    evaluated at every step: a step whose comparison F(mid) < q follows
+    from the bisection's own invariant, or from points a and b verified by
+    a few Newton steps to lie more than 2 delta below and above q, is
+    decided without it, where delta = _CDF_DELTA + M eps bounds the CDF's
+    rounding error over M centers. Rows with no verified point fall back to
+    evaluating every step. See _quantile_rows.
     """
     return float(solve_newsvendor_rows(model, _one_row(model, x), h, b)[0])
 
@@ -388,7 +472,8 @@ def empirical_regret(instance, model, leave_one_out=False):
 @dataclass
 class NewsvendorInstance:
     """Holding/backorder costs plus the (x_n, y_n) samples and kernel
-    centers, each held as Points (built by _points from (x, y) pairs)."""
+    centers, each held as Points (built by _points from (x, y) pairs).
+    model(theta) keeps the last model it built."""
 
     h: float
     b: float
@@ -396,6 +481,7 @@ class NewsvendorInstance:
     samples: Points
     theta_bounds: tuple = (1e-3, 1e3)
     weights: np.ndarray = None
+    _model: KernelModel = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.h, self.b = finite_number(self.h, "h"), finite_number(self.b, "b")
@@ -419,7 +505,15 @@ class NewsvendorInstance:
                 raise ValueError("weights must be a probability vector over samples")
 
     def model(self, theta):
-        return KernelModel(self.centers, theta)
+        """The kernel model of the centers at bandwidth theta. The last one
+        built is returned again while theta and the centers are unchanged, so
+        the scenario-by-scenario calls of a verifier at one bandwidth share
+        one model."""
+        last = self._model
+        if last is None or last.theta != theta or last.centers_x is not self.centers.x \
+                or last.centers_y is not self.centers.y:
+            self._model = last = KernelModel(self.centers, theta)
+        return last
 
     def to_dict(self):
         return {"schema": "mstat/1", "type": "newsvendor_kernel",
@@ -433,6 +527,11 @@ class NewsvendorInstance:
 
     @classmethod
     def from_dict(cls, d):
+        """The instance of a problem file. theta_bounds and weights may be
+        left out; an explicit null for either is a ValueError."""
+        for key in ("theta_bounds", "weights"):
+            if key in d and d[key] is None:
+                raise ValueError("%s is null; leave the key out instead" % key)
         return cls(h=d["h"], b=d["b"],
                    centers=[(c["x"], c["y"]) for c in object_list(d["centers"], "center")],
                    samples=[(s["x"], s["y"]) for s in object_list(d["samples"], "sample")],
@@ -560,10 +659,28 @@ def as_problem(instance):
 
 def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
-    verifier: the order quantity of x at the bandwidth theta."""
+    verifier: the order quantity of x at the bandwidth theta.
+
+    The penalized verifier asks about every sample at one bandwidth, so the
+    first question at a bandwidth solves the rows of all samples in one
+    solve_newsvendor_rows call, and a sample's x reads its row; any other x
+    is solved alone. Rows are independent, so each answer is the float of a
+    one-row solve.
+    """
+    solved = {}
+
     def solve(model, theta, x):
-        return [solve_newsvendor_rows(instance.model(float(np.atleast_1d(theta)[0])),
-                                      [x], instance.h, instance.b)]
+        theta = float(np.atleast_1d(theta)[0])
+        m, X = instance.model(theta), instance.samples.x
+        if theta not in solved:
+            solved.clear()
+            solved[theta] = (solve_newsvendor_rows(m, X, instance.h, instance.b),
+                             {row.tobytes(): i for i, row in enumerate(X)})
+        z, rows = solved[theta]
+        i = rows.get(np.asarray(x, dtype=float).tobytes())
+        if i is None:
+            return [solve_newsvendor_rows(m, [x], instance.h, instance.b)]
+        return [z[i:i + 1]]
     return solve
 
 

@@ -53,7 +53,8 @@ class PortfolioInstance:
 
     Every entry must be finite: sigma symmetric positive definite, lambda
     positive, every x of one length, every r of length d_z and the weights
-    nonnegative, one per sample. Anything else raises ValueError.
+    nonnegative, one per sample, summing to 1 within 1e-12. Anything else
+    raises ValueError.
     """
 
     sigma: np.ndarray
@@ -98,6 +99,8 @@ class PortfolioInstance:
                 raise ValueError("one weight per sample required")
             if np.min(self.weights) < 0:
                 raise ValueError("weights must be nonnegative")
+            if abs(self.weights.sum() - 1.0) > 1e-12:
+                raise ValueError("weights must sum to 1 (got %.17g)" % self.weights.sum())
 
     @property
     def d_z(self):

@@ -193,22 +193,25 @@ def rng():
 # ---------------------------------------------------------------------------
 # kernel newsvendor: the per-query and per-held-out-sample reference
 
-def nv_oracle_weights(centers_x, x, theta):
-    """Nadaraya-Watson weights of one query, from its own distance vector."""
+def nv_oracle_weights(centers_x, x, theta, drop=None):
+    """Nadaraya-Watson weights of one query, from its own distance vector;
+    center drop, when given, gets the logit -inf and so the weight 0."""
     sq = np.sum(np.square(centers_x - x), axis=1)
     logits = -sq / (2.0 * theta ** 2)
+    if drop is not None:
+        logits[drop] = -np.inf
     logits -= np.max(logits)
     w = np.exp(logits)
     return w / w.sum()
 
 
-def nv_oracle_cdf(centers_x, centers_y, theta, y, x):
-    w = nv_oracle_weights(centers_x, x, theta)
+def nv_oracle_cdf(centers_x, centers_y, theta, y, x, drop=None):
+    w = nv_oracle_weights(centers_x, x, theta, drop)
     return float(w @ ndtr((y - centers_y) / theta))
 
 
-def nv_oracle_pdf(centers_x, centers_y, theta, y, x):
-    w = nv_oracle_weights(centers_x, x, theta)
+def nv_oracle_pdf(centers_x, centers_y, theta, y, x, drop=None):
+    w = nv_oracle_weights(centers_x, x, theta, drop)
     u = (y - centers_y) / theta
     return float(w @ (np.exp(-0.5 * np.square(u)) / np.sqrt(2.0 * np.pi)) / theta)
 
@@ -222,11 +225,14 @@ def nv_oracle_grad_theta_cdf(centers_x, centers_y, theta, y, x):
     return float(w * (psi - w @ psi) @ ndtr(u) - w @ (u * phi / theta))
 
 
-def nv_oracle_solve(centers_x, centers_y, theta, x, h, b, tol=1e-12, max_expand=60):
+def nv_oracle_solve(centers_x, centers_y, theta, x, h, b, tol=1e-12, max_expand=60,
+                    drop=None):
     """One query's order quantity: a scalar bracket, 60 bisection steps and
-    at most 5 Newton steps, each CDF evaluation rebuilding the weights."""
+    at most 5 Newton steps, each CDF evaluation rebuilding the weights. With
+    drop, the query is solved with that center's weight 0, as a leave-one-out
+    row is."""
     def cdf(y):
-        return nv_oracle_cdf(centers_x, centers_y, theta, y, x)
+        return nv_oracle_cdf(centers_x, centers_y, theta, y, x, drop)
 
     q = b / (h + b)
     if cdf(0.0) >= q:
@@ -248,7 +254,7 @@ def nv_oracle_solve(centers_x, centers_y, theta, x, h, b, tol=1e-12, max_expand=
     z = 0.5 * (lo + hi)
     for _ in range(5):
         f = cdf(z) - q
-        p = nv_oracle_pdf(centers_x, centers_y, theta, z, x)
+        p = nv_oracle_pdf(centers_x, centers_y, theta, z, x, drop)
         if p <= 0.0 or abs(f) <= tol:
             break
         z -= f / p

@@ -775,6 +775,83 @@ def test_verify_input_boundary_property(case):
         assert (code, out) == run_quietly(argv, options, str(GOLDEN / cert_file)), cert
 
 
+# newsvendor problem files: the actions that read one, and the keys they read
+NV_PROBLEM_RUNS = [["newsvendor", "solve", "--theta", "0.5"],
+                   ["newsvendor", "loss", "--theta", "0.5"],
+                   ["newsvendor", "gridsearch", "--grid", "0.1,0.5,2"]]
+NV_READ_KEYS = {"h", "b", "centers", "samples", "x", "y", "theta_bounds", "weights"}
+NV_BAD_ENTRIES = [float("nan"), float("inf"), float("-inf"), True, False, "1.0", None]
+
+
+def problem_paths(doc, path=()):
+    """The path of every value in a newsvendor problem under a key it reads."""
+    if isinstance(doc, dict):
+        items = [(k, v) for k, v in doc.items() if k in NV_READ_KEYS]
+    else:
+        items = list(enumerate(doc)) if isinstance(doc, list) else []
+    return [p for k, v in items for p in [path + (k,)] + problem_paths(v, path + (k,))]
+
+
+@st.composite
+def newsvendor_problem_cases(draw):
+    """(argv, problem, valid): a golden newsvendor problem with one key
+    dropped, one entry made NaN, Infinity, a boolean, a string or null, or
+    one list made one entry shorter or longer. valid says whether the result
+    is still a problem: dropping the optional theta_bounds or weights, or
+    changing the number of centers, or of samples when no weights are
+    given."""
+    argv = draw(st.sampled_from(NV_PROBLEM_RUNS))
+    problem = json.loads((GOLDEN / draw(st.sampled_from(
+        ["nv1.problem.json", "nv2.problem.json", "nv3.problem.json", "nv4.problem.json"]))
+    ).read_text())
+    kind = draw(st.sampled_from(["drop", "entry", "length"]))
+    paths = problem_paths(problem)
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    elif kind == "length":
+        paths = [p for p in paths if isinstance(_at(problem, p), list)]
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(problem, path[:-1]), path[-1]
+    valid = False
+    if kind == "drop":
+        del parent[key]
+        valid = path in (("theta_bounds",), ("weights",))
+    elif kind == "entry":
+        parent[key] = draw(st.sampled_from(NV_BAD_ENTRIES))
+    else:
+        parent[key] = parent[key][:-1] if draw(st.booleans()) else parent[key] + parent[key][-1:]
+        valid = path == ("centers",) or (path == ("samples",) and "weights" not in problem)
+    return argv, problem, valid
+
+
+def nv_golden_problem(stem, **entries):
+    return {**json.loads((GOLDEN / (stem + ".problem.json")).read_text()), **entries}
+
+
+@settings(max_examples=200, deadline=None)
+@given(newsvendor_problem_cases())
+@example((NV_PROBLEM_RUNS[0], nv_golden_problem("nv1", weights=None), False))
+@example((NV_PROBLEM_RUNS[2], nv_golden_problem("nv3", theta_bounds=None), False))
+@example((NV_PROBLEM_RUNS[1], nv_golden_problem("nv4", h=True), False))
+def test_newsvendor_problem_input_boundary_property(case):
+    """`newsvendor solve`, `loss` and `gridsearch` on a mutated golden
+    problem: main() never raises and prints no traceback. A mutation that
+    leaves a problem exits 0 with the action's answer; any other exits 1
+    and prints no decision, objective or bandwidth."""
+    argv, problem, valid = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # json.dumps writes non-finite floats as the literals NaN and Infinity.
+        path = write(Path(tmp) / "problem.json", problem)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--problem", path])
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert code == 0 and json.loads(out.getvalue())["action"] == argv[1], err.getvalue()
+    else:
+        assert (code, out.getvalue()) == (1, ""), (problem, argv)
+
+
 NULL_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
              for key in ("zeta", "mu", "value_weights")] + \
             [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
@@ -942,6 +1019,27 @@ def test_portfolio_problem_non_finite_or_mis_shaped_exits_1(tmp_path, capsys):
         for argv in (["verify", "--certificate", cpath], ["spo-portfolio", "fit"]):
             code, out, err = run(capsys, *argv, "--problem", bad)
             assert code == 1 and out == "" and message in err, (message, argv, err)
+
+
+def test_portfolio_weights_that_do_not_sum_to_one_exit_1(tmp_path, capsys):
+    """pf1 with weights [1, 1, 1, 1] is refused when the problem is read, by
+    the same 1e-12 rule as a newsvendor problem, so `spo-portfolio loss`
+    reports no objective that verify would refuse; weights off by 1e-13 are
+    read."""
+    good = json.loads((GOLDEN / "pf1.problem.json").read_text())
+    theta = str(GOLDEN / "pf1.theta.json")
+    runs = [["spo-portfolio", "loss", "--theta", theta],
+            ["spo-portfolio", "solve", "--theta", theta], ["spo-portfolio", "fit"],
+            ["verify", "--certificate", str(GOLDEN / "pf1.exact.json")]]
+    n = len(good["samples"])
+    for weights, refused in (([1.0] * n, True), ([1.0 / n] * (n - 1) + [1.0 / n + 1e-13], False)):
+        path = write(tmp_path / "pf1.json", {**good, "weights": weights})
+        for argv in runs:
+            code, out, err = run(capsys, *argv, "--problem", path)
+            if refused:
+                assert (code, out) == (1, "") and "weights must sum to 1" in err, (argv, err)
+            else:
+                assert code == 0 and out, (argv, err)
 
 
 def test_certificate_scenario_must_be_an_object(tmp_path, capsys):

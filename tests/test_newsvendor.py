@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -454,6 +457,65 @@ def test_rows_match_oracle_bit_for_bit(rng, monkeypatch):
         solve_newsvendor_rows(model, X, 1e-17, 1.0)
 
 
+@st.composite
+def quantile_instances(draw):
+    """(centers, theta, h, b): n contexts in [-1, 1]^d_x and demands that are
+    multimodal (tight clusters at 0, 2, 7 and 15), tied (small integers, so
+    centers share a demand exactly) or heavy-tailed (Cauchy about 3, which
+    also puts some demand below 0), with theta in [0.01, 5]."""
+    n, d_x = draw(st.integers(1, 24)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = rng.uniform(-1.0, 1.0, (n, d_x))
+    kind = draw(st.sampled_from(["multimodal", "tied", "heavy"]))
+    if kind == "multimodal":
+        ys = rng.choice([0.0, 2.0, 7.0, 15.0], n) + 0.05 * rng.standard_normal(n)
+    elif kind == "tied":
+        ys = rng.integers(0, 5, n).astype(float)
+    else:
+        ys = 3.0 + rng.standard_cauchy(n)
+    theta = draw(st.floats(0.01, 5.0))
+    h, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    return [(x, float(y)) for x, y in zip(xs, ys)], theta, h, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantile_instances())
+def test_quantile_rows_replay_the_scalar_bisection_property(case):
+    """solve_newsvendor_rows, plain and leave-one-out, gives the floats of
+    the scalar 60-step bisection of nv_oracle_solve, which evaluates the CDF
+    at every step: the skipped evaluations change no comparison. A single
+    center has no leave-one-out rows."""
+    centers, theta, h, b = case
+    model = KernelModel(centers, theta)
+    cx, cy = model.centers_x, model.centers_y
+    plain = solve_newsvendor_rows(model, cx, h, b)
+    assert plain.tolist() == [nv_oracle_solve(cx, cy, theta, x, h, b) for x in cx]
+    if len(cy) == 1:
+        return
+    loo = solve_newsvendor_rows(model, cx, h, b, leave_one_out=True)
+    assert loo.tolist() == [nv_oracle_solve(cx, cy, theta, x, h, b, drop=i)
+                            for i, x in enumerate(cx)]
+
+
+def test_ndtr_error_is_a_tenth_of_the_replay_bound():
+    """The quantile solve skips a bisection step only where the computed CDF
+    is within delta = _CDF_DELTA + M eps of the exact mixture, and the
+    absolute error of the ndtr it calls is part of delta. That error stays
+    within _CDF_DELTA / 10
+    of mpmath's ncdf on a fixed grid: [-40, 40] in steps of 0.04, the 50
+    floats either side of +-sqrt(2), where ndtr switches between erf and
+    erfc, a band of 0.01 around them, and the far tails."""
+    mpmath.mp.dps = 40
+    root2 = np.sqrt(2.0)
+    u = np.concatenate([np.linspace(-40.0, 40.0, 2001)]
+                       + [s * root2 + np.arange(-50, 51) * np.spacing(root2) for s in (-1, 1)]
+                       + [s * root2 + np.linspace(-0.01, 0.01, 101) for s in (-1, 1)]
+                       + [[-1e10, -1e3, -38.4, -37.5, 8.3, 9.0, 1e3, 1e10]])
+    err = [abs(mpmath.mpf(float(NV.ndtr(v))) - mpmath.ncdf(mpmath.mpf(float(v)))) for v in u]
+    worst = float(max(err))
+    assert worst <= NV._CDF_DELTA / 10, (worst, u[int(np.argmax(err))])
+
+
 def test_leave_one_out_regret_matches_oracle(rng):
     grid = [0.05, 0.2, 0.5, 1.2]
     kinds = iter(["plain", "boundary", "remote"] * 4)
@@ -471,6 +533,20 @@ def test_leave_one_out_regret_matches_oracle(rng):
     mine = [empirical_regret(inst, inst.model(t)) for t in grid]
     oracle = [nv_oracle_regret(inst, t) for t in grid]
     assert mine == oracle
+
+
+def test_lower_solver_answers_are_one_row_solves(rng):
+    """lower_solver solves every sample at a bandwidth in one call and reads
+    a sample's row from it; a query that is no sample is solved alone. Each
+    answer is the float of a one-row solve, at every bandwidth asked."""
+    inst = random_instance(rng, 12, 2, "plain")
+    solve = NV.lower_solver(inst)
+    queries = list(inst.samples.x) + [np.array([0.3, -0.2]), inst.samples.x[4] + 1e-9]
+    for theta in (0.3, 0.7, 0.3):
+        model = inst.model(theta)
+        for x in queries:
+            [z] = solve(None, np.array([theta]), x)
+            assert z.tolist() == solve_newsvendor_rows(model, [x], inst.h, inst.b).tolist()
 
 
 def test_blocked_rows_equal_unblocked(rng, monkeypatch):
