@@ -42,7 +42,7 @@ per scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -84,7 +84,7 @@ _MAX_EXPAND = 60      # the most times the quantile bracket widens
 # most gamma_M < M eps (Higham, Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., section 3.1); the slack also covers the roundings of
 # the comparisons against q -+ 2 delta. tests/test_newsvendor.py checks ndtr
-# against mpmath to _CDF_DELTA / 10.
+# against an mpmath reference, tests/ndtr_reference.json, to _CDF_DELTA / 10.
 _CDF_DELTA = 2e-15
 # Coordinates have magnitude at most _POWER_BOUND and bandwidths lie in
 # [1/_POWER_BOUND, _POWER_BOUND]: their cubes, 2^1020 at most and 2^-1020 at
@@ -472,8 +472,7 @@ def empirical_regret(instance, model, leave_one_out=False):
 @dataclass
 class NewsvendorInstance:
     """Holding/backorder costs plus the (x_n, y_n) samples and kernel
-    centers, each held as Points (built by _points from (x, y) pairs).
-    model(theta) keeps the last model it built."""
+    centers, each held as Points (built by _points from (x, y) pairs)."""
 
     h: float
     b: float
@@ -481,7 +480,6 @@ class NewsvendorInstance:
     samples: Points
     theta_bounds: tuple = (1e-3, 1e3)
     weights: np.ndarray = None
-    _model: KernelModel = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.h, self.b = finite_number(self.h, "h"), finite_number(self.b, "b")
@@ -505,15 +503,7 @@ class NewsvendorInstance:
                 raise ValueError("weights must be a probability vector over samples")
 
     def model(self, theta):
-        """The kernel model of the centers at bandwidth theta. The last one
-        built is returned again while theta and the centers are unchanged, so
-        the scenario-by-scenario calls of a verifier at one bandwidth share
-        one model."""
-        last = self._model
-        if last is None or last.theta != theta or last.centers_x is not self.centers.x \
-                or last.centers_y is not self.centers.y:
-            self._model = last = KernelModel(self.centers, theta)
-        return last
+        return KernelModel(self.centers, theta)
 
     def to_dict(self):
         return {"schema": "mstat/1", "type": "newsvendor_kernel",
@@ -671,16 +661,16 @@ def lower_solver(instance):
 
     def solve(model, theta, x):
         theta = float(np.atleast_1d(theta)[0])
-        m, X = instance.model(theta), instance.samples.x
         if theta not in solved:
             solved.clear()
-            solved[theta] = (solve_newsvendor_rows(m, X, instance.h, instance.b),
+            m, X = instance.model(theta), instance.samples.x
+            solved[theta] = (m, solve_newsvendor_rows(m, X, instance.h, instance.b),
                              {row.tobytes(): i for i, row in enumerate(X)})
-        z, rows = solved[theta]
+        m, z, rows = solved[theta]
         i = rows.get(np.asarray(x, dtype=float).tobytes())
         if i is None:
             return [solve_newsvendor_rows(m, [x], instance.h, instance.b)]
-        return [z[i:i + 1]]
+        return [z[i:i + 1].copy()]
     return solve
 
 
