@@ -418,10 +418,9 @@ def cmd_spo_portfolio(args):
     elif args.action == "loss":
         out["objective"] = PF.empirical_spo_objective(PF.LinearPredictor(theta), inst)
     elif args.action == "solve":
-        pred = PF.LinearPredictor(theta)
-        out["decisions"] = [PF.solve_simplex_qp(pred.predict(x), inst.sigma,
-                                                inst.risk_aversion).z.tolist()
-                            for x, _ in inst.samples]
+        R = PF.LinearPredictor(theta).predict_rows([x for x, _ in inst.samples])
+        out["decisions"] = [s.z.tolist() for s in PF.solve_simplex_qp_rows(
+            R, inst.sigma, inst.risk_aversion)]
     elif args.action == "search":
         theta0 = theta if theta is not None else PF.fit_least_squares(inst).theta
         pred, history = PF.spo_local_search(inst, theta0, steps=args.steps,

@@ -59,6 +59,7 @@ from .stationarity import (
     Problem,
     ScenarioTerms,
     UpperModel,
+    sample_rows_solver,
     verify_certificate,
 )
 
@@ -556,6 +557,18 @@ class NewsvendorLowerModel(LowerModel):
         m, z, x = self._args(z, theta, x)
         return float(nw_weights(m, x) @ self._per_center(m, z)[1])
 
+    def cost_rows(self, Z, theta, X):
+        """cost at each pair of rows of Z and X, from one weight matrix per
+        block of rows; _row_dot gives each entry the float of cost."""
+        m = self.inst.model(float(np.atleast_1d(theta)[0]))
+        z = np.array([float(np.atleast_1d(v)[0]) for v in Z])
+        X = _query_rows(m, X)
+        out = np.empty(len(X))
+        for rows in _row_blocks(len(X), m):
+            W, _ = _weight_rows(m, X[rows])
+            out[rows] = _row_dot(W, self._per_center(m, z[rows, None])[1])
+        return out
+
     def grad_z(self, z, theta, x):
         m, z, x = self._args(z, theta, x)
         return np.array([(self.inst.h + self.inst.b) * conditional_cdf(m, z, x) - self.inst.b])
@@ -649,29 +662,15 @@ def as_problem(instance):
 
 def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
-    verifier: the order quantity of x at the bandwidth theta.
-
-    The penalized verifier asks about every sample at one bandwidth, so the
-    first question at a bandwidth solves the rows of all samples in one
-    solve_newsvendor_rows call, and a sample's x reads its row; any other x
-    is solved alone. Rows are independent, so each answer is the float of a
-    one-row solve.
+    verifier: the order quantity of x at the bandwidth theta. The rows of
+    all samples at a bandwidth are one solve_newsvendor_rows call
+    (sample_rows_solver); rows are independent, so each answer is the float
+    of a one-row solve.
     """
-    solved = {}
-
-    def solve(model, theta, x):
-        theta = float(np.atleast_1d(theta)[0])
-        if theta not in solved:
-            solved.clear()
-            m, X = instance.model(theta), instance.samples.x
-            solved[theta] = (m, solve_newsvendor_rows(m, X, instance.h, instance.b),
-                             {row.tobytes(): i for i, row in enumerate(X)})
-        m, z, rows = solved[theta]
-        i = rows.get(np.asarray(x, dtype=float).tobytes())
-        if i is None:
-            return [solve_newsvendor_rows(m, [x], instance.h, instance.b)]
-        return [z[i:i + 1].copy()]
-    return solve
+    def solve_rows(theta, X):
+        return solve_newsvendor_rows(instance.model(float(theta[0])), X,
+                                     instance.h, instance.b)[:, None]
+    return sample_rows_solver(instance.samples.x, solve_rows)
 
 
 _CERTIFICATE_KEYS = ("z", "eta", "zeta")

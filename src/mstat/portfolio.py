@@ -36,11 +36,12 @@ from .stationarity import (
     Problem,
     ScenarioCertificate,
     UpperModel,
+    sample_rows_solver,
 )
 
 __all__ = [
     "PortfolioInstance", "LinearPredictor", "SimplexQPSolution",
-    "solve_simplex_qp", "spo_loss",
+    "solve_simplex_qp", "solve_simplex_qp_rows", "spo_loss",
     "fit_least_squares", "empirical_spo_objective", "spo_local_search",
     "PortfolioLowerModel", "SpoUpperModel", "as_problem", "lower_solver",
     "realizable_certificate",
@@ -119,6 +120,10 @@ class PortfolioInstance:
 
     @classmethod
     def from_dict(cls, d):
+        """The instance of a problem file. weights may be left out; an
+        explicit null is a ValueError."""
+        if "weights" in d and d["weights"] is None:
+            raise ValueError("weights is null; leave the key out instead")
         samples = [(s["x"], s["r"]) for s in object_list(d["samples"], "sample")]
         return cls(sigma=d["sigma"], risk_aversion=d["lambda"],
                    samples=samples, weights=d.get("weights"))
@@ -138,6 +143,11 @@ class LinearPredictor:
     def predict(self, x):
         return self.theta.T @ np.atleast_1d(np.asarray(x, dtype=float))
 
+    def predict_rows(self, X):
+        """predict(x) for each row x of X; the stacked matrix-vector product
+        gives each row the bits of predict(x)."""
+        return np.matmul(self.theta.T, np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
+
 
 @dataclass
 class SimplexQPSolution:
@@ -154,117 +164,236 @@ _QP_EPS = 1e-11       # zero and convergence tolerance of solve_simplex_qp
 _QP_MAX_ITER = 200    # its active-set iteration cap
 
 
-def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
-    stat = -r + lam * (sigma @ z) - lam_bounds + tau
-    comp = np.abs(lam_bounds * z)
-    gap = abs(tau * (z.sum() - 1.0))
-    return float(max(np.max(np.abs(stat)),
-                     np.max(comp, initial=0.0), gap,
-                     max(0.0, -np.min(lam_bounds, initial=0.0)),
-                     max(0.0, -tau),
-                     max(0.0, np.max(-z, initial=0.0)),
-                     max(0.0, z.sum() - 1.0)))
+def _kkt_rows(R, sigma, lam, Z, MU, taus):
+    """The KKT residual of each row's point z, bound multipliers mu and
+    budget multiplier tau >= 0 (a list): the largest violation of
+    stationarity -r + lam Sigma z - mu + tau 1 = 0, of complementarity on
+    the bounds and the budget row, of mu >= 0 and tau >= 0, and of
+    feasibility. The terms after stationarity enter as Python's max over
+    them would take them: at least 0.0, a NaN term skipped, a NaN
+    stationarity term the result.
+    """
+    tau = np.array(taus, dtype=float)
+    stat = -R + lam * np.matmul(sigma, Z[:, :, None])[:, :, 0] - MU + tau[:, None]
+    total = Z.sum(axis=1)
+    first = np.max(np.abs(stat), axis=1)
+    rest = np.fmax.reduce([first, np.zeros(len(Z)), np.max(np.abs(MU * Z), axis=1, initial=0.0),
+                           np.abs(tau * (total - 1.0)), -np.min(MU, axis=1, initial=0.0), -tau,
+                           np.max(-Z, axis=1, initial=0.0), total - 1.0])
+    return np.where(np.isnan(first), first, rest + 0.0).tolist()
 
 
-def _face_point(r, sigma, lam, bounds, budget, faces):
-    """Minimizer z and budget multiplier tau on the face of the working set.
+def _face_rows(R, sigma, lam, bounds, budget):
+    """Minimizers z, one row per row r of R, and their budget multipliers tau
+    on the face of the working set that the rows share.
 
     The face fixes z_i = 0 for i in bounds and, when budget, 1^T z = 1 (tau
-    is 0 off the row); budget needs a coordinate outside bounds. On the
-    budget face the solve's error in 1^T z grows with the returns; beyond
-    _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1 and tau
-    shifts so that lam Sigma z + tau 1 stays unchanged. faces caches the
-    result by working set for one solve_simplex_qp call, whose guess and
-    loop may meet the same face; no caller writes to the returned z.
+    is 0 off the row); budget needs a coordinate outside bounds. One stacked
+    np.linalg.solve serves all rows: it makes the LAPACK gesv call of a
+    one-row solve once per row, so each row gets the bits of its own solve.
+    On the budget face the solve's error in 1^T z grows with the returns;
+    beyond _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1 and
+    tau shifts so that lam Sigma z + tau 1 stays unchanged. The taus are a
+    list typed as a one-row solve types them: a float, or an np.float64 once
+    shifted.
     """
-    key = (frozenset(bounds), budget)
-    if key in faces:
-        return faces[key]
-    d = len(r)
+    g, d = R.shape
     idx = [i for i in range(d) if i not in bounds]
     k = len(idx)
-    tau = 0.0
-    z = np.zeros(d)
+    taus = [0.0] * g
+    Z = np.zeros((g, d))
     if budget:
         K = np.zeros((k + 1, k + 1))
         K[:k, :k] = lam * sigma[np.ix_(idx, idx)]
         K[:k, k] = 1.0
         K[k, :k] = 1.0
-        rhs = np.concatenate([r[idx], [1.0]])
-        sol = np.linalg.solve(K, rhs)
-        z[idx] = sol[:k]
-        tau = float(sol[k])
-        drift = 1.0 - z[idx].sum()
-        if abs(drift) > _QP_EPS:
+        rhs = np.concatenate([R[:, idx], np.ones((g, 1))], axis=1)
+        sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        Z[:, idx] = sol[:, :k]
+        taus = sol[:, k].tolist()
+        drift = 1.0 - Z[:, idx].sum(axis=1)
+        moved = np.flatnonzero(np.abs(drift) > _QP_EPS)
+        if len(moved):
             c = np.linalg.solve(K[:k, :k], np.ones(k))
-            z[idx] += drift * c / c.sum()
-            tau -= drift / c.sum()
+            Z[np.ix_(moved, idx)] += drift[moved, None] * c / c.sum()
+            for j in moved:
+                taus[j] -= drift[j] / c.sum()
     elif k:
-        z[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
-    faces[key] = z, tau
-    return z, tau
+        Z[:, idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], R[:, idx, None])[:, :, 0]
+    return Z, taus
+
+
+def _face_point(r, sigma, lam, bounds, budget, faces):
+    """The face point (z, tau) of one row, cached in faces by working set
+    for one solve; the rows solver seeds the cache with the faces its rounds
+    met. No caller writes to the returned z."""
+    key = (frozenset(bounds), budget)
+    if key not in faces:
+        Z, taus = _face_rows(r[None], sigma, lam, bounds, budget)
+        faces[key] = Z[0], taus[0]
+    return faces[key]
+
+
+def _multiplier_rows(R, sigma, lam, Z, taus, mask):
+    """mu_i = (-r + lam Sigma z)_i + tau where mask holds, 0 elsewhere, row by
+    row; the stacked matrix-vector product gives each row the bits of a
+    one-row Sigma @ z."""
+    grad = -R + lam * np.matmul(sigma, Z[:, :, None])[:, :, 0]
+    return np.where(mask, grad + np.array(taus, dtype=float)[:, None], 0.0)
 
 
 def _bound_multipliers(r, sigma, lam, z, tau, bounds):
-    """mu_i = (-r + lam Sigma z)_i + tau on the working bounds, 0 elsewhere."""
-    mu = np.zeros(len(r))
-    grad = -r + lam * (sigma @ z)
-    for i in bounds:
-        mu[i] = grad[i] + tau
-    return mu
+    mask = np.zeros(len(r), dtype=bool)
+    mask[list(bounds)] = True
+    return _multiplier_rows(r[None], sigma, lam, z[None], [tau], mask)[0]
 
 
-def _face_solution(r, sigma, lam, z, mu, tau, bounds, budget):
-    """The SimplexQPSolution of a face point; a negative tau reports as 0."""
-    tau = max(tau, 0.0)
-    return SimplexQPSolution(
-        z=z, bound_multipliers=mu, budget_multiplier=tau,
-        active_bounds=tuple(sorted(bounds)), budget_active=bool(budget),
-        kkt_residual=_kkt_residual(r, sigma, lam, z, mu, tau))
+def _face_solutions(R, sigma, lam, Z, MU, taus, bounds, budget):
+    """The SimplexQPSolution of each row's face point on one working set; a
+    negative tau reports as 0."""
+    taus = [max(tau, 0.0) for tau in taus]
+    active = tuple(sorted(bounds))
+    return [SimplexQPSolution(z=z, bound_multipliers=mu, budget_multiplier=tau,
+                              active_bounds=active, budget_active=bool(budget),
+                              kkt_residual=res)
+            for z, mu, tau, res in zip(Z, MU, taus, _kkt_rows(R, sigma, lam, Z, MU, taus))]
 
 
-def _guess_working_set(r, sigma, lam, z, faces):
-    """The solution on a primal-dual active-set guess, if KKT certifies it.
+_RETURNS_ERROR = ("predicted returns are not finite or exceed %g in magnitude"
+                  % _TERM_BOUND)
 
-    Starts from the working set of the projected start z; each round solves
-    the face once and keeps the bounds with mu_i > 0, adds those with
-    z_i < 0, keeps the budget row while tau > 0 and adds it when 1^T z > 1.
-    A face point with z_i > _QP_EPS off the working set, mu_i > _QP_EPS on
-    it and tau > _QP_EPS on the budget row (1^T z < 1 - _QP_EPS off it)
-    satisfies KKT with strict complementarity: it is the unique optimum and
-    the working set is its active set, which the active-set loop ends on,
-    so the returned solution is the loop's to the bit.
-    Returns None, leaving the QP to the loop, when a working set repeats,
-    after d + 1 rounds, when a face point meets KKT within _QP_EPS but
-    without those margins (a degenerate optimum no round can certify), and
-    at once from a vertex start: there the loop's first face is the same,
-    and its one-at-a-time exchange reaches the optimal vertex in fewer
-    solves than the simultaneous update, which at large returns overshoots
-    far outside the simplex.
+
+def _start_rows(R, sigma, lam):
+    """The simplex projection of Sigma^{-1} r / lam for each row r of R.
+
+    A row whose returns are not finite or exceed _TERM_BOUND raises
+    ValueError, and so does one whose Sigma^{-1} r / lam has an entry of
+    magnitude 2^52 or more: the projection tests u - (u - 1) > 0 at the
+    largest entry u, and beyond 2^52 the subtraction can drop the 1, leaving
+    no support. The first failing row names the error, as in a row-by-row
+    solve; the bound is applied before the division, which may overflow.
+    """
+    big = ~(np.max(np.abs(R), axis=1, initial=0.0) <= _TERM_BOUND)
+    if big[0]:
+        raise ValueError(_RETURNS_ERROR)
+    scaled = np.linalg.solve(sigma, np.where(big[:, None], 0.0, R)[:, :, None])[:, :, 0]
+    far = ~(np.max(np.abs(scaled), axis=1, initial=0.0) < _PROJECTION_BOUND * lam)
+    bad = np.flatnonzero(big | far)
+    if len(bad):
+        raise ValueError(_RETURNS_ERROR if big[bad[0]] else
+                         "the unconstrained optimum Sigma^-1 r / lambda has an entry "
+                         "of magnitude 2^52 or more")
+    Y = scaled / lam
+    P = np.maximum(Y, 0.0)
+    over = np.flatnonzero(~(P.sum(axis=1) <= 1.0))
+    if len(over):
+        # Row by row: u = sort(y) descending, rho the last index with
+        # u_rho > (u_0 + ... + u_rho - 1) / (rho + 1), and the shift that sum.
+        d = R.shape[1]
+        U = np.sort(Y[over], axis=1)[:, ::-1]
+        css = np.cumsum(U, axis=1) - 1.0
+        hit = U - css / np.arange(1, d + 1) > 0
+        rho = d - 1 - np.argmax(hit[:, ::-1], axis=1)
+        shift = css[np.arange(len(over)), rho] / (rho + 1.0)
+        P[over] = np.maximum(Y[over] - shift[:, None], 0.0)
+    return P
+
+
+def _margins(Z, mu, taus, mask, budget):
+    """min([z_i off the working bounds] + [mu_i on them] + [tau on the budget
+    row, else 1 - 1^T z]) per row, and 1^T z. A row holding a NaN takes the
+    Python min over that list, in that order, as a one-row solve does."""
+    total = Z.sum(axis=1)
+    last = np.array(taus, dtype=float) if budget else 1.0 - total
+    margin = np.minimum(np.min(np.where(mask, mu, Z), axis=1), last)
+    for j in np.flatnonzero(np.isnan(margin)):
+        margin[j] = min(Z[j][~mask].tolist() + mu[j][mask].tolist() + [last[j]])
+    return margin, total
+
+
+def solve_simplex_qp_rows(R, sigma, lam):
+    """solve_simplex_qp for every row r of R (k by d), at one Sigma and
+    lambda; returns the k solutions in row order, each to the bit the one a
+    row-by-row solve gives.
+
+    The rows share every stacked step: one np.linalg.solve for Sigma^{-1} R,
+    a row-wise projection, and the primal-dual rounds of the working-set
+    guess, run on the groups of rows that hold the same working set with one
+    stacked face solve per group. Round by round, each row takes the
+    decisions of a one-row guess: from the working set of its projected
+    start, a face point with z_i > _QP_EPS off the working set, mu_i >
+    _QP_EPS on it and tau > _QP_EPS on the budget row (1^T z < 1 - _QP_EPS
+    off it) satisfies KKT with strict complementarity, so it is the unique
+    optimum and its working set is the one the active-set loop ends on; the
+    row returns it. Otherwise, when every margin is at least -_QP_EPS (a
+    degenerate optimum no round can certify), the row goes to the loop; else
+    it keeps the bounds with mu_i > 0, adds those with z_i < 0, keeps the
+    budget row while tau > 0 and adds it when 1^T z > 1. A row whose working
+    set repeats, or that is not certified after d + 1 rounds, goes to the
+    loop. A vertex start (the budget row and d - 1 bounds) takes instead the
+    loop's own first step: the same face, returned when it moves z by at
+    most _QP_EPS in every coordinate and no multiplier is below -_QP_EPS,
+    as the loop returns it; any other vertex row goes to the loop, whose
+    one-at-a-time exchange reaches the optimal vertex in fewer solves than
+    the simultaneous update, which at large returns overshoots far outside
+    the simplex. Every row the rounds leave runs the loop alone
+    (_active_set_loop) from its projected start, with the faces it met
+    already solved.
     """
     eps = _QP_EPS
-    d = len(r)
-    bounds = frozenset(i for i in range(d) if z[i] <= eps)
-    budget = z.sum() >= 1.0 - eps
-    if budget and len(bounds) == d - 1:
-        return None
-    for _ in range(d + 1):
-        budget = budget and len(bounds) < d
-        if (bounds, budget) in faces:       # the working set repeats
-            return None
-        z, tau = _face_point(r, sigma, lam, bounds, budget, faces)
-        mu = _bound_multipliers(r, sigma, lam, z, tau, bounds)
-        total = z.sum()
-        margin = min([z[i] for i in range(d) if i not in bounds]
-                     + [mu[i] for i in bounds] + [tau if budget else 1.0 - total])
-        if margin > eps:
-            return _face_solution(r, sigma, lam, z, mu, tau, bounds, budget)
-        if margin >= -eps:
-            return None
-        bounds = frozenset(i for i in range(d)
-                           if (mu[i] > 0 if i in bounds else z[i] < 0))
-        budget = tau > 0 if budget else total > 1.0
-    return None
+    R = np.asarray(R, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    k, d = R.shape
+    if not k:
+        return []
+    Z0 = _start_rows(R, sigma, lam)
+    out = [None] * k
+    faces = [{} for _ in range(k)]
+    bounds = Z0 <= eps
+    budget = Z0.sum(axis=1) >= 1.0 - eps
+    vertex = budget & (bounds.sum(axis=1) == d - 1)
+    live = range(k)
+    for step in range(d + 1):
+        budget &= bounds.sum(axis=1) < d
+        groups = {}
+        for i in live:
+            key = (bounds[i].tobytes(), bool(budget[i]))
+            if key not in faces[i]:         # else the working set repeats
+                groups.setdefault(key, []).append(i)
+        live = []
+        for key, rows in groups.items():
+            on = key[1]
+            mask = bounds[rows[0]].copy()
+            ws = set(np.flatnonzero(mask).tolist())
+            Rg = R[rows]
+            Z, taus = _face_rows(Rg, sigma, lam, ws, on)
+            mu = _multiplier_rows(Rg, sigma, lam, Z, taus, mask)
+            if step == 0 and vertex[rows[0]]:
+                done = ((np.max(np.abs(Z - Z0[rows]), axis=1) <= eps)
+                        & ~np.any(mask & (mu < -eps), axis=1)
+                        & ~(np.array(taus) < -eps))
+                going = np.zeros(len(rows), dtype=bool)
+            else:
+                margin, total = _margins(Z, mu, taus, mask, on)
+                done, going = margin > eps, margin < -eps
+                bounds[rows] = np.where(mask, mu > 0, Z < 0)
+                budget[rows] = np.array(taus) > 0 if on else total > 1.0
+            for j, i in enumerate(rows):
+                faces[i][key] = Z[j], taus[j]
+                if going[j]:
+                    live.append(i)
+            j = np.flatnonzero(done)
+            if len(j):
+                solved = _face_solutions(Rg[j], sigma, lam, Z[j], mu[j],
+                                         [taus[i] for i in j], ws, on)
+                for i, solution in zip(j, solved):
+                    out[rows[i]] = solution
+    for i in range(k):
+        if out[i] is None:
+            met = {(frozenset(np.flatnonzero(np.frombuffer(b, dtype=bool)).tolist()), on): face
+                   for (b, on), face in faces[i].items()}
+            out[i] = _active_set_loop(R[i], sigma, lam, Z0[i], met)
+    return out
 
 
 def solve_simplex_qp(r, sigma, lam):
@@ -272,39 +401,29 @@ def solve_simplex_qp(r, sigma, lam):
 
     Starts from the simplex projection of the unconstrained optimum
     Sigma^{-1} r / lam. A primal-dual active-set guess of the optimal
-    working set comes first (_guess_working_set); when KKT with strict
-    margins certifies its face point, that point is returned after one or a
-    few face solves. Otherwise a primal active-set iteration runs from the
-    projection; entering-constraint ties break to the lowest index, so the
-    run is deterministic. Finite for positive definite Sigma. The returned
-    solution depends only on the final working set and (r, Sigma, lam), and
-    a certified guess is the working set the iteration ends on, so both
-    routes give the same bytes.
+    working set comes first; when KKT with strict margins certifies its face
+    point, that point is returned after one or a few face solves. Otherwise
+    a primal active-set iteration runs from the projection; entering-
+    constraint ties break to the lowest index, so the run is deterministic.
+    Finite for positive definite Sigma. The returned solution depends only
+    on the final working set and (r, Sigma, lam), and a certified guess is
+    the working set the iteration ends on, so both routes give the same
+    bytes. This is the one-row case of solve_simplex_qp_rows, which
+    describes the guess.
     Predicted returns r with an entry that is not finite or exceeds
-    _TERM_BOUND in magnitude raise ValueError, as in the verifier. So does an
-    unconstrained optimum with an entry of magnitude 2^52 or more: the
-    projection tests u - (u - 1) > 0 at its largest entry u, and beyond
-    2^52 the subtraction can drop the 1, leaving no support.
+    _TERM_BOUND in magnitude raise ValueError, as in the verifier, and so
+    does an unconstrained optimum with an entry of magnitude 2^52 or more
+    (see _start_rows).
     """
-    eps = _QP_EPS
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    sigma = np.asarray(sigma, dtype=float)
-    d = len(r)
-    fs = FeasibleSet.simplex(d)
-    if not np.max(np.abs(r), initial=0.0) <= _TERM_BOUND:
-        raise ValueError("predicted returns are not finite or exceed %g in magnitude"
-                         % _TERM_BOUND)
-    # The bound is applied before the division, which may overflow.
-    scaled = np.linalg.solve(sigma, r)
-    if not np.max(np.abs(scaled), initial=0.0) < _PROJECTION_BOUND * lam:
-        raise ValueError("the unconstrained optimum Sigma^-1 r / lambda has an entry "
-                         "of magnitude 2^52 or more")
-    z = fs.project(scaled / lam)
-    faces = {}
-    guess = _guess_working_set(r, sigma, lam, z, faces)
-    if guess is not None:
-        return guess
+    return solve_simplex_qp_rows(np.atleast_1d(np.asarray(r, dtype=float))[None],
+                                 sigma, lam)[0]
 
+
+def _active_set_loop(r, sigma, lam, z, faces):
+    """The primal active-set iteration of solve_simplex_qp from the
+    projected start z, with faces the face cache of _face_point."""
+    eps = _QP_EPS
+    d = len(r)
     bounds = set(i for i in range(d) if z[i] <= eps)
     budget = z.sum() >= 1.0 - eps
 
@@ -324,8 +443,8 @@ def solve_simplex_qp(r, sigma, lam):
             if budget and tau < -eps:
                 drop_candidates.append((tau, -1))
             if not drop_candidates:
-                return _face_solution(r, sigma, lam, z_eq, lam_bounds, tau,
-                                      bounds, budget)
+                return _face_solutions(r[None], sigma, lam, z_eq[None], lam_bounds[None],
+                                       [tau], bounds, budget)[0]
             worst = min(drop_candidates)[1]
             if worst == -1:
                 budget = False
@@ -427,12 +546,14 @@ def as_problem(instance):
 
 def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
-    verifier: the simplex QP at the returns that theta predicts from x."""
-    def solve(model, theta, x):
-        r_hat = np.asarray(theta, dtype=float).reshape(
-            instance.d_x, instance.d_z).T @ np.asarray(x, dtype=float)
-        return [solve_simplex_qp(r_hat, instance.sigma, instance.risk_aversion).z]
-    return solve
+    verifier: the simplex QP at the returns that theta predicts from x. The
+    QPs of all samples at a theta are one solve_simplex_qp_rows call
+    (sample_rows_solver)."""
+    def solve_rows(theta, X):
+        R = LinearPredictor(theta.reshape(instance.d_x, instance.d_z)).predict_rows(X)
+        return np.array([s.z for s in solve_simplex_qp_rows(R, instance.sigma,
+                                                            instance.risk_aversion)])
+    return sample_rows_solver([x for x, _ in instance.samples], solve_rows)
 
 
 def _cost(z, r, instance):
@@ -442,17 +563,10 @@ def _cost(z, r, instance):
 
 def spo_loss(predictor, x, r, instance):
     """Regret of the decision induced by the predicted returns; always >= 0."""
-    return _spo_loss(predictor, x, np.asarray(r, dtype=float), instance, {}, None)
-
-
-def _spo_loss(predictor, x, r, instance, best_costs, n):
-    """spo_loss with the best attainable cost _cost(z*(r), r) kept in
-    best_costs under the key n: z*(r) does not depend on theta."""
+    r = np.asarray(r, dtype=float)
     lam, sig = instance.risk_aversion, instance.sigma
     z_hat = solve_simplex_qp(predictor.predict(x), sig, lam).z
-    if n not in best_costs:
-        best_costs[n] = _cost(solve_simplex_qp(r, sig, lam).z, r, instance)
-    return _cost(z_hat, r, instance) - best_costs[n]
+    return _cost(z_hat, r, instance) - _cost(solve_simplex_qp(r, sig, lam).z, r, instance)
 
 
 def empirical_spo_objective(predictor, instance):
@@ -461,11 +575,25 @@ def empirical_spo_objective(predictor, instance):
 
 
 def _spo_objective(predictor, instance, best_costs):
-    """empirical_spo_objective, reusing the realized-return costs that
-    best_costs holds by sample index and adding those it lacks."""
-    return float(sum(w * _spo_loss(predictor, x, r, instance, best_costs, n)
-                     for n, ((x, r), w) in enumerate(zip(instance.samples,
-                                                         instance.weights))))
+    """empirical_spo_objective, reusing the realized-return costs
+    _cost(z*(r_n), r_n) that best_costs holds by sample index n and adding
+    those it lacks: z*(r) does not depend on theta. One
+    solve_simplex_qp_rows call solves each sample's predicted decision,
+    followed by its z*(r_n) when that cost is missing, the order in which a
+    sample-by-sample loop would solve them."""
+    preds = predictor.predict_rows([x for x, _ in instance.samples])
+    rows = []
+    for n, (_, r) in enumerate(instance.samples):
+        rows += [preds[n]] if n in best_costs else [preds[n], r]
+    solved = iter(solve_simplex_qp_rows(np.array(rows), instance.sigma,
+                                        instance.risk_aversion))
+    losses = []
+    for n, (_, r) in enumerate(instance.samples):
+        z_hat = next(solved).z
+        if n not in best_costs:
+            best_costs[n] = _cost(next(solved).z, r, instance)
+        losses.append(_cost(z_hat, r, instance) - best_costs[n])
+    return float(sum(w * loss for loss, w in zip(losses, instance.weights)))
 
 
 def fit_least_squares(instance, ridge=1e-10):
@@ -520,15 +648,16 @@ def realizable_certificate(instance, theta):
     zeta_n = r_n - lam Sigma z_n balances the scenario line when the realized
     returns equal the predictions; beta_n is read off the membership witness.
     """
-    predictor = LinearPredictor(theta)
+    preds = LinearPredictor(theta).predict_rows([x for x, _ in instance.samples])
     scen_certs = []
     betas = []
     lam, sig = instance.risk_aversion, instance.sigma
-    for x, r in instance.samples:
-        z = solve_simplex_qp(predictor.predict(x), sig, lam).z
+    for r_hat, (_, r), solution in zip(preds, instance.samples,
+                                       solve_simplex_qp_rows(preds, sig, lam)):
+        z = solution.z
         zeta = r - lam * (sig @ z)
         eta = np.zeros(instance.d_z)
-        g = -predictor.predict(x) + lam * (sig @ z)
+        g = -r_hat + lam * (sig @ z)
         res = simplex_membership(z, g, NormalPair(zeta, eta))
         betas.append(res.witness.get("beta"))
         scen_certs.append(ScenarioCertificate(z=z, eta=eta, zeta=zeta))

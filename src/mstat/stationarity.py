@@ -55,7 +55,7 @@ __all__ = [
     "ScenarioColumns", "ResidualReport",
     "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
-    "value_function", "value_subdifferential",
+    "value_function", "value_subdifferential", "sample_rows_solver",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -181,6 +181,10 @@ class LowerModel:
 
     def cost(self, z, theta, x):
         raise NotImplementedError
+
+    def cost_rows(self, Z, theta, X):
+        """cost(z, theta, x) for each pair of rows z of Z and x of X."""
+        return np.array([self.cost(z, theta, x) for z, x in zip(Z, X)], dtype=float)
 
     def grad_z(self, z, theta, x):
         raise NotImplementedError
@@ -739,9 +743,16 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     penalties = [None] * len(z)
     caveats = []
     if solver is not None:
+        # One cost_rows call prices every candidate and every z_n; the last
+        # of the split values are the costs of the z_n.
+        found = [_candidates(solver, lower, theta, x) for x in problem.x]
+        xs = [x for x, points in zip(problem.x, found) for _ in points]
+        values = np.split(lower.cost_rows([p for points in found for p in points] + list(z),
+                                          theta, xs + list(problem.x)),
+                          np.cumsum([len(points) for points in found]))
         for n, (x, mu) in enumerate(zip(problem.x, mus)):
-            vf = value_function(lower, theta, x, solver)
-            columns.value_gap[n] = float(lower.cost(z[n], theta, x) - vf.value)
+            vf = _argmin_sample(found[n], values[n])
+            columns.value_gap[n] = float(values[-1][n] - vf.value)
             if len(vf.argmin_points) > 1:
                 caveats.append("scenario %d: lower solution sampled at %d points; "
                                "the sample may be incomplete" % (n, len(vf.argmin_points)))
@@ -825,10 +836,19 @@ def value_function(model, theta, x, solver):
     directions yield however many distinct candidates the solver produced.
     """
     theta = np.asarray(theta, dtype=float)
+    candidates = _candidates(solver, model, theta, x)
+    return _argmin_sample(candidates, model.cost_rows(candidates, theta, [x] * len(candidates)))
+
+
+def _candidates(solver, model, theta, x):
     candidates = [np.atleast_1d(np.asarray(z, dtype=float)) for z in solver(model, theta, x)]
     if not candidates:
         raise ValueError("solver returned no candidates")
-    values = np.array([model.cost(z, theta, x) for z in candidates])
+    return candidates
+
+
+def _argmin_sample(candidates, values):
+    """value_function's result from the candidates and their costs."""
     best = float(np.min(values))
     keep = []
     for z, v in zip(candidates, values):
@@ -848,3 +868,31 @@ def value_subdifferential(model, theta, x, argmin_points):
     if not gens:
         raise ValueError("empty solution sample")
     return ValueSubdifferential(generators=gens, dim_theta=len(theta))
+
+
+def sample_rows_solver(X, solve_rows):
+    """A lower-level solver for the penalized verifier that answers the
+    sample rows X at a theta from one solve_rows(theta, X) call.
+
+    The penalized verifier asks about every sample at one theta, so the
+    first question at a theta solves all rows of X, and a sample's x reads a
+    copy of its row, so that a caller that edits an answer changes no later
+    one; any other x is solved alone, as row 0 of solve_rows(theta, x[None]).
+    solve_rows returns one answer row per query row, and each row must not
+    depend on the others: then every answer is that of a one-row solve.
+    """
+    rows = {row.tobytes(): i for i, row in enumerate(np.asarray(X, dtype=float))}
+    solved = {}
+
+    def solve(model, theta, x):
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        if key not in solved:
+            solved.clear()
+            solved[key] = solve_rows(theta, X)
+        x = np.asarray(x, dtype=float)
+        i = rows.get(x.tobytes())
+        if i is None:
+            return [solve_rows(theta, x[None])[0]]
+        return [solved[key][i].copy()]
+    return solve

@@ -15,7 +15,7 @@ from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
-from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution, _kkt_residual
+from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution
 from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
                                 _upper_generator)
 
@@ -85,6 +85,80 @@ def projected_gradient_qp(r, sigma, lam, max_iter=100000, tol=1e-13):
             return z_new
         z = z_new
     return z
+
+
+def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
+    """The KKT residual of one QP solution, as simplex_qp_loop reports it."""
+    stat = -r + lam * (sigma @ z) - lam_bounds + tau
+    comp = np.abs(lam_bounds * z)
+    gap = abs(tau * (z.sum() - 1.0))
+    return float(max(np.max(np.abs(stat)),
+                     np.max(comp, initial=0.0), gap,
+                     max(0.0, -np.min(lam_bounds, initial=0.0)),
+                     max(0.0, -tau),
+                     max(0.0, np.max(-z, initial=0.0)),
+                     max(0.0, z.sum() - 1.0)))
+
+
+def _oracle_face(r, sigma, lam, bounds, budget):
+    """The minimizer z and budget multiplier tau on the face of a working
+    set, as simplex_qp_loop solves it."""
+    d = len(r)
+    idx = [i for i in range(d) if i not in bounds]
+    k = len(idx)
+    z, tau = np.zeros(d), 0.0
+    if budget:
+        K = np.zeros((k + 1, k + 1))
+        K[:k, :k] = lam * sigma[np.ix_(idx, idx)]
+        K[:k, k] = 1.0
+        K[k, :k] = 1.0
+        sol = np.linalg.solve(K, np.concatenate([r[idx], [1.0]]))
+        z[idx] = sol[:k]
+        tau = float(sol[k])
+        drift = 1.0 - z[idx].sum()
+        if abs(drift) > _QP_EPS:
+            c = np.linalg.solve(K[:k, :k], np.ones(k))
+            z[idx] += drift * c / c.sum()
+            tau -= drift / c.sum()
+    elif k:
+        z[idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], r[idx])
+    return z, tau
+
+
+def qp_guess_route(r, sigma, lam):
+    """How the working-set guess of one QP ends, replayed one row at a time,
+    and the number of faces it solved: "certified" (a round's face point has
+    margins above _QP_EPS), "vertex" (a vertex start, which the guess leaves
+    to the loop's first step), "degenerate" (margins within _QP_EPS of 0),
+    "repeat" (a working set comes back) or "rounds" (d + 1 rounds certify
+    nothing)."""
+    eps = _QP_EPS
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    d = len(r)
+    z = FeasibleSet.simplex(d).project(np.linalg.solve(sigma, r) / lam)
+    bounds = frozenset(i for i in range(d) if z[i] <= eps)
+    budget = z.sum() >= 1.0 - eps
+    if budget and len(bounds) == d - 1:
+        return "vertex", 0
+    seen = set()
+    for _ in range(d + 1):
+        budget = budget and len(bounds) < d
+        if (bounds, budget) in seen:
+            return "repeat", len(seen)
+        seen.add((bounds, budget))
+        z, tau = _oracle_face(r, sigma, lam, bounds, budget)
+        grad = -r + lam * (sigma @ z)
+        mu = np.array([grad[i] + tau if i in bounds else 0.0 for i in range(d)])
+        total = z.sum()
+        margin = min([z[i] for i in range(d) if i not in bounds] + [mu[i] for i in bounds]
+                     + [tau if budget else 1.0 - total])
+        if margin > eps:
+            return "certified", len(seen)
+        if margin >= -eps:
+            return "degenerate", len(seen)
+        bounds = frozenset(i for i in range(d) if (mu[i] > 0 if i in bounds else z[i] < 0))
+        budget = tau > 0 if budget else total > 1.0
+    return "rounds", len(seen)
 
 
 def simplex_qp_loop(r, sigma, lam):

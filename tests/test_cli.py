@@ -783,13 +783,14 @@ NV_READ_KEYS = {"h", "b", "centers", "samples", "x", "y", "theta_bounds", "weigh
 NV_BAD_ENTRIES = [float("nan"), float("inf"), float("-inf"), True, False, "1.0", None]
 
 
-def problem_paths(doc, path=()):
-    """The path of every value in a newsvendor problem under a key it reads."""
+def problem_paths(doc, keys=NV_READ_KEYS, path=()):
+    """The path of every value in a problem under a key it reads: keys,
+    those of a newsvendor problem by default."""
     if isinstance(doc, dict):
-        items = [(k, v) for k, v in doc.items() if k in NV_READ_KEYS]
+        items = [(k, v) for k, v in doc.items() if k in keys]
     else:
         items = list(enumerate(doc)) if isinstance(doc, list) else []
-    return [p for k, v in items for p in [path + (k,)] + problem_paths(v, path + (k,))]
+    return [p for k, v in items for p in [path + (k,)] + problem_paths(v, keys, path + (k,))]
 
 
 @st.composite
@@ -850,6 +851,91 @@ def test_newsvendor_problem_input_boundary_property(case):
         assert code == 0 and json.loads(out.getvalue())["action"] == argv[1], err.getvalue()
     else:
         assert (code, out.getvalue()) == (1, ""), (problem, argv)
+
+
+# portfolio problem files: runs that read one (the problem comes last), and
+# the keys they read
+PF_PROBLEM_RUNS = [
+    head + [stem + suffix]
+    for stem, cert in (("pf1", ".exact.json"), ("pf2", ".exact.json"), ("pf3", ".cert.json"))
+    for head, suffix in ((["verify", "--mode", "convex", "--certificate"], cert),
+                         (["verify", "--mode", "penalized", "--certificate"], cert),
+                         (["spo-portfolio", "loss", "--theta"], ".theta.json"),
+                         (["spo-portfolio", "solve", "--theta"], ".theta.json"))]
+PF_READ_KEYS = {"sigma", "lambda", "samples", "x", "r", "weights"}
+
+
+@st.composite
+def portfolio_problem_cases(draw):
+    """(argv, problem, valid): the golden portfolio problem of a run with one
+    key dropped, one entry made NaN, Infinity, a boolean, a string or null,
+    or one list made one entry shorter or longer. valid says whether the
+    result is still a problem: only dropping the optional weights is."""
+    argv = draw(st.sampled_from(PF_PROBLEM_RUNS))
+    problem = json.loads((GOLDEN / (argv[-1].split(".")[0] + ".problem.json")).read_text())
+    kind = draw(st.sampled_from(["drop", "entry", "length"]))
+    paths = problem_paths(problem, PF_READ_KEYS)
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    elif kind == "length":
+        paths = [p for p in paths if isinstance(_at(problem, p), list)]
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(problem, path[:-1]), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "entry":
+        parent[key] = draw(st.sampled_from(NV_BAD_ENTRIES))
+    else:
+        parent[key] = parent[key][:-1] if draw(st.booleans()) else parent[key] + parent[key][-1:]
+    return argv, problem, kind == "drop" and path == ("weights",)
+
+
+def pf_golden_problem(stem, **entries):
+    return {**json.loads((GOLDEN / (stem + ".problem.json")).read_text()), **entries}
+
+
+@settings(max_examples=200, deadline=None)
+@given(portfolio_problem_cases())
+@example((PF_PROBLEM_RUNS[2], pf_golden_problem("pf1", weights=None), False))
+@example((PF_PROBLEM_RUNS[1], pf_golden_problem("pf1", **{"lambda": float("nan")}), False))
+@example((PF_PROBLEM_RUNS[3], pf_golden_problem("pf3", weights=[0.5, float("inf")]), False))
+def test_portfolio_problem_input_boundary_property(case):
+    """`verify` in both modes and `spo-portfolio loss` and `solve` on a
+    mutated golden portfolio problem: main() never raises, prints no
+    traceback and exits 0, 1 or 2. A mutation that leaves a problem gives
+    the action's answer; any other, a non-finite entry among them, exits 1
+    and prints nothing, so never "member": true."""
+    argv, problem, valid = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # json.dumps writes non-finite floats as the literals NaN and Infinity.
+        path = write(Path(tmp) / "problem.json", problem)
+        args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args + ["--problem", path])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if valid:
+        assert code in ((0, 2) if argv[0] == "verify" else (0,)) and out.getvalue(), err.getvalue()
+    else:
+        assert (code, out.getvalue()) == (1, ""), (problem, argv)
+        assert '"member": true' not in out.getvalue()
+
+
+def test_null_portfolio_weights_exit_1(tmp_path, capsys):
+    """A portfolio problem with "weights": null is an input error that names
+    weights, as in a newsvendor problem; leaving the key out reads uniform
+    weights."""
+    theta = str(GOLDEN / "pf1.theta.json")
+    good = pf_golden_problem("pf1")
+    for argv in (["spo-portfolio", "loss", "--theta", theta],
+                 ["verify", "--certificate", str(GOLDEN / "pf1.exact.json")]):
+        code, out, err = run(capsys, *argv, "--problem",
+                             write(tmp_path / "null.json", {**good, "weights": None}))
+        assert (code, out) == (1, "") and "weights is null" in err, err
+        del good["weights"]
+        code, out, _ = run(capsys, *argv, "--problem", write(tmp_path / "none.json", good))
+        assert code == 0 and out
+        good = pf_golden_problem("pf1")
 
 
 NULL_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
@@ -1228,10 +1314,10 @@ def test_search_reports_its_last_objective_without_solving_again(tmp_path, capsy
 
     ppath, _ = portfolio_problem_and_cert(tmp_path)
     events = []
-    search, solve = PF.spo_local_search, PF.solve_simplex_qp
+    search, solve = PF.spo_local_search, PF.solve_simplex_qp_rows
     monkeypatch.setattr(PF, "spo_local_search",
                         lambda *a, **k: (search(*a, **k), events.append("returned"))[0])
-    monkeypatch.setattr(PF, "solve_simplex_qp",
+    monkeypatch.setattr(PF, "solve_simplex_qp_rows",
                         lambda *a, **k: events.append("solve") or solve(*a, **k))
     code, out, _ = run(capsys, "spo-portfolio", "search", "--problem", ppath, "--steps", "3")
     assert code == 0 and events[-1] == "returned" and events.count("solve") > 0

@@ -126,3 +126,24 @@ def test_penalized_newsvendor_solves_all_samples_once(stem, certificate, capsys,
     monkeypatch.setattr(newsvendor, "solve_newsvendor_rows", solve)
     assert run(capsys, argv) == (case["exit"], case["stdout"])
     assert solves == [len(json.loads((GOLDEN / certificate).read_text())["scenarios"])]
+
+
+PORTFOLIO_PENALIZED = [c for c in EXPECTED["outputs"] if "penalized" in c["argv"]
+                       and any(a.startswith("pf") for a in c["argv"])]
+
+
+@pytest.mark.parametrize("case", PORTFOLIO_PENALIZED, ids=lambda c: " ".join(c["argv"]))
+def test_penalized_portfolio_solves_all_samples_in_one_call(case, capsys, monkeypatch):
+    """`verify --mode penalized` of a portfolio certificate solves the QPs
+    of all samples at its theta in one solve_simplex_qp_rows call and
+    prints the recorded bytes; pf3 and pf4 hold vertex solutions."""
+    from mstat import portfolio
+
+    calls = []
+    rows = portfolio.solve_simplex_qp_rows
+    monkeypatch.setattr(portfolio, "solve_simplex_qp_rows",
+                        lambda R, *args: calls.append(len(R)) or rows(R, *args))
+    problem = json.loads((GOLDEN / case["argv"][2]).read_text())
+    assert len(PORTFOLIO_PENALIZED) == 13
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert calls == [len(problem["samples"])]

@@ -37,7 +37,7 @@ from mstat.newsvendor import (
     solve_newsvendor_rows,
     verify_newsvendor_system,
 )
-from mstat.stationarity import gradient_selftest
+from mstat.stationarity import gradient_selftest, verify_certificate_penalized
 
 
 def single_center(y=5.0, theta=2.0):
@@ -557,6 +557,48 @@ def test_lower_solver_answers_are_one_row_solves(rng):
     [z] = solve(None, np.array([0.3]), queries[0])
     z[0] = np.nan
     assert not np.isnan(solve(None, np.array([0.3]), queries[0])[0][0])
+
+
+def test_cost_rows_equal_one_row_costs(rng, monkeypatch):
+    """NewsvendorLowerModel.cost_rows gives each pair of rows the float of
+    its one-row cost, on every case family, with order quantities at, below
+    and above the demands and repeated contexts; the rows share one weight
+    matrix per block of rows, also when the blocks are small."""
+    for inst, theta in cases(rng):
+        lm = NV.NewsvendorLowerModel(inst)
+        X = np.vstack([inst.samples.x, inst.samples.x[::-1]])
+        Z = np.concatenate([inst.samples.y, inst.samples.y[::-1]
+                            + rng.choice([-1.0, 0.0, 1e-9, 2.0], len(inst.samples.y))])
+        Z = [np.array([max(z, 0.0)]) for z in Z]
+        want = [lm.cost(z, [theta], x) for z, x in zip(Z, X)]
+        builds = []
+        weight_rows = NV._weight_rows
+        with monkeypatch.context() as m:
+            m.setattr(NV, "_weight_rows", lambda *a: builds.append(None) or weight_rows(*a))
+            got = lm.cost_rows(Z, np.array([theta]), X)
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+        assert len(builds) == 1
+        with monkeypatch.context() as m:
+            m.setattr(NV, "_BLOCK_ENTRIES", 3 * X.size // len(X) * len(inst.centers.y))
+            assert lm.cost_rows(Z, np.array([theta]), X).tolist() == got.tolist()
+
+
+def test_penalized_newsvendor_verify_builds_weights_per_bandwidth(monkeypatch):
+    """`verify --mode penalized` on a newsvendor certificate builds three
+    weight matrices at its bandwidth, for the scenario terms, the lower
+    solves and the lower costs, however many samples it has."""
+    weight_rows = NV._weight_rows
+    for n in (5, 40):
+        inst = random_instance(np.random.default_rng(n), n, 2, "plain")
+        z = NV.solve_newsvendor_rows(inst.model(0.4), inst.samples.x, inst.h, inst.b)
+        parts = [{"z": float(v), "eta": 0.0, "zeta": 0.0} for v in z]
+        builds = []
+        with monkeypatch.context() as m:
+            m.setattr(NV, "_weight_rows", lambda *a: builds.append(None) or weight_rows(*a))
+            report = verify_certificate_penalized(
+                NV.as_problem(inst), NV.newsvendor_certificate(0.4, parts),
+                solver=NV.lower_solver(inst))
+        assert len(builds) == 3 and report.columns.value_gap == [0.0] * n
 
 
 def test_blocked_rows_equal_unblocked(rng, monkeypatch):

@@ -1,7 +1,10 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mstat.portfolio import (
     LinearPredictor,
@@ -10,9 +13,11 @@ from mstat.portfolio import (
     as_problem,
     empirical_spo_objective,
     fit_least_squares,
+    lower_solver,
     read_samples_csv,
     realizable_certificate,
     solve_simplex_qp,
+    solve_simplex_qp_rows,
     spo_local_search,
     spo_loss,
 )
@@ -22,7 +27,7 @@ from mstat.stationarity import (
     gradient_selftest,
     verify_certificate,
 )
-from conftest import projected_gradient_qp, simplex_qp_loop
+from conftest import projected_gradient_qp, qp_guess_route, simplex_qp_loop
 
 I2 = np.eye(2)
 
@@ -226,6 +231,160 @@ def test_qp_guess_solves_an_interior_budget_face_once(monkeypatch):
 def test_qp_rejects_non_pd():
     with pytest.raises(np.linalg.LinAlgError):
         solve_simplex_qp([1.0, 1.0], np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_simplex_qp_rows(np.ones((3, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the rows solver
+
+QP_ROW_FAMILIES = ("random", "large returns", "zero multipliers", "low rank", "ties")
+# Three-asset QPs on which the one-row guess meets a working set twice, and
+# on which d + 1 rounds certify nothing: (r, B, s, lam) with Sigma = B B^T + s I.
+RARE_ROUTES = {"repeat": ([1.0, 9.0, -9.0], [[2, -3, -1], [3, -2, -2], [-3, 0, 1]], 0.1, 10.0),
+               "rounds": ([-0.7, -0.8, -0.1], [[3, -2, 1], [3, -1, 0], [3, 0, -2]], 0.01, 2.0)}
+
+
+def qp_rows(rng, family, k, shared):
+    """k return rows (R, Sigma, lambda) that share Sigma and lambda. "large
+    returns" mostly start at a vertex, "zero multipliers" have an optimum
+    with a zero coordinate whose multiplier is 0 as well (a degenerate
+    margin), and "low rank" has a nearly singular Sigma, where the guess can
+    meet a working set twice. shared makes every row after the first a copy
+    of an earlier one."""
+    d = int(rng.integers(1, 13))
+    B = rng.standard_normal((d, d))
+    sigma, lam = B @ B.T + 0.1 * np.eye(d), float(10.0 ** rng.uniform(-3.0, 3.0))
+    R = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-2.0, 3.0, (k, 1))
+    if family == "large returns":
+        R = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(0.0, 6.0, (k, 1))
+    elif family == "zero multipliers":
+        sigma, lam = B @ B.T + 0.5 * np.eye(d), float(rng.uniform(0.5, 2.0))
+        Z = rng.random((k, d)) * (rng.random((k, d)) >= 0.4)
+        Z *= np.where(rng.random((k, 1)) < 0.5, 1.0, 0.9) / np.maximum(Z.sum(axis=1), 1.0)[:, None]
+        tau = np.where(np.isclose(Z.sum(axis=1), 1.0), rng.choice([0.0, 0.5], k), 0.0)
+        mu = np.where(Z == 0, rng.choice([0.0, 1.0], (k, d)) * rng.random((k, d)), 0.0)
+        R = lam * Z @ sigma + tau[:, None] - mu
+    elif family == "low rank":
+        B = rng.standard_normal((d, min(d, 3)))
+        sigma = B @ B.T + 10.0 ** rng.uniform(-4.0, -2.0) * np.eye(d)
+        R = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3.0, 2.0, (k, 1))
+        lam = float(10.0 ** rng.uniform(-2.0, 2.0))
+    elif family == "ties":
+        B = rng.integers(-2, 3, (d, d)).astype(float)
+        sigma, lam = B @ B.T + np.eye(d), float(rng.integers(1, 4))
+        R = rng.integers(-3, 4, (k, d)).astype(float)
+    if shared:
+        R[1:] = R[rng.integers(0, k, k - 1)]
+    return R, sigma, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(QP_ROW_FAMILIES), st.integers(1, 12),
+       st.booleans())
+def test_rows_solver_equals_one_row_solves_and_the_loop(seed, family, k, shared):
+    """solve_simplex_qp_rows gives each row the solution of its one-row
+    solve and of the active-set loop alone (simplex_qp_loop), to the bit in
+    every field."""
+    R, sigma, lam = qp_rows(np.random.default_rng(seed), family, k, shared)
+    for r, sol in zip(R, solve_simplex_qp_rows(R, sigma, lam)):
+        assert (solution_bytes(sol) == solution_bytes(solve_simplex_qp(r, sigma, lam))
+                == solution_bytes(simplex_qp_loop(r, sigma, lam))), (family, r.tolist())
+
+
+def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
+    """Round by round, each row solves the faces of its one-row guess
+    (qp_guess_route), and it goes to the active-set loop exactly when that
+    guess certifies none of them; a vertex start solves one face, the
+    loop's first, and goes to the loop only when that step, stacked, does
+    not return. The row sets reach every route, and every answer is the
+    loop's."""
+    import mstat.portfolio as PF
+
+    solved, looped = Counter(), {}
+    face_rows, loop = PF._face_rows, PF._active_set_loop
+
+    def count(R, *args):
+        solved.update(r.tobytes() for r in R)
+        return face_rows(R, *args)
+
+    def spy(r, *args):
+        looped.setdefault(r.tobytes(), solved[r.tobytes()])
+        return loop(r, *args)
+
+    monkeypatch.setattr(PF, "_face_rows", count)
+    monkeypatch.setattr(PF, "_active_set_loop", spy)
+    rng = np.random.default_rng(20)
+    cases = [qp_rows(rng, family, 6, seed % 3 == 0)
+             for seed in range(40) for family in QP_ROW_FAMILIES]
+    cases += [(np.array([r]), np.array(B) @ np.array(B).T + s * np.eye(3), lam)
+              for r, B, s, lam in RARE_ROUTES.values()]
+    routes = set()
+    for R, sigma, lam in cases:
+        solved.clear()
+        looped.clear()
+        copies = Counter(r.tobytes() for r in R)
+        for r, sol in zip(R, PF.solve_simplex_qp_rows(R, sigma, lam)):
+            key = r.tobytes()
+            route, faces = qp_guess_route(r, sigma, lam)
+            if route == "vertex":
+                route += ", loop" if key in looped else ", first step"
+                faces = 1
+            assert (key in looped) == (route not in ("certified", "vertex, first step")), route
+            assert looped.get(key, solved[key]) == faces * copies[key], route
+            routes.add(route)
+            assert solution_bytes(sol) == solution_bytes(simplex_qp_loop(r, sigma, lam))
+    assert routes == {"certified", "vertex, first step", "vertex, loop", "degenerate",
+                      "repeat", "rounds"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
+def test_rows_solver_raises_the_error_of_its_first_bad_row(seed, k):
+    """Rows with returns that are not finite or beyond 1e150, or whose
+    Sigma^-1 r / lambda reaches 2^52, make the rows call raise the
+    ValueError of the first such row's one-row solve."""
+    rng = np.random.default_rng(seed)
+    R, sigma, lam = qp_rows(rng, "random", k, False)
+    d = R.shape[1]
+    bad = sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+    for i in bad:
+        if rng.random() < 0.5:
+            R[i, rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf, 1e151])
+        else:
+            R[i] = lam * 2.0 ** 53 * (sigma @ rng.choice([-1.0, 1.0], d))
+    with pytest.raises(ValueError) as one_row:
+        solve_simplex_qp(R[bad[0]], sigma, lam)
+    with pytest.raises(ValueError) as rows:
+        solve_simplex_qp_rows(R, sigma, lam)
+    assert str(rows.value) == str(one_row.value)
+    assert len(solve_simplex_qp_rows(R[:bad[0]], sigma, lam)) == bad[0]
+
+
+def test_rows_on_one_working_set_share_each_solve(monkeypatch):
+    """16 rows whose optima lie inside the budget face, where their
+    projected starts already are, make two np.linalg.solve calls in all:
+    Sigma^-1 R and the face, each stacked over the 16 matrices of a one-row
+    solve's calls."""
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((8, 8))
+    sigma = B @ B.T + 8.0 * np.eye(8)
+    Z = rng.uniform(0.5, 1.5, (16, 8))
+    Z /= Z.sum(axis=1, keepdims=True)
+    R = 2.0 * Z @ sigma + 0.3
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(len(b) if np.ndim(b) == 3 else 1)
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counted)
+        solutions = solve_simplex_qp_rows(R, sigma, 2.0)
+    assert calls == [16, 16]
+    assert all(s.active_bounds == () and s.budget_active for s in solutions)
+    assert [solve_counting(monkeypatch, solve_simplex_qp, r, sigma, 2.0)[1] for r in R] == [2] * 16
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +556,31 @@ def test_verify_reports_the_beta_the_sign_conditions_pin():
     rep = verify_certificate(as_problem(inst), cert)
     assert rep.passed and [s["witness"]["beta"] for s in rep.to_dict()["scenarios"]] == betas
     assert any(b not in (None, 0.0) for b in betas)
+
+
+def test_lower_solver_answers_are_one_row_solves(monkeypatch):
+    """lower_solver solves every sample at a theta in one
+    solve_simplex_qp_rows call and reads a sample's row from it; a query
+    that is no sample is solved alone. Each answer is the z of a one-row
+    solve at the predicted returns, and the caller's own array."""
+    import mstat.portfolio as PF
+
+    inst, theta0 = small_instance()
+    solve = lower_solver(inst)
+    queries = [x for x, _ in inst.samples] + [np.array([0.3, -0.2])]
+    thetas = (theta0, theta0 + 0.3, theta0)
+    calls = []
+    rows = PF.solve_simplex_qp_rows
+    with monkeypatch.context() as m:
+        m.setattr(PF, "solve_simplex_qp_rows", lambda R, *a: calls.append(len(R)) or rows(R, *a))
+        answers = [solve(None, theta.ravel(), x)[0] for theta in thetas for x in queries]
+    assert calls == [5, 1] * 3
+    want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z
+            for theta in thetas for x in queries]
+    assert [z.tobytes() for z in answers] == [z.tobytes() for z in want]
+    [z] = solve(None, theta0.ravel(), queries[0])
+    z[0] = np.nan
+    assert not np.isnan(solve(None, theta0.ravel(), queries[0])[0][0])
 
 
 # ---------------------------------------------------------------------------
