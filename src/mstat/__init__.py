@@ -18,17 +18,13 @@ from .cones import (
     InfeasiblePointError,
     Polyhedron,
     active_set,
-    critical_cone,
     distance_to_normal_cone,
     face_difference,
-    faces_of_cone,
     member_h,
     member_v,
-    normal_cone_multiplier,
     orthant_polyhedron,
     polar_cone,
     simplex_polyhedron,
-    tangent_cone,
 )
 from .graph_normals import (
     GraphPoint,

@@ -1,5 +1,5 @@
-"""Command line front end: cone queries, coderivative membership, certificate
-verification, application pipelines, synthetic data and gradient self-checks.
+"""Command line front end: coderivative membership, certificate verification,
+application pipelines, synthetic data and gradient self-checks.
 
 Exit codes: 0 success or verification pass, 2 verification fail, 1 usage,
 input or numeric error. All emitted JSON carries schema tag "mstat/1" and is
@@ -223,12 +223,20 @@ def _finite_array(value, name):
         raise CliError("%s must be an array of finite numbers" % name)
 
 
+def _require(obj, keys, what):
+    """Raise a CliError naming the keys that the JSON object obj lacks."""
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise CliError("%s is missing %s" % (what, ", ".join(missing)))
+
+
 def _feasible_from_spec(spec, dim):
     if spec == "orthant":
         return ST.FeasibleSet.orthant(dim)
     if spec == "simplex":
         return ST.FeasibleSet.simplex(dim)
     if isinstance(spec, dict):
+        _require(spec, ("A", "b"), "the query's Z")
         poly = C.Polyhedron(_finite_array(spec["A"], "A"), _finite_array(spec["b"], "b"))
         if poly.dim != dim:
             raise CliError("A has %d columns but z has %d entries" % (poly.dim, dim))
@@ -236,82 +244,15 @@ def _feasible_from_spec(spec, dim):
     raise CliError("unrecognized feasible set: %r" % (spec,))
 
 
-def _cone_from_query(q, cls, keys):
-    """The "cone" of a query: an object whose matrices (keys) are lists of
-    rows of finite numbers, read as cls."""
-    spec = q.get("cone")
-    if not isinstance(spec, dict):
-        raise CliError('"cone" must be an object')
-    for key in keys:
-        rows = spec.get(key)
-        if rows is not None and rows != [] and _finite_array(rows, key).ndim != 2:
-            raise CliError("%s must be a list of rows" % key)
-    return cls.from_dict(spec)
-
-
-def _row_indices(q, key):
-    """q[key] (default []) as a list of integer row indices, booleans excluded."""
-    rows = q.get(key, [])
-    if type(rows) is not list or any(type(i) is not int for i in rows):
-        raise CliError("%s must be a list of integer row indices" % key)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_cones(args):
-    q = _load_json(args.input, "query")
-    op = q.get("op")
-    eps = GN.finite_number(q.get("eps", args.tol if args.tol is not None else C.DEFAULT_EPS),
-                           "eps")
-    if eps <= 0:
-        raise CliError("eps must be positive")
-    out = {"schema": SCHEMA, "op": op}
-    if op in ("active-set", "tangent", "normal-multiplier", "critical", "face-difference"):
-        z = GN.finite_vector(q["z"], "z")
-        fs = _feasible_from_spec(q["Z"], len(z))
-        poly = fs.as_polyhedron()
-        if op == "active-set":
-            out["active"] = list(C.active_set(poly, z, eps))
-            out["near_threshold"] = list(C.active_diagnostics(poly, z, eps))
-        elif op == "tangent":
-            out["cone"] = C.tangent_cone(poly, z, eps).to_dict()
-        elif op == "normal-multiplier":
-            dec = C.normal_cone_multiplier(poly, z, GN.finite_vector(q["v"], "v"), eps)
-            if dec is None:
-                out["member"] = False
-            else:
-                out.update({"member": True, "lambda": dec.lam.tolist(),
-                            "I_plus": list(dec.I_plus), "I_zero": list(dec.I_zero)})
-        elif op == "critical":
-            out["cone"] = C.critical_cone(poly, z, GN.finite_vector(q["v"], "v"), eps).to_dict()
-        else:
-            cone = C.face_difference(poly, z, GN.finite_vector(q["v"], "v"),
-                                     _row_indices(q, "J1"), _row_indices(q, "J2"), eps=eps)
-            out["cone"] = cone.to_dict()
-    elif op == "polar":
-        out["cone"] = C.polar_cone(_cone_from_query(q, C.ConeRepH, ("E", "G"))).to_dict()
-    elif op == "faces":
-        faces = C.faces_of_cone(_cone_from_query(q, C.ConeRepH, ("E", "G")), eps)
-        out["faces"] = [{"J": list(f.J), **f.cone.to_dict()} for f in faces]
-    elif op == "member-h":
-        out["member"] = C.member_h(_cone_from_query(q, C.ConeRepH, ("E", "G")),
-                                   GN.finite_vector(q["d"], "d"), eps)
-    elif op == "member-v":
-        out["member"] = C.member_v(_cone_from_query(q, C.ConeRepV, ("R", "L")),
-                                   GN.finite_vector(q["w"], "w"), eps)
-    else:
-        raise CliError("unknown cones op: %r" % op)
-    _dump(out, args)
-    if args.format == "text":
-        print(json.dumps(out, sort_keys=True))
-    return 0
-
-
 def cmd_gph_normal(args):
     q = _load_json(args.input, "query")
+    _require(q, ("Z", "z", "g", "zeta", "eta"), "the query")
     gp = GN.GraphPoint(q["z"], q["g"])
+    if not gp.z.size:
+        raise CliError("z must have at least one entry")
     pair = GN.NormalPair(q["zeta"], q["eta"])
     if pair.zeta.shape != gp.z.shape:
         raise CliError("zeta and eta must have the dimension of z")
@@ -352,9 +293,19 @@ def _newsvendor_from_json(data):
         raise CliError("bad newsvendor problem: %s" % exc)
 
 
+def _portfolio_theta(value, inst):
+    """A portfolio theta, given as a vector of d_x d_z finite numbers or as
+    the d_x by d_z matrix, as that matrix; any other shape is a CliError
+    that names both."""
+    theta = _finite_array(value, "theta")
+    if theta.shape not in ((inst.d_x * inst.d_z,), (inst.d_x, inst.d_z)):
+        raise CliError("theta must be a vector of %d entries or a %d by %d matrix; "
+                       "got shape %s" % (inst.d_x * inst.d_z, inst.d_x, inst.d_z, theta.shape))
+    return theta.reshape(inst.d_x, inst.d_z)
+
+
 def _portfolio_certificate(data, inst):
-    """A portfolio certificate, whose theta is a vector of d_x d_z entries
-    or the d_x by d_z matrix."""
+    """A portfolio certificate, whose theta _portfolio_theta reads."""
     scen = []
     for i, s in enumerate(data.get("scenarios", [])):
         try:
@@ -362,12 +313,7 @@ def _portfolio_certificate(data, inst):
                 GN.optional_entry(s, key, i) for key in ("zeta", "mu", "value_weights"))))
         except KeyError as exc:
             raise CliError("certificate scenario %d is missing %s" % (i, exc))
-    cert = ST.Certificate(theta=data["theta"], scenarios=scen)
-    shape = np.shape(data["theta"])
-    if len(shape) == 2 and shape != (inst.d_x, inst.d_z):
-        raise CliError("theta must be a vector of %d entries or a %d by %d matrix; "
-                       "got shape %s" % (inst.d_x * inst.d_z, inst.d_x, inst.d_z, shape))
-    return cert
+    return ST.Certificate(theta=_portfolio_theta(data["theta"], inst), scenarios=scen)
 
 
 def cmd_verify(args):
@@ -412,7 +358,7 @@ def cmd_spo_portfolio(args):
         raise CliError("--theta FILE is required for action %r" % args.action)
     theta = None
     if args.theta:
-        theta = _finite_array(_load_json(args.theta, "theta", kind=list), "theta")
+        theta = _portfolio_theta(_load_json(args.theta, "theta", kind=list), inst)
     if args.action == "fit":
         out["theta"] = PF.fit_least_squares(inst).theta.tolist()
     elif args.action == "loss":
@@ -431,7 +377,7 @@ def cmd_spo_portfolio(args):
         cert, betas = PF.realizable_certificate(inst, theta)
         out["certificate"] = {
             "schema": SCHEMA,
-            "theta": np.asarray(theta, dtype=float).tolist(),
+            "theta": theta.tolist(),
             "scenarios": [{"z": z, "eta": eta, "zeta": zeta, "beta": b}
                           for z, eta, zeta, b in zip(cert.z.tolist(), cert.eta.tolist(),
                                                      cert.zeta.tolist(), betas)],
@@ -626,12 +572,6 @@ def build_parser():
         description="Polyhedral coderivative calculus and stationarity "
                     "certificate verification")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    p = sp.add_parser("cones", help="tangent/normal/critical cone queries")
-    p.add_argument("--input", required=True)
-    _tol(p, "activity tolerance eps (default 1e-9); an \"eps\" in the query wins")
-    _output(p)
-    p.set_defaults(func=cmd_cones)
 
     p = sp.add_parser("gph-normal", help="coderivative membership query")
     p.add_argument("--input", required=True)

@@ -1,16 +1,16 @@
 """Exact polyhedral cone primitives over feasible sets Z = {z : A z <= b}.
 
 Everything here is desk scale: membership questions become tiny linear
-feasibility problems, distances to normal cones non-negative least-squares
-problems, and face enumerations are exponential in the number of active rows
-and deliberately capped. Tangent, normal and critical cones follow
-the classical descriptions for linear inequality systems; the multiplier
-searches make the implicit existential quantifiers explicit.
+feasibility problems and distances to normal cones non-negative
+least-squares problems. Active sets, multiplier searches over a support and
+normal-cone distances serve the coderivative routes of graph_normals and the
+verifiers of stationarity; polars, cone membership and face differences of
+critical cones serve the face-pair oracle, graph_normals.oracle_membership.
 
 Tolerance contract. The paper's conditions are exact inclusions, so every
 borderline verdict is decided by a tolerance. The user sets one, eps: the
-`--tol` or the query's "eps" of `mstat cones` and `mstat gph-normal`. Every
-other value is a module constant, read at call time.
+`--tol` of `mstat gph-normal`. Every other value is a module constant, read
+at call time.
   eps (DEFAULT_EPS = 1e-9 unless set), absolute. Row i is active at z when
     |b_i - a_i^T z| <= eps; a slack below -eps makes z infeasible. A number
     x vanishes when |x| <= eps: a multiplier, a slope a_i^T eta, an entry of
@@ -30,19 +30,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .lp import linear_feasible, nnls
 
 __all__ = [
-    "Polyhedron", "ConeRepH", "ConeRepV", "ActiveDecomposition", "Face",
+    "Polyhedron", "ConeRepH", "ConeRepV", "ActiveDecomposition",
     "InfeasiblePointError", "CombinatorialLimitError",
     "orthant_polyhedron", "simplex_polyhedron",
-    "active_set", "active_rows", "active_diagnostics", "tangent_cone",
-    "normal_cone_multiplier", "critical_cone",
-    "polar_cone", "member_h", "member_v", "faces_of_cone",
+    "active_set", "active_rows", "active_diagnostics",
+    "polar_cone", "member_h", "member_v",
     "face_difference", "cone_coefficients", "multiplier_within_support",
     "distance_to_normal_cone", "cone_distance", "cone_residual",
 ]
@@ -112,10 +110,6 @@ class Polyhedron:
     def to_dict(self):
         return {"A": self.A.tolist(), "b": self.b.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["A"], d["b"])
-
 
 def orthant_polyhedron(d):
     """The nonnegative orthant as {-I z <= 0}."""
@@ -149,18 +143,6 @@ class _ConeRep:
     @property
     def dim(self):
         return getattr(self, self._KEYS[0]).shape[1]
-
-    def to_dict(self):
-        return {key: getattr(self, key).tolist() for key in self._KEYS}
-
-    @classmethod
-    def from_dict(cls, d):
-        dim = None
-        for key in cls._KEYS:
-            rows = d.get(key) or []
-            if rows:
-                dim = len(rows[0])
-        return cls(*(d.get(key) for key in cls._KEYS), dim=dim)
 
 
 @dataclass(frozen=True, init=False)
@@ -226,40 +208,6 @@ def active_diagnostics(poly, z, eps=DEFAULT_EPS):
     return tuple(int(i) for i in np.flatnonzero(near))
 
 
-def tangent_cone(poly, z, eps=DEFAULT_EPS):
-    """{d : a_i^T d <= 0 for active i}; the full space at interior points."""
-    I = active_set(poly, z, eps)
-    return ConeRepH(None, poly.A[list(I)], dim=poly.dim)
-
-
-def normal_cone_multiplier(poly, z, v, eps=DEFAULT_EPS):
-    """Decompose -v over the active rows: find lam >= 0 with A^T lam = -v.
-
-    Decides 0 in v + N_Z(z): pass v = grad f to certify stationarity of f, or
-    v = -w to test w in N_Z(z). Returns an ActiveDecomposition or None.
-    Off-active multipliers are pinned to zero (complementary slackness).
-    """
-    I = active_set(poly, z, eps)
-    lam = multiplier_within_support(poly, z, -np.asarray(v, dtype=float), I, eps)
-    if lam is None:
-        return None
-    plus = tuple(i for i in I if lam[i] > eps)
-    zero = tuple(i for i in I if i not in plus)
-    return ActiveDecomposition(I=I, lam=lam, I_plus=plus, I_zero=zero)
-
-
-def critical_cone(poly, z, v_normal, eps=DEFAULT_EPS):
-    """Critical cone at z for v_normal in N_Z(z), in multiplier-split form.
-
-    Rows with positive multiplier become equalities, zero-multiplier active
-    rows stay inequalities. Raises if v_normal is not a normal vector at z.
-    """
-    decomp = normal_cone_multiplier(poly, z, -np.asarray(v_normal, dtype=float), eps)
-    if decomp is None:
-        raise ValueError("v_normal is not in the normal cone at z")
-    return ConeRepH(poly.A[list(decomp.I_plus)], poly.A[list(decomp.I_zero)], dim=poly.dim)
-
-
 def polar_cone(K):
     """Polar of {E d = 0, G d <= 0} is {G^T mu + E^T nu : mu >= 0, nu free}."""
     return ConeRepV(K.G, K.E, dim=K.dim)
@@ -285,63 +233,13 @@ def member_v(V, w, eps=DEFAULT_EPS):
     return cone_coefficients(w, V.R, V.L, eps) is not None
 
 
-@dataclass(frozen=True)
-class Face:
-    """A closed face of a halfspace-form cone together with its defining rows."""
-
-    cone: ConeRepH
-    J: tuple
-    tight: frozenset
-
-
-def faces_of_cone(K, eps=DEFAULT_EPS):
-    """All closed faces of K, one per distinct face set.
-
-    Promotes every subset J of G-rows to equalities and deduplicates
-    set-equal results by their tight-row signature (two faces of the same
-    system coincide exactly when the same G-rows are forced to equality).
-    Exponential in the G-row count and refused beyond MAX_ACTIVE_ROWS.
-    """
-    r = K.G.shape[0]
-    if r > MAX_ACTIVE_ROWS:
-        raise CombinatorialLimitError("%d inequality rows exceeds cap %d"
-                                      % (r, MAX_ACTIVE_ROWS))
-    out = []
-    seen = {}
-    for size in range(r + 1):
-        for J in combinations(range(r), size):
-            mask = np.zeros(r, dtype=bool)
-            mask[list(J)] = True
-            face = ConeRepH(np.vstack([K.E, K.G[mask]]) if K.E.shape[0] or mask.any() else None,
-                            K.G[~mask], dim=K.dim)
-            sig = _tight_rows_signature(K, mask, face, eps)
-            if sig in seen:
-                continue
-            seen[sig] = True
-            out.append(Face(cone=face, J=tuple(int(j) for j in J), tight=sig))
-    return out
-
-
-def _tight_rows_signature(K, mask, face, eps):
-    """Indices of K's G-rows forced to equality on the candidate face."""
-    polar = polar_cone(face)
-    tight = set(int(j) for j in np.flatnonzero(mask))
-    for i in np.flatnonzero(~mask):
-        if member_v(polar, -K.G[int(i)], eps):
-            tight.add(int(i))
-    return frozenset(tight)
-
-
-def face_difference(poly, z, v_normal, J1, J2, decomposition=None, eps=DEFAULT_EPS):
+def face_difference(poly, decomposition, J1, J2):
     """Minkowski difference F_J1 - F_J2 of nested critical-cone faces.
 
-    Needs J1 subseteq J2 subseteq I_zero of the multiplier split; the result
-    keeps equalities on I_plus + J1 and inequalities on J2 \\ J1 only.
+    decomposition is the multiplier split of a normal vector at the point.
+    Needs J1 subseteq J2 subseteq its I_zero; the result keeps equalities on
+    I_plus + J1 and inequalities on J2 \\ J1 only.
     """
-    if decomposition is None:
-        decomposition = normal_cone_multiplier(poly, z, -np.asarray(v_normal, dtype=float), eps)
-        if decomposition is None:
-            raise ValueError("v_normal is not in the normal cone at z")
     J1 = frozenset(int(j) for j in J1)
     J2 = frozenset(int(j) for j in J2)
     if not J1 <= J2:

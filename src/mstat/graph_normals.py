@@ -303,8 +303,7 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
                 if key in seen:
                     continue
                 seen.add(key)
-                diff = face_difference(poly, gp.z, None, J1, J2,
-                                       decomposition=split, eps=eps)
+                diff = face_difference(poly, split, J1, J2)
                 if member_h(diff, -eta, eps) and member_v(polar_cone(diff), zeta, eps):
                     return Membership(True, "member", "oracle",
                                       {"support": list(S), "J1": list(J1),

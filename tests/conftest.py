@@ -8,9 +8,9 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
-                         ConeRepH, Polyhedron, active_rows, active_set, cone_distance, member_v,
-                         multiplier_within_support, polar_cone)
+from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, ActiveDecomposition,
+                         CombinatorialLimitError, Polyhedron, active_rows, active_set, cone_distance,
+                         multiplier_within_support)
 from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
@@ -707,18 +707,22 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
 
 
 # ---------------------------------------------------------------------------
-# cones: independent cross-checks of the multiplier split and of face order
+# cones: the multiplier split of a normal vector, and independent checks
 
-def critical_cone_perp_form(poly, z, v_normal, eps=DEFAULT_EPS):
-    """Multiplier-free form T_Z(z) intersected with the hyperplane v_normal^perp.
+def normal_cone_multiplier(poly, z, v, eps=DEFAULT_EPS):
+    """Decompose -v over the active rows: find lam >= 0 with A^T lam = -v.
 
-    Set-equal to critical_cone for any valid multiplier split; kept as an
-    independent cross-check because the split is not unique.
+    Decides 0 in v + N_Z(z): pass v = grad f to certify stationarity of f, or
+    v = -w to test w in N_Z(z). Returns an ActiveDecomposition or None.
+    Off-active multipliers are pinned to zero (complementary slackness).
     """
-    v = np.asarray(v_normal, dtype=float)
     I = active_set(poly, z, eps)
-    E = v.reshape(1, -1) if np.max(np.abs(v), initial=0.0) > eps else None
-    return ConeRepH(E, poly.A[list(I)], dim=poly.dim)
+    lam = multiplier_within_support(poly, z, -np.asarray(v, dtype=float), I, eps)
+    if lam is None:
+        return None
+    plus = tuple(i for i in I if lam[i] > eps)
+    zero = tuple(i for i in I if i not in plus)
+    return ActiveDecomposition(I=I, lam=lam, I_plus=plus, I_zero=zero)
 
 
 def polyhedron_contains(poly, z, eps=DEFAULT_EPS):
@@ -757,18 +761,6 @@ def count_lps(monkeypatch):
     solve = LP._solve_standard
     monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
     return calls
-
-
-def face_contains(outer, inner, eps=DEFAULT_EPS):
-    """inner subseteq outer, decided row by row via polar membership."""
-    polar_inner = polar_cone(inner)
-    for g in outer.G:
-        if not member_v(polar_inner, g, eps):
-            return False
-    for e in outer.E:
-        if not (member_v(polar_inner, e, eps) and member_v(polar_inner, -e, eps)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

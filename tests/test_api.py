@@ -91,20 +91,18 @@ def _eps_callees(fn):
 
 
 def test_the_user_set_eps_reaches_an_eps_parameter():
-    """Every function that `mstat cones` and `mstat gph-normal` hand --tol or
-    the query's "eps" to, directly or through the functions they call, takes
-    it as a parameter named eps."""
+    """Every function that `mstat gph-normal` hands --tol to, directly or
+    through the functions it calls, takes it as a parameter named eps."""
     from mstat import cli
-    seen, todo = set(), [cli.cmd_cones, cli.cmd_gph_normal]
+    seen, todo = set(), [cli.cmd_gph_normal]
     while todo:
         for callee in _eps_callees(todo.pop()):
             if callee not in seen:
                 seen.add(callee)
                 todo.append(callee)
-    assert {"active_set", "active_diagnostics", "tangent_cone", "normal_cone_multiplier",
-            "critical_cone", "face_difference", "faces_of_cone", "member_h", "member_v",
-            "orthant_membership", "simplex_membership", "polyhedron_membership",
-            "make_graph_context", "cone_coefficients", "multiplier_within_support",
-            "_orthant_rows", "_simplex_rows"} <= {f.__name__ for f in seen}
+    assert {"active_set", "active_diagnostics", "orthant_membership", "simplex_membership",
+            "polyhedron_membership", "make_graph_context", "cone_coefficients",
+            "multiplier_within_support", "_orthant_rows", "_simplex_rows"} \
+        <= {f.__name__ for f in seen}
     assert [f.__qualname__ for f in seen
             if "eps" not in inspect.signature(f).parameters] == []

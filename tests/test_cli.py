@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,55 +69,115 @@ def test_gph_normal_non_graph_point_is_empty(tmp_path, capsys):
     assert data["member"] is False and data["verdict"] == "empty_coderivative"
 
 
-# ---------------------------------------------------------------------------
-# cones
-
-def test_cones_ops(tmp_path, capsys):
-    q = write(tmp_path / "q.json",
-              {"op": "active-set", "Z": "orthant", "z": [0.0, 1.0]})
-    code, out, _ = run(capsys, "cones", "--input", q)
-    assert code == 0 and json.loads(out)["active"] == [0]
-
-    q2 = write(tmp_path / "q2.json",
-               {"op": "normal-multiplier", "Z": "orthant",
-                "z": [0.0, 0.0], "v": [1.0, 2.0]})
-    code, out, _ = run(capsys, "cones", "--input", q2)
-    data = json.loads(out)
-    assert data["member"] and data["lambda"] == [1.0, 2.0]
-
-    q3 = write(tmp_path / "q3.json",
-               {"op": "polar", "cone": {"E": [], "G": [[-1.0, 0.0], [0.0, -1.0]]}})
-    code, out, _ = run(capsys, "cones", "--input", q3)
-    assert json.loads(out)["cone"]["R"] == [[-1.0, 0.0], [0.0, -1.0]]
-
-    q4 = write(tmp_path / "q4.json",
-               {"op": "faces", "cone": {"E": [], "G": [[-1.0, 0.0], [0.0, -1.0]]}})
-    code, out, _ = run(capsys, "cones", "--input", q4)
-    assert len(json.loads(out)["faces"]) == 4
-
-
-BAD_CONES_QUERIES = {
-    "z-object": {"op": "active-set", "Z": "orthant", "z": {"a": 1}},
-    "z-nan": {"op": "active-set", "Z": "orthant", "z": [float("nan"), 1.0]},
-    "polyhedron-A-object": {"op": "active-set", "Z": {"A": {"x": 1}, "b": [0.0]}, "z": [0.0]},
-    "polyhedron-A-boolean": {"op": "active-set", "Z": {"A": [[True]], "b": [0.0]}, "z": [0.0]},
-    "eps-string": {"op": "active-set", "Z": "orthant", "z": [0.0], "eps": "abc"},
-    "eps-zero": {"op": "active-set", "Z": "orthant", "z": [0.0], "eps": 0},
-    "v-boolean-and-string": {"op": "normal-multiplier", "Z": "orthant", "z": [0.0, 0.0],
-                             "v": [True, "1"]},
-    "polar-cone-list": {"op": "polar", "cone": [1, 2]},
-    "polar-cone-flat-rows": {"op": "polar", "cone": {"E": [], "G": [1.0, 2.0]}},
-    "faces-cone-rows-object": {"op": "faces", "cone": {"G": {}}},
-    "member-h-d-object": {"op": "member-h", "cone": {"G": [[-1.0]]}, "d": {"a": 1}},
-    "member-v-w-string": {"op": "member-v", "cone": {"R": [[1.0]]}, "w": ["1"]},
+# The shared readers of z and of a polyhedron's A, under every method.
+BAD_GPH_NORMAL_QUERIES = {
+    "z-object": {"Z": "orthant", "z": {"a": 1}, "g": [0.0], "zeta": [0.0], "eta": [0.0]},
+    "z-nan": {"Z": "orthant", "z": [float("nan"), 1.0], "g": [0.0, 0.0],
+              "zeta": [0.0, 0.0], "eta": [0.0, 0.0]},
+    "polyhedron-A-object": {"Z": {"A": {"x": 1}, "b": [0.0]}, "z": [0.0], "g": [0.0],
+                            "zeta": [0.0], "eta": [0.0]},
+    "polyhedron-A-boolean": {"Z": {"A": [[True]], "b": [0.0]}, "z": [0.0], "g": [0.0],
+                             "zeta": [0.0], "eta": [0.0]},
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_CONES_QUERIES))
-def test_cones_bad_query_exits_1(name, tmp_path, capsys):
-    q = write(tmp_path / "q.json", BAD_CONES_QUERIES[name])
-    code, out, err = run(capsys, "cones", "--input", q)
-    assert (code, out) == (1, "") and err.startswith("error: "), err
+@pytest.mark.parametrize("name", sorted(BAD_GPH_NORMAL_QUERIES))
+def test_gph_normal_bad_query_exits_1(name, tmp_path, capsys):
+    q = write(tmp_path / "q.json", BAD_GPH_NORMAL_QUERIES[name])
+    for method in ("auto", "direct", "explicit"):
+        code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
+        assert (code, out) == (1, "") and err.startswith("error: "), (method, err)
+
+
+def test_gph_normal_names_an_empty_z_and_a_missing_key(tmp_path, capsys):
+    """An empty z is an input error naming z on every Z and method, and a
+    query, or a polyhedron Z, without one of its keys names the key."""
+    for spec in ("orthant", "simplex", {"A": [[1.0]], "b": [1.0]}):
+        q = write(tmp_path / "q.json", {"Z": spec, "z": [], "g": [], "zeta": [], "eta": []})
+        for method in ("auto", "direct", "explicit"):
+            code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
+            assert (code, out, err) == (1, "", "error: z must have at least one entry\n")
+    point = {"z": [0.0], "g": [0.0], "zeta": [0.0], "eta": [0.0]}
+    for query, message in (({**point, "Z": {"b": [0.0]}}, "the query's Z is missing A"),
+                           ({**point, "Z": {}}, "the query's Z is missing A, b"),
+                           ({"Z": "orthant", "z": [0.0]}, "the query is missing g, zeta, eta")):
+        for method in ("auto", "direct"):
+            code, out, err = run(capsys, "gph-normal", "--input",
+                                 write(tmp_path / "q.json", query), "--method", method)
+            assert (code, out, err) == (1, "", "error: %s\n" % message), method
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# Entries that are not numbers, and values that are not vectors of numbers.
+NOT_NUMBERS = [True, "1", None, {}, [1.0]]
+NOT_VECTORS = [None, 1.0, "z", {}, [], [[0.0, 1.0]], [True], [[0.0], [1.0, 2.0]]]
+
+
+@st.composite
+def gph_normal_queries(draw):
+    """A gph-normal query over the orthant, the simplex, a small integer
+    polyhedron or a Z that is none of these, with point entries drawn near
+    the graph and some of them, or of A and b, made non-finite, not numbers,
+    of another length or not vectors, or left out."""
+    d = draw(st.integers(0, 3))
+    entries = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0]),
+                        st.floats(-3.0, 3.0, allow_nan=False), st.integers(-2, 2))
+    query = {key: draw(st.lists(entries, min_size=d, max_size=d))
+             for key in ("z", "g", "zeta", "eta")}
+    m = draw(st.integers(1, 4))
+    query["Z"] = draw(st.sampled_from([
+        "orthant", "simplex", "box", None, 3.0, ["orthant"],
+        {"A": draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                            min_size=m, max_size=m)),
+         "b": draw(st.lists(st.integers(-1, 2), min_size=m, max_size=m))}]))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["z", "g", "zeta", "eta", "A", "b"]))
+        doc = query["Z"] if key in ("A", "b") else query
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+            continue
+        kind = draw(st.sampled_from(["non-finite", "entry", "length", "value", "drop"]))
+        if kind == "drop":
+            del doc[key]
+        elif kind == "value":
+            doc[key] = draw(st.sampled_from(NOT_VECTORS))
+        elif kind == "length":
+            doc[key] = doc[key] + doc[key][:1] if draw(st.booleans()) else doc[key][1:]
+        elif doc[key]:
+            rows = doc[key]
+            i = draw(st.integers(0, len(rows) - 1))
+            if isinstance(rows[i], list) and rows[i]:
+                rows, i = rows[i], draw(st.integers(0, len(rows[i]) - 1))
+            bad = NON_FINITE if kind == "non-finite" else NOT_NUMBERS
+            rows[i] = draw(st.sampled_from(bad))
+    return query
+
+
+def holds_non_finite(value):
+    """Whether a JSON value holds a NaN or an infinity at any depth."""
+    if isinstance(value, (dict, list)):
+        return any(map(holds_non_finite, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gph_normal_queries(), st.sampled_from(["auto", "direct", "explicit"]),
+       st.sampled_from([[], ["--tol", "0.1"]]))
+def test_gph_normal_query_boundary_property(query, method, tol):
+    """gph-normal on a generated query under every method: main() never
+    raises, prints no traceback and exits 0 or 1, printing a verdict exactly
+    when it exits 0, and a NaN or an infinity anywhere in the query exits 1,
+    so it is never "member": true."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # json.dumps writes non-finite floats as the literals NaN and Infinity.
+        path = write(Path(tmp) / "q.json", query)
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero rows of A are dropped with a warning
+            code = main(["gph-normal", "--input", path, "--method", method, *tol])
+    assert code in (0, 1) and "Traceback" not in err.getvalue()
+    assert (code == 0) == ('"verdict": ' in out.getvalue()), (query, err.getvalue())
+    if holds_non_finite(query):
+        assert (code, out.getvalue()) == (1, ""), (query, method)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +594,24 @@ def test_portfolio_theta_file_with_non_numbers_exits_1(theta, tmp_path, capsys):
         assert (code, out) == (1, "") and "theta must be an array of finite numbers" in err
 
 
+@pytest.mark.parametrize("action", ["loss", "solve", "certificate", "search"])
+def test_portfolio_theta_file_is_read_flat_or_as_the_matrix(action, tmp_path, capsys):
+    """Every action that reads --theta reads pf1's 2 by 3 theta flat with the
+    bytes it gives for the matrix; any other shape exits 1 naming both."""
+    options = ["--problem", str(GOLDEN / "pf1.problem.json"), "--steps", "3", "--theta"]
+    theta = json.loads((GOLDEN / "pf1.theta.json").read_text())
+    code, out, _ = run(capsys, "spo-portfolio", action, *options, str(GOLDEN / "pf1.theta.json"))
+    flat = write(tmp_path / "flat.json", np.ravel(theta).tolist())
+    assert code == 0 and run(capsys, "spo-portfolio", action, *options, flat) == (0, out, "")
+    for shaped, shape in ((np.transpose(theta), "(3, 2)"), ([theta], "(1, 2, 3)"),
+                          (np.ravel(theta)[:-1], "(5,)")):
+        path = write(tmp_path / "bad.json", np.asarray(shaped).tolist())
+        code, out, err = run(capsys, "spo-portfolio", action, *options, path)
+        assert (code, out) == (1, "") and err == (
+            "error: theta must be a vector of 6 entries or a 2 by 3 matrix; got shape %s\n"
+            % shape)
+
+
 def test_newsvendor_actions(tmp_path, capsys):
     inst = NewsvendorInstance(h=1.0, b=3.0,
                               centers=[([0.0], 5.0), ([1.0], 6.0)],
@@ -865,13 +944,37 @@ PF_PROBLEM_RUNS = [
 PF_READ_KEYS = {"sigma", "lambda", "samples", "x", "r", "weights"}
 
 
+# The theta of a run's certificate or --theta file as the d_x by d_z matrix,
+# as the flat vector, or in a shape that is neither.
+THETA_SHAPES = {"matrix": lambda t: t, "flat": np.ravel,
+                "column": lambda t: np.reshape(t, (-1, 1)), "nested": lambda t: [t],
+                "short": lambda t: np.ravel(t)[:-1], "transposed": np.transpose}
+
+
+def shaped_theta_file(directory, name, shape):
+    """The golden certificate or theta file name, with its theta in shape,
+    written to directory; the golden file itself for the matrix."""
+    if shape == "matrix":
+        return str(GOLDEN / name)
+    problem = json.loads((GOLDEN / (name.split(".")[0] + ".problem.json")).read_text())
+    doc = json.loads((GOLDEN / name).read_text())
+    theta = doc["theta"] if isinstance(doc, dict) else doc
+    theta = np.reshape(theta, (len(problem["samples"][0]["x"]), len(problem["sigma"])))
+    theta = np.asarray(THETA_SHAPES[shape](theta)).tolist()
+    doc = {**doc, "theta": theta} if isinstance(doc, dict) else theta
+    return write(Path(directory) / name, doc)
+
+
 @st.composite
 def portfolio_problem_cases(draw):
-    """(argv, problem, valid): the golden portfolio problem of a run with one
-    key dropped, one entry made NaN, Infinity, a boolean, a string or null,
-    or one list made one entry shorter or longer. valid says whether the
-    result is still a problem: only dropping the optional weights is."""
+    """(argv, problem, theta shape, valid): the golden portfolio problem of a
+    run with one key dropped, one entry made NaN, Infinity, a boolean, a
+    string or null, or one list made one entry shorter or longer, and the
+    run's theta in one of THETA_SHAPES. valid says whether the result is
+    still a problem with a theta: only dropping the optional weights keeps a
+    problem, and only the matrix and the flat vector are a theta."""
     argv = draw(st.sampled_from(PF_PROBLEM_RUNS))
+    shape = draw(st.sampled_from(sorted(THETA_SHAPES)))
     problem = json.loads((GOLDEN / (argv[-1].split(".")[0] + ".problem.json")).read_text())
     kind = draw(st.sampled_from(["drop", "entry", "length"]))
     paths = problem_paths(problem, PF_READ_KEYS)
@@ -887,7 +990,8 @@ def portfolio_problem_cases(draw):
         parent[key] = draw(st.sampled_from(NV_BAD_ENTRIES))
     else:
         parent[key] = parent[key][:-1] if draw(st.booleans()) else parent[key] + parent[key][-1:]
-    return argv, problem, kind == "drop" and path == ("weights",)
+    return argv, problem, shape, kind == "drop" and path == ("weights",) \
+        and shape in ("matrix", "flat")
 
 
 def pf_golden_problem(stem, **entries):
@@ -896,29 +1000,44 @@ def pf_golden_problem(stem, **entries):
 
 @settings(max_examples=200, deadline=None)
 @given(portfolio_problem_cases())
-@example((PF_PROBLEM_RUNS[2], pf_golden_problem("pf1", weights=None), False))
-@example((PF_PROBLEM_RUNS[1], pf_golden_problem("pf1", **{"lambda": float("nan")}), False))
-@example((PF_PROBLEM_RUNS[3], pf_golden_problem("pf3", weights=[0.5, float("inf")]), False))
+@example((PF_PROBLEM_RUNS[2], pf_golden_problem("pf1", weights=None), "matrix", False))
+@example((PF_PROBLEM_RUNS[1], pf_golden_problem("pf1", **{"lambda": float("nan")}), "matrix",
+          False))
+@example((PF_PROBLEM_RUNS[3], pf_golden_problem("pf3", weights=[0.5, float("inf")]), "matrix",
+          False))
+@example((PF_PROBLEM_RUNS[2], {k: v for k, v in pf_golden_problem("pf1").items()
+                               if k != "weights"}, "flat", True))
+@example((PF_PROBLEM_RUNS[3], {k: v for k, v in pf_golden_problem("pf2").items()
+                               if k != "weights"}, "column", False))
 def test_portfolio_problem_input_boundary_property(case):
     """`verify` in both modes and `spo-portfolio loss` and `solve` on a
-    mutated golden portfolio problem: main() never raises, prints no
-    traceback and exits 0, 1 or 2. A mutation that leaves a problem gives
-    the action's answer; any other, a non-finite entry among them, exits 1
-    and prints nothing, so never "member": true."""
-    argv, problem, valid = case
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        # json.dumps writes non-finite floats as the literals NaN and Infinity.
-        path = write(Path(tmp) / "problem.json", problem)
-        args = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(args + ["--problem", path])
-    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    mutated golden portfolio problem, with theta in one of THETA_SHAPES:
+    main() never raises, prints no traceback and exits 0, 1 or 2. A
+    mutation that leaves a problem gives the action's answer, with a flat
+    theta the bytes it gives with the matrix; any other, a non-finite entry
+    or a theta of another shape among them, exits 1 and prints nothing, so
+    never "member": true."""
+    argv, problem, shape, valid = case
+
+    def outputs(theta_shape):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            # json.dumps writes non-finite floats as the literals NaN and Infinity.
+            path = write(Path(tmp) / "problem.json", problem)
+            args = argv[:-1] + [shaped_theta_file(tmp, argv[-1], theta_shape)]
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(args + ["--problem", path])
+        return code, out.getvalue(), err.getvalue()
+
+    code, out, err = outputs(shape)
+    assert code in (0, 1, 2) and "Traceback" not in err
     if valid:
-        assert code in ((0, 2) if argv[0] == "verify" else (0,)) and out.getvalue(), err.getvalue()
+        assert code in ((0, 2) if argv[0] == "verify" else (0,)) and out, err
+        if shape == "flat":
+            assert (code, out) == outputs("matrix")[:2]
     else:
-        assert (code, out.getvalue()) == (1, ""), (problem, argv)
-        assert '"member": true' not in out.getvalue()
+        assert (code, out) == (1, ""), (problem, argv, shape)
+        assert '"member": true' not in out
 
 
 def test_null_portfolio_weights_exit_1(tmp_path, capsys):
@@ -1059,14 +1178,11 @@ def test_gph_normal_dimension_mismatch_exits_1(tmp_path, capsys):
 def test_polyhedron_with_the_wrong_column_count_exits_1(tmp_path, capsys):
     """A names its column count and z its length under every polyhedral route."""
     Z = {"A": [[1.0, 2.0]], "b": [1.0]}
-    c = write(tmp_path / "c.json", {"op": "tangent", "Z": Z, "z": [0.0]})
     q = write(tmp_path / "q.json", {"Z": Z, "z": [0.0], "g": [0.0],
                                     "zeta": [0.0], "eta": [0.0]})
-    calls = [["cones", "--input", c]] + [["gph-normal", "--input", q, "--method", method]
-                                         for method in ("direct", "auto")]
-    for argv in calls:
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "") and "A has 2 columns but z has 1 entries" in err, argv
+    for method in ("direct", "auto"):
+        code, out, err = run(capsys, "gph-normal", "--input", q, "--method", method)
+        assert (code, out) == (1, "") and "A has 2 columns but z has 1 entries" in err, method
 
 
 def test_portfolio_problem_non_finite_or_mis_shaped_exits_1(tmp_path, capsys):
@@ -1162,7 +1278,8 @@ def test_verify_wrong_theta_size_exits_1(tmp_path, capsys):
     for mode in ("convex", "penalized"):
         code, out, err = run(capsys, "verify", "--mode", mode, "--problem", ppath,
                              "--certificate", bad)
-        assert code == 1 and out == "" and "theta has 2 entries, expected 4" in err
+        assert code == 1 and out == "" and \
+            "theta must be a vector of 4 entries or a 2 by 2 matrix; got shape (2,)" in err
 
 
 def test_newsvendor_certificate_needs_one_number_per_entry(tmp_path, capsys):
@@ -1217,11 +1334,13 @@ def test_verify_reads_a_flat_theta_and_reports_an_infeasible_z(tmp_path, capsys)
 
 @pytest.mark.parametrize("argv", [["spo-portfolio", "system", "--problem", "{problem}",
                                    "--certificate", "{certificate}"],
-                                  ["gph-normal", "--method", "oracle", "--input", "{query}"]],
-                         ids=["spo-portfolio system", "gph-normal --method oracle"])
+                                  ["gph-normal", "--method", "oracle", "--input", "{query}"],
+                                  ["cones", "--input", "{query}"]],
+                         ids=["spo-portfolio system", "gph-normal --method oracle", "cones"])
 def test_removed_commands_are_usage_errors(argv, tmp_path, capsys):
-    """verify is the one portfolio verifier, and the face-pair oracle has no
-    command line route; both calls exit 1 and print nothing."""
+    """verify is the one portfolio verifier, the face-pair oracle has no
+    command line route, and gph-normal is the one geometry command; each
+    call exits 1 and prints nothing."""
     ppath, cpath = portfolio_problem_and_cert(tmp_path)
     query = write(tmp_path / "q.json", {"Z": "orthant", "z": [0.0], "g": [0.0],
                                         "zeta": [-2.0], "eta": [-3.0]})
@@ -1262,7 +1381,6 @@ def _inputs(tmp_path):
 LIST_FILE_RUNS = {
     "verify": ["verify", "--problem", "{list}", "--certificate", "{certificate}"],
     "newsvendor-solve": ["newsvendor", "solve", "--problem", "{list}", "--theta", "1.0"],
-    "cones": ["cones", "--input", "{list}"],
     "gph-normal": ["gph-normal", "--input", "{list}"],
     "fd-check": ["fd-check", "--problem", "{list}"],
     "spo-portfolio-fit": ["spo-portfolio", "fit", "--problem", "{list}"],
@@ -1382,15 +1500,13 @@ def _tol_runs(tmp_path):
     # a non-graph point: z = g = 1 is not complementary on the orthant
     q = write(tmp_path / "q.json", {"Z": "orthant", "z": [1.0], "g": [1.0],
                                     "zeta": [0.0], "eta": [0.0]})
-    c = write(tmp_path / "c.json", {"op": "active-set", "Z": "orthant", "z": [0.0]})
-    return {"cones": ["cones", "--input", c],
-            "gph-normal": ["gph-normal", "--input", q],
+    return {"gph-normal": ["gph-normal", "--input", q],
             "verify": ["verify", "--problem", ppath, "--certificate", cpath],
             "newsvendor": ["newsvendor", "verify", "--problem", nv, "--certificate", nv_cert],
             "fd-check": ["fd-check", "--problem", nv, "--trials", "5"]}
 
 
-@pytest.mark.parametrize("name", ["cones", "gph-normal", "verify", "newsvendor", "fd-check"])
+@pytest.mark.parametrize("name", ["gph-normal", "verify", "newsvendor", "fd-check"])
 def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
     argv = _tol_runs(tmp_path)[name]
     code, out, _ = run(capsys, *argv, "--tol", "1e-6")
@@ -1398,18 +1514,6 @@ def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
     for bad in ("inf", "nan", "-1", "0", "-inf", "abc"):
         code, out, err = run(capsys, *argv, "--tol", bad)
         assert (code, out) == (1, "") and "--tol" in err, bad
-
-
-def test_face_difference_rows_must_be_integer_lists(tmp_path, capsys):
-    base = {"op": "face-difference", "Z": "orthant", "z": [0.0, 0.0], "v": [-1.0, 0.0]}
-    code, out, _ = run(capsys, "cones", "--input",
-                       write(tmp_path / "q.json", {**base, "J1": [], "J2": [1]}))
-    assert code == 0 and json.loads(out)["cone"] == {"E": [[-1.0, -0.0]], "G": [[-0.0, -1.0]]}
-    for bad in ({"J1": 5}, {"J2": [True]}, {"J2": [1.0]}, {"J2": [0.7]},
-                {"J1": "1"}, {"J2": {"1": 1}}, {"J2": None}):
-        q = write(tmp_path / "q.json", {**base, **bad})
-        code, out, err = run(capsys, "cones", "--input", q)
-        assert (code, out) == (1, "") and "integer row indices" in err, bad
 
 
 def test_fd_check_trials_must_be_positive(tmp_path, capsys):
@@ -1433,7 +1537,6 @@ def test_fd_check_atol_must_be_finite_and_nonnegative(tmp_path, capsys):
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
     unread = {"gen": (["gen", "portfolio", "--n", "2"], ["--tol", "--report", "--format"]),
-              "cones": (["cones", "--input", "q.json"], ["--seed"]),
               "gph-normal": (["gph-normal", "--input", "q.json"], ["--seed"]),
               "verify": (["verify", "--problem", "p", "--certificate", "c"], ["--seed"]),
               "newsvendor": (["newsvendor", "solve", "--problem", "p"], ["--seed"]),

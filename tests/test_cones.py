@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from conftest import (complementarity_residual, critical_cone_perp_form, face_contains,
-                      polyhedron_contains, random_polyhedral_graph_point)
+from conftest import (complementarity_residual, normal_cone_multiplier, polyhedron_contains,
+                      random_polyhedral_graph_point)
 from mstat.cones import (
     ConeRepH,
     InfeasiblePointError,
@@ -13,18 +13,14 @@ from mstat.cones import (
     active_set,
     cone_coefficients,
     cone_distance,
-    critical_cone,
     distance_to_normal_cone,
     face_difference,
-    faces_of_cone,
     member_h,
     member_v,
     multiplier_within_support,
-    normal_cone_multiplier,
     orthant_polyhedron,
     polar_cone,
     simplex_polyhedron,
-    tangent_cone,
 )
 from mstat.lp import feasibility_threshold
 
@@ -61,12 +57,6 @@ def test_a_system_with_no_rows_left_is_the_whole_space():
     assert decomp.I == () and complementarity_residual(decomp, p, np.array(z)) == 0.0
 
 
-def test_serialization_round_trip():
-    p = simplex_polyhedron(3)
-    q = Polyhedron.from_dict(p.to_dict())
-    assert np.array_equal(p.A, q.A) and np.array_equal(p.b, q.b)
-
-
 # ---------------------------------------------------------------------------
 # active sets
 
@@ -89,38 +79,7 @@ def test_active_diagnostics_near_threshold():
 
 
 # ---------------------------------------------------------------------------
-# tangent and normal cones
-
-def test_tangent_cone_cases():
-    t = tangent_cone(ORTHANT2, [0.0, 1.0])
-    assert t.G.shape == (1, 2) and t.E.shape == (0, 2)
-    assert member_h(t, [1.0, -5.0]) and not member_h(t, [-1.0, 0.0])
-    t0 = tangent_cone(ORTHANT2, [0.0, 0.0])
-    assert member_h(t0, [3.0, 4.0]) and not member_h(t0, [-0.1, 1.0])
-    ti = tangent_cone(ORTHANT2, [1.0, 1.0])
-    assert ti.G.shape[0] == 0
-
-
-def test_normal_multiplier_orthant_vertex():
-    dec = normal_cone_multiplier(ORTHANT2, [0.0, 0.0], [1.0, 2.0])
-    assert dec is not None
-    assert np.allclose(dec.lam, [1.0, 2.0])
-    assert dec.I_plus == (0, 1)
-    assert complementarity_residual(dec, ORTHANT2, np.zeros(2)) <= 1e-9
-
-
-def test_normal_multiplier_not_member():
-    assert normal_cone_multiplier(ORTHANT2, [1.0, 0.0], [1.0, 0.0]) is None
-
-
-def test_normal_multiplier_simplex_vertex():
-    p = simplex_polyhedron(2)
-    dec = normal_cone_multiplier(p, [1.0, 0.0], [-1.0, 0.0])
-    assert dec is not None
-    assert np.max(np.abs(p.A.T @ dec.lam - np.array([1.0, 0.0]))) < 1e-9
-    assert dec.lam[0] == 0.0
-    assert complementarity_residual(dec, p, np.array([1.0, 0.0])) <= 1e-9
-
+# multipliers
 
 def test_complementarity_residual_bounded_on_random_instances(rng):
     for _ in range(30):
@@ -169,81 +128,6 @@ def test_cone_coefficients_against_scipy(rng):
             assert coef.shape == (len(R) + len(L),)
             assert np.max(np.abs(cols @ coef - w)) <= 1e-9
             assert np.min(coef[:len(R)], initial=0.0) >= -1e-9
-
-
-# ---------------------------------------------------------------------------
-# critical cones
-
-def _sample_cone_points(K, rng, n=8):
-    """Extremal points of K within the unit box, via random scipy LP objectives."""
-    pts = []
-    d = K.dim
-    n_rows_e, n_rows_g = K.E.shape[0], K.G.shape[0]
-    box = np.vstack([np.eye(d), -np.eye(d)])
-    A_ub = np.vstack([K.G, box]) if n_rows_g else box
-    b_ub = np.concatenate([np.zeros(n_rows_g), np.ones(2 * d)])
-    for _ in range(n):
-        c = rng.standard_normal(d)
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=K.E if n_rows_e else None,
-                      b_eq=np.zeros(n_rows_e) if n_rows_e else None,
-                      bounds=[(None, None)] * d, method="highs")
-        if res.status == 0:
-            pts.append(res.x)
-    return pts
-
-
-def test_critical_cone_cases():
-    k = critical_cone(ORTHANT2, [0.0, 0.0], [-1.0, 0.0])
-    assert member_h(k, [0.0, 5.0]) and not member_h(k, [1.0, 0.0]) \
-        and not member_h(k, [0.0, -1.0])
-    k0 = critical_cone(ORTHANT2, [0.0, 0.0], [0.0, 0.0])
-    assert member_h(k0, [2.0, 3.0]) and not member_h(k0, [-1.0, 0.0])
-    kf = critical_cone(ORTHANT2, [1.0, 1.0], [0.0, 0.0])
-    assert kf.E.shape[0] == 0 and kf.G.shape[0] == 0
-
-
-def test_critical_cone_rejects_non_normal():
-    with pytest.raises(ValueError):
-        critical_cone(ORTHANT2, [1.0, 0.0], [-1.0, 0.0])
-
-
-def test_critical_cone_matches_perp_form(rng):
-    """Multiplier-split and tangent-intersect-hyperplane forms are set-equal."""
-    for _ in range(25):
-        d = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 5))
-        A = rng.integers(-2, 3, (m, d)).astype(float)
-        if np.any(np.all(A == 0, axis=1)):
-            continue
-        z = rng.integers(-1, 2, d).astype(float)
-        act = rng.random(m) < 0.7
-        b = A @ z + np.where(act, 0.0, 1.0)
-        p = Polyhedron(A, b)
-        lam = np.where(act, rng.integers(0, 3, m), 0).astype(float)
-        v_normal = A.T @ lam
-        k1 = critical_cone(p, z, v_normal)
-        k2 = critical_cone_perp_form(p, z, v_normal)
-        for pt in _sample_cone_points(k1, rng) + _sample_cone_points(k2, rng):
-            assert member_h(k1, pt, 1e-7) == member_h(k2, pt, 1e-7)
-
-
-def test_critical_cone_inside_tangent_and_orthogonal(rng):
-    for _ in range(25):
-        d = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 5))
-        A = rng.integers(-2, 3, (m, d)).astype(float)
-        if np.any(np.all(A == 0, axis=1)):
-            continue
-        z = rng.integers(-1, 2, d).astype(float)
-        act = rng.random(m) < 0.7
-        p = Polyhedron(A, A @ z + np.where(act, 0.0, 1.0))
-        lam = np.where(act, rng.integers(0, 3, m), 0).astype(float)
-        v_normal = A.T @ lam
-        k = critical_cone(p, z, v_normal)
-        t = tangent_cone(p, z)
-        for pt in _sample_cone_points(k, rng):
-            assert member_h(t, pt, 1e-7)
-            assert abs(v_normal @ pt) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -327,61 +211,39 @@ def test_bipolar_on_random_small_cones(rng):
 
 
 # ---------------------------------------------------------------------------
-# faces
-
-def test_faces_counts():
-    f1 = faces_of_cone(ConeRepH([[1.0, 0.0]], [[0.0, -1.0]]))
-    assert len(f1) == 2
-    f2 = faces_of_cone(ConeRepH(None, [[-1.0]]))
-    assert len(f2) == 2
-    f3 = faces_of_cone(ConeRepH(None, -np.eye(2)))
-    assert len(f3) == 4
-
-
-def test_faces_deduplicate_parallel_rows():
-    k = ConeRepH(None, [[-1.0, 0.0], [-2.0, 0.0]])
-    faces = faces_of_cone(k)
-    assert len(faces) == 2
-
-
-def test_faces_containment_matches_tight_sets():
-    faces = faces_of_cone(ConeRepH(None, -np.eye(2)))
-    for fa in faces:
-        for fb in faces:
-            assert face_contains(fa.cone, fb.cone) == (fa.tight <= fb.tight)
-
+# face differences, at the orthant vertex for the normal vector 0 unless
+# a test says otherwise: every active row carries a zero multiplier
 
 def test_face_difference_cases():
-    z = np.zeros(2)
-    v = np.zeros(2)
-    d1 = face_difference(ORTHANT2, z, v, [], [1])
+    split = normal_cone_multiplier(ORTHANT2, np.zeros(2), np.zeros(2))
+    d1 = face_difference(ORTHANT2, split, [], [1])
     assert member_h(d1, [-9.0, 0.0]) and member_h(d1, [0.0, 1.0]) \
         and not member_h(d1, [0.0, -1.0])
-    d2 = face_difference(ORTHANT2, z, v, [1], [1])
+    d2 = face_difference(ORTHANT2, split, [1], [1])
     assert member_h(d2, [5.0, 0.0]) and not member_h(d2, [0.0, 0.1]) \
         and not member_h(d2, [0.0, -0.1])
-    d3 = face_difference(ORTHANT2, z, v, [], [])
+    d3 = face_difference(ORTHANT2, split, [], [])
     assert member_h(d3, [3.0, -3.0])
 
 
 def test_face_difference_validates_inputs():
     z = np.zeros(2)
+    split = normal_cone_multiplier(ORTHANT2, z, np.zeros(2))
     with pytest.raises(ValueError):
-        face_difference(ORTHANT2, z, np.zeros(2), [1], [])
+        face_difference(ORTHANT2, split, [1], [])
     with pytest.raises(ValueError):
-        face_difference(ORTHANT2, z, np.zeros(2), [], [7])
+        face_difference(ORTHANT2, split, [], [7])
     # row 0 carries a positive multiplier for this normal, so it cannot sit in J2
     with pytest.raises(ValueError):
-        face_difference(ORTHANT2, z, np.array([-1.0, 0.0]), [], [0])
+        face_difference(ORTHANT2, normal_cone_multiplier(ORTHANT2, z, [1.0, 0.0]), [], [0])
 
 
 def test_face_difference_antitone_in_outer_set(rng):
     """Growing J2 shrinks the face, hence shrinks the difference cone."""
     p = orthant_polyhedron(3)
-    z = np.zeros(3)
-    v = np.zeros(3)
-    small_j2 = face_difference(p, z, v, [], [1])
-    large_j2 = face_difference(p, z, v, [], [1, 2])
+    split = normal_cone_multiplier(p, np.zeros(3), np.zeros(3))
+    small_j2 = face_difference(p, split, [], [1])
+    large_j2 = face_difference(p, split, [], [1, 2])
     saw_strict = False
     for _ in range(40):
         pt = rng.standard_normal(3)

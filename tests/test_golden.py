@@ -50,6 +50,7 @@ skipped the steps that a verified bracket decides.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import count_lps
@@ -147,3 +148,49 @@ def test_penalized_portfolio_solves_all_samples_in_one_call(case, capsys, monkey
     assert len(PORTFOLIO_PENALIZED) == 13
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
     assert calls == [len(problem["samples"])]
+
+
+# Every (problem, certificate) pair that expected.json verifies.
+VERIFIED = sorted({(c["argv"][2], c["argv"][4]) for c in EXPECTED["outputs"]
+                   if c["argv"][0] == "verify"})
+
+
+@pytest.mark.parametrize("mode", ["convex", "penalized"])
+@pytest.mark.parametrize("problem, certificate", VERIFIED, ids=lambda v: v.split(".json")[0])
+def test_permuting_the_scenarios_permutes_the_report(problem, certificate, mode, tmp_path,
+                                                      capsys):
+    """Reordering a certificate's scenarios, and the problem's samples and
+    weights with them, reorders the report's scenario entries, each equal
+    in every field but its index, and leaves every top-level field
+    byte-equal but upper_residual. That one sums the scenarios' weighted
+    gradients in scenario order, so a reordering may move it by rounding,
+    at most 4 ulps. A certificate that the mode refuses is refused alike.
+    The orders are the reversal and three seeded shuffles."""
+    prob = json.loads((GOLDEN / problem).read_text())
+    cert = json.loads((GOLDEN / certificate).read_text())
+    argv = ["verify", "--mode", mode, "--problem", problem, "--certificate", certificate]
+    code, out = run(capsys, argv)
+    n = len(cert["scenarios"])
+    rng = np.random.default_rng(21)
+    for order in [np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(3)]:
+        permuted = {key: [prob[key][i] for i in order] if key in ("samples", "weights")
+                    else value for key, value in prob.items()}
+        argv[-3] = str(tmp_path / "problem.json")
+        (tmp_path / "problem.json").write_text(json.dumps(permuted))
+        argv[-1] = str(tmp_path / "certificate.json")
+        (tmp_path / "certificate.json").write_text(
+            json.dumps({**cert, "scenarios": [cert["scenarios"][i] for i in order]}))
+        code_p, out_p = run(capsys, argv)
+        assert code_p == code
+        if code == 1:
+            assert out == out_p == ""
+            continue
+        report, report_p = json.loads(out), json.loads(out_p)
+        for k, i in enumerate(order):
+            entry, entry_p = report["scenarios"][i], report_p["scenarios"][k]
+            assert (entry.pop("index"), entry_p.pop("index")) == (i, k)
+            assert json.dumps(entry, sort_keys=True) == json.dumps(entry_p, sort_keys=True)
+        upper, upper_p = report.pop("upper_residual"), report_p.pop("upper_residual")
+        assert abs(upper - upper_p) <= 4 * np.spacing(max(abs(upper), abs(upper_p)))
+        report.pop("scenarios"), report_p.pop("scenarios")
+        assert json.dumps(report, sort_keys=True) == json.dumps(report_p, sort_keys=True)

@@ -6,12 +6,12 @@ import pytest
 
 from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_residual,
                       count_lps, grid_solver, m_stationarity_check, nnamcq_oracle,
-                      projected_gradient_solver, psi_set, random_polyhedral_graph_point,
-                      random_simplex_graph_point)
+                      normal_cone_multiplier, projected_gradient_solver, psi_set,
+                      random_polyhedral_graph_point, random_simplex_graph_point)
 from mstat.cli import _json_text
 from mstat.cones import (CombinatorialLimitError, Polyhedron, active_rows, cone_distance,
                          distance_to_normal_cone, multiplier_within_support,
-                         normal_cone_multiplier, orthant_polyhedron, simplex_polyhedron)
+                         orthant_polyhedron, simplex_polyhedron)
 from mstat.graph_normals import make_graph_context
 from mstat.lp import feasibility_threshold
 from mstat.stationarity import (
