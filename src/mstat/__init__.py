@@ -11,19 +11,12 @@ a kernel-regression newsvendor.
 """
 
 from .cones import (
-    ActiveDecomposition,
     CombinatorialLimitError,
-    ConeRepH,
-    ConeRepV,
     InfeasiblePointError,
     Polyhedron,
     active_set,
     distance_to_normal_cone,
-    face_difference,
-    member_h,
-    member_v,
     orthant_polyhedron,
-    polar_cone,
     simplex_polyhedron,
 )
 from .graph_normals import (

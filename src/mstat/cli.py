@@ -47,8 +47,10 @@ def _load_json(path, what, kind=dict):
 
 
 def _load_certificate(path):
-    """A certificate file: a JSON object whose "scenarios" are objects."""
+    """A certificate file: a JSON object with a theta, whose "scenarios" are
+    objects."""
     data = _load_json(path, "certificate")
+    _require(data, ("theta",), "the certificate")
     GN.object_list(data.get("scenarios", []), "certificate scenario")
     return data
 

@@ -2,10 +2,10 @@
 
 Everything here is desk scale: membership questions become tiny linear
 feasibility problems and distances to normal cones non-negative
-least-squares problems. Active sets, multiplier searches over a support and
-normal-cone distances serve the coderivative routes of graph_normals and the
-verifiers of stationarity; polars, cone membership and face differences of
-critical cones serve the face-pair oracle, graph_normals.oracle_membership.
+least-squares problems. Active sets, multiplier searches over a support,
+cone membership (cone_coefficients) and normal-cone distances serve the
+coderivative routes and the face-pair oracle of graph_normals and the
+verifiers of stationarity.
 
 Tolerance contract. The paper's conditions are exact inclusions, so every
 borderline verdict is decided by a tolerance. The user sets one, eps: the
@@ -36,12 +36,10 @@ import numpy as np
 from .lp import linear_feasible, nnls
 
 __all__ = [
-    "Polyhedron", "ConeRepH", "ConeRepV", "ActiveDecomposition",
-    "InfeasiblePointError", "CombinatorialLimitError",
+    "Polyhedron", "InfeasiblePointError", "CombinatorialLimitError",
     "orthant_polyhedron", "simplex_polyhedron",
     "active_set", "active_rows", "active_diagnostics",
-    "polar_cone", "member_h", "member_v",
-    "face_difference", "cone_coefficients", "multiplier_within_support",
+    "cone_coefficients", "multiplier_within_support",
     "distance_to_normal_cone", "cone_distance", "cone_residual",
 ]
 
@@ -107,9 +105,6 @@ class Polyhedron:
     def slacks(self, z):
         return self.b - self.A @ np.asarray(z, dtype=float)
 
-    def to_dict(self):
-        return {"A": self.A.tolist(), "b": self.b.tolist()}
-
 
 def orthant_polyhedron(d):
     """The nonnegative orthant as {-I z <= 0}."""
@@ -121,66 +116,6 @@ def simplex_polyhedron(d):
     A = np.vstack([-np.eye(d), np.ones((1, d))])
     b = np.concatenate([np.zeros(d), [1.0]])
     return Polyhedron(A, b)
-
-
-class _ConeRep:
-    """A cone held as two row blocks of one ambient dimension, named by the
-    subclass's _KEYS; an absent or empty block is held as zero rows."""
-
-    def _hold(self, blocks, dim):
-        if dim is None:
-            if all(rows is None for rows in blocks):
-                raise ValueError("give %s, %s or an ambient dimension" % self._KEYS)
-            probe = blocks[0] if blocks[0] is not None and len(blocks[0]) else blocks[1]
-            dim = np.atleast_2d(np.asarray(probe, dtype=float)).shape[1]
-        blocks = [np.zeros((0, dim)) if rows is None or len(rows) == 0
-                  else np.atleast_2d(np.asarray(rows, dtype=float)) for rows in blocks]
-        if any(rows.shape[1] != dim for rows in blocks):
-            raise ValueError("inconsistent ambient dimensions")
-        for key, rows in zip(self._KEYS, blocks):
-            object.__setattr__(self, key, _readonly(rows))
-
-    @property
-    def dim(self):
-        return getattr(self, self._KEYS[0]).shape[1]
-
-
-@dataclass(frozen=True, init=False)
-class ConeRepH(_ConeRep):
-    """Halfspace form {d : E d = 0, G d <= 0}; always contains the origin."""
-
-    E: np.ndarray
-    G: np.ndarray
-    _KEYS = ("E", "G")
-
-    def __init__(self, E=None, G=None, dim=None):
-        self._hold((E, G), dim)
-
-
-@dataclass(frozen=True, init=False)
-class ConeRepV(_ConeRep):
-    """Generator form {R^T mu + L^T nu : mu >= 0, nu free}, rows as generators."""
-
-    R: np.ndarray
-    L: np.ndarray
-    _KEYS = ("R", "L")
-
-    def __init__(self, R=None, L=None, dim=None):
-        self._hold((R, L), dim)
-
-
-@dataclass(frozen=True)
-class ActiveDecomposition:
-    """One nonnegative multiplier over the active rows, split by sign.
-
-    lam has full length m with lam_i = 0 off the active set; I_plus and I_zero
-    partition the active set by lam_i > 0 versus lam_i = 0.
-    """
-
-    I: tuple
-    lam: np.ndarray
-    I_plus: tuple
-    I_zero: tuple
 
 
 def active_set(poly, z, eps=DEFAULT_EPS):
@@ -206,49 +141,6 @@ def active_diagnostics(poly, z, eps=DEFAULT_EPS):
     s = np.abs(poly.slacks(np.asarray(z, dtype=float)))
     near = (s > eps) & (s <= 10.0 * eps)
     return tuple(int(i) for i in np.flatnonzero(near))
-
-
-def polar_cone(K):
-    """Polar of {E d = 0, G d <= 0} is {G^T mu + E^T nu : mu >= 0, nu free}."""
-    return ConeRepV(K.G, K.E, dim=K.dim)
-
-
-def member_h(K, d, eps=DEFAULT_EPS):
-    """Direct linear test of d against a halfspace-form cone."""
-    d = np.asarray(d, dtype=float)
-    if d.shape[0] != K.dim:
-        raise ValueError("dimension mismatch")
-    if K.E.shape[0] and np.max(np.abs(K.E @ d)) > eps:
-        return False
-    if K.G.shape[0] and np.max(K.G @ d) > eps:
-        return False
-    return True
-
-
-def member_v(V, w, eps=DEFAULT_EPS):
-    """LP feasibility test of w against a generator-form cone."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != V.dim:
-        raise ValueError("dimension mismatch")
-    return cone_coefficients(w, V.R, V.L, eps) is not None
-
-
-def face_difference(poly, decomposition, J1, J2):
-    """Minkowski difference F_J1 - F_J2 of nested critical-cone faces.
-
-    decomposition is the multiplier split of a normal vector at the point.
-    Needs J1 subseteq J2 subseteq its I_zero; the result keeps equalities on
-    I_plus + J1 and inequalities on J2 \\ J1 only.
-    """
-    J1 = frozenset(int(j) for j in J1)
-    J2 = frozenset(int(j) for j in J2)
-    if not J1 <= J2:
-        raise ValueError("J1 must be a subset of J2")
-    if not J2 <= frozenset(decomposition.I_zero):
-        raise ValueError("J2 must consist of zero-multiplier active rows")
-    eq_rows = sorted(set(decomposition.I_plus) | J1)
-    ineq_rows = sorted(J2 - J1)
-    return ConeRepH(poly.A[eq_rows], poly.A[ineq_rows], dim=poly.dim)
 
 
 def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):

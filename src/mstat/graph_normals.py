@@ -15,9 +15,9 @@ The direct polyhedral predicate decides the existential system at its one
 maximal row split with two LPs, so it has no cap, and the orthant and
 simplex specializations reduce it to sign conditions in closed form. The
 face-pair oracle decides the same system independently: it sweeps multiplier
-supports and nested row subsets, materializes each Minkowski difference cone
-and tests memberships with the generic cone machinery, exponential in the
-active rows and capped at MAX_ACTIVE_ROWS. No route of the package calls it;
+supports and nested row subsets and tests each pair's face difference and
+its polar directly, exponential in the active rows and capped at
+MAX_ACTIVE_ROWS. No route of the package calls it;
 it stays here because the benchmark (perfbench/workloads.py) imports it for
 its reference answers, and the tests compare every route against it.
 """
@@ -32,7 +32,6 @@ from itertools import combinations
 import numpy as np
 
 from .cones import (
-    ActiveDecomposition,
     CombinatorialLimitError,
     DEFAULT_EPS,
     MAX_ACTIVE_ROWS,
@@ -41,11 +40,7 @@ from .cones import (
     active_diagnostics,
     active_set,
     cone_coefficients,
-    face_difference,
-    member_h,
-    member_v,
     multiplier_within_support,
-    polar_cone,
 )
 
 __all__ = [
@@ -179,10 +174,6 @@ class Membership:
     def __bool__(self):
         return self.member
 
-    def to_dict(self):
-        return {"member": self.member, "verdict": self.verdict,
-                "method": self.method, "witness": self.witness}
-
 
 def _empty(method, reason):
     return Membership(False, "empty_coderivative", method, {"reason": reason})
@@ -276,10 +267,13 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     """Face-pair enumeration oracle over the critical-cone combinatorics.
 
     For each multiplier support S and nested subsets J1 subseteq J2 of the
-    remaining active rows, builds the face difference cone F_J1 - F_J2 in
-    halfspace form, and accepts when -eta lies in it and zeta in its polar.
-    Exhaustive, refused beyond MAX_ACTIVE_ROWS active rows, and intended as
-    the slow cross-check at desk scale.
+    remaining active rows, the face difference F_J1 - F_J2 is
+    {d : E d = 0, G d <= 0} with E the rows of S + J1 and G those of
+    J2 \\ J1, and its polar is cone(rows of G) + span(rows of E). Accepts
+    when -eta lies in the difference (a direct test within eps) and zeta in
+    the polar (cone_coefficients). Exhaustive, refused beyond
+    MAX_ACTIVE_ROWS active rows, and intended as the slow cross-check at
+    desk scale.
     """
     try:
         context = make_graph_context(poly, gp.z, gp.g, eps)
@@ -295,16 +289,15 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
         if multiplier_within_support(poly, context.z, -context.g, S, eps) is None:
             continue
         zero_rows = tuple(i for i in I if i not in S)
-        split = ActiveDecomposition(I=I, lam=np.zeros(poly.m),
-                                    I_plus=tuple(S), I_zero=zero_rows)
         for J2 in _subsets(zero_rows):
             for J1 in _subsets(J2):
                 key = (frozenset(set(S) | set(J1)), frozenset(set(J2) - set(J1)))
                 if key in seen:
                     continue
                 seen.add(key)
-                diff = face_difference(poly, split, J1, J2)
-                if member_h(diff, -eta, eps) and member_v(polar_cone(diff), zeta, eps):
+                E, G = poly.A[sorted(key[0])], poly.A[sorted(key[1])]
+                if not (np.abs(E @ eta) > eps).any() and not (-(G @ eta) > eps).any() \
+                        and cone_coefficients(zeta, G, E, eps) is not None:
                     return Membership(True, "member", "oracle",
                                       {"support": list(S), "J1": list(J1),
                                        "J2": list(J2)})

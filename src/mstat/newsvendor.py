@@ -608,9 +608,6 @@ class NewsvendorUpperModel(UpperModel):
         self.theta_set = ParameterSet.box([instance.theta_bounds[0]],
                                           [instance.theta_bounds[1]])
 
-    def loss(self, z, x, y, theta):
-        return float(_regret(float(np.atleast_1d(z)[0]), y, self.inst.h, self.inst.b))
-
     def grad_z_bounds(self, z, x, y, theta):
         return _kink_interval(np.atleast_1d(z), y, self.inst.h, self.inst.b)
 
@@ -682,7 +679,7 @@ def newsvendor_certificate(theta, certificate_scenarios):
     Each mapping holds z, eta and zeta, and may hold the penalty weight mu.
     theta and each of these entries must be one finite number
     (finite_number), and each scenario a mapping, otherwise ValueError; a
-    null mu is a ValueError too (optional_entry).
+    missing z, eta or zeta and a null mu are ValueErrors too.
     Mappings whose z, eta and zeta are all floats and that hold no mu are
     checked by one type gate and one np.isfinite over their stack; any
     other input goes entry by entry through finite_number, in scenario
@@ -702,7 +699,10 @@ def newsvendor_certificate(theta, certificate_scenarios):
     if not ok:
         rows, mus = [], []
         for i, part in enumerate(parts):
-            rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
+            try:
+                rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
+            except KeyError as exc:
+                raise ValueError("certificate scenario %d is missing %s" % (i, exc)) from None
             mu = optional_entry(part, "mu", i)
             mus.append(None if mu is None else finite_number(mu, "mu"))
         rows = np.array(rows).reshape(-1, 3)

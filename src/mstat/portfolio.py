@@ -492,9 +492,8 @@ class PortfolioLowerModel(LowerModel):
         return np.asarray(theta, dtype=float).reshape(self.inst.d_x, self.inst.d_z)
 
     def cost(self, z, theta, x):
-        z = np.asarray(z, dtype=float)
         r_hat = self._shape(theta).T @ np.asarray(x, dtype=float)
-        return float(-r_hat @ z + 0.5 * self.inst.risk_aversion * z @ self.inst.sigma @ z)
+        return _cost(np.asarray(z, dtype=float), r_hat, self.inst)
 
     def grad_z(self, z, theta, x):
         r_hat = self._shape(theta).T @ np.asarray(x, dtype=float)
@@ -514,19 +513,12 @@ class PortfolioLowerModel(LowerModel):
 
 
 class SpoUpperModel(UpperModel):
-    """Decision regret under realized returns; no direct theta dependence."""
+    """Gradients of the decision regret under realized returns (spo_loss);
+    no direct theta dependence."""
 
     def __init__(self, instance):
         self.inst = instance
         self.theta_set = ParameterSet.free(instance.d_x * instance.d_z)
-
-    def _cost(self, z, r):
-        return float(-r @ z + 0.5 * self.inst.risk_aversion * z @ self.inst.sigma @ z)
-
-    def loss(self, z, x, y, theta):
-        best = solve_simplex_qp(y, self.inst.sigma, self.inst.risk_aversion).z
-        return self._cost(np.asarray(z, dtype=float), np.asarray(y, dtype=float)) \
-            - self._cost(best, np.asarray(y, dtype=float))
 
     def grad_z(self, z, x, y, theta):
         return -np.asarray(y, dtype=float) \

@@ -126,13 +126,6 @@ class FeasibleSet:
             return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
         raise NotImplementedError("no projection for general polyhedra")
 
-    def to_dict(self):
-        if self.kind == "box":
-            return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-        if self.kind == "polyhedron":
-            return {"kind": "polyhedron", **self.poly.to_dict()}
-        return {"kind": self.kind, "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -200,12 +193,13 @@ class LowerModel:
 
 
 class UpperModel:
-    """Upper-level loss L(z, x, y, theta) with gradients in z and theta."""
+    """Gradients in z and theta of an upper-level loss L(z, x, y, theta).
+
+    The verifiers read only these; each application computes its loss
+    itself (portfolio.spo_loss, newsvendor.empirical_regret).
+    """
 
     theta_set: ParameterSet
-
-    def loss(self, z, x, y, theta):
-        raise NotImplementedError
 
     def grad_z(self, z, x, y, theta):
         raise NotImplementedError

@@ -1,6 +1,7 @@
 """Shared builders, independent oracles, and the models and solvers that
 only the test suite uses."""
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
-from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, ActiveDecomposition,
-                         CombinatorialLimitError, Polyhedron, active_rows, active_set, cone_distance,
+from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
+                         Polyhedron, active_rows, active_set, cone_distance,
                          multiplier_within_support)
 from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
@@ -708,6 +709,20 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
 
 # ---------------------------------------------------------------------------
 # cones: the multiplier split of a normal vector, and independent checks
+
+@dataclass(frozen=True)
+class ActiveDecomposition:
+    """One nonnegative multiplier over the active rows I, split by sign.
+
+    lam has full length m with lam_i = 0 off I; I_plus and I_zero partition
+    I by lam_i > eps versus not.
+    """
+
+    I: tuple
+    lam: np.ndarray
+    I_plus: tuple
+    I_zero: tuple
+
 
 def normal_cone_multiplier(poly, z, v, eps=DEFAULT_EPS):
     """Decompose -v over the active rows: find lam >= 0 with A^T lam = -v.

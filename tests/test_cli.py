@@ -1057,13 +1057,13 @@ def test_null_portfolio_weights_exit_1(tmp_path, capsys):
         good = pf_golden_problem("pf1")
 
 
+NV_VERIFY_ARGVS = (["verify", "--mode", "convex"], ["verify", "--mode", "penalized"],
+                   ["newsvendor", "verify"])
 NULL_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
              for key in ("zeta", "mu", "value_weights")] + \
             [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
              for key in ("zeta", "mu", "value_weights")] + \
-            [(argv, "nv4.problem.json", "nv4.pass.json", "mu")
-             for argv in (["verify", "--mode", "convex"], ["verify", "--mode", "penalized"],
-                          ["newsvendor", "verify"])]
+            [(argv, "nv4.problem.json", "nv4.pass.json", "mu") for argv in NV_VERIFY_ARGVS]
 
 
 @pytest.mark.parametrize("argv, problem, cert_file, key", NULL_RUNS,
@@ -1081,6 +1081,30 @@ def test_null_certificate_entry_exits_1(argv, problem, cert_file, key, tmp_path,
     del cert["scenarios"][1][key]
     code, _, _ = run(capsys, *argv, *options, write(tmp_path / "absent.json", cert))
     assert code in (0, 2)
+
+
+MISSING_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
+                for key in ("theta", "z", "eta")] + \
+               [(argv, "nv4.problem.json", "nv4.pass.json", key)
+                for argv in NV_VERIFY_ARGVS for key in ("theta", "z", "eta", "zeta")]
+
+
+@pytest.mark.parametrize("argv, problem, cert_file, key", MISSING_RUNS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_missing_certificate_entry_exits_1(argv, problem, cert_file, key, tmp_path, capsys):
+    """A certificate without theta, or a scenario without one of its
+    required entries, is an input error that names the key (and the
+    scenario), with no report."""
+    cert = json.loads((GOLDEN / cert_file).read_text())
+    if key == "theta":
+        del cert["theta"]
+        want = "the certificate is missing theta"
+    else:
+        del cert["scenarios"][1][key]
+        want = "certificate scenario 1 is missing '%s'" % key
+    options = ["--problem", str(GOLDEN / problem), "--certificate"]
+    code, out, err = run(capsys, *argv, *options, write(tmp_path / "missing.json", cert))
+    assert (code, out) == (1, "") and want in err, err
 
 
 @pytest.mark.parametrize("mode", ["convex", "penalized"])

@@ -6,7 +6,6 @@ from scipy.optimize import linprog
 from conftest import (complementarity_residual, normal_cone_multiplier, polyhedron_contains,
                       random_polyhedral_graph_point)
 from mstat.cones import (
-    ConeRepH,
     InfeasiblePointError,
     Polyhedron,
     active_diagnostics,
@@ -14,12 +13,8 @@ from mstat.cones import (
     cone_coefficients,
     cone_distance,
     distance_to_normal_cone,
-    face_difference,
-    member_h,
-    member_v,
     multiplier_within_support,
     orthant_polyhedron,
-    polar_cone,
     simplex_polyhedron,
 )
 from mstat.lp import feasibility_threshold
@@ -131,37 +126,20 @@ def test_cone_coefficients_against_scipy(rng):
 
 
 # ---------------------------------------------------------------------------
-# polars and membership
+# the polar of a halfspace cone
 
-def test_polar_cone_cases():
-    v = polar_cone(ConeRepH(None, -np.eye(2)))
-    assert member_v(v, [-3.0, -4.0]) and not member_v(v, [1.0, 0.0])
-    v2 = polar_cone(ConeRepH([[1.0, 0.0]], None, dim=2))
-    assert member_v(v2, [5.0, 0.0]) and member_v(v2, [-5.0, 0.0]) \
-        and not member_v(v2, [0.0, 1.0])
-    v3 = polar_cone(ConeRepH(None, None, dim=2))
-    assert member_v(v3, [0.0, 0.0]) and not member_v(v3, [1e-3, 0.0])
-
-
-def test_member_h_cases():
-    k = ConeRepH(None, -np.eye(2))
-    assert member_h(k, [1.0, 0.0]) and not member_h(k, [-1.0, 0.0])
-    with pytest.raises(ValueError):
-        member_h(k, [1.0, 0.0, 0.0])
-
-
-def _enumerate_generators(K, eps=1e-9):
-    """Rays and lineality of a small halfspace cone by tight-row sweeps."""
-    rows = np.vstack([K.E, K.G]) if K.E.shape[0] or K.G.shape[0] \
-        else np.zeros((0, K.dim))
-    lin = null_space(rows) if rows.shape[0] else np.eye(K.dim)
+def _enumerate_generators(G, eps=1e-9):
+    """Rays and lineality of a small cone {d : G d <= 0}, G with at least
+    one row, by tight-row sweeps."""
+    dim = G.shape[1]
+    lin = null_space(G)
     dim_lin = lin.shape[1]
     rays = []
     from itertools import combinations
-    for size in range(rows.shape[0] + 1):
-        for T in combinations(range(rows.shape[0]), size):
-            sub = rows[list(T)] if T else np.zeros((0, K.dim))
-            N = null_space(sub) if sub.shape[0] else np.eye(K.dim)
+    for size in range(G.shape[0] + 1):
+        for T in combinations(range(G.shape[0]), size):
+            sub = G[list(T)] if T else np.zeros((0, dim))
+            N = null_space(sub) if sub.shape[0] else np.eye(dim)
             if N.shape[1] != dim_lin + 1:
                 continue
             if dim_lin:
@@ -177,15 +155,16 @@ def _enumerate_generators(K, eps=1e-9):
                 continue
             v = v / nv
             for s in (v, -v):
-                if member_h(K, s, 1e-9) and not any(
+                if np.max(G @ s) <= 1e-9 and not any(
                         np.linalg.norm(s - r) < 1e-7 for r in rays):
                     rays.append(s)
     return rays, [lin[:, j] for j in range(dim_lin)]
 
 
 def test_bipolar_on_random_small_cones(rng):
-    """Three routes agree: LP feasibility over generators of the polar,
-    primal maximization over the cone by scipy, and sign tests on enumerated
+    """Three routes agree on w in the polar of K = {d : G d <= 0}, which is
+    cone(rows of G): LP feasibility by cone_coefficients, primal
+    maximization of w over K by scipy, and sign tests on K's enumerated
     rays."""
     for _ in range(25):
         d = int(rng.integers(1, 5))
@@ -194,64 +173,18 @@ def test_bipolar_on_random_small_cones(rng):
         G = G[~np.all(G == 0, axis=1)]
         if not len(G):
             continue
-        K = ConeRepH(None, G, dim=d)
-        rays, lins = _enumerate_generators(K)
-        polar = polar_cone(K)
-        box = np.vstack([K.G, np.eye(d), -np.eye(d)])
-        box_b = np.concatenate([np.zeros(K.G.shape[0]), np.ones(2 * d)])
+        rays, lins = _enumerate_generators(G)
+        box = np.vstack([G, np.eye(d), -np.eye(d)])
+        box_b = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * d)])
         for _q in range(8):
             w = rng.integers(-2, 3, d).astype(float)
-            via_lp = member_v(polar, w)
+            via_lp = cone_coefficients(w, G) is not None
             res = linprog(-w, A_ub=box, b_ub=box_b, bounds=[(None, None)] * d,
                           method="highs")
             via_primal = res.status == 0 and -res.fun <= 1e-8
             via_rays = all(w @ r <= 1e-8 for r in rays) and \
                 all(abs(w @ l) <= 1e-8 for l in lins)
             assert via_lp == via_primal == via_rays
-
-
-# ---------------------------------------------------------------------------
-# face differences, at the orthant vertex for the normal vector 0 unless
-# a test says otherwise: every active row carries a zero multiplier
-
-def test_face_difference_cases():
-    split = normal_cone_multiplier(ORTHANT2, np.zeros(2), np.zeros(2))
-    d1 = face_difference(ORTHANT2, split, [], [1])
-    assert member_h(d1, [-9.0, 0.0]) and member_h(d1, [0.0, 1.0]) \
-        and not member_h(d1, [0.0, -1.0])
-    d2 = face_difference(ORTHANT2, split, [1], [1])
-    assert member_h(d2, [5.0, 0.0]) and not member_h(d2, [0.0, 0.1]) \
-        and not member_h(d2, [0.0, -0.1])
-    d3 = face_difference(ORTHANT2, split, [], [])
-    assert member_h(d3, [3.0, -3.0])
-
-
-def test_face_difference_validates_inputs():
-    z = np.zeros(2)
-    split = normal_cone_multiplier(ORTHANT2, z, np.zeros(2))
-    with pytest.raises(ValueError):
-        face_difference(ORTHANT2, split, [1], [])
-    with pytest.raises(ValueError):
-        face_difference(ORTHANT2, split, [], [7])
-    # row 0 carries a positive multiplier for this normal, so it cannot sit in J2
-    with pytest.raises(ValueError):
-        face_difference(ORTHANT2, normal_cone_multiplier(ORTHANT2, z, [1.0, 0.0]), [], [0])
-
-
-def test_face_difference_antitone_in_outer_set(rng):
-    """Growing J2 shrinks the face, hence shrinks the difference cone."""
-    p = orthant_polyhedron(3)
-    split = normal_cone_multiplier(p, np.zeros(3), np.zeros(3))
-    small_j2 = face_difference(p, split, [], [1])
-    large_j2 = face_difference(p, split, [], [1, 2])
-    saw_strict = False
-    for _ in range(40):
-        pt = rng.standard_normal(3)
-        if member_h(large_j2, pt):
-            assert member_h(small_j2, pt)
-        elif member_h(small_j2, pt):
-            saw_strict = True
-    assert saw_strict
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import mstat.graph_normals as GN
 from mstat.cones import (
@@ -183,6 +184,43 @@ def test_oracle_vs_direct_random(rng):
                      rng.integers(-2, 3, poly.dim).astype(float))
             assert oracle_membership(poly, gp, q).member == \
                 polyhedron_membership(poly, gp, q, context=ctx).member
+
+
+def _linprog_cone(w, R, L):
+    """Whether w lies in cone(rows of R) + span(rows of L), by scipy's HiGHS."""
+    cols = np.vstack([R, L]).T
+    if not cols.shape[1]:
+        return bool(np.max(np.abs(w), initial=0.0) <= DEFAULT_EPS)
+    res = linprog(np.zeros(cols.shape[1]), A_eq=cols, b_eq=w,
+                  bounds=[(0, None)] * len(R) + [(None, None)] * len(L), method="highs")
+    return res.status == 0
+
+
+def test_oracle_member_witness_rederived_by_linprog(rng):
+    """A member's witness (S, J1, J2) re-derives without mstat: S, J1 and J2
+    are active rows with J1 in J2 and S apart from J2, S carries a
+    nonnegative multiplier of -g, -eta lies in the face difference
+    {E d = 0, G d <= 0} with E the rows of S + J1 and G those of J2 \\ J1,
+    and zeta lies in its polar cone(rows of G) + span(rows of E)."""
+    members = 0
+    for _ in range(60):
+        poly, z, g = random_polyhedral_graph_point(rng)
+        I = set(np.flatnonzero(np.abs(poly.b - poly.A @ z) <= DEFAULT_EPS).tolist())
+        for _q in range(4):
+            q = pair(rng.integers(-2, 3, poly.dim).astype(float),
+                     rng.integers(-2, 3, poly.dim).astype(float))
+            res = oracle_membership(poly, GraphPoint(z, g), q)
+            if not res.member:
+                continue
+            members += 1
+            S, J1, J2 = (set(res.witness[k]) for k in ("support", "J1", "J2"))
+            assert S | J2 <= I and J1 <= J2 and not S & J2, res.witness
+            E, G = poly.A[sorted(S | J1)], poly.A[sorted(J2 - J1)]
+            assert _linprog_cone(-g, poly.A[sorted(S)], np.zeros((0, poly.dim)))
+            assert np.max(np.abs(E @ -q.eta), initial=0.0) <= DEFAULT_EPS
+            assert np.max(G @ -q.eta, initial=0.0) <= DEFAULT_EPS
+            assert _linprog_cone(q.zeta, G, E)
+    assert members >= 10
 
 
 def _simplex_rows_case(rng, k, d, eps, strict_eps):
