@@ -47,11 +47,11 @@ def _load_json(path, what, kind=dict):
 
 
 def _load_certificate(path):
-    """A certificate file: a JSON object with a theta, whose "scenarios" are
-    objects."""
+    """A certificate file: a JSON object with a theta and a list of
+    "scenarios", each an object."""
     data = _load_json(path, "certificate")
-    _require(data, ("theta",), "the certificate")
-    GN.object_list(data.get("scenarios", []), "certificate scenario")
+    _require(data, ("theta", "scenarios"), "the certificate")
+    GN.object_list(data["scenarios"], "certificate scenario")
     return data
 
 
@@ -309,7 +309,7 @@ def _portfolio_theta(value, inst):
 def _portfolio_certificate(data, inst):
     """A portfolio certificate, whose theta _portfolio_theta reads."""
     scen = []
-    for i, s in enumerate(data.get("scenarios", [])):
+    for i, s in enumerate(data["scenarios"]):
         try:
             scen.append(ST.ScenarioCertificate(s["z"], s["eta"], *(
                 GN.optional_entry(s, key, i) for key in ("zeta", "mu", "value_weights"))))
@@ -533,8 +533,9 @@ def _positive_tolerance(text):
     return value
 
 
-def _nonnegative_tolerance(text):
-    """The value of --atol: a finite number >= 0, else a usage error."""
+def _nonnegative_number(text):
+    """The value of --atol and --noise: a finite number >= 0, else a usage
+    error."""
     value = float(text)
     if not 0.0 <= value < float("inf"):
         raise argparse.ArgumentTypeError("must be a finite number >= 0, not %r" % text)
@@ -546,6 +547,14 @@ def _positive_count(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
+    return value
+
+
+def _nonnegative_count(text):
+    """The value of --steps: an integer >= 0, else a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be an integer >= 0, not %r" % text)
     return value
 
 
@@ -596,7 +605,7 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--theta", default=None, help="JSON file with a theta matrix")
     p.add_argument("--samples-csv", default=None)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_nonnegative_count, default=50)
     _seed(p)
     _output(p)
     p.set_defaults(func=cmd_spo_portfolio)
@@ -615,7 +624,7 @@ def build_parser():
     p.add_argument("kind", choices=("portfolio", "newsvendor"))
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--dims", default=None, help="portfolio: 'dx,dz'; newsvendor: 'dx'")
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_nonnegative_number, default=0.0)
     p.add_argument("--out", default=None)
     _seed(p)
     p.set_defaults(func=cmd_gen)
@@ -625,7 +634,7 @@ def build_parser():
     p.add_argument("--op", choices=("grad-theta-cdf", "lower-grad-z"),
                    default="grad-theta-cdf")
     p.add_argument("--trials", type=_positive_count, default=100)
-    p.add_argument("--atol", type=_nonnegative_tolerance, default=1e-9,
+    p.add_argument("--atol", type=_nonnegative_number, default=1e-9,
                    help="absolute agreement below this skips the relative test")
     _tol(p, "largest relative error that passes (default 1e-6)")
     _seed(p)

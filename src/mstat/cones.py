@@ -156,7 +156,7 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     return linear_feasible(A_eq=cols, b_eq=w, nonneg=np.arange(cols.shape[1]) < len(R))
 
 
-def multiplier_within_support(poly, z, target, support, eps=DEFAULT_EPS):
+def multiplier_within_support(poly, target, support, eps=DEFAULT_EPS):
     """lam >= 0 carried by `support` rows with A^T lam = target, or None.
 
     The support is an upper bound: entries inside it may come out zero. Callers

@@ -206,7 +206,7 @@ def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
         I = active_set(poly, z, eps)
     except ValueError as exc:
         raise NotGraphPointError(str(exc)) from exc
-    if multiplier_within_support(poly, z, -g, I, eps) is None:
+    if multiplier_within_support(poly, -g, I, eps) is None:
         raise NotGraphPointError("-g is not in the normal cone at z")
     return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps)
 
@@ -254,7 +254,7 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
     member = (len(E) == len(I)
-              or multiplier_within_support(poly, context.z, -context.g, E, eps)
+              or multiplier_within_support(poly, -context.g, E, eps)
               is not None) and cone_coefficients(zeta, poly.A[P], poly.A[E], eps) is not None
     if not member:
         return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
@@ -286,7 +286,7 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
                                       % (len(I), MAX_ACTIVE_ROWS))
     seen = set()
     for S in _subsets(I):
-        if multiplier_within_support(poly, context.z, -context.g, S, eps) is None:
+        if multiplier_within_support(poly, -context.g, S, eps) is None:
             continue
         zero_rows = tuple(i for i in I if i not in S)
         for J2 in _subsets(zero_rows):

@@ -59,7 +59,6 @@ from .stationarity import (
     Problem,
     ScenarioTerms,
     UpperModel,
-    sample_rows_solver,
     verify_certificate,
 )
 
@@ -659,15 +658,15 @@ def as_problem(instance):
 
 def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
-    verifier: the order quantity of x at the bandwidth theta. The rows of
-    all samples at a bandwidth are one solve_newsvendor_rows call
-    (sample_rows_solver); rows are independent, so each answer is the float
-    of a one-row solve.
+    verifier. It answers rows (stationarity.value_function): each row's one
+    candidate is the order quantity of its x at the bandwidth theta, and all
+    rows are one solve_newsvendor_rows call, whose rows are independent, so
+    each answer is the float of a one-row solve.
     """
-    def solve_rows(theta, X):
+    def solve(model, theta, X):
         return solve_newsvendor_rows(instance.model(float(theta[0])), X,
-                                     instance.h, instance.b)[:, None]
-    return sample_rows_solver(instance.samples.x, solve_rows)
+                                     instance.h, instance.b)[:, None, None]
+    return solve
 
 
 _CERTIFICATE_KEYS = ("z", "eta", "zeta")
@@ -676,28 +675,31 @@ _CERTIFICATE_KEYS = ("z", "eta", "zeta")
 def newsvendor_certificate(theta, certificate_scenarios):
     """A Certificate from a bandwidth and one mapping per sample.
 
-    Each mapping holds z, eta and zeta, and may hold the penalty weight mu.
-    theta and each of these entries must be one finite number
-    (finite_number), and each scenario a mapping, otherwise ValueError; a
-    missing z, eta or zeta and a null mu are ValueErrors too.
-    Mappings whose z, eta and zeta are all floats and that hold no mu are
-    checked by one type gate and one np.isfinite over their stack; any
-    other input goes entry by entry through finite_number, in scenario
-    order, which names the first bad entry.
+    Each mapping holds z, eta and zeta, and may hold the penalty weight mu
+    and the value_weights. theta and each of z, eta, zeta and mu must be
+    one finite number (finite_number), value_weights a finite vector or
+    number (finite_vector), and each scenario a mapping, otherwise
+    ValueError; a missing z, eta or zeta and a null mu or value_weights
+    are ValueErrors too, naming the scenario.
+    Mappings whose z, eta and zeta are all floats and that hold neither mu
+    nor value_weights are checked by one type gate and one np.isfinite over
+    their stack; any other input goes entry by entry, in scenario order,
+    which names the first bad entry.
     """
     theta = finite_number(theta, "theta")
     parts = object_list(certificate_scenarios, "certificate scenario")
     try:
         values = [part[key] for part in parts for key in _CERTIFICATE_KEYS]
-        ok = set(map(type, values)) == _FLOAT and not any("mu" in part for part in parts)
+        ok = set(map(type, values)) == _FLOAT and not any(
+            "mu" in part or "value_weights" in part for part in parts)
     except KeyError:
         ok = False
     if ok:
         rows = np.array(values).reshape(-1, 3)
         ok = _finite(rows)
-    mus = None
+    mus = value_weights = None
     if not ok:
-        rows, mus = [], []
+        rows, mus, value_weights = [], [], []
         for i, part in enumerate(parts):
             try:
                 rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
@@ -705,9 +707,12 @@ def newsvendor_certificate(theta, certificate_scenarios):
                 raise ValueError("certificate scenario %d is missing %s" % (i, exc)) from None
             mu = optional_entry(part, "mu", i)
             mus.append(None if mu is None else finite_number(mu, "mu"))
+            weights = optional_entry(part, "value_weights", i)
+            value_weights.append(None if weights is None else finite_vector(
+                weights, "certificate scenario %d: value_weights" % i, scalar=True))
         rows = np.array(rows).reshape(-1, 3)
     return Certificate.from_rows(theta, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3],
-                                 np.ones(len(rows), dtype=bool), mus)
+                                 np.ones(len(rows), dtype=bool), mus, value_weights)
 
 
 def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=DEFAULT_TOL):

@@ -36,7 +36,6 @@ from .stationarity import (
     Problem,
     ScenarioCertificate,
     UpperModel,
-    sample_rows_solver,
 )
 
 __all__ = [
@@ -538,14 +537,14 @@ def as_problem(instance):
 
 def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
-    verifier: the simplex QP at the returns that theta predicts from x. The
-    QPs of all samples at a theta are one solve_simplex_qp_rows call
-    (sample_rows_solver)."""
-    def solve_rows(theta, X):
+    verifier. It answers rows (stationarity.value_function): each row's one
+    candidate is the simplex QP at the returns that theta predicts from the
+    row's x, and all rows are one solve_simplex_qp_rows call."""
+    def solve(model, theta, X):
         R = LinearPredictor(theta.reshape(instance.d_x, instance.d_z)).predict_rows(X)
-        return np.array([s.z for s in solve_simplex_qp_rows(R, instance.sigma,
-                                                            instance.risk_aversion)])
-    return sample_rows_solver([x for x, _ in instance.samples], solve_rows)
+        return [[s.z] for s in solve_simplex_qp_rows(R, instance.sigma,
+                                                     instance.risk_aversion)]
+    return solve
 
 
 def _cost(z, r, instance):
@@ -563,28 +562,26 @@ def spo_loss(predictor, x, r, instance):
 
 def empirical_spo_objective(predictor, instance):
     """Weighted mean SPO loss over the sample."""
-    return _spo_objective(predictor, instance, {})
+    return _spo_objective(predictor, instance, _realized_costs(instance))
 
 
-def _spo_objective(predictor, instance, best_costs):
-    """empirical_spo_objective, reusing the realized-return costs
-    _cost(z*(r_n), r_n) that best_costs holds by sample index n and adding
-    those it lacks: z*(r) does not depend on theta. One
-    solve_simplex_qp_rows call solves each sample's predicted decision,
-    followed by its z*(r_n) when that cost is missing, the order in which a
-    sample-by-sample loop would solve them."""
+def _realized_costs(instance):
+    """The realized-return costs _cost(z*(r_n), r_n), one per sample, from
+    one solve_simplex_qp_rows call; they do not depend on theta."""
+    R = np.array([r for _, r in instance.samples])
+    return [_cost(s.z, r, instance) for s, (_, r) in zip(
+        solve_simplex_qp_rows(R, instance.sigma, instance.risk_aversion), instance.samples)]
+
+
+def _spo_objective(predictor, instance, realized):
+    """empirical_spo_objective given the realized-return costs
+    (_realized_costs), solving each sample's predicted decision in one
+    solve_simplex_qp_rows call. Its rows are solved independently, so each
+    decision has the bits of a one-row solve."""
     preds = predictor.predict_rows([x for x, _ in instance.samples])
-    rows = []
-    for n, (_, r) in enumerate(instance.samples):
-        rows += [preds[n]] if n in best_costs else [preds[n], r]
-    solved = iter(solve_simplex_qp_rows(np.array(rows), instance.sigma,
-                                        instance.risk_aversion))
-    losses = []
-    for n, (_, r) in enumerate(instance.samples):
-        z_hat = next(solved).z
-        if n not in best_costs:
-            best_costs[n] = _cost(next(solved).z, r, instance)
-        losses.append(_cost(z_hat, r, instance) - best_costs[n])
+    solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion)
+    losses = [_cost(s.z, r, instance) - best
+              for s, (_, r), best in zip(solved, instance.samples, realized)]
     return float(sum(w * loss for loss, w in zip(losses, instance.weights)))
 
 
@@ -607,8 +604,8 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
     """
     rng = np.random.default_rng(seed)
     theta = np.atleast_2d(np.asarray(theta0, dtype=float)).copy()
-    best_costs = {}
-    best = _spo_objective(LinearPredictor(theta), instance, best_costs)
+    realized = _realized_costs(instance)
+    best = _spo_objective(LinearPredictor(theta), instance, realized)
     history = [best]
     size = step_size
     coords = [(a, b) for a in range(theta.shape[0]) for b in range(theta.shape[1])]
@@ -620,7 +617,7 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
             for delta in (size, -size):
                 cand = theta.copy()
                 cand[a, b] += delta
-                val = _spo_objective(LinearPredictor(cand), instance, best_costs)
+                val = _spo_objective(LinearPredictor(cand), instance, realized)
                 if val < best - 1e-15:
                     theta, best = cand, val
                     history.append(best)

@@ -55,7 +55,7 @@ __all__ = [
     "ScenarioColumns", "ResidualReport",
     "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
-    "value_function", "value_subdifferential", "sample_rows_solver",
+    "value_function", "value_subdifferential",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -336,13 +336,15 @@ class Certificate:
                    [s.mu for s in scenarios], [s.value_weights for s in scenarios])
 
     @classmethod
-    def from_rows(cls, theta, z, eta, zeta, given, mu=None):
+    def from_rows(cls, theta, z, eta, zeta, given, mu=None, value_weights=None):
         """A certificate from finite (n, d) rows z, eta and zeta, the (n,)
-        boolean mask given and the penalty weights mu (one entry or None per
-        scenario, or None for none at all), taken without copying."""
+        boolean mask given, the penalty weights mu and the value_weights
+        (each one entry or None per scenario, or None for none at all),
+        taken without copying."""
         cert = cls.__new__(cls)
-        cert._hold(theta, z, eta, zeta, given, [None] * len(z) if mu is None else mu,
-                   [None] * len(z))
+        none = [None] * len(z)
+        cert._hold(theta, z, eta, zeta, given, none if mu is None else mu,
+                   none if value_weights is None else value_weights)
         return cert
 
     def _hold(self, theta, z, eta, zeta, given, mu, value_weights):
@@ -558,7 +560,7 @@ def nnamcq_check(model, theta, x, z):
         if np.any(s <= eps):
             continue
         E = [i for i, slope in zip(I, rows @ Vt[-1]) if abs(slope) <= eps]
-        if multiplier_within_support(poly, z, -g, E, eps) is not None:
+        if multiplier_within_support(poly, -g, E, eps) is not None:
             return False
     return True
 
@@ -618,7 +620,7 @@ def _check_scenario(poly, z, g):
     if I and not slack[I].any() and phase1_bound(target, -resid) <= 0.5 * threshold:
         comp_gap = 0.0
     elif not I or low_res <= 2.0 * threshold:
-        lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
+        lam = multiplier_within_support(poly, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return low_res, comp_gap
@@ -711,8 +713,10 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     Activity and sign tests use DEFAULT_EPS and STRICT_EPS, and value gaps
     are held to DEFAULT_VALUE_TOL. The penalized system is the convex one
     plus, in each scenario, mu_n g_n on the coderivative line and
-    mu_n (grad_theta c(z_n) - w_n) on the upper line. The convex system
-    passes mus = None and no solver, which drops both terms and the value gaps.
+    mu_n (grad_theta c(z_n) - w_n) on the upper line, with the value gaps
+    and the minimizer samples of w_n from one value_function call over the
+    scenario rows. The convex system passes mus = None and no solver, which
+    drops both terms and the value gaps.
     """
     theta, lower = certificate.theta, problem.lower
     terms = problem.scenario_terms(theta, certificate)
@@ -737,16 +741,9 @@ def _verify(problem, certificate, mode, tol, mus, solver):
     penalties = [None] * len(z)
     caveats = []
     if solver is not None:
-        # One cost_rows call prices every candidate and every z_n; the last
-        # of the split values are the costs of the z_n.
-        found = [_candidates(solver, lower, theta, x) for x in problem.x]
-        xs = [x for x, points in zip(problem.x, found) for _ in points]
-        values = np.split(lower.cost_rows([p for points in found for p in points] + list(z),
-                                          theta, xs + list(problem.x)),
-                          np.cumsum([len(points) for points in found]))
-        for n, (x, mu) in enumerate(zip(problem.x, mus)):
-            vf = _argmin_sample(found[n], values[n])
-            columns.value_gap[n] = float(values[-1][n] - vf.value)
+        found = value_function(lower, theta, problem.x, z, solver)
+        for n, (x, mu, vf) in enumerate(zip(problem.x, mus, found)):
+            columns.value_gap[n] = vf.gap
             if len(vf.argmin_points) > 1:
                 caveats.append("scenario %d: lower solution sampled at %d points; "
                                "the sample may be incomplete" % (n, len(vf.argmin_points)))
@@ -777,7 +774,8 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL, solver=N
     gradients over the lower solution set; the scenario line gains
     mu_n grad_z c. Lower-level value gaps are certified against the optimal
     value whenever a solver is supplied, and a solver is mandatory as soon as
-    some mu_n is positive.
+    some mu_n is positive. The solver answers rows, as value_function states:
+    it is called once, with every scenario's row of problem.x.
     """
     _validate_certificate(problem, certificate)
     mus = [0.0 if mu is None else mu for mu in certificate.mu]
@@ -794,8 +792,12 @@ def verify_certificate_penalized(problem, certificate, tol=DEFAULT_TOL, solver=N
 
 @dataclass
 class ValueFunctionResult:
+    """One row's optimal value, its deduplicated sample of minimizers and
+    the value gap c(z_n) - value of the row's point z_n."""
+
     value: float
     argmin_points: list
+    gap: float
 
 
 @dataclass
@@ -821,37 +823,43 @@ class ValueSubdifferential:
         return sum(wi * gi for wi, gi in zip(w, self.generators))
 
 
-def value_function(model, theta, x, solver):
-    """Optimal value and a deduplicated sample of minimizers.
+def value_function(model, theta, X, Z, solver):
+    """Optimal value, a deduplicated sample of minimizers and the value gap
+    of each row x_n of X and z_n of Z, one ValueFunctionResult per row.
 
-    The solver supplies candidate points; everything within _ARGMIN_TOL of
-    the best candidate is kept, once per point. Strictly convex problems
-    yield a singleton, flat
-    directions yield however many distinct candidates the solver produced.
+    The solver answers rows: solver(model, theta, X) returns, for each row
+    of X, a sequence of candidate points, and a row without one is a
+    ValueError. One cost_rows call prices every candidate and every z_n.
+    Everything within _ARGMIN_TOL of a row's best candidate is kept, once
+    per point: strictly convex problems yield a singleton, flat directions
+    however many distinct candidates the solver produced. The gap is
+    c(z_n) - value, the float that cost_rows gives c(z_n) minus the value.
     """
     theta = np.asarray(theta, dtype=float)
-    candidates = _candidates(solver, model, theta, x)
-    return _argmin_sample(candidates, model.cost_rows(candidates, theta, [x] * len(candidates)))
-
-
-def _candidates(solver, model, theta, x):
-    candidates = [np.atleast_1d(np.asarray(z, dtype=float)) for z in solver(model, theta, x)]
-    if not candidates:
-        raise ValueError("solver returned no candidates")
-    return candidates
-
-
-def _argmin_sample(candidates, values):
-    """value_function's result from the candidates and their costs."""
-    best = float(np.min(values))
-    keep = []
-    for z, v in zip(candidates, values):
-        if v > best + _ARGMIN_TOL:
-            continue
-        if any(np.max(np.abs(z - k)) <= _ARGMIN_TOL for k in keep):
-            continue
-        keep.append(z)
-    return ValueFunctionResult(value=best, argmin_points=keep)
+    answers = list(solver(model, theta, X))
+    if len(answers) != len(X):
+        raise ValueError("solver answered %d rows, expected %d" % (len(answers), len(X)))
+    found = [[np.atleast_1d(np.asarray(p, dtype=float)) for p in points] for points in answers]
+    for n, points in enumerate(found):
+        if not points:
+            raise ValueError("solver returned no candidates for row %d" % n)
+    xs = [x for x, points in zip(X, found) for _ in points]
+    values = np.split(model.cost_rows([p for points in found for p in points] + list(Z),
+                                      theta, xs + list(X)),
+                      np.cumsum([len(points) for points in found]))
+    out = []
+    for points, costs, cost_z in zip(found, values, values[-1]):
+        best = float(np.min(costs))
+        keep = []
+        for z, v in zip(points, costs):
+            if v > best + _ARGMIN_TOL:
+                continue
+            if any(np.max(np.abs(z - k)) <= _ARGMIN_TOL for k in keep):
+                continue
+            keep.append(z)
+        out.append(ValueFunctionResult(value=best, argmin_points=keep,
+                                       gap=float(cost_z - best)))
+    return out
 
 
 def value_subdifferential(model, theta, x, argmin_points):
@@ -862,31 +870,3 @@ def value_subdifferential(model, theta, x, argmin_points):
     if not gens:
         raise ValueError("empty solution sample")
     return ValueSubdifferential(generators=gens, dim_theta=len(theta))
-
-
-def sample_rows_solver(X, solve_rows):
-    """A lower-level solver for the penalized verifier that answers the
-    sample rows X at a theta from one solve_rows(theta, X) call.
-
-    The penalized verifier asks about every sample at one theta, so the
-    first question at a theta solves all rows of X, and a sample's x reads a
-    copy of its row, so that a caller that edits an answer changes no later
-    one; any other x is solved alone, as row 0 of solve_rows(theta, x[None]).
-    solve_rows returns one answer row per query row, and each row must not
-    depend on the others: then every answer is that of a one-row solve.
-    """
-    rows = {row.tobytes(): i for i, row in enumerate(np.asarray(X, dtype=float))}
-    solved = {}
-
-    def solve(model, theta, x):
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if key not in solved:
-            solved.clear()
-            solved[key] = solve_rows(theta, X)
-        x = np.asarray(x, dtype=float)
-        i = rows.get(x.tobytes())
-        if i is None:
-            return [solve_rows(theta, x[None])[0]]
-        return [solved[key][i].copy()]
-    return solve

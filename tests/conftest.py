@@ -463,7 +463,7 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
     seen = set()
     for size_e in range(len(I) + 1):
         for eq in combinations(I, size_e):
-            if multiplier_within_support(poly, z, -g, eq, eps) is None:
+            if multiplier_within_support(poly, -g, eq, eps) is None:
                 continue
             rest = [i for i in I if i not in eq]
             for size_g in range(len(rest) + 1):
@@ -732,7 +732,7 @@ def normal_cone_multiplier(poly, z, v, eps=DEFAULT_EPS):
     Off-active multipliers are pinned to zero (complementary slackness).
     """
     I = active_set(poly, z, eps)
-    lam = multiplier_within_support(poly, z, -np.asarray(v, dtype=float), I, eps)
+    lam = multiplier_within_support(poly, -np.asarray(v, dtype=float), I, eps)
     if lam is None:
         return None
     plus = tuple(i for i in I if lam[i] > eps)
@@ -764,7 +764,7 @@ def check_scenario_lp(poly, z, g):
         return None
     comp_gap = None
     if not I or low_res <= 2.0 * feasibility_threshold(target):
-        lam = multiplier_within_support(poly, z, target, I, DEFAULT_EPS)
+        lam = multiplier_within_support(poly, target, I, DEFAULT_EPS)
         if lam is not None:
             comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
     return low_res, comp_gap
@@ -850,21 +850,24 @@ def psi_set(lower, upper, theta, x, y, solutions, multipliers):
 
 
 def grid_solver(points):
-    """Solver returning a fixed candidate list (endpoints included by caller)."""
+    """Rows solver giving every row one fixed candidate list (endpoints
+    included by caller)."""
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
 
-    def solve(model, theta, x):
-        return pts
+    def solve(model, theta, X):
+        return [pts] * len(X)
     return solve
 
 
 def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
-    """Multi-start projected gradient for structured feasible sets.
+    """Rows solver by multi-start projected gradient for structured feasible
+    sets: each row's candidates are the end points of its runs.
 
     Deterministic under the seed; start points come from a fixed random grid
-    inside the unit box mapped through the set's projection.
+    inside the unit box mapped through the set's projection, the same for
+    every row.
     """
-    def solve(model, theta, x):
+    def descend(model, theta, x):
         fs = model.feasible_set
         rng = np.random.default_rng(seed)
         starts = [fs.project(rng.uniform(-1.0, 1.0, fs.dim)) for _ in range(n_starts)]
@@ -883,4 +886,7 @@ def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
                 z = z_next
             out.append(z)
         return out
+
+    def solve(model, theta, X):
+        return [descend(model, theta, x) for x in X]
     return solve

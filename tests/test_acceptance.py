@@ -284,7 +284,7 @@ def test_criterion_10_value_function_calculus():
     model = QuadraticLowerModel(np.zeros((1, 1)), np.eye(1),
                                 FeasibleSet.box([-1.0], [1.0]))
     solver = grid_solver([[v] for v in np.linspace(-1.0, 1.0, 17)])
-    vf = value_function(model, [0.0], None, solver)
+    [vf] = value_function(model, [0.0], [None], [[0.0]], solver)
     sub = value_subdifferential(model, [0.0], None, vf.argmin_points)
     gens = sorted(g[0] for g in sub.generators)
     span_ok = gens[0] == -1.0 and gens[-1] == 1.0

@@ -1063,7 +1063,8 @@ NULL_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.jso
              for key in ("zeta", "mu", "value_weights")] + \
             [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
              for key in ("zeta", "mu", "value_weights")] + \
-            [(argv, "nv4.problem.json", "nv4.pass.json", "mu") for argv in NV_VERIFY_ARGVS]
+            [(argv, "nv4.problem.json", "nv4.pass.json", key) for argv in NV_VERIFY_ARGVS
+             for key in ("mu", "value_weights")]
 
 
 @pytest.mark.parametrize("argv, problem, cert_file, key", NULL_RUNS,
@@ -1084,27 +1085,58 @@ def test_null_certificate_entry_exits_1(argv, problem, cert_file, key, tmp_path,
 
 
 MISSING_RUNS = [(["verify", "--mode", "convex"], "pf1.problem.json", "pf1.exact.json", key)
-                for key in ("theta", "z", "eta")] + \
-               [(argv, "nv4.problem.json", "nv4.pass.json", key)
-                for argv in NV_VERIFY_ARGVS for key in ("theta", "z", "eta", "zeta")]
+                for key in ("theta", "scenarios", "z", "eta")] + \
+               [(argv, "nv4.problem.json", "nv4.pass.json", key) for argv in NV_VERIFY_ARGVS
+                for key in ("theta", "scenarios", "z", "eta", "zeta")]
 
 
 @pytest.mark.parametrize("argv, problem, cert_file, key", MISSING_RUNS,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_missing_certificate_entry_exits_1(argv, problem, cert_file, key, tmp_path, capsys):
-    """A certificate without theta, or a scenario without one of its
-    required entries, is an input error that names the key (and the
+    """A certificate without theta or scenarios, or a scenario without one
+    of its required entries, is an input error that names the key (and the
     scenario), with no report."""
     cert = json.loads((GOLDEN / cert_file).read_text())
-    if key == "theta":
-        del cert["theta"]
-        want = "the certificate is missing theta"
+    if key in ("theta", "scenarios"):
+        del cert[key]
+        want = "the certificate is missing %s" % key
     else:
         del cert["scenarios"][1][key]
         want = "certificate scenario 1 is missing '%s'" % key
     options = ["--problem", str(GOLDEN / problem), "--certificate"]
     code, out, err = run(capsys, *argv, *options, write(tmp_path / "missing.json", cert))
     assert (code, out) == (1, "") and want in err, err
+
+
+@pytest.mark.parametrize("argv", NV_VERIFY_ARGVS, ids=" ".join)
+def test_newsvendor_value_weights_not_a_finite_vector_exit_1(argv, tmp_path, capsys):
+    """A newsvendor scenario's value_weights is read as a portfolio
+    scenario's is: a string, a non-finite entry or a boolean is an input
+    error naming the key and the scenario, with no report."""
+    cert = json.loads((GOLDEN / "nv4.pass.json").read_text())
+    options = ["--problem", str(GOLDEN / "nv4.problem.json"), "--certificate"]
+    for junk in ("junk", [float("nan")], True):
+        cert["scenarios"][1]["value_weights"] = junk
+        code, out, err = run(capsys, *argv, *options, write(tmp_path / "junk.json", cert))
+        assert (code, out) == (1, "") and "certificate scenario 1: value_weights" in err, err
+
+
+def test_newsvendor_value_weights_reach_the_penalized_system(tmp_path, capsys):
+    """With mu > 0, a newsvendor scenario's value_weights combine its
+    value-function generators: [1.0] over the one sampled minimizer gives
+    the output of no weights, and [0.5], which is no convex combination, is
+    an input error."""
+    cert = json.loads((GOLDEN / "nv4.pass.json").read_text())
+    argv = ["verify", "--mode", "penalized", "--problem", str(GOLDEN / "nv4.problem.json"),
+            "--certificate"]
+    cert["scenarios"][1]["mu"] = 0.5
+    base = run(capsys, *argv, write(tmp_path / "mu.json", cert))
+    assert base[0] in (0, 2) and base[1]
+    cert["scenarios"][1]["value_weights"] = [1.0]
+    assert run(capsys, *argv, write(tmp_path / "weights.json", cert)) == base
+    cert["scenarios"][1]["value_weights"] = [0.5]
+    code, out, err = run(capsys, *argv, write(tmp_path / "half.json", cert))
+    assert (code, out) == (1, "") and "convex combination" in err, err
 
 
 @pytest.mark.parametrize("mode", ["convex", "penalized"])
@@ -1557,6 +1589,33 @@ def test_fd_check_atol_must_be_finite_and_nonnegative(tmp_path, capsys):
     for bad in ("inf", "nan", "-1", "-inf", "-1e-12", "abc"):
         code, out, err = run(capsys, *argv, "--atol", bad)
         assert (code, out) == (1, "") and "--atol" in err, bad
+
+
+@pytest.mark.parametrize("kind", ["portfolio", "newsvendor"])
+def test_gen_noise_must_be_finite_and_nonnegative(kind, capsys):
+    """--noise of gen is a finite number >= 0; a negative or non-finite
+    value is a usage error, not noise-free data labelled noisy nor an
+    internal message."""
+    for good in ("0", "0.5"):
+        code, out, _ = run(capsys, "gen", kind, "--n", "3", "--noise", good)
+        assert code == 0 and json.loads(out)["schema"] == "mstat/1", good
+    for bad in ("-0.5", "nan", "inf", "-inf", "abc"):
+        code, out, err = run(capsys, "gen", kind, "--n", "3", "--noise", bad)
+        assert (code, out) == (1, "") and "--noise" in err, bad
+
+
+def test_search_steps_must_be_a_nonnegative_integer(capsys):
+    """--steps of spo-portfolio search is an integer >= 0: 0 reports the
+    objective of the start, and a negative or fractional count is a usage
+    error."""
+    argv = ["spo-portfolio", "search", "--problem", str(GOLDEN / "pf1.problem.json")]
+    code, out, _ = run(capsys, *argv, "--steps", "0")
+    fit = json.loads(run(capsys, "spo-portfolio", "fit", "--problem",
+                         str(GOLDEN / "pf1.problem.json"))[1])
+    assert code == 0 and json.loads(out)["theta"] == fit["theta"]
+    for bad in ("-3", "2.5", "abc"):
+        code, out, err = run(capsys, *argv, "--steps", bad)
+        assert (code, out) == (1, "") and "--steps" in err, bad
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):

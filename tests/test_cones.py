@@ -97,8 +97,8 @@ def test_multiplier_within_support_is_monotone(rng):
     z = np.array([1.0, 0.0, 0.0])
     target = np.array([2.0, 1.0, 1.0])  # tau=2, lam = (0,1,1) over bound rows
     full = active_set(p, z)
-    assert multiplier_within_support(p, z, target, full) is not None
-    assert multiplier_within_support(p, z, target, ()) is None
+    assert multiplier_within_support(p, target, full) is not None
+    assert multiplier_within_support(p, target, ()) is None
 
 
 def test_cone_coefficients_against_scipy(rng):
@@ -227,7 +227,7 @@ def test_multiplier_lp_fails_past_twice_the_feasibility_threshold():
         target = -(g + 10.0 ** rng.uniform(-12, 0) * rng.standard_normal(len(z)))
         if not I:
             continue
-        lam = multiplier_within_support(poly, z, target, I)
+        lam = multiplier_within_support(poly, target, I)
         if cone_distance(target, poly.A[list(I)]) > 2.0 * feasibility_threshold(target):
             assert lam is None, (poly.A.tolist(), z.tolist(), target.tolist())
             past += 1

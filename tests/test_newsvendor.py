@@ -37,7 +37,7 @@ from mstat.newsvendor import (
     solve_newsvendor_rows,
     verify_newsvendor_system,
 )
-from mstat.stationarity import gradient_selftest, verify_certificate_penalized
+from mstat.stationarity import gradient_selftest, value_function, verify_certificate_penalized
 
 
 def single_center(y=5.0, theta=2.0):
@@ -541,22 +541,42 @@ def test_leave_one_out_regret_matches_oracle(rng):
     assert mine == oracle
 
 
-def test_lower_solver_answers_are_one_row_solves(rng):
-    """lower_solver solves every sample at a bandwidth in one call and reads
-    a sample's row from it; a query that is no sample is solved alone. Each
-    answer is the float of a one-row solve, at every bandwidth asked."""
+def test_lower_solver_answers_are_one_row_solves(rng, monkeypatch):
+    """lower_solver answers rows: at each bandwidth one
+    solve_newsvendor_rows call solves every row of X, and each row's one
+    candidate is the float of a one-row solve, also for rows that are no
+    sample."""
     inst = random_instance(rng, 12, 2, "plain")
     solve = NV.lower_solver(inst)
-    queries = list(inst.samples.x) + [np.array([0.3, -0.2]), inst.samples.x[4] + 1e-9]
-    for theta in (0.3, 0.7, 0.3):
+    X = np.vstack([inst.samples.x, [[0.3, -0.2]], inst.samples.x[4:5] + 1e-9])
+    thetas = (0.3, 0.7, 0.3)
+    calls = []
+    rows = NV.solve_newsvendor_rows
+    with monkeypatch.context() as m:
+        m.setattr(NV, "solve_newsvendor_rows",
+                  lambda model, xs, *a: calls.append(len(xs)) or rows(model, xs, *a))
+        answers = [solve(None, np.array([theta]), X) for theta in thetas]
+    assert calls == [len(X)] * 3
+    for theta, answer in zip(thetas, answers):
         model = inst.model(theta)
-        for x in queries:
-            [z] = solve(None, np.array([theta]), x)
+        for x, points in zip(X, answer):
+            [z] = points
             assert z.tolist() == solve_newsvendor_rows(model, [x], inst.h, inst.b).tolist()
-    # an answer is the caller's own array: editing it changes no later answer
-    [z] = solve(None, np.array([0.3]), queries[0])
-    z[0] = np.nan
-    assert not np.isnan(solve(None, np.array([0.3]), queries[0])[0][0])
+
+
+def test_value_function_gap_is_cost_rows_minus_value(rng):
+    """value_function prices the candidates and the z_n in one cost_rows
+    call; each row's value is the cost of its solution and its gap the
+    float of cost_rows(Z) minus that value, as separate calls give them."""
+    inst = random_instance(rng, 12, 2, "plain")
+    lm, theta, X = NV.NewsvendorLowerModel(inst), np.array([0.4]), inst.samples.x
+    solutions = solve_newsvendor_rows(inst.model(0.4), X, inst.h, inst.b)
+    Z = np.maximum(solutions + rng.choice([0.0, 1e-3, -0.5, 2.0], len(X)), 0.0)[:, None]
+    found = value_function(lm, theta, X, Z, NV.lower_solver(inst))
+    values = lm.cost_rows(solutions[:, None], theta, X)
+    costs = lm.cost_rows(Z, theta, X)
+    assert [vf.value for vf in found] == values.tolist()
+    assert [repr(vf.gap) for vf in found] == [repr(float(c - v)) for c, v in zip(costs, values)]
 
 
 def test_cost_rows_equal_one_row_costs(rng, monkeypatch):

@@ -559,28 +559,26 @@ def test_verify_reports_the_beta_the_sign_conditions_pin():
 
 
 def test_lower_solver_answers_are_one_row_solves(monkeypatch):
-    """lower_solver solves every sample at a theta in one
-    solve_simplex_qp_rows call and reads a sample's row from it; a query
-    that is no sample is solved alone. Each answer is the z of a one-row
-    solve at the predicted returns, and the caller's own array."""
+    """lower_solver answers rows: at each theta one solve_simplex_qp_rows
+    call solves every row of X, and each row's one candidate has the bytes
+    of a one-row solve at the predicted returns, also for a row that is no
+    sample."""
     import mstat.portfolio as PF
 
     inst, theta0 = small_instance()
     solve = lower_solver(inst)
-    queries = [x for x, _ in inst.samples] + [np.array([0.3, -0.2])]
+    X = np.vstack([x for x, _ in inst.samples] + [np.array([0.3, -0.2])])
     thetas = (theta0, theta0 + 0.3, theta0)
     calls = []
     rows = PF.solve_simplex_qp_rows
     with monkeypatch.context() as m:
         m.setattr(PF, "solve_simplex_qp_rows", lambda R, *a: calls.append(len(R)) or rows(R, *a))
-        answers = [solve(None, theta.ravel(), x)[0] for theta in thetas for x in queries]
-    assert calls == [5, 1] * 3
-    want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z
-            for theta in thetas for x in queries]
-    assert [z.tobytes() for z in answers] == [z.tobytes() for z in want]
-    [z] = solve(None, theta0.ravel(), queries[0])
-    z[0] = np.nan
-    assert not np.isnan(solve(None, theta0.ravel(), queries[0])[0][0])
+        answers = [solve(None, theta.ravel(), X) for theta in thetas]
+    assert calls == [len(X)] * 3
+    for theta, answer in zip(thetas, answers):
+        assert [len(points) for points in answer] == [1] * len(X)
+        want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z for x in X]
+        assert [points[0].tobytes() for points in answer] == [z.tobytes() for z in want]
 
 
 # ---------------------------------------------------------------------------

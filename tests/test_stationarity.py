@@ -458,17 +458,17 @@ INTERVAL_GRID = grid_solver([[v] for v in np.linspace(-1.0, 1.0, 17)])
 
 def test_value_function_flat_and_pointed():
     m = interval_lower()
-    flat = value_function(m, [0.0], None, INTERVAL_GRID)
-    assert flat.value == 0.0 and len(flat.argmin_points) == 17
-    pointed = value_function(m, [2.0], None, INTERVAL_GRID)
+    [flat] = value_function(m, [0.0], [None], [[0.5]], INTERVAL_GRID)
+    assert flat.value == 0.0 and len(flat.argmin_points) == 17 and flat.gap == 0.0
+    [pointed] = value_function(m, [2.0], [None], [[0.5]], INTERVAL_GRID)
     assert pointed.value == -2.0
     assert len(pointed.argmin_points) == 1
-    assert pointed.argmin_points[0][0] == -1.0
+    assert pointed.argmin_points[0][0] == -1.0 and pointed.gap == 3.0
 
 
 def test_value_subdifferential_interval():
     m = interval_lower()
-    flat = value_function(m, [0.0], None, INTERVAL_GRID)
+    [flat] = value_function(m, [0.0], [None], [[0.0]], INTERVAL_GRID)
     sub = value_subdifferential(m, [0.0], None, flat.argmin_points)
     vals = sorted(g[0] for g in sub.generators)
     assert vals[0] == -1.0 and vals[-1] == 1.0
@@ -483,11 +483,56 @@ def test_strictly_convex_value_singleton_danskin():
     fs = FeasibleSet.box([-10.0], [10.0])
     m = TrackingLower(fs)
     solver = projected_gradient_solver(n_starts=4, seed=1)
-    vf = value_function(m, np.array([0.7]), None, solver)
+    [vf] = value_function(m, np.array([0.7]), [None], [[0.7]], solver)
     assert len(vf.argmin_points) == 1
     sub = value_subdifferential(m, np.array([0.7]), None, vf.argmin_points)
     assert len(sub.generators) == 1
     assert np.allclose(sub.generators[0], 0.0, atol=1e-8)
+
+
+def test_value_function_needs_candidates_for_every_row():
+    """The solver answers rows: fewer answers than rows of X, or a row
+    without a candidate, is a ValueError."""
+    m = interval_lower()
+    X, Z = [None, None], [[0.0], [0.5]]
+    for answers, match in (([[[0.0]]], "answered 1 rows, expected 2"),
+                           ([[[0.0]], []], "no candidates for row 1")):
+        with pytest.raises(ValueError, match=match):
+            value_function(m, [1.0], X, Z, lambda model, theta, X: answers)
+
+
+def test_value_function_gap_is_cost_rows_minus_value(rng):
+    """Each row's gap is the float of cost_rows(Z) minus the row's value,
+    bit for bit, although one cost_rows call prices the candidates and Z."""
+    m = ContextLinearLower(np.ones((2, 1)), np.array([1.0, 0.5]),
+                           FeasibleSet.box([-1.0, -1.0], [1.0, 1.0]))
+    theta, X = np.array([0.3]), rng.normal(size=(5, 2))
+    Z = rng.uniform(-1.0, 1.0, (5, 2))
+    found = value_function(m, theta, X, Z, projected_gradient_solver(n_starts=3, seed=4))
+    costs = m.cost_rows(Z, theta, X)
+    assert [repr(vf.gap) for vf in found] == [repr(float(c - vf.value))
+                                              for c, vf in zip(costs, found)]
+    assert all(vf.gap >= 0.0 for vf in found)
+
+
+def test_penalized_verify_makes_one_solver_call(monkeypatch):
+    """A penalized verify asks its solver once, about every scenario's row
+    of x, through one value_function call."""
+    import mstat.stationarity as ST
+
+    prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(), x=[[0.0], [1.0], [2.0]],
+                   y=[0.0] * 3, weights=[0.25, 0.25, 0.5])
+    cert = Certificate(theta=np.zeros(1), scenarios=[
+        ScenarioCertificate(z=[1.0], eta=[0.0], zeta=[0.0], mu=1.0) for _ in range(3)])
+    grid = grid_solver([[v] for v in np.linspace(-2.0, 2.0, 17)])
+    asked, calls = [], []
+    value_function_of = ST.value_function
+    monkeypatch.setattr(ST, "value_function",
+                        lambda *a: calls.append(None) or value_function_of(*a))
+    rep = verify_certificate_penalized(
+        prob, cert, solver=lambda model, theta, X: asked.append(X.tolist()) or grid(model, theta, X))
+    assert asked == [[[0.0], [1.0], [2.0]]] and len(calls) == 1
+    assert rep.columns.value_gap == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -645,14 +690,14 @@ def test_upper_residual_matches_finite_difference_of_composed_value():
     theta = np.array([0.4])
 
     # eta from the interior scenario line: 0 = (z - y) + eta with z = theta
-    z = value_function(lower, theta, None, solver).argmin_points[0]
+    z = value_function(lower, theta, [None], [theta], solver)[0].argmin_points[0]
     eta = y - z
     cert = Certificate(theta=theta, scenarios=[
         ScenarioCertificate(z=z, eta=eta, zeta=np.zeros(1))])
     resid = upper_residual(prob, cert)
 
     def V(t):
-        zz = value_function(lower, np.array([t]), None, solver).argmin_points[0]
+        zz = value_function(lower, np.array([t]), [None], [[t]], solver)[0].argmin_points[0]
         return upper.loss(zz, None, y, None)
 
     h = 1e-5
@@ -972,7 +1017,7 @@ def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
         if lps < reference_lps:
             tally["skipped"] += 1
             assert I and not slack[list(I)].any()
-            assert multiplier_within_support(poly, z, -g, I) is not None
+            assert multiplier_within_support(poly, -g, I) is not None
         elif I and not slack[list(I)].any():
             tally["lp_zero_slack"] += 1
         elif want[1] > 0.0:
@@ -997,7 +1042,7 @@ def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, m
     assert I and not slack[list(I)].any()
     threshold = feasibility_threshold(target)
     assert np.sqrt(len(z)) * cone_distance(target, poly.A[list(I)]) <= 0.5 * threshold
-    assert multiplier_within_support(poly, z, target, I) is None
+    assert multiplier_within_support(poly, target, I) is None
     calls = count_lps(monkeypatch)
     _, comp_gap = _check_scenario(poly, z, -target)
     assert comp_gap is None and len(calls) == 1
