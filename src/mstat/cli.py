@@ -307,14 +307,19 @@ def _portfolio_theta(value, inst):
 
 
 def _portfolio_certificate(data, inst):
-    """A portfolio certificate, whose theta _portfolio_theta reads."""
+    """A portfolio certificate, whose theta _portfolio_theta reads; an entry
+    error names its scenario."""
     scen = []
     for i, s in enumerate(data["scenarios"]):
         try:
-            scen.append(ST.ScenarioCertificate(s["z"], s["eta"], *(
-                GN.optional_entry(s, key, i) for key in ("zeta", "mu", "value_weights"))))
+            entries = [s["z"], s["eta"]] + [GN.optional_entry(s, key, i)
+                                            for key in ("zeta", "mu", "value_weights")]
         except KeyError as exc:
             raise CliError("certificate scenario %d is missing %s" % (i, exc))
+        try:
+            scen.append(ST.ScenarioCertificate(*entries))
+        except ValueError as exc:
+            raise CliError("certificate scenario %d: %s" % (i, exc))
     return ST.Certificate(theta=_portfolio_theta(data["theta"], inst), scenarios=scen)
 
 

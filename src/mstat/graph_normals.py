@@ -14,6 +14,8 @@ lower-level stationarity of z is exactly the graph-point precondition.
 The direct polyhedral predicate decides the existential system at its one
 maximal row split with two LPs, so it has no cap, and the orthant and
 simplex specializations reduce it to sign conditions in closed form. The
+simplex also has the distance to its normal cone in closed form
+(_simplex_residual_rows), which gives the verifier's lower residuals. The
 face-pair oracle decides the same system independently: it sweeps multiplier
 supports and nested row subsets and tests each pair's face difference and
 its polar directly, exponential in the active rows and capped at
@@ -520,6 +522,46 @@ def _simplex_rows(z, g, zeta, eta, eps):
                         "I_plus": _flagged(I_plus[j]), "I_zero": _flagged(I_zero[j])})
         out[j] = Membership(ok[j], "member" if ok[j] else "not_member", "simplex", witness)
     return out
+
+
+def _simplex_residual_rows(u, active):
+    """The residual of u's nearest point in the simplex normal cone, k rows
+    at once, and its Euclidean norm per row.
+
+    u is (k, d); active is the (k, d + 1) mask of the active rows of the
+    simplex system, the d bound rows -z_i <= 0 and then the budget row
+    1^T z <= 1. The normal cone is {tau 1 - mu : tau >= 0, mu >= 0 on the
+    pinned coordinates P (active bound rows), mu = 0 off P}, with tau = 0
+    when the budget row is slack. For fixed tau the best mu is
+    max(tau - u_i, 0) on P, so the squared distance is
+    f(tau) = sum_{i not in P} (tau - u_i)^2 + sum_{i in P} max(u_i - tau, 0)^2,
+    convex and continuously differentiable. With t the pinned entries of u
+    in descending order, piece j (the j largest pinned entries above tau)
+    has the stationary point tau_j = (sum of the free u + t_1 + ... + t_j)
+    / (n_free + j), and the first j with t_{j+1} <= tau_j is the piece
+    where f' vanishes: each step from j to j + 1 averages in a t_{j+1} above
+    tau_j, so tau_j < t_j for that j. Over tau >= 0 the minimum is at
+    max(tau_j, 0). With no free coordinate f is flat above max t, and the
+    first test that holds picks a point of that flat part or 0.
+    The residual is built from those explicit tau >= 0 and mu >= 0 as
+    (tau - u) - mu, and its norm as sqrt(sum(r * r)) over the row, so no
+    BLAS kernel touches it. Only sort, cumsum and elementwise operations
+    act across a row, so each row gets the same bits in any stack.
+    """
+    k, d = u.shape
+    pinned, budget = active[:, :d], active[:, d]
+    free = ~pinned
+    top = -np.sort(np.where(pinned, -u, np.inf), axis=1)
+    sums = np.cumsum(np.concatenate([np.sum(np.where(free, u, 0.0), axis=1)[:, None],
+                                     np.where(top > -np.inf, top, 0.0)], axis=1), axis=1)
+    top = np.concatenate([top, np.full((k, 1), -np.inf)], axis=1)
+    counts = free.sum(axis=1)[:, None] + np.arange(d + 1)
+    stationary = sums / np.maximum(counts, 1)
+    first = np.argmax(top <= stationary, axis=1)
+    tau = np.where(budget, np.maximum(stationary[np.arange(k), first], 0.0), 0.0)
+    diff = tau[:, None] - u
+    resid = diff - np.where(pinned, np.maximum(diff, 0.0), 0.0)
+    return resid, np.sqrt(np.sum(resid * resid, axis=1))
 
 
 def simplex_membership(z, g, pair, eps=DEFAULT_EPS):

@@ -680,7 +680,7 @@ def newsvendor_certificate(theta, certificate_scenarios):
     one finite number (finite_number), value_weights a finite vector or
     number (finite_vector), and each scenario a mapping, otherwise
     ValueError; a missing z, eta or zeta and a null mu or value_weights
-    are ValueErrors too, naming the scenario.
+    are ValueErrors too. Every entry's error names its scenario.
     Mappings whose z, eta and zeta are all floats and that hold neither mu
     nor value_weights are checked by one type gate and one np.isfinite over
     their stack; any other input goes entry by entry, in scenario order,
@@ -702,11 +702,12 @@ def newsvendor_certificate(theta, certificate_scenarios):
         rows, mus, value_weights = [], [], []
         for i, part in enumerate(parts):
             try:
-                rows.append([finite_number(part[key], key) for key in _CERTIFICATE_KEYS])
+                rows.append([finite_number(part[key], "certificate scenario %d: %s" % (i, key))
+                             for key in _CERTIFICATE_KEYS])
             except KeyError as exc:
                 raise ValueError("certificate scenario %d is missing %s" % (i, exc)) from None
             mu = optional_entry(part, "mu", i)
-            mus.append(None if mu is None else finite_number(mu, "mu"))
+            mus.append(None if mu is None else finite_number(mu, "certificate scenario %d: mu" % i))
             weights = optional_entry(part, "value_weights", i)
             value_weights.append(None if weights is None else finite_vector(
                 weights, "certificate scenario %d: value_weights" % i, scalar=True))

@@ -28,6 +28,7 @@ from .cones import (
     CombinatorialLimitError,
     Polyhedron,
     active_rows,
+    active_set,
     cone_residual,
     distance_to_normal_cone,
     multiplier_within_support,
@@ -42,6 +43,7 @@ from .graph_normals import (
     finite_number,
     finite_vector,
     _orthant_rows,
+    _simplex_residual_rows,
     _simplex_rows,
     make_graph_context,
     polyhedron_membership,
@@ -464,10 +466,19 @@ def gradient_selftest(model, theta, x, points):
 # per-scenario conditions
 
 def lower_residual(model, theta, x, z):
-    """dist(-grad_z c(z), N_Z(z)): zero exactly at lower-level stationary points."""
+    """dist(-grad_z c(z), N_Z(z)): zero exactly at lower-level stationary
+    points. On a simplex it is the closed form that verify reports, bit for
+    bit; elsewhere the NNLS distance. An infeasible z raises
+    InfeasiblePointError."""
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
-    poly = model.feasible_set.as_polyhedron()
-    return distance_to_normal_cone(poly, np.asarray(z, dtype=float), -g)
+    z = np.asarray(z, dtype=float)
+    feasible = model.feasible_set
+    poly = feasible.as_polyhedron()
+    if feasible.kind != "simplex":
+        return distance_to_normal_cone(poly, z, -g)
+    active = np.zeros((1, poly.m), dtype=bool)
+    active[0, list(active_set(poly, z, DEFAULT_EPS))] = True
+    return float(_simplex_residual_rows(-g[None], active)[1][0])
 
 
 def _probe_and_gap(r_lo, r_hi, zeta, given):
@@ -590,40 +601,86 @@ def upper_residual(problem, certificate):
 _INFEASIBLE = "infeasible scenario point"
 
 
-def _check_scenario(poly, z, g):
-    """One scenario's (lower_residual, complementarity_gap) by the general
-    route: the lower residual by NNLS and the gap by LP; None when z is
-    infeasible.
-
-    One slack vector b - A z gives the feasibility test, the active set and
-    the gap max |lam_i slack_i|. Both the residual and the multiplier use
-    that active set. Two cases decide the gap without the LP:
-      - The residual exceeds twice its feasibility threshold. The LP's
-        phase-1 optimum is an L1 residual, at least the NNLS distance, so
-        it would find no multiplier and the gap stays None.
-      - Every active slack is exactly 0 and phase1_bound at the NNLS point
-        is at most half the threshold. The LP would find a multiplier, and
-        every multiplier gives gap 0.0: lam is 0 off the active set and the
-        slack is 0 on it. The factor 2 covers rounding, as in the first case.
-    With no active row there is no LP to skip.
-    """
-    target = -g
+def _active_slack(poly, z):
+    """z's slack vector b - A z and its active rows, or None when z is
+    infeasible."""
     slack = poly.slacks(z)
     try:
-        I = list(active_rows(poly, slack, DEFAULT_EPS))
-        resid = cone_residual(target, poly.A[I])
-        low_res = float(np.linalg.norm(resid))
+        return slack, list(active_rows(poly, slack, DEFAULT_EPS))
     except ValueError:
         return None
-    comp_gap = None
+
+
+def _complementarity_gap(poly, target, slack, I, low_res, resids):
+    """The gap max |lam_i slack_i| of the multiplier LP for target over the
+    active rows I, or None where that LP finds no multiplier. low_res is the
+    lower residual, the distance from target to cone(A_I); each of resids
+    is a residual A_I^T x0 - target of some explicit x0 >= 0.
+
+    Two cases decide the gap without the LP:
+      - low_res exceeds twice its feasibility threshold. The LP's phase-1
+        optimum is an L1 residual, at least the Euclidean distance, so it
+        would find no multiplier and the gap stays None.
+      - Every active slack is exactly 0 and phase1_bound at some x0 is at
+        most half the threshold. The LP would find a multiplier, and every
+        multiplier gives gap 0.0: lam is 0 off the active set and the slack
+        is 0 on it. The factor 2 covers rounding, as in the first case.
+    With no active row there is no LP to skip.
+    """
     threshold = feasibility_threshold(target)
-    if I and not slack[I].any() and phase1_bound(target, -resid) <= 0.5 * threshold:
-        comp_gap = 0.0
-    elif not I or low_res <= 2.0 * threshold:
+    if I and not slack[I].any() and any(phase1_bound(target, -resid) <= 0.5 * threshold
+                                        for resid in resids):
+        return 0.0
+    if not I or low_res <= 2.0 * threshold:
         lam = multiplier_within_support(poly, target, I, DEFAULT_EPS)
         if lam is not None:
-            comp_gap = float(np.max(np.abs(lam * slack), initial=0.0))
-    return low_res, comp_gap
+            return float(np.max(np.abs(lam * slack), initial=0.0))
+    return None
+
+
+def _check_scenario(poly, z, g):
+    """One scenario's (lower_residual, complementarity_gap) on a general
+    polyhedron: the lower residual by NNLS and the gap by
+    _complementarity_gap at the NNLS point; None when z is infeasible.
+
+    One slack vector b - A z gives the feasibility test, the active set and
+    the gap; the residual and the multiplier use that active set.
+    """
+    found = _active_slack(poly, z)
+    if found is None:
+        return None
+    slack, I = found
+    try:
+        resid = cone_residual(-g, poly.A[I])
+    except ValueError:
+        return None
+    low_res = float(np.linalg.norm(resid))
+    return low_res, _complementarity_gap(poly, -g, slack, I, low_res, (resid,))
+
+
+def _simplex_checks(poly, z, g):
+    """_check_scenario for k scenarios on the simplex, with every lower
+    residual from one _simplex_residual_rows pass instead of NNLS.
+
+    The slack vectors, active sets and gap rules are _check_scenario's. The
+    LP skip tries phase1_bound at two explicit points: the closed form's
+    (tau, mu) and (0, max(-u, 0)), with u = -g and mu on the pinned
+    coordinates. At a stationary point with a vanishing budget multiplier
+    the closed form's tau is rounding noise, which can flip the sign of a
+    residual entry against a target entry that is itself at rounding
+    level; tau = 0 leaves that entry's residual exactly -u_i, as the NNLS
+    does when the budget column's gradient is below its tolerance.
+    """
+    found = [_active_slack(poly, zn) for zn in z]
+    active = np.zeros((len(z), poly.m), dtype=bool)
+    for n, f in enumerate(found):
+        if f is not None:
+            active[n, f[1]] = True
+    target = -g
+    resid, low_res = _simplex_residual_rows(target, active)
+    at_zero = g - np.where(active[:, :-1], np.maximum(g, 0.0), 0.0)
+    return [None if f is None else (low, _complementarity_gap(poly, t, *f, low, pair))
+            for f, t, low, pair in zip(found, target, low_res.tolist(), zip(resid, at_zero))]
 
 
 def _orthant_route(z, g, probe, eta):
@@ -647,19 +704,21 @@ def _orthant_route(z, g, probe, eta):
 def _general_route(feasible, z, g, probe, eta):
     """The scenarios on any other set, as _orthant_route gives them.
 
-    A simplex decides every membership in one _simplex_rows pass, any other
-    set calls polyhedron_membership per scenario; _check_scenario gives each
-    lower residual and gap. A scenario it finds infeasible reports an empty
-    coderivative for that reason, whatever the membership said.
+    A simplex decides every membership in one _simplex_rows pass and every
+    lower residual in one _simplex_residual_rows pass (_simplex_checks);
+    any other set calls polyhedron_membership and _check_scenario, with its
+    NNLS residual, per scenario. A scenario found infeasible reports an
+    empty coderivative for that reason, whatever the membership said.
     """
     poly = feasible.as_polyhedron()
     if feasible.kind == "simplex":
         members = _simplex_rows(z, g, probe, eta, DEFAULT_EPS)
+        checks = _simplex_checks(poly, z, g)
     else:
         members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
                                          DEFAULT_EPS)
                    for zn, gn, pn, en in zip(z, g, probe, eta)]
-    checks = [_check_scenario(poly, zn, gn) for zn, gn in zip(z, g)]
+        checks = [_check_scenario(poly, zn, gn) for zn, gn in zip(z, g)]
     members = [_empty(feasible.kind, _INFEASIBLE) if check is None else m
                for m, check in zip(members, checks)]
     low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
@@ -750,7 +809,10 @@ def _verify(problem, certificate, mode, tol, mus, solver):
             if mu > 0:
                 sub = value_subdifferential(lower, theta, x, vf.argmin_points)
                 weights = certificate.value_weights[n]
-                w_n = sub.generators[0] if weights is None else sub.combine(weights)
+                try:
+                    w_n = sub.generators[0] if weights is None else sub.combine(weights)
+                except ValueError as exc:
+                    raise ValueError("certificate scenario %d: %s" % (n, exc)) from None
                 grad_t = np.asarray(lower.grad_theta(z[n], theta, x), dtype=float)
                 penalties[n] = mu * (grad_t - w_n)
     upper = _upper_line(problem, theta, terms.generators, penalties)
@@ -813,13 +875,18 @@ class ValueSubdifferential:
     dim_theta: int
 
     def combine(self, weights):
+        """sum_i weights[i] generators[i]; weights that are not a convex
+        combination of the generators are a ValueError naming value_weights."""
         w = np.asarray(weights, dtype=float)
         if len(w) != len(self.generators):
-            raise ValueError("need one weight per generator")
+            raise ValueError("value_weights has %d entries for %d generators"
+                             % (len(w), len(self.generators)))
         if np.min(w) < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be a convex combination")
+            raise ValueError("value_weights must be a convex combination (nonnegative, "
+                             "sum 1); got sum %.17g" % w.sum())
         if int(np.sum(w > 1e-12)) > self.dim_theta + 1:
-            raise ValueError("more than d_theta + 1 active weights")
+            raise ValueError("value_weights has more than d_theta + 1 = %d active entries"
+                             % (self.dim_theta + 1))
         return sum(wi * gi for wi, gi in zip(w, self.generators))
 
 

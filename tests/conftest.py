@@ -778,6 +778,19 @@ def count_lps(monkeypatch):
     return calls
 
 
+def count_nnls(monkeypatch):
+    """A list that gains one entry per lp.nnls solve from here on, also where
+    mstat.cones calls it under the name it imported."""
+    from mstat import cones
+
+    calls = []
+    nnls = LP.nnls
+    counted = lambda *a, **k: calls.append(1) or nnls(*a, **k)
+    monkeypatch.setattr(LP, "nnls", counted)
+    monkeypatch.setattr(cones, "nnls", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # stationarity: a quadratic testbed model, lower-level solvers, and the
 # coderivative and upper lines of one scenario outside the verifier

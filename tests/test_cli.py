@@ -1139,6 +1139,45 @@ def test_newsvendor_value_weights_reach_the_penalized_system(tmp_path, capsys):
     assert (code, out) == (1, "") and "convex combination" in err, err
 
 
+JUNK_RUNS = [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
+             for key in ("z", "eta", "zeta", "mu", "value_weights")] + \
+            [(argv, "nv4.problem.json", "nv4.pass.json", key) for argv in NV_VERIFY_ARGVS
+             for key in ("z", "eta", "zeta", "mu")]
+
+
+@pytest.mark.parametrize("argv, problem, cert_file, key", JUNK_RUNS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_junk_certificate_entry_names_its_scenario(argv, problem, cert_file, key, tmp_path,
+                                                   capsys):
+    """A string where a certificate scenario holds a number or a vector is
+    an input error that names the scenario and the key, with no report."""
+    cert = json.loads((GOLDEN / cert_file).read_text())
+    cert["scenarios"][1][key] = "junk"
+    options = ["--problem", str(GOLDEN / problem), "--certificate"]
+    code, out, err = run(capsys, *argv, *options, write(tmp_path / "junk.json", cert))
+    assert (code, out) == (1, "") and err.startswith(
+        "error: certificate scenario 1: %s must be" % key), err
+
+
+@pytest.mark.parametrize("problem, cert_file, mu", [("nv4.problem.json", "nv4.pass.json", 0.5),
+                                                    ("pf1.problem.json", "pf1.mu.json", 1.0)])
+def test_value_weights_off_the_simplex_name_the_scenario(problem, cert_file, mu, tmp_path,
+                                                         capsys):
+    """value_weights that are no convex combination of the one sampled
+    minimizer's generator, [0.5] or [0.5, 0.5], are an input error that
+    names the scenario and value_weights, with no report."""
+    cert = json.loads((GOLDEN / cert_file).read_text())
+    argv = ["verify", "--mode", "penalized", "--problem", str(GOLDEN / problem),
+            "--certificate"]
+    cert["scenarios"][1]["mu"] = mu
+    for weights, want in (([0.5], "value_weights must be a convex combination"),
+                          ([0.5, 0.5], "value_weights has 2 entries for 1 generators")):
+        cert["scenarios"][1]["value_weights"] = weights
+        code, out, err = run(capsys, *argv, write(tmp_path / "weights.json", cert))
+        assert (code, out) == (1, "") and err.startswith(
+            "error: certificate scenario 1: " + want), err
+
+
 @pytest.mark.parametrize("mode", ["convex", "penalized"])
 def test_portfolio_theta_of_another_shape_exits_1(mode, tmp_path, capsys):
     """pf3's theta, 8 entries for d_x = 2 and d_z = 4, is read flat or as

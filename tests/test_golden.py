@@ -45,6 +45,14 @@ nv1 and nv2 have as many centers as samples, so their loss and gridsearch
 run leave-one-out. These twelve outputs were recorded with the 60-step
 bisection that evaluated the CDF at every step, before the quantile solve
 skipped the steps that a verified bracket decides.
+
+Nine portfolio `verify` outputs were re-recorded once when the simplex
+lower residual moved from NNLS to its closed form: pf3.cert.json,
+pf4.cert.json and pf5.cert.json in both modes, and pf3.infeasible.json in
+both modes and in text. Only their lower_residual values changed, each by
+at most 7.1e-17, all of them rounding noise around a zero distance; every
+other byte, and every exit code, stayed. The pf1, pf2 and
+pf3.perturbed.json outputs kept their bytes.
 """
 
 import json
@@ -53,8 +61,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_lps
+from conftest import count_lps, count_nnls
+from mstat import portfolio as PF
 from mstat.cli import main
+from mstat.stationarity import lower_residual
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = json.loads((GOLDEN / "expected.json").read_text())
@@ -82,6 +92,46 @@ def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios,
     gaps = [s["complementarity_gap"] for s in json.loads(out)["scenarios"]]
     assert code == 0 and len(gaps) == scenarios and len(calls) == lps
     assert all(gap == 0.0 for gap in gaps) if lps == 0 else all(gap > 0.0 for gap in gaps)
+
+
+PORTFOLIO_VERIFY = [c for c in EXPECTED["outputs"]
+                    if c["argv"][0] == "verify" and c["argv"][2].startswith("pf")]
+
+
+@pytest.mark.parametrize("case", PORTFOLIO_VERIFY, ids=lambda c: " ".join(c["argv"]))
+def test_portfolio_verify_makes_no_nnls_call(case, capsys, monkeypatch):
+    """Every portfolio scenario lies on the simplex, whose lower residuals
+    come from one closed-form pass: `verify` of each recorded portfolio
+    certificate, pf3, pf4 and pf5 among them in both modes, prints the
+    recorded bytes with no NNLS solve."""
+    calls = count_nnls(monkeypatch)
+    assert {(c["argv"][2][:3], c["argv"][6]) for c in PORTFOLIO_VERIFY} >= {
+        (stem, mode) for stem in ("pf3", "pf4", "pf5") for mode in ("convex", "penalized")}
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("certificate", ["pf3.cert.json", "pf3.perturbed.json",
+                                         "pf3.infeasible.json"])
+def test_lower_residual_gives_the_bits_that_verify_prints(certificate, capsys):
+    """stationarity.lower_residual on a pf3 scenario returns the float that
+    `verify` prints for it, bit for bit, and refuses the scenarios that
+    verify reports infeasible, where it prints inf. Every residual of
+    pf3.perturbed.json is non-zero."""
+    inst = PF.PortfolioInstance.from_dict(json.loads((GOLDEN / "pf3.problem.json").read_text()))
+    cert = json.loads((GOLDEN / certificate).read_text())
+    _, out = run(capsys, ["verify", "--problem", "pf3.problem.json",
+                          "--certificate", certificate])
+    printed = [s["lower_residual"] for s in json.loads(out)["scenarios"]]
+    lower, theta = PF.as_problem(inst).lower, np.ravel(cert["theta"])
+    for (x, _), scenario, want in zip(inst.samples, cert["scenarios"], printed):
+        if want == float("inf"):
+            with pytest.raises(ValueError, match="violates row"):
+                lower_residual(lower, theta, x, scenario["z"])
+        else:
+            assert repr(lower_residual(lower, theta, x, scenario["z"])) == repr(want)
+    assert len(printed) == len(cert["scenarios"])
+    assert certificate != "pf3.perturbed.json" or min(printed) > 0.0
 
 
 NEWSVENDOR_VERIFY = [c for c in EXPECTED["outputs"]
