@@ -308,9 +308,30 @@ def _portfolio_theta(value, inst):
 
 def _portfolio_certificate(data, inst):
     """A portfolio certificate, whose theta _portfolio_theta reads; an entry
-    error names its scenario."""
+    error names its scenario.
+
+    When no scenario holds mu or value_weights, one GN.finite_rows scan
+    reads the z, eta and zeta of every scenario by rows. Other input, and
+    what the scan does not take, goes scenario by scenario through
+    ST.ScenarioCertificate, which names the first bad entry, and
+    ST.Certificate, which names a scenario of the wrong dimension, as
+    newsvendor_certificate does.
+    """
+    parts = data["scenarios"]
+    rows = None
+    if not any("mu" in s or "value_weights" in s for s in parts):
+        try:
+            rows = GN.finite_rows([s["z"] for s in parts] + [s["eta"] for s in parts]
+                                  + [s.get("zeta", s["z"]) for s in parts])
+        except KeyError:
+            pass
+    if rows is not None:
+        n = len(parts)
+        return ST.Certificate.from_rows(_portfolio_theta(data["theta"], inst), rows[:n],
+                                        rows[n:2 * n], rows[2 * n:],
+                                        np.array(["zeta" in s for s in parts]))
     scen = []
-    for i, s in enumerate(data["scenarios"]):
+    for i, s in enumerate(parts):
         try:
             entries = [s["z"], s["eta"]] + [GN.optional_entry(s, key, i)
                                             for key in ("zeta", "mu", "value_weights")]

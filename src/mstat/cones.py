@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -56,8 +57,8 @@ class CombinatorialLimitError(RuntimeError):
     """Too many active rows for an exhaustive enumeration."""
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -68,7 +69,8 @@ class Polyhedron:
 
     Zero rows with b_i >= 0 never bind and are dropped with a warning; a zero
     row with b_i < 0 makes the system empty and is rejected. `row_index` maps
-    retained rows back to the caller's original numbering.
+    retained rows back to the caller's original numbering. A, b and
+    row_index are read-only copies, so one polyhedron can be shared.
     """
 
     A: np.ndarray
@@ -92,7 +94,7 @@ class Polyhedron:
         keep = ~drop
         object.__setattr__(self, "A", _readonly(A[keep]))
         object.__setattr__(self, "b", _readonly(b[keep]))
-        object.__setattr__(self, "row_index", _readonly(np.flatnonzero(keep)).astype(int))
+        object.__setattr__(self, "row_index", _readonly(np.flatnonzero(keep), int))
 
     @property
     def m(self):
@@ -106,13 +108,15 @@ class Polyhedron:
         return self.b - self.A @ np.asarray(z, dtype=float)
 
 
+@cache
 def orthant_polyhedron(d):
-    """The nonnegative orthant as {-I z <= 0}."""
+    """The nonnegative orthant as {-I z <= 0}, one shared Polyhedron per d."""
     return Polyhedron(-np.eye(d), np.zeros(d))
 
 
+@cache
 def simplex_polyhedron(d):
-    """{z >= 0, 1^T z <= 1} as a (d+1)-row system."""
+    """{z >= 0, 1^T z <= 1} as a (d+1)-row system, one shared Polyhedron per d."""
     A = np.vstack([-np.eye(d), np.ones((1, d))])
     b = np.concatenate([np.zeros(d), [1.0]])
     return Polyhedron(A, b)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .cones import (
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
-    "finite_vector", "finite_number", "object_list", "optional_entry",
+    "finite_vector", "finite_rows", "finite_number", "object_list", "optional_entry",
     "GraphContext", "make_graph_context",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
@@ -59,7 +59,7 @@ class NotGraphPointError(ValueError):
 
 
 _NUMBER_TYPES = {float, int}
-_FLOAT, _DICT = {float}, {dict}
+_FLOAT, _DICT, _LIST = {float}, {dict}, {list}
 
 
 def _holds_non_number(value):
@@ -87,7 +87,7 @@ def finite_vector(value, name, scalar=False, flat=False):
             return np.array(value)
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):   # an int beyond float range
         v = np.float64(np.nan)
     if flat or (scalar and v.ndim == 0):
         v = v.reshape(-1)
@@ -96,6 +96,33 @@ def finite_vector(value, name, scalar=False, flat=False):
     if v.ndim != 1 or _holds_non_number(value) or not all(map(math.isfinite, v.tolist())):
         raise ValueError("%s must be a finite 1-D array" % name)
     return v
+
+
+def finite_rows(values):
+    """values, a non-empty list of vectors of one length d, each a list of
+    numbers (or every one a lone number, d = 1), as a finite (n, d) float
+    array, from one type scan and one np.isfinite over the stack. Anything
+    else gives None: another type, lengths that differ, a non-finite entry;
+    the caller then reads the vectors one by one with finite_vector, which
+    takes what the scan does not and names what it refuses. Each row has
+    the bits of finite_vector's array.
+    """
+    kinds = set(map(type, values))
+    if not values or not (kinds <= _NUMBER_TYPES or kinds == _LIST):
+        return None
+    flat, d = values, 1
+    if kinds == _LIST:
+        if len(set(map(len, values))) != 1:
+            return None
+        d = len(values[0])
+        flat = list(chain.from_iterable(values))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    try:
+        rows = np.array(flat, dtype=float).reshape(len(values), d)
+    except OverflowError:
+        return None
+    return rows if np.isfinite(rows).all() else None
 
 
 def finite_number(value, name):

@@ -80,8 +80,9 @@ def feasibility_threshold(b):
     The phase-1 optimum is min ||A x - b||_1 over the sign constraints, which
     is at least the Euclidean distance from b to the same set; a distance
     well above this threshold therefore decides infeasibility without an LP.
+    b may also be (k, d) rows, one system each, with one threshold per row.
     """
-    return _FEAS_TOL * (1.0 + np.abs(b).sum())
+    return _FEAS_TOL * (1.0 + np.abs(b).sum(axis=-1))
 
 
 def phase1_bound(b, r):
@@ -94,14 +95,16 @@ def phase1_bound(b, r):
     has residual t b + (1 - t) r, whose signs are those once
     t >= |r_i| / (|b_i| + |r_i|) on every row where s_i r_i < 0, so its L1
     norm bounds the optimum. The L1 norm of r alone does not: a row where r
-    has the wrong sign can cost phase 1 far more than |r_i|. The sums run on
-    Python floats: on vectors this short numpy's per-call overhead outweighs
-    the arithmetic.
+    has the wrong sign can cost phase 1 far more than |r_i|.
+    b and r are one system's vectors, or (k, d) rows of k systems with one
+    bound per row; a row's bound does not depend on the other rows.
     """
-    pairs = list(zip(b.tolist(), r.tolist()))
-    t = max([abs(e) / (abs(v) + abs(e)) for v, e in pairs if (e < 0.0 if v >= 0.0 else e > 0.0)],
-            default=0.0)
-    return sum([abs(t * v + (1.0 - t) * e) for v, e in pairs])
+    b, r = np.asarray(b, dtype=float), np.asarray(r, dtype=float)
+    wrong = np.where(b >= 0.0, r < 0.0, r > 0.0)
+    size = np.abs(r)
+    t = np.max(np.where(wrong, size / np.where(wrong, np.abs(b) + size, 1.0), 0.0),
+               axis=-1, keepdims=True, initial=0.0)
+    return np.sum(np.abs(t * b + (1.0 - t) * r), axis=-1)
 
 
 def _solve_standard(A, b):

@@ -43,13 +43,12 @@ per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
-from .graph_normals import finite_number, finite_vector, object_list, optional_entry
+from .graph_normals import finite_number, finite_rows, finite_vector, object_list, optional_entry
 from .stationarity import (
     DEFAULT_TOL,
     Certificate,
@@ -92,15 +91,10 @@ _CDF_DELTA = 2e-15
 # than 2^340 coordinates.
 _POWER_BOUND = 2.0 ** 340
 _RANGE_TEXT = "2^340 (about %.3g)" % _POWER_BOUND
-_FLOAT, _LIST = {float}, {list}
 
 
 def _phi(u):
     return np.exp(-0.5 * np.square(u)) / SQRT_2PI
-
-
-def _finite(values):
-    return bool(np.all(np.isfinite(values)))
 
 
 def _in_range(X):
@@ -122,31 +116,26 @@ def _points(pairs, what):
     """A non-empty sequence of (x, y) pairs as Points; what names one pair.
 
     x is a vector or one number and y a number. JSON input, where every x
-    is a list of floats of one length and every y a float, is checked by one
-    type gate and one pass over the stacked arrays. Anything else, or a
-    failed check, goes entry by entry through finite_vector and
-    finite_number, which name the first bad entry. Points pass unchanged.
+    is a list of numbers of one length and every y a number, is read by one
+    finite_rows scan each and one range check. Anything else, or a failed
+    check, goes entry by entry through finite_vector and finite_number,
+    which name the first bad entry. Points pass unchanged.
     """
     if type(pairs) is Points:
         return pairs
     pairs = list(pairs)
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    if not ys:
+    if not pairs:
         raise ValueError("need at least one %s" % what)
-    ok = (set(map(type, ys)) == _FLOAT and set(map(type, xs)) == _LIST
-          and len(set(map(len, xs))) == 1 and set(map(type, chain.from_iterable(xs))) == _FLOAT)
-    if ok:
-        X, Y = np.array(xs), np.array(ys)
-        ok = _in_range(X) and _finite(Y)
-    if not ok:
+    X = finite_rows([x for x, _ in pairs])
+    Y = finite_rows([y for _, y in pairs])
+    if X is None or Y is None or Y.shape[1] != 1 or not _in_range(X):
         rows = [(finite_vector(x, "x", scalar=True), finite_number(y, "y")) for x, y in pairs]
         if any(x.shape != rows[0][0].shape for x, _ in rows):
             raise ValueError("every %s needs the same number of x coordinates" % what)
         X, Y = np.array([x for x, _ in rows]), np.array([y for _, y in rows])
         if not _in_range(X):
             raise ValueError("x coordinates must have magnitude at most %s" % _RANGE_TEXT)
-    return Points(X, Y)
+    return Points(X, Y.reshape(-1))
 
 
 @dataclass
@@ -681,24 +670,19 @@ def newsvendor_certificate(theta, certificate_scenarios):
     number (finite_vector), and each scenario a mapping, otherwise
     ValueError; a missing z, eta or zeta and a null mu or value_weights
     are ValueErrors too. Every entry's error names its scenario.
-    Mappings whose z, eta and zeta are all floats and that hold neither mu
-    nor value_weights are checked by one type gate and one np.isfinite over
-    their stack; any other input goes entry by entry, in scenario order,
-    which names the first bad entry.
+    Mappings whose z, eta and zeta are all numbers and that hold neither mu
+    nor value_weights are read by one finite_rows scan; any other input goes
+    entry by entry, in scenario order, which names the first bad entry.
     """
     theta = finite_number(theta, "theta")
     parts = object_list(certificate_scenarios, "certificate scenario")
     try:
-        values = [part[key] for part in parts for key in _CERTIFICATE_KEYS]
-        ok = set(map(type, values)) == _FLOAT and not any(
-            "mu" in part or "value_weights" in part for part in parts)
+        rows = finite_rows([part[key] for part in parts for key in _CERTIFICATE_KEYS])
     except KeyError:
-        ok = False
-    if ok:
-        rows = np.array(values).reshape(-1, 3)
-        ok = _finite(rows)
+        rows = None
     mus = value_weights = None
-    if not ok:
+    if rows is None or rows.shape[1] != 1 or any("mu" in part or "value_weights" in part
+                                                 for part in parts):
         rows, mus, value_weights = [], [], []
         for i, part in enumerate(parts):
             try:
@@ -711,7 +695,8 @@ def newsvendor_certificate(theta, certificate_scenarios):
             weights = optional_entry(part, "value_weights", i)
             value_weights.append(None if weights is None else finite_vector(
                 weights, "certificate scenario %d: value_weights" % i, scalar=True))
-        rows = np.array(rows).reshape(-1, 3)
+        rows = np.array(rows)
+    rows = rows.reshape(-1, 3)
     return Certificate.from_rows(theta, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3],
                                  np.ones(len(rows), dtype=bool), mus, value_weights)
 

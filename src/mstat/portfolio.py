@@ -23,6 +23,7 @@ from .graph_normals import (
     NormalPair,
     _holds_non_number,
     finite_number,
+    finite_rows,
     finite_vector,
     object_list,
     simplex_membership,
@@ -35,6 +36,7 @@ from .stationarity import (
     ParameterSet,
     Problem,
     ScenarioCertificate,
+    ScenarioTerms,
     UpperModel,
 )
 
@@ -42,7 +44,7 @@ __all__ = [
     "PortfolioInstance", "LinearPredictor", "SimplexQPSolution",
     "solve_simplex_qp", "solve_simplex_qp_rows", "spo_loss",
     "fit_least_squares", "empirical_spo_objective", "spo_local_search",
-    "PortfolioLowerModel", "SpoUpperModel", "as_problem", "lower_solver",
+    "PortfolioLowerModel", "SpoUpperModel", "PortfolioProblem", "as_problem", "lower_solver",
     "realizable_certificate",
 ]
 
@@ -82,9 +84,15 @@ class PortfolioInstance:
         self.risk_aversion = finite_number(self.risk_aversion, "lambda")
         if self.risk_aversion <= 0:
             raise ValueError("risk aversion must be positive")
-        self.samples = [(finite_vector(x, "x", scalar=True),
-                         finite_vector(r, "r", scalar=True))
-                        for x, r in self.samples]
+        # One finite_rows scan reads every x and r; what it does not take
+        # goes sample by sample, which names the first bad vector.
+        X = finite_rows([x for x, _ in self.samples])
+        R = finite_rows([r for _, r in self.samples])
+        if X is None or R is None:
+            self.samples = [(finite_vector(x, "x", scalar=True),
+                             finite_vector(r, "r", scalar=True)) for x, r in self.samples]
+        else:
+            self.samples = list(zip(X, R))
         n = len(self.samples)
         if n == 0:
             raise ValueError("at least one sample required")
@@ -527,12 +535,40 @@ class SpoUpperModel(UpperModel):
         return np.zeros(self.inst.d_x * self.inst.d_z)
 
 
+class PortfolioProblem(Problem):
+    """as_problem's Problem, whose scenario rows are the samples' x and r.
+    The scenario terms of all samples come from stacked matrix-vector
+    products, as in the newsvendor's."""
+
+    def __init__(self, instance):
+        self.inst = instance
+        super().__init__(PortfolioLowerModel(instance), SpoUpperModel(instance),
+                         [x for x, _ in instance.samples], [r for _, r in instance.samples],
+                         instance.weights)
+
+    def scenario_terms(self, theta, certificate):
+        # The models' formulas, row by row: grad_z c = -theta^T x + lam Sigma z,
+        # hess_zz = lam Sigma, grad_z L = -r + lam Sigma z, grad_theta L = 0 and
+        # (hess_ztheta^T eta)_(a,b) = -x_a eta_b. Each stacked product makes the
+        # BLAS call of the one-row product, so each row gets its bits; the
+        # generator's one non-zero term is summed from +0.0, hence the 0.0 -.
+        inst = self.inst
+        lam, sigma = inst.risk_aversion, inst.sigma
+        shaped = np.asarray(theta, dtype=float).reshape(inst.d_x, inst.d_z)
+        Z, E, X = certificate.z, certificate.eta, self.x
+        pull = lam * np.matmul(sigma, Z[:, :, None])[:, :, 0]
+        up = -self.y + pull
+        return ScenarioTerms(
+            g=-np.matmul(shaped.T, X[:, :, None])[:, :, 0] + pull,
+            curvature=np.matmul((lam * sigma).T, E[:, :, None])[:, :, 0],
+            lo=up, hi=up,
+            generators=(0.0 - X[:, :, None] * E[:, None, :]).reshape(len(X), -1))
+
+
 def as_problem(instance):
     """Wrap a PortfolioInstance as a generic finite-support problem: one
     scenario per sample, with row n of x and y its x_n and r_n."""
-    return Problem(lower=PortfolioLowerModel(instance), upper=SpoUpperModel(instance),
-                   x=[x for x, _ in instance.samples], y=[r for _, r in instance.samples],
-                   weights=instance.weights)
+    return PortfolioProblem(instance)
 
 
 def lower_solver(instance):

@@ -265,8 +265,10 @@ class Problem:
         """The ScenarioTerms of a certificate at theta.
 
         This default makes one model call per term and scenario. A problem
-        whose models evaluate many scenarios at once overrides it; the
-        override must give the same rows.
+        whose models evaluate many scenarios at once overrides it, as both
+        applications do (NewsvendorProblem, PortfolioProblem); the override
+        must give the same rows, and the tests hold each one to this
+        default bit for bit.
         """
         lower, upper = self.lower, self.upper
         rows = []
@@ -601,23 +603,16 @@ def upper_residual(problem, certificate):
 _INFEASIBLE = "infeasible scenario point"
 
 
-def _active_slack(poly, z):
-    """z's slack vector b - A z and its active rows, or None when z is
-    infeasible."""
-    slack = poly.slacks(z)
-    try:
-        return slack, list(active_rows(poly, slack, DEFAULT_EPS))
-    except ValueError:
-        return None
+def _complementarity_gaps(poly, target, slack, active, low_res, resids):
+    """The gap max |lam_i slack_i| of the multiplier LP of each row n, for
+    target[n] over its active rows active[n], or None where that LP finds
+    no multiplier. slack holds the rows' slack vectors b - A z, low_res
+    their lower residuals, the distances from target to cone(A_I), and each
+    of resids a stack of residuals A_I^T x0 - target of explicit x0 >= 0,
+    one per row.
 
-
-def _complementarity_gap(poly, target, slack, I, low_res, resids):
-    """The gap max |lam_i slack_i| of the multiplier LP for target over the
-    active rows I, or None where that LP finds no multiplier. low_res is the
-    lower residual, the distance from target to cone(A_I); each of resids
-    is a residual A_I^T x0 - target of some explicit x0 >= 0.
-
-    Two cases decide the gap without the LP:
+    Two cases decide a row's gap without the LP, both tested on all rows
+    at once:
       - low_res exceeds twice its feasibility threshold. The LP's phase-1
         optimum is an L1 residual, at least the Euclidean distance, so it
         would find no multiplier and the gap stays None.
@@ -625,45 +620,53 @@ def _complementarity_gap(poly, target, slack, I, low_res, resids):
         most half the threshold. The LP would find a multiplier, and every
         multiplier gives gap 0.0: lam is 0 off the active set and the slack
         is 0 on it. The factor 2 covers rounding, as in the first case.
-    With no active row there is no LP to skip.
+    With no active row there is no LP to skip. The LP runs on the rows that
+    remain, in row order.
     """
     threshold = feasibility_threshold(target)
-    if I and not slack[I].any() and any(phase1_bound(target, -resid) <= 0.5 * threshold
-                                        for resid in resids):
-        return 0.0
-    if not I or low_res <= 2.0 * threshold:
-        lam = multiplier_within_support(poly, target, I, DEFAULT_EPS)
+    some = active.any(axis=1)
+    skip = some & ~np.any(active & (slack != 0.0), axis=1) & np.any(
+        [phase1_bound(target, -resid) <= 0.5 * threshold for resid in resids], axis=0)
+    gaps = [0.0 if s else None for s in skip.tolist()]
+    for n in np.flatnonzero(~skip & (~some | (low_res <= 2.0 * threshold))):
+        lam = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]), DEFAULT_EPS)
         if lam is not None:
-            return float(np.max(np.abs(lam * slack), initial=0.0))
-    return None
+            gaps[n] = float(np.max(np.abs(lam * slack[n]), initial=0.0))
+    return gaps
 
 
 def _check_scenario(poly, z, g):
     """One scenario's (lower_residual, complementarity_gap) on a general
     polyhedron: the lower residual by NNLS and the gap by
-    _complementarity_gap at the NNLS point; None when z is infeasible.
+    _complementarity_gaps at the NNLS point; None when z is infeasible.
 
     One slack vector b - A z gives the feasibility test, the active set and
     the gap; the residual and the multiplier use that active set.
     """
-    found = _active_slack(poly, z)
-    if found is None:
-        return None
-    slack, I = found
+    slack = poly.slacks(z)
     try:
+        I = list(active_rows(poly, slack, DEFAULT_EPS))
         resid = cone_residual(-g, poly.A[I])
     except ValueError:
         return None
+    active = np.zeros((1, poly.m), dtype=bool)
+    active[0, I] = True
     low_res = float(np.linalg.norm(resid))
-    return low_res, _complementarity_gap(poly, -g, slack, I, low_res, (resid,))
+    return low_res, _complementarity_gaps(poly, -g[None], slack[None], active,
+                                          np.array([low_res]), (resid[None],))[0]
 
 
 def _simplex_checks(poly, z, g):
-    """_check_scenario for k scenarios on the simplex, with every lower
-    residual from one _simplex_residual_rows pass instead of NNLS.
+    """_check_scenario for k scenarios on the simplex, by rows. One stacked
+    product gives every slack vector b - A z, each with the bits of
+    poly.slacks. A row is infeasible where a slack is below -eps and active
+    where |slack| <= eps, as active_rows reads them: its Python min could
+    differ only at a NaN first slack, and that slack is z_0, finite. Every
+    lower residual comes from one _simplex_residual_rows pass instead of
+    NNLS, and every gap from one _complementarity_gaps call on the feasible
+    rows.
 
-    The slack vectors, active sets and gap rules are _check_scenario's. The
-    LP skip tries phase1_bound at two explicit points: the closed form's
+    The LP skip tries phase1_bound at two explicit points: the closed form's
     (tau, mu) and (0, max(-u, 0)), with u = -g and mu on the pinned
     coordinates. At a stationary point with a vanishing budget multiplier
     the closed form's tau is rounding noise, which can flip the sign of a
@@ -671,16 +674,17 @@ def _simplex_checks(poly, z, g):
     level; tau = 0 leaves that entry's residual exactly -u_i, as the NNLS
     does when the budget column's gradient is below its tolerance.
     """
-    found = [_active_slack(poly, zn) for zn in z]
-    active = np.zeros((len(z), poly.m), dtype=bool)
-    for n, f in enumerate(found):
-        if f is not None:
-            active[n, f[1]] = True
-    target = -g
+    slack = poly.b - np.matmul(poly.A, z[:, :, None])[:, :, 0]
+    feasible = np.flatnonzero(~np.any(slack < -DEFAULT_EPS, axis=1))
+    active = np.abs(slack[feasible]) <= DEFAULT_EPS
+    target, g = -g[feasible], g[feasible]
     resid, low_res = _simplex_residual_rows(target, active)
     at_zero = g - np.where(active[:, :-1], np.maximum(g, 0.0), 0.0)
-    return [None if f is None else (low, _complementarity_gap(poly, t, *f, low, pair))
-            for f, t, low, pair in zip(found, target, low_res.tolist(), zip(resid, at_zero))]
+    checks = [None] * len(z)
+    for n, low, gap in zip(feasible.tolist(), low_res.tolist(), _complementarity_gaps(
+            poly, target, slack[feasible], active, low_res, (resid, at_zero))):
+        checks[n] = low, gap
+    return checks
 
 
 def _orthant_route(z, g, probe, eta):

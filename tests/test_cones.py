@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -30,6 +32,27 @@ def test_zero_row_dropped_with_warning():
         p = Polyhedron([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     assert p.m == 1
     assert p.row_index.tolist() == [1]
+
+
+@pytest.mark.parametrize("make", [simplex_polyhedron, orthant_polyhedron,
+                                  lambda d: Polyhedron(np.vstack([np.zeros(d), np.eye(d)]),
+                                                       np.ones(d + 1))])
+def test_a_polyhedron_is_read_only(make):
+    """A, b and row_index of a Polyhedron, dropped zero rows or not, refuse
+    writes, so the one simplex and orthant Polyhedron cached per dimension
+    can be shared."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = make(3)
+    for name in ("A", "b", "row_index"):
+        array = getattr(p, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 7
+    assert p.row_index.dtype.kind == "i"
+    assert simplex_polyhedron(3) is simplex_polyhedron(3)
+    assert orthant_polyhedron(3) is orthant_polyhedron(3)
+    assert simplex_polyhedron(2) is not simplex_polyhedron(3)
 
 
 def test_zero_row_negative_bound_rejected():

@@ -111,6 +111,23 @@ def test_portfolio_verify_makes_no_nnls_call(case, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("case", PORTFOLIO_VERIFY, ids=lambda c: " ".join(c["argv"]))
+def test_portfolio_verify_makes_no_per_scenario_model_call(case, capsys, monkeypatch):
+    """PortfolioProblem fills the scenario terms by rows: `verify` of each
+    recorded portfolio certificate prints the recorded bytes without calling
+    the models' grad_z, hess_zz or hess_ztheta, or the upper model's
+    gradients, for any scenario."""
+    calls = []
+    for cls, names in ((PF.PortfolioLowerModel, ("grad_z", "hess_zz", "hess_ztheta")),
+                       (PF.SpoUpperModel, ("grad_z", "grad_z_bounds", "grad_theta"))):
+        for name in names:
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, _m=method, _n=name, **k:
+                                calls.append(_n) or _m(*a, **k))
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert calls == []
+
+
 @pytest.mark.parametrize("certificate", ["pf3.cert.json", "pf3.perturbed.json",
                                          "pf3.infeasible.json"])
 def test_lower_residual_gives_the_bits_that_verify_prints(certificate, capsys):

@@ -510,6 +510,42 @@ def test_finite_vector_rejects_booleans_and_strings():
     assert finite_vector([[1.0, 2.0]], "v", flat=True).tolist() == [1.0, 2.0]
 
 
+def test_an_int_beyond_float_range_is_no_finite_vector():
+    """A JSON integer too large for a float is a ValueError naming the
+    vector, not an OverflowError."""
+    from mstat.graph_normals import finite_vector
+
+    for value in ([10 ** 400, 1.0], [[1.0], [-10 ** 400]]):
+        with pytest.raises(ValueError, match="v must be a finite 1-D array"):
+            finite_vector(value, "v", flat=True)
+
+
+@pytest.mark.parametrize("values", [
+    [], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]], [[1.0], 2.0], [[True]], [1.0, False],
+    [["1"]], [[None]], [None], [[float("nan")]], [float("inf")], [[10 ** 400]],
+    [np.array([1.0])], [(1.0,)], [[[1.0]]],
+])
+def test_finite_rows_leaves_anything_else_to_finite_vector(values):
+    """finite_rows takes lists of numbers of one length, or lone numbers,
+    and gives None for anything else: no vector, lengths that differ, lists
+    mixed with numbers, booleans, strings, nulls, non-finite entries, ints
+    beyond float range, arrays, tuples and nested lists."""
+    from mstat.graph_normals import finite_rows
+
+    assert finite_rows(values) is None
+
+
+def test_finite_rows_stacks_the_vectors_of_finite_vector():
+    from mstat.graph_normals import finite_rows, finite_vector
+
+    for values, shape in (([[1, 2.5], [-0.0, 3]], (2, 2)), ([0.5, 2], (2, 1)),
+                          ([[], []], (2, 0))):
+        rows = finite_rows(values)
+        assert rows.shape == shape and rows.dtype == float
+        for row, value in zip(rows, values):
+            assert row.tobytes() == finite_vector(value, "v", scalar=True).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closed-form distance to the simplex normal cone
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls as scipy_nnls
 
 import mstat.lp as lp
@@ -109,6 +111,45 @@ def test_phase1_bound_is_at_least_the_phase1_optimum(rng):
             found += 1
             assert linear_feasible(A, b) is not None
     assert below_l1 >= 20 and found >= 50, (below_l1, found)
+
+
+def phase1_bound_one_row(b, r):
+    """phase1_bound of one system on Python floats, summed left to right:
+    the reference for the rows bound."""
+    pairs = list(zip(b.tolist(), r.tolist()))
+    t = max([abs(e) / (abs(v) + abs(e)) for v, e in pairs if (e < 0.0 if v >= 0.0 else e > 0.0)],
+            default=0.0)
+    return sum([abs(t * v + (1.0 - t) * e) for v, e in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 13))
+def test_rows_phase1_bound_is_the_one_row_bound(seed, k, m):
+    """phase1_bound on (k, m) rows gives each row the Python-float one-row
+    bound within 1e-14 relative, the same bound as a one-row call, and at
+    least the phase-1 optimum that scipy solves for each row's system. Rows
+    mix signs, exact zeros in b and in r, and residuals from 1e-12 to 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    A = rng.standard_normal((k, m, n)) * 10.0 ** rng.uniform(-2, 2, (k, m, 1))
+    x0 = np.abs(rng.standard_normal((k, n))) * (rng.random((k, n)) < 0.7)
+    noise = 10.0 ** rng.uniform(-12, 0, (k, 1)) * rng.standard_normal((k, m))
+    b = np.einsum("kmn,kn->km", A, x0) + noise * (rng.random((k, m)) < 0.8)
+    b[rng.random((k, m)) < 0.1] = 0.0
+    r = b - np.einsum("kmn,kn->km", A, x0)
+    bounds = phase1_bound(b, r)
+    assert bounds.shape == (k,)
+    for row in range(k):
+        want = phase1_bound_one_row(b[row], r[row])
+        assert abs(bounds[row] - want) <= 1e-14 * abs(want)
+        assert phase1_bound(b[row], r[row]) == bounds[row]
+        s = np.where(b[row] < 0.0, -1.0, 1.0)
+        # HiGHS's presolve can call a system with a right-hand side near 1e-10
+        # infeasible; phase 1 is always feasible.
+        res = linprog(np.r_[np.zeros(n), np.ones(m)],
+                      A_eq=np.hstack([s[:, None] * A[row], np.eye(m)]), b_eq=s * b[row],
+                      bounds=[(0, None)] * (n + m), method="highs", options={"presolve": False})
+        assert res.success and bounds[row] >= res.fun * (1.0 - 1e-9) - 1e-12, (A[row], b[row], x0[row])
 
 
 def test_bland_rule_leaves_on_the_lowest_basic_variable():

@@ -1,15 +1,19 @@
+import json
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstat.graph_normals import finite_vector
 from mstat.portfolio import (
     LinearPredictor,
     PortfolioInstance,
     PortfolioLowerModel,
+    PortfolioProblem,
     as_problem,
     empirical_spo_objective,
     fit_least_squares,
@@ -22,7 +26,9 @@ from mstat.portfolio import (
     spo_loss,
 )
 from mstat.stationarity import (
+    _TERM_BOUND,
     Certificate,
+    Problem,
     ScenarioCertificate,
     gradient_selftest,
     verify_certificate,
@@ -30,6 +36,7 @@ from mstat.stationarity import (
 from conftest import projected_gradient_qp, qp_guess_route, simplex_qp_loop
 
 I2 = np.eye(2)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def small_instance(theta0=None, xs=None):
@@ -579,6 +586,150 @@ def test_lower_solver_answers_are_one_row_solves(monkeypatch):
         assert [len(points) for points in answer] == [1] * len(X)
         want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z for x in X]
         assert [points[0].tobytes() for points in answer] == [z.tobytes() for z in want]
+
+
+TERM_FIELDS = ("g", "curvature", "lo", "hi", "generators")
+# Signed zeros, ordinary numbers and entries up to the verifier's term bound.
+TERM_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, _TERM_BOUND, -_TERM_BOUND, 1.0]),
+                         st.floats(-_TERM_BOUND, _TERM_BOUND, allow_nan=False))
+
+
+@st.composite
+def term_cases(draw):
+    """(instance, certificate): d_x and d_z from 1, Sigma a random positive
+    definite matrix, and x, r, theta, z and eta entries from TERM_ENTRIES,
+    eta all zero in about a fifth of the cases."""
+    d_x, d_z, n = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.standard_normal((d_z, d_z))
+    sigma = B @ B.T + d_z * np.eye(d_z)
+    sigma = 0.5 * (sigma + sigma.T) / np.max(np.abs(sigma))
+
+    def rows(k, d):
+        return np.array(draw(st.lists(TERM_ENTRIES, min_size=k * d, max_size=k * d))).reshape(k, d)
+
+    inst = PortfolioInstance(sigma=sigma, risk_aversion=draw(st.sampled_from([0.5, 1.0, 3.0])),
+                             samples=list(zip(rows(n, d_x), rows(n, d_z))))
+    eta = np.zeros((n, d_z)) if draw(st.integers(0, 4)) == 0 else rows(n, d_z)
+    cert = Certificate(theta=rows(d_x, d_z), scenarios=[
+        ScenarioCertificate(z=z, eta=e) for z, e in zip(rows(n, d_z), eta)])
+    return inst, cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_cases())
+def test_stacked_terms_equal_per_scenario_model_calls(case):
+    """PortfolioProblem.scenario_terms, stacked matrix-vector products over
+    all rows, gives the bytes of the default Problem.scenario_terms, which
+    calls the lower and upper models once per term and scenario, in every
+    field: with d_x = d_z = 1, with eta zero or holding -0.0, and with
+    entries up to _TERM_BOUND."""
+    inst, cert = case
+    problem = as_problem(inst)
+    assert isinstance(problem, PortfolioProblem)
+    stacked = problem.scenario_terms(cert.theta, cert)
+    single = Problem.scenario_terms(problem, cert.theta, cert)
+    for name in TERM_FIELDS:
+        got, want = getattr(stacked, name), getattr(single, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert stacked.witness is None
+
+
+def _golden_portfolio_certificates():
+    runs = {}
+    for case in json.loads((GOLDEN / "expected.json").read_text())["outputs"]:
+        argv = case["argv"]
+        if argv[0] == "verify" and argv[2].startswith("pf"):
+            runs[argv[4]] = argv[2]
+    return sorted(runs.items())
+
+
+def _per_scenario_certificate(data, inst):
+    """The certificate read one scenario at a time: one ScenarioCertificate
+    per scenario, stacked by Certificate."""
+    scen = [ScenarioCertificate(s["z"], s["eta"], s.get("zeta"), s.get("mu"),
+                                s.get("value_weights")) for s in data["scenarios"]]
+    return Certificate(theta=np.reshape(data["theta"], (inst.d_x, inst.d_z)), scenarios=scen)
+
+
+def _same_certificate(got, want):
+    for name in ("theta", "z", "eta", "zeta", "given"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.mu == want.mu
+    assert len(got.value_weights) == len(want.value_weights)
+    for a, b in zip(got.value_weights, want.value_weights):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cert_file, problem_file", _golden_portfolio_certificates())
+def test_row_reader_gives_the_per_scenario_arrays(cert_file, problem_file):
+    """On every golden portfolio certificate and problem, the row-wise
+    readers give the arrays that the per-scenario ones give: the
+    certificate's theta, z, eta, zeta, given, mu and value_weights those of
+    Certificate(theta, [ScenarioCertificate(...)]), and the instance's x and
+    r those of finite_vector, sample by sample."""
+    from mstat.cli import _portfolio_certificate
+
+    problem = json.loads((GOLDEN / problem_file).read_text())
+    inst = PortfolioInstance.from_dict(problem)
+    for (x, r), sample in zip(inst.samples, problem["samples"]):
+        assert x.tobytes() == finite_vector(sample["x"], "x", scalar=True).tobytes()
+        assert r.tobytes() == finite_vector(sample["r"], "r", scalar=True).tobytes()
+    data = json.loads((GOLDEN / cert_file).read_text())
+    _same_certificate(_portfolio_certificate(data, inst), _per_scenario_certificate(data, inst))
+
+
+READER_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5), st.just(-0.0))
+
+
+@st.composite
+def reader_cases(draw):
+    """(certificate data, problem data): fuzzed portfolio certificates and
+    samples, with ints among the floats. Where a vector has one entry, all,
+    none or some of them are given as lone numbers (z, eta and zeta at
+    d_z = 1, x at d_x = 1). Some scenarios leave zeta out, some hold mu or
+    value_weights."""
+    d_z, d_x, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    lone = draw(st.sampled_from(["all", "none", "some"]))
+
+    def vector(size):
+        v = draw(st.lists(READER_ENTRIES, min_size=size, max_size=size))
+        if size == 1 and (lone == "all" or lone == "some" and draw(st.booleans())):
+            return v[0]
+        return v
+
+    scenarios = []
+    for _ in range(n):
+        s = {"z": vector(d_z), "eta": vector(d_z)}
+        if draw(st.booleans()):
+            s["zeta"] = vector(d_z)
+        if draw(st.integers(0, 3)) == 0:
+            s["mu"] = draw(st.sampled_from([0.0, 0.5, 2]))
+        if draw(st.integers(0, 3)) == 0:
+            s["value_weights"] = draw(st.sampled_from([[1.0], 1.0, [0.25, 0.75]]))
+        scenarios.append(s)
+    problem = {"sigma": np.eye(d_z).tolist(), "lambda": 1.0,
+               "samples": [{"x": vector(d_x), "r": vector(d_z)} for _ in range(n)]}
+    theta = draw(st.lists(READER_ENTRIES, min_size=d_x * d_z, max_size=d_x * d_z))
+    return {"theta": theta, "scenarios": scenarios}, problem
+
+
+@settings(max_examples=200, deadline=None)
+@given(reader_cases())
+def test_row_reader_property(case):
+    """On fuzzed certificates and samples, lone numbers at d = 1, a missing
+    zeta, mu and value_weights among them, the row-wise readers give the
+    arrays of Certificate(theta, [ScenarioCertificate(...)]) and of
+    finite_vector, sample by sample."""
+    from mstat.cli import _portfolio_certificate
+
+    data, problem = case
+    inst = PortfolioInstance.from_dict(problem)
+    for (x, r), sample in zip(inst.samples, problem["samples"]):
+        assert x.tobytes() == finite_vector(sample["x"], "x", scalar=True).tobytes()
+        assert r.tobytes() == finite_vector(sample["r"], "r", scalar=True).tobytes()
+    _same_certificate(_portfolio_certificate(data, inst), _per_scenario_certificate(data, inst))
 
 
 # ---------------------------------------------------------------------------

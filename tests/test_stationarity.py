@@ -1035,7 +1035,9 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
     them relative to max(1, value). It may skip an LP that the NNLS route
     runs: its second phase1_bound point, tau = 0, is the one that
     certifies the LP's answer where the closed form's tau is rounding noise
-    (184 of 103,680 such cases over 40 seeds, each with the same gap)."""
+    (184 of 103,680 such cases over 40 seeds, each with the same gap).
+    Every stack mixes in infeasible rows, a coordinate at -2e-9 or a sum
+    of 1 + 3e-9, which both routes report as None."""
     stacks = {}
     for poly, z, g in _skip_cases(rng) + [(poly, z, -target) for poly, z, target
                                           in SIMPLEX_SKIP_CASES]:
@@ -1044,6 +1046,12 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
             rows = stacks.setdefault(poly.dim, ([], []))
             rows[0].append(z)
             rows[1].append(g)
+            if rng.random() < 0.1:
+                rows[0].append(np.where(np.arange(len(z)) == rng.integers(len(z)), -2e-9, z))
+                rows[1].append(g)
+            elif rng.random() < 0.1:
+                rows[0].append(z + (1.0 + 3e-9 - z.sum()) / len(z))
+                rows[1].append(g)
     assert sorted(stacks) == list(range(1, 13))
     lps, nnls = count_lps(monkeypatch), count_nnls(monkeypatch)
     for d, (Z, G) in stacks.items():
@@ -1054,6 +1062,7 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
         want = [_check_scenario(poly, z, g) for z, g in zip(Z, G)]
         assert closed[1] == 0 and len(nnls) > before[1]
         assert closed[0] <= len(lps) - before[0] - closed[0]
+        assert None in want and any(w is not None for w in want)
         for a, b in zip(got, want):
             assert (a is None) == (b is None)
             if a is not None:
