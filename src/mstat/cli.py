@@ -159,27 +159,30 @@ def _index_texts(mask, indent):
 
 
 def _witness_texts(columns, indent):
-    """_json_text of each scenario's witness dict. Rows decided by the
-    orthant row pass fill one of two templates, one for a reason and one for
-    the index lists; any other witness is written dict by dict."""
+    """_json_text of each scenario's witness dict. Witnesses held as
+    OrthantRows or SimplexRows are written from their columns: each key's
+    texts come from one pass over all rows, and each key set has one
+    %-template, which every row of that set fills. A list of witness dicts
+    is written dict by dict."""
     rows, extra = columns.witness, columns.extra or {}
-    if type(rows) is not GN.OrthantRows:
+    if not isinstance(rows, (GN.OrthantRows, GN.SimplexRows)):
         return [_value_text(columns.witness_of(n), indent) for n in range(len(rows))]
-    inner = indent + "  "
-    texts = {"I_plus": _index_texts(rows.I_plus, inner),
-             "I_zero": _index_texts(rows.I_zero, inner),
-             "L": _index_texts(rows.L, inner),
-             "boundary_ambiguous": _index_texts(rows.ambiguous, inner)}
-    texts.update({key: _column_texts(col, inner) for key, col in extra.items()})
-    keys = sorted({"I_plus", "I_zero", "L", "boundary_ambiguous"} | set(extra))
-    out = list(map(_template(keys, indent).__mod__, zip(*[texts[k] for k in keys])))
-    keys = sorted({"reason"} | set(extra))
-    template = _template(keys, indent)
-    for j, r in enumerate(rows.reason.tolist()):
-        if r >= 0:
-            values = {"reason": _ENCODE_STR(rows.reasons[r]), **{k: texts[k][j] for k in extra}}
-            out[j] = template % tuple(values[k] for k in keys)
-    return out
+    inner, codes = indent + "  ", rows.key_set.tolist()
+    texts = {key: _column_texts(col, inner) for key, col in extra.items()}
+    layouts = {}
+    for code in set(codes):
+        keys = set(rows.KEY_SETS[code]) | set(extra)
+        for key in keys - set(texts):
+            values = rows.values(key)
+            texts[key] = (_index_texts(values, inner) if type(values) is np.ndarray
+                          else _column_texts(values, inner))
+        keys = sorted(keys)
+        layouts[code] = _template(keys, indent), [texts[key] for key in keys]
+    if len(layouts) == 1:
+        template, cols = layouts[codes[0]]
+        return list(map(template.__mod__, zip(*cols)))
+    return [layouts[code][0] % tuple(col[j] for col in layouts[code][1])
+            for j, code in enumerate(codes)]
 
 
 _SCENARIO_FIELDS = ("complementarity_gap", "lower_residual", "m_membership", "m_residual",

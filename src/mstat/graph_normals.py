@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -333,12 +333,12 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     return Membership(False, "not_member", "oracle", {"active_rows": list(I)})
 
 
-def _ambiguous(values):
-    return [int(i) for i, v in enumerate(values) if 0.0 < abs(v) < STRICT_EPS]
-
-
 _ORTHANT_REASONS = ("z has negative coordinates", "g has negative coordinates",
                     "z and g are not complementary")
+_SIMPLEX_REASONS = _ORTHANT_REASONS + (
+    "coordinate sum exceeds one", "gradient not constant on the support",
+    "budget multiplier would be negative", "bound multiplier would be negative")
+_VERDICTS = ("member", "not_member", "empty_coderivative")
 
 
 def _flagged(flags):
@@ -349,20 +349,63 @@ def _sign_ok(zeta, eta, L, I_plus, eps):
     """The orthant sign rule per entry: zeta_i vanishes on L, eta_i on I_+,
     and elsewhere one of them vanishes or both are strictly negative."""
     small_zeta, small_eta = np.abs(zeta) <= eps, np.abs(eta) <= eps
-    both_neg = (zeta <= -STRICT_EPS) & (eta <= -STRICT_EPS)
+    both_neg = np.maximum(zeta, eta) <= -STRICT_EPS
     return np.where(L, small_zeta,
                     np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
 
 
-@dataclass(frozen=True)
-class OrthantRows:
-    """Orthant coderivative verdicts of k points as columns, row j for point j.
+class _WitnessRows:
+    """Coderivative verdicts of k points as columns, row j for point j.
 
     reason[j] indexes reasons with row j's empty-coderivative reason, or is
-    -1 on the graph; member[j] is the verdict there, False off it. L, I_plus
+    -1; member[j] is the verdict where it is -1, False elsewhere. key_set[j]
+    indexes KEY_SETS with the keys of row j's witness, in order, and values
+    reads a key's entries on any rows. Indexing gives row j's witness, so the
+    rows stand in for a list of witness dicts.
+    """
+
+    def values(self, key, rows=slice(None)):
+        """The entries of witness key on rows, any index of the row axis: a
+        (rows, d) mask for a list of coordinates, else a list of JSON values.
+        A float column holds NaN where the witness holds null; a row without
+        a reason has None as its reason."""
+        if key == "reason":
+            return [self.reasons[r] if r >= 0 else None for r in self.reason[rows].tolist()]
+        if key == "degenerate_support":
+            return [True] * len(self.reason[rows])
+        column = getattr(self, "ambiguous" if key == "boundary_ambiguous" else key)[rows]
+        if column.ndim == 2:
+            return column
+        return [None if v != v else v for v in column.tolist()]
+
+    def __len__(self):
+        return len(self.reason)
+
+    def __getitem__(self, j):
+        witness = {}
+        for key in self.KEY_SETS[self.key_set[j]]:
+            value = self.values(key, [j])
+            witness[key] = _flagged(value[0]) if type(value) is np.ndarray else value[0]
+        return witness
+
+    def verdicts(self):
+        """Each row's verdict: member, not_member or empty_coderivative."""
+        codes = np.where(self.reason >= 0, 2, np.where(self.member, 0, 1))
+        return [_VERDICTS[c] for c in codes.tolist()]
+
+    def membership(self, j):
+        """Row j as a Membership."""
+        ok = bool(self.member[j])
+        verdict = _VERDICTS[2 if self.reason[j] >= 0 else 0 if ok else 1]
+        return Membership(ok, verdict, self.method, self[j])
+
+
+@dataclass(frozen=True)
+class OrthantRows(_WitnessRows):
+    """Orthant coderivative verdicts of k points as _WitnessRows. L, I_plus
     and I_zero are the (k, d) coordinate masks and ambiguous marks the zeta
-    entries with 0 < |zeta_i| < STRICT_EPS. Indexing gives row j's witness,
-    so the rows stand in for a list of witness dicts.
+    entries with 0 < |zeta_i| < STRICT_EPS. A row off the graph has the
+    witness {"reason"}, any other its four coordinate lists.
     """
 
     reason: np.ndarray
@@ -372,28 +415,55 @@ class OrthantRows:
     I_zero: np.ndarray
     ambiguous: np.ndarray
     reasons: tuple = _ORTHANT_REASONS
+    method = "orthant"
+    KEY_SETS = (("reason",), ("L", "I_plus", "I_zero", "boundary_ambiguous"))
 
-    def __getitem__(self, j):
-        if self.reason[j] >= 0:
-            return {"reason": self.reasons[self.reason[j]]}
-        return {"L": _flagged(self.L[j]), "I_plus": _flagged(self.I_plus[j]),
-                "I_zero": _flagged(self.I_zero[j]),
-                "boundary_ambiguous": _flagged(self.ambiguous[j])}
-
-    def verdicts(self):
-        """Each row's verdict: member, not_member or empty_coderivative."""
-        codes = np.where(self.reason >= 0, 2, np.where(self.member, 0, 1))
-        return [_VERDICTS[c] for c in codes.tolist()]
-
-    def membership(self, j):
-        """Row j as a Membership."""
-        if self.reason[j] >= 0:
-            return _empty("orthant", self.reasons[self.reason[j]])
-        ok = bool(self.member[j])
-        return Membership(ok, _VERDICTS[0 if ok else 1], "orthant", self[j])
+    @property
+    def key_set(self):
+        return (self.reason < 0).astype(int)
 
 
-_VERDICTS = ("member", "not_member", "empty_coderivative")
+_SIMPLEX_BASE = ("L", "sum_gap", "sum_near_threshold", "boundary_ambiguous")
+
+
+@dataclass(frozen=True)
+class SimplexRows(_WitnessRows):
+    """Simplex coderivative verdicts of k points as _WitnessRows: the
+    orthant columns, each row's budget gap sum_gap = 1 - sum(z), whether
+    eps < |sum_gap| <= 10 eps (sum_near_threshold), and the multipliers tau
+    and beta, NaN where the witness has null. key_set[j] indexes KEY_SETS,
+    whose key orders are those the witness dicts were built in: an empty
+    coderivative, a point inside the budget on the orthant graph and one off
+    it, a point on the budget face, one there whose zeta is not constant on
+    the support, and a point at the degenerate corner.
+    """
+
+    reason: np.ndarray
+    member: np.ndarray
+    key_set: np.ndarray
+    L: np.ndarray
+    I_plus: np.ndarray
+    I_zero: np.ndarray
+    ambiguous: np.ndarray
+    sum_gap: np.ndarray
+    sum_near_threshold: np.ndarray
+    tau: np.ndarray
+    beta: np.ndarray
+    reasons: tuple = _SIMPLEX_REASONS
+    method = "simplex"
+    KEY_SETS = (("reason",),
+                _SIMPLEX_BASE + ("I_plus", "I_zero", "tau", "beta"),
+                _SIMPLEX_BASE + ("reason", "tau", "beta"),
+                _SIMPLEX_BASE + ("tau", "beta", "I_plus", "I_zero"),
+                _SIMPLEX_BASE + ("tau", "beta"),
+                _SIMPLEX_BASE + ("tau", "beta", "degenerate_support"))
+
+    def refuse(self, rows, reason):
+        """These rows with each one flagged in rows given an empty
+        coderivative for reason."""
+        return replace(self, reason=np.where(rows, len(self.reasons), self.reason),
+                       member=self.member & ~rows, key_set=np.where(rows, 0, self.key_set),
+                       reasons=self.reasons + (reason,))
 
 
 def _orthant_rows(z, g, zeta, eta, eps):
@@ -434,121 +504,128 @@ def orthant_membership(z, g, pair, eps=DEFAULT_EPS):
 
 
 def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps):
-    """Whether row j passes the simplex sign system with zeta_j shifted by beta_j.
+    """Whether each point passes the simplex sign system with zeta shifted
+    by its beta.
 
-    The budget row is tight. beta is a (k,) array; zeta, eta and the masks
-    broadcast to (k, d), tau and sum_eta to (k,). A row passes when tau or
-    sum(eta) vanishes, beta vanishes or has the sign of a strictly positive
+    The budget row is tight. zeta, eta and the masks broadcast to (..., d),
+    beta, tau and sum_eta to (...). A point passes when tau or sum(eta)
+    vanishes, beta vanishes or has the sign of a strictly positive
     sum(eta), and (zeta - beta, eta) passes the orthant sign rule.
     """
     small_sum = np.abs(sum_eta) <= eps
-    return _sign_ok(zeta - beta[:, None], eta, L, I_plus, eps).all(axis=1) \
+    return _sign_ok(zeta - beta[..., None], eta, L, I_plus, eps).all(axis=-1) \
         & ((np.abs(tau) <= STRICT_EPS) | small_sum) \
-        & (((beta > STRICT_EPS) & (sum_eta > STRICT_EPS)) | (np.abs(beta) <= eps) | small_sum)
+        & ((np.minimum(beta, sum_eta) > STRICT_EPS) | (np.abs(beta) <= eps) | small_sum)
 
 
-def _spread(v, mask):
-    """Row-wise max minus min of v over mask; -inf on a row with no entry."""
-    return np.where(mask, v, -np.inf).max(axis=1) - np.where(mask, v, np.inf).min(axis=1)
+def _support_means(x, L, counts, rows):
+    """np.mean(x[..., j, :][L[j]]) of each row j flagged in rows, for x of
+    shape (..., k, d) and counts the support sizes L.sum(axis=1); 0 on the
+    other rows. Bit for bit, with no call per row.
 
-
-def _simplex_corner(z, g, zeta, eta, sum_eta, witness, eps):
-    """One point whose budget row is tight while no coordinate clears the
-    activity threshold, so tau and beta are both unresolved. Only finitely
-    many beta regimes matter: zero, each zeta_i, and anything above max zeta.
+    The rows are grouped by support size c. A group's support entries, read
+    row by row and copied to C order, form contiguous rows of c entries
+    (numpy lays out an indexed stack otherwise), whose row sums run
+    numpy's pairwise summation over the same c entries in the same order as
+    np.mean's sum of one row's 1-D support; dividing by c is np.mean's
+    division. A sum over full rows with zeros off the support would group
+    the terms differently and can round differently.
     """
-    if np.min(g, initial=0.0) < -eps or np.max(np.abs(z * g), initial=0.0) > eps:
-        return _empty("simplex", "z and g are not complementary")
-    candidates = np.array([0.0, float(np.max(zeta, initial=0.0)) + 1.0] + zeta.tolist())
-    I_plus = g > eps
-    ok = _shifted_sign_ok(zeta, eta, candidates, 0.0, sum_eta, np.zeros(len(z), dtype=bool),
-                          I_plus, eps)
-    beta = float(candidates[np.argmax(ok)]) if ok.any() else None
-    witness.update({"tau": None, "beta": beta, "degenerate_support": True})
-    return Membership(beta is not None, "member" if beta is not None else "not_member",
-                      "simplex", witness)
+    out = np.zeros(x.shape[:-1])
+    sizes = set(counts[rows].tolist())
+    for c in sizes:
+        pick = rows if len(sizes) == 1 else rows & (counts == c)
+        block = np.ascontiguousarray(x[..., L & pick[:, None]]).reshape(-1, c)
+        out[..., pick] = block.sum(axis=1).reshape(*x.shape[:-2], -1) / c
+    return out
+
+
+def _corner_rows(z, g, zeta, eta, sum_eta, eps):
+    """The reason code (2 or -1) and beta (NaN where none passes) of each
+    point whose budget row is tight while no coordinate clears the activity
+    threshold, so tau is 0 and beta is unresolved. z and g must be
+    complementary. Only finitely many beta regimes matter: zero, anything
+    above max zeta, and each zeta_i; the first candidate, in that order,
+    that passes the shifted sign system is the witness.
+    """
+    k = len(z)
+    coupled = ((g >= -eps) & (np.abs(z * g) <= eps)).all(axis=1)
+    candidates = np.concatenate([np.zeros((k, 1)), np.max(zeta, axis=1, initial=0.0)[:, None]
+                                 + 1.0, zeta], axis=1)
+    ok = _shifted_sign_ok(zeta[:, None], eta[:, None], candidates, 0.0, sum_eta[:, None],
+                          False, (g > eps)[:, None], eps)
+    found = candidates[np.arange(k), np.argmax(ok, axis=1)]
+    return np.where(coupled, -1, 2), np.where(ok.any(axis=1), found, np.nan)
 
 
 def _simplex_rows(z, g, zeta, eta, eps):
     """Simplex coderivative membership of k points at once, one per row.
 
     z, g, zeta and eta are (k, d) arrays; row j is a point of
-    {z >= 0, 1^T z <= 1}. The coordinate sums, the masks L = z > eps and the
-    spreads of g and zeta on L are array expressions over all rows. Rows
-    with a slack budget row reduce to the orthant form with beta = 0 and go
-    through one _orthant_rows call. On the sum face the budget multiplier
-    tau is read off L, where g must be constant, beta is pinned to the
-    common value of zeta on L, and the other coordinates obey the shifted
-    sign conditions with zeta_i - beta, one array expression for all rows.
-    tau and beta are np.mean of each row's own L entries: a sum over a
-    padded row groups its terms differently and can round differently.
+    {z >= 0, 1^T z <= 1}. Every test is an array expression over all rows,
+    and the result is their SimplexRows. A point with a coordinate below
+    -eps or a coordinate sum above 1 + eps is refused; the others split by
+    the budget gap and the support L = {i : z_i > eps}:
+      - on the sum face with L non-empty, g must be constant on L and the
+        budget multiplier tau is minus its mean there; tau and the bound
+        multipliers g_i + tau off L must be nonnegative; beta is the mean
+        of zeta on L, where zeta must be constant, and the other
+        coordinates obey the shifted sign conditions with zeta_i - beta;
+      - inside (gap > eps) tau is 0 and the test is the orthant one, with
+        beta = 0 for a member;
+      - at the corner, with L empty, z and g must be complementary and
+        _corner_rows finds beta.
+    With tau = beta = 0 the shifted sign system is the orthant sign rule,
+    so one _shifted_sign_ok call and one pair of I_+ / I_0 masks serve the
+    points on the face and inside. The columns are first filled by the
+    face rule; the other points, which a verified portfolio seldom has, are
+    written over only when the stack holds one.
+    tau and beta come from _support_means, one reduction per support size,
+    with the bits of np.mean of each row's support entries.
     """
-    k = len(z)
-    sum_gap = (1.0 - z.sum(axis=1)).tolist()
+    sum_gap = 1.0 - z.sum(axis=1)
+    abs_gap = np.abs(sum_gap)
     sum_eta = eta.sum(axis=1)
-    negative = (z < -eps).any(axis=1).tolist()
     L = z > eps
-    L_rows, zeta_rows = L.tolist(), zeta.tolist()
-    g_spread, zeta_spread = _spread(g, L).tolist(), _spread(zeta, L).tolist()
-    out, witnesses = [None] * k, [None] * k
-    interior, face = [], []
-    tau, beta = np.zeros(k), np.zeros(k)
-    for j, (gap, support) in enumerate(zip(sum_gap, L_rows)):
-        if negative[j]:
-            out[j] = _empty("simplex", "z has negative coordinates")
-            continue
-        if gap < -eps:
-            out[j] = _empty("simplex", "coordinate sum exceeds one")
-            continue
-        witnesses[j] = {"L": _flagged(support), "sum_gap": gap,
-                        "sum_near_threshold": bool(eps < abs(gap) <= 10.0 * eps),
-                        "boundary_ambiguous": _ambiguous(zeta_rows[j])}
-        if gap > eps:
-            interior.append(j)
-        elif not witnesses[j]["L"]:
-            out[j] = _simplex_corner(z[j], g[j], zeta[j], eta[j], sum_eta[j],
-                                     witnesses[j], eps)
-        elif g_spread[j] > eps:
-            out[j] = _empty("simplex", "gradient not constant on the support")
-        else:
-            tau[j] = -np.mean(g[j][L[j]])
-            if tau[j] < -eps:
-                out[j] = _empty("simplex", "budget multiplier would be negative")
-                continue
-            if zeta_spread[j] <= eps:
-                beta[j] = np.mean(zeta[j][L[j]])
-            face.append(j)
-
-    if interior:
-        rows = _orthant_rows(z[interior], g[interior], zeta[interior], eta[interior], eps)
-        for i, j in enumerate(interior):
-            res = rows.membership(i)
-            witness = witnesses[j]
-            witness.update(res.witness)
-            witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
-            out[j] = Membership(res.member, res.verdict, "simplex", witness)
-    if not face:
-        return out
-    shifted = g + tau[:, None]
     off = ~L
-    bound_negative = (off & (shifted < -eps)).any(axis=1).tolist()
+    counts = L.sum(axis=1)
+    negative, over = (z < -eps).any(axis=1), sum_gap < -eps
+    face = ~negative & (abs_gap <= eps) & (counts > 0)
+    gz = np.stack([g, zeta])
+    flat = face & (np.where(L, gz, -np.inf).max(axis=2)
+                   - np.where(L, gz, np.inf).min(axis=2) <= eps)
+    flat_g, flat_zeta = flat[0], flat[0] & flat[1]
+    tau, beta = np.zeros(len(z)), np.zeros(len(z))
+    if flat_g.any():
+        gz[1, ~flat_zeta] = 0.0     # average zeta only where it is constant
+        means = _support_means(gz, L, counts, flat_g)
+        tau, beta = np.where(flat_g, -means[0], 0.0), np.where(flat_zeta, means[1], 0.0)
+    shifted = g + tau[:, None]
     I_plus = off & (shifted > eps)
-    I_zero = off & ~I_plus
-    ok = _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps).tolist()
-    I_plus, I_zero = I_plus.tolist(), I_zero.tolist()
-    for j in face:
-        if bound_negative[j]:
-            out[j] = _empty("simplex", "bound multiplier would be negative")
-            continue
-        witness = witnesses[j]
-        if zeta_spread[j] > eps:
-            witness.update({"tau": float(tau[j]), "beta": None})
-            out[j] = Membership(False, "not_member", "simplex", witness)
-            continue
-        witness.update({"tau": float(tau[j]), "beta": float(beta[j]),
-                        "I_plus": _flagged(I_plus[j]), "I_zero": _flagged(I_zero[j])})
-        out[j] = Membership(ok[j], "member" if ok[j] else "not_member", "simplex", witness)
-    return out
+    ok = _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps)
+    reason = np.where(flat_g, np.where(tau < -eps, 5, np.where(
+        (off & (shifted < -eps)).any(axis=1), 6, -1)), 4)
+    member = (reason < 0) & ok & flat_zeta
+    key_set = np.where(reason < 0, np.where(flat_zeta, 3, 4), 0)
+    beta = np.where(flat_zeta, beta, np.nan)
+    if not face.all():
+        inside = ~negative & (sum_gap > eps)
+        corner = ~negative & ~over & ~inside & ~face
+        z_in = np.where(inside[:, None], z, 0.0)    # z g only where z_i <= 1
+        code = np.where((g < -eps).any(axis=1), 1, np.where(
+            (np.abs(z_in * g) > eps).any(axis=1), 2, -1))
+        if corner.any():
+            code[corner], beta[corner] = _corner_rows(z[corner], g[corner], zeta[corner],
+                                                      eta[corner], sum_eta[corner], eps)
+            tau = np.where(corner, np.nan, tau)
+        fit = code < 0
+        reason = np.where(negative, 0, np.where(over, 3, np.where(inside | corner, code, reason)))
+        member = np.where(inside, ok & fit, np.where(corner, fit & ~np.isnan(beta), member))
+        key_set = np.where(inside, np.where(fit, 1, 2), np.where(corner & fit, 5, key_set))
+        beta = np.where(inside, np.where(member, 0.0, np.nan), beta)
+    return SimplexRows(reason, member, key_set, L, I_plus, off & ~I_plus,
+                       (zeta != 0.0) & (np.abs(zeta) < STRICT_EPS), sum_gap,
+                       (eps < abs_gap) & (abs_gap <= 10.0 * eps), tau, beta)
 
 
 def _simplex_residual_rows(u, active):
@@ -605,4 +682,4 @@ def simplex_membership(z, g, pair, eps=DEFAULT_EPS):
     g = np.asarray(g, dtype=float)
     if not z.shape == g.shape == pair.zeta.shape:
         raise ValueError("z, g, zeta and eta must share a dimension")
-    return _simplex_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps)[0]
+    return _simplex_rows(z[None], g[None], pair.zeta[None], pair.eta[None], eps).membership(0)

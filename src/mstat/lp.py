@@ -20,7 +20,6 @@ __all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "phase1_bound
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 _MAX_PIVOTS = 5000
-_CERTIFY = 16.0
 
 
 class LPUnbounded(Exception):
@@ -170,11 +169,10 @@ def linear_feasible(A_eq, b_eq, nonneg=None):
 
 
 def _refined_lstsq(B, b):
-    """Least-squares solve of B s = b with one refinement step, with B's rank
-    and singular values from the first solve."""
-    s, _, rank, sv = np.linalg.lstsq(B, b, rcond=None)
+    """Least-squares solve of B s = b with one refinement step."""
+    s = np.linalg.lstsq(B, b, rcond=None)[0]
     s += np.linalg.lstsq(B, b - B @ s, rcond=None)[0]
-    return s, rank, sv
+    return s
 
 
 def nnls(A, b):
@@ -192,24 +190,6 @@ def nnls(A, b):
     as in Lawson and Hanson's code; without that guard it would enter again
     on every round. The answer depends only on (A, b). Raises LPLimitError
     after 3n + 10 least-squares solves instead of looping.
-
-    Certified start. Before that loop, one refined solve s on every column,
-    with B built as the loop would build it for a full passive set, is
-    returned when A has full column rank n, lo = min(s) > 0 and
-    (lo sigma)^2 > C tol sum(s), where sigma is B's smallest singular value.
-    The loop would end on that same solve. f(x) = ||A x - b||^2 / 2 is
-    sigma^2-strongly convex with minimizer s. Take a passive set P other
-    than every column at which the loop could stop: its point x* has
-    x*_j = 0 and w_j <= tol off P and w_j = 0 on P. Adding the bounds
-    f(s) >= f(x*) - w^T (s - x*) + sigma^2/2 ||s - x*||^2 and
-    f(x*) >= f(s) + sigma^2/2 ||s - x*||^2 gives
-    sigma^2 ||s - x*||^2 <= sum_{j not in P} w_j s_j <= tol sum(s), while
-    ||s - x*|| >= s_j >= lo for any j not in P, a contradiction. So some
-    w_j off P exceeds C tol, that column enters with a positive coefficient
-    (the guard above needs a gradient at rounding level), and the final set
-    is every column, solved exactly as above. C = _CERTIFY kappa^2, with
-    kappa = B's condition number, covers rounding: the computed w of a
-    passive set differs from the exact one by about kappa^2 tol / n.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -220,12 +200,6 @@ def nnls(A, b):
     passive = np.zeros(n, dtype=bool)
     tol = 10.0 * max(m, n) * np.finfo(float).eps \
         * np.abs(A).sum(axis=0).max(initial=0.0) * np.linalg.norm(b)
-    # A[:, mask] and A differ in memory layout, and B @ s rounds by layout.
-    s, rank, sv = _refined_lstsq(A[:, ~passive], b)
-    lo = s.min()
-    if rank == n and lo > 0.0 \
-            and (lo * sv[-1]) ** 2 > _CERTIFY * (sv[0] / sv[-1]) ** 2 * tol * s.sum():
-        return s
     solves = 0
     while True:
         w = A.T @ (b - A @ x)
@@ -239,7 +213,7 @@ def nnls(A, b):
             solves += 1
             if solves > 3 * n + 10:
                 raise LPLimitError("NNLS iteration cap reached")
-            s_P = _refined_lstsq(A[:, passive], b)[0]
+            s_P = _refined_lstsq(A[:, passive], b)
             s = np.zeros(n)
             s[passive] = s_P
             if s_P.min() > 0.0:

@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cones import DEFAULT_EPS
 from .graph_normals import finite_number, finite_rows, finite_vector, object_list, optional_entry
@@ -71,6 +70,19 @@ __all__ = [
 ]
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+
+def ndtr(x):
+    """The standard normal CDF of each entry of x, by scipy.special.ndtr.
+
+    scipy.special is imported by the first call, not with this module, so
+    that a command that computes no CDF (a portfolio verify, a coderivative
+    query) starts without scipy, whose import takes most of such a
+    command's wall time.
+    """
+    from scipy.special import ndtr as scipy_ndtr
+    return scipy_ndtr(x)
+
 
 # Largest (row, center, coordinate) entry count of one block of query rows.
 _BLOCK_ENTRIES = 1 << 20

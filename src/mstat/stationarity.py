@@ -371,7 +371,8 @@ class ScenarioColumns:
 
     Every field but witness and extra is a list of Python values, so editing
     an entry edits the report. witness is indexed like a list of witness
-    dicts: it is one, or the OrthantRows that decided the scenarios. extra,
+    dicts: it is one, or the OrthantRows or SimplexRows that decided the
+    scenarios, whose columns the report writer reads directly. extra,
     when given, maps a key to a column of JSON values that joins every
     witness under that key.
     """
@@ -709,25 +710,31 @@ def _general_route(feasible, z, g, probe, eta):
     """The scenarios on any other set, as _orthant_route gives them.
 
     A simplex decides every membership in one _simplex_rows pass and every
-    lower residual in one _simplex_residual_rows pass (_simplex_checks);
-    any other set calls polyhedron_membership and _check_scenario, with its
-    NNLS residual, per scenario. A scenario found infeasible reports an
-    empty coderivative for that reason, whatever the membership said.
+    lower residual in one _simplex_residual_rows pass (_simplex_checks), and
+    its witnesses stay the SimplexRows columns; any other set calls
+    polyhedron_membership and _check_scenario, with its NNLS residual, per
+    scenario. A scenario found infeasible reports an empty coderivative for
+    that reason, whatever the membership said.
     """
     poly = feasible.as_polyhedron()
     if feasible.kind == "simplex":
-        members = _simplex_rows(z, g, probe, eta, DEFAULT_EPS)
         checks = _simplex_checks(poly, z, g)
+        rows = _simplex_rows(z, g, probe, eta, DEFAULT_EPS)
+        infeasible = [check is None for check in checks]
+        if any(infeasible):
+            rows = rows.refuse(np.array(infeasible), _INFEASIBLE)
+        member, verdicts, witness = rows.member, rows.verdicts(), rows
     else:
         members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
                                          DEFAULT_EPS)
                    for zn, gn, pn, en in zip(z, g, probe, eta)]
         checks = [_check_scenario(poly, zn, gn) for zn, gn in zip(z, g)]
-    members = [_empty(feasible.kind, _INFEASIBLE) if check is None else m
-               for m, check in zip(members, checks)]
+        members = [_empty(feasible.kind, _INFEASIBLE) if check is None else m
+                   for m, check in zip(members, checks)]
+        member = np.array([m.member for m in members])
+        verdicts, witness = [m.verdict for m in members], [m.witness for m in members]
     low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
-    return (np.array([m.member for m in members]), [m.verdict for m in members],
-            [m.witness for m in members], low_res, comp_gap)
+    return member, verdicts, witness, low_res, comp_gap
 
 
 def _row_norms(a):

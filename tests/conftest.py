@@ -12,6 +12,7 @@ from scipy.special import ndtr
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
                          Polyhedron, active_rows, active_set, cone_distance,
                          multiplier_within_support)
+from mstat import graph_normals as GN
 from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
@@ -480,9 +481,9 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
 def nnls_oracle(A, b):
     """argmin_{x >= 0} ||A x - b|| by the Lawson-Hanson active-set method.
 
-    The plain loop of `mstat.lp.nnls`, without its certified full-support
-    start and its entering-column guard: the bit-for-bit reference of the
-    tests. Where the guard ends a run, this loop raises instead.
+    The plain loop of `mstat.lp.nnls`, without its entering-column guard:
+    the bit-for-bit reference of the tests. Where the guard ends a run, this
+    loop raises instead.
 
     Columns enter the passive set one at a time, the one with the largest
     positive gradient A^T (b - A x) first (lowest index on ties); an inner
@@ -705,6 +706,120 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
             return Membership(True, "member", "simplex", witness)
     witness.update({"tau": None, "beta": None, "degenerate_support": True})
     return Membership(False, "not_member", "simplex", witness)
+
+
+def _sign_ok_rows(zeta, eta, L, I_plus, eps):
+    strict = GN.STRICT_EPS
+    small_zeta, small_eta = np.abs(zeta) <= eps, np.abs(eta) <= eps
+    both_neg = (zeta <= -strict) & (eta <= -strict)
+    return np.where(L, small_zeta,
+                    np.where(I_plus, small_eta, both_neg | small_zeta | small_eta))
+
+
+def _shifted_sign_ok_rows(zeta, eta, beta, tau, sum_eta, L, I_plus, eps):
+    strict = GN.STRICT_EPS
+    small_sum = np.abs(sum_eta) <= eps
+    return _sign_ok_rows(zeta - beta[:, None], eta, L, I_plus, eps).all(axis=1) \
+        & ((np.abs(tau) <= strict) | small_sum) \
+        & (((beta > strict) & (sum_eta > strict)) | (np.abs(beta) <= eps) | small_sum)
+
+
+def _spread_rows(v, mask):
+    return np.where(mask, v, -np.inf).max(axis=1) - np.where(mask, v, np.inf).min(axis=1)
+
+
+def _flagged(flags):
+    return [i for i, f in enumerate(flags) if f]
+
+
+def _simplex_corner_oracle(z, g, zeta, eta, sum_eta, witness, eps):
+    if np.min(g, initial=0.0) < -eps or np.max(np.abs(z * g), initial=0.0) > eps:
+        return _empty("simplex", "z and g are not complementary")
+    candidates = np.array([0.0, float(np.max(zeta, initial=0.0)) + 1.0] + zeta.tolist())
+    I_plus = g > eps
+    ok = _shifted_sign_ok_rows(zeta, eta, candidates, 0.0, sum_eta,
+                               np.zeros(len(z), dtype=bool), I_plus, eps)
+    beta = float(candidates[np.argmax(ok)]) if ok.any() else None
+    witness.update({"tau": None, "beta": beta, "degenerate_support": True})
+    return Membership(beta is not None, "member" if beta is not None else "not_member",
+                      "simplex", witness)
+
+
+def simplex_rows_oracle(z, g, zeta, eta, eps):
+    """The list of Memberships that graph_normals._simplex_rows stands for,
+    scenario by scenario: each row's witness dict built in a Python loop,
+    tau and beta as np.mean of the row's own support entries, the slack
+    budget rows through one _orthant_rows call and the degenerate corner by
+    its candidate betas. This was _simplex_rows itself before it decided
+    the rows by columns; it reads STRICT_EPS from graph_normals at call
+    time."""
+    k = len(z)
+    sum_gap = (1.0 - z.sum(axis=1)).tolist()
+    sum_eta = eta.sum(axis=1)
+    negative = (z < -eps).any(axis=1).tolist()
+    L = z > eps
+    L_rows, zeta_rows = L.tolist(), zeta.tolist()
+    g_spread, zeta_spread = _spread_rows(g, L).tolist(), _spread_rows(zeta, L).tolist()
+    out, witnesses = [None] * k, [None] * k
+    interior, face = [], []
+    tau, beta = np.zeros(k), np.zeros(k)
+    for j, (gap, support) in enumerate(zip(sum_gap, L_rows)):
+        if negative[j]:
+            out[j] = _empty("simplex", "z has negative coordinates")
+            continue
+        if gap < -eps:
+            out[j] = _empty("simplex", "coordinate sum exceeds one")
+            continue
+        witnesses[j] = {"L": _flagged(support), "sum_gap": gap,
+                        "sum_near_threshold": bool(eps < abs(gap) <= 10.0 * eps),
+                        "boundary_ambiguous": [i for i, v in enumerate(zeta_rows[j])
+                                               if 0.0 < abs(v) < GN.STRICT_EPS]}
+        if gap > eps:
+            interior.append(j)
+        elif not witnesses[j]["L"]:
+            out[j] = _simplex_corner_oracle(z[j], g[j], zeta[j], eta[j], sum_eta[j],
+                                            witnesses[j], eps)
+        elif g_spread[j] > eps:
+            out[j] = _empty("simplex", "gradient not constant on the support")
+        else:
+            tau[j] = -np.mean(g[j][L[j]])
+            if tau[j] < -eps:
+                out[j] = _empty("simplex", "budget multiplier would be negative")
+                continue
+            if zeta_spread[j] <= eps:
+                beta[j] = np.mean(zeta[j][L[j]])
+            face.append(j)
+
+    if interior:
+        rows = GN._orthant_rows(z[interior], g[interior], zeta[interior], eta[interior], eps)
+        for i, j in enumerate(interior):
+            res = rows.membership(i)
+            witness = witnesses[j]
+            witness.update(res.witness)
+            witness.update({"tau": 0.0, "beta": 0.0 if res.member else None})
+            out[j] = Membership(res.member, res.verdict, "simplex", witness)
+    if not face:
+        return out
+    shifted = g + tau[:, None]
+    off = ~L
+    bound_negative = (off & (shifted < -eps)).any(axis=1).tolist()
+    I_plus = off & (shifted > eps)
+    I_zero = off & ~I_plus
+    ok = _shifted_sign_ok_rows(zeta, eta, beta, tau, sum_eta, L, I_plus, eps).tolist()
+    I_plus, I_zero = I_plus.tolist(), I_zero.tolist()
+    for j in face:
+        if bound_negative[j]:
+            out[j] = _empty("simplex", "bound multiplier would be negative")
+            continue
+        witness = witnesses[j]
+        if zeta_spread[j] > eps:
+            witness.update({"tau": float(tau[j]), "beta": None})
+            out[j] = Membership(False, "not_member", "simplex", witness)
+            continue
+        witness.update({"tau": float(tau[j]), "beta": float(beta[j]),
+                        "I_plus": _flagged(I_plus[j]), "I_zero": _flagged(I_zero[j])})
+        out[j] = Membership(ok[j], "member" if ok[j] else "not_member", "simplex", witness)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -387,17 +387,22 @@ def test_verify_vertex_solutions_beyond_eight_active_rows(tmp_path, capsys):
 
 
 def test_verify_does_not_import_scipy_optimize(tmp_path):
-    """The CLI stays off scipy.optimize, whose import costs start-up time and memory."""
+    """The CLI stays off scipy.optimize, whose import costs start-up time and
+    memory, and a portfolio verify and a coderivative query import no scipy
+    module at all: only the newsvendor CDF needs scipy.special."""
     ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    query = write(tmp_path / "query.json", {"Z": "simplex", "z": [0.5, 0.5], "g": [-1.0, -1.0],
+                                            "zeta": [1.0, 1.0], "eta": [0.0, 0.0]})
     script = ("import sys\n"
               "import mstat.cli\n"
               "code = mstat.cli.main(['verify', '--problem', sys.argv[1],"
               " '--certificate', sys.argv[2]])\n"
               "assert code == 0, code\n"
-              "assert 'scipy.optimize' not in sys.modules\n")
+              "assert mstat.cli.main(['gph-normal', '--input', sys.argv[3]]) == 0\n"
+              "assert [m for m in sys.modules if m.split('.')[0] == 'scipy'] == []\n")
     paths = [str(Path(__file__).resolve().parents[1] / "src"),
              os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run([sys.executable, "-c", script, ppath, cpath],
+    proc = subprocess.run([sys.executable, "-c", script, ppath, cpath, query],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
     assert proc.returncode == 0, proc.stderr

@@ -56,6 +56,7 @@ pf3.perturbed.json outputs kept their bytes.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_portfolio_verify_makes_no_per_scenario_model_call(case, capsys, monkeyp
                                 calls.append(_n) or _m(*a, **k))
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
     assert calls == []
+
+
+@pytest.mark.parametrize("case", PORTFOLIO_VERIFY, ids=lambda c: " ".join(c["argv"]))
+def test_portfolio_verify_decides_no_scenario_alone(case, capsys, monkeypatch):
+    """The simplex route decides every portfolio scenario in array passes
+    and keeps the witnesses as columns: `verify` of each recorded portfolio
+    certificate, in both modes, prints the recorded bytes while
+    graph_normals calls np.mean for no scenario and builds no Membership."""
+    from mstat import graph_normals
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Membership built on the portfolio verify route")
+
+    means = []
+    mean = np.mean
+    monkeypatch.setattr(np, "mean", lambda *a, **k: means.append(
+        sys._getframe(1).f_globals["__name__"]) or mean(*a, **k))
+    monkeypatch.setattr(graph_normals.Membership, "__init__", refuse)
+    assert {c["argv"][6] for c in PORTFOLIO_VERIFY} == {"convex", "penalized"}
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert "mstat.graph_normals" not in means
 
 
 @pytest.mark.parametrize("certificate", ["pf3.cert.json", "pf3.perturbed.json",

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from mstat.graph_normals import (
     simplex_membership,
     _simplex_rows,
 )
-from conftest import random_polyhedral_graph_point, random_simplex_graph_point, simplex_oracle
+from conftest import (random_polyhedral_graph_point, random_simplex_graph_point, simplex_oracle,
+                      simplex_rows_oracle)
+from mstat import cli
+from mstat.stationarity import ScenarioColumns
 
 
 def pair(zeta, eta):
@@ -280,7 +284,8 @@ def test_simplex_rows_equal_the_per_point_oracle(monkeypatch):
         monkeypatch.setattr(GN, "STRICT_EPS", strict_eps)
         Z, G, ZETA, ETA = _simplex_rows_case(rng, k, d, eps, strict_eps)
         rows = _simplex_rows(Z, G, ZETA, ETA, eps)
-        for j, res in enumerate(rows):
+        for j in range(k):
+            res = rows.membership(j)
             want = simplex_oracle(Z[j], G[j], NormalPair(ZETA[j], ETA[j]), eps, strict_eps)
             assert repr(res) == repr(want), (Z[j].tolist(), G[j].tolist(),
                                              ZETA[j].tolist(), ETA[j].tolist(), eps)
@@ -296,6 +301,132 @@ def test_simplex_row_sums_equal_the_one_dimensional_sum():
     for d in range(1, 33):
         X = rng.standard_normal((8, d)) * rng.choice([1e-12, 1.0, 1e12], (8, d))
         assert X.sum(axis=1).tobytes() == np.array([np.sum(x) for x in X]).tobytes()
+
+
+# Rows of a simplex stack, one of each kind in SIMPLEX_KINDS and a few more.
+# Supports take 1 to 13 coordinates, so the support means reach numpy's
+# 8-accumulator pairwise sum. With eps = 2^-30 the support entries are
+# multiples of 1/64 and the budget slack lands exactly on +-eps, +-eps / 2,
+# 2 eps or 11 eps; tau and beta are arbitrary floats, so the means round.
+# eps = 0.5 admits the degenerate corner, where no coordinate clears eps.
+# The extra rows put entries at +-eps off the support, which moves them
+# between the kinds.
+SIMPLEX_EPS = (DEFAULT_EPS, 2.0 ** -30, 0.5)
+SIMPLEX_KINDS = ("inside", "inside_off", "face", "face_spread", "corner", "negative", "over",
+                 "gradient", "budget", "bound")
+
+
+def _entries(d, values):
+    return st.lists(st.sampled_from(values), min_size=d, max_size=d).map(np.array)
+
+
+@st.composite
+def simplex_row(draw, d, eps, kind, noisy):
+    if kind in ("face_spread", "gradient"):
+        c = draw(st.integers(min(2, d), d))
+    else:
+        c = draw(st.integers(1, d - 1 if kind in ("inside_off", "bound") and d > 1 else d))
+    support = np.zeros(d, dtype=bool)
+    support[draw(st.permutations(range(d)))[:c]] = True
+    units = draw(st.lists(st.integers(1, 4), min_size=c - 1, max_size=c - 1))
+    share = np.array(units + [64 - sum(units)]) / 64.0
+    slack = draw(st.sampled_from([-1.0, 1.0, 0.0, -0.5]))
+    if kind in ("inside", "inside_off"):
+        share, slack = share * 0.5, draw(st.sampled_from([-2.0, -11.0, 0.0]))
+    elif kind == "over":
+        slack = 2.0
+    off = [0.0, -0.0] + ([0.5 * eps, eps, -eps] if noisy else [])
+    z = np.where(support, 0.0, draw(_entries(d, off)))
+    z[support] = share
+    z[np.flatnonzero(support)[-1]] += slack * eps
+    if kind == "negative":
+        z[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-2.0 * eps, -1.0]))
+    if kind == "corner" and eps == 0.5:
+        z = np.where(np.arange(d) < 2, eps, 0.0)
+    tau = draw(st.sampled_from([0.0, -0.0, draw(st.floats(0.0, 10.0))]))
+    if kind in ("inside", "inside_off", "corner"):
+        tau = 0.0
+    elif kind == "budget":
+        tau = -2.0 * eps
+    hairs = [0.0, -0.0, 0.25 * eps, -0.25 * eps, 0.5 * eps]
+    g = -tau + draw(_entries(d, hairs))
+    if kind != "corner":
+        g = np.where(support, g, g + draw(_entries(d, [0.0, 0.5, 3.0, eps, 0.25 * eps])))
+    outside = draw(st.sampled_from(np.flatnonzero(~support).tolist() or [0]))
+    if kind == "inside_off":
+        g[outside] = -1.0 if c < d else 1.0
+    elif kind == "gradient":
+        g[np.flatnonzero(support)[0]] += 3.0 * eps
+    elif kind == "bound":
+        g[outside] = -tau - 2.0 * eps
+    beta = draw(st.sampled_from([0.0, -0.0, eps, draw(st.floats(-5.0, 5.0))]))
+    zeta = beta + draw(_entries(d, hairs))
+    if kind == "face_spread":
+        zeta[np.flatnonzero(support)[0]] += 3.0 * eps
+    entries = [0.0, -0.0, 1.0, -1.0, 0.5, eps, -eps, STRICT_EPS, -STRICT_EPS, 0.5 * STRICT_EPS]
+    zeta = np.where(support, zeta, draw(_entries(d, entries)))
+    eta = draw(_entries(d, entries))
+    if draw(st.booleans()):
+        eta[-1] -= eta.sum()
+    return z, g, zeta, eta
+
+
+@st.composite
+def simplex_stacks(draw):
+    eps = draw(st.sampled_from(SIMPLEX_EPS))
+    d = draw(st.integers(1, 13))
+    extra = draw(st.lists(st.sampled_from(SIMPLEX_KINDS), max_size=4))
+    kinds = [(kind, False) for kind in SIMPLEX_KINDS] + [(kind, True) for kind in extra]
+    rows = [draw(simplex_row(d, eps, *kinds[i]))
+            for i in draw(st.permutations(range(len(kinds))))]
+    infeasible = np.array(draw(st.lists(st.booleans(), min_size=len(rows),
+                                        max_size=len(rows))))
+    return tuple(np.array(col) for col in zip(*rows)) + (eps, infeasible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(simplex_stacks(), st.booleans())
+def test_simplex_rows_equal_the_row_loop(stack, with_extra):
+    """_simplex_rows decides a stack of rows in array passes; each row gives
+    the Membership of the per-scenario loop it replaced (conftest's
+    simplex_rows_oracle) bit for bit, witness floats and key order included
+    (compared by repr), and the report writer prints the rows' witnesses,
+    with an extra column or without, byte for byte as it prints the loop's
+    witness dicts one by one. Rows flagged infeasible are refused after the
+    pass, as the verifier refuses them, and become empty coderivatives for
+    that reason in both."""
+    Z, G, ZETA, ETA, eps, infeasible = stack
+    rows = _simplex_rows(Z, G, ZETA, ETA, eps)
+    want = simplex_rows_oracle(Z, G, ZETA, ETA, eps)
+    seen = set(rows.key_set.tolist())
+    for j, res in enumerate(want):
+        assert repr(rows.membership(j)) == repr(res), (j, Z[j], G[j], ZETA[j], ETA[j], eps)
+    assert rows.verdicts() == [res.verdict for res in want]
+    assert rows.member.tolist() == [res.member for res in want]
+    # Every shape but the corner where eps = 2^-30 makes the slacks exact,
+    # and the corner where eps = 0.5; a zeta spread needs two coordinates.
+    if eps == 2.0 ** -30:
+        wide = Z.shape[1] > 1
+        assert {0, 1, 2, 3} | ({4} if wide else set()) <= seen, seen
+        assert {0, 3, 5} | ({1, 4, 6} if wide else {2}) <= set(rows.reason.tolist())
+    assert eps != 0.5 or 5 in seen
+
+    rows = rows.refuse(infeasible, "infeasible scenario point")
+    want = [GN._empty("simplex", "infeasible scenario point") if bad else res
+            for res, bad in zip(want, infeasible)]
+    assert [rows.membership(j) for j in range(len(want))] == want
+    n = len(want)
+    extra = {"x": np.linspace(-1.0, 1.0, n).tolist()} if with_extra else None
+    blank = dict(lower_residual=[0.0] * n, m_membership=[False] * n, m_verdict=[""] * n,
+                 m_residual=[0.0] * n, complementarity_gap=[None] * n, value_gap=[None] * n,
+                 extra=extra)
+    indent = "\n      "
+    texts = cli._witness_texts(ScenarioColumns(witness=rows, **blank), indent)
+    assert texts == cli._witness_texts(ScenarioColumns(witness=[res.witness for res in want],
+                                                       **blank), indent)
+    for j, res in enumerate(want):
+        witness = {**res.witness, "x": extra["x"][j]} if extra else res.witness
+        assert texts[j] == json.dumps(witness, sort_keys=True, indent=2).replace("\n", indent)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +554,7 @@ def test_simplex_rows_are_positively_homogeneous(query, t):
     _, z, g, q = query
     both = _simplex_rows(np.stack([z, z]), np.stack([g, g]), np.stack([q.zeta, t * q.zeta]),
                          np.stack([q.eta, t * q.eta]), DEFAULT_EPS)
-    assert both[0].verdict == both[1].verdict
+    assert both.verdicts()[0] == both.verdicts()[1]
 
 
 @settings(max_examples=150, deadline=None)

@@ -274,7 +274,7 @@ def _generator_cases(rng):
     Families: Gaussian, integer, the active rows of a simplex face,
     duplicated generators, rows scaled over twelve decades, and u of size
     1e-8. Half of the u are points of cone(R) with positive coefficients,
-    where the certified full-support start applies when R has full row rank.
+    whose answer has full support when R has full row rank.
     """
     for family in ("gauss", "integer", "simplex", "dependent", "scaled", "tiny"):
         for _ in range(150):
@@ -308,7 +308,8 @@ def _generator_cases(rng):
 
 
 def test_nnls_equals_the_cold_start_oracle_bit_for_bit():
-    """The certified start and the entering-column guard change no answer.
+    """The entering-column guard changes no answer: every answer of nnls
+    has the bits of the plain loop, full-support ones included.
 
     Matrices go in as R.T, the transposed row view that
     distance_to_normal_cone passes, and as a C-ordered copy, whose products
