@@ -43,6 +43,7 @@ per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -217,15 +218,56 @@ def _row_dot(W, V):
     return np.matmul(W[:, None, :], V[:, :, None])[:, 0, 0]
 
 
+def _column_sum(S):
+    """S[0] + ... + S[d-1] over the (k, M) slices of a (d, k, M) stack, added
+    in the order of numpy's pairwise summation, so that each entry has the
+    bits of np.sum over a length-d axis: from 0.0 left to right below 8
+    terms; up to 128 terms, eight running sums of every eighth term, joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
+    to right; beyond 128, the sums of two halves, the first half a multiple
+    of 8 long."""
+    d = len(S)
+    if d < 8:
+        total = np.zeros(S.shape[1:])
+        for s in S:
+            total += s
+        return total
+    if d <= 128:
+        r = S[:8].copy()
+        tail = d - d % 8
+        for i in range(8, tail, 8):
+            r += S[i:i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for s in S[tail:]:
+            total += s
+        return total
+    half = d // 2 - d // 2 % 8
+    return _column_sum(S[:half]) + _column_sum(S[half:])
+
+
+def _sq_distances(C, X):
+    """||x_i - c_m||^2 for every query row x_i of X (k, d) and center row c_m
+    of C (M, d), as a (k, M) matrix with the bits of
+    np.sum(np.square(C[None] - X[:, None]), axis=2).
+
+    That reduction runs numpy's summation loop once per (row, center) pair
+    over only d terms; here the squared differences are laid out coordinate
+    first and each of the d coordinates is one (k, M) slice, which
+    _column_sum adds in the reduction's order.
+    """
+    C, X = np.ascontiguousarray(C.T), np.ascontiguousarray(X.T)
+    return _column_sum(np.square(C[:, None, :] - X[:, :, None]))
+
+
 def _weight_rows(model, X, drop=None):
     """Normalized kernel weights (k, M) of the query rows X and the squared
-    distances they come from.
+    distances they come from, by _sq_distances.
 
     Computed in the log domain; the kernel's normalizing constant cancels,
     so only the squared distances matter. drop[i], when given, is a center
     whose logit in row i is set to -inf, removing it from that row.
     """
-    sq = np.sum(np.square(model.centers_x[None, :, :] - X[:, None, :]), axis=2)
+    sq = _sq_distances(model.centers_x, X)
     with np.errstate(over="ignore"):  # to -inf: a center too far to count
         logits = -sq / (2.0 * model.theta ** 2)
     if drop is not None:
@@ -244,12 +286,16 @@ def _scaled(model, y):
     return (np.asarray(y, dtype=float)[:, None] - model.centers_y) / model.theta
 
 
+def _kernel_columns(model, y):
+    """u = _scaled(model, y) with Phi(u) and phi(u), each computed once: the
+    (k, M) blocks that the CDF, the density and the bandwidth slope of each
+    row read."""
+    u = _scaled(model, y)
+    return u, ndtr(u), _phi(u)
+
+
 def _cdf_rows(model, W, y):
     return _row_dot(W, ndtr(_scaled(model, y)))
-
-
-def _pdf_rows(model, W, y):
-    return _row_dot(W, _phi(_scaled(model, y))) / model.theta
 
 
 def _log_kernel_grads(model, W, sq):
@@ -261,11 +307,11 @@ def _log_kernel_grads(model, W, sq):
     return np.where(W > 0.0, psi, 0.0)
 
 
-def _grad_theta_rows(model, W, sq, y):
+def _grad_theta_rows(model, W, sq, u, Phi, phi):
+    """dF/dtheta of each row at the y whose _kernel_columns are u, Phi, phi."""
     psi = _log_kernel_grads(model, W, sq)
-    u = _scaled(model, y)
-    reweight = _row_dot(W * (psi - _row_dot(W, psi)[:, None]), ndtr(u))
-    widen = _row_dot(W, u * _phi(u) / model.theta)
+    reweight = _row_dot(W * (psi - _row_dot(W, psi)[:, None]), Phi)
+    widen = _row_dot(W, u * phi / model.theta)
     return reweight - widen
 
 
@@ -288,8 +334,8 @@ def _verified_sides(model, W, q, lo, hi):
     a, b = np.full(len(W), -np.inf), np.full(len(W), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(10):
-            F = _cdf_rows(model, W, x)
-            p = _pdf_rows(model, W, x)
+            _, Phi, phi = _kernel_columns(model, x)
+            F, p = _row_dot(W, Phi), _row_dot(W, phi) / model.theta
             a = np.where(F < q - gap, x, a)
             b = np.where(F > q + gap, x, b)
             lo = np.where(F < q, x, lo)
@@ -363,10 +409,11 @@ def _quantile_rows(model, W, q):
     z = 0.5 * (lo + hi)
     moving = np.arange(len(W))
     for _ in range(5):
-        f = _cdf_rows(model, W[moving], z[moving]) - q
+        u = _scaled(model, z[moving])
+        f = _row_dot(W[moving], ndtr(u)) - q
         far = np.abs(f) > _NEWTON_TOL
-        moving, f = moving[far], f[far]
-        p = _pdf_rows(model, W[moving], z[moving])
+        moving, f, u = moving[far], f[far], u[far]
+        p = _row_dot(W[moving], _phi(u)) / model.theta
         rising = ~(p <= 0.0)
         moving, f, p = moving[rising], f[rising], p[rising]
         if not len(moving):
@@ -393,7 +440,7 @@ def conditional_cdf(model, y, x):
 def conditional_pdf(model, y, x):
     """p_theta(y; x) = sum_m w_m phi((y - y_m) / theta) / theta."""
     W, _ = _weight_rows(model, _one_row(model, x))
-    return float(_pdf_rows(model, W, [y])[0])
+    return float(_row_dot(W, _phi(_scaled(model, [y])))[0] / model.theta)
 
 
 def grad_theta_cdf(model, y, x):
@@ -404,7 +451,7 @@ def grad_theta_cdf(model, y, x):
     is -((y - y_m)/theta) K_theta(y - y_m) with the one-dimensional kernel.
     """
     W, sq = _weight_rows(model, _one_row(model, x))
-    return float(_grad_theta_rows(model, W, sq, [y])[0])
+    return float(_grad_theta_rows(model, W, sq, *_kernel_columns(model, [y]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +533,9 @@ class NewsvendorInstance:
         self.h, self.b = finite_number(self.h, "h"), finite_number(self.b, "b")
         if not (self.h > 0 and self.b > 0):
             raise ValueError("h and b must be strictly positive and finite")
+        shared = self.samples is self.centers
         self.centers = _points(self.centers, "center")
-        self.samples = _points(self.samples, "sample")
+        self.samples = self.centers if shared else _points(self.samples, "sample")
         bounds = finite_vector(self.theta_bounds, "theta_bounds")
         if len(bounds) != 2 or not 0 < bounds[0] < bounds[1]:
             raise ValueError("theta bounds must be finite with 0 < lo < hi")
@@ -519,15 +567,35 @@ class NewsvendorInstance:
     @classmethod
     def from_dict(cls, d):
         """The instance of a problem file. theta_bounds and weights may be
-        left out; an explicit null for either is a ValueError."""
+        left out; an explicit null for either is a ValueError. A sample list
+        that reads as the center list (_same_points) is read once, and the
+        instance's samples are its centers."""
         for key in ("theta_bounds", "weights"):
             if key in d and d[key] is None:
                 raise ValueError("%s is null; leave the key out instead" % key)
-        return cls(h=d["h"], b=d["b"],
-                   centers=[(c["x"], c["y"]) for c in object_list(d["centers"], "center")],
-                   samples=[(s["x"], s["y"]) for s in object_list(d["samples"], "sample")],
+        centers = [(c["x"], c["y"]) for c in object_list(d["centers"], "center")]
+        samples = object_list(d["samples"], "sample")
+        samples = centers if _same_points(samples, d["centers"]) else [
+            (s["x"], s["y"]) for s in samples]
+        return cls(h=d["h"], b=d["b"], centers=centers, samples=samples,
                    theta_bounds=d.get("theta_bounds", (1e-3, 1e3)),
                    weights=d.get("weights"))
+
+
+def _same_points(samples, centers):
+    """Whether the JSON objects samples read as the same Points as centers:
+    they are equal, and every x is a number or a list of numbers and every y
+    a number, numbers being ints and floats. Between those, == compares the
+    values _points reads; a JSON true equals 1 but is no number."""
+    try:
+        if samples != centers:
+            return False
+    except ValueError:  # numpy arrays, which compare entry by entry
+        return False
+    xs = [s["x"] for s in samples]
+    entries = chain.from_iterable(xs) if set(map(type, xs)) == {list} else xs
+    kinds = set(map(type, entries)) | set(type(s["y"]) for s in samples)
+    return kinds <= {int, float}
 
 
 class NewsvendorLowerModel(LowerModel):
@@ -627,6 +695,11 @@ class NewsvendorProblem(Problem):
                          instance.samples.x, instance.samples.y, instance.weights)
 
     def scenario_terms(self, theta, certificate):
+        """The terms of every scenario, one block of rows at a time: one
+        weight matrix W with its squared distances, and one _kernel_columns
+        call at the order quantities z, whose Phi gives the CDF, phi the
+        density, and u, Phi and phi the bandwidth slope. Each entry is the
+        float of the models' one-row formulas."""
         inst = self.inst
         h, b = inst.h, inst.b
         model = inst.model(float(theta[0]))
@@ -635,9 +708,10 @@ class NewsvendorProblem(Problem):
         cdf, pdf, slope = np.empty((3, len(X)))
         for rows in _row_blocks(len(X), model):
             W, sq = _weight_rows(model, X[rows])
-            cdf[rows] = _cdf_rows(model, W, z[rows])
-            pdf[rows] = _pdf_rows(model, W, z[rows])
-            slope[rows] = _grad_theta_rows(model, W, sq, z[rows])
+            u, Phi, phi = _kernel_columns(model, z[rows])
+            cdf[rows] = _row_dot(W, Phi)
+            pdf[rows] = _row_dot(W, phi) / model.theta
+            slope[rows] = _grad_theta_rows(model, W, sq, u, Phi, phi)
         lo, hi = _kink_interval(z, y, h, b)
         # The models' formulas, entry by entry: g = (h+b) F - b,
         # hess_zz = (h+b) p, hess_ztheta = (h+b) dF/dtheta, grad_theta L = 0.

@@ -148,12 +148,33 @@ class ParameterSet:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         return ParameterSet("box", len(lo), lo=lo, hi=hi)
 
+    def outside(self, theta):
+        """One text for each coordinate of theta that lies more than
+        DEFAULT_EPS outside the box, naming it and the bound it passes; none
+        for the full space."""
+        if self.kind == "free":
+            return []
+        texts = []
+        theta = np.asarray(theta, dtype=float).tolist()
+        for i, (t, lo, hi) in enumerate(zip(theta, self.lo.tolist(), self.hi.tolist())):
+            if t < lo - DEFAULT_EPS:
+                texts.append("theta[%d] = %r lies more than %g below its lower bound %r"
+                             % (i, t, DEFAULT_EPS, lo))
+            elif t > hi + DEFAULT_EPS:
+                texts.append("theta[%d] = %r lies more than %g above its upper bound %r"
+                             % (i, t, DEFAULT_EPS, hi))
+        return texts
+
     def normal_cone_distance(self, theta, u):
-        """dist(u, N_Theta(theta)); the full space contributes N = {0}."""
+        """dist(u, N_Theta(theta)); the full space contributes N = {0}. A
+        theta that is outside the box by more than DEFAULT_EPS (outside)
+        has an empty normal cone, at distance inf."""
         theta = np.asarray(theta, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.kind == "free":
             return float(np.linalg.norm(u))
+        if self.outside(theta):
+            return float("inf")
         # A box: u_i counts unless it points out through a bound theta_i sits
         # on within DEFAULT_EPS.
         at_lo = theta <= self.lo + DEFAULT_EPS
@@ -809,7 +830,7 @@ def _verify(problem, certificate, mode, tol, mus, solver):
         complementarity_gap=comp_gap, value_gap=[None] * len(z), witness=witness,
         extra=terms.witness)
     penalties = [None] * len(z)
-    caveats = []
+    caveats = problem.upper.theta_set.outside(theta)
     if solver is not None:
         found = value_function(lower, theta, problem.x, z, solver)
         for n, (x, mu, vf) in enumerate(zip(problem.x, mus, found)):

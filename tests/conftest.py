@@ -269,6 +269,12 @@ def rng():
 # ---------------------------------------------------------------------------
 # kernel newsvendor: the per-query and per-held-out-sample reference
 
+def nv_oracle_sq_distances(C, X):
+    """Squared distances (k, M) of the query rows X (k, d) to the center rows
+    C (M, d), as one reduction over the coordinate axis."""
+    return np.sum(np.square(C[None] - X[:, None]), axis=2)
+
+
 def nv_oracle_weights(centers_x, x, theta, drop=None):
     """Nadaraya-Watson weights of one query, from its own distance vector;
     center drop, when given, gets the logit -inf and so the weight 0."""

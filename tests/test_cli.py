@@ -1144,6 +1144,22 @@ def test_newsvendor_value_weights_reach_the_penalized_system(tmp_path, capsys):
     assert (code, out) == (1, "") and "convex combination" in err, err
 
 
+@pytest.mark.parametrize("argv", NV_VERIFY_ARGVS, ids=" ".join)
+def test_bandwidth_outside_theta_bounds_exit_2(argv, tmp_path, capsys):
+    """A certificate theta more than eps outside the problem's theta_bounds
+    fails the upper line: upper_residual is Infinity, a caveat names the
+    coordinate and the bound, and the command exits 2."""
+    problem = json.loads((GOLDEN / "nv4.problem.json").read_text())
+    problem["theta_bounds"] = [0.001, 0.25]
+    code, out, err = run(capsys, *argv, "--problem", write(tmp_path / "oob.json", problem),
+                         "--certificate", str(GOLDEN / "nv4.pass.json"))
+    report = json.loads(out)
+    report = report.get("report", report)
+    assert (code, err) == (2, "") and report["pass"] is False
+    assert report["upper_residual"] == float("inf") and '"upper_residual": Infinity' in out
+    assert report["caveats"] == ["theta[0] = 0.5 lies more than 1e-09 above its upper bound 0.25"]
+
+
 JUNK_RUNS = [(["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json", key)
              for key in ("z", "eta", "zeta", "mu", "value_weights")] + \
             [(argv, "nv4.problem.json", "nv4.pass.json", key) for argv in NV_VERIFY_ARGVS

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -17,6 +17,7 @@ from conftest import (
     nv_oracle_pdf,
     nv_oracle_regret,
     nv_oracle_solve,
+    nv_oracle_sq_distances,
     nv_oracle_weights,
     orthant_oracle,
 )
@@ -286,6 +287,25 @@ def test_system_upper_condition_respects_bandwidth_bounds():
     assert rep.upper_residual == pytest.approx(abs(drift), abs=1e-12)
 
 
+def test_bandwidth_outside_its_bounds_fails_the_upper_line():
+    """nv4's passing certificate has theta = 0.5; with theta_bounds
+    [0.001, 0.25] it lies outside the bandwidth interval, where the normal
+    cone is empty: the upper line fails with an infinite residual and a
+    caveat, and every scenario line keeps its value."""
+    golden = Path(__file__).parent / "golden"
+    problem = json.loads((golden / "nv4.problem.json").read_text())
+    cert = json.loads((golden / "nv4.pass.json").read_text())
+    inside = verify_newsvendor_system(cert["theta"], cert["scenarios"],
+                                      NewsvendorInstance.from_dict(problem))
+    assert inside.passed and inside.caveats == []
+    problem["theta_bounds"] = [0.001, 0.25]
+    out = verify_newsvendor_system(cert["theta"], cert["scenarios"],
+                                   NewsvendorInstance.from_dict(problem))
+    assert not out.passed and out.upper_residual == float("inf")
+    assert out.caveats == ["theta[0] = 0.5 lies more than 1e-09 above its upper bound 0.25"]
+    assert out.to_dict()["scenarios"] == inside.to_dict()["scenarios"]
+
+
 def _as_tuple(res):
     return res.member, res.verdict, res.witness
 
@@ -461,29 +481,36 @@ def test_rows_match_oracle_bit_for_bit(rng, monkeypatch):
         solve_newsvendor_rows(model, X, 1e-17, 1.0)
 
 
-@st.composite
-def quantile_instances(draw):
-    """(centers, theta, h, b): n contexts in [-1, 1]^d_x and demands that are
-    multimodal (tight clusters at 0, 2, 7 and 15), tied (small integers, so
-    centers share a demand exactly) or heavy-tailed (Cauchy about 3, which
-    also puts some demand below 0), with theta in [0.01, 5]."""
-    n, d_x = draw(st.integers(1, 24)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def quantile_centers(seed, n, d_x, kind):
+    """n centers with contexts in [-1, 1]^d_x and demands that are multimodal
+    (tight clusters at 0, 2, 7 and 15), tied (small integers, so centers
+    share a demand exactly) or heavy-tailed (Cauchy about 3, which also puts
+    some demand below 0)."""
+    rng = np.random.default_rng(seed)
     xs = rng.uniform(-1.0, 1.0, (n, d_x))
-    kind = draw(st.sampled_from(["multimodal", "tied", "heavy"]))
     if kind == "multimodal":
         ys = rng.choice([0.0, 2.0, 7.0, 15.0], n) + 0.05 * rng.standard_normal(n)
     elif kind == "tied":
         ys = rng.integers(0, 5, n).astype(float)
     else:
         ys = 3.0 + rng.standard_cauchy(n)
+    return [(x, float(y)) for x, y in zip(xs, ys)]
+
+
+@st.composite
+def quantile_instances(draw):
+    """(centers, theta, h, b): quantile_centers with theta in [0.01, 5]."""
+    n, d_x = draw(st.integers(1, 24)), draw(st.sampled_from([1, 2, 3, 9]))
+    centers = quantile_centers(draw(st.integers(0, 2 ** 32 - 1)), n, d_x,
+                               draw(st.sampled_from(["multimodal", "tied", "heavy"])))
     theta = draw(st.floats(0.01, 5.0))
     h, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
-    return [(x, float(y)) for x, y in zip(xs, ys)], theta, h, b
+    return centers, theta, h, b
 
 
 @settings(max_examples=60, deadline=None)
 @given(quantile_instances())
+@example((quantile_centers(9, 17, 9, "multimodal"), 0.7, 1.0, 3.0))
 def test_quantile_rows_replay_the_scalar_bisection_property(case):
     """solve_newsvendor_rows, plain and leave-one-out, gives the floats of
     the scalar 60-step bisection of nv_oracle_solve, which evaluates the CDF
@@ -499,6 +526,69 @@ def test_quantile_rows_replay_the_scalar_bisection_property(case):
     loo = solve_newsvendor_rows(model, cx, h, b, leave_one_out=True)
     assert loo.tolist() == [nv_oracle_solve(cx, cy, theta, x, h, b, drop=i)
                             for i, x in enumerate(cx)]
+
+
+DISTANCE_DIMS = list(range(1, 41)) + [64, 127, 128, 129, 200]
+
+
+@pytest.mark.parametrize("d_x", DISTANCE_DIMS)
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(1, 9), m=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_sq_distances_have_the_bits_of_the_axis_sum_property(d_x, k, m, seed):
+    """_sq_distances adds the squared coordinate columns in the order of
+    np.sum's pairwise reduction over the coordinate axis: left to right
+    below 8 coordinates, eight running sums up to 128, two halves beyond.
+    Each coordinate has its own scale in [1e-3, 1e3], so the terms differ
+    by up to twelve orders of magnitude and a change of order shows."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, d_x)
+    C, X = rng.standard_normal((m, d_x)) * scale, rng.standard_normal((k, d_x)) * scale
+    got, want = NV._sq_distances(C, X), nv_oracle_sq_distances(C, X)
+    assert got.shape == want.shape == (k, m) and got.tobytes() == want.tobytes()
+
+
+def test_verify_calls_ndtr_once_per_row_block(rng, monkeypatch):
+    """A newsvendor verify takes the CDF, the density and the bandwidth
+    slope of each block of rows from one ndtr call."""
+    inst = random_instance(rng, 30, 2, "plain")
+    z = solve_newsvendor_rows(inst.model(0.4), inst.samples.x, inst.h, inst.b)
+    parts = [{"z": float(v), "eta": 0.2, "zeta": 0.0} for v in z]
+    whole = verify_newsvendor_system(0.4, parts, inst).to_dict()
+    shapes = []
+    real = NV.ndtr
+    monkeypatch.setattr(NV, "ndtr", lambda u: shapes.append(u.shape) or real(u))
+    assert verify_newsvendor_system(0.4, parts, inst).to_dict() == whole
+    assert shapes == [(30, 30)]
+    shapes.clear()
+    monkeypatch.setattr(NV, "_BLOCK_ENTRIES", 7 * 30 * 2)
+    assert verify_newsvendor_system(0.4, parts, inst).to_dict() == whole
+    assert shapes == [(7, 30)] * 4 + [(2, 30)]
+
+
+def test_shared_center_list_is_read_once(monkeypatch):
+    """A problem whose samples equal its centers reads that list once, and
+    the instance's samples are its centers; a JSON true among the samples
+    is still refused where the centers hold 1, though true == 1."""
+    points = NV._points
+    calls = []
+    monkeypatch.setattr(NV, "_points", lambda *a: calls.append(a[1]) or points(*a))
+    pts = [{"x": [0.0, 1], "y": 5.0}, {"x": [0.5, -1.0], "y": 4}]
+    problem = {"h": 1.0, "b": 3.0, "centers": pts, "samples": json.loads(json.dumps(pts))}
+    inst = NewsvendorInstance.from_dict(problem)
+    assert calls == ["center"] and inst.samples is inst.centers
+    assert inst.to_dict()["samples"] == inst.to_dict()["centers"]
+    calls.clear()
+    other = NewsvendorInstance.from_dict({**problem, "samples": pts[:1]})
+    assert calls == ["center", "sample"] and other.samples.y.tolist() == [5.0]
+    samples = [{"x": [0.0, True], "y": 5.0}, pts[1]]
+    assert samples == pts
+    with pytest.raises(ValueError, match="finite 1-D array"):
+        NewsvendorInstance.from_dict({**problem, "samples": samples})
+    # Arrays are read as before, each list on its own.
+    calls.clear()
+    arrays = [[{"x": np.array(p["x"], dtype=float), "y": p["y"]} for p in pts] for _ in "cs"]
+    inst = NewsvendorInstance.from_dict({**problem, "centers": arrays[0], "samples": arrays[1]})
+    assert calls == ["center", "sample"] and inst.samples.x.tolist() == inst.centers.x.tolist()
 
 
 def test_ndtr_error_is_a_tenth_of_the_replay_bound():

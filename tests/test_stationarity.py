@@ -739,6 +739,21 @@ def test_box_normal_cone_distance_matches_coordinate_rule(rng):
         assert box.normal_cone_distance(theta, u) == float(np.linalg.norm(res))
 
 
+def test_box_normal_cone_distance_is_inf_outside_the_box():
+    """A theta more than DEFAULT_EPS past a bound has an empty normal cone,
+    so every u is at distance inf, and outside names the coordinate and the
+    bound; within DEFAULT_EPS of a bound, theta counts as on it."""
+    box = ParameterSet.box([0.0, 1.0], [1.0, 2.0])
+    u = np.zeros(2)
+    assert box.normal_cone_distance([1.0 + 2e-9, 1.5], u) == float("inf")
+    assert box.outside([1.0 + 2e-9, 0.5]) == [
+        "theta[0] = 1.000000002 lies more than 1e-09 above its upper bound 1.0",
+        "theta[1] = 0.5 lies more than 1e-09 below its lower bound 1.0"]
+    assert box.outside([1.0 + 0.5e-9, 1.0 - 0.5e-9]) == []
+    assert box.normal_cone_distance([1.0 + 0.5e-9, 1.0 - 0.5e-9], [1.0, -1.0]) == 0.0
+    assert ParameterSet.free(2).outside([1e9, -1e9]) == []
+
+
 def test_report_pass_is_read_off_its_fields():
     prob, cert = stationary_tracking_certificate(np.array([1.25]))
     rep = verify_certificate(prob, cert, tol=1e-8)
