@@ -36,7 +36,6 @@ from .stationarity import (
     ParameterSet,
     Problem,
     ResidualReport,
-    ScenarioCertificate,
     UpperModel,
     lower_residual,
     nnamcq_check,

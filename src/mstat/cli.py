@@ -309,44 +309,6 @@ def _portfolio_theta(value, inst):
     return theta.reshape(inst.d_x, inst.d_z)
 
 
-def _portfolio_certificate(data, inst):
-    """A portfolio certificate, whose theta _portfolio_theta reads; an entry
-    error names its scenario.
-
-    When no scenario holds mu or value_weights, one GN.finite_rows scan
-    reads the z, eta and zeta of every scenario by rows. Other input, and
-    what the scan does not take, goes scenario by scenario through
-    ST.ScenarioCertificate, which names the first bad entry, and
-    ST.Certificate, which names a scenario of the wrong dimension, as
-    newsvendor_certificate does.
-    """
-    parts = data["scenarios"]
-    rows = None
-    if not any("mu" in s or "value_weights" in s for s in parts):
-        try:
-            rows = GN.finite_rows([s["z"] for s in parts] + [s["eta"] for s in parts]
-                                  + [s.get("zeta", s["z"]) for s in parts])
-        except KeyError:
-            pass
-    if rows is not None:
-        n = len(parts)
-        return ST.Certificate.from_rows(_portfolio_theta(data["theta"], inst), rows[:n],
-                                        rows[n:2 * n], rows[2 * n:],
-                                        np.array(["zeta" in s for s in parts]))
-    scen = []
-    for i, s in enumerate(parts):
-        try:
-            entries = [s["z"], s["eta"]] + [GN.optional_entry(s, key, i)
-                                            for key in ("zeta", "mu", "value_weights")]
-        except KeyError as exc:
-            raise CliError("certificate scenario %d is missing %s" % (i, exc))
-        try:
-            scen.append(ST.ScenarioCertificate(*entries))
-        except ValueError as exc:
-            raise CliError("certificate scenario %d: %s" % (i, exc))
-    return ST.Certificate(theta=_portfolio_theta(data["theta"], inst), scenarios=scen)
-
-
 def cmd_verify(args):
     problem = _load_json(args.problem, "problem")
     cert_data = _load_certificate(args.certificate)
@@ -354,7 +316,7 @@ def cmd_verify(args):
     kind = problem.get("type")
     if kind == "spo_portfolio":
         app, inst = PF, _portfolio_from_json(problem)
-        cert = _portfolio_certificate(cert_data, inst)
+        cert = ST.Certificate(_portfolio_theta(cert_data["theta"], inst), cert_data["scenarios"])
     elif kind == "newsvendor_kernel":
         app, inst = NV, _newsvendor_from_json(problem)
         cert = NV.newsvendor_certificate(cert_data["theta"], cert_data["scenarios"])
@@ -395,7 +357,7 @@ def cmd_spo_portfolio(args):
     elif args.action == "loss":
         out["objective"] = PF.empirical_spo_objective(PF.LinearPredictor(theta), inst)
     elif args.action == "solve":
-        R = PF.LinearPredictor(theta).predict_rows([x for x, _ in inst.samples])
+        R = PF.LinearPredictor(theta).predict_rows(inst.samples.x)
         out["decisions"] = [s.z.tolist() for s in PF.solve_simplex_qp_rows(
             R, inst.sigma, inst.risk_aversion)]
     elif args.action == "search":
@@ -536,7 +498,7 @@ def cmd_fd_check(args):
             theta = rng.standard_normal(inst.d_x * inst.d_z)
             pts = [ST.FeasibleSet.simplex(inst.d_z).project(rng.uniform(0, 1, inst.d_z))
                    for _ in range(args.trials)]
-            worst = ST.gradient_selftest(lm, theta, inst.samples[0][0], pts)
+            worst = ST.gradient_selftest(lm, theta, inst.samples.x[0], pts)
         else:
             raise CliError("unknown problem type: %r" % kind)
     else:

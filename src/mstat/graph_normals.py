@@ -47,7 +47,8 @@ from .cones import (
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
-    "finite_vector", "finite_rows", "finite_number", "object_list", "optional_entry",
+    "finite_vector", "finite_rows", "RaggedRowsError", "finite_number", "finite_weights",
+    "object_list", "Points", "read_points",
     "GraphContext", "make_graph_context",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
@@ -98,43 +99,115 @@ def finite_vector(value, name, scalar=False, flat=False):
     return v
 
 
-def finite_rows(values):
-    """values, a non-empty list of vectors of one length d, each a list of
-    numbers (or every one a lone number, d = 1), as a finite (n, d) float
-    array, from one type scan and one np.isfinite over the stack. Anything
-    else gives None: another type, lengths that differ, a non-finite entry;
-    the caller then reads the vectors one by one with finite_vector, which
-    takes what the scan does not and names what it refuses. Each row has
-    the bits of finite_vector's array.
+class RaggedRowsError(ValueError):
+    """finite_rows' error for entries that are each finite but not all of
+    one length."""
+
+
+def finite_rows(values, name, number=False):
+    """values, a list of vectors of one length d, as a finite (n, d) float
+    array; anything else raises ValueError naming the first bad entry.
+
+    An entry is a vector or a lone number, which reads as a vector of one
+    entry; with number, every entry must be one number (finite_number) and
+    d is 1. name is a %-format that names entry i as name % i. A JSON list,
+    whose entries are all lists of numbers of one length or all numbers, is
+    read by one type scan and one np.isfinite over the stack. Any other
+    input, and a list that the scan does not take, is read entry by entry
+    with finite_vector or finite_number, which name the first bad entry;
+    entries that are each finite but of more than one length then raise
+    RaggedRowsError, naming the first whose length differs from entry 0's.
+    Either way each row has the bits of that entry's finite_vector array.
     """
-    kinds = set(map(type, values))
-    if not values or not (kinds <= _NUMBER_TYPES or kinds == _LIST):
-        return None
-    flat, d = values, 1
-    if kinds == _LIST:
-        if len(set(map(len, values))) != 1:
-            return None
-        d = len(values[0])
-        flat = list(chain.from_iterable(values))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return None
+    if type(values) is not list:
+        values = list(values)
+    kinds, flat, d = set(map(type, values)), None, 1
+    if kinds <= _NUMBER_TYPES:
+        flat = values
+    elif kinds == _LIST and len(set(map(len, values))) == 1 and (
+            len(values[0]) == 1 or not number):
+        flat, d = list(chain.from_iterable(values)), len(values[0])
+        flat = flat if set(map(type, flat)) <= _NUMBER_TYPES else None
+    if flat is not None:
+        try:
+            rows = np.array(flat, dtype=float).reshape(len(values), d)
+        except OverflowError:   # an int beyond float range
+            rows = None
+        if rows is not None and np.isfinite(rows).all():
+            return rows
+    if number:
+        return np.array([finite_number(v, name % i) for i, v in enumerate(values)])[:, None]
+    rows = [finite_vector(v, name % i, scalar=True) for i, v in enumerate(values)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise RaggedRowsError("%s has %d entries but %s has %d"
+                                  % (name % i, len(row), name % 0, len(rows[0])))
+    return np.array(rows)
+
+
+def finite_weights(weights, n):
+    """The weights of n samples as a finite (n,) float array, nonnegative and
+    summing to 1 within 1e-12; None gives uniform weights. Anything else
+    raises ValueError."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    weights = finite_vector(weights, "weights", scalar=True)
+    if len(weights) != n:
+        raise ValueError("one weight per sample required")
+    if np.min(weights) < 0:
+        raise ValueError("weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1 (got %.17g)" % weights.sum())
+    return weights
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """(x, y) pairs as rows: an (n, d_x) array x of contexts and an array y
+    of n values, numbers or rows, row i of x going with y[i]. read_points
+    builds one from pairs and validates it."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+def read_points(pairs, what, y_name="y", number=False):
+    """A non-empty sequence of (x, y) pairs as Points; Points pass unchanged.
+
+    x is a vector or one number. With number y is one number and Points.y
+    has shape (n,); otherwise y is a vector or one number, and Points.y is
+    (n, d_y). Each column is one finite_rows call, whose errors name the
+    pair as "<what> i: x" or "<what> i: <y_name>". A column of more than one
+    length is a ValueError giving the lengths of pair 0.
+    """
+    if type(pairs) is Points:
+        return pairs
+    columns = [list(column) for column in zip(*pairs)]
+    if not columns:
+        raise ValueError("at least one %s required" % what)
+    xs, ys = columns
+    names = (what + " %d: x", what + " %d: " + y_name)
     try:
-        rows = np.array(flat, dtype=float).reshape(len(values), d)
-    except OverflowError:
-        return None
-    return rows if np.isfinite(rows).all() else None
+        x, y = finite_rows(xs, names[0]), finite_rows(ys, names[1], number)
+    except RaggedRowsError:
+        widths = [finite_rows(c[:1], name).shape[1] for c, name in zip(columns, names)]
+        raise ValueError("every %s needs %d x and %d %s entries"
+                         % (what, widths[0], widths[1], y_name)) from None
+    return Points(x, y.reshape(-1) if number else y)
 
 
 def finite_number(value, name):
-    """value as one finite float: a number, or an array holding exactly one."""
-    if type(value) is float:
-        x = value
-    else:
-        v = np.asarray(value)
-        x = float(v.reshape(-1)[0]) if v.size == 1 and v.dtype.kind in "iuf" else np.nan
-    if not math.isfinite(x):
+    """value as one finite float: a number, or an array holding exactly one,
+    read as finite_vector reads an array."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    try:
+        v = finite_vector(value, name, flat=True)
+    except ValueError:
+        v = ()
+    if len(v) != 1:
         raise ValueError("%s must be one finite number" % name)
-    return x
+    return float(v[0])
 
 
 def object_list(value, name):
@@ -147,16 +220,6 @@ def object_list(value, name):
     for i, item in enumerate(value):
         if not isinstance(item, (dict, Mapping)):
             raise ValueError("%s %d must be an object" % (name, i))
-    return value
-
-
-def optional_entry(scenario, key, i):
-    """The entry key of certificate scenario i, or None when the key is
-    absent; an explicit null raises ValueError naming the key and i."""
-    value = scenario.get(key)
-    if value is None and key in scenario:
-        raise ValueError("certificate scenario %d: %s is null; leave the key out instead"
-                         % (i, key))
     return value
 
 

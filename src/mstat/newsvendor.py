@@ -14,9 +14,10 @@ Bandwidths must lie in [2^-340, 2^340] and coordinates have magnitude at most
 query whose every logit still underflows is refused. Each of these is a
 ValueError, an input error on the command line.
 
-An instance holds its centers and samples as Points: rows only, an (n, d_x)
-array x of contexts and an (n,) array y of demands, validated in one pass
-for JSON input.
+An instance holds its centers and samples as Points (graph_normals): rows
+only, an (n, d_x) array x of contexts and an (n,) array y of demands, each
+column read by one finite_rows call. An instance with no x coordinate
+(d_x = 0) is the unconditional mixture: every weight row is uniform.
 
 Every numeric step works on whole rows. For k queries and M centers the
 weights form a (k, M) matrix W, built once per bandwidth; the CDF, density
@@ -35,9 +36,9 @@ i, whose logit in row i is set to -inf.
 The bandwidth stationarity system is the generic one of mstat.stationarity
 on as_problem(instance); its scenario terms come from the same row helpers.
 On the verify route the scenarios stay rows from input to output:
-newsvendor_certificate stacks the certificate into (n, 1) rows, the
-problem's scenario rows are the samples' x and y, and no object is built
-per scenario.
+newsvendor_certificate reads the certificate's mappings by columns into
+(n, 1) rows (Certificate), the problem's scenario rows are the samples' x
+and y, and no object is built per scenario.
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ from itertools import chain
 import numpy as np
 
 from .cones import DEFAULT_EPS
-from .graph_normals import finite_number, finite_rows, finite_vector, object_list, optional_entry
+from .graph_normals import (
+    Points,
+    finite_number,
+    finite_vector,
+    finite_weights,
+    object_list,
+    read_points,
+)
 from .stationarity import (
     DEFAULT_TOL,
     Certificate,
@@ -115,40 +123,16 @@ def _in_range(X):
     return bool(np.all(np.abs(X) <= _POWER_BOUND))
 
 
-@dataclass(frozen=True, eq=False)
-class Points:
-    """(x, y) pairs as rows: an (n, d_x) array x of contexts and an (n,)
-    array y of values, row i of x going with y[i]. _points builds one from
-    pairs and validates it."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
 def _points(pairs, what):
-    """A non-empty sequence of (x, y) pairs as Points; what names one pair.
-
-    x is a vector or one number and y a number. JSON input, where every x
-    is a list of numbers of one length and every y a number, is read by one
-    finite_rows scan each and one range check. Anything else, or a failed
-    check, goes entry by entry through finite_vector and finite_number,
-    which name the first bad entry. Points pass unchanged.
-    """
+    """A non-empty sequence of (x, y) pairs as Points (read_points), each y
+    one number and every x coordinate of magnitude at most _POWER_BOUND;
+    what names one pair. Points pass unchanged."""
     if type(pairs) is Points:
         return pairs
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one %s" % what)
-    X = finite_rows([x for x, _ in pairs])
-    Y = finite_rows([y for _, y in pairs])
-    if X is None or Y is None or Y.shape[1] != 1 or not _in_range(X):
-        rows = [(finite_vector(x, "x", scalar=True), finite_number(y, "y")) for x, y in pairs]
-        if any(x.shape != rows[0][0].shape for x, _ in rows):
-            raise ValueError("every %s needs the same number of x coordinates" % what)
-        X, Y = np.array([x for x, _ in rows]), np.array([y for _, y in rows])
-        if not _in_range(X):
-            raise ValueError("x coordinates must have magnitude at most %s" % _RANGE_TEXT)
-    return Points(X, Y.reshape(-1))
+    points = read_points(pairs, what, number=True)
+    if not _in_range(points.x):
+        raise ValueError("x coordinates must have magnitude at most %s" % _RANGE_TEXT)
+    return points
 
 
 @dataclass
@@ -203,7 +187,9 @@ def _one_row(model, x):
 
 
 def _row_blocks(n_rows, model):
-    step = max(1, _BLOCK_ENTRIES // (model.n_centers * model.d_x))
+    # A (row, center) pair counts as at least one entry: with no x
+    # coordinate (d_x = 0) the weights are uniform, the unconditional mixture.
+    step = max(1, _BLOCK_ENTRIES // (model.n_centers * max(model.d_x, 1)))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -542,14 +528,7 @@ class NewsvendorInstance:
         self.theta_bounds = tuple(bounds.tolist())
         if self.centers.x.shape[1] != self.samples.x.shape[1]:
             raise ValueError("every center and sample needs the same number of x coordinates")
-        n = len(self.samples.y)
-        if self.weights is None:
-            self.weights = np.full(n, 1.0 / n)
-        else:
-            self.weights = finite_vector(self.weights, "weights", scalar=True)
-            if len(self.weights) != n or np.min(self.weights) < 0 \
-                    or abs(self.weights.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be a probability vector over samples")
+        self.weights = finite_weights(self.weights, len(self.samples.y))
 
     def model(self, theta):
         return KernelModel(self.centers, theta)
@@ -744,9 +723,6 @@ def lower_solver(instance):
     return solve
 
 
-_CERTIFICATE_KEYS = ("z", "eta", "zeta")
-
-
 def newsvendor_certificate(theta, certificate_scenarios):
     """A Certificate from a bandwidth and one mapping per sample.
 
@@ -755,36 +731,11 @@ def newsvendor_certificate(theta, certificate_scenarios):
     one finite number (finite_number), value_weights a finite vector or
     number (finite_vector), and each scenario a mapping, otherwise
     ValueError; a missing z, eta or zeta and a null mu or value_weights
-    are ValueErrors too. Every entry's error names its scenario.
-    Mappings whose z, eta and zeta are all numbers and that hold neither mu
-    nor value_weights are read by one finite_rows scan; any other input goes
-    entry by entry, in scenario order, which names the first bad entry.
+    are ValueErrors too. Every entry's error names its scenario. The
+    scenarios are read by Certificate, column by column.
     """
-    theta = finite_number(theta, "theta")
-    parts = object_list(certificate_scenarios, "certificate scenario")
-    try:
-        rows = finite_rows([part[key] for part in parts for key in _CERTIFICATE_KEYS])
-    except KeyError:
-        rows = None
-    mus = value_weights = None
-    if rows is None or rows.shape[1] != 1 or any("mu" in part or "value_weights" in part
-                                                 for part in parts):
-        rows, mus, value_weights = [], [], []
-        for i, part in enumerate(parts):
-            try:
-                rows.append([finite_number(part[key], "certificate scenario %d: %s" % (i, key))
-                             for key in _CERTIFICATE_KEYS])
-            except KeyError as exc:
-                raise ValueError("certificate scenario %d is missing %s" % (i, exc)) from None
-            mu = optional_entry(part, "mu", i)
-            mus.append(None if mu is None else finite_number(mu, "certificate scenario %d: mu" % i))
-            weights = optional_entry(part, "value_weights", i)
-            value_weights.append(None if weights is None else finite_vector(
-                weights, "certificate scenario %d: value_weights" % i, scalar=True))
-        rows = np.array(rows)
-    rows = rows.reshape(-1, 3)
-    return Certificate.from_rows(theta, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3],
-                                 np.ones(len(rows), dtype=bool), mus, value_weights)
+    return Certificate(finite_number(theta, "theta"), certificate_scenarios, number=True,
+                       required=("z", "eta", "zeta"))
 
 
 def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=DEFAULT_TOL):
@@ -812,16 +763,24 @@ def bandwidth_grid_search(instance, grid):
     position. Otherwise every sample is scored in-sample. Each grid point
     builds one model and one weight matrix per row block; no model is built
     per held-out sample. Ties break to the lowest grid index, so the search
-    is deterministic.
+    is deterministic. A grid point that is no bandwidth (KernelModel), or
+    that lies more than DEFAULT_EPS outside the instance's theta_bounds, is
+    a ValueError, the latter with the text of ParameterSet.outside; no point
+    is scored then.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("empty bandwidth grid")
+    models = [instance.model(theta) for theta in grid]
+    box = NewsvendorUpperModel(instance).theta_set
+    for i, theta in enumerate(grid):
+        for text in box.outside([theta]):
+            raise ValueError("grid point %d: %s" % (i, text))
     n = len(instance.samples.y)
     loo = len(instance.centers.y) == n and n > 1
     best_theta, best_val = None, None
-    for theta in grid:
-        total = empirical_regret(instance, instance.model(theta), leave_one_out=loo)
+    for theta, model in zip(grid, models):
+        total = empirical_regret(instance, model, leave_one_out=loo)
         if best_val is None or total < best_val - 1e-15:
             best_theta, best_val = theta, total
     return best_theta

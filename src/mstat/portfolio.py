@@ -21,11 +21,12 @@ import numpy as np
 
 from .graph_normals import (
     NormalPair,
+    Points,
     _holds_non_number,
     finite_number,
-    finite_rows,
-    finite_vector,
+    finite_weights,
     object_list,
+    read_points,
     simplex_membership,
 )
 from .stationarity import (
@@ -35,7 +36,6 @@ from .stationarity import (
     LowerModel,
     ParameterSet,
     Problem,
-    ScenarioCertificate,
     ScenarioTerms,
     UpperModel,
 )
@@ -53,15 +53,16 @@ __all__ = [
 class PortfolioInstance:
     """Covariance, risk aversion and the (x_n, r_n) sample with weights.
 
-    Every entry must be finite: sigma symmetric positive definite, lambda
-    positive, every x of one length, every r of length d_z and the weights
-    nonnegative, one per sample, summing to 1 within 1e-12. Anything else
-    raises ValueError.
+    The sample is given as (x, r) pairs and held as Points: x rows and r
+    rows (read_points). Every entry must be finite: sigma symmetric
+    positive definite, lambda positive, every x of one length, every r of
+    length d_z and the weights nonnegative, one per sample, summing to 1
+    within 1e-12. Anything else raises ValueError.
     """
 
     sigma: np.ndarray
     risk_aversion: float
-    samples: list                      # list of (x, r) pairs
+    samples: Points
     weights: np.ndarray = None
 
     def __post_init__(self):
@@ -84,31 +85,10 @@ class PortfolioInstance:
         self.risk_aversion = finite_number(self.risk_aversion, "lambda")
         if self.risk_aversion <= 0:
             raise ValueError("risk aversion must be positive")
-        # One finite_rows scan reads every x and r; what it does not take
-        # goes sample by sample, which names the first bad vector.
-        X = finite_rows([x for x, _ in self.samples])
-        R = finite_rows([r for _, r in self.samples])
-        if X is None or R is None:
-            self.samples = [(finite_vector(x, "x", scalar=True),
-                             finite_vector(r, "r", scalar=True)) for x, r in self.samples]
-        else:
-            self.samples = list(zip(X, R))
-        n = len(self.samples)
-        if n == 0:
-            raise ValueError("at least one sample required")
-        if any(len(x) != self.d_x or len(r) != self.d_z for x, r in self.samples):
-            raise ValueError("every sample needs %d x and %d r entries"
-                             % (self.d_x, self.d_z))
-        if self.weights is None:
-            self.weights = np.full(n, 1.0 / n)
-        else:
-            self.weights = finite_vector(self.weights, "weights", scalar=True)
-            if len(self.weights) != n:
-                raise ValueError("one weight per sample required")
-            if np.min(self.weights) < 0:
-                raise ValueError("weights must be nonnegative")
-            if abs(self.weights.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1 (got %.17g)" % self.weights.sum())
+        self.samples = read_points(self.samples, "sample", "r")
+        if self.samples.y.shape[1] != self.d_z:
+            raise ValueError("every sample needs %d x and %d r entries" % (self.d_x, self.d_z))
+        self.weights = finite_weights(self.weights, len(self.samples.x))
 
     @property
     def d_z(self):
@@ -116,13 +96,13 @@ class PortfolioInstance:
 
     @property
     def d_x(self):
-        return len(self.samples[0][0])
+        return self.samples.x.shape[1]
 
     def to_dict(self):
         return {"schema": "mstat/1", "type": "spo_portfolio",
                 "sigma": self.sigma.tolist(), "lambda": self.risk_aversion,
-                "samples": [{"x": x.tolist(), "r": r.tolist()}
-                            for x, r in self.samples],
+                "samples": [{"x": x, "r": r} for x, r in zip(self.samples.x.tolist(),
+                                                             self.samples.y.tolist())],
                 "weights": self.weights.tolist()}
 
     @classmethod
@@ -543,8 +523,7 @@ class PortfolioProblem(Problem):
     def __init__(self, instance):
         self.inst = instance
         super().__init__(PortfolioLowerModel(instance), SpoUpperModel(instance),
-                         [x for x, _ in instance.samples], [r for _, r in instance.samples],
-                         instance.weights)
+                         instance.samples.x, instance.samples.y, instance.weights)
 
     def scenario_terms(self, theta, certificate):
         # The models' formulas, row by row: grad_z c = -theta^T x + lam Sigma z,
@@ -604,9 +583,9 @@ def empirical_spo_objective(predictor, instance):
 def _realized_costs(instance):
     """The realized-return costs _cost(z*(r_n), r_n), one per sample, from
     one solve_simplex_qp_rows call; they do not depend on theta."""
-    R = np.array([r for _, r in instance.samples])
-    return [_cost(s.z, r, instance) for s, (_, r) in zip(
-        solve_simplex_qp_rows(R, instance.sigma, instance.risk_aversion), instance.samples)]
+    R = instance.samples.y
+    return [_cost(s.z, r, instance) for s, r in zip(
+        solve_simplex_qp_rows(R, instance.sigma, instance.risk_aversion), R)]
 
 
 def _spo_objective(predictor, instance, realized):
@@ -614,17 +593,16 @@ def _spo_objective(predictor, instance, realized):
     (_realized_costs), solving each sample's predicted decision in one
     solve_simplex_qp_rows call. Its rows are solved independently, so each
     decision has the bits of a one-row solve."""
-    preds = predictor.predict_rows([x for x, _ in instance.samples])
+    preds = predictor.predict_rows(instance.samples.x)
     solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion)
     losses = [_cost(s.z, r, instance) - best
-              for s, (_, r), best in zip(solved, instance.samples, realized)]
+              for s, r, best in zip(solved, instance.samples.y, realized)]
     return float(sum(w * loss for loss, w in zip(losses, instance.weights)))
 
 
 def fit_least_squares(instance, ridge=1e-10):
     """theta minimizing sum ||theta^T x_n - r_n||^2, ridge-stabilized."""
-    X = np.vstack([x for x, _ in instance.samples])
-    R = np.vstack([r for _, r in instance.samples])
+    X, R = instance.samples.x, instance.samples.y
     if X.shape[0] < X.shape[1]:
         raise ValueError("need at least d_x samples")
     gram = X.T @ X + ridge * np.eye(X.shape[1])
@@ -673,21 +651,21 @@ def realizable_certificate(instance, theta):
     zeta_n = r_n - lam Sigma z_n balances the scenario line when the realized
     returns equal the predictions; beta_n is read off the membership witness.
     """
-    preds = LinearPredictor(theta).predict_rows([x for x, _ in instance.samples])
-    scen_certs = []
-    betas = []
+    preds = LinearPredictor(theta).predict_rows(instance.samples.x)
+    zs, zetas, betas = [], [], []
     lam, sig = instance.risk_aversion, instance.sigma
-    for r_hat, (_, r), solution in zip(preds, instance.samples,
-                                       solve_simplex_qp_rows(preds, sig, lam)):
+    for r_hat, r, solution in zip(preds, instance.samples.y,
+                                  solve_simplex_qp_rows(preds, sig, lam)):
         z = solution.z
         zeta = r - lam * (sig @ z)
-        eta = np.zeros(instance.d_z)
         g = -r_hat + lam * (sig @ z)
-        res = simplex_membership(z, g, NormalPair(zeta, eta))
+        res = simplex_membership(z, g, NormalPair(zeta, np.zeros(instance.d_z)))
         betas.append(res.witness.get("beta"))
-        scen_certs.append(ScenarioCertificate(z=z, eta=eta, zeta=zeta))
-    cert = Certificate(theta=np.asarray(theta, dtype=float).ravel(),
-                       scenarios=scen_certs)
+        zs.append(z)
+        zetas.append(zeta)
+    Z = np.array(zs)
+    cert = Certificate.from_rows(np.asarray(theta, dtype=float).ravel(), Z, np.zeros(Z.shape),
+                                 np.array(zetas), np.ones(len(Z), dtype=bool))
     return cert, betas
 
 

@@ -17,7 +17,8 @@ gradients over the solution set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import contains
 
 import numpy as np
 
@@ -40,8 +41,10 @@ from .graph_normals import (
     GraphPoint,
     NormalPair,
     _empty,
-    finite_number,
+    finite_rows,
     finite_vector,
+    finite_weights,
+    object_list,
     _orthant_rows,
     _simplex_residual_rows,
     _simplex_rows,
@@ -53,7 +56,7 @@ from .lp import feasibility_threshold, phase1_bound
 __all__ = [
     "FeasibleSet", "ParameterSet", "Problem",
     "LowerModel", "UpperModel",
-    "ScenarioCertificate", "Certificate", "ScenarioTerms",
+    "Certificate", "ScenarioTerms",
     "ScenarioColumns", "ResidualReport",
     "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
@@ -269,18 +272,14 @@ class Problem:
 
     def __init__(self, lower, upper, x, y, weights):
         self.lower, self.upper = lower, upper
-        w = np.asarray(weights, dtype=float)
-        if not len(w):
+        if not len(weights):
             raise ValueError("at least one scenario is required")
-        if len(x) != len(w) or len(y) != len(w):
+        if len(x) != len(weights) or len(y) != len(weights):
             raise ValueError("x has %d rows, y %d entries and weights %d; each needs "
-                             "one per scenario" % (len(x), len(y), len(w)))
-        if np.min(w) < 0:
-            raise ValueError("negative scenario weight")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("scenario weights must sum to 1 (got %.17g)" % w.sum())
+                             "one per scenario" % (len(x), len(y), len(weights)))
         x = np.asarray(x, dtype=float)
-        self.x, self.y, self.weights = x.reshape(len(x), -1), np.asarray(y, dtype=float), w
+        self.x, self.y = x.reshape(len(x), -1), np.asarray(y, dtype=float)
+        self.weights = finite_weights(weights, len(x))
 
     def scenario_terms(self, theta, certificate):
         """The ScenarioTerms of a certificate at theta.
@@ -302,33 +301,22 @@ class Problem:
                                for col in zip(*rows)))
 
 
-@dataclass
-class ScenarioCertificate:
-    """Claimed per-scenario solution and multipliers.
-
-    zeta is optional (without it the verifier probes -r itself), mu is the
-    penalty weight of the penalized system and value_weights combine the
-    value-function generators. The coderivative membership is decided
-    exactly from (z, eta, zeta), so a certificate carries no row-split
-    witness. Every entry must be finite; vectors may be given as scalars.
-    """
-
-    z: np.ndarray
-    eta: np.ndarray
-    zeta: np.ndarray = None
-    mu: float = None
-    value_weights: np.ndarray = None
-
-    def __post_init__(self):
-        self.z = finite_vector(self.z, "z", scalar=True)
-        self.eta = finite_vector(self.eta, "eta", scalar=True)
-        if self.zeta is not None:
-            self.zeta = finite_vector(self.zeta, "zeta", scalar=True)
-        if self.mu is not None:
-            self.mu = finite_number(self.mu, "mu")
-        if self.value_weights is not None:
-            self.value_weights = finite_vector(self.value_weights, "value_weights",
-                                               scalar=True)
+def _scenario_column(parts, key, required=False):
+    """The entry key of every certificate scenario in parts, a list of
+    mappings, or None when the key is optional and no scenario holds it. A
+    scenario without a required key raises ValueError naming the first; an
+    optional key reads as None where it is left out, and an explicit null
+    for it raises ValueError naming the first."""
+    held = list(map(contains, parts, repeat(key)))
+    if not (required or any(held)):
+        return None
+    column = [part.get(key) for part in parts]
+    for i in [i for i, value in enumerate(column) if value is None]:
+        if held[i] != required:
+            raise ValueError("certificate scenario %d: %s is null; leave the key out instead"
+                             % (i, key) if held[i] else
+                             "certificate scenario %d is missing '%s'" % (i, key))
+    return column
 
 
 class Certificate:
@@ -336,29 +324,47 @@ class Certificate:
     solution and multipliers, stacked by scenario.
 
     z, eta and zeta are (n, d) arrays. given[n] says whether scenario n
-    supplies zeta; where it does not, row n of zeta is a placeholder that
-    the verifier replaces by its own probe. mu and value_weights hold one
-    entry per scenario, None where the scenario has none.
-    Certificate(theta, scenarios) stacks ScenarioCertificate objects, whose
-    vectors must share one dimension; from_rows takes validated rows as they
-    are. theta may be a vector or a matrix, which is read in row-major
-    order; more dimensions are a ValueError.
+    supplies zeta; where it does not, row n of zeta is a copy of z that the
+    verifier replaces by its own probe. mu and value_weights hold one entry
+    per scenario, None where the scenario has none. theta may be a vector
+    or a matrix, which is read in row-major order; more dimensions are a
+    ValueError.
+
+    Certificate(theta, scenarios) reads a list of JSON-style mappings, one
+    per scenario, column by column (_scenario_column): the keys in required
+    must be present, zeta, the penalty weight mu and the value_weights may
+    be left out, and a null for an optional key is an error. z, eta and
+    zeta are each one finite_rows call and must share one dimension; with
+    number each entry is one number. mu is one number and value_weights a
+    vector. Every error names its scenario. from_rows takes validated rows
+    as they are.
     """
 
-    def __init__(self, theta, scenarios):
-        scenarios = list(scenarios)
-        d = len(scenarios[0].z) if scenarios else 0
-        for i, s in enumerate(scenarios):
-            if len(s.z) != d or len(s.eta) != d:
-                raise ValueError("scenario %d has wrong dimensions" % i)
-            if s.zeta is not None and len(s.zeta) != d:
-                raise ValueError("scenario %d zeta has wrong dimension" % i)
-        z, eta, zeta = (np.array(rows, dtype=float).reshape(len(scenarios), d) for rows in (
-            [s.z for s in scenarios], [s.eta for s in scenarios],
-            [s.z if s.zeta is None else s.zeta for s in scenarios]))
-        self._hold(theta, z, eta, zeta,
-                   np.array([s.zeta is not None for s in scenarios], dtype=bool),
-                   [s.mu for s in scenarios], [s.value_weights for s in scenarios])
+    def __init__(self, theta, scenarios, number=False, required=("z", "eta")):
+        parts = object_list(scenarios, "certificate scenario")
+        z, eta, zeta, mu, weights = (_scenario_column(parts, key, key in required)
+                                     for key in ("z", "eta", "zeta", "mu", "value_weights"))
+        if zeta is None:        # a missing zeta reads as z
+            zeta, given = z, [False] * len(z)
+        else:
+            given = [v is not None or "zeta" in required for v in zeta]
+            zeta = [v if g else zn for v, zn, g in zip(zeta, z, given)]
+        name = "certificate scenario %d: "
+        z, eta, zeta = (finite_rows(column, name + key, number)
+                        for key, column in (("z", z), ("eta", eta), ("zeta", zeta)))
+        for key, block in (("eta", eta), ("zeta", zeta)):
+            if block.shape[1] != z.shape[1]:
+                raise ValueError(name % (given.index(True) if key == "zeta" else 0)
+                                 + "%s has %d entries but z has %d"
+                                 % (key, block.shape[1], z.shape[1]))
+        if mu is not None:
+            mus = finite_rows([0.0 if v is None else v for v in mu], name + "mu", number=True)
+            mu = [None if v is None else m for v, m in zip(mu, mus[:, 0].tolist())]
+        if weights is not None:
+            weights = [None if w is None else finite_vector(w, name % i + "value_weights",
+                                                            scalar=True)
+                       for i, w in enumerate(weights)]
+        self._hold(theta, z, eta, zeta, np.array(given, dtype=bool), mu, weights)
 
     @classmethod
     def from_rows(cls, theta, z, eta, zeta, given, mu=None, value_weights=None):
@@ -367,9 +373,7 @@ class Certificate:
         (each one entry or None per scenario, or None for none at all),
         taken without copying."""
         cert = cls.__new__(cls)
-        none = [None] * len(z)
-        cert._hold(theta, z, eta, zeta, given, none if mu is None else mu,
-                   none if value_weights is None else value_weights)
+        cert._hold(theta, z, eta, zeta, given, mu, value_weights)
         return cert
 
     def _hold(self, theta, z, eta, zeta, given, mu, value_weights):
@@ -378,7 +382,8 @@ class Certificate:
             raise ValueError("theta must be a vector or a matrix; got shape %s"
                              % (np.shape(theta),))
         self.z, self.eta, self.zeta, self.given = z, eta, zeta, given
-        self.mu, self.value_weights = mu, value_weights
+        self.mu = [None] * len(z) if mu is None else mu
+        self.value_weights = [None] * len(z) if value_weights is None else value_weights
 
     @property
     def penalized(self):

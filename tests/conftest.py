@@ -18,8 +18,8 @@ from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, mak
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
 from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution
-from mstat.stationarity import (FeasibleSet, LowerModel, _m_residual, _probe_and_gap,
-                                _upper_generator)
+from mstat.stationarity import (Certificate, FeasibleSet, LowerModel, _m_residual,
+                                _probe_and_gap, _upper_generator)
 
 
 def random_polyhedral_graph_point(rng, d_max=3, m_max=5, entry=2):
@@ -1024,3 +1024,43 @@ def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
     def solve(model, theta, X):
         return [descend(model, theta, x) for x in X]
     return solve
+
+
+# ---------------------------------------------------------------------------
+# the per-entry readers: oracles of the row readers
+
+def rows_oracle(values, name, number=False):
+    """graph_normals.finite_rows read entry by entry: each entry through
+    finite_number (number) or finite_vector (a lone number a vector of one),
+    named name % i, in order; then, among entries of more than one length,
+    the first whose length differs from entry 0's is a RaggedRowsError."""
+    if number:
+        rows = [[GN.finite_number(v, name % i)] for i, v in enumerate(values)]
+    else:
+        rows = [GN.finite_vector(v, name % i, scalar=True) for i, v in enumerate(values)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise GN.RaggedRowsError("%s has %d entries but %s has %d"
+                                     % (name % i, len(row), name % 0, len(rows[0])))
+    return np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 1)
+
+
+def per_scenario_certificate(theta, scenarios):
+    """Certificate(theta, scenarios) read one scenario at a time: every
+    entry of scenario i through finite_vector or finite_number, named
+    "certificate scenario i: <key>", a missing zeta read as z, the rows
+    stacked once every scenario is read. Valid input only."""
+    z, eta, zeta, mu, weights = [], [], [], [], []
+    for i, s in enumerate(scenarios):
+        def read(key, _i=i, _s=s):
+            return GN.finite_vector(_s[key], "certificate scenario %d: %s" % (_i, key),
+                                    scalar=True)
+        z.append(read("z"))
+        eta.append(read("eta"))
+        zeta.append(read("zeta") if "zeta" in s else z[-1])
+        mu.append(GN.finite_number(s["mu"], "certificate scenario %d: mu" % i)
+                  if "mu" in s else None)
+        weights.append(read("value_weights") if "value_weights" in s else None)
+    assert len({len(v) for v in z + eta + zeta}) == 1
+    return Certificate.from_rows(theta, *(np.array(c) for c in (z, eta, zeta)),
+                                 np.array(["zeta" in s for s in scenarios]), mu, weights)

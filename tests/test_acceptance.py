@@ -36,7 +36,6 @@ from mstat.stationarity import (
     Certificate,
     FeasibleSet,
     LowerModel,
-    ScenarioCertificate,
     nnamcq_check,
     value_function,
     value_subdifferential,
@@ -229,7 +228,7 @@ def test_criterion_8_penalized_zero_mu_reduction():
     prob = as_problem(inst)
     convex = verify_certificate(prob, cert, tol=1e-8)
     pen_cert = Certificate(theta=cert.theta, scenarios=[
-        ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=0.0)
+        {"z": z, "eta": eta, "zeta": zeta, "mu": 0.0}
         for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)])
     penalized = verify_certificate_penalized(prob, pen_cert, tol=1e-8)
     agree = {**convex.to_dict(), "mode": None} == {**penalized.to_dict(), "mode": None}

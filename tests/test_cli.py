@@ -532,6 +532,44 @@ def test_newsvendor_report_text_equals_json_dumps(case, mode):
                     "infeasible scenario point"}
 
 
+def test_gridsearch_outside_theta_bounds_exits_1(capsys, tmp_path):
+    """A grid point more than DEFAULT_EPS outside theta_bounds is an input
+    error with the text of ParameterSet.outside, and no bandwidth is
+    printed; one within DEFAULT_EPS of a bound is searched."""
+    problem = json.loads((GOLDEN / "nv4.problem.json").read_text())
+    ppath = write(tmp_path / "nv4.json", {**problem, "theta_bounds": [0.001, 0.25]})
+    code, out, err = run(capsys, "newsvendor", "gridsearch", "--problem", ppath,
+                         "--grid", "0.1,0.5,1,2")
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert "grid point 1: theta[0] = 0.5 lies more than 1e-09 above its upper bound 0.25" in err
+    code, out, err = run(capsys, "newsvendor", "gridsearch", "--problem", ppath,
+                         "--grid", "0.0005,0.1")
+    assert (code, out) == (1, "") and "below its lower bound 0.001" in err
+    code, out, _ = run(capsys, "newsvendor", "gridsearch", "--problem", ppath,
+                       "--grid", "0.1,0.2500000001")
+    assert code == 0 and json.loads(out)["theta"] in (0.1, 0.2500000001)
+
+
+def test_newsvendor_without_x_coordinates_runs(capsys, tmp_path):
+    """A problem whose x lists are all empty (d_x = 0) is the unconditional
+    mixture: solve, gridsearch, verify and fd-check run to a verdict, with
+    no traceback."""
+    pts = [{"x": [], "y": y} for y in (4.0, 5.5, 6.0, 9.0)]
+    ppath = write(tmp_path / "nv0.json", {"type": "newsvendor_kernel", "h": 1.0, "b": 3.0,
+                                          "centers": pts, "samples": pts})
+    code, out, err = run(capsys, "newsvendor", "solve", "--problem", ppath, "--theta", "1.0")
+    assert code == 0 and err == ""
+    cpath = write(tmp_path / "cert.json", {"theta": 1.0, "scenarios": [
+        {"z": z, "eta": 0.0, "zeta": 0.0} for z in json.loads(out)["decisions"]]})
+    for argv in (["newsvendor", "gridsearch", "--grid", "0.5,1"],
+                 ["newsvendor", "verify", "--certificate", cpath],
+                 ["verify", "--certificate", cpath],
+                 ["fd-check", "--op", "lower-grad-z", "--trials", "3"],
+                 ["fd-check", "--trials", "3"]):
+        code, out, err = run(capsys, *argv, "--problem", ppath)
+        assert code in (0, 2) and out and "Traceback" not in err, (argv, err)
+
+
 @pytest.mark.parametrize("theta", ["1e-200", "1e120", "1e200"])
 def test_newsvendor_bandwidth_out_of_range_exits_1(theta, tmp_path, capsys):
     """A bandwidth whose square or cube leaves the finite normal range is an

@@ -163,7 +163,7 @@ def test_lower_residual_gives_the_bits_that_verify_prints(certificate, capsys):
                           "--certificate", certificate])
     printed = [s["lower_residual"] for s in json.loads(out)["scenarios"]]
     lower, theta = PF.as_problem(inst).lower, np.ravel(cert["theta"])
-    for (x, _), scenario, want in zip(inst.samples, cert["scenarios"], printed):
+    for x, scenario, want in zip(inst.samples.x, cert["scenarios"], printed):
         if want == float("inf"):
             with pytest.raises(ValueError, match="violates row"):
                 lower_residual(lower, theta, x, scenario["z"])
@@ -178,20 +178,50 @@ NEWSVENDOR_VERIFY = [c for c in EXPECTED["outputs"]
 
 
 @pytest.mark.parametrize("case", NEWSVENDOR_VERIFY, ids=lambda c: " ".join(c["argv"]))
-def test_newsvendor_verify_builds_no_object_per_scenario(case, capsys, monkeypatch):
+def test_newsvendor_verify_builds_no_object_per_scenario(case, capsys):
     """`newsvendor verify` and `verify` of a newsvendor certificate, in both
-    modes and in JSON and in text, print the recorded bytes while building a
-    ScenarioCertificate raises, and the problem has no per-scenario object
-    type: the scenarios stay rows from input to output."""
+    modes and in JSON and in text, print the recorded bytes, and the
+    package has no per-scenario certificate or problem type: the scenarios
+    stay rows from input to output."""
     from mstat import stationarity
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("%s built on the newsvendor verify route" % type(self).__name__)
-
     assert not hasattr(stationarity, "Scenario")
-    monkeypatch.setattr(stationarity.ScenarioCertificate, "__init__", refuse)
+    assert not hasattr(stationarity, "ScenarioCertificate")
     assert len(NEWSVENDOR_VERIFY) == 15
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+
+
+VERIFY = [c for c in EXPECTED["outputs"] if "verify" in c["argv"]]
+
+
+@pytest.mark.parametrize("case", VERIFY, ids=lambda c: " ".join(c["argv"]))
+def test_verify_reads_no_certificate_entry_alone(case, capsys, monkeypatch):
+    """Every recorded `verify` and `newsvendor verify` prints its recorded
+    bytes while the per-entry readers, finite_vector and finite_number, read
+    no entry of a certificate scenario: the certificate is read column by
+    column, each column one finite_rows scan. pf1.mu.json and pf2.mu.json,
+    whose scenarios hold penalty weights, are among the cases."""
+    from mstat import cli, graph_normals, newsvendor, stationarity
+
+    entries, read = {}, []
+    load = cli._load_certificate
+
+    def load_and_note(path):
+        data = load(path)
+        entries.update((id(v), v) for s in data["scenarios"] for v in s.values())
+        return data
+
+    monkeypatch.setattr(cli, "_load_certificate", load_and_note)
+    for module in (graph_normals, stationarity, newsvendor, PF):
+        for name in ("finite_vector", "finite_number"):
+            if hasattr(module, name):
+                reader = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda value, *a, _r=reader, **k:
+                                    read.append(id(value)) or _r(value, *a, **k))
+    assert {c["argv"][4] for c in VERIFY if c["argv"][0] == "verify"} >= {
+        "pf1.mu.json", "pf2.mu.json"}
+    assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert entries and not [i for i in read if i in entries]
 
 
 @pytest.mark.parametrize("stem, certificate", [("nv3", "nv3.branches.json"),

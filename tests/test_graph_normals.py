@@ -28,8 +28,8 @@ from mstat.graph_normals import (
     simplex_membership,
     _simplex_rows,
 )
-from conftest import (random_polyhedral_graph_point, random_simplex_graph_point, simplex_oracle,
-                      simplex_rows_oracle)
+from conftest import (random_polyhedral_graph_point, random_simplex_graph_point, rows_oracle,
+                      simplex_oracle, simplex_rows_oracle)
 from mstat import cli
 from mstat.stationarity import ScenarioColumns
 
@@ -651,19 +651,29 @@ def test_an_int_beyond_float_range_is_no_finite_vector():
             finite_vector(value, "v", flat=True)
 
 
+def _reading(read, values, number):
+    """What read(values, "v %d", number) gives: the rows' dtype, shape and
+    bytes, or the type and text of its ValueError."""
+    try:
+        rows = read(values, "v %d", number)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
 @pytest.mark.parametrize("values", [
     [], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0]], [[1.0], 2.0], [[True]], [1.0, False],
     [["1"]], [[None]], [None], [[float("nan")]], [float("inf")], [[10 ** 400]],
     [np.array([1.0])], [(1.0,)], [[[1.0]]],
 ])
 def test_finite_rows_leaves_anything_else_to_finite_vector(values):
-    """finite_rows takes lists of numbers of one length, or lone numbers,
-    and gives None for anything else: no vector, lengths that differ, lists
-    mixed with numbers, booleans, strings, nulls, non-finite entries, ints
-    beyond float range, arrays, tuples and nested lists."""
-    from mstat.graph_normals import finite_rows
-
-    assert finite_rows(values) is None
+    """A list that the one type scan does not take (no vector, lengths that
+    differ, lists mixed with numbers, booleans, strings, nulls, non-finite
+    entries, ints beyond float range, arrays, tuples and nested lists)
+    finite_rows reads entry by entry itself: it gives the rows, or raises
+    the error, of rows_oracle, which reads every entry alone."""
+    for number in (False, True):
+        assert _reading(GN.finite_rows, values, number) == _reading(rows_oracle, values, number)
 
 
 def test_finite_rows_stacks_the_vectors_of_finite_vector():
@@ -671,10 +681,77 @@ def test_finite_rows_stacks_the_vectors_of_finite_vector():
 
     for values, shape in (([[1, 2.5], [-0.0, 3]], (2, 2)), ([0.5, 2], (2, 1)),
                           ([[], []], (2, 0))):
-        rows = finite_rows(values)
+        rows = finite_rows(values, "v %d")
         assert rows.shape == shape and rows.dtype == float
         for row, value in zip(rows, values):
             assert row.tobytes() == finite_vector(value, "v", scalar=True).tobytes()
+
+
+READER_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
+    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64]),
+    st.booleans(), st.sampled_from(["1", "", None]))
+ARRAY_ENTRIES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([np.inf, np.nan]))
+
+
+@st.composite
+def reader_entries(draw):
+    """One entry of a list of vectors: a lone number, or a list, tuple or
+    numpy array of numbers, mostly of one drawn length so that most lists
+    are not ragged, with the odd boolean, string, null, NaN, infinity or
+    int beyond float range among the numbers."""
+    kind = draw(st.sampled_from(["lone", "list", "list", "list", "tuple", "array"]))
+    if kind == "lone":
+        return draw(READER_SCALARS)
+    size = draw(st.sampled_from([1, 2, 2, 3]))
+    numbers = st.one_of(st.floats(-1e6, 1e6), st.integers(-5, 5)) if draw(
+        st.integers(0, 2)) else READER_SCALARS
+    items = draw(st.lists(numbers, min_size=size, max_size=size))
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return np.array(draw(st.lists(ARRAY_ENTRIES, min_size=size, max_size=size)))
+
+
+READER_SPECIALS = st.sampled_from(
+    [np.nan, np.inf, -np.inf, True, False, "1", None, 10 ** 400, -10 ** 400, [1.0]])
+
+
+@st.composite
+def reader_lists(draw):
+    """A list of vectors: JSON-like lists of numbers of one length or lone
+    numbers, half of them with one entry swapped for a NaN, an infinity, a
+    boolean, a string, a null, an int beyond float range or a list; lists
+    of numbers of differing lengths; entries of reader_entries; or a 2-D
+    numpy array or tuple."""
+    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    form = draw(st.sampled_from(["rows", "rows", "ragged", "lone", "mixed", "array", "tuple"]))
+    number = st.one_of(st.floats(-1e6, 1e6), st.integers(-9, 9))
+    if form == "ragged":
+        return [draw(st.lists(number, max_size=3)) for _ in range(n)]
+    if form == "mixed":
+        return draw(st.lists(reader_entries(), min_size=n, max_size=n))
+    if form in ("array", "tuple"):
+        rows = np.array(draw(st.lists(ARRAY_ENTRIES, min_size=n * d, max_size=n * d)))
+        rows = rows.reshape(n, d)
+        return rows if form == "array" else tuple(map(tuple, rows.tolist()))
+    width = d if form == "rows" else 1
+    flat = draw(st.lists(number, min_size=n * width, max_size=n * width))
+    if flat and draw(st.booleans()):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(READER_SPECIALS)
+    if form == "lone":
+        return flat
+    return [flat[i * width:(i + 1) * width] for i in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_lists(), st.booleans())
+def test_finite_rows_matches_the_per_entry_reader(values, number):
+    """On any list of vectors, with or without number, finite_rows gives
+    the rows of rows_oracle bit for bit, or raises its error with its text:
+    the one scan takes only what reading entry by entry takes."""
+    assert _reading(GN.finite_rows, values, number) == _reading(rows_oracle, values, number)
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,9 @@ def test_system_kink_construction_passes():
     assert rep.upper_residual <= 1e-12
     # Without zeta the verifier probes with the element of the kink
     # interval [-b, h] nearest 0, which is 0 here.
-    from mstat.stationarity import Certificate, ScenarioCertificate, verify_certificate
+    from mstat.stationarity import Certificate, verify_certificate
     bare = verify_certificate(NV.as_problem(inst), Certificate(
-        theta=2.0, scenarios=[ScenarioCertificate(z=z, eta=0.0)]))
+        theta=2.0, scenarios=[{"z": z, "eta": 0.0}]))
     assert bare.passed and bare.columns.m_residual[0] == 0.0
 
 
@@ -824,6 +824,28 @@ def test_bandwidth_and_coordinate_range_edges():
         nw_weights(m, [2.0 * edge])
 
 
+def test_no_x_coordinate_is_the_unconditional_mixture():
+    """With no x coordinate (d_x = 0) every weight row is uniform, so each
+    order quantity is the critical quantile of the unconditional mixture:
+    the floats of nv_oracle_solve, plain and leave-one-out, with no
+    division by zero in the row blocks."""
+    pairs = [([], 4.0), ([], 5.5), ([], 6.0), ([], 9.0)]
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=pairs, samples=pairs)
+    assert inst.centers.x.shape == (4, 0) and inst.samples is not None
+    for theta in (0.3, 1.0):
+        model = inst.model(theta)
+        cx, cy = model.centers_x, model.centers_y
+        assert nw_weights(model, []).tolist() == [0.25] * 4
+        assert solve_newsvendor_rows(model, inst.samples.x, 1.0, 3.0).tolist() == [
+            nv_oracle_solve(cx, cy, theta, x, 1.0, 3.0) for x in inst.samples.x]
+        assert solve_newsvendor_rows(model, cx, 1.0, 3.0, leave_one_out=True).tolist() == [
+            nv_oracle_solve(cx, cy, theta, x, 1.0, 3.0, drop=i) for i, x in enumerate(cx)]
+    parts = [{"z": z, "eta": 0.0, "zeta": 0.0}
+             for z in solve_newsvendor_rows(inst.model(1.0), inst.samples.x, 1.0, 3.0)]
+    assert verify_newsvendor_system(1.0, parts, inst).summary()["upper_residual"] == 0.0
+    assert bandwidth_grid_search(inst, [0.3, 1.0]) in (0.3, 1.0)
+
+
 def test_points_read_as_pairs():
     """An instance's centers and samples are Points, built from (x, y)
     pairs into two arrays, the same for JSON input and for arrays."""
@@ -862,7 +884,7 @@ def test_stacked_terms_equal_per_scenario_model_calls(rng, monkeypatch, block_ro
     the bits of the default Problem.scenario_terms, which calls the lower
     and upper models once per term and scenario; also with the row blocks
     forced small. The certificates put z on kinks, at 0 and beyond eps."""
-    from mstat.stationarity import Certificate, Problem, ScenarioCertificate
+    from mstat.stationarity import Certificate, Problem
 
     checked = 0
     for inst, theta in cases(rng):
@@ -878,7 +900,7 @@ def test_stacked_terms_equal_per_scenario_model_calls(rng, monkeypatch, block_ro
         near = ys + rng.choice([-2.0, -0.5, 0.5, 2.0], len(z)) * DEFAULT_EPS
         z = np.where((pick >= 0.3) & (pick < 0.5), near, z)
         cert = Certificate(theta=theta, scenarios=[
-            ScenarioCertificate(z=zn, eta=float(rng.normal()), zeta=0.0) for zn in z])
+            {"z": zn, "eta": float(rng.normal()), "zeta": 0.0} for zn in z])
         problem = NV.as_problem(inst)
         stacked = problem.scenario_terms(cert.theta, cert)
         single = Problem.scenario_terms(problem, cert.theta, cert)

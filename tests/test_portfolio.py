@@ -29,11 +29,11 @@ from mstat.stationarity import (
     _TERM_BOUND,
     Certificate,
     Problem,
-    ScenarioCertificate,
     gradient_selftest,
     verify_certificate,
 )
-from conftest import projected_gradient_qp, qp_guess_route, simplex_qp_loop
+from conftest import (per_scenario_certificate, projected_gradient_qp, qp_guess_route,
+                      simplex_qp_loop)
 
 I2 = np.eye(2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -439,7 +439,7 @@ def test_spo_loss_nonnegative_and_zero_on_exact_predictions(rng):
 def test_lower_model_gradients_match_finite_differences(rng):
     inst, theta0 = small_instance()
     lm = PortfolioLowerModel(inst)
-    x = inst.samples[0][0]
+    x = inst.samples.x[0]
     theta = theta0.ravel()
     assert gradient_selftest(lm, theta, x, [np.array([0.2, 0.3]), np.array([0.6, 0.1])]) <= 1e-5
     # cross Hessian against finite differences of grad_z in theta
@@ -504,7 +504,7 @@ def test_portfolio_system_pass_and_failures():
     zeta = np.array([2.0, 1.0]) - z
     for eta, passed in (([0.0, 0.0], True), ([0.5, 0.5], False)):
         rep = verify_certificate(as_problem(inst_b), Certificate(
-            theta=[[2.0, 1.0]], scenarios=[ScenarioCertificate(z=z, eta=eta, zeta=zeta)]))
+            theta=[[2.0, 1.0]], scenarios=[{"z": z, "eta": eta, "zeta": zeta}]))
         assert rep.passed is passed
 
 
@@ -515,15 +515,16 @@ def test_portfolio_m_residual_is_the_force_balance_norm():
     cert, _ = realizable_certificate(inst, theta0)
     lam, sig = inst.risk_aversion, inst.sigma
     for shift in (0.0, 0.05):
-        scenarios = [ScenarioCertificate(z=z, eta=eta + shift, zeta=zeta)
+        scenarios = [{"z": z, "eta": eta + shift, "zeta": zeta}
                      for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
         reports = [verify_certificate(as_problem(inst),
                                       Certificate(theta=theta, scenarios=scenarios))
                    for theta in (theta0, theta0.ravel())]
         assert reports[0].to_dict() == reports[1].to_dict()
         assert reports[0].passed == (shift == 0.0)
-        for (x, r), p, m_res in zip(inst.samples, scenarios, reports[0].columns.m_residual):
-            force = -r + lam * (sig @ (p.z + p.eta)) + p.zeta
+        for x, r, p, m_res in zip(inst.samples.x, inst.samples.y, scenarios,
+                                  reports[0].columns.m_residual):
+            force = -r + lam * (sig @ (p["z"] + p["eta"])) + p["zeta"]
             assert abs(m_res - np.linalg.norm(force)) <= 1e-15
 
 
@@ -532,7 +533,8 @@ def test_system_force_balance_identity(rng):
     inst, theta0 = small_instance()
     cert, _ = realizable_certificate(inst, theta0)
     lam, sig = inst.risk_aversion, inst.sigma
-    for (x, r), z, eta, zeta in zip(inst.samples, cert.z, cert.eta, cert.zeta):
+    for x, r, z, eta, zeta in zip(inst.samples.x, inst.samples.y, cert.z, cert.eta,
+                                  cert.zeta):
         lhs = eta @ zeta
         rhs = eta @ (r - lam * (sig @ (z + eta)))
         assert abs(lhs - rhs) < 1e-12
@@ -548,7 +550,8 @@ def test_realizable_scenarios_cross_check_with_face_oracle():
     cert, _ = realizable_certificate(inst, theta0)
     poly = simplex_polyhedron(inst.d_z)
     lam, sig = inst.risk_aversion, inst.sigma
-    for (x, r), z, eta, zeta in zip(inst.samples, cert.z, cert.eta, cert.zeta):
+    for x, r, z, eta, zeta in zip(inst.samples.x, inst.samples.y, cert.z, cert.eta,
+                                  cert.zeta):
         g = -(theta0.T @ x) + lam * (sig @ z)
         res = oracle_membership(poly, GraphPoint(z, g), NormalPair(zeta, eta))
         assert res.member
@@ -574,7 +577,7 @@ def test_lower_solver_answers_are_one_row_solves(monkeypatch):
 
     inst, theta0 = small_instance()
     solve = lower_solver(inst)
-    X = np.vstack([x for x, _ in inst.samples] + [np.array([0.3, -0.2])])
+    X = np.vstack([inst.samples.x, [np.array([0.3, -0.2])]])
     thetas = (theta0, theta0 + 0.3, theta0)
     calls = []
     rows = PF.solve_simplex_qp_rows
@@ -612,7 +615,7 @@ def term_cases(draw):
                              samples=list(zip(rows(n, d_x), rows(n, d_z))))
     eta = np.zeros((n, d_z)) if draw(st.integers(0, 4)) == 0 else rows(n, d_z)
     cert = Certificate(theta=rows(d_x, d_z), scenarios=[
-        ScenarioCertificate(z=z, eta=e) for z, e in zip(rows(n, d_z), eta)])
+        {"z": z, "eta": e} for z, e in zip(rows(n, d_z), eta)])
     return inst, cert
 
 
@@ -644,14 +647,6 @@ def _golden_portfolio_certificates():
     return sorted(runs.items())
 
 
-def _per_scenario_certificate(data, inst):
-    """The certificate read one scenario at a time: one ScenarioCertificate
-    per scenario, stacked by Certificate."""
-    scen = [ScenarioCertificate(s["z"], s["eta"], s.get("zeta"), s.get("mu"),
-                                s.get("value_weights")) for s in data["scenarios"]]
-    return Certificate(theta=np.reshape(data["theta"], (inst.d_x, inst.d_z)), scenarios=scen)
-
-
 def _same_certificate(got, want):
     for name in ("theta", "z", "eta", "zeta", "given"):
         a, b = getattr(got, name), getattr(want, name)
@@ -662,22 +657,29 @@ def _same_certificate(got, want):
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
+def _same_reading(data, problem):
+    """The instance of problem and the certificate data, read as `verify`
+    reads them, hold the arrays of the per-entry readers."""
+    from mstat.cli import _portfolio_theta
+
+    inst = PortfolioInstance.from_dict(problem)
+    for x, r, sample in zip(inst.samples.x, inst.samples.y, problem["samples"]):
+        assert x.tobytes() == finite_vector(sample["x"], "x", scalar=True).tobytes()
+        assert r.tobytes() == finite_vector(sample["r"], "r", scalar=True).tobytes()
+    theta = _portfolio_theta(data["theta"], inst)
+    _same_certificate(Certificate(theta, data["scenarios"]),
+                      per_scenario_certificate(theta, data["scenarios"]))
+
+
 @pytest.mark.parametrize("cert_file, problem_file", _golden_portfolio_certificates())
 def test_row_reader_gives_the_per_scenario_arrays(cert_file, problem_file):
     """On every golden portfolio certificate and problem, the row-wise
     readers give the arrays that the per-scenario ones give: the
     certificate's theta, z, eta, zeta, given, mu and value_weights those of
-    Certificate(theta, [ScenarioCertificate(...)]), and the instance's x and
-    r those of finite_vector, sample by sample."""
-    from mstat.cli import _portfolio_certificate
-
+    per_scenario_certificate, and the instance's x and r those of
+    finite_vector, sample by sample."""
     problem = json.loads((GOLDEN / problem_file).read_text())
-    inst = PortfolioInstance.from_dict(problem)
-    for (x, r), sample in zip(inst.samples, problem["samples"]):
-        assert x.tobytes() == finite_vector(sample["x"], "x", scalar=True).tobytes()
-        assert r.tobytes() == finite_vector(sample["r"], "r", scalar=True).tobytes()
-    data = json.loads((GOLDEN / cert_file).read_text())
-    _same_certificate(_portfolio_certificate(data, inst), _per_scenario_certificate(data, inst))
+    _same_reading(json.loads((GOLDEN / cert_file).read_text()), problem)
 
 
 READER_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5), st.just(-0.0))
@@ -720,16 +722,9 @@ def reader_cases(draw):
 def test_row_reader_property(case):
     """On fuzzed certificates and samples, lone numbers at d = 1, a missing
     zeta, mu and value_weights among them, the row-wise readers give the
-    arrays of Certificate(theta, [ScenarioCertificate(...)]) and of
-    finite_vector, sample by sample."""
-    from mstat.cli import _portfolio_certificate
-
-    data, problem = case
-    inst = PortfolioInstance.from_dict(problem)
-    for (x, r), sample in zip(inst.samples, problem["samples"]):
-        assert x.tobytes() == finite_vector(sample["x"], "x", scalar=True).tobytes()
-        assert r.tobytes() == finite_vector(sample["r"], "r", scalar=True).tobytes()
-    _same_certificate(_portfolio_certificate(data, inst), _per_scenario_certificate(data, inst))
+    arrays of per_scenario_certificate and of finite_vector, sample by
+    sample."""
+    _same_reading(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +784,7 @@ def test_round_trip_and_csv(tmp_path):
     inst, _ = small_instance()
     again = PortfolioInstance.from_dict(inst.to_dict())
     assert np.allclose(again.sigma, inst.sigma)
-    assert all(np.allclose(a[1], b[1]) for a, b in zip(again.samples, inst.samples))
+    assert np.allclose(again.samples.y, inst.samples.y)
 
     csv_path = tmp_path / "samples.csv"
     csv_path.write_text("x_1,x_2,r_1,r_2\n1.0,0.5,0.2,0.1\n0.3,0.4,0.05,0.2\n")

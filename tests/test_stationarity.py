@@ -20,7 +20,6 @@ from mstat.stationarity import (
     LowerModel,
     ParameterSet,
     Problem,
-    ScenarioCertificate,
     UpperModel,
     _check_scenario,
     _simplex_checks,
@@ -356,14 +355,14 @@ def test_psi_set_generators():
 def test_upper_residual_cases():
     prob = tracking_problem([[1.0], [3.0]])
     theta = np.array([2.0])
-    scen = [ScenarioCertificate(z=[2.0], eta=[0.0]),
-            ScenarioCertificate(z=[2.0], eta=[0.0])]
+    scen = [{"z": [2.0], "eta": [0.0]},
+            {"z": [2.0], "eta": [0.0]}]
     cert = Certificate(theta=theta, scenarios=scen)
     # grad_theta L = 0 and eta = 0 everywhere
     assert upper_residual(prob, cert) <= 1e-12
     # one nonzero eta flows through hess_ztheta = -I with its weight
-    scen2 = [ScenarioCertificate(z=[2.0], eta=[0.8]),
-             ScenarioCertificate(z=[2.0], eta=[0.0])]
+    scen2 = [{"z": [2.0], "eta": [0.8]},
+             {"z": [2.0], "eta": [0.0]}]
     cert2 = Certificate(theta=theta, scenarios=scen2)
     assert abs(upper_residual(prob, cert2) - 0.5 * 0.8) < 1e-12
 
@@ -380,8 +379,7 @@ def stationary_tracking_certificate(theta):
     certs = []
     for y in (theta[0] + delta, theta[0] - delta):
         eta = np.array([y - theta[0]])
-        certs.append(ScenarioCertificate(z=np.array([theta[0]]), eta=eta,
-                                         zeta=np.zeros(1)))
+        certs.append({"z": np.array([theta[0]]), "eta": eta, "zeta": np.zeros(1)})
     return prob, Certificate(theta=theta, scenarios=certs)
 
 
@@ -524,7 +522,7 @@ def test_penalized_verify_makes_one_solver_call(monkeypatch):
     prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(), x=[[0.0], [1.0], [2.0]],
                    y=[0.0] * 3, weights=[0.25, 0.25, 0.5])
     cert = Certificate(theta=np.zeros(1), scenarios=[
-        ScenarioCertificate(z=[1.0], eta=[0.0], zeta=[0.0], mu=1.0) for _ in range(3)])
+        {"z": [1.0], "eta": [0.0], "zeta": [0.0], "mu": 1.0} for _ in range(3)])
     grid = grid_solver([[v] for v in np.linspace(-2.0, 2.0, 17)])
     asked, calls = [], []
     value_function_of = ST.value_function
@@ -542,7 +540,7 @@ def test_penalized_verify_makes_one_solver_call(monkeypatch):
 def test_penalized_zero_mu_reduces_to_convex():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
-    pen_scen = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=0.0)
+    pen_scen = [{"z": z, "eta": eta, "zeta": zeta, "mu": 0.0}
                 for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     pen_cert = Certificate(theta=theta, scenarios=pen_scen)
     rep_pen = verify_certificate_penalized(prob, pen_cert, tol=1e-8)
@@ -554,12 +552,12 @@ def test_penalized_zero_mu_reduces_to_convex():
 def test_penalized_requires_solver_for_positive_mu():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
-    pen_scen = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=1.0)
+    pen_scen = [{"z": z, "eta": eta, "zeta": zeta, "mu": 1.0}
                 for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     with pytest.raises(ValueError):
         verify_certificate_penalized(prob, Certificate(theta=theta,
                                                        scenarios=pen_scen))
-    neg = [ScenarioCertificate(z=z, eta=eta, zeta=zeta, mu=-0.5)
+    neg = [{"z": z, "eta": eta, "zeta": zeta, "mu": -0.5}
            for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)]
     with pytest.raises(ValueError):
         verify_certificate_penalized(prob, Certificate(theta=theta, scenarios=neg))
@@ -599,22 +597,21 @@ def test_penalized_boundary_case_with_adjusted_zeta():
     z = np.zeros(1)
     g = lower.grad_z(z, theta, None)              # 0.8 > 0: bound multiplier row
     cert_plain = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=z, eta=np.zeros(1), zeta=-upper.grad_z(z, None, y, theta))])
+        {"z": z, "eta": np.zeros(1), "zeta": -upper.grad_z(z, None, y, theta)}])
     assert verify_certificate(prob, cert_plain).passed
 
     solver = projected_gradient_solver(n_starts=4, seed=0)
     mu = 1.0
     zeta_pen = -(upper.grad_z(z, None, y, theta) + mu * g)
     cert_pen = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=z, eta=np.zeros(1), zeta=zeta_pen, mu=mu)])
+        {"z": z, "eta": np.zeros(1), "zeta": zeta_pen, "mu": mu}])
     rep = verify_certificate_penalized(prob, cert_pen, solver=solver)
     assert rep.passed, rep.to_dict()
     assert rep.columns.value_gap[0] is not None
     assert abs(rep.columns.value_gap[0]) <= 1e-9
     # reusing the unshifted zeta leaves a residual of exactly mu * |g|
     cert_stale = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=z, eta=np.zeros(1),
-                            zeta=-upper.grad_z(z, None, y, theta), mu=mu)])
+        {"z": z, "eta": np.zeros(1), "zeta": -upper.grad_z(z, None, y, theta), "mu": mu}])
     rep_stale = verify_certificate_penalized(prob, cert_stale, solver=solver)
     assert not rep_stale.passed
     assert abs(rep_stale.columns.m_residual[0] - mu * abs(g[0])) < 1e-12
@@ -665,8 +662,7 @@ def test_penalized_flags_value_gap():
     prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(), x=np.zeros((1, 1)), y=[0.0],
                    weights=[1.0])
     cert = Certificate(theta=np.zeros(1), scenarios=[
-        ScenarioCertificate(z=np.zeros(1), eta=np.zeros(1), zeta=np.zeros(1),
-                            mu=0.0)])
+        {"z": np.zeros(1), "eta": np.zeros(1), "zeta": np.zeros(1), "mu": 0.0}])
     solver = grid_solver([[v] for v in np.linspace(-2.0, 2.0, 17)])
     rep = verify_certificate_penalized(prob, cert, solver=solver)
     assert not rep.passed
@@ -694,7 +690,7 @@ def test_upper_residual_matches_finite_difference_of_composed_value():
     z = value_function(lower, theta, [None], [theta], solver)[0].argmin_points[0]
     eta = y - z
     cert = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=z, eta=eta, zeta=np.zeros(1))])
+        {"z": z, "eta": eta, "zeta": np.zeros(1)}])
     resid = upper_residual(prob, cert)
 
     def V(t):
@@ -772,7 +768,7 @@ def test_scenario_line_and_upper_generators_agree_with_the_verifier():
     theta = np.array([1.25])
     prob, cert = stationary_tracking_certificate(theta)
     bad = Certificate(theta=theta + 0.1, scenarios=[
-        ScenarioCertificate(z=z, eta=eta + 0.2, zeta=zeta + 0.3)
+        {"z": z, "eta": eta + 0.2, "zeta": zeta + 0.3}
         for z, eta, zeta in zip(cert.z, cert.eta, cert.zeta)])
     rep = verify_certificate(prob, bad)
     gens = psi_set(prob.lower, prob.upper, bad.theta, np.zeros(1), None, bad.z, bad.eta)
@@ -791,7 +787,7 @@ def test_certificates_reject_non_finite_and_mis_shaped_entries():
                {"mu": [1.0, 2.0]}, {"value_weights": [nan]}, {"z": [[1.0], [2.0]]},
                {"z": None}, {"eta": {}}):
         with pytest.raises(ValueError):
-            ScenarioCertificate(**{"z": [1.0], "eta": [0.0], **kw})
+            Certificate(theta=[0.0], scenarios=[{"z": [1.0], "eta": [0.0], **kw}])
     for theta in ([nan], [[1.0, np.inf]], None):
         with pytest.raises(ValueError):
             Certificate(theta=theta, scenarios=[])
@@ -888,9 +884,9 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
         ys = rng.normal(size=(n, d))
         certs = []
         for k in range(n):
-            zeta = pick(rng.choice([1.0, -0.7]), d) if rng.random() < 0.6 else None
-            certs.append(ScenarioCertificate(z=z[k], eta=pick(rng.choice([1.0, -0.4]), d),
-                                             zeta=zeta, mu=float(rng.choice([0.0, 0.5, 2.0]))))
+            zeta = {"zeta": pick(rng.choice([1.0, -0.7]), d)} if rng.random() < 0.6 else {}
+            certs.append({"z": z[k], "eta": pick(rng.choice([1.0, -0.4]), d), **zeta,
+                          "mu": float(rng.choice([0.0, 0.5, 2.0]))})
         solver = grid_solver([np.zeros(d), np.full(d, 0.5)])
         upper = TrackingUpper(d, 1)
         problems = [Problem(lower=ContextLinearLower(C, q, fs), upper=upper, x=x, y=ys,
@@ -899,14 +895,14 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
                                FeasibleSet.polyhedron(orthant_polyhedron(d)))]
         penalized = Certificate(theta=np.zeros(1), scenarios=certs)
         convex = Certificate(theta=np.zeros(1), scenarios=[
-            ScenarioCertificate(z=c.z, eta=c.eta, zeta=c.zeta) for c in certs])
+            {key: v for key, v in c.items() if key != "mu"} for c in certs])
         runs = [[verify_certificate(p, convex) for p in problems],
                 [verify_certificate_penalized(p, penalized, solver=solver) for p in problems]]
         for report in runs[0] + runs[1]:
             text = _json_text({**report.summary(), "scenarios": report.columns})
             assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        entries = np.hstack([z, g] + [[c.eta for c in certs]]
-                            + [[c.zeta if c.zeta is not None else np.zeros(d) for c in certs]])
+        entries = np.hstack([z, g] + [[c["eta"] for c in certs]]
+                            + [[c.get("zeta", np.zeros(d)) for c in certs]])
         band = [bool(np.any((0 < np.abs(v)) & (np.abs(v) <= 10 * eps))) for v in entries]
         for row, col in runs:
             if not _close(row.upper_residual, col.upper_residual, 1e-12):
@@ -924,8 +920,8 @@ def test_orthant_row_pass_matches_the_polyhedral_route(rng):
                     compared += 1
                 if not same:
                     (in_band if band[k] else disagreements).append(
-                        (trial, row.mode, z[k].tolist(), g[k].tolist(), certs[k].zeta,
-                         certs[k].eta.tolist(), a["m_verdict"], b["m_verdict"]))
+                        (trial, row.mode, z[k].tolist(), g[k].tolist(), certs[k].get("zeta"),
+                         certs[k]["eta"].tolist(), a["m_verdict"], b["m_verdict"]))
             if row.passed != col.passed and not any(band):
                 disagreements.append(("pass", trial, row.mode))
     assert not disagreements, disagreements[:5]
@@ -946,7 +942,7 @@ def test_verify_on_a_polyhedron_with_no_rows_left():
     problem = tracking_problem(y, feasible=FeasibleSet.polyhedron(whole_line))
     theta = np.array([1.0])
     cert = Certificate(theta=theta, scenarios=[
-        ScenarioCertificate(z=theta, eta=np.array([yn]) - theta) for yn in y])
+        {"z": theta, "eta": np.array([yn]) - theta} for yn in y])
     report = verify_certificate(problem, cert)
     assert report.passed
     for rep in report.to_dict()["scenarios"]:
@@ -969,7 +965,7 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
                           upper=TrackingUpper(d, 1), x=gs, y=np.zeros((len(gs), d)),
                           weights=[0.2] * len(gs))
         cert = Certificate(theta=np.zeros(1), scenarios=[
-            ScenarioCertificate(z=z, eta=np.zeros(d)) for _ in gs])
+            {"z": z, "eta": np.zeros(d)} for _ in gs])
         report = verify_certificate(problem, cert)
         c = report.columns
         for low, gap, gk in zip(c.lower_residual, c.complementarity_gap,
