@@ -421,11 +421,22 @@ def cmd_newsvendor(args):
     return 0
 
 
+_GEN_DIMS = {"portfolio": ("dx,dz", [2, 2]), "newsvendor": ("dx", [1])}
+
+
 def cmd_gen(args):
     rng = np.random.default_rng(args.seed or 0)
-    dims = [int(v) for v in args.dims.split(",")] if args.dims else None
+    form, dims = _GEN_DIMS[args.kind]
+    if args.dims:
+        try:
+            dims = [int(v) for v in args.dims.split(",")]
+        except ValueError:
+            dims = []
+        if len(dims) != len(form.split(",")):
+            raise CliError("--dims of a %s must be '%s', one integer per dimension; got %r"
+                           % (args.kind, form, args.dims))
     if args.kind == "portfolio":
-        d_x, d_z = dims if dims else (2, 2)
+        d_x, d_z = dims
         if args.n < 1 or d_x < 1 or d_z < 1:
             raise CliError("invalid dimensions")
         theta0 = rng.uniform(0.05, 0.3, (d_x, d_z))
@@ -441,8 +452,8 @@ def cmd_gen(args):
         data = inst.to_dict()
         data["theta0"] = theta0.tolist()
         data["realizable"] = bool(args.noise == 0)
-    elif args.kind == "newsvendor":
-        d_x = dims[0] if dims else 1
+    else:
+        d_x, = dims
         if args.n < 1 or d_x < 1:
             raise CliError("invalid dimensions")
         xs = rng.uniform(-1.0, 1.0, (args.n, d_x))
@@ -450,8 +461,6 @@ def cmd_gen(args):
         pts = [(x.tolist(), float(y)) for x, y in zip(xs, ys)]
         inst = NV.NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
         data = inst.to_dict()
-    else:
-        raise CliError("unknown generator kind %r" % args.kind)
     _write_json(data, args.out, not args.out)
     return 0
 

@@ -423,7 +423,8 @@ class _WitnessRows:
     reason[j] indexes reasons with row j's empty-coderivative reason, or is
     -1; member[j] is the verdict where it is -1, False elsewhere. key_set[j]
     indexes KEY_SETS with the keys of row j's witness, in order, and values
-    reads a key's entries on any rows. Indexing gives row j's witness, so the
+    reads a key's entries on any rows; KEY_SETS[0] is ("reason",), the
+    witness of an empty coderivative. Indexing gives row j's witness, so the
     rows stand in for a list of witness dicts.
     """
 
@@ -462,17 +463,26 @@ class _WitnessRows:
         verdict = _VERDICTS[2 if self.reason[j] >= 0 else 0 if ok else 1]
         return Membership(ok, verdict, self.method, self[j])
 
+    def refuse(self, rows, reason):
+        """These rows with each one flagged in rows given an empty
+        coderivative for reason, whose witness is {"reason"}."""
+        return replace(self, reason=np.where(rows, len(self.reasons), self.reason),
+                       member=self.member & ~rows, key_set=np.where(rows, 0, self.key_set),
+                       reasons=self.reasons + (reason,))
+
 
 @dataclass(frozen=True)
 class OrthantRows(_WitnessRows):
     """Orthant coderivative verdicts of k points as _WitnessRows. L, I_plus
     and I_zero are the (k, d) coordinate masks and ambiguous marks the zeta
-    entries with 0 < |zeta_i| < STRICT_EPS. A row off the graph has the
-    witness {"reason"}, any other its four coordinate lists.
+    entries with 0 < |zeta_i| < STRICT_EPS. key_set is 0 on a row off the
+    graph, whose witness is {"reason"}, and 1 on any other, whose witness is
+    its four coordinate lists.
     """
 
     reason: np.ndarray
     member: np.ndarray
+    key_set: np.ndarray
     L: np.ndarray
     I_plus: np.ndarray
     I_zero: np.ndarray
@@ -480,10 +490,6 @@ class OrthantRows(_WitnessRows):
     reasons: tuple = _ORTHANT_REASONS
     method = "orthant"
     KEY_SETS = (("reason",), ("L", "I_plus", "I_zero", "boundary_ambiguous"))
-
-    @property
-    def key_set(self):
-        return (self.reason < 0).astype(int)
 
 
 _SIMPLEX_BASE = ("L", "sum_gap", "sum_near_threshold", "boundary_ambiguous")
@@ -521,13 +527,6 @@ class SimplexRows(_WitnessRows):
                 _SIMPLEX_BASE + ("tau", "beta"),
                 _SIMPLEX_BASE + ("tau", "beta", "degenerate_support"))
 
-    def refuse(self, rows, reason):
-        """These rows with each one flagged in rows given an empty
-        coderivative for reason."""
-        return replace(self, reason=np.where(rows, len(self.reasons), self.reason),
-                       member=self.member & ~rows, key_set=np.where(rows, 0, self.key_set),
-                       reasons=self.reasons + (reason,))
-
 
 def _orthant_rows(z, g, zeta, eta, eps):
     """Orthant coderivative membership of k points at once, one per row.
@@ -548,7 +547,7 @@ def _orthant_rows(z, g, zeta, eta, eps):
     I_zero = ~L & ~I_plus
     member = _sign_ok(zeta, eta, L, I_plus, eps).all(axis=1) & (reason < 0)
     ambiguous = (zeta != 0.0) & (np.abs(zeta) < STRICT_EPS)
-    return OrthantRows(reason, member, L, I_plus, I_zero, ambiguous)
+    return OrthantRows(reason, member, (reason < 0).astype(int), L, I_plus, I_zero, ambiguous)
 
 
 def orthant_membership(z, g, pair, eps=DEFAULT_EPS):

@@ -38,6 +38,7 @@ from .stationarity import (
     Problem,
     ScenarioTerms,
     UpperModel,
+    _simplex_projection_rows,
 )
 
 __all__ = [
@@ -251,7 +252,8 @@ _RETURNS_ERROR = ("predicted returns are not finite or exceed %g in magnitude"
 
 
 def _start_rows(R, sigma, lam):
-    """The simplex projection of Sigma^{-1} r / lam for each row r of R.
+    """The simplex projection (_simplex_projection_rows) of
+    Sigma^{-1} r / lam for each row r of R.
 
     A row whose returns are not finite or exceed _TERM_BOUND raises
     ValueError, and so does one whose Sigma^{-1} r / lam has an entry of
@@ -270,20 +272,7 @@ def _start_rows(R, sigma, lam):
         raise ValueError(_RETURNS_ERROR if big[bad[0]] else
                          "the unconstrained optimum Sigma^-1 r / lambda has an entry "
                          "of magnitude 2^52 or more")
-    Y = scaled / lam
-    P = np.maximum(Y, 0.0)
-    over = np.flatnonzero(~(P.sum(axis=1) <= 1.0))
-    if len(over):
-        # Row by row: u = sort(y) descending, rho the last index with
-        # u_rho > (u_0 + ... + u_rho - 1) / (rho + 1), and the shift that sum.
-        d = R.shape[1]
-        U = np.sort(Y[over], axis=1)[:, ::-1]
-        css = np.cumsum(U, axis=1) - 1.0
-        hit = U - css / np.arange(1, d + 1) > 0
-        rho = d - 1 - np.argmax(hit[:, ::-1], axis=1)
-        shift = css[np.arange(len(over)), rho] / (rho + 1.0)
-        P[over] = np.maximum(Y[over] - shift[:, None], 0.0)
-    return P
+    return _simplex_projection_rows(scaled / lam)
 
 
 def _margins(Z, mu, taus, mask, budget):

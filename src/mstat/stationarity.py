@@ -16,7 +16,7 @@ gradients over the solution set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import contains
 
@@ -28,16 +28,13 @@ from .cones import (
     STRICT_EPS,
     CombinatorialLimitError,
     Polyhedron,
-    active_rows,
     active_set,
     cone_residual,
-    distance_to_normal_cone,
     multiplier_within_support,
     orthant_polyhedron,
     simplex_polyhedron,
 )
 from .graph_normals import (
-    _ORTHANT_REASONS,
     GraphPoint,
     NormalPair,
     _empty,
@@ -122,14 +119,36 @@ class FeasibleSet:
         if self.kind == "box":
             return np.clip(y, self.lo, self.hi)
         if self.kind == "simplex":
-            p = np.maximum(y, 0.0)
-            if p.sum() <= 1.0:
-                return p
-            u = np.sort(y)[::-1]
-            css = np.cumsum(u) - 1.0
-            rho = np.max(np.flatnonzero(u - css / np.arange(1, len(y) + 1) > 0))
-            return np.maximum(y - css[rho] / (rho + 1.0), 0.0)
+            return _simplex_projection_rows(y[None])[0]
         raise NotImplementedError("no projection for general polyhedra")
+
+
+def _simplex_projection_rows(Y):
+    """The Euclidean projection of each row of Y onto {z >= 0, 1^T z <= 1}.
+
+    A row whose positive part sums to at most 1 projects to that part. Any
+    other row y, a NaN sum included, is shifted by the sort-and-cumsum rule:
+    u = sort(y) descending, rho the last index with
+    u_rho > (u_0 + ... + u_rho - 1) / (rho + 1), and the shift that quotient.
+    Only a row sum, sort, cumsum and elementwise operations act across a
+    row, so each row gets the same bits in any stack. A row where no index
+    passes (a NaN, or an entry so large that u_0 - 1 rounds to u_0) raises
+    ValueError.
+    """
+    P = np.maximum(Y, 0.0)
+    over = np.flatnonzero(~(P.sum(axis=1) <= 1.0))
+    if len(over):
+        d = Y.shape[1]
+        U = np.sort(Y[over], axis=1)[:, ::-1]
+        css = np.cumsum(U, axis=1) - 1.0
+        hit = U - css / np.arange(1, d + 1) > 0
+        if not hit.any(axis=1).all():
+            raise ValueError("the simplex projection finds no support: a row holds a NaN "
+                             "or an entry of magnitude 2^53 or more")
+        rho = d - 1 - np.argmax(hit[:, ::-1], axis=1)
+        shift = css[np.arange(len(over)), rho] / (rho + 1.0)
+        P[over] = np.maximum(Y[over] - shift[:, None], 0.0)
+    return P
 
 
 @dataclass(frozen=True)
@@ -496,18 +515,16 @@ def gradient_selftest(model, theta, x, points):
 
 def lower_residual(model, theta, x, z):
     """dist(-grad_z c(z), N_Z(z)): zero exactly at lower-level stationary
-    points. On a simplex it is the closed form that verify reports, bit for
-    bit; elsewhere the NNLS distance. An infeasible z raises
-    InfeasiblePointError."""
+    points. It is the one-row call of the scenario checks that verify runs,
+    so it returns the float that verify reports, bit for bit, on every kind
+    of set: the closed forms on the orthant and the simplex, the NNLS
+    distance on any other polyhedron. An infeasible z raises
+    InfeasiblePointError, naming the row it violates most."""
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     z = np.asarray(z, dtype=float)
     feasible = model.feasible_set
-    poly = feasible.as_polyhedron()
-    if feasible.kind != "simplex":
-        return distance_to_normal_cone(poly, z, -g)
-    active = np.zeros((1, poly.m), dtype=bool)
-    active[0, list(active_set(poly, z, DEFAULT_EPS))] = True
-    return float(_simplex_residual_rows(-g[None], active)[1][0])
+    active_set(feasible.as_polyhedron(), z, DEFAULT_EPS)     # raises for an infeasible z
+    return _scenario_checks(feasible, z[None], g[None])[0][0]
 
 
 def _probe_and_gap(r_lo, r_hi, zeta, given):
@@ -662,105 +679,85 @@ def _complementarity_gaps(poly, target, slack, active, low_res, resids):
     return gaps
 
 
-def _check_scenario(poly, z, g):
-    """One scenario's (lower_residual, complementarity_gap) on a general
-    polyhedron: the lower residual by NNLS and the gap by
-    _complementarity_gaps at the NNLS point; None when z is infeasible.
+def _scenario_checks(feasible, z, g):
+    """Each scenario's (lower_residual, complementarity_gap), or None where
+    its point is infeasible, for the (k, d) rows z and g on the set feasible.
 
-    One slack vector b - A z gives the feasibility test, the active set and
-    the gap; the residual and the multiplier use that active set.
+    One stacked product gives every slack vector b - A z, each with the bits
+    of poly.slacks. A row is infeasible where a slack is below -eps and
+    active where |slack| <= eps, as active_rows reads them (its Python min
+    could differ only at a NaN slack). The lower residual
+    dist(-g, N_Z(z)) is the one fork: one _simplex_residual_rows pass on the
+    simplex, one NNLS per row on any other polyhedron. Every gap comes from
+    one _complementarity_gaps call on the feasible rows.
+
+    On the simplex the LP skip tries phase1_bound at two explicit points:
+    the closed form's (tau, mu) and (0, max(-u, 0)), with u = -g and mu on
+    the pinned coordinates. At a stationary point with a vanishing budget
+    multiplier the closed form's tau is rounding noise, which can flip the
+    sign of a residual entry against a target entry that is itself at
+    rounding level; tau = 0 leaves that entry's residual exactly -u_i, as
+    the NNLS does when the budget column's gradient is below its tolerance.
+
+    The orthant R_+^d needs no product: z is its slack vector, and the
+    distance separates by coordinate, |g_i| where z_i > eps and max(0, -g_i)
+    where z_i is at the bound. Its graph-point check already bounds
+    |z_i g_i| by eps, so it reports no gap.
     """
-    slack = poly.slacks(z)
-    try:
-        I = list(active_rows(poly, slack, DEFAULT_EPS))
-        resid = cone_residual(-g, poly.A[I])
-    except ValueError:
-        return None
-    active = np.zeros((1, poly.m), dtype=bool)
-    active[0, I] = True
-    low_res = float(np.linalg.norm(resid))
-    return low_res, _complementarity_gaps(poly, -g[None], slack[None], active,
-                                          np.array([low_res]), (resid[None],))[0]
-
-
-def _simplex_checks(poly, z, g):
-    """_check_scenario for k scenarios on the simplex, by rows. One stacked
-    product gives every slack vector b - A z, each with the bits of
-    poly.slacks. A row is infeasible where a slack is below -eps and active
-    where |slack| <= eps, as active_rows reads them: its Python min could
-    differ only at a NaN first slack, and that slack is z_0, finite. Every
-    lower residual comes from one _simplex_residual_rows pass instead of
-    NNLS, and every gap from one _complementarity_gaps call on the feasible
-    rows.
-
-    The LP skip tries phase1_bound at two explicit points: the closed form's
-    (tau, mu) and (0, max(-u, 0)), with u = -g and mu on the pinned
-    coordinates. At a stationary point with a vanishing budget multiplier
-    the closed form's tau is rounding noise, which can flip the sign of a
-    residual entry against a target entry that is itself at rounding
-    level; tau = 0 leaves that entry's residual exactly -u_i, as the NNLS
-    does when the budget column's gradient is below its tolerance.
-    """
-    slack = poly.b - np.matmul(poly.A, z[:, :, None])[:, :, 0]
-    feasible = np.flatnonzero(~np.any(slack < -DEFAULT_EPS, axis=1))
-    active = np.abs(slack[feasible]) <= DEFAULT_EPS
-    target, g = -g[feasible], g[feasible]
-    resid, low_res = _simplex_residual_rows(target, active)
-    at_zero = g - np.where(active[:, :-1], np.maximum(g, 0.0), 0.0)
+    eps = DEFAULT_EPS
+    poly = feasible.as_polyhedron()
+    orthant = feasible.kind == "orthant"
+    slack = z if orthant else poly.b - np.matmul(poly.A, z[:, :, None])[:, :, 0]
+    rows = np.flatnonzero(~np.any(slack < -eps, axis=1))
+    slack, target = slack[rows], -g[rows]
+    if orthant:
+        low_res = np.linalg.norm(np.where(slack > eps, np.abs(target),
+                                          np.maximum(0.0, target)), axis=1)
+        gaps = [None] * len(rows)
+    else:
+        active = np.abs(slack) <= eps
+        if feasible.kind == "simplex":
+            resid, low_res = _simplex_residual_rows(target, active)
+            resids = (resid, -target - np.where(active[:, :-1], np.maximum(-target, 0.0), 0.0))
+        else:
+            resid = np.array([cone_residual(t, poly.A[a]) for t, a in zip(target, active)])
+            resid = resid.reshape(target.shape)
+            low_res, resids = _row_norms(resid), (resid,)
+        gaps = _complementarity_gaps(poly, target, slack, active, low_res, resids)
     checks = [None] * len(z)
-    for n, low, gap in zip(feasible.tolist(), low_res.tolist(), _complementarity_gaps(
-            poly, target, slack[feasible], active, low_res, (resid, at_zero))):
-        checks[n] = low, gap
+    for n, check in zip(rows.tolist(), zip(low_res.tolist(), gaps)):
+        checks[n] = check
     return checks
 
 
-def _orthant_route(z, g, probe, eta):
-    """The scenarios on Z = R_+^d, from one pass over (k, d) rows: their
-    memberships, verdicts, witnesses, lower residuals and gaps.
+_WITNESS_ROWS = {"orthant": _orthant_rows, "simplex": _simplex_rows}
 
-    dist(-g, N_Z(z)) separates by coordinate: |g_i| where z_i > eps and
-    max(0, -g_i) where z_i is at the bound. The memberships come from one
-    _orthant_rows call, whose first reason, z < -eps, makes the scenario
-    infeasible. The graph-point check already bounds |z_i g_i| by eps, so no
-    complementarity gap is reported.
+
+def _route(feasible, z, g, probe, eta):
+    """The scenarios' memberships, verdicts, witnesses, lower residuals and
+    gaps, from one _scenario_checks call over the (k, d) rows.
+
+    The orthant and the simplex decide every membership in one
+    _orthant_rows or _simplex_rows pass, whose columns stay the witnesses;
+    any other set calls polyhedron_membership per feasible scenario. An
+    infeasible scenario reports an empty coderivative for that reason on
+    every set, with lower residual inf and no gap.
     """
-    eps = DEFAULT_EPS
-    rows = replace(_orthant_rows(z, g, probe, eta, eps),
-                   reasons=(_INFEASIBLE,) + _ORTHANT_REASONS[1:])
-    low_res = np.linalg.norm(np.where(z > eps, np.abs(g), np.maximum(0.0, -g)), axis=1)
-    return (rows.member, rows.verdicts(), rows,
-            np.where(rows.reason == 0, np.inf, low_res).tolist(), [None] * len(z))
-
-
-def _general_route(feasible, z, g, probe, eta):
-    """The scenarios on any other set, as _orthant_route gives them.
-
-    A simplex decides every membership in one _simplex_rows pass and every
-    lower residual in one _simplex_residual_rows pass (_simplex_checks), and
-    its witnesses stay the SimplexRows columns; any other set calls
-    polyhedron_membership and _check_scenario, with its NNLS residual, per
-    scenario. A scenario found infeasible reports an empty coderivative for
-    that reason, whatever the membership said.
-    """
-    poly = feasible.as_polyhedron()
-    if feasible.kind == "simplex":
-        checks = _simplex_checks(poly, z, g)
-        rows = _simplex_rows(z, g, probe, eta, DEFAULT_EPS)
-        infeasible = [check is None for check in checks]
+    checks = _scenario_checks(feasible, z, g)
+    low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
+    infeasible = [check is None for check in checks]
+    witness_rows = _WITNESS_ROWS.get(feasible.kind)
+    if witness_rows is not None:
+        rows = witness_rows(z, g, probe, eta, DEFAULT_EPS)
         if any(infeasible):
             rows = rows.refuse(np.array(infeasible), _INFEASIBLE)
-        member, verdicts, witness = rows.member, rows.verdicts(), rows
-    else:
-        members = [polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en),
-                                         DEFAULT_EPS)
-                   for zn, gn, pn, en in zip(z, g, probe, eta)]
-        checks = [_check_scenario(poly, zn, gn) for zn, gn in zip(z, g)]
-        members = [_empty(feasible.kind, _INFEASIBLE) if check is None else m
-                   for m, check in zip(members, checks)]
-        member = np.array([m.member for m in members])
-        verdicts, witness = [m.verdict for m in members], [m.witness for m in members]
-    low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
-    return member, verdicts, witness, low_res, comp_gap
+        return rows.member, rows.verdicts(), rows, low_res, comp_gap
+    poly = feasible.as_polyhedron()
+    members = [_empty(feasible.kind, _INFEASIBLE) if bad else
+               polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en), DEFAULT_EPS)
+               for bad, zn, gn, pn, en in zip(infeasible, z, g, probe, eta)]
+    return (np.array([m.member for m in members]), [m.verdict for m in members],
+            [m.witness for m in members], low_res, comp_gap)
 
 
 def _row_norms(a):
@@ -801,11 +798,10 @@ def _require_bounded_terms(terms, r_lo, r_hi, probe):
 def _verify(problem, certificate, mode, tol, mus, solver):
     """The one verifier body behind both systems.
 
-    The scenario terms come from problem.scenario_terms. The set's kind
-    picks the route, _orthant_route or _general_route; either gives the
-    memberships, verdicts, witnesses, lower residuals and gaps, from which
-    the m_residuals and the report's ScenarioColumns are built here, once
-    for every route.
+    The scenario terms come from problem.scenario_terms. One _route call
+    gives the memberships, verdicts, witnesses, lower residuals and gaps on
+    any set, from which the m_residuals and the report's ScenarioColumns
+    are built here.
     Activity and sign tests use DEFAULT_EPS and STRICT_EPS, and value gaps
     are held to DEFAULT_VALUE_TOL. The penalized system is the convex one
     plus, in each scenario, mu_n g_n on the coderivative line and
@@ -823,11 +819,8 @@ def _verify(problem, certificate, mode, tol, mus, solver):
         r_lo, r_hi = r_lo + pull, r_hi + pull
     probe, gap = _probe_and_gap(r_lo, r_hi, certificate.zeta, given[:, None])
     _require_bounded_terms(terms, r_lo, r_hi, probe)
-    if lower.feasible_set.kind == "orthant":
-        route = _orthant_route(z, terms.g, probe, eta)
-    else:
-        route = _general_route(lower.feasible_set, z, terms.g, probe, eta)
-    member, verdicts, witness, low_res, comp_gap = route
+    member, verdicts, witness, low_res, comp_gap = _route(lower.feasible_set, z, terms.g,
+                                                         probe, eta)
     empty = np.array([v == "empty_coderivative" for v in verdicts])
     columns = ScenarioColumns(
         lower_residual=low_res, m_membership=member.tolist(), m_verdict=verdicts,

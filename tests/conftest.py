@@ -872,10 +872,11 @@ def complementarity_residual(decomp, poly, z):
 
 
 def check_scenario_lp(poly, z, g):
-    """stationarity._check_scenario without its skip on exactly zero active
-    slacks: the complementarity LP runs whenever the residual is within
-    twice its feasibility threshold. Kept verbatim as the reference the
-    skipping route must match in both entries."""
+    """One scenario of stationarity._scenario_checks on a general polyhedron
+    without its skip on exactly zero active slacks: the complementarity LP
+    runs whenever the residual is within twice its feasibility threshold.
+    Kept verbatim as the reference the skipping route must match in both
+    entries."""
     target = -g
     slack = poly.slacks(z)
     try:

@@ -1702,6 +1702,25 @@ def test_gen_noise_must_be_finite_and_nonnegative(kind, capsys):
         assert (code, out) == (1, "") and "--noise" in err, bad
 
 
+@pytest.mark.parametrize("kind, form, good, bads", [
+    ("portfolio", "'dx,dz'", "3,2", ("3", "2,3,4", "2,x", "2.5,3", "2,", ",")),
+    ("newsvendor", "'dx'", "2", ("2,3", "1.5", "x", "2,")),
+])
+def test_gen_dims_need_one_integer_per_dimension(kind, form, good, bads, capsys):
+    """--dims of gen holds one integer per dimension of its kind: 'dx,dz'
+    for a portfolio, 'dx' for a newsvendor. A wrong count or an entry that
+    is not an integer is an input error naming that form, never a dropped
+    entry nor an internal message."""
+    code, out, _ = run(capsys, "gen", kind, "--n", "3", "--dims", good)
+    data = json.loads(out)
+    assert code == 0 and len(data["samples"][0]["x"]) == int(good.split(",")[0])
+    if kind == "portfolio":
+        assert np.shape(data["theta0"]) == (3, 2)
+    for bad in bads:
+        code, out, err = run(capsys, "gen", kind, "--n", "3", "--dims", bad)
+        assert (code, out) == (1, "") and form in err and repr(bad) in err, bad
+
+
 def test_search_steps_must_be_a_nonnegative_integer(capsys):
     """--steps of spo-portfolio search is an integer >= 0: 0 reports the
     objective of the start, and a negative or fractional count is a usage

@@ -1,16 +1,21 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_residual,
                       count_lps, count_nnls, grid_solver, m_stationarity_check, nnamcq_oracle,
-                      normal_cone_multiplier, projected_gradient_solver, psi_set,
+                      normal_cone_multiplier, polyhedron_contains,
+                      projected_gradient_solver, psi_set,
                       random_polyhedral_graph_point, random_simplex_graph_point)
 from mstat.cli import _json_text
-from mstat.cones import (CombinatorialLimitError, Polyhedron, active_rows, cone_distance,
-                         distance_to_normal_cone, multiplier_within_support,
+from mstat import stationarity as ST
+from mstat.cones import (CombinatorialLimitError, InfeasiblePointError, Polyhedron, active_rows,
+                         cone_distance, distance_to_normal_cone, multiplier_within_support,
                          orthant_polyhedron, simplex_polyhedron)
 from mstat.graph_normals import make_graph_context
 from mstat.lp import feasibility_threshold
@@ -21,8 +26,7 @@ from mstat.stationarity import (
     ParameterSet,
     Problem,
     UpperModel,
-    _check_scenario,
-    _simplex_checks,
+    _scenario_checks,
     gradient_selftest,
     lower_residual,
     nnamcq_check,
@@ -132,6 +136,104 @@ def test_lower_residual_cases():
     assert abs(lower_residual(m, None, None, [0.0, 0.0]) - np.sqrt(2)) < 1e-12
     # interior non-stationary point: residual equals the gradient norm
     assert abs(lower_residual(m, None, None, [2.0, 1.0]) - 1.0) < 1e-12
+
+
+def test_simplex_projection_refuses_a_row_it_cannot_resolve():
+    """FeasibleSet.project on a simplex, one call of the row-wise
+    projection, finds no support for a NaN or an entry whose u - 1 rounds
+    to u, and says so; up to 2^53 it projects."""
+    simplex = FeasibleSet.simplex(2)
+    assert simplex.project([0.7, 0.7]).tolist() == [0.5, 0.5]
+    assert simplex.project([2.0 ** 53, 3.0]).tolist() == [1.0, 0.0]
+    for y in ([1e17, 0.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="finds no support"):
+            simplex.project(y)
+
+
+@st.composite
+def quadratic_scenarios(draw):
+    """A QuadraticLowerModel on an orthant, a simplex, a box or a general
+    polyhedron, with theta and 1 to 4 scenario points of that set. Each
+    point is pushed out of the set through one of its rows by 2e-9 or by 1
+    with probability 0.4, and so is infeasible beyond eps."""
+    kind = draw(st.sampled_from(("orthant", "simplex", "box", "polyhedron")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = int(rng.integers(1, 5))
+    if kind == "polyhedron":
+        poly, z0, _ = random_polyhedral_graph_point(rng, d_max=4, m_max=6)
+        fs, d = FeasibleSet.polyhedron(poly), poly.dim
+        point = lambda: z0 + rng.choice([0.0, 1e-10]) * rng.uniform(-1.0, 1.0, d)
+    elif kind == "box":
+        lo = rng.integers(-2, 1, d).astype(float)
+        hi = lo + rng.integers(0, 3, d)
+        fs = FeasibleSet.box(lo, hi)
+        point = lambda: np.choose(rng.integers(0, 3, d), [lo, hi, 0.5 * (lo + hi)])
+    elif kind == "orthant":
+        fs = FeasibleSet.orthant(d)
+        point = lambda: rng.choice([0.0, 0.0, 0.5, 2.0], d)
+    else:
+        fs = FeasibleSet.simplex(d)
+        point = lambda: random_simplex_graph_point(rng, d)[0]
+    poly = fs.as_polyhedron()
+    Z = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = point()
+        if rng.random() < 0.4:
+            i = int(rng.integers(poly.m))
+            a = poly.A[i]
+            z = z + (poly.slacks(z)[i] + rng.choice([2e-9, 1.0])) / (a @ a) * a
+        Z.append(z)
+    d_theta = int(rng.integers(1, 3))
+    B = rng.integers(-1, 2, (d, d)).astype(float)
+    model = QuadraticLowerModel(rng.choice([0.0, rng.uniform(0.1, 1.0)]) * B @ B.T,
+                                rng.integers(-2, 3, (d, d_theta)).astype(float), fs)
+    return model, rng.uniform(-2.0, 2.0, d_theta), Z
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_scenarios())
+def test_lower_residual_is_the_column_that_verify_reports(case):
+    """On every kind of set lower_residual returns the lower_residual column
+    of verify_certificate, compared by repr, within 1e-12 of the NNLS
+    distance relative to max(1, value). A point outside the set by more
+    than eps (poly.slacks) raises InfeasiblePointError where verify reports
+    inf, verdict empty_coderivative and the reason "infeasible scenario
+    point". On the box and polyhedron route verify calls
+    polyhedron_membership once per feasible scenario and never for an
+    infeasible one; the orthant and the simplex never call it."""
+    model, theta, Z = case
+    fs, n = model.feasible_set, len(Z)
+    poly = fs.as_polyhedron()
+    problem = Problem(lower=model, upper=TrackingUpper(fs.dim, len(theta)),
+                      x=np.zeros((n, 1)), y=np.zeros((n, fs.dim)), weights=[1.0 / n] * n)
+    cert = Certificate(theta, [{"z": z.tolist(), "eta": [0.5] * fs.dim} for z in Z])
+    called = []
+    membership = ST.polyhedron_membership
+
+    def spy(poly, gp, pair, eps, context=None):
+        called.append(gp.z)
+        return membership(poly, gp, pair, eps, context)
+
+    with mock.patch.object(ST, "polyhedron_membership", spy):
+        columns = verify_certificate(problem, cert).columns
+    feasible = [polyhedron_contains(poly, z) for z in Z]
+    if fs.kind in ("box", "polyhedron"):
+        assert len(called) == sum(feasible)
+        assert all(polyhedron_contains(poly, z) for z in called)
+    else:
+        assert called == []
+    for k, (z, inside) in enumerate(zip(Z, feasible)):
+        if not inside:
+            with pytest.raises(InfeasiblePointError):
+                lower_residual(model, theta, None, z)
+            assert columns.lower_residual[k] == np.inf
+            assert columns.m_verdict[k] == "empty_coderivative"
+            assert columns.witness_of(k) == {"reason": "infeasible scenario point"}
+            continue
+        got = lower_residual(model, theta, None, z)
+        assert repr(got) == repr(columns.lower_residual[k])
+        nnls = distance_to_normal_cone(poly, z, -model.grad_z(z, theta, None))
+        assert abs(got - nnls) <= 1e-12 * max(1.0, nnls)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +1110,8 @@ def _skip_cases(rng):
 
 
 def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
-    """_check_scenario equals check_scenario_lp, the reference route that
+    """_scenario_checks on a general polyhedron, one row at a time, equals
+    check_scenario_lp, the reference route that
     runs the complementarity LP whenever the residual is within twice its
     threshold, in both entries and every bit. Where it runs no LP but the
     reference route would, every active slack is exactly 0 and the LP finds
@@ -1019,7 +1122,7 @@ def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
         before = len(calls)
         want = check_scenario_lp(poly, z, g)
         reference_lps = len(calls) - before
-        got = _check_scenario(poly, z, g)
+        got = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], g[None])[0]
         lps = len(calls) - before - reference_lps
         assert repr(got) == repr(want), (poly.A, poly.b, z, g)
         if want is None or want[1] is None:
@@ -1040,8 +1143,9 @@ def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
 
 def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
     """On the simplex cases of _skip_cases and the simplex cases below,
-    stacked by dimension, _simplex_checks and its closed-form residuals
-    give the gaps of _check_scenario and its NNLS residuals bit for bit,
+    stacked by dimension, _scenario_checks on FeasibleSet.simplex(d), with
+    its closed-form residuals, gives the gaps of the NNLS route (the same
+    call on FeasibleSet.polyhedron(simplex_polyhedron(d))) bit for bit,
     with no NNLS solve and no more LPs, and lower residuals within 1e-15 of
     them relative to max(1, value). It may skip an LP that the NNLS route
     runs: its second phase1_bound point, tau = 0, is the one that
@@ -1068,9 +1172,9 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
     for d, (Z, G) in stacks.items():
         poly = simplex_polyhedron(d)
         before = len(lps), len(nnls)
-        got = _simplex_checks(poly, np.array(Z), np.array(G))
+        got = _scenario_checks(FeasibleSet.simplex(d), np.array(Z), np.array(G))
         closed = len(lps) - before[0], len(nnls) - before[1]
-        want = [_check_scenario(poly, z, g) for z, g in zip(Z, G)]
+        want = _scenario_checks(FeasibleSet.polyhedron(poly), np.array(Z), np.array(G))
         assert closed[1] == 0 and len(nnls) > before[1]
         assert closed[0] <= len(lps) - before[0] - closed[0]
         assert None in want and any(w is not None for w in want)
@@ -1103,5 +1207,5 @@ def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, m
     assert np.sqrt(len(z)) * cone_distance(target, poly.A[list(I)]) <= 0.5 * threshold
     assert multiplier_within_support(poly, target, I) is None
     calls = count_lps(monkeypatch)
-    _, comp_gap = _check_scenario(poly, z, -target)
+    _, comp_gap = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], -target[None])[0]
     assert comp_gap is None and len(calls) == 1
