@@ -223,9 +223,12 @@ def _finite_array(value, name):
     """value as a float array of any shape whose entries are finite numbers;
     booleans, strings, objects and ragged nesting are a CliError."""
     try:
-        return GN.finite_vector(value, name, flat=True).reshape(np.shape(value))
-    except ValueError:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # an int beyond float range
+        array = None
+    if array is None or GN._holds_non_number(value) or not np.isfinite(array).all():
         raise CliError("%s must be an array of finite numbers" % name)
+    return array
 
 
 def _require(obj, keys, what):
@@ -583,6 +586,8 @@ def build_parser():
         description="Polyhedral coderivative calculus and stationarity "
                     "certificate verification")
     sp = ap.add_subparsers(dest="command", required=True)
+    # Each command's own parser, by name, for main().
+    ap.commands = sp.choices
 
     p = sp.add_parser("gph-normal", help="coderivative membership query")
     p.add_argument("--input", required=True)
@@ -643,10 +648,28 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
+def _parse(argv):
+    """build_parser().parse_args(argv), parsed by the named command's parser.
+
+    The top-level parser hands every argument after a command name to that
+    command's parser unchanged, so parsing them there gives the same
+    namespace without the top-level scan. With no command name first, or
+    with arguments that the command's parser leaves over, the top-level
+    parser parses, and every usage message keeps its bytes.
+    """
     ap = build_parser()
+    command = ap.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
+def main(argv=None):
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

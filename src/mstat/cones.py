@@ -84,17 +84,21 @@ class Polyhedron:
             raise ValueError("A and b shapes disagree: %s vs %s" % (A.shape, b.shape))
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("need at least one row and one column")
-        zero = np.all(A == 0.0, axis=1)
-        bad = zero & (b < 0)
-        if bad.any():
-            raise ValueError("zero row with negative bound at %s" % np.flatnonzero(bad).tolist())
-        drop = zero & (b >= 0)
-        if drop.any():
-            warnings.warn("dropping %d zero rows that never bind" % int(drop.sum()))
-        keep = ~drop
-        object.__setattr__(self, "A", _readonly(A[keep]))
-        object.__setattr__(self, "b", _readonly(b[keep]))
-        object.__setattr__(self, "row_index", _readonly(np.flatnonzero(keep), int))
+        keep = np.arange(len(A))
+        if not all(map(any, A.tolist())):
+            zero = np.all(A == 0.0, axis=1)
+            bad = zero & (b < 0)
+            if bad.any():
+                raise ValueError("zero row with negative bound at %s"
+                                 % np.flatnonzero(bad).tolist())
+            drop = zero & (b >= 0)
+            if drop.any():
+                warnings.warn("dropping %d zero rows that never bind" % int(drop.sum()))
+            keep = np.flatnonzero(~drop)
+            A, b = A[keep], b[keep]
+        object.__setattr__(self, "A", _readonly(A))
+        object.__setattr__(self, "b", _readonly(b))
+        object.__setattr__(self, "row_index", _readonly(keep, int))
 
     @property
     def m(self):

@@ -30,6 +30,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .cones import (
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
     "finite_vector", "finite_rows", "RaggedRowsError", "finite_number", "finite_weights",
-    "object_list", "Points", "read_points",
+    "object_list", "object_columns", "Columns", "Points", "read_points",
     "GraphContext", "make_graph_context",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
@@ -171,8 +172,30 @@ class Points:
     y: np.ndarray
 
 
+class Columns(NamedTuple):
+    """The x entries and the y entries of n points, one list each, not yet
+    read; read_points reads them as it reads the n pairs (x, y)."""
+
+    x: list
+    y: list
+
+
+def object_columns(objects, what, y_name="y"):
+    """The "x" and y_name entries of a list of JSON objects (object_list) as
+    Columns. A missing key raises the KeyError that reading the objects one
+    by one, x before y_name, raises first."""
+    objects = object_list(objects, what)
+    try:
+        return Columns([o["x"] for o in objects], [o[y_name] for o in objects])
+    except KeyError:
+        for o in objects:
+            o["x"], o[y_name]
+        raise
+
+
 def read_points(pairs, what, y_name="y", number=False):
-    """A non-empty sequence of (x, y) pairs as Points; Points pass unchanged.
+    """A non-empty sequence of (x, y) pairs, or Columns, as Points; Points
+    pass unchanged.
 
     x is a vector or one number. With number y is one number and Points.y
     has shape (n,); otherwise y is a vector or one number, and Points.y is
@@ -182,8 +205,8 @@ def read_points(pairs, what, y_name="y", number=False):
     """
     if type(pairs) is Points:
         return pairs
-    columns = [list(column) for column in zip(*pairs)]
-    if not columns:
+    columns = pairs if type(pairs) is Columns else [list(c) for c in zip(*pairs)]
+    if not columns or not columns[0]:
         raise ValueError("at least one %s required" % what)
     xs, ys = columns
     names = (what + " %d: x", what + " %d: " + y_name)

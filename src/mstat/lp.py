@@ -8,6 +8,19 @@ verification verdicts do not flip between runs. Distances to polyhedral
 cones are non-negative least-squares problems, solved by a deterministic
 Lawson-Hanson active-set method that skips its loop when one solve on every
 column is certified to be its answer.
+
+The phase-1 tableau is a list of rows of Python floats, built straight from
+A.tolist() and b.tolist(): the sign flips of rows with b_i < 0, the split of
+free columns and the artificial identity. At this size (at most a few dozen
+rows and columns) numpy's fixed cost per call outweighs the arithmetic. Each
+entry gets the floating-point operations that a numpy array tableau gives it,
+so the verdict and the witness keep their bits. Two reductions stay in numpy,
+because the array tableau sums in numpy's order: the column sums of the
+standard form, which give the reduced-cost row, and the sum of |b|, which
+gives the phase-1 objective's start and the feasibility threshold. numpy
+adds a 1-D array, and each column of a column-major matrix, pairwise, with
+eight running sums once there are eight terms; Python's sequential sum does
+not reproduce those bits.
 """
 
 from __future__ import annotations
@@ -58,16 +71,18 @@ def _bland_pivot(T, basis):
     the lowest index with negative reduced cost, leaving row breaks ratio
     ties by the lowest basic-variable index. Anti-cycling, hence finite.
     """
-    m = len(T) - 1
+    rhs = len(T[0]) - 1
     for _ in range(_MAX_PIVOTS):
-        col = next((j for j, c in enumerate(T[m][:-1]) if c < -_PIVOT_TOL), -1)
-        if col < 0:
+        # A negative right-hand side of the cost row enters no column.
+        col = next((j for j, c in enumerate(T[-1]) if c < -_PIVOT_TOL), rhs)
+        if col == rhs:
             return
+        # The cost row's own entry is negative, so it never leaves.
         ratios = [(r[-1] / r[col], basis[i], i)
-                  for i, r in enumerate(T[:m]) if r[col] > _PIVOT_TOL]
+                  for i, r in enumerate(T) if r[col] > _PIVOT_TOL]
         if not ratios:
             raise LPUnbounded("unbounded pivot column %d" % col)
-        best = min(r for r, _, _ in ratios)
+        best = min(ratios)[0]
         tol = _PIVOT_TOL * (1 + abs(best))
         _pivot(T, basis, min((var, i) for r, var, i in ratios if r <= best + tol)[1], col)
     raise LPLimitError("simplex iteration cap reached")
@@ -106,44 +121,63 @@ def phase1_bound(b, r):
     return np.sum(np.abs(t * b + (1.0 - t) * r), axis=-1)
 
 
-def _solve_standard(A, b):
-    """Some x >= 0 with A x = b, or None if there is none.
+def _solve_standard(A, b, free=()):
+    """Some x with A x = b and x_j >= 0 for every j not in free, or None.
 
-    Phase 1 minimizes the sum of artificial variables; afterwards the
-    artificials still basic are pivoted out where a real column allows it
-    (rows where none does are redundant), and x is read off the basis.
+    A is an (m, n) float array, b an (m,) one. The k-th free column j is
+    split into x_j - x_{n+k}, so the tableau solves the standard form
+    [A, -A_free] x' = b, x' >= 0. Phase 1 minimizes the sum of
+    artificial variables; afterwards the artificials still basic are pivoted
+    out where a real column allows it (rows where none does are redundant),
+    and x is read off the basis.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
     m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    if len(b) != m:
+        raise ValueError("A has %d rows but b has %d entries" % (m, len(b)))
+    rows, rhs = A.tolist(), b.tolist()
+    for i, v in enumerate(rhs):
+        if v < 0.0:
+            rows[i] = [-a for a in rows[i]]
+            rhs[i] = -v
+    if free:
+        rows = [r + [-r[j] for j in free] for r in rows]
+    width = n + len(free)
 
-    # The tableau [A I b] over the reduced-cost row [-1^T A 0 -1^T b], as
-    # Python floats: at this size numpy's per-row call overhead outweighs
-    # the arithmetic.
+    # The reduced-cost row [-1^T A' 0 -1^T b'] of the flipped standard form
+    # A', b'. numpy adds the columns of a column-major matrix pairwise and
+    # those of a row-major one row by row, so A' is laid out as
+    # np.hstack([A, -A_free]) lays it out: column-major when a column is free
+    # and A, of more than one column, is column-major (cone_coefficients
+    # passes its generators transposed), row-major otherwise. |b| has the
+    # entries of b'.
+    cols = np.array(rows).reshape(m, width)     # (0, width) when m = 0
+    if free and n > 1 and abs(A.strides[0]) < abs(A.strides[1]):
+        cols = np.asfortranarray(cols)
+    total = float(np.abs(b).sum())
     eye = [0.0] * m
-    T = [a + eye + [bi] for a, bi in zip(A.tolist(), b.tolist())]
+    T = [r + eye + [v] for r, v in zip(rows, rhs)]
     for i in range(m):
-        T[i][n + i] = 1.0
-    T.append((-A.sum(axis=0)).tolist() + eye + [float(-b.sum())])
-    basis = list(range(n, n + m))
+        T[i][width + i] = 1.0
+    T.append((-cols.sum(axis=0)).tolist() + eye + [-total])
+    basis = list(range(width, width + m))
     _bland_pivot(T, basis)
-    if -T[-1][-1] > feasibility_threshold(b):
+    if -T[-1][-1] > _FEAS_TOL * (1.0 + total):     # feasibility_threshold(b)
         return None
 
     for i in range(m):
-        if basis[i] >= n:
-            j = next((j for j, a in enumerate(T[i][:n]) if abs(a) > _PIVOT_TOL), -1)
+        if basis[i] >= width:
+            row = T[i]
+            j = next((j for j in range(width) if abs(row[j]) > _PIVOT_TOL), -1)
             if j >= 0:
                 _pivot(T, basis, i, j)
 
-    x = np.zeros(n)
+    x = [0.0] * width
     for i, var in enumerate(basis):
-        if var < n:
+        if var < width:
             x[var] = T[i][-1]
-    return x
+    for k, j in enumerate(free):
+        x[j] -= x[n + k]
+    return np.array(x[:n])
 
 
 def linear_feasible(A_eq, b_eq, nonneg=None):
@@ -153,19 +187,18 @@ def linear_feasible(A_eq, b_eq, nonneg=None):
     variables, which are split into positive and negative parts. With zero
     variables the system is feasible iff b_eq is (numerically) zero.
     """
-    A = np.atleast_2d(np.asarray(A_eq, dtype=float))
-    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    n = A.shape[1]
-    if n == 0:
+    A = np.asarray(A_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
+    if A.ndim < 2:
+        A = A.reshape(1, -1)
+    if b.ndim == 0:
+        b = b.reshape(1)
+    if A.shape[1] == 0:
         return np.zeros(0) if np.max(np.abs(b), initial=0.0) <= _FEAS_TOL else None
-    free = np.flatnonzero(np.zeros(n, dtype=bool) if nonneg is None
-                          else ~np.asarray(nonneg, dtype=bool))
-    x_std = _solve_standard(np.hstack([A, -A[:, free]]), b)
-    if x_std is None:
-        return None
-    x = x_std[:n]
-    x[free] -= x_std[n:]
-    return x
+    if nonneg is None:
+        return _solve_standard(A, b)
+    free = [j for j, keep in enumerate(np.asarray(nonneg, dtype=bool).tolist()) if not keep]
+    return _solve_standard(A, b, free)
 
 
 def _refined_lstsq(B, b):

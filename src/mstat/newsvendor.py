@@ -54,6 +54,7 @@ from .graph_normals import (
     finite_number,
     finite_vector,
     finite_weights,
+    object_columns,
     object_list,
     read_points,
 )
@@ -124,9 +125,9 @@ def _in_range(X):
 
 
 def _points(pairs, what):
-    """A non-empty sequence of (x, y) pairs as Points (read_points), each y
-    one number and every x coordinate of magnitude at most _POWER_BOUND;
-    what names one pair. Points pass unchanged."""
+    """A non-empty sequence of (x, y) pairs, or Columns, as Points
+    (read_points), each y one number and every x coordinate of magnitude at
+    most _POWER_BOUND; what names one pair. Points pass unchanged."""
     if type(pairs) is Points:
         return pairs
     points = read_points(pairs, what, number=True)
@@ -506,7 +507,8 @@ def empirical_regret(instance, model, leave_one_out=False):
 @dataclass
 class NewsvendorInstance:
     """Holding/backorder costs plus the (x_n, y_n) samples and kernel
-    centers, each held as Points (built by _points from (x, y) pairs)."""
+    centers, each held as Points (built by _points from (x, y) pairs or
+    Columns)."""
 
     h: float
     b: float
@@ -552,10 +554,10 @@ class NewsvendorInstance:
         for key in ("theta_bounds", "weights"):
             if key in d and d[key] is None:
                 raise ValueError("%s is null; leave the key out instead" % key)
-        centers = [(c["x"], c["y"]) for c in object_list(d["centers"], "center")]
+        centers = object_columns(d["centers"], "center")
         samples = object_list(d["samples"], "sample")
-        samples = centers if _same_points(samples, d["centers"]) else [
-            (s["x"], s["y"]) for s in samples]
+        samples = centers if _same_points(samples, d["centers"]) else object_columns(
+            samples, "sample")
         return cls(h=d["h"], b=d["b"], centers=centers, samples=samples,
                    theta_bounds=d.get("theta_bounds", (1e-3, 1e3)),
                    weights=d.get("weights"))

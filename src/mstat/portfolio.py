@@ -25,7 +25,7 @@ from .graph_normals import (
     _holds_non_number,
     finite_number,
     finite_weights,
-    object_list,
+    object_columns,
     read_points,
     simplex_membership,
 )
@@ -54,11 +54,11 @@ __all__ = [
 class PortfolioInstance:
     """Covariance, risk aversion and the (x_n, r_n) sample with weights.
 
-    The sample is given as (x, r) pairs and held as Points: x rows and r
-    rows (read_points). Every entry must be finite: sigma symmetric
-    positive definite, lambda positive, every x of one length, every r of
-    length d_z and the weights nonnegative, one per sample, summing to 1
-    within 1e-12. Anything else raises ValueError.
+    The sample is given as (x, r) pairs or as Columns, and held as Points:
+    x rows and r rows (read_points). Every entry must be finite: sigma
+    symmetric positive definite, lambda positive, every x of one length,
+    every r of length d_z and the weights nonnegative, one per sample,
+    summing to 1 within 1e-12. Anything else raises ValueError.
     """
 
     sigma: np.ndarray
@@ -112,7 +112,7 @@ class PortfolioInstance:
         explicit null is a ValueError."""
         if "weights" in d and d["weights"] is None:
             raise ValueError("weights is null; leave the key out instead")
-        samples = [(s["x"], s["r"]) for s in object_list(d["samples"], "sample")]
+        samples = object_columns(d["samples"], "sample", "r")
         return cls(sigma=d["sigma"], risk_aversion=d["lambda"],
                    samples=samples, weights=d.get("weights"))
 

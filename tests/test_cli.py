@@ -757,6 +757,30 @@ def test_unknown_flag_rejected(capsys):
                  "--nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["frobnicate", "--input", "q.json"],
+    ["verify", "--help"],
+    ["verify", "--problem", "p.json"],
+    ["gph-normal", "--input", "q.json", "--method", "magic"],
+    ["gph-normal", "--input", "q.json", "--tol", "-1"],
+    ["verify", "--problem", "p.json", "--certificate", "c.json", "stray"],
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_usage_errors_keep_their_bytes(argv, capsys):
+    """main(argv) exits with the code, and prints the stdout and stderr,
+    that the top-level parser's parse_args(argv) gives: a command's own
+    parser reports its own errors, and arguments that it leaves over are
+    reported by the top-level parser, as before."""
+    from mstat.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    want = (0 if exc.value.code in (0, None) else 1, *capsys.readouterr())
+    assert want[1] or want[2]
+    assert run(capsys, *argv) == want
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--problem", str(tmp_path / "nope.json"),
                        "--certificate", str(tmp_path / "nope2.json"))

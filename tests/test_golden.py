@@ -53,6 +53,16 @@ both modes and in text. Only their lower_residual values changed, each by
 at most 7.1e-17, all of them rounding noise around a zero distance; every
 other byte, and every exit code, stayed. The pf1, pf2 and
 pf3.perturbed.json outputs kept their bytes.
+
+The gq files are `gph-normal` queries, recorded while the LP tableau was
+still a numpy array. gq.member, gq.not-member and gq.empty share one
+polyhedron in R^3 with four active rows at z = 0 and a fifth whose slack,
+5e-9, lies within a decade of eps; under --method direct they give a member
+(two equality rows, one inequality row), a not_member and an
+empty_coderivative (-g outside the normal cone). gq.rows9 is a member in R^9
+with seven active rows, so its LPs have nine rows and numpy adds the
+reduced-cost columns of its cone LP pairwise; it is recorded in JSON and in
+text. gq.orthant and gq.simplex are queried under --method explicit.
 """
 
 import json

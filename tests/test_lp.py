@@ -232,6 +232,69 @@ def test_float_tableau_raises_what_the_numpy_tableau_raises(monkeypatch):
             solve(M, rhs)
 
 
+def _outcome(solve):
+    """solve()'s answer: None, an x as bytes, or the LP error it raised."""
+    try:
+        x = solve()
+    except (LPUnbounded, LPLimitError) as exc:
+        return type(exc), str(exc)
+    return None if x is None else x.tobytes()
+
+
+def _split_oracle(A, b, free):
+    """The numpy tableau on the standard form [A, -A_free], hstacked as the
+    array code built it, folded back to one entry per column of A."""
+    x = solve_standard_oracle(np.hstack([A, -A[:, free]]), b)
+    if x is None:
+        return None
+    x_free = x[A.shape[1]:]
+    x = x[:A.shape[1]]
+    x[free] -= x_free
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(1, 14),
+       st.sampled_from(["integer", "scaled"]), st.booleans(), st.sampled_from([None, 1, 2, 4]))
+def test_linear_feasible_equals_the_numpy_tableau_of_the_split(seed, m, n, kind, transposed,
+                                                               cap):
+    """linear_feasible with a random nonneg mask returns None exactly when
+    the numpy tableau on the hstacked standard form does, and otherwise an
+    x with the same bytes; with a small pivot cap both raise alike. Its
+    first reduced-cost row has the bytes of numpy's column sums of that
+    form. A comes row-major, or column-major as cone_coefficients passes its
+    transposed generators, so numpy adds those sums in both orders."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, (m, n)).astype(float)
+    if kind == "scaled":
+        A *= 10.0 ** rng.integers(-3, 4, (m, 1)) * rng.uniform(0.5, 2.0, (m, n))
+    if transposed:
+        A = np.ascontiguousarray(A.T).T
+    nonneg = rng.random(n) < 0.6
+    x0 = np.where(rng.random(n) < 0.4, rng.integers(-2, 3, n), 0.0)
+    x0[nonneg] = np.abs(x0[nonneg])
+    b = A @ x0 if rng.random() < 0.7 else rng.integers(-3, 4, m) * rng.uniform(0.5, 2.0, m)
+    free = np.flatnonzero(~nonneg)
+    standard = np.array(np.hstack([A, -A[:, free]]))
+    standard[b < 0] *= -1.0
+    costs = []
+    saved = lp._MAX_PIVOTS, lp._bland_pivot
+
+    def record_cost_row(T, basis):
+        costs.append(T[-1][:standard.shape[1]])
+        return saved[1](T, basis)
+
+    # The oracle reads the cap from lp and pivots with its own function.
+    lp._MAX_PIVOTS, lp._bland_pivot = cap or saved[0], record_cost_row
+    try:
+        got = _outcome(lambda: linear_feasible(A_eq=A, b_eq=b, nonneg=nonneg))
+        want = _outcome(lambda: _split_oracle(A, b, free))
+    finally:
+        lp._MAX_PIVOTS, lp._bland_pivot = saved
+    assert got == want, (A.tolist(), b.tolist(), nonneg.tolist())
+    assert np.array(costs[0]).tobytes() == (-standard.sum(axis=0)).tobytes()
+
+
 def assert_nnls_optimal(A, b, x, tol=1e-9):
     """KKT conditions of min ||A x - b|| over x >= 0, independent of any solver."""
     w = A.T @ (b - A @ x)
