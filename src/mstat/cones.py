@@ -140,13 +140,14 @@ def active_rows(poly, slack, eps=DEFAULT_EPS):
         raise InfeasiblePointError("point violates row %d by %.3g" % (poly.row_index[i], -s[i]))
     return tuple(i for i, v in enumerate(s) if abs(v) <= eps)
 
-def active_diagnostics(poly, z, eps=DEFAULT_EPS):
-    """Rows whose slack sits within a decade of the activity threshold.
+def active_diagnostics(slack, eps=DEFAULT_EPS):
+    """Rows whose entry of the slack vector b - A z of a point z sits within
+    a decade of the activity threshold.
 
     Classification near |slack| ~ eps is tolerance-driven; callers surface
     these rows instead of silently committing to one side.
     """
-    s = np.abs(poly.slacks(np.asarray(z, dtype=float)))
+    s = np.abs(slack)
     near = (s > eps) & (s <= 10.0 * eps)
     return tuple(int(i) for i in np.flatnonzero(near))
 

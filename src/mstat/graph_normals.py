@@ -41,7 +41,7 @@ from .cones import (
     STRICT_EPS,
     Polyhedron,
     active_diagnostics,
-    active_set,
+    active_rows,
     cone_coefficients,
     multiplier_within_support,
 )
@@ -105,6 +105,28 @@ class RaggedRowsError(ValueError):
     one length."""
 
 
+def _scanned_rows(values, number=False):
+    """finite_rows' one-scan read of the list values: the finite (n, d)
+    array when its entries are all lists of numbers of one length or all
+    numbers (with number, lists of one number or numbers) and every entry
+    is finite, else None."""
+    kinds, flat, d = set(map(type, values)), None, 1
+    if kinds <= _NUMBER_TYPES:
+        flat = values
+    elif kinds == _LIST and len(set(map(len, values))) == 1 and (
+            len(values[0]) == 1 or not number):
+        flat, d = list(chain.from_iterable(values)), len(values[0])
+        flat = flat if set(map(type, flat)) <= _NUMBER_TYPES else None
+    if flat is not None:
+        try:
+            rows = np.array(flat, dtype=float).reshape(len(values), d)
+        except OverflowError:   # an int beyond float range
+            return None
+        if np.isfinite(rows).all():
+            return rows
+    return None
+
+
 def finite_rows(values, name, number=False):
     """values, a list of vectors of one length d, as a finite (n, d) float
     array; anything else raises ValueError naming the first bad entry.
@@ -122,20 +144,9 @@ def finite_rows(values, name, number=False):
     """
     if type(values) is not list:
         values = list(values)
-    kinds, flat, d = set(map(type, values)), None, 1
-    if kinds <= _NUMBER_TYPES:
-        flat = values
-    elif kinds == _LIST and len(set(map(len, values))) == 1 and (
-            len(values[0]) == 1 or not number):
-        flat, d = list(chain.from_iterable(values)), len(values[0])
-        flat = flat if set(map(type, flat)) <= _NUMBER_TYPES else None
-    if flat is not None:
-        try:
-            rows = np.array(flat, dtype=float).reshape(len(values), d)
-        except OverflowError:   # an int beyond float range
-            rows = None
-        if rows is not None and np.isfinite(rows).all():
-            return rows
+    rows = _scanned_rows(values, number)
+    if rows is not None:
+        return rows
     if number:
         return np.array([finite_number(v, name % i) for i, v in enumerate(values)])[:, None]
     rows = [finite_vector(v, name % i, scalar=True) for i, v in enumerate(values)]
@@ -307,23 +318,26 @@ class GraphContext:
     g: np.ndarray
     active: tuple
     eps: float
+    slack: np.ndarray
 
 
 def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
-    """Validate the graph point (z, -g) and record its active rows.
+    """Validate the graph point (z, -g) and record its slack vector b - A z
+    and its active rows.
 
     Raises NotGraphPointError when z is infeasible or -g fails to decompose
     over the active rows.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
+    slack = poly.slacks(z)
     try:
-        I = active_set(poly, z, eps)
+        I = active_rows(poly, slack, eps)
     except ValueError as exc:
         raise NotGraphPointError(str(exc)) from exc
-    if multiplier_within_support(poly, -g, I, eps) is None:
+    if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
         raise NotGraphPointError("-g is not in the normal cone at z")
-    return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps)
+    return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps, slack=slack)
 
 
 def _subsets(pool):
@@ -369,13 +383,13 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
     member = (len(E) == len(I)
-              or multiplier_within_support(poly, -context.g, E, eps)
-              is not None) and cone_coefficients(zeta, poly.A[P], poly.A[E], eps) is not None
+              or cone_coefficients(-context.g, poly.A[E], eps=eps) is not None
+              ) and cone_coefficients(zeta, poly.A[P], poly.A[E], eps) is not None
     if not member:
         return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
     return Membership(True, "member", "polyhedron",
                       {"equality_rows": E, "inequality_rows": P,
-                       "near_threshold_rows": list(active_diagnostics(poly, gp.z, eps))})
+                       "near_threshold_rows": list(active_diagnostics(context.slack, eps))})
 
 
 def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):

@@ -67,6 +67,7 @@ from .stationarity import (
     Problem,
     ScenarioTerms,
     UpperModel,
+    _row_dot,
     verify_certificate,
 )
 
@@ -193,16 +194,6 @@ def _row_blocks(n_rows, model):
     step = max(1, _BLOCK_ENTRIES // (model.n_centers * max(model.d_x, 1)))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
-
-
-def _row_dot(W, V):
-    """w_i @ v_i for every row i.
-
-    A stacked matmul of (1, M) by (M, 1) runs the same dot kernel as a 1-D
-    `w @ v`, so each row gets the bits the one-row call gets; einsum and
-    (W * V).sum(1) sum in other orders.
-    """
-    return np.matmul(W[:, None, :], V[:, :, None])[:, 0, 0]
 
 
 def _column_sum(S):
@@ -717,9 +708,9 @@ def lower_solver(instance):
     verifier. It answers rows (stationarity.value_function): each row's one
     candidate is the order quantity of its x at the bandwidth theta, and all
     rows are one solve_newsvendor_rows call, whose rows are independent, so
-    each answer is the float of a one-row solve.
+    each answer is the float of a one-row solve. The start Z goes unused.
     """
-    def solve(model, theta, X):
+    def solve(model, theta, X, Z):
         return solve_newsvendor_rows(instance.model(float(theta[0])), X,
                                      instance.h, instance.b)[:, None, None]
     return solve

@@ -38,6 +38,7 @@ from .stationarity import (
     Problem,
     ScenarioTerms,
     UpperModel,
+    _row_dot,
     _simplex_projection_rows,
 )
 
@@ -251,9 +252,9 @@ _RETURNS_ERROR = ("predicted returns are not finite or exceed %g in magnitude"
                   % _TERM_BOUND)
 
 
-def _start_rows(R, sigma, lam):
-    """The simplex projection (_simplex_projection_rows) of
-    Sigma^{-1} r / lam for each row r of R.
+def _unconstrained_rows(R, sigma, lam):
+    """Sigma^{-1} r / lam for each row r of R, the point whose simplex
+    projection starts a cold solve.
 
     A row whose returns are not finite or exceed _TERM_BOUND raises
     ValueError, and so does one whose Sigma^{-1} r / lam has an entry of
@@ -272,7 +273,7 @@ def _start_rows(R, sigma, lam):
         raise ValueError(_RETURNS_ERROR if big[bad[0]] else
                          "the unconstrained optimum Sigma^-1 r / lambda has an entry "
                          "of magnitude 2^52 or more")
-    return _simplex_projection_rows(scaled / lam)
+    return scaled / lam
 
 
 def _margins(Z, mu, taus, mask, budget):
@@ -287,42 +288,103 @@ def _margins(Z, mu, taus, mask, budget):
     return margin, total
 
 
-def solve_simplex_qp_rows(R, sigma, lam):
+def solve_simplex_qp_rows(R, sigma, lam, start=None):
     """solve_simplex_qp for every row r of R (k by d), at one Sigma and
     lambda; returns the k solutions in row order, each to the bit the one a
     row-by-row solve gives.
 
-    The rows share every stacked step: one np.linalg.solve for Sigma^{-1} R,
-    a row-wise projection, and the primal-dual rounds of the working-set
-    guess, run on the groups of rows that hold the same working set with one
-    stacked face solve per group. Round by round, each row takes the
-    decisions of a one-row guess: from the working set of its projected
-    start, a face point with z_i > _QP_EPS off the working set, mu_i >
-    _QP_EPS on it and tau > _QP_EPS on the budget row (1^T z < 1 - _QP_EPS
-    off it) satisfies KKT with strict complementarity, so it is the unique
-    optimum and its working set is the one the active-set loop ends on; the
-    row returns it. Otherwise, when every margin is at least -_QP_EPS (a
-    degenerate optimum no round can certify), the row goes to the loop; else
-    it keeps the bounds with mu_i > 0, adds those with z_i < 0, keeps the
-    budget row while tau > 0 and adds it when 1^T z > 1. A row whose working
-    set repeats, or that is not certified after d + 1 rounds, goes to the
-    loop. A vertex start (the budget row and d - 1 bounds) takes instead the
-    loop's own first step: the same face, returned when it moves z by at
-    most _QP_EPS in every coordinate and no multiplier is below -_QP_EPS,
-    as the loop returns it; any other vertex row goes to the loop, whose
-    one-at-a-time exchange reaches the optimal vertex in fewer solves than
-    the simultaneous update, which at large returns overshoots far outside
-    the simplex. Every row the rounds leave runs the loop alone
-    (_active_set_loop) from its projected start, with the faces it met
-    already solved.
+    start, when given, holds one point per row (k by d), a guess of the
+    solutions: with it, a warm round runs first (_warm_rows). Each row
+    starts at the working set of its point, one stacked face solve per
+    group of rows that share it, and returns from there when the margins
+    certify its face point strictly, as they do in a cold round below. That
+    point is then the unique optimum and its working set the one the
+    active-set loop ends on; its bytes are the face solve's at that working
+    set and (r, Sigma, lambda), so they do not depend on the start. Every
+    other row, and every row when no start is given, takes the cold path
+    (_cold_rows). Either way one stacked np.linalg.solve for Sigma^{-1} R
+    checks every row's returns first (_unconstrained_rows), so a start
+    changes no error either.
     """
-    eps = _QP_EPS
     R = np.asarray(R, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    k, d = R.shape
-    if not k:
+    if not len(R):
         return []
-    Z0 = _start_rows(R, sigma, lam)
+    U = _unconstrained_rows(R, sigma, lam)
+    if start is None:
+        return _cold_rows(R, sigma, lam, U)
+    out = _warm_rows(R, sigma, lam, start)
+    cold = [i for i, solution in enumerate(out) if solution is None]
+    if cold:
+        for i, solution in zip(cold, _cold_rows(R[cold], sigma, lam, U[cold])):
+            out[i] = solution
+    return out
+
+
+def _warm_rows(R, sigma, lam, start):
+    """The solution of each row whose start point's working set certifies
+    it, None for every other row.
+
+    A row's working set holds the bounds where its start has z_i <= _QP_EPS
+    and the budget row where 1^T z >= 1 - _QP_EPS with a coordinate left
+    free. The rows that share a working set make one stacked _face_rows
+    solve, and a row is certified when every margin (_margins) exceeds
+    _QP_EPS.
+    """
+    start = np.asarray(start, dtype=float)
+    if start.shape != R.shape:
+        raise ValueError("start must hold one point of %d entries per row" % R.shape[1])
+    bounds = start <= _QP_EPS
+    budget = (start.sum(axis=1) >= 1.0 - _QP_EPS) & (bounds.sum(axis=1) < R.shape[1])
+    groups = {}
+    for i, key in enumerate(zip(map(bytes, bounds), budget.tolist())):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(R)
+    for (_, on), rows in groups.items():
+        mask = bounds[rows[0]]
+        ws = set(np.flatnonzero(mask).tolist())
+        Rg = R[rows]
+        Z, taus = _face_rows(Rg, sigma, lam, ws, on)
+        mu = _multiplier_rows(Rg, sigma, lam, Z, taus, mask)
+        j = np.flatnonzero(_margins(Z, mu, taus, mask, on)[0] > _QP_EPS)
+        if len(j):
+            solved = _face_solutions(Rg[j], sigma, lam, Z[j], mu[j], [taus[i] for i in j],
+                                     ws, on)
+            for i, solution in zip(j, solved):
+                out[rows[i]] = solution
+    return out
+
+
+def _cold_rows(R, sigma, lam, U):
+    """The solutions of the rows of R from their projected starts, the
+    simplex projections of the rows of U = Sigma^{-1} R / lambda.
+
+    The rows share every stacked step: the row-wise projection, and the
+    primal-dual rounds of the working-set guess, run on the groups of rows
+    that hold the same working set with one stacked face solve per group.
+    Round by round, each row takes the decisions of a one-row guess: from
+    the working set of its projected start, a face point with z_i > _QP_EPS
+    off the working set, mu_i > _QP_EPS on it and tau > _QP_EPS on the
+    budget row (1^T z < 1 - _QP_EPS off it) satisfies KKT with strict
+    complementarity, so it is the unique optimum and its working set is the
+    one the active-set loop ends on; the row returns it. Otherwise, when
+    every margin is at least -_QP_EPS (a degenerate optimum no round can
+    certify), the row goes to the loop; else it keeps the bounds with
+    mu_i > 0, adds those with z_i < 0, keeps the budget row while tau > 0
+    and adds it when 1^T z > 1. A row whose working set repeats, or that is
+    not certified after d + 1 rounds, goes to the loop. A vertex start (the
+    budget row and d - 1 bounds) takes instead the loop's own first step:
+    the same face, returned when it moves z by at most _QP_EPS in every
+    coordinate and no multiplier is below -_QP_EPS, as the loop returns it;
+    any other vertex row goes to the loop, whose one-at-a-time exchange
+    reaches the optimal vertex in fewer solves than the simultaneous update,
+    which at large returns overshoots far outside the simplex. Every row
+    the rounds leave runs the loop alone (_active_set_loop) from its
+    projected start, with the faces it met already solved.
+    """
+    eps = _QP_EPS
+    k, d = R.shape
+    Z0 = _simplex_projection_rows(U)
     out = [None] * k
     faces = [{} for _ in range(k)]
     bounds = Z0 <= eps
@@ -384,12 +446,12 @@ def solve_simplex_qp(r, sigma, lam):
     Finite for positive definite Sigma. The returned solution depends only
     on the final working set and (r, Sigma, lam), and a certified guess is
     the working set the iteration ends on, so both routes give the same
-    bytes. This is the one-row case of solve_simplex_qp_rows, which
-    describes the guess.
+    bytes. This is the one-row case of solve_simplex_qp_rows without a
+    start; _cold_rows describes the guess.
     Predicted returns r with an entry that is not finite or exceeds
     _TERM_BOUND in magnitude raise ValueError, as in the verifier, and so
     does an unconstrained optimum with an entry of magnitude 2^52 or more
-    (see _start_rows).
+    (see _unconstrained_rows).
     """
     return solve_simplex_qp_rows(np.atleast_1d(np.asarray(r, dtype=float))[None],
                                  sigma, lam)[0]
@@ -471,6 +533,15 @@ class PortfolioLowerModel(LowerModel):
         r_hat = self._shape(theta).T @ np.asarray(x, dtype=float)
         return _cost(np.asarray(z, dtype=float), r_hat, self.inst)
 
+    def cost_rows(self, Z, theta, X):
+        """cost(z, theta, x) for each pair of rows z of Z and x of X, each
+        entry the float of cost: the stacked products run cost's BLAS calls
+        row by row, in cost's order, (-r) . z + ((0.5 lam) z)^T Sigma . z."""
+        Z = np.asarray(Z, dtype=float)
+        R = np.matmul(self._shape(theta).T, np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
+        pull = np.matmul(((0.5 * self.inst.risk_aversion) * Z)[:, None, :], self.inst.sigma)
+        return _row_dot(-R, Z) + _row_dot(pull[:, 0, :], Z)
+
     def grad_z(self, z, theta, x):
         r_hat = self._shape(theta).T @ np.asarray(x, dtype=float)
         return -r_hat + self.inst.risk_aversion * (self.inst.sigma @ np.asarray(z, dtype=float))
@@ -543,11 +614,12 @@ def lower_solver(instance):
     """The lower-level solver of as_problem(instance), for the penalized
     verifier. It answers rows (stationarity.value_function): each row's one
     candidate is the simplex QP at the returns that theta predicts from the
-    row's x, and all rows are one solve_simplex_qp_rows call."""
-    def solve(model, theta, X):
+    row's x, and all rows are one solve_simplex_qp_rows call, started at
+    the rows of Z, which change no answer."""
+    def solve(model, theta, X, Z):
         R = LinearPredictor(theta.reshape(instance.d_x, instance.d_z)).predict_rows(X)
         return [[s.z] for s in solve_simplex_qp_rows(R, instance.sigma,
-                                                     instance.risk_aversion)]
+                                                     instance.risk_aversion, Z)]
     return solve
 
 

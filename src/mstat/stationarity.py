@@ -43,6 +43,7 @@ from .graph_normals import (
     finite_weights,
     object_list,
     _orthant_rows,
+    _scanned_rows,
     _simplex_residual_rows,
     _simplex_rows,
     make_graph_context,
@@ -149,6 +150,16 @@ def _simplex_projection_rows(Y):
         shift = css[np.arange(len(over)), rho] / (rho + 1.0)
         P[over] = np.maximum(Y[over] - shift[:, None], 0.0)
     return P
+
+
+def _row_dot(W, V):
+    """w_i @ v_i for every row i.
+
+    A stacked matmul of (1, M) by (M, 1) runs the same dot kernel as a 1-D
+    `w @ v`, so each row gets the bits the one-row call gets; einsum and
+    (W * V).sum(1) sum in other orders.
+    """
+    return np.matmul(W[:, None, :], V[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -354,9 +365,10 @@ class Certificate:
     must be present, zeta, the penalty weight mu and the value_weights may
     be left out, and a null for an optional key is an error. z, eta and
     zeta are each one finite_rows call and must share one dimension; with
-    number each entry is one number. mu is one number and value_weights a
-    vector. Every error names its scenario. from_rows takes validated rows
-    as they are.
+    number each entry is one number, and one scan (_scanned_rows) reads z,
+    eta, zeta and mu together when it takes them all. mu is one number and
+    value_weights a vector. Every error names its scenario. from_rows takes
+    validated rows as they are.
     """
 
     def __init__(self, theta, scenarios, number=False, required=("z", "eta")):
@@ -368,16 +380,24 @@ class Certificate:
         else:
             given = [v is not None or "zeta" in required for v in zeta]
             zeta = [v if g else zn for v, zn, g in zip(zeta, z, given)]
-        name = "certificate scenario %d: "
-        z, eta, zeta = (finite_rows(column, name + key, number)
-                        for key, column in (("z", z), ("eta", eta), ("zeta", zeta)))
+        name, n = "certificate scenario %d: ", len(z)
+        mus = None if mu is None else [0.0 if v is None else v for v in mu]
+        # With number, one scan reads z, eta, zeta and mu; where it refuses,
+        # the column reads name the first bad scenario and key.
+        scan = _scanned_rows(z + eta + zeta + (mus or []), True) if number else None
+        if scan is None:
+            z, eta, zeta = (finite_rows(column, name + key, number)
+                            for key, column in (("z", z), ("eta", eta), ("zeta", zeta)))
+        else:
+            z, eta, zeta, mus = scan[:n], scan[n:2 * n], scan[2 * n:3 * n], scan[3 * n:]
         for key, block in (("eta", eta), ("zeta", zeta)):
             if block.shape[1] != z.shape[1]:
                 raise ValueError(name % (given.index(True) if key == "zeta" else 0)
                                  + "%s has %d entries but z has %d"
                                  % (key, block.shape[1], z.shape[1]))
         if mu is not None:
-            mus = finite_rows([0.0 if v is None else v for v in mu], name + "mu", number=True)
+            if scan is None:
+                mus = finite_rows(mus, name + "mu", number=True)
             mu = [None if v is None else m for v, m in zip(mu, mus[:, 0].tolist())]
         if weights is not None:
             weights = [None if w is None else finite_vector(w, name % i + "value_weights",
@@ -924,38 +944,45 @@ def value_function(model, theta, X, Z, solver):
     """Optimal value, a deduplicated sample of minimizers and the value gap
     of each row x_n of X and z_n of Z, one ValueFunctionResult per row.
 
-    The solver answers rows: solver(model, theta, X) returns, for each row
-    of X, a sequence of candidate points, and a row without one is a
-    ValueError. One cost_rows call prices every candidate and every z_n.
-    Everything within _ARGMIN_TOL of a row's best candidate is kept, once
-    per point: strictly convex problems yield a singleton, flat directions
-    however many distinct candidates the solver produced. The gap is
-    c(z_n) - value, the float that cost_rows gives c(z_n) minus the value.
+    The solver answers rows: solver(model, theta, X, Z) returns, for each
+    row of X, a sequence of candidate points, and a row without one is a
+    ValueError. Z is the solver's start only, and no answer may depend on
+    it. One cost_rows call prices every candidate and every z_n. A row's
+    value is the least of its candidates' costs (one np.minimum.reduceat
+    over all rows; a min is exact). Everything within _ARGMIN_TOL of it is
+    kept, once per point: strictly convex problems yield a singleton, flat
+    directions however many distinct candidates the solver produced. The
+    gap is c(z_n) - value, the float that cost_rows gives c(z_n) minus the
+    value.
     """
     theta = np.asarray(theta, dtype=float)
-    answers = list(solver(model, theta, X))
+    answers = list(solver(model, theta, X, Z))
     if len(answers) != len(X):
         raise ValueError("solver answered %d rows, expected %d" % (len(answers), len(X)))
     found = [[np.atleast_1d(np.asarray(p, dtype=float)) for p in points] for points in answers]
-    for n, points in enumerate(found):
-        if not points:
-            raise ValueError("solver returned no candidates for row %d" % n)
-    xs = [x for x, points in zip(X, found) for _ in points]
-    values = np.split(model.cost_rows([p for points in found for p in points] + list(Z),
-                                      theta, xs + list(X)),
-                      np.cumsum([len(points) for points in found]))
+    counts = [len(points) for points in found]
+    if 0 in counts:
+        raise ValueError("solver returned no candidates for row %d" % counts.index(0))
+    if not counts:
+        return []
+    xs = [x for x, count in zip(X, counts) for _ in range(count)]
+    costs = model.cost_rows([p for points in found for p in points] + list(Z),
+                            theta, xs + list(X))
+    firsts = np.cumsum([0] + counts[:-1])
+    best = np.minimum.reduceat(costs[:len(xs)], firsts)
+    gaps = costs[len(xs):] - best
     out = []
-    for points, costs, cost_z in zip(found, values, values[-1]):
-        best = float(np.min(costs))
-        keep = []
-        for z, v in zip(points, costs):
-            if v > best + _ARGMIN_TOL:
-                continue
-            if any(np.max(np.abs(z - k)) <= _ARGMIN_TOL for k in keep):
-                continue
-            keep.append(z)
-        out.append(ValueFunctionResult(value=best, argmin_points=keep,
-                                       gap=float(cost_z - best)))
+    for points, first, value, gap in zip(found, firsts.tolist(), best.tolist(), gaps.tolist()):
+        keep = points
+        if len(points) > 1:
+            keep = []
+            for z, v in zip(points, costs[first:first + len(points)]):
+                if v > value + _ARGMIN_TOL:
+                    continue
+                if any(np.max(np.abs(z - k)) <= _ARGMIN_TOL for k in keep):
+                    continue
+                keep.append(z)
+        out.append(ValueFunctionResult(value=value, argmin_points=keep, gap=gap))
     return out
 
 

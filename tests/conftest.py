@@ -127,6 +127,32 @@ def _oracle_face(r, sigma, lam, bounds, budget):
     return z, tau
 
 
+def _oracle_round(r, sigma, lam, bounds, budget):
+    """One round of the working-set guess on the face of (bounds, budget):
+    the face point z and tau, the bound multipliers mu, 1^T z and the
+    smallest margin, min([z_i off bounds] + [mu_i on them] + [tau on the
+    budget row, else 1 - 1^T z])."""
+    d = len(r)
+    z, tau = _oracle_face(r, sigma, lam, bounds, budget)
+    grad = -r + lam * (sigma @ z)
+    mu = np.array([grad[i] + tau if i in bounds else 0.0 for i in range(d)])
+    total = z.sum()
+    margin = min([z[i] for i in range(d) if i not in bounds] + [mu[i] for i in bounds]
+                 + [tau if budget else 1.0 - total])
+    return z, tau, mu, total, margin
+
+
+def warm_round_certifies(r, sigma, lam, start):
+    """Whether the face of start's working set certifies the QP of r with
+    every margin above _QP_EPS, replayed one row at a time: the bounds where
+    start_i <= _QP_EPS, and the budget row where 1^T start >= 1 - _QP_EPS
+    with a coordinate left free."""
+    d = len(r)
+    bounds = frozenset(i for i in range(d) if start[i] <= _QP_EPS)
+    budget = start.sum() >= 1.0 - _QP_EPS and len(bounds) < d
+    return _oracle_round(r, sigma, lam, bounds, budget)[-1] > _QP_EPS
+
+
 def qp_guess_route(r, sigma, lam):
     """How the working-set guess of one QP ends, replayed one row at a time,
     and the number of faces it solved: "certified" (a round's face point has
@@ -148,12 +174,7 @@ def qp_guess_route(r, sigma, lam):
         if (bounds, budget) in seen:
             return "repeat", len(seen)
         seen.add((bounds, budget))
-        z, tau = _oracle_face(r, sigma, lam, bounds, budget)
-        grad = -r + lam * (sigma @ z)
-        mu = np.array([grad[i] + tau if i in bounds else 0.0 for i in range(d)])
-        total = z.sum()
-        margin = min([z[i] for i in range(d) if i not in bounds] + [mu[i] for i in bounds]
-                     + [tau if budget else 1.0 - total])
+        z, tau, mu, total, margin = _oracle_round(r, sigma, lam, bounds, budget)
         if margin > eps:
             return "certified", len(seen)
         if margin >= -eps:
@@ -986,10 +1007,10 @@ def psi_set(lower, upper, theta, x, y, solutions, multipliers):
 
 def grid_solver(points):
     """Rows solver giving every row one fixed candidate list (endpoints
-    included by caller)."""
+    included by caller); the start Z goes unused."""
     pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
 
-    def solve(model, theta, X):
+    def solve(model, theta, X, Z):
         return [pts] * len(X)
     return solve
 
@@ -1000,7 +1021,7 @@ def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
 
     Deterministic under the seed; start points come from a fixed random grid
     inside the unit box mapped through the set's projection, the same for
-    every row.
+    every row; the start Z goes unused.
     """
     def descend(model, theta, x):
         fs = model.feasible_set
@@ -1022,7 +1043,7 @@ def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
             out.append(z)
         return out
 
-    def solve(model, theta, X):
+    def solve(model, theta, X, Z):
         return [descend(model, theta, x) for x in X]
     return solve
 

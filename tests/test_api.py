@@ -100,9 +100,9 @@ def test_the_user_set_eps_reaches_an_eps_parameter():
             if callee not in seen:
                 seen.add(callee)
                 todo.append(callee)
-    assert {"active_set", "active_diagnostics", "orthant_membership", "simplex_membership",
+    assert {"active_rows", "active_diagnostics", "orthant_membership", "simplex_membership",
             "polyhedron_membership", "make_graph_context", "cone_coefficients",
-            "multiplier_within_support", "_orthant_rows", "_simplex_rows"} \
+            "_orthant_rows", "_simplex_rows"} \
         <= {f.__name__ for f in seen}
     assert [f.__qualname__ for f in seen
             if "eps" not in inspect.signature(f).parameters] == []

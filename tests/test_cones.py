@@ -68,7 +68,7 @@ def test_a_system_with_no_rows_left_is_the_whole_space():
     assert p.m == 0
     z = [3.0, -1.0]
     assert polyhedron_contains(p, z)
-    assert active_set(p, z) == () and active_diagnostics(p, z) == ()
+    assert active_set(p, z) == () and active_diagnostics(p.slacks(z)) == ()
     assert distance_to_normal_cone(p, z, [3.0, 4.0]) == 5.0
     assert normal_cone_multiplier(p, z, [1.0, 0.0]) is None
     decomp = normal_cone_multiplier(p, z, [0.0, 0.0])
@@ -91,9 +91,9 @@ def test_active_set_infeasible_names_row():
 
 
 def test_active_diagnostics_near_threshold():
-    near = active_diagnostics(ORTHANT2, [5e-9, 1.0], eps=1e-9)
+    near = active_diagnostics(ORTHANT2.slacks([5e-9, 1.0]), eps=1e-9)
     assert near == (0,)
-    assert active_diagnostics(ORTHANT2, [1.0, 1.0], eps=1e-9) == ()
+    assert active_diagnostics(ORTHANT2.slacks([1.0, 1.0]), eps=1e-9) == ()
 
 
 # ---------------------------------------------------------------------------

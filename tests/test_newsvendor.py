@@ -635,7 +635,7 @@ def test_lower_solver_answers_are_one_row_solves(rng, monkeypatch):
     """lower_solver answers rows: at each bandwidth one
     solve_newsvendor_rows call solves every row of X, and each row's one
     candidate is the float of a one-row solve, also for rows that are no
-    sample."""
+    sample; the start Z goes unused."""
     inst = random_instance(rng, 12, 2, "plain")
     solve = NV.lower_solver(inst)
     X = np.vstack([inst.samples.x, [[0.3, -0.2]], inst.samples.x[4:5] + 1e-9])
@@ -645,7 +645,7 @@ def test_lower_solver_answers_are_one_row_solves(rng, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(NV, "solve_newsvendor_rows",
                   lambda model, xs, *a: calls.append(len(xs)) or rows(model, xs, *a))
-        answers = [solve(None, np.array([theta]), X) for theta in thetas]
+        answers = [solve(None, np.array([theta]), X, np.zeros((len(X), 1))) for theta in thetas]
     assert calls == [len(X)] * 3
     for theta, answer in zip(thetas, answers):
         model = inst.model(theta)

@@ -33,7 +33,7 @@ from mstat.stationarity import (
     verify_certificate,
 )
 from conftest import (per_scenario_certificate, projected_gradient_qp, qp_guess_route,
-                      simplex_qp_loop)
+                      simplex_qp_loop, warm_round_certifies)
 
 I2 = np.eye(2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,8 +257,10 @@ def qp_rows(rng, family, k, shared):
     returns" mostly start at a vertex, "zero multipliers" have an optimum
     with a zero coordinate whose multiplier is 0 as well (a degenerate
     margin), and "low rank" has a nearly singular Sigma, where the guess can
-    meet a working set twice. shared makes every row after the first a copy
-    of an earlier one."""
+    meet a working set twice. "ill-conditioned" has cond(Sigma) = 1e7 and
+    "near ties" returns equal to 1e-12 within a row, both at lambda from
+    1e-3 to 1. shared makes every row after the first a copy of an earlier
+    one."""
     d = int(rng.integers(1, 13))
     B = rng.standard_normal((d, d))
     sigma, lam = B @ B.T + 0.1 * np.eye(d), float(10.0 ** rng.uniform(-3.0, 3.0))
@@ -281,6 +283,13 @@ def qp_rows(rng, family, k, shared):
         B = rng.integers(-2, 3, (d, d)).astype(float)
         sigma, lam = B @ B.T + np.eye(d), float(rng.integers(1, 4))
         R = rng.integers(-3, 4, (k, d)).astype(float)
+    elif family == "ill-conditioned":
+        Q = np.linalg.qr(B)[0]
+        sigma = (Q * np.logspace(0.0, -7.0, d)) @ Q.T
+        sigma, lam = 0.5 * (sigma + sigma.T), float(10.0 ** rng.uniform(-3.0, 0.0))
+    elif family == "near ties":
+        lam = float(10.0 ** rng.uniform(-3.0, 0.0))
+        R = rng.uniform(-1.0, 1.0, (k, 1)) + 1e-12 * rng.standard_normal((k, d))
     if shared:
         R[1:] = R[rng.integers(0, k, k - 1)]
     return R, sigma, lam
@@ -392,6 +401,85 @@ def test_rows_on_one_working_set_share_each_solve(monkeypatch):
     assert calls == [16, 16]
     assert all(s.active_bounds == () and s.budget_active for s in solutions)
     assert [solve_counting(monkeypatch, solve_simplex_qp, r, sigma, 2.0)[1] for r in R] == [2] * 16
+
+
+START_KINDS = ("optimal", "perturbed", "vertex", "interior", "infeasible", "support")
+
+
+def start_rows(rng, solutions, kinds):
+    """One start per row: its optimum, the optimum moved by 1e-12 to 1e-6,
+    a random vertex, a point inside the simplex, a random point off it, or
+    the optimum with some coordinates set to 0."""
+    Z = np.array([s.z for s in solutions])
+    k, d = Z.shape
+    starts = Z.copy()
+    for i, kind in enumerate(kinds):
+        if kind == "perturbed":
+            starts[i] += 10.0 ** rng.uniform(-12.0, -6.0) * rng.standard_normal(d)
+        elif kind == "vertex":
+            starts[i] = np.eye(d)[rng.integers(d)]
+        elif kind == "interior":
+            starts[i] = rng.dirichlet(np.ones(d)) * rng.uniform(0.2, 0.99)
+        elif kind == "infeasible":
+            starts[i] = 2.0 * rng.standard_normal(d)
+        elif kind == "support":
+            starts[i] *= rng.random(d) < 0.5
+    return starts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(QP_ROW_FAMILIES + ("ill-conditioned", "near ties")),
+       st.lists(st.sampled_from(START_KINDS), min_size=1, max_size=12), st.booleans())
+def test_any_start_gives_the_cold_bytes(seed, family, kinds, shared):
+    """solve_simplex_qp_rows started at any points gives, row for row, the
+    bytes of the solve without a start in every field: from the optimum,
+    near it, at a vertex, inside the simplex, off it, or on a wrong support;
+    with cond(Sigma) 1e7, small lambda, tied and near-tied returns, and
+    returns whose projection lands on a vertex."""
+    rng = np.random.default_rng(seed)
+    R, sigma, lam = qp_rows(rng, family, len(kinds), shared)
+    cold = solve_simplex_qp_rows(R, sigma, lam)
+    warm = solve_simplex_qp_rows(R, sigma, lam, start_rows(rng, cold, kinds))
+    for r, kind, a, b in zip(R, kinds, cold, warm):
+        assert solution_bytes(a) == solution_bytes(b), (family, kind, r.tolist())
+
+
+@pytest.mark.parametrize("certificate, problem, cold", [
+    ("pf1.mu.json", "pf1.problem.json", False),
+    ("pf3.perturbed.json", "pf3.problem.json", True),
+    ("pf5.cert.json", "pf5.problem.json", True),
+    ("pf3.infeasible.json", "pf3.problem.json", True)])
+def test_penalized_verify_solves_cold_only_rows_the_start_does_not_certify(
+        certificate, problem, cold, capsys, monkeypatch):
+    """A penalized verify starts every scenario's lower QP at the
+    certificate's z. The cold path (projection start, rounds, loop) gets
+    exactly the rows whose start's face the warm round does not certify
+    (warm_round_certifies), in one call: none on pf1.mu, whose points are
+    optimal, and at least one on the others. The output is the recorded
+    one."""
+    import mstat.portfolio as PF
+    from mstat.cli import _portfolio_theta, main
+
+    argv = ["verify", "--problem", problem, "--certificate", certificate,
+            "--mode", "penalized"]
+    case = next(c for c in json.loads((GOLDEN / "expected.json").read_text())["outputs"]
+                if c["argv"] == argv)
+    calls = []
+    cold_rows = PF._cold_rows
+    monkeypatch.setattr(PF, "_cold_rows",
+                        lambda R, *a: calls.append(R.tolist()) or cold_rows(R, *a))
+    assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in argv]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+    inst = PortfolioInstance.from_dict(json.loads((GOLDEN / problem).read_text()))
+    data = json.loads((GOLDEN / certificate).read_text())
+    theta = _portfolio_theta(data["theta"], inst).reshape(inst.d_x, inst.d_z)
+    starts = Certificate(theta, data["scenarios"]).z
+    want = [r.tolist() for r, z0 in zip(LinearPredictor(theta).predict_rows(inst.samples.x),
+                                         starts)
+            if not warm_round_certifies(r, inst.sigma, inst.risk_aversion, z0)]
+    assert calls == ([want] if want else [])
+    assert bool(want) == cold
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +658,25 @@ def test_verify_reports_the_beta_the_sign_conditions_pin():
 
 def test_lower_solver_answers_are_one_row_solves(monkeypatch):
     """lower_solver answers rows: at each theta one solve_simplex_qp_rows
-    call solves every row of X, and each row's one candidate has the bytes
-    of a one-row solve at the predicted returns, also for a row that is no
-    sample."""
+    call solves every row of X, started at the rows of Z, and each row's one
+    candidate has the bytes of a one-row solve at the predicted returns,
+    also for a row that is no sample, whichever the start: zeros, or the
+    solutions at theta0."""
     import mstat.portfolio as PF
 
     inst, theta0 = small_instance()
     solve = lower_solver(inst)
     X = np.vstack([inst.samples.x, [np.array([0.3, -0.2])]])
-    thetas = (theta0, theta0 + 0.3, theta0)
+    at0 = np.array([solve_simplex_qp(theta0.T @ x, inst.sigma, inst.risk_aversion).z for x in X])
+    thetas = (theta0, theta0 + 0.3, theta0) * 2
+    starts = [np.zeros(at0.shape)] * 3 + [at0] * 3
     calls = []
     rows = PF.solve_simplex_qp_rows
     with monkeypatch.context() as m:
-        m.setattr(PF, "solve_simplex_qp_rows", lambda R, *a: calls.append(len(R)) or rows(R, *a))
-        answers = [solve(None, theta.ravel(), X) for theta in thetas]
-    assert calls == [len(X)] * 3
+        m.setattr(PF, "solve_simplex_qp_rows",
+                  lambda R, *a: calls.append((len(R), a[2].tobytes())) or rows(R, *a))
+        answers = [solve(None, theta.ravel(), X, Z) for theta, Z in zip(thetas, starts)]
+    assert calls == [(len(X), Z.tobytes()) for Z in starts]
     for theta, answer in zip(thetas, answers):
         assert [len(points) for points in answer] == [1] * len(X)
         want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z for x in X]
@@ -636,6 +728,33 @@ def test_stacked_terms_equal_per_scenario_model_calls(case):
         got, want = getattr(stacked, name), getattr(single, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert stacked.witness is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 12), st.integers(1, 16))
+def test_stacked_cost_rows_equal_one_row_costs(seed, d_x, d_z, n):
+    """PortfolioLowerModel.cost_rows, stacked products over all rows, gives
+    each row the bytes of the one-row cost, with d_z up to 12, n up to 16,
+    signed zeros, and entries from 1e-3 to _TERM_BOUND in magnitude."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((d_z, d_z))
+    sigma = B @ B.T + d_z * np.eye(d_z)
+    sigma = 0.5 * (sigma + sigma.T) / np.max(np.abs(sigma))
+
+    def rows(k, d):
+        special = rng.choice([0.0, -0.0, 1.0, _TERM_BOUND, -_TERM_BOUND], (k, d))
+        plain = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, d))
+        return np.where(rng.random((k, d)) < 0.1, special, plain)
+
+    inst = PortfolioInstance(sigma=sigma, risk_aversion=float(10.0 ** rng.uniform(-3.0, 3.0)),
+                             samples=list(zip(rows(n, d_x), rows(n, d_z))))
+    model = PortfolioLowerModel(inst)
+    theta, X = rows(d_x, d_z).ravel(), rows(n, d_x)
+    Z = np.where(rng.random((n, 1)) < 0.5, rng.dirichlet(np.ones(d_z), n), rows(n, d_z))
+    with np.errstate(all="ignore"):
+        stacked = model.cost_rows(Z, theta, X)
+        single = np.array([model.cost(z, theta, x) for z, x in zip(Z, X)])
+    assert stacked.shape == (n,) and stacked.tobytes() == single.tobytes()
 
 
 def _golden_portfolio_certificates():

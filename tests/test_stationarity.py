@@ -599,7 +599,7 @@ def test_value_function_needs_candidates_for_every_row():
     for answers, match in (([[[0.0]]], "answered 1 rows, expected 2"),
                            ([[[0.0]], []], "no candidates for row 1")):
         with pytest.raises(ValueError, match=match):
-            value_function(m, [1.0], X, Z, lambda model, theta, X: answers)
+            value_function(m, [1.0], X, Z, lambda model, theta, X, Z: answers)
 
 
 def test_value_function_gap_is_cost_rows_minus_value(rng):
@@ -618,7 +618,8 @@ def test_value_function_gap_is_cost_rows_minus_value(rng):
 
 def test_penalized_verify_makes_one_solver_call(monkeypatch):
     """A penalized verify asks its solver once, about every scenario's row
-    of x, through one value_function call."""
+    of x with the certificate's z as the start, through one value_function
+    call."""
     import mstat.stationarity as ST
 
     prob = Problem(lower=DoubleWellLower(), upper=FlatUpper(), x=[[0.0], [1.0], [2.0]],
@@ -631,8 +632,10 @@ def test_penalized_verify_makes_one_solver_call(monkeypatch):
     monkeypatch.setattr(ST, "value_function",
                         lambda *a: calls.append(None) or value_function_of(*a))
     rep = verify_certificate_penalized(
-        prob, cert, solver=lambda model, theta, X: asked.append(X.tolist()) or grid(model, theta, X))
-    assert asked == [[[0.0], [1.0], [2.0]]] and len(calls) == 1
+        prob, cert,
+        solver=lambda model, theta, X, Z: asked.append((X.tolist(), Z.tolist()))
+        or grid(model, theta, X, Z))
+    assert asked == [([[0.0], [1.0], [2.0]], [[1.0]] * 3)] and len(calls) == 1
     assert rep.columns.value_gap == [0.0] * 3
 
 
