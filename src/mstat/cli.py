@@ -414,7 +414,12 @@ def cmd_newsvendor(args):
     elif args.action == "gridsearch":
         if not args.grid:
             raise CliError("--grid is required for gridsearch")
-        grid = [float(t) for t in args.grid.split(",")]
+        grid = args.grid.split(",")
+        for i, entry in enumerate(grid):
+            try:
+                grid[i] = float(entry)
+            except ValueError:
+                raise CliError("--grid point %d is not a number: %r" % (i, entry)) from None
         out["theta"] = NV.bandwidth_grid_search(inst, grid)
     else:
         raise CliError("unknown action %r" % args.action)

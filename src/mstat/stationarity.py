@@ -49,7 +49,7 @@ from .graph_normals import (
     make_graph_context,
     polyhedron_membership,
 )
-from .lp import feasibility_threshold, phase1_bound
+from .lp import _FEAS_TOL, _PIVOT_TOL, feasibility_threshold, phase1_bound
 
 __all__ = [
     "FeasibleSet", "ParameterSet", "Problem",
@@ -331,21 +331,27 @@ class Problem:
                                for col in zip(*rows)))
 
 
+_ABSENT = object()
+_UNSET_TYPES = frozenset((type(None), object))     # the types of a null and of _ABSENT
+
+
 def _scenario_column(parts, key, required=False):
     """The entry key of every certificate scenario in parts, a list of
     mappings, or None when the key is optional and no scenario holds it. A
     scenario without a required key raises ValueError naming the first; an
     optional key reads as None where it is left out, and an explicit null
-    for it raises ValueError naming the first."""
-    held = list(map(contains, parts, repeat(key)))
-    if not (required or any(held)):
+    for it raises ValueError naming the first. Each scenario's entry is read
+    once, with _ABSENT for a key left out."""
+    if not (required or any(map(contains, parts, repeat(key)))):
         return None
-    column = [part.get(key) for part in parts]
-    for i in [i for i, value in enumerate(column) if value is None]:
-        if held[i] != required:
-            raise ValueError("certificate scenario %d: %s is null; leave the key out instead"
-                             % (i, key) if held[i] else
-                             "certificate scenario %d is missing '%s'" % (i, key))
+    column = [part.get(key, _ABSENT) for part in parts]
+    if not _UNSET_TYPES.isdisjoint(map(type, column)):
+        for i, value in enumerate(column):
+            if value is (_ABSENT if required else None):
+                raise ValueError("certificate scenario %d: %s is null; leave the key out instead"
+                                 % (i, key) if value is None else
+                                 "certificate scenario %d is missing '%s'" % (i, key))
+        column = [None if value is _ABSENT else value for value in column]
     return column
 
 
@@ -667,36 +673,117 @@ def upper_residual(problem, certificate):
 _INFEASIBLE = "infeasible scenario point"
 
 
-def _complementarity_gaps(poly, target, slack, active, low_res, resids):
+def _complementarity_gaps(poly, target, slack, active, low_res, resid, replay=None):
     """The gap max |lam_i slack_i| of the multiplier LP of each row n, for
     target[n] over its active rows active[n], or None where that LP finds
-    no multiplier. slack holds the rows' slack vectors b - A z, low_res
-    their lower residuals, the distances from target to cone(A_I), and each
-    of resids a stack of residuals A_I^T x0 - target of explicit x0 >= 0,
-    one per row.
+    no multiplier. slack holds the rows' slack vectors b - A z, low_res their
+    lower residuals, the distances from target to cone(A_I), and resid
+    their residuals A_I^T x0 - target at explicit points x0 >= 0.
 
     Two cases decide a row's gap without the LP, both tested on all rows
     at once:
       - low_res exceeds twice its feasibility threshold. The LP's phase-1
         optimum is an L1 residual, at least the Euclidean distance, so it
         would find no multiplier and the gap stays None.
-      - Every active slack is exactly 0 and phase1_bound at some x0 is at
-        most half the threshold. The LP would find a multiplier, and every
+      - Every active slack is exactly 0 and phase1_bound at x0 is at most
+        half the threshold. The LP would find a multiplier, and every
         multiplier gives gap 0.0: lam is 0 off the active set and the slack
         is 0 on it. The factor 2 covers rounding, as in the first case.
-    With no active row there is no LP to skip. The LP runs on the rows that
-    remain, in row order.
+    replay, where given, answers the rows that remain as the LP would, by
+    rows: it returns their multipliers, whether each was found, and the rows
+    it leaves to the LP (_simplex_multipliers). With no active row there is
+    no LP to skip. The LP runs on the rows that remain, in row order.
     """
     threshold = feasibility_threshold(target)
     some = active.any(axis=1)
-    skip = some & ~np.any(active & (slack != 0.0), axis=1) & np.any(
-        [phase1_bound(target, -resid) <= 0.5 * threshold for resid in resids], axis=0)
+    skip = (some & ~np.any(active & (slack != 0.0), axis=1)
+            & (phase1_bound(target, -resid) <= 0.5 * threshold))
     gaps = [0.0 if s else None for s in skip.tolist()]
-    for n in np.flatnonzero(~skip & (~some | (low_res <= 2.0 * threshold))):
+    left = np.flatnonzero(~skip & (~some | (low_res <= 2.0 * threshold)))
+    if replay is not None and len(left):
+        lam, found, rest = replay(target[left], active[left])
+        gap = np.max(np.abs(lam * slack[left]), axis=1, initial=0.0).tolist()
+        for n, v, f in zip(left.tolist(), gap, found.tolist()):
+            gaps[n] = v if f else None
+        left = left[rest]
+    for n in left:
         lam = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]), DEFAULT_EPS)
-        if lam is not None:
-            gaps[n] = float(np.max(np.abs(lam * slack[n]), initial=0.0))
+        gaps[n] = None if lam is None else float(np.max(np.abs(lam * slack[n]), initial=0.0))
     return gaps
+
+
+def _leaving_rows(ratio):
+    """The row that Bland's ratio test of lp._bland_pivot picks in each row
+    of ratio, a stack of ratios with inf where a row may not leave: the
+    lowest index within _PIVOT_TOL (1 + |min|) of the minimum. The rows that
+    may leave hold their own artificials, whose order is the row order."""
+    best = ratio.min(axis=1)
+    return np.argmax(ratio <= (best + _PIVOT_TOL * (1.0 + np.abs(best)))[:, None], axis=1)
+
+
+def _simplex_multipliers(target, active):
+    """What multiplier_within_support returns for each row t of target over
+    its active simplex rows active[n], from a replay of its phase-1 LP's
+    pivots: (lam, found, rest). lam holds the (k, d + 1) multipliers,
+    clipped at 0 as the LP clips them, and found says where the LP finds
+    one; both hold on the rows outside rest, with the LP's bits.
+
+    The LP's columns are the active bound rows -e_j (J) and the budget row
+    1; its rows are the coordinates, flipped where t_i < 0. Bland's rule
+    makes these pivots:
+      - each bound column with t_j < 0, in its own row;
+      - the budget column, where it is active, at the row i* that the ratio
+        test (_leaving_rows) picks among the coordinates with t_i >= 0 by
+        their ratios t_i, at the reduced cost c = -#{i : t_i >= 0};
+      - where i* is a bound row k, column k again, at the row i** picked
+        among the other coordinates with t_i >= 0 by t_i - t_k, at the
+        reduced cost 1 + c.
+    The artificials left basic in bound rows are then pivoted out on their
+    own columns. With t_k = t_{i*} (0 where the budget is slack) and
+    lam_k = t_{i**} - t_k (0 where i* is free), the final right-hand sides
+    round as lam_b = t_k + lam_k and lam_j = lam_k - (t_j - t_k) on J; a
+    zero may differ in sign before the clip, which the gap |lam_i slack_i|
+    does not read. The phase-1 objective starts at -sum |t| and each pivot
+    subtracts its reduced cost times its right-hand side; the LP finds a
+    multiplier where minus the objective is at most
+    feasibility_threshold(t). With no active row, cone_coefficients' rule
+    applies: |t| <= eps.
+
+    The pivots differ where the budget is active and a free coordinate has
+    t_i < 0, or where i** is a bound row or does not exist; on those rows,
+    and on rows that are not finite, the LP must run: rest.
+    """
+    k, d = target.shape
+    bound, budget = active[:, :d], active[:, d]
+    up = target >= 0.0
+    first = bound & ~up
+    size = np.abs(target)
+    total = size.sum(axis=1)
+    count = up.sum(axis=1)
+    r = np.arange(k)
+    # i* (k1) and t_k, then i** (k2) and lam_k.
+    k1 = _leaving_rows(np.where(up, target, np.inf))
+    tk = np.where(budget, target[r, k1], 0.0)
+    s = target - tk[:, None]
+    k2 = _leaving_rows(np.where(up & (np.arange(d) != k1[:, None]), s, np.inf))
+    pinned = budget & bound[r, k1]
+    lk = np.where(pinned, s[r, k2], 0.0)
+    fold = np.empty((k, d + 1))
+    np.negative(total, out=fold[:, 0])
+    np.multiply(target, first, out=fold[:, 1:])
+    # -sum |t|, minus t_j for each first pivot in order (t_j * False is a
+    # zero, which moves no comparison), minus c t_k and (1 + c) lam_k.
+    value = np.subtract.reduce(fold, axis=1) + count * tk - (1.0 - count) * lk
+    some = active.any(axis=1)
+    found = np.where(some, -value <= _FEAS_TOL * (1.0 + total),
+                     size.max(axis=1) <= DEFAULT_EPS)
+    # With no row that may leave, _leaving_rows gives row 0: a bound row, or
+    # a free coordinate with t_0 < 0 since i* is the only t_i >= 0.
+    rest = ~np.isfinite(total) | pinned & bound[r, k2] | budget & ~(bound | up).all(axis=1)
+    lam = np.zeros((k, d + 1))
+    lam[:, :d] = np.where(bound, lk[:, None] - s, 0.0)
+    lam[:, d] = tk + lk
+    return np.maximum(lam, 0.0), found, rest
 
 
 def _scenario_checks(feasible, z, g):
@@ -709,15 +796,10 @@ def _scenario_checks(feasible, z, g):
     could differ only at a NaN slack). The lower residual
     dist(-g, N_Z(z)) is the one fork: one _simplex_residual_rows pass on the
     simplex, one NNLS per row on any other polyhedron. Every gap comes from
-    one _complementarity_gaps call on the feasible rows.
-
-    On the simplex the LP skip tries phase1_bound at two explicit points:
-    the closed form's (tau, mu) and (0, max(-u, 0)), with u = -g and mu on
-    the pinned coordinates. At a stationary point with a vanishing budget
-    multiplier the closed form's tau is rounding noise, which can flip the
-    sign of a residual entry against a target entry that is itself at
-    rounding level; tau = 0 leaves that entry's residual exactly -u_i, as
-    the NNLS does when the budget column's gradient is below its tolerance.
+    one _complementarity_gaps call on the feasible rows; on the simplex
+    that call replays the multiplier LP's pivots by rows
+    (_simplex_multipliers), so no LP runs there unless a row falls outside
+    the replay.
 
     The orthant R_+^d needs no product: z is its slack vector, and the
     distance separates by coordinate, |g_i| where z_i > eps and max(0, -g_i)
@@ -738,12 +820,12 @@ def _scenario_checks(feasible, z, g):
         active = np.abs(slack) <= eps
         if feasible.kind == "simplex":
             resid, low_res = _simplex_residual_rows(target, active)
-            resids = (resid, -target - np.where(active[:, :-1], np.maximum(-target, 0.0), 0.0))
+            replay = _simplex_multipliers
         else:
             resid = np.array([cone_residual(t, poly.A[a]) for t, a in zip(target, active)])
             resid = resid.reshape(target.shape)
-            low_res, resids = _row_norms(resid), (resid,)
-        gaps = _complementarity_gaps(poly, target, slack, active, low_res, resids)
+            low_res, replay = _row_norms(resid), None
+        gaps = _complementarity_gaps(poly, target, slack, active, low_res, resid, replay)
     checks = [None] * len(z)
     for n, check in zip(rows.tolist(), zip(low_res.tolist(), gaps)):
         checks[n] = check

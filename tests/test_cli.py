@@ -532,6 +532,17 @@ def test_newsvendor_report_text_equals_json_dumps(case, mode):
                     "infeasible scenario point"}
 
 
+@pytest.mark.parametrize("grid, point, entry", [("0.5,,1", 1, "''"), ("abc", 0, "'abc'"),
+                                                ("0.5,1,", 2, "''")])
+def test_gridsearch_names_the_grid_entry_that_is_not_a_number(grid, point, entry, capsys):
+    """A --grid entry that is not a number is an input error (exit 1) that
+    names the option, the point's index and the entry as given."""
+    code, out, err = run(capsys, "newsvendor", "gridsearch",
+                         "--problem", str(GOLDEN / "nv1.problem.json"), "--grid", grid)
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert "--grid point %d is not a number: %s" % (point, entry) in err
+
+
 def test_gridsearch_outside_theta_bounds_exits_1(capsys, tmp_path):
     """A grid point more than DEFAULT_EPS outside theta_bounds is an input
     error with the text of ParameterSet.outside, and no bandwidth is

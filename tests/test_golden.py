@@ -19,7 +19,13 @@ one exact certificate verified in both modes: pf4 a d_z = 8 vertex whose
 active slacks are all exactly 0, where verify runs no LP; pf5 a d_z = 4
 point on the budget face with a budget slack of 5e-10, inside eps, where
 the LP's positive budget multiplier gives a non-zero complementarity_gap.
-Their outputs were recorded before the LP skip existed.
+Their outputs were recorded before the LP skip existed. pf6 and pf7 are
+d_z = 4 interior instances with four scenarios, copied from the portfolio
+benchmark's seed-1 inputs and verified in convex mode; their outputs were
+recorded while the multiplier LP still ran. In one scenario of each, an
+active slack is non-zero and the LP's pivots include a bound row: in pf6
+the budget column enters at a bound row whose column enters again, in pf7
+a bound row with a negative target pivots first. Both gaps are non-zero.
 
 nv3 and nv4 are hand-built newsvendor problems, verified by `newsvendor
 verify` and by `verify` in both modes; their outputs were recorded before
@@ -91,18 +97,34 @@ def test_verify_output_is_byte_identical(case, capsys):
     assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
 
 
-@pytest.mark.parametrize("stem, scenarios, lps", [("pf4", 4, 0), ("pf5", 3, 3)])
+@pytest.mark.parametrize("stem, scenarios, lps", [("pf4", 4, 0), ("pf5", 3, 0)])
 def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios, lps,
                                                                capsys, monkeypatch):
     """pf4 is a d_z = 8 vertex: every active slack is exactly 0, so verify
-    runs no LP. Each pf5 scenario has a budget slack of 5e-10, inside eps,
-    and takes one LP for its multiplier, which makes its gap non-zero."""
+    runs no LP and every gap is 0. Each pf5 scenario has a budget slack of
+    5e-10, inside eps; the replay of the multiplier LP's pivots gives its
+    positive budget multiplier without an LP, which makes its gap non-zero."""
     calls = count_lps(monkeypatch)
     code, out = run(capsys, ["verify", "--problem", stem + ".problem.json",
                              "--certificate", stem + ".cert.json"])
     gaps = [s["complementarity_gap"] for s in json.loads(out)["scenarios"]]
     assert code == 0 and len(gaps) == scenarios and len(calls) == lps
-    assert all(gap == 0.0 for gap in gaps) if lps == 0 else all(gap > 0.0 for gap in gaps)
+    assert all(gap == 0.0 for gap in gaps) if stem == "pf4" else all(gap > 0.0 for gap in gaps)
+
+
+def test_golden_lp_counts(capsys, monkeypatch):
+    """Across tests/golden, `verify` runs no LP: every simplex multiplier
+    comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
+    and the newsvendor sets are orthants. `gph-normal --method direct` keeps
+    its 13 LPs. Every output keeps its recorded bytes."""
+    calls = count_lps(monkeypatch)
+    lps = {}
+    for case in EXPECTED["outputs"]:
+        before = len(calls)
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+        lps[case["argv"][0]] = lps.get(case["argv"][0], 0) + len(calls) - before
+    assert lps["verify"] == 0 and lps["gph-normal"] == 13 and sum(lps.values()) == 13
+    assert {"pf6.cert.json", "pf7.cert.json"} <= {a for c in EXPECTED["outputs"] for a in c["argv"]}
 
 
 PORTFOLIO_VERIFY = [c for c in EXPECTED["outputs"]

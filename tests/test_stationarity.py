@@ -1150,12 +1150,11 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
     its closed-form residuals, gives the gaps of the NNLS route (the same
     call on FeasibleSet.polyhedron(simplex_polyhedron(d))) bit for bit,
     with no NNLS solve and no more LPs, and lower residuals within 1e-15 of
-    them relative to max(1, value). It may skip an LP that the NNLS route
-    runs: its second phase1_bound point, tau = 0, is the one that
-    certifies the LP's answer where the closed form's tau is rounding noise
-    (184 of 103,680 such cases over 40 seeds, each with the same gap).
-    Every stack mixes in infeasible rows, a coordinate at -2e-9 or a sum
-    of 1 + 3e-9, which both routes report as None."""
+    them relative to max(1, value). Where the NNLS route runs the
+    multiplier LP, the simplex replays its pivots (_simplex_multipliers)
+    and runs the LP only on the rows outside the replay. Every stack mixes
+    in infeasible rows, a coordinate at -2e-9 or a sum of 1 + 3e-9, which
+    both routes report as None."""
     stacks = {}
     for poly, z, g in _skip_cases(rng) + [(poly, z, -target) for poly, z, target
                                           in SIMPLEX_SKIP_CASES]:
@@ -1212,3 +1211,114 @@ def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, m
     calls = count_lps(monkeypatch)
     _, comp_gap = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], -target[None])[0]
     assert comp_gap is None and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the simplex multiplier LP replayed by rows
+
+_TIE = 4e-11           # inside the ratio test's window _PIVOT_TOL (1 + |min|)
+
+
+@st.composite
+def simplex_multiplier_rows(draw):
+    """A stack of (target, active) rows on simplex_polyhedron(d), d from 1
+    to 12, drawn where the replay's cases meet: free coordinates at a
+    budget target tau, pinned ones at tau - lam with lam 0 (biactive), a
+    tie inside the ratio test's window, a step or more than tau (a negative
+    target); -0.0 and 0.0 for tau and the targets; rows without the budget
+    and rows with no active row; and a free coordinate off tau by a
+    multiple of the feasibility threshold near 1, which puts the phase-1
+    objective next to it."""
+    d = draw(st.integers(1, 12))
+    targets, masks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        tau = draw(st.sampled_from([0.0, -0.0, 1e-12, 0.5, 1.0, 3.0]))
+        pinned = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        budget = draw(st.sampled_from([True, True, True, False]))
+        if draw(st.integers(0, 9)) == 0:
+            pinned[:], budget = False, False
+        lam = draw(st.lists(st.sampled_from([0.0, _TIE, -_TIE, 0.25, 1.5, tau + 0.75, None]),
+                            min_size=d, max_size=d))
+        free = draw(st.lists(st.sampled_from([0.0, 0.0, _TIE, -_TIE, -0.0]),
+                             min_size=d, max_size=d))
+        t = np.array([(-0.0 if l is None else tau - l) if p else tau + f * (1.0 + abs(tau))
+                      for p, l, f in zip(pinned, lam, free)])
+        if draw(st.booleans()) and not pinned.all():
+            i = int(np.flatnonzero(~pinned)[draw(st.integers(0, int((~pinned).sum()) - 1))])
+            near = draw(st.sampled_from([0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0]))
+            t[i] += near * 1e-9 * (1.0 + np.abs(t).sum()) * draw(st.sampled_from([1.0, -1.0]))
+        targets.append(t)
+        masks.append(np.append(pinned, budget))
+    return np.array(targets), np.array(masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(simplex_multiplier_rows())
+def test_simplex_multipliers_replay_the_lp_bit_for_bit(case):
+    """On every row outside rest, _simplex_multipliers finds a multiplier
+    exactly where multiplier_within_support does, and the same one in every
+    entry: the same repr and the same sign bit."""
+    target, active = case
+    poly = simplex_polyhedron(target.shape[1])
+    lam, found, rest = ST._simplex_multipliers(target, active)
+    for n in np.flatnonzero(~rest):
+        want = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]))
+        assert found[n] == (want is not None), (target[n], active[n])
+        if want is not None:
+            assert [repr(v) for v in lam[n]] == [repr(v) for v in want], (target[n], active[n])
+            assert np.array_equal(np.signbit(lam[n]), np.signbit(want))
+
+
+@pytest.mark.parametrize("target, active, found", [
+    # i* is bound row 0 inside the tie window ahead of the free rows, and
+    # column 0 enters again at row 1.
+    ([1.0 + _TIE, 1.0, 1.0], [1, 0, 0, 1], True),
+    ([-0.5, 1.0, 1.0], [1, 0, 0, 1], True),         # a bound with a negative target
+    ([1.0, 1.0, 1.0], [1, 0, 0, 1], True),          # biactive: t_0 equals tau
+    ([-0.0, 0.0, -0.0], [1, 0, 0, 1], True),
+    ([-0.5, -0.25, 0.0], [1, 1, 0, 0], True),       # no budget
+    ([-0.5, 0.25, 0.0], [1, 1, 0, 0], False),
+    ([5e-10, -5e-10], [0, 0, 0], True),             # no active row: |t| <= eps
+    ([2e-9, 0.0], [0, 0, 0], False),
+    # minus the phase-1 objective just above and just below the threshold
+    ([1.0, 1.0 + 3e-9 * (1.0 + 1e-7)], [0, 0, 1], False),
+    ([1.0, 1.0 + 3e-9 * (1.0 - 1e-7)], [0, 0, 1], True),
+])
+def test_simplex_multipliers_cases(target, active, found):
+    """Each case of the replay, one row each, with its multiplier's bits."""
+    target, active = np.array([target]), np.array([active], dtype=bool)
+    lam, got, rest = ST._simplex_multipliers(target, active)
+    want = multiplier_within_support(simplex_polyhedron(target.shape[1]), target[0],
+                                     np.flatnonzero(active[0]))
+    assert not rest[0] and got[0] == found == (want is not None)
+    if found:
+        assert [repr(v) for v in lam[0]] == [repr(v) for v in want]
+
+
+def test_simplex_rows_outside_the_replay_run_the_lp(monkeypatch):
+    """Rows whose budget is active while a free coordinate has a negative
+    target, and a row whose i** is a bound row, fall outside the replay:
+    _scenario_checks runs one LP on each, and only on them, and reports the
+    LP's gaps bit for bit, None where the LP finds no multiplier. Their
+    active slacks are non-zero and their distances within twice the
+    threshold, so no skip decides them."""
+    poly = simplex_polyhedron(4)
+    z = np.array([[1.0 - 9e-10, 3e-10, 3e-10, 3e-10],
+                  [0.5, 0.5 - 3e-10, 2e-10, 2e-10],
+                  [0.4, 0.3, 2e-10, 0.3 - 5e-10],
+                  [0.25, 0.25, 0.25, 0.25 - 4e-10]])
+    target = np.array([[1.0, 0.2, 0.5, 0.7],
+                       [-1e-12, 0.0, -0.5, -0.3],
+                       [1.1000000000000001e-09, 1.1000000000000001e-09, 0.0, -9e-10],
+                       [0.5, 0.5, 0.5, 0.5]])
+    slack = poly.b - z @ poly.A.T
+    active = np.abs(slack) <= 1e-9
+    assert ST._simplex_multipliers(target, active)[2].tolist() == [True, True, True, False]
+    calls = count_lps(monkeypatch)
+    got = _scenario_checks(FeasibleSet.simplex(4), z, -target)
+    assert len(calls) == 3
+    for n in range(4):
+        lam = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]))
+        want = None if lam is None else float(np.max(np.abs(lam * slack[n])))
+        assert repr(got[n][1]) == repr(want)
+        assert (want is None) == (n == 2) and (want is None or want > 0.0)
