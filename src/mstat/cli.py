@@ -361,8 +361,7 @@ def cmd_spo_portfolio(args):
         out["objective"] = PF.empirical_spo_objective(PF.LinearPredictor(theta), inst)
     elif args.action == "solve":
         R = PF.LinearPredictor(theta).predict_rows(inst.samples.x)
-        out["decisions"] = [s.z.tolist() for s in PF.solve_simplex_qp_rows(
-            R, inst.sigma, inst.risk_aversion)]
+        out["decisions"] = PF.solve_simplex_qp_rows(R, inst.sigma, inst.risk_aversion).tolist()
     elif args.action == "search":
         theta0 = theta if theta is not None else PF.fit_least_squares(inst).theta
         pred, history = PF.spo_local_search(inst, theta0, steps=args.steps,

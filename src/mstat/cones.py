@@ -20,10 +20,11 @@ at call time.
     rules, where the budget multiplier vanishes only at |tau| <= STRICT_EPS
     and 0 < |zeta_i| < STRICT_EPS is flagged boundary_ambiguous.
     nnamcq_check reads eigenvalues up to STRICT_EPS * max(1, largest) as 0.
-  Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL,
-    _MAX_PIVOTS (LP and NNLS), portfolio._QP_EPS and
-    _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL and _MAX_EXPAND (Newton), and
-    stationarity._FD_STEP and _ARGMIN_TOL (gradient check, value function).
+  Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL and
+    _MAX_PIVOTS (LP; lp.nnls stops after 3n + 10 least-squares solves on n
+    columns), portfolio._QP_EPS and _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL
+    and _MAX_EXPAND (Newton), and stationarity._FD_STEP and _ARGMIN_TOL
+    (gradient check, value function).
 """
 
 from __future__ import annotations

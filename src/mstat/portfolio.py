@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import DEFAULT_EPS
 from .graph_normals import (
-    NormalPair,
     Points,
     _holds_non_number,
+    _simplex_rows,
     finite_number,
     finite_weights,
     object_columns,
     read_points,
-    simplex_membership,
 )
 from .stationarity import (
     _TERM_BOUND,
@@ -43,9 +43,8 @@ from .stationarity import (
 )
 
 __all__ = [
-    "PortfolioInstance", "LinearPredictor", "SimplexQPSolution",
-    "solve_simplex_qp", "solve_simplex_qp_rows", "spo_loss",
-    "fit_least_squares", "empirical_spo_objective", "spo_local_search",
+    "PortfolioInstance", "LinearPredictor", "solve_simplex_qp", "solve_simplex_qp_rows",
+    "spo_loss", "fit_least_squares", "empirical_spo_objective", "spo_local_search",
     "PortfolioLowerModel", "SpoUpperModel", "PortfolioProblem", "as_problem", "lower_solver",
     "realizable_certificate",
 ]
@@ -138,38 +137,9 @@ class LinearPredictor:
         return np.matmul(self.theta.T, np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
 
 
-@dataclass
-class SimplexQPSolution:
-    z: np.ndarray
-    bound_multipliers: np.ndarray
-    budget_multiplier: float
-    active_bounds: tuple
-    budget_active: bool
-    kkt_residual: float
-
-
 _PROJECTION_BOUND = 2.0 ** 52
 _QP_EPS = 1e-11       # zero and convergence tolerance of solve_simplex_qp
 _QP_MAX_ITER = 200    # its active-set iteration cap
-
-
-def _kkt_rows(R, sigma, lam, Z, MU, taus):
-    """The KKT residual of each row's point z, bound multipliers mu and
-    budget multiplier tau >= 0 (a list): the largest violation of
-    stationarity -r + lam Sigma z - mu + tau 1 = 0, of complementarity on
-    the bounds and the budget row, of mu >= 0 and tau >= 0, and of
-    feasibility. The terms after stationarity enter as Python's max over
-    them would take them: at least 0.0, a NaN term skipped, a NaN
-    stationarity term the result.
-    """
-    tau = np.array(taus, dtype=float)
-    stat = -R + lam * np.matmul(sigma, Z[:, :, None])[:, :, 0] - MU + tau[:, None]
-    total = Z.sum(axis=1)
-    first = np.max(np.abs(stat), axis=1)
-    rest = np.fmax.reduce([first, np.zeros(len(Z)), np.max(np.abs(MU * Z), axis=1, initial=0.0),
-                           np.abs(tau * (total - 1.0)), -np.min(MU, axis=1, initial=0.0), -tau,
-                           np.max(-Z, axis=1, initial=0.0), total - 1.0])
-    return np.where(np.isnan(first), first, rest + 0.0).tolist()
 
 
 def _face_rows(R, sigma, lam, bounds, budget):
@@ -182,14 +152,12 @@ def _face_rows(R, sigma, lam, bounds, budget):
     one-row solve once per row, so each row gets the bits of its own solve.
     On the budget face the solve's error in 1^T z grows with the returns;
     beyond _QP_EPS, z moves back onto the row along (lam Sigma_II)^{-1} 1 and
-    tau shifts so that lam Sigma z + tau 1 stays unchanged. The taus are a
-    list typed as a one-row solve types them: a float, or an np.float64 once
-    shifted.
+    tau shifts so that lam Sigma z + tau 1 stays unchanged.
     """
     g, d = R.shape
     idx = [i for i in range(d) if i not in bounds]
     k = len(idx)
-    taus = [0.0] * g
+    taus = np.zeros(g)
     Z = np.zeros((g, d))
     if budget:
         K = np.zeros((k + 1, k + 1))
@@ -199,14 +167,13 @@ def _face_rows(R, sigma, lam, bounds, budget):
         rhs = np.concatenate([R[:, idx], np.ones((g, 1))], axis=1)
         sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
         Z[:, idx] = sol[:, :k]
-        taus = sol[:, k].tolist()
+        taus = sol[:, k]
         drift = 1.0 - Z[:, idx].sum(axis=1)
         moved = np.flatnonzero(np.abs(drift) > _QP_EPS)
         if len(moved):
             c = np.linalg.solve(K[:k, :k], np.ones(k))
             Z[np.ix_(moved, idx)] += drift[moved, None] * c / c.sum()
-            for j in moved:
-                taus[j] -= drift[j] / c.sum()
+            taus[moved] -= drift[moved] / c.sum()
     elif k:
         Z[:, idx] = np.linalg.solve(lam * sigma[np.ix_(idx, idx)], R[:, idx, None])[:, :, 0]
     return Z, taus
@@ -228,24 +195,13 @@ def _multiplier_rows(R, sigma, lam, Z, taus, mask):
     row; the stacked matrix-vector product gives each row the bits of a
     one-row Sigma @ z."""
     grad = -R + lam * np.matmul(sigma, Z[:, :, None])[:, :, 0]
-    return np.where(mask, grad + np.array(taus, dtype=float)[:, None], 0.0)
+    return np.where(mask, grad + taus[:, None], 0.0)
 
 
 def _bound_multipliers(r, sigma, lam, z, tau, bounds):
     mask = np.zeros(len(r), dtype=bool)
     mask[list(bounds)] = True
-    return _multiplier_rows(r[None], sigma, lam, z[None], [tau], mask)[0]
-
-
-def _face_solutions(R, sigma, lam, Z, MU, taus, bounds, budget):
-    """The SimplexQPSolution of each row's face point on one working set; a
-    negative tau reports as 0."""
-    taus = [max(tau, 0.0) for tau in taus]
-    active = tuple(sorted(bounds))
-    return [SimplexQPSolution(z=z, bound_multipliers=mu, budget_multiplier=tau,
-                              active_bounds=active, budget_active=bool(budget),
-                              kkt_residual=res)
-            for z, mu, tau, res in zip(Z, MU, taus, _kkt_rows(R, sigma, lam, Z, MU, taus))]
+    return _multiplier_rows(r[None], sigma, lam, z[None], np.array([tau]), mask)[0]
 
 
 _RETURNS_ERROR = ("predicted returns are not finite or exceed %g in magnitude"
@@ -254,7 +210,7 @@ _RETURNS_ERROR = ("predicted returns are not finite or exceed %g in magnitude"
 
 def _unconstrained_rows(R, sigma, lam):
     """Sigma^{-1} r / lam for each row r of R, the point whose simplex
-    projection starts a cold solve.
+    projection starts the active-set loop.
 
     A row whose returns are not finite or exceed _TERM_BOUND raises
     ValueError, and so does one whose Sigma^{-1} r / lam has an entry of
@@ -281,7 +237,7 @@ def _margins(Z, mu, taus, mask, budget):
     row, else 1 - 1^T z]) per row, and 1^T z. A row holding a NaN takes the
     Python min over that list, in that order, as a one-row solve does."""
     total = Z.sum(axis=1)
-    last = np.array(taus, dtype=float) if budget else 1.0 - total
+    last = taus if budget else 1.0 - total
     margin = np.minimum(np.min(np.where(mask, mu, Z), axis=1), last)
     for j in np.flatnonzero(np.isnan(margin)):
         margin[j] = min(Z[j][~mask].tolist() + mu[j][mask].tolist() + [last[j]])
@@ -290,106 +246,62 @@ def _margins(Z, mu, taus, mask, budget):
 
 def solve_simplex_qp_rows(R, sigma, lam, start=None):
     """solve_simplex_qp for every row r of R (k by d), at one Sigma and
-    lambda; returns the k solutions in row order, each to the bit the one a
-    row-by-row solve gives.
+    lambda: a (k, d) array whose row i is the solution of row i, to the bit
+    the one a row-by-row solve gives.
 
-    start, when given, holds one point per row (k by d), a guess of the
-    solutions: with it, a warm round runs first (_warm_rows). Each row
-    starts at the working set of its point, one stacked face solve per
-    group of rows that share it, and returns from there when the margins
-    certify its face point strictly, as they do in a cold round below. That
-    point is then the unique optimum and its working set the one the
-    active-set loop ends on; its bytes are the face solve's at that working
-    set and (r, Sigma, lambda), so they do not depend on the start. Every
-    other row, and every row when no start is given, takes the cold path
-    (_cold_rows). Either way one stacked np.linalg.solve for Sigma^{-1} R
-    checks every row's returns first (_unconstrained_rows), so a start
-    changes no error either.
+    One stacked np.linalg.solve for Sigma^{-1} R checks every row's returns
+    first (_unconstrained_rows). Then primal-dual rounds guess each row's
+    optimal working set, on the groups of rows that hold the same one, with
+    one stacked face solve per group; round by round, each row takes the
+    decisions of a one-row guess. Round 0 takes a row's working set from its
+    point in start (one point per row, k by d, a guess of the solutions),
+    or, without a start, from the simplex projection of its row of
+    U = Sigma^{-1} R / lambda: the bounds where the point has z_i <=
+    _QP_EPS, and the budget row where 1^T z >= 1 - _QP_EPS with a
+    coordinate left free. A face point with z_i > _QP_EPS off the working
+    set, mu_i > _QP_EPS on it and tau > _QP_EPS on the budget row
+    (1^T z < 1 - _QP_EPS off it) satisfies KKT with strict complementarity,
+    so it is the unique optimum and its working set is the one the
+    active-set loop ends on; the row returns it. Its bytes are the face
+    solve's at that working set and (r, Sigma, lambda), so a start changes
+    which faces are tried but no returned byte, and no error. Otherwise,
+    when every margin is at least -_QP_EPS (a degenerate optimum no round
+    can certify), the row goes to the loop; else it keeps the bounds with
+    mu_i > 0, adds those with z_i < 0, keeps the budget row while tau > 0
+    and adds it when 1^T z > 1. A row whose working set repeats, or that is
+    not certified after d + 1 rounds, goes to the loop. Without a start, a
+    vertex projection (the budget row and d - 1 bounds) takes instead the
+    loop's own first step: the same face, returned when it moves z by at
+    most _QP_EPS in every coordinate and no multiplier is below -_QP_EPS,
+    as the loop returns it; any other vertex row goes to the loop, whose
+    one-at-a-time exchange reaches the optimal vertex in fewer solves than
+    the simultaneous update, which at large returns overshoots far outside
+    the simplex. Every row the rounds leave runs the loop alone
+    (_active_set_loop) from its projected start, with the faces it met
+    already solved; with a start, only those rows are projected.
     """
     R = np.asarray(R, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if not len(R):
-        return []
+        return np.zeros(R.shape)
     U = _unconstrained_rows(R, sigma, lam)
-    if start is None:
-        return _cold_rows(R, sigma, lam, U)
-    out = _warm_rows(R, sigma, lam, start)
-    cold = [i for i, solution in enumerate(out) if solution is None]
-    if cold:
-        for i, solution in zip(cold, _cold_rows(R[cold], sigma, lam, U[cold])):
-            out[i] = solution
-    return out
-
-
-def _warm_rows(R, sigma, lam, start):
-    """The solution of each row whose start point's working set certifies
-    it, None for every other row.
-
-    A row's working set holds the bounds where its start has z_i <= _QP_EPS
-    and the budget row where 1^T z >= 1 - _QP_EPS with a coordinate left
-    free. The rows that share a working set make one stacked _face_rows
-    solve, and a row is certified when every margin (_margins) exceeds
-    _QP_EPS.
-    """
-    start = np.asarray(start, dtype=float)
-    if start.shape != R.shape:
-        raise ValueError("start must hold one point of %d entries per row" % R.shape[1])
-    bounds = start <= _QP_EPS
-    budget = (start.sum(axis=1) >= 1.0 - _QP_EPS) & (bounds.sum(axis=1) < R.shape[1])
-    groups = {}
-    for i, key in enumerate(zip(map(bytes, bounds), budget.tolist())):
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(R)
-    for (_, on), rows in groups.items():
-        mask = bounds[rows[0]]
-        ws = set(np.flatnonzero(mask).tolist())
-        Rg = R[rows]
-        Z, taus = _face_rows(Rg, sigma, lam, ws, on)
-        mu = _multiplier_rows(Rg, sigma, lam, Z, taus, mask)
-        j = np.flatnonzero(_margins(Z, mu, taus, mask, on)[0] > _QP_EPS)
-        if len(j):
-            solved = _face_solutions(Rg[j], sigma, lam, Z[j], mu[j], [taus[i] for i in j],
-                                     ws, on)
-            for i, solution in zip(j, solved):
-                out[rows[i]] = solution
-    return out
-
-
-def _cold_rows(R, sigma, lam, U):
-    """The solutions of the rows of R from their projected starts, the
-    simplex projections of the rows of U = Sigma^{-1} R / lambda.
-
-    The rows share every stacked step: the row-wise projection, and the
-    primal-dual rounds of the working-set guess, run on the groups of rows
-    that hold the same working set with one stacked face solve per group.
-    Round by round, each row takes the decisions of a one-row guess: from
-    the working set of its projected start, a face point with z_i > _QP_EPS
-    off the working set, mu_i > _QP_EPS on it and tau > _QP_EPS on the
-    budget row (1^T z < 1 - _QP_EPS off it) satisfies KKT with strict
-    complementarity, so it is the unique optimum and its working set is the
-    one the active-set loop ends on; the row returns it. Otherwise, when
-    every margin is at least -_QP_EPS (a degenerate optimum no round can
-    certify), the row goes to the loop; else it keeps the bounds with
-    mu_i > 0, adds those with z_i < 0, keeps the budget row while tau > 0
-    and adds it when 1^T z > 1. A row whose working set repeats, or that is
-    not certified after d + 1 rounds, goes to the loop. A vertex start (the
-    budget row and d - 1 bounds) takes instead the loop's own first step:
-    the same face, returned when it moves z by at most _QP_EPS in every
-    coordinate and no multiplier is below -_QP_EPS, as the loop returns it;
-    any other vertex row goes to the loop, whose one-at-a-time exchange
-    reaches the optimal vertex in fewer solves than the simultaneous update,
-    which at large returns overshoots far outside the simplex. Every row
-    the rounds leave runs the loop alone (_active_set_loop) from its
-    projected start, with the faces it met already solved.
-    """
     eps = _QP_EPS
     k, d = R.shape
-    Z0 = _simplex_projection_rows(U)
-    out = [None] * k
+    if start is None:
+        Z0 = _simplex_projection_rows(U)
+        bounds = Z0 <= eps
+        budget = Z0.sum(axis=1) >= 1.0 - eps
+        vertex = budget & (bounds.sum(axis=1) == d - 1)
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != R.shape:
+            raise ValueError("start must hold one point of %d entries per row" % d)
+        bounds = start <= eps
+        budget = start.sum(axis=1) >= 1.0 - eps
+        vertex = np.zeros(k, dtype=bool)
+    out = np.zeros((k, d))
+    left = np.ones(k, dtype=bool)
     faces = [{} for _ in range(k)]
-    bounds = Z0 <= eps
-    budget = Z0.sum(axis=1) >= 1.0 - eps
-    vertex = budget & (bounds.sum(axis=1) == d - 1)
     live = range(k)
     for step in range(d + 1):
         budget &= bounds.sum(axis=1) < d
@@ -402,35 +314,33 @@ def _cold_rows(R, sigma, lam, U):
         for key, rows in groups.items():
             on = key[1]
             mask = bounds[rows[0]].copy()
-            ws = set(np.flatnonzero(mask).tolist())
             Rg = R[rows]
-            Z, taus = _face_rows(Rg, sigma, lam, ws, on)
+            Z, taus = _face_rows(Rg, sigma, lam, set(np.flatnonzero(mask).tolist()), on)
             mu = _multiplier_rows(Rg, sigma, lam, Z, taus, mask)
             if step == 0 and vertex[rows[0]]:
                 done = ((np.max(np.abs(Z - Z0[rows]), axis=1) <= eps)
                         & ~np.any(mask & (mu < -eps), axis=1)
-                        & ~(np.array(taus) < -eps))
+                        & ~(taus < -eps))
                 going = np.zeros(len(rows), dtype=bool)
             else:
                 margin, total = _margins(Z, mu, taus, mask, on)
                 done, going = margin > eps, margin < -eps
                 bounds[rows] = np.where(mask, mu > 0, Z < 0)
-                budget[rows] = np.array(taus) > 0 if on else total > 1.0
+                budget[rows] = taus > 0 if on else total > 1.0
             for j, i in enumerate(rows):
                 faces[i][key] = Z[j], taus[j]
                 if going[j]:
                     live.append(i)
-            j = np.flatnonzero(done)
-            if len(j):
-                solved = _face_solutions(Rg[j], sigma, lam, Z[j], mu[j],
-                                         [taus[i] for i in j], ws, on)
-                for i, solution in zip(j, solved):
-                    out[rows[i]] = solution
-    for i in range(k):
-        if out[i] is None:
+            finished = np.array(rows)[done]
+            out[finished] = Z[done]
+            left[finished] = False
+    loop = np.flatnonzero(left)
+    if len(loop):
+        starts = Z0[loop] if start is None else _simplex_projection_rows(U[loop])
+        for i, z in zip(loop.tolist(), starts):
             met = {(frozenset(np.flatnonzero(np.frombuffer(b, dtype=bool)).tolist()), on): face
                    for (b, on), face in faces[i].items()}
-            out[i] = _active_set_loop(R[i], sigma, lam, Z0[i], met)
+            out[i] = _active_set_loop(R[i], sigma, lam, z, met)
     return out
 
 
@@ -447,7 +357,7 @@ def solve_simplex_qp(r, sigma, lam):
     on the final working set and (r, Sigma, lam), and a certified guess is
     the working set the iteration ends on, so both routes give the same
     bytes. This is the one-row case of solve_simplex_qp_rows without a
-    start; _cold_rows describes the guess.
+    start, which describes the guess, and returns the point z.
     Predicted returns r with an entry that is not finite or exceeds
     _TERM_BOUND in magnitude raise ValueError, as in the verifier, and so
     does an unconstrained optimum with an entry of magnitude 2^52 or more
@@ -459,7 +369,8 @@ def solve_simplex_qp(r, sigma, lam):
 
 def _active_set_loop(r, sigma, lam, z, faces):
     """The primal active-set iteration of solve_simplex_qp from the
-    projected start z, with faces the face cache of _face_point."""
+    projected start z, with faces the face cache of _face_point; returns the
+    face point of the working set it ends on."""
     eps = _QP_EPS
     d = len(r)
     bounds = set(i for i in range(d) if z[i] <= eps)
@@ -481,8 +392,7 @@ def _active_set_loop(r, sigma, lam, z, faces):
             if budget and tau < -eps:
                 drop_candidates.append((tau, -1))
             if not drop_candidates:
-                return _face_solutions(r[None], sigma, lam, z_eq[None], lam_bounds[None],
-                                       [tau], bounds, budget)[0]
+                return z_eq
             worst = min(drop_candidates)[1]
             if worst == -1:
                 budget = False
@@ -618,8 +528,8 @@ def lower_solver(instance):
     the rows of Z, which change no answer."""
     def solve(model, theta, X, Z):
         R = LinearPredictor(theta.reshape(instance.d_x, instance.d_z)).predict_rows(X)
-        return [[s.z] for s in solve_simplex_qp_rows(R, instance.sigma,
-                                                     instance.risk_aversion, Z)]
+        return [[z] for z in solve_simplex_qp_rows(R, instance.sigma,
+                                                   instance.risk_aversion, Z)]
     return solve
 
 
@@ -632,8 +542,8 @@ def spo_loss(predictor, x, r, instance):
     """Regret of the decision induced by the predicted returns; always >= 0."""
     r = np.asarray(r, dtype=float)
     lam, sig = instance.risk_aversion, instance.sigma
-    z_hat = solve_simplex_qp(predictor.predict(x), sig, lam).z
-    return _cost(z_hat, r, instance) - _cost(solve_simplex_qp(r, sig, lam).z, r, instance)
+    z_hat = solve_simplex_qp(predictor.predict(x), sig, lam)
+    return _cost(z_hat, r, instance) - _cost(solve_simplex_qp(r, sig, lam), r, instance)
 
 
 def empirical_spo_objective(predictor, instance):
@@ -645,7 +555,7 @@ def _realized_costs(instance):
     """The realized-return costs _cost(z*(r_n), r_n), one per sample, from
     one solve_simplex_qp_rows call; they do not depend on theta."""
     R = instance.samples.y
-    return [_cost(s.z, r, instance) for s, r in zip(
+    return [_cost(z, r, instance) for z, r in zip(
         solve_simplex_qp_rows(R, instance.sigma, instance.risk_aversion), R)]
 
 
@@ -656,8 +566,8 @@ def _spo_objective(predictor, instance, realized):
     decision has the bits of a one-row solve."""
     preds = predictor.predict_rows(instance.samples.x)
     solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion)
-    losses = [_cost(s.z, r, instance) - best
-              for s, r, best in zip(solved, instance.samples.y, realized)]
+    losses = [_cost(z, r, instance) - best
+              for z, r, best in zip(solved, instance.samples.y, realized)]
     return float(sum(w * loss for loss, w in zip(losses, instance.weights)))
 
 
@@ -710,23 +620,20 @@ def realizable_certificate(instance, theta):
     """Certificate with eta = 0 built from exact lower-level solutions.
 
     zeta_n = r_n - lam Sigma z_n balances the scenario line when the realized
-    returns equal the predictions; beta_n is read off the membership witness.
+    returns equal the predictions; beta_n is read off the simplex membership
+    witness of the point z_n, g_n = lam Sigma z_n - theta^T x_n and the pair
+    (zeta_n, 0), None where it is null. One _simplex_rows pass serves all
+    samples, and the stacked products give each row the bits of its one-row
+    Sigma @ z.
     """
     preds = LinearPredictor(theta).predict_rows(instance.samples.x)
-    zs, zetas, betas = [], [], []
     lam, sig = instance.risk_aversion, instance.sigma
-    for r_hat, r, solution in zip(preds, instance.samples.y,
-                                  solve_simplex_qp_rows(preds, sig, lam)):
-        z = solution.z
-        zeta = r - lam * (sig @ z)
-        g = -r_hat + lam * (sig @ z)
-        res = simplex_membership(z, g, NormalPair(zeta, np.zeros(instance.d_z)))
-        betas.append(res.witness.get("beta"))
-        zs.append(z)
-        zetas.append(zeta)
-    Z = np.array(zs)
+    Z = solve_simplex_qp_rows(preds, sig, lam)
+    pull = lam * np.matmul(sig, Z[:, :, None])[:, :, 0]
+    zeta = instance.samples.y - pull
+    betas = _simplex_rows(Z, -preds + pull, zeta, np.zeros(Z.shape), DEFAULT_EPS).values("beta")
     cert = Certificate.from_rows(np.asarray(theta, dtype=float).ravel(), Z, np.zeros(Z.shape),
-                                 np.array(zetas), np.ones(len(Z), dtype=bool))
+                                 zeta, np.ones(len(Z), dtype=bool))
     return cert, betas
 
 

@@ -17,7 +17,7 @@ from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
-from mstat.portfolio import _QP_EPS, _QP_MAX_ITER, SimplexQPSolution
+from mstat.portfolio import _QP_EPS, _QP_MAX_ITER
 from mstat.stationarity import (Certificate, FeasibleSet, LowerModel, _m_residual,
                                 _probe_and_gap, _upper_generator)
 
@@ -90,7 +90,8 @@ def projected_gradient_qp(r, sigma, lam, max_iter=100000, tol=1e-13):
 
 
 def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
-    """The KKT residual of one QP solution, as simplex_qp_loop reports it."""
+    """The KKT residual of one QP point z with bound multipliers lam_bounds
+    and budget multiplier tau."""
     stat = -r + lam * (sigma @ z) - lam_bounds + tau
     comp = np.abs(lam_bounds * z)
     gap = abs(tau * (z.sum() - 1.0))
@@ -100,6 +101,19 @@ def _kkt_residual(r, sigma, lam, z, lam_bounds, tau):
                      max(0.0, -tau),
                      max(0.0, np.max(-z, initial=0.0)),
                      max(0.0, z.sum() - 1.0)))
+
+
+def qp_point_kkt(r, sigma, lam, z):
+    """_kkt_residual of a QP point z with the multipliers read off z: the
+    bounds with z_i <= _QP_EPS hold, and so does the budget row where
+    1^T z >= 1 - _QP_EPS with some z_i above _QP_EPS; tau is minus the mean
+    of g = -r + lam Sigma z over those z_i (0 off the budget row) and
+    mu_i = g_i + tau on the bounds."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    g = -r + lam * (sigma @ z)
+    free = z > _QP_EPS
+    tau = -float(np.mean(g[free])) if z.sum() >= 1.0 - _QP_EPS and free.any() else 0.0
+    return _kkt_residual(r, sigma, lam, z, np.where(free, 0.0, g + tau), tau)
 
 
 def _oracle_face(r, sigma, lam, bounds, budget):
@@ -142,15 +156,19 @@ def _oracle_round(r, sigma, lam, bounds, budget):
     return z, tau, mu, total, margin
 
 
-def warm_round_certifies(r, sigma, lam, start):
-    """Whether the face of start's working set certifies the QP of r with
-    every margin above _QP_EPS, replayed one row at a time: the bounds where
+def start_working_set(start):
+    """The working set a start point gives the first round: the bounds where
     start_i <= _QP_EPS, and the budget row where 1^T start >= 1 - _QP_EPS
     with a coordinate left free."""
-    d = len(r)
-    bounds = frozenset(i for i in range(d) if start[i] <= _QP_EPS)
-    budget = start.sum() >= 1.0 - _QP_EPS and len(bounds) < d
-    return _oracle_round(r, sigma, lam, bounds, budget)[-1] > _QP_EPS
+    bounds = frozenset(i for i in range(len(start)) if start[i] <= _QP_EPS)
+    return bounds, bool(start.sum() >= 1.0 - _QP_EPS and len(bounds) < len(start))
+
+
+def first_round_certifies(r, sigma, lam, start):
+    """Whether the face of start's working set (start_working_set) certifies
+    the QP of r with every margin above _QP_EPS, replayed one row at a
+    time."""
+    return _oracle_round(r, sigma, lam, *start_working_set(start))[-1] > _QP_EPS
 
 
 def qp_guess_route(r, sigma, lam):
@@ -182,6 +200,16 @@ def qp_guess_route(r, sigma, lam):
         bounds = frozenset(i for i in range(d) if (mu[i] > 0 if i in bounds else z[i] < 0))
         budget = tau > 0 if budget else total > 1.0
     return "rounds", len(seen)
+
+
+@dataclass
+class LoopSolution:
+    """simplex_qp_loop's answer: the point, its budget multiplier and the
+    working set it ends on."""
+    z: np.ndarray
+    budget_multiplier: float
+    active_bounds: tuple
+    budget_active: bool
 
 
 def simplex_qp_loop(r, sigma, lam):
@@ -239,13 +267,9 @@ def simplex_qp_loop(r, sigma, lam):
             if budget and tau < -eps:
                 drop_candidates.append((tau, -1))
             if not drop_candidates:
-                z = z_eq
-                res = _kkt_residual(r, sigma, lam, z, lam_bounds, max(tau, 0.0))
-                return SimplexQPSolution(
-                    z=z, bound_multipliers=lam_bounds,
-                    budget_multiplier=max(tau, 0.0),
-                    active_bounds=tuple(sorted(bounds)),
-                    budget_active=bool(budget), kkt_residual=res)
+                return LoopSolution(z=z_eq, budget_multiplier=max(tau, 0.0),
+                                    active_bounds=tuple(sorted(bounds)),
+                                    budget_active=bool(budget))
             worst = min(drop_candidates)[1]
             if worst == -1:
                 budget = False

@@ -32,8 +32,8 @@ from mstat.stationarity import (
     gradient_selftest,
     verify_certificate,
 )
-from conftest import (per_scenario_certificate, projected_gradient_qp, qp_guess_route,
-                      simplex_qp_loop, warm_round_certifies)
+from conftest import (first_round_certifies, per_scenario_certificate, projected_gradient_qp,
+                      qp_guess_route, qp_point_kkt, simplex_qp_loop, start_working_set)
 
 I2 = np.eye(2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,13 +78,13 @@ def test_qp_rejects_returns_the_projection_cannot_resolve():
         for r, lam in (([1e16, 0.0], 1.0), ([1e150, 0.0], 1.0), ([1.0, 0.5], 1e-310)):
             with pytest.raises(ValueError, match="unconstrained optimum"):
                 solve_simplex_qp(r, I2, lam)
-        assert solve_simplex_qp([1e15, 0.0], I2, 1.0).z.tolist() == [1.0, 0.0]
+        assert solve_simplex_qp([1e15, 0.0], I2, 1.0).tolist() == [1.0, 0.0]
 
 
 def test_qp_known_solutions():
-    assert np.allclose(solve_simplex_qp([1.0, 0.0], I2, 1.0).z, [1.0, 0.0])
-    assert np.allclose(solve_simplex_qp([0.0, 0.0], I2, 1.0).z, [0.0, 0.0])
-    assert np.allclose(solve_simplex_qp([3.0, 1.0], I2, 1.0).z, [1.0, 0.0])
+    assert np.allclose(solve_simplex_qp([1.0, 0.0], I2, 1.0), [1.0, 0.0])
+    assert np.allclose(solve_simplex_qp([0.0, 0.0], I2, 1.0), [0.0, 0.0])
+    assert np.allclose(solve_simplex_qp([3.0, 1.0], I2, 1.0), [1.0, 0.0])
 
 
 def test_qp_kkt_and_pgd_agreement(rng):
@@ -94,10 +94,10 @@ def test_qp_kkt_and_pgd_agreement(rng):
         sigma = B @ B.T + 0.3 * np.eye(d)
         lam = float(rng.uniform(0.5, 2.0))
         r = rng.standard_normal(d) * 2.0
-        sol = solve_simplex_qp(r, sigma, lam)
-        assert sol.kkt_residual <= 1e-10
+        z = solve_simplex_qp(r, sigma, lam)
+        assert qp_point_kkt(r, sigma, lam, z) <= 1e-10
         z_ref = projected_gradient_qp(r, sigma, lam)
-        assert np.max(np.abs(sol.z - z_ref)) <= 1e-6
+        assert np.max(np.abs(z - z_ref)) <= 1e-6
 
 
 def large_return_family():
@@ -114,16 +114,17 @@ def large_return_family():
 
 
 def test_qp_keeps_the_budget_row_at_large_returns():
-    """A budget-active solution sums to one within the solver's 1e-11 at
-    returns up to 1e12, and stays a KKT point relative to the returns;
-    without the correction on the budget face the sum drifts by about 1e-7
-    at 1e9 and 1e-4 at 1e12."""
+    """A solution whose working set holds the budget row (in the loop alone,
+    simplex_qp_loop) sums to one within the solver's 1e-11 at returns up to
+    1e12, and stays a KKT point relative to the returns; without the
+    correction on the budget face the sum drifts by about 1e-7 at 1e9 and
+    1e-4 at 1e12."""
     worst = dict.fromkeys((1e6, 1e9, 1e12), 0.0)
     for scale, r, sigma, lam in large_return_family():
-        sol = solve_simplex_qp(r, sigma, lam)
-        if sol.budget_active:
-            worst[scale] = max(worst[scale], abs(sol.z.sum() - 1.0))
-            assert sol.kkt_residual <= 1e-10 * np.max(np.abs(r))
+        z = solve_simplex_qp(r, sigma, lam)
+        if simplex_qp_loop(r, sigma, lam).budget_active:
+            worst[scale] = max(worst[scale], abs(z.sum() - 1.0))
+            assert qp_point_kkt(r, sigma, lam, z) <= 1e-10 * np.max(np.abs(r))
     for scale, w in worst.items():
         assert w <= 1e-11, (scale, w)
 
@@ -193,19 +194,17 @@ def solve_counting(monkeypatch, solver, r, sigma, lam):
     return sol, len(calls)
 
 
-def solution_bytes(sol):
-    return (sol.z.tobytes(), sol.bound_multipliers.tobytes(),
-            repr(sol.budget_multiplier), sol.active_bounds, sol.budget_active,
-            repr(sol.kkt_residual))
+def loop_bytes(r, sigma, lam):
+    """The bytes of the point of the active-set loop alone (simplex_qp_loop)."""
+    return simplex_qp_loop(r, sigma, lam).z.tobytes()
 
 
 def test_qp_guess_matches_the_loop_bit_for_bit():
-    """solve_simplex_qp returns the solution of its active-set loop alone
-    (simplex_qp_loop) to the bit, field by field, on every family."""
+    """solve_simplex_qp returns the point of its active-set loop alone
+    (simplex_qp_loop) to the bit on every family."""
     for name, cases in qp_families().items():
         for r, sigma, lam in cases:
-            assert (solution_bytes(solve_simplex_qp(r, sigma, lam))
-                    == solution_bytes(simplex_qp_loop(r, sigma, lam))), name
+            assert solve_simplex_qp(r, sigma, lam).tobytes() == loop_bytes(r, sigma, lam), name
 
 
 def test_qp_guess_spends_no_more_solves_than_the_loop(monkeypatch):
@@ -229,9 +228,10 @@ def test_qp_guess_solves_an_interior_budget_face_once(monkeypatch):
     z /= z.sum()
     r = 2.0 * (sigma @ z) + 0.3
     sol, calls = solve_counting(monkeypatch, solve_simplex_qp, r, sigma, 2.0)
-    assert sol.active_bounds == () and sol.budget_active
-    assert np.max(np.abs(sol.z - z)) <= 1e-12
-    assert abs(sol.budget_multiplier - 0.3) <= 1e-12
+    loop = simplex_qp_loop(r, sigma, 2.0)
+    assert loop.active_bounds == () and loop.budget_active and sol.tobytes() == loop.z.tobytes()
+    assert np.max(np.abs(sol - z)) <= 1e-12
+    assert abs(loop.budget_multiplier - 0.3) <= 1e-12
     assert calls == 2
 
 
@@ -299,13 +299,15 @@ def qp_rows(rng, family, k, shared):
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(QP_ROW_FAMILIES), st.integers(1, 12),
        st.booleans())
 def test_rows_solver_equals_one_row_solves_and_the_loop(seed, family, k, shared):
-    """solve_simplex_qp_rows gives each row the solution of its one-row
-    solve and of the active-set loop alone (simplex_qp_loop), to the bit in
-    every field."""
+    """solve_simplex_qp_rows gives a (k, d) array whose row i is the point of
+    row i's one-row solve and of the active-set loop alone
+    (simplex_qp_loop), to the bit."""
     R, sigma, lam = qp_rows(np.random.default_rng(seed), family, k, shared)
-    for r, sol in zip(R, solve_simplex_qp_rows(R, sigma, lam)):
-        assert (solution_bytes(sol) == solution_bytes(solve_simplex_qp(r, sigma, lam))
-                == solution_bytes(simplex_qp_loop(r, sigma, lam))), (family, r.tolist())
+    Z = solve_simplex_qp_rows(R, sigma, lam)
+    assert Z.shape == R.shape
+    for r, z in zip(R, Z):
+        assert (z.tobytes() == solve_simplex_qp(r, sigma, lam).tobytes()
+                == loop_bytes(r, sigma, lam)), (family, r.tolist())
 
 
 def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
@@ -340,7 +342,7 @@ def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
         solved.clear()
         looped.clear()
         copies = Counter(r.tobytes() for r in R)
-        for r, sol in zip(R, PF.solve_simplex_qp_rows(R, sigma, lam)):
+        for r, z in zip(R, PF.solve_simplex_qp_rows(R, sigma, lam)):
             key = r.tobytes()
             route, faces = qp_guess_route(r, sigma, lam)
             if route == "vertex":
@@ -349,7 +351,7 @@ def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
             assert (key in looped) == (route not in ("certified", "vertex, first step")), route
             assert looped.get(key, solved[key]) == faces * copies[key], route
             routes.add(route)
-            assert solution_bytes(sol) == solution_bytes(simplex_qp_loop(r, sigma, lam))
+            assert z.tobytes() == loop_bytes(r, sigma, lam)
     assert routes == {"certified", "vertex, first step", "vertex, loop", "degenerate",
                       "repeat", "rounds"}
 
@@ -399,18 +401,19 @@ def test_rows_on_one_working_set_share_each_solve(monkeypatch):
         m.setattr(np.linalg, "solve", counted)
         solutions = solve_simplex_qp_rows(R, sigma, 2.0)
     assert calls == [16, 16]
-    assert all(s.active_bounds == () and s.budget_active for s in solutions)
+    for r, z in zip(R, solutions):
+        loop = simplex_qp_loop(r, sigma, 2.0)
+        assert loop.active_bounds == () and loop.budget_active and z.tobytes() == loop.z.tobytes()
     assert [solve_counting(monkeypatch, solve_simplex_qp, r, sigma, 2.0)[1] for r in R] == [2] * 16
 
 
 START_KINDS = ("optimal", "perturbed", "vertex", "interior", "infeasible", "support")
 
 
-def start_rows(rng, solutions, kinds):
-    """One start per row: its optimum, the optimum moved by 1e-12 to 1e-6,
-    a random vertex, a point inside the simplex, a random point off it, or
-    the optimum with some coordinates set to 0."""
-    Z = np.array([s.z for s in solutions])
+def start_rows(rng, Z, kinds):
+    """One start per row of the solutions Z: its optimum, the optimum moved
+    by 1e-12 to 1e-6, a random vertex, a point inside the simplex, a random
+    point off it, or the optimum with some coordinates set to 0."""
     k, d = Z.shape
     starts = Z.copy()
     for i, kind in enumerate(kinds):
@@ -433,31 +436,33 @@ def start_rows(rng, solutions, kinds):
        st.lists(st.sampled_from(START_KINDS), min_size=1, max_size=12), st.booleans())
 def test_any_start_gives_the_cold_bytes(seed, family, kinds, shared):
     """solve_simplex_qp_rows started at any points gives, row for row, the
-    bytes of the solve without a start in every field: from the optimum,
-    near it, at a vertex, inside the simplex, off it, or on a wrong support;
-    with cond(Sigma) 1e7, small lambda, tied and near-tied returns, and
-    returns whose projection lands on a vertex."""
+    bytes of the solve without a start and of the active-set loop alone
+    (simplex_qp_loop): from the optimum, near it, at a vertex, inside the
+    simplex, off it, or on a wrong support; with cond(Sigma) 1e7, small
+    lambda, tied and near-tied returns, and returns whose projection lands
+    on a vertex."""
     rng = np.random.default_rng(seed)
     R, sigma, lam = qp_rows(rng, family, len(kinds), shared)
     cold = solve_simplex_qp_rows(R, sigma, lam)
     warm = solve_simplex_qp_rows(R, sigma, lam, start_rows(rng, cold, kinds))
     for r, kind, a, b in zip(R, kinds, cold, warm):
-        assert solution_bytes(a) == solution_bytes(b), (family, kind, r.tolist())
+        assert a.tobytes() == b.tobytes() == loop_bytes(r, sigma, lam), (family, kind, r.tolist())
 
 
-@pytest.mark.parametrize("certificate, problem, cold", [
+@pytest.mark.parametrize("certificate, problem, more", [
     ("pf1.mu.json", "pf1.problem.json", False),
     ("pf3.perturbed.json", "pf3.problem.json", True),
     ("pf5.cert.json", "pf5.problem.json", True),
     ("pf3.infeasible.json", "pf3.problem.json", True)])
-def test_penalized_verify_solves_cold_only_rows_the_start_does_not_certify(
-        certificate, problem, cold, capsys, monkeypatch):
+def test_penalized_verify_solves_one_face_per_start_group(
+        certificate, problem, more, capsys, monkeypatch):
     """A penalized verify starts every scenario's lower QP at the
-    certificate's z. The cold path (projection start, rounds, loop) gets
-    exactly the rows whose start's face the warm round does not certify
-    (warm_round_certifies), in one call: none on pf1.mu, whose points are
-    optimal, and at least one on the others. The output is the recorded
-    one."""
+    certificate's z. Its first face solves are one per group of scenarios
+    whose starts share a working set, in the order the groups first occur,
+    each stacked over the group's rows. Further faces are solved exactly
+    when the first round leaves a row uncertified (first_round_certifies):
+    never on pf1.mu, whose points are optimal, and on the others. The
+    output is the recorded one."""
     import mstat.portfolio as PF
     from mstat.cli import _portfolio_theta, main
 
@@ -466,20 +471,21 @@ def test_penalized_verify_solves_cold_only_rows_the_start_does_not_certify(
     case = next(c for c in json.loads((GOLDEN / "expected.json").read_text())["outputs"]
                 if c["argv"] == argv)
     calls = []
-    cold_rows = PF._cold_rows
-    monkeypatch.setattr(PF, "_cold_rows",
-                        lambda R, *a: calls.append(R.tolist()) or cold_rows(R, *a))
+    face_rows = PF._face_rows
+    monkeypatch.setattr(PF, "_face_rows",
+                        lambda R, *a: calls.append(R.tolist()) or face_rows(R, *a))
     assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in argv]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
     inst = PortfolioInstance.from_dict(json.loads((GOLDEN / problem).read_text()))
     data = json.loads((GOLDEN / certificate).read_text())
     theta = _portfolio_theta(data["theta"], inst).reshape(inst.d_x, inst.d_z)
-    starts = Certificate(theta, data["scenarios"]).z
-    want = [r.tolist() for r, z0 in zip(LinearPredictor(theta).predict_rows(inst.samples.x),
-                                         starts)
-            if not warm_round_certifies(r, inst.sigma, inst.risk_aversion, z0)]
-    assert calls == ([want] if want else [])
-    assert bool(want) == cold
+    R = LinearPredictor(theta).predict_rows(inst.samples.x)
+    groups, certified = {}, []
+    for r, z0 in zip(R, Certificate(theta, data["scenarios"]).z):
+        groups.setdefault(start_working_set(z0), []).append(r.tolist())
+        certified.append(first_round_certifies(r, inst.sigma, inst.risk_aversion, z0))
+    assert calls[:len(groups)] == list(groups.values())
+    assert (len(calls) > len(groups)) == (not all(certified)) == more
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +505,8 @@ def test_spo_loss_not_scale_invariant():
     inst = PortfolioInstance(sigma=I2, risk_aversion=1.0,
                              samples=[([1.0], [0.3, 0.0])])
     pred = LinearPredictor([[0.6, 0.0]])
-    assert np.allclose(solve_simplex_qp([0.6, 0.0], I2, 1.0).z, [0.6, 0.0])
-    assert np.allclose(solve_simplex_qp([0.3, 0.0], I2, 1.0).z, [0.3, 0.0])
+    assert np.allclose(solve_simplex_qp([0.6, 0.0], I2, 1.0), [0.6, 0.0])
+    assert np.allclose(solve_simplex_qp([0.3, 0.0], I2, 1.0), [0.3, 0.0])
     assert abs(spo_loss(pred, [1.0], [0.3, 0.0], inst) - 0.045) < 1e-12
 
 
@@ -571,6 +577,36 @@ def test_realizable_certificate_verifies_and_perturbations_fail():
             assert not bad.passed, (a, b)
 
 
+def test_realizable_certificate_rows_equal_one_membership_per_sample():
+    """realizable_certificate's z, zeta and beta have the bytes of a loop
+    over the samples that solves each QP alone and reads beta off its own
+    simplex_membership witness, on instances whose returns equal, nearly
+    equal or miss the predictions."""
+    from mstat.graph_normals import NormalPair, simplex_membership
+
+    rng = np.random.default_rng(33)
+    for trial in range(120):
+        d_z, d_x, n = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        B = rng.standard_normal((d_z, d_z))
+        theta = rng.standard_normal((d_x, d_z)) * 10.0 ** rng.uniform(-1.0, 2.0)
+        X = rng.standard_normal((n, d_x))
+        noise = [0.0, 1e-12, 0.1, 1.0][trial % 4]
+        inst = PortfolioInstance(sigma=B @ B.T + 0.3 * np.eye(d_z),
+                                 risk_aversion=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                                 samples=list(zip(X, X @ theta
+                                                  + noise * rng.standard_normal((n, d_z)))))
+        cert, betas = realizable_certificate(inst, theta)
+        lam, sig = inst.risk_aversion, inst.sigma
+        for x, r, z, zeta, beta in zip(inst.samples.x, inst.samples.y, cert.z, cert.zeta, betas):
+            r_hat = LinearPredictor(theta).predict(x)
+            want = solve_simplex_qp(r_hat, sig, lam)
+            res = simplex_membership(want, -r_hat + lam * (sig @ want),
+                                     NormalPair(r - lam * (sig @ want), np.zeros(d_z)))
+            assert z.tobytes() == want.tobytes()
+            assert zeta.tobytes() == (r - lam * (sig @ want)).tobytes()
+            assert repr(beta) == repr(res.witness.get("beta"))
+
+
 def test_portfolio_system_pass_and_failures():
     inst, theta0 = small_instance()
     cert, _ = realizable_certificate(inst, theta0)
@@ -587,7 +623,7 @@ def test_portfolio_system_pass_and_failures():
     # break the eta sum condition on a budget-active scenario
     inst_b = PortfolioInstance(sigma=I2, risk_aversion=1.0,
                                samples=[([1.0], [2.0, 1.0])])
-    z = solve_simplex_qp([2.0, 1.0], I2, 1.0).z
+    z = solve_simplex_qp([2.0, 1.0], I2, 1.0)
     assert abs(z.sum() - 1.0) < 1e-9
     zeta = np.array([2.0, 1.0]) - z
     for eta, passed in (([0.0, 0.0], True), ([0.5, 0.5], False)):
@@ -667,7 +703,7 @@ def test_lower_solver_answers_are_one_row_solves(monkeypatch):
     inst, theta0 = small_instance()
     solve = lower_solver(inst)
     X = np.vstack([inst.samples.x, [np.array([0.3, -0.2])]])
-    at0 = np.array([solve_simplex_qp(theta0.T @ x, inst.sigma, inst.risk_aversion).z for x in X])
+    at0 = np.array([solve_simplex_qp(theta0.T @ x, inst.sigma, inst.risk_aversion) for x in X])
     thetas = (theta0, theta0 + 0.3, theta0) * 2
     starts = [np.zeros(at0.shape)] * 3 + [at0] * 3
     calls = []
@@ -679,7 +715,7 @@ def test_lower_solver_answers_are_one_row_solves(monkeypatch):
     assert calls == [(len(X), Z.tobytes()) for Z in starts]
     for theta, answer in zip(thetas, answers):
         assert [len(points) for points in answer] == [1] * len(X)
-        want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion).z for x in X]
+        want = [solve_simplex_qp(theta.T @ x, inst.sigma, inst.risk_aversion) for x in X]
         assert [points[0].tobytes() for points in answer] == [z.tobytes() for z in want]
 
 

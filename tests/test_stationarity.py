@@ -303,7 +303,7 @@ def test_nnamcq_identity_covariance_vertex():
         def grad_theta(self, z, theta, x):
             return np.zeros(1)
 
-    z = solve_simplex_qp([3.0, 1.0], np.eye(2), 1.0).z
+    z = solve_simplex_qp([3.0, 1.0], np.eye(2), 1.0)
     assert np.allclose(z, [1.0, 0.0])
     assert nnamcq_check(SimplexQP([3.0, 1.0]), np.zeros(1), None, z) is True
 
@@ -338,7 +338,7 @@ def test_nnamcq_simplex_qp_solutions(rng):
         B = rng.standard_normal((d, d))
         sigma = B @ B.T + 0.5 * np.eye(d)
         r = rng.standard_normal(d)
-        z = solve_simplex_qp(r, sigma, 1.0).z
+        z = solve_simplex_qp(r, sigma, 1.0)
         assert nnamcq_check(SimplexQP(r, sigma), np.zeros(1), None, z) is True
 
 
