@@ -50,7 +50,11 @@ nv1 to nv4 pin the order quantities, the regret and the chosen bandwidth;
 nv1 and nv2 have as many centers as samples, so their loss and gridsearch
 run leave-one-out. These twelve outputs were recorded with the 60-step
 bisection that evaluated the CDF at every step, before the quantile solve
-skipped the steps that a verified bracket decides.
+skipped the steps that a verified bracket decides. Two more gridsearch
+outputs were recorded before the search read its argmin from verified
+brackets: nv1 over the grid 0.5,0.5,1, whose repeated point ties exactly
+and so takes the exact totals, and nv2 (d_x = 2) over a 13-point grid from
+0.05 to 5.
 
 Nine portfolio `verify` outputs were re-recorded once when the simplex
 lower residual moved from NNLS to its closed form: pf3.cert.json,
