@@ -22,8 +22,8 @@ at call time.
     nnamcq_check reads eigenvalues up to STRICT_EPS * max(1, largest) as 0.
   Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL and
     _MAX_PIVOTS (LP; lp.nnls stops after 3n + 10 least-squares solves on n
-    columns), portfolio._QP_EPS and _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL
-    and _MAX_EXPAND (Newton), and stationarity._FD_STEP and _ARGMIN_TOL
+    columns), portfolio._QP_EPS and _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL,
+    _MAX_EXPAND and _HALLEY_TOL (quantile), and stationarity._FD_STEP and _ARGMIN_TOL
     (gradient check, value function).
 """
 

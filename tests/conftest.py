@@ -17,6 +17,7 @@ from mstat import lp as LP
 from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
                                  orthant_membership, polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
+from mstat.newsvendor import empirical_regret
 from mstat.portfolio import _QP_EPS, _QP_MAX_ITER
 from mstat.stationarity import (Certificate, FeasibleSet, LowerModel, _m_residual,
                                 _probe_and_gap, _upper_generator)
@@ -404,6 +405,21 @@ def nv_oracle_regret(instance, theta):
     return total
 
 
+def nv_oracle_grid_search(instance, grid):
+    """The bandwidth search as a scan of exact totals: every grid point's
+    empirical_regret, leave-one-out with as many centers as samples (and more
+    than one), and a total below the best so far by more than 1e-15 takes
+    its place, so ties go to the lowest index."""
+    n = len(instance.samples.y)
+    loo = len(instance.centers.y) == n and n > 1
+    best_theta, best_val = None, None
+    for theta in grid:
+        total = empirical_regret(instance, instance.model(theta), leave_one_out=loo)
+        if best_val is None or total < best_val - 1e-15:
+            best_theta, best_val = theta, total
+    return best_theta
+
+
 # ---------------------------------------------------------------------------
 # orthant coderivative: the per-coordinate reference
 
@@ -527,6 +543,14 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
                     if _regime_has_nonzero_eta(poly.A, H, eq, ineq) is not None:
                         return False
     return True
+
+
+def assert_nnls_optimal(A, b, x, tol=1e-9):
+    """KKT conditions of min ||A x - b|| over x >= 0, independent of any solver."""
+    w = A.T @ (b - A @ x)
+    assert np.min(x, initial=0.0) >= 0.0
+    assert np.max(w, initial=0.0) <= tol
+    assert np.max(np.abs(w[x > 0]), initial=0.0) <= tol
 
 
 def nnls_oracle(A, b):

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from conftest import (complementarity_residual, normal_cone_multiplier, polyhedron_contains,
-                      random_polyhedral_graph_point)
+from conftest import (assert_nnls_optimal, complementarity_residual, normal_cone_multiplier,
+                      polyhedron_contains, random_polyhedral_graph_point)
 from mstat.cones import (
     InfeasiblePointError,
     Polyhedron,
@@ -19,7 +19,7 @@ from mstat.cones import (
     orthant_polyhedron,
     simplex_polyhedron,
 )
-from mstat.lp import feasibility_threshold
+from mstat.lp import feasibility_threshold, nnls
 
 ORTHANT2 = orthant_polyhedron(2)
 
@@ -222,7 +222,9 @@ def test_distance_to_normal_cone_projection():
     # interior point: N = {0}.
     assert abs(distance_to_normal_cone(ORTHANT2, np.ones(2), np.array([0.3, -0.4]))
                - 0.5) < 1e-12
-    # a vertex of the 12-simplex has 12 active rows, beyond any enumeration cap
+    # a vertex of the 12-simplex has 12 active rows, beyond any enumeration cap;
+    # the distance is that of a KKT-certified projection, and at most that of
+    # scipy's answer, a feasible point that need not be optimal
     from scipy.optimize import nnls as scipy_nnls
     poly = simplex_polyhedron(12)
     z = np.zeros(12)
@@ -232,9 +234,11 @@ def test_distance_to_normal_cone_projection():
     rng = np.random.default_rng(12)
     for _ in range(20):
         u = rng.integers(-3, 4, 12).astype(float)
-        ref = scipy_nnls(rows.T, u)[0]
-        assert abs(distance_to_normal_cone(poly, z, u)
-                   - np.linalg.norm(rows.T @ ref - u)) <= 1e-12
+        x = nnls(rows.T, u)
+        assert_nnls_optimal(rows.T, u, x)
+        distance = distance_to_normal_cone(poly, z, u)
+        assert abs(distance - np.linalg.norm(rows.T @ x - u)) <= 1e-12
+        assert distance <= np.linalg.norm(rows.T @ scipy_nnls(rows.T, u)[0] - u) + 1e-12
 
 
 def test_multiplier_lp_fails_past_twice_the_feasibility_threshold():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls as scipy_nnls
 
 import mstat.lp as lp
-from conftest import bland_pivot_oracle, nnls_oracle, solve_standard_oracle
+from conftest import assert_nnls_optimal, bland_pivot_oracle, nnls_oracle, solve_standard_oracle
 from mstat.cones import active_set, simplex_polyhedron
 from mstat.lp import (LPLimitError, LPUnbounded, feasibility_threshold, linear_feasible, nnls,
                      phase1_bound)
@@ -295,19 +295,15 @@ def test_linear_feasible_equals_the_numpy_tableau_of_the_split(seed, m, n, kind,
     assert np.array(costs[0]).tobytes() == (-standard.sum(axis=0)).tobytes()
 
 
-def assert_nnls_optimal(A, b, x, tol=1e-9):
-    """KKT conditions of min ||A x - b|| over x >= 0, independent of any solver."""
-    w = A.T @ (b - A @ x)
-    assert np.min(x, initial=0.0) >= 0.0
-    assert np.max(w, initial=0.0) <= tol
-    assert np.max(np.abs(w[x > 0]), initial=0.0) <= tol
-
-
 def test_nnls_against_scipy():
     """Lawson-Hanson on random integer cones with dependent columns.
 
-    Residual norms are recomputed from both solutions (the solutions need not
-    be unique when columns are dependent) and must agree within 1e-12.
+    Each answer passes the KKT check assert_nnls_optimal, and its residual
+    norm is at most that of scipy's answer plus 1e-12. scipy's answer is a
+    feasible point, so that bound holds for any optimum; scipy's answer
+    need not be optimal, so the norms are not asked to agree (scipy 1.17.1
+    returns a point whose gradient is 8.0 on 1 in 20,000 draws of this
+    family).
     """
     rng = np.random.default_rng(7)
     for _ in range(400):
@@ -322,7 +318,7 @@ def test_nnls_against_scipy():
         x = nnls(A, b)
         assert_nnls_optimal(A, b, x)
         ref = scipy_nnls(A, b)[0]
-        assert abs(np.linalg.norm(A @ x - b) - np.linalg.norm(A @ ref - b)) <= 1e-12
+        assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ ref - b) + 1e-12
 
 
 def test_nnls_edge_cases():

@@ -14,6 +14,7 @@ import mstat.newsvendor as NV
 from conftest import (
     nv_oracle_cdf,
     nv_oracle_grad_theta_cdf,
+    nv_oracle_grid_search,
     nv_oracle_pdf,
     nv_oracle_regret,
     nv_oracle_solve,
@@ -528,6 +529,33 @@ def test_quantile_rows_replay_the_scalar_bisection_property(case):
                             for i, x in enumerate(cx)]
 
 
+@st.composite
+def bandwidth_grids(draw):
+    """One to five bandwidths in [0.01, 5], and up to two repeats of drawn
+    points inserted anywhere: a repeated point's total ties exactly."""
+    grid = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5))
+    for i in draw(st.lists(st.integers(0, len(grid) - 1), max_size=2)):
+        grid.insert(draw(st.integers(0, len(grid))), grid[i])
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantile_instances(), bandwidth_grids())
+@example((quantile_centers(3, 12, 2, "tied"), 0.7, 1.0, 3.0), [0.3, 1.1, 0.3])
+@example((quantile_centers(5, 9, 1, "heavy"), 0.7, 2.0, 1.0), [0.8])
+@example((quantile_centers(8, 1, 3, "multimodal"), 0.7, 1.0, 3.0), [0.5, 0.5, 2.0])
+def test_grid_search_picks_the_exact_scans_bandwidth_property(case, grid):
+    """bandwidth_grid_search decides its scan on intervals around the totals
+    and falls back to exact totals where a comparison is undecided; either
+    way it returns the bandwidth of the scan of exact totals
+    (nv_oracle_grid_search), on multimodal, tied and heavy-tailed demands,
+    leave-one-out and, with one center, in-sample, with repeated and single
+    grid points."""
+    centers, _, h, b = case
+    inst = NewsvendorInstance(h=h, b=b, centers=centers, samples=centers)
+    assert bandwidth_grid_search(inst, grid) == nv_oracle_grid_search(inst, grid)
+
+
 DISTANCE_DIMS = list(range(1, 41)) + [64, 127, 128, 129, 200]
 
 
@@ -758,6 +786,109 @@ def test_grid_search_builds_one_weight_matrix_per_grid_point(rng, monkeypatch):
     grid = [0.1, 0.2, 0.4, 0.8, 1.6]
     bandwidth_grid_search(inst, grid)
     assert counts == {"weights": len(grid), "models": len(grid)}
+
+
+def count_rows(monkeypatch, name):
+    """Record the number of rows of every call of NV.<name>, whose second
+    argument holds one row per query (weights or query points)."""
+    rows, real = [], getattr(NV, name)
+    monkeypatch.setattr(NV, name, lambda first, W, *a: rows.append(len(W)) or real(first, W, *a))
+    return rows
+
+
+def test_grid_search_bisects_no_row_on_a_plain_instance(rng, monkeypatch):
+    """On a plain instance the verified sides settle every row's order
+    quantity and every comparison of the scan: no row is bisected, no exact
+    total is computed, and the pick is the exact scan's."""
+    inst = random_instance(rng, 30, 2, "plain")
+    grid = [0.1, 0.2, 0.4, 0.8, 1.6]
+    want = nv_oracle_grid_search(inst, grid)
+    bisected, solved = count_rows(monkeypatch, "_bisect"), count_rows(monkeypatch, "_quantile_rows")
+    assert bandwidth_grid_search(inst, grid) == want
+    assert bisected == [] and solved == []
+
+
+def test_grid_search_takes_the_exact_path_where_bounds_do_not_decide(rng, monkeypatch):
+    """A row whose side is not verified is bisected on its own; with
+    _NEWTON_TOL below the CDF's rounding no row's polish is settled and
+    every row is bisected. A repeated grid point ties exactly, so every
+    total is computed exactly, from the weight matrices already built; when
+    they do not fit in _BLOCK_ENTRIES entries together, they are built
+    again, one block at a time. Grid points solved together or one at a
+    time (_STACK_ENTRIES) give the same pick. Each search returns the exact
+    scan's pick."""
+    inst = random_instance(rng, 30, 2, "plain")
+    grid = [0.1, 0.2, 0.4, 0.8, 1.6]
+    want = nv_oracle_grid_search(inst, grid)
+    sides, forced = NV._verified_sides, []
+
+    def unverified(*args):
+        a, b, Fa, Fb = sides(*args)
+        a[::7], Fa[::7] = -np.inf, -np.inf
+        forced.append(len(a[::7]))
+        return a, b, Fa, Fb
+
+    with monkeypatch.context() as m:
+        bisected = count_rows(m, "_bisect")
+        m.setattr(NV, "_verified_sides", unverified)
+        assert bandwidth_grid_search(inst, grid) == want
+        assert sum(bisected) == sum(forced) > 0
+    with monkeypatch.context() as m:
+        m.setattr(NV, "_STACK_ENTRIES", 1)
+        sided = count_rows(m, "_verified_sides")
+        assert bandwidth_grid_search(inst, grid) == want
+        assert sided == [30] * len(grid)
+    with monkeypatch.context() as m:
+        m.setattr(NV, "_NEWTON_TOL", 1e-15)
+        want_fine = nv_oracle_grid_search(inst, grid)
+        bisected = count_rows(m, "_bisect")
+        assert bandwidth_grid_search(inst, grid) == want_fine
+        assert sum(bisected) == 30 * len(grid)
+    tie = [0.4, 0.4, 0.8, 0.2]
+    want = nv_oracle_grid_search(inst, tie)
+    with monkeypatch.context() as m:
+        built, solved = count_rows(m, "_weight_rows"), count_rows(m, "_quantile_rows")
+        assert bandwidth_grid_search(inst, tie) == want
+        assert built == [30] * len(tie) and solved == [30] * len(tie)
+    with monkeypatch.context() as m:
+        m.setattr(NV, "_BLOCK_ENTRIES", 7 * 30 * 2)
+        built = count_rows(m, "_weight_rows")
+        assert bandwidth_grid_search(inst, tie) == want
+        assert built == [7, 7, 7, 7, 2] * (2 * len(tie))
+
+
+def test_bracket_asks_one_ndtr_row_per_step(rng, monkeypatch):
+    """The bracket asks F at 0 and at max_m y_m + 20 theta, the same y for
+    every row, so each costs one ndtr row of M entries, not k M; the
+    Newton steps of the sides come next, at k M entries."""
+    inst = random_instance(rng, 30, 2, "plain")
+    model, k, M = inst.model(0.4), 30, 30
+    want = solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b).tolist()
+    for leave_one_out in (False, True):
+        sizes = []
+        real = NV.ndtr
+        with monkeypatch.context() as m:
+            m.setattr(NV, "ndtr", lambda u: sizes.append(np.size(u)) or real(u))
+            z = solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b, leave_one_out)
+        assert sizes[:3] == [M, M, k * M]
+        assert leave_one_out or z.tolist() == want
+
+
+def test_polish_evaluates_only_the_rows_the_sides_leave_open(rng, monkeypatch):
+    """On a plain instance the sides settle every row's Newton polish, which
+    then evaluates nothing; with _NEWTON_TOL = 1e-15, below the CDF's
+    rounding, they settle none and every row takes the polish, as
+    test_rows_match_oracle_bit_for_bit checks against the oracle."""
+    inst = random_instance(rng, 30, 2, "plain")
+    model = inst.model(0.4)
+    settled = []
+    real = NV._settled
+    monkeypatch.setattr(NV, "_settled", lambda *a: settled.append(real(*a)) or settled[-1])
+    solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b)
+    assert len(settled) == 1 and settled[0].all()
+    monkeypatch.setattr(NV, "_NEWTON_TOL", 1e-15)
+    solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b)
+    assert len(settled) == 2 and not settled[1].any()
 
 
 # ---------------------------------------------------------------------------
