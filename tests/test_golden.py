@@ -73,6 +73,12 @@ empty_coderivative (-g outside the normal cone). gq.rows9 is a member in R^9
 with seven active rows, so its LPs have nine rows and numpy adds the
 reduced-cost columns of its cone LP pairwise; it is recorded in JSON and in
 text. gq.orthant and gq.simplex are queried under --method explicit.
+gq.prism and gq.prism-not-member are degenerate prisms as the coderivative
+benchmark builds them: six active rows (p, q, 0) through z = 0 in R^3, which
+span only the plane x_3 = 0, and three slack rows, with g = 0 and eta = -e_3.
+Every active row is an equality row, so the query asks whether zeta lies in
+their span: (2, 11, 0) does, (3, 2, 2) does not. Both were recorded while
+each of their two questions still took an LP.
 """
 
 import json
@@ -120,14 +126,14 @@ def test_golden_lp_counts(capsys, monkeypatch):
     """Across tests/golden, `verify` runs no LP: every simplex multiplier
     comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
     and the newsvendor sets are orthants. `gph-normal --method direct` keeps
-    its 13 LPs. Every output keeps its recorded bytes."""
+    its 17 LPs. Every output keeps its recorded bytes."""
     calls = count_lps(monkeypatch)
     lps = {}
     for case in EXPECTED["outputs"]:
         before = len(calls)
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
         lps[case["argv"][0]] = lps.get(case["argv"][0], 0) + len(calls) - before
-    assert lps["verify"] == 0 and lps["gph-normal"] == 13 and sum(lps.values()) == 13
+    assert lps["verify"] == 0 and lps["gph-normal"] == 17 and sum(lps.values()) == 17
     assert {"pf6.cert.json", "pf7.cert.json"} <= {a for c in EXPECTED["outputs"] for a in c["argv"]}
 
 
