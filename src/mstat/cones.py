@@ -3,9 +3,10 @@
 Everything here is desk scale: membership questions become tiny linear
 feasibility problems and distances to normal cones non-negative
 least-squares problems. Active sets, multiplier searches over a support,
-cone membership (cone_coefficients) and normal-cone distances serve the
-coderivative routes and the face-pair oracle of graph_normals and the
-verifiers of stationarity.
+cone membership (cone_coefficients, and cone_contains, which answers as its
+LP from a factorization of the rows where that is certain) and normal-cone
+distances serve the coderivative routes and the face-pair oracle of
+graph_normals and the verifiers of stationarity.
 
 Tolerance contract. The paper's conditions are exact inclusions, so every
 borderline verdict is decided by a tolerance. The user sets one, eps: the
@@ -22,26 +23,30 @@ at call time.
     nnamcq_check reads eigenvalues up to STRICT_EPS * max(1, largest) as 0.
   Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL and
     _MAX_PIVOTS (LP; lp.nnls stops after 3n + 10 least-squares solves on n
-    columns), portfolio._QP_EPS and _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL,
-    _MAX_EXPAND and _HALLEY_TOL (quantile), and stationarity._FD_STEP and _ARGMIN_TOL
-    (gradient check, value function).
+    columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR, _STEPS and _ROUNDING
+    here (where FactoredRows answers a cone question), portfolio._QP_EPS and
+    _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL, _MAX_EXPAND and _HALLEY_TOL
+    (quantile), and stationarity._FD_STEP and _ARGMIN_TOL (gradient check,
+    value function).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
+from operator import mul
 
 import numpy as np
 
-from .lp import linear_feasible, nnls
+from .lp import _FEAS_TOL, _PIVOT_TOL, linear_feasible, nnls
 
 __all__ = [
     "Polyhedron", "InfeasiblePointError", "CombinatorialLimitError",
     "orthant_polyhedron", "simplex_polyhedron",
     "active_set", "active_rows", "active_diagnostics",
-    "cone_coefficients", "multiplier_within_support",
+    "cone_coefficients", "cone_contains", "multiplier_within_support",
     "distance_to_normal_cone", "cone_distance", "cone_residual",
 ]
 
@@ -148,9 +153,7 @@ def active_diagnostics(slack, eps=DEFAULT_EPS):
     Classification near |slack| ~ eps is tolerance-driven; callers surface
     these rows instead of silently committing to one side.
     """
-    s = np.abs(slack)
-    near = (s > eps) & (s <= 10.0 * eps)
-    return tuple(int(i) for i in np.flatnonzero(near))
+    return tuple(i for i, s in enumerate(slack.tolist()) if eps < abs(s) <= 10.0 * eps)
 
 
 def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
@@ -164,6 +167,170 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     if cols.shape[1] == 0:
         return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
     return linear_feasible(A_eq=cols, b_eq=w, nonneg=np.arange(cols.shape[1]) < len(R))
+
+
+# The factorization decides a cone question only where the LP's pivots,
+# which read entries against the absolute lp._PIVOT_TOL, are sure to behave:
+# every non-zero entry of the generators lies within [1/_SCALE, _SCALE], and
+# each row's residual against the span of the rows before it is at least
+# _INDEPENDENT times its norm (independent) or at most _DEPENDENT times the
+# smaller of its norm and 1 (dependent). A dependent row also needs
+# generators on a grid: integers, or integer multiples of 1/step for a step
+# in _STEPS, after which _MINOR must bound the product of the rank largest
+# row norms, the rows scaled by step. Every non-zero minor of such scaled
+# rows is at least 1 and, by Hadamard's inequality, at most _MINOR, so no
+# basis the LP visits has a tableau entry that is non-zero below 1/_MINOR or
+# rounds near _PIVOT_TOL. Dependent float rows, nearly parallel or nearly
+# dependent in some subset, can lead the LP's degenerate pivots through such
+# a basis, where it raises LPUnbounded. Elsewhere the LP decides. _ROUNDING
+# bounds, relative to the terms summed, the rounding of a residual entry.
+_SCALE = 1e3
+_INDEPENDENT = 1e-2
+_DEPENDENT = 1e-13
+_MINOR = 1e4
+_STEPS = (2.0, 4.0, 8.0, 16.0)
+_ROUNDING = 1e-14
+
+
+class FactoredRows:
+    """Generator rows (lists of Python floats) and their Gram-Schmidt
+    factorization, for the cone questions asked of their prefixes (decide).
+
+    Each row in turn is projected on the orthonormal basis of the rows
+    before it, twice where the first pass leaves between _DEPENDENT and 0.1
+    of its norm. A clearly independent row adds its normalized residual to
+    the basis and its coordinates to coords; a dependent row adds nothing,
+    and once the basis spans the whole space every further row is
+    dependent. usable is the number of leading rows that pass the guards
+    above; decide answers no question about a longer prefix.
+    """
+
+    __slots__ = ("rows", "basis", "coords", "lengths", "pivots", "rank", "usable")
+
+    def __init__(self, rows):
+        self.rows, self.usable = rows, 0
+        basis, coords, lengths, pivots, rank = self.basis, self.coords, self.lengths, \
+            self.pivots, self.rank = [], [], [], [], [0]
+        entries = [abs(v) for row in rows for v in row if v]
+        if not (math.isfinite(sum(entries))
+                and 1.0 / _SCALE <= min(entries, default=1.0)
+                and max(entries, default=1.0) <= _SCALE):
+            return
+        d = len(rows[0]) if rows else 0
+        norms = [math.sqrt(sum(map(mul, a, a))) for a in rows]
+        # The entries are integer multiples of 1/step, or step is 0.
+        step = 1.0 if all(map(float.is_integer, entries)) else next(
+            (s for s in _STEPS if all(float.is_integer(s * v) for v in entries)), 0.0)
+        for j, a in enumerate(rows):
+            norm = norms[j]
+            if len(basis) < d:
+                c = [sum(map(mul, q, a)) for q in basis]
+                r = _minus(a, c, basis)
+                left = math.sqrt(sum(map(mul, r, r)))
+                bound = _DEPENDENT * min(norm, 1.0)
+                if bound < left < 0.1 * norm:
+                    more = [sum(map(mul, q, r)) for q in basis]
+                    r = _minus(r, more, basis)
+                    c = [s + t for s, t in zip(c, more)]
+                    left = math.sqrt(sum(map(mul, r, r)))
+                if left > bound:
+                    if left < _INDEPENDENT * norm:
+                        break
+                    basis.append([x / left for x in r])
+                    coords.append(c + [left])
+                    lengths.append(norm)
+                    pivots.append(j)
+                    rank.append(len(basis))
+                    continue
+            if not step:
+                break
+            rank.append(len(basis))
+        self.usable = len(rank) - 1
+        if self.usable > len(basis) and step ** len(basis) \
+                * math.prod(sorted(norms)[len(norms) - len(basis):]) > _MINOR:
+            self.usable = next(j for j, r in enumerate(rank) if r < j) - 1
+
+    def decide(self, w, n, start, eps=DEFAULT_EPS):
+        """Whether w, a list, lies in cone(rows[start:n]) + span(rows[:start])
+        as cone_coefficients would find, or None where neither certificate
+        holds and the LP must decide.
+
+        True when the coefficients of the basic rows, clipped at 0 on the
+        cone rows, leave a residual whose lp.phase1_bound is at most half of
+        feasibility_threshold(w), entries within their rounding of 0 read as
+        0. False when the Euclidean distance from w to the span of the rows
+        exceeds twice that threshold, since the LP's phase-1 optimum, an L1
+        residual, is at least that distance, plus _PIVOT_TOL (1 + |w|_1)
+        times the rows' summed |entries|, which covers a ratio test of the
+        LP that accepts a step up to _PIVOT_TOL past its minimum. The
+        factor 2 covers rounding, as in the LP skip of stationarity. With
+        no rows, w must vanish within eps, cone_coefficients' rule.
+        """
+        if n == 0:
+            return max(map(abs, w), default=0.0) <= eps
+        if n > self.usable:
+            return None
+        total = sum(map(abs, w))
+        if not total:
+            return True
+        if not math.isfinite(total):
+            return None
+        threshold = _FEAS_TOL * (1.0 + total)
+        rank, coords, rows = self.rank[n], self.coords, self.rows
+        y = [sum(map(mul, q, w)) for q in self.basis[:rank]]
+        r = _minus(w, y, self.basis)
+        dist = math.sqrt(sum(map(mul, r, r)))
+        if dist > 2.0 * threshold and dist > 2.0 * threshold + _PIVOT_TOL * (1.0 + total) \
+                * sum(abs(v) for row in rows[:n] for v in row):
+            return False
+        x = y[:]
+        for t in range(rank - 1, -1, -1):
+            v = x[t]
+            for u in range(t + 1, rank):
+                v -= coords[u][t] * x[u]
+            x[t] = v / coords[t][t]
+        # r is also w's residual at x; clipping a coefficient v of row a
+        # adds v a to it.
+        scale = max(map(abs, w)) + sum(map(abs, y))
+        for j, v, length in zip(self.pivots, x, self.lengths):
+            scale += abs(v) * length
+            if v < 0.0 and j >= start:
+                r = [a + v * b for a, b in zip(r, rows[j])]
+        return _phase1_bound(w, r, _ROUNDING * scale) <= 0.5 * threshold or None
+
+
+def _minus(a, c, basis):
+    """a minus the combination of the basis vectors with coefficients c."""
+    for t, q in zip(c, basis):
+        if t:
+            a = [x - t * y for x, y in zip(a, q)]
+    return a
+
+
+def _phase1_bound(b, r, noise):
+    """lp.phase1_bound of one system, on lists of Python floats, with an
+    entry of r within noise of 0 read as 0 where its sign is wrong."""
+    t = 0.0
+    for bi, ri in zip(b, r):
+        if ri < -noise if bi >= 0.0 else ri > noise:
+            t = max(t, abs(ri) / (abs(bi) + abs(ri)))
+    if not t:
+        return sum(map(abs, r))
+    return sum(abs(t * bi + (1.0 - t) * ri) for bi, ri in zip(b, r))
+
+
+def cone_contains(w, R, L=None, eps=DEFAULT_EPS):
+    """Whether cone_coefficients(w, R, L, eps) is not None.
+
+    The rows of L, then those of R, are factored once (FactoredRows), and
+    the LP runs only where neither of the factorization's certificates
+    decides; it raises as cone_coefficients raises.
+    """
+    span = [] if L is None else np.asarray(L, dtype=float).tolist()
+    rows = span + np.asarray(R, dtype=float).tolist()
+    verdict = FactoredRows(rows).decide(np.asarray(w, dtype=float).tolist(),
+                                        len(rows), len(span), eps)
+    return cone_coefficients(w, R, L, eps) is not None if verdict is None else verdict
 
 
 def multiplier_within_support(poly, target, support, eps=DEFAULT_EPS):

@@ -12,15 +12,16 @@ lower-level objective at z, so the graph point under test is (z, -g) and
 lower-level stationarity of z is exactly the graph-point precondition.
 
 The direct polyhedral predicate decides the existential system at its one
-maximal row split with two LPs, so it has no cap, and the orthant and
-simplex specializations reduce it to sign conditions in closed form. The
-simplex also has the distance to its normal cone in closed form
-(_simplex_residual_rows), which gives the verifier's lower residuals. The
-face-pair oracle decides the same system independently: it sweeps multiplier
-supports and nested row subsets and tests each pair's face difference and
-its polar directly, exponential in the active rows and capped at
-MAX_ACTIVE_ROWS. No route of the package calls it;
-it stays here because the benchmark (perfbench/workloads.py) imports it for
+maximal row split by cone questions on prefixes of one factorization of the
+active rows, with the LP only where the factorization is unsure, so it has
+no cap, and the orthant and simplex specializations reduce it to sign
+conditions in closed form. The simplex also has the distance to its normal
+cone in closed form (_simplex_residual_rows), which gives the verifier's
+lower residuals. The face-pair oracle decides the same system independently:
+it sweeps multiplier supports and nested row subsets and tests each pair's
+face difference and its polar directly by the LP, exponential in the active
+rows and capped at MAX_ACTIVE_ROWS. No route of the package calls it; it
+stays here because the benchmark (perfbench/workloads.py) imports it for
 its reference answers, and the tests compare every route against it.
 """
 
@@ -39,10 +40,12 @@ from .cones import (
     DEFAULT_EPS,
     MAX_ACTIVE_ROWS,
     STRICT_EPS,
+    FactoredRows,
     Polyhedron,
     active_diagnostics,
     active_rows,
     cone_coefficients,
+    cone_contains,
     multiplier_within_support,
 )
 
@@ -321,23 +324,41 @@ class GraphContext:
     slack: np.ndarray
 
 
+_NOT_NORMAL = "-g is not in the normal cone at z"
+
+
+def _graph_point(poly, z, g, eps):
+    """z and g as arrays, the slack vector b - A z and the active rows of
+    the graph point (z, -g); raises NotGraphPointError when z is infeasible."""
+    z = np.asarray(z, dtype=float)
+    g = np.asarray(g, dtype=float)
+    slack = poly.slacks(z)
+    try:
+        return z, g, slack, active_rows(poly, slack, eps)
+    except ValueError as exc:
+        raise NotGraphPointError(str(exc)) from exc
+
+
 def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
     """Validate the graph point (z, -g) and record its slack vector b - A z
     and its active rows.
 
     Raises NotGraphPointError when z is infeasible or -g fails to decompose
-    over the active rows.
+    over the active rows (cone_contains).
     """
-    z = np.asarray(z, dtype=float)
-    g = np.asarray(g, dtype=float)
-    slack = poly.slacks(z)
-    try:
-        I = active_rows(poly, slack, eps)
-    except ValueError as exc:
-        raise NotGraphPointError(str(exc)) from exc
-    if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
-        raise NotGraphPointError("-g is not in the normal cone at z")
+    z, g, slack, I = _graph_point(poly, z, g, eps)
+    if not cone_contains(-g, poly.A[list(I)], eps=eps):
+        raise NotGraphPointError(_NOT_NORMAL)
     return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps, slack=slack)
+
+
+def _contains(verdict, poly, w, cone, span, eps):
+    """A FactoredRows verdict on w, or where it is None, whether
+    cone_coefficients finds w in cone(A_cone) + span(A_span)."""
+    if verdict is None:
+        return cone_coefficients(w, poly.A[cone], None if span is None else poly.A[span],
+                                 eps) is not None
+    return verdict
 
 
 def _subsets(pool):
@@ -347,7 +368,7 @@ def _subsets(pool):
 
 
 def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
-    """Direct coderivative membership test for Z = {A z <= b}, by two LPs.
+    """Direct coderivative membership test for Z = {A z <= b}.
 
     The existential system asks for a disjoint pair of active row sets, the
     equality rows Q and the inequality rows R, such that
@@ -368,28 +389,42 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     (SIAM J. Optim. 1996) read at its maximal pair; the face-pair oracle
     below enumerates every pair and serves as the independent cross-check.
 
-    When E = I the support LP (b) is the graph-point validation already done
-    by make_graph_context and is skipped. A member's witness is the
-    canonical pair (E, P); a non-member's lists the active rows.
+    When E = I the support question (b) is the graph-point validation and
+    is skipped. The graph point (when no context is given), (b) and (c) are
+    decided from one factorization of the active rows ordered E, P, then
+    the rest, so that (b) and (c) read its prefixes, and by the LP of
+    cone_coefficients only where its certificates leave a question open
+    (FactoredRows.decide). A member's witness is the canonical pair (E, P);
+    a non-member's lists the active rows.
     """
+    zeta, eta = pair.zeta, pair.eta
     if context is None:
         try:
-            context = make_graph_context(poly, gp.z, gp.g, eps)
+            _, g, slack, I = _graph_point(poly, gp.z, gp.g, eps)
         except NotGraphPointError as exc:
             return _empty("polyhedron", str(exc))
-    zeta, eta = pair.zeta, pair.eta
-    I = context.active
-    slopes = poly.A[list(I)] @ eta
+    else:
+        g, slack, I = context.g, context.slack, context.active
+    rows = poly.A[list(I)]
+    slopes = (rows @ eta).tolist()
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
+    at = dict(zip(I, rows.tolist()))
+    factor = FactoredRows([at[i] for i in E + P] + [at[i] for i, s in zip(I, slopes) if s < -eps])
+    neg = -g
+    target = neg.tolist()
+    if context is None and not _contains(factor.decide(target, len(I), 0, eps),
+                                         poly, neg, list(I), None, eps):
+        return _empty("polyhedron", _NOT_NORMAL)
     member = (len(E) == len(I)
-              or cone_coefficients(-context.g, poly.A[E], eps=eps) is not None
-              ) and cone_coefficients(zeta, poly.A[P], poly.A[E], eps) is not None
+              or _contains(factor.decide(target, len(E), 0, eps), poly, neg, E, None, eps)
+              ) and _contains(factor.decide(zeta.tolist(), len(E) + len(P), len(E), eps),
+                              poly, zeta, P, E, eps)
     if not member:
         return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
     return Membership(True, "member", "polyhedron",
                       {"equality_rows": E, "inequality_rows": P,
-                       "near_threshold_rows": list(active_diagnostics(context.slack, eps))})
+                       "near_threshold_rows": list(active_diagnostics(slack, eps))})
 
 
 def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
@@ -402,20 +437,22 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     when -eta lies in the difference (a direct test within eps) and zeta in
     the polar (cone_coefficients). Exhaustive, refused beyond
     MAX_ACTIVE_ROWS active rows, and intended as the slow cross-check at
-    desk scale.
+    desk scale. Every cone question, the graph point's included, is the LP
+    of cone_coefficients.
     """
     try:
-        context = make_graph_context(poly, gp.z, gp.g, eps)
+        _, g, _, I = _graph_point(poly, gp.z, gp.g, eps)
     except NotGraphPointError as exc:
         return _empty("oracle", str(exc))
+    if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
+        return _empty("oracle", _NOT_NORMAL)
     zeta, eta = pair.zeta, pair.eta
-    I = context.active
     if len(I) > MAX_ACTIVE_ROWS:
         raise CombinatorialLimitError("%d active rows exceeds cap %d"
                                       % (len(I), MAX_ACTIVE_ROWS))
     seen = set()
     for S in _subsets(I):
-        if multiplier_within_support(poly, -context.g, S, eps) is None:
+        if multiplier_within_support(poly, -g, S, eps) is None:
             continue
         zero_rows = tuple(i for i in I if i not in S)
         for J2 in _subsets(zero_rows):

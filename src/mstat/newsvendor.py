@@ -55,6 +55,7 @@ and y, and no object is built per scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -94,16 +95,21 @@ __all__ = [
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
+@cache
+def _scipy_ndtr():
+    from scipy.special import ndtr as scipy_ndtr
+    return scipy_ndtr
+
+
 def ndtr(x):
     """The standard normal CDF of each entry of x, by scipy.special.ndtr.
 
     scipy.special is imported by the first call, not with this module, so
     that a command that computes no CDF (a portfolio verify, a coderivative
     query) starts without scipy, whose import takes most of such a
-    command's wall time.
+    command's wall time. Later calls reuse the function that call bound.
     """
-    from scipy.special import ndtr as scipy_ndtr
-    return scipy_ndtr(x)
+    return _scipy_ndtr()(x)
 
 
 # Largest (row, center, coordinate) entry count of one block of query rows.

@@ -821,13 +821,14 @@ def test_newsvendor_bad_input_exits_1(tmp_path, capsys):
             assert code == 1 and out == "" and "finite" in err
 
 
-def test_lp_errors_exit_1(tmp_path, capsys, monkeypatch):
+def test_lp_errors_exit_1(capsys, monkeypatch):
+    """An LP error of a coderivative query exits 1. gq.not-member asks
+    whether zeta lies in cone(A_P) + span(A_E) where the factorization's
+    coefficients are negative on a cone row, so that question takes the LP."""
     import mstat.cones as C
     from mstat.lp import LPLimitError, LPUnbounded
 
-    q = write(tmp_path / "q.json",
-              {"Z": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0]},
-               "z": [0.0, 0.0], "g": [0.0, 0.0], "zeta": [-1.0, 0.0], "eta": [0.0, 0.0]})
+    q = str(GOLDEN / "gq.not-member.json")
     for exc in (LPUnbounded, LPLimitError):
         def solver(*args, **kw):
             raise exc("raised by the test")

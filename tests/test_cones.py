@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from conftest import (assert_nnls_optimal, complementarity_residual, normal_cone_multiplier,
+from conftest import (assert_nnls_optimal, complementarity_residual, count_lps, normal_cone_multiplier,
                       polyhedron_contains, random_polyhedral_graph_point)
 from mstat.cones import (
     InfeasiblePointError,
@@ -13,13 +15,14 @@ from mstat.cones import (
     active_diagnostics,
     active_set,
     cone_coefficients,
+    cone_contains,
     cone_distance,
     distance_to_normal_cone,
     multiplier_within_support,
     orthant_polyhedron,
     simplex_polyhedron,
 )
-from mstat.lp import feasibility_threshold, nnls
+from mstat.lp import _PIVOT_TOL, LPLimitError, LPUnbounded, feasibility_threshold, nnls
 
 ORTHANT2 = orthant_polyhedron(2)
 
@@ -146,6 +149,136 @@ def test_cone_coefficients_against_scipy(rng):
             assert coef.shape == (len(R) + len(L),)
             assert np.max(np.abs(cols @ coef - w)) <= 1e-9
             assert np.min(coef[:len(R)], initial=0.0) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# cone_contains: the LP's answer, from a factorization where it is certain
+
+def lp_answer(w, R, L):
+    """Whether cone_coefficients finds w in cone(R) + span(L), or the class
+    of the exception its LP raises."""
+    try:
+        return cone_coefficients(w, R, L) is not None
+    except (LPUnbounded, LPLimitError) as exc:
+        return type(exc)
+
+
+def assert_as_the_lp(w, G, start):
+    """cone_contains(w, R, L) with L = G[:start] and R = G[start:] answers
+    as cone_coefficients, or raises what its LP raises."""
+    R, L = G[start:], G[:start]
+    want = lp_answer(w, R, L)
+    if want is True or want is False:
+        assert cone_contains(w, R, L) is want, (G.tolist(), w.tolist(), start)
+    else:
+        with pytest.raises(want):
+            cone_contains(w, R, L)
+
+
+@st.composite
+def integer_cones(draw):
+    """Integer generators (k, d) with planted dependent rows (integer
+    combinations of the rows before them) and zero coordinates, a target
+    that is 0, a combination of the rows, or any integer point, some of its
+    coordinates zeroed, and the number of span rows."""
+    d, k = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    G = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                               min_size=k, max_size=k)), dtype=float).reshape(k, d)
+    for j in range(2, k):
+        if draw(st.booleans()):
+            G[j] = G[:j].T @ draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
+    G[:, sorted(draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))] = 0.0
+    kind = draw(st.sampled_from(["zero", "combination", "point"]))
+    if kind == "zero":
+        w = np.zeros(d)
+    elif kind == "combination":
+        w = G.T @ np.array(draw(st.lists(st.integers(-1, 2), min_size=k, max_size=k)), dtype=float)
+    else:
+        w = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=float)
+    w[sorted(draw(st.sets(st.integers(0, d - 1))))] = 0.0
+    return w, G, draw(st.integers(0, k))
+
+
+@st.composite
+def float_cones(draw):
+    """Float generators with nearly parallel rows (a multiple of an earlier
+    row moved by 1e-16 to 1e-1 of its size) and entries near lp._PIVOT_TOL,
+    a target at 0 or on a combination of the rows, moved by 1e-15 to 1e-7
+    on some coordinates, and the number of span rows."""
+    d, k = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    entry = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    G = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                               min_size=k, max_size=k))).reshape(k, d)
+    for j in range(1, k):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, j - 1))
+            shift = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+            G[j] = draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0])) * G[i] \
+                + 10.0 ** draw(st.integers(-16, -1)) * np.abs(G[i]).max() * shift
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, d - 1)),
+                              max_size=3)):
+        G[i, j] = draw(st.sampled_from([-1.0, 1.0])) * _PIVOT_TOL * 10.0 ** draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        w = np.zeros(d)
+    else:
+        w = G.T @ np.array(draw(st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k)))
+    for i in draw(st.sets(st.integers(0, d - 1))):
+        w[i] += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-15, -7))
+    return w, G, draw(st.integers(0, k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_cones())
+@example((np.zeros(3), np.array([[1.0, 3.0, 0.0], [3.0, 2.0, 0.0], [-3.0, 1.0, 0.0],
+                                 [3.0, -1.0, 0.0]]), 0))
+@example((np.array([0.0, 4.0, 0.0]), np.array([[-3.0, 1.0, 0.0], [-3.0, -2.0, 0.0],
+                                               [3.0, 2.0, 0.0], [1.0, 2.0, 0.0]]), 4))
+def test_cone_contains_answers_as_the_lp_on_integer_rows(case):
+    """Where the LP answers, cone_contains gives its answer; where it raises,
+    cone_contains raises the same. The examples are degenerate prisms:
+    coplanar rows with an antiparallel pair, at a zero target and at a
+    target with zero coordinates in their span."""
+    assert_as_the_lp(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_cones())
+@example((np.zeros(5), np.array([
+    [-2.560038906820392, -0.7056214010783133, -1.0206386836159285, 1.1407069849227136,
+     -1.7415833558106573],
+    [0.3843352013915429, -0.33230671687483837, -0.19255724685678172, 0.05413605463674453,
+     -0.07515817718687144],
+    [278.7027407531433, 79.51523065200831, 361.9091892141733, 637.3758042705826,
+     428.15360220794093],
+    [7.1153153233226165, 2.7819068421652546, 11.321053143466937, -6.6256961547855555,
+     13.822123967718106],
+    [0.14874918533659306, -0.03915548959666354, -0.28214857269922866, 0.39150183835375824,
+     -0.011781557050885738],
+    [-0.3869111933516247, 0.33186237418278586, 0.1929524571603246, -0.05548848909434855,
+     0.07435494730890378]]), 6))
+@example((np.array([7.160662870326869e-09, 0.0]),
+          np.array([[82.64700473935586, 82.64700473935586]]), 0))
+def test_cone_contains_answers_as_the_lp_on_float_rows(case):
+    """As on integer rows, with nearly parallel rows, entries near the LP's
+    pivot tolerance and targets moved off the cone by rounding-sized steps.
+    The first example is a degenerate target on dependent float rows, where
+    the LP raises LPUnbounded. In the second the target lies 5.1e-9 from the
+    row's span, past twice the LP's feasibility threshold, yet the LP,
+    whose ratio test accepts a step up to _PIVOT_TOL past its minimum, finds
+    it in the cone."""
+    assert_as_the_lp(*case)
+
+
+def test_cone_contains_runs_no_lp_on_independent_rows(monkeypatch):
+    """Independent rows decide both ways without an LP: a target with
+    nonnegative cone coefficients is in, one off their span is out."""
+    calls = count_lps(monkeypatch)
+    R, L = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]), np.array([[1.0, 1.0, 0.0]])
+    assert cone_contains(2.0 * R[0] + R[1] - 3.0 * L[0], R, L) is True
+    assert cone_contains(np.array([0.0, 0.0, 1.0]), R[:1], L) is False
+    assert cone_contains(np.zeros(3), R) is True
+    assert calls == []
+    assert cone_contains(-R[0], R, L) is False and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

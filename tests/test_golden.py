@@ -125,15 +125,19 @@ def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios,
 def test_golden_lp_counts(capsys, monkeypatch):
     """Across tests/golden, `verify` runs no LP: every simplex multiplier
     comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
-    and the newsvendor sets are orthants. `gph-normal --method direct` keeps
-    its 17 LPs. Every output keeps its recorded bytes."""
+    and the newsvendor sets are orthants. `gph-normal --method direct` runs
+    two: one for gq.not-member, whose zeta has negative coefficients on a
+    cone row of the factorization, and one for gq.empty, whose -g does on
+    the active rows. The other queries, the prisms and gq.rows9 included,
+    are decided by the factorization's certificates. Every output keeps its
+    recorded bytes."""
     calls = count_lps(monkeypatch)
     lps = {}
     for case in EXPECTED["outputs"]:
         before = len(calls)
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
         lps[case["argv"][0]] = lps.get(case["argv"][0], 0) + len(calls) - before
-    assert lps["verify"] == 0 and lps["gph-normal"] == 17 and sum(lps.values()) == 17
+    assert lps["verify"] == 0 and lps["gph-normal"] == 2 and sum(lps.values()) == 2
     assert {"pf6.cert.json", "pf7.cert.json"} <= {a for c in EXPECTED["outputs"] for a in c["argv"]}
 
 

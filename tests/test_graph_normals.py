@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from mstat.graph_normals import (
     simplex_membership,
     _simplex_rows,
 )
-from conftest import (random_polyhedral_graph_point, random_simplex_graph_point, rows_oracle,
-                      simplex_oracle, simplex_rows_oracle)
+from conftest import (count_lps, random_polyhedral_graph_point, random_simplex_graph_point,
+                      rows_oracle, simplex_oracle, simplex_rows_oracle)
 from mstat import cli
 from mstat.stationarity import ScenarioColumns
 
@@ -188,6 +189,24 @@ def test_oracle_vs_direct_random(rng):
                      rng.integers(-2, 3, poly.dim).astype(float))
             assert oracle_membership(poly, gp, q).member == \
                 polyhedron_membership(poly, gp, q, context=ctx).member
+
+
+@pytest.mark.parametrize("stem, verdict", [("gq.prism", "member"),
+                                           ("gq.prism-not-member", "not_member")])
+def test_a_degenerate_prism_takes_no_lp_but_the_oracle_does(stem, verdict, monkeypatch):
+    """Six coplanar active rows, one pair antiparallel, span a plane of R^3
+    and eta is normal to it: every row is an equality row, so the query asks
+    whether zeta lies in the span of dependent rows. The factorization
+    decides that and the graph point without an LP; the face-pair oracle,
+    the tests' independent slow path, still asks its LPs, the graph point's
+    included, and agrees."""
+    doc = json.loads((Path(__file__).parent / "golden" / (stem + ".json")).read_text())
+    poly = Polyhedron(doc["Z"]["A"], doc["Z"]["b"])
+    gp, q = GraphPoint(doc["z"], doc["g"]), pair(doc["zeta"], doc["eta"])
+    calls = count_lps(monkeypatch)
+    assert polyhedron_membership(poly, gp, q).verdict == verdict and calls == []
+    oracle_calls = count_lps(monkeypatch)
+    assert oracle_membership(poly, gp, q).verdict == verdict and len(oracle_calls) >= 2
 
 
 def _linprog_cone(w, R, L):

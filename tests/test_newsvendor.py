@@ -619,6 +619,21 @@ def test_shared_center_list_is_read_once(monkeypatch):
     assert calls == ["center", "sample"] and inst.samples.x.tolist() == inst.centers.x.tolist()
 
 
+def test_ndtr_imports_scipy_once(monkeypatch):
+    """ndtr imports scipy.special on its first call only: a later call runs
+    no import statement, so the about 46 calls of a gridsearch operation do
+    not each pass through the import machinery."""
+    import builtins
+
+    NV.ndtr(np.zeros(1))
+    imported = []
+    real = builtins.__import__
+    monkeypatch.setattr(builtins, "__import__",
+                        lambda name, *args, **kw: imported.append(name) or real(name, *args, **kw))
+    assert NV.ndtr(np.array([0.0, -np.inf])).tolist() == [0.5, 0.0]
+    assert imported == []
+
+
 def test_ndtr_error_is_a_tenth_of_the_replay_bound():
     """The quantile solve skips a bisection step only where the computed CDF
     is within delta = _CDF_DELTA + M eps of the exact mixture, and the

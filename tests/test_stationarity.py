@@ -375,7 +375,9 @@ def test_nnamcq_check_matches_the_regime_sweep(rng):
 
 def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
     """A d_z = 12 simplex vertex has 12 active rows; lam Sigma is positive
-    definite, so no LP runs beyond the graph-point check."""
+    definite, so no LP runs beyond the graph-point check, and that check
+    runs none either: the 12 rows are independent, so the factorization of
+    cones.cone_contains decides it."""
     import mstat.lp as LP
 
     rng = np.random.default_rng(12)
@@ -395,7 +397,7 @@ def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
     assert len(make_graph_context(poly, z, g).active) == d
     graph_point_lps = len(calls)
     assert nnamcq_check(model, theta, None, z) is True
-    assert graph_point_lps == 1 and len(calls) == 2 * graph_point_lps
+    assert graph_point_lps == 0 and len(calls) == 2 * graph_point_lps
 
 
 def test_nnamcq_rejects_a_hessian_outside_the_convex_cases():
