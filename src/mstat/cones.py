@@ -23,8 +23,8 @@ at call time.
     nnamcq_check reads eigenvalues up to STRICT_EPS * max(1, largest) as 0.
   Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL and
     _MAX_PIVOTS (LP; lp.nnls stops after 3n + 10 least-squares solves on n
-    columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR, _STEPS and _ROUNDING
-    here (where FactoredRows answers a cone question), portfolio._QP_EPS and
+    columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR and _ROUNDING here
+    (where FactoredRows answers a cone question), portfolio._QP_EPS and
     _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL, _MAX_EXPAND and _HALLEY_TOL
     (quantile), and stationarity._FD_STEP and _ARGMIN_TOL (gradient check,
     value function).
@@ -174,21 +174,19 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
 # every non-zero entry of the generators lies within [1/_SCALE, _SCALE], and
 # each row's residual against the span of the rows before it is at least
 # _INDEPENDENT times its norm (independent) or at most _DEPENDENT times the
-# smaller of its norm and 1 (dependent). A dependent row also needs
-# generators on a grid: integers, or integer multiples of 1/step for a step
-# in _STEPS, after which _MINOR must bound the product of the rank largest
-# row norms, the rows scaled by step. Every non-zero minor of such scaled
-# rows is at least 1 and, by Hadamard's inequality, at most _MINOR, so no
-# basis the LP visits has a tableau entry that is non-zero below 1/_MINOR or
-# rounds near _PIVOT_TOL. Dependent float rows, nearly parallel or nearly
-# dependent in some subset, can lead the LP's degenerate pivots through such
-# a basis, where it raises LPUnbounded. Elsewhere the LP decides. _ROUNDING
-# bounds, relative to the terms summed, the rounding of a residual entry.
+# smaller of its norm and 1 (dependent). A dependent row also needs integer
+# generators, after which _MINOR must bound the product of the rank largest
+# row norms. Every non-zero minor of such rows is at least 1 and, by
+# Hadamard's inequality, at most _MINOR, so no basis the LP visits has a
+# tableau entry that is non-zero below 1/_MINOR or rounds near _PIVOT_TOL.
+# Dependent float rows, nearly parallel or nearly dependent in some subset,
+# can lead the LP's degenerate pivots through such a basis, where it raises
+# LPUnbounded. Elsewhere the LP decides. _ROUNDING bounds, relative to the
+# terms summed, the rounding of a residual entry.
 _SCALE = 1e3
 _INDEPENDENT = 1e-2
 _DEPENDENT = 1e-13
 _MINOR = 1e4
-_STEPS = (2.0, 4.0, 8.0, 16.0)
 _ROUNDING = 1e-14
 
 
@@ -218,9 +216,7 @@ class FactoredRows:
             return
         d = len(rows[0]) if rows else 0
         norms = [math.sqrt(sum(map(mul, a, a))) for a in rows]
-        # The entries are integer multiples of 1/step, or step is 0.
-        step = 1.0 if all(map(float.is_integer, entries)) else next(
-            (s for s in _STEPS if all(float.is_integer(s * v) for v in entries)), 0.0)
+        integer = all(map(float.is_integer, entries))
         for j, a in enumerate(rows):
             norm = norms[j]
             if len(basis) < d:
@@ -242,12 +238,12 @@ class FactoredRows:
                     pivots.append(j)
                     rank.append(len(basis))
                     continue
-            if not step:
+            if not integer:
                 break
             rank.append(len(basis))
         self.usable = len(rank) - 1
-        if self.usable > len(basis) and step ** len(basis) \
-                * math.prod(sorted(norms)[len(norms) - len(basis):]) > _MINOR:
+        if self.usable > len(basis) \
+                and math.prod(sorted(norms)[len(norms) - len(basis):]) > _MINOR:
             self.usable = next(j for j, r in enumerate(rank) if r < j) - 1
 
     def decide(self, w, n, start, eps=DEFAULT_EPS):
@@ -264,11 +260,12 @@ class FactoredRows:
         times the rows' summed |entries|, which covers a ratio test of the
         LP that accepts a step up to _PIVOT_TOL past its minimum. The
         factor 2 covers rounding, as in the LP skip of stationarity. With
-        no rows, w must vanish within eps, cone_coefficients' rule.
+        no rows, w must vanish within eps, cone_coefficients' rule; a w of
+        another length than the rows is left to the LP, which raises.
         """
         if n == 0:
             return max(map(abs, w), default=0.0) <= eps
-        if n > self.usable:
+        if n > self.usable or len(w) != len(self.rows[0]):
             return None
         total = sum(map(abs, w))
         if not total:
@@ -280,8 +277,8 @@ class FactoredRows:
         y = [sum(map(mul, q, w)) for q in self.basis[:rank]]
         r = _minus(w, y, self.basis)
         dist = math.sqrt(sum(map(mul, r, r)))
-        if dist > 2.0 * threshold and dist > 2.0 * threshold + _PIVOT_TOL * (1.0 + total) \
-                * sum(abs(v) for row in rows[:n] for v in row):
+        margin = _PIVOT_TOL * (1.0 + total) * sum(abs(v) for row in rows[:n] for v in row)
+        if dist > 2.0 * threshold + margin:
             return False
         x = y[:]
         for t in range(rank - 1, -1, -1):
@@ -319,17 +316,21 @@ def _phase1_bound(b, r, noise):
     return sum(abs(t * bi + (1.0 - t) * ri) for bi, ri in zip(b, r))
 
 
-def cone_contains(w, R, L=None, eps=DEFAULT_EPS):
+def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
     """Whether cone_coefficients(w, R, L, eps) is not None.
 
-    The rows of L, then those of R, are factored once (FactoredRows), and
-    the LP runs only where neither of the factorization's certificates
-    decides; it raises as cone_coefficients raises.
+    factor is a FactoredRows whose first len(L) rows are those of L and
+    whose next len(R) rows are those of R, each group in any order; by
+    default the rows of L, then those of R, are factored here. The LP runs
+    only where neither of the factorization's certificates decides
+    (FactoredRows.decide); it raises as cone_coefficients raises.
     """
-    span = [] if L is None else np.asarray(L, dtype=float).tolist()
-    rows = span + np.asarray(R, dtype=float).tolist()
-    verdict = FactoredRows(rows).decide(np.asarray(w, dtype=float).tolist(),
-                                        len(rows), len(span), eps)
+    w = np.asarray(w, dtype=float)
+    start = 0 if L is None else len(L)
+    if factor is None:
+        factor = FactoredRows((np.asarray(R, dtype=float) if L is None
+                               else np.vstack([L, R])).tolist())
+    verdict = factor.decide(w.tolist(), start + len(R), start, eps)
     return cone_coefficients(w, R, L, eps) is not None if verdict is None else verdict
 
 

@@ -352,15 +352,6 @@ def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
     return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps, slack=slack)
 
 
-def _contains(verdict, poly, w, cone, span, eps):
-    """A FactoredRows verdict on w, or where it is None, whether
-    cone_coefficients finds w in cone(A_cone) + span(A_span)."""
-    if verdict is None:
-        return cone_coefficients(w, poly.A[cone], None if span is None else poly.A[span],
-                                 eps) is not None
-    return verdict
-
-
 def _subsets(pool):
     pool = tuple(pool)
     for size in range(len(pool) + 1):
@@ -394,7 +385,7 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     decided from one factorization of the active rows ordered E, P, then
     the rest, so that (b) and (c) read its prefixes, and by the LP of
     cone_coefficients only where its certificates leave a question open
-    (FactoredRows.decide). A member's witness is the canonical pair (E, P);
+    (cone_contains). A member's witness is the canonical pair (E, P);
     a non-member's lists the active rows.
     """
     zeta, eta = pair.zeta, pair.eta
@@ -409,17 +400,13 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     slopes = (rows @ eta).tolist()
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
-    at = dict(zip(I, rows.tolist()))
-    factor = FactoredRows([at[i] for i in E + P] + [at[i] for i, s in zip(I, slopes) if s < -eps])
-    neg = -g
-    target = neg.tolist()
-    if context is None and not _contains(factor.decide(target, len(I), 0, eps),
-                                         poly, neg, list(I), None, eps):
+    ordered = poly.A[E + P + [i for i, s in zip(I, slopes) if s < -eps]]
+    factor = FactoredRows(ordered.tolist())
+    neg, e, p = -g, len(E), len(E) + len(P)
+    if context is None and not cone_contains(neg, rows, eps=eps, factor=factor):
         return _empty("polyhedron", _NOT_NORMAL)
-    member = (len(E) == len(I)
-              or _contains(factor.decide(target, len(E), 0, eps), poly, neg, E, None, eps)
-              ) and _contains(factor.decide(zeta.tolist(), len(E) + len(P), len(E), eps),
-                              poly, zeta, P, E, eps)
+    member = (e == len(I) or cone_contains(neg, ordered[:e], eps=eps, factor=factor)) \
+        and cone_contains(zeta, ordered[e:p], ordered[:e], eps, factor)
     if not member:
         return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
     return Membership(True, "member", "polyhedron",

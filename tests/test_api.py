@@ -101,7 +101,7 @@ def test_the_user_set_eps_reaches_an_eps_parameter():
                 seen.add(callee)
                 todo.append(callee)
     assert {"active_rows", "active_diagnostics", "orthant_membership", "simplex_membership",
-            "polyhedron_membership", "_graph_point", "_contains", "cone_coefficients",
+            "polyhedron_membership", "_graph_point", "cone_contains", "cone_coefficients",
             "_orthant_rows", "_simplex_rows"} \
         <= {f.__name__ for f in seen}
     assert [f.__qualname__ for f in seen

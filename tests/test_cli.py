@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -118,7 +119,8 @@ def gph_normal_queries(draw):
     """A gph-normal query over the orthant, the simplex, a small integer
     polyhedron or a Z that is none of these, with point entries drawn near
     the graph and some of them, or of A and b, made non-finite, not numbers,
-    of another length or not vectors, or left out."""
+    of another length or not vectors, or left out. The bad values are
+    copies, so a later edit never changes the shared lists above."""
     d = draw(st.integers(0, 3))
     entries = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0]),
                         st.floats(-3.0, 3.0, allow_nan=False), st.integers(-2, 2))
@@ -139,7 +141,7 @@ def gph_normal_queries(draw):
         if kind == "drop":
             del doc[key]
         elif kind == "value":
-            doc[key] = draw(st.sampled_from(NOT_VECTORS))
+            doc[key] = copy.deepcopy(draw(st.sampled_from(NOT_VECTORS)))
         elif kind == "length":
             doc[key] = doc[key] + doc[key][:1] if draw(st.booleans()) else doc[key][1:]
         elif doc[key]:
@@ -148,7 +150,7 @@ def gph_normal_queries(draw):
             if isinstance(rows[i], list) and rows[i]:
                 rows, i = rows[i], draw(st.integers(0, len(rows[i]) - 1))
             bad = NON_FINITE if kind == "non-finite" else NOT_NUMBERS
-            rows[i] = draw(st.sampled_from(bad))
+            rows[i] = copy.deepcopy(draw(st.sampled_from(bad)))
     return query
 
 

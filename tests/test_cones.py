@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from conftest import (assert_nnls_optimal, complementarity_residual, count_lps, normal_cone_multiplier,
                       polyhedron_contains, random_polyhedral_graph_point)
 from mstat.cones import (
+    FactoredRows,
     InfeasiblePointError,
     Polyhedron,
     active_diagnostics,
@@ -22,6 +23,7 @@ from mstat.cones import (
     orthant_polyhedron,
     simplex_polyhedron,
 )
+from mstat.graph_normals import make_graph_context
 from mstat.lp import _PIVOT_TOL, LPLimitError, LPUnbounded, feasibility_threshold, nnls
 
 ORTHANT2 = orthant_polyhedron(2)
@@ -233,11 +235,14 @@ def float_cones(draw):
                                  [3.0, -1.0, 0.0]]), 0))
 @example((np.array([0.0, 4.0, 0.0]), np.array([[-3.0, 1.0, 0.0], [-3.0, -2.0, 0.0],
                                                [3.0, 2.0, 0.0], [1.0, 2.0, 0.0]]), 4))
+@example((np.array([1000.0, 1.0, 0.0]), np.array([[1000.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                  [1000.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0))
 def test_cone_contains_answers_as_the_lp_on_integer_rows(case):
     """Where the LP answers, cone_contains gives its answer; where it raises,
     cone_contains raises the same. The examples are degenerate prisms:
     coplanar rows with an antiparallel pair, at a zero target and at a
-    target with zero coordinates in their span."""
+    target with zero coordinates in their span, and rows whose minors
+    exceed _MINOR."""
     assert_as_the_lp(*case)
 
 
@@ -279,6 +284,38 @@ def test_cone_contains_runs_no_lp_on_independent_rows(monkeypatch):
     assert cone_contains(np.zeros(3), R) is True
     assert calls == []
     assert cone_contains(-R[0], R, L) is False and len(calls) == 1
+
+
+def test_cone_contains_leaves_a_prefix_with_large_minors_to_the_lp(monkeypatch):
+    """Integer rows with a dependent third row are decided only up to the
+    last row before it when their rank largest norms multiply past _MINOR
+    (here 1e3 * 1e3 * 1): the questions on two rows take no LP, those on
+    three or four take it. The same rows scaled down are decided."""
+    calls = count_lps(monkeypatch)
+    G = np.array([[1000.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1000.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    factor = FactoredRows(G.tolist())
+    assert cone_contains(G[2], G[:2], factor=factor) is True
+    assert cone_contains(G[3], G[:2], factor=factor) is False
+    assert calls == []
+    assert cone_contains(G[2], G[:3], factor=factor) is True and len(calls) == 1
+    assert cone_contains(G[3], G, factor=factor) is True and len(calls) == 2
+    small = G / np.array([1000.0, 1.0, 1.0])
+    assert cone_contains(small[2], small[:3]) is True
+    assert cone_contains(small[3], small[:3]) is False
+    assert cone_contains(small[3], small) is True and len(calls) == 2
+
+
+def test_cone_contains_raises_as_the_lp_on_mismatched_shapes():
+    """A target of another length than the rows, or span and cone rows of
+    different lengths, raise the ValueError of cone_coefficients, also
+    through the graph-point check of make_graph_context."""
+    R = -np.eye(2)
+    with pytest.raises(ValueError, match="rows but b has"):
+        cone_contains(np.array([-1.0]), R)
+    with pytest.raises(ValueError):
+        cone_contains(np.zeros(2), R, np.ones((1, 3)))
+    with pytest.raises(ValueError, match="rows but b has"):
+        make_graph_context(ORTHANT2, [0.0, 0.0], [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -126,18 +126,20 @@ def test_golden_lp_counts(capsys, monkeypatch):
     """Across tests/golden, `verify` runs no LP: every simplex multiplier
     comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
     and the newsvendor sets are orthants. `gph-normal --method direct` runs
-    two: one for gq.not-member, whose zeta has negative coefficients on a
-    cone row of the factorization, and one for gq.empty, whose -g does on
-    the active rows. The other queries, the prisms and gq.rows9 included,
-    are decided by the factorization's certificates. Every output keeps its
-    recorded bytes."""
+    four: the graph points of gq.member and gq.not-member, whose five active
+    rows in R^3 are dependent with entries 0.5 and -0.25, which are not
+    integers; gq.not-member's zeta, which has negative coefficients on a
+    cone row of the factorization; and the graph point of gq.empty, whose
+    -g does on the active rows. The other queries, the prisms and gq.rows9
+    included, are decided by the factorization's certificates. Every
+    output keeps its recorded bytes."""
     calls = count_lps(monkeypatch)
     lps = {}
     for case in EXPECTED["outputs"]:
         before = len(calls)
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
         lps[case["argv"][0]] = lps.get(case["argv"][0], 0) + len(calls) - before
-    assert lps["verify"] == 0 and lps["gph-normal"] == 2 and sum(lps.values()) == 2
+    assert lps["verify"] == 0 and lps["gph-normal"] == 4 and sum(lps.values()) == 4
     assert {"pf6.cert.json", "pf7.cert.json"} <= {a for c in EXPECTED["outputs"] for a in c["argv"]}
 
 
