@@ -24,7 +24,6 @@ from .graph_normals import (
     Membership,
     NormalPair,
     NotGraphPointError,
-    make_graph_context,
     orthant_membership,
     polyhedron_membership,
     simplex_membership,

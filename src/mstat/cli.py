@@ -1,5 +1,5 @@
 """Command line front end: coderivative membership, certificate verification,
-application pipelines, synthetic data and gradient self-checks.
+application pipelines, synthetic data and finite-difference checks.
 
 Exit codes: 0 success or verification pass, 2 verification fail, 1 usage,
 input or numeric error. All emitted JSON carries schema tag "mstat/1" and is
@@ -312,10 +312,11 @@ def _portfolio_theta(value, inst):
     return theta.reshape(inst.d_x, inst.d_z)
 
 
-def cmd_verify(args):
+def _problem_and_certificate(args):
+    """The application module, instance, Problem and Certificate of the
+    files --problem and --certificate, which verify and fd-check read here."""
     problem = _load_json(args.problem, "problem")
     cert_data = _load_certificate(args.certificate)
-    tol = args.tol if args.tol is not None else ST.DEFAULT_TOL
     kind = problem.get("type")
     if kind == "spo_portfolio":
         app, inst = PF, _portfolio_from_json(problem)
@@ -325,7 +326,12 @@ def cmd_verify(args):
         cert = NV.newsvendor_certificate(cert_data["theta"], cert_data["scenarios"])
     else:
         raise CliError("unknown problem type: %r" % kind)
-    prob = app.as_problem(inst)
+    return app, inst, app.as_problem(inst), cert
+
+
+def cmd_verify(args):
+    app, inst, prob, cert = _problem_and_certificate(args)
+    tol = args.tol if args.tol is not None else ST.DEFAULT_TOL
     if args.mode == "penalized":
         report = ST.verify_certificate_penalized(prob, cert, tol=tol,
                                                  solver=app.lower_solver(inst))
@@ -473,60 +479,19 @@ def cmd_gen(args):
 
 
 def cmd_fd_check(args):
-    problem = _load_json(args.problem, "problem")
-    rng = np.random.default_rng(args.seed or 0)
+    _, _, prob, cert = _problem_and_certificate(args)
     tol = args.tol if args.tol is not None else 1e-6
-    kind = problem.get("type")
-    worst = 0.0
-    if args.op == "grad-theta-cdf":
-        if kind != "newsvendor_kernel":
-            raise CliError("grad-theta-cdf needs a newsvendor problem")
-        inst = _newsvendor_from_json(problem)
-        for _ in range(args.trials):
-            theta = float(rng.uniform(0.5, 2.0))
-            model = inst.model(theta)
-            x = rng.normal(size=model.d_x)
-            y = float(rng.normal() * 2.0 + np.mean(model.centers_y))
-            a = NV.grad_theta_cdf(model, y, x)
-            step = 1e-5
-            fd = (NV.conditional_cdf(model.with_theta(theta + step), y, x)
-                  - NV.conditional_cdf(model.with_theta(theta - step), y, x)) / (2 * step)
-            gap = abs(a - fd)
-            # Near-zero gradients sit below the difference quotient's own
-            # noise floor; absolute agreement there is the meaningful test.
-            if gap <= args.atol:
-                continue
-            worst = max(worst, gap / max(abs(a), abs(fd), 1e-6))
-    elif args.op == "lower-grad-z":
-        if kind == "newsvendor_kernel":
-            inst = _newsvendor_from_json(problem)
-            x = inst.samples.x[0]
-            lm = NV.NewsvendorLowerModel(inst)
-            # Orders cover [0, 2 max y + 1]; [0, 1] when every demand is below -0.5.
-            high = 2.0 * inst.centers.y.max() + 1.0
-            high = high if high >= 0.0 else 1.0
-            pts = [np.array([float(rng.uniform(0.0, high))]) for _ in range(args.trials)]
-            worst = ST.gradient_selftest(lm, np.array([float(rng.uniform(0.5, 2.0))]),
-                                         x, pts)
-        elif kind == "spo_portfolio":
-            inst = _portfolio_from_json(problem)
-            lm = PF.PortfolioLowerModel(inst)
-            theta = rng.standard_normal(inst.d_x * inst.d_z)
-            pts = [ST.FeasibleSet.simplex(inst.d_z).project(rng.uniform(0, 1, inst.d_z))
-                   for _ in range(args.trials)]
-            worst = ST.gradient_selftest(lm, theta, inst.samples.x[0], pts)
-        else:
-            raise CliError("unknown problem type: %r" % kind)
-    else:
-        raise CliError("unknown fd-check op %r" % args.op)
-    out = {"schema": SCHEMA, "op": args.op, "trials": args.trials,
-           "max_rel_err": worst, "tol": tol, "atol": args.atol,
-           "pass": bool(worst <= tol)}
+    worst = ST.difference_check(prob, cert)
+    passed = all(error <= tol for error, _ in worst.values())
+    out = {"schema": SCHEMA, "tol": tol, "pass": passed,
+           "terms": {name: {"max_rel_err": error, "scenario": n}
+                     for name, (error, n) in worst.items()}}
     _dump(out, args)
     if args.format == "text":
-        print("max rel err %.3g (tol %.1g): %s"
-              % (worst, tol, "PASS" if worst <= tol else "FAIL"))
-    return 0 if worst <= tol else 2
+        for name, (error, n) in worst.items():
+            print("%s: max rel err %.3g at scenario %d" % (name, error, n))
+        print("tol %.1g: %s" % (tol, "PASS" if passed else "FAIL"))
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -541,19 +506,10 @@ def _positive_tolerance(text):
 
 
 def _nonnegative_number(text):
-    """The value of --atol and --noise: a finite number >= 0, else a usage
-    error."""
+    """The value of --noise: a finite number >= 0, else a usage error."""
     value = float(text)
     if not 0.0 <= value < float("inf"):
         raise argparse.ArgumentTypeError("must be a finite number >= 0, not %r" % text)
-    return value
-
-
-def _positive_count(text):
-    """The value of --trials: a positive integer, else a usage error."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
     return value
 
 
@@ -638,15 +594,11 @@ def build_parser():
     _seed(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sp.add_parser("fd-check", help="finite-difference gradient audits")
+    p = sp.add_parser("fd-check", help="check a certificate's scenario terms "
+                                        "against finite differences")
     p.add_argument("--problem", required=True)
-    p.add_argument("--op", choices=("grad-theta-cdf", "lower-grad-z"),
-                   default="grad-theta-cdf")
-    p.add_argument("--trials", type=_positive_count, default=100)
-    p.add_argument("--atol", type=_nonnegative_number, default=1e-9,
-                   help="absolute agreement below this skips the relative test")
+    p.add_argument("--certificate", required=True)
     _tol(p, "largest relative error that passes (default 1e-6)")
-    _seed(p)
     _output(p)
     p.set_defaults(func=cmd_fd_check)
     return ap

@@ -26,8 +26,8 @@ at call time.
     columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR and _ROUNDING here
     (where FactoredRows answers a cone question), portfolio._QP_EPS and
     _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL, _MAX_EXPAND and _HALLEY_TOL
-    (quantile), and stationarity._FD_STEP and _ARGMIN_TOL (gradient check,
-    value function).
+    (quantile), and stationarity._FD_STEP and _ARGMIN_TOL (the difference
+    step of fd-check, the value function).
 """
 
 from __future__ import annotations

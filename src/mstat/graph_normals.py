@@ -41,7 +41,6 @@ from .cones import (
     MAX_ACTIVE_ROWS,
     STRICT_EPS,
     FactoredRows,
-    Polyhedron,
     active_diagnostics,
     active_rows,
     cone_coefficients,
@@ -53,7 +52,6 @@ __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
     "finite_vector", "finite_rows", "RaggedRowsError", "finite_number", "finite_weights",
     "object_list", "object_columns", "Columns", "Points", "read_points",
-    "GraphContext", "make_graph_context",
     "orthant_membership", "simplex_membership", "polyhedron_membership",
     "oracle_membership",
 ]
@@ -308,22 +306,6 @@ def _empty(method, reason):
     return Membership(False, "empty_coderivative", method, {"reason": reason})
 
 
-@dataclass(frozen=True)
-class GraphContext:
-    """A validated graph point (z, -g) of Z = {A z <= b} and its active rows.
-
-    Built by make_graph_context; pass it to answer many queries at one point
-    without validating the point again.
-    """
-
-    poly: Polyhedron
-    z: np.ndarray
-    g: np.ndarray
-    active: tuple
-    eps: float
-    slack: np.ndarray
-
-
 _NOT_NORMAL = "-g is not in the normal cone at z"
 
 
@@ -339,26 +321,13 @@ def _graph_point(poly, z, g, eps):
         raise NotGraphPointError(str(exc)) from exc
 
 
-def make_graph_context(poly, z, g, eps=DEFAULT_EPS):
-    """Validate the graph point (z, -g) and record its slack vector b - A z
-    and its active rows.
-
-    Raises NotGraphPointError when z is infeasible or -g fails to decompose
-    over the active rows (cone_contains).
-    """
-    z, g, slack, I = _graph_point(poly, z, g, eps)
-    if not cone_contains(-g, poly.A[list(I)], eps=eps):
-        raise NotGraphPointError(_NOT_NORMAL)
-    return GraphContext(poly=poly, z=z, g=g, active=I, eps=eps, slack=slack)
-
-
 def _subsets(pool):
     pool = tuple(pool)
     for size in range(len(pool) + 1):
         yield from combinations(pool, size)
 
 
-def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
+def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     """Direct coderivative membership test for Z = {A z <= b}.
 
     The existential system asks for a disjoint pair of active row sets, the
@@ -381,21 +350,17 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     below enumerates every pair and serves as the independent cross-check.
 
     When E = I the support question (b) is the graph-point validation and
-    is skipped. The graph point (when no context is given), (b) and (c) are
-    decided from one factorization of the active rows ordered E, P, then
-    the rest, so that (b) and (c) read its prefixes, and by the LP of
-    cone_coefficients only where its certificates leave a question open
-    (cone_contains). A member's witness is the canonical pair (E, P);
+    is skipped. The graph point, (b) and (c) are decided from one
+    factorization of the active rows ordered E, P, then the rest, so that
+    (b) and (c) read its prefixes, and by the LP of cone_coefficients only
+    where its certificates leave a question open (cone_contains). A member's witness is the canonical pair (E, P);
     a non-member's lists the active rows.
     """
     zeta, eta = pair.zeta, pair.eta
-    if context is None:
-        try:
-            _, g, slack, I = _graph_point(poly, gp.z, gp.g, eps)
-        except NotGraphPointError as exc:
-            return _empty("polyhedron", str(exc))
-    else:
-        g, slack, I = context.g, context.slack, context.active
+    try:
+        _, g, slack, I = _graph_point(poly, gp.z, gp.g, eps)
+    except NotGraphPointError as exc:
+        return _empty("polyhedron", str(exc))
     rows = poly.A[list(I)]
     slopes = (rows @ eta).tolist()
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
@@ -403,7 +368,7 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS, context=None):
     ordered = poly.A[E + P + [i for i, s in zip(I, slopes) if s < -eps]]
     factor = FactoredRows(ordered.tolist())
     neg, e, p = -g, len(E), len(E) + len(P)
-    if context is None and not cone_contains(neg, rows, eps=eps, factor=factor):
+    if not cone_contains(neg, rows, eps=eps, factor=factor):
         return _empty("polyhedron", _NOT_NORMAL)
     member = (e == len(I) or cone_contains(neg, ordered[:e], eps=eps, factor=factor)) \
         and cone_contains(zeta, ordered[e:p], ordered[:e], eps, factor)

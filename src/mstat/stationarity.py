@@ -29,15 +29,19 @@ from .cones import (
     CombinatorialLimitError,
     Polyhedron,
     active_set,
+    cone_contains,
     cone_residual,
     multiplier_within_support,
     orthant_polyhedron,
     simplex_polyhedron,
 )
 from .graph_normals import (
+    _NOT_NORMAL,
     GraphPoint,
     NormalPair,
+    NotGraphPointError,
     _empty,
+    _graph_point,
     finite_rows,
     finite_vector,
     finite_weights,
@@ -46,7 +50,6 @@ from .graph_normals import (
     _scanned_rows,
     _simplex_residual_rows,
     _simplex_rows,
-    make_graph_context,
     polyhedron_membership,
 )
 from .lp import _FEAS_TOL, _PIVOT_TOL, feasibility_threshold, phase1_bound
@@ -56,7 +59,7 @@ __all__ = [
     "LowerModel", "UpperModel",
     "Certificate", "ScenarioTerms",
     "ScenarioColumns", "ResidualReport",
-    "gradient_selftest", "lower_residual", "nnamcq_check", "upper_residual",
+    "difference_check", "lower_residual", "nnamcq_check", "upper_residual",
     "verify_certificate", "verify_certificate_penalized",
     "value_function", "value_subdifferential",
 ]
@@ -64,7 +67,7 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_VALUE_TOL = 1e-6
 _TERM_BOUND = 1e150
-_FD_STEP = 1e-6      # central-difference step of gradient_selftest
+_FD_STEP = 1e-6      # central-difference step of difference_check
 _ARGMIN_TOL = 1e-9   # value and max-norm point tolerance of value_function
 
 
@@ -512,27 +515,54 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# gradient self-test
+# finite-difference check of the scenario terms
 
-def gradient_selftest(model, theta, x, points):
-    """Compare grad_z of a LowerModel against central differences of cost.
+def difference_check(problem, certificate):
+    """The worst relative error of each term that verify reads, against
+    central differences at the certificate's own points: {term: (error,
+    scenario)}.
 
-    Returns the worst error over the supplied points, relative to
-    max(1, ||grad_z||), of differences with step _FD_STEP; the caller
-    decides what passes, so model implementations stay honest.
+    An entry's error is |value - difference| / max(1, |value|); a term's is
+    the largest over its entries (a NaN counts as the largest), with the
+    index of the scenario that holds it. Each difference has step _FD_STEP
+    and is one stacked scenario_terms or cost_rows call over all scenarios:
+      g           against cost_rows in each z coordinate;
+      curvature   against (g(z + h eta) - g(z - h eta)) / 2h;
+      generators  minus their value at eta = 0 (grad_theta L), which
+                  leaves hess_ztheta^T eta, against <g, eta> in each theta
+                  coordinate;
+      grad_theta  the lower model's per-call grad_theta, which the penalized
+                  upper line reads, against cost_rows in each theta
+                  coordinate.
+    The certificate must fit the problem as verify requires.
     """
-    theta = np.asarray(theta, dtype=float)
-    worst = 0.0
-    for z in points:
-        z = np.asarray(z, dtype=float)
-        grad = np.asarray(model.grad_z(z, theta, x), dtype=float)
-        fd = np.empty_like(grad)
-        for i in range(len(z)):
-            e = np.zeros_like(z)
-            e[i] = _FD_STEP
-            fd[i] = (model.cost(z + e, theta, x) - model.cost(z - e, theta, x)) / (2 * _FD_STEP)
-        scale = max(1.0, float(np.linalg.norm(grad)))
-        worst = max(worst, float(np.linalg.norm(grad - fd)) / scale)
+    _validate_certificate(problem, certificate)
+    theta, lower, X = certificate.theta, problem.lower, problem.x
+    Z, E, h = certificate.z, certificate.eta, _FD_STEP
+
+    def terms(t=theta, z=Z, eta=E):
+        return problem.scenario_terms(t, Certificate.from_rows(
+            theta, z, eta, certificate.zeta, certificate.given))
+
+    def central(f, steps):
+        """(f(s) - f(-s)) / 2h for each step s, one column each."""
+        return np.stack([(f(s) - f(-s)) / (2 * h) for s in steps], axis=1)
+
+    at, steps = terms(), h * np.eye(len(theta))
+    grad_theta = [lower.grad_theta(z, theta, x) for z, x in zip(Z, X)]
+    checks = {
+        "g": (at.g, central(lambda s: lower.cost_rows(Z + s, theta, X), h * np.eye(Z.shape[1]))),
+        "curvature": (at.curvature, (terms(z=Z + h * E).g - terms(z=Z - h * E).g) / (2 * h)),
+        "generators": (at.generators - terms(eta=np.zeros_like(E)).generators,
+                       central(lambda s: _row_dot(terms(t=theta + s).g, E), steps)),
+        "grad_theta": (np.array(grad_theta, dtype=float).reshape(len(Z), -1),
+                       central(lambda s: lower.cost_rows(Z, theta + s, X), steps)),
+    }
+    worst = {}
+    for name, (value, difference) in checks.items():
+        error = np.max(np.abs(value - difference) / np.maximum(1.0, np.abs(value)), axis=1)
+        n = int(np.argmax(error))
+        worst[name] = (float(error[n]), n)
     return worst
 
 
@@ -622,7 +652,9 @@ def nnamcq_check(model, theta, x, z):
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    I = list(make_graph_context(poly, z, g, eps).active)
+    I = list(_graph_point(poly, z, g, eps)[3])
+    if not cone_contains(-g, poly.A[I], eps=eps):
+        raise NotGraphPointError(_NOT_NORMAL)
     w, V = np.linalg.eigh(0.5 * (H + H.T))
     tol = STRICT_EPS * max(1.0, w[-1])
     if w[0] > tol:

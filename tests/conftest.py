@@ -6,21 +6,27 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
 from mstat.cones import (DEFAULT_EPS, MAX_ACTIVE_ROWS, STRICT_EPS, CombinatorialLimitError,
-                         Polyhedron, active_rows, active_set, cone_distance,
+                         Polyhedron, active_rows, active_set, cone_coefficients, cone_distance,
                          multiplier_within_support)
 from mstat import graph_normals as GN
 from mstat import lp as LP
-from mstat.graph_normals import (GraphPoint, Membership, NormalPair, _empty, make_graph_context,
-                                 orthant_membership, polyhedron_membership, simplex_membership)
+from mstat.graph_normals import (_NOT_NORMAL, GraphPoint, Membership, NormalPair,
+                                 NotGraphPointError, _empty, _graph_point, orthant_membership,
+                                 polyhedron_membership, simplex_membership)
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold
 from mstat.newsvendor import empirical_regret
 from mstat.portfolio import _QP_EPS, _QP_MAX_ITER
 from mstat.stationarity import (Certificate, FeasibleSet, LowerModel, _m_residual,
                                 _probe_and_gap, _upper_generator)
+
+# `pytest --hypothesis-profile=metamorphic tests/test_metamorphic.py` runs the
+# metamorphic relations, which take Hypothesis' default count, on more examples.
+settings.register_profile("metamorphic", max_examples=1000, deadline=None)
 
 
 def random_polyhedral_graph_point(rng, d_max=3, m_max=5, entry=2):
@@ -518,13 +524,16 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
     True when eta = 0 is the only solution of the homogeneous coderivative
     system 0 in hess_zz^T eta + D*N_Z(z, -grad_z c)(eta), decided by sweeping
     the finitely many linear regimes of the membership formula. The sweep is
-    exponential and refused beyond MAX_ACTIVE_ROWS active rows.
+    exponential and refused beyond MAX_ACTIVE_ROWS active rows. The graph
+    point is checked by the LP of cone_coefficients.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(model.grad_z(z, theta, x), dtype=float)
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    I = make_graph_context(poly, z, g, eps).active
+    I = _graph_point(poly, z, g, eps)[3]
+    if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
+        raise NotGraphPointError(_NOT_NORMAL)
     if len(I) > MAX_ACTIVE_ROWS:
         raise CombinatorialLimitError("%d active rows exceeds cap %d"
                                       % (len(I), MAX_ACTIVE_ROWS))

@@ -14,7 +14,6 @@ from mstat.cones import orthant_polyhedron, simplex_polyhedron
 from mstat.graph_normals import (
     GraphPoint,
     NormalPair,
-    make_graph_context,
     oracle_membership,
     orthant_membership,
     polyhedron_membership,
@@ -70,11 +69,10 @@ def test_criterion_1_oracle_equivalence_on_random_polyhedra():
         poly, z, g = random_polyhedral_graph_point(rng, d_max=3, m_max=5)
         instances += 1
         gp = GraphPoint(z, g)
-        ctx = make_graph_context(poly, z, g)
         for _ in range(3):
             q = NormalPair(rng.integers(-2, 3, poly.dim).astype(float),
                            rng.integers(-2, 3, poly.dim).astype(float))
-            fast = polyhedron_membership(poly, gp, q, context=ctx).member
+            fast = polyhedron_membership(poly, gp, q).member
             slow = oracle_membership(poly, gp, q).member
             queries += 1
             mismatches += int(fast != slow)
@@ -92,14 +90,13 @@ def test_criterion_2_orthant_specialization_exhaustive():
         for zg in itertools.product([(1, 0), (0, 0), (0, 1)], repeat=d):
             z = np.array([t[0] for t in zg], dtype=float)
             g = np.array([t[1] for t in zg], dtype=float)
-            ctx = make_graph_context(poly, z, g)
             gp = GraphPoint(z, g)
             for zeta in itertools.product([-1, 0, 1], repeat=d):
                 for eta in itertools.product([-1, 0, 1], repeat=d):
                     q = NormalPair(np.array(zeta, dtype=float),
                                    np.array(eta, dtype=float))
                     fast = orthant_membership(z, g, q).member
-                    gen = polyhedron_membership(poly, gp, q, context=ctx).member
+                    gen = polyhedron_membership(poly, gp, q).member
                     total += 1
                     mismatches += int(fast != gen)
     report(2, mismatches == 0,
@@ -109,20 +106,15 @@ def test_criterion_2_orthant_specialization_exhaustive():
 def test_criterion_3_simplex_specialization_random():
     rng = np.random.default_rng(103)
     polys = {d: simplex_polyhedron(d) for d in (2, 3)}
-    contexts = {}
     queries = 0
     mismatches = 0
     while queries < 500:
         d = int(rng.integers(2, 4))
         z, g = random_simplex_graph_point(rng, d)
-        key = (d, z.tobytes(), g.tobytes())
-        if key not in contexts:
-            contexts[key] = make_graph_context(polys[d], z, g)
         q = NormalPair(rng.integers(-2, 3, d).astype(float),
                        rng.integers(-2, 3, d).astype(float))
         fast = simplex_membership(z, g, q).member
-        gen = polyhedron_membership(polys[d], GraphPoint(z, g), q,
-                                    context=contexts[key]).member
+        gen = polyhedron_membership(polys[d], GraphPoint(z, g), q).member
         queries += 1
         mismatches += int(fast != gen)
     report(3, mismatches == 0,

@@ -39,13 +39,14 @@ def test_every_name_the_package_imports_resolves():
 REMOVED_PARAMETERS = {
     ("graph_normals", "orthant_membership"): ["strict_eps"],
     ("graph_normals", "simplex_membership"): ["strict_eps"],
+    ("graph_normals", "polyhedron_membership"): ["context"],
     ("stationarity", "ParameterSet.normal_cone_distance"): ["eps"],
     ("stationarity", "Problem.scenario_terms"): ["eps"],
     ("stationarity", "UpperModel.grad_z_bounds"): ["eps"],
     ("stationarity", "lower_residual"): ["eps"],
     ("stationarity", "nnamcq_check"): ["eps"],
     ("stationarity", "upper_residual"): ["eps", "penalties"],
-    ("stationarity", "gradient_selftest"): ["h", "rtol"],
+    ("stationarity", "difference_check"): ["h", "rtol", "eps", "trials"],
     ("stationarity", "value_function"): ["value_tol", "point_tol"],
     ("cones", "distance_to_normal_cone"): ["eps"],
     ("portfolio", "solve_simplex_qp"): ["eps", "max_iter"],

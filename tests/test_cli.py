@@ -34,6 +34,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+GOLDEN = Path(__file__).parent / "golden"
+# Every (problem, certificate) pair that tests/golden records a verify of.
+GOLDEN_VERIFY_PAIRS = sorted({
+    (argv[argv.index("--problem") + 1], argv[argv.index("--certificate") + 1])
+    for argv in (case["argv"] for case in
+                 json.loads((GOLDEN / "expected.json").read_text())["outputs"])
+    if argv[0] == "verify"})
+
+
 # ---------------------------------------------------------------------------
 # gph-normal
 
@@ -566,7 +575,7 @@ def test_gridsearch_outside_theta_bounds_exits_1(capsys, tmp_path):
 def test_newsvendor_without_x_coordinates_runs(capsys, tmp_path):
     """A problem whose x lists are all empty (d_x = 0) is the unconditional
     mixture: solve, gridsearch, verify and fd-check run to a verdict, with
-    no traceback."""
+    no traceback, and fd-check passes."""
     pts = [{"x": [], "y": y} for y in (4.0, 5.5, 6.0, 9.0)]
     ppath = write(tmp_path / "nv0.json", {"type": "newsvendor_kernel", "h": 1.0, "b": 3.0,
                                           "centers": pts, "samples": pts})
@@ -577,10 +586,10 @@ def test_newsvendor_without_x_coordinates_runs(capsys, tmp_path):
     for argv in (["newsvendor", "gridsearch", "--grid", "0.5,1"],
                  ["newsvendor", "verify", "--certificate", cpath],
                  ["verify", "--certificate", cpath],
-                 ["fd-check", "--op", "lower-grad-z", "--trials", "3"],
-                 ["fd-check", "--trials", "3"]):
+                 ["fd-check", "--certificate", cpath]):
         code, out, err = run(capsys, *argv, "--problem", ppath)
         assert code in (0, 2) and out and "Traceback" not in err, (argv, err)
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize("theta", ["1e-200", "1e120", "1e200"])
@@ -698,16 +707,116 @@ def test_newsvendor_verify_without_a_certificate_exits_1():
     assert "--certificate" in proc.stderr and "Traceback" not in proc.stderr
 
 
+FD_TERMS = ["curvature", "g", "generators", "grad_theta"]
+
+
 def test_fd_check(tmp_path, capsys):
+    """fd-check at a newsvendor certificate with eta != 0 reports every
+    term, the bandwidth slope of the CDF (in generators) included, and
+    passes; --format text prints one line per term and the verdict."""
     inst = NewsvendorInstance(h=1.0, b=3.0,
                               centers=[([0.0], 5.0), ([1.0], 6.0)],
-                              samples=[([0.0], 5.0)])
+                              samples=[([0.0], 5.0), ([0.7], 5.5)])
     ppath = write(tmp_path / "nv.json", inst.to_dict())
-    code, out, _ = run(capsys, "fd-check", "--problem", ppath,
-                       "--op", "grad-theta-cdf", "--trials", "25")
-    assert code == 0
+    cpath = write(tmp_path / "cert.json", {"theta": 0.8, "scenarios": [
+        {"z": 5.2, "eta": 0.7, "zeta": 0.0}, {"z": 4.1, "eta": -1.5, "zeta": 0.0}]})
+    code, out, err = run(capsys, "fd-check", "--problem", ppath, "--certificate", cpath)
+    assert (code, err) == (0, "")
     data = json.loads(out)
-    assert data["pass"] is True and data["max_rel_err"] <= 1e-6
+    assert data["pass"] is True and data["tol"] == 1e-6 and sorted(data["terms"]) == FD_TERMS
+    assert all(t["max_rel_err"] <= 1e-6 and t["scenario"] in (0, 1)
+               for t in data["terms"].values())
+    code, out, _ = run(capsys, "fd-check", "--problem", ppath, "--certificate", cpath,
+                       "--format", "text")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "tol 1e-06: PASS"
+    assert sorted(line.split(":")[0] for line in lines[:-1]) == FD_TERMS
+
+
+@pytest.mark.parametrize("problem, cert_file", GOLDEN_VERIFY_PAIRS)
+def test_fd_check_passes_on_every_golden_verify_pair(problem, cert_file, capsys):
+    code, out, err = run(capsys, "fd-check", "--problem", str(GOLDEN / problem),
+                         "--certificate", str(GOLDEN / cert_file))
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+# (problem, certificate, term, scenario): each seeds an error in one row of
+# a term of the stacked scenario_terms override, where that row is not 0.
+SEEDED_RUNS = [("pf1.problem.json", "pf1.eta-shift.json", "curvature", 0),
+               ("pf1.problem.json", "pf1.eta-shift.json", "generators", 0),
+               ("pf1.problem.json", "pf1.eta-shift.json", "g", 3),
+               ("nv1.problem.json", "nv1.eta.json", "curvature", 1),
+               ("nv1.problem.json", "nv1.eta.json", "generators", 1),
+               ("nv1.problem.json", "nv1.eta.json", "g", 2)]
+
+
+@pytest.mark.parametrize("problem, cert_file, term, scenario", SEEDED_RUNS)
+def test_fd_check_names_the_term_and_scenario_of_a_seeded_error(problem, cert_file, term,
+                                                                scenario, monkeypatch, capsys):
+    """Scaling curvature or generators by 1 + 1e-3 in one scenario of the
+    override that verify reads, or adding 1e-3 to g there (g is about 0 at
+    a lower optimum, so a scaled g would not show), exits 2 and names that
+    term and scenario; every other term still passes."""
+    import mstat.portfolio as PF
+
+    cls = PF.PortfolioProblem if problem.startswith("pf") else NV.NewsvendorProblem
+    terms = cls.scenario_terms
+
+    def seeded(self, theta, certificate):
+        out = terms(self, theta, certificate)
+        block = getattr(out, term).copy()
+        block[scenario] = block[scenario] + 1e-3 if term == "g" else block[scenario] * (1 + 1e-3)
+        setattr(out, term, block)
+        return out
+
+    monkeypatch.setattr(cls, "scenario_terms", seeded)
+    argv = ["fd-check", "--problem", str(GOLDEN / problem), "--certificate",
+            str(GOLDEN / cert_file)]
+    code, out, _ = run(capsys, *argv)
+    data = json.loads(out)
+    assert code == 2 and data["pass"] is False
+    seeded = data["terms"][term]
+    assert seeded["scenario"] == scenario and seeded["max_rel_err"] > 1e-5
+    assert all(t["max_rel_err"] <= 1e-6 for name, t in data["terms"].items() if name != term)
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 2 and out.splitlines()[-1] == "tol 1e-06: FAIL"
+    assert ("%s: max rel err" % term) in out and ("at scenario %d\n" % scenario) in out
+
+
+@pytest.mark.parametrize("option", [["--op", "lower-grad-z"], ["--op", "grad-theta-cdf"],
+                                    ["--trials", "5"], ["--atol", "1e-9"], ["--seed", "1"]])
+def test_fd_check_removed_options_exit_1(option, tmp_path, capsys):
+    """The options of the per-application checks are gone: each is a usage
+    error, exit 1 with no report and no traceback."""
+    argv = _tol_runs(tmp_path)["fd-check"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *option)
+    assert (code, out) == (1, "") and "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_fd_check_refuses_inputs_as_verify_does(tmp_path, capsys):
+    """verify and fd-check read --problem and --certificate through one
+    loader and one certificate check: a bad input gives both the same exit
+    1 and the same message."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path)
+    cert = json.loads(open(cpath).read())
+    first = cert["scenarios"][0]
+    docs = {"too few scenarios": {**cert, "scenarios": cert["scenarios"][:-1]},
+            "theta shape": {**cert, "theta": [1.0, 2.0, 3.0]},
+            "z length": {**cert, "scenarios": [{**first, "z": [0.5]}] + cert["scenarios"][1:]},
+            "no theta": {"scenarios": cert["scenarios"]},
+            "nan eta": {**cert, "scenarios": [{**first, "eta": [float("nan"), 0.0]}]
+                        + cert["scenarios"][1:]}}
+    for name, doc in docs.items():
+        bad = write(tmp_path / "bad.json", doc)
+        verify, fd = (run(capsys, command, "--problem", ppath, "--certificate", bad)
+                      for command in ("verify", "fd-check"))
+        assert verify == fd and verify[:2] == (1, "") and verify[2].startswith("error: "), name
+    unknown = write(tmp_path / "unknown.json", {"type": "knapsack"})
+    verify, fd = (run(capsys, command, "--problem", unknown, "--certificate", cpath)
+                  for command in ("verify", "fd-check"))
+    assert verify == fd == (1, "", "error: unknown problem type: 'knapsack'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +835,15 @@ def test_portfolio_samples_csv_override(tmp_path, capsys):
 
 
 def test_fd_check_portfolio_grad(tmp_path, capsys):
-    inst = PortfolioInstance(sigma=np.eye(2), risk_aversion=1.0,
-                             samples=[([1.0, 0.2], [0.3, 0.1])])
-    ppath = write(tmp_path / "p.json", inst.to_dict())
-    code, out, _ = run(capsys, "fd-check", "--problem", ppath,
-                       "--op", "lower-grad-z", "--trials", "5", "--tol", "1e-5")
+    """fd-check at a portfolio certificate off the fitted theta, with a
+    non-zero eta in every scenario, passes at --tol 1e-5."""
+    ppath, cpath = portfolio_problem_and_cert(tmp_path, perturb=0.1)
+    cert = json.loads(open(cpath).read())
+    for n, scenario in enumerate(cert["scenarios"]):
+        scenario["eta"] = [0.3 - 0.2 * n, 0.1 * n - 0.25]
+    cpath = write(tmp_path / "eta.json", cert)
+    code, out, _ = run(capsys, "fd-check", "--problem", ppath, "--certificate", cpath,
+                       "--tol", "1e-5")
     assert code == 0 and json.loads(out)["pass"] is True
 
 
@@ -842,14 +955,15 @@ def test_lp_errors_exit_1(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # input boundary: non-finite and mis-shaped input is exit 1
 
-GOLDEN = Path(__file__).parent / "golden"
 # (command, problem, certificate) runs of golden cases, and the certificate
 # keys the verifiers read; any other key is ignored.
 BOUNDARY_RUNS = [(["verify", "--mode", "convex"], "pf3.problem.json", "pf3.cert.json"),
                  (["verify", "--mode", "penalized"], "pf1.problem.json", "pf1.mu.json"),
                  (["verify", "--mode", "convex"], "nv4.problem.json", "nv4.pass.json"),
                  (["newsvendor", "verify"], "nv4.problem.json", "nv4.pass.json"),
-                 (["newsvendor", "verify"], "nv3.problem.json", "nv3.branches.json")]
+                 (["newsvendor", "verify"], "nv3.problem.json", "nv3.branches.json"),
+                 (["fd-check"], "pf1.problem.json", "pf1.mu.json"),
+                 (["fd-check"], "nv4.problem.json", "nv4.pass.json")]
 READ_KEYS = {"theta", "scenarios", "z", "eta", "zeta", "mu", "value_weights"}
 BAD_ENTRIES = [float("nan"), float("inf"), float("-inf"), True, False, "1.0", None, {}]
 
@@ -1497,14 +1611,17 @@ def test_newsvendor_certificate_needs_one_number_per_entry(tmp_path, capsys):
     assert code_list == code_num and out_list == out_num
 
 
-def test_fd_check_lower_grad_z_on_negative_demands(tmp_path, capsys):
+def test_fd_check_on_negative_demands(tmp_path, capsys):
+    """Demands below 0 put the order quantity on the orthant's bound, where
+    the differences in z step outside it; every term still passes."""
     inst = NewsvendorInstance(h=1.0, b=3.0, centers=[([0.0], -2.0), ([1.0], -0.75)],
                               samples=[([0.0], -2.0)])
     ppath = write(tmp_path / "nv.json", inst.to_dict())
-    code, out, err = run(capsys, "fd-check", "--problem", ppath,
-                         "--op", "lower-grad-z", "--trials", "5")
+    cpath = write(tmp_path / "cert.json", {"theta": 1.0, "scenarios": [
+        {"z": 0.0, "eta": 0.5, "zeta": 0.0}]})
+    code, out, err = run(capsys, "fd-check", "--problem", ppath, "--certificate", cpath)
     assert code == 0 and err == ""
-    assert json.loads(out)["max_rel_err"] <= 1e-6
+    assert max(t["max_rel_err"] for t in json.loads(out)["terms"].values()) <= 1e-6
 
 
 def test_verify_reads_a_flat_theta_and_reports_an_infeasible_z(tmp_path, capsys):
@@ -1574,7 +1691,7 @@ LIST_FILE_RUNS = {
     "verify": ["verify", "--problem", "{list}", "--certificate", "{certificate}"],
     "newsvendor-solve": ["newsvendor", "solve", "--problem", "{list}", "--theta", "1.0"],
     "gph-normal": ["gph-normal", "--input", "{list}"],
-    "fd-check": ["fd-check", "--problem", "{list}"],
+    "fd-check": ["fd-check", "--problem", "{list}", "--certificate", "{certificate}"],
     "spo-portfolio-fit": ["spo-portfolio", "fit", "--problem", "{list}"],
 }
 
@@ -1695,7 +1812,7 @@ def _tol_runs(tmp_path):
     return {"gph-normal": ["gph-normal", "--input", q],
             "verify": ["verify", "--problem", ppath, "--certificate", cpath],
             "newsvendor": ["newsvendor", "verify", "--problem", nv, "--certificate", nv_cert],
-            "fd-check": ["fd-check", "--problem", nv, "--trials", "5"]}
+            "fd-check": ["fd-check", "--problem", nv, "--certificate", nv_cert]}
 
 
 @pytest.mark.parametrize("name", ["gph-normal", "verify", "newsvendor", "fd-check"])
@@ -1706,25 +1823,6 @@ def test_tol_must_be_a_finite_positive_number(name, tmp_path, capsys):
     for bad in ("inf", "nan", "-1", "0", "-inf", "abc"):
         code, out, err = run(capsys, *argv, "--tol", bad)
         assert (code, out) == (1, "") and "--tol" in err, bad
-
-
-def test_fd_check_trials_must_be_positive(tmp_path, capsys):
-    argv = _tol_runs(tmp_path)["fd-check"][:-2]
-    code, out, _ = run(capsys, *argv, "--trials", "1")
-    assert code == 0 and json.loads(out)["trials"] == 1
-    for bad in ("0", "-3", "2.5", "abc"):
-        code, out, err = run(capsys, *argv, "--trials", bad)
-        assert (code, out) == (1, "") and "--trials" in err, bad
-
-
-def test_fd_check_atol_must_be_finite_and_nonnegative(tmp_path, capsys):
-    argv = _tol_runs(tmp_path)["fd-check"]
-    for good in ("0", "1e-9", "0.5"):
-        code, out, _ = run(capsys, *argv, "--atol", good)
-        assert code in (0, 2) and json.loads(out)["atol"] == float(good), good
-    for bad in ("inf", "nan", "-1", "-inf", "-1e-12", "abc"):
-        code, out, err = run(capsys, *argv, "--atol", bad)
-        assert (code, out) == (1, "") and "--atol" in err, bad
 
 
 @pytest.mark.parametrize("kind", ["portfolio", "newsvendor"])

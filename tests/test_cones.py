@@ -23,7 +23,6 @@ from mstat.cones import (
     orthant_polyhedron,
     simplex_polyhedron,
 )
-from mstat.graph_normals import make_graph_context
 from mstat.lp import _PIVOT_TOL, LPLimitError, LPUnbounded, feasibility_threshold, nnls
 
 ORTHANT2 = orthant_polyhedron(2)
@@ -307,15 +306,12 @@ def test_cone_contains_leaves_a_prefix_with_large_minors_to_the_lp(monkeypatch):
 
 def test_cone_contains_raises_as_the_lp_on_mismatched_shapes():
     """A target of another length than the rows, or span and cone rows of
-    different lengths, raise the ValueError of cone_coefficients, also
-    through the graph-point check of make_graph_context."""
+    different lengths, raise the ValueError of cone_coefficients."""
     R = -np.eye(2)
     with pytest.raises(ValueError, match="rows but b has"):
         cone_contains(np.array([-1.0]), R)
     with pytest.raises(ValueError):
         cone_contains(np.zeros(2), R, np.ones((1, 3)))
-    with pytest.raises(ValueError, match="rows but b has"):
-        make_graph_context(ORTHANT2, [0.0, 0.0], [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,14 @@ from mstat.cones import (
     STRICT_EPS,
     CombinatorialLimitError,
     Polyhedron,
+    active_rows,
     orthant_polyhedron,
     simplex_polyhedron,
 )
 from mstat.graph_normals import (
     GraphPoint,
     NormalPair,
-    NotGraphPointError,
     finite_number,
-    make_graph_context,
     oracle_membership,
     orthant_membership,
     polyhedron_membership,
@@ -71,8 +70,8 @@ def test_orthant_non_graph_point():
     for z, g in (([1.0], [1.0]), ([-1.0], [0.0])):
         res = orthant_membership(np.array(z), np.array(g), pair(0, 0))
         assert res.verdict == "empty_coderivative" and not res.member
-        with pytest.raises(NotGraphPointError):
-            make_graph_context(HALF_LINE, z, g)
+        assert polyhedron_membership(HALF_LINE, GraphPoint(z, g), pair(0, 0)).verdict \
+            == "empty_coderivative"
 
 
 def test_orthant_coordinate_split():
@@ -140,12 +139,11 @@ def test_orthant_exhaustive_agreement_d2(rng):
     for zg in itertools.product([(1, 0), (0, 0), (0, 1)], repeat=2):
         z = np.array([t[0] for t in zg], float)
         g = np.array([t[1] for t in zg], float)
-        ctx = make_graph_context(p, z, g)
         for zeta in itertools.product([-1, 0, 1], repeat=2):
             for eta in itertools.product([-1, 0, 1], repeat=2):
                 q = pair(zeta, eta)
                 assert orthant_membership(z, g, q).member == \
-                    polyhedron_membership(p, GraphPoint(z, g), q, context=ctx).member
+                    polyhedron_membership(p, GraphPoint(z, g), q).member
     members = queries = 0
     for d in (9, 10, 11, 12):
         p = orthant_polyhedron(d)
@@ -153,15 +151,13 @@ def test_orthant_exhaustive_agreement_d2(rng):
             zg = rng.integers(0, 3, d)
             z = (zg == 0).astype(float)
             g = (zg == 2).astype(float)
-            ctx = make_graph_context(p, z, g)
             for _q in range(8):
                 # zeta vanishes off the active rows and eta on I_plus, so
                 # members occur and the I_0 sign conditions decide
                 q = pair(np.where(z > 0, 0, rng.integers(-1, 2, d)),
                          np.where(g > 0, 0, rng.integers(-1, 2, d)))
                 fast = orthant_membership(z, g, q).member
-                assert fast == polyhedron_membership(p, GraphPoint(z, g), q,
-                                                     context=ctx).member
+                assert fast == polyhedron_membership(p, GraphPoint(z, g), q).member
                 members += fast
                 queries += 1
     assert 0 < members < queries
@@ -183,12 +179,11 @@ def test_oracle_vs_direct_random(rng):
     for _ in range(60):
         poly, z, g = random_polyhedral_graph_point(rng)
         gp = GraphPoint(z, g)
-        ctx = make_graph_context(poly, z, g)
         for _q in range(2):
             q = pair(rng.integers(-2, 3, poly.dim).astype(float),
                      rng.integers(-2, 3, poly.dim).astype(float))
             assert oracle_membership(poly, gp, q).member == \
-                polyhedron_membership(poly, gp, q, context=ctx).member
+                polyhedron_membership(poly, gp, q).member
 
 
 @pytest.mark.parametrize("stem, verdict", [("gq.prism", "member"),
@@ -455,29 +450,27 @@ def test_positive_homogeneity(rng):
     for _ in range(40):
         poly, z, g = random_polyhedral_graph_point(rng)
         gp = GraphPoint(z, g)
-        ctx = make_graph_context(poly, z, g)
         q = pair(rng.integers(-2, 3, poly.dim).astype(float),
                  rng.integers(-2, 3, poly.dim).astype(float))
-        if not polyhedron_membership(poly, gp, q, context=ctx).member:
+        if not polyhedron_membership(poly, gp, q).member:
             continue
         for t in (0.5, 2.0, 10.0):
             scaled = pair(t * q.zeta, t * q.eta)
-            assert polyhedron_membership(poly, gp, scaled, context=ctx).member
+            assert polyhedron_membership(poly, gp, scaled).member
 
 
 def test_zero_eta_accepts_polar_of_critical_cone(rng):
     """With eta = 0, any conic combination of active rows is a member."""
     for _ in range(40):
         poly, z, g = random_polyhedral_graph_point(rng)
-        ctx = make_graph_context(poly, z, g)
-        I = list(ctx.active)
+        I = list(active_rows(poly, poly.slacks(z)))
         if not I:
             zeta = np.zeros(poly.dim)
         else:
             mu = rng.uniform(0, 2, len(I))
             zeta = poly.A[I].T @ mu
         q = pair(zeta, np.zeros(poly.dim))
-        assert polyhedron_membership(poly, GraphPoint(z, g), q, context=ctx).member
+        assert polyhedron_membership(poly, GraphPoint(z, g), q).member
 
 
 # Integer queries with d <= 3. A point is built on the graph from integer
@@ -596,7 +589,7 @@ def test_active_row_cap_enforced():
     """The cap binds only the exhaustive oracle; the direct route answers."""
     p = orthant_polyhedron(9)
     gp = GraphPoint(np.zeros(9), np.zeros(9))
-    assert len(make_graph_context(p, gp.z, gp.g).active) == 9
+    assert len(active_rows(p, p.slacks(gp.z))) == 9
     res = polyhedron_membership(p, gp, pair(np.zeros(9), np.zeros(9)))
     assert res.member and res.witness["equality_rows"] == list(range(9))
     with pytest.raises(CombinatorialLimitError):

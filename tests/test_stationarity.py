@@ -13,11 +13,12 @@ from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_re
                       projected_gradient_solver, psi_set,
                       random_polyhedral_graph_point, random_simplex_graph_point)
 from mstat.cli import _json_text
+from mstat import newsvendor as NV
+from mstat import portfolio as PF
 from mstat import stationarity as ST
 from mstat.cones import (CombinatorialLimitError, InfeasiblePointError, Polyhedron, active_rows,
-                         cone_distance, distance_to_normal_cone, multiplier_within_support,
-                         orthant_polyhedron, simplex_polyhedron)
-from mstat.graph_normals import make_graph_context
+                         cone_contains, cone_distance, distance_to_normal_cone,
+                         multiplier_within_support, orthant_polyhedron, simplex_polyhedron)
 from mstat.lp import feasibility_threshold
 from mstat.stationarity import (
     Certificate,
@@ -27,7 +28,7 @@ from mstat.stationarity import (
     Problem,
     UpperModel,
     _scenario_checks,
-    gradient_selftest,
+    difference_check,
     lower_residual,
     nnamcq_check,
     upper_residual,
@@ -114,18 +115,72 @@ def tracking_problem(y_values, feasible=None, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# gradient self-test and lower residual
+# finite-difference check and lower residual
 
-def test_gradient_selftest_passes_and_catches_errors():
-    m = ShiftedQuadratic([1.0, 1.0])
-    assert gradient_selftest(m, np.zeros(1), None, [np.array([0.3, 0.7])]) < 1e-8
+# The lower-model method behind each term that difference_check reads.
+SEEDED_METHODS = {"g": "grad_z", "curvature": "hess_zz", "generators": "hess_ztheta",
+                  "grad_theta": "grad_theta"}
 
-    class Broken(ShiftedQuadratic):
-        def grad_z(self, z, theta, x):
-            return np.asarray(z, float)  # forgot the shift
 
-    assert gradient_selftest(Broken([1.0, 1.0]), np.zeros(1), None,
-                             [np.array([0.3, 0.7])]) > 1e-5
+@pytest.mark.parametrize("term", [None] + sorted(SEEDED_METHODS))
+def test_difference_check_names_the_term_and_scenario_of_a_seeded_error(term):
+    """Through the base scenario_terms loop, correct models pass every term
+    to 1e-8. Adding 1e-3 x to every entry of one lower-model method, so
+    that only scenario 1 (x = 1) is wrong, fails that term alone, at
+    scenario 1. The error is additive, so a g near 0 cannot hide it, and it
+    cancels from the differences of g that check the other terms."""
+    lower = TrackingLower
+    if term is not None:
+        right = getattr(TrackingLower, SEEDED_METHODS[term])
+        lower = type("Seeded", (TrackingLower,), {SEEDED_METHODS[term]: lambda self, z, theta, x:
+                                                  right(self, z, theta, x) + 1e-3 * x[0]})
+    problem = Problem(lower=lower(FeasibleSet.orthant(2)), upper=TrackingUpper(2, 2),
+                      x=[[0.0], [1.0]], y=np.zeros((2, 2)), weights=[0.5, 0.5])
+    cert = Certificate([0.4, 0.6], [{"z": [0.3, 0.7], "eta": [0.5, -1.0]},
+                                    {"z": [1.0, 0.0], "eta": [2.0, 0.25]}])
+    worst = difference_check(problem, cert)
+    assert sorted(worst) == sorted(SEEDED_METHODS)
+    assert all(error < 1e-8 for name, (error, _) in worst.items() if name != term)
+    if term is not None:
+        assert worst[term][1] == 1 and 1e-4 < worst[term][0] < 1e-2
+
+
+def _generated_problem(seed, kind):
+    """A portfolio (d_x 1-3, d_z 2-8, sigma scaled to largest entry 1 as
+    `mstat gen` scales it, lambda in [e^-3, e^3]) or kernel newsvendor (d_x
+    0-3, bandwidth in [0.05, 5]) problem with 1-5 samples, and a
+    certificate at random z and eta."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    if kind == "portfolio":
+        d_x, d_z = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        B = rng.standard_normal((d_z, d_z))
+        sigma = B @ B.T + d_z * np.eye(d_z)
+        inst = PF.PortfolioInstance(
+            sigma=sigma / np.max(np.abs(sigma)), risk_aversion=float(np.exp(rng.uniform(-3, 3))),
+            samples=list(zip(rng.uniform(0.1, 1.0, (n, d_x)), rng.normal(0, 0.3, (n, d_z)))))
+        theta = rng.standard_normal(d_x * d_z)
+        z = rng.dirichlet(np.ones(d_z), n) * rng.uniform(0.5, 1.0, (n, 1))
+        eta = rng.standard_normal((n, d_z))
+        return PF.as_problem(inst), Certificate(theta, [{"z": a, "eta": e}
+                                                        for a, e in zip(z, eta)])
+    d_x = int(rng.integers(0, 4))
+    pts = [(x, float(y)) for x, y in zip(rng.uniform(-1, 1, (n, d_x)).tolist(),
+                                           3.0 + rng.standard_normal(n))]
+    inst = NV.NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
+    scenarios = [{"z": float(z), "eta": float(e), "zeta": 0.0}
+                 for z, e in zip(rng.uniform(0.0, 6.0, n), rng.standard_normal(n))]
+    return NV.as_problem(inst), NV.newsvendor_certificate(float(rng.uniform(0.05, 5.0)),
+                                                          scenarios)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["portfolio", "newsvendor"]))
+def test_difference_check_passes_on_generated_problems(seed, kind):
+    """Both applications' stacked terms agree with their differences within
+    fd-check's default tolerance 1e-6, at random points."""
+    worst = difference_check(*_generated_problem(seed, kind))
+    assert max(error for error, _ in worst.values()) <= 1e-6, worst
 
 
 def test_lower_residual_cases():
@@ -210,9 +265,9 @@ def test_lower_residual_is_the_column_that_verify_reports(case):
     called = []
     membership = ST.polyhedron_membership
 
-    def spy(poly, gp, pair, eps, context=None):
+    def spy(poly, gp, pair, eps):
         called.append(gp.z)
-        return membership(poly, gp, pair, eps, context)
+        return membership(poly, gp, pair, eps)
 
     with mock.patch.object(ST, "polyhedron_membership", spy):
         columns = verify_certificate(problem, cert).columns
@@ -394,7 +449,8 @@ def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
     calls = []
     solve = LP._solve_standard
     monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    assert len(make_graph_context(poly, z, g).active) == d
+    I = list(active_rows(poly, poly.slacks(z)))
+    assert len(I) == d and cone_contains(-g, poly.A[I]) is True
     graph_point_lps = len(calls)
     assert nnamcq_check(model, theta, None, z) is True
     assert graph_point_lps == 0 and len(calls) == 2 * graph_point_lps
