@@ -24,10 +24,11 @@ at call time.
   Solver constants, private to their modules: lp._PIVOT_TOL, _FEAS_TOL and
     _MAX_PIVOTS (LP; lp.nnls stops after 3n + 10 least-squares solves on n
     columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR and _ROUNDING here
-    (where FactoredRows answers a cone question), portfolio._QP_EPS and
-    _QP_MAX_ITER (QP), newsvendor._NEWTON_TOL, _MAX_EXPAND and _HALLEY_TOL
-    (quantile), and stationarity._FD_STEP and _ARGMIN_TOL (the difference
-    step of fd-check, the value function).
+    (where FactoredRows answers a cone question; elsewhere the LP answers
+    on rows scaled to unit size), portfolio._QP_EPS and _QP_MAX_ITER (QP),
+    newsvendor._NEWTON_TOL and _HALLEY_TOL (quantile), and
+    stationarity._FD_STEP and _ARGMIN_TOL (the difference step of fd-check,
+    the value function).
 """
 
 from __future__ import annotations
@@ -169,20 +170,18 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     return linear_feasible(A_eq=cols, b_eq=w, nonneg=np.arange(cols.shape[1]) < len(R))
 
 
-# The factorization decides a cone question only where the LP's pivots,
-# which read entries against the absolute lp._PIVOT_TOL, are sure to behave:
-# every non-zero entry of the generators lies within [1/_SCALE, _SCALE], and
+# The factorization decides a cone question only where its float rank is
+# sure: every non-zero generator entry lies within [1/_SCALE, _SCALE], and
 # each row's residual against the span of the rows before it is at least
 # _INDEPENDENT times its norm (independent) or at most _DEPENDENT times the
-# smaller of its norm and 1 (dependent). A dependent row also needs integer
-# generators, after which _MINOR must bound the product of the rank largest
-# row norms. Every non-zero minor of such rows is at least 1 and, by
-# Hadamard's inequality, at most _MINOR, so no basis the LP visits has a
-# tableau entry that is non-zero below 1/_MINOR or rounds near _PIVOT_TOL.
-# Dependent float rows, nearly parallel or nearly dependent in some subset,
-# can lead the LP's degenerate pivots through such a basis, where it raises
-# LPUnbounded. Elsewhere the LP decides. _ROUNDING bounds, relative to the
-# terms summed, the rounding of a residual entry.
+# smaller of its norm and 1 (dependent). Dependent rows also need integer
+# entries whose rank largest row norms multiply to at most _MINOR. Without
+# these guards decide answers against the exact phase-1 optimum on a few
+# float draws in a thousand: the span row (-1.97e-219), whose squared norm
+# underflows to 0, counts as dependent and w = (1e-7) comes out "out", and
+# nearly dependent rows mislead the rank alike. Only decide's _PIVOT_TOL
+# margin follows the LP (its ratio test). Elsewhere the LP decides.
+# _ROUNDING bounds, relative to the terms summed, a residual's rounding.
 _SCALE = 1e3
 _INDEPENDENT = 1e-2
 _DEPENDENT = 1e-13
@@ -323,7 +322,8 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
     whose next len(R) rows are those of R, each group in any order; by
     default the rows of L, then those of R, are factored here. The LP runs
     only where neither of the factorization's certificates decides
-    (FactoredRows.decide); it raises as cone_coefficients raises.
+    (FactoredRows.decide), on the rows scaled by _unit_rows; it raises as
+    cone_coefficients raises.
     """
     w = np.asarray(w, dtype=float)
     start = 0 if L is None else len(L)
@@ -331,7 +331,18 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
         factor = FactoredRows((np.asarray(R, dtype=float) if L is None
                                else np.vstack([L, R])).tolist())
     verdict = factor.decide(w.tolist(), start + len(R), start, eps)
-    return cone_coefficients(w, R, L, eps) is not None if verdict is None else verdict
+    if verdict is None:
+        L = None if L is None else _unit_rows(L)
+        return cone_coefficients(w, _unit_rows(R), L, eps) is not None
+    return verdict
+
+
+def _unit_rows(M):
+    """M with each row times the power of two that puts its largest |entry|
+    in [1, 2), a zero row left 0: an exact scaling, which changes no cone
+    and not the LP's threshold (it reads only w), only what its pivots see."""
+    M = np.asarray(M, dtype=float)
+    return np.ldexp(M, 1 - np.frexp(np.max(np.abs(M), axis=-1, keepdims=True, initial=0.0))[1])
 
 
 def multiplier_within_support(poly, target, support, eps=DEFAULT_EPS):

@@ -115,7 +115,6 @@ def ndtr(x):
 # Largest (row, center, coordinate) entry count of one block of query rows.
 _BLOCK_ENTRIES = 1 << 20
 _NEWTON_TOL = 1e-12   # the quantile's Newton steps stop at |F - q| <= _NEWTON_TOL
-_MAX_EXPAND = 60      # the most times the quantile bracket widens
 _HALLEY_TOL = 1e-7    # the verified sides' Halley steps stop at |F - q| <= _HALLEY_TOL
 # Largest (row, center) entry count of the bracketed rows that the bandwidth
 # search solves together, rows of several grid points in one lockstep.
@@ -335,11 +334,13 @@ def _bracket(model, W, q):
     """The rows of W whose quantile is not 0, F(0) < q, their weights, and
     their bracket tops hi with F(hi) > q.
 
-    The bracket asks F at one y for every row at once: 0, then
-    max_m y_m + 20 theta, widened by 10 theta for the rows still short,
-    which all share that y. So each step is one ndtr row over the M centers,
+    The bracket asks F at one y for every row at once: 0, then the top
+    max_m y_m + 20 theta. So each ask is one ndtr row over the M centers,
     broadcast against W; ndtr works entry by entry and _row_dot sees the
-    same values, so each row gets the bits of its own evaluation.
+    same values, so each row gets the bits of its own evaluation. F(top)
+    <= q raises RuntimeError: F is the same at any wider top, since every
+    (top - y_m) / theta is at least 13, where ndtr is 1.0, or max_m y_m
+    absorbs 20 theta and so any further widening.
     """
     def shared(W, y):
         return _row_dot(W, ndtr(_scaled(model, [y])))
@@ -347,17 +348,9 @@ def _bracket(model, W, q):
     live = ~(shared(W, 0.0) >= q)
     W = W[live]
     top = np.max(model.centers_y) + 20.0 * model.theta
-    hi = np.full(len(W), top)
-    if not len(W):
-        return live, W, hi
-    short = np.ones(len(W), dtype=bool)
-    for _ in range(_MAX_EXPAND):
-        short &= ~(shared(W, top) > q)
-        if not short.any():
-            return live, W, hi
-        top += 10.0 * model.theta
-        hi[short] = top
-    raise RuntimeError("failed to bracket the quantile")
+    if len(W) and not np.all(shared(W, top) > q):
+        raise RuntimeError("failed to bracket the quantile")
+    return live, W, np.full(len(W), top)
 
 
 def _verified_sides(centers_y, W, q, hi, theta):
@@ -592,10 +585,11 @@ def solve_newsvendor(model, x, h, b):
     """Order quantity solving 0 in (h+b) F_theta(z; x) - b + N_{R+}(z).
 
     Returns 0 when the critical ratio is already met at the boundary;
-    otherwise brackets the quantile from max_m y_m + 20 theta in at most
-    _MAX_EXPAND steps of 10 theta, bisects 60 times and polishes with at
-    most 5 Newton steps on the smooth strictly increasing CDF, stopping once
-    |F - q| <= _NEWTON_TOL. This is the one-row case of solve_newsvendor_rows.
+    otherwise brackets the quantile by [0, max_m y_m + 20 theta], bisects 60
+    times and polishes with at most 5 Newton steps on the smooth strictly
+    increasing CDF, stopping once |F - q| <= _NEWTON_TOL. A critical ratio
+    that F does not exceed at the bracket's top raises RuntimeError. This is
+    the one-row case of solve_newsvendor_rows.
 
     The result is the float of that plain bisection, but the CDF is not
     evaluated at every step: a step whose comparison F(mid) < q follows

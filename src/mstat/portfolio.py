@@ -181,8 +181,8 @@ def _face_rows(R, sigma, lam, bounds, budget):
 
 def _face_point(r, sigma, lam, bounds, budget, faces):
     """The face point (z, tau) of one row, cached in faces by working set
-    for one solve; the rows solver seeds the cache with the faces its rounds
-    met. No caller writes to the returned z."""
+    for one solve; the rows solver seeds the cache with the face of its
+    guess. No caller writes to the returned z."""
     key = (frozenset(bounds), budget)
     if key not in faces:
         Z, taus = _face_rows(r[None], sigma, lam, bounds, budget)
@@ -234,14 +234,13 @@ def _unconstrained_rows(R, sigma, lam):
 
 def _margins(Z, mu, taus, mask, budget):
     """min([z_i off the working bounds] + [mu_i on them] + [tau on the budget
-    row, else 1 - 1^T z]) per row, and 1^T z. A row holding a NaN takes the
-    Python min over that list, in that order, as a one-row solve does."""
-    total = Z.sum(axis=1)
-    last = taus if budget else 1.0 - total
+    row, else 1 - 1^T z]) per row. A row holding a NaN takes the Python min
+    over that list, in that order, as a one-row solve does."""
+    last = taus if budget else 1.0 - Z.sum(axis=1)
     margin = np.minimum(np.min(np.where(mask, mu, Z), axis=1), last)
     for j in np.flatnonzero(np.isnan(margin)):
         margin[j] = min(Z[j][~mask].tolist() + mu[j][mask].tolist() + [last[j]])
-    return margin, total
+    return margin
 
 
 def solve_simplex_qp_rows(R, sigma, lam, start=None):
@@ -250,34 +249,20 @@ def solve_simplex_qp_rows(R, sigma, lam, start=None):
     the one a row-by-row solve gives.
 
     One stacked np.linalg.solve for Sigma^{-1} R checks every row's returns
-    first (_unconstrained_rows). Then primal-dual rounds guess each row's
-    optimal working set, on the groups of rows that hold the same one, with
-    one stacked face solve per group; round by round, each row takes the
-    decisions of a one-row guess. Round 0 takes a row's working set from its
-    point in start (one point per row, k by d, a guess of the solutions),
-    or, without a start, from the simplex projection of its row of
-    U = Sigma^{-1} R / lambda: the bounds where the point has z_i <=
-    _QP_EPS, and the budget row where 1^T z >= 1 - _QP_EPS with a
-    coordinate left free. A face point with z_i > _QP_EPS off the working
-    set, mu_i > _QP_EPS on it and tau > _QP_EPS on the budget row
-    (1^T z < 1 - _QP_EPS off it) satisfies KKT with strict complementarity,
-    so it is the unique optimum and its working set is the one the
-    active-set loop ends on; the row returns it. Its bytes are the face
-    solve's at that working set and (r, Sigma, lambda), so a start changes
-    which faces are tried but no returned byte, and no error. Otherwise,
-    when every margin is at least -_QP_EPS (a degenerate optimum no round
-    can certify), the row goes to the loop; else it keeps the bounds with
-    mu_i > 0, adds those with z_i < 0, keeps the budget row while tau > 0
-    and adds it when 1^T z > 1. A row whose working set repeats, or that is
-    not certified after d + 1 rounds, goes to the loop. Without a start, a
-    vertex projection (the budget row and d - 1 bounds) takes instead the
-    loop's own first step: the same face, returned when it moves z by at
-    most _QP_EPS in every coordinate and no multiplier is below -_QP_EPS,
-    as the loop returns it; any other vertex row goes to the loop, whose
-    one-at-a-time exchange reaches the optimal vertex in fewer solves than
-    the simultaneous update, which at large returns overshoots far outside
-    the simplex. Every row the rounds leave runs the loop alone
-    (_active_set_loop) from its projected start, with the faces it met
+    first (_unconstrained_rows). Each row then guesses its optimal working
+    set once, from its point in start (one point per row, k by d, a guess of
+    the solutions) or, without a start, from the simplex projection of its
+    row of U = Sigma^{-1} R / lambda: the bounds where the point has z_i <=
+    _QP_EPS, and the budget row where 1^T z >= 1 - _QP_EPS with a coordinate
+    left free. The rows that share a guess share one stacked face solve. A
+    face point with z_i > _QP_EPS off the working set, mu_i > _QP_EPS on it
+    and tau > _QP_EPS on the budget row (1^T z < 1 - _QP_EPS off it)
+    satisfies KKT with strict complementarity, so it is the unique optimum
+    and its working set is the one the active-set loop ends on; the row
+    returns it. Its bytes are the face solve's at that working set and (r,
+    Sigma, lambda), so a start changes which face is tried but no returned
+    byte, and no error. Every other row runs the loop alone
+    (_active_set_loop) from its projected start, with its guess's face
     already solved; with a start, only those rows are projected.
     """
     R = np.asarray(R, dtype=float)
@@ -285,62 +270,33 @@ def solve_simplex_qp_rows(R, sigma, lam, start=None):
     if not len(R):
         return np.zeros(R.shape)
     U = _unconstrained_rows(R, sigma, lam)
-    eps = _QP_EPS
     k, d = R.shape
     if start is None:
-        Z0 = _simplex_projection_rows(U)
-        bounds = Z0 <= eps
-        budget = Z0.sum(axis=1) >= 1.0 - eps
-        vertex = budget & (bounds.sum(axis=1) == d - 1)
+        guess = _simplex_projection_rows(U)
     else:
-        start = np.asarray(start, dtype=float)
-        if start.shape != R.shape:
+        guess = np.asarray(start, dtype=float)
+        if guess.shape != R.shape:
             raise ValueError("start must hold one point of %d entries per row" % d)
-        bounds = start <= eps
-        budget = start.sum(axis=1) >= 1.0 - eps
-        vertex = np.zeros(k, dtype=bool)
+    bounds = guess <= _QP_EPS
+    budget = (guess.sum(axis=1) >= 1.0 - _QP_EPS) & (bounds.sum(axis=1) < d)
+    groups = {}
+    for i in range(k):
+        groups.setdefault((bounds[i].tobytes(), bool(budget[i])), []).append(i)
     out = np.zeros((k, d))
-    left = np.ones(k, dtype=bool)
-    faces = [{} for _ in range(k)]
-    live = range(k)
-    for step in range(d + 1):
-        budget &= bounds.sum(axis=1) < d
-        groups = {}
-        for i in live:
-            key = (bounds[i].tobytes(), bool(budget[i]))
-            if key not in faces[i]:         # else the working set repeats
-                groups.setdefault(key, []).append(i)
-        live = []
-        for key, rows in groups.items():
-            on = key[1]
-            mask = bounds[rows[0]].copy()
-            Rg = R[rows]
-            Z, taus = _face_rows(Rg, sigma, lam, set(np.flatnonzero(mask).tolist()), on)
-            mu = _multiplier_rows(Rg, sigma, lam, Z, taus, mask)
-            if step == 0 and vertex[rows[0]]:
-                done = ((np.max(np.abs(Z - Z0[rows]), axis=1) <= eps)
-                        & ~np.any(mask & (mu < -eps), axis=1)
-                        & ~(taus < -eps))
-                going = np.zeros(len(rows), dtype=bool)
-            else:
-                margin, total = _margins(Z, mu, taus, mask, on)
-                done, going = margin > eps, margin < -eps
-                bounds[rows] = np.where(mask, mu > 0, Z < 0)
-                budget[rows] = taus > 0 if on else total > 1.0
-            for j, i in enumerate(rows):
-                faces[i][key] = Z[j], taus[j]
-                if going[j]:
-                    live.append(i)
-            finished = np.array(rows)[done]
-            out[finished] = Z[done]
-            left[finished] = False
-    loop = np.flatnonzero(left)
-    if len(loop):
-        starts = Z0[loop] if start is None else _simplex_projection_rows(U[loop])
-        for i, z in zip(loop.tolist(), starts):
-            met = {(frozenset(np.flatnonzero(np.frombuffer(b, dtype=bool)).tolist()), on): face
-                   for (b, on), face in faces[i].items()}
-            out[i] = _active_set_loop(R[i], sigma, lam, z, met)
+    loop = []
+    for (_, on), rows in groups.items():
+        mask = bounds[rows[0]]
+        held = frozenset(np.flatnonzero(mask).tolist())
+        Z, taus = _face_rows(R[rows], sigma, lam, held, on)
+        mu = _multiplier_rows(R[rows], sigma, lam, Z, taus, mask)
+        done = _margins(Z, mu, taus, mask, on) > _QP_EPS
+        out[np.array(rows)[done]] = Z[done]
+        loop += [(i, {(held, on): (Z[j], taus[j])}) for j, i in enumerate(rows) if not done[j]]
+    if loop:
+        rows = [i for i, _ in loop]
+        starts = guess[rows] if start is None else _simplex_projection_rows(U[rows])
+        for (i, faces), z in zip(loop, starts):
+            out[i] = _active_set_loop(R[i], sigma, lam, z, faces)
     return out
 
 
@@ -348,10 +304,10 @@ def solve_simplex_qp(r, sigma, lam):
     """Minimize -r^T z + (lam/2) z^T Sigma z over {z >= 0, 1^T z <= 1}.
 
     Starts from the simplex projection of the unconstrained optimum
-    Sigma^{-1} r / lam. A primal-dual active-set guess of the optimal
-    working set comes first; when KKT with strict margins certifies its face
-    point, that point is returned after one or a few face solves. Otherwise
-    a primal active-set iteration runs from the projection; entering-
+    Sigma^{-1} r / lam. The face of the projection's working set is solved
+    first; when KKT with strict margins certifies its point, that point is
+    returned. Otherwise the primal active-set iteration (Nocedal and Wright,
+    Numerical Optimization, ch. 16) runs from the projection; entering-
     constraint ties break to the lowest index, so the run is deterministic.
     Finite for positive definite Sigma. The returned solution depends only
     on the final working set and (r, Sigma, lam), and a certified guess is

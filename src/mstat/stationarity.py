@@ -534,7 +534,8 @@ def difference_check(problem, certificate):
       grad_theta  the lower model's per-call grad_theta, which the penalized
                   upper line reads, against cost_rows in each theta
                   coordinate.
-    The certificate must fit the problem as verify requires.
+    The certificate must fit the problem as verify requires; a step that
+    leaves the problem's domain raises ValueError naming theta and the step.
     """
     _validate_certificate(problem, certificate)
     theta, lower, X = certificate.theta, problem.lower, problem.x
@@ -546,7 +547,11 @@ def difference_check(problem, certificate):
 
     def central(f, steps):
         """(f(s) - f(-s)) / 2h for each step s, one column each."""
-        return np.stack([(f(s) - f(-s)) / (2 * h) for s in steps], axis=1)
+        try:
+            return np.stack([(f(s) - f(-s)) / (2 * h) for s in steps], axis=1)
+        except ValueError as exc:
+            raise ValueError("a difference step of %g from the certificate's theta %s "
+                             "leaves the problem's domain: %s" % (h, theta.tolist(), exc)) from exc
 
     at, steps = terms(), h * np.eye(len(theta))
     grad_theta = [lower.grad_theta(z, theta, x) for z, x in zip(Z, X)]

@@ -148,65 +148,35 @@ def _oracle_face(r, sigma, lam, bounds, budget):
     return z, tau
 
 
-def _oracle_round(r, sigma, lam, bounds, budget):
-    """One round of the working-set guess on the face of (bounds, budget):
-    the face point z and tau, the bound multipliers mu, 1^T z and the
-    smallest margin, min([z_i off bounds] + [mu_i on them] + [tau on the
-    budget row, else 1 - 1^T z])."""
+def _oracle_margin(r, sigma, lam, bounds, budget):
+    """The smallest margin of the face point z and tau of (bounds, budget),
+    min([z_i off bounds] + [mu_i on them] + [tau on the budget row, else
+    1 - 1^T z]), with mu the bound multipliers."""
     d = len(r)
     z, tau = _oracle_face(r, sigma, lam, bounds, budget)
     grad = -r + lam * (sigma @ z)
-    mu = np.array([grad[i] + tau if i in bounds else 0.0 for i in range(d)])
-    total = z.sum()
-    margin = min([z[i] for i in range(d) if i not in bounds] + [mu[i] for i in bounds]
-                 + [tau if budget else 1.0 - total])
-    return z, tau, mu, total, margin
+    return min([z[i] for i in range(d) if i not in bounds] + [grad[i] + tau for i in bounds]
+               + [tau if budget else 1.0 - z.sum()])
 
 
 def start_working_set(start):
-    """The working set a start point gives the first round: the bounds where
+    """The working set a start point gives the guess: the bounds where
     start_i <= _QP_EPS, and the budget row where 1^T start >= 1 - _QP_EPS
     with a coordinate left free."""
     bounds = frozenset(i for i in range(len(start)) if start[i] <= _QP_EPS)
     return bounds, bool(start.sum() >= 1.0 - _QP_EPS and len(bounds) < len(start))
 
 
-def first_round_certifies(r, sigma, lam, start):
+def guess_certifies(r, sigma, lam, start):
     """Whether the face of start's working set (start_working_set) certifies
     the QP of r with every margin above _QP_EPS, replayed one row at a
     time."""
-    return _oracle_round(r, sigma, lam, *start_working_set(start))[-1] > _QP_EPS
+    return _oracle_margin(r, sigma, lam, *start_working_set(start)) > _QP_EPS
 
 
-def qp_guess_route(r, sigma, lam):
-    """How the working-set guess of one QP ends, replayed one row at a time,
-    and the number of faces it solved: "certified" (a round's face point has
-    margins above _QP_EPS), "vertex" (a vertex start, which the guess leaves
-    to the loop's first step), "degenerate" (margins within _QP_EPS of 0),
-    "repeat" (a working set comes back) or "rounds" (d + 1 rounds certify
-    nothing)."""
-    eps = _QP_EPS
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    d = len(r)
-    z = FeasibleSet.simplex(d).project(np.linalg.solve(sigma, r) / lam)
-    bounds = frozenset(i for i in range(d) if z[i] <= eps)
-    budget = z.sum() >= 1.0 - eps
-    if budget and len(bounds) == d - 1:
-        return "vertex", 0
-    seen = set()
-    for _ in range(d + 1):
-        budget = budget and len(bounds) < d
-        if (bounds, budget) in seen:
-            return "repeat", len(seen)
-        seen.add((bounds, budget))
-        z, tau, mu, total, margin = _oracle_round(r, sigma, lam, bounds, budget)
-        if margin > eps:
-            return "certified", len(seen)
-        if margin >= -eps:
-            return "degenerate", len(seen)
-        bounds = frozenset(i for i in range(d) if (mu[i] > 0 if i in bounds else z[i] < 0))
-        budget = tau > 0 if budget else total > 1.0
-    return "rounds", len(seen)
+def projected_start(r, sigma, lam):
+    """The simplex projection of Sigma^-1 r / lam, where the QP starts."""
+    return FeasibleSet.simplex(len(r)).project(np.linalg.solve(sigma, r) / lam)
 
 
 @dataclass

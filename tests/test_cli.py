@@ -819,6 +819,21 @@ def test_fd_check_refuses_inputs_as_verify_does(tmp_path, capsys):
     assert verify == fd == (1, "", "error: unknown problem type: 'knapsack'\n")
 
 
+def test_fd_check_names_a_theta_below_its_step(tmp_path, capsys):
+    """At a bandwidth below the difference step, which verify reports on
+    (exit 2, theta outside its bounds), fd-check exits 1 with a message that
+    names the certificate's theta and the step, before the model's own
+    message about theta - step."""
+    cert = {**json.loads((GOLDEN / "nv4.pass.json").read_text()), "theta": 5e-7}
+    argv = ("--problem", str(GOLDEN / "nv4.problem.json"),
+            "--certificate", write(tmp_path / "small.json", cert))
+    assert run(capsys, "verify", *argv)[0] == 2
+    code, out, err = run(capsys, "fd-check", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a difference step of 1e-06 from the certificate's theta "
+                          "[5e-07] leaves the problem's domain: ")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -164,11 +165,19 @@ def lp_answer(w, R, L):
         return type(exc)
 
 
+def unit_rows(G):
+    """G with each row multiplied by the power of two that puts its largest
+    |entry| in [1, 2), one row at a time; such a scaling changes no cone."""
+    return np.array([[math.ldexp(v, 1 - math.frexp(max(map(abs, row), default=0.0))[1])
+                      for v in row] for row in G.tolist()]).reshape(G.shape)
+
+
 def assert_as_the_lp(w, G, start):
     """cone_contains(w, R, L) with L = G[:start] and R = G[start:] answers
-    as cone_coefficients, or raises what its LP raises."""
+    as cone_coefficients on the rows scaled by unit_rows, or raises what
+    that LP raises."""
     R, L = G[start:], G[:start]
-    want = lp_answer(w, R, L)
+    want = lp_answer(w, unit_rows(R), unit_rows(L))
     if want is True or want is False:
         assert cone_contains(w, R, L) is want, (G.tolist(), w.tolist(), start)
     else:
@@ -245,9 +254,10 @@ def test_cone_contains_answers_as_the_lp_on_integer_rows(case):
     assert_as_the_lp(*case)
 
 
-@settings(max_examples=400, deadline=None)
-@given(float_cones())
-@example((np.zeros(5), np.array([
+# Dependent float rows, every one a span row, on which the LP raises
+# LPUnbounded at the zero target; and a target 5.1e-9 from the span of one
+# large row, which the LP accepts.
+DEGENERATE_ROWS = np.array([
     [-2.560038906820392, -0.7056214010783133, -1.0206386836159285, 1.1407069849227136,
      -1.7415833558106573],
     [0.3843352013915429, -0.33230671687483837, -0.19255724685678172, 0.05413605463674453,
@@ -259,18 +269,40 @@ def test_cone_contains_answers_as_the_lp_on_integer_rows(case):
     [0.14874918533659306, -0.03915548959666354, -0.28214857269922866, 0.39150183835375824,
      -0.011781557050885738],
     [-0.3869111933516247, 0.33186237418278586, 0.1929524571603246, -0.05548848909434855,
-     0.07435494730890378]]), 6))
-@example((np.array([7.160662870326869e-09, 0.0]),
-          np.array([[82.64700473935586, 82.64700473935586]]), 0))
+     0.07435494730890378]])
+FAR_TARGET, LARGE_ROW = np.array([7.160662870326869e-09, 0.0]), np.array([[82.64700473935586] * 2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_cones())
+@example((np.zeros(5), DEGENERATE_ROWS, 6))
+@example((FAR_TARGET, LARGE_ROW, 0))
 def test_cone_contains_answers_as_the_lp_on_float_rows(case):
     """As on integer rows, with nearly parallel rows, entries near the LP's
     pivot tolerance and targets moved off the cone by rounding-sized steps.
-    The first example is a degenerate target on dependent float rows, where
-    the LP raises LPUnbounded. In the second the target lies 5.1e-9 from the
-    row's span, past twice the LP's feasibility threshold, yet the LP,
-    whose ratio test accepts a step up to _PIVOT_TOL past its minimum, finds
-    it in the cone."""
+    The examples are DEGENERATE_ROWS and LARGE_ROW."""
     assert_as_the_lp(*case)
+
+
+def test_cone_contains_gives_the_exact_answer_on_rows_of_any_size():
+    """On rows as given, the LP raises LPUnbounded at a degenerate zero
+    target on dependent float rows, and accepts a target 5.1e-9 from the
+    span of the row (82.6, 82.6), past twice its feasibility threshold,
+    since its ratio test steps up to _PIVOT_TOL past the minimum. On the
+    rows scaled to unit size, cone_contains gives the exact answers: 0 lies
+    in every cone, and the far target is out, also on the row scaled by
+    2^k. The rows of -1e-11 I, below every pivot tolerance, generate the
+    negative orthant: (-1, -2) is in, (1, -2) is out."""
+    none = np.zeros((0, 5))
+    with pytest.raises(LPUnbounded):
+        cone_coefficients(np.zeros(5), none, DEGENERATE_ROWS)
+    assert cone_contains(np.zeros(5), none, DEGENERATE_ROWS) is True
+    assert cone_coefficients(FAR_TARGET, LARGE_ROW) is not None
+    for k in (-40, -20, 0, 20, 40):
+        assert cone_contains(FAR_TARGET, np.ldexp(LARGE_ROW, k)) is False
+    orthant = -1e-11 * np.eye(2)
+    assert cone_contains(np.array([-1.0, -2.0]), orthant) is True
+    assert cone_contains(np.array([1.0, -2.0]), orthant) is False
 
 
 def test_cone_contains_runs_no_lp_on_independent_rows(monkeypatch):

@@ -78,7 +78,11 @@ benchmark builds them: six active rows (p, q, 0) through z = 0 in R^3, which
 span only the plane x_3 = 0, and three slack rows, with g = 0 and eta = -e_3.
 Every active row is an equality row, so the query asks whether zeta lies in
 their span: (2, 11, 0) does, (3, 2, 2) does not. Both were recorded while
-each of their two questions still took an LP.
+each of their two questions still took an LP. gq.scaled-orthant is the
+orthant of R^2 written as -1e-11 z <= 0, at z = 0 with g = (1, 2): a member,
+recorded once the LP read its generator rows scaled to unit size; on the
+rows as given, the LP's pivot tolerance hid -g's cone and the query came
+out empty_coderivative.
 """
 
 import json
@@ -126,11 +130,13 @@ def test_golden_lp_counts(capsys, monkeypatch):
     """Across tests/golden, `verify` runs no LP: every simplex multiplier
     comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
     and the newsvendor sets are orthants. `gph-normal --method direct` runs
-    four: the graph points of gq.member and gq.not-member, whose five active
+    six: the graph points of gq.member and gq.not-member, whose five active
     rows in R^3 are dependent with entries 0.5 and -0.25, which are not
     integers; gq.not-member's zeta, which has negative coefficients on a
     cone row of the factorization; and the graph point of gq.empty, whose
-    -g does on the active rows. The other queries, the prisms and gq.rows9
+    -g does on the active rows. gq.scaled-orthant, whose entries lie below
+    the factorization's range, takes the LP for both of its questions, the
+    graph point and zeta. The other queries, the prisms and gq.rows9
     included, are decided by the factorization's certificates. Every
     output keeps its recorded bytes."""
     calls = count_lps(monkeypatch)
@@ -139,7 +145,7 @@ def test_golden_lp_counts(capsys, monkeypatch):
         before = len(calls)
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
         lps[case["argv"][0]] = lps.get(case["argv"][0], 0) + len(calls) - before
-    assert lps["verify"] == 0 and lps["gph-normal"] == 4 and sum(lps.values()) == 4
+    assert lps["verify"] == 0 and lps["gph-normal"] == 6 and sum(lps.values()) == 6
     assert {"pf6.cert.json", "pf7.cert.json"} <= {a for c in EXPECTED["outputs"] for a in c["argv"]}
 
 

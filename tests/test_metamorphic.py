@@ -7,6 +7,9 @@ polyhedra whose slacks are 0 or at least 1, under
   - a permutation of the rows of (A, b), whose witness rows map along;
   - a duplicated row;
   - each row and its bound scaled by its own power of two 2^k, k in [-3, 5];
+  - all of (A, b) and the tolerance --tol scaled by one 2^k, k in
+    {-40, -20, 20}, which takes the entries of A outside the range where
+    the cone questions are decided without an LP;
   - one permutation of the coordinates, applied to z, g, zeta, eta and the
     columns of A.
 `verify` runs in both modes on the portfolio golden certificates, whose
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstat.cli import main
+from mstat.cones import DEFAULT_EPS
 
 GOLDEN = Path(__file__).parent / "golden"
 GENERAL_QUERIES = ["gq.member", "gq.not-member", "gq.empty", "gq.rows9", "gq.prism",
@@ -129,6 +133,17 @@ def test_scaling_each_row_by_a_power_of_two_keeps_the_verdict(query, data):
     scaled = with_rows(query, [[2.0 ** k * a for a in row] for k, row in zip(scales, A)],
                        [2.0 ** k * v for k, v in zip(scales, b)])
     same_verdict(gph_normal(query), gph_normal(scaled))
+
+
+@settings(deadline=None)
+@given(queries, st.sampled_from([-40, -20, 20]))
+def test_scaling_the_system_and_the_tolerance_keeps_the_verdict(query, k):
+    A, b = query["Z"]["A"], query["Z"]["b"]
+    scaled = with_rows(query, [[2.0 ** k * a for a in row] for row in A],
+                       [2.0 ** k * v for v in b])
+    same_verdict(gph_normal(query),
+                 run(["gph-normal", "--input", "q.json", "--tol", repr(2.0 ** k * DEFAULT_EPS)],
+                     {"q.json": scaled}))
 
 
 @settings(deadline=None)

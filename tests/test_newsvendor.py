@@ -877,7 +877,8 @@ def test_bracket_asks_one_ndtr_row_per_step(rng, monkeypatch):
     """The bracket asks F at 0 and at max_m y_m + 20 theta, the same y for
     every row, plain or leave-one-out, so each costs one ndtr row of M
     entries, not k M; the sides' first Halley step comes next, at k M
-    entries."""
+    entries. A critical ratio that rounds to 1 is not met at the top, and
+    the solve raises after those two asks."""
     inst = random_instance(rng, 30, 2, "plain")
     model, k, M = inst.model(0.4), 30, 30
     real = NV.ndtr
@@ -886,7 +887,11 @@ def test_bracket_asks_one_ndtr_row_per_step(rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(NV, "ndtr", lambda u: sizes.append(np.size(u)) or real(u))
             solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b, leave_one_out)
-        assert sizes[:3] == [M, M, k * M]
+            assert sizes[:3] == [M, M, k * M]
+            sizes.clear()
+            with pytest.raises(RuntimeError, match="failed to bracket the quantile"):
+                solve_newsvendor_rows(model, inst.samples.x, 1e-17, 1.0, leave_one_out)
+            assert sizes == [M, M]
 
 
 def test_polish_evaluates_only_the_rows_the_sides_leave_open(rng, monkeypatch):

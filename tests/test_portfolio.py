@@ -31,8 +31,8 @@ from mstat.stationarity import (
     Problem,
     verify_certificate,
 )
-from conftest import (first_round_certifies, per_scenario_certificate, projected_gradient_qp,
-                      qp_guess_route, qp_point_kkt, simplex_qp_loop, start_working_set)
+from conftest import (guess_certifies, per_scenario_certificate, projected_gradient_qp,
+                      projected_start, qp_point_kkt, simplex_qp_loop, start_working_set)
 
 I2 = np.eye(2)
 GOLDEN = Path(__file__).parent / "golden"
@@ -245,8 +245,9 @@ def test_qp_rejects_non_pd():
 # the rows solver
 
 QP_ROW_FAMILIES = ("random", "large returns", "zero multipliers", "low rank", "ties")
-# Three-asset QPs on which the one-row guess meets a working set twice, and
-# on which d + 1 rounds certify nothing: (r, B, s, lam) with Sigma = B B^T + s I.
+# Three-asset QPs whose guess fails, on which a guess refined round by round
+# meets a working set twice, and on which d + 1 such rounds certify nothing:
+# (r, B, s, lam) with Sigma = B B^T + s I.
 RARE_ROUTES = {"repeat": ([1.0, 9.0, -9.0], [[2, -3, -1], [3, -2, -2], [-3, 0, 1]], 0.1, 10.0),
                "rounds": ([-0.7, -0.8, -0.1], [[3, -2, 1], [3, -1, 0], [3, 0, -2]], 0.01, 2.0)}
 
@@ -309,24 +310,23 @@ def test_rows_solver_equals_one_row_solves_and_the_loop(seed, family, k, shared)
                 == loop_bytes(r, sigma, lam)), (family, r.tolist())
 
 
-def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
-    """Round by round, each row solves the faces of its one-row guess
-    (qp_guess_route), and it goes to the active-set loop exactly when that
-    guess certifies none of them; a vertex start solves one face, the
-    loop's first, and goes to the loop only when that step, stacked, does
-    not return. The row sets reach every route, and every answer is the
+def test_rows_solver_loops_exactly_where_the_guess_fails(monkeypatch):
+    """Each row solves the face of its projected start's working set once,
+    and goes to the active-set loop exactly when that face fails the strict
+    margins (guess_certifies); the loop does not solve that face again. The
+    row sets reach both routes, and every answer, on RARE_ROUTES too, is the
     loop's."""
     import mstat.portfolio as PF
 
-    solved, looped = Counter(), {}
+    solved, looped = Counter(), Counter()
     face_rows, loop = PF._face_rows, PF._active_set_loop
 
-    def count(R, *args):
-        solved.update(r.tobytes() for r in R)
-        return face_rows(R, *args)
+    def count(R, sigma, lam, bounds, budget):
+        solved.update((r.tobytes(), frozenset(bounds), budget) for r in R)
+        return face_rows(R, sigma, lam, bounds, budget)
 
     def spy(r, *args):
-        looped.setdefault(r.tobytes(), solved[r.tobytes()])
+        looped[r.tobytes()] += 1
         return loop(r, *args)
 
     monkeypatch.setattr(PF, "_face_rows", count)
@@ -336,23 +336,19 @@ def test_rows_solver_takes_the_one_row_guess_decisions(monkeypatch):
              for seed in range(40) for family in QP_ROW_FAMILIES]
     cases += [(np.array([r]), np.array(B) @ np.array(B).T + s * np.eye(3), lam)
               for r, B, s, lam in RARE_ROUTES.values()]
-    routes = set()
+    routes = Counter()
     for R, sigma, lam in cases:
         solved.clear()
         looped.clear()
         copies = Counter(r.tobytes() for r in R)
         for r, z in zip(R, PF.solve_simplex_qp_rows(R, sigma, lam)):
-            key = r.tobytes()
-            route, faces = qp_guess_route(r, sigma, lam)
-            if route == "vertex":
-                route += ", loop" if key in looped else ", first step"
-                faces = 1
-            assert (key in looped) == (route not in ("certified", "vertex, first step")), route
-            assert looped.get(key, solved[key]) == faces * copies[key], route
-            routes.add(route)
+            key, start = r.tobytes(), projected_start(r, sigma, lam)
+            certified = guess_certifies(r, sigma, lam, start)
+            assert looped[key] == (0 if certified else copies[key])
+            assert solved[(key, *start_working_set(start))] == copies[key]
             assert z.tobytes() == loop_bytes(r, sigma, lam)
-    assert routes == {"certified", "vertex, first step", "vertex, loop", "degenerate",
-                      "repeat", "rounds"}
+            routes[certified] += 1
+    assert routes[True] and routes[False]
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,7 +455,7 @@ def test_penalized_verify_solves_one_face_per_start_group(
     certificate's z. Its first face solves are one per group of scenarios
     whose starts share a working set, in the order the groups first occur,
     each stacked over the group's rows. Further faces are solved exactly
-    when the first round leaves a row uncertified (first_round_certifies):
+    when the guess leaves a row uncertified (guess_certifies):
     never on pf1.mu, whose points are optimal, and on the others. The
     output is the recorded one."""
     import mstat.portfolio as PF
@@ -482,7 +478,7 @@ def test_penalized_verify_solves_one_face_per_start_group(
     groups, certified = {}, []
     for r, z0 in zip(R, Certificate(theta, data["scenarios"]).z):
         groups.setdefault(start_working_set(z0), []).append(r.tolist())
-        certified.append(first_round_certifies(r, inst.sigma, inst.risk_aversion, z0))
+        certified.append(guess_certifies(r, inst.sigma, inst.risk_aversion, z0))
     assert calls[:len(groups)] == list(groups.values())
     assert (len(calls) > len(groups)) == (not all(certified)) == more
 
