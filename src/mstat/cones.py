@@ -161,13 +161,20 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     """Coefficients (mu, nu) with R^T mu + L^T nu = w and mu >= 0, or None.
 
     Decides w in cone(rows of R) + span(rows of L) by one LP; every LP of
-    the package is this question. With no rows at all, w must vanish
-    within eps.
+    the package is this question. The LP reads each row times the power of
+    two that puts its largest |entry| in [1, 2), a zero row left 0: an exact
+    scaling, which changes no cone and not the LP's threshold (it reads only
+    w), only what its pivots see. Its coefficients are multiplied by the
+    same powers, so they reproduce w from the rows as given. With no rows
+    at all, w must vanish within eps.
     """
-    cols = (R if L is None else np.vstack([R, L])).T
-    if cols.shape[1] == 0:
+    rows = np.asarray(R, dtype=float) if L is None else np.vstack([R, L])
+    if len(rows) == 0:
         return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
-    return linear_feasible(A_eq=cols, b_eq=w, nonneg=np.arange(cols.shape[1]) < len(R))
+    power = 1 - np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))[1]
+    x = linear_feasible(A_eq=np.ldexp(rows, power[:, None]).T, b_eq=w,
+                        nonneg=np.arange(len(rows)) < len(R))
+    return None if x is None else np.ldexp(x, power)
 
 
 # The factorization decides a cone question only where its float rank is
@@ -251,14 +258,13 @@ class FactoredRows:
         holds and the LP must decide.
 
         True when the coefficients of the basic rows, clipped at 0 on the
-        cone rows, leave a residual whose lp.phase1_bound is at most half of
-        feasibility_threshold(w), entries within their rounding of 0 read as
-        0. False when the Euclidean distance from w to the span of the rows
-        exceeds twice that threshold, since the LP's phase-1 optimum, an L1
-        residual, is at least that distance, plus _PIVOT_TOL (1 + |w|_1)
-        times the rows' summed |entries|, which covers a ratio test of the
-        LP that accepts a step up to _PIVOT_TOL past its minimum. The
-        factor 2 covers rounding, as in the LP skip of stationarity. With
+        cone rows, leave a residual whose _phase1_bound is at most half of
+        feasibility_threshold(w). False when the Euclidean distance from w
+        to the span of the rows exceeds twice that threshold, since the LP's
+        phase-1 optimum, an L1 residual, is at least that distance, plus
+        _PIVOT_TOL (1 + |w|_1) times the rows' summed |entries|, which
+        covers a ratio test of the LP that accepts a step up to _PIVOT_TOL
+        past its minimum. The factor 2 covers rounding in both tests. With
         no rows, w must vanish within eps, cone_coefficients' rule; a w of
         another length than the rows is left to the LP, which raises.
         """
@@ -304,8 +310,18 @@ def _minus(a, c, basis):
 
 
 def _phase1_bound(b, r, noise):
-    """lp.phase1_bound of one system, on lists of Python floats, with an
-    entry of r within noise of 0 read as 0 where its sign is wrong."""
+    """An upper bound on the phase-1 optimum of A x = b, x >= 0, from the
+    residual r = b - A x0 of any x0 >= 0, on lists of Python floats.
+
+    Phase 1 flips the rows with b_i < 0 and keeps each artificial
+    s_i (b_i - (A x)_i) >= 0, s_i = -1 on flipped rows and +1 on the rest;
+    its optimum is the least sum of the artificials. The point (1 - t) x0
+    has residual t b + (1 - t) r, whose signs are those once
+    t >= |r_i| / (|b_i| + |r_i|) on every row where s_i r_i < 0, so its L1
+    norm bounds the optimum. The L1 norm of r alone does not: a row where r
+    has the wrong sign can cost phase 1 far more than |r_i|. An entry of r
+    within noise of 0 is read as 0 where its sign is wrong, so that a
+    rounding-sized entry does not set t."""
     t = 0.0
     for bi, ri in zip(b, r):
         if ri < -noise if bi >= 0.0 else ri > noise:
@@ -322,8 +338,7 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
     whose next len(R) rows are those of R, each group in any order; by
     default the rows of L, then those of R, are factored here. The LP runs
     only where neither of the factorization's certificates decides
-    (FactoredRows.decide), on the rows scaled by _unit_rows; it raises as
-    cone_coefficients raises.
+    (FactoredRows.decide); it raises as cone_coefficients raises.
     """
     w = np.asarray(w, dtype=float)
     start = 0 if L is None else len(L)
@@ -332,17 +347,8 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
                                else np.vstack([L, R])).tolist())
     verdict = factor.decide(w.tolist(), start + len(R), start, eps)
     if verdict is None:
-        L = None if L is None else _unit_rows(L)
-        return cone_coefficients(w, _unit_rows(R), L, eps) is not None
+        return cone_coefficients(w, R, L, eps) is not None
     return verdict
-
-
-def _unit_rows(M):
-    """M with each row times the power of two that puts its largest |entry|
-    in [1, 2), a zero row left 0: an exact scaling, which changes no cone
-    and not the LP's threshold (it reads only w), only what its pivots see."""
-    M = np.asarray(M, dtype=float)
-    return np.ldexp(M, 1 - np.frexp(np.max(np.abs(M), axis=-1, keepdims=True, initial=0.0))[1])
 
 
 def multiplier_within_support(poly, target, support, eps=DEFAULT_EPS):

@@ -17,12 +17,13 @@ active rows, with the LP only where the factorization is unsure, so it has
 no cap, and the orthant and simplex specializations reduce it to sign
 conditions in closed form. The simplex also has the distance to its normal
 cone in closed form (_simplex_residual_rows), which gives the verifier's
-lower residuals. The face-pair oracle decides the same system independently:
-it sweeps multiplier supports and nested row subsets and tests each pair's
-face difference and its polar directly by the LP, exponential in the active
-rows and capped at MAX_ACTIVE_ROWS. No route of the package calls it; it
-stays here because the benchmark (perfbench/workloads.py) imports it for
-its reference answers, and the tests compare every route against it.
+lower residuals and the multipliers of its gaps. The face-pair oracle
+decides the same system independently: it sweeps multiplier supports and
+nested row subsets and tests each pair's face difference and its polar
+directly by the LP, exponential in the active rows and capped at
+MAX_ACTIVE_ROWS. No route of the package calls it; it stays here because
+the benchmark (perfbench/workloads.py) imports it for its reference
+answers, and the tests compare every route against it.
 """
 
 from __future__ import annotations
@@ -718,7 +719,9 @@ def _simplex_rows(z, g, zeta, eta, eps):
 
 def _simplex_residual_rows(u, active):
     """The residual of u's nearest point in the simplex normal cone, k rows
-    at once, and its Euclidean norm per row.
+    at once, its Euclidean norm per row, and the multiplier that gives that
+    point: the (k, d + 1) rows of mu on the pinned coordinates, then tau on
+    the budget row, in the row order of simplex_polyhedron.
 
     u is (k, d); active is the (k, d + 1) mask of the active rows of the
     simplex system, the d bound rows -z_i <= 0 and then the budget row
@@ -736,9 +739,10 @@ def _simplex_residual_rows(u, active):
     max(tau_j, 0). With no free coordinate f is flat above max t, and the
     first test that holds picks a point of that flat part or 0.
     The residual is built from those explicit tau >= 0 and mu >= 0 as
-    (tau - u) - mu, and its norm as sqrt(sum(r * r)) over the row, so no
-    BLAS kernel touches it. Only sort, cumsum and elementwise operations
-    act across a row, so each row gets the same bits in any stack.
+    (tau - u) - mu = A^T (mu, tau) - u, and its norm as sqrt(sum(r * r))
+    over the row, so no BLAS kernel touches it. Only sort, cumsum and
+    elementwise operations act across a row, so each row gets the same bits
+    in any stack.
     """
     k, d = u.shape
     pinned, budget = active[:, :d], active[:, d]
@@ -752,8 +756,11 @@ def _simplex_residual_rows(u, active):
     first = np.argmax(top <= stationary, axis=1)
     tau = np.where(budget, np.maximum(stationary[np.arange(k), first], 0.0), 0.0)
     diff = tau[:, None] - u
-    resid = diff - np.where(pinned, np.maximum(diff, 0.0), 0.0)
-    return resid, np.sqrt(np.sum(resid * resid, axis=1))
+    lam = np.empty((k, d + 1))
+    lam[:, :d] = np.where(pinned, np.maximum(diff, 0.0), 0.0)
+    lam[:, d] = tau
+    resid = diff - lam[:, :d]
+    return resid, np.sqrt(np.sum(resid * resid, axis=1)), lam
 
 
 def simplex_membership(z, g, pair, eps=DEFAULT_EPS):

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "phase1_bound",
-           "linear_feasible", "nnls"]
+__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "linear_feasible", "nnls"]
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
@@ -97,28 +96,6 @@ def feasibility_threshold(b):
     b may also be (k, d) rows, one system each, with one threshold per row.
     """
     return _FEAS_TOL * (1.0 + np.abs(b).sum(axis=-1))
-
-
-def phase1_bound(b, r):
-    """An upper bound on the phase-1 optimum of A x = b, x >= 0, from the
-    residual r = b - A x0 of any x0 >= 0.
-
-    Phase 1 flips the rows with b_i < 0 and keeps each artificial
-    s_i (b_i - (A x)_i) >= 0, s_i = -1 on flipped rows and +1 on the rest;
-    its optimum is the least sum of the artificials. The point (1 - t) x0
-    has residual t b + (1 - t) r, whose signs are those once
-    t >= |r_i| / (|b_i| + |r_i|) on every row where s_i r_i < 0, so its L1
-    norm bounds the optimum. The L1 norm of r alone does not: a row where r
-    has the wrong sign can cost phase 1 far more than |r_i|.
-    b and r are one system's vectors, or (k, d) rows of k systems with one
-    bound per row; a row's bound does not depend on the other rows.
-    """
-    b, r = np.asarray(b, dtype=float), np.asarray(r, dtype=float)
-    wrong = np.where(b >= 0.0, r < 0.0, r > 0.0)
-    size = np.abs(r)
-    t = np.max(np.where(wrong, size / np.where(wrong, np.abs(b) + size, 1.0), 0.0),
-               axis=-1, keepdims=True, initial=0.0)
-    return np.sum(np.abs(t * b + (1.0 - t) * r), axis=-1)
 
 
 def _solve_standard(A, b, free=()):

@@ -504,7 +504,7 @@ def spo_loss(predictor, x, r, instance):
 
 def empirical_spo_objective(predictor, instance):
     """Weighted mean SPO loss over the sample."""
-    return _spo_objective(predictor, instance, _realized_costs(instance))
+    return _spo_objective(predictor, instance, _realized_costs(instance))[0]
 
 
 def _realized_costs(instance):
@@ -515,16 +515,17 @@ def _realized_costs(instance):
         solve_simplex_qp_rows(R, instance.sigma, instance.risk_aversion), R)]
 
 
-def _spo_objective(predictor, instance, realized):
+def _spo_objective(predictor, instance, realized, start=None):
     """empirical_spo_objective given the realized-return costs
-    (_realized_costs), solving each sample's predicted decision in one
-    solve_simplex_qp_rows call. Its rows are solved independently, so each
-    decision has the bits of a one-row solve."""
+    (_realized_costs), and the decisions it read, solving each sample's
+    predicted decision in one solve_simplex_qp_rows call from start (a guess
+    of the decisions, which changes no byte). Its rows are solved
+    independently, so each decision has the bits of a one-row solve."""
     preds = predictor.predict_rows(instance.samples.x)
-    solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion)
+    solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion, start)
     losses = [_cost(z, r, instance) - best
               for z, r, best in zip(solved, instance.samples.y, realized)]
-    return float(sum(w * loss for loss, w in zip(losses, instance.weights)))
+    return float(sum(w * loss for loss, w in zip(losses, instance.weights))), solved
 
 
 def fit_least_squares(instance, ridge=1e-10):
@@ -542,11 +543,12 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
 
     Cycles coordinates in a seeded random order, keeps strictly improving
     moves, halves the step when a full sweep stalls. Deterministic per seed.
+    Each candidate's QPs start from the decisions of the accepted theta.
     """
     rng = np.random.default_rng(seed)
     theta = np.atleast_2d(np.asarray(theta0, dtype=float)).copy()
     realized = _realized_costs(instance)
-    best = _spo_objective(LinearPredictor(theta), instance, realized)
+    best, decisions = _spo_objective(LinearPredictor(theta), instance, realized)
     history = [best]
     size = step_size
     coords = [(a, b) for a in range(theta.shape[0]) for b in range(theta.shape[1])]
@@ -558,9 +560,10 @@ def spo_local_search(instance, theta0, steps=50, step_size=0.1, seed=0,
             for delta in (size, -size):
                 cand = theta.copy()
                 cand[a, b] += delta
-                val = _spo_objective(LinearPredictor(cand), instance, realized)
+                val, solved = _spo_objective(LinearPredictor(cand), instance, realized,
+                                             decisions)
                 if val < best - 1e-15:
-                    theta, best = cand, val
+                    theta, best, decisions = cand, val, solved
                     history.append(best)
                     improved = True
                     break

@@ -920,11 +920,10 @@ def complementarity_residual(decomp, poly, z):
 
 
 def check_scenario_lp(poly, z, g):
-    """One scenario of stationarity._scenario_checks on a general polyhedron
-    without its skip on exactly zero active slacks: the complementarity LP
-    runs whenever the residual is within twice its feasibility threshold.
-    Kept verbatim as the reference the skipping route must match in both
-    entries."""
+    """One scenario's (lower_residual, complementarity_gap) on a general
+    polyhedron by the LP slow path: the NNLS distance, and the gap at the
+    multiplier that the complementarity LP finds whenever the residual is
+    within twice its feasibility threshold, None where it finds none."""
     target = -g
     slack = poly.slacks(z)
     try:
@@ -950,14 +949,14 @@ def count_lps(monkeypatch):
 
 def count_nnls(monkeypatch):
     """A list that gains one entry per lp.nnls solve from here on, also where
-    mstat.cones calls it under the name it imported."""
-    from mstat import cones
+    mstat.cones and mstat.stationarity call it under the name they imported."""
+    from mstat import cones, stationarity
 
     calls = []
     nnls = LP.nnls
     counted = lambda *a, **k: calls.append(1) or nnls(*a, **k)
-    monkeypatch.setattr(LP, "nnls", counted)
-    monkeypatch.setattr(cones, "nnls", counted)
+    for module in (LP, cones, stationarity):
+        monkeypatch.setattr(module, "nnls", counted)
     return calls
 
 

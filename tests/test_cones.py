@@ -24,7 +24,8 @@ from mstat.cones import (
     orthant_polyhedron,
     simplex_polyhedron,
 )
-from mstat.lp import _PIVOT_TOL, LPLimitError, LPUnbounded, feasibility_threshold, nnls
+from mstat.lp import (_PIVOT_TOL, LPLimitError, LPUnbounded, feasibility_threshold,
+                      linear_feasible, nnls)
 
 ORTHANT2 = orthant_polyhedron(2)
 
@@ -157,10 +158,11 @@ def test_cone_coefficients_against_scipy(rng):
 # cone_contains: the LP's answer, from a factorization where it is certain
 
 def lp_answer(w, R, L):
-    """Whether cone_coefficients finds w in cone(R) + span(L), or the class
-    of the exception its LP raises."""
+    """Whether the raw LP (lp.linear_feasible) finds w in cone(R) + span(L),
+    or the class of the exception it raises."""
+    G = np.vstack([R, L])
     try:
-        return cone_coefficients(w, R, L) is not None
+        return linear_feasible(G.T, w, np.arange(len(G)) < len(R)) is not None
     except (LPUnbounded, LPLimitError) as exc:
         return type(exc)
 
@@ -174,8 +176,8 @@ def unit_rows(G):
 
 def assert_as_the_lp(w, G, start):
     """cone_contains(w, R, L) with L = G[:start] and R = G[start:] answers
-    as cone_coefficients on the rows scaled by unit_rows, or raises what
-    that LP raises."""
+    as the raw LP on the rows scaled by unit_rows, or raises what that LP
+    raises."""
     R, L = G[start:], G[:start]
     want = lp_answer(w, unit_rows(R), unit_rows(L))
     if want is True or want is False:
@@ -285,24 +287,54 @@ def test_cone_contains_answers_as_the_lp_on_float_rows(case):
 
 
 def test_cone_contains_gives_the_exact_answer_on_rows_of_any_size():
-    """On rows as given, the LP raises LPUnbounded at a degenerate zero
-    target on dependent float rows, and accepts a target 5.1e-9 from the
-    span of the row (82.6, 82.6), past twice its feasibility threshold,
-    since its ratio test steps up to _PIVOT_TOL past the minimum. On the
-    rows scaled to unit size, cone_contains gives the exact answers: 0 lies
-    in every cone, and the far target is out, also on the row scaled by
-    2^k. The rows of -1e-11 I, below every pivot tolerance, generate the
-    negative orthant: (-1, -2) is in, (1, -2) is out."""
+    """On rows as given, the raw LP (lp.linear_feasible) raises LPUnbounded
+    at a degenerate zero target on dependent float rows, and accepts a
+    target 5.1e-9 from the span of the row (82.6, 82.6), past twice its
+    feasibility threshold, since its ratio test steps up to _PIVOT_TOL past
+    the minimum. cone_coefficients hands the LP the rows scaled to unit
+    size, so it, multiplier_within_support and cone_contains give the exact
+    answers: 0 lies in every cone, and the far target is out, also on the
+    row scaled by 2^k. The rows of -1e-11 I, below every pivot tolerance,
+    generate the negative orthant: (-1, -2) is in, (1, -2) is out. The
+    coefficients are those of the rows as given: (3e11, 0.25) on the rows
+    (1e-11, 0) and (0, 4) for w = (3, 1)."""
     none = np.zeros((0, 5))
     with pytest.raises(LPUnbounded):
-        cone_coefficients(np.zeros(5), none, DEGENERATE_ROWS)
+        linear_feasible(DEGENERATE_ROWS.T, np.zeros(5), np.zeros(6, dtype=bool))
+    assert cone_coefficients(np.zeros(5), none, DEGENERATE_ROWS) is not None
     assert cone_contains(np.zeros(5), none, DEGENERATE_ROWS) is True
-    assert cone_coefficients(FAR_TARGET, LARGE_ROW) is not None
+    assert linear_feasible(LARGE_ROW.T, FAR_TARGET) is not None
     for k in (-40, -20, 0, 20, 40):
-        assert cone_contains(FAR_TARGET, np.ldexp(LARGE_ROW, k)) is False
+        row = np.ldexp(LARGE_ROW, k)
+        assert cone_coefficients(FAR_TARGET, row) is None
+        assert multiplier_within_support(Polyhedron(row, [0.0]), FAR_TARGET, [0]) is None
+        assert cone_contains(FAR_TARGET, row) is False
     orthant = -1e-11 * np.eye(2)
     assert cone_contains(np.array([-1.0, -2.0]), orthant) is True
     assert cone_contains(np.array([1.0, -2.0]), orthant) is False
+    coef = cone_coefficients(np.array([3.0, 1.0]), np.array([[1e-11, 0.0], [0.0, 4.0]]))
+    assert coef.tolist() == [3e11, 0.25]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cone_coefficients_follow_powers_of_two_on_the_rows(seed):
+    """Rows multiplied by powers of two from 2^-60 to 2^60 give the LP the
+    same unit rows, so cone_coefficients answers as on the rows as given,
+    with each coefficient divided by its row's power, bit for bit."""
+    rng = np.random.default_rng(seed)
+    d, m, l = int(rng.integers(1, 5)), int(rng.integers(0, 5)), int(rng.integers(0, 3))
+    G = rng.standard_normal((m + l, d)) * 10.0 ** rng.uniform(-3, 3, (m + l, 1))
+    G[rng.random(m + l) < 0.1] = 0.0
+    coef = np.abs(rng.standard_normal(m + l)) * (rng.random(m + l) < 0.7)
+    w = G.T @ coef + 10.0 ** rng.uniform(-12, 0) * rng.standard_normal(d) * (rng.random() < 0.5)
+    power = rng.integers(-60, 61, m + l)
+    R, L = G[:m], G[m:]
+    want = cone_coefficients(w, R, L)
+    got = cone_coefficients(w, np.ldexp(R, power[:m, None]), np.ldexp(L, power[m:, None]))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.ldexp(got, power).tobytes() == want.tobytes()
 
 
 def test_cone_contains_runs_no_lp_on_independent_rows(monkeypatch):

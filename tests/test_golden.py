@@ -14,18 +14,23 @@ these calls of `verify` (both modes) and `newsvendor verify`, and for
 `spo-portfolio search --steps 20` on each of pf1 to pf3, the exit code
 and the full standard output, which must stay byte-identical.
 
-pf4 and pf5 are closed-form instances for the complementarity LP, each with
-one exact certificate verified in both modes: pf4 a d_z = 8 vertex whose
-active slacks are all exactly 0, where verify runs no LP; pf5 a d_z = 4
+pf4 and pf5 are closed-form instances for the complementarity gap, each
+with one exact certificate verified in both modes: pf4 a d_z = 8 vertex
+whose active slacks are all exactly 0, so every gap is 0; pf5 a d_z = 4
 point on the budget face with a budget slack of 5e-10, inside eps, where
-the LP's positive budget multiplier gives a non-zero complementarity_gap.
-Their outputs were recorded before the LP skip existed. pf6 and pf7 are
-d_z = 4 interior instances with four scenarios, copied from the portfolio
-benchmark's seed-1 inputs and verified in convex mode; their outputs were
-recorded while the multiplier LP still ran. In one scenario of each, an
-active slack is non-zero and the LP's pivots include a bound row: in pf6
-the budget column enters at a bound row whose column enters again, in pf7
-a bound row with a negative target pivots first. Both gaps are non-zero.
+the positive budget multiplier gives a non-zero complementarity_gap. pf6
+and pf7 are d_z = 4 interior instances with four scenarios, copied from the
+portfolio benchmark's seed-1 inputs and verified in convex mode. In one
+scenario of each, the active budget slack is non-zero, so the gap, read at
+the budget multiplier, is non-zero. They were picked while the gap still
+came from a phase-1 LP, whose pivots there included a bound row.
+
+Four outputs were re-recorded once when the gap moved from that LP's
+multiplier to the multiplier of the lower residual (the closed form's mu
+and tau on the simplex): pf5.cert.json in both modes, pf6.cert.json and
+pf7.cert.json. Only complementarity_gap changed, in scenarios 0 and 1 of
+pf5, 1 of pf6 and 0 of pf7, by at most 2.0e-16 relative; for example
+pf5's scenario 0 went from 2.6009331621336804e-10 to 2.60093316213368e-10.
 
 nv3 and nv4 are hand-built newsvendor problems, verified by `newsvendor
 verify` and by `verify` in both modes; their outputs were recorded before
@@ -114,10 +119,11 @@ def test_verify_output_is_byte_identical(case, capsys):
 @pytest.mark.parametrize("stem, scenarios, lps", [("pf4", 4, 0), ("pf5", 3, 0)])
 def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios, lps,
                                                                capsys, monkeypatch):
-    """pf4 is a d_z = 8 vertex: every active slack is exactly 0, so verify
-    runs no LP and every gap is 0. Each pf5 scenario has a budget slack of
-    5e-10, inside eps; the replay of the multiplier LP's pivots gives its
-    positive budget multiplier without an LP, which makes its gap non-zero."""
+    """pf4 is a d_z = 8 vertex: every active slack is exactly 0, so every
+    gap is 0. Each pf5 scenario has a budget slack of 5e-10, inside eps;
+    the closed form's positive budget multiplier makes its gap non-zero.
+    Neither runs an LP: the multiplier LP no longer runs on any slack, so
+    lps is 0 on both."""
     calls = count_lps(monkeypatch)
     code, out = run(capsys, ["verify", "--problem", stem + ".problem.json",
                              "--certificate", stem + ".cert.json"])
@@ -127,10 +133,10 @@ def test_complementarity_lp_runs_only_on_non_zero_active_slacks(stem, scenarios,
 
 
 def test_golden_lp_counts(capsys, monkeypatch):
-    """Across tests/golden, `verify` runs no LP: every simplex multiplier
-    comes from the replay of the LP's pivots, pf5, pf6 and pf7 included,
-    and the newsvendor sets are orthants. `gph-normal --method direct` runs
-    six: the graph points of gq.member and gq.not-member, whose five active
+    """Across tests/golden, `verify` runs no LP: every gap reads the
+    multiplier of its lower residual, pf5, pf6 and pf7 included, and the
+    newsvendor sets are orthants, which report no gap. `gph-normal --method
+    direct` runs six: the graph points of gq.member and gq.not-member, whose five active
     rows in R^3 are dependent with entries 0.5 and -0.25, which are not
     integers; gq.not-member's zeta, which has negative coefficients on a
     cone row of the factorization; and the graph point of gq.empty, whose

@@ -800,8 +800,9 @@ def simplex_residual_cases(draw):
 
 
 def _simplex_residual_case(z, u):
-    """The closed form's residual and norm at (z, u), the active mask, and
-    the residual of lp.nnls on the active rows A[I] with the noise tolerance
+    """The closed form's residual, norm and multiplier at (z, u), the active
+    mask, and the residual of lp.nnls on the active rows A[I] with the noise
+    tolerance
     of its entering test, 10 max(m, n) eps ||u|| times the largest row
     1-norm of A[I], by which its answer may stop short of the projection;
     z must be feasible."""
@@ -813,11 +814,11 @@ def _simplex_residual_case(z, u):
     I = list(active_rows(poly, slack))
     active = np.zeros(poly.m, dtype=bool)
     active[I] = True
-    resid, norm = GN._simplex_residual_rows(u[None], active[None])
+    resid, norm, lam = GN._simplex_residual_rows(u[None], active[None])
     R = poly.A[I]
     noise = 10.0 * max(R.shape) * np.finfo(float).eps \
         * np.abs(R).sum(axis=1).max(initial=0.0) * np.linalg.norm(u)
-    return resid[0], float(norm[0]), active, cone_residual(u, R), noise
+    return resid[0], float(norm[0]), lam[0], active, cone_residual(u, R), noise
 
 
 def _simplex_kkt_gap(resid, u, active):
@@ -855,14 +856,38 @@ def test_simplex_residual_rows_match_nnls(case):
     max(1, max |u|), a bound that a move of 1e-12 times that scale in any
     one entry breaks; its norm is sqrt(sum(r * r)) of its own vector; and
     the vector and norm equal those of lp.nnls on the active rows within
-    that bound plus lp.nnls's noise tolerance."""
+    that bound plus lp.nnls's noise tolerance. Its multiplier, mu on the
+    pinned coordinates and then tau, is >= 0, vanishes off the active rows
+    and gives the residual as A^T (mu, tau) - u, term by term."""
     z, u = case
-    resid, norm, active, want, noise = _simplex_residual_case(z, u)
+    resid, norm, lam, active, want, noise = _simplex_residual_case(z, u)
     tol = SIMPLEX_RESIDUAL_TOL * max(1.0, float(np.abs(u).max()))
     assert norm == np.sqrt(np.sum(resid * resid))
+    assert np.all(lam >= 0.0) and not lam[~active].any()
+    assert np.array_equal(resid, (lam[-1] - u) - lam[:-1])
     assert np.max(np.abs(resid - want)) <= tol + noise, (resid, want)
     assert abs(norm - np.linalg.norm(want)) <= tol + noise, (norm, want)
     assert _simplex_kkt_gap(resid, u, active) <= tol, resid
     for step in np.vstack([np.eye(len(u)), -np.eye(len(u))]):
         assert _simplex_kkt_gap(resid + 100.0 * tol * step, u, active) > tol, step
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 9))
+def test_simplex_residual_rows_give_each_row_its_bits_in_any_stack(seed, d, k):
+    """A stack of k rows gives each row the residual, norm and multiplier
+    of its one-row call bit for bit, in the stack's order and reversed.
+    Rows mix tied entries, signed zeros and entries from 1e-12 to 1e3, and
+    random active masks, budget row included or not."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-12, -1e-12, 1e3])
+    u = np.where(rng.random((k, d)) < 0.5, rng.choice(pool, (k, d)),
+                 rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-12, 3, (k, 1)))
+    active = rng.random((k, d + 1)) < 0.5
+    whole = GN._simplex_residual_rows(u, active)
+    back = GN._simplex_residual_rows(u[::-1], active[::-1])
+    for n in range(k):
+        one = GN._simplex_residual_rows(u[n:n + 1], active[n:n + 1])
+        for got, flipped, want in zip(whole, back, one):
+            assert got[n].tobytes() == flipped[k - 1 - n].tobytes() == want[0].tobytes()
 

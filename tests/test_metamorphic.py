@@ -13,8 +13,12 @@ polyhedra whose slacks are 0 or at least 1, under
   - one permutation of the coordinates, applied to z, g, zeta, eta and the
     columns of A.
 `verify` runs in both modes on the portfolio golden certificates, whose
-problems give explicit weights, with one sample split into two copies of
-half its weight and its certificate scenario duplicated.
+problems give explicit weights, with
+  - one sample split into two copies of half its weight and its
+    certificate scenario duplicated;
+  - one permutation of the assets, applied to the rows and columns of
+    sigma, each sample's r, the columns of theta, and each scenario's z,
+    eta and zeta; every scenario keeps its m_verdict and m_membership.
 
 The number of examples is Hypothesis' default, so a settings profile with
 more (tests/conftest.py registers "metamorphic") runs the same relations
@@ -180,3 +184,39 @@ def test_splitting_a_sample_into_two_halves_keeps_the_verdict(pair, mode, data):
     assert before[0] == after[0]
     if before[1] is not None:
         assert before[1]["pass"] == after[1]["pass"]
+
+
+def permute_assets(problem, cert, perm):
+    """The portfolio problem and certificate with the assets, the
+    coordinates of z, taken in the order perm."""
+    d_z = len(perm)
+
+    def columns(theta):
+        if isinstance(theta[0], list):
+            return [[row[j] for j in perm] for row in theta]
+        return [theta[i + j] for i in range(0, len(theta), d_z) for j in perm]
+
+    sigma = problem["sigma"]
+    moved = {**problem, "sigma": [[sigma[i][j] for j in perm] for i in perm],
+             "samples": [{**s, "r": [s["r"][j] for j in perm]} for s in problem["samples"]]}
+    if "theta0" in problem:
+        moved["theta0"] = columns(problem["theta0"])
+    scenarios = [{**s, **{key: [s[key][j] for j in perm] for key in ("z", "eta", "zeta")
+                          if s.get(key) is not None}} for s in cert["scenarios"]]
+    return moved, {**cert, "theta": columns(cert["theta"]), "scenarios": scenarios}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(PORTFOLIO_PAIRS), st.sampled_from(["convex", "penalized"]), st.data())
+def test_permuting_the_assets_keeps_every_verdict(pair, mode, data):
+    problem, cert = (json.loads((GOLDEN / name).read_text()) for name in pair)
+    perm = data.draw(st.permutations(range(len(problem["sigma"]))))
+    argv = ["verify", "--mode", mode, "--problem", "p.json", "--certificate", "c.json"]
+    moved, moved_cert = permute_assets(problem, cert, perm)
+    before = run(argv, {"p.json": problem, "c.json": cert})
+    after = run(argv, {"p.json": moved, "c.json": moved_cert})
+    assert before[0] == after[0] and (before[1] is None) == (after[1] is None)
+    if before[1] is not None:
+        assert before[1]["pass"] == after[1]["pass"]
+        assert [(s["m_verdict"], s["m_membership"]) for s in before[1]["scenarios"]] \
+            == [(s["m_verdict"], s["m_membership"]) for s in after[1]["scenarios"]]

@@ -934,6 +934,36 @@ def test_local_search_monotone_history():
     assert np.array_equal(pred.theta, pred2.theta)
 
 
+def test_local_search_starts_each_candidate_at_the_accepted_decisions(monkeypatch):
+    """spo_local_search passes each candidate's QP rows a start: the
+    decisions that an earlier call solved, one per accepted theta. A search
+    with every start dropped returns the same theta and history, bit for
+    bit."""
+    import mstat.portfolio as PF
+
+    inst = PortfolioInstance.from_dict(json.loads((GOLDEN / "pf3.problem.json").read_text()))
+    theta0 = np.zeros((2, 4))
+    solve = PF.solve_simplex_qp_rows
+    calls = []
+
+    def record(R, sigma, lam, start=None):
+        calls.append((start, solve(R, sigma, lam, start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(PF, "solve_simplex_qp_rows", record)
+    pred, history = spo_local_search(inst, theta0, steps=10, seed=1, return_history=True)
+    solved = [id(z) for _, z in calls]
+    starts = {id(start) for start, _ in calls[2:]}
+    assert calls[0][0] is calls[1][0] is None and len(history) >= 3
+    assert all(start is not None and solved.index(id(start)) < n
+               for n, (start, _) in enumerate(calls[2:], 2))
+    assert len(history) - 1 <= len(starts) <= len(history)
+    monkeypatch.setattr(PF, "solve_simplex_qp_rows", lambda R, sigma, lam, start=None:
+                        solve(R, sigma, lam))
+    cold, cold_history = spo_local_search(inst, theta0, steps=10, seed=1, return_history=True)
+    assert pred.theta.tobytes() == cold.theta.tobytes() and history == cold_history
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

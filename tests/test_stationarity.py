@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (QuadraticLowerModel, check_scenario_lp, complementarity_residual,
-                      count_lps, count_nnls, grid_solver, m_stationarity_check, nnamcq_oracle,
-                      normal_cone_multiplier, polyhedron_contains,
+from conftest import (QuadraticLowerModel, assert_nnls_optimal, check_scenario_lp,
+                      complementarity_residual, count_lps, count_nnls, grid_solver,
+                      m_stationarity_check, nnamcq_oracle, normal_cone_multiplier,
+                      polyhedron_contains,
                       projected_gradient_solver, psi_set,
                       random_polyhedral_graph_point, random_simplex_graph_point)
 from mstat.cli import _json_text
+from mstat import graph_normals as GN
 from mstat import newsvendor as NV
 from mstat import portfolio as PF
 from mstat import stationarity as ST
@@ -1113,11 +1115,23 @@ def test_verify_on_a_polyhedron_with_no_rows_left():
             (0.0, "member", 0.0)
 
 
+def _residual_multiplier(poly, target, slack, simplex):
+    """The (k, m) multipliers at which _scenario_checks attains its lower
+    residuals for the rows target with slack vectors slack: the closed
+    form's (mu, tau) on the simplex, the NNLS point elsewhere."""
+    active = np.abs(slack) <= 1e-9
+    if simplex:
+        return GN._simplex_residual_rows(target, active)[2]
+    return ST._nnls_rows(poly.A, target, active)[1]
+
+
 def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
     """verify_certificate on a general polyhedron reports, bit for bit, the
-    lower residual of distance_to_normal_cone and the complementarity gap of
-    normal_cone_multiplier (None where that finds no multiplier), though it
-    takes the active set once and skips the LP past the distance bound."""
+    lower residual of distance_to_normal_cone and, where that residual is
+    within the feasibility threshold of -g, the gap max |lam_i slack_i| at
+    the NNLS multiplier of the residual; None where the residual is past
+    it. Where normal_cone_multiplier's LP finds a multiplier too, the two
+    gaps are at most eps max(|lam|) apart, since each is at most that."""
     kinds = set()
     for _ in range(60):
         poly, z, g = random_polyhedral_graph_point(rng)
@@ -1131,91 +1145,172 @@ def test_polyhedral_route_reports_the_distance_and_multiplier_gap(rng):
             {"z": z, "eta": np.zeros(d)} for _ in gs])
         report = verify_certificate(problem, cert)
         c = report.columns
-        for low, gap, gk in zip(c.lower_residual, c.complementarity_gap,
-                                problem.scenario_terms(cert.theta, cert).g):
+        terms = problem.scenario_terms(cert.theta, cert).g
+        slack = poly.slacks(z)
+        lam = _residual_multiplier(poly, -terms, np.tile(slack, (len(gs), 1)), False)
+        for low, gap, gk, lk in zip(c.lower_residual, c.complementarity_gap, terms, lam):
             assert low == distance_to_normal_cone(poly, z, -gk)
+            want = float(np.max(np.abs(lk * slack)))
+            assert repr(gap) == repr(want if low <= feasibility_threshold(-gk) else None)
             decomp = normal_cone_multiplier(poly, z, gk)
-            want = None if decomp is None else complementarity_residual(decomp, poly, z)
-            assert gap == want
-            kinds.add(want is None)
+            if gap is not None and decomp is not None:
+                bound = 1e-9 * max(np.max(lk), np.max(decomp.lam))
+                assert abs(gap - complementarity_residual(decomp, poly, z)) <= bound
+            kinds.add(gap is None)
     assert kinds == {True, False}
 
 
 # ---------------------------------------------------------------------------
-# the complementarity LP skipped on exactly zero active slacks
+# the complementarity gap at the multiplier of the lower residual
 
-def _skip_cases(rng):
-    """(poly, z, g) on random integer polyhedra and simplex points, with
-    exactly zero active slacks, active slacks that are non-zero but within
-    eps, and residuals from rounding level to past twice the threshold."""
-    cases = []
-    for _ in range(80):
-        poly, z, g = random_polyhedral_graph_point(rng, d_max=4, m_max=6)
-        cases.append((poly, z, g))
-        cases.append((poly, z + 1e-10 * rng.uniform(-1.0, 1.0, len(z)), g))
-    for d in range(1, 13):
-        poly = simplex_polyhedron(d)
-        for _ in range(12):
-            z, g = random_simplex_graph_point(rng, d)
-            cases.append((poly, z, g))
-            cases.append((poly, np.where(z == 0.0, 4e-10, z), g))
-            cases.append((poly, z * (1.0 - 3e-10), g))
+_GAP_SCALES = (0.0, 1e-13, 0.1, 0.4, 1.0, 3.0)
+
+
+def _polyhedral_cases(rng):
+    """A random integer polyhedron's graph point, as is and with z moved by
+    up to 1e-10 per coordinate, so that active slacks are exactly 0 or
+    non-zero within eps."""
+    poly, z, g = random_polyhedral_graph_point(rng, d_max=4, m_max=6)
+    return [(poly, z, g), (poly, z + 1e-10 * rng.uniform(-1.0, 1.0, len(z)), g)]
+
+
+def _simplex_cases(rng, d):
+    """A graph point of the d-simplex, as is, with its zero coordinates at
+    4e-10 and with its coordinate sum 3e-10 short of 1."""
+    poly = simplex_polyhedron(d)
+    z, g = random_simplex_graph_point(rng, d)
+    return [(poly, z, g), (poly, np.where(z == 0.0, 4e-10, z), g), (poly, z * (1.0 - 3e-10), g)]
+
+
+def _perturbed(rng, cases):
+    """Each (poly, z, g) with g moved by 0 to 3 times the feasibility
+    threshold of -g in one random direction, so that residuals run from
+    rounding level past the threshold."""
     out = []
     for poly, z, g in cases:
         threshold = feasibility_threshold(-g)
         u = rng.standard_normal(len(z))
         u /= np.linalg.norm(u)
-        for scale in (0.0, 1e-13, 0.1, 0.4, 1.0, 3.0):
-            out.append((poly, z, g + scale * threshold * u))
+        out.extend((poly, z, g + scale * threshold * u) for scale in _GAP_SCALES)
     return out
 
 
-def test_lp_skip_matches_the_lp_route(rng, monkeypatch):
-    """_scenario_checks on a general polyhedron, one row at a time, equals
-    check_scenario_lp, the reference route that
-    runs the complementarity LP whenever the residual is within twice its
-    threshold, in both entries and every bit. Where it runs no LP but the
-    reference route would, every active slack is exactly 0 and the LP finds
-    a point."""
-    calls = count_lps(monkeypatch)
-    tally = {"skipped": 0, "lp_gap": 0, "lp_zero_slack": 0}
-    for poly, z, g in _skip_cases(rng):
-        before = len(calls)
-        want = check_scenario_lp(poly, z, g)
-        reference_lps = len(calls) - before
-        got = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], g[None])[0]
-        lps = len(calls) - before - reference_lps
-        assert repr(got) == repr(want), (poly.A, poly.b, z, g)
-        if want is None or want[1] is None:
+def _gap_cases(rng):
+    """(poly, z, g) on random integer polyhedra and simplex points, with
+    exactly zero active slacks, active slacks that are non-zero but within
+    eps, and residuals from rounding level to three times the threshold."""
+    cases = [c for _ in range(80) for c in _polyhedral_cases(rng)]
+    cases += [c for d in range(1, 13) for _ in range(12) for c in _simplex_cases(rng, d)]
+    return _perturbed(rng, cases)
+
+
+def _independent(poly, z):
+    """Whether the active rows of poly at z are linearly independent."""
+    I = list(active_rows(poly, poly.slacks(z)))
+    return np.linalg.matrix_rank(poly.A[I]) == len(I) if I else True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None] + list(range(1, 13))))
+def test_the_gap_reads_the_multiplier_of_the_residual(seed, d):
+    """On a stack of the _gap_cases families, on a random integer
+    polyhedron (d None) or on the d-simplex, _scenario_checks runs no LP,
+    and each feasible row's gap is max |lam_i slack_i| at a multiplier lam
+    that is >= 0, vanishes off the active rows and solves the projection of
+    -g onto their cone (the NNLS optimality conditions) with the reported
+    residual, where that residual is within feasibility_threshold(-g), and
+    None otherwise. On the simplex, where check_scenario_lp's multiplier LP
+    also finds a multiplier, the gaps are within 1e-9 eps (1 + |g|_1): the
+    multiplier is unique under LICQ, and both computations hold it to
+    within the threshold."""
+    rng = np.random.default_rng(seed)
+    simplex = d is not None
+    rows = _perturbed(rng, _simplex_cases(rng, d) if simplex else _polyhedral_cases(rng))
+    poly = rows[0][0]
+    feasible = FeasibleSet.simplex(d) if simplex else FeasibleSet.polyhedron(poly)
+    Z, G = np.array([z for _, z, _ in rows]), np.array([g for *_, g in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        lps = count_lps(patch)
+        checks = _scenario_checks(feasible, Z, G)
+        assert lps == []
+    slack = np.array([poly.slacks(z) for z in Z])
+    lam = _residual_multiplier(poly, -G, slack, simplex)
+    for n, check in enumerate(checks):
+        if slack[n].min() < -1e-9:
+            assert check is None
             continue
-        slack = poly.slacks(z)
-        I = active_rows(poly, slack)
-        if lps < reference_lps:
-            tally["skipped"] += 1
-            assert I and not slack[list(I)].any()
-            assert multiplier_within_support(poly, -g, I) is not None
-        elif I and not slack[list(I)].any():
-            tally["lp_zero_slack"] += 1
-        elif want[1] > 0.0:
-            tally["lp_gap"] += 1
-    assert (tally["skipped"] >= 800 and tally["lp_gap"] >= 500
-            and tally["lp_zero_slack"] >= 50), tally
+        t, low_res, gap = -G[n], *check
+        active = np.abs(slack[n]) <= 1e-9
+        size = 1.0 + np.abs(t).sum()
+        assert np.all(lam[n] >= 0.0) and not lam[n][~active].any()
+        assert_nnls_optimal(poly.A[active].T, t, lam[n][active], 1e-12 * size)
+        resid = poly.A.T @ lam[n] - t
+        assert abs(np.linalg.norm(resid) - low_res) <= 1e-15 * size
+        within = low_res <= feasibility_threshold(t)
+        want = float(np.max(np.abs(lam[n] * slack[n]))) if within else None
+        assert repr(gap) == repr(want), (poly.A.tolist(), Z[n].tolist(), G[n].tolist())
+        if simplex and gap is not None:
+            reference = check_scenario_lp(poly, Z[n], G[n])[1]
+            if reference is not None:
+                assert abs(gap - reference) <= 1e-18 * size
+
+
+def test_polyhedral_gaps_match_the_lp_route(rng, monkeypatch):
+    """_scenario_checks on a general polyhedron, one row at a time, runs no
+    LP and gives the lower residual of check_scenario_lp, the reference
+    route that runs the complementarity LP whenever the residual is within
+    twice its threshold, bit for bit. Its gap is None exactly where the
+    residual is past feasibility_threshold(-g), where the LP finds no
+    multiplier either. Where both give a gap, they agree within
+    1e-9 eps (1 + |g|_1) when the active rows are linearly independent, so
+    that the multiplier is unique; on dependent rows NNLS and the LP may
+    pick different multipliers, and the gaps agree within
+    0.1 eps (1 + |g|_1) on these cases (0.068 at most when measured).
+    The rows where the Euclidean residual is within the threshold but the
+    LP's L1 optimum is not now report a gap."""
+    calls = count_lps(monkeypatch)
+    tally = {"independent": 0, "dependent": 0, "lp_none": 0, "none": 0}
+    for poly, z, g in _gap_cases(rng):
+        simplex = simplex_polyhedron(poly.dim)
+        if np.array_equal(poly.A, simplex.A) and np.array_equal(poly.b, simplex.b):
+            continue
+        before = len(calls)
+        got = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], g[None])[0]
+        assert len(calls) == before
+        want = check_scenario_lp(poly, z, g)
+        if want is None:
+            assert got is None
+            continue
+        assert repr(got[0]) == repr(want[0]), (poly.A, poly.b, z, g)
+        size = 1e-9 * (1.0 + np.abs(g).sum())
+        if got[1] is None:
+            assert got[0] > size and want[1] is None
+            tally["none"] += 1
+        elif want[1] is None:
+            tally["lp_none"] += 1
+        elif _independent(poly, z):
+            tally["independent"] += 1
+            assert abs(got[1] - want[1]) <= 1e-9 * size
+        else:
+            tally["dependent"] += 1
+            assert abs(got[1] - want[1]) <= 0.1 * size
+    assert (tally["independent"] >= 300 and tally["dependent"] >= 50
+            and tally["lp_none"] >= 20 and tally["none"] >= 50), tally
 
 
 def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
-    """On the simplex cases of _skip_cases and the simplex cases below,
-    stacked by dimension, _scenario_checks on FeasibleSet.simplex(d), with
-    its closed-form residuals, gives the gaps of the NNLS route (the same
-    call on FeasibleSet.polyhedron(simplex_polyhedron(d))) bit for bit,
-    with no NNLS solve and no more LPs, and lower residuals within 1e-15 of
-    them relative to max(1, value). Where the NNLS route runs the
-    multiplier LP, the simplex replays its pivots (_simplex_multipliers)
-    and runs the LP only on the rows outside the replay. Every stack mixes
-    in infeasible rows, a coordinate at -2e-9 or a sum of 1 + 3e-9, which
-    both routes report as None."""
+    """On the simplex cases of _gap_cases and SIMPLEX_L1_CASES, stacked by
+    dimension, _scenario_checks on FeasibleSet.simplex(d), with its
+    closed-form residuals and multipliers, gives the NNLS route (the same
+    call on FeasibleSet.polyhedron(simplex_polyhedron(d))) a gap in the
+    same rows, within 1e-9 eps (1 + |g|_1) of it, and lower residuals
+    within 1e-15 of it relative to max(1, value), with no NNLS solve;
+    neither route runs an LP. Every stack mixes in infeasible rows, a
+    coordinate at -2e-9 or a sum of 1 + 3e-9, which both routes report as
+    None."""
     stacks = {}
-    for poly, z, g in _skip_cases(rng) + [(poly, z, -target) for poly, z, target
-                                          in SIMPLEX_SKIP_CASES]:
+    for poly, z, g in _gap_cases(rng) + [(poly, z, -target) for poly, z, target
+                                         in SIMPLEX_L1_CASES]:
         simplex = simplex_polyhedron(poly.dim)
         if np.array_equal(poly.A, simplex.A) and np.array_equal(poly.b, simplex.b):
             rows = stacks.setdefault(poly.dim, ([], []))
@@ -1231,21 +1326,22 @@ def test_simplex_checks_match_the_nnls_route(rng, monkeypatch):
     lps, nnls = count_lps(monkeypatch), count_nnls(monkeypatch)
     for d, (Z, G) in stacks.items():
         poly = simplex_polyhedron(d)
-        before = len(lps), len(nnls)
+        before = len(nnls)
         got = _scenario_checks(FeasibleSet.simplex(d), np.array(Z), np.array(G))
-        closed = len(lps) - before[0], len(nnls) - before[1]
+        closed = len(nnls) - before
         want = _scenario_checks(FeasibleSet.polyhedron(poly), np.array(Z), np.array(G))
-        assert closed[1] == 0 and len(nnls) > before[1]
-        assert closed[0] <= len(lps) - before[0] - closed[0]
+        assert closed == 0 and len(nnls) > before and lps == []
         assert None in want and any(w is not None for w in want)
-        for a, b in zip(got, want):
+        for a, b, g in zip(got, want, G):
             assert (a is None) == (b is None)
             if a is not None:
-                assert repr(a[1]) == repr(b[1])
+                assert (a[1] is None) == (b[1] is None)
+                if a[1] is not None:
+                    assert abs(a[1] - b[1]) <= 1e-18 * (1.0 + np.abs(g).sum())
                 assert abs(a[0] - b[0]) <= 1e-15 * max(1.0, abs(b[0]))
 
 
-SIMPLEX_SKIP_CASES = [
+SIMPLEX_L1_CASES = [
     (simplex_polyhedron(8), np.full(8, 0.125), np.concatenate([np.ones(7), [1.0 - 1.5e-9]])),
     (simplex_polyhedron(12), np.concatenate([np.full(4, 0.125), np.full(8, 0.0625)]),
      np.concatenate([np.ones(11), [1.0 - 1.5e-9]])),
@@ -1254,83 +1350,28 @@ SIMPLEX_SKIP_CASES = [
 
 @pytest.mark.parametrize("poly, z, target", [
     (Polyhedron([[1.0, 0.01]], [1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.01 - 7e-10])),
-] + SIMPLEX_SKIP_CASES)
-def test_lp_skip_needs_the_phase1_bound_not_the_nnls_distance(poly, z, target, monkeypatch):
-    """Every active slack is exactly 0 and sqrt(d) times the NNLS distance is
-    below half the threshold, yet the phase-1 LP finds no multiplier: its
-    artificials take the sign of the target, so a residual of the other
-    sign costs it more than the L1 norm. The gap stays None, from the LP."""
+] + SIMPLEX_L1_CASES)
+def test_the_gap_reads_the_distance_not_the_lp_optimum(poly, z, target, monkeypatch):
+    """Every active slack is exactly 0 and the Euclidean distance from the
+    target to the normal cone is within its feasibility threshold, yet the
+    phase-1 LP finds no multiplier: its artificials take the sign of the
+    target, so a residual of the other sign costs its L1 optimum more. The
+    gap follows the distance: 0.0, with no LP run."""
     slack = poly.slacks(z)
     I = active_rows(poly, slack)
     assert I and not slack[list(I)].any()
-    threshold = feasibility_threshold(target)
-    assert np.sqrt(len(z)) * cone_distance(target, poly.A[list(I)]) <= 0.5 * threshold
+    assert cone_distance(target, poly.A[list(I)]) <= feasibility_threshold(target)
     assert multiplier_within_support(poly, target, I) is None
     calls = count_lps(monkeypatch)
     _, comp_gap = _scenario_checks(FeasibleSet.polyhedron(poly), z[None], -target[None])[0]
-    assert comp_gap is None and len(calls) == 1
+    assert comp_gap == 0.0 and calls == []
 
 
-# ---------------------------------------------------------------------------
-# the simplex multiplier LP replayed by rows
-
-_TIE = 4e-11           # inside the ratio test's window _PIVOT_TOL (1 + |min|)
-
-
-@st.composite
-def simplex_multiplier_rows(draw):
-    """A stack of (target, active) rows on simplex_polyhedron(d), d from 1
-    to 12, drawn where the replay's cases meet: free coordinates at a
-    budget target tau, pinned ones at tau - lam with lam 0 (biactive), a
-    tie inside the ratio test's window, a step or more than tau (a negative
-    target); -0.0 and 0.0 for tau and the targets; rows without the budget
-    and rows with no active row; and a free coordinate off tau by a
-    multiple of the feasibility threshold near 1, which puts the phase-1
-    objective next to it."""
-    d = draw(st.integers(1, 12))
-    targets, masks = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        tau = draw(st.sampled_from([0.0, -0.0, 1e-12, 0.5, 1.0, 3.0]))
-        pinned = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
-        budget = draw(st.sampled_from([True, True, True, False]))
-        if draw(st.integers(0, 9)) == 0:
-            pinned[:], budget = False, False
-        lam = draw(st.lists(st.sampled_from([0.0, _TIE, -_TIE, 0.25, 1.5, tau + 0.75, None]),
-                            min_size=d, max_size=d))
-        free = draw(st.lists(st.sampled_from([0.0, 0.0, _TIE, -_TIE, -0.0]),
-                             min_size=d, max_size=d))
-        t = np.array([(-0.0 if l is None else tau - l) if p else tau + f * (1.0 + abs(tau))
-                      for p, l, f in zip(pinned, lam, free)])
-        if draw(st.booleans()) and not pinned.all():
-            i = int(np.flatnonzero(~pinned)[draw(st.integers(0, int((~pinned).sum()) - 1))])
-            near = draw(st.sampled_from([0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0]))
-            t[i] += near * 1e-9 * (1.0 + np.abs(t).sum()) * draw(st.sampled_from([1.0, -1.0]))
-        targets.append(t)
-        masks.append(np.append(pinned, budget))
-    return np.array(targets), np.array(masks)
-
-
-@settings(max_examples=400, deadline=None)
-@given(simplex_multiplier_rows())
-def test_simplex_multipliers_replay_the_lp_bit_for_bit(case):
-    """On every row outside rest, _simplex_multipliers finds a multiplier
-    exactly where multiplier_within_support does, and the same one in every
-    entry: the same repr and the same sign bit."""
-    target, active = case
-    poly = simplex_polyhedron(target.shape[1])
-    lam, found, rest = ST._simplex_multipliers(target, active)
-    for n in np.flatnonzero(~rest):
-        want = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]))
-        assert found[n] == (want is not None), (target[n], active[n])
-        if want is not None:
-            assert [repr(v) for v in lam[n]] == [repr(v) for v in want], (target[n], active[n])
-            assert np.array_equal(np.signbit(lam[n]), np.signbit(want))
+_TIE = 4e-11
 
 
 @pytest.mark.parametrize("target, active, found", [
-    # i* is bound row 0 inside the tie window ahead of the free rows, and
-    # column 0 enters again at row 1.
-    ([1.0 + _TIE, 1.0, 1.0], [1, 0, 0, 1], True),
+    ([1.0 + _TIE, 1.0, 1.0], [1, 0, 0, 1], True),   # a pinned entry 4e-11 above tau
     ([-0.5, 1.0, 1.0], [1, 0, 0, 1], True),         # a bound with a negative target
     ([1.0, 1.0, 1.0], [1, 0, 0, 1], True),          # biactive: t_0 equals tau
     ([-0.0, 0.0, -0.0], [1, 0, 0, 1], True),
@@ -1338,45 +1379,26 @@ def test_simplex_multipliers_replay_the_lp_bit_for_bit(case):
     ([-0.5, 0.25, 0.0], [1, 1, 0, 0], False),
     ([5e-10, -5e-10], [0, 0, 0], True),             # no active row: |t| <= eps
     ([2e-9, 0.0], [0, 0, 0], False),
-    # minus the phase-1 objective just above and just below the threshold
-    ([1.0, 1.0 + 3e-9 * (1.0 + 1e-7)], [0, 0, 1], False),
-    ([1.0, 1.0 + 3e-9 * (1.0 - 1e-7)], [0, 0, 1], True),
+    # the Euclidean distance just above and just below the threshold; the
+    # phase-1 LP finds no multiplier in either, its L1 optimum being sqrt(2)
+    # times the distance
+    ([1.0, 1.0 + 3e-9 * np.sqrt(2.0) * (1.0 + 1e-6)], [0, 0, 1], False),
+    ([1.0, 1.0 + 3e-9 * np.sqrt(2.0) * (1.0 - 1e-6)], [0, 0, 1], True),
 ])
 def test_simplex_multipliers_cases(target, active, found):
-    """Each case of the replay, one row each, with its multiplier's bits."""
+    """Each edge case of the simplex multiplier, one row each. The closed
+    form's (mu, tau) is >= 0, vanishes off the active rows and gives the
+    reported residual, A^T lam - t; _scenario_checks' rule finds it exactly
+    where that residual is within feasibility_threshold(t). Where
+    multiplier_within_support's LP finds a multiplier too, the two agree
+    within 1e-9 (1 + |t|_1)."""
     target, active = np.array([target]), np.array([active], dtype=bool)
-    lam, got, rest = ST._simplex_multipliers(target, active)
-    want = multiplier_within_support(simplex_polyhedron(target.shape[1]), target[0],
-                                     np.flatnonzero(active[0]))
-    assert not rest[0] and got[0] == found == (want is not None)
-    if found:
-        assert [repr(v) for v in lam[0]] == [repr(v) for v in want]
-
-
-def test_simplex_rows_outside_the_replay_run_the_lp(monkeypatch):
-    """Rows whose budget is active while a free coordinate has a negative
-    target, and a row whose i** is a bound row, fall outside the replay:
-    _scenario_checks runs one LP on each, and only on them, and reports the
-    LP's gaps bit for bit, None where the LP finds no multiplier. Their
-    active slacks are non-zero and their distances within twice the
-    threshold, so no skip decides them."""
-    poly = simplex_polyhedron(4)
-    z = np.array([[1.0 - 9e-10, 3e-10, 3e-10, 3e-10],
-                  [0.5, 0.5 - 3e-10, 2e-10, 2e-10],
-                  [0.4, 0.3, 2e-10, 0.3 - 5e-10],
-                  [0.25, 0.25, 0.25, 0.25 - 4e-10]])
-    target = np.array([[1.0, 0.2, 0.5, 0.7],
-                       [-1e-12, 0.0, -0.5, -0.3],
-                       [1.1000000000000001e-09, 1.1000000000000001e-09, 0.0, -9e-10],
-                       [0.5, 0.5, 0.5, 0.5]])
-    slack = poly.b - z @ poly.A.T
-    active = np.abs(slack) <= 1e-9
-    assert ST._simplex_multipliers(target, active)[2].tolist() == [True, True, True, False]
-    calls = count_lps(monkeypatch)
-    got = _scenario_checks(FeasibleSet.simplex(4), z, -target)
-    assert len(calls) == 3
-    for n in range(4):
-        lam = multiplier_within_support(poly, target[n], np.flatnonzero(active[n]))
-        want = None if lam is None else float(np.max(np.abs(lam * slack[n])))
-        assert repr(got[n][1]) == repr(want)
-        assert (want is None) == (n == 2) and (want is None or want > 0.0)
+    poly = simplex_polyhedron(target.shape[1])
+    resid, low_res, lam = GN._simplex_residual_rows(target, active)
+    assert np.all(lam[0] >= 0.0) and not lam[0][~active[0]].any()
+    assert np.array_equal(resid[0], poly.A.T @ lam[0] - target[0])
+    assert low_res[0] == np.linalg.norm(resid[0])
+    assert bool(low_res[0] <= feasibility_threshold(target[0])) == found
+    want = multiplier_within_support(poly, target[0], np.flatnonzero(active[0]))
+    if want is not None:
+        assert found and np.max(np.abs(lam[0] - want)) <= 1e-9 * (1.0 + np.abs(target).sum())
