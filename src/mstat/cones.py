@@ -26,7 +26,7 @@ at call time.
     columns), _SCALE, _INDEPENDENT, _DEPENDENT, _MINOR and _ROUNDING here
     (where FactoredRows answers a cone question; elsewhere the LP answers
     on rows scaled to unit size), portfolio._QP_EPS and _QP_MAX_ITER (QP),
-    newsvendor._NEWTON_TOL and _HALLEY_TOL (quantile), and
+    newsvendor._CDF_DELTA (the quantile solve's stopping band), and
     stationarity._FD_STEP and _ARGMIN_TOL (the difference step of fd-check,
     the value function).
 """

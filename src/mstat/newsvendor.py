@@ -29,16 +29,11 @@ any result. The scalar functions (nw_weights, conditional_cdf,
 conditional_pdf, grad_theta_cdf, solve_newsvendor) are one-row calls of the
 same helpers.
 
-A quantile solve gives the float of a plain 60-step bisection and Newton
-polish, but asks the CDF only what a proven bound does not settle
-(_quantile_rows): the bracket's CDF values at a y that every row shares
-are one ndtr row over the centers, a bisection step beyond a verified
-side is decided without the CDF, and so is a polish that the sides prove
-to be a no-op. bandwidth_grid_search goes one step further: a row whose
-sides settle it is not bisected at all, its order quantity being known to
-within the bracket's width, and the scan over the grid runs on intervals
-around the regrets, with exact regrets only where an interval comparison
-stays undecided.
+A quantile solve brackets the root in [0, max_m y_m + 20 theta] and takes
+safeguarded Halley steps inside the bracket, the rtsafe scheme of Numerical
+Recipes, until |F - q| is within the computed CDF's rounding bound delta or
+no float is left inside the bracket (_halley_rows). bandwidth_grid_search
+scores each grid point by that solve and scans the exact totals.
 
 Leave-one-out scoring applies when an instance has as many centers as
 samples, and then pairs them by position: sample i is scored without center
@@ -114,20 +109,15 @@ def ndtr(x):
 
 # Largest (row, center, coordinate) entry count of one block of query rows.
 _BLOCK_ENTRIES = 1 << 20
-_NEWTON_TOL = 1e-12   # the quantile's Newton steps stop at |F - q| <= _NEWTON_TOL
-_HALLEY_TOL = 1e-7    # the verified sides' Halley steps stop at |F - q| <= _HALLEY_TOL
-# Largest (row, center) entry count of the bracketed rows that the bandwidth
-# search solves together, rows of several grid points in one lockstep.
-_STACK_ENTRIES = 1 << 13
-# Bound on |F - F_W| beyond M eps, where F is the computed CDF _cdf_at of a
-# weight row over M centers and F_W the exact mixture with the same weights:
-# ndtr's absolute error is at most 1.8e-16, the rounded argument
-# (y - y_m) / theta moves Phi by at most 0.25 eps, and the dot product adds at
-# most gamma_M < M eps (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., section 3.1); the slack also covers the roundings of
-# the comparisons against q -+ 2 delta and of the bounds of _settled.
-# tests/test_newsvendor.py checks ndtr
-# against an mpmath reference, tests/ndtr_reference.json, to _CDF_DELTA / 10.
+# Bound on |F - F_W| beyond M eps, where F is the computed CDF of a weight
+# row over M centers and F_W the exact mixture with the same weights: ndtr's
+# absolute error is at most 1.8e-16, the rounded argument (y - y_m) / theta
+# moves Phi by at most 0.25 eps, and the dot product adds at most
+# gamma_M < M eps (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., section 3.1). delta = _CDF_DELTA + M eps is the quantile solve's
+# stopping band: a row stops where |F - q| <= delta (_halley_rows).
+# tests/test_newsvendor.py checks ndtr against an mpmath reference,
+# tests/ndtr_reference.json, to _CDF_DELTA / 10.
 _CDF_DELTA = 2e-15
 # Coordinates have magnitude at most _POWER_BOUND and bandwidths lie in
 # [1/_POWER_BOUND, _POWER_BOUND]: their cubes, 2^1020 at most and 2^-1020 at
@@ -310,26 +300,6 @@ def _grad_theta_rows(model, W, sq, u, Phi, phi):
     return reweight - widen
 
 
-def _margin(W):
-    """2 delta for weight rows W over M centers, delta = _CDF_DELTA + M eps."""
-    return 2.0 * (_CDF_DELTA + W.shape[1] * np.finfo(float).eps)
-
-
-# The quantile solve below takes one bandwidth per weight row (theta, a (k,)
-# array), so that rows of several bandwidths run in lockstep; a row's every
-# float is that of a solve at its bandwidth alone, the divisions by theta
-# being entrywise.
-
-def _scaled_rows(centers_y, y, theta):
-    """(y_i - y_m) / theta_i for the value y_i and bandwidth theta_i of each row."""
-    return (y[:, None] - centers_y) / theta[:, None]
-
-
-def _cdf_at(centers_y, W, y, theta):
-    """F of each weight row at its own y and bandwidth."""
-    return _row_dot(W, ndtr(_scaled_rows(centers_y, y, theta)))
-
-
 def _bracket(model, W, q):
     """The rows of W whose quantile is not 0, F(0) < q, their weights, and
     their bracket tops hi with F(hi) > q.
@@ -353,169 +323,64 @@ def _bracket(model, W, q):
     return live, W, np.full(len(W), top)
 
 
-def _verified_sides(centers_y, W, q, hi, theta):
-    """Points a and b of each row with F(a) < q - 2 delta and F(b) > q + 2 delta,
-    or -inf and inf where no such point was verified, for
-    delta = _CDF_DELTA + M eps with M centers, and F there (-inf at a = -inf,
-    inf at b = inf); hi is each row's bracket top.
+def _halley_rows(model, W, q, hi):
+    """The order quantity of each bracketed weight row (_bracket): F(0) < q
+    < F(hi). Safeguarded Halley steps inside the bracket, as rtsafe takes
+    Newton steps (Press et al., Numerical Recipes, 3rd ed., section 9.4).
 
-    At most 10 safeguarded Halley steps per row, started at the row's
-    discrete weighted q-quantile of the centers and kept inside the bracket
-    [0, hi], run until every row has |F - q| <= _HALLEY_TOL. With the
-    density p and its slope p', each step cubes the error, so the step after
-    that lands within rounding of the root. An iterate that clears its
-    margin becomes a or b. Then one stacked evaluation probes x -+ 4 delta / p
-    about each row's last point x, and a probe that clears its margin and
-    lies nearer the root replaces a or b. The steps only choose the points
-    that are checked: where they land poorly, a side stays an iterate's or
-    infinite, which costs evaluations but no bit.
+    A row starts at its discrete weighted q-quantile of the centers, clipped
+    to [0, hi]. At each iterate x it evaluates F, the density p and its
+    slope p', and moves the bracket end on x's side of q to x. A row stops
+    at x where |F - q| <= delta = _CDF_DELTA + M eps, which bounds the
+    computed CDF's error over M centers; it stops at its bracket top where
+    no float lies strictly inside the bracket, which is exactly where the
+    bracket's midpoint lo + (hi - lo) / 2 does not. A stopped row is not
+    evaluated again. Otherwise the next iterate is the Halley point
+    x - 2 f p / (2 p^2 - f p'), f = F - q, if it lies strictly inside the
+    bracket and moves at most half as far as the step two iterations
+    earlier, and the midpoint if not. So every iterate after the start lies
+    strictly inside its bracket, which shrinks at each step, and each row
+    stops. Every operation is entrywise or a _row_dot, so each row gets the
+    bits of its own one-row solve.
     """
-    gap = _margin(W)
-    order = np.argsort(centers_y, kind="stable")
+    delta = _CDF_DELTA + W.shape[1] * np.finfo(float).eps
+    order = np.argsort(model.centers_y, kind="stable")
     at = np.minimum(np.sum(np.cumsum(W[:, order], axis=1) < q, axis=1), W.shape[1] - 1)
     lo = np.zeros(len(W))
-    x = np.clip(centers_y[order][at], lo, hi)
-    a, b = np.full(len(W), -np.inf), np.full(len(W), np.inf)
-    Fa, Fb = a.copy(), b.copy()
+    x = np.clip(model.centers_y[order][at], lo, hi)
+    step = before = hi
+    out, rows = np.empty(len(W)), np.arange(len(W))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(10):
-            u = _scaled_rows(centers_y, x, theta)
-            phi = _phi(u)
-            F, p = _row_dot(W, ndtr(u)), _row_dot(W, phi) / theta
-            slope = -_row_dot(W, u * phi) / theta ** 2
-            below, above = F < q - gap, F > q + gap
-            a, Fa = np.where(below, x, a), np.where(below, F, Fa)
-            b, Fb = np.where(above, x, b), np.where(above, F, Fb)
-            lo = np.where(F < q, x, lo)
-            hi = np.where(F < q, hi, x)
-            f = F - q
-            step = x - 2.0 * f * p / (2.0 * p * p - f * slope)
-            near = np.abs(f) <= _HALLEY_TOL
-            x = np.where((step > lo) & (step < hi), step, np.where(near, x, 0.5 * (lo + hi)))
-            if near.all():
-                break
-        s = 2.0 * gap / p
-    probe = np.concatenate([x - s, x + s])
-    F = _cdf_at(centers_y, np.concatenate([W, W]), probe, np.concatenate([theta, theta]))
-    k = len(W)
-    up = (F[:k] < q - gap) & (probe[:k] > a)
-    down = (F[k:] > q + gap) & (probe[k:] < b)
-    return (np.where(up, probe[:k], a), np.where(down, probe[k:], b),
-            np.where(up, F[:k], Fa), np.where(down, F[k:], Fb))
-
-
-# The 60 bisection steps from [0, hi] end on a width below hi * _BISECT_WIDTH:
-# each midpoint rounds by at most 2^-53 hi, so the width stays below
-# hi (2^-60 + 2^-52).
-_BISECT_WIDTH = 2.0 ** -51
-
-
-def _settled(W, q, hi, theta, Fa, Fb):
-    """The rows whose Newton polish is a no-op wherever the bisection ends,
-    from F(a) and F(b) of their _verified_sides.
-
-    The bisection keeps F(lo) < q <= F(hi), so its lo stays below b and its
-    hi above a (see _quantile_rows), and its z lies within
-    w = hi _BISECT_WIDTH of [a, b]. F_W is monotone, |F - F_W| <= delta, and
-    F_W's slope is at most L = 1 / (theta sqrt(2 pi)). So where
-    F(a) >= q - _NEWTON_TOL + 2 delta + L w and
-    F(b) <= q + _NEWTON_TOL - 2 delta - L w, |F(z) - q| <= _NEWTON_TOL and
-    no Newton step fires. _NEWTON_TOL is read at each call.
-    """
-    slack = _margin(W) + hi * _BISECT_WIDTH / (theta * SQRT_2PI)
-    return (Fa >= q - _NEWTON_TOL + slack) & (Fb <= q + _NEWTON_TOL - slack)
-
-
-def _bisect(centers_y, W, q, hi, theta, a, b, settled):
-    """The order quantities of bracketed weight rows W: 60 bisection steps
-    on [0, hi] and the Newton polish of the rows that are not settled,
-    clipped at 0; see _quantile_rows."""
-    lo = np.zeros(len(W))
-    for _ in range(60):
-        a, b = np.maximum(a, lo), np.minimum(b, hi)
-        mid = 0.5 * (lo + hi)
-        below = mid <= a
-        ask = ~below & (mid < b)
-        if ask.any():
-            below[ask] = _cdf_at(centers_y, W[ask], mid[ask], theta[ask]) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    z = 0.5 * (lo + hi)
-    moving = np.flatnonzero(~settled)
-    for _ in range(5):
-        if not len(moving):
-            break
-        u = _scaled_rows(centers_y, z[moving], theta[moving])
-        f = _row_dot(W[moving], ndtr(u)) - q
-        far = np.abs(f) > _NEWTON_TOL
-        moving, f, u = moving[far], f[far], u[far]
-        p = _row_dot(W[moving], _phi(u)) / theta[moving]
-        rising = ~(p <= 0.0)
-        moving, f, p = moving[rising], f[rising], p[rising]
-        z[moving] -= f / p
-    return np.where(z < 0.0, 0.0, z)
+        while len(rows):
+            u, Phi, phi = _kernel_columns(model, x)
+            f = _row_dot(W, Phi) - q
+            p = _row_dot(W, phi) / model.theta
+            slope = -_row_dot(W, u * phi) / model.theta ** 2
+            lo, hi = np.where(f < 0.0, x, lo), np.where(f < 0.0, hi, x)
+            mid = lo + 0.5 * (hi - lo)
+            halley = x - 2.0 * f * p / (2.0 * p * p - f * slope)
+            take = (lo < halley) & (halley < hi) & (np.abs(halley - x) <= 0.5 * np.abs(before))
+            nxt = np.where(take, halley, mid)
+            before, step = step, nxt - x
+            met = np.abs(f) <= delta
+            out[rows] = np.where(met, x, hi)
+            go = ~met & (lo < mid) & (mid < hi)
+            if not go.all():
+                W, rows, lo, hi, step, before, nxt = (
+                    v[go] for v in (W, rows, lo, hi, step, before, nxt))
+            x = nxt
+    return out
 
 
 def _quantile_rows(model, W, q):
     """Order quantity of each weight row; see solve_newsvendor for the rule.
-
-    Rows move in lockstep with per-row masks: a row met at z = 0 keeps 0, a
-    bracketed row stops widening, and a row whose Newton stopping rule fired
-    is frozen while the others continue.
-
-    The 60 bisection steps are replayed exactly, but the computed CDF F is
-    evaluated only at a midpoint whose comparison F(mid) < q is not already
-    decided. Let F_W be the exact mixture with the computed weights W >= 0:
-    it is monotone, and |F - F_W| <= delta = _CDF_DELTA + M eps everywhere
-    for M centers (see _CDF_DELTA). Two facts decide most steps:
-
-    1. The bisection keeps F(lo) < q <= F(hi), so a midpoint equal to lo is
-       below and one equal to hi is not. A row whose midpoint rounds to an
-       end has stalled and never moves again.
-    2. If F(a) < q - 2 delta, every mid <= a is below, since
-       F(mid) <= F_W(a) + delta <= F(a) + 2 delta < q; likewise no
-       mid >= b is below if F(b) > q + 2 delta. _verified_sides finds such
-       a and b within a few delta / p of the root.
-
-    Each step therefore evaluates F only at a midpoint strictly between
-    max(a, lo) and min(b, hi); a stalled row asks nothing. A row with no
-    verified side, such as one whose density is 0 at its iterates, evaluates
-    every step as the plain bisection does. The Newton polish evaluates F
-    only on the rows that F(a) and F(b) do not settle (_settled), and the
-    density only on rows whose |F - q| exceeds _NEWTON_TOL. The bracket
-    asks F at one shared y per step (_bracket).
-    """
+    A row met at z = 0 keeps 0 and the others are solved in lockstep
+    (_halley_rows), a stopped row frozen while the others continue."""
     out = np.zeros(len(W))
     live, W, hi = _bracket(model, W, q)
     if live.any():
-        theta = np.full(len(W), model.theta)
-        a, b, Fa, Fb = _verified_sides(model.centers_y, W, q, hi, theta)
-        out[live] = _bisect(model.centers_y, W, q, hi, theta, a, b,
-                            _settled(W, q, hi, theta, Fa, Fb))
+        out[live] = _halley_rows(model, W, q, hi)
     return out
-
-
-def _quantile_bounds(centers_y, W, q, hi, theta):
-    """The order quantities of bracketed weight rows (_bracket) to within a
-    proven error: (z, err) with the row's _quantile_rows value within err of
-    z, row by row.
-
-    A settled row (_settled) is not bisected: its order quantity is the
-    bisection's z, within w = hi _BISECT_WIDTH of [a, b], so z is the middle
-    of [a, b] and err = (b - a) + w. The other rows, those with an infinite
-    side or a polish to run, are bisected on their own (_bisect, rows being
-    independent) and get err = 0.
-    """
-    a, b, Fa, Fb = _verified_sides(centers_y, W, q, hi, theta)
-    settled = _settled(W, q, hi, theta, Fa, Fb)
-    z, err = np.zeros(len(W)), np.zeros(len(W))
-    z[settled] = 0.5 * (a[settled] + b[settled])
-    err[settled] = (b - a + hi * _BISECT_WIDTH)[settled]
-    rest = ~settled
-    if rest.any():
-        z[rest] = _bisect(centers_y, W[rest], q, hi[rest], theta[rest], a[rest], b[rest],
-                          settled[rest])
-    return z, err
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +450,16 @@ def solve_newsvendor(model, x, h, b):
     """Order quantity solving 0 in (h+b) F_theta(z; x) - b + N_{R+}(z).
 
     Returns 0 when the critical ratio is already met at the boundary;
-    otherwise brackets the quantile by [0, max_m y_m + 20 theta], bisects 60
-    times and polishes with at most 5 Newton steps on the smooth strictly
-    increasing CDF, stopping once |F - q| <= _NEWTON_TOL. A critical ratio
-    that F does not exceed at the bracket's top raises RuntimeError. This is
-    the one-row case of solve_newsvendor_rows.
-
-    The result is the float of that plain bisection, but the CDF is not
-    evaluated at every step: a step whose comparison F(mid) < q follows
-    from the bisection's own invariant, or from points a and b verified by
-    a few Halley steps to lie more than 2 delta below and above q, is
-    decided without it, where delta = _CDF_DELTA + M eps bounds the CDF's
-    rounding error over M centers. Rows with no verified point fall back to
-    evaluating every step. The polish is not evaluated where F(a) and F(b)
-    prove that it would not move, and the bracket's two CDF values come from
-    one ndtr row over the centers. See _quantile_rows.
+    otherwise brackets the quantile by [0, max_m y_m + 20 theta] and takes
+    safeguarded Halley steps on the smooth increasing CDF, a step that would
+    leave the bracket or shrink too slowly being a bisection (_halley_rows).
+    The result is a z with |F(z) - q| <= delta, delta = _CDF_DELTA + M eps
+    for M centers, the bound on the computed CDF's rounding error; where F
+    jumps by more than that between adjacent floats and no such z exists,
+    it is the float above the jump, the top of a bracket with no float
+    inside. A critical ratio that F does not exceed at the bracket's top
+    raises RuntimeError. This is the one-row case of solve_newsvendor_rows,
+    whose rows are independent: each gets the bits of its own solve.
     """
     return float(solve_newsvendor_rows(model, _one_row(model, x), h, b)[0])
 
@@ -624,44 +484,6 @@ def _sample_total(instance, z):
     for w, r in zip(instance.weights, _regret(z, instance.samples.y, instance.h, instance.b)):
         total += w * r
     return float(total)
-
-
-def _total_bounds(instance, z, err):
-    """An interval that holds _sample_total(instance, Z) for every Z with
-    |Z - z| <= err, or (-inf, inf) where it is not finite.
-
-    The regret is max(h, b)-Lipschitz in z, so the exact sum of the weighted
-    regrets lies within sum_i w_i max(h, b) err_i of sum_i w_i r(z_i). Each
-    of the sample-order sum and the sums here rounds by at most
-    gamma_(n+3) sum_i w_i (r(z_i) + max(h, b) err_i) (Higham, section 3.1),
-    and an operation that underflows adds at most the smallest subnormal;
-    the interval is widened by twice all of these together.
-    """
-    h, b, w = instance.h, instance.b, instance.weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = w * _regret(z, instance.samples.y, h, b)
-        spread = w * (max(h, b) * err)
-        n = len(w)
-        rounding = 4.0 * (n + 8) * (np.finfo(float).eps * np.sum(r + spread)
-                                    + np.finfo(float).smallest_subnormal)
-        center, radius = np.sum(r), np.sum(spread) + rounding
-    if not np.isfinite(center + radius):
-        return -np.inf, np.inf
-    return center - radius, center + radius
-
-
-def _scan(lows, highs):
-    """The index that the scan `total < best - 1e-15` over the grid picks,
-    the lowest index winning ties, for totals known to lie in [lows, highs];
-    None where some comparison is undecided. With lows = highs = the
-    totals, this is that scan."""
-    best = 0
-    for j in range(1, len(lows)):
-        if highs[j] < lows[best] - 1e-15:
-            best = j
-        elif lows[j] < highs[best] - 1e-15:
-            return None
-    return best
 
 
 @dataclass
@@ -917,20 +739,6 @@ def verify_newsvendor_system(theta, certificate_scenarios, instance, tol=DEFAULT
                               tol=tol)
 
 
-def _batches(pieces):
-    """Consecutive pieces, each a tuple whose second entry is a weight
-    matrix, in groups of at most _STACK_ENTRIES entries, or of one piece."""
-    batch, entries = [], 0
-    for piece in pieces:
-        if batch and entries + piece[1].size > _STACK_ENTRIES:
-            yield batch
-            batch, entries = [], 0
-        batch.append(piece)
-        entries += piece[1].size
-    if batch:
-        yield batch
-
-
 def bandwidth_grid_search(instance, grid):
     """Bandwidth minimizing the sample-weighted leave-one-out regret over the grid.
 
@@ -944,18 +752,9 @@ def bandwidth_grid_search(instance, grid):
     a ValueError, the latter with the text of ParameterSet.outside; no point
     is scored then.
 
-    The result is the grid point of the exact scan: each total
-    (empirical_regret) is compared with the best so far, and a total below
-    it by more than 1e-15 takes its place. The totals are not all computed,
-    though. Each grid point's rows are bracketed (_bracket); the bracketed
-    rows of several grid points, up to _STACK_ENTRIES (row, center)
-    entries, then go through _quantile_bounds together, which bisects only
-    the rows whose verified sides do not settle them. So each total is
-    known to an interval (_total_bounds), and the scan is replayed on these
-    intervals (_scan). If a comparison stays undecided, as at a repeated
-    grid point, whose totals tie exactly, every total is computed exactly
-    and scanned, from the weight matrices already built when they fit in
-    _BLOCK_ENTRIES entries together, else from new ones.
+    Each grid point's total is empirical_regret's, one solve of all its
+    rows, and a total below the best so far by more than 1e-15 takes its
+    place.
     """
     grid = [float(t) for t in grid]
     if not grid:
@@ -965,38 +764,11 @@ def bandwidth_grid_search(instance, grid):
     for i, theta in enumerate(grid):
         for text in box.outside([theta]):
             raise ValueError("grid point %d: %s" % (i, text))
-    X = instance.samples.x
-    n = len(X)
+    n = len(instance.samples.y)
     loo = len(instance.centers.y) == n and n > 1
-    q = instance.b / (instance.h + instance.b)
-    keep = len(grid) * n * len(instance.centers.y) <= _BLOCK_ENTRIES
-    kept = []
-
-    def bracketed():
-        """((grid index, rows), weights, hi, bandwidths) of the bracketed
-        rows of each block of each grid point."""
-        for j, model in enumerate(models):
-            blocks = list(_weight_blocks(model, X, loo)) if keep else None
-            kept.append(blocks)
-            start = 0
-            for W in blocks or _weight_blocks(model, X, loo):
-                live, W, hi = _bracket(model, W, q)
-                if len(W):
-                    yield (j, start + np.flatnonzero(live)), W, hi, np.full(len(W), model.theta)
-                start += len(live)
-
-    z, err = np.zeros((len(grid), n)), np.zeros((len(grid), n))
-    for batch in _batches(bracketed()):
-        at, W, hi, theta = zip(*batch)
-        ends = np.cumsum([len(w) for w in W])[:-1]
-        bounds = _quantile_bounds(instance.centers.y, np.concatenate(W), q,
-                                  np.concatenate(hi), np.concatenate(theta))
-        for rows, z_rows, err_rows in zip(at, *(np.split(v, ends) for v in bounds)):
-            z[rows], err[rows] = z_rows, err_rows
-    best = _scan(*zip(*(_total_bounds(instance, z_j, err_j) for z_j, err_j in zip(z, err))))
-    if best is None:
-        totals = [_sample_total(instance, _solve_blocks(
-            model, blocks or _weight_blocks(model, X, loo), q))
-            for model, blocks in zip(models, kept)]
-        best = _scan(totals, totals)
+    totals = [empirical_regret(instance, model, leave_one_out=loo) for model in models]
+    best = 0
+    for j, total in enumerate(totals):
+        if total < totals[best] - 1e-15:
+            best = j
     return grid[best]

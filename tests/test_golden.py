@@ -61,6 +61,16 @@ brackets: nv1 over the grid 0.5,0.5,1, whose repeated point ties exactly
 and so takes the exact totals, and nv2 (d_x = 2) over a 13-point grid from
 0.05 to 5.
 
+Seven newsvendor outputs were re-recorded once when the quantile solve
+moved from that bisection to safeguarded Halley steps that stop within the
+CDF's rounding band. Only float fields changed: the decisions of `newsvendor
+solve` on nv1, nv2 and nv4, by at most 7.9e-16 relative; the objective of
+`newsvendor loss` on nv1 and nv2, by at most 6.7e-16 relative; and, since
+nv4's demands are the former solve's order quantities, nv4's loss, which
+went from 0.0 to 6.7e-16, and the value_gap of scenario 3 of nv4.pass.json
+under `verify --mode penalized`, from 0.0 to 1.1e-16. Every exit code,
+verdict, pass and gridsearch theta stayed.
+
 Nine portfolio `verify` outputs were re-recorded once when the simplex
 lower residual moved from NNLS to its closed form: pf3.cert.json,
 pf4.cert.json and pf5.cert.json in both modes, and pf3.infeasible.json in

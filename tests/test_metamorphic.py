@@ -19,6 +19,13 @@ problems give explicit weights, with
   - one permutation of the assets, applied to the rows and columns of
     sigma, each sample's r, the columns of theta, and each scenario's z,
     eta and zeta; every scenario keeps its m_verdict and m_membership.
+The newsvendor golden commands run with one permutation of the samples and
+their weights:
+  - `newsvendor solve` permutes its decisions byte for byte;
+  - `newsvendor gridsearch` keeps its pick, with the centers permuted along
+    where leave-one-out pairs them with the samples by position;
+  - `newsvendor verify`, with the certificate's scenarios permuted along,
+    keeps its exit code and every scenario's m_verdict.
 
 The number of examples is Hypothesis' default, so a settings profile with
 more (tests/conftest.py registers "metamorphic") runs the same relations
@@ -220,3 +227,63 @@ def test_permuting_the_assets_keeps_every_verdict(pair, mode, data):
         assert before[1]["pass"] == after[1]["pass"]
         assert [(s["m_verdict"], s["m_membership"]) for s in before[1]["scenarios"]] \
             == [(s["m_verdict"], s["m_membership"]) for s in after[1]["scenarios"]]
+
+
+# The newsvendor commands of tests/golden.
+NEWSVENDOR_ARGVS = [case["argv"] for case in
+                    json.loads((GOLDEN / "expected.json").read_text())["outputs"]
+                    if case["argv"][0] == "newsvendor"]
+
+
+def newsvendor_argvs(action):
+    return [argv for argv in NEWSVENDOR_ARGVS if argv[1] == action]
+
+
+def newsvendor_run(argv, perm=None, centers=False):
+    """run of the golden newsvendor command argv, with the samples and
+    weights of its problem and the scenarios of its certificate taken in
+    the order perm, and with centers also the problem's centers, where there
+    are as many as samples."""
+    files = {}
+    for flag in ("--problem", "--certificate"):
+        if flag in argv:
+            name = argv[argv.index(flag) + 1]
+            doc = json.loads((GOLDEN / name).read_text())
+            keys = ["samples", "weights", "scenarios"]
+            if centers and len(doc.get("centers", ())) == len(doc.get("samples", ())):
+                keys.append("centers")
+            if perm is not None:
+                doc = {**doc, **{key: [doc[key][i] for i in perm] for key in keys if key in doc}}
+            files[name] = doc
+    return run(argv, files)
+
+
+def sample_count(argv):
+    return len(json.loads((GOLDEN / argv[argv.index("--problem") + 1]).read_text())["samples"])
+
+
+@settings(deadline=None)
+@given(st.sampled_from(newsvendor_argvs("solve")), st.data())
+def test_permuting_the_samples_permutes_the_decisions(argv, data):
+    perm = data.draw(st.permutations(range(sample_count(argv))))
+    (code, out), (code_p, out_p) = newsvendor_run(argv), newsvendor_run(argv, perm)
+    assert code == code_p == 0
+    assert [repr(out["decisions"][i]) for i in perm] == [repr(z) for z in out_p["decisions"]]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(newsvendor_argvs("gridsearch")), st.data())
+def test_permuting_the_samples_keeps_the_gridsearch_pick(argv, data):
+    perm = data.draw(st.permutations(range(sample_count(argv))))
+    (code, out), (code_p, out_p) = newsvendor_run(argv), newsvendor_run(argv, perm, centers=True)
+    assert code == code_p == 0 and out["theta"] == out_p["theta"]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(newsvendor_argvs("verify")), st.data())
+def test_permuting_the_samples_and_scenarios_keeps_every_verdict(argv, data):
+    perm = data.draw(st.permutations(range(sample_count(argv))))
+    (code, out), (code_p, out_p) = newsvendor_run(argv), newsvendor_run(argv, perm)
+    assert code == code_p
+    verdicts = [s["m_verdict"] for s in out["report"]["scenarios"]]
+    assert [verdicts[i] for i in perm] == [s["m_verdict"] for s in out_p["report"]["scenarios"]]
