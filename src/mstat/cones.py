@@ -174,7 +174,8 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     power = 1 - np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))[1]
     x = linear_feasible(A_eq=np.ldexp(rows, power[:, None]).T, b_eq=w,
                         nonneg=np.arange(len(rows)) < len(R))
-    return None if x is None else np.ldexp(x, power)
+    with np.errstate(over="ignore"):    # a coefficient past the float range is inf
+        return None if x is None else np.ldexp(x, power)
 
 
 # The factorization decides a cone question only where its float rank is

@@ -328,6 +328,12 @@ def _subsets(pool):
         yield from combinations(pool, size)
 
 
+def _caller_rows(poly, **rows):
+    """Witness row lists in the caller's numbering (Polyhedron.row_index)."""
+    index = poly.row_index.tolist()
+    return {key: [index[i] for i in r] for key, r in rows.items()}
+
+
 def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     """Direct coderivative membership test for Z = {A z <= b}.
 
@@ -354,8 +360,9 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     is skipped. The graph point, (b) and (c) are decided from one
     factorization of the active rows ordered E, P, then the rest, so that
     (b) and (c) read its prefixes, and by the LP of cone_coefficients only
-    where its certificates leave a question open (cone_contains). A member's witness is the canonical pair (E, P);
-    a non-member's lists the active rows.
+    where its certificates leave a question open (cone_contains). A member's
+    witness is the canonical pair (E, P); a non-member's lists the active
+    rows, each in the caller's numbering (_caller_rows).
     """
     zeta, eta = pair.zeta, pair.eta
     try:
@@ -374,10 +381,10 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     member = (e == len(I) or cone_contains(neg, ordered[:e], eps=eps, factor=factor)) \
         and cone_contains(zeta, ordered[e:p], ordered[:e], eps, factor)
     if not member:
-        return Membership(False, "not_member", "polyhedron", {"active_rows": list(I)})
-    return Membership(True, "member", "polyhedron",
-                      {"equality_rows": E, "inequality_rows": P,
-                       "near_threshold_rows": list(active_diagnostics(slack, eps))})
+        return Membership(False, "not_member", "polyhedron", _caller_rows(poly, active_rows=I))
+    return Membership(True, "member", "polyhedron", _caller_rows(
+        poly, equality_rows=E, inequality_rows=P,
+        near_threshold_rows=active_diagnostics(slack, eps)))
 
 
 def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
@@ -391,7 +398,7 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     the polar (cone_coefficients). Exhaustive, refused beyond
     MAX_ACTIVE_ROWS active rows, and intended as the slow cross-check at
     desk scale. Every cone question, the graph point's included, is the LP
-    of cone_coefficients.
+    of cone_coefficients. Witness rows are in the caller's numbering.
     """
     try:
         _, g, _, I = _graph_point(poly, gp.z, gp.g, eps)
@@ -418,9 +425,8 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
                 if not (np.abs(E @ eta) > eps).any() and not (-(G @ eta) > eps).any() \
                         and cone_coefficients(zeta, G, E, eps) is not None:
                     return Membership(True, "member", "oracle",
-                                      {"support": list(S), "J1": list(J1),
-                                       "J2": list(J2)})
-    return Membership(False, "not_member", "oracle", {"active_rows": list(I)})
+                                      _caller_rows(poly, support=S, J1=J1, J2=J2))
+    return Membership(False, "not_member", "oracle", _caller_rows(poly, active_rows=I))
 
 
 _ORTHANT_REASONS = ("z has negative coordinates", "g has negative coordinates",
@@ -607,28 +613,6 @@ def _shifted_sign_ok(zeta, eta, beta, tau, sum_eta, L, I_plus, eps):
         & ((np.minimum(beta, sum_eta) > STRICT_EPS) | (np.abs(beta) <= eps) | small_sum)
 
 
-def _support_means(x, L, counts, rows):
-    """np.mean(x[..., j, :][L[j]]) of each row j flagged in rows, for x of
-    shape (..., k, d) and counts the support sizes L.sum(axis=1); 0 on the
-    other rows. Bit for bit, with no call per row.
-
-    The rows are grouped by support size c. A group's support entries, read
-    row by row and copied to C order, form contiguous rows of c entries
-    (numpy lays out an indexed stack otherwise), whose row sums run
-    numpy's pairwise summation over the same c entries in the same order as
-    np.mean's sum of one row's 1-D support; dividing by c is np.mean's
-    division. A sum over full rows with zeros off the support would group
-    the terms differently and can round differently.
-    """
-    out = np.zeros(x.shape[:-1])
-    sizes = set(counts[rows].tolist())
-    for c in sizes:
-        pick = rows if len(sizes) == 1 else rows & (counts == c)
-        block = np.ascontiguousarray(x[..., L & pick[:, None]]).reshape(-1, c)
-        out[..., pick] = block.sum(axis=1).reshape(*x.shape[:-2], -1) / c
-    return out
-
-
 def _corner_rows(z, g, zeta, eta, sum_eta, eps):
     """The reason code (2 or -1) and beta (NaN where none passes) of each
     point whose budget row is tight while no coordinate clears the activity
@@ -669,8 +653,8 @@ def _simplex_rows(z, g, zeta, eta, eps):
     points on the face and inside. The columns are first filled by the
     face rule; the other points, which a verified portfolio seldom has, are
     written over only when the stack holds one.
-    tau and beta come from _support_means, one reduction per support size,
-    with the bits of np.mean of each row's support entries.
+    tau and beta are the support means, each sum added left to right by one
+    np.add.accumulate, with -0.0 off the support: x + -0.0 is x, even 0.0.
     """
     sum_gap = 1.0 - z.sum(axis=1)
     abs_gap = np.abs(sum_gap)
@@ -687,7 +671,7 @@ def _simplex_rows(z, g, zeta, eta, eps):
     tau, beta = np.zeros(len(z)), np.zeros(len(z))
     if flat_g.any():
         gz[1, ~flat_zeta] = 0.0     # average zeta only where it is constant
-        means = _support_means(gz, L, counts, flat_g)
+        means = np.add.accumulate(np.where(L, gz, -0.0), axis=2)[..., -1] / np.maximum(counts, 1)
         tau, beta = np.where(flat_g, -means[0], 0.0), np.where(flat_zeta, means[1], 0.0)
     shifted = g + tau[:, None]
     I_plus = off & (shifted > eps)

@@ -12,15 +12,9 @@ after 3n + 10 least-squares solves on n columns.
 The phase-1 tableau is a list of rows of Python floats, built straight from
 A.tolist() and b.tolist(): the sign flips of rows with b_i < 0, the split of
 free columns and the artificial identity. At this size (at most a few dozen
-rows and columns) numpy's fixed cost per call outweighs the arithmetic. Each
-entry gets the floating-point operations that a numpy array tableau gives it,
-so the verdict and the witness keep their bits. Two reductions stay in numpy,
-because the array tableau sums in numpy's order: the column sums of the
-standard form, which give the reduced-cost row, and the sum of |b|, which
-gives the phase-1 objective's start and the feasibility threshold. numpy
-adds a 1-D array, and each column of a column-major matrix, pairwise, with
-eight running sums once there are eight terms; Python's sequential sum does
-not reproduce those bits.
+rows and columns) numpy's fixed cost per call outweighs the arithmetic. Its
+sums, the reduced-cost row's column sums and |b|'s sum, which starts the
+phase-1 objective and sets the feasibility threshold, add left to right.
 """
 
 from __future__ import annotations
@@ -94,8 +88,9 @@ def feasibility_threshold(b):
     is at least the Euclidean distance from b to the same set; a distance
     well above this threshold therefore decides infeasibility without an LP.
     b may also be (k, d) rows, one system each, with one threshold per row.
+    |b| is summed left to right, as the LP sums it.
     """
-    return _FEAS_TOL * (1.0 + np.abs(b).sum(axis=-1))
+    return _FEAS_TOL * (1.0 + np.add.accumulate(np.abs(b), axis=-1)[..., -1])
 
 
 def _solve_standard(A, b, free=()):
@@ -120,25 +115,14 @@ def _solve_standard(A, b, free=()):
         rows = [r + [-r[j] for j in free] for r in rows]
     width = n + len(free)
 
-    # The reduced-cost row [-1^T A' 0 -1^T b'] of the flipped standard form
-    # A', b'. numpy adds the columns of a column-major matrix pairwise and
-    # those of a row-major one row by row, so A' is laid out as
-    # np.hstack([A, -A_free]) lays it out: column-major when a column is free
-    # and A, of more than one column, is column-major (cone_coefficients
-    # passes its generators transposed), row-major otherwise. |b| has the
-    # entries of b'.
-    cols = np.array(rows).reshape(m, width)     # (0, width) when m = 0
-    if free and n > 1 and abs(A.strides[0]) < abs(A.strides[1]):
-        cols = np.asfortranarray(cols)
-    total = float(np.abs(b).sum())
+    # The reduced-cost row [-1^T A' 0 -1^T b'] of the flipped A', b' = |b|.
+    total = sum(rhs, 0.0)
     eye = [0.0] * m
-    T = [r + eye + [v] for r, v in zip(rows, rhs)]
-    for i in range(m):
-        T[i][width + i] = 1.0
-    T.append((-cols.sum(axis=0)).tolist() + eye + [-total])
+    T = [r + eye[:i] + [1.0] + eye[i + 1:] + [v] for i, (r, v) in enumerate(zip(rows, rhs))]
+    T.append(([-sum(col) for col in zip(*rows)] if m else [0.0] * width) + eye + [-total])
     basis = list(range(width, width + m))
     _bland_pivot(T, basis)
-    if -T[-1][-1] > _FEAS_TOL * (1.0 + total):     # feasibility_threshold(b)
+    if -T[-1][-1] > _FEAS_TOL * (1.0 + total):
         return None
 
     for i in range(m):

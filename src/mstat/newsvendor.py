@@ -29,7 +29,7 @@ any result. The scalar functions (nw_weights, conditional_cdf,
 conditional_pdf, grad_theta_cdf, solve_newsvendor) are one-row calls of the
 same helpers.
 
-A quantile solve brackets the root in [0, max_m y_m + 20 theta] and takes
+A quantile solve brackets the root in [0, top] (_bracket) and takes
 safeguarded Halley steps inside the bracket, the rtsafe scheme of Numerical
 Recipes, until |F - q| is within the computed CDF's rounding bound delta or
 no float is left inside the bracket (_halley_rows). bandwidth_grid_search
@@ -207,45 +207,14 @@ def _row_blocks(n_rows, model):
         yield slice(start, min(start + step, n_rows))
 
 
-def _column_sum(S):
-    """S[0] + ... + S[d-1] over the (k, M) slices of a (d, k, M) stack, added
-    in the order of numpy's pairwise summation, so that each entry has the
-    bits of np.sum over a length-d axis: from 0.0 left to right below 8
-    terms; up to 128 terms, eight running sums of every eighth term, joined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
-    to right; beyond 128, the sums of two halves, the first half a multiple
-    of 8 long."""
-    d = len(S)
-    if d < 8:
-        total = np.zeros(S.shape[1:])
-        for s in S:
-            total += s
-        return total
-    if d <= 128:
-        r = S[:8].copy()
-        tail = d - d % 8
-        for i in range(8, tail, 8):
-            r += S[i:i + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for s in S[tail:]:
-            total += s
-        return total
-    half = d // 2 - d // 2 % 8
-    return _column_sum(S[:half]) + _column_sum(S[half:])
-
-
 def _sq_distances(C, X):
     """||x_i - c_m||^2 for every query row x_i of X (k, d) and center row c_m
-    of C (M, d), as a (k, M) matrix with the bits of
-    np.sum(np.square(C[None] - X[:, None]), axis=2).
-
-    That reduction runs numpy's summation loop once per (row, center) pair
-    over only d terms; here the squared differences are laid out coordinate
-    first and each of the d coordinates is one (k, M) slice, which
-    _column_sum adds in the reduction's order.
-    """
-    C, X = np.ascontiguousarray(C.T), np.ascontiguousarray(X.T)
-    return _column_sum(np.square(C[:, None, :] - X[:, :, None]))
+    of C (M, d), as a (k, M) matrix: one (k, M) slice of squared differences
+    per coordinate, added left to right to zeros, so d = 0 gives zeros."""
+    total = np.zeros((len(X), len(C)))
+    for c, x in zip(C.T, X.T):
+        total += np.square(c - x[:, None])
+    return total
 
 
 def _weight_rows(model, X, drop=None):
@@ -272,7 +241,8 @@ def _weight_rows(model, X, drop=None):
 
 def _scaled(model, y):
     """(y_i - y_m) / theta for the value y_i of each row."""
-    return (np.asarray(y, dtype=float)[:, None] - model.centers_y) / model.theta
+    with np.errstate(over="ignore"):    # +-inf is the right ndtr argument
+        return (np.asarray(y, dtype=float)[:, None] - model.centers_y) / model.theta
 
 
 def _kernel_columns(model, y):
@@ -305,19 +275,20 @@ def _bracket(model, W, q):
     their bracket tops hi with F(hi) > q.
 
     The bracket asks F at one y for every row at once: 0, then the top
-    max_m y_m + 20 theta. So each ask is one ndtr row over the M centers,
+    max_m y_m + 20 theta, or the float above max_m y_m where that sum
+    rounds back to it. So each ask is one ndtr row over the M centers,
     broadcast against W; ndtr works entry by entry and _row_dot sees the
-    same values, so each row gets the bits of its own evaluation. F(top)
-    <= q raises RuntimeError: F is the same at any wider top, since every
-    (top - y_m) / theta is at least 13, where ndtr is 1.0, or max_m y_m
-    absorbs 20 theta and so any further widening.
+    same values, so each row gets the bits of its own evaluation. Either
+    top puts every (top - y_m) / theta at 13 or more, where ndtr is 1.0,
+    so F(top) <= q, a critical ratio that rounds to 1, raises RuntimeError.
     """
     def shared(W, y):
         return _row_dot(W, ndtr(_scaled(model, [y])))
 
     live = ~(shared(W, 0.0) >= q)
     W = W[live]
-    top = np.max(model.centers_y) + 20.0 * model.theta
+    highest = np.max(model.centers_y)
+    top = max(highest + 20.0 * model.theta, np.nextafter(highest, np.inf))
     if len(W) and not np.all(shared(W, top) > q):
         raise RuntimeError("failed to bracket the quantile")
     return live, W, np.full(len(W), top)
@@ -450,7 +421,7 @@ def solve_newsvendor(model, x, h, b):
     """Order quantity solving 0 in (h+b) F_theta(z; x) - b + N_{R+}(z).
 
     Returns 0 when the critical ratio is already met at the boundary;
-    otherwise brackets the quantile by [0, max_m y_m + 20 theta] and takes
+    otherwise brackets the quantile by [0, top] (_bracket) and takes
     safeguarded Halley steps on the smooth increasing CDF, a step that would
     leave the bracket or shrink too slowly being a bisection (_halley_rows).
     The result is a z with |F(z) - q| <= delta, delta = _CDF_DELTA + M eps

@@ -293,8 +293,9 @@ def rng():
 
 def nv_oracle_sq_distances(C, X):
     """Squared distances (k, M) of the query rows X (k, d) to the center rows
-    C (M, d), as one reduction over the coordinate axis."""
-    return np.sum(np.square(C[None] - X[:, None]), axis=2)
+    C (M, d), d >= 1, each adding its d squared differences in coordinate
+    order, as one running sum over the coordinate axis."""
+    return np.add.accumulate(np.square(C[None] - X[:, None]), axis=2)[..., -1]
 
 
 def nv_oracle_weights(centers_x, x, theta, drop=None):
@@ -620,6 +621,13 @@ def bland_pivot_oracle(T, basis):
     raise LPLimitError("simplex iteration cap reached")
 
 
+def column_sums_oracle(A):
+    """The column sums of an (m, n) array, each adding its m entries top to
+    bottom from 0.0, so a column of -0.0 sums to 0.0 (np.add.accumulate
+    starts from the first entry, and x + 0.0 is x but for -0.0)."""
+    return np.add.accumulate(A, axis=0)[-1] + 0.0 if len(A) else np.zeros(A.shape[1])
+
+
 def solve_standard_oracle(A, b):
     """Some x >= 0 with A x = b, or None, by the phase-1 simplex on a numpy
     array tableau: the reference of the float-list tableau in mstat.lp.
@@ -639,11 +647,12 @@ def solve_standard_oracle(A, b):
     T[:m, :n] = A
     T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
+    T[-1, :n] = -column_sums_oracle(A)
+    total = column_sums_oracle(b[:, None])[0]
+    T[-1, -1] = -total
     basis = list(range(n, n + m))
     bland_pivot_oracle(T, basis)
-    if -T[-1, -1] > LP.feasibility_threshold(b):
+    if -T[-1, -1] > LP._FEAS_TOL * (1.0 + total):
         return None
 
     for i in range(m):
@@ -690,6 +699,12 @@ def _simplex_beta_conditions(zeta, eta, beta, tau, sum_gap, labels, eps, strict_
     return True
 
 
+def support_mean_oracle(x, support):
+    """The mean of the entries of x on a non-empty support, their sum added
+    left to right over their count."""
+    return np.add.accumulate(x[support])[-1] / np.count_nonzero(support)
+
+
 def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
     """Closed-form coderivative membership for Z = {z >= 0, 1^T z <= 1}, one
     point at a time with numpy calls on that point's arrays.
@@ -725,7 +740,7 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
         g_L = g[L]
         if np.max(g_L) - np.min(g_L) > eps:
             return _empty("simplex", "gradient not constant on the support")
-        tau = float(-np.mean(g_L))
+        tau = float(-support_mean_oracle(g, L))
         if tau < -eps:
             return _empty("simplex", "budget multiplier would be negative")
         lam_zero = g[~L] + tau
@@ -737,7 +752,7 @@ def simplex_oracle(z, g, pair, eps=DEFAULT_EPS, strict_eps=STRICT_EPS):
         if np.max(zeta_L) - np.min(zeta_L) > eps:
             witness.update({"tau": tau, "beta": None})
             return Membership(False, "not_member", "simplex", witness)
-        beta = float(np.mean(zeta_L))
+        beta = float(support_mean_oracle(zeta, L))
         ok = _simplex_beta_conditions(zeta, eta, beta, tau, abs(sum_gap),
                                       (L, I_plus, I_zero), eps, strict_eps)
         witness.update({"tau": tau, "beta": beta,
@@ -802,7 +817,7 @@ def _simplex_corner_oracle(z, g, zeta, eta, sum_eta, witness, eps):
 def simplex_rows_oracle(z, g, zeta, eta, eps):
     """The list of Memberships that graph_normals._simplex_rows stands for,
     scenario by scenario: each row's witness dict built in a Python loop,
-    tau and beta as np.mean of the row's own support entries, the slack
+    tau and beta as support_mean_oracle of the row's own support, the slack
     budget rows through one _orthant_rows call and the degenerate corner by
     its candidate betas. This was _simplex_rows itself before it decided
     the rows by columns; it reads STRICT_EPS from graph_normals at call
@@ -836,12 +851,12 @@ def simplex_rows_oracle(z, g, zeta, eta, eps):
         elif g_spread[j] > eps:
             out[j] = _empty("simplex", "gradient not constant on the support")
         else:
-            tau[j] = -np.mean(g[j][L[j]])
+            tau[j] = -support_mean_oracle(g[j], L[j])
             if tau[j] < -eps:
                 out[j] = _empty("simplex", "budget multiplier would be negative")
                 continue
             if zeta_spread[j] <= eps:
-                beta[j] = np.mean(zeta[j][L[j]])
+                beta[j] = support_mean_oracle(zeta[j], L[j])
             face.append(j)
 
     if interior:

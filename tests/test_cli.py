@@ -626,6 +626,43 @@ def test_newsvendor_remote_points_exit_1(tmp_path, capsys):
     assert (code, out) == (1, "") and "magnitude at most 2^340" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newsvendor_solve_brackets_a_demand_past_20_theta_and_warns_nothing(tmp_path, capsys):
+    """A demand of 1e20 absorbs 20 theta at theta = 1e-3 and 1e-6; its
+    sample's order quantity is the float above 1e20, where its CDF reaches
+    1. Centers at 1e-200 and 1e300 at theta = 1e-102 put (y - y_m) / theta
+    past the float range; the order quantities print with nothing on
+    standard error."""
+    pts = [([0.0], 1.0), ([1.0], 1e20)]
+    big = write(tmp_path / "big.json", NewsvendorInstance(
+        h=1.0, b=3.0, centers=pts, samples=pts).to_dict())
+    for theta in ("1e-3", "1e-6"):
+        code, out, err = run(capsys, "newsvendor", "solve", "--problem", big, "--theta", theta)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["decisions"][1] == np.nextafter(1e20, np.inf)
+    pts = [([0.0], 1e-200), ([0.0], 1e300)]
+    far = write(tmp_path / "far.json", NewsvendorInstance(
+        h=1.0, b=3.0, centers=pts, samples=pts).to_dict())
+    code, out, err = run(capsys, "newsvendor", "solve", "--problem", far, "--theta", "1e-102")
+    assert (code, err) == (0, "") and json.loads(out)["decisions"] == [1e300, 1e300]
+
+
+def test_gph_normal_witness_rows_keep_the_callers_numbering(tmp_path, capsys):
+    """The zero row 0 is dropped, and the witness names the active rows 1
+    and 2 as the query numbers them, as the message of a violated row does."""
+    query = {"Z": {"A": [[0, 0], [-1, 0], [0, -1]], "b": [1, 0, 0]},
+             "z": [0, 0], "g": [1, 2], "zeta": [0, 0], "eta": [0, 0]}
+    q = write(tmp_path / "q.json", query)
+    with pytest.warns(UserWarning, match="dropping 1 zero rows"):
+        code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", "direct")
+    assert code == 0 and json.loads(out)["witness"] == {
+        "equality_rows": [1, 2], "inequality_rows": [], "near_threshold_rows": []}
+    q = write(tmp_path / "q.json", {**query, "z": [-1, 0]})
+    with pytest.warns(UserWarning, match="dropping 1 zero rows"):
+        code, out, _ = run(capsys, "gph-normal", "--input", q, "--method", "direct")
+    assert code == 0 and "violates row 1" in json.loads(out)["witness"]["reason"]
+
+
 # ---------------------------------------------------------------------------
 # application actions
 

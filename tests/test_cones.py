@@ -130,6 +130,15 @@ def test_multiplier_within_support_is_monotone(rng):
     assert multiplier_within_support(p, target, ()) is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_coefficient_past_the_float_range_comes_back_infinite_without_a_warning():
+    """w = (1) lies in the cone of the row (1e-310). The LP reads the row
+    scaled by 2^1030 and finds a coefficient near 1, whose multiplication
+    back by that power overflows: the answer is "in", with an infinite
+    coefficient, and numpy warns of no overflow."""
+    assert cone_coefficients(np.array([1.0]), np.array([[1e-310]])).tolist() == [np.inf]
+
+
 def test_cone_coefficients_against_scipy(rng):
     """w in cone(R) + span(L) agrees with scipy, and the witness reproduces w."""
     for _ in range(200):

@@ -85,9 +85,10 @@ polyhedron in R^3 with four active rows at z = 0 and a fifth whose slack,
 5e-9, lies within a decade of eps; under --method direct they give a member
 (two equality rows, one inequality row), a not_member and an
 empty_coderivative (-g outside the normal cone). gq.rows9 is a member in R^9
-with seven active rows, so its LPs have nine rows and numpy adds the
-reduced-cost columns of its cone LP pairwise; it is recorded in JSON and in
-text. gq.orthant and gq.simplex are queried under --method explicit.
+with seven active rows, so its LPs have nine rows, past the eight terms
+from which numpy's pairwise sum, which the LP's reduced-cost row once
+replayed, differs from the left-to-right sum it now takes; its bytes stayed
+at that change. It is recorded in JSON and in text. gq.orthant and gq.simplex are queried under --method explicit.
 gq.prism and gq.prism-not-member are degenerate prisms as the coderivative
 benchmark builds them: six active rows (p, q, 0) through z = 0 in R^3, which
 span only the plane x_3 = 0, and three slack rows, with g = 0 and eta = -e_3.

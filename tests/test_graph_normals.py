@@ -13,6 +13,7 @@ from mstat.cones import (
     DEFAULT_EPS,
     STRICT_EPS,
     CombinatorialLimitError,
+    InfeasiblePointError,
     Polyhedron,
     active_rows,
     orthant_polyhedron,
@@ -318,8 +319,8 @@ def test_simplex_row_sums_equal_the_one_dimensional_sum():
 
 
 # Rows of a simplex stack, one of each kind in SIMPLEX_KINDS and a few more.
-# Supports take 1 to 13 coordinates, so the support means reach numpy's
-# 8-accumulator pairwise sum. With eps = 2^-30 the support entries are
+# Supports take 1 to 13 coordinates, past the 8 terms from which numpy's
+# pairwise sum departs from the left-to-right order of the support means. With eps = 2^-30 the support entries are
 # multiples of 1/64 and the budget slack lands exactly on +-eps, +-eps / 2,
 # 2 eps or 11 eps; tau and beta are arbitrary floats, so the means round.
 # eps = 0.5 admits the degenerate corner, where no coordinate clears eps.
@@ -608,6 +609,38 @@ def test_witness_reports_equality_and_inequality_rows():
     # zeta_2 = 1 is outside span(a_0) + cone(a_1) = R x R_-
     non = polyhedron_membership(p, gp, pair([4, 1], [0, -1]))
     assert not non.member and non.witness == {"active_rows": [0, 1]}
+
+
+# Zero rows 0 and 3, which Polyhedron drops, around the rows of -z <= 0 and
+# a row 4 whose slack at z = 0, 5e-9, lies within a decade of eps.
+ZERO_ROWS_A = [[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0], [1.0, 1.0]]
+ZERO_ROWS_B = [1.0, 0.0, 0.0, 2.0, 5e-9]
+
+
+def test_witness_rows_keep_the_callers_numbering():
+    """A polyhedron that drops zero rows names its witness rows by the
+    caller's numbering, as active_rows names a violated row: the direct
+    test and the face-pair oracle give the witnesses of the same system
+    without the zero rows, each row mapped through row_index."""
+    with pytest.warns(UserWarning, match="dropping 2 zero rows"):
+        poly = Polyhedron(ZERO_ROWS_A, ZERO_ROWS_B)
+    kept = Polyhedron(np.array(ZERO_ROWS_A)[[1, 2, 4]], np.array(ZERO_ROWS_B)[[1, 2, 4]])
+    caller = poly.row_index.tolist()
+    assert caller == [1, 2, 4]
+    gp = GraphPoint([0.0, 0.0], [1.0, 2.0])
+    res = polyhedron_membership(poly, gp, pair([0.0, 0.0], [0.0, 0.0]))
+    assert res.witness == {"equality_rows": [1, 2], "inequality_rows": [],
+                           "near_threshold_rows": [4]}
+    for g, zeta, eta in (([1.0, 2.0], [0.0, 0.0], [0.0, 0.0]), ([0.0, 2.0], [-3.0, 5.0], [-1.0, 0.0]),
+                         ([1.0, 2.0], [-3.0, 5.0], [-1.0, 0.0]), ([0.0, 2.0], [3.0, 5.0], [0.0, 0.0])):
+        gp, q = GraphPoint([0.0, 0.0], g), pair(zeta, eta)
+        for test in (polyhedron_membership, oracle_membership):
+            got, want = test(poly, gp, q), test(kept, gp, q)
+            assert (got.member, got.verdict) == (want.member, want.verdict)
+            assert got.witness == {key: [caller[i] for i in rows]
+                                   for key, rows in want.witness.items()}, (test, g, zeta, eta)
+    with pytest.raises(InfeasiblePointError, match="violates row 1"):
+        active_rows(poly, poly.slacks([-1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, nnls as scipy_nnls
 
 import mstat.lp as lp
-from conftest import assert_nnls_optimal, bland_pivot_oracle, nnls_oracle, solve_standard_oracle
+from conftest import (assert_nnls_optimal, bland_pivot_oracle, column_sums_oracle, nnls_oracle,
+                      solve_standard_oracle)
 from mstat.cones import _phase1_bound, active_set, simplex_polyhedron
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold, linear_feasible, nnls
 
@@ -222,9 +223,10 @@ def test_linear_feasible_equals_the_numpy_tableau_of_the_split(seed, m, n, kind,
     """linear_feasible with a random nonneg mask returns None exactly when
     the numpy tableau on the hstacked standard form does, and otherwise an
     x with the same bytes; with a small pivot cap both raise alike. Its
-    first reduced-cost row has the bytes of numpy's column sums of that
-    form. A comes row-major, or column-major as cone_coefficients passes its
-    transposed generators, so numpy adds those sums in both orders."""
+    first reduced-cost row has the bytes of that form's column sums, each
+    added top to bottom (column_sums_oracle). A comes row-major, or
+    column-major as cone_coefficients passes its transposed generators,
+    and the layout changes no bit."""
     rng = np.random.default_rng(seed)
     A = rng.integers(-3, 4, (m, n)).astype(float)
     if kind == "scaled":
@@ -253,7 +255,19 @@ def test_linear_feasible_equals_the_numpy_tableau_of_the_split(seed, m, n, kind,
     finally:
         lp._MAX_PIVOTS, lp._bland_pivot = saved
     assert got == want, (A.tolist(), b.tolist(), nonneg.tolist())
-    assert np.array(costs[0]).tobytes() == (-standard.sum(axis=0)).tobytes()
+    assert np.array(costs[0]).tobytes() == (-column_sums_oracle(standard)).tobytes()
+
+
+def test_feasibility_threshold_sums_b_left_to_right():
+    """feasibility_threshold adds |b| left to right, as the LP's tableau
+    sums it (column_sums_oracle), for one system and for (k, d) rows alike,
+    past the 8 terms where numpy's pairwise sum changes its order."""
+    rng = np.random.default_rng(7)
+    for d in range(1, 20):
+        B = rng.standard_normal((4, d)) * 10.0 ** rng.uniform(-6.0, 6.0, (4, d))
+        want = (lp._FEAS_TOL * (1.0 + column_sums_oracle(np.abs(B).T))).tobytes()
+        assert feasibility_threshold(B).tobytes() == want
+        assert np.array([feasibility_threshold(b) for b in B]).tobytes() == want
 
 
 def test_nnls_against_scipy():

@@ -590,11 +590,11 @@ DISTANCE_DIMS = list(range(1, 41)) + [64, 127, 128, 129, 200]
 @settings(max_examples=8, deadline=None)
 @given(k=st.integers(1, 9), m=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_sq_distances_have_the_bits_of_the_axis_sum_property(d_x, k, m, seed):
-    """_sq_distances adds the squared coordinate columns in the order of
-    np.sum's pairwise reduction over the coordinate axis: left to right
-    below 8 coordinates, eight running sums up to 128, two halves beyond.
-    Each coordinate has its own scale in [1e-3, 1e3], so the terms differ
-    by up to twelve orders of magnitude and a change of order shows."""
+    """_sq_distances adds the squared coordinate columns left to right, as
+    a running sum over the coordinate axis does, for every d_x, past the 8
+    and 128 terms where numpy's pairwise np.sum changes its order. Each
+    coordinate has its own scale in [1e-3, 1e3], so the terms differ by up
+    to twelve orders of magnitude and a change of order shows."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 3.0, d_x)
     C, X = rng.standard_normal((m, d_x)) * scale, rng.standard_normal((k, d_x)) * scale
@@ -951,6 +951,37 @@ def test_a_row_whose_cdf_jumps_past_the_band_ends_on_a_collapsed_bracket(monkeyp
     assert below < q - delta and above > q + delta
     assert assert_quantile_contract(z, model.centers_x, model.centers_y, 1e-3, [[0.0]], h, b) == 1
     assert len(counts) < 60
+
+
+def test_a_demand_that_absorbs_20_theta_is_still_bracketed():
+    """With centers at y = 1 and y = 1e20, 1e20 + 20 theta rounds back to
+    1e20 at theta = 1e-3 and 1e-6, where the second sample's row, all its
+    weight on the center at 1e20, has F = 0.5 below q = 0.75. The bracket's
+    top is then the float above 1e20, where F is 1.0, and that row ends on
+    the collapsed bracket there. Both rows meet the quantile contract."""
+    pts = [([0.0], 1.0), ([1.0], 1e20)]
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
+    above = np.nextafter(1e20, np.inf)
+    for theta in (1e-3, 1e-6):
+        model = inst.model(theta)
+        z = solve_newsvendor_rows(model, inst.samples.x, inst.h, inst.b)
+        assert z[1] == above
+        cx, cy = model.centers_x, model.centers_y
+        assert nv_oracle_cdf(cx, cy, theta, 1e20, [1.0]) == 0.5
+        assert nv_oracle_cdf(cx, cy, theta, above, [1.0]) == 1.0
+        assert_quantile_contract(z, cx, cy, theta, inst.samples.x, inst.h, inst.b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_kernel_quotient_past_the_float_range_warns_nothing():
+    """With centers at y = 1e-200 and 1e300 and theta = 1e-102, the bracket
+    asks ndtr at (y - y_m) / theta past the float range, whose -inf and inf
+    are the right arguments: the solve returns 1e300, where F = 0.5 + 0.5
+    Phi(0) is q = 0.75 exactly, and numpy warns of no overflow."""
+    pts = [([0.0], 1e-200), ([0.0], 1e300)]
+    inst = NewsvendorInstance(h=1.0, b=3.0, centers=pts, samples=pts)
+    z = solve_newsvendor_rows(inst.model(1e-102), inst.samples.x, inst.h, inst.b)
+    assert z.tolist() == [1e300, 1e300]
 
 
 # ---------------------------------------------------------------------------
