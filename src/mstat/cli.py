@@ -32,10 +32,12 @@ class CliError(Exception):
 
 def _load_json(path, what, kind=dict):
     """The JSON value of a file, which must be of type kind: an object
-    unless the caller says otherwise. Anything else is a CliError."""
+    unless the caller says otherwise. Anything else is a CliError. The file
+    is read as bytes, so json.loads takes it in UTF-8, with or without a
+    byte order mark, or in UTF-16 or UTF-32 (RFC 8259)."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read())
     except FileNotFoundError:
         raise CliError("no such file: %s" % path)
     except json.JSONDecodeError as exc:
@@ -546,8 +548,6 @@ def build_parser():
         description="Polyhedral coderivative calculus and stationarity "
                     "certificate verification")
     sp = ap.add_subparsers(dest="command", required=True)
-    # Each command's own parser, by name, for main().
-    ap.commands = sp.choices
 
     p = sp.add_parser("gph-normal", help="coderivative membership query")
     p.add_argument("--input", required=True)
@@ -601,26 +601,68 @@ def build_parser():
     _tol(p, "largest relative error that passes (default 1e-6)")
     _output(p)
     p.set_defaults(func=cmd_fd_check)
+    # Each command's option table, by name, for _read.
+    ap.tables = {name: _table(name, p) for name, p in sp.choices.items()}
     return ap
 
 
-def _parse(argv):
-    """build_parser().parse_args(argv), parsed by the named command's parser.
+def _table(name, parser):
+    """What _read needs of a command's parser: its actions that take one
+    value, by option string, with the positional under None; the required
+    ones; and the namespace that parse_args starts from, with the command's
+    name and func. parser._actions lists every action that add_argument
+    made, so no option is declared twice."""
+    actions = [a for a in parser._actions if a.nargs is None]   # all but -h
+    by_token = {s: a for a in actions for s in a.option_strings or [None]}
+    start = {a.dest: parser.get_default(a.dest) for a in actions}
+    start.update(command=name, func=parser.get_default("func"))
+    return by_token, [a for a in actions if a.required], start
 
-    The top-level parser hands every argument after a command name to that
-    command's parser unchanged, so parsing them there gives the same
-    namespace without the top-level scan. With no command name first, or
-    with arguments that the command's parser leaves over, the top-level
-    parser parses, and every usage message keeps its bytes.
+
+def _read(table, tokens):
+    """The namespace that parse_args gives a command's tokens, read from its
+    _table, or None for a line that _parse leaves to argparse."""
+    by_token, required, start = table
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        action = by_token.get(token)
+        if action is None:
+            action, value = by_token.get(None), token
+        else:
+            value = next(tokens, "-")   # an option without its value is refused
+        if action is None or action.dest in given or value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if any(a.dest not in given for a in required):
+        return None
+    return argparse.Namespace(**{**start, **given})
+
+
+def _parse(argv):
+    """build_parser().parse_args(argv), read without argparse where it can be.
+
+    A line that names a command and then gives only full option spellings,
+    each once and followed by one value that does not start with "-", and
+    the command's positional, is read from the command's option table
+    (_read): each value goes through its action's type and choices, every
+    required action must be given, and the parser's defaults fill the rest.
+    Every other line (-h, an abbreviation, --opt=value, a repeated option, a
+    value starting with "-", a failed type or choices check, a missing
+    required option, a stray token) goes to parse_args, so argparse still
+    writes every help text, usage line and error message.
     """
     ap = build_parser()
-    command = ap.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return ap.parse_args(argv)
+    table = ap.tables.get(argv[0]) if argv else None
+    args = _read(table, argv[1:]) if table else None
+    return args if args is not None else ap.parse_args(argv)
 
 
 def main(argv=None):

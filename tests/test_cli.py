@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -900,10 +901,36 @@ def test_fd_check_portfolio_grad(tmp_path, capsys):
 
 
 def test_malformed_json_reports_location(tmp_path, capsys):
+    """The line and column of a JSON error, also after a byte order mark."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{ nope")
-    code, _, err = run(capsys, "gph-normal", "--input", str(bad))
-    assert code == 1 and "line" in err
+    for bom in (b"", b"\xef\xbb\xbf"):
+        bad.write_bytes(bom + b"{ nope")
+        code, _, err = run(capsys, "gph-normal", "--input", str(bad))
+        assert code == 1 and err == ("error: malformed JSON in %s: line 1 column 3: Expecting "
+                                     "property name enclosed in double quotes\n" % bad)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+@pytest.mark.parametrize("argv", [
+    ["gph-normal", "--input", "gq.member.json"],
+    ["verify", "--problem", "nv4.problem.json", "--certificate", "nv4.pass.json"],
+    ["verify", "--problem", "pf3.problem.json", "--certificate", "pf3.cert.json"],
+], ids=lambda argv: argv[0] if len(argv) == 3 else argv[2].split(".")[0])
+def test_json_files_with_a_byte_order_mark_read_as_plain_utf8(argv, encoding, tmp_path, capsys):
+    """A query, or a problem and its certificate, written with a byte order
+    mark (UTF-8, UTF-16 or UTF-32) prints the bytes of the same files in
+    plain UTF-8."""
+    plain = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    marked = []
+    for a in argv:
+        if a.endswith(".json"):
+            path = tmp_path / a
+            path.write_bytes((GOLDEN / a).read_text().encode(encoding))
+            a = str(path)
+        marked.append(a)
+    want = run(capsys, *plain)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, *marked) == want
 
 
 def test_main_reuses_one_parser_and_leaks_no_option(tmp_path, capsys):
@@ -944,12 +971,17 @@ def test_unknown_flag_rejected(capsys):
     ["gph-normal", "--input", "q.json", "--method", "magic"],
     ["gph-normal", "--input", "q.json", "--tol", "-1"],
     ["verify", "--problem", "p.json", "--certificate", "c.json", "stray"],
+    ["gph-normal", "--input=q.json", "--method", "magic"],
+    ["verify", "--prob", "p.json"],
+    ["gph-normal", "--input", "q.json", "--input"],
+    ["gph-normal", "--input", "q.json", "--method", "magic", "--method", "auto"],
+    ["newsvendor", "solve", "--problem", "p.json", "-h"],
 ], ids=lambda argv: " ".join(argv) or "no argv")
 def test_usage_errors_keep_their_bytes(argv, capsys):
     """main(argv) exits with the code, and prints the stdout and stderr,
-    that the top-level parser's parse_args(argv) gives: a command's own
-    parser reports its own errors, and arguments that it leaves over are
-    reported by the top-level parser, as before."""
+    that the top-level parser's parse_args(argv) gives: a line that the
+    command's option table refuses goes to argparse, which writes every
+    help text and error message."""
     from mstat.cli import build_parser
 
     with pytest.raises(SystemExit) as exc:
@@ -957,6 +989,90 @@ def test_usage_errors_keep_their_bytes(argv, capsys):
     want = (0 if exc.value.code in (0, None) else 1, *capsys.readouterr())
     assert want[1] or want[2]
     assert run(capsys, *argv) == want
+
+
+def test_a_line_that_the_table_refuses_and_argparse_accepts_runs(capsys):
+    """--theta -1 starts with "-", so the option table refuses the line;
+    argparse reads -1 as a negative number, and the command refuses the
+    bandwidth (exit 1)."""
+    from mstat import cli
+
+    argv = ["newsvendor", "solve", "--problem", str(GOLDEN / "nv1.problem.json"), "--theta", "-1"]
+    assert cli._read(cli.build_parser().tables["newsvendor"], argv[1:]) is None
+    assert cli.build_parser().parse_args(argv).theta == -1.0
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "bandwidth" in err
+
+
+def command_parsers():
+    """Each command's own argparse parser, by name."""
+    from mstat.cli import build_parser
+
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Values for any option or positional: numbers, negative numbers, names that
+# are choices of some option, the empty string, "-" and "--", and a space.
+LINE_VALUES = ["q.json", "0.5", "1e-3", "3", "nan", "0.1,0.2", "-1", "-x", "-", "--", "",
+               "auto", "magic", "text", "penalized", "solve", "fit", "portfolio", "a b"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command name and tokens from its parser: each required action,
+    mostly, and more actions, in any order and any number of times, with
+    full or abbreviated spellings, as --opt=value or without a value, and
+    sometimes -h or a stray token. A value is one of the action's choices,
+    or a number where it has none, or any of LINE_VALUES."""
+    parsers = command_parsers()
+    name = draw(st.sampled_from(sorted(parsers)))
+    actions = [a for a in parsers[name]._actions if a.nargs is None]
+    chosen = [a for a in actions if a.required and draw(st.integers(0, 9))]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=3))
+    groups = []
+    for action in chosen:
+        value = draw(st.sampled_from(list(action.choices or ["3", "0.5"]))
+                     | st.sampled_from(LINE_VALUES))
+        if not action.option_strings:
+            groups.append([value])
+            continue
+        spelling = action.option_strings[0]
+        form = draw(st.sampled_from(["full"] * 6 + ["abbreviated", "equals", "bare"]))
+        if form == "abbreviated":
+            spelling = spelling[:draw(st.integers(3, len(spelling)))]
+        groups.append([spelling + "=" + value] if form == "equals" else
+                      [spelling] if form == "bare" else [spelling, value])
+    groups += draw(st.lists(st.sampled_from([["-h"], ["--help"], ["stray"]]), max_size=1))
+    return [name] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["gph-normal", "--input", "q.json", "--method", "magic", "--method", "auto"])
+@example(["gph-normal", "--input", "q.json", "--method", "auto", "--method", "direct"])
+@example(["newsvendor", "solve", "loss", "--problem", "p.json"])
+def test_reading_a_line_agrees_with_argparse(argv):
+    """_parse(argv) gives the namespace of build_parser().parse_args(argv);
+    where parse_args exits, the option table refuses the line and main(argv)
+    gives parse_args' exit code, stdout and stderr."""
+    from mstat import cli
+
+    def captured(call):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = call(argv)
+            except SystemExit as exc:
+                result = 0 if exc.code in (0, None) else 1
+        return result, out.getvalue(), err.getvalue()
+
+    want = captured(cli.build_parser().parse_args)
+    if isinstance(want[0], argparse.Namespace):
+        assert vars(cli._parse(argv)) == vars(want[0])
+    else:
+        assert cli._read(cli.build_parser().tables[argv[0]], argv[1:]) is None
+        assert captured(main) == want
 
 
 def test_missing_file(capsys, tmp_path):

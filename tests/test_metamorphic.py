@@ -19,6 +19,11 @@ problems give explicit weights, with
   - one permutation of the assets, applied to the rows and columns of
     sigma, each sample's r, the columns of theta, and each scenario's z,
     eta and zeta; every scenario keeps its m_verdict and m_membership.
+`verify` runs in both modes on nv4, whose samples are not its centers, so
+that the kernel model stays as it is, with random eta, when one sample is
+split into two copies of half its weight and its certificate scenario
+duplicated: each copy gets the original scenario's entries, and
+upper_residual moves only by the rounding of one more term in its sum.
 The newsvendor golden commands run with one permutation of the samples and
 their weights:
   - `newsvendor solve` permutes its decisions byte for byte;
@@ -34,6 +39,7 @@ longer.
 
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -41,6 +47,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstat import newsvendor as NV
 from mstat.cli import main
 from mstat.cones import DEFAULT_EPS
 
@@ -191,6 +198,39 @@ def test_splitting_a_sample_into_two_halves_keeps_the_verdict(pair, mode, data):
     assert before[0] == after[0]
     if before[1] is not None:
         assert before[1]["pass"] == after[1]["pass"]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["convex", "penalized"]), st.data())
+def test_splitting_a_newsvendor_sample_gives_each_copy_its_scenarios_lines(mode, data):
+    problem = json.loads((GOLDEN / "nv4.problem.json").read_text())
+    cert = json.loads((GOLDEN / "nv4.pass.json").read_text())
+    m = len(problem["samples"])
+    etas = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    cert["scenarios"] = [{**s, "eta": eta} for s, eta in zip(cert["scenarios"], etas)]
+    n = data.draw(st.integers(0, m - 1))
+    half = problem["weights"][n] / 2
+    split = {**problem,
+             "samples": problem["samples"][:n + 1] + problem["samples"][n:],
+             "weights": problem["weights"][:n] + [half, half] + problem["weights"][n + 1:]}
+    twin = {**cert, "scenarios": cert["scenarios"][:n + 1] + cert["scenarios"][n:]}
+    argv = ["verify", "--mode", mode, "--problem", "p.json", "--certificate", "c.json"]
+    (code, before), (code_split, after) = (run(argv, {"p.json": problem, "c.json": cert}),
+                                           run(argv, {"p.json": split, "c.json": twin}))
+    assert code == code_split and before is not None
+    lines = [{k: v for k, v in s.items() if k != "index"} for s in before["scenarios"]]
+    assert [{k: v for k, v in s.items() if k != "index"} for s in after["scenarios"]] \
+        == lines[:n + 1] + lines[n:]
+    # upper_residual = |s| at nv4's interior theta, s = sum_n w_n G_n summed
+    # left to right. Halving w_n halves its term exactly, so the m terms and
+    # the m + 1 terms have the same exact sum, and the two computed sums are
+    # within gamma_(m-1) S and gamma_m S of it, S = sum_n |w_n G_n| (Higham,
+    # 2nd ed., eq. 4.4): they differ by less than 2m u S < 2m ulp(S).
+    inst = NV.NewsvendorInstance.from_dict(problem)
+    c = NV.newsvendor_certificate(cert["theta"], cert["scenarios"])
+    G = NV.as_problem(inst).scenario_terms(c.theta, c).generators[:, 0]
+    S = math.fsum(abs(w * g) for w, g in zip(inst.weights, G))
+    assert abs(before["upper_residual"] - after["upper_residual"]) <= 2 * m * math.ulp(S)
 
 
 def permute_assets(problem, cert, perm):
