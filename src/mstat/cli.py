@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from itertools import chain
 
@@ -43,6 +44,8 @@ def _load_json(path, what, kind=dict):
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON in %s: line %d column %d: %s"
                        % (path, exc.lineno, exc.colno, exc.msg))
+    except UnicodeDecodeError as exc:   # bytes of no Unicode encoding
+        raise CliError("malformed JSON in %s: %s" % (path, exc))
     if not isinstance(data, kind):
         raise CliError("%s must be %s" % (what, "an object" if kind is dict else "an array"))
     return data
@@ -223,7 +226,18 @@ def _dump(obj, args):
 
 def _finite_array(value, name):
     """value as a float array of any shape whose entries are finite numbers;
-    booleans, strings, objects and ragged nesting are a CliError."""
+    booleans, strings, objects and ragged nesting are a CliError. A JSON
+    list of floats, or of lists of floats of one length, is read by one
+    type scan and one math.isfinite scan, which on desk-scale arrays cost
+    less than np.isfinite's call; anything else is read, and refused, by
+    np.asarray and a walk of the nesting."""
+    if type(value) is list and value:
+        flat, shape = value, len(value)
+        if type(value[0]) is list and set(map(type, value)) == _LIST \
+                and len(set(map(len, value))) == 1:
+            flat, shape = list(chain.from_iterable(value)), (len(value), len(value[0]))
+        if set(map(type, flat)) == _FLOAT and all(map(math.isfinite, flat)):
+            return np.array(flat).reshape(shape)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):   # an int beyond float range

@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .lp import _FEAS_TOL, _PIVOT_TOL, linear_feasible, nnls
+from .lp import _FEAS_TOL, _PIVOT_TOL, left_sum, nnls, phase1_point
 
 __all__ = [
     "Polyhedron", "InfeasiblePointError", "CombinatorialLimitError",
@@ -161,21 +161,40 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     """Coefficients (mu, nu) with R^T mu + L^T nu = w and mu >= 0, or None.
 
     Decides w in cone(rows of R) + span(rows of L) by one LP; every LP of
-    the package is this question. The LP reads each row times the power of
-    two that puts its largest |entry| in [1, 2), a zero row left 0: an exact
-    scaling, which changes no cone and not the LP's threshold (it reads only
-    w), only what its pivots see. Its coefficients are multiplied by the
-    same powers, so they reproduce w from the rows as given. With no rows
-    at all, w must vanish within eps.
+    the package is this question. The LP reads the rows scaled to unit size
+    (_unit_rows): an exact scaling, which changes no cone and not the LP's
+    threshold (it reads only w), only what its pivots see. Its coefficients
+    are multiplied by the same powers of two, so they reproduce w from the
+    rows as given. With no rows at all, w must vanish within eps.
     """
-    rows = np.asarray(R, dtype=float) if L is None else np.vstack([R, L])
-    if len(rows) == 0:
+    w = np.asarray(w, dtype=float)
+    rows = _generator_rows(R, L)
+    if not rows:
         return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
-    power = 1 - np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))[1]
-    x = linear_feasible(A_eq=np.ldexp(rows, power[:, None]).T, b_eq=w,
-                        nonneg=np.arange(len(rows)) < len(R))
+    scaled, powers = _unit_rows(rows)
+    x = phase1_point(scaled, w.tolist(), range(len(R), len(rows)))
     with np.errstate(over="ignore"):    # a coefficient past the float range is inf
-        return None if x is None else np.ldexp(x, power)
+        return None if x is None else np.ldexp(x, powers)
+
+
+def _generator_rows(R, L):
+    """The rows of R, then those of L, as lists of Python floats."""
+    rows = np.asarray(R, dtype=float).tolist()
+    return rows if L is None else rows + np.asarray(L, dtype=float).tolist()
+
+
+def _unit_rows(rows):
+    """Each row times the power of two that puts its largest |entry| in
+    [1, 2), a zero row left 0, and those powers. math.frexp and math.ldexp
+    are exact, so the rows have the bits of np.ldexp on np.frexp's powers.
+    A row whose largest |entry| is not finite is left as given (power 0)."""
+    scaled, powers = [], []
+    for row in rows:
+        big = max(map(abs, row), default=0.0)
+        power = 1 - math.frexp(big)[1] if big < math.inf else 0
+        scaled.append([math.ldexp(v, power) for v in row])
+        powers.append(power)
+    return scaled, powers
 
 
 # The factorization decides a cone question only where its float rank is
@@ -217,25 +236,25 @@ class FactoredRows:
         basis, coords, lengths, pivots, rank = self.basis, self.coords, self.lengths, \
             self.pivots, self.rank = [], [], [], [], [0]
         entries = [abs(v) for row in rows for v in row if v]
-        if not (math.isfinite(sum(entries))
+        if not (math.isfinite(left_sum(entries))
                 and 1.0 / _SCALE <= min(entries, default=1.0)
                 and max(entries, default=1.0) <= _SCALE):
             return
         d = len(rows[0]) if rows else 0
-        norms = [math.sqrt(sum(map(mul, a, a))) for a in rows]
+        norms = [math.sqrt(left_sum(map(mul, a, a))) for a in rows]
         integer = all(map(float.is_integer, entries))
         for j, a in enumerate(rows):
             norm = norms[j]
             if len(basis) < d:
-                c = [sum(map(mul, q, a)) for q in basis]
+                c = [left_sum(map(mul, q, a)) for q in basis]
                 r = _minus(a, c, basis)
-                left = math.sqrt(sum(map(mul, r, r)))
+                left = math.sqrt(left_sum(map(mul, r, r)))
                 bound = _DEPENDENT * min(norm, 1.0)
                 if bound < left < 0.1 * norm:
-                    more = [sum(map(mul, q, r)) for q in basis]
+                    more = [left_sum(map(mul, q, r)) for q in basis]
                     r = _minus(r, more, basis)
                     c = [s + t for s, t in zip(c, more)]
-                    left = math.sqrt(sum(map(mul, r, r)))
+                    left = math.sqrt(left_sum(map(mul, r, r)))
                 if left > bound:
                     if left < _INDEPENDENT * norm:
                         break
@@ -273,17 +292,17 @@ class FactoredRows:
             return max(map(abs, w), default=0.0) <= eps
         if n > self.usable or len(w) != len(self.rows[0]):
             return None
-        total = sum(map(abs, w))
+        total = left_sum(map(abs, w))
         if not total:
             return True
         if not math.isfinite(total):
             return None
         threshold = _FEAS_TOL * (1.0 + total)
         rank, coords, rows = self.rank[n], self.coords, self.rows
-        y = [sum(map(mul, q, w)) for q in self.basis[:rank]]
+        y = [left_sum(map(mul, q, w)) for q in self.basis[:rank]]
         r = _minus(w, y, self.basis)
-        dist = math.sqrt(sum(map(mul, r, r)))
-        margin = _PIVOT_TOL * (1.0 + total) * sum(abs(v) for row in rows[:n] for v in row)
+        dist = math.sqrt(left_sum(map(mul, r, r)))
+        margin = _PIVOT_TOL * (1.0 + total) * left_sum(abs(v) for row in rows[:n] for v in row)
         if dist > 2.0 * threshold + margin:
             return False
         x = y[:]
@@ -294,7 +313,7 @@ class FactoredRows:
             x[t] = v / coords[t][t]
         # r is also w's residual at x; clipping a coefficient v of row a
         # adds v a to it.
-        scale = max(map(abs, w)) + sum(map(abs, y))
+        scale = max(map(abs, w)) + left_sum(map(abs, y))
         for j, v, length in zip(self.pivots, x, self.lengths):
             scale += abs(v) * length
             if v < 0.0 and j >= start:
@@ -328,8 +347,8 @@ def _phase1_bound(b, r, noise):
         if ri < -noise if bi >= 0.0 else ri > noise:
             t = max(t, abs(ri) / (abs(bi) + abs(ri)))
     if not t:
-        return sum(map(abs, r))
-    return sum(abs(t * bi + (1.0 - t) * ri) for bi, ri in zip(b, r))
+        return left_sum(map(abs, r))
+    return left_sum(abs(t * bi + (1.0 - t) * ri) for bi, ri in zip(b, r))
 
 
 def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
@@ -339,16 +358,18 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
     whose next len(R) rows are those of R, each group in any order; by
     default the rows of L, then those of R, are factored here. The LP runs
     only where neither of the factorization's certificates decides
-    (FactoredRows.decide); it raises as cone_coefficients raises.
+    (FactoredRows.decide), on the rows of cone_coefficients, and only
+    whether it finds a point is read; it raises as cone_coefficients raises.
     """
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=float).tolist()
     start = 0 if L is None else len(L)
     if factor is None:
         factor = FactoredRows((np.asarray(R, dtype=float) if L is None
                                else np.vstack([L, R])).tolist())
-    verdict = factor.decide(w.tolist(), start + len(R), start, eps)
+    verdict = factor.decide(w, start + len(R), start, eps)
     if verdict is None:
-        return cone_coefficients(w, R, L, eps) is not None
+        rows = _generator_rows(R, L)
+        return phase1_point(_unit_rows(rows)[0], w, range(len(R), len(rows))) is not None
     return verdict
 
 

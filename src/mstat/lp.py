@@ -2,30 +2,46 @@
 
 Every LP in this package asks one question: is w in cone(R) + span(L), that
 is, is there x with A x = b and x_i >= 0 on a given subset of coordinates?
-`linear_feasible` answers it with a dense phase-1 simplex under Bland's rule,
-which keeps the answer and the witness bit-reproducible across platforms, so
-verification verdicts do not flip between runs. Distances to polyhedral
-cones are non-negative least-squares problems, solved by a deterministic
-Lawson-Hanson active-set method (`nnls`), which stops with LPLimitError
-after 3n + 10 least-squares solves on n columns.
+`phase1_point` answers it, on the columns of A as lists of Python floats,
+with a dense phase-1 simplex under Bland's rule, which keeps the answer and
+the witness bit-reproducible across platforms, so verification verdicts do
+not flip between runs; `linear_feasible` is its array form. Distances to
+polyhedral cones are non-negative least-squares problems, solved by a
+deterministic Lawson-Hanson active-set method (`nnls`), which stops with
+LPLimitError after 3n + 10 least-squares solves on n columns.
 
 The phase-1 tableau is a list of rows of Python floats, built straight from
-A.tolist() and b.tolist(): the sign flips of rows with b_i < 0, the split of
-free columns and the artificial identity. At this size (at most a few dozen
-rows and columns) numpy's fixed cost per call outweighs the arithmetic. Its
+the columns and b: the sign flips of rows with b_i < 0, the split of free
+columns and the artificial identity. At this size (at most a few dozen rows
+and columns) numpy's fixed cost per call outweighs the arithmetic. Its
 sums, the reduced-cost row's column sums and |b|'s sum, which starts the
-phase-1 objective and sets the feasibility threshold, add left to right.
+phase-1 objective and sets the feasibility threshold, add left to right
+(left_sum).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "linear_feasible", "nnls"]
+__all__ = ["LPUnbounded", "LPLimitError", "feasibility_threshold", "left_sum", "linear_feasible",
+           "nnls", "phase1_point"]
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 _MAX_PIVOTS = 5000
+
+
+def left_sum(values):
+    """values added left to right from 0.0.
+
+    From CPython 3.12 on, the builtin sum adds floats with compensation, so
+    its bits depend on the Python version; every float sum of the package
+    is this one instead.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class LPUnbounded(Exception):
@@ -93,33 +109,34 @@ def feasibility_threshold(b):
     return _FEAS_TOL * (1.0 + np.add.accumulate(np.abs(b), axis=-1)[..., -1])
 
 
-def _solve_standard(A, b, free=()):
-    """Some x with A x = b and x_j >= 0 for every j not in free, or None.
+def phase1_point(columns, rhs, free=()):
+    """Some x with sum_j x_j columns[j] = rhs and x_j >= 0 for every j not
+    in free, or None; x is a list.
 
-    A is an (m, n) float array, b an (m,) one. The k-th free column j is
-    split into x_j - x_{n+k}, so the tableau solves the standard form
-    [A, -A_free] x' = b, x' >= 0. Phase 1 minimizes the sum of
-    artificial variables; afterwards the artificials still basic are pivoted
-    out where a real column allows it (rows where none does are redundant),
-    and x is read off the basis.
+    columns is a list of n lists of m Python floats, rhs a list of m floats;
+    neither changes. The k-th free column j is split into x_j - x_{n+k},
+    so the tableau solves the standard form [A, -A_free] x' = b, x' >= 0,
+    where A has the columns. Phase 1 minimizes the sum of artificial
+    variables; afterwards the artificials still basic are pivoted out where
+    a real column allows it (rows where none does are redundant), and x is
+    read off the basis.
     """
-    m, n = A.shape
-    if len(b) != m:
-        raise ValueError("A has %d rows but b has %d entries" % (m, len(b)))
-    rows, rhs = A.tolist(), b.tolist()
-    for i, v in enumerate(rhs):
-        if v < 0.0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -v
-    if free:
-        rows = [r + [-r[j] for j in free] for r in rows]
-    width = n + len(free)
+    m, n = len(rhs), len(columns)
+    for c in columns:
+        if len(c) != m:
+            raise ValueError("A has %d rows but b has %d entries" % (len(c), m))
+    columns = columns + [[-a for a in columns[j]] for j in free]
+    width = len(columns)
+    # The rows of b_i < 0 flip their signs.
+    rows = [[-a for a in r] if v < 0.0 else list(r) for r, v in zip(zip(*columns), rhs)] \
+        if width else [[] for _ in rhs]
+    rhs = [-v if v < 0.0 else v for v in rhs]
 
     # The reduced-cost row [-1^T A' 0 -1^T b'] of the flipped A', b' = |b|.
-    total = sum(rhs, 0.0)
+    total = left_sum(rhs)
     eye = [0.0] * m
     T = [r + eye[:i] + [1.0] + eye[i + 1:] + [v] for i, (r, v) in enumerate(zip(rows, rhs))]
-    T.append(([-sum(col) for col in zip(*rows)] if m else [0.0] * width) + eye + [-total])
+    T.append(([-left_sum(col) for col in zip(*rows)] if m else [0.0] * width) + eye + [-total])
     basis = list(range(width, width + m))
     _bland_pivot(T, basis)
     if -T[-1][-1] > _FEAS_TOL * (1.0 + total):
@@ -138,7 +155,7 @@ def _solve_standard(A, b, free=()):
             x[var] = T[i][-1]
     for k, j in enumerate(free):
         x[j] -= x[n + k]
-    return np.array(x[:n])
+    return x[:n]
 
 
 def linear_feasible(A_eq, b_eq, nonneg=None):
@@ -146,7 +163,8 @@ def linear_feasible(A_eq, b_eq, nonneg=None):
 
     `nonneg` defaults to all-nonnegative; pass a boolean mask to mark free
     variables, which are split into positive and negative parts. With zero
-    variables the system is feasible iff b_eq is (numerically) zero.
+    variables the system is feasible iff b_eq is (numerically) zero. The
+    arrays are read once into the lists of phase1_point.
     """
     A = np.asarray(A_eq, dtype=float)
     b = np.asarray(b_eq, dtype=float)
@@ -156,10 +174,10 @@ def linear_feasible(A_eq, b_eq, nonneg=None):
         b = b.reshape(1)
     if A.shape[1] == 0:
         return np.zeros(0) if np.max(np.abs(b), initial=0.0) <= _FEAS_TOL else None
-    if nonneg is None:
-        return _solve_standard(A, b)
-    free = [j for j, keep in enumerate(np.asarray(nonneg, dtype=bool).tolist()) if not keep]
-    return _solve_standard(A, b, free)
+    free = () if nonneg is None else \
+        [j for j, keep in enumerate(np.asarray(nonneg, dtype=bool).tolist()) if not keep]
+    x = phase1_point(A.T.tolist(), b.tolist(), free)
+    return None if x is None else np.array(x)
 
 
 def _refined_lstsq(B, b):

@@ -29,6 +29,7 @@ from .graph_normals import (
     object_columns,
     read_points,
 )
+from .lp import left_sum
 from .stationarity import (
     _TERM_BOUND,
     Certificate,
@@ -525,7 +526,7 @@ def _spo_objective(predictor, instance, realized, start=None):
     solved = solve_simplex_qp_rows(preds, instance.sigma, instance.risk_aversion, start)
     losses = [_cost(z, r, instance) - best
               for z, r, best in zip(solved, instance.samples.y, realized)]
-    return float(sum(w * loss for loss, w in zip(losses, instance.weights))), solved
+    return float(left_sum(w * loss for loss, w in zip(losses, instance.weights))), solved
 
 
 def fit_least_squares(instance, ridge=1e-10):

@@ -585,7 +585,7 @@ def nnls_oracle(A, b):
 
 
 # ---------------------------------------------------------------------------
-# LP: the numpy tableau, the bit-for-bit reference of mstat.lp._solve_standard
+# LP: the numpy tableau, the bit-for-bit reference of mstat.lp.phase1_point
 
 def tableau_pivot_oracle(T, basis, row, col):
     """Pivot the array T in place on (row, col) and record col as basic in row."""
@@ -666,6 +666,22 @@ def solve_standard_oracle(A, b):
         if var < n:
             x[var] = T[i, -1]
     return x
+
+
+def cone_coefficients_oracle(w, R, L=None, eps=DEFAULT_EPS):
+    """cone_coefficients on numpy arrays: each row times the power of two
+    of np.frexp that puts its largest |entry| in [1, 2), the LP of
+    lp.linear_feasible on the transposed stack, and its coefficients
+    multiplied back by np.ldexp. The reference of the list scaling of
+    mstat.cones, bit for bit on finite rows."""
+    rows = np.asarray(R, dtype=float) if L is None else np.vstack([R, L])
+    if len(rows) == 0:
+        return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
+    power = 1 - np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))[1]
+    x = LP.linear_feasible(A_eq=np.ldexp(rows, power[:, None]).T, b_eq=w,
+                           nonneg=np.arange(len(rows)) < len(R))
+    with np.errstate(over="ignore"):    # a coefficient past the float range is inf
+        return None if x is None else np.ldexp(x, power)
 
 
 # ---------------------------------------------------------------------------
@@ -955,10 +971,15 @@ def check_scenario_lp(poly, z, g):
 
 
 def count_lps(monkeypatch):
-    """A list that gains one entry per phase-1 LP solved from here on."""
+    """A list that gains one entry per phase-1 LP solved from here on, also
+    where mstat.cones calls lp.phase1_point under the name it imported."""
+    from mstat import cones
+
     calls = []
-    solve = LP._solve_standard
-    monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    solve = LP.phase1_point
+    counted = lambda *a, **k: calls.append(1) or solve(*a, **k)
+    for module in (LP, cones):
+        monkeypatch.setattr(module, "phase1_point", counted)
     return calls
 
 

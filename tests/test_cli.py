@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mstat import graph_normals as GN
 from mstat import newsvendor as NV
 from mstat import stationarity as ST
 from mstat.cli import _json_text, main
@@ -697,6 +698,40 @@ def test_portfolio_theta_file_with_non_numbers_exits_1(theta, tmp_path, capsys):
         assert (code, out) == (1, "") and "theta must be an array of finite numbers" in err
 
 
+def _finite_array_oracle(value, name):
+    """cli._finite_array by np.asarray and a walk of the nesting alone."""
+    from mstat import cli
+
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or GN._holds_non_number(value) or not np.isfinite(array).all():
+        raise cli.CliError("%s must be an array of finite numbers" % name)
+    return array
+
+
+@pytest.mark.parametrize("value", [
+    [1.5, -0.0, 2], [2 ** 53 + 1, 3], [[1.0, 2], [-0.0, 4.5]], [[0.1]], [[]], [[], []],
+    [], [[[1.0]]], [[1.0], 2.0], [[1.0, 2.0], [3.0]], [1.0, True], [[1.0], ["2"]],
+    [1.0, float("nan")], [[float("inf")]], [10 ** 400], [[1.0], [10 ** 400]], 1.5, "1"])
+def test_finite_array_reads_as_numpy_does(value):
+    """A list of floats, or of lists of floats of one length, read by the
+    scans of _finite_array has the bytes, shape and dtype of np.asarray's
+    array; anything else, valid or not, is read or refused with the same
+    message."""
+    from mstat import cli
+
+    def outcome(read):
+        try:
+            array = read(value, "theta")
+        except cli.CliError as exc:
+            return str(exc)
+        return array.shape, array.dtype, array.tobytes()
+
+    assert outcome(cli._finite_array) == outcome(_finite_array_oracle)
+
+
 @pytest.mark.parametrize("action", ["loss", "solve", "certificate", "search"])
 def test_portfolio_theta_file_is_read_flat_or_as_the_matrix(action, tmp_path, capsys):
     """Every action that reads --theta reads pf1's 2 by 3 theta flat with the
@@ -910,6 +945,22 @@ def test_malformed_json_reports_location(tmp_path, capsys):
                                      "property name enclosed in double quotes\n" % bad)
 
 
+def test_undecodable_bytes_name_their_file(tmp_path, capsys):
+    """Bytes that no JSON encoding decodes, a query read as UTF-16 that ends
+    in half a code unit and a certificate read as UTF-8 that starts with
+    0xff, are malformed JSON in the file that holds them: exit 1, nothing on
+    standard output."""
+    query, cert = tmp_path / "bad.json", tmp_path / "cert.json"
+    query.write_bytes(b"\xff\xfe\xfd")
+    cert.write_bytes(b"\xff\x00\x41")
+    for path, argv in ((query, ["gph-normal", "--input", str(query)]),
+                       (cert, ["verify", "--problem", str(GOLDEN / "pf3.problem.json"),
+                               "--certificate", str(cert)])):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed JSON in %s: " % path) and "decode" in err
+
+
 @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
 @pytest.mark.parametrize("argv", [
     ["gph-normal", "--input", "gq.member.json"],
@@ -1115,7 +1166,7 @@ def test_lp_errors_exit_1(capsys, monkeypatch):
     for exc in (LPUnbounded, LPLimitError):
         def solver(*args, **kw):
             raise exc("raised by the test")
-        monkeypatch.setattr(C, "linear_feasible", solver)
+        monkeypatch.setattr(C, "phase1_point", solver)
         code, out, err = run(capsys, "gph-normal", "--input", q, "--method", "direct")
         assert code == 1 and out == "" and "raised by the test" in err
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from conftest import (assert_nnls_optimal, complementarity_residual, count_lps, normal_cone_multiplier,
-                      polyhedron_contains, random_polyhedral_graph_point)
+from conftest import (assert_nnls_optimal, complementarity_residual, cone_coefficients_oracle,
+                      count_lps, normal_cone_multiplier, polyhedron_contains,
+                      random_polyhedral_graph_point)
 from mstat.cones import (
     FactoredRows,
     InfeasiblePointError,
@@ -344,6 +345,73 @@ def test_cone_coefficients_follow_powers_of_two_on_the_rows(seed):
     assert (got is None) == (want is None)
     if want is not None:
         assert np.ldexp(got, power).tobytes() == want.tobytes()
+
+
+@st.composite
+def wide_cones(draw):
+    """Float generators whose rows run from subnormal to 1e300 in size, some
+    with entries of every size, some zero and some integer combinations of
+    the rows before them; a target on a combination of the rows scaled to
+    unit size, moved or not, or anywhere; the cone rows R and the span rows
+    L, which may be None."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    size = st.one_of(st.floats(1e-300, 1e300), st.floats(5e-324, 2.2250738585072014e-308))
+    G = np.zeros((k, d))
+    for j in range(k):
+        kind = draw(st.sampled_from(["scaled", "wide", "zero", "span"]))
+        if kind == "scaled":
+            G[j] = draw(size) * np.array(draw(st.lists(st.integers(-3, 3), min_size=d,
+                                                        max_size=d)), dtype=float)
+        elif kind == "wide":
+            G[j] = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d,
+                                          max_size=d))) * draw(st.lists(size, min_size=d,
+                                                                        max_size=d))
+        elif kind == "span" and j:
+            with np.errstate(over="ignore", invalid="ignore"):
+                G[j] = G[:j].T @ np.array(draw(st.lists(st.integers(-2, 2), min_size=j,
+                                                        max_size=j)), dtype=float)
+            G[j][~np.isfinite(G[j])] = 0.0
+    unit = unit_rows(G)
+    kind = draw(st.sampled_from(["combination", "moved", "anywhere"]))
+    if kind == "anywhere":
+        w = np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=d, max_size=d)))
+    else:
+        w = unit.T @ np.array(draw(st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k)))
+        if kind == "moved":
+            w[draw(st.integers(0, d - 1))] += draw(st.floats(-1e-6, 1e-6))
+    m = draw(st.integers(0, k))
+    return w, G[:m], (None if m == k and draw(st.booleans()) else G[m:])
+
+
+def _answer(solve):
+    """solve()'s answer, or the class of the LP error it raised."""
+    try:
+        return solve()
+    except (LPUnbounded, LPLimitError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_cones())
+def test_cone_coefficients_scale_rows_as_numpy_does(case):
+    """cone_coefficients, which scales the rows as lists with math.frexp and
+    math.ldexp, gives the coefficients of the numpy-scaled reference
+    (cone_coefficients_oracle) bit for bit, signs of zeros included, and
+    None or an LP error in the same places; cone_contains answers as it."""
+    w, R, L = case
+    got = _answer(lambda: cone_coefficients(w, R, L))
+    want = _answer(lambda: cone_coefficients_oracle(w, R, L))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        assert got is want
+    if isinstance(want, type):
+        with pytest.raises(want):
+            cone_contains(w, R, L)
+    else:
+        assert cone_contains(w, R, L) is (want is not None)
 
 
 def test_cone_contains_runs_no_lp_on_independent_rows(monkeypatch):

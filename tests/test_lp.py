@@ -1,3 +1,7 @@
+import builtins
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,8 @@ from scipy.optimize import linprog, nnls as scipy_nnls
 import mstat.lp as lp
 from conftest import (assert_nnls_optimal, bland_pivot_oracle, column_sums_oracle, nnls_oracle,
                       solve_standard_oracle)
+from mstat import cones
+from mstat import portfolio as PF
 from mstat.cones import _phase1_bound, active_set, simplex_polyhedron
 from mstat.lp import LPLimitError, LPUnbounded, feasibility_threshold, linear_feasible, nnls
 
@@ -164,12 +170,12 @@ def _standard_form_cases(rng):
 
 
 def test_float_tableau_equals_the_numpy_tableau_bit_for_bit():
-    """_solve_standard on Python floats gives the numpy tableau's answer:
+    """phase1_point on Python floats gives the numpy tableau's answer:
     the same None, or an x with the same bytes."""
     rng = np.random.default_rng(11)
     feasible = infeasible = 0
     for A, b in _standard_form_cases(rng):
-        x = lp._solve_standard(A, b)
+        x = linear_feasible(A, b)
         ref = solve_standard_oracle(A, b)
         assert (x is None) == (ref is None), (A.tolist(), b.tolist())
         if ref is None:
@@ -189,7 +195,7 @@ def test_float_tableau_raises_what_the_numpy_tableau_raises(monkeypatch):
             solve(tableau, [0])
     M, rhs = _regime_system()
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
-    for solve in (lp._solve_standard, solve_standard_oracle):
+    for solve in (linear_feasible, solve_standard_oracle):
         with pytest.raises(LPLimitError):
             solve(M, rhs)
 
@@ -388,3 +394,69 @@ def test_nnls_entering_column_guard_ends_a_cycle():
     assert_nnls_optimal(A, b, x, tol=1e-18)
     ref = scipy_nnls(A, b)[0]
     assert np.allclose(x, ref, rtol=1e-9, atol=0.0)
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum of CPython 3.12 and later: floats added with
+    Neumaier's compensation, anything else plainly. CPython compensates
+    exact floats only; this also compensates np.float64, so no float sum
+    escapes it."""
+    total, c = start, 0.0
+    for v in values:
+        if isinstance(total, float) and isinstance(v, float):
+            t = total + v
+            c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+            total = t
+        else:
+            total = total + v
+    return total + c if c and math.isfinite(c) else total
+
+
+def plain_sum(values, start=0):
+    """The builtin sum of CPython 3.11 and before: left to right from start."""
+    total = start
+    for v in values:
+        total = total + v
+    return total
+
+
+def _float_sums():
+    """The floats of the package's sums, on inputs where compensated_sum
+    and plain_sum differ: the LP's first tableau and point, a
+    factorization and what its decide hands _phase1_bound, _phase1_bound
+    itself, and an SPO objective."""
+    rng = np.random.default_rng(5)
+    tenths = [0.1] * 10
+    A = np.column_stack([tenths, rng.uniform(0.5, 1.5, 10)])
+    tableaus, bounds = [], []
+    pivot, bound = lp._bland_pivot, cones._phase1_bound
+    with mock.patch.object(lp, "_bland_pivot",
+                           lambda T, basis: tableaus.append([r[:] for r in T]) or pivot(T, basis)):
+        x = linear_feasible(A, tenths)
+    rows = (rng.standard_normal((4, 10)) * rng.uniform(0.5, 1.5, (4, 1))).tolist()
+    factor = cones.FactoredRows(rows)
+    with mock.patch.object(cones, "_phase1_bound",
+                           lambda *a: bounds.append(a) or bound(*a)):
+        verdict = factor.decide((np.array(rows).T @ [1.0, 2.0, -1e-12, 0.5]).tolist(), 4, 0)
+    xs = rng.uniform(0.1, 1.0, (20, 3))
+    inst = PF.PortfolioInstance(sigma=np.eye(4), risk_aversion=1.0,
+                                samples=list(zip(xs, xs @ rng.uniform(0.05, 0.3, (3, 4)))))
+    objective = PF.empirical_spo_objective(PF.LinearPredictor(rng.uniform(0.0, 1.0, (3, 4))),
+                                           inst)
+    return (tableaus, x.tolist(), factor.basis, factor.coords, factor.lengths, factor.usable,
+            verdict, bounds, _phase1_bound([1.0] * 10, tenths, 0.0), objective)
+
+
+def test_float_sums_do_not_depend_on_the_python_version():
+    """From CPython 3.12 on, the builtin sum compensates float sums. The
+    package adds its floats left to right, so with the builtin sum replaced
+    by that of 3.12 (compensated_sum) or of 3.11 (plain_sum), its LP,
+    factorization, phase-1 bound and SPO objective give the same floats, on
+    inputs where the two sums differ."""
+    assert compensated_sum([0.1] * 10) != plain_sum([0.1] * 10)
+    assert compensated_sum([1e16, 1.0, -1e16]) != plain_sum([1e16, 1.0, -1e16])
+    with mock.patch.object(builtins, "sum", plain_sum):
+        want = _float_sums()
+    with mock.patch.object(builtins, "sum", compensated_sum):
+        got = _float_sums()
+    assert repr(got) == repr(want)

@@ -435,8 +435,6 @@ def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
     definite, so no LP runs beyond the graph-point check, and that check
     runs none either: the 12 rows are independent, so the factorization of
     cones.cone_contains decides it."""
-    import mstat.lp as LP
-
     rng = np.random.default_rng(12)
     d = 12
     B = rng.standard_normal((d, d))
@@ -448,9 +446,7 @@ def test_nnamcq_positive_definite_vertex_needs_no_cap_and_no_lp(monkeypatch):
     with pytest.raises(CombinatorialLimitError):
         nnamcq_oracle(model, theta, None, z)
 
-    calls = []
-    solve = LP._solve_standard
-    monkeypatch.setattr(LP, "_solve_standard", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    calls = count_lps(monkeypatch)
     I = list(active_rows(poly, poly.slacks(z)))
     assert len(I) == d and cone_contains(-g, poly.A[I]) is True
     graph_point_lps = len(calls)
