@@ -168,26 +168,23 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
     rows as given. With no rows at all, w must vanish within eps.
     """
     w = np.asarray(w, dtype=float)
-    rows = _generator_rows(R, L)
+    rows, powers = _unit_rows(R, L)
     if not rows:
         return np.zeros(0) if np.max(np.abs(w), initial=0.0) <= eps else None
-    scaled, powers = _unit_rows(rows)
-    x = phase1_point(scaled, w.tolist(), range(len(R), len(rows)))
+    x = phase1_point(rows, w.tolist(), range(len(R), len(rows)))
     with np.errstate(over="ignore"):    # a coefficient past the float range is inf
         return None if x is None else np.ldexp(x, powers)
 
 
-def _generator_rows(R, L):
-    """The rows of R, then those of L, as lists of Python floats."""
+def _unit_rows(R, L):
+    """The rows of R, then those of L, as lists of Python floats, each times
+    the power of two that puts its largest |entry| in [1, 2), a zero row
+    left 0; and those powers. math.frexp and math.ldexp are exact, so the
+    rows have the bits of np.ldexp on np.frexp's powers. A row whose
+    largest |entry| is not finite is left as given (power 0)."""
     rows = np.asarray(R, dtype=float).tolist()
-    return rows if L is None else rows + np.asarray(L, dtype=float).tolist()
-
-
-def _unit_rows(rows):
-    """Each row times the power of two that puts its largest |entry| in
-    [1, 2), a zero row left 0, and those powers. math.frexp and math.ldexp
-    are exact, so the rows have the bits of np.ldexp on np.frexp's powers.
-    A row whose largest |entry| is not finite is left as given (power 0)."""
+    if L is not None:
+        rows += np.asarray(L, dtype=float).tolist()
     scaled, powers = [], []
     for row in rows:
         big = max(map(abs, row), default=0.0)
@@ -368,8 +365,8 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
                                else np.vstack([L, R])).tolist())
     verdict = factor.decide(w, start + len(R), start, eps)
     if verdict is None:
-        rows = _generator_rows(R, L)
-        return phase1_point(_unit_rows(rows)[0], w, range(len(R), len(rows))) is not None
+        rows = _unit_rows(R, L)[0]
+        return phase1_point(rows, w, range(len(R), len(rows))) is not None
     return verdict
 
 
