@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from itertools import chain
 
@@ -224,29 +223,6 @@ def _dump(obj, args):
     return obj
 
 
-def _finite_array(value, name):
-    """value as a float array of any shape whose entries are finite numbers;
-    booleans, strings, objects and ragged nesting are a CliError. A JSON
-    list of floats, or of lists of floats of one length, is read by one
-    type scan and one math.isfinite scan, which on desk-scale arrays cost
-    less than np.isfinite's call; anything else is read, and refused, by
-    np.asarray and a walk of the nesting."""
-    if type(value) is list and value:
-        flat, shape = value, len(value)
-        if type(value[0]) is list and set(map(type, value)) == _LIST \
-                and len(set(map(len, value))) == 1:
-            flat, shape = list(chain.from_iterable(value)), (len(value), len(value[0]))
-        if set(map(type, flat)) == _FLOAT and all(map(math.isfinite, flat)):
-            return np.array(flat).reshape(shape)
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):   # an int beyond float range
-        array = None
-    if array is None or GN._holds_non_number(value) or not np.isfinite(array).all():
-        raise CliError("%s must be an array of finite numbers" % name)
-    return array
-
-
 def _require(obj, keys, what):
     """Raise a CliError naming the keys that the JSON object obj lacks."""
     missing = [key for key in keys if key not in obj]
@@ -261,7 +237,7 @@ def _feasible_from_spec(spec, dim):
         return ST.FeasibleSet.simplex(dim)
     if isinstance(spec, dict):
         _require(spec, ("A", "b"), "the query's Z")
-        poly = C.Polyhedron(_finite_array(spec["A"], "A"), _finite_array(spec["b"], "b"))
+        poly = C.Polyhedron(spec["A"], spec["b"])
         if poly.dim != dim:
             raise CliError("A has %d columns but z has %d entries" % (poly.dim, dim))
         return ST.FeasibleSet.polyhedron(poly)
@@ -321,7 +297,7 @@ def _portfolio_theta(value, inst):
     """A portfolio theta, given as a vector of d_x d_z finite numbers or as
     the d_x by d_z matrix, as that matrix; any other shape is a CliError
     that names both."""
-    theta = _finite_array(value, "theta")
+    theta = C.finite_array(value, "theta")
     if theta.shape not in ((inst.d_x * inst.d_z,), (inst.d_x, inst.d_z)):
         raise CliError("theta must be a vector of %d entries or a %d by %d matrix; "
                        "got shape %s" % (inst.d_x * inst.d_z, inst.d_x, inst.d_z, theta.shape))

@@ -37,6 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .lp import _FEAS_TOL, _PIVOT_TOL, left_sum, nnls, phase1_point
 
 __all__ = [
-    "Polyhedron", "InfeasiblePointError", "CombinatorialLimitError",
+    "Polyhedron", "InfeasiblePointError", "CombinatorialLimitError", "finite_array",
     "orthant_polyhedron", "simplex_polyhedron",
     "active_set", "active_rows", "active_diagnostics",
     "cone_coefficients", "cone_contains", "multiplier_within_support",
@@ -64,6 +65,58 @@ class CombinatorialLimitError(RuntimeError):
     """Too many active rows for an exhaustive enumeration."""
 
 
+_NUMBERS, _LISTS = {float, int}, {list}
+
+
+def _holds_non_number(value):
+    """Whether value, or any entry of it at any depth, is a boolean or a string."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "bSU"
+    if isinstance(value, (list, tuple)):
+        return not set(map(type, value)) <= _NUMBERS and any(map(_holds_non_number, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
+def _finite_list(value):
+    """value as a float array when it is a JSON list of numbers, or of
+    lists of numbers of one length, and every number is finite; else None,
+    for the caller's generic read to name the fault. A number is a Python
+    float or int, never a boolean. One type scan and one math.isfinite
+    scan run before np.array: on desk-scale lists they cost less than
+    np.isfinite's call."""
+    if type(value) is not list:
+        return None
+    flat, kinds = value, set(map(type, value))
+    if kinds == _LISTS and len(set(map(len, value))) == 1:
+        flat = list(chain.from_iterable(value))
+        kinds = set(map(type, flat))
+    try:
+        if kinds <= _NUMBERS and all(map(math.isfinite, flat)):
+            array = np.array(flat, dtype=float)
+            return array if flat is value else array.reshape(len(value), len(value[0]))
+    except OverflowError:   # an int beyond float range
+        pass
+    return None
+
+
+def finite_array(value, name):
+    """value as a float array of any shape whose entries are finite
+    numbers; booleans, strings, nulls, objects, ragged nesting, ints
+    beyond float range and non-finite entries raise ValueError naming
+    name. A list that _finite_list does not take is read by np.asarray
+    and refused, if it must be, by a walk of the nesting."""
+    array = _finite_list(value)
+    if array is not None:
+        return array
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # an int beyond float range
+        array = None
+    if array is None or _holds_non_number(value) or not np.isfinite(array).all():
+        raise ValueError("%s must be an array of finite numbers" % name)
+    return array
+
+
 def _readonly(a, dtype=float):
     a = np.array(a, dtype=dtype)
     a.flags.writeable = False
@@ -74,7 +127,9 @@ def _readonly(a, dtype=float):
 class Polyhedron:
     """Inequality system {z in R^d : A z <= b} with row-index bookkeeping.
 
-    Zero rows with b_i >= 0 never bind and are dropped with a warning; a zero
+    A and b are read by finite_array, so a non-finite, boolean or string
+    entry is a ValueError ("A must be an array of finite numbers"). Zero
+    rows with b_i >= 0 never bind and are dropped with a warning; a zero
     row with b_i < 0 makes the system empty and is rejected. `row_index` maps
     retained rows back to the caller's original numbering. A, b and
     row_index are read-only copies, so one polyhedron can be shared.
@@ -85,9 +140,9 @@ class Polyhedron:
     row_index: np.ndarray = field(default=None)
 
     def __init__(self, A, b):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if A.ndim != 2 or A.shape[0] != b.shape[0]:
+        A = np.atleast_2d(finite_array(A, "A"))
+        b = np.atleast_1d(finite_array(b, "b"))
+        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise ValueError("A and b shapes disagree: %s vs %s" % (A.shape, b.shape))
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("need at least one row and one column")

@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .cones import (
+    _NUMBERS,
     CombinatorialLimitError,
     DEFAULT_EPS,
     MAX_ACTIVE_ROWS,
@@ -46,6 +47,8 @@ from .cones import (
     active_rows,
     cone_coefficients,
     cone_contains,
+    _finite_list,
+    finite_array,
     multiplier_within_support,
 )
 
@@ -62,42 +65,26 @@ class NotGraphPointError(ValueError):
     """(z, -g) is not on the graph of the normal-cone map."""
 
 
-_NUMBER_TYPES = {float, int}
-_FLOAT, _DICT, _LIST = {float}, {dict}, {list}
-
-
-def _holds_non_number(value):
-    """Whether value, or any entry of it at any depth, is a boolean or a string."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "bSU"
-    if isinstance(value, (list, tuple)):
-        return not set(map(type, value)) <= _NUMBER_TYPES and any(map(_holds_non_number, value))
-    return isinstance(value, (bool, np.bool_, str, bytes))
+_DICT = {dict}
 
 
 def finite_vector(value, name, scalar=False, flat=False):
-    """value as a finite 1-D float array; anything else raises ValueError.
+    """value as a finite 1-D float array, read by finite_array; anything
+    else raises ValueError.
 
     Booleans and strings are not numbers here, so a JSON true or "1" is
     rejected rather than read as 1. With scalar, a lone number reads as a vector of one entry;
     with flat, an array of any shape reads in row-major order.
     """
-    # JSON gives numbers as Python floats; those skip the generic checks.
-    if scalar and type(value) is float:
-        if math.isfinite(value):
-            return np.array([value])
-    elif type(value) is list and set(map(type, value)) == _FLOAT:
-        if all(map(math.isfinite, value)):
-            return np.array(value)
+    if (scalar or flat) and type(value) in _NUMBERS:
+        value = [value]
     try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):   # an int beyond float range
-        v = np.float64(np.nan)
-    if flat or (scalar and v.ndim == 0):
+        v = finite_array(value, name)
+    except ValueError:
+        v = None
+    if v is not None and v.ndim != 1 and (flat or (scalar and v.ndim == 0)):
         v = v.reshape(-1)
-    # On desk-scale vectors a Python scan costs a fraction of np.isfinite's
-    # call overhead, which every scenario of a verify pays several times.
-    if v.ndim != 1 or _holds_non_number(value) or not all(map(math.isfinite, v.tolist())):
+    if v is None or v.ndim != 1:
         raise ValueError("%s must be a finite 1-D array" % name)
     return v
 
@@ -107,48 +94,29 @@ class RaggedRowsError(ValueError):
     one length."""
 
 
-def _scanned_rows(values, number=False):
-    """finite_rows' one-scan read of the list values: the finite (n, d)
-    array when its entries are all lists of numbers of one length or all
-    numbers (with number, lists of one number or numbers) and every entry
-    is finite, else None."""
-    kinds, flat, d = set(map(type, values)), None, 1
-    if kinds <= _NUMBER_TYPES:
-        flat = values
-    elif kinds == _LIST and len(set(map(len, values))) == 1 and (
-            len(values[0]) == 1 or not number):
-        flat, d = list(chain.from_iterable(values)), len(values[0])
-        flat = flat if set(map(type, flat)) <= _NUMBER_TYPES else None
-    if flat is not None:
-        try:
-            rows = np.array(flat, dtype=float).reshape(len(values), d)
-        except OverflowError:   # an int beyond float range
-            return None
-        if np.isfinite(rows).all():
-            return rows
-    return None
-
-
 def finite_rows(values, name, number=False):
     """values, a list of vectors of one length d, as a finite (n, d) float
     array; anything else raises ValueError naming the first bad entry.
 
     An entry is a vector or a lone number, which reads as a vector of one
     entry; with number, every entry must be one number (finite_number) and
-    d is 1. name is a %-format that names entry i as name % i. A JSON list,
-    whose entries are all lists of numbers of one length or all numbers, is
-    read by one type scan and one np.isfinite over the stack. Any other
-    input, and a list that the scan does not take, is read entry by entry
-    with finite_vector or finite_number, which name the first bad entry;
-    entries that are each finite but of more than one length then raise
-    RaggedRowsError, naming the first whose length differs from entry 0's.
-    Either way each row has the bits of that entry's finite_vector array.
+    d is 1. name is a %-format that names entry i as name % i. A JSON list
+    whose entries are all numbers, or all lists of numbers of one length
+    (with number, of one number), is read in one pass of the package's one
+    list scan (cones._finite_list). Any other input, and a list that the
+    scan does not take, is read entry by entry with finite_vector or
+    finite_number, which name the first bad entry; entries that are each
+    finite but of more than one length then raise RaggedRowsError, naming
+    the first whose length differs from entry 0's. Either way each row has
+    the bits of that entry's finite_vector array.
     """
     if type(values) is not list:
         values = list(values)
-    rows = _scanned_rows(values, number)
+    rows = _finite_list(values)
     if rows is not None:
-        return rows
+        rows = rows[:, None] if rows.ndim == 1 else rows
+        if rows.shape[1] == 1 or not number:
+            return rows
     if number:
         return np.array([finite_number(v, name % i) for i, v in enumerate(values)])[:, None]
     rows = [finite_vector(v, name % i, scalar=True) for i, v in enumerate(values)]

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -65,6 +66,7 @@ from .graph_normals import (
     object_list,
     read_points,
 )
+from .lp import left_sum
 from .stationarity import (
     DEFAULT_TOL,
     Certificate,
@@ -451,10 +453,8 @@ def empirical_regret(instance, model, leave_one_out=False):
 
 def _sample_total(instance, z):
     """The weighted regret of the order quantities z, summed in sample order."""
-    total = 0.0
-    for w, r in zip(instance.weights, _regret(z, instance.samples.y, instance.h, instance.b)):
-        total += w * r
-    return float(total)
+    regret = _regret(z, instance.samples.y, instance.h, instance.b)
+    return left_sum(map(mul, instance.weights.tolist(), regret.tolist()))
 
 
 @dataclass

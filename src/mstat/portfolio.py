@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import DEFAULT_EPS
+from .cones import DEFAULT_EPS, _holds_non_number
 from .graph_normals import (
     Points,
-    _holds_non_number,
     _simplex_rows,
     finite_number,
     finite_weights,

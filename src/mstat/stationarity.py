@@ -46,7 +46,6 @@ from .graph_normals import (
     finite_weights,
     object_list,
     _orthant_rows,
-    _scanned_rows,
     _simplex_residual_rows,
     _simplex_rows,
     polyhedron_membership,
@@ -73,6 +72,17 @@ _ARGMIN_TOL = 1e-9   # value and max-norm point tolerance of value_function
 # ---------------------------------------------------------------------------
 # feasible sets and parameter sets
 
+def _box_bounds(lo, hi):
+    """The bounds of a box {lo <= v <= hi} as finite vectors of one length
+    (a lone number is one entry); crossed bounds raise ValueError."""
+    lo, hi = finite_vector(lo, "lo", scalar=True), finite_vector(hi, "hi", scalar=True)
+    if lo.shape != hi.shape:
+        raise ValueError("lo and hi must share a dimension")
+    if np.any(lo > hi):
+        raise ValueError("box bounds crossed")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """Lower-level feasible region: orthant, simplex, box or general polyhedron."""
@@ -93,10 +103,7 @@ class FeasibleSet:
 
     @staticmethod
     def box(lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if np.any(lo > hi):
-            raise ValueError("box bounds crossed")
+        lo, hi = _box_bounds(lo, hi)
         return FeasibleSet("box", len(lo), lo=lo, hi=hi)
 
     @staticmethod
@@ -179,8 +186,7 @@ class ParameterSet:
 
     @staticmethod
     def box(lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo, hi = _box_bounds(lo, hi)
         return ParameterSet("box", len(lo), lo=lo, hi=hi)
 
     def outside(self, theta):
@@ -373,10 +379,9 @@ class Certificate:
     must be present, zeta, the penalty weight mu and the value_weights may
     be left out, and a null for an optional key is an error. z, eta and
     zeta are each one finite_rows call and must share one dimension; with
-    number each entry is one number, and one scan (_scanned_rows) reads z,
-    eta, zeta and mu together when it takes them all. mu is one number and
-    value_weights a vector. Every error names its scenario. from_rows takes
-    validated rows as they are.
+    number each entry is one number. mu is one number and value_weights a
+    vector. Every error names its scenario. from_rows takes validated rows
+    as they are.
     """
 
     def __init__(self, theta, scenarios, number=False, required=("z", "eta")):
@@ -388,24 +393,16 @@ class Certificate:
         else:
             given = [v is not None or "zeta" in required for v in zeta]
             zeta = [v if g else zn for v, zn, g in zip(zeta, z, given)]
-        name, n = "certificate scenario %d: ", len(z)
-        mus = None if mu is None else [0.0 if v is None else v for v in mu]
-        # With number, one scan reads z, eta, zeta and mu; where it refuses,
-        # the column reads name the first bad scenario and key.
-        scan = _scanned_rows(z + eta + zeta + (mus or []), True) if number else None
-        if scan is None:
-            z, eta, zeta = (finite_rows(column, name + key, number)
-                            for key, column in (("z", z), ("eta", eta), ("zeta", zeta)))
-        else:
-            z, eta, zeta, mus = scan[:n], scan[n:2 * n], scan[2 * n:3 * n], scan[3 * n:]
+        name = "certificate scenario %d: "
+        z, eta, zeta = (finite_rows(column, name + key, number)
+                        for key, column in (("z", z), ("eta", eta), ("zeta", zeta)))
         for key, block in (("eta", eta), ("zeta", zeta)):
             if block.shape[1] != z.shape[1]:
                 raise ValueError(name % (given.index(True) if key == "zeta" else 0)
                                  + "%s has %d entries but z has %d"
                                  % (key, block.shape[1], z.shape[1]))
         if mu is not None:
-            if scan is None:
-                mus = finite_rows(mus, name + "mu", number=True)
+            mus = finite_rows([0.0 if v is None else v for v in mu], name + "mu", number=True)
             mu = [None if v is None else m for v, m in zip(mu, mus[:, 0].tolist())]
         if weights is not None:
             weights = [None if w is None else finite_vector(w, name % i + "value_weights",

@@ -1111,7 +1111,48 @@ def projected_gradient_solver(n_starts=16, iters=2000, seed=0, step=None):
 
 
 # ---------------------------------------------------------------------------
-# the per-entry readers: oracles of the row readers
+# the per-entry readers: oracles of the readers of number arrays
+
+def _holds_non_number(value):
+    """Whether value, or any entry of it at any depth, is a boolean or a
+    string, by a walk of the whole nesting."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "bSU"
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_non_number, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
+def array_oracle(value, name):
+    """cones.finite_array by np.asarray and a walk of the nesting alone."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or _holds_non_number(value) or not np.isfinite(array).all():
+        raise ValueError("%s must be an array of finite numbers" % name)
+    return array
+
+
+def vector_oracle(value, name, scalar=False, flat=False):
+    """graph_normals.finite_vector by np.asarray, a reshape and a walk of
+    the nesting alone."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        v = np.float64(np.nan)
+    if flat or (scalar and v.ndim == 0):
+        v = v.reshape(-1)
+    if v.ndim != 1 or _holds_non_number(value) or not np.isfinite(v).all():
+        raise ValueError("%s must be a finite 1-D array" % name)
+    return v
+
+
+def polyhedron_oracle(A, b):
+    """Polyhedron(A, b) on the arrays that array_oracle reads from A and b,
+    as the command line read a query's Z before Polyhedron read it."""
+    return Polyhedron(array_oracle(A, "A"), array_oracle(b, "b"))
+
 
 def rows_oracle(values, name, number=False):
     """graph_normals.finite_rows read entry by entry: each entry through

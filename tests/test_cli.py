@@ -16,10 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mstat import graph_normals as GN
+from conftest import array_oracle
 from mstat import newsvendor as NV
 from mstat import stationarity as ST
 from mstat.cli import _json_text, main
+from mstat.cones import finite_array
 from mstat.graph_normals import NormalPair, orthant_membership
 from mstat.newsvendor import NewsvendorInstance, solve_newsvendor
 from mstat.portfolio import PortfolioInstance
@@ -698,38 +699,23 @@ def test_portfolio_theta_file_with_non_numbers_exits_1(theta, tmp_path, capsys):
         assert (code, out) == (1, "") and "theta must be an array of finite numbers" in err
 
 
-def _finite_array_oracle(value, name):
-    """cli._finite_array by np.asarray and a walk of the nesting alone."""
-    from mstat import cli
-
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        array = None
-    if array is None or GN._holds_non_number(value) or not np.isfinite(array).all():
-        raise cli.CliError("%s must be an array of finite numbers" % name)
-    return array
-
-
 @pytest.mark.parametrize("value", [
     [1.5, -0.0, 2], [2 ** 53 + 1, 3], [[1.0, 2], [-0.0, 4.5]], [[0.1]], [[]], [[], []],
     [], [[[1.0]]], [[1.0], 2.0], [[1.0, 2.0], [3.0]], [1.0, True], [[1.0], ["2"]],
     [1.0, float("nan")], [[float("inf")]], [10 ** 400], [[1.0], [10 ** 400]], 1.5, "1"])
 def test_finite_array_reads_as_numpy_does(value):
-    """A list of floats, or of lists of floats of one length, read by the
-    scans of _finite_array has the bytes, shape and dtype of np.asarray's
-    array; anything else, valid or not, is read or refused with the same
-    message."""
-    from mstat import cli
-
+    """A list of numbers, or of lists of numbers of one length, read by the
+    scans of cones.finite_array, which reads --theta and a query's A and b,
+    has the bytes, shape and dtype of np.asarray's array; anything else,
+    valid or not, is read or refused with the same message."""
     def outcome(read):
         try:
             array = read(value, "theta")
-        except cli.CliError as exc:
+        except ValueError as exc:
             return str(exc)
         return array.shape, array.dtype, array.tobytes()
 
-    assert outcome(cli._finite_array) == outcome(_finite_array_oracle)
+    assert outcome(finite_array) == outcome(array_oracle)
 
 
 @pytest.mark.parametrize("action", ["loss", "solve", "certificate", "search"])

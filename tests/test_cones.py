@@ -41,6 +41,15 @@ def test_zero_row_dropped_with_warning():
     assert p.row_index.tolist() == [1]
 
 
+@pytest.mark.parametrize("A, b", [([[1.0]], [[0.0]]), ([[0.0], [0.0]], [[0.0], [1.0]])])
+def test_a_bound_array_of_two_dimensions_is_refused(A, b):
+    """b is a vector: a column of bounds is a ValueError naming both shapes,
+    not a TypeError from the activity test or an IndexError from the
+    zero-row check."""
+    with pytest.raises(ValueError, match=r"^A and b shapes disagree: \(\d, 1\) vs \(\d, 1\)$"):
+        Polyhedron(A, b)
+
+
 @pytest.mark.parametrize("make", [simplex_polyhedron, orthant_polyhedron,
                                   lambda d: Polyhedron(np.vstack([np.zeros(d), np.eye(d)]),
                                                        np.ones(d + 1))])

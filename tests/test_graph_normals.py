@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from mstat.cones import (
     InfeasiblePointError,
     Polyhedron,
     active_rows,
+    finite_array,
     orthant_polyhedron,
     simplex_polyhedron,
 )
@@ -29,8 +31,9 @@ from mstat.graph_normals import (
     simplex_membership,
     _simplex_rows,
 )
-from conftest import (count_lps, random_polyhedral_graph_point, random_simplex_graph_point,
-                      rows_oracle, simplex_oracle, simplex_rows_oracle)
+from conftest import (array_oracle, count_lps, polyhedron_oracle, random_polyhedral_graph_point,
+                      random_simplex_graph_point, rows_oracle, simplex_oracle,
+                      simplex_rows_oracle, vector_oracle)
 from mstat import cli
 from mstat.stationarity import ScenarioColumns
 
@@ -790,13 +793,100 @@ def reader_lists(draw):
     return [flat[i * width:(i + 1) * width] for i in range(n)]
 
 
+# JSON numbers: floats with -0.0, NaN and the infinities, ints past 2^53
+# and past the float range; and the leaves that are no numbers.
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-9, 9),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([-0.0, 2 ** 53 + 1, 10 ** 400, -10 ** 400, np.nan, np.inf, -np.inf]))
+JSON_LEAVES = JSON_NUMBERS | st.booleans() | st.sampled_from(["1", "", None])
+
+
+def _json_nesting(depth):
+    """A leaf, or a list of up to three values nested at most depth deep."""
+    if depth == 0:
+        return JSON_LEAVES
+    return JSON_LEAVES | st.lists(_json_nesting(depth - 1), max_size=3)
+
+
+@st.composite
+def json_values(draw):
+    """A JSON-shaped value of nesting depth 0 to 3: half the time an
+    array of finite numbers, rectangular but for, a third of the time
+    each, one leaf swapped for any JSON leaf or one row a leaf short;
+    otherwise any nesting of leaves and lists, empty and ragged ones
+    included."""
+    depth = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return draw(_json_nesting(depth))
+    shape = draw(st.lists(st.integers(0, 3), min_size=depth, max_size=depth))
+    finite = st.floats(-1e6, 1e6) | st.integers(-9, 9) | st.sampled_from([-0.0, 2 ** 53 + 1])
+    leaves = [draw(finite) for _ in range(int(np.prod(shape)))]
+    change = draw(st.sampled_from(["none", "leaf", "row"])) if leaves else "none"
+    if change == "leaf":
+        leaves[draw(st.integers(0, len(leaves) - 1))] = draw(JSON_LEAVES)
+    leaves = iter(leaves)
+
+    def nest(dims):
+        return [nest(dims[1:]) for _ in range(dims[0])] if dims else next(leaves)
+    value = nest(shape)
+    if change == "row" and depth > 1:
+        value[draw(st.integers(0, len(value) - 1))].pop()
+    return value
+
+
 @settings(max_examples=400, deadline=None)
-@given(reader_lists(), st.booleans())
+@given(reader_lists() | json_values().filter(lambda v: type(v) is list), st.booleans())
 def test_finite_rows_matches_the_per_entry_reader(values, number):
     """On any list of vectors, with or without number, finite_rows gives
     the rows of rows_oracle bit for bit, or raises its error with its text:
     the one scan takes only what reading entry by entry takes."""
     assert _reading(GN.finite_rows, values, number) == _reading(rows_oracle, values, number)
+
+
+def _read(read, *args, **options):
+    """The dtype, shape and bytes of each array that read(*args, **options)
+    gives (A, b and row_index of a Polyhedron), or the type and text of its
+    ValueError; warnings (Polyhedron's dropped zero rows) are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            out = read(*args, **options)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    arrays = (out.A, out.b, out.row_index) if type(out) is Polyhedron else (out,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=600, deadline=None)
+@given(json_values(), json_values(), st.booleans(), st.booleans())
+def test_every_reader_reads_json_values_as_its_generic_oracle(value, other, scalar, flat):
+    """On any JSON-shaped value every reader of number arrays gives the
+    bytes, shape and dtype of its oracle, which reads by np.asarray and a
+    walk of the nesting or entry by entry, or raises its error with its
+    text: finite_array, finite_vector (with scalar and flat), finite_rows
+    (with and without number) and Polyhedron, on the value as A and as b,
+    with the other drawn value or zeros of the value's length."""
+    assert _read(finite_array, value, "v") == _read(array_oracle, value, "v")
+    assert _read(GN.finite_vector, value, "v", scalar=scalar, flat=flat) \
+        == _read(vector_oracle, value, "v", scalar=scalar, flat=flat)
+    if type(value) is list:
+        for number in (False, True):
+            assert _read(GN.finite_rows, value, "v %d", number) \
+                == _read(rows_oracle, value, "v %d", number)
+    zeros = [0.0] * len(value) if type(value) is list else 0.0
+    for A, b in ((value, other), (value, zeros), (other, value)):
+        assert _read(Polyhedron, A, b) == _read(polyhedron_oracle, A, b)
+
+
+@pytest.mark.parametrize("A, b, bad", [([[np.nan]], [0.0], "A"), ([[np.inf]], [0.0], "A"),
+                                       ([["1"]], [0.0], "A"), ([[True]], [0.0], "A"),
+                                       ([[1.0]], [np.nan], "b")])
+def test_polyhedron_refuses_non_finite_and_non_numeric_rows(A, b, bad):
+    """A NaN, an infinity, a string or a boolean in A or b is a ValueError
+    naming the array, so no membership verdict is reached on such a Z."""
+    with pytest.raises(ValueError, match="^%s must be an array of finite numbers$" % bad):
+        Polyhedron(A, b)
 
 
 # ---------------------------------------------------------------------------

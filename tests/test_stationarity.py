@@ -911,6 +911,22 @@ def test_box_normal_cone_distance_is_inf_outside_the_box():
     assert ParameterSet.free(2).outside([1e9, -1e9]) == []
 
 
+@pytest.mark.parametrize("box", [FeasibleSet.box, ParameterSet.box])
+def test_box_bounds_are_finite_numbers_in_order(box):
+    """Both boxes read lo and hi as finite vectors of one length, a lone
+    number as one entry, and refuse crossed bounds; equal bounds are a box."""
+    for lo, hi, bad in (([np.nan], [1.0], "lo"), (["0"], ["1"], "lo"), ([True], [2.0], "lo"),
+                        ([0.0], [np.inf], "hi"), ([0.0], [None], "hi")):
+        with pytest.raises(ValueError, match="^%s must be a finite 1-D array$" % bad):
+            box(lo, hi)
+    with pytest.raises(ValueError, match="^box bounds crossed$"):
+        box([1.0], [0.0])
+    for lo, hi in (([0.0, 0.0], [1.0]), ([0.0], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="^lo and hi must share a dimension$"):
+            box(lo, hi)
+    assert box(-1, 2.0).lo.tolist() == [-1.0] and box([1.0], [1.0]).hi.tolist() == [1.0]
+
+
 def test_report_pass_is_read_off_its_fields():
     prob, cert = stationary_tracking_certificate(np.array([1.25]))
     rep = verify_certificate(prob, cert, tol=1e-8)
