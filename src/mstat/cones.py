@@ -8,6 +8,13 @@ LP from a factorization of the rows where that is certain) and normal-cone
 distances serve the coderivative routes and the face-pair oracle of
 graph_normals and the verifiers of stationarity.
 
+A Polyhedron holds its rows and bounds as tuples of Python floats, and
+builds its arrays A and b only when something asks for them: the cone
+questions of a coderivative query take lists (FactoredRows, cone_contains,
+_unit_rows), so such a query makes no array of Z and calls no BLAS routine.
+The array routes (Polyhedron.slacks, active_set, the distances and the
+verifier's stacked products) read A and b.
+
 Tolerance contract. The paper's conditions are exact inclusions, so every
 borderline verdict is decided by a tolerance. The user sets one, eps: the
 `--tol` of `mstat gph-normal`. Every other value is a module constant, read
@@ -35,8 +42,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import chain
 from operator import mul
 
@@ -77,13 +84,13 @@ def _holds_non_number(value):
     return isinstance(value, (bool, np.bool_, str, bytes))
 
 
-def _finite_list(value):
-    """value as a float array when it is a JSON list of numbers, or of
-    lists of numbers of one length, and every number is finite; else None,
-    for the caller's generic read to name the fault. A number is a Python
-    float or int, never a boolean. One type scan and one math.isfinite
-    scan run before np.array: on desk-scale lists they cost less than
-    np.isfinite's call."""
+def _finite_entries(value):
+    """The numbers of value in row-major order when it is a JSON list of
+    numbers, or of lists of numbers of one length, and every number is
+    finite; else None, for the caller's generic read to name the fault. A
+    number is a Python float or int, never a boolean. One type scan and one
+    math.isfinite scan decide; on desk-scale lists they cost less than
+    np.isfinite's call. A list of numbers is its own entry list."""
     if type(value) is not list:
         return None
     flat, kinds = value, set(map(type, value))
@@ -92,19 +99,32 @@ def _finite_list(value):
         kinds = set(map(type, flat))
     try:
         if kinds <= _NUMBERS and all(map(math.isfinite, flat)):
-            array = np.array(flat, dtype=float)
-            return array if flat is value else array.reshape(len(value), len(value[0]))
+            return flat
     except OverflowError:   # an int beyond float range
         pass
     return None
+
+
+def _finite_list(value):
+    """value as a float array when _finite_entries takes it, else None."""
+    flat = _finite_entries(value)
+    if flat is None:
+        return None
+    array = np.array(flat, dtype=float)
+    return array if flat is value else array.reshape(len(value), len(value[0]))
 
 
 def finite_array(value, name):
     """value as a float array of any shape whose entries are finite
     numbers; booleans, strings, nulls, objects, ragged nesting, ints
     beyond float range and non-finite entries raise ValueError naming
-    name. A list that _finite_list does not take is read by np.asarray
-    and refused, if it must be, by a walk of the nesting."""
+    name. A finite float64 array is returned as given, after one
+    math.isfinite scan of its entries. A list that _finite_list does not
+    take, and any other value, is read by np.asarray and refused, if it
+    must be, by a walk of the nesting."""
+    if type(value) is np.ndarray and value.dtype == float \
+            and all(map(math.isfinite, value.ravel().tolist())):
+        return value
     array = _finite_list(value)
     if array is not None:
         return array
@@ -123,54 +143,86 @@ def _readonly(a, dtype=float):
     return a
 
 
+def _listed(value):
+    """A list or tuple as given (its numbers Python floats); anything else,
+    an array, as np.asarray(value, dtype=float).tolist()."""
+    return value if type(value) in (list, tuple) else np.asarray(value, dtype=float).tolist()
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     """Inequality system {z in R^d : A z <= b} with row-index bookkeeping.
 
-    A and b are read by finite_array, so a non-finite, boolean or string
-    entry is a ValueError ("A must be an array of finite numbers"). Zero
-    rows with b_i >= 0 never bind and are dropped with a warning; a zero
-    row with b_i < 0 makes the system empty and is rejected. `row_index` maps
-    retained rows back to the caller's original numbering. A, b and
-    row_index are read-only copies, so one polyhedron can be shared.
+    A and b are read as finite_array reads them, so a non-finite, boolean or
+    string entry is a ValueError ("A must be an array of finite numbers").
+    A JSON list of rows of one length and a list of bounds, one per row,
+    are read by _finite_entries' two scans without an array; anything else
+    goes through finite_array. Zero rows with b_i >= 0 never bind and are
+    dropped with a warning; a zero row with b_i < 0 makes the system empty
+    and is rejected.
+
+    The polyhedron holds what it read as tuples of Python floats: rows (the
+    retained rows a_i), bounds (their b_i) and index, which maps retained
+    rows back to the caller's original numbering; dim is d. The graph-point
+    routes of graph_normals compute on these, so a coderivative query makes
+    no array of A. A, b and row_index are the same as read-only arrays,
+    each built on first access and then kept; being immutable, one
+    polyhedron can be shared.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    row_index: np.ndarray = field(default=None)
+    rows: tuple
+    bounds: tuple
+    index: tuple
+    dim: int
 
     def __init__(self, A, b):
-        A = np.atleast_2d(finite_array(A, "A"))
-        b = np.atleast_1d(finite_array(b, "b"))
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-            raise ValueError("A and b shapes disagree: %s vs %s" % (A.shape, b.shape))
-        if A.shape[0] < 1 or A.shape[1] < 1:
-            raise ValueError("need at least one row and one column")
-        keep = np.arange(len(A))
-        if not all(map(any, A.tolist())):
-            zero = np.all(A == 0.0, axis=1)
-            bad = zero & (b < 0)
-            if bad.any():
-                raise ValueError("zero row with negative bound at %s"
-                                 % np.flatnonzero(bad).tolist())
-            drop = zero & (b >= 0)
-            if drop.any():
-                warnings.warn("dropping %d zero rows that never bind" % int(drop.sum()))
-            keep = np.flatnonzero(~drop)
-            A, b = A[keep], b[keep]
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "row_index", _readonly(keep, int))
+        entries = _finite_entries(A)
+        if entries is not None and entries is not A and A[0] and type(b) is list \
+                and len(b) == len(A) and _finite_entries(b) is b:
+            rows = [tuple(map(float, a)) for a in A]
+            bounds, dim = list(map(float, b)), len(A[0])
+        else:
+            A = np.atleast_2d(finite_array(A, "A"))
+            b = np.atleast_1d(finite_array(b, "b"))
+            if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+                raise ValueError("A and b shapes disagree: %s vs %s" % (A.shape, b.shape))
+            if A.shape[0] < 1 or A.shape[1] < 1:
+                raise ValueError("need at least one row and one column")
+            rows, bounds, dim = list(map(tuple, A.tolist())), b.tolist(), A.shape[1]
+        index = [i for i, a in enumerate(rows) if any(a)]
+        if len(index) < len(rows):
+            bad = [i for i, (a, v) in enumerate(zip(rows, bounds)) if v < 0 and not any(a)]
+            if bad:
+                raise ValueError("zero row with negative bound at %s" % bad)
+            warnings.warn("dropping %d zero rows that never bind" % (len(rows) - len(index)))
+            rows, bounds = [rows[i] for i in index], [bounds[i] for i in index]
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "bounds", tuple(bounds))
+        object.__setattr__(self, "index", tuple(index))
+        object.__setattr__(self, "dim", dim)
+
+    @cached_property
+    def A(self):
+        return _readonly(self.rows or np.empty((0, self.dim)))
+
+    @cached_property
+    def b(self):
+        return _readonly(self.bounds)
+
+    @cached_property
+    def row_index(self):
+        return _readonly(self.index, int)
 
     @property
     def m(self):
-        return self.A.shape[0]
-
-    @property
-    def dim(self):
-        return self.A.shape[1]
+        return len(self.bounds)
 
     def slacks(self, z):
+        """b - A z by one matrix-vector product. The verifier's stacked
+        product in stationarity._scenario_checks has these bits, which
+        reach its complementarity gaps, and the tests' LP route rebuilds
+        those gaps from this one, so it stays the array product; the graph
+        points of graph_normals read left sums instead (_graph_point)."""
         return self.b - self.A @ np.asarray(z, dtype=float)
 
 
@@ -189,27 +241,30 @@ def simplex_polyhedron(d):
 
 
 def active_set(poly, z, eps=DEFAULT_EPS):
-    """Indices i with |a_i^T z - b_i| <= eps; requires z feasible within eps."""
+    """Indices i with |a_i^T z - b_i| <= eps; requires z feasible within eps.
+    It reads poly.slacks, the array product, as the verifier and the
+    distance to the normal cone read a slack."""
     return active_rows(poly, poly.slacks(np.asarray(z, dtype=float)), eps)
 
 
 def active_rows(poly, slack, eps=DEFAULT_EPS):
     """Indices i with |slack_i| <= eps for the slack vector b - A z of a
-    point z; raises InfeasiblePointError when some slack is below -eps."""
-    s = slack.tolist()
+    point z, a list or an array; raises InfeasiblePointError when some
+    slack is below -eps."""
+    s = _listed(slack)
     if min(s, default=0.0) < -eps:
         i = s.index(min(s))
-        raise InfeasiblePointError("point violates row %d by %.3g" % (poly.row_index[i], -s[i]))
+        raise InfeasiblePointError("point violates row %d by %.3g" % (poly.index[i], -s[i]))
     return tuple(i for i, v in enumerate(s) if abs(v) <= eps)
 
 def active_diagnostics(slack, eps=DEFAULT_EPS):
-    """Rows whose entry of the slack vector b - A z of a point z sits within
-    a decade of the activity threshold.
+    """Rows whose entry of the slack vector b - A z of a point z, a list or
+    an array, sits within a decade of the activity threshold.
 
     Classification near |slack| ~ eps is tolerance-driven; callers surface
     these rows instead of silently committing to one side.
     """
-    return tuple(i for i, s in enumerate(slack.tolist()) if eps < abs(s) <= 10.0 * eps)
+    return tuple(i for i, s in enumerate(_listed(slack)) if eps < abs(s) <= 10.0 * eps)
 
 
 def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
@@ -234,12 +289,11 @@ def cone_coefficients(w, R, L=None, eps=DEFAULT_EPS):
 def _unit_rows(R, L):
     """The rows of R, then those of L, as lists of Python floats, each times
     the power of two that puts its largest |entry| in [1, 2), a zero row
-    left 0; and those powers. math.frexp and math.ldexp are exact, so the
+    left 0; and those powers. R and L are arrays or sequences of rows of
+    Python floats (_listed). math.frexp and math.ldexp are exact, so the
     rows have the bits of np.ldexp on np.frexp's powers. A row whose
     largest |entry| is not finite is left as given (power 0)."""
-    rows = np.asarray(R, dtype=float).tolist()
-    if L is not None:
-        rows += np.asarray(L, dtype=float).tolist()
+    rows = [*_listed(R), *(() if L is None else _listed(L))]
     scaled, powers = [], []
     for row in rows:
         big = max(map(abs, row), default=0.0)
@@ -412,8 +466,10 @@ def cone_contains(w, R, L=None, eps=DEFAULT_EPS, factor=None):
     only where neither of the factorization's certificates decides
     (FactoredRows.decide), on the rows of cone_coefficients, and only
     whether it finds a point is read; it raises as cone_coefficients raises.
+    w, R and L are arrays, or a list of Python floats and sequences of rows
+    of them, read without a copy (_listed).
     """
-    w = np.asarray(w, dtype=float).tolist()
+    w = _listed(w)
     start = 0 if L is None else len(L)
     if factor is None:
         factor = FactoredRows((np.asarray(R, dtype=float) if L is None

@@ -15,9 +15,12 @@ The direct polyhedral predicate decides the existential system at its one
 maximal row split by cone questions on prefixes of one factorization of the
 active rows, with the LP only where the factorization is unsure, so it has
 no cap, and the orthant and simplex specializations reduce it to sign
-conditions in closed form. The simplex also has the distance to its normal
-cone in closed form (_simplex_residual_rows), which gives the verifier's
-lower residuals and the multipliers of its gaps. The face-pair oracle
+conditions in closed form. The direct predicate computes in Python floats
+on the rows of the Polyhedron: the graph point's slacks and the slopes
+a_i^T eta are left sums (lp.left_sum), so its verdict and witness depend
+on no BLAS kernel. The simplex also has the distance to its normal cone in
+closed form (_simplex_residual_rows), which gives the verifier's lower
+residuals and the multipliers of its gaps. The face-pair oracle
 decides the same system independently: it sweeps multiplier supports and
 nested row subsets and tests each pair's face difference and its polar
 directly by the LP, exponential in the active rows and capped at
@@ -32,6 +35,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +55,7 @@ from .cones import (
     finite_array,
     multiplier_within_support,
 )
+from .lp import left_sum
 
 __all__ = [
     "NotGraphPointError", "GraphPoint", "NormalPair", "Membership",
@@ -279,11 +284,22 @@ _NOT_NORMAL = "-g is not in the normal cone at z"
 
 
 def _graph_point(poly, z, g, eps):
-    """z and g as arrays, the slack vector b - A z and the active rows of
-    the graph point (z, -g); raises NotGraphPointError when z is infeasible."""
+    """z and g as arrays, the slack list b - A z and the active rows of the
+    graph point (z, -g); raises NotGraphPointError when z is infeasible.
+
+    Each slack is b_i - left_sum(a_ij z_j) over the polyhedron's rows and
+    bounds (Polyhedron.rows), so its bits depend on no BLAS kernel. Every
+    graph-point reader (polyhedron_membership, oracle_membership,
+    stationarity.nnamcq_check and the tests' oracles) calls this one, and
+    so shares one slack definition; Polyhedron.slacks, the array product
+    that the verifier's _scenario_checks reproduces, may differ from it in
+    the last bits. A z of another length than the rows is a ValueError."""
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
-    slack = poly.slacks(z)
+    if z.shape != (poly.dim,):
+        raise ValueError("z has shape %s but Z has dimension %d" % (z.shape, poly.dim))
+    point = z.tolist()
+    slack = [bi - left_sum(map(mul, a, point)) for a, bi in zip(poly.rows, poly.bounds)]
     try:
         return z, g, slack, active_rows(poly, slack, eps)
     except ValueError as exc:
@@ -297,8 +313,8 @@ def _subsets(pool):
 
 
 def _caller_rows(poly, **rows):
-    """Witness row lists in the caller's numbering (Polyhedron.row_index)."""
-    index = poly.row_index.tolist()
+    """Witness row lists in the caller's numbering (Polyhedron.index)."""
+    index = poly.index
     return {key: [index[i] for i in r] for key, r in rows.items()}
 
 
@@ -332,18 +348,20 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     witness is the canonical pair (E, P); a non-member's lists the active
     rows, each in the caller's numbering (_caller_rows).
     """
-    zeta, eta = pair.zeta, pair.eta
     try:
         _, g, slack, I = _graph_point(poly, gp.z, gp.g, eps)
     except NotGraphPointError as exc:
         return _empty("polyhedron", str(exc))
-    rows = poly.A[list(I)]
-    slopes = (rows @ eta).tolist()
+    if pair.eta.shape != (poly.dim,):
+        raise ValueError("zeta and eta must have the dimension of Z, %d" % poly.dim)
+    zeta, eta = pair.zeta.tolist(), pair.eta.tolist()
+    rows = [poly.rows[i] for i in I]
+    slopes = [left_sum(map(mul, a, eta)) for a in rows]
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
-    ordered = poly.A[E + P + [i for i, s in zip(I, slopes) if s < -eps]]
-    factor = FactoredRows(ordered.tolist())
-    neg, e, p = -g, len(E), len(E) + len(P)
+    ordered = [poly.rows[i] for i in E + P + [i for i, s in zip(I, slopes) if s < -eps]]
+    factor = FactoredRows(ordered)
+    neg, e, p = (-g).tolist(), len(E), len(E) + len(P)
     if not cone_contains(neg, rows, eps=eps, factor=factor):
         return _empty("polyhedron", _NOT_NORMAL)
     member = (e == len(I) or cone_contains(neg, ordered[:e], eps=eps, factor=factor)) \

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import DEFAULT_EPS, _holds_non_number
+from .cones import DEFAULT_EPS, _finite_list, _holds_non_number
 from .graph_normals import (
     Points,
     _simplex_rows,
@@ -67,12 +67,15 @@ class PortfolioInstance:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if _holds_non_number(self.sigma):
-            raise ValueError("sigma must be a square matrix of numbers")
-        try:
-            self.sigma = np.asarray(self.sigma, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("sigma must be a square matrix of numbers") from exc
+        sigma = _finite_list(self.sigma)
+        if sigma is None:
+            if _holds_non_number(self.sigma):
+                raise ValueError("sigma must be a square matrix of numbers")
+            try:
+                sigma = np.asarray(self.sigma, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError("sigma must be a square matrix of numbers") from exc
+        self.sigma = sigma
         if self.sigma.ndim != 2 or self.sigma.shape[0] != self.sigma.shape[1]:
             raise ValueError("sigma must be square")
         if not np.all(np.isfinite(self.sigma)):

@@ -711,9 +711,16 @@ def _scenario_checks(feasible, z, g):
     its point is infeasible, for the (k, d) rows z and g on the set feasible.
 
     One stacked product gives every slack vector b - A z, each with the bits
-    of poly.slacks. A row is infeasible where a slack is below -eps and
-    active where |slack| <= eps, as active_rows reads them (its Python min
-    could differ only at a NaN slack). The lower residual
+    of poly.slacks. It stays that array product, and not the left sums of
+    graph_normals._graph_point, because its slacks reach the
+    complementarity_gap bytes: left sums here move the simplex budget
+    slack, and so the recorded gap, of tests/golden's pf6. So on a general
+    polyhedron a scenario's feasibility and gap read these slacks while its
+    membership (polyhedron_membership) reads left sums; the two can tell a
+    row apart only where its slack lies within rounding of -eps or eps.
+    A row is infeasible where a slack is below -eps and active where
+    |slack| <= eps, as active_rows reads them (its Python min could differ
+    only at a NaN slack). The lower residual
     dist(-g, N_Z(z)) is the one fork: one _simplex_residual_rows pass on the
     simplex, one NNLS per row on any other polyhedron (_nnls_rows). Both
     also give the multiplier lam >= 0 on the active rows at which the

@@ -102,6 +102,8 @@ out empty_coderivative.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -111,6 +113,7 @@ import pytest
 from conftest import count_lps, count_nnls
 from mstat import portfolio as PF
 from mstat.cli import main
+from mstat.cones import Polyhedron
 from mstat.stationarity import lower_residual
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -384,3 +387,52 @@ def test_permuting_the_scenarios_permutes_the_report(problem, certificate, mode,
         assert abs(upper - upper_p) <= 4 * np.spacing(max(abs(upper), abs(upper_p)))
         report.pop("scenarios"), report_p.pop("scenarios")
         assert json.dumps(report, sort_keys=True) == json.dumps(report_p, sort_keys=True)
+
+
+GPH_NORMAL = [c for c in EXPECTED["outputs"] if c["argv"][0] == "gph-normal"]
+
+# Runs each command line read from stdin through main and prints the exit
+# codes and standard outputs as JSON.
+_RUN_CASES = """
+import io, json, sys
+from contextlib import redirect_stdout
+from mstat.cli import main
+outputs = []
+for argv in json.load(sys.stdin):
+    text = io.StringIO()
+    with redirect_stdout(text):
+        code = main(argv)
+    outputs.append([code, text.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_gph_normal_bytes_do_not_depend_on_the_blas_kernel(kernel):
+    """The gph-normal cases, run in one interpreter whose OpenBLAS is
+    pinned to kernel by OPENBLAS_CORETYPE (AVX2 and SSE3), give their
+    recorded exit codes and bytes: a direct query computes its slacks and
+    slopes by left sums, and the explicit routes sum in a fixed order."""
+    assert len(GPH_NORMAL) == 10
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run([sys.executable, "-c", _RUN_CASES], cwd=GOLDEN,
+                          input=json.dumps([c["argv"] for c in GPH_NORMAL]),
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_CORETYPE": kernel,
+                               "PYTHONPATH": os.pathsep.join(paths)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[c["exit"], c["stdout"]] for c in GPH_NORMAL]
+
+
+def test_a_direct_query_builds_no_array_of_its_polyhedron(capsys, monkeypatch):
+    """A gph-normal --method direct query reads its Z into a Polyhedron from
+    the JSON lists and decides on those lists: no case builds A, b or
+    row_index, and every case keeps its recorded bytes."""
+    built = []
+    for name in ("A", "b", "row_index"):
+        monkeypatch.setattr(Polyhedron, name, property(lambda self, _n=name: built.append(_n)))
+    direct = [c for c in GPH_NORMAL if "explicit" not in c["argv"]]
+    assert len(direct) == 8
+    for case in direct:
+        assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
+    assert built == []

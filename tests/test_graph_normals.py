@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import warnings
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from conftest import (array_oracle, count_lps, polyhedron_oracle, random_polyhed
                       random_simplex_graph_point, rows_oracle, simplex_oracle,
                       simplex_rows_oracle, vector_oracle)
 from mstat import cli
+from mstat.lp import left_sum
 from mstat.stationarity import ScenarioColumns
 
 
@@ -188,6 +190,45 @@ def test_oracle_vs_direct_random(rng):
                      rng.integers(-2, 3, poly.dim).astype(float))
             assert oracle_membership(poly, gp, q).member == \
                 polyhedron_membership(poly, gp, q).member
+
+
+# Entries of size 10^U(-3, 3), of either sign.
+MAGNITUDES = st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([-1.0, 1.0]),
+                       st.floats(-3.0, 3.0))
+
+
+@st.composite
+def float_graph_points(draw):
+    """A float system A z <= b in R^d, d <= 4, of at most five rows with a
+    point z, each row active (b_i the left sum of a_ij z_j) or slack by at
+    least 1e-3; g = -A^T lam with integer lam >= 0 on the active rows; eta
+    zero or drawn; zeta drawn or a combination of the active rows with
+    small integer coefficients. A, b and z are lists of floats."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    vector = st.lists(MAGNITUDES, min_size=d, max_size=d)
+    A, z = draw(st.lists(vector, min_size=m, max_size=m)), draw(vector)
+    active = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    b = [left_sum(map(operator.mul, a, z)) + (0.0 if on else draw(st.floats(1e-3, 1e3)))
+         for a, on in zip(A, active)]
+    lam, coef = ([float(draw(st.integers(low, 2))) if on else 0.0 for on in active]
+                 for low in (0, -2))
+    g = -(np.array(A).T @ lam)
+    zeta = draw(vector) if draw(st.booleans()) else np.array(A).T @ coef
+    eta = [0.0] * d if draw(st.booleans()) else draw(vector)
+    return A, b, z, g, zeta, eta
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_graph_points())
+def test_float_graph_points_read_left_sums_and_agree_with_the_oracle(case):
+    """On float rows the graph point's slacks are b_i - left_sum(a_ij z_j)
+    bit for bit, whatever b - A z gives, and the direct route's verdict is
+    the face-pair oracle's."""
+    A, b, z, g, zeta, eta = case
+    poly, gp, q = Polyhedron(A, b), GraphPoint(z, g), pair(zeta, eta)
+    slack = GN._graph_point(poly, gp.z, gp.g, DEFAULT_EPS)[2]
+    assert slack == [bi - left_sum(map(operator.mul, a, z)) for a, bi in zip(A, b)]
+    assert polyhedron_membership(poly, gp, q).verdict == oracle_membership(poly, gp, q).verdict
 
 
 @pytest.mark.parametrize("stem, verdict", [("gq.prism", "member"),
@@ -662,6 +703,13 @@ def test_points_and_pairs_need_finite_one_dimensional_arrays():
             NormalPair([0.0], bad)
     with pytest.raises(ValueError):
         GraphPoint([0.0, 1.0], [0.0])
+    # A point or a pair of another dimension than Z is refused, not cut to
+    # the rows' length.
+    square = Polyhedron([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="dimension 2"):
+        polyhedron_membership(square, GraphPoint([0.0], [0.0]), pair([0.0, 0.0], [0.0, 0.0]))
+    with pytest.raises(ValueError, match="dimension of Z, 2"):
+        polyhedron_membership(square, GraphPoint([0.0, 0.0], [0.0, 0.0]), pair([0.0], [0.0]))
 
 
 def test_finite_number_accepts_exactly_one_finite_number():
@@ -860,6 +908,7 @@ def _read(read, *args, **options):
 
 @settings(max_examples=600, deadline=None)
 @given(json_values(), json_values(), st.booleans(), st.booleans())
+@example(None, [[0.0]], False, False)
 def test_every_reader_reads_json_values_as_its_generic_oracle(value, other, scalar, flat):
     """On any JSON-shaped value every reader of number arrays gives the
     bytes, shape and dtype of its oracle, which reads by np.asarray and a
