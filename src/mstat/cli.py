@@ -33,10 +33,11 @@ class CliError(Exception):
 def _load_json(path, what, kind=dict):
     """The JSON value of a file, which must be of type kind: an object
     unless the caller says otherwise. Anything else is a CliError. The file
-    is read as bytes, so json.loads takes it in UTF-8, with or without a
+    is read as bytes, unbuffered (a JSON file is read whole, so a buffer
+    only copies it), and json.loads takes it in UTF-8, with or without a
     byte order mark, or in UTF-16 or UTF-32 (RFC 8259)."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = json.loads(fh.read())
     except FileNotFoundError:
         raise CliError("no such file: %s" % path)
@@ -230,17 +231,20 @@ def _require(obj, keys, what):
         raise CliError("%s is missing %s" % (what, ", ".join(missing)))
 
 
-def _feasible_from_spec(spec, dim):
+def _query_polyhedron(spec, dim):
+    """The Z of a gph-normal query as a Polyhedron in R^dim: "orthant" or
+    "simplex" (orthant_polyhedron, simplex_polyhedron), or an object whose
+    A and b Polyhedron reads; anything else is a CliError."""
     if spec == "orthant":
-        return ST.FeasibleSet.orthant(dim)
+        return C.orthant_polyhedron(dim)
     if spec == "simplex":
-        return ST.FeasibleSet.simplex(dim)
+        return C.simplex_polyhedron(dim)
     if isinstance(spec, dict):
         _require(spec, ("A", "b"), "the query's Z")
         poly = C.Polyhedron(spec["A"], spec["b"])
         if poly.dim != dim:
             raise CliError("A has %d columns but z has %d entries" % (poly.dim, dim))
-        return ST.FeasibleSet.polyhedron(poly)
+        return poly
     raise CliError("unrecognized feasible set: %r" % (spec,))
 
 
@@ -251,10 +255,11 @@ def cmd_gph_normal(args):
     q = _load_json(args.input, "query")
     _require(q, ("Z", "z", "g", "zeta", "eta"), "the query")
     gp = GN.GraphPoint(q["z"], q["g"])
-    if not gp.z.size:
+    d = len(gp.z_entries)
+    if not d:
         raise CliError("z must have at least one entry")
     pair = GN.NormalPair(q["zeta"], q["eta"])
-    if pair.zeta.shape != gp.z.shape:
+    if len(pair.zeta_entries) != d:
         raise CliError("zeta and eta must have the dimension of z")
     eps = args.tol if args.tol is not None else C.DEFAULT_EPS
     spec = q["Z"]
@@ -269,7 +274,7 @@ def cmd_gph_normal(args):
         else:
             raise CliError("explicit method needs Z = orthant or simplex")
     else:
-        poly = _feasible_from_spec(spec, len(gp.z)).as_polyhedron()
+        poly = _query_polyhedron(spec, d)
         res = GN.polyhedron_membership(poly, gp, pair, eps)
     out = {"schema": SCHEMA, "member": bool(res.member), "verdict": res.verdict,
            "method": method, "witness": res.witness}

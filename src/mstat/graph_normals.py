@@ -16,10 +16,11 @@ maximal row split by cone questions on prefixes of one factorization of the
 active rows, with the LP only where the factorization is unsure, so it has
 no cap, and the orthant and simplex specializations reduce it to sign
 conditions in closed form. The direct predicate computes in Python floats
-on the rows of the Polyhedron: the graph point's slacks and the slopes
-a_i^T eta are left sums (lp.left_sum), so its verdict and witness depend
-on no BLAS kernel. The simplex also has the distance to its normal cone in
-closed form (_simplex_residual_rows), which gives the verifier's lower
+on the rows of the Polyhedron and the tuples of the GraphPoint and the
+NormalPair: the graph point's slacks and the slopes a_i^T eta are left
+sums (lp.left_sum), so its verdict and witness depend on no BLAS kernel.
+The simplex also has the distance to its normal cone in closed form
+(_simplex_residual_rows), which gives the verifier's lower
 residuals and the multipliers of its gaps. The face-pair oracle
 decides the same system independently: it sweeps multiplier supports and
 nested row subsets and tests each pair's face difference and its polar
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple
@@ -51,7 +53,9 @@ from .cones import (
     active_rows,
     cone_coefficients,
     cone_contains,
+    _finite_entries,
     _finite_list,
+    _readonly,
     finite_array,
     multiplier_within_support,
 )
@@ -232,35 +236,74 @@ def object_list(value, name):
     return value
 
 
+def _finite_tuple(value, name):
+    """The entries of finite_vector(value, name) as a tuple of Python
+    floats, with its errors: a JSON list of numbers is read by the one
+    cones._finite_entries scan, anything else by finite_vector."""
+    if type(value) is list and _finite_entries(value) is value:
+        return tuple(map(float, value))
+    return tuple(finite_vector(value, name).tolist())
+
+
 @dataclass(frozen=True)
 class GraphPoint:
-    """A decision point z and the lower-objective gradient g, finite 1-D arrays."""
+    """A decision point z and the lower-objective gradient g, read as
+    finite_vector reads them, of one dimension.
 
-    z: np.ndarray
-    g: np.ndarray
+    The point holds what it read as tuples of Python floats, z_entries and
+    g_entries (_finite_tuple). z and g are the same as finite 1-D read-only
+    float64 arrays, each built on first access and then kept, so they never
+    disagree with the tuples. The direct coderivative route reads the
+    tuples only (_graph_point, polyhedron_membership), so a query makes no
+    array of its point.
+    """
+
+    z_entries: tuple
+    g_entries: tuple
 
     def __init__(self, z, g):
-        object.__setattr__(self, "z", finite_vector(z, "z"))
-        object.__setattr__(self, "g", finite_vector(g, "g"))
-        if self.z.shape != self.g.shape:
+        z, g = _finite_tuple(z, "z"), _finite_tuple(g, "g")
+        if len(z) != len(g):
             raise ValueError("z and g must share a dimension")
+        object.__setattr__(self, "z_entries", z)
+        object.__setattr__(self, "g_entries", g)
+
+    @cached_property
+    def z(self):
+        return _readonly(self.z_entries)
+
+    @cached_property
+    def g(self):
+        return _readonly(self.g_entries)
 
 
 @dataclass(frozen=True)
 class NormalPair:
     """Candidate (zeta, eta): zeta in D*N_Z(z,-g)(eta) iff (zeta,-eta) is normal.
 
-    Both are finite 1-D arrays of one dimension.
+    Both are read as finite_vector reads them, of one dimension, and held
+    as tuples of Python floats, zeta_entries and eta_entries, as GraphPoint
+    holds its point; zeta and eta are the same as read-only float64 arrays,
+    built on first access and then kept.
     """
 
-    zeta: np.ndarray
-    eta: np.ndarray
+    zeta_entries: tuple
+    eta_entries: tuple
 
     def __init__(self, zeta, eta):
-        object.__setattr__(self, "zeta", finite_vector(zeta, "zeta"))
-        object.__setattr__(self, "eta", finite_vector(eta, "eta"))
-        if self.zeta.shape != self.eta.shape:
+        zeta, eta = _finite_tuple(zeta, "zeta"), _finite_tuple(eta, "eta")
+        if len(zeta) != len(eta):
             raise ValueError("zeta and eta must share a dimension")
+        object.__setattr__(self, "zeta_entries", zeta)
+        object.__setattr__(self, "eta_entries", eta)
+
+    @cached_property
+    def zeta(self):
+        return _readonly(self.zeta_entries)
+
+    @cached_property
+    def eta(self):
+        return _readonly(self.eta_entries)
 
 
 @dataclass(frozen=True)
@@ -283,9 +326,10 @@ def _empty(method, reason):
 _NOT_NORMAL = "-g is not in the normal cone at z"
 
 
-def _graph_point(poly, z, g, eps):
-    """z and g as arrays, the slack list b - A z and the active rows of the
-    graph point (z, -g); raises NotGraphPointError when z is infeasible.
+def _graph_point(poly, z, eps):
+    """The slack list b - A z and the active rows of the graph point
+    (z, -g), for z a sequence of Python floats (GraphPoint.z_entries);
+    raises NotGraphPointError when z is infeasible.
 
     Each slack is b_i - left_sum(a_ij z_j) over the polyhedron's rows and
     bounds (Polyhedron.rows), so its bits depend on no BLAS kernel. Every
@@ -294,14 +338,11 @@ def _graph_point(poly, z, g, eps):
     so shares one slack definition; Polyhedron.slacks, the array product
     that the verifier's _scenario_checks reproduces, may differ from it in
     the last bits. A z of another length than the rows is a ValueError."""
-    z = np.asarray(z, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if z.shape != (poly.dim,):
-        raise ValueError("z has shape %s but Z has dimension %d" % (z.shape, poly.dim))
-    point = z.tolist()
-    slack = [bi - left_sum(map(mul, a, point)) for a, bi in zip(poly.rows, poly.bounds)]
+    if len(z) != poly.dim:
+        raise ValueError("z has shape (%d,) but Z has dimension %d" % (len(z), poly.dim))
+    slack = [bi - left_sum(map(mul, a, z)) for a, bi in zip(poly.rows, poly.bounds)]
     try:
-        return z, g, slack, active_rows(poly, slack, eps)
+        return slack, active_rows(poly, slack, eps)
     except ValueError as exc:
         raise NotGraphPointError(str(exc)) from exc
 
@@ -347,21 +388,27 @@ def polyhedron_membership(poly, gp, pair, eps=DEFAULT_EPS):
     where its certificates leave a question open (cone_contains). A member's
     witness is the canonical pair (E, P); a non-member's lists the active
     rows, each in the caller's numbering (_caller_rows).
+
+    The test reads the tuples of gp and pair (z_entries, g_entries,
+    zeta_entries, eta_entries) and the rows of poly, never their arrays:
+    the slacks (_graph_point) and the slopes a_i^T eta are left sums, and
+    -g, zeta and the rows go to the factorization and the LP as Python
+    floats, so a query makes no numpy array.
     """
     try:
-        _, g, slack, I = _graph_point(poly, gp.z, gp.g, eps)
+        slack, I = _graph_point(poly, gp.z_entries, eps)
     except NotGraphPointError as exc:
         return _empty("polyhedron", str(exc))
-    if pair.eta.shape != (poly.dim,):
+    zeta, eta = pair.zeta_entries, pair.eta_entries
+    if len(eta) != poly.dim:
         raise ValueError("zeta and eta must have the dimension of Z, %d" % poly.dim)
-    zeta, eta = pair.zeta.tolist(), pair.eta.tolist()
     rows = [poly.rows[i] for i in I]
     slopes = [left_sum(map(mul, a, eta)) for a in rows]
     E = [i for i, s in zip(I, slopes) if abs(s) <= eps]
     P = [i for i, s in zip(I, slopes) if s > eps]
     ordered = [poly.rows[i] for i in E + P + [i for i, s in zip(I, slopes) if s < -eps]]
     factor = FactoredRows(ordered)
-    neg, e, p = (-g).tolist(), len(E), len(E) + len(P)
+    neg, e, p = [-v for v in gp.g_entries], len(E), len(E) + len(P)
     if not cone_contains(neg, rows, eps=eps, factor=factor):
         return _empty("polyhedron", _NOT_NORMAL)
     member = (e == len(I) or cone_contains(neg, ordered[:e], eps=eps, factor=factor)) \
@@ -387,9 +434,10 @@ def oracle_membership(poly, gp, pair, eps=DEFAULT_EPS):
     of cone_coefficients. Witness rows are in the caller's numbering.
     """
     try:
-        _, g, _, I = _graph_point(poly, gp.z, gp.g, eps)
+        I = _graph_point(poly, gp.z_entries, eps)[1]
     except NotGraphPointError as exc:
         return _empty("oracle", str(exc))
+    g = gp.g
     if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
         return _empty("oracle", _NOT_NORMAL)
     zeta, eta = pair.zeta, pair.eta

@@ -650,10 +650,11 @@ def nnamcq_check(model, theta, x, z):
     """
     eps = DEFAULT_EPS
     z = np.asarray(z, dtype=float)
-    g = np.asarray(model.grad_z(z, theta, x), dtype=float)
+    gp = GraphPoint(z, model.grad_z(z, theta, x))
+    g = gp.g
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    I = list(_graph_point(poly, z, g, eps)[3])
+    I = list(_graph_point(poly, gp.z_entries, eps)[1])
     if not cone_contains(-g, poly.A[I], eps=eps):
         raise NotGraphPointError(_NOT_NORMAL)
     w, V = np.linalg.eigh(0.5 * (H + H.T))
@@ -784,7 +785,12 @@ def _route(feasible, z, g, probe, eta):
     _orthant_rows or _simplex_rows pass, whose columns stay the witnesses;
     any other set calls polyhedron_membership per feasible scenario. An
     infeasible scenario reports an empty coderivative for that reason on
-    every set, with lower residual inf and no gap.
+    every set, with lower residual inf and no gap. On those other sets a
+    scenario is infeasible where either slack reading puts a row below
+    -eps: the array product of _scenario_checks, or the left sums of
+    polyhedron_membership, whose only empty coderivative other than
+    _NOT_NORMAL is that refusal; the two can differ at a slack within
+    rounding of -eps.
     """
     checks = _scenario_checks(feasible, z, g)
     low_res, comp_gap = map(list, zip(*[check or (np.inf, None) for check in checks]))
@@ -796,9 +802,14 @@ def _route(feasible, z, g, probe, eta):
             rows = rows.refuse(np.array(infeasible), _INFEASIBLE)
         return rows.member, rows.verdicts(), rows, low_res, comp_gap
     poly = feasible.as_polyhedron()
-    members = [_empty(feasible.kind, _INFEASIBLE) if bad else
-               polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en), DEFAULT_EPS)
-               for bad, zn, gn, pn, en in zip(infeasible, z, g, probe, eta)]
+    members = []
+    for n, (zn, gn, pn, en) in enumerate(zip(z.tolist(), g.tolist(), probe.tolist(),
+                                             eta.tolist())):
+        m = None if infeasible[n] else \
+            polyhedron_membership(poly, GraphPoint(zn, gn), NormalPair(pn, en), DEFAULT_EPS)
+        if m is None or m.verdict == "empty_coderivative" and m.witness["reason"] != _NOT_NORMAL:
+            m, low_res[n], comp_gap[n] = _empty(feasible.kind, _INFEASIBLE), np.inf, None
+        members.append(m)
     return (np.array([m.member for m in members]), [m.verdict for m in members],
             [m.witness for m in members], low_res, comp_gap)
 

@@ -499,10 +499,11 @@ def nnamcq_oracle(model, theta, x, z, eps=DEFAULT_EPS):
     point is checked by the LP of cone_coefficients.
     """
     z = np.asarray(z, dtype=float)
-    g = np.asarray(model.grad_z(z, theta, x), dtype=float)
+    gp = GraphPoint(z, model.grad_z(z, theta, x))
+    g = gp.g
     H = np.asarray(model.hess_zz(z, theta, x), dtype=float)
     poly = model.feasible_set.as_polyhedron()
-    I = _graph_point(poly, z, g, eps)[3]
+    I = _graph_point(poly, gp.z_entries, eps)[1]
     if cone_coefficients(-g, poly.A[list(I)], eps=eps) is None:
         raise NotGraphPointError(_NOT_NORMAL)
     if len(I) > MAX_ACTIVE_ROWS:

@@ -114,6 +114,7 @@ from conftest import count_lps, count_nnls
 from mstat import portfolio as PF
 from mstat.cli import main
 from mstat.cones import Polyhedron
+from mstat.graph_normals import GraphPoint, NormalPair
 from mstat.stationarity import lower_residual
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -424,15 +425,33 @@ def test_gph_normal_bytes_do_not_depend_on_the_blas_kernel(kernel):
     assert json.loads(proc.stdout) == [[c["exit"], c["stdout"]] for c in GPH_NORMAL]
 
 
-def test_a_direct_query_builds_no_array_of_its_polyhedron(capsys, monkeypatch):
-    """A gph-normal --method direct query reads its Z into a Polyhedron from
-    the JSON lists and decides on those lists: no case builds A, b or
-    row_index, and every case keeps its recorded bytes."""
+def _attributes_read_by_direct_cases(capsys, monkeypatch, cls, names):
+    """Run the 8 gph-normal --method direct cases with the attributes names
+    of cls replaced by properties that record each read; assert that every
+    case keeps its recorded exit code and bytes, and return the reads."""
     built = []
-    for name in ("A", "b", "row_index"):
-        monkeypatch.setattr(Polyhedron, name, property(lambda self, _n=name: built.append(_n)))
+    for name in names:
+        monkeypatch.setattr(cls, name, property(lambda self, _n=name: built.append(_n)))
     direct = [c for c in GPH_NORMAL if "explicit" not in c["argv"]]
     assert len(direct) == 8
     for case in direct:
         assert run(capsys, case["argv"]) == (case["exit"], case["stdout"])
-    assert built == []
+    return built
+
+
+def test_a_direct_query_builds_no_array_of_its_polyhedron(capsys, monkeypatch):
+    """A gph-normal --method direct query reads its Z into a Polyhedron from
+    the JSON lists and decides on those lists: no case builds A, b or
+    row_index, and every case keeps its recorded bytes."""
+    assert _attributes_read_by_direct_cases(capsys, monkeypatch, Polyhedron,
+                                            ("A", "b", "row_index")) == []
+
+
+@pytest.mark.parametrize("cls, names", [(GraphPoint, ("z", "g")),
+                                        (NormalPair, ("zeta", "eta"))])
+def test_a_direct_query_builds_no_array_of_its_point_or_pair(capsys, monkeypatch, cls, names):
+    """A gph-normal --method direct query reads its z, g, zeta and eta as
+    tuples of Python floats and decides on those: no case builds the
+    arrays of its GraphPoint or its NormalPair, and every case keeps its
+    recorded bytes."""
+    assert _attributes_read_by_direct_cases(capsys, monkeypatch, cls, names) == []

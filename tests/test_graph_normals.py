@@ -226,7 +226,7 @@ def test_float_graph_points_read_left_sums_and_agree_with_the_oracle(case):
     the face-pair oracle's."""
     A, b, z, g, zeta, eta = case
     poly, gp, q = Polyhedron(A, b), GraphPoint(z, g), pair(zeta, eta)
-    slack = GN._graph_point(poly, gp.z, gp.g, DEFAULT_EPS)[2]
+    slack = GN._graph_point(poly, gp.z_entries, DEFAULT_EPS)[0]
     assert slack == [bi - left_sum(map(operator.mul, a, z)) for a, bi in zip(A, b)]
     assert polyhedron_membership(poly, gp, q).verdict == oracle_membership(poly, gp, q).verdict
 
@@ -926,6 +926,27 @@ def test_every_reader_reads_json_values_as_its_generic_oracle(value, other, scal
     zeros = [0.0] * len(value) if type(value) is list else 0.0
     for A, b in ((value, other), (value, zeros), (other, value)):
         assert _read(Polyhedron, A, b) == _read(polyhedron_oracle, A, b)
+
+
+@settings(max_examples=600, deadline=None)
+@given(json_values())
+@example([2 ** 53 + 1, -0.0, 10 ** 20])
+def test_points_and_pairs_read_json_values_as_finite_vector(value):
+    """On any JSON-shaped value v, the z and g of GraphPoint(v, v) and the
+    zeta and eta of NormalPair(v, v) have the bytes, shape and dtype of
+    finite_vector(v, name), or the constructor raises its error with the
+    text it gives for the argument read first. The arrays are read-only
+    and hold the entries of the tuples."""
+    for make, names in ((GraphPoint, ("z", "g")), (NormalPair, ("zeta", "eta"))):
+        want = _read(GN.finite_vector, value, names[0])
+        for name in names:
+            assert _read(lambda v: getattr(make(v, v), name), value) == want
+        if type(want) is list:
+            point = make(value, value)
+            for name in names:
+                array = getattr(point, name)
+                assert not array.flags.writeable
+                assert array.tolist() == list(getattr(point, name + "_entries"))
 
 
 @pytest.mark.parametrize("A, b, bad", [([[np.nan]], [0.0], "A"), ([[np.inf]], [0.0], "A"),

@@ -1267,6 +1267,24 @@ def test_the_gap_reads_the_multiplier_of_the_residual(seed, d):
                 assert abs(gap - reference) <= 1e-18 * size
 
 
+def test_a_scenario_infeasible_by_its_left_sums_is_reported_infeasible():
+    """A point whose left-sum slack on row 0, -1.0186e-9, is below -eps,
+    while the array product b - A z may give -9.895e-10 (OpenBLAS SkylakeX
+    kernel), inside it: the general route reports the scenario as
+    _scenario_checks reports an infeasible one, with lower residual inf,
+    no gap and the infeasible-point witness, whichever reading refuses it."""
+    a = [-536.6059036885433, 149.84961124846885, 729.758096944727, -347.9054405062598]
+    poly = Polyhedron([a] + (-np.eye(4)).tolist(), [-150096.89112244017] + [1e4] * 4)
+    z = np.array([[-106.73814996636585, -133.13225142315116, -468.4081195670081,
+                   -443.8022621353869]])
+    zeros = np.zeros((1, 4))
+    member, verdicts, witness, low_res, gaps = ST._route(FeasibleSet.polyhedron(poly), z, zeros,
+                                                         zeros, zeros)
+    assert member.tolist() == [False] and verdicts == ["empty_coderivative"]
+    assert witness == [{"reason": ST._INFEASIBLE}]
+    assert low_res == [np.inf] and gaps == [None]
+
+
 def test_polyhedral_gaps_match_the_lp_route(rng, monkeypatch):
     """_scenario_checks on a general polyhedron, one row at a time, runs no
     LP and gives the lower residual of check_scenario_lp, the reference
